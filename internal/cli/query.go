@@ -24,7 +24,7 @@ func Query(args []string, stdout io.Writer) error {
 		storeDir = fs.String("store", "", "store directory to open instead of indexing -data (from Save/SaveSharded/Build)")
 		saveDir  = fs.String("save-store", "", "after indexing -data, persist the corpus to this store directory")
 		format   = fs.String("store-format", "", "format for -save-store: v2 (columnar segments, default) or v1 (row records)")
-		quantQ   = fs.Bool("quantized-mbr", false, "prefilter index hits with a conservative float32 MBR sidecar before the exact float64 distance (identical results)")
+		quantQ   = fs.Bool("quantized-mbr", false, "accepted, no effect: range search refines only the pairs the index hit, which always pass the float32 prefilter (queued for removal)")
 		queryIdx = fs.Int("query", 0, "index of the sequence to draw the query from")
 		from     = fs.Int("from", 0, "query start offset within that sequence")
 		qlen     = fs.Int("len", 0, "query length (0 = to the end)")

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/rtree"
 )
 
 // SearchBatch answers several range queries with one pass over the
@@ -27,14 +29,14 @@ func (db *Database) SearchBatch(qs []*Sequence, eps float64) ([][]Match, []Searc
 // batchQuery is the per-unique-query state threaded through the batch
 // phases.
 type batchQuery struct {
-	q     *Sequence
-	ref   cacheRef
-	qseg  *Segmented
-	cand  map[uint32]bool
-	st    SearchStats
-	out   []Match
-	done  bool // answered from cache
-	first int  // index in qs of the first occurrence (for error messages)
+	q      *Sequence
+	ref    cacheRef
+	qseg   *Segmented
+	probes []int // per query MBR, the index of its merged phase-2 probe
+	st     SearchStats
+	out    []Match
+	done   bool // answered from cache
+	first  int  // index in qs of the first occurrence (for error messages)
 }
 
 // SearchBatchCtx is SearchBatch honoring a context deadline or
@@ -158,7 +160,6 @@ func (db *Database) searchBatchLocked(ctx context.Context, uniq []*batchQuery, e
 		bq.st.TotalSequences = db.live
 		bq.st.QueryMBRs = len(qseg.MBRs)
 		bq.st.Phase1 = time.Since(t0)
-		bq.cand = make(map[uint32]bool)
 	}
 
 	// Phase 2, merged: group identical query MBRs across the batch and
@@ -167,8 +168,9 @@ func (db *Database) searchBatchLocked(ctx context.Context, uniq []*batchQuery, e
 	// is exactly what a solo search would have paid for, so reuse shows
 	// up in the batch's wall clock, not as understated per-query stats.
 	type probe struct {
-		rect   geom.Rect
-		owners []*batchQuery
+		rect geom.Rect
+		refs []rtree.Ref   // the index entries within ε of rect
+		d    time.Duration // what the descent cost
 	}
 	probeAt := make(map[cache.Key]int)
 	var probes []probe
@@ -191,35 +193,28 @@ func (db *Database) searchBatchLocked(ctx context.Context, uniq []*batchQuery, e
 				probeAt[k] = j
 				probes = append(probes, probe{rect: qm.Rect})
 			}
-			probes[j].owners = append(probes[j].owners, bq)
+			bq.probes = append(bq.probes, j)
 		}
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	for _, pr := range probes {
+	for j := range probes {
 		if err := searchCanceled(ctx); err != nil {
 			return err
 		}
 		t1 := time.Now()
-		refs, err := db.tree.AppendWithinDist(pr.rect, eps, sc.refs[:0])
+		var err error
+		sc.refs, err = db.tree.AppendWithinDist(probes[j].rect, eps, sc.refs[:0])
 		if err != nil {
 			return err
 		}
-		sc.refs = refs
-		entries := len(refs)
-		hits := appendSeqIDs(sc.ids[:0], refs)
-		sc.ids = hits
-		d := time.Since(t1)
-		for _, bq := range pr.owners {
-			bq.st.IndexEntriesHit += entries
-			bq.st.Phase2 += d
-			for _, id := range hits {
-				bq.cand[id] = true
-			}
-		}
+		probes[j].refs = slices.Clone(sc.refs)
+		probes[j].d = time.Since(t1)
 	}
 
-	// Phase 3, per query: refinement depends on the query's own
+	// Per query: replay its probes into the hit table — query MBR i's
+	// bit for every sequence probe i reached, exactly what a solo search
+	// records — then refine. Refinement depends on the query's own
 	// segmentation, so there is nothing to share beyond the corpus pages
 	// already warmed by neighbors in the batch.
 	checked := 0
@@ -227,24 +222,27 @@ func (db *Database) searchBatchLocked(ctx context.Context, uniq []*batchQuery, e
 		if bq.done {
 			continue
 		}
-		t2 := time.Now()
-		bq.st.CandidatesDmbr = len(bq.cand)
-		ids := make([]uint32, 0, len(bq.cand))
-		for id := range bq.cand {
-			ids = append(ids, id)
+		t1 := time.Now()
+		sc.beginHits(len(db.seqs), len(bq.probes))
+		for qi, j := range bq.probes {
+			bq.st.IndexEntriesHit += len(probes[j].refs)
+			bq.st.Phase2 += probes[j].d
+			sc.markHits(probes[j].refs, qi)
 		}
-		sortUint32s(ids)
-		for _, id := range ids {
+		slices.Sort(sc.ids)
+		bq.st.CandidatesDmbr = len(sc.ids)
+		t2 := time.Now()
+		bq.st.Phase2 += t2.Sub(t1)
+		for _, id := range sc.ids {
 			if checked%cancelCheckEvery == 0 {
 				if err := searchCanceled(ctx); err != nil {
 					return err
 				}
 			}
 			checked++
-			m, hit, evals, qpruned := phase3FlatQ(bq.qseg.MBRs, &sc.p3, db.seqs[id], bq.q.Len(), eps, db.opts.QuantizedMBR)
+			m, hit, evals := phase3Hits(bq.qseg.MBRs, sc.hitRow(id), &sc.p3, db.seqs[id], bq.q.Len(), eps)
 			m.SeqID = id
 			bq.st.DnormEvals += evals
-			bq.st.QuantPruned += qpruned
 			if hit {
 				bq.out = append(bq.out, m)
 			}

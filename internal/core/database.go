@@ -36,14 +36,12 @@ type Options struct {
 	MaxEntries int
 	// Eviction selects the buffer-pool replacement policy.
 	Eviction pager.Eviction
-	// QuantizedMBR turns on the quantized-MBR prefilter in phase 3 of
-	// range searches: each (query MBR, candidate) pair is first screened
-	// against the candidate's float32 outward-rounded bounds (half the
-	// memory traffic of the exact arrays), and the exact float64 Dnorm
-	// machinery runs only for pairs the screen cannot dismiss. Quantized
-	// distances are conservative lower bounds, so results are
-	// bit-identical to the exact pipeline (no false dismissals); only
-	// SearchStats accounting (DnormEvals, QuantPruned) differs.
+	// QuantizedMBR is accepted and has no effect on search. It used to
+	// screen each (query MBR, candidate) pair of a range search against
+	// the candidate's float32 bounds before the exact Dnorm work; phase 3
+	// now evaluates only the pairs phase 2's index probe hit, and a hit
+	// pair always passes that screen, so it is no longer consulted. The
+	// field stays until its flags are retired (ROADMAP item 3A).
 	QuantizedMBR bool
 }
 
@@ -459,15 +457,17 @@ type Match struct {
 
 // SearchStats reports what each phase of one Search did.
 type SearchStats struct {
-	QueryMBRs       int           // phase 1: partitions of the query
-	TotalSequences  int           // database size at query time
-	CandidatesDmbr  int           // |ASmbr| after phase 2
-	MatchesDnorm    int           // |ASnorm| after phase 3
-	IndexEntriesHit int           // leaf entries the index search visited
-	DnormEvals      int           // Dnorm computations in phase 3
-	Phase1          time.Duration // query partitioning
-	Phase2          time.Duration // index pruning by Dmbr
-	Phase3          time.Duration // Dnorm pruning + interval assembly
+	QueryMBRs       int // phase 1: partitions of the query
+	TotalSequences  int // database size at query time
+	CandidatesDmbr  int // |ASmbr| after phase 2
+	MatchesDnorm    int // |ASnorm| after phase 3
+	IndexEntriesHit int // leaf entries the index search visited
+	// DnormEvals counts the Dmbr values phase 3 computed: the candidate's
+	// MBR count, summed over the (query MBR, candidate) pairs phase 2 hit.
+	DnormEvals int
+	Phase1     time.Duration // query partitioning
+	Phase2     time.Duration // index pruning by Dmbr
+	Phase3     time.Duration // Dnorm pruning + interval assembly
 	// CPUTime is the summed duration of every phase execution behind this
 	// stats value. For a serial single-node search it equals Total(); for
 	// a parallel search it is Phase1+Phase2 plus the summed per-worker
@@ -506,10 +506,10 @@ type SearchStats struct {
 	// DTWEvals counts exact DTW dynamic programs run (including early
 	// abandoned ones).
 	DTWEvals int
-	// QuantPruned counts (query MBR, candidate) pairs the quantized-MBR
-	// prefilter dismissed in phase 3 before any exact float64 bound was
-	// read (Options.QuantizedMBR). Pruned pairs contribute no DnormEvals.
-	// Zero when quantization is off.
+	// QuantPruned always reads 0: it counted pairs the quantized-MBR
+	// prefilter dismissed in phase 3, and range search no longer consults
+	// that prefilter (see Options.QuantizedMBR). Kept for the log fields
+	// and harness rows that read it.
 	QuantPruned int
 }
 
@@ -588,12 +588,12 @@ func (db *Database) SearchCtx(ctx context.Context, q *Sequence, eps float64) ([]
 	return out, st, nil
 }
 
-// rangePhases runs the three phases of SIMILARITY_SEARCH out of the
-// given scratch, accumulating into st. The caller holds the read lock,
-// has verified the database is open, and owns stats finalization
-// (CPUTime, metrics recording, caching). Shared by SearchCtx and the
-// MetricD refinement path of SearchMetricCtx.
-func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]Match, error) {
+// filterPhases runs phases 1 and 2 of SIMILARITY_SEARCH out of the given
+// scratch, accumulating into st, and returns the candidate ids ascending.
+// What phase 2 learned stays in the scratch for phase 3: sc.hitRow(id) is
+// the set of query MBRs with an index entry of sequence id within ε. The
+// caller holds the read lock and has verified the database is open.
+func (db *Database) filterPhases(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]uint32, error) {
 	// Phase 1: partition the query sequence.
 	t0 := time.Now()
 	sc.segmentQuery(q, db.opts.Partition)
@@ -606,24 +606,24 @@ func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, s
 
 	// Phase 2: first pruning. Any sequence owning an MBR within Dmbr ≤ ε
 	// of any query MBR becomes a candidate. The flat kernel compares in
-	// squared space and appends raw refs; one sort+dedup replaces the
-	// candidate set map.
+	// squared space; each probe's hits go straight into the hit table, so
+	// only the distinct candidate ids are sorted.
 	t1 := time.Now()
-	sc.refs = sc.refs[:0]
+	sc.beginHits(len(db.seqs), len(sc.qmbrs))
 	for i := range sc.qmbrs {
 		if err := searchCanceled(ctx); err != nil {
 			return nil, err
 		}
 		var err error
-		sc.refs, err = db.tree.AppendWithinDist(sc.qmbrs[i].Rect, eps, sc.refs)
+		sc.refs, err = db.tree.AppendWithinDist(sc.qmbrs[i].Rect, eps, sc.refs[:0])
 		if err != nil {
 			return nil, err
 		}
+		st.IndexEntriesHit += len(sc.refs)
+		sc.markHits(sc.refs, i)
 	}
-	st.IndexEntriesHit = len(sc.refs)
-	sc.ids = appendSeqIDs(sc.ids[:0], sc.refs)
-	ids := sortDedupUint32(sc.ids)
-	st.CandidatesDmbr = len(ids)
+	slices.Sort(sc.ids)
+	st.CandidatesDmbr = len(sc.ids)
 	st.Phase2 = time.Since(t1)
 	if tr != nil {
 		tr.RecordSpan(obs.SpanFromContext(ctx), "filter", st.Phase2,
@@ -632,22 +632,34 @@ func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, s
 			obs.Int("candidates_out", st.CandidatesDmbr),
 			obs.Float("pruned_frac", prunedFrac(st.TotalSequences, st.CandidatesDmbr)))
 	}
+	return sc.ids, nil
+}
 
-	// Phase 3: second pruning with Dnorm; qualifying windows accumulate
-	// into the solution interval.
+// rangePhases runs the three phases of SIMILARITY_SEARCH out of the
+// given scratch, accumulating into st. The caller holds the read lock,
+// has verified the database is open, and owns stats finalization
+// (CPUTime, metrics recording, caching). Shared by SearchCtx and the
+// MetricD refinement path of SearchMetricCtx.
+func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]Match, error) {
+	ids, err := db.filterPhases(ctx, q, eps, sc, st, tr)
+	if err != nil {
+		return nil, err
+	}
+
+	// Phase 3: second pruning with Dnorm over the (query MBR, candidate)
+	// pairs phase 2 hit; qualifying windows accumulate into the solution
+	// interval.
 	t2 := time.Now()
 	var out []Match
-	quant := db.opts.QuantizedMBR
 	for ci, id := range ids {
 		if ci%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
 				return nil, err
 			}
 		}
-		m, hit, evals, qpruned := phase3FlatQ(sc.qmbrs, &sc.p3, db.seqs[id], q.Len(), eps, quant)
+		m, hit, evals := phase3Hits(sc.qmbrs, sc.hitRow(id), &sc.p3, db.seqs[id], q.Len(), eps)
 		m.SeqID = id
 		st.DnormEvals += evals
-		st.QuantPruned += qpruned
 		if hit {
 			out = append(out, m)
 		}
@@ -665,19 +677,13 @@ func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, s
 }
 
 // phase3One runs the Dnorm pruning and solution-interval assembly for one
-// candidate sequence. It is pure read-only metric work. The production
-// search paths use phase3Flat — the allocation-free columnar form with
-// identical results; this closure-based original is kept as the reference
-// implementation the hot-path equivalence tests compare against (and as
-// the readable statement of the algorithm).
-//
-// The sweep visits every Dnorm window once; each qualifying window
-// contributes its points to the solution interval (Example 3), widened to
-// full-query extent: the window covers the data matching query offsets
-// [qm.Start, qm.End), and the Definition 6 windows containing it are
-// len(Q) long, so the match region extends left by the query prefix before
-// this MBR and right by the suffix after it. Without the widening,
-// interval recall loses the fringes of every match.
+// candidate sequence, every query MBR evaluated. The production search
+// paths use phase3Hits — the allocation-free columnar kernel with identical
+// results; this closure-based original is kept as the reference
+// implementation the equivalence tests compare against (and as the
+// readable statement of the algorithm). Without the widening to
+// full-query extent (see phase3Hits), interval recall loses the fringes of
+// every match.
 func phase3One(qseg *Segmented, g *Segmented, qLen int, eps float64) (m Match, hit bool, evals int) {
 	m = Match{Seq: g.Seq, MinDnorm: math.Inf(1)}
 	for _, qm := range qseg.MBRs {
@@ -729,10 +735,6 @@ func (db *Database) CandidatesDmbr(q *Sequence, eps float64) (map[uint32]bool, e
 		}
 	}
 	return candidates, nil
-}
-
-func sortUint32s(xs []uint32) {
-	slices.Sort(xs)
 }
 
 // cancelCheckEvery is how many candidates a ctx-aware search processes

@@ -147,62 +147,37 @@ func (c *dnormCalc) dnorm(j int) DnormResult {
 	return best
 }
 
-// dnWindow is one qualifying Dnorm window as collected by sweepAppend:
-// the weighted distance plus the half-open point range that realized it.
-type dnWindow struct {
-	dist         float64
-	pstart, pend int
-}
-
-// sweep enumerates every Dnorm window of the sequence exactly once and
-// calls emit for each window whose weighted distance is at most eps,
-// returning the global minimum distance across all windows (which equals
-// min_j Dnorm(j) — each per-target Dnorm is the minimum over the windows
-// containing that target, so the two minima coincide, and a sequence has
-// some Dnorm(j) ≤ eps exactly when some window qualifies).
+// sweep enumerates every Dnorm window of the sequence exactly once — all
+// LD windows (one per left edge with enough points to its right), all RD
+// windows, every degenerate single-MBR case, and the short-sequence
+// clamp — and calls emit (when non-nil) for each window whose weighted
+// distance is at most eps, returning the global minimum distance across
+// all windows (which equals min_j Dnorm(j) — each per-target Dnorm is the
+// minimum over the windows containing that target, so the two minima
+// coincide, and a sequence has some Dnorm(j) ≤ eps exactly when some
+// window qualifies). The union of qualifying windows is what phase 3
+// needs for the solution interval, and the sweep computes it in O(r)
+// where evaluating Dnorm(j) for every j costs O(r²).
 //
-// This is the closure-based compatibility form; it is implemented on top
-// of sweepAppend so both forms enumerate identical windows in identical
-// order. Hot paths call sweepAppend directly with a reused buffer.
+// This is the seed reference form; the production kernel is sweepWindows
+// (scratch.go), which enumerates identical windows in identical order
+// with identical arithmetic over the columnar Starts/dists/wpre arrays.
 func (c *dnormCalc) sweep(eps float64, emit func(dist float64, pstart, pend int)) float64 {
-	if emit == nil {
-		best, _ := c.sweepAppend(math.Inf(-1), nil)
-		return best
-	}
-	best, wins := c.sweepAppend(eps, nil)
-	for _, w := range wins {
-		emit(w.dist, w.pstart, w.pend)
-	}
-	return best
-}
-
-// sweepAppend enumerates every Dnorm window of the sequence exactly once —
-// all LD windows (one per left edge with enough points to its right), all
-// RD windows, every degenerate single-MBR case, and the short-sequence
-// clamp — appending each window whose weighted distance is at most eps to
-// wins. It returns the global minimum distance across all windows and the
-// grown slice. With a pre-grown wins buffer (and eps = -Inf to suppress
-// collection entirely) the call performs no allocation.
-//
-// The union of qualifying windows is what phase 3 needs for the solution
-// interval, and the sweep computes it in O(r) where evaluating Dnorm(j)
-// for every j costs O(r²).
-func (c *dnormCalc) sweepAppend(eps float64, wins []dnWindow) (float64, []dnWindow) {
 	r := len(c.mbrs)
 	best := math.Inf(1)
 	consider := func(dist float64, pstart, pend int) {
 		if dist < best {
 			best = dist
 		}
-		if dist <= eps {
-			wins = append(wins, dnWindow{dist: dist, pstart: pstart, pend: pend})
+		if emit != nil && dist <= eps {
+			emit(dist, pstart, pend)
 		}
 	}
 
 	if c.countIn(0, r-1) <= c.qCount {
 		total := c.countIn(0, r-1)
 		consider(c.weightedIn(0, r-1)/float64(total), c.mbrs[0].Start, c.mbrs[r-1].End)
-		return best, wins
+		return best
 	}
 
 	// Degenerate targets: big enough on their own.
@@ -251,7 +226,7 @@ func (c *dnormCalc) sweepAppend(eps float64, wins []dnWindow) (float64, []dnWind
 		dist := (c.weightedIn(p+1, q) + c.dists[p]*float64(partial)) / float64(c.qCount)
 		consider(dist, c.mbrs[p].End-partial, c.mbrs[q].End)
 	}
-	return best, wins
+	return best
 }
 
 // Dnorm computes the normalized distance between a query MBR (its

@@ -1,7 +1,7 @@
 package core
 
 // Hot-path equivalence and regression tests: the flat squared-space
-// search paths (phase3Flat, segmentQuery, AppendWithinDist-backed phase 2,
+// search paths (phase3Hits, segmentQuery, AppendWithinDist-backed phase 2,
 // manual kNN heap, bestAlignFlat) must return byte-identical results to
 // the seed implementations they replaced, and a warmed serial range
 // search must not allocate. The seed forms — WithinDist, phase3One,
@@ -17,6 +17,7 @@ import (
 	"os"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 )
@@ -76,7 +77,7 @@ func searchReference(t testing.TB, db *Database, q *Sequence, eps float64) []Mat
 	for id := range cand {
 		ids = append(ids, id)
 	}
-	sortUint32s(ids)
+	slices.Sort(ids)
 	var out []Match
 	for _, id := range ids {
 		m, hit, _ := phase3One(qseg, db.seqs[id], q.Len(), eps)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,13 +27,26 @@ type IntervalSet struct {
 }
 
 // Add inserts a range, merging as needed. Empty or inverted ranges are
-// ignored.
+// ignored. The set is edited in place; phase 3 emits windows in nearly
+// ascending order, so the usual call appends past the last range or
+// widens it without searching.
 func (s *IntervalSet) Add(r PointRange) {
 	if r.End <= r.Start {
 		return
 	}
+	n := len(s.ranges)
+	if n == 0 || r.Start > s.ranges[n-1].End {
+		s.ranges = append(s.ranges, r)
+		return
+	}
+	if last := &s.ranges[n-1]; r.Start >= last.Start {
+		if r.End > last.End {
+			last.End = r.End
+		}
+		return
+	}
 	// Locate insertion point by Start.
-	i := sort.Search(len(s.ranges), func(i int) bool { return s.ranges[i].Start > r.Start })
+	i := sort.Search(n, func(i int) bool { return s.ranges[i].Start > r.Start })
 	// Merge with predecessor if overlapping/adjacent.
 	if i > 0 && s.ranges[i-1].End >= r.Start {
 		i--
@@ -43,13 +57,13 @@ func (s *IntervalSet) Add(r PointRange) {
 	}
 	// Absorb successors covered by r.
 	j := i
-	for j < len(s.ranges) && s.ranges[j].Start <= r.End {
+	for j < n && s.ranges[j].Start <= r.End {
 		if s.ranges[j].End > r.End {
 			r.End = s.ranges[j].End
 		}
 		j++
 	}
-	s.ranges = append(s.ranges[:i], append([]PointRange{r}, s.ranges[j:]...)...)
+	s.ranges = slices.Replace(s.ranges, i, j, r)
 }
 
 // AddSet merges every range of t into s.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -167,6 +169,66 @@ func TestIntervalAgainstBitmapReference(t *testing.T) {
 		for i := 1; i < len(rs); i++ {
 			if rs[i].Start <= rs[i-1].End {
 				t.Fatalf("trial %d: ranges not normalized: %v", trial, rs)
+			}
+		}
+	}
+}
+
+// addRebuild is IntervalSet.Add as it was before the in-place rewrite:
+// it locates the affected span and rebuilds the slice around a temporary.
+func addRebuild(rs []PointRange, r PointRange) []PointRange {
+	if r.End <= r.Start {
+		return rs
+	}
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Start > r.Start })
+	if i > 0 && rs[i-1].End >= r.Start {
+		i--
+		if rs[i].End >= r.End {
+			return rs
+		}
+		r.Start = rs[i].Start
+	}
+	j := i
+	for j < len(rs) && rs[j].Start <= r.End {
+		if rs[j].End > r.End {
+			r.End = rs[j].End
+		}
+		j++
+	}
+	return append(rs[:i:i], append([]PointRange{r}, rs[j:]...)...)
+}
+
+// TestIntervalAddMatchesRebuild drives the in-place Add and the previous
+// rebuild-the-slice implementation with the same random range streams —
+// uniformly scattered, and nearly ascending with overlaps the way phase 3
+// emits windows — and requires identical normalized output after every
+// call.
+func TestIntervalAddMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 400; trial++ {
+		var s IntervalSet
+		var want []PointRange
+		ascending := trial%2 == 0
+		cursor := 0
+		for op := 0; op < 60; op++ {
+			var r PointRange
+			if ascending {
+				cursor += rng.Intn(12) - 3
+				if cursor < 0 {
+					cursor = 0
+				}
+				r = PointRange{cursor, cursor + rng.Intn(10) - 1}
+			} else {
+				r.Start = rng.Intn(300)
+				r.End = r.Start + rng.Intn(40) - 2
+			}
+			s.Add(r)
+			want = addRebuild(want, r)
+			if len(want) == 0 && s.IsEmpty() {
+				continue
+			}
+			if !reflect.DeepEqual(s.Ranges(), want) {
+				t.Fatalf("trial %d op %d: after Add(%v) got %v, rebuild form %v", trial, op, r, s.Ranges(), want)
 			}
 		}
 	}

@@ -111,7 +111,7 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 				return nil, err
 			}
 		}
-		lb := minDnormFlat(sc.qmbrs, &sc.p3, g)
+		lb := dnormBound(sc.qmbrs, &sc.p3, g)
 		sc.heap = pushCand(sc.heap, knnCand{id: uint32(id), bound: lb})
 	}
 

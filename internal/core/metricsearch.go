@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -156,15 +157,16 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 	// suffix envelope at position 0).
 	t1 := time.Now()
 	qrect := geom.Rect{L: ds.sufLo[:d], H: ds.sufHi[:d]}
-	sc.refs = sc.refs[:0]
 	var err error
-	sc.refs, err = db.tree.AppendWithinDist(qrect, eps, sc.refs)
+	sc.refs, err = db.tree.AppendWithinDist(qrect, eps, sc.refs[:0])
 	if err != nil {
 		return nil, err
 	}
 	st.IndexEntriesHit = len(sc.refs)
-	sc.ids = appendSeqIDs(sc.ids[:0], sc.refs)
-	ids := sortDedupUint32(sc.ids)
+	sc.beginHits(len(db.seqs), 1)
+	sc.markHits(sc.refs, 0)
+	slices.Sort(sc.ids)
+	ids := sc.ids
 	st.CandidatesDmbr = len(ids)
 	st.Phase2 = time.Since(t1)
 	if tr != nil {

@@ -68,53 +68,23 @@ func (db *Database) SearchParallelCtx(ctx context.Context, q *Sequence, eps floa
 	}
 	st.TotalSequences = db.live
 
-	// One scratch owns the query segmentation and the phase-2 buffers;
-	// the workers read its qmbrs concurrently (read-only) while each
-	// draws its own scratch from the pool for the phase-3 Dnorm arrays.
+	// One scratch owns the query segmentation and the phase-2 hit table;
+	// the workers read both concurrently (read-only) while each draws its
+	// own scratch from the pool for the phase-3 Dnorm arrays.
 	sc := getScratch()
 	defer putScratch(sc)
 
-	t0 := time.Now()
-	sc.segmentQuery(q, db.opts.Partition)
-	st.QueryMBRs = len(sc.qmbrs)
-	st.Phase1 = time.Since(t0)
-	if tr != nil {
-		tr.RecordSpan(obs.SpanFromContext(ctx), "partition", st.Phase1,
-			obs.Int("query_mbrs", st.QueryMBRs))
-	}
-
-	t1 := time.Now()
-	sc.refs = sc.refs[:0]
-	for i := range sc.qmbrs {
-		if err := searchCanceled(ctx); err != nil {
-			return nil, st, err
-		}
-		var err error
-		sc.refs, err = db.tree.AppendWithinDist(sc.qmbrs[i].Rect, eps, sc.refs)
-		if err != nil {
-			return nil, st, err
-		}
-	}
-	st.IndexEntriesHit = len(sc.refs)
-	sc.ids = appendSeqIDs(sc.ids[:0], sc.refs)
-	ids := sortDedupUint32(sc.ids)
-	st.CandidatesDmbr = len(ids)
-	st.Phase2 = time.Since(t1)
-	if tr != nil {
-		tr.RecordSpan(obs.SpanFromContext(ctx), "filter", st.Phase2,
-			obs.Int("candidates_in", st.TotalSequences),
-			obs.Int("index_entries", st.IndexEntriesHit),
-			obs.Int("candidates_out", st.CandidatesDmbr),
-			obs.Float("pruned_frac", prunedFrac(st.TotalSequences, st.CandidatesDmbr)))
+	ids, err := db.filterPhases(ctx, q, eps, sc, &st, tr)
+	if err != nil {
+		return nil, st, err
 	}
 
 	t2 := time.Now()
 
 	type slot struct {
-		m       Match
-		hit     bool
-		evals   int
-		qpruned int
+		m     Match
+		hit   bool
+		evals int
 	}
 	slots := make([]slot, len(ids))
 	// busyNS accumulates each worker's phase-3 compute so CPUTime can
@@ -145,9 +115,9 @@ func (db *Database) SearchParallelCtx(ctx context.Context, q *Sequence, eps floa
 				n++
 				jt := time.Now()
 				id := ids[i]
-				m, hit, evals, qpruned := phase3FlatQ(sc.qmbrs, &wsc.p3, db.seqs[id], q.Len(), eps, db.opts.QuantizedMBR)
+				m, hit, evals := phase3Hits(sc.qmbrs, sc.hitRow(id), &wsc.p3, db.seqs[id], q.Len(), eps)
 				m.SeqID = id
-				slots[i] = slot{m: m, hit: hit, evals: evals, qpruned: qpruned}
+				slots[i] = slot{m: m, hit: hit, evals: evals}
 				busy += time.Since(jt)
 			}
 		}()
@@ -169,7 +139,6 @@ feed:
 	var out []Match
 	for _, s := range slots {
 		st.DnormEvals += s.evals
-		st.QuantPruned += s.qpruned
 		if s.hit {
 			out = append(out, s.m)
 		}

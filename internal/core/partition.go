@@ -136,9 +136,16 @@ type Segmented struct {
 	// lows rounded toward −∞ and highs toward +∞, so every quantized MBR
 	// encloses its exact original and distances computed from them are
 	// conservative lower bounds (see geom.QuantizeDown/QuantizeUp). The
-	// phase-3 prefilter scans these — half the memory traffic — before
-	// the exact float64 kernel confirms survivors.
+	// v2 store persists and reloads them; search no longer reads them
+	// (see Options.QuantizedMBR).
 	QLo, QHi []float32
+
+	// Starts is the point-range column of the partitioning: MBR j covers
+	// points [Starts[j], Starts[j+1]), so len(Starts) = len(MBRs)+1,
+	// Starts[0] = 0 and the last entry is the sequence length. It is the
+	// count prefix sum every Dnorm window reads, kept beside Lo/Hi so the
+	// phase-3 kernel never loads an MBRInfo.
+	Starts []int32
 }
 
 // NewSegmented partitions s under cfg and builds the columnar view.
@@ -176,8 +183,18 @@ func (g *Segmented) syncSoA() {
 			H: hi[j*d : (j+1)*d : (j+1)*d],
 		}
 	}
-	g.Flat, g.Lo, g.Hi = flat, lo, hi
+	g.Flat, g.Lo, g.Hi, g.Starts = flat, lo, hi, startsOf(g.MBRs)
 	g.syncQuant()
+}
+
+// startsOf builds the Starts column of a partitioning that tiles its
+// sequence contiguously from point 0.
+func startsOf(mbrs []MBRInfo) []int32 {
+	starts := make([]int32, len(mbrs)+1)
+	for j := range mbrs {
+		starts[j+1] = int32(mbrs[j].End)
+	}
+	return starts
 }
 
 // syncQuant (re)builds the quantized float32 sidecar from Lo/Hi with
@@ -257,7 +274,7 @@ func newColumnar(s *Sequence, ranges []MBRInfo, flat, lo, hi []float64) (*Segmen
 	if want != n {
 		return nil, fmt.Errorf("core: MBR ranges cover %d of %d points", want, n)
 	}
-	return &Segmented{Seq: s, MBRs: ranges, Flat: flat, Lo: lo, Hi: hi}, nil
+	return &Segmented{Seq: s, MBRs: ranges, Flat: flat, Lo: lo, Hi: hi, Starts: startsOf(ranges)}, nil
 }
 
 // Bounds returns the union of the partition MBRs — the sequence's

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -25,9 +24,16 @@ type searchScratch struct {
 	// qflat is the columnar copy of the query points (kNN refinement).
 	qflat []float64
 
-	// Phase-2 buffers: raw index hits, then unpacked sequence ids.
-	refs []rtree.Ref
-	ids  []uint32
+	// Phase-2 buffers. refs holds the raw index hits of one probe. hits is
+	// what phase 2 learned, kept for phase 3: one row of hitWords words per
+	// sequence id, bit i set when query MBR i has an index entry of that
+	// sequence within Dmbr ≤ ε. ids lists the sequences with a non-zero
+	// row, each once. Every row is zero while the scratch sits in the pool
+	// (clearHits), so a search only ever touches its candidates' rows.
+	refs     []rtree.Ref
+	hits     []uint64
+	hitWords int
+	ids      []uint32
 
 	// heap holds kNN candidates ordered by Dnorm lower bound.
 	heap []knnCand
@@ -43,18 +49,19 @@ type searchScratch struct {
 // searchScratch so the parallel path can hand each worker its own copy
 // while they share one read-only query segmentation.
 type phase3Scratch struct {
-	sq     []float64 // squared Dmbr per target MBR (MinDistSqBatch output)
-	dists  []float64 // sqrt(sq): the Dmbr values dnormCalc consumes
-	prefix []int     // count prefix sums (len r+1)
-	wpre   []float64 // weighted-distance prefix sums (len r+1)
-	wins   []dnWindow
-	calc   dnormCalc
+	sq    []float64    // squared Dmbr per target MBR (MinDistSqBatch output)
+	dists []float64    // sqrt(sq): the Dmbr values the window sweep consumes
+	wpre  []float64    // weighted-distance prefix sums (len r+1)
+	wins  []PointRange // point ranges of the qualifying windows of one pair
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-func getScratch() *searchScratch   { return scratchPool.Get().(*searchScratch) }
-func putScratch(sc *searchScratch) { scratchPool.Put(sc) }
+func getScratch() *searchScratch { return scratchPool.Get().(*searchScratch) }
+func putScratch(sc *searchScratch) {
+	sc.clearHits()
+	scratchPool.Put(sc)
+}
 
 // ensureFloats returns s resized to length n, reallocating only when the
 // capacity is insufficient.
@@ -128,138 +135,193 @@ func (sc *searchScratch) fillQueryFlat(q *Sequence) {
 	}
 }
 
-// appendSeqIDs unpacks the sequence-id half of each index hit into ids.
-func appendSeqIDs(ids []uint32, refs []rtree.Ref) []uint32 {
-	for _, r := range refs {
-		id, _ := r.Unpack()
-		ids = append(ids, id)
+// beginHits sizes the hit table for nseq sequence ids and nq query MBRs
+// and empties the candidate list. Growing reallocates (zeroed); reslicing
+// exposes rows the pool invariant already keeps zero.
+func (sc *searchScratch) beginHits(nseq, nq int) {
+	sc.clearHits()
+	sc.hitWords = (nq + 63) / 64
+	if n := nseq * sc.hitWords; cap(sc.hits) < n {
+		sc.hits = make([]uint64, n)
+	} else {
+		sc.hits = sc.hits[:n]
 	}
-	return ids
 }
 
-// sortDedupUint32 sorts ids ascending and removes duplicates in place —
-// the allocation-free replacement for the candidate set map: phase 2
-// appends every hit, then one sort+compact yields the unique candidate
-// ids in the order the serial search has always processed them.
-func sortDedupUint32(ids []uint32) []uint32 {
-	slices.Sort(ids)
-	return slices.Compact(ids)
+// hitRow returns the query-MBR bitset of sequence id.
+func (sc *searchScratch) hitRow(id uint32) []uint64 {
+	o := int(id) * sc.hitWords
+	return sc.hits[o : o+sc.hitWords]
 }
 
-// ensure sizes the Dnorm arrays for a candidate with r target MBRs and
-// resets the prefix bases.
-func (p3 *phase3Scratch) ensure(r int) {
+// markHits records that query MBR qi hit every sequence owning one of
+// refs, collecting each sequence id the first time any bit of its row is
+// set.
+func (sc *searchScratch) markHits(refs []rtree.Ref, qi int) {
+	w, bit := qi>>6, uint64(1)<<(qi&63)
+	for _, ref := range refs {
+		id, _ := ref.Unpack()
+		row := sc.hitRow(id)
+		var seen uint64
+		for _, x := range row {
+			seen |= x
+		}
+		if seen == 0 {
+			sc.ids = append(sc.ids, id)
+		}
+		row[w] |= bit
+	}
+}
+
+// clearHits zeroes the rows of the collected candidates and empties the
+// list, restoring the all-zero table the next search starts from.
+func (sc *searchScratch) clearHits() {
+	for _, id := range sc.ids {
+		clear(sc.hitRow(id))
+	}
+	sc.ids = sc.ids[:0]
+}
+
+// phase3Hits is the phase-3 kernel: Dnorm pruning and solution-interval
+// assembly for one candidate sequence, over columnar data only. hits is
+// the candidate's row of the phase-2 hit table; query MBRs whose bit is
+// clear are skipped, nil means evaluate every query MBR (the index-free
+// callers: the transaction layer's delta scan and the kNN bound pass).
+//
+// Skipping is exact. Every Dnorm window distance is a convex combination
+// of the pair's Dmbr values (Definition 5, Lemmas 2–3), so a pair without
+// an index hit — every Dmbr above ε, by the same squared-space arithmetic
+// MinDistSqBatch uses — has no window within ε: it adds nothing to the
+// solution interval, and its window minimum exceeds ε while an emitted
+// match's MinDnorm is at most ε, so it cannot be the minimum either.
+//
+// For each evaluated pair the Dmbr row is computed over the candidate's
+// Lo/Hi in squared space with one sqrt per target, then sweepWindows
+// visits every window once. Each qualifying window contributes its points
+// to the solution interval (Example 3), widened to full-query extent: the
+// window covers the data matching query offsets [qm.Start, qm.End), and
+// the Definition 6 windows containing it are len(Q) long, so the match
+// region extends left by the query prefix before this MBR and right by
+// the suffix after it. Results are bit-identical to phase3One over the
+// same candidates; evals counts the Dmbr values computed. With eps = -Inf
+// nothing qualifies and m.MinDnorm is the kNN lower bound.
+func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented, qLen int, eps float64) (m Match, hit bool, evals int) {
+	m = Match{Seq: g.Seq, MinDnorm: math.Inf(1)}
+	starts := g.Starts
+	r := len(starts) - 1
+	n := int(starts[r])
 	p3.sq = ensureFloats(p3.sq, r)
 	p3.dists = ensureFloats(p3.dists, r)
-	p3.prefix = ensureInts(p3.prefix, r+1)
 	p3.wpre = ensureFloats(p3.wpre, r+1)
-	p3.prefix[0] = 0
-	p3.wpre[0] = 0
-}
-
-// phase3Flat runs the Dnorm pruning and solution-interval assembly for one
-// candidate sequence — the allocation-free form of phase3One. The query
-// side is any []MBRInfo whose rects can be read as flat bounds (both the
-// pooled segmentQuery output and a Segmented's MBRs qualify); the data
-// side uses the candidate's columnar Lo/Hi through MinDistSqBatch, so the
-// whole Dmbr row of the Dnorm table is computed over sequential memory in
-// squared space, with one sqrt per target when converting to the weighted
-// means Definition 5 needs. Emission order, arithmetic, and results are
-// identical to phase3One (see the equivalence tests).
-//
-// It is implemented on phase3FlatQ with the quantized prefilter off.
-func phase3Flat(qmbrs []MBRInfo, p3 *phase3Scratch, g *Segmented, qLen int, eps float64) (m Match, hit bool, evals int) {
-	m, hit, evals, _ = phase3FlatQ(qmbrs, p3, g, qLen, eps, false)
-	return m, hit, evals
-}
-
-// phase3FlatQ is phase3Flat with an optional quantized-MBR prefilter.
-// With quant set, each (query MBR, candidate) pair is screened against
-// the candidate's float32 outward-rounded bounds first: every Dnorm
-// window distance is a convex combination of per-target Dmbr values, so
-// it is at least the minimum Dmbr, and the quantized minimum lower-bounds
-// that (geom.MinDistSqWithinQ). When no quantized target is within eps,
-// no window of this pair can qualify and the pair's exact Dmbr batch,
-// sqrt loop, and window sweep are all skipped. A skipped pair cannot
-// change the emitted Match either: its window minimum exceeds eps, while
-// an emitted match's MinDnorm is at most eps, so the overall minimum is
-// never attained in a skipped pair. Results are therefore bit-identical
-// with quant on or off; only evals/qpruned accounting differs.
-func phase3FlatQ(qmbrs []MBRInfo, p3 *phase3Scratch, g *Segmented, qLen int, eps float64, quant bool) (m Match, hit bool, evals, qpruned int) {
-	m = Match{Seq: g.Seq, MinDnorm: math.Inf(1)}
-	r := len(g.MBRs)
-	epsSq := eps * eps
+	sq, dists, wpre := p3.sq, p3.dists, p3.wpre
+	wpre[0] = 0
 	for qi := range qmbrs {
-		qm := &qmbrs[qi]
-		if quant && !geom.MinDistSqWithinQ(qm.Rect.L, qm.Rect.H, g.QLo, g.QHi, epsSq) {
-			qpruned++
+		if hits != nil && hits[qi>>6]&(1<<(qi&63)) == 0 {
 			continue
 		}
-		p3.ensure(r)
-		geom.MinDistSqBatch(qm.Rect.L, qm.Rect.H, g.Lo, g.Hi, p3.sq)
-		c := &p3.calc
-		*c = dnormCalc{
-			mbrs:   g.MBRs,
-			dists:  p3.dists,
-			prefix: p3.prefix,
-			wpre:   p3.wpre,
-			qCount: qm.Count(),
-		}
-		for t := 0; t < r; t++ {
-			c.dists[t] = math.Sqrt(p3.sq[t])
-			c.prefix[t+1] = c.prefix[t] + g.MBRs[t].Count()
-			c.wpre[t+1] = c.wpre[t] + c.dists[t]*float64(g.MBRs[t].Count())
+		qm := &qmbrs[qi]
+		geom.MinDistSqBatch(qm.Rect.L, qm.Rect.H, g.Lo, g.Hi, sq)
+		for t := range dists {
+			dists[t] = math.Sqrt(sq[t])
+			wpre[t+1] = wpre[t] + dists[t]*float64(starts[t+1]-starts[t])
 		}
 		evals += r
 		var minDist float64
-		minDist, p3.wins = c.sweepAppend(eps, p3.wins[:0])
+		minDist, p3.wins = sweepWindows(starts, dists, wpre, qm.Count(), eps, p3.wins[:0])
 		for _, w := range p3.wins {
 			hit = true
-			start := w.pstart - qm.Start
-			end := w.pend + (qLen - qm.End)
-			if start < 0 {
-				start = 0
+			w.Start -= qm.Start
+			w.End += qLen - qm.End
+			if w.Start < 0 {
+				w.Start = 0
 			}
-			if end > g.Seq.Len() {
-				end = g.Seq.Len()
+			if w.End > n {
+				w.End = n
 			}
-			m.Interval.Add(PointRange{Start: start, End: end})
+			m.Interval.Add(w)
 		}
 		if minDist < m.MinDnorm {
 			m.MinDnorm = minDist
 		}
 	}
-	return m, hit, evals, qpruned
+	return m, hit, evals
 }
 
-// minDnormFlat is the kNN lower-bound pass for one sequence: the minimum
-// sweep value over all query MBRs, computed through the same flat
-// machinery as phase3Flat with window collection suppressed.
-func minDnormFlat(qmbrs []MBRInfo, p3 *phase3Scratch, g *Segmented) float64 {
-	bound := math.Inf(1)
-	r := len(g.MBRs)
-	for qi := range qmbrs {
-		qm := &qmbrs[qi]
-		p3.ensure(r)
-		geom.MinDistSqBatch(qm.Rect.L, qm.Rect.H, g.Lo, g.Hi, p3.sq)
-		c := &p3.calc
-		*c = dnormCalc{
-			mbrs:   g.MBRs,
-			dists:  p3.dists,
-			prefix: p3.prefix,
-			wpre:   p3.wpre,
-			qCount: qm.Count(),
-		}
-		for t := 0; t < r; t++ {
-			c.dists[t] = math.Sqrt(p3.sq[t])
-			c.prefix[t+1] = c.prefix[t] + g.MBRs[t].Count()
-			c.wpre[t+1] = c.wpre[t] + c.dists[t]*float64(g.MBRs[t].Count())
-		}
-		if d, _ := c.sweepAppend(math.Inf(-1), nil); d < bound {
-			bound = d
+// dnormBound is the kNN lower bound for one sequence: the minimum window
+// distance over all query MBRs, from phase3Hits with collection suppressed.
+func dnormBound(qmbrs []MBRInfo, p3 *phase3Scratch, g *Segmented) float64 {
+	m, _, _ := phase3Hits(qmbrs, nil, p3, g, 0, math.Inf(-1))
+	return m.MinDnorm
+}
+
+// keepWindow folds one Dnorm window into the running minimum and, when it
+// is within eps, appends its half-open point range to wins.
+func keepWindow(best float64, wins []PointRange, dist, eps float64, pstart, pend int32) (float64, []PointRange) {
+	if dist < best {
+		best = dist
+	}
+	if dist <= eps {
+		wins = append(wins, PointRange{Start: int(pstart), End: int(pend)})
+	}
+	return best, wins
+}
+
+// sweepWindows is dnormCalc.sweep over the columnar arrays: the same
+// windows in the same order with the same floating-point operations, the
+// point counts read as differences of starts and no closure. It returns
+// the minimum window distance and wins grown by the qualifying windows'
+// point ranges; with a pre-grown wins it does not allocate.
+func sweepWindows(starts []int32, dists, wpre []float64, qCount int, eps float64, wins []PointRange) (float64, []PointRange) {
+	r := len(dists)
+	best := math.Inf(1)
+	qc, fq := int32(qCount), float64(qCount)
+	if total := starts[r]; total <= qc {
+		// Sequence no longer than the query MBR: one window, all of it.
+		return keepWindow(best, wins, wpre[r]/float64(total), eps, 0, total)
+	}
+	// Degenerate targets: big enough on their own.
+	for j := 0; j < r; j++ {
+		if starts[j+1]-starts[j] >= qc {
+			best, wins = keepWindow(best, wins, dists[j], eps, starts[j], starts[j+1])
 		}
 	}
-	return bound
+	// LD windows: two-pointer over left edges; l(k) is non-decreasing.
+	l := 0
+	for k := 0; k < r; k++ {
+		if l < k {
+			l = k
+		}
+		for l < r && starts[l+1]-starts[k] < qc {
+			l++
+		}
+		if l >= r {
+			break
+		}
+		if l == k {
+			continue
+		}
+		partial := qc - (starts[l] - starts[k])
+		dist := (wpre[l] - wpre[k] + dists[l]*float64(partial)) / fq
+		best, wins = keepWindow(best, wins, dist, eps, starts[k], starts[l]+partial)
+	}
+	// RD windows: two-pointer over right edges e; the marginal left index
+	// p(e) is non-decreasing.
+	p := 0
+	for e := 0; e < r; e++ {
+		if starts[e+1] < qc {
+			continue
+		}
+		for p+1 <= e && starts[e+1]-starts[p+1] >= qc {
+			p++
+		}
+		if p == e {
+			continue
+		}
+		partial := qc - (starts[e+1] - starts[p+1])
+		dist := (wpre[e+1] - wpre[p+1] + dists[p]*float64(partial)) / fq
+		best, wins = keepWindow(best, wins, dist, eps, starts[p+1]-partial, starts[e+1])
+	}
+	return best, wins
 }
 
 // pushCand pushes c onto the binary min-heap in h (ordered by bound) and

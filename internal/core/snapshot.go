@@ -75,17 +75,17 @@ func (s Snapshot) Len() int { return s.db.Len() }
 
 // EvalRange runs the phase-3 Dnorm pruning and solution-interval assembly
 // for one candidate sequence against a partitioned query, exactly as the
-// indexed search would after phase 2 — same kernel (phase3Flat), same
-// arithmetic, same Match content. Skipping phase 2 cannot change the
-// outcome: Dmbr lower-bounds Dnorm (Lemma 2), so a candidate the index
-// would have pruned yields hit=false here. The query partitioning must
+// indexed search would after phase 2 — same kernel (phase3Hits, every query
+// MBR evaluated), same arithmetic, same Match content. Skipping phase 2
+// cannot change the outcome: Dmbr lower-bounds Dnorm (Lemma 2), so a
+// candidate or pair the index would have pruned yields no window here. The query partitioning must
 // come from NewSegmented with the database's PartitionConfig; the
 // returned Match has SeqID unset (the caller owns id assignment). evals
 // reports the Dnorm table rows computed, for SearchStats accounting.
 func EvalRange(qseg *Segmented, g *Segmented, eps float64) (m Match, hit bool, evals int) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return phase3Flat(qseg.MBRs, &sc.p3, g, qseg.Seq.Len(), eps)
+	return phase3Hits(qseg.MBRs, nil, &sc.p3, g, qseg.Seq.Len(), eps)
 }
 
 // EvalAlign computes the exact sequence distance D(Q,S) and the best
@@ -102,7 +102,7 @@ func EvalAlign(qseg *Segmented, g *Segmented) (offset int, dist float64) {
 func EvalMinDnorm(qseg *Segmented, g *Segmented) float64 {
 	sc := getScratch()
 	defer putScratch(sc)
-	return minDnormFlat(qseg.MBRs, &sc.p3, g)
+	return dnormBound(qseg.MBRs, &sc.p3, g)
 }
 
 // EvalMetric computes the exact metric distance between a partitioned

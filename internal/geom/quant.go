@@ -102,27 +102,3 @@ func MinDistSqBatchQ(qL, qH []float64, lo, hi []float32, out []float64) {
 		}
 	}
 }
-
-// MinDistSqWithinQ reports whether any quantized target box of the
-// columnar store (lo, hi) lies within squared distance limit of the
-// exact query box (qL, qH) — the early-exiting prefilter form of
-// MinDistSqBatchQ. A false return proves every exact squared MinDist
-// exceeds limit (quantized distances are lower bounds), so the caller
-// may skip the exact pass for this store entirely; a true return says
-// nothing and the exact kernel must confirm. The number of targets is
-// len(lo)/len(qL).
-func MinDistSqWithinQ(qL, qH []float64, lo, hi []float32, limit float64) bool {
-	d := len(qL)
-	n := len(lo) / d
-	for t := 0; t < n; t++ {
-		o := t * d
-		var sum float64
-		for k := 0; k < d; k++ {
-			sum += minDistSqGapQ(qL[k], qH[k], lo[o+k], hi[o+k])
-		}
-		if sum <= limit {
-			return true
-		}
-	}
-	return false
-}

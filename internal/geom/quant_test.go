@@ -85,36 +85,3 @@ func TestMinDistSqBatchQIsLowerBound(t *testing.T) {
 		}
 	}
 }
-
-func TestMinDistSqWithinQNeverFalseDismisses(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, d := range []int{2, 3, 8} {
-		for trial := 0; trial < 200; trial++ {
-			n := 1 + rng.Intn(12)
-			lo, hi, qlo, qhi := quantizedStore(rng, n, d)
-			qL := make([]float64, d)
-			qH := make([]float64, d)
-			for k := range qL {
-				a, b := rng.Float64(), rng.Float64()
-				if a > b {
-					a, b = b, a
-				}
-				qL[k], qH[k] = a, b
-			}
-			exact := make([]float64, n)
-			MinDistSqBatch(qL, qH, lo, hi, exact)
-			limit := rng.Float64() * 0.2
-			anyExact := false
-			for _, e := range exact {
-				if e <= limit {
-					anyExact = true
-				}
-			}
-			within := MinDistSqWithinQ(qL, qH, qlo, qhi, limit)
-			if anyExact && !within {
-				t.Fatalf("d=%d trial %d: prefilter dismissed a store with an exact hit (limit %v, exact %v)",
-					d, trial, limit, exact)
-			}
-		}
-	}
-}

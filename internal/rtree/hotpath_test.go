@@ -86,25 +86,27 @@ func TestAppendWithinDistMatchesWithinDist(t *testing.T) {
 // TestAppendWithinDistReuse checks that a warmed tree serves repeated
 // searches into a reused slice without allocating.
 func TestAppendWithinDistReuse(t *testing.T) {
-	tr, _ := hotpathTree(t, 4, 5000, 7)
-	rng := rand.New(rand.NewSource(8))
-	q := randRect(rng, 4, 0.1)
-	out, err := tr.AppendWithinDist(q, 0.3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) == 0 {
-		t.Fatal("query matched nothing; pick a wider radius")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		var err error
-		out, err = tr.AppendWithinDist(q, 0.3, out[:0])
+	for _, dim := range []int{3, 4} {
+		tr, _ := hotpathTree(t, dim, 5000, 7)
+		rng := rand.New(rand.NewSource(8))
+		q := randRect(rng, dim, 0.1)
+		out, err := tr.AppendWithinDist(q, 0.3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed AppendWithinDist allocates %.1f times per run, want 0", allocs)
+		if len(out) == 0 {
+			t.Fatalf("dim %d: query matched nothing; pick a wider radius", dim)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			var err error
+			out, err = tr.AppendWithinDist(q, 0.3, out[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("dim %d: warmed AppendWithinDist allocates %.1f times per run, want 0", dim, allocs)
+		}
 	}
 }
 

@@ -86,6 +86,18 @@ func (t *Tree) appendWithin(page pager.PageID, qL, qH []float64, eps2 float64, o
 				return out, derr
 			}
 		}
+	case 3:
+		q0l, q1l, q2l := qL[0], qL[1], qL[2]
+		q0h, q1h, q2h := qH[0], qH[1], qH[2]
+		for e := 0; e < fn.count; e++ {
+			o := e * 6
+			d2 := gapSq(bounds[o], bounds[o+3], q0l, q0h) +
+				gapSq(bounds[o+1], bounds[o+4], q1l, q1h) +
+				gapSq(bounds[o+2], bounds[o+5], q2l, q2h)
+			if d2 <= eps2 && !descend(e) {
+				return out, derr
+			}
+		}
 	case 4:
 		q0l, q1l, q2l, q3l := qL[0], qL[1], qL[2], qL[3]
 		q0h, q1h, q2h, q3h := qH[0], qH[1], qH[2], qH[3]

@@ -72,9 +72,8 @@ type LoadOptions struct {
 	// FileIndex places index pages in files under the store directory
 	// instead of memory.
 	FileIndex bool
-	// Quantized enables the quantized-MBR phase-3 prefilter
-	// (core.Options.QuantizedMBR) on the loaded database. Results are
-	// bit-identical with or without it; only search statistics differ.
+	// Quantized is passed to the loaded database as
+	// core.Options.QuantizedMBR, where it is accepted and has no effect.
 	Quantized bool
 }
 

@@ -70,9 +70,8 @@ type Options struct {
 	// Either format is always readable on open regardless of this
 	// setting, so it can be changed between restarts.
 	SnapshotFormat store.Format
-	// QuantizedMBR enables the quantized-MBR phase-3 prefilter on the
-	// base database (core.Options.QuantizedMBR). Results are
-	// bit-identical either way; the delta scan path is always exact.
+	// QuantizedMBR is passed to the base database as
+	// core.Options.QuantizedMBR, where it is accepted and has no effect.
 	QuantizedMBR bool
 }
 
