@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -198,6 +199,80 @@ func TestKNNCacheIsolation(t *testing.T) {
 	if third[0].SeqID != want {
 		t.Fatalf("cache entry corrupted by caller mutation: SeqID = %#x", third[0].SeqID)
 	}
+}
+
+// TestKNNCacheRuleUnderLiveBound pins the shard-tier cache rule: a kNN
+// answer is stored only when it is the unbounded one, i.e. the shared bound
+// ends no lower than the search's own k-th best. A search an external bound
+// cut short may have dropped neighbors and stores nothing; one whose shared
+// bound never bit — or bit only above its final k-th best — stores the
+// unbounded answer; and a hit serves that answer whatever the bound,
+// publishing its k-th distance.
+func TestKNNCacheRuleUnderLiveBound(t *testing.T) {
+	db, rng := cachedDB(t, 20, 205)
+	q := randWalkSeq(rng, 30, 3)
+	const k = 5
+
+	if rs, err := db.SearchKNNBounded(q, k, boundAt(0)); err != nil || len(rs) != 0 {
+		t.Fatalf("bound 0: %d results, err %v", len(rs), err)
+	}
+	if n := db.QueryCache().Len(); n != 0 {
+		t.Fatalf("a search pruned by an external bound stored %d cache entries", n)
+	}
+
+	live := new(KNNBound)
+	first, err := db.SearchKNNBounded(q, k, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != k {
+		t.Fatalf("%d neighbors, want %d", len(first), k)
+	}
+	if live.Load() != first[k-1].Dist {
+		t.Fatalf("shared bound %v after the search, want its k-th best %v", live.Load(), first[k-1].Dist)
+	}
+	if n := db.QueryCache().Len(); n != 1 {
+		t.Fatalf("a search its shared bound never pruned stored %d cache entries, want 1", n)
+	}
+
+	tight := boundAt(0)
+	hit, err := db.SearchKNNBounded(q, k, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hit) != k || hit[k-1].SeqID != first[k-1].SeqID {
+		t.Fatalf("cache hit under a bound returned %d results, want the stored unbounded answer", len(hit))
+	}
+
+	// An external value the search pruned with from its first refinement
+	// on, but which ends level with its own k-th best, dropped nothing the
+	// unbounded search keeps; one ulp lower, it may have.
+	kth := first[k-1].Dist
+	for _, c := range []struct {
+		ext    float64
+		stored int
+	}{{kth, 1}, {math.Nextafter(kth, 0), 0}} {
+		db.SetCache(cache.New(cache.Config{}))
+		rs, err := db.SearchKNNBounded(q, k, boundAt(c.ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := db.QueryCache().Len(); n != c.stored {
+			t.Fatalf("external bound %v against own k-th %v: %d cache entries, want %d", c.ext, kth, n, c.stored)
+		}
+		if c.stored == 1 && fmt.Sprint(knnIDs(rs)) != fmt.Sprint(knnIDs(first)) {
+			t.Fatalf("stored answer %v differs from the unbounded %v", knnIDs(rs), knnIDs(first))
+		}
+	}
+}
+
+// knnIDs lists a neighbor list's (id, distance bits, offset) triples.
+func knnIDs(rs []KNNResult) [][3]uint64 {
+	out := make([][3]uint64, len(rs))
+	for i, r := range rs {
+		out[i] = [3]uint64{uint64(r.SeqID), math.Float64bits(r.Dist), uint64(r.Offset)}
+	}
+	return out
 }
 
 // TestSearchBatchMatchesSerial proves every batch member gets exactly the

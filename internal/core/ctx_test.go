@@ -60,7 +60,7 @@ func TestSearchCtxDeadline(t *testing.T) {
 	if _, _, err := db.SearchCtx(ctx, q, 0.2); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("SearchCtx past deadline: err = %v, want context.DeadlineExceeded", err)
 	}
-	if _, err := db.SearchKNNBoundedCtx(ctx, q, 3, 1.0); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.SearchKNNBoundedCtx(ctx, q, 3, boundAt(1.0)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("SearchKNNBoundedCtx past deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -79,53 +79,6 @@ func BestAlignment(a, b []geom.Point) (offset int, dist float64) {
 	return offset, dist
 }
 
-// bestAlignFlat is BestAlignment over columnar point storage (point i of
-// a at a[i*d:(i+1)*d]) with early abandoning: while summing an
-// alignment's per-point distances, the scan stops as soon as the partial
-// mean already exceeds cutoff. Because every per-point term is
-// nonnegative, a float64 sum is monotone nondecreasing under further
-// additions and division by the positive count preserves order, so an
-// abandoned alignment provably has full mean distance > cutoff — any
-// alignment with mean ≤ cutoff is summed to completion with exactly
-// BestAlignment's arithmetic (same term order, one division). Callers
-// that only act on results ≤ cutoff therefore see identical outcomes;
-// with cutoff = +Inf the function is BestAlignment verbatim. The returned
-// dist is the minimum over non-abandoned alignments (+Inf if all were
-// abandoned), which is the true minimum whenever that minimum is ≤ cutoff.
-func bestAlignFlat(a, b []float64, d int, cutoff float64) (offset int, dist float64) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, math.Inf(1)
-	}
-	short, long := a, b
-	if len(short) > len(long) {
-		short, long = long, short
-	}
-	k := len(short) / d
-	nlong := len(long) / d
-	fk := float64(k)
-	dist = math.Inf(1)
-	for j := 0; j+k <= nlong; j++ {
-		base := j * d
-		var sum float64
-		abandoned := false
-		for i := 0; i < k; i++ {
-			o := i * d
-			sum += math.Sqrt(geom.DistSqFlat(short[o:o+d], long[base+o:base+o+d]))
-			if sum/fk > cutoff {
-				abandoned = true
-				break
-			}
-		}
-		if abandoned {
-			continue
-		}
-		if dd := sum / fk; dd < dist {
-			dist, offset = dd, j
-		}
-	}
-	return offset, dist
-}
-
 // MinPointPairDist returns the minimum Euclidean distance between any pair
 // of points drawn one from each slice — the δ of the paper's Lemma 1
 // proof. Exported within the package for tests of Observation 1.

@@ -2,7 +2,7 @@ package core
 
 // Hot-path equivalence and regression tests: the flat squared-space
 // search paths (phase3Hits, segmentQuery, AppendWithinDist-backed phase 2,
-// manual kNN heap, bestAlignFlat) must return byte-identical results to
+// manual kNN heap, bestAlign) must return byte-identical results to
 // the seed implementations they replaced, and a warmed serial range
 // search must not allocate. The seed forms — WithinDist, phase3One,
 // newDnormCalc, container/heap, BestAlignment — are retained in-tree and
@@ -254,7 +254,7 @@ func TestKNNMatchesReference(t *testing.T) {
 			for _, bound := range []float64{math.Inf(1), 0.4, 0.1} {
 				for qi, q := range qs {
 					want := knnReference(t, db, q, k, bound)
-					got, err := db.SearchKNNBounded(q, k, bound)
+					got, err := db.SearchKNNBounded(q, k, boundAt(bound))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -272,43 +272,6 @@ func TestKNNMatchesReference(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestBestAlignFlatMatches checks the flat early-abandoning alignment
-// kernel against BestAlignment with cutoff +Inf (must be bit-identical)
-// and verifies the abandoning guarantee for finite cutoffs.
-func TestBestAlignFlatMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	flatten := func(pts *Sequence, d int) []float64 {
-		f := make([]float64, pts.Len()*d)
-		for i, p := range pts.Points {
-			copy(f[i*d:(i+1)*d], p)
-		}
-		return f
-	}
-	for trial := 0; trial < 60; trial++ {
-		d := 1 + rng.Intn(6)
-		a := randWalkSeq(rng, 5+rng.Intn(40), d)
-		b := randWalkSeq(rng, 5+rng.Intn(80), d)
-		fa, fb := flatten(a, d), flatten(b, d)
-		wantOff, wantDist := BestAlignment(a.Points, b.Points)
-		gotOff, gotDist := bestAlignFlat(fa, fb, d, math.Inf(1))
-		if gotOff != wantOff || math.Float64bits(gotDist) != math.Float64bits(wantDist) {
-			t.Fatalf("trial %d: flat (%d, %v), reference (%d, %v)", trial, gotOff, gotDist, wantOff, wantDist)
-		}
-		// With a finite cutoff, a result at or below the cutoff must still
-		// be exact.
-		cutoff := wantDist * (0.8 + rng.Float64()*0.4)
-		cOff, cDist := bestAlignFlat(fa, fb, d, cutoff)
-		if wantDist <= cutoff && (cOff != wantOff || math.Float64bits(cDist) != math.Float64bits(wantDist)) {
-			t.Fatalf("trial %d: cutoff %v lost the best alignment: (%d, %v) vs (%d, %v)",
-				trial, cutoff, cOff, cDist, wantOff, wantDist)
-		}
-		if wantDist > cutoff && cDist <= cutoff {
-			t.Fatalf("trial %d: cutoff %v produced impossible dist %v (true best %v)",
-				trial, cutoff, cDist, wantDist)
 		}
 	}
 }

@@ -124,17 +124,3 @@ func (s *IntervalSet) String() string {
 	}
 	return "{" + strings.Join(parts, " ") + "}"
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -28,39 +28,47 @@ type KNNResult struct {
 // the exact distance only until the next lower bound exceeds the k-th best
 // exact distance — so most sequences are never scanned.
 func (db *Database) SearchKNN(q *Sequence, k int) ([]KNNResult, error) {
-	return db.SearchKNNBounded(q, k, math.Inf(1))
+	return db.SearchKNNBoundedCtx(context.Background(), q, k, nil)
 }
 
 // SearchKNNCtx is SearchKNN honoring a context deadline or cancellation
 // (see SearchCtx for the check granularity and error contract).
 func (db *Database) SearchKNNCtx(ctx context.Context, q *Sequence, k int) ([]KNNResult, error) {
-	return db.SearchKNNBoundedCtx(ctx, q, k, math.Inf(1))
+	return db.SearchKNNBoundedCtx(ctx, q, k, nil)
 }
 
-// SearchKNNBounded is SearchKNN restricted to sequences with D(Q,S) ≤
-// bound: refinement stops as soon as the next Dnorm lower bound exceeds
-// min(bound, current k-th best), and results beyond bound are dropped
-// even when fewer than k qualify. A scatter-gather caller that already
-// holds k results at distance w can pass bound=w to later shards and
-// prune their refinement without risking a false dismissal (any sequence
-// it skips has D > w and cannot re-enter the global top k).
-// bound=+Inf is exactly SearchKNN.
-func (db *Database) SearchKNNBounded(q *Sequence, k int, bound float64) ([]KNNResult, error) {
+// SearchKNNBounded is SearchKNN pruned by a shared live bound: refinement
+// stops as soon as the next Dnorm lower bound exceeds min(bound, own k-th
+// best), re-read before every refinement, and the bound is tightened
+// whenever this search's own k-th best improves (see KNNBound for why that
+// is safe). The result is this database's part of the answer: every stored
+// sequence among its k nearest whose distance is at most the bound's final
+// value is present with its exact distance; sequences above the bound may
+// be missing even when fewer than k are returned. A nil bound is exactly
+// SearchKNN.
+func (db *Database) SearchKNNBounded(q *Sequence, k int, bound *KNNBound) ([]KNNResult, error) {
 	return db.SearchKNNBoundedCtx(context.Background(), q, k, bound)
 }
 
 // SearchKNNBoundedCtx is SearchKNNBounded honoring a context deadline or
 // cancellation: the lower-bound pass and the refinement loop both check
 // ctx periodically and abandon the query with ctx's error. A canceled
-// query records nothing into the metrics registry.
+// query records nothing — neither into the metrics registry nor into the
+// bound's counts.
 //
 // The whole query runs out of one pooled scratch: the query segmentation
-// and flat point copy, the Dnorm arrays of the lower-bound pass, and the
+// and flat point copy, the Dnorm arrays of the lower-bound pass, the
 // candidate min-heap (a manual heap with container/heap's exact sift
-// order, minus the per-element interface boxing). Refinement uses the
-// flat early-abandoning alignment kernel; abandoning cannot change any
-// result (see bestAlignFlat).
-func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int, bound float64) ([]KNNResult, error) {
+// order, minus the per-element interface boxing) and the alignment
+// kernel's Dmbr table. Refinement is the three-rung ladder of DESIGN §11:
+// the sequence-level Dnorm bound orders and stops the loop, bestAlign's
+// alignment-level Dmbr bound skips offsets, and the surviving offsets are
+// summed with early abandoning; none of the three can change a result.
+//
+// The result cache is consulted whatever the bound (a cached unbounded
+// answer is a valid bounded one), but an answer is stored only when it is
+// the unbounded one (knnCutoff.unbounded).
+func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int, bound *KNNBound) ([]KNNResult, error) {
 	t0 := time.Now()
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -72,19 +80,16 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 	if k <= 0 {
 		return nil, nil
 	}
-	// Only unbounded queries are cached: a bound is caller state (the
-	// scatter layer's running k-th best), not part of the query, so keying
-	// on it would fragment the cache for results that are strict subsets.
-	var ref cacheRef
+	ref := db.knnRef(q, k)
 	tr := obs.FromContext(ctx)
-	if math.IsInf(bound, 1) {
-		ref = db.knnRef(q, k)
-		if rs, ok := ref.getKNN(); ok {
-			if tr != nil {
-				tr.RecordSpan(obs.SpanFromContext(ctx), "cache-hit", 0, obs.Str("tier", "result"))
-			}
-			return rs, nil
+	if rs, ok := ref.getKNN(); ok {
+		if tr != nil {
+			tr.RecordSpan(obs.SpanFromContext(ctx), "cache-hit", 0, obs.Str("tier", "result"))
 		}
+		if len(rs) == k {
+			bound.Tighten(rs[k-1].Dist)
+		}
+		return rs, nil
 	}
 
 	db.mu.RLock()
@@ -97,6 +102,8 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 	defer putScratch(sc)
 	sc.segmentQuery(q, db.opts.Partition)
 	sc.fillQueryFlat(q)
+	dim := q.Dim()
+	qs := sc.querySide(dim)
 
 	// Lower bound for every live sequence: min over query MBRs of the
 	// sequence's MinDnorm. (The loop over all sequences is O(n·r) metric
@@ -116,14 +123,13 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 	}
 
 	// Refine in bound order; stop when the next lower bound cannot beat
-	// the caller's bound or the current k-th best exact distance.
+	// the shared bound or the current k-th best exact distance.
 	// refined counts exact-distance computations; everything left on the
 	// heap at the break was dismissed by its Dnorm lower bound alone.
 	candidates := len(sc.heap)
 	refined := 0
 	var out []KNNResult
-	worst := bound
-	dim := q.Dim()
+	worst := knnCutoff{bound: bound, own: math.Inf(1)}
 	for len(sc.heap) > 0 {
 		if refined%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
@@ -132,19 +138,18 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 		}
 		var c knnCand
 		c, sc.heap = popCand(sc.heap)
-		if c.bound > worst {
+		cut := worst.load()
+		if c.bound > cut {
 			break
 		}
 		g := db.seqs[c.id]
-		off, dist := bestAlignFlat(sc.qflat, g.Flat, dim, worst)
+		off, dist := bestAlign(&sc.align, qs, g.side(), dim, cut)
 		refined++
-		if dist > bound {
+		if dist > cut {
 			continue
 		}
 		out = insertKNN(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist, Offset: off}, k)
-		if len(out) == k && out[len(out)-1].Dist < worst {
-			worst = out[len(out)-1].Dist
-		}
+		worst.publish(out, k)
 	}
 	took := time.Since(t0)
 	if tr != nil {
@@ -155,8 +160,45 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 			obs.Float("pruned_frac", prunedFrac(candidates, refined)))
 	}
 	db.met.RecordKNN(took, refined, candidates-refined)
-	ref.putKNN(out, k, took)
+	bound.AddCounts(KNNCounts{Candidates: candidates, Refined: refined})
+	if worst.unbounded() {
+		ref.putKNN(out, k, took)
+	}
 	return out, nil
+}
+
+// knnCutoff is one search's refinement cutoff: the smaller of its own
+// k-th best and the shared live bound.
+type knnCutoff struct {
+	bound *KNNBound
+	own   float64 // own k-th best exact distance, +Inf below k results
+}
+
+// load re-reads the shared bound and returns the cutoff in force.
+func (c *knnCutoff) load() float64 {
+	return min(c.bound.Load(), c.own)
+}
+
+// unbounded reports, once the search has ended, whether its answer is the
+// one an unbounded search returns — the only kind the result cache may
+// hold. The shared bound only ever falls, so if its value now is no lower
+// than the final own k-th best, every cutoff the search pruned with was at
+// least that k-th best too: whatever was skipped or dropped lies strictly
+// above it, outside the top k, and what was kept was refined in the same
+// order to the same bits. In a scatter that holds for the shard whose
+// k-th best is the smallest; the other shards' answers stay out of their
+// caches.
+func (c *knnCutoff) unbounded() bool {
+	return c.own <= c.bound.Load()
+}
+
+// publish notes an improved own k-th best after an insertion into the
+// sorted top-k and tightens the shared bound with it.
+func (c *knnCutoff) publish(out []KNNResult, k int) {
+	if len(out) == k && out[k-1].Dist < c.own {
+		c.own = out[k-1].Dist
+		c.bound.Tighten(c.own)
+	}
 }
 
 // insertKNN inserts r into the sorted top-k slice, keeping at most k.

@@ -90,31 +90,23 @@ type MetricMatch struct {
 	Dist float64
 }
 
-// distanceSeq computes the exact metric distance between the query held
-// in sc (segmented + flat) and a stored sequence, using the same kernels
-// and arithmetic order on both the indexed and the scan paths so their
-// results are bit-identical. +Inf means "no valid alignment" (DTW window
-// narrower than the length difference) — never a match.
-func (sc *searchScratch) distanceSeq(m Metric, g *Segmented, dim int, cutoff float64) float64 {
-	switch mt := m.(type) {
-	case MetricD:
-		_, dist := bestAlignFlat(sc.qflat, g.Flat, dim, cutoff)
-		return dist
-	case MetricDTW:
-		n := len(sc.qflat) / dim
-		mm := len(g.Flat) / dim
-		if mt.Window >= 0 && abs(n-mm) > mt.Window {
-			return math.Inf(1)
-		}
-		denom := n
-		if mm > denom {
-			denom = mm
-		}
-		sc.dtw.prev = ensureFloats(sc.dtw.prev, mm+1)
-		sc.dtw.cur = ensureFloats(sc.dtw.cur, mm+1)
-		total := dtwFlat(sc.qflat, n, g.Flat, mm, dim, mt.Window, cutoff*float64(denom), sc.dtw.prev, sc.dtw.cur)
-		return total / float64(denom)
-	default:
+// dtwSeq computes the normalized DTW distance between a query's flat
+// points and a stored sequence, with the same kernel and arithmetic order
+// on the indexed and the scan paths so their results are bit-identical.
+// +Inf means "no valid alignment" (window narrower than the length
+// difference) — never a match.
+func (sc *searchScratch) dtwSeq(mt MetricDTW, qflat []float64, g *Segmented, dim int, cutoff float64) float64 {
+	n := len(qflat) / dim
+	mm := len(g.Flat) / dim
+	if mt.Window >= 0 && abs(n-mm) > mt.Window {
 		return math.Inf(1)
 	}
+	denom := n
+	if mm > denom {
+		denom = mm
+	}
+	sc.dtw.prev = ensureFloats(sc.dtw.prev, mm+1)
+	sc.dtw.cur = ensureFloats(sc.dtw.cur, mm+1)
+	total := dtwFlat(qflat, n, g.Flat, mm, dim, mt.Window, cutoff*float64(denom), sc.dtw.prev, sc.dtw.cur)
+	return total / float64(denom)
 }

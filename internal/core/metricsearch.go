@@ -103,6 +103,7 @@ func (db *Database) dRange(ctx context.Context, q *Sequence, eps float64, sc *se
 	}
 	t3 := time.Now()
 	dim := q.Dim()
+	qs := sc.querySide(dim)
 	var out []MetricMatch
 	for ci := range matches {
 		if ci%cancelCheckEvery == 0 {
@@ -111,7 +112,7 @@ func (db *Database) dRange(ctx context.Context, q *Sequence, eps float64, sc *se
 			}
 		}
 		g := db.seqs[matches[ci].SeqID]
-		dist := sc.distanceSeq(MetricD{}, g, dim, math.Inf(1))
+		_, dist := bestAlign(&sc.align, qs, g.side(), dim, math.Inf(1))
 		if dist <= eps {
 			out = append(out, MetricMatch{SeqID: matches[ci].SeqID, Seq: g.Seq, Dist: dist})
 		}
@@ -196,7 +197,7 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 			continue
 		}
 		st.DTWEvals++
-		dist := sc.distanceSeq(mt, g, d, eps)
+		dist := sc.dtwSeq(mt, sc.qflat, g, d, eps)
 		if dist <= eps {
 			out = append(out, MetricMatch{SeqID: id, Seq: g.Seq, Dist: dist})
 		}
@@ -223,23 +224,23 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 // best exact distance. Sequences the window cannot align with the query
 // are never results. A nil metric means MetricD.
 func (db *Database) SearchKNNMetric(q *Sequence, k int, m Metric) ([]KNNResult, error) {
-	return db.SearchKNNMetricBoundedCtx(context.Background(), q, k, math.Inf(1), m)
+	return db.SearchKNNMetricBoundedCtx(context.Background(), q, k, nil, m)
 }
 
 // SearchKNNMetricCtx is SearchKNNMetric honoring a context deadline or
 // cancellation.
 func (db *Database) SearchKNNMetricCtx(ctx context.Context, q *Sequence, k int, m Metric) ([]KNNResult, error) {
-	return db.SearchKNNMetricBoundedCtx(ctx, q, k, math.Inf(1), m)
+	return db.SearchKNNMetricBoundedCtx(ctx, q, k, nil, m)
 }
 
-// SearchKNNMetricBoundedCtx is SearchKNNMetricCtx restricted to
-// sequences with metric distance ≤ bound, with SearchKNNBounded's
-// contract: a scatter-gather caller already holding k results at
-// distance w passes bound=w so later shards prune with it, and no
-// sequence it skips can re-enter the global top k. Only unbounded
-// queries are cached. For DTW results the Offset field is always 0 —
+// SearchKNNMetricBoundedCtx is SearchKNNMetricCtx pruned by a shared
+// live bound, with SearchKNNBoundedCtx's contract (result, caching,
+// counts): the bound holds distances under the query's own metric, every
+// refinement re-reads it, and this search tightens it with its own k-th
+// best. Under DTW the bound's counts also receive the envelope and
+// LB_Keogh dismissals. For DTW results the Offset field is always 0 —
 // warping has no single alignment offset.
-func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, k int, bound float64, m Metric) ([]KNNResult, error) {
+func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, k int, bound *KNNBound, m Metric) ([]KNNResult, error) {
 	if m == nil {
 		m = MetricD{}
 	}
@@ -258,16 +259,16 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 	if k <= 0 {
 		return nil, nil
 	}
-	var ref cacheRef
+	ref := db.metricKNNRef(q, k, m)
 	tr := obs.FromContext(ctx)
-	if math.IsInf(bound, 1) {
-		ref = db.metricKNNRef(q, k, m)
-		if rs, ok := ref.getKNN(); ok {
-			if tr != nil {
-				tr.RecordSpan(obs.SpanFromContext(ctx), "cache-hit", 0, obs.Str("tier", "result"))
-			}
-			return rs, nil
+	if rs, ok := ref.getKNN(); ok {
+		if tr != nil {
+			tr.RecordSpan(obs.SpanFromContext(ctx), "cache-hit", 0, obs.Str("tier", "result"))
 		}
+		if len(rs) == k {
+			bound.Tighten(rs[k-1].Dist)
+		}
+		return rs, nil
 	}
 
 	db.mu.RLock()
@@ -306,11 +307,13 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 	}
 
 	// Refine in bound order; LB_Keogh guards each exact dynamic program.
-	candidates := len(sc.heap)
+	// candidates is every live sequence: the ladder below dismisses or
+	// evaluates each exactly once (env + Keogh + refined = candidates).
+	candidates := len(sc.heap) + envPruned
 	keoghPruned := 0
 	refined := 0
 	var out []KNNResult
-	worst := bound
+	worst := knnCutoff{bound: bound, own: math.Inf(1)}
 	for len(sc.heap) > 0 {
 		if refined%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
@@ -319,24 +322,23 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 		}
 		var c knnCand
 		c, sc.heap = popCand(sc.heap)
-		if c.bound > worst {
+		cut := worst.load()
+		if c.bound > cut {
 			envPruned++ // this candidate, plus the whole remaining heap below
 			break
 		}
 		g := db.seqs[c.id]
-		if ds.lbKeogh(g, worst) > worst {
+		if ds.lbKeogh(g, cut) > cut {
 			keoghPruned++
 			continue
 		}
-		dist := sc.distanceSeq(mt, g, d, worst)
+		dist := sc.dtwSeq(mt, sc.qflat, g, d, cut)
 		refined++
-		if dist > bound {
+		if dist > cut {
 			continue
 		}
 		out = insertKNN(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist}, k)
-		if len(out) == k && out[len(out)-1].Dist < worst {
-			worst = out[len(out)-1].Dist
-		}
+		worst.publish(out, k)
 	}
 	envPruned += len(sc.heap) // dismissed by the index bound at the break
 	took := time.Since(t0)
@@ -350,20 +352,20 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 	}
 	db.met.RecordKNN(took, refined, candidates-refined)
 	db.met.RecordDTW(true, candidates, envPruned, keoghPruned, refined)
-	ref.putKNN(out, k, took)
+	bound.AddCounts(KNNCounts{Candidates: candidates, Refined: refined, EnvPruned: envPruned, KeoghPruned: keoghPruned})
+	if worst.unbounded() {
+		ref.putKNN(out, k, took)
+	}
 	return out, nil
 }
 
 // SequentialSearchMetric is the exhaustive baseline for metric range
 // search: every live sequence's exact metric distance, no index, no
-// lower bounds, no early abandoning. It computes each distance with the
-// same kernels and arithmetic order as the indexed path, so the indexed
-// result must be byte-identical — the no-false-dismissal property is
-// directly testable against it.
+// lower bounds, no early abandoning (ScanMetric). The indexed result must
+// be byte-identical — the no-false-dismissal property, and the soundness
+// of every bound the indexed path prunes with, are directly testable
+// against it.
 func (db *Database) SequentialSearchMetric(q *Sequence, eps float64, m Metric) ([]MetricMatch, error) {
-	if m == nil {
-		m = MetricD{}
-	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -382,16 +384,39 @@ func (db *Database) SequentialSearchMetric(q *Sequence, eps float64, m Metric) (
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.fillQueryFlat(q)
-	dim := q.Dim()
 	var out []MetricMatch
 	for id, g := range db.seqs {
 		if g == nil {
 			continue // removed
 		}
-		dist := sc.distanceSeq(m, g, dim, math.Inf(1))
+		dist := sc.scanMetric(q, g, m)
 		if dist <= eps {
 			out = append(out, MetricMatch{SeqID: uint32(id), Seq: g.Seq, Dist: dist})
 		}
 	}
 	return out, nil
+}
+
+// scanMetric is the exhaustive scan's distance for the query whose flat
+// points sc holds. D goes through BestAlignment, the seed reference: every
+// alignment summed in full, none of the alignment kernel's bounds or
+// cutoffs, so a scan-versus-index comparison tests that kernel instead of
+// sharing it. DTW goes through the dynamic program with the cutoff
+// disabled. A nil metric means MetricD.
+func (sc *searchScratch) scanMetric(q *Sequence, g *Segmented, m Metric) float64 {
+	if mt, ok := m.(MetricDTW); ok {
+		return sc.dtwSeq(mt, sc.qflat, g, q.Dim(), math.Inf(1))
+	}
+	_, dist := BestAlignment(q.Points, g.Seq.Points)
+	return dist
+}
+
+// ScanMetric is the distance SequentialSearchMetric computes, for one
+// (query, candidate) pair — for layers that scan sequences the database
+// does not hold.
+func ScanMetric(q *Sequence, g *Segmented, m Metric) float64 {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.fillQueryFlat(q)
+	return sc.scanMetric(q, g, m)
 }

@@ -21,8 +21,10 @@ type searchScratch struct {
 	// ranges — the same dual view Segmented keeps for stored sequences.
 	qlo, qhi []float64
 	qmbrs    []MBRInfo
-	// qflat is the columnar copy of the query points (kNN refinement).
-	qflat []float64
+	// qflat is the columnar copy of the query points (kNN refinement);
+	// qstarts is the query's MBR point-range column (see querySide).
+	qflat   []float64
+	qstarts []int32
 
 	// Phase-2 buffers. refs holds the raw index hits of one probe. hits is
 	// what phase 2 learned, kept for phase 3: one row of hitWords words per
@@ -39,6 +41,9 @@ type searchScratch struct {
 	heap []knnCand
 
 	p3 phase3Scratch
+
+	// align holds the alignment kernel's Dmbr table and offset bounds.
+	align alignScratch
 
 	// dtw holds the DTW workspace: DP rows, flat copies, and the
 	// Sakoe–Chiba envelope arrays of the metric search path.
@@ -133,6 +138,21 @@ func (sc *searchScratch) fillQueryFlat(q *Sequence) {
 	for i, p := range q.Points {
 		copy(sc.qflat[i*d:(i+1)*d], p)
 	}
+}
+
+// querySide returns the query as the alignment kernel reads it, after
+// segmentQuery and fillQueryFlat: the flat points, the columnar MBR bounds
+// and the starts column, rebuilt here from qmbrs.
+func (sc *searchScratch) querySide(d int) alignSide {
+	r := len(sc.qmbrs)
+	if cap(sc.qstarts) < r+1 {
+		sc.qstarts = make([]int32, r+1)
+	}
+	sc.qstarts = sc.qstarts[:r+1]
+	for j := range sc.qmbrs {
+		sc.qstarts[j+1] = int32(sc.qmbrs[j].End)
+	}
+	return alignSide{flat: sc.qflat, lo: sc.qlo[:r*d], hi: sc.qhi[:r*d], starts: sc.qstarts}
 }
 
 // beginHits sizes the hit table for nseq sequence ids and nq query MBRs

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"math"
-)
+import "context"
 
 // Snapshot is a read handle over the database pinned to the write epoch
 // current when it was taken. It exposes the same query surface as the
@@ -56,7 +53,7 @@ func (s Snapshot) SearchBatchCtx(ctx context.Context, qs []*Sequence, eps float6
 
 // SearchKNNBoundedCtx is the bounded k-nearest query (see
 // Database.SearchKNNBoundedCtx).
-func (s Snapshot) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int, bound float64) ([]KNNResult, error) {
+func (s Snapshot) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int, bound *KNNBound) ([]KNNResult, error) {
 	return s.db.SearchKNNBoundedCtx(ctx, q, k, bound)
 }
 
@@ -90,10 +87,13 @@ func EvalRange(qseg *Segmented, g *Segmented, eps float64) (m Match, hit bool, e
 
 // EvalAlign computes the exact sequence distance D(Q,S) and the best
 // alignment offset for one candidate — the kNN refinement step — with
-// the same flat kernel the indexed kNN path uses (cutoff disabled, so
-// the value is exact).
-func EvalAlign(qseg *Segmented, g *Segmented) (offset int, dist float64) {
-	return bestAlignFlat(qseg.Flat, g.Flat, qseg.Seq.Dim(), math.Inf(1))
+// the same alignment kernel the indexed kNN path uses. The result is
+// exact whenever D ≤ cutoff; above it, dist is only known to exceed
+// cutoff (see bestAlign). cutoff = +Inf is always exact.
+func EvalAlign(qseg *Segmented, g *Segmented, cutoff float64) (offset int, dist float64) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return bestAlign(&sc.align, qseg.side(), g.side(), qseg.Seq.Dim(), cutoff)
 }
 
 // EvalMinDnorm computes the kNN lower bound for one candidate — the
@@ -107,17 +107,17 @@ func EvalMinDnorm(qseg *Segmented, g *Segmented) float64 {
 
 // EvalMetric computes the exact metric distance between a partitioned
 // query and one candidate — the metric-search analogue of EvalAlign,
-// using the same kernels as the indexed metric path with the cutoff
-// disabled, so the value is exact and bit-identical to it. +Inf means
-// the metric admits no alignment (DTW window narrower than the length
-// difference) — never a match.
-func EvalMetric(qseg *Segmented, g *Segmented, m Metric) float64 {
-	if m == nil {
-		m = MetricD{}
-	}
+// using the same kernels as the indexed metric path, so the value is
+// bit-identical to it whenever it is ≤ cutoff (above, it is only known to
+// exceed cutoff; +Inf is always exact). +Inf means the metric admits no
+// alignment (DTW window narrower than the length difference) — never a
+// match. A nil metric means MetricD.
+func EvalMetric(qseg *Segmented, g *Segmented, m Metric, cutoff float64) float64 {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.qflat = ensureFloats(sc.qflat, len(qseg.Flat))
-	copy(sc.qflat, qseg.Flat)
-	return sc.distanceSeq(m, g, qseg.Seq.Dim(), math.Inf(1))
+	if mt, ok := m.(MetricDTW); ok {
+		return sc.dtwSeq(mt, qseg.Flat, g, qseg.Seq.Dim(), cutoff)
+	}
+	_, dist := bestAlign(&sc.align, qseg.side(), g.side(), qseg.Seq.Dim(), cutoff)
+	return dist
 }

@@ -18,18 +18,18 @@ import (
 type Backend interface {
 	// SearchCtx runs the three-phase range search under ctx.
 	SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error)
-	// SearchKNNBoundedCtx runs the bounded local top-k under ctx.
-	SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound float64) ([]core.KNNResult, error)
+	// SearchKNNBoundedCtx runs the local top-k under ctx, pruning against
+	// — and tightening — the query's shared live bound (nil: unbounded).
+	SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error)
 	// SearchBatchCtx answers several range queries in one pass under ctx,
 	// one result set and stats value per query, in input order.
 	SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error)
 	// SearchMetricCtx runs the exact-metric range search under ctx.
 	SearchMetricCtx(ctx context.Context, q *core.Sequence, eps float64, m core.Metric) ([]core.MetricMatch, core.SearchStats, error)
-	// SearchKNNMetricBoundedCtx runs the bounded local metric top-k under
-	// ctx; the bound is an exact metric distance (the gather's running
-	// k-th best), so shard-local pruning uses the metric's own lower
-	// bounds against it.
-	SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound float64, m core.Metric) ([]core.KNNResult, error)
+	// SearchKNNMetricBoundedCtx runs the local metric top-k under ctx;
+	// the shared bound holds exact distances under the same metric, so
+	// shard-local pruning uses the metric's own lower bounds against it.
+	SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error)
 }
 
 var _ Backend = (*core.Database)(nil)
@@ -134,7 +134,7 @@ func (f *FaultDB) SearchCtx(ctx context.Context, q *core.Sequence, eps float64) 
 
 // SearchKNNBoundedCtx applies the next scripted fault, then forwards to
 // the wrapped backend.
-func (f *FaultDB) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound float64) ([]core.KNNResult, error) {
+func (f *FaultDB) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error) {
 	if err := f.apply(ctx); err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func (f *FaultDB) SearchMetricCtx(ctx context.Context, q *core.Sequence, eps flo
 
 // SearchKNNMetricBoundedCtx applies the next scripted fault, then
 // forwards to the wrapped backend.
-func (f *FaultDB) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound float64, m core.Metric) ([]core.KNNResult, error) {
+func (f *FaultDB) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error) {
 	if err := f.apply(ctx); err != nil {
 		return nil, err
 	}

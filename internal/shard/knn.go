@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,39 +11,68 @@ import (
 	"repro/internal/core"
 )
 
-// SearchKNN scatters a k-nearest-sequences query: every shard computes
-// its local top k concurrently, and the gather side merges the disjoint
-// lists into the global top k (nondecreasing distance, global ids).
-//
-// The gather keeps a running k-th-best distance; each shard reads it as
-// its refinement bound just before starting (core.SearchKNNBounded), so
-// shards that begin after k results exist skip refining any sequence
-// whose Dnorm lower bound already exceeds the global k-th distance. The
-// seed only ever tightens a valid upper bound, so no neighbor can be
-// dismissed: a pruned sequence has D > bound ≥ final k-th distance.
+// SearchKNN scatters a k-nearest-sequences query under the exact distance
+// D; see SearchKNNMetricCtx, whose MetricD case it is.
 func (s *ShardedDB) SearchKNN(q *core.Sequence, k int) ([]core.KNNResult, error) {
-	return s.SearchKNNCtx(context.Background(), q, k)
+	return s.SearchKNNMetricCtx(context.Background(), q, k, core.MetricD{})
 }
 
 // SearchKNNCtx is SearchKNN under a caller context and the
-// fault-tolerance Policy in force (timeout, retry, hedging — see
-// SearchCtx). With Policy.AllowPartial a shard that exhausts its attempts
+// fault-tolerance Policy in force (see SearchKNNMetricCtx).
+func (s *ShardedDB) SearchKNNCtx(ctx context.Context, q *core.Sequence, k int) ([]core.KNNResult, error) {
+	return s.SearchKNNMetricCtx(ctx, q, k, core.MetricD{})
+}
+
+// SearchKNNMetric scatters an exact-metric k-nearest query; see
+// SearchKNNMetricCtx.
+func (s *ShardedDB) SearchKNNMetric(q *core.Sequence, k int, m core.Metric) ([]core.KNNResult, error) {
+	return s.SearchKNNMetricCtx(context.Background(), q, k, m)
+}
+
+// SearchKNNMetricCtx is the one kNN scatter: every shard computes its
+// local top k under the metric concurrently, and the gather side merges
+// the disjoint lists into the global top k (nondecreasing distance, ties
+// by global id). A nil metric means MetricD.
+//
+// All shards prune against one live k-th-best distance (core.KNNBound):
+// each re-reads it before every refinement and tightens it with its own
+// k-th best, and the gather tightens it with the merged k-th best, so the
+// scatter refines about as few sequences as one database holding
+// everything would. Every published value is the k-th best of k sequences
+// that exist, so it never drops below the final global k-th distance, and
+// shards dismiss only what lies strictly above it: no neighbor — and no
+// sequence tied with the k-th — is lost. The bound holds distances under
+// the query's own metric; under MetricDTW the shard-local pruning it
+// drives uses DTW's envelope bounds, never D's Dnorm bound.
+//
+// The query runs under the fault-tolerance Policy in force (timeout,
+// retry, hedging — see SearchCtx); retried and hedged attempts share the
+// same bound. With Policy.AllowPartial a shard that exhausts its attempts
 // is skipped: the returned neighbors are then the exact top k of the
 // answered shards' corpus slice only, and — unlike a range search, whose
 // partial answer is a correct subset — true global neighbors stored on
 // the skipped shard are silently missing. Degraded kNN answers are
 // therefore only counted in the partial-results metric, not flagged in
 // the result itself; callers that must distinguish use the range-search
-// path or keep AllowPartial off.
-func (s *ShardedDB) SearchKNNCtx(ctx context.Context, q *core.Sequence, k int) ([]core.KNNResult, error) {
+// path or keep AllowPartial off. Because a skipped shard's k sequences
+// never reach the answer, its k-th best must not prune the others: under
+// AllowPartial each shard publishes to a bound of its own (shared by its
+// attempts) and reads the shared one, which then only the gather tightens,
+// with answers it has merged.
+func (s *ShardedDB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k int, m core.Metric) ([]core.KNNResult, error) {
 	if k <= 0 {
 		return nil, nil
 	}
 	// Front cache: hits skip the fan-out entirely; entries hold global
 	// ids and are copied out, so the in-place id rewriting below can
 	// never reach a cached slice. Degraded (partial) answers are not
-	// cached — see SetCache.
+	// cached — see SetCache. D keeps its own key family, so answers
+	// under different metrics never alias.
+	mt, dtw := m.(core.MetricDTW)
 	ref := s.knnRef(q, k)
+	if dtw {
+		ref = s.metricKNNRef(q, k, mt)
+	}
 	if rs, ok := ref.getKNN(); ok {
 		return rs, nil
 	}
@@ -53,12 +81,10 @@ func (s *ShardedDB) SearchKNNCtx(ctx context.Context, q *core.Sequence, k int) (
 	pol := s.Policy()
 	met := s.metrics()
 
-	// gather holds the running global top k; worst() is the seed bound.
-	// seeded counts shard launches that read a finite bound — the
-	// bound-seeding effectiveness observable. A retried or hedged call
-	// re-reads the bound at launch, so later attempts seed at least as
-	// tightly as the ones they replace.
+	// seeded counts shard launches that found the bound already finite —
+	// the bound-sharing effectiveness observable at launch granularity.
 	gather := &knnGather{k: k}
+	bound := new(core.KNNBound)
 	var seeded, unseeded atomic.Int64
 	errs := make([]error, n)
 	sem := make(chan struct{}, scatterWorkers(n))
@@ -70,14 +96,20 @@ func (s *ShardedDB) SearchKNNCtx(ctx context.Context, q *core.Sequence, k int) (
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			b := s.backend(i)
+			sb := bound
+			if pol.AllowPartial {
+				sb = bound.Local()
+			}
 			local, err := robustCall(ctx, pol, met, func(actx context.Context) ([]core.KNNResult, error) {
-				bound := gather.worst()
-				if math.IsInf(bound, 1) {
+				if math.IsInf(sb.Load(), 1) {
 					unseeded.Add(1)
 				} else {
 					seeded.Add(1)
 				}
-				return b.SearchKNNBoundedCtx(actx, q, k, bound)
+				if dtw {
+					return b.SearchKNNMetricBoundedCtx(actx, q, k, sb, mt)
+				}
+				return b.SearchKNNBoundedCtx(actx, q, k, sb)
 			})
 			if err != nil {
 				errs[i] = err
@@ -86,7 +118,7 @@ func (s *ShardedDB) SearchKNNCtx(ctx context.Context, q *core.Sequence, k int) (
 			for j := range local {
 				local[j].SeqID = s.globalID(i, local[j].SeqID)
 			}
-			gather.merge(local)
+			gather.merge(local, bound)
 		}(i)
 	}
 	wg.Wait()
@@ -111,53 +143,54 @@ func (s *ShardedDB) SearchKNNCtx(ctx context.Context, q *core.Sequence, k int) (
 		if answered < n {
 			met.incPartial()
 		}
-		met.recordKNN(time.Since(t0), int(seeded.Load()), int(unseeded.Load()))
+		met.recordKNN(time.Since(t0), int(seeded.Load()), int(unseeded.Load()), bound.Counts(), dtw)
 	}
-	out := gather.top()
 	if answered == n {
-		ref.putKNN(out, k, time.Since(t0))
+		ref.putKNN(gather.out, k, time.Since(t0))
 	}
-	return out, nil
+	return gather.out, nil
 }
 
 // knnGather accumulates per-shard top-k lists into a global top k.
 type knnGather struct {
 	mu  sync.Mutex
 	k   int
-	out []core.KNNResult // sorted nondecreasing by Dist, ≤ k entries
+	out []core.KNNResult // sorted by (Dist, SeqID), ≤ k entries
 }
 
-// worst returns the current k-th best distance, or +Inf while fewer than
-// k results have been gathered.
-func (g *knnGather) worst() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.out) < g.k {
-		return math.Inf(1)
-	}
-	return g.out[len(g.out)-1].Dist
+// knnLess orders gathered neighbors: nondecreasing distance, ties by
+// global id.
+func knnLess(a, b core.KNNResult) bool {
+	return a.Dist < b.Dist || (a.Dist == b.Dist && a.SeqID < b.SeqID)
 }
 
-func (g *knnGather) merge(rs []core.KNNResult) {
+// merge folds one shard's answer — sorted by distance, ids already global
+// — into the gather by a two-way merge that stops at k, then publishes the
+// merged k-th best to the shards still refining.
+func (g *knnGather) merge(rs []core.KNNResult, bound *core.KNNBound) {
 	if len(rs) == 0 {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.out = append(g.out, rs...)
-	sort.Slice(g.out, func(a, b int) bool {
-		if g.out[a].Dist != g.out[b].Dist {
-			return g.out[a].Dist < g.out[b].Dist
+	// A shard breaks distance ties in refinement order; the gather's order
+	// breaks them by id.
+	for i := 1; i < len(rs); i++ {
+		for j := i; j > 0 && rs[j].Dist == rs[j-1].Dist && rs[j].SeqID < rs[j-1].SeqID; j-- {
+			rs[j], rs[j-1] = rs[j-1], rs[j]
 		}
-		return g.out[a].SeqID < g.out[b].SeqID
-	})
-	if len(g.out) > g.k {
-		g.out = g.out[:g.k]
 	}
-}
-
-func (g *knnGather) top() []core.KNNResult {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.out
+	a := g.out
+	merged := make([]core.KNNResult, 0, min(g.k, len(a)+len(rs)))
+	for len(merged) < cap(merged) {
+		if len(rs) == 0 || (len(a) > 0 && !knnLess(rs[0], a[0])) {
+			merged, a = append(merged, a[0]), a[1:]
+		} else {
+			merged, rs = append(merged, rs[0]), rs[1:]
+		}
+	}
+	g.out = merged
+	if len(merged) == g.k {
+		bound.Tighten(merged[g.k-1].Dist)
+	}
 }

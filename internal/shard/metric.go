@@ -3,10 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -18,11 +16,8 @@ import (
 // Metric scatter-gather: the exact-metric range and kNN queries fanned
 // out over the shards. The per-shard calls go through the Backend (so
 // the fault-tolerance Policy — timeout, retry, hedging, partial results
-// — applies exactly as on the D path), and the kNN gather's running
-// k-th-best distance seeds each shard's refinement bound. Under
-// MetricDTW that bound is an exact DTW distance pruned against the
-// envelope lower bounds inside each shard — never D's Dnorm bound,
-// which does not underestimate DTW and would cause false dismissals.
+// — applies exactly as on the D path). The kNN scatter, D and metric
+// alike, is SearchKNNMetricCtx in knn.go.
 
 // SearchMetric runs the exact-metric range search on every shard
 // concurrently and merges the answers by ascending global id — the
@@ -125,7 +120,7 @@ func (s *ShardedDB) SearchMetricCtx(ctx context.Context, q *core.Sequence, eps f
 		}
 		met.recordScatter(merged, durs)
 		if _, ok := m.(core.MetricDTW); ok {
-			met.recordDTW(false, merged)
+			met.recordDTW(merged)
 		}
 	}
 	ref.putMetric(out, merged)
@@ -136,101 +131,6 @@ func (s *ShardedDB) SearchMetricCtx(ctx context.Context, q *core.Sequence, eps f
 type metricReply struct {
 	matches []core.MetricMatch
 	stats   core.SearchStats
-}
-
-// SearchKNNMetric scatters an exact-metric k-nearest query: every shard
-// computes its local metric top k, bound-seeded with the gather's
-// running global k-th-best metric distance, and the gather merges the
-// disjoint lists. The seed is always a distance under the query's own
-// metric, so the shard-local pruning it drives (envelope and LB_Keogh
-// bounds for DTW) can never dismiss a true neighbor.
-func (s *ShardedDB) SearchKNNMetric(q *core.Sequence, k int, m core.Metric) ([]core.KNNResult, error) {
-	return s.SearchKNNMetricCtx(context.Background(), q, k, m)
-}
-
-// SearchKNNMetricCtx is SearchKNNMetric under a caller context and the
-// fault-tolerance Policy in force, with SearchKNNCtx's partial-answer
-// caveat: with AllowPartial a skipped shard's neighbors are silently
-// missing.
-func (s *ShardedDB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k int, m core.Metric) ([]core.KNNResult, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	if m == nil {
-		m = core.MetricD{}
-	}
-	ref := s.metricKNNRef(q, k, m)
-	if rs, ok := ref.getKNN(); ok {
-		return rs, nil
-	}
-	t0 := time.Now()
-	n := len(s.shards)
-	pol := s.Policy()
-	met := s.metrics()
-
-	gather := &knnGather{k: k}
-	var seeded, unseeded atomic.Int64
-	errs := make([]error, n)
-	sem := make(chan struct{}, scatterWorkers(n))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			b := s.backend(i)
-			local, err := robustCall(ctx, pol, met, func(actx context.Context) ([]core.KNNResult, error) {
-				bound := gather.worst()
-				if math.IsInf(bound, 1) {
-					unseeded.Add(1)
-				} else {
-					seeded.Add(1)
-				}
-				return b.SearchKNNMetricBoundedCtx(actx, q, k, bound, m)
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			for j := range local {
-				local[j].SeqID = s.globalID(i, local[j].SeqID)
-			}
-			gather.merge(local)
-		}(i)
-	}
-	wg.Wait()
-	answered := 0
-	var firstErr error
-	for i, err := range errs {
-		if err == nil {
-			answered++
-			continue
-		}
-		if !pol.AllowPartial {
-			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("shard: shard %d: %w", i, err)
-		}
-	}
-	if answered == 0 {
-		return nil, firstErr
-	}
-	if met != nil {
-		if answered < n {
-			met.incPartial()
-		}
-		met.recordKNN(time.Since(t0), int(seeded.Load()), int(unseeded.Load()))
-		if _, ok := m.(core.MetricDTW); ok {
-			met.recordDTW(true, core.SearchStats{})
-		}
-	}
-	out := gather.top()
-	if answered == n {
-		ref.putKNN(out, k, time.Since(t0))
-	}
-	return out, nil
 }
 
 // SequentialSearchMetric runs the exhaustive exact-metric baseline on

@@ -236,3 +236,52 @@ func TestShardedMetricDTWCounters(t *testing.T) {
 		t.Fatalf("mdseq_dtw_search_total = %d after a D query, want still 1", got)
 	}
 }
+
+// TestShardedKNNCounters: a wired ShardedDB — every mdsserve is one,
+// -shards 1 included — reports what its kNN queries refined and pruned.
+// The child shards are unwired, so the counts travel on the query's shared
+// bound and the gather records them once: the D ladder into
+// mdseq_knn_refined/pruned_total, the DTW ladder into the mdseq_dtw_*
+// families as well.
+func TestShardedKNNCounters(t *testing.T) {
+	seqs := metricCorpus(t, 30, 69)
+	q := &core.Sequence{Label: "q", Points: seqs[5].Points[:20]}
+	for _, nsh := range []int{1, 3} {
+		sdb := newSharded(t, clone(seqs), nsh)
+		reg := obs.NewRegistry()
+		sdb.SetMetrics(reg)
+		value := func(name string) uint64 { return reg.Counter(name, "").Value() }
+
+		if _, err := sdb.SearchKNN(q, 3); err != nil {
+			t.Fatal(err)
+		}
+		refined, pruned := value("mdseq_knn_refined_total"), value("mdseq_knn_pruned_total")
+		if refined == 0 {
+			t.Fatalf("shards=%d: mdseq_knn_refined_total stayed 0 after a sharded kNN", nsh)
+		}
+		if refined+pruned != uint64(len(seqs)) {
+			t.Fatalf("shards=%d: refined %d + pruned %d, want every one of the %d sequences accounted for",
+				nsh, refined, pruned, len(seqs))
+		}
+		if got := value("mdseq_dtw_knn_total"); got != 0 {
+			t.Fatalf("shards=%d: a D kNN counted %d DTW kNN queries", nsh, got)
+		}
+
+		if _, err := sdb.SearchKNNMetric(q, 3, core.MetricDTW{Window: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if got := value("mdseq_dtw_knn_total"); got != 1 {
+			t.Fatalf("shards=%d: mdseq_dtw_knn_total = %d, want 1", nsh, got)
+		}
+		if got := value("mdseq_dtw_candidates_total"); got != uint64(len(seqs)) {
+			t.Fatalf("shards=%d: mdseq_dtw_candidates_total = %d after a sharded DTW kNN, want every one of the %d sequences", nsh, got, len(seqs))
+		}
+		ladder := value("mdseq_dtw_env_pruned_total") + value("mdseq_dtw_keogh_pruned_total") + value("mdseq_dtw_evals_total")
+		if ladder != uint64(len(seqs)) {
+			t.Fatalf("shards=%d: DTW ladder accounts for %d sequences, want %d", nsh, ladder, len(seqs))
+		}
+		if value("mdseq_knn_refined_total") <= refined {
+			t.Fatalf("shards=%d: the DTW kNN added nothing to mdseq_knn_refined_total", nsh)
+		}
+	}
+}

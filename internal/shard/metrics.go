@@ -11,8 +11,8 @@ import (
 // layer. It wraps a core.Metrics (so a sharded deployment exposes the
 // same mdseq_search_* families as a single node, fed with merged stats)
 // and adds the cross-shard observables a single node cannot have:
-// per-shard fan-out latency, the straggler gap, and kNN bound-seeding
-// effectiveness.
+// per-shard fan-out latency, the straggler gap, and how often a kNN
+// shard launch found the query's shared bound already finite.
 type shardMetrics struct {
 	core *core.Metrics
 
@@ -97,16 +97,13 @@ func (m *shardMetrics) recordScatter(merged core.SearchStats, durs []time.Durati
 	m.strag.ObserveDuration(max - min)
 }
 
-// recordDTW folds a scattered DTW-metric query into the mdseq_dtw_*
-// families. Range scatters carry the full merged pruning ladder; the
-// kNN gather only counts the query (like recordKNN's refined/pruned,
-// the bounded per-shard kNN calls return neighbors, not stats, so the
-// ladder is a range-path observable in sharded deployments).
-func (m *shardMetrics) recordDTW(knn bool, merged core.SearchStats) {
+// recordDTW folds a scattered DTW-metric range query's merged pruning
+// ladder into the mdseq_dtw_* families.
+func (m *shardMetrics) recordDTW(merged core.SearchStats) {
 	if m == nil {
 		return
 	}
-	m.core.RecordDTW(knn, merged.CandidatesDmbr, merged.DTWEnvPruned, merged.DTWKeoghPruned, merged.DTWEvals)
+	m.core.RecordDTW(false, merged.CandidatesDmbr, merged.DTWEnvPruned, merged.DTWKeoghPruned, merged.DTWEvals)
 }
 
 // recordBatchScatter folds one batched fan-out into the registry: one
@@ -141,15 +138,18 @@ func (m *shardMetrics) recordBatchScatter(merged []core.SearchStats, durs []time
 	m.strag.ObserveDuration(max - min)
 }
 
-// recordKNN counts one gathered kNN query plus each shard launch's
-// seeding outcome. Per-sequence refined/pruned counts live shard-side
-// and are not returned by SearchKNNBounded, so they are reported as
-// unknown (zero) here.
-func (m *shardMetrics) recordKNN(d time.Duration, seeded, unseeded int) {
+// recordKNN counts one gathered kNN query, each shard launch's seeding
+// outcome, and the pruning account its per-shard searches added to the
+// query's shared bound (refined against Dnorm- or envelope-pruned; under
+// dtw the full DTW ladder too) — the same families a single node feeds.
+func (m *shardMetrics) recordKNN(d time.Duration, seeded, unseeded int, c core.KNNCounts, dtw bool) {
 	if m == nil {
 		return
 	}
-	m.core.RecordKNN(d, 0, 0)
+	m.core.RecordKNN(d, c.Refined, c.Candidates-c.Refined)
+	if dtw {
+		m.core.RecordDTW(true, c.Candidates, c.EnvPruned, c.KeoghPruned, c.Refined)
+	}
 	m.knnSeeded.Add(uint64(seeded))
 	m.knnUnseeded.Add(uint64(unseeded))
 }

@@ -14,9 +14,10 @@
 // single-node algorithm over a disjoint subset of the corpus, and a range
 // query's answer set is the union of the per-shard answer sets (Lemmas 1–3
 // apply within each shard; no cross-shard pruning decision is ever made).
-// kNN gathers per-shard top-k lists and merges to the global top k,
-// optionally seeding later-starting shards with the running k-th distance
-// as a tighter refinement bound (see SearchKNN).
+// kNN gathers per-shard top-k lists and merges to the global top k; the
+// shards of one query share a live k-th-best distance as their refinement
+// bound, which only ever prunes sequences strictly above the final k-th
+// distance (see SearchKNNMetricCtx).
 //
 // The query path is fault-tolerant under a Policy: context deadlines
 // propagate from the caller through the scatter into every per-shard

@@ -221,7 +221,9 @@ func TestSearchKNNBoundedPrunes(t *testing.T) {
 		t.Fatalf("need at least 3 neighbors, got %d", len(full))
 	}
 	bound := full[2].Dist
-	bounded, err := single.SearchKNNBounded(q, 10, bound)
+	live := new(core.KNNBound)
+	live.Tighten(bound)
+	bounded, err := single.SearchKNNBounded(q, 10, live)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (s *Snap) deltaMetricRange(ctx context.Context, q *core.Sequence, eps float
 				return nil, err
 			}
 		}
-		dist := core.EvalMetric(qseg, d.g, m)
+		dist := core.EvalMetric(qseg, d.g, m, math.Inf(1))
 		st.CandidatesDmbr++
 		if isDTW {
 			st.DTWEvals++
@@ -107,11 +107,22 @@ func mergeMetricMatches(base []core.MetricMatch, v *view, delta []core.MetricMat
 	return out
 }
 
-// SearchKNNMetricBoundedCtx returns the k nearest sequences under the
-// metric with distance ≤ bound, against the snapshot — the same
-// inflated-k' merge as SearchKNNBoundedCtx, with delta candidates
-// scored by the exact metric distance.
-func (s *Snap) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound float64, m core.Metric) ([]core.KNNResult, error) {
+// SearchKNNMetricBoundedCtx returns the snapshot's part of a kNN answer
+// under the metric and a shared live bound (see
+// core.Database.SearchKNNBounded for the contract; nil is unbounded) —
+// the one kNN merge every metric shares. The base index answers an
+// inflated k' (covering every base result the delta might supersede),
+// the delta contributes exact distances via the same kernel the indexed
+// path refines with, and the merge keeps the true top k.
+//
+// The base search and the delta pass prune against the same live bound.
+// The base publishing its k'-th best is valid: at most k'−k of its
+// results are dropped below, so k live sequences sit at or under that
+// distance. Each delta sequence is scored with cutoff min(bound, current
+// k-th best of the merge) — above it the score is not exact, and such a
+// sequence cannot enter the top k — and the merge's own k-th best is
+// published as it improves.
+func (s *Snap) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error) {
 	if s.st.deltaLen() == 0 {
 		return s.db.base.SearchKNNMetricBoundedCtx(ctx, q, k, bound, m)
 	}
@@ -128,24 +139,42 @@ func (s *Snap) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, 
 		}
 		out = insertKNNResult(out, r, k)
 	}
-	if len(v.delta) > 0 {
-		qseg, err := s.qseg(q)
-		if err != nil {
-			return nil, err
+	if len(out) == k {
+		bound.Tighten(out[k-1].Dist)
+	}
+	if len(v.delta) == 0 {
+		return out, nil
+	}
+	qseg, err := s.qseg(q)
+	if err != nil {
+		return nil, err
+	}
+	_, dtw := m.(core.MetricDTW)
+	for i, d := range v.delta {
+		if i&31 == 0 {
+			if err := searchCanceled(ctx); err != nil {
+				return nil, err
+			}
 		}
-		for i, d := range v.delta {
-			if i&31 == 0 {
-				if err := searchCanceled(ctx); err != nil {
-					return nil, err
-				}
-			}
-			dist := core.EvalMetric(qseg, d.g, m)
-			if dist > bound || math.IsInf(dist, 1) {
-				continue
-			}
-			out = insertKNNResult(out, core.KNNResult{SeqID: d.id, Seq: d.g.Seq, Dist: dist}, k)
+		cut := bound.Load()
+		if len(out) == k {
+			cut = min(cut, out[k-1].Dist)
+		}
+		r := core.KNNResult{SeqID: d.id, Seq: d.g.Seq}
+		if dtw {
+			r.Dist = core.EvalMetric(qseg, d.g, m, cut)
+		} else {
+			r.Offset, r.Dist = core.EvalAlign(qseg, d.g, cut)
+		}
+		if r.Dist > cut || math.IsInf(r.Dist, 1) {
+			continue
+		}
+		out = insertKNNResult(out, r, k)
+		if len(out) == k {
+			bound.Tighten(out[k-1].Dist)
 		}
 	}
+	bound.AddCounts(core.KNNCounts{Candidates: len(v.delta), Refined: len(v.delta)})
 	return out, nil
 }
 
@@ -160,13 +189,9 @@ func (s *Snap) SequentialSearchMetric(q *core.Sequence, eps float64, m core.Metr
 		return base, nil
 	}
 	v := s.view()
-	qseg, err := s.qseg(q)
-	if err != nil {
-		return nil, err
-	}
 	var delta []core.MetricMatch
 	for _, d := range v.delta {
-		dist := core.EvalMetric(qseg, d.g, m)
+		dist := core.ScanMetric(q, d.g, m)
 		if dist <= eps {
 			delta = append(delta, core.MetricMatch{SeqID: d.id, Seq: d.g.Seq, Dist: dist})
 		}
@@ -197,12 +222,12 @@ func (db *DB) SearchKNNMetric(q *core.Sequence, k int, m core.Metric) ([]core.KN
 func (db *DB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k int, m core.Metric) ([]core.KNNResult, error) {
 	s := db.Acquire()
 	defer s.Release()
-	return s.SearchKNNMetricBoundedCtx(ctx, q, k, inf(), m)
+	return s.SearchKNNMetricBoundedCtx(ctx, q, k, nil, m)
 }
 
-// SearchKNNMetricBoundedCtx is the bounded metric k-nearest query on a
-// fresh snapshot.
-func (db *DB) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound float64, m core.Metric) ([]core.KNNResult, error) {
+// SearchKNNMetricBoundedCtx is the metric k-nearest query under a shared
+// live bound on a fresh snapshot.
+func (db *DB) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error) {
 	s := db.Acquire()
 	defer s.Release()
 	return s.SearchKNNMetricBoundedCtx(ctx, q, k, bound, m)

@@ -2,7 +2,6 @@ package txn
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,46 +237,11 @@ func (s *Snap) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps floa
 	return matches, stats, nil
 }
 
-// SearchKNNBoundedCtx returns the k nearest sequences with D ≤ bound.
-// The base index answers an inflated k' (covering every base result the
-// delta might supersede), the delta contributes exact distances via the
-// same alignment kernel, and the merge keeps the true top k.
-func (s *Snap) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound float64) ([]core.KNNResult, error) {
-	if s.st.deltaLen() == 0 {
-		return s.db.base.SearchKNNBoundedCtx(ctx, q, k, bound)
-	}
-	v := s.view()
-	kPrime := k + len(s.st.adds) + len(v.overlay) + len(s.st.removed)
-	base, err := s.db.base.SearchKNNBoundedCtx(ctx, q, kPrime, bound)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.KNNResult, 0, k)
-	for _, r := range base {
-		if v.dropBase(r.SeqID) {
-			continue
-		}
-		out = insertKNNResult(out, r, k)
-	}
-	if len(v.delta) > 0 {
-		qseg, err := s.qseg(q)
-		if err != nil {
-			return nil, err
-		}
-		for i, d := range v.delta {
-			if i&31 == 0 {
-				if err := searchCanceled(ctx); err != nil {
-					return nil, err
-				}
-			}
-			off, dist := core.EvalAlign(qseg, d.g)
-			if dist > bound {
-				continue
-			}
-			out = insertKNNResult(out, core.KNNResult{SeqID: d.id, Seq: d.g.Seq, Dist: dist, Offset: off}, k)
-		}
-	}
-	return out, nil
+// SearchKNNBoundedCtx returns the snapshot's part of a kNN answer under
+// the exact distance D and a shared live bound: the MetricD case of
+// SearchKNNMetricBoundedCtx.
+func (s *Snap) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error) {
+	return s.SearchKNNMetricBoundedCtx(ctx, q, k, bound, core.MetricD{})
 }
 
 // insertKNNResult mirrors the indexed path's top-k insertion (stable on
@@ -441,12 +405,12 @@ func (db *DB) SearchKNN(q *core.Sequence, k int) ([]core.KNNResult, error) {
 func (db *DB) SearchKNNCtx(ctx context.Context, q *core.Sequence, k int) ([]core.KNNResult, error) {
 	s := db.Acquire()
 	defer s.Release()
-	return s.SearchKNNBoundedCtx(ctx, q, k, inf())
+	return s.SearchKNNBoundedCtx(ctx, q, k, nil)
 }
 
-// SearchKNNBoundedCtx is the bounded k-nearest query on a fresh
-// snapshot.
-func (db *DB) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound float64) ([]core.KNNResult, error) {
+// SearchKNNBoundedCtx is the k-nearest query under a shared live bound
+// on a fresh snapshot.
+func (db *DB) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error) {
 	s := db.Acquire()
 	defer s.Release()
 	return s.SearchKNNBoundedCtx(ctx, q, k, bound)
@@ -585,6 +549,3 @@ func (db *DB) SetCache(c *cache.Cache) { db.base.SetCache(c) }
 
 // QueryCache returns the attached cache, or nil.
 func (db *DB) QueryCache() *cache.Cache { return db.base.QueryCache() }
-
-// inf is the unbounded distance for the unqualified kNN entry point.
-func inf() float64 { return math.Inf(1) }

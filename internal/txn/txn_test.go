@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -412,6 +413,34 @@ func TestKNNWithDelta(t *testing.T) {
 				t.Fatalf("k=%d result %d: got {%d %v %d}, want {%d %v %d}", k, i,
 					got[i].SeqID, got[i].Dist, got[i].Offset,
 					want[i].SeqID, want[i].Dist, want[i].Offset)
+			}
+		}
+		// Under a shared live bound — fresh, or already at the true k-th
+		// distance (pruning is strict, so the k-th itself survives) — base
+		// and delta prune against it, the answer is the same, and the merge
+		// leaves its k-th best published.
+		for _, start := range []float64{math.Inf(1), want[len(want)-1].Dist} {
+			live := new(core.KNNBound)
+			live.Tighten(start)
+			bounded, err := db.SearchKNNBoundedCtx(context.Background(), q, k, live)
+			if err != nil {
+				t.Fatalf("SearchKNNBoundedCtx(%d): %v", k, err)
+			}
+			if len(bounded) != len(want) {
+				t.Fatalf("k=%d bound from %v: %d results, want %d", k, start, len(bounded), len(want))
+			}
+			for i := range bounded {
+				if bounded[i].SeqID != want[i].SeqID || bounded[i].Dist != want[i].Dist || bounded[i].Offset != want[i].Offset {
+					t.Fatalf("k=%d bound from %v result %d: got {%d %v %d}, want {%d %v %d}", k, start, i,
+						bounded[i].SeqID, bounded[i].Dist, bounded[i].Offset,
+						want[i].SeqID, want[i].Dist, want[i].Offset)
+				}
+			}
+			if live.Load() != want[k-1].Dist {
+				t.Fatalf("k=%d bound from %v: published %v, want the k-th best %v", k, start, live.Load(), want[k-1].Dist)
+			}
+			if c := live.Counts(); c.Refined == 0 || c.Candidates < c.Refined {
+				t.Fatalf("k=%d: implausible pruning account %+v", k, c)
 			}
 		}
 	}
