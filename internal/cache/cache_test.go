@@ -280,14 +280,14 @@ func TestMetricsCounters(t *testing.T) {
 	l := obs.Label{Key: "cache", Value: "test"}
 
 	near := Region{Rect: sq(0, 1), Radius: 0.1}
-	c.Get(key(1))                                                  // miss
+	c.Get(key(1)) // miss
 	c.Put(key(1), c.Seq(), Value{Bytes: 1, Cost: 10, Region: near})
-	c.Get(key(1))                                                  // hit, saves 10ns
-	c.Invalidate(sq(10, 11))                                       // far write: shard skipped
+	c.Get(key(1))            // hit, saves 10ns
+	c.Invalidate(sq(10, 11)) // far write: shard skipped
 	c.Put(key(2), c.Seq(), Value{Bytes: 1, Cost: 0, Region: near})
-	c.Invalidate(sq(0.5, 0.6))                                     // near write: kills both
-	c.Get(key(1))                                                  // miss
-	for i := 3; i <= 5; i++ {                                      // third put evicts one
+	c.Invalidate(sq(0.5, 0.6)) // near write: kills both
+	c.Get(key(1))              // miss
+	for i := 3; i <= 5; i++ {  // third put evicts one
 		c.Put(key(i), c.Seq(), Value{Bytes: 1, Region: near})
 	}
 

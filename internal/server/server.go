@@ -38,6 +38,14 @@
 // /batch responses carry an X-Mdseq-Cache header (hit / miss / mixed)
 // and a per-result "cached" field.
 //
+// Wire path: the exported types below are the documented JSON schema, but
+// the request path does not reflect over them. Request bodies are decoded
+// by one scanner (decode.go) and the /search, /batch and /knn answers are
+// appended straight from the database's result slices into a pooled byte
+// buffer (wire.go); both are held to encoding/json on the schema types —
+// same accepted bodies and values, byte-identical answers — by the tests.
+// The remaining replies (stats, acks, errors) go through encoding/json.
+//
 // Observability: with WithMetrics the database is wired into the given
 // registry and /metrics serves it; with WithLogger every request emits a
 // canonical wide-event log line (request ID, method, path, status,
@@ -418,11 +426,11 @@ type ctxWriter interface {
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	var req SequenceJSON
-	if !decode(w, r, &req) {
+	var req body
+	if !readRequest(w, r, sequenceFields, &req) {
 		return
 	}
-	seq, err := toSequence(req)
+	seq, err := core.NewSequence(req.Label, req.Points)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -441,15 +449,13 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAddBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Sequences []SequenceJSON `json:"sequences"`
-	}
-	if !decode(w, r, &req) {
+	var req body
+	if !readRequest(w, r, addBatchFields, &req) {
 		return
 	}
 	seqs := make([]*core.Sequence, len(req.Sequences))
-	for i, sj := range req.Sequences {
-		seq, err := toSequence(sj)
+	for i := range req.Sequences {
+		seq, err := core.NewSequence(req.Sequences[i].Label, req.Sequences[i].Points)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("sequence %d: %w", i, err))
 			return
@@ -514,17 +520,15 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req struct {
-		Points [][]float64 `json:"points"`
-	}
-	if !decode(w, r, &req) {
+	var req body
+	if !readRequest(w, r, appendFields, &req) {
 		return
 	}
 	var err error
 	if cw, ok := s.db.(ctxWriter); ok {
-		err = cw.AppendPointsCtx(r.Context(), id, toPoints(req.Points))
+		err = cw.AppendPointsCtx(r.Context(), id, req.Points)
 	} else {
-		err = s.db.AppendPoints(id, toPoints(req.Points))
+		err = s.db.AppendPoints(id, req.Points)
 	}
 	if err != nil {
 		status := http.StatusBadRequest
@@ -547,17 +551,17 @@ type shardSearcher interface {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if !decode(w, r, &req) {
+	var req body
+	if !readRequest(w, r, searchFields, &req) {
 		return
 	}
-	q, err := toSequence(SequenceJSON{Label: "query", Points: req.Points})
+	q, err := core.NewSequence("query", req.Points)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if n := s.metricName(req.Metric); n != "" && n != "d" {
-		s.handleSearchMetric(w, r, req, q)
+		s.handleSearchMetric(w, r, &req, q)
 		return
 	}
 	var matches []core.Match
@@ -600,15 +604,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logSlowQuery(r, "search", took, q, req.Eps, 0, stats, perShard)
 
-	resp := searchResponse(matches, stats, perShard)
-	w.Header().Set("X-Mdseq-Cache", cacheHeader(resp.Cached))
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("X-Mdseq-Cache", cacheHeader(stats.CacheHit))
+	sendAnswer(w, func(b []byte) ([]byte, error) {
+		return appendSearchResponse(b, matches, stats, perShard)
+	})
 }
 
 // handleSearchMetric serves POST /search requests that name a non-default
 // metric: the exact-metric range search, with matches carrying exact
 // distances.
-func (s *Server) handleSearchMetric(w http.ResponseWriter, r *http.Request, req SearchRequest, q *core.Sequence) {
+func (s *Server) handleSearchMetric(w http.ResponseWriter, r *http.Request, req *body, q *core.Sequence) {
 	m, err := s.reqMetric(req.Metric, req.DTWWindow)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -636,47 +641,10 @@ func (s *Server) handleSearchMetric(w http.ResponseWriter, r *http.Request, req 
 	}
 	s.logSlowQuery(r, "search", took, q, req.Eps, 0, stats, nil)
 
-	resp := SearchResponse{Matches: make([]MatchJSON, len(matches))}
-	resp.Cached = stats.CacheHit
-	resp.Partial = stats.Partial
-	for i, m := range matches {
-		resp.Matches[i] = MatchJSON{ID: m.SeqID, Label: m.Seq.Label, Dist: m.Dist}
-	}
-	resp.Stats.QueryMBRs = stats.QueryMBRs
-	resp.Stats.Candidates = stats.CandidatesDmbr
-	resp.Stats.TotalSequences = stats.TotalSequences
-	resp.Stats.Phase1Us = stats.Phase1.Microseconds()
-	resp.Stats.Phase2Us = stats.Phase2.Microseconds()
-	resp.Stats.Phase3Us = stats.Phase3.Microseconds()
-	resp.Stats.CPUUs = stats.CPUTime.Microseconds()
-	w.Header().Set("X-Mdseq-Cache", cacheHeader(resp.Cached))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// searchResponse converts one search result to its wire form — shared by
-// the single-query and batch handlers.
-func searchResponse(matches []core.Match, stats core.SearchStats, perShard []shard.ShardStats) SearchResponse {
-	resp := SearchResponse{Matches: make([]MatchJSON, len(matches))}
-	resp.Cached = stats.CacheHit
-	resp.Partial = stats.Partial
-	for _, ps := range perShard {
-		resp.ShardsAnswered = append(resp.ShardsAnswered, ps.Shard)
-	}
-	for i, m := range matches {
-		mj := MatchJSON{ID: m.SeqID, Label: m.Seq.Label, MinDnorm: m.MinDnorm}
-		for _, rg := range m.Interval.Ranges() {
-			mj.Intervals = append(mj.Intervals, [2]int{rg.Start, rg.End})
-		}
-		resp.Matches[i] = mj
-	}
-	resp.Stats.QueryMBRs = stats.QueryMBRs
-	resp.Stats.Candidates = stats.CandidatesDmbr
-	resp.Stats.TotalSequences = stats.TotalSequences
-	resp.Stats.Phase1Us = stats.Phase1.Microseconds()
-	resp.Stats.Phase2Us = stats.Phase2.Microseconds()
-	resp.Stats.Phase3Us = stats.Phase3.Microseconds()
-	resp.Stats.CPUUs = stats.CPUTime.Microseconds()
-	return resp
+	w.Header().Set("X-Mdseq-Cache", cacheHeader(stats.CacheHit))
+	sendAnswer(w, func(b []byte) ([]byte, error) {
+		return appendMetricResponse(b, matches, stats)
+	})
 }
 
 // cacheHeader renders the X-Mdseq-Cache value for one answer.
@@ -694,8 +662,8 @@ func cacheHeader(hit bool) string {
 // shape as a POST /search response. The X-Mdseq-Cache header summarizes
 // the batch: "hit" (all cached), "miss" (none), or "mixed".
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchSearchRequest
-	if !decode(w, r, &req) {
+	var req body
+	if !readRequest(w, r, batchFields, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -704,7 +672,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	qs := make([]*core.Sequence, len(req.Queries))
 	for i, pts := range req.Queries {
-		q, err := toSequence(SequenceJSON{Label: "query", Points: pts})
+		q, err := core.NewSequence("query", pts)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
 			return
@@ -729,10 +697,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// per-member stats are in the response for finer attribution.
 	s.logSlowQuery(r, "batch", took, qs[0], req.Eps, 0, stats[0], nil)
 
-	resp := BatchSearchResponse{Results: make([]SearchResponse, len(outs))}
 	hits := 0
 	for i := range outs {
-		resp.Results[i] = searchResponse(outs[i], stats[i], nil)
 		if stats[i].CacheHit {
 			hits++
 		}
@@ -745,7 +711,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("X-Mdseq-Cache", "mixed")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sendAnswer(w, func(b []byte) ([]byte, error) {
+		b = append(b, `{"results":[`...)
+		for i := range outs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = appendSearchResponse(b, outs[i], stats[i], nil); err != nil {
+				return b, err
+			}
+		}
+		return append(b, "]}"...), nil
+	})
 }
 
 // logSlowQuery emits one warn-level structured record for a query whose
@@ -809,11 +787,11 @@ func (s *Server) logSlowQuery(r *http.Request, route string, took time.Duration,
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req KNNRequest
-	if !decode(w, r, &req) {
+	var req body
+	if !readRequest(w, r, knnFields, &req) {
 		return
 	}
-	q, err := toSequence(SequenceJSON{Label: "query", Points: req.Points})
+	q, err := core.NewSequence("query", req.Points)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -840,19 +818,15 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		tr.SetAttrs(obs.Int("k", req.K), obs.Int("query_points", q.Len()))
 	}
 	s.logSlowQuery(r, "knn", took, q, 0, req.K, core.SearchStats{}, nil)
-	out := make([]NeighborJSON, len(results))
-	for i, n := range results {
-		out[i] = NeighborJSON{ID: n.SeqID, Label: n.Seq.Label, Dist: n.Dist, Offset: n.Offset}
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"neighbors": out})
+	sendAnswer(w, func(b []byte) ([]byte, error) { return appendNeighbors(b, results) })
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if !decode(w, r, &req) {
+	var req body
+	if !readRequest(w, r, searchFields, &req) {
 		return
 	}
-	q, err := toSequence(SequenceJSON{Label: "query", Points: req.Points})
+	q, err := core.NewSequence("query", req.Points)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -874,18 +848,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 // --- helpers ------------------------------------------------------------
 
-func toSequence(sj SequenceJSON) (*core.Sequence, error) {
-	return core.NewSequence(sj.Label, toPoints(sj.Points))
-}
-
-func toPoints(raw [][]float64) []geom.Point {
-	pts := make([]geom.Point, len(raw))
-	for i, c := range raw {
-		pts[i] = geom.Point(c)
-	}
-	return pts
-}
-
 func pathID(w http.ResponseWriter, r *http.Request) (uint32, bool) {
 	raw := r.PathValue("id")
 	id, err := strconv.ParseUint(raw, 10, 32)
@@ -896,10 +858,19 @@ func pathID(w http.ResponseWriter, r *http.Request) (uint32, bool) {
 	return uint32(id), true
 }
 
-func decode(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// readRequest reads the whole request body (capped by ServeHTTP's
+// MaxBytesReader) into a pooled buffer and decodes it into dst, allowing
+// the given fields. On failure it has sent the 413 or 400 reply and
+// returns false.
+func readRequest(w http.ResponseWriter, r *http.Request, allowed field, dst *body) bool {
+	buf := getBuf()
+	defer putBuf(buf)
+	b, err := readBody(r.Body, (*buf)[:0])
+	*buf = b
+	if err == nil {
+		err = decodeRequest(b, allowed, dst)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge,
@@ -912,10 +883,43 @@ func decode(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// sendAnswer builds a search answer with appendTo in a pooled buffer and
+// sends it as 200. The body is complete before the status line goes out,
+// so an answer JSON cannot carry (errNonFinite) becomes a 400, not a 200
+// with nothing behind it.
+func sendAnswer(w http.ResponseWriter, appendTo func([]byte) ([]byte, error)) {
+	buf := getBuf()
+	defer putBuf(buf)
+	b, err := appendTo((*buf)[:0])
+	if err == nil {
+		b = append(b, '\n') // as Encoder.Encode ends its output
+	}
+	*buf = b
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	writeBody(w, http.StatusOK, b)
+}
+
+// writeBody sends one complete JSON body under a Content-Length.
+func writeBody(w http.ResponseWriter, status int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b)
+}
+
+// writeJSON sends v through encoding/json — the replies of the endpoints
+// off the search path. A value json cannot encode (a non-finite float: an
+// /explain of a query whose distances overflow) is a 400.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("the answer cannot be written as JSON: %w", err))
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

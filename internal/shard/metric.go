@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -81,7 +83,11 @@ func (s *ShardedDB) SearchMetricCtx(ctx context.Context, q *core.Sequence, eps f
 
 	var merged core.SearchStats
 	answered := 0
-	var out []core.MetricMatch
+	total := 0
+	for _, r := range results {
+		total += len(r.matches)
+	}
+	out := slices.Grow([]core.MetricMatch(nil), total) // stays nil when nothing matched
 	var firstErr error
 	for i, r := range results {
 		if r.err != nil {
@@ -112,7 +118,9 @@ func (s *ShardedDB) SearchMetricCtx(ctx context.Context, q *core.Sequence, eps f
 	if answered == 0 {
 		return nil, merged, firstErr
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].SeqID < out[b].SeqID })
+	if answered > 1 { // one shard's list is already ascending
+		slices.SortFunc(out, func(a, b core.MetricMatch) int { return cmp.Compare(a.SeqID, b.SeqID) })
+	}
 	if met != nil {
 		durs := make([]time.Duration, n)
 		for i, r := range results {

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -139,7 +141,11 @@ func (s *ShardedDB) scatterSearch(ctx context.Context, q *core.Sequence, eps flo
 
 	var merged core.SearchStats
 	perShard := make([]ShardStats, 0, n)
-	var out []core.Match
+	total := 0
+	for _, r := range results {
+		total += len(r.matches)
+	}
+	out := slices.Grow([]core.Match(nil), total) // stays nil when nothing matched
 	var firstErr error
 	for i, r := range results {
 		if r.err != nil {
@@ -172,7 +178,9 @@ func (s *ShardedDB) scatterSearch(ctx context.Context, q *core.Sequence, eps flo
 		// from a genuinely empty corpus, so total failure stays an error.
 		return nil, merged, nil, firstErr
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].SeqID < out[b].SeqID })
+	if len(perShard) > 1 { // one shard's list is already ascending
+		slices.SortFunc(out, func(a, b core.Match) int { return cmp.Compare(a.SeqID, b.SeqID) })
+	}
 	if met != nil {
 		durs := make([]time.Duration, n)
 		for i, r := range results {

@@ -34,8 +34,8 @@ var ErrBadRecord = errors.New("txn: bad WAL record")
 // acknowledged commit encodes into a decodable record; the decoder
 // re-checks them to guard allocations on corrupt input.
 const (
-	maxRecOps    = 1 << 20    // ops per commit record
-	maxLabelLen  = 1<<16 - 1  // label bytes (stored as u16)
+	maxRecOps    = 1 << 20   // ops per commit record
+	maxLabelLen  = 1<<16 - 1 // label bytes (stored as u16)
 	maxRecPoints = 1 << 28
 )
 
