@@ -25,6 +25,9 @@ func AppendToSegmented(g *Segmented, pts []geom.Point, cfg PartitionConfig) (*Se
 			return nil, fmt.Errorf("core: appended point %d has dim %d, want %d: %w",
 				i, len(p), dim, geom.ErrDimensionMismatch)
 		}
+		if k := nonFinite(p); k >= 0 {
+			return nil, fmt.Errorf("core: appended point %d coordinate %d is %v: %w", i, k, p[k], ErrNonFinite)
+		}
 	}
 	npts := make([]geom.Point, 0, len(g.Seq.Points)+len(pts))
 	npts = append(append(npts, g.Seq.Points...), pts...)

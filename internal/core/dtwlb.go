@@ -181,125 +181,151 @@ func (ds *dtwScratch) envRow(j int) (lo, hi []float64) {
 // in ds) and the stored sequence g, computed from g's partition MBRs
 // only — no point data is touched. It returns max(B1, B2) (see the
 // package comment above), or +Inf when the window admits no alignment.
+//
+// EnvRect_p is not assembled from every position of p. The envelope of
+// position j bounds the query over [j−w, j+w], so envelopes 2w+1 positions
+// apart tile the query positions between them, and a suffix envelope (a
+// position past the query's end) lies inside the one before it. Visiting
+// p's first position, every (2w+1)-th after it and its last therefore
+// covers the same query positions as visiting all of them — the same
+// minima and maxima — with a few rows per MBR instead of one per point.
+// An unconstrained window has one envelope, the whole query's.
 func (ds *dtwScratch) dtwIndexLB(g *Segmented) float64 {
 	n, d, w := ds.envN, ds.envD, ds.envW
 	m := g.Seq.Len()
 	if w >= 0 && abs(n-m) > w {
 		return math.Inf(1)
 	}
-	denom := n
-	if m > denom {
-		denom = m
+	step := m // spans any MBR: an unconstrained window, or one wider than g
+	if w >= 0 && w < m {
+		step = 2*w + 1
 	}
 	minMD := math.Inf(1)
 	var weighted float64
 	for t := range g.MBRs {
 		p := &g.MBRs[t]
 		// EnvRect_p: union of the envelopes of p's data positions.
-		first := true
-		for j := p.Start; j < p.End; j++ {
+		lo, hi := ds.envRow(p.Start)
+		copy(ds.rectLo[:d], lo)
+		copy(ds.rectHi[:d], hi)
+		for j := p.Start; j < p.End-1; {
+			j = min(j+step, p.End-1)
 			lo, hi := ds.envRow(j)
-			if first {
-				copy(ds.rectLo[:d], lo)
-				copy(ds.rectHi[:d], hi)
-				first = false
-				continue
-			}
 			for k := 0; k < d; k++ {
-				if lo[k] < ds.rectLo[k] {
-					ds.rectLo[k] = lo[k]
-				}
-				if hi[k] > ds.rectHi[k] {
-					ds.rectHi[k] = hi[k]
-				}
+				ds.rectLo[k] = min(ds.rectLo[k], lo[k])
+				ds.rectHi[k] = max(ds.rectHi[k], hi[k])
 			}
 		}
 		o := t * d
 		md := math.Sqrt(geom.MinDistSqLH(ds.rectLo[:d], ds.rectHi[:d], g.Lo[o:o+d], g.Hi[o:o+d]))
-		if md < minMD {
-			minMD = md
-		}
+		minMD = min(minMD, md)
 		weighted += md * float64(p.Count())
 	}
-	if b2 := weighted / float64(denom); b2 > minMD {
-		return b2
-	}
-	return minMD
+	return max(minMD, weighted/float64(max(n, m)))
 }
 
 // lbKeogh is the multidimensional LB_Keogh refinement bound: the summed
 // point-to-envelope distance over the stored sequence's raw points,
-// normalized by the longer length. It early-abandons against cutoff —
-// once the partial sum alone exceeds cutoff·denom the exact value
-// provably does too (every term is nonnegative) and +Inf is returned.
+// normalized by the longer length. It early-abandons against cutoff — once
+// the partial sum alone puts the bound above cutoff the full sum does too
+// (every term is nonnegative) and +Inf is returned. As in dtwFlat the
+// running test is against the rounded product cutoff·denom and the
+// division confirms it: under window 0 the bound equals the distance term
+// for term, and a sequence at exactly cutoff must survive.
 // Callers must have ruled out the no-alignment case via dtwIndexLB.
 func (ds *dtwScratch) lbKeogh(g *Segmented, cutoff float64) float64 {
 	n, d := ds.envN, ds.envD
 	m := g.Seq.Len()
-	denom := n
-	if m > denom {
-		denom = m
-	}
-	limit := cutoff * float64(denom)
+	denom := float64(max(n, m))
+	limit := cutoff * denom
 	var sum float64
 	for j := 0; j < m; j++ {
 		lo, hi := ds.envRow(j)
 		o := j * d
 		sum += math.Sqrt(geom.MinDistPointSqFlat(g.Flat[o:o+d], lo, hi))
-		if sum > limit {
+		if sum > limit && sum/denom > cutoff {
 			return math.Inf(1)
 		}
 	}
-	return sum / float64(denom)
+	return sum / denom
 }
 
 // dtwFlat is the dynamic time warping core over columnar point storage:
-// the two-row DP of DTW with identical arithmetic (per-cell distances
-// via sqrt(DistSqFlat), same min order), plus early abandoning — after
-// each row, if the smallest reachable path cost already exceeds cutoff,
-// the final total provably does too (path costs only grow), and +Inf is
-// returned. It returns the unnormalized total; +Inf also means the band
-// admitted no alignment. prev and cur must have length ≥ m+1.
+// the two-row dynamic program over the Sakoe–Chiba band, returning the
+// unnormalized total path cost. cutoff is a normalized distance (the total
+// over max(n, m)); +Inf disables it. After each row, if the smallest
+// reachable path cost already puts the distance above cutoff, the final
+// total provably does too — every complete path passes through exactly one
+// cell of the row and costs at least that cell's value, and both the sum
+// and the division are monotone in floating point — and +Inf is returned.
+// The running test is rowMin > cutoff·denom, which needs no division;
+// because that product is rounded (a total one ulp above it can still
+// divide back to exactly cutoff), the division confirms before anything is
+// abandoned. +Inf also means the band admitted no alignment. prev and cur
+// must have length ≥ m+1; their contents on entry do not matter.
+//
+// The inner loop carries no data-dependent branch: the three-way minimum
+// and the row minimum are min instructions, the cells to the left and
+// upper left travel in registers, and the point distance is written out
+// for the three dimensions of the paper's video features (the test is on
+// d, which a call never changes) in geom.DistSqFlat's own expression
+// shape, so each cell holds the bits the textbook matrix does
+// (dtwReference in the tests). Written out, not factored: a helper with
+// the DistSqFlat fallback is over the inlining budget, and a call in this
+// loop spills those registers — 9 ns a cell against 4.
+//
+// Band invariant. Both rows are set to +Inf once; after that a row only
+// resets the one cell left of its band. That is enough because a band only
+// moves right: row i reads the row above at [lo_i−1, hi_i], and
+// lo_{i−1} ≤ lo_i, hi_i ≤ hi_{i−1}+1. The cell at lo_i−1 is therefore
+// either inside the band above or the one that row reset, and the cell at
+// hi_{i−1}+1, if read, has been written by no earlier row — every band
+// before it ended further left still — so it holds the initial +Inf.
 func dtwFlat(q []float64, n int, s []float64, m, d, window int, cutoff float64, prev, cur []float64) float64 {
+	inf := math.Inf(1)
+	if window >= 0 && abs(n-m) > window {
+		return inf
+	}
+	if window < 0 || window > max(n, m) {
+		// A band as wide as the longer side is the whole matrix, and
+		// i+window below cannot overflow whatever a request asked for.
+		window = max(n, m)
+	}
 	prev = prev[:m+1]
 	cur = cur[:m+1]
 	for j := range prev {
-		prev[j] = math.Inf(1)
+		prev[j], cur[j] = inf, inf
 	}
 	prev[0] = 0
+	denom := float64(max(n, m))
+	limit := cutoff * denom
 	for i := 1; i <= n; i++ {
-		for j := range cur {
-			cur[j] = math.Inf(1)
-		}
-		lo, hi := 1, m
-		if window >= 0 {
-			if l := i - window; l > lo {
-				lo = l
-			}
-			if h := i + window; h < hi {
-				hi = h
-			}
-		}
-		qo := (i - 1) * d
-		rowMin := math.Inf(1)
+		lo, hi := max(1, i-window), min(m, i+window)
+		qp := q[(i-1)*d : i*d]
+		sp := s[(lo-1)*d : hi*d]
+		cur[lo-1] = inf
+		diag, left := prev[lo-1], inf
+		rowMin := inf
 		for j := lo; j <= hi; j++ {
-			dd := math.Sqrt(geom.DistSqFlat(q[qo:qo+d], s[(j-1)*d:j*d]))
-			best := prev[j] // insertion (advance the query only)
-			if prev[j-1] < best {
-				best = prev[j-1] // match (advance both)
+			var sq float64
+			if d == 3 {
+				d0, d1, d2 := qp[0]-sp[0], qp[1]-sp[1], qp[2]-sp[2]
+				sq = d0*d0 + d1*d1 + d2*d2
+			} else {
+				sq = geom.DistSqFlat(qp, sp[:d])
 			}
-			if cur[j-1] < best {
-				best = cur[j-1] // deletion (advance the data only)
-			}
-			cur[j] = dd + best
-			if cur[j] < rowMin {
-				rowMin = cur[j]
-			}
+			sp = sp[d:]
+			// Cheapest predecessor: insertion (up, advance the query only),
+			// match (diag, advance both), deletion (left, advance the data
+			// only).
+			up := prev[j]
+			cell := math.Sqrt(sq) + min(min(up, diag), left)
+			cur[j] = cell
+			rowMin = min(rowMin, cell)
+			diag, left = up, cell
 		}
-		if rowMin > cutoff {
-			// Every complete path passes through exactly one cell of this
-			// row and costs at least that cell's value.
-			return math.Inf(1)
+		if rowMin > limit && rowMin/denom > cutoff {
+			return inf
 		}
 		prev, cur = cur, prev
 	}

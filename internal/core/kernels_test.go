@@ -1,0 +1,471 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/geom"
+)
+
+// The refinement kernels — dtwFlat, sweepWindows, and geom.GapSq under
+// every Dmbr — carry no data-dependent branch in their inner loops. Each
+// one's textbook form lives in a test file as the reference it is compared
+// against bit for bit: dtwReference here, dnormCalc.sweep for the window
+// sweep, the three-case gap in internal/geom and internal/rtree.
+
+// dtwReference is textbook dynamic time warping: the full (n+1)×(m+1)
+// cost matrix, every cell inside the band from its three predecessors,
+// the point distance a plain loop over the coordinates. It returns the
+// unnormalized total and each row's smallest cell (what early abandoning
+// looks at).
+func dtwReference(a, b []geom.Point, window int) (total float64, rowMins []float64) {
+	n, m := len(a), len(b)
+	inf := math.Inf(1)
+	cost := make([][]float64, n+1)
+	for i := range cost {
+		cost[i] = make([]float64, m+1)
+		for j := range cost[i] {
+			cost[i][j] = inf
+		}
+	}
+	cost[0][0] = 0
+	for i := 1; i <= n; i++ {
+		rowMin := inf
+		for j := 1; j <= m; j++ {
+			if window >= 0 && abs(i-j) > window {
+				continue
+			}
+			var sq float64
+			for k := range a[i-1] {
+				d := a[i-1][k] - b[j-1][k]
+				sq += d * d
+			}
+			best := cost[i-1][j]
+			if cost[i-1][j-1] < best {
+				best = cost[i-1][j-1]
+			}
+			if cost[i][j-1] < best {
+				best = cost[i][j-1]
+			}
+			cost[i][j] = math.Sqrt(sq) + best
+			if cost[i][j] < rowMin {
+				rowMin = cost[i][j]
+			}
+		}
+		rowMins = append(rowMins, rowMin)
+	}
+	return cost[n][m], rowMins
+}
+
+// flatten returns the columnar copy of pts.
+func flatten(pts []geom.Point) []float64 {
+	var out []float64
+	for _, p := range pts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// TestDTWFlatMatchesReference compares the banded two-row kernel with the
+// textbook matrix, bit for bit: every window shape (none, 0, 1, 16, wider
+// than the sequences, the largest int, too narrow to align), unequal
+// lengths, length 1, duplicated sequences, dimensions on both sides of the
+// inlined distance, coordinates at 1e200 scale (the squared distance
+// overflows) and among the denormals — always into scratch rows pre-filled
+// with garbage, which is what the band invariant has to survive. Under a cutoff the kernel
+// must abandon exactly when a row's minimum is above it by both tests
+// (rounded product, then the division), and otherwise return the same
+// total: cutoffs are the distance itself, its two neighbours, 0, and
+// values drawn around it.
+func TestDTWFlatMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1901))
+	inf := math.Inf(1)
+	garbage := []float64{0, -1, 1e-300, 0.5, 1e300, math.Inf(-1), math.NaN()}
+	scaled := func(s *Sequence, f float64) []geom.Point {
+		out := make([]geom.Point, len(s.Points))
+		for i, p := range s.Points {
+			out[i] = make(geom.Point, len(p))
+			for k, v := range p {
+				out[i][k] = (v - 0.5) * f
+			}
+		}
+		return out
+	}
+	abandoned, completed := 0, 0
+	for dim := 1; dim <= 5; dim++ {
+		for trial := 0; trial < 60; trial++ {
+			n, m := 1+rng.Intn(40), 1+rng.Intn(40)
+			switch trial % 6 {
+			case 0:
+				m = n
+			case 1:
+				n = 1
+			case 2:
+				m = 1
+			}
+			scale := []float64{1, 1, 1, 1e200, 1e-310}[trial%5]
+			a, b := scaled(randWalkSeq(rng, n, dim), scale), scaled(randWalkSeq(rng, m, dim), scale)
+			if trial%6 == 3 {
+				b, m = a, n // a duplicate: distance exactly 0
+			}
+			qf, sf := flatten(a), flatten(b)
+			denom := float64(max(n, m))
+			for _, window := range []int{-1, 0, 1, 16, n + m, math.MaxInt} {
+				total, rowMins := dtwReference(a, b, window)
+				dist := total / denom
+				cutoffs := []float64{inf, dist, math.Nextafter(dist, inf), math.Nextafter(dist, math.Inf(-1)), 0,
+					dist * rng.Float64() * 2, dist * (1 + (rng.Float64()-0.5)*1e-15)}
+				for _, cutoff := range cutoffs {
+					if math.IsNaN(cutoff) {
+						continue // dist is +Inf
+					}
+					want := total
+					for _, rowMin := range rowMins {
+						if rowMin > cutoff*denom && rowMin/denom > cutoff {
+							want = inf
+							break
+						}
+					}
+					prev, cur := make([]float64, m+3), make([]float64, m+3)
+					for j := range prev {
+						prev[j], cur[j] = garbage[rng.Intn(len(garbage))], garbage[rng.Intn(len(garbage))]
+					}
+					got := dtwFlat(qf, n, sf, m, dim, window, cutoff, prev, cur)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("dim %d n %d m %d scale %g window %d cutoff %v: dtwFlat = %v, reference %v (distance %v)",
+							dim, n, m, scale, window, cutoff, got, want, dist)
+					}
+					// Whatever the cutoff does, it never costs an answer: a
+					// distance at or below it comes back exact.
+					if dist <= cutoff && math.Float64bits(got) != math.Float64bits(total) {
+						t.Fatalf("dim %d n %d m %d window %d: distance %v ≤ cutoff %v abandoned", dim, n, m, window, dist, cutoff)
+					}
+					if math.IsInf(want, 1) && !math.IsInf(total, 1) {
+						abandoned++
+					} else {
+						completed++
+					}
+				}
+			}
+		}
+	}
+	if abandoned == 0 || completed == 0 {
+		t.Fatalf("%d abandoned, %d completed: the cutoffs exercise one side only", abandoned, completed)
+	}
+}
+
+// dtwIndexLBReference is dtwIndexLB with each partition's envelope rect
+// assembled the plain way: the union of the envelope of every one of its
+// data positions.
+func dtwIndexLBReference(ds *dtwScratch, g *Segmented) float64 {
+	n, d, w := ds.envN, ds.envD, ds.envW
+	m := g.Seq.Len()
+	if w >= 0 && abs(n-m) > w {
+		return math.Inf(1)
+	}
+	minMD := math.Inf(1)
+	var weighted float64
+	rectLo, rectHi := make([]float64, d), make([]float64, d)
+	for t, p := range g.MBRs {
+		for j := p.Start; j < p.End; j++ {
+			lo, hi := ds.envRow(j)
+			for k := 0; k < d; k++ {
+				if j == p.Start || lo[k] < rectLo[k] {
+					rectLo[k] = lo[k]
+				}
+				if j == p.Start || hi[k] > rectHi[k] {
+					rectHi[k] = hi[k]
+				}
+			}
+		}
+		md := math.Sqrt(geom.MinDistSqLH(rectLo, rectHi, g.Lo[t*d:(t+1)*d], g.Hi[t*d:(t+1)*d]))
+		if md < minMD {
+			minMD = md
+		}
+		weighted += md * float64(p.Count())
+	}
+	if b2 := weighted / float64(max(n, m)); b2 > minMD {
+		return b2
+	}
+	return minMD
+}
+
+// TestDTWIndexLBMatchesReference checks the strided envelope union against
+// the per-position one, bit for bit: windows narrower and wider than the
+// partitions are long (a stride of 1, of a few positions, of more than any
+// MBR), unconstrained, and stored sequences both shorter and longer than
+// the query, so suffix envelopes take part.
+func TestDTWIndexLBMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1905))
+	finite := 0
+	for _, dim := range []int{1, 3, 5} {
+		for _, cfg := range []PartitionConfig{DefaultPartitionConfig(), {QueryExtent: 0.3, MaxPoints: 7}, {QueryExtent: 5, MaxPoints: 64}} {
+			for trial := 0; trial < 40; trial++ {
+				g, err := NewSegmented(randWalkSeq(rng, 1+rng.Intn(150), dim), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := g.Seq.Len()
+				for _, n := range []int{m, max(1, m-rng.Intn(20)), m + rng.Intn(20), 1 + rng.Intn(150)} {
+					q := flatten(randWalkSeq(rng, n, dim).Points)
+					for _, w := range []int{-1, 0, 1, 2, 16, 40, n + m, math.MaxInt / 2} {
+						var ds dtwScratch
+						ds.buildEnvelopes(q, n, dim, w)
+						got, want := ds.dtwIndexLB(g), dtwIndexLBReference(&ds, g)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("dim %d MaxPoints %d n %d m %d window %d: index bound %v, reference %v",
+								dim, cfg.MaxPoints, n, m, w, got, want)
+						}
+						if !math.IsInf(want, 1) {
+							finite++
+						}
+					}
+				}
+			}
+		}
+	}
+	if finite == 0 {
+		t.Fatal("no window admitted an alignment in any trial")
+	}
+}
+
+// windowKey orders Dnorm windows for comparison as multisets.
+func windowKey(a, b PointRange) int {
+	if a.Start != b.Start {
+		return a.Start - b.Start
+	}
+	return a.End - b.End
+}
+
+// TestSweepWindowsMatchesSweep compares the columnar sweep with the
+// closure-form reference dnormCalc.sweep on random partitionings: the
+// minimum bit-equal and the qualifying windows equal as multisets (the
+// kernel emits degenerate targets in left-edge order, the reference ahead
+// of the rest), with ε off (−Inf, the kNN bound pass), random, and +Inf.
+// MBR sizes are drawn around the query MBR's so that degenerate targets,
+// LD/RD windows and the short-sequence clamp all occur, with runs of equal
+// and zero Dmbr and, now and then, an overflowed one.
+func TestSweepWindowsMatchesSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(1902))
+	windows := 0
+	for trial := 0; trial < 20000; trial++ {
+		r := 1 + rng.Intn(12)
+		qCount := 1 + rng.Intn(30)
+		c := &dnormCalc{
+			mbrs:   make([]MBRInfo, r),
+			dists:  make([]float64, r),
+			prefix: make([]int, r+1),
+			wpre:   make([]float64, r+1),
+			qCount: qCount,
+		}
+		starts := make([]int32, r+1)
+		for j := 0; j < r; j++ {
+			count := 1 + rng.Intn(2*qCount)
+			if rng.Intn(4) == 0 {
+				count = qCount // exactly degenerate
+			}
+			switch rng.Intn(4) {
+			case 0: // zero: the query MBR overlaps the target
+			case 1:
+				c.dists[j] = float64(rng.Intn(4)) / 4 // ties
+			default:
+				c.dists[j] = rng.Float64()
+			}
+			if trial%16 == 0 && rng.Intn(4) == 0 {
+				// A Dmbr whose square overflowed: windows right of it
+				// subtract Inf from Inf, and no form may count the NaN.
+				c.dists[j] = math.Inf(1)
+			}
+			c.mbrs[j] = MBRInfo{Start: c.prefix[j], End: c.prefix[j] + count}
+			c.prefix[j+1] = c.prefix[j] + count
+			c.wpre[j+1] = c.wpre[j] + c.dists[j]*float64(count)
+			starts[j+1] = int32(c.prefix[j+1])
+		}
+		for _, eps := range []float64{math.Inf(-1), rng.Float64(), math.Inf(1)} {
+			var want []PointRange
+			wantMin := c.sweep(eps, func(_ float64, pstart, pend int) {
+				want = append(want, PointRange{Start: pstart, End: pend})
+			})
+			gotMin, got := sweepWindows(starts, c.dists, c.wpre, qCount, eps, nil)
+			if math.Float64bits(gotMin) != math.Float64bits(wantMin) {
+				t.Fatalf("trial %d eps %v: minimum %v, reference %v", trial, eps, gotMin, wantMin)
+			}
+			slices.SortFunc(got, windowKey)
+			slices.SortFunc(want, windowKey)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d eps %v: windows %v, reference %v", trial, eps, got, want)
+			}
+			windows += len(want)
+		}
+	}
+	if windows == 0 {
+		t.Fatal("no window qualified in any trial")
+	}
+}
+
+// kernelCounters is the pruning account of a query stream: every counter a
+// refinement kernel could move by refining something else, or the same
+// things in another order.
+type kernelCounters struct {
+	CandidatesDmbr, IndexEntriesHit, DnormEvals, MatchesDnorm int
+	DTWEnvPruned, DTWKeoghPruned, DTWEvals                    int
+	KNNRefined                                                int
+}
+
+func (c *kernelCounters) addStats(st SearchStats) {
+	c.CandidatesDmbr += st.CandidatesDmbr
+	c.IndexEntriesHit += st.IndexEntriesHit
+	c.DnormEvals += st.DnormEvals
+	c.MatchesDnorm += st.MatchesDnorm
+	c.DTWEnvPruned += st.DTWEnvPruned
+	c.DTWKeoghPruned += st.DTWKeoghPruned
+	c.DTWEvals += st.DTWEvals
+}
+
+func (c *kernelCounters) addKNN(k KNNCounts) {
+	c.KNNRefined += k.Refined
+	c.DTWEnvPruned += k.EnvPruned
+	c.DTWKeoghPruned += k.KeoghPruned
+}
+
+// jitterSeq returns s with every coordinate moved by up to ±amp.
+func jitterSeq(rng *rand.Rand, s *Sequence, amp float64) *Sequence {
+	pts := make([]geom.Point, len(s.Points))
+	for i, p := range s.Points {
+		pts[i] = make(geom.Point, len(p))
+		for k, v := range p {
+			pts[i][k] = v + (rng.Float64()-0.5)*2*amp
+		}
+	}
+	return &Sequence{Points: pts}
+}
+
+// TestKernelCountersUnchanged pins the pruning account of 200 range,
+// DTW-range, D-kNN and DTW-kNN queries on a seeded unsharded corpus to the
+// sums the kernels produced before they were rewritten branch-free (commit
+// a4475ad). A kernel that returned one different bit anywhere a comparison
+// reads it — a Dmbr against ε, a Dnorm minimum ordering the kNN heap, an
+// abandoned DP — would refine a different set, or the same set in another
+// order against another running k-th best, and move a sum.
+func TestKernelCountersUnchanged(t *testing.T) {
+	db, seqs := hotDB(t, 3, 150, 1907)
+	rng := rand.New(rand.NewSource(1908))
+	dtw := MetricDTW{Window: 16}
+
+	var rangeC, dtwRangeC, knnC, dtwKNNC kernelCounters
+	for i := 0; i < 200; i++ {
+		src := seqs[rng.Intn(len(seqs))]
+
+		// Range: a window of a stored sequence, or a fresh walk.
+		q := randWalkSeq(rng, 20+rng.Intn(40), 3)
+		if i%2 == 0 {
+			n := 16 + rng.Intn(24)
+			off := rng.Intn(src.Len() - n)
+			q = jitterSeq(rng, &Sequence{Points: src.Points[off : off+n]}, 0.01)
+		}
+		_, st, err := db.Search(q, 0.01+rng.Float64()*0.08)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rangeC.addStats(st)
+
+		// DTW wants whole sequences: the band dismisses length differences
+		// beyond it before any kernel runs.
+		whole := jitterSeq(rng, src, 0.02)
+		_, st, err = db.SearchMetric(whole, 0.02+rng.Float64()*0.2, dtw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dtwRangeC.addStats(st)
+
+		var b KNNBound
+		if _, err := db.SearchKNNBounded(q, 1+rng.Intn(8), &b); err != nil {
+			t.Fatal(err)
+		}
+		knnC.addKNN(b.Counts())
+
+		var bw KNNBound
+		if _, err := db.SearchKNNMetricBoundedCtx(context.Background(), whole, 1+rng.Intn(8), &bw, dtw); err != nil {
+			t.Fatal(err)
+		}
+		dtwKNNC.addKNN(bw.Counts())
+	}
+
+	for _, c := range []struct {
+		name      string
+		got, want kernelCounters
+	}{
+		{"range", rangeC, kernelCounters{CandidatesDmbr: 3798, IndexEntriesHit: 19482, DnormEvals: 83340, MatchesDnorm: 3540}},
+		{"dtw-range", dtwRangeC, kernelCounters{CandidatesDmbr: 11062, IndexEntriesHit: 58230, MatchesDnorm: 207,
+			DTWEnvPruned: 10172, DTWKeoghPruned: 444, DTWEvals: 446}},
+		{"knn", knnC, kernelCounters{KNNRefined: 8115}},
+		{"dtw-knn", dtwKNNC, kernelCounters{DTWEnvPruned: 26633, DTWKeoghPruned: 1046, KNNRefined: 2321}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s counters moved:\n got %+v\nwant %+v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// kernelSink keeps benchmarked results alive.
+var kernelSink float64
+
+// BenchmarkDTWFlat times the dynamic program alone — two 300-point
+// sequences of the video corpus's dimensionality under a 16-wide band, no
+// cutoff, so every cell of the band is computed — and reports ns per cell.
+func BenchmarkDTWFlat(b *testing.B) {
+	const dim, n, window = 3, 300, 16
+	rng := rand.New(rand.NewSource(1903))
+	q, s := flatten(randWalkSeq(rng, n, dim).Points), flatten(randWalkSeq(rng, n, dim).Points)
+	prev, cur := make([]float64, n+1), make([]float64, n+1)
+	cells := 0
+	for i := 1; i <= n; i++ {
+		cells += min(n, i+window) - max(1, i-window) + 1
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernelSink += dtwFlat(q, n, s, n, dim, window, math.Inf(1), prev, cur)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+}
+
+// BenchmarkSweepWindows times the Dnorm window sweep over a pool of 4096
+// (partitioning, Dmbr row) cases cycled so that which window is the new
+// minimum, and which qualify, does not repeat from call to call: in range
+// mode (ε admits about a third of the windows) and with ε = −Inf, the kNN
+// bound pass. It reports ns per Dmbr value swept (SearchStats.DnormEvals).
+func BenchmarkSweepWindows(b *testing.B) {
+	const pool, r, qCount = 4096, 8, 24
+	rng := rand.New(rand.NewSource(1904))
+	starts := make([]int32, pool*(r+1))
+	dists := make([]float64, pool*r)
+	wpre := make([]float64, pool*(r+1))
+	for c := 0; c < pool; c++ {
+		st, ds, wp := starts[c*(r+1):(c+1)*(r+1)], dists[c*r:(c+1)*r], wpre[c*(r+1):(c+1)*(r+1)]
+		for j := 0; j < r; j++ {
+			count := 4 + rng.Intn(40)
+			ds[j] = rng.Float64()
+			st[j+1] = st[j] + int32(count)
+			wp[j+1] = wp[j] + ds[j]*float64(count)
+		}
+	}
+	for _, mode := range []struct {
+		name string
+		eps  float64
+	}{{"range", 0.4}, {"bound", math.Inf(-1)}} {
+		b.Run(mode.name, func(b *testing.B) {
+			wins := make([]PointRange, 0, 4*r)
+			for i := 0; i < b.N; i++ {
+				c := i % pool
+				var best float64
+				best, wins = sweepWindows(starts[c*(r+1):(c+1)*(r+1)], dists[c*r:(c+1)*r], wpre[c*(r+1):(c+1)*(r+1)],
+					qCount, mode.eps, wins[:0])
+				kernelSink += best
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r), "ns/eval")
+		})
+	}
+}

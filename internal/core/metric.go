@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Metric bundles an exact sequence distance with the index-level lower
 // bound that makes it searchable through the three-phase pipeline
@@ -93,20 +90,14 @@ type MetricMatch struct {
 // dtwSeq computes the normalized DTW distance between a query's flat
 // points and a stored sequence, with the same kernel and arithmetic order
 // on the indexed and the scan paths so their results are bit-identical.
-// +Inf means "no valid alignment" (window narrower than the length
-// difference) — never a match.
+// A distance above cutoff may come back as +Inf instead (dtwFlat abandons
+// it). +Inf also means "no valid alignment" (window narrower than the
+// length difference) — never a match.
 func (sc *searchScratch) dtwSeq(mt MetricDTW, qflat []float64, g *Segmented, dim int, cutoff float64) float64 {
 	n := len(qflat) / dim
 	mm := len(g.Flat) / dim
-	if mt.Window >= 0 && abs(n-mm) > mt.Window {
-		return math.Inf(1)
-	}
-	denom := n
-	if mm > denom {
-		denom = mm
-	}
 	sc.dtw.prev = ensureFloats(sc.dtw.prev, mm+1)
 	sc.dtw.cur = ensureFloats(sc.dtw.cur, mm+1)
-	total := dtwFlat(qflat, n, g.Flat, mm, dim, mt.Window, cutoff*float64(denom), sc.dtw.prev, sc.dtw.cur)
-	return total / float64(denom)
+	total := dtwFlat(qflat, n, g.Flat, mm, dim, mt.Window, cutoff, sc.dtw.prev, sc.dtw.cur)
+	return total / float64(max(n, mm))
 }

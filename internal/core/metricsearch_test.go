@@ -459,3 +459,53 @@ func TestMetricDTWSearchAllocs(t *testing.T) {
 		t.Fatalf("warmed no-match DTW SearchMetric allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestDTWRangeKeepsTieAtEps is the regression test for a false dismissal
+// at eps == dist: the range search with ε set to a sequence's own scan
+// distance must return that sequence. The abandon tests of the DP and of
+// LB_Keogh compare an unnormalized sum with the rounded product ε·denom,
+// and a sum one ulp above that product can still divide back to exactly ε;
+// window 0 is the sharpest case for LB_Keogh, whose bound there equals the
+// distance term for term.
+func TestDTWRangeKeepsTieAtEps(t *testing.T) {
+	db := newTestDB(t, 3)
+	rng := rand.New(rand.NewSource(4401))
+	seqs := make([]*Sequence, 200)
+	for i := range seqs {
+		seqs[i] = randWalkSeq(rng, 40+rng.Intn(60), 3)
+		if _, err := db.Add(seqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, window := range []int{16, 0} {
+		mt := MetricDTW{Window: window}
+		ties, dropped := 0, 0
+		for trial := 0; trial < 200; trial++ {
+			q := jitterSeq(rng, seqs[rng.Intn(len(seqs))], 0.02)
+			scan, err := db.SequentialSearchMetric(q, 0.08, mt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range scan {
+				ties++
+				got, _, err := db.SearchMetric(q, want.Dist, mt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				found := false
+				for _, m := range got {
+					found = found || m.SeqID == want.SeqID
+				}
+				if !found {
+					dropped++
+				}
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("window %d: the scan matched nothing; the test tests nothing", window)
+		}
+		if dropped > 0 {
+			t.Errorf("window %d: %d of %d sequences dismissed at eps == their own scan distance", window, dropped, ties)
+		}
+	}
+}

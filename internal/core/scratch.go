@@ -274,74 +274,85 @@ func dnormBound(qmbrs []MBRInfo, p3 *phase3Scratch, g *Segmented) float64 {
 	return m.MinDnorm
 }
 
-// keepWindow folds one Dnorm window into the running minimum and, when it
-// is within eps, appends its half-open point range to wins.
-func keepWindow(best float64, wins []PointRange, dist, eps float64, pstart, pend int32) (float64, []PointRange) {
-	if dist < best {
-		best = dist
-	}
+// keepWindow folds one Dnorm window into the running minimum — kept as a
+// bit pattern, see sweepWindows — and, when the window is within eps,
+// appends its half-open point range to wins.
+func keepWindow(best uint64, wins []PointRange, dist, eps float64, pstart, pend int32) (uint64, []PointRange) {
 	if dist <= eps {
 		wins = append(wins, PointRange{Start: int(pstart), End: int(pend)})
 	}
-	return best, wins
+	return min(best, math.Float64bits(dist)), wins
 }
 
 // sweepWindows is dnormCalc.sweep over the columnar arrays: the same
-// windows in the same order with the same floating-point operations, the
-// point counts read as differences of starts and no closure. It returns
-// the minimum window distance and wins grown by the qualifying windows'
-// point ranges; with a pre-grown wins it does not allocate.
+// multiset of windows with the same floating-point operations per window,
+// the point counts read as differences of starts and no closure. It
+// returns the minimum window distance and wins grown by the qualifying
+// windows' point ranges; with a pre-grown wins it does not allocate.
+//
+// Two things differ from the reference's shape, neither visibly. First,
+// the running minimum: which window is the smallest so far is a coin toss
+// no predictor wins, so instead of a compare-and-branch the minimum is an
+// integer min over bit patterns. A window distance is a nonnegative
+// float64, and those order like their patterns (KNNBound relies on the
+// same fact). The one other thing a window can be is NaN — Inf − Inf,
+// right of a Dmbr whose square overflowed — and a NaN's pattern is above
+// +Inf's, so it never becomes the minimum, just as it fails the
+// reference's dist < best. Second, the degenerate targets — big enough to
+// be a window on their own, at their own Dmbr — are not a pass of their
+// own but the l == k case of the LD pass: a target holds qCount points
+// exactly when the left-edge walk stops on it, and the walk's break leaves
+// none behind (from there on even the rest of the sequence is short of
+// qCount). That emits the windows in another order, which neither a
+// minimum nor a normalised IntervalSet can see.
 func sweepWindows(starts []int32, dists, wpre []float64, qCount int, eps float64, wins []PointRange) (float64, []PointRange) {
 	r := len(dists)
-	best := math.Inf(1)
+	best := infBits
 	qc, fq := int32(qCount), float64(qCount)
 	if total := starts[r]; total <= qc {
 		// Sequence no longer than the query MBR: one window, all of it.
-		return keepWindow(best, wins, wpre[r]/float64(total), eps, 0, total)
+		best, wins = keepWindow(best, wins, wpre[r]/float64(total), eps, 0, total)
+		return math.Float64frombits(best), wins
 	}
-	// Degenerate targets: big enough on their own.
-	for j := 0; j < r; j++ {
-		if starts[j+1]-starts[j] >= qc {
-			best, wins = keepWindow(best, wins, dists[j], eps, starts[j], starts[j+1])
-		}
-	}
-	// LD windows: two-pointer over left edges; l(k) is non-decreasing.
+	// Degenerate targets and LD windows: two-pointer over left edges; l(k)
+	// is non-decreasing.
 	l := 0
 	for k := 0; k < r; k++ {
-		if l < k {
-			l = k
-		}
-		for l < r && starts[l+1]-starts[k] < qc {
+		sk := starts[k]
+		l = max(l, k)
+		for l < r && starts[l+1]-sk < qc {
 			l++
 		}
 		if l >= r {
 			break
 		}
-		if l == k {
-			continue
+		dist, pend := dists[k], starts[k+1]
+		if l != k {
+			partial := qc - (starts[l] - sk)
+			dist = (wpre[l] - wpre[k] + dists[l]*float64(partial)) / fq
+			pend = starts[l] + partial
 		}
-		partial := qc - (starts[l] - starts[k])
-		dist := (wpre[l] - wpre[k] + dists[l]*float64(partial)) / fq
-		best, wins = keepWindow(best, wins, dist, eps, starts[k], starts[l]+partial)
+		best, wins = keepWindow(best, wins, dist, eps, sk, pend)
 	}
 	// RD windows: two-pointer over right edges e; the marginal left index
 	// p(e) is non-decreasing.
 	p := 0
 	for e := 0; e < r; e++ {
-		if starts[e+1] < qc {
+		se := starts[e+1]
+		if se < qc {
 			continue
 		}
-		for p+1 <= e && starts[e+1]-starts[p+1] >= qc {
+		for p+1 <= e && se-starts[p+1] >= qc {
 			p++
 		}
 		if p == e {
 			continue
 		}
-		partial := qc - (starts[e+1] - starts[p+1])
+		partial := qc - (se - starts[p+1])
 		dist := (wpre[e+1] - wpre[p+1] + dists[p]*float64(partial)) / fq
-		best, wins = keepWindow(best, wins, dist, eps, starts[p+1]-partial, starts[e+1])
+		best, wins = keepWindow(best, wins, dist, eps, starts[p+1]-partial, se)
 	}
-	return best, wins
+	return math.Float64frombits(best), wins
 }
 
 // pushCand pushes c onto the binary min-heap in h (ordered by bound) and

@@ -29,6 +29,12 @@ type Sequence struct {
 // ErrEmptySequence is returned when an operation needs at least one point.
 var ErrEmptySequence = errors.New("core: empty sequence")
 
+// ErrNonFinite is returned for a sequence holding a NaN or ±Inf
+// coordinate. Every distance kernel assumes finite input — the MBR gap
+// subtracts bounds, and Inf − Inf is NaN — so Validate keeps such points
+// out of the database and out of every query.
+var ErrNonFinite = errors.New("core: non-finite coordinate")
+
 // NewSequence validates points and wraps them in a Sequence.
 func NewSequence(label string, points []geom.Point) (*Sequence, error) {
 	s := &Sequence{Label: label, Points: points}
@@ -38,8 +44,19 @@ func NewSequence(label string, points []geom.Point) (*Sequence, error) {
 	return s, nil
 }
 
-// Validate checks that the sequence is non-empty and dimensionally
-// consistent.
+// nonFinite returns the index of p's first NaN or ±Inf coordinate, or -1
+// when every coordinate is finite: only for those three is v − v not 0.
+func nonFinite(p geom.Point) int {
+	for k, v := range p {
+		if v-v != 0 {
+			return k
+		}
+	}
+	return -1
+}
+
+// Validate checks that the sequence is non-empty, dimensionally consistent
+// and finite in every coordinate (ErrNonFinite otherwise).
 func (s *Sequence) Validate() error {
 	if len(s.Points) == 0 {
 		return ErrEmptySequence
@@ -51,6 +68,9 @@ func (s *Sequence) Validate() error {
 	for i, p := range s.Points {
 		if len(p) != dim {
 			return fmt.Errorf("core: point %d has dim %d, want %d: %w", i, len(p), dim, geom.ErrDimensionMismatch)
+		}
+		if k := nonFinite(p); k >= 0 {
+			return fmt.Errorf("core: point %d coordinate %d is %v: %w", i, k, p[k], ErrNonFinite)
 		}
 	}
 	return nil

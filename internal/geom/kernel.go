@@ -17,17 +17,17 @@ package geom
 // Sqrt(MinDistSq(a,b)) bit-for-bit and search results computed through
 // either form are identical.
 
-// minDistSqGap returns the per-axis contribution to the squared MinDist
-// between [al,ah] and [bl,bh]: the squared gap between the projections,
-// 0 when they overlap.
-func minDistSqGap(al, ah, bl, bh float64) float64 {
-	var x float64
-	switch {
-	case ah < bl:
-		x = bl - ah
-	case bh < al:
-		x = al - bh
-	}
+// GapSq returns the per-axis contribution to the squared MinDist between
+// [al,ah] and [bl,bh]: the squared gap between the projections, 0 when
+// they overlap or touch. It is the one definition every Dmbr in the system
+// is summed from — the batch kernels below, the R*-tree's node scan, the
+// DTW envelope bounds — and it carries no branch: for intervals with
+// lo ≤ hi at most one of the two differences is positive, so the largest
+// of them and 0 is the gap. The bounds must be finite (Inf − Inf is NaN
+// where there is no gap); core.Sequence.Validate enforces that for every
+// coordinate that reaches a kernel.
+func GapSq(al, ah, bl, bh float64) float64 {
+	x := max(bl-ah, al-bh, 0)
 	return x * x
 }
 
@@ -42,23 +42,23 @@ func minDistSqGap(al, ah, bl, bh float64) float64 {
 func MinDistSqLH(aL, aH, bL, bH []float64) float64 {
 	switch len(aL) {
 	case 1:
-		return minDistSqGap(aL[0], aH[0], bL[0], bH[0])
+		return GapSq(aL[0], aH[0], bL[0], bH[0])
 	case 2:
-		return minDistSqGap(aL[0], aH[0], bL[0], bH[0]) +
-			minDistSqGap(aL[1], aH[1], bL[1], bH[1])
+		return GapSq(aL[0], aH[0], bL[0], bH[0]) +
+			GapSq(aL[1], aH[1], bL[1], bH[1])
 	case 3:
-		return minDistSqGap(aL[0], aH[0], bL[0], bH[0]) +
-			minDistSqGap(aL[1], aH[1], bL[1], bH[1]) +
-			minDistSqGap(aL[2], aH[2], bL[2], bH[2])
+		return GapSq(aL[0], aH[0], bL[0], bH[0]) +
+			GapSq(aL[1], aH[1], bL[1], bH[1]) +
+			GapSq(aL[2], aH[2], bL[2], bH[2])
 	case 4:
-		return minDistSqGap(aL[0], aH[0], bL[0], bH[0]) +
-			minDistSqGap(aL[1], aH[1], bL[1], bH[1]) +
-			minDistSqGap(aL[2], aH[2], bL[2], bH[2]) +
-			minDistSqGap(aL[3], aH[3], bL[3], bH[3])
+		return GapSq(aL[0], aH[0], bL[0], bH[0]) +
+			GapSq(aL[1], aH[1], bL[1], bH[1]) +
+			GapSq(aL[2], aH[2], bL[2], bH[2]) +
+			GapSq(aL[3], aH[3], bL[3], bH[3])
 	}
 	var sum float64
 	for k := range aL {
-		sum += minDistSqGap(aL[k], aH[k], bL[k], bH[k])
+		sum += GapSq(aL[k], aH[k], bL[k], bH[k])
 	}
 	return sum
 }
@@ -79,27 +79,27 @@ func MinDistSqBatch(qL, qH, lo, hi []float64, out []float64) {
 		q0h, q1h := qH[0], qH[1]
 		for t := range out {
 			o := t * 2
-			out[t] = minDistSqGap(q0l, q0h, lo[o], hi[o]) +
-				minDistSqGap(q1l, q1h, lo[o+1], hi[o+1])
+			out[t] = GapSq(q0l, q0h, lo[o], hi[o]) +
+				GapSq(q1l, q1h, lo[o+1], hi[o+1])
 		}
 	case 3:
 		q0l, q1l, q2l := qL[0], qL[1], qL[2]
 		q0h, q1h, q2h := qH[0], qH[1], qH[2]
 		for t := range out {
 			o := t * 3
-			out[t] = minDistSqGap(q0l, q0h, lo[o], hi[o]) +
-				minDistSqGap(q1l, q1h, lo[o+1], hi[o+1]) +
-				minDistSqGap(q2l, q2h, lo[o+2], hi[o+2])
+			out[t] = GapSq(q0l, q0h, lo[o], hi[o]) +
+				GapSq(q1l, q1h, lo[o+1], hi[o+1]) +
+				GapSq(q2l, q2h, lo[o+2], hi[o+2])
 		}
 	case 4:
 		q0l, q1l, q2l, q3l := qL[0], qL[1], qL[2], qL[3]
 		q0h, q1h, q2h, q3h := qH[0], qH[1], qH[2], qH[3]
 		for t := range out {
 			o := t * 4
-			out[t] = minDistSqGap(q0l, q0h, lo[o], hi[o]) +
-				minDistSqGap(q1l, q1h, lo[o+1], hi[o+1]) +
-				minDistSqGap(q2l, q2h, lo[o+2], hi[o+2]) +
-				minDistSqGap(q3l, q3h, lo[o+3], hi[o+3])
+			out[t] = GapSq(q0l, q0h, lo[o], hi[o]) +
+				GapSq(q1l, q1h, lo[o+1], hi[o+1]) +
+				GapSq(q2l, q2h, lo[o+2], hi[o+2]) +
+				GapSq(q3l, q3h, lo[o+3], hi[o+3])
 		}
 	default:
 		for t := range out {
@@ -117,23 +117,23 @@ func MinDistSqBatch(qL, qH, lo, hi []float64, out []float64) {
 func MinDistPointSqFlat(p, lo, hi []float64) float64 {
 	switch len(p) {
 	case 1:
-		return minDistSqGap(p[0], p[0], lo[0], hi[0])
+		return GapSq(p[0], p[0], lo[0], hi[0])
 	case 2:
-		return minDistSqGap(p[0], p[0], lo[0], hi[0]) +
-			minDistSqGap(p[1], p[1], lo[1], hi[1])
+		return GapSq(p[0], p[0], lo[0], hi[0]) +
+			GapSq(p[1], p[1], lo[1], hi[1])
 	case 3:
-		return minDistSqGap(p[0], p[0], lo[0], hi[0]) +
-			minDistSqGap(p[1], p[1], lo[1], hi[1]) +
-			minDistSqGap(p[2], p[2], lo[2], hi[2])
+		return GapSq(p[0], p[0], lo[0], hi[0]) +
+			GapSq(p[1], p[1], lo[1], hi[1]) +
+			GapSq(p[2], p[2], lo[2], hi[2])
 	case 4:
-		return minDistSqGap(p[0], p[0], lo[0], hi[0]) +
-			minDistSqGap(p[1], p[1], lo[1], hi[1]) +
-			minDistSqGap(p[2], p[2], lo[2], hi[2]) +
-			minDistSqGap(p[3], p[3], lo[3], hi[3])
+		return GapSq(p[0], p[0], lo[0], hi[0]) +
+			GapSq(p[1], p[1], lo[1], hi[1]) +
+			GapSq(p[2], p[2], lo[2], hi[2]) +
+			GapSq(p[3], p[3], lo[3], hi[3])
 	}
 	var sum float64
 	for k := range p {
-		sum += minDistSqGap(p[k], p[k], lo[k], hi[k])
+		sum += GapSq(p[k], p[k], lo[k], hi[k])
 	}
 	return sum
 }

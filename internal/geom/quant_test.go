@@ -85,3 +85,65 @@ func TestMinDistSqBatchQIsLowerBound(t *testing.T) {
 		}
 	}
 }
+
+// TestMinDistSqBatchQMatchesReference checks every path of
+// MinDistSqBatchQ — the unrolled dimensions and the wide one, which on
+// amd64 is the packed kernel: even, odd and single-axis boxes, no box at
+// all — against the three-case reference summed over the widened bounds,
+// bit for bit, on the touching, nested, zero-width, denormal and huge
+// intervals of gapIntervals (1e200 widens to a float32 infinity, which a
+// finite query box keeps away from NaN).
+func TestMinDistSqBatchQMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, d := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17} {
+		for _, n := range []int{0, 1, 2, 511} {
+			lo, hi := gapIntervals(rng, n*d)
+			qlo, qhi := make([]float32, n*d), make([]float32, n*d)
+			QuantizeDown(qlo, lo)
+			QuantizeUp(qhi, hi)
+			wlo, whi := make([]float64, n*d), make([]float64, n*d)
+			for i := range qlo {
+				wlo[i], whi[i] = float64(qlo[i]), float64(qhi[i])
+			}
+			out := make([]float64, n+1)
+			for trial := 0; trial < 16; trial++ {
+				qL, qH := gapIntervals(rng, d)
+				sentinel := rng.Float64()
+				out[n] = sentinel
+				MinDistSqBatchQ(qL, qH, qlo, qhi, out[:n])
+				for i := 0; i < n; i++ {
+					want := minDistSqReference(qL, qH, wlo[i*d:(i+1)*d], whi[i*d:(i+1)*d])
+					if math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("d=%d n=%d box %d: MinDistSqBatchQ = %v, reference %v", d, n, i, out[i], want)
+					}
+				}
+				if out[n] != sentinel {
+					t.Fatalf("d=%d n=%d: wrote past out", d, n)
+				}
+			}
+		}
+	}
+}
+
+// TestMinDistSqBatchQChecksBounds checks that the wide path refuses bound
+// arrays shorter than len(out) boxes, as the indexed loops do, before
+// anything reads past them.
+func TestMinDistSqBatchQChecksBounds(t *testing.T) {
+	const d, n = 8, 4
+	q := make([]float64, d)
+	full := make([]float32, n*d)
+	for name, call := range map[string]func(){
+		"lo": func() { MinDistSqBatchQ(q, q, full[:n*d-1], full, make([]float64, n)) },
+		"hi": func() { MinDistSqBatchQ(q, q, full, full[:n*d-1], make([]float64, n)) },
+		"qH": func() { MinDistSqBatchQ(q, q[:d-1], full, full, make([]float64, n)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("short %s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

@@ -3,6 +3,7 @@ package rtree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -13,6 +14,17 @@ import (
 // the given dimension and returns it with the inserted items.
 func hotpathTree(tb testing.TB, dim, n int, seed int64) (*Tree, []Item) {
 	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Rect: randRect(rng, dim, 0.05), Ref: Ref(i)}
+	}
+	return bulkTree(tb, dim, items), items
+}
+
+// bulkTree bulk-loads items into a fresh in-memory tree.
+func bulkTree(tb testing.TB, dim int, items []Item) *Tree {
+	tb.Helper()
 	pg, err := pager.Open(pager.Options{PageSize: 4096, PoolPages: 1024})
 	if err != nil {
 		tb.Fatal(err)
@@ -22,15 +34,10 @@ func hotpathTree(tb testing.TB, dim, n int, seed int64) (*Tree, []Item) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]Item, n)
-	for i := range items {
-		items[i] = Item{Rect: randRect(rng, dim, 0.05), Ref: Ref(i)}
-	}
 	if err := tr.BulkLoad(items); err != nil {
 		tb.Fatal(err)
 	}
-	return tr, items
+	return tr
 }
 
 // TestAppendWithinDistMatchesWithinDist checks the squared-space flat
@@ -80,6 +87,96 @@ func TestAppendWithinDistMatchesWithinDist(t *testing.T) {
 			}
 		}
 		check()
+	}
+}
+
+// minDistSqReference is the squared MinDist summed from the textbook
+// three-case gap — which side of the entry's projection, if either, the
+// query's lies on — in axis order: the predicate appendWithin evaluated
+// before geom.GapSq became branch-free, kept as its reference.
+func minDistSqReference(e, q geom.Rect) float64 {
+	var sum float64
+	for k := range e.L {
+		var x float64
+		switch {
+		case e.H[k] < q.L[k]:
+			x = q.L[k] - e.H[k]
+		case q.H[k] < e.L[k]:
+			x = e.L[k] - q.H[k]
+		}
+		sum += x * x
+	}
+	return sum
+}
+
+// gridRect draws a box whose corners sit on multiples of 1/8 in [0, 1] —
+// so boxes touch, nest and coincide, a quarter of them have zero width on
+// an axis, and a gap's square is exact and can equal ε² — scaled by scale.
+func gridRect(rng *rand.Rand, dim int, scale float64) geom.Rect {
+	lo, hi := make(geom.Point, dim), make(geom.Point, dim)
+	for k := range lo {
+		a, b := float64(rng.Intn(9))/8, float64(rng.Intn(9))/8
+		if a > b {
+			a, b = b, a
+		}
+		if rng.Intn(4) == 0 {
+			b = a
+		}
+		lo[k], hi[k] = a*scale, b*scale
+	}
+	return geom.Rect{L: lo, H: hi}
+}
+
+// TestAppendWithinDistMatchesGapReference checks the node scan — each
+// unrolled dimension and the generic loop — against a walk of the same
+// tree with the three-case squared predicate: the same refs in the same
+// order, on boxes that touch, nest, have zero width, tie with ε exactly,
+// and sit at 1e200 scale where the squared gap overflows.
+func TestAppendWithinDistMatchesGapReference(t *testing.T) {
+	for _, dim := range []int{2, 3, 4, 5} {
+		rng := rand.New(rand.NewSource(int64(300 + dim)))
+		items := make([]Item, 2000)
+		for i := range items {
+			switch {
+			case i%50 == 0:
+				items[i] = Item{Rect: gridRect(rng, dim, 1e200), Ref: Ref(i)}
+			case i%2 == 0:
+				items[i] = Item{Rect: gridRect(rng, dim, 1), Ref: Ref(i)}
+			default:
+				items[i] = Item{Rect: randRect(rng, dim, 0.05), Ref: Ref(i)}
+			}
+		}
+		tr := bulkTree(t, dim, items)
+		found := 0
+		for trial := 0; trial < 200; trial++ {
+			q, eps := gridRect(rng, dim, 1), float64(rng.Intn(5))/8
+			switch trial % 4 {
+			case 1:
+				q, eps = randRect(rng, dim, 0.1), rng.Float64()*0.4
+			case 2:
+				q, eps = gridRect(rng, dim, 1e200), 1e200*float64(rng.Intn(5))/8
+			}
+			eps2 := eps * eps
+			var want []Ref
+			_, err := tr.searchRec(tr.root,
+				func(r geom.Rect) bool { return minDistSqReference(r, q) <= eps2 },
+				func(it Item) bool { want = append(want, it.Ref); return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tr.AppendWithinDist(q, eps, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("dim %d query %v eps %g: node scan found %d refs, three-case reference %d (or another order)",
+					dim, q, eps, len(got), len(want))
+			}
+			found += len(want)
+		}
+		if found == 0 || found == 200*len(items) {
+			t.Fatalf("dim %d: the queries accepted %d refs of %d; the test separates nothing", dim, found, 200*len(items))
+		}
 	}
 }
 

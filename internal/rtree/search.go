@@ -80,8 +80,8 @@ func (t *Tree) appendWithin(page pager.PageID, qL, qH []float64, eps2 float64, o
 		q0l, q1l, q0h, q1h := qL[0], qL[1], qH[0], qH[1]
 		for e := 0; e < fn.count; e++ {
 			o := e * 4
-			d2 := gapSq(bounds[o], bounds[o+2], q0l, q0h) +
-				gapSq(bounds[o+1], bounds[o+3], q1l, q1h)
+			d2 := geom.GapSq(bounds[o], bounds[o+2], q0l, q0h) +
+				geom.GapSq(bounds[o+1], bounds[o+3], q1l, q1h)
 			if d2 <= eps2 && !descend(e) {
 				return out, derr
 			}
@@ -91,9 +91,9 @@ func (t *Tree) appendWithin(page pager.PageID, qL, qH []float64, eps2 float64, o
 		q0h, q1h, q2h := qH[0], qH[1], qH[2]
 		for e := 0; e < fn.count; e++ {
 			o := e * 6
-			d2 := gapSq(bounds[o], bounds[o+3], q0l, q0h) +
-				gapSq(bounds[o+1], bounds[o+4], q1l, q1h) +
-				gapSq(bounds[o+2], bounds[o+5], q2l, q2h)
+			d2 := geom.GapSq(bounds[o], bounds[o+3], q0l, q0h) +
+				geom.GapSq(bounds[o+1], bounds[o+4], q1l, q1h) +
+				geom.GapSq(bounds[o+2], bounds[o+5], q2l, q2h)
 			if d2 <= eps2 && !descend(e) {
 				return out, derr
 			}
@@ -103,10 +103,10 @@ func (t *Tree) appendWithin(page pager.PageID, qL, qH []float64, eps2 float64, o
 		q0h, q1h, q2h, q3h := qH[0], qH[1], qH[2], qH[3]
 		for e := 0; e < fn.count; e++ {
 			o := e * 8
-			d2 := gapSq(bounds[o], bounds[o+4], q0l, q0h) +
-				gapSq(bounds[o+1], bounds[o+5], q1l, q1h) +
-				gapSq(bounds[o+2], bounds[o+6], q2l, q2h) +
-				gapSq(bounds[o+3], bounds[o+7], q3l, q3h)
+			d2 := geom.GapSq(bounds[o], bounds[o+4], q0l, q0h) +
+				geom.GapSq(bounds[o+1], bounds[o+5], q1l, q1h) +
+				geom.GapSq(bounds[o+2], bounds[o+6], q2l, q2h) +
+				geom.GapSq(bounds[o+3], bounds[o+7], q3l, q3h)
 			if d2 <= eps2 && !descend(e) {
 				return out, derr
 			}
@@ -120,19 +120,6 @@ func (t *Tree) appendWithin(page pager.PageID, qL, qH []float64, eps2 float64, o
 		}
 	}
 	return out, nil
-}
-
-// gapSq is the per-axis squared projection gap between entry bounds
-// [el,eh] and query bounds [ql,qh] — 0 when the projections overlap.
-func gapSq(el, eh, ql, qh float64) float64 {
-	var x float64
-	switch {
-	case eh < ql:
-		x = ql - eh
-	case qh < el:
-		x = el - qh
-	}
-	return x * x
 }
 
 // searchRec walks the subtree, descending into rectangles accepted by

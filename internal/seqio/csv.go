@@ -132,6 +132,10 @@ func ReadCSV(r io.Reader) ([]*core.Sequence, error) {
 	}
 	for i := range seqs {
 		seqs[i].ID = uint32(i)
+		// ParseFloat reads "NaN" and "Inf"; no database takes them.
+		if err := seqs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("seqio: csv sequence %q: %w", seqs[i].Label, err)
+		}
 	}
 	return seqs, nil
 }

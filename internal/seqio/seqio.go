@@ -134,7 +134,13 @@ func Read(r io.Reader) ([]*core.Sequence, error) {
 		for j := range pts {
 			pts[j] = geom.Point(flat[j*int(dim) : (j+1)*int(dim) : (j+1)*int(dim)])
 		}
-		seqs = append(seqs, &core.Sequence{ID: i, Label: string(label), Points: pts})
+		s := &core.Sequence{ID: i, Label: string(label), Points: pts}
+		// What Write refuses to write, Read refuses to return: a NaN or
+		// ±Inf coordinate must not reach a database through -data.
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: sequence %d: %w", ErrBadFormat, i, err)
+		}
+		seqs = append(seqs, s)
 	}
 	return seqs, nil
 }

@@ -326,6 +326,33 @@ func writeSegmentsFile(path string, dim int, cfg core.PartitionConfig, segs []*c
 	return werr
 }
 
+// sectionChecksum returns crc32.Checksum(p, castagnoli) and, for a section
+// of little-endian float64s, whether every one of them is finite. A
+// checksum says the bytes are the writer's, not that they are numbers, and
+// the distance kernels assume finite coordinates and bounds (geom.GapSq);
+// core.Sequence.Validate refuses the others on every other way in. The
+// section is taken a chunk at a time so that the scan reads what the
+// checksum has just pulled into cache: Validate per sequence, a second
+// trip through memory by way of a slice header per point, added an eighth
+// to the open of a 4 M-point store.
+func sectionChecksum(p []byte, floats bool) (crc uint32, finite bool) {
+	if !floats {
+		return crc32.Checksum(p, castagnoli), true
+	}
+	var carry uint64
+	for len(p) > 0 {
+		c := p[:min(32<<10, len(p))]
+		p = p[len(c):]
+		crc = crc32.Update(crc, castagnoli, c)
+		for _, x := range float64View(c) {
+			// |x| plus one exponent step carries into the sign bit exactly
+			// when the exponent is all ones, as in NaN and ±Inf alone.
+			carry |= math.Float64bits(x)&^(1<<63) + 1<<52
+		}
+	}
+	return crc, carry>>63 == 0
+}
+
 // readSegmentsFile maps (or reads, on platforms without mmap) path and
 // decodes it into a Corpus, aliasing the float sections in place on
 // little-endian hosts. Every departure from the format — bad magic or
@@ -446,8 +473,12 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 			return nil, fmt.Errorf("%w: section %d length %d, want %d", ErrBadStore, w.id, l, w.size)
 		}
 		p := buf[off+secHeaderLen : off+secHeaderLen+w.size]
-		if got, wantCRC := binary.LittleEndian.Uint32(sh[4:8]), crc32.Checksum(p, castagnoli); got != wantCRC {
+		wantCRC, finite := sectionChecksum(p, w.id == secPoints || w.id == secLo || w.id == secHi)
+		if got := binary.LittleEndian.Uint32(sh[4:8]); got != wantCRC {
 			return nil, fmt.Errorf("%w: section %d checksum %08x, want %08x", ErrBadStore, w.id, got, wantCRC)
+		}
+		if !finite {
+			return nil, fmt.Errorf("%w: section %d holds a NaN or ±Inf: %w", ErrBadStore, w.id, core.ErrNonFinite)
 		}
 		payload[i] = p
 		off += secHeaderLen + pad8(w.size)
@@ -491,9 +522,8 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: sequence %d: %v", ErrBadStore, i, err)
 		}
-		if err := seq.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: sequence %d: %v", ErrBadStore, i, err)
-		}
+		// No seq.Validate: the directory decode above cut n ≥ 1 points of
+		// exactly dim coordinates, and sectionChecksum found them finite.
 		segs[i] = g
 		pOff += n
 		mOff += r

@@ -190,6 +190,47 @@ func TestReadSegmentsRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestReadSegmentsRejectsNonFinite checks that a segment file whose
+// checksums are right but whose point or MBR bound columns hold a NaN or
+// ±Inf — first value, last value, either sign — is refused with
+// ErrBadStore wrapping core.ErrNonFinite: the distance kernels assume
+// finite input, and the zero-copy open hands them these columns as they
+// are. The largest finite values pass.
+func TestReadSegmentsRejectsNonFinite(t *testing.T) {
+	path, good := writeGoodSegments(t, t.TempDir())
+	nan := math.NaN()
+	for _, id := range []uint32{secPoints, secLo, secHi} {
+		for _, v := range []float64{nan, -nan, math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64} {
+			for _, last := range []bool{false, true} {
+				b := append([]byte(nil), good...)
+				off := segHeaderLen
+				for binary.LittleEndian.Uint32(b[off:]) != id {
+					off += secHeaderLen + int(pad8(binary.LittleEndian.Uint64(b[off+8:])))
+				}
+				n := int(binary.LittleEndian.Uint64(b[off+8:]))
+				payload := b[off+secHeaderLen : off+secHeaderLen+n]
+				at := 0
+				if last {
+					at = n - 8
+				}
+				binary.LittleEndian.PutUint64(payload[at:], math.Float64bits(v))
+				binary.LittleEndian.PutUint32(b[off+4:], crc32.Checksum(payload, castagnoli))
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, err := ReadSegments(path)
+				if v-v == 0 { // finite, if huge
+					if errors.Is(err, core.ErrNonFinite) {
+						t.Errorf("section %d with %v: err = %v", id, v, err)
+					}
+				} else if !errors.Is(err, ErrBadStore) || !errors.Is(err, core.ErrNonFinite) {
+					t.Errorf("section %d with %v (last=%v): err = %v, want ErrBadStore wrapping ErrNonFinite", id, v, last, err)
+				}
+			}
+		}
+	}
+}
+
 func TestBuildMatchesIncrementalIndex(t *testing.T) {
 	for _, dim := range []int{2, 4, 8, 16} {
 		seqs := corpusSeqs(int64(100+dim), 14, dim)

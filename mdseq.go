@@ -90,6 +90,11 @@ type DB = core.Database
 // that file; otherwise everything stays in memory.
 func Open(opts Options) (*DB, error) { return core.NewDatabase(opts) }
 
+// ErrNonFinite is the error (test with errors.Is) every entry point that
+// takes a sequence — adding, appending, querying — returns for a NaN or
+// ±Inf coordinate.
+var ErrNonFinite = core.ErrNonFinite
+
 // NewSequence validates points and wraps them into a Sequence.
 func NewSequence(label string, points []Point) (*Sequence, error) {
 	return core.NewSequence(label, points)
