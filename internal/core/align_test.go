@@ -121,8 +121,9 @@ func TestBestAlignMatchesReference(t *testing.T) {
 }
 
 // TestKNNTiesMatchReference runs kNN over corpora built to tie — every
-// sequence stored twice, one-point MBRs — against the seed reconstruction:
-// ids, offsets and distance bits must agree for every k and bound.
+// sequence stored twice, one-point MBRs — against the exhaustive
+// reference: ids, offsets and distance bits must agree for every k and
+// bound, so ties are settled by (Dist, SeqID) and by nothing else.
 func TestKNNTiesMatchReference(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4, 8} {
 		for _, cfg := range []PartitionConfig{DefaultPartitionConfig(), {QueryExtent: 0.3, MaxPoints: 1}} {
@@ -232,10 +233,12 @@ func TestKNNBoundTighten(t *testing.T) {
 	}
 }
 
-// TestKNNAllocs is the D-kNN allocation gate: with a bound of 0 nothing
-// can be returned, yet every sequence whose Dnorm bound is 0 still goes
-// through the kernel — table, offset bounds, abandoned sums — and all of
-// it must come out of the warmed pooled scratch.
+// TestKNNAllocs is the D-kNN allocation gate. The shared bound sits one
+// ulp under the nearest neighbor's distance, so nothing can be returned,
+// yet the walk runs out to that distance and every sequence it bounds at or
+// below it goes through the kernel — table, offset bounds, abandoned sums.
+// All of it — the walk's queue, the seen-set, the candidate heap, the Dnorm
+// arrays, the Dmbr table — must come out of the warmed pooled scratch.
 func TestKNNAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops Puts under -race; alloc gate needs a non-race build")
@@ -243,14 +246,18 @@ func TestKNNAllocs(t *testing.T) {
 	db, _ := hotDB(t, 4, 40, 7)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	q := randWalkSeq(rand.New(rand.NewSource(9)), 24, 4)
-	bound := boundAt(0)
+	nearest, err := db.SearchKNN(q, 1)
+	if err != nil || len(nearest) != 1 || nearest[0].Dist == 0 {
+		t.Fatalf("nearest neighbor %+v, %v; the alloc gate needs one at a positive distance", nearest, err)
+	}
+	bound := boundAt(math.Nextafter(nearest[0].Dist, 0))
 	for i := 0; i < 3; i++ {
 		rs, err := db.SearchKNNBounded(q, 5, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rs) != 0 {
-			t.Fatal("query unexpectedly has a neighbor at distance 0; the alloc gate needs an empty answer")
+			t.Fatal("a neighbor under the nearest one's distance; the alloc gate needs an empty answer")
 		}
 	}
 	if bound.Counts().Refined == 0 {

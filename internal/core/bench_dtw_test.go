@@ -45,7 +45,7 @@ func TestDTWSpeedup(t *testing.T) {
 		}
 		var out []KNNResult
 		for _, m := range all {
-			out = insertKNN(out, KNNResult{SeqID: m.SeqID, Seq: m.Seq, Dist: m.Dist}, k)
+			out = InsertKNN(out, KNNResult{SeqID: m.SeqID, Seq: m.Seq, Dist: m.Dist}, k)
 		}
 		return out
 	}

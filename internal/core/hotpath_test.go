@@ -2,14 +2,14 @@ package core
 
 // Hot-path equivalence and regression tests: the flat squared-space
 // search paths (phase3Hits, segmentQuery, AppendWithinDist-backed phase 2,
-// manual kNN heap, bestAlign) must return byte-identical results to
+// the index-driven kNN, bestAlign) must return byte-identical results to
 // the seed implementations they replaced, and a warmed serial range
 // search must not allocate. The seed forms — WithinDist, phase3One,
-// newDnormCalc, container/heap, BestAlignment — are retained in-tree and
-// reconstructed here as the reference.
+// newDnormCalc, BestAlignment — are retained in-tree and reconstructed
+// here as the reference.
 
 import (
-	"container/heap"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -185,67 +185,29 @@ func TestSegmentQueryMatchesPartition(t *testing.T) {
 	}
 }
 
-// refCandHeap is the seed kNN candidate heap (container/heap form), kept
-// here so the reference reconstruction uses the original machinery.
-type refCandHeap []knnCand
-
-func (h refCandHeap) Len() int            { return len(h) }
-func (h refCandHeap) Less(i, j int) bool  { return h[i].bound < h[j].bound }
-func (h refCandHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refCandHeap) Push(x interface{}) { *h = append(*h, x.(knnCand)) }
-func (h *refCandHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// knnReference reconstructs the seed SearchKNNBounded: container/heap
-// candidate ordering by sweep lower bound, full BestAlignment refinement.
+// knnReference is what a bounded kNN search must return, computed from
+// values alone: BestAlignment against every live sequence, those within
+// the bound ordered by (Dist, SeqID), the first k.
 func knnReference(t testing.TB, db *Database, q *Sequence, k int, bound float64) []KNNResult {
 	t.Helper()
-	qseg, err := NewSegmented(q, db.opts.Partition)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &refCandHeap{}
+	var out []KNNResult
 	for id, g := range db.seqs {
 		if g == nil {
 			continue
 		}
-		lb := math.Inf(1)
-		for _, qm := range qseg.MBRs {
-			c := newDnormCalc(qm.Rect, qm.Count(), g)
-			if d := c.sweep(math.Inf(-1), nil); d < lb {
-				lb = d
-			}
-		}
-		heap.Push(h, knnCand{id: uint32(id), bound: lb})
-	}
-	var out []KNNResult
-	worst := bound
-	for h.Len() > 0 {
-		c := heap.Pop(h).(knnCand)
-		if c.bound > worst {
-			break
-		}
-		g := db.seqs[c.id]
-		off, dist := BestAlignment(q.Points, g.Seq.Points)
-		if dist > bound {
-			continue
-		}
-		out = insertKNN(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist, Offset: off}, k)
-		if len(out) == k && out[len(out)-1].Dist < worst {
-			worst = out[len(out)-1].Dist
+		if off, dist := BestAlignment(q.Points, g.Seq.Points); dist <= bound {
+			out = append(out, KNNResult{SeqID: uint32(id), Seq: g.Seq, Dist: dist, Offset: off})
 		}
 	}
-	return out
+	slices.SortFunc(out, func(a, b KNNResult) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.SeqID, b.SeqID))
+	})
+	return out[:min(k, len(out))]
 }
 
-// TestKNNMatchesReference checks the flat kNN path (manual heap, batch
-// Dnorm lower bounds, early-abandoning alignment) against the seed
-// reconstruction, bounded and unbounded.
+// TestKNNMatchesReference checks the kNN path (index walk, weighted Dnorm
+// bounds, early-abandoning alignment) against the exhaustive reference,
+// bounded and unbounded.
 func TestKNNMatchesReference(t *testing.T) {
 	for _, dim := range []int{2, 4, 8} {
 		db, seqs := hotDB(t, dim, 60, int64(300+dim))
@@ -454,18 +416,18 @@ func BenchmarkRangeSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkKNN compares the seed kNN reconstruction and the flat path.
+// BenchmarkKNN compares the exhaustive reference and the indexed path.
 func BenchmarkKNN(b *testing.B) {
 	for _, dim := range []int{2, 4, 8} {
 		db, seqs := hotDB(b, dim, 100, int64(900+dim))
 		qs := hotQueries(seqs, dim, int64(dim))
-		b.Run(fmt.Sprintf("path=seed/dim=%d", dim), func(b *testing.B) {
+		b.Run(fmt.Sprintf("path=scan/dim=%d", dim), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				knnReference(b, db, qs[i%len(qs)], 5, math.Inf(1))
 			}
 		})
-		b.Run(fmt.Sprintf("path=flat/dim=%d", dim), func(b *testing.B) {
+		b.Run(fmt.Sprintf("path=index/dim=%d", dim), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := db.SearchKNN(qs[i%len(qs)], 5); err != nil {

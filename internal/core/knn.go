@@ -22,11 +22,12 @@ type KNNResult struct {
 }
 
 // SearchKNN returns the k stored sequences nearest to q under the exact
-// distance D, in nondecreasing order. It is an extension beyond the
-// paper's range queries, built from the same machinery: candidate
-// sequences are ranked by the Dnorm lower bound (Lemma 3) and refined with
-// the exact distance only until the next lower bound exceeds the k-th best
-// exact distance — so most sequences are never scanned.
+// distance D, ordered by (distance, id). It is an extension beyond the
+// paper's range queries, built from the same machinery: the index is
+// walked outward from the query's MBRs, the sequences it reaches are
+// ranked by a Dnorm lower bound (Lemma 3) and refined with the exact
+// distance only until every lower bound left exceeds the k-th best exact
+// distance — so most sequences are never bounded, let alone scanned.
 func (db *Database) SearchKNN(q *Sequence, k int) ([]KNNResult, error) {
 	return db.SearchKNNBoundedCtx(context.Background(), q, k, nil)
 }
@@ -37,9 +38,9 @@ func (db *Database) SearchKNNCtx(ctx context.Context, q *Sequence, k int) ([]KNN
 	return db.SearchKNNBoundedCtx(ctx, q, k, nil)
 }
 
-// SearchKNNBounded is SearchKNN pruned by a shared live bound: refinement
-// stops as soon as the next Dnorm lower bound exceeds min(bound, own k-th
-// best), re-read before every refinement, and the bound is tightened
+// SearchKNNBounded is SearchKNN pruned by a shared live bound: the search
+// stops as soon as every lower bound left exceeds min(bound, own k-th
+// best), re-read at every step, and the bound is tightened
 // whenever this search's own k-th best improves (see KNNBound for why that
 // is safe). The result is this database's part of the answer: every stored
 // sequence among its k nearest whose distance is at most the bound's final
@@ -51,19 +52,44 @@ func (db *Database) SearchKNNBounded(q *Sequence, k int, bound *KNNBound) ([]KNN
 }
 
 // SearchKNNBoundedCtx is SearchKNNBounded honoring a context deadline or
-// cancellation: the lower-bound pass and the refinement loop both check
-// ctx periodically and abandon the query with ctx's error. A canceled
-// query records nothing — neither into the metrics registry nor into the
-// bound's counts.
+// cancellation: the loop checks ctx every cancelCheckEvery steps and
+// abandons the query with ctx's error. A canceled query records nothing —
+// neither into the metrics registry nor into the bound's counts.
+//
+// The search is two priority queues worked in step (rung 0 of DESIGN §11's
+// ladder). One is a best-first walk of the R*-tree (rtree.Nearest) keyed by
+// the smallest Dmbr from a node or entry box to any query MBR; every
+// sequence the walk has not reached yet has all its Dmbr, hence its D
+// (Lemma 1), at or above the walk's next key. The other is the candidate
+// heap: the first index entry of a sequence puts that sequence on it under
+// its count-weighted Dnorm bound (knnSeqBound). Each step takes whichever
+// queue is nearer. If the nearest candidate's bound is not above the
+// walk's next key, nothing unseen can precede it, and it is refined by
+// bestAlign against the cutoff in force — alignment-level Dmbr bound, then
+// the early-abandoned exact sum, the two upper rungs — and the shared bound
+// tightened if the top k improved; otherwise the walk advances. The search
+// ends when the walk is exhausted or its next key exceeds the cutoff, and
+// no candidate at or below the cutoff is left.
+//
+// The answer is the exact one because of two facts only. A sequence is
+// dismissed only while a valid lower bound of its D is strictly above the
+// cutoff in force, and cutoffs only fall; and the loop ends only when that
+// holds for every unrefined sequence. The order of refinement does not
+// enter: the top k is kept by (Dist, SeqID) (InsertKNN), so which of two
+// tied sequences was refined first cannot show. "Valid" is meant of the
+// computed floats — the walk's key is shrunk by alignSlack and the
+// sequence bound by knnSeqBound's own margin before either meets a cutoff
+// — and every dismissal is a strict >, which a NaN fails and +Inf fails
+// against a cutoff of +Inf: sequences whose Dmbr overflowed are refined,
+// and reported with the distance bestAlign gives them.
 //
 // The whole query runs out of one pooled scratch: the query segmentation
-// and flat point copy, the Dnorm arrays of the lower-bound pass, the
-// candidate min-heap (a manual heap with container/heap's exact sift
-// order, minus the per-element interface boxing) and the alignment
-// kernel's Dmbr table. Refinement is the three-rung ladder of DESIGN §11:
-// the sequence-level Dnorm bound orders and stops the loop, bestAlign's
-// alignment-level Dmbr bound skips offsets, and the surviving offsets are
-// summed with early abandoning; none of the three can change a result.
+// and flat point copy, the walk's queue, the set of sequences already
+// bounded (the phase-2 hit table, one bit per sequence), the bound's Dnorm
+// arrays, the candidate heap and the alignment kernel's Dmbr table.
+// Counts keep their meaning: Candidates is every live sequence, Refined
+// the exact distances computed, and the difference was dismissed by a
+// bound — most of it now without the sequence ever being looked at.
 //
 // The result cache is consulted whatever the bound (a cached unbounded
 // answer is a valid bounded one), but an answer is stored only when it is
@@ -105,57 +131,64 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 	dim := q.Dim()
 	qs := sc.querySide(dim)
 
-	// Lower bound for every live sequence: min over query MBRs of the
-	// sequence's MinDnorm. (The loop over all sequences is O(n·r) metric
-	// work on in-memory MBRs — no point data is touched.)
+	sc.beginHits(len(db.seqs), 1)
 	sc.heap = sc.heap[:0]
-	for id, g := range db.seqs {
-		if g == nil {
-			continue // removed
-		}
-		if id%cancelCheckEvery == 0 {
-			if err := searchCanceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		lb := dnormBound(sc.qmbrs, &sc.p3, g)
-		sc.heap = pushCand(sc.heap, knnCand{id: uint32(id), bound: lb})
-	}
-
-	// Refine in bound order; stop when the next lower bound cannot beat
-	// the shared bound or the current k-th best exact distance.
-	// refined counts exact-distance computations; everything left on the
-	// heap at the break was dismissed by its Dnorm lower bound alone.
-	candidates := len(sc.heap)
-	refined := 0
+	sc.near.Reset(db.tree, qs.lo, qs.hi)
+	// An alignment sums min(|Q|, |S|) ≤ |Q| point distances, and alignSlack
+	// only shrinks as that count grows: one factor serves every sequence.
+	keySlack := alignSlack(q.Len(), dim)
+	bounded, refined := 0, 0
 	var out []KNNResult
 	worst := knnCutoff{bound: bound, own: math.Inf(1)}
-	for len(sc.heap) > 0 {
-		if refined%cancelCheckEvery == 0 {
+	for step := 0; ; step++ {
+		if step%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
 				return nil, err
 			}
 		}
-		var c knnCand
-		c, sc.heap = popCand(sc.heap)
 		cut := worst.load()
-		if c.bound > cut {
-			break
-		}
-		g := db.seqs[c.id]
-		off, dist := bestAlign(&sc.align, qs, g.side(), dim, cut)
-		refined++
-		if dist > cut {
+		keySq, walking := sc.near.Head()
+		key := math.Sqrt(keySq) * keySlack
+		if len(sc.heap) > 0 && !(walking && sc.heap[0].bound > key) {
+			var c knnCand
+			c, sc.heap = popCand(sc.heap)
+			if c.bound > cut {
+				// The rest of the heap is no nearer, and the walk's key, if
+				// any is left, is at least this bound.
+				break
+			}
+			g := db.seqs[c.id]
+			off, dist := bestAlign(&sc.align, qs, g.side(), dim, cut)
+			refined++
+			if dist > cut {
+				continue
+			}
+			out = InsertKNN(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist, Offset: off}, k)
+			worst.publish(out, k)
 			continue
 		}
-		out = insertKNN(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist, Offset: off}, k)
-		worst.publish(out, k)
+		if !walking || key > cut {
+			break // any candidate left is above key
+		}
+		entry, isEntry, err := sc.near.Pop()
+		if err != nil {
+			return nil, err
+		}
+		if !isEntry {
+			continue
+		}
+		if id, _ := entry.Unpack(); sc.firstHit(id) {
+			bounded++
+			sc.heap = pushCand(sc.heap, knnCand{id: id, bound: knnSeqBound(&sc.p3, qs, db.seqs[id].side(), dim)})
+		}
 	}
+	candidates := db.live
 	took := time.Since(t0)
 	if tr != nil {
 		tr.RecordSpan(obs.SpanFromContext(ctx), "knn", took,
 			obs.Int("k", k),
 			obs.Int("candidates", candidates),
+			obs.Int("bounded", bounded),
 			obs.Int("refined", refined),
 			obs.Float("pruned_frac", prunedFrac(candidates, refined)))
 	}
@@ -165,6 +198,74 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 		ref.putKNN(out, k, took)
 	}
 	return out, nil
+}
+
+// knnSeqBound is the sequence-level lower bound of D(a, b) that orders the
+// kNN candidate heap: the count-weighted mean, over the shorter side's
+// MBRs, of each one's smallest Dnorm window on the longer side.
+//
+// The best alignment lays the shorter sequence, k points, somewhere inside
+// the longer one, so the c_i points of its MBR i meet one contiguous run of
+// c_i points there. By Lemma 1 the summed distance over that run is at
+// least Σ Dmbr(mbr_i, the long MBR holding the point) — c_i times the Dnorm
+// window at that position — and the sweep's minimum m_i is no larger than
+// any position's window (Lemma 3: a window's value is piecewise linear in
+// its position and the sweep visits every breakpoint). Summing over i,
+// k·D ≥ Σ c_i·m_i: a weighted mean where min_i m_i was used before. The
+// roles follow the lengths because the argument needs each weighted MBR
+// whole inside the other sequence. Weighting the longer side's MBRs fails —
+// a run can hang over the end — and so does their plain minimum: a short
+// stored sequence lying across two query MBRs, matching half of each, is
+// far from both as a whole (TestKNNShortSequenceStraddlesQueryMBRs).
+//
+// In float64 two things stand between the computed Σ c_i·m_i and the exact
+// sum alignMean forms. One is rounding per operation, as in alignSlack: per
+// term the computed Dmbr is at most ((1+u)/(1−u))^(d/2+1) times the
+// computed point distance, a window adds four roundings, each of the two
+// sums at most k, the lines below four — all inside the 4u·(k+d+4) that
+// alignSlack takes off. The other is cancellation: a window is a difference
+// of the running sums wpre, and each of the at most r additions between its
+// ends is off by up to u·wpre[r] whatever the window's own size. A computed
+// window can so exceed the real one by r·u·wpre[r]/c_i, and Σ c_i·m_i by
+// r·u·Σ_i wpre_i[r]; 2u = 2⁻⁵² times r·Σ wpre is subtracted, the factor two
+// covering the roundings of that term itself. For data of one scale this
+// is some 10⁻¹³ of the bound. Where it is not — a spike 10¹⁶ times the rest
+// swallows the small terms of wpre — the weighted mean gives way to the
+// floor under it: the smallest Dmbr of any MBR pair, which by Lemma 1 and
+// alignSlack's argument is below every point distance, hence below D. An
+// overflowed sum (Inf − Inf) ends there too.
+func knnSeqBound(p3 *phase3Scratch, a, b alignSide, d int) float64 {
+	short, long := a, b
+	if len(short.flat) > len(long.flat) {
+		short, long = long, short
+	}
+	rs, rl := len(short.starts)-1, len(long.starts)-1
+	p3.sq = ensureFloats(p3.sq, rl)
+	p3.dists = ensureFloats(p3.dists, rl)
+	p3.wpre = ensureFloats(p3.wpre, rl+1)
+	sq, dists, wpre := p3.sq, p3.dists, p3.wpre
+	wpre[0] = 0
+	var sum, total float64
+	nearest := infBits // smallest squared Dmbr, as a bit pattern (see sweepWindows)
+	for i := 0; i < rs; i++ {
+		geom.MinDistSqBatch(short.lo[i*d:(i+1)*d], short.hi[i*d:(i+1)*d], long.lo, long.hi, sq)
+		for t := range dists {
+			nearest = min(nearest, math.Float64bits(sq[t]))
+			dists[t] = math.Sqrt(sq[t])
+			wpre[t+1] = wpre[t] + dists[t]*float64(long.starts[t+1]-long.starts[t])
+		}
+		c := int(short.starts[i+1] - short.starts[i])
+		m, _ := sweepWindows(long.starts, dists, wpre, c, math.Inf(-1), nil)
+		sum += m * float64(c)
+		total += wpre[rl]
+	}
+	k := len(short.flat) / d
+	slack := alignSlack(k, d)
+	floor := math.Sqrt(math.Float64frombits(nearest)) * slack
+	if w := (sum - float64(rl)*0x1p-52*total) / float64(k) * slack; w > floor {
+		return w
+	}
+	return floor
 }
 
 // knnCutoff is one search's refinement cutoff: the smaller of its own
@@ -201,10 +302,15 @@ func (c *knnCutoff) publish(out []KNNResult, k int) {
 	}
 }
 
-// insertKNN inserts r into the sorted top-k slice, keeping at most k.
-func insertKNN(rs []KNNResult, r KNNResult, k int) []KNNResult {
+// InsertKNN inserts r into rs, the best at most k results so far in
+// (Dist, SeqID) order, and returns the best at most k of them all in that
+// order. It is the one tie rule of every kNN answer — a database's, a
+// scatter's merge, a transaction snapshot's base-plus-delta merge — which
+// is what makes an answer a function of the stored sequences alone, not of
+// the order they were refined or arrived in.
+func InsertKNN(rs []KNNResult, r KNNResult, k int) []KNNResult {
 	pos := len(rs)
-	for pos > 0 && rs[pos-1].Dist > r.Dist {
+	for pos > 0 && (rs[pos-1].Dist > r.Dist || (rs[pos-1].Dist == r.Dist && rs[pos-1].SeqID > r.SeqID)) {
 		pos--
 	}
 	rs = append(rs, KNNResult{})
@@ -216,7 +322,7 @@ func insertKNN(rs []KNNResult, r KNNResult, k int) []KNNResult {
 	return rs
 }
 
-// knnCand is a sequence with its Dnorm lower bound, ordered by bound.
+// knnCand is a sequence with its lower bound, ordered by bound.
 type knnCand struct {
 	id    uint32
 	bound float64

@@ -200,7 +200,7 @@ func TestRemoveAllThenAdd(t *testing.T) {
 func TestInsertKNNKeepsTopK(t *testing.T) {
 	var rs []KNNResult
 	for _, d := range []float64{0.5, 0.2, 0.9, 0.1, 0.7} {
-		rs = insertKNN(rs, KNNResult{Dist: d}, 3)
+		rs = InsertKNN(rs, KNNResult{Dist: d}, 3)
 	}
 	want := []float64{0.1, 0.2, 0.5}
 	if len(rs) != 3 {
@@ -210,6 +210,16 @@ func TestInsertKNNKeepsTopK(t *testing.T) {
 		if rs[i].Dist != w {
 			t.Errorf("rank %d = %g, want %g", i, rs[i].Dist, w)
 		}
+	}
+	// Equal distances are ordered by id, whatever order they arrive in, and
+	// the cut at k falls on the largest id.
+	rs = nil
+	for _, id := range []uint32{7, 2, 9, 4} {
+		rs = InsertKNN(rs, KNNResult{SeqID: id, Dist: 0.5}, 3)
+	}
+	rs = InsertKNN(rs, KNNResult{SeqID: 8, Dist: 0.1}, 3)
+	if len(rs) != 3 || rs[0].SeqID != 8 || rs[1].SeqID != 2 || rs[2].SeqID != 4 {
+		t.Errorf("tied insertions kept %+v, want ids 8, 2, 4", rs)
 	}
 }
 

@@ -337,7 +337,7 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 		if dist > cut {
 			continue
 		}
-		out = insertKNN(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist}, k)
+		out = InsertKNN(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist}, k)
 		worst.publish(out, k)
 	}
 	envPruned += len(sc.heap) // dismissed by the index bound at the break

@@ -37,7 +37,9 @@ type searchScratch struct {
 	hitWords int
 	ids      []uint32
 
-	// heap holds kNN candidates ordered by Dnorm lower bound.
+	// near is the kNN search's best-first index walk; heap holds the
+	// candidates it has reached, ordered by lower bound.
+	near rtree.Nearest
 	heap []knnCand
 
 	p3 phase3Scratch
@@ -193,6 +195,18 @@ func (sc *searchScratch) markHits(refs []rtree.Ref, qi int) {
 	}
 }
 
+// firstHit marks sequence id in a one-word-per-row table (the kNN walk's
+// set of sequences already bounded) and reports whether it was unmarked.
+func (sc *searchScratch) firstHit(id uint32) bool {
+	row := sc.hitRow(id)
+	if row[0] != 0 {
+		return false
+	}
+	row[0] = 1
+	sc.ids = append(sc.ids, id)
+	return true
+}
+
 // clearHits zeroes the rows of the collected candidates and empties the
 // list, restoring the all-zero table the next search starts from.
 func (sc *searchScratch) clearHits() {
@@ -206,7 +220,7 @@ func (sc *searchScratch) clearHits() {
 // assembly for one candidate sequence, over columnar data only. hits is
 // the candidate's row of the phase-2 hit table; query MBRs whose bit is
 // clear are skipped, nil means evaluate every query MBR (the index-free
-// callers: the transaction layer's delta scan and the kNN bound pass).
+// caller: the transaction layer's delta scan).
 //
 // Skipping is exact. Every Dnorm window distance is a convex combination
 // of the pair's Dmbr values (Definition 5, Lemmas 2–3), so a pair without
@@ -223,8 +237,7 @@ func (sc *searchScratch) clearHits() {
 // the Definition 6 windows containing it are len(Q) long, so the match
 // region extends left by the query prefix before this MBR and right by
 // the suffix after it. Results are bit-identical to phase3One over the
-// same candidates; evals counts the Dmbr values computed. With eps = -Inf
-// nothing qualifies and m.MinDnorm is the kNN lower bound.
+// same candidates; evals counts the Dmbr values computed.
 func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented, qLen int, eps float64) (m Match, hit bool, evals int) {
 	m = Match{Seq: g.Seq, MinDnorm: math.Inf(1)}
 	starts := g.Starts
@@ -265,13 +278,6 @@ func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented,
 		}
 	}
 	return m, hit, evals
-}
-
-// dnormBound is the kNN lower bound for one sequence: the minimum window
-// distance over all query MBRs, from phase3Hits with collection suppressed.
-func dnormBound(qmbrs []MBRInfo, p3 *phase3Scratch, g *Segmented) float64 {
-	m, _, _ := phase3Hits(qmbrs, nil, p3, g, 0, math.Inf(-1))
-	return m.MinDnorm
 }
 
 // keepWindow folds one Dnorm window into the running minimum — kept as a

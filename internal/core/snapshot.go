@@ -96,15 +96,6 @@ func EvalAlign(qseg *Segmented, g *Segmented, cutoff float64) (offset int, dist 
 	return bestAlign(&sc.align, qseg.side(), g.side(), qseg.Seq.Dim(), cutoff)
 }
 
-// EvalMinDnorm computes the kNN lower bound for one candidate — the
-// minimum Dnorm sweep value over all query MBRs — via the same kernel as
-// the indexed lower-bound pass.
-func EvalMinDnorm(qseg *Segmented, g *Segmented) float64 {
-	sc := getScratch()
-	defer putScratch(sc)
-	return dnormBound(qseg.MBRs, &sc.p3, g)
-}
-
 // EvalMetric computes the exact metric distance between a partitioned
 // query and one candidate — the metric-search analogue of EvalAlign,
 // using the same kernels as the indexed metric path, so the value is

@@ -390,15 +390,18 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(s)
-}
+// The exposition format's escapes for label values and HELP text. Built
+// once: a Replacer is safe for concurrent use, and building one per call
+// put its construction on every request's path (obs.Middleware resolves
+// its counter and histogram through renderLabels).
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
+
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }
 
 // formatFloat renders a float the way Prometheus clients do: shortest
 // representation, +Inf/-Inf/NaN spelled out.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/pager"
 )
 
@@ -72,17 +73,31 @@ func BenchmarkWithinDist(b *testing.B) {
 	_ = count
 }
 
+// BenchmarkNearestNeighbors walks to the 10 entries nearest to a pair of
+// query boxes, on one reused iterator.
 func BenchmarkNearestNeighbors(b *testing.B) {
 	tr := benchTree(b, 0)
 	rng := rand.New(rand.NewSource(4))
 	if err := tr.BulkLoad(bulkItemsBench(rng, 20000)); err != nil {
 		b.Fatal(err)
 	}
+	var it Nearest
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := randRect(rng, 3, 0.01)
-		if _, err := tr.NearestNeighbors(q, 10); err != nil {
-			b.Fatal(err)
+		qlo, qhi := columnar([]geom.Rect{randRect(rng, 3, 0.01), randRect(rng, 3, 0.01)})
+		it.Reset(tr, qlo, qhi)
+		for found := 0; found < 10; {
+			if _, ok := it.Head(); !ok {
+				break
+			}
+			_, entry, err := it.Pop()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if entry {
+				found++
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -253,34 +254,27 @@ func TestNearestNeighbors(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := geom.RectFromPoint(geom.Point{rng.Float64(), rng.Float64()})
 		const k = 10
-		got, err := tr.NearestNeighbors(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := nearestK(t, tr, []geom.Rect{q}, k)
 		if len(got) != k {
 			t.Fatalf("got %d neighbors, want %d", len(got), k)
 		}
-		// Distances must be nondecreasing.
-		for i := 1; i < len(got); i++ {
-			if got[i].Dist < got[i-1].Dist-1e-12 {
-				t.Fatalf("neighbor distances not sorted: %v then %v", got[i-1].Dist, got[i].Dist)
-			}
-		}
-		// Compare against brute force k-th distance.
+		// The k nearest, in order, are the k smallest brute-force distances.
 		var dists []float64
 		for _, r := range items {
-			dists = append(dists, r.MinDist(q))
+			dists = append(dists, r.MinDistSq(q))
 		}
 		sort.Float64s(dists)
-		if got[k-1].Dist > dists[k-1]+1e-12 {
-			t.Fatalf("k-th neighbor dist %g > brute force %g", got[k-1].Dist, dists[k-1])
+		for i, n := range got {
+			if n.keySq != dists[i] {
+				t.Fatalf("neighbor %d at squared distance %g, brute force %g", i, n.keySq, dists[i])
+			}
 		}
 	}
-	if nn, _ := tr.NearestNeighbors(geom.Rect{}, 5); nn != nil {
-		t.Error("empty query should yield nil")
+	if got := nearestK(t, tr, []geom.Rect{geom.RectFromPoint(geom.Point{0, 0})}, len(items)+5); len(got) != len(items) {
+		t.Errorf("walk to exhaustion returned %d entries, tree holds %d", len(got), len(items))
 	}
-	if nn, _ := tr.NearestNeighbors(geom.RectFromPoint(geom.Point{0, 0}), 0); nn != nil {
-		t.Error("k=0 should yield nil")
+	if got := nearestK(t, newMemTree(t, 2, 8), []geom.Rect{geom.RectFromPoint(geom.Point{0, 0})}, 3); len(got) != 0 {
+		t.Errorf("empty tree returned %d entries", len(got))
 	}
 }
 
@@ -554,11 +548,8 @@ func TestNearestNeighborsConsistentWithWithinDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	for trial := 0; trial < 20; trial++ {
 		q := geom.RectFromPoint(geom.Point{rng.Float64(), rng.Float64()})
-		nn, err := tr.NearestNeighbors(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		radius := nn[len(nn)-1].Dist
+		nn := nearestK(t, tr, []geom.Rect{q}, 5)
+		radius := math.Sqrt(nn[len(nn)-1].keySq)
 		count := 0
 		if err := tr.WithinDist(q, radius, func(Item) bool {
 			count++

@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"container/heap"
-
 	"repro/internal/geom"
 	"repro/internal/pager"
 )
@@ -152,66 +150,4 @@ func (t *Tree) searchRec(page pager.PageID, accept func(geom.Rect) bool, visit V
 func (t *Tree) Scan(visit Visitor) error {
 	_, err := t.searchRec(t.root, func(geom.Rect) bool { return true }, visit)
 	return err
-}
-
-// nnItem is one element of the incremental nearest-neighbor priority queue.
-type nnItem struct {
-	dist float64
-	leaf bool // true when this is a data entry, not a node
-	page pager.PageID
-	item Item
-}
-
-type nnHeap []nnItem
-
-func (h nnHeap) Len() int            { return len(h) }
-func (h nnHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnItem)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// Neighbor is one result of a nearest-neighbor query.
-type Neighbor struct {
-	// Item is the indexed entry.
-	Item Item
-	// Dist is the MinDist from the query rectangle to the item rectangle.
-	Dist float64
-}
-
-// NearestNeighbors returns the k indexed entries with the smallest MinDist
-// to q, in nondecreasing distance order (fewer if the tree holds fewer).
-// It uses the Hjaltason–Samet incremental best-first traversal.
-func (t *Tree) NearestNeighbors(q geom.Rect, k int) ([]Neighbor, error) {
-	if k <= 0 || q.IsEmpty() {
-		return nil, nil
-	}
-	h := &nnHeap{{dist: 0, page: t.root}}
-	var out []Neighbor
-	for h.Len() > 0 && len(out) < k {
-		top := heap.Pop(h).(nnItem)
-		if top.leaf {
-			out = append(out, Neighbor{Item: top.item, Dist: top.dist})
-			continue
-		}
-		n, err := t.readNode(top.page)
-		if err != nil {
-			return nil, err
-		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			d := e.rect.MinDist(q)
-			if n.leaf {
-				heap.Push(h, nnItem{dist: d, leaf: true, item: Item{Rect: e.rect.Clone(), Ref: e.ref}})
-			} else {
-				heap.Push(h, nnItem{dist: d, page: e.child})
-			}
-		}
-	}
-	return out, nil
 }

@@ -158,39 +158,16 @@ type knnGather struct {
 	out []core.KNNResult // sorted by (Dist, SeqID), ≤ k entries
 }
 
-// knnLess orders gathered neighbors: nondecreasing distance, ties by
-// global id.
-func knnLess(a, b core.KNNResult) bool {
-	return a.Dist < b.Dist || (a.Dist == b.Dist && a.SeqID < b.SeqID)
-}
-
-// merge folds one shard's answer — sorted by distance, ids already global
-// — into the gather by a two-way merge that stops at k, then publishes the
-// merged k-th best to the shards still refining.
+// merge folds one shard's answer, ids already global, into the gather
+// under the one tie rule (core.InsertKNN), then publishes the merged k-th
+// best to the shards still refining.
 func (g *knnGather) merge(rs []core.KNNResult, bound *core.KNNBound) {
-	if len(rs) == 0 {
-		return
-	}
-	// A shard breaks distance ties in refinement order; the gather's order
-	// breaks them by id.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Dist == rs[j-1].Dist && rs[j].SeqID < rs[j-1].SeqID; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	a := g.out
-	merged := make([]core.KNNResult, 0, min(g.k, len(a)+len(rs)))
-	for len(merged) < cap(merged) {
-		if len(rs) == 0 || (len(a) > 0 && !knnLess(rs[0], a[0])) {
-			merged, a = append(merged, a[0]), a[1:]
-		} else {
-			merged, rs = append(merged, rs[0]), rs[1:]
-		}
+	for _, r := range rs {
+		g.out = core.InsertKNN(g.out, r, g.k)
 	}
-	g.out = merged
-	if len(merged) == g.k {
-		bound.Tighten(merged[g.k-1].Dist)
+	if len(g.out) == g.k {
+		bound.Tighten(g.out[g.k-1].Dist)
 	}
 }

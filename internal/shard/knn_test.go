@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
@@ -211,6 +212,60 @@ func TestShardedKNNPartialIgnoresLostShardsBound(t *testing.T) {
 		if fmt.Sprint(knnKeys(got)) != fmt.Sprint(knnKeys(want)) {
 			t.Fatalf("metric=%s: partial answer differs from the answered shard's own top %d:\n got %v\nwant %v",
 				m.Name(), k, knnKeys(got), knnKeys(want))
+		}
+	}
+}
+
+// TestKNNIndexWalkMatchesScan is the scatter's side of core's differential
+// test: with every shard walking its own index against the one live bound
+// — concurrently, so run it under -race — the gathered answer equals the
+// exhaustive scan's sorted by (Dist, global id) and cut at k, ids and
+// distance bits, for k of 1, 10, every sequence and more than there are,
+// queries shorter and longer than stored sequences, and a corpus whose
+// duplicates tie across shards.
+func TestKNNIndexWalkMatchesScan(t *testing.T) {
+	seqs := metricCorpus(t, 48, 91)
+	for i := 0; i < 48; i += 4 {
+		seqs = append(seqs, &core.Sequence{Label: fmt.Sprintf("twin-%03d", i), Points: seqs[i].Points})
+	}
+	short := metricCorpus(t, 12, 92)
+	for i, s := range short {
+		seqs = append(seqs, &core.Sequence{Label: fmt.Sprintf("short-%03d", i), Points: s.Points[:3+i]})
+	}
+	queries := []*core.Sequence{
+		{Points: seqs[5].Points[3:20]},
+		{Points: seqs[8].Points},
+		{Points: seqs[50].Points[:9]},
+		{Points: append(append([]geom.Point{}, seqs[2].Points...), seqs[3].Points...)}, // longer than anything stored
+		{Points: metricCorpus(t, 1, 93)[0].Points[:1]},
+	}
+	for _, nsh := range []int{1, 4} {
+		sdb := newSharded(t, clone(seqs), nsh)
+		n := sdb.Len()
+		for qi, q := range queries {
+			scan, err := sdb.SequentialSearchMetric(q, math.MaxFloat64, core.MetricD{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Slice(scan, func(a, b int) bool {
+				return scan[a].Dist < scan[b].Dist || (scan[a].Dist == scan[b].Dist && scan[a].SeqID < scan[b].SeqID)
+			})
+			for _, k := range []int{1, 10, n, n + 5} {
+				got, err := sdb.SearchKNN(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := scan[:min(k, len(scan))]
+				if len(got) != len(want) {
+					t.Fatalf("shards=%d query %d k %d: %d neighbors, scan %d", nsh, qi, k, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].SeqID != want[i].SeqID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+						t.Fatalf("shards=%d query %d k %d neighbor %d: got {seq %d dist %v}, scan {seq %d dist %v}",
+							nsh, qi, k, i, got[i].SeqID, got[i].Dist, want[i].SeqID, want[i].Dist)
+					}
+				}
+			}
 		}
 	}
 }

@@ -137,7 +137,7 @@ func (s *Snap) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, 
 		if v.dropBase(r.SeqID) {
 			continue
 		}
-		out = insertKNNResult(out, r, k)
+		out = core.InsertKNN(out, r, k)
 	}
 	if len(out) == k {
 		bound.Tighten(out[k-1].Dist)
@@ -169,7 +169,7 @@ func (s *Snap) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, 
 		if r.Dist > cut || math.IsInf(r.Dist, 1) {
 			continue
 		}
-		out = insertKNNResult(out, r, k)
+		out = core.InsertKNN(out, r, k)
 		if len(out) == k {
 			bound.Tighten(out[k-1].Dist)
 		}

@@ -244,22 +244,6 @@ func (s *Snap) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int,
 	return s.SearchKNNMetricBoundedCtx(ctx, q, k, bound, core.MetricD{})
 }
 
-// insertKNNResult mirrors the indexed path's top-k insertion (stable on
-// ties), keeping at most k results ordered by distance.
-func insertKNNResult(rs []core.KNNResult, r core.KNNResult, k int) []core.KNNResult {
-	pos := len(rs)
-	for pos > 0 && rs[pos-1].Dist > r.Dist {
-		pos--
-	}
-	rs = append(rs, core.KNNResult{})
-	copy(rs[pos+1:], rs[pos:])
-	rs[pos] = r
-	if len(rs) > k {
-		rs = rs[:k]
-	}
-	return rs
-}
-
 // SequentialSearch is the exact linear-scan baseline over the
 // snapshot's corpus.
 func (s *Snap) SequentialSearch(q *core.Sequence, eps float64) ([]core.ScanResult, error) {
