@@ -3,6 +3,7 @@ package mdseq_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -174,5 +175,154 @@ func TestNonFiniteRejectedEverywhere(t *testing.T) {
 	}
 	if db.Len() != 0 {
 		t.Errorf("the server stored %d of the refused sequences", db.Len())
+	}
+}
+
+// TestHugeKReturnsEverySequence is the hostile-input table for k: a
+// request may say any int, and on every topology — with a transactional
+// node's delta non-empty, where a list sized by k was an out-of-memory
+// crash at 2⁴⁰ and k plus the delta's size wrapped negative at MaxInt — a k
+// past the number of sequences returns them all, ranked, under D and DTW,
+// from the library and over HTTP on a durable server.
+func TestHugeKReturnsEverySequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	// fill stores 12 sequences, folds them where there is something to fold
+	// into, and leaves 6 more and two tombstones behind.
+	fill := func(db shard.DB, fold func() error) {
+		t.Helper()
+		var ids []uint32
+		for i := 0; i < 18; i++ {
+			if i == 12 {
+				if err := fold(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := walk(rng, 40+rng.Intn(20))
+			s.Label = fmt.Sprintf("s%02d", i) // a scatter places by label
+			id, err := db.Add(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for _, id := range []uint32{ids[1], ids[17]} {
+			if err := db.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	durable := func() (*txn.DB, error) { return txn.Open(txn.Options{Dim: 3, Dir: t.TempDir(), NoFsync: true}) }
+	const live = 16
+	ks := []int{live + 5, 1 << 40, math.MaxInt}
+	q := walk(rng, 30)
+	for _, tp := range []struct {
+		name string
+		open func() (shard.DB, func() error, error)
+	}{
+		{"core", func() (shard.DB, func() error, error) {
+			db, err := mdseq.Open(mdseq.Options{Dim: 3})
+			return db, func() error { return nil }, err
+		}},
+		{"shard", func() (shard.DB, func() error, error) {
+			db, err := mdseq.OpenSharded(mdseq.Options{Dim: 3}, 3)
+			return db, func() error { return nil }, err
+		}},
+		{"txn", func() (shard.DB, func() error, error) {
+			db, err := durable()
+			if err != nil {
+				return nil, nil, err
+			}
+			return db, db.Checkpoint, nil
+		}},
+	} {
+		db, fold, err := tp.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		fill(db, fold)
+		for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
+			all, err := db.SearchKNNMetric(q, live, m)
+			if err != nil || len(all) != live {
+				t.Fatalf("%s %s: %d neighbors at k = %d, err %v", tp.name, m.Name(), len(all), live, err)
+			}
+			for _, k := range ks {
+				got, err := db.SearchKNNMetric(q, k, m)
+				if err != nil {
+					t.Fatalf("%s %s k %d: %v", tp.name, m.Name(), k, err)
+				}
+				if len(got) != live {
+					t.Fatalf("%s %s k %d: %d neighbors, %d sequences are live", tp.name, m.Name(), k, len(got), live)
+				}
+				for i := range got {
+					if got[i].SeqID != all[i].SeqID || got[i].Dist != all[i].Dist || (i > 0 && got[i].Dist < got[i-1].Dist) {
+						t.Fatalf("%s %s k %d neighbor %d: {seq %d dist %v}, at k = %d it is {seq %d dist %v}",
+							tp.name, m.Name(), k, i, got[i].SeqID, got[i].Dist, live, all[i].SeqID, all[i].Dist)
+					}
+				}
+			}
+		}
+	}
+
+	// HTTP, on what mdsserve -durable serves: a scatter over transactional
+	// nodes, every node with a delta.
+	nodes := make([]shard.Node, 2)
+	for i := range nodes {
+		node, err := durable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+	}
+	sdb, err := shard.NewWithNodes(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdb.Close()
+	fill(sdb, func() error {
+		for _, n := range nodes {
+			if err := n.(*txn.DB).Checkpoint(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, n := range nodes {
+		if st := n.(*txn.DB).Stats(); st.DeltaAdds == 0 {
+			t.Fatalf("a node's delta is empty: %+v", st)
+		}
+	}
+	ts := httptest.NewServer(server.New(sdb))
+	defer ts.Close()
+	var points strings.Builder
+	for i, p := range q.Points {
+		if i > 0 {
+			points.WriteByte(',')
+		}
+		fmt.Fprintf(&points, "[%v,%v,%v]", p[0], p[1], p[2])
+	}
+	for _, metric := range []string{"d", "dtw"} {
+		for _, k := range ks {
+			body := fmt.Sprintf(`{"points":[%s],"k":%d,"metric":%q,"dtwWindow":-1}`, points.String(), k, metric)
+			resp, err := http.Post(ts.URL+"/knn", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var answer struct {
+				Neighbors []server.NeighborJSON `json:"neighbors"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&answer)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil || len(answer.Neighbors) != live {
+				t.Fatalf("POST /knn metric %s k %d: status %d, %d neighbors (decode error %v), want 200 and %d",
+					metric, k, resp.StatusCode, len(answer.Neighbors), err, live)
+			}
+			for i := 1; i < live; i++ {
+				if answer.Neighbors[i].Dist < answer.Neighbors[i-1].Dist {
+					t.Fatalf("POST /knn metric %s k %d: neighbor %d at %v after one at %v",
+						metric, k, i, answer.Neighbors[i].Dist, answer.Neighbors[i-1].Dist)
+				}
+			}
+		}
 	}
 }

@@ -233,6 +233,89 @@ func TestKNNBoundTighten(t *testing.T) {
 	}
 }
 
+// TestKNNBoundPool checks the pool's arithmetic: the bound is the k-th
+// smallest offer over distinct sequences from all searchers and nothing
+// before k exist; a sequence is its searcher's tag and its id, so the same
+// id under two tags counts twice and a re-offer under one tag once; a tie
+// with the k-th changes nothing; nil, the zero value and a Local bound
+// ignore offers; a view tightens and counts straight through; the pool
+// holds what was offered, not k; and concurrent searchers leave the k-th
+// smallest.
+func TestKNNBoundPool(t *testing.T) {
+	inf := math.Inf(1)
+	var nilBound *KNNBound
+	nilBound.Offer(1, 0.5)
+	zero := new(KNNBound)
+	zero.Offer(1, 0.5)
+	root := NewKNNBound(3)
+	loc := root.Local()
+	for id := uint32(0); id < 5; id++ {
+		loc.Offer(id, 0.25)
+	}
+	if !math.IsInf(zero.Load(), 1) || !math.IsInf(loc.Load(), 1) || !math.IsInf(root.Load(), 1) {
+		t.Fatalf("after offers to the zero value and a Local bound: zero %v, local %v, its parent %v, want +Inf",
+			zero.Load(), loc.Load(), root.Load())
+	}
+
+	a, b := root.Searcher(0), root.Searcher(1)
+	for _, step := range []struct {
+		who  *KNNBound
+		id   uint32
+		d    float64
+		want float64
+	}{
+		{a, 7, 0.5, inf},
+		{a, 7, 0.5, inf},  // the retry's copy
+		{b, 7, 0.75, inf}, // another shard's sequence 7
+		{b, 7, 0.75, inf},
+		{a, 2, 1.5, 1.5},    // the third distinct sequence
+		{b, 9, 1.5, 1.5},    // a tie with the k-th
+		{b, 4, 0.625, 0.75}, // pushes (a, 2) out
+		{a, 2, 1.5, 0.75},   // and it stays out
+		{a, 7, 0.5, 0.75},   // a copy of a pooled one, below the bound
+		{root, 3, 0.125, 0.625},
+	} {
+		step.who.Offer(step.id, step.d)
+		if got := root.Load(); got != step.want {
+			t.Fatalf("after Offer(%d, %v): bound %v, want %v", step.id, step.d, got, step.want)
+		}
+	}
+	a.Tighten(0.25)
+	a.AddCounts(KNNCounts{Candidates: 9, Refined: 4})
+	if root.Load() != 0.25 || b.Load() != 0.25 || root.Counts().Refined != 4 {
+		t.Fatalf("after a view's Tighten(0.25) and AddCounts: parent %v, the other view %v, counts %+v",
+			root.Load(), b.Load(), root.Counts())
+	}
+
+	huge := NewKNNBound(math.MaxInt)
+	huge.Offer(1, 0.5)
+	huge.Offer(2, 0.25)
+	if len(huge.pool) != 2 || cap(huge.pool) > 16 || !math.IsInf(huge.Load(), 1) {
+		t.Fatalf("pool for k = MaxInt after two offers: len %d cap %d bound %v", len(huge.pool), cap(huge.pool), huge.Load())
+	}
+
+	// Four searchers, each offering its 1000 sequences twice, nearest last.
+	const k = 10
+	c := NewKNNBound(k)
+	done := make(chan struct{})
+	for w := uint32(0); w < 4; w++ {
+		go func(view *KNNBound, w uint32) {
+			defer func() { done <- struct{}{} }()
+			for pass := 0; pass < 2; pass++ {
+				for i := uint32(1000); i > 0; i-- {
+					view.Offer(i, float64(i*4+w))
+				}
+			}
+		}(c.Searcher(w), w)
+	}
+	for w := 0; w < 4; w++ {
+		<-done
+	}
+	if got := c.Load(); got != 4+k-1 {
+		t.Fatalf("concurrent offers of 4, 5, 6, … left the bound at %v, want the %dth smallest %d", got, k, 4+k-1)
+	}
+}
+
 // TestKNNAllocs is the D-kNN allocation gate. The shared bound sits one
 // ulp under the nearest neighbor's distance, so nothing can be returned,
 // yet the walk runs out to that distance and every sequence it bounds at or

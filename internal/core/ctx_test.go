@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -91,5 +92,78 @@ func TestSearchCtxBackgroundMatchesSearch(t *testing.T) {
 	}
 	if len(gotNN) != len(wantNN) {
 		t.Fatalf("SearchKNNCtx(Background) diverges: %d vs %d neighbors", len(gotNN), len(wantNN))
+	}
+}
+
+// pollCtx counts the times a search asks whether it was canceled, and says
+// yes from the cancelAt-th time on.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDTWKNNPollsContextPerStep: the DTW-kNN refine loop polls its context
+// once every cancelCheckEvery steps whatever the steps do. Here every
+// candidate passes the envelope bound and falls to LB_Keogh — the query
+// sits still at the centre of sequences that oscillate around it, so each
+// MBR holds the query point while no data point does — and no exact distance
+// is ever computed: a poll keyed on the count of refinements would happen on
+// every step while that count sits at 0, and never once it left a multiple.
+func TestDTWKNNPollsContextPerStep(t *testing.T) {
+	const n, length, amp = 3*cancelCheckEvery + 10, 24, 0.01
+	db, err := NewDatabase(Options{Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	for i := 0; i < n; i++ {
+		pts := make([]geom.Point, length)
+		for j := range pts {
+			pts[j] = geom.Point{0.5 + amp*float64(2*(j%2)-1), 0.5}
+		}
+		if _, err := db.Add(&Sequence{Label: "s", Points: pts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qpts := make([]geom.Point, length)
+	for j := range qpts {
+		qpts[j] = geom.Point{0.5, 0.5}
+	}
+	q := &Sequence{Label: "q", Points: qpts}
+	mt := MetricDTW{Window: 4}
+	// Each of the two loops (envelope bound, refinement) polls at its steps
+	// 0, 64, 128 and 192.
+	const perLoop = n/cancelCheckEvery + 1
+
+	bound := boundAt(amp / 2)
+	ctx := &pollCtx{Context: context.Background(), cancelAt: math.MaxInt}
+	got, err := db.SearchKNNMetricBoundedCtx(ctx, q, 3, bound, mt)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("%d neighbors, err %v: every sequence is %g away and the bound is at %g", len(got), err, amp, amp/2)
+	}
+	if c := bound.Counts(); c.KeoghPruned != n || c.Refined != 0 {
+		t.Fatalf("account %+v: the test needs all %d candidates dismissed by LB_Keogh", c, n)
+	}
+	if ctx.polls != 2*perLoop {
+		t.Fatalf("context polled %d times over %d candidates, want %d", ctx.polls, n, 2*perLoop)
+	}
+
+	// Canceled at the refine loop's second poll: noticed there, and a
+	// canceled query records nothing.
+	bound = boundAt(amp / 2)
+	ctx = &pollCtx{Context: context.Background(), cancelAt: perLoop + 2}
+	if _, err := db.SearchKNNMetricBoundedCtx(ctx, q, 3, bound, mt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if c := bound.Counts(); c != (KNNCounts{}) {
+		t.Fatalf("canceled query recorded %+v", c)
 	}
 }

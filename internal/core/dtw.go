@@ -45,9 +45,9 @@ func DTW(a, b []geom.Point, window int) (float64, error) {
 	for j, p := range b {
 		copy(ds.sbuf[j*d:(j+1)*d], p)
 	}
-	ds.prev = ensureFloats(ds.prev, m+1)
-	ds.cur = ensureFloats(ds.cur, m+1)
-	total := dtwFlat(ds.qbuf, n, ds.sbuf, m, d, window, math.Inf(1), ds.prev, ds.cur)
+	ds.prev = ensureFloats(ds.prev, n+1)
+	ds.cur = ensureFloats(ds.cur, n+1)
+	total := dtwFlat(ds.qbuf, n, ds.sbuf, m, d, window, math.Inf(1), nil, ds.prev, ds.cur)
 	if math.IsInf(total, 1) {
 		return 0, fmt.Errorf("core: DTW window %d admits no alignment for lengths %d, %d", window, n, m)
 	}

@@ -36,11 +36,12 @@ import (
 
 // dtwScratch is the pooled workspace of DTW evaluation: the two dynamic
 // programming rows, flat copies for the point-slice entry point, the
-// per-position query envelope arrays, and the deque used to build them.
+// per-position query envelope arrays, the deque used to build them, and the
+// LB_Keogh suffix sums handed from the bound to the dynamic program.
 // It lives inside searchScratch so the whole DTW query path shares the
 // search pool's zero-allocation discipline.
 type dtwScratch struct {
-	prev, cur []float64 // DP rows, len m+1
+	prev, cur []float64 // DP rows, len n+1
 
 	qbuf, sbuf []float64 // flat copies for the []geom.Point entry point
 
@@ -61,6 +62,11 @@ type dtwScratch struct {
 
 	// rectLo/rectHi accumulate one partition's envelope-rect union.
 	rectLo, rectHi []float64
+
+	// keoghSuf[j] is the sum of the LB_Keogh terms of data positions j and
+	// later, of the last sequence lbKeogh bounded to the end (len m+1,
+	// keoghSuf[m] = 0): what dtwFlat's rows still to come must cost.
+	keoghSuf []float64
 }
 
 // resetEnv invalidates the envelope arrays; each metric query calls it
@@ -233,36 +239,84 @@ func (ds *dtwScratch) dtwIndexLB(g *Segmented) float64 {
 // division confirms it: under window 0 the bound equals the distance term
 // for term, and a sequence at exactly cutoff must survive.
 // Callers must have ruled out the no-alignment case via dtwIndexLB.
+//
+// A bound summed to the end leaves its terms behind as suffix sums
+// (keoghSuf), for the dynamic program that follows to abandon on: the sum
+// says what the whole sequence must cost, a suffix what the rows not yet
+// computed must.
 func (ds *dtwScratch) lbKeogh(g *Segmented, cutoff float64) float64 {
 	n, d := ds.envN, ds.envD
 	m := g.Seq.Len()
 	denom := float64(max(n, m))
 	limit := cutoff * denom
+	ds.keoghSuf = ensureFloats(ds.keoghSuf, m+1)
+	suf := ds.keoghSuf
 	var sum float64
 	for j := 0; j < m; j++ {
 		lo, hi := ds.envRow(j)
 		o := j * d
-		sum += math.Sqrt(geom.MinDistPointSqFlat(g.Flat[o:o+d], lo, hi))
+		term := math.Sqrt(geom.MinDistPointSqFlat(g.Flat[o:o+d], lo, hi))
+		suf[j] = term
+		sum += term
 		if sum > limit && sum/denom > cutoff {
 			return math.Inf(1)
 		}
 	}
+	suf[m] = 0
+	for j := m - 1; j >= 0; j-- {
+		suf[j] += suf[j+1]
+	}
 	return sum / denom
+}
+
+// cascadeSlack is the factor dtwFlat shrinks rowMin + suffix by before the
+// sum meets a cutoff. In real arithmetic the sum never exceeds the total:
+// a warping path leaves row j through a cell worth at least rowMin and then
+// takes at least one step in each later row, a step in row t matching data
+// point t with a query point inside Env_t, at a cost no smaller than that
+// row's LB_Keogh term. In float64 the total is one recursive sum in path
+// order — each of its at most n+m additions rounds by a relative (1±u),
+// u = 2⁻⁵³, of the running total, the cost so far included, which is why the
+// whole sum is shrunk and not the suffix alone: steps that a huge cost so far
+// absorbs add nothing to the total, and their suffix must not either. The
+// suffix is summed back to front, at most m roundings, and added to rowMin
+// with one more. Per term, the computed point-to-envelope distance is at
+// most the computed point distance times ((1+u)/(1−u))^(d/2+1), as in
+// alignSlack: the per-axis gap is a monotone function of the per-axis
+// difference, so only the d additions, the squares and the sqrt can
+// disagree. So (rowMin + suffix)·((1−u)/(1+u))^(n+2m+d/2+2) ≤ total, and
+// 1 − 4u·(n+2m+d+4) is below that factor with room for its own rounding and
+// the multiplication's.
+func cascadeSlack(n, m, d int) float64 {
+	return 1 - float64(n+2*m+d+4)*0x1p-51
 }
 
 // dtwFlat is the dynamic time warping core over columnar point storage:
 // the two-row dynamic program over the Sakoe–Chiba band, returning the
 // unnormalized total path cost. cutoff is a normalized distance (the total
-// over max(n, m)); +Inf disables it. After each row, if the smallest
-// reachable path cost already puts the distance above cutoff, the final
-// total provably does too — every complete path passes through exactly one
-// cell of the row and costs at least that cell's value, and both the sum
-// and the division are monotone in floating point — and +Inf is returned.
-// The running test is rowMin > cutoff·denom, which needs no division;
-// because that product is rounded (a total one ulp above it can still
-// divide back to exactly cutoff), the division confirms before anything is
-// abandoned. +Inf also means the band admitted no alignment. prev and cur
-// must have length ≥ m+1; their contents on entry do not matter.
+// over max(n, m)); +Inf disables it.
+//
+// Rows run over the data side s, cells over the query q — the transpose of
+// the textbook matrix, holding the same bits: a cell is its point distance
+// plus the minimum of three predecessors, neither of which depends on which
+// sequence is called the row ((a−b)² = (b−a)², and a minimum has no order),
+// and the band |i−j| ≤ window and the denominator max(n, m) are symmetric.
+// Rows over the data are what lets LB_Keogh, a sum over data points, say
+// what the rows still to come must cost: suf, when not nil, is lbKeogh's
+// suffix sums for s (len m+1).
+//
+// After each row j, if the smallest reachable path cost plus suf[j] — shrunk
+// by cascadeSlack, see there — already puts the distance above cutoff, the
+// final total provably does too: every complete path passes through the
+// row, costs at least its cheapest cell up to there and at least the
+// LB_Keogh terms of the rows after it, and both the sum and the division are
+// monotone in floating point; +Inf is returned. Without suf the bound is the
+// row minimum itself, unshrunk. The running test is bound > cutoff·denom,
+// which needs no division; because that product is rounded (a total one ulp
+// above it can still divide back to exactly cutoff), the division confirms
+// before anything is abandoned. +Inf also means the band admitted no
+// alignment. prev and cur must have length ≥ n+1; their contents on entry do
+// not matter.
 //
 // The inner loop carries no data-dependent branch: the three-way minimum
 // and the row minimum are min instructions, the cells to the left and
@@ -272,62 +326,70 @@ func (ds *dtwScratch) lbKeogh(g *Segmented, cutoff float64) float64 {
 // shape, so each cell holds the bits the textbook matrix does
 // (dtwReference in the tests). Written out, not factored: a helper with
 // the DistSqFlat fallback is over the inlining budget, and a call in this
-// loop spills those registers — 9 ns a cell against 4.
+// loop spills those registers — 9 ns a cell against 4. The minimum takes
+// left last: left is the cell just computed, and min(min(up, diag), left)
+// keeps one min on that loop-carried chain where min(min(left, diag), up)
+// puts two.
 //
 // Band invariant. Both rows are set to +Inf once; after that a row only
 // resets the one cell left of its band. That is enough because a band only
-// moves right: row i reads the row above at [lo_i−1, hi_i], and
-// lo_{i−1} ≤ lo_i, hi_i ≤ hi_{i−1}+1. The cell at lo_i−1 is therefore
+// moves right: row j reads the row above at [lo_j−1, hi_j], and
+// lo_{j−1} ≤ lo_j, hi_j ≤ hi_{j−1}+1. The cell at lo_j−1 is therefore
 // either inside the band above or the one that row reset, and the cell at
-// hi_{i−1}+1, if read, has been written by no earlier row — every band
+// hi_{j−1}+1, if read, has been written by no earlier row — every band
 // before it ended further left still — so it holds the initial +Inf.
-func dtwFlat(q []float64, n int, s []float64, m, d, window int, cutoff float64, prev, cur []float64) float64 {
+func dtwFlat(q []float64, n int, s []float64, m, d, window int, cutoff float64, suf, prev, cur []float64) float64 {
 	inf := math.Inf(1)
 	if window >= 0 && abs(n-m) > window {
 		return inf
 	}
 	if window < 0 || window > max(n, m) {
 		// A band as wide as the longer side is the whole matrix, and
-		// i+window below cannot overflow whatever a request asked for.
+		// j+window below cannot overflow whatever a request asked for.
 		window = max(n, m)
 	}
-	prev = prev[:m+1]
-	cur = cur[:m+1]
-	for j := range prev {
-		prev[j], cur[j] = inf, inf
+	prev = prev[:n+1]
+	cur = cur[:n+1]
+	for i := range prev {
+		prev[i], cur[i] = inf, inf
 	}
 	prev[0] = 0
 	denom := float64(max(n, m))
 	limit := cutoff * denom
-	for i := 1; i <= n; i++ {
-		lo, hi := max(1, i-window), min(m, i+window)
-		qp := q[(i-1)*d : i*d]
-		sp := s[(lo-1)*d : hi*d]
+	slack := cascadeSlack(n, m, d)
+	for j := 1; j <= m; j++ {
+		lo, hi := max(1, j-window), min(n, j+window)
+		sp := s[(j-1)*d : j*d]
+		qp := q[(lo-1)*d : hi*d]
 		cur[lo-1] = inf
 		diag, left := prev[lo-1], inf
 		rowMin := inf
-		for j := lo; j <= hi; j++ {
+		for i := lo; i <= hi; i++ {
 			var sq float64
 			if d == 3 {
 				d0, d1, d2 := qp[0]-sp[0], qp[1]-sp[1], qp[2]-sp[2]
 				sq = d0*d0 + d1*d1 + d2*d2
 			} else {
-				sq = geom.DistSqFlat(qp, sp[:d])
+				sq = geom.DistSqFlat(qp[:d], sp)
 			}
-			sp = sp[d:]
-			// Cheapest predecessor: insertion (up, advance the query only),
-			// match (diag, advance both), deletion (left, advance the data
-			// only).
-			up := prev[j]
+			qp = qp[d:]
+			// Cheapest predecessor: deletion (up, advance the data only),
+			// match (diag, advance both), insertion (left, advance the
+			// query only).
+			up := prev[i]
 			cell := math.Sqrt(sq) + min(min(up, diag), left)
-			cur[j] = cell
+			cur[i] = cell
 			rowMin = min(rowMin, cell)
 			diag, left = up, cell
 		}
-		if rowMin > limit && rowMin/denom > cutoff {
+		lb := rowMin
+		if suf != nil {
+			lb = (rowMin + suf[j]) * slack
+		}
+		if lb > limit && lb/denom > cutoff {
 			return inf
 		}
 		prev, cur = cur, prev
 	}
-	return prev[m]
+	return prev[n]
 }

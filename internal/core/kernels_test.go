@@ -70,15 +70,17 @@ func flatten(pts []geom.Point) []float64 {
 }
 
 // TestDTWFlatMatchesReference compares the banded two-row kernel with the
-// textbook matrix, bit for bit: every window shape (none, 0, 1, 16, wider
+// textbook matrix, bit for bit — and the textbook matrix with its own
+// transpose, since the kernel runs its rows over the data side where the
+// reference runs them over the query: every window shape (none, 0, 1, 16, wider
 // than the sequences, the largest int, too narrow to align), unequal
 // lengths, length 1, duplicated sequences, dimensions on both sides of the
 // inlined distance, coordinates at 1e200 scale (the squared distance
 // overflows) and among the denormals — always into scratch rows pre-filled
-// with garbage, which is what the band invariant has to survive. Under a cutoff the kernel
-// must abandon exactly when a row's minimum is above it by both tests
-// (rounded product, then the division), and otherwise return the same
-// total: cutoffs are the distance itself, its two neighbours, 0, and
+// with garbage, which is what the band invariant has to survive. Under a
+// cutoff and no suffix the kernel must abandon exactly when the minimum of a
+// row of the transposed matrix is above it by both tests (rounded product,
+// then the division), and otherwise return the same total: cutoffs are the distance itself, its two neighbours, 0, and
 // values drawn around it.
 func TestDTWFlatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1901))
@@ -95,6 +97,7 @@ func TestDTWFlatMatchesReference(t *testing.T) {
 		return out
 	}
 	abandoned, completed := 0, 0
+	var shorter, equal, longer int // query against data
 	for dim := 1; dim <= 5; dim++ {
 		for trial := 0; trial < 60; trial++ {
 			n, m := 1+rng.Intn(40), 1+rng.Intn(40)
@@ -113,8 +116,21 @@ func TestDTWFlatMatchesReference(t *testing.T) {
 			}
 			qf, sf := flatten(a), flatten(b)
 			denom := float64(max(n, m))
+			switch {
+			case n < m:
+				shorter++
+			case n == m:
+				equal++
+			default:
+				longer++
+			}
 			for _, window := range []int{-1, 0, 1, 16, n + m, math.MaxInt} {
-				total, rowMins := dtwReference(a, b, window)
+				total, _ := dtwReference(a, b, window)
+				transposed, rowMins := dtwReference(b, a, window)
+				if math.Float64bits(total) != math.Float64bits(transposed) {
+					t.Fatalf("dim %d n %d m %d scale %g window %d: reference %v, transposed %v",
+						dim, n, m, scale, window, total, transposed)
+				}
 				dist := total / denom
 				cutoffs := []float64{inf, dist, math.Nextafter(dist, inf), math.Nextafter(dist, math.Inf(-1)), 0,
 					dist * rng.Float64() * 2, dist * (1 + (rng.Float64()-0.5)*1e-15)}
@@ -129,11 +145,11 @@ func TestDTWFlatMatchesReference(t *testing.T) {
 							break
 						}
 					}
-					prev, cur := make([]float64, m+3), make([]float64, m+3)
+					prev, cur := make([]float64, n+3), make([]float64, n+3)
 					for j := range prev {
 						prev[j], cur[j] = garbage[rng.Intn(len(garbage))], garbage[rng.Intn(len(garbage))]
 					}
-					got := dtwFlat(qf, n, sf, m, dim, window, cutoff, prev, cur)
+					got := dtwFlat(qf, n, sf, m, dim, window, cutoff, nil, prev, cur)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("dim %d n %d m %d scale %g window %d cutoff %v: dtwFlat = %v, reference %v (distance %v)",
 							dim, n, m, scale, window, cutoff, got, want, dist)
@@ -155,6 +171,164 @@ func TestDTWFlatMatchesReference(t *testing.T) {
 	if abandoned == 0 || completed == 0 {
 		t.Fatalf("%d abandoned, %d completed: the cutoffs exercise one side only", abandoned, completed)
 	}
+	if shorter == 0 || equal == 0 || longer == 0 {
+		t.Fatalf("query shorter than / as long as / longer than the data in %d / %d / %d pairs: one shape is missing", shorter, equal, longer)
+	}
+}
+
+// cascadeShapes is the corpus of the cascade's soundness test: random walks
+// of lengths on both sides of the queries', a plateau, constant dimensions,
+// and walks with one point or a run of points thrown far out — far enough,
+// at 1e16, that the cost so far absorbs every later step of the dynamic
+// program, and at 1e200 that a squared difference overflows.
+func cascadeShapes(rng *rand.Rand, dim int) []*Sequence {
+	var seqs []*Sequence
+	for i := 0; i < 10; i++ {
+		seqs = append(seqs, randWalkSeq(rng, 20+rng.Intn(30), dim))
+	}
+	flat := randWalkSeq(rng, 40, dim) // every dimension but the last constant
+	for _, p := range flat.Points {
+		for k := 0; k < dim-1; k++ {
+			p[k] = 0.25
+		}
+	}
+	early, late, run := spikeSeq(rng, 36, dim, 2, 1e16), spikeSeq(rng, 36, dim, 33, 1e16), randWalkSeq(rng, 30, dim)
+	for i := 10; i < 20; i++ {
+		run.Points[i][0] = -1e16
+	}
+	return append(seqs, plateauSeq(rng, 30, dim), flat, early, late, run, spikeSeq(rng, 30, dim, 15, 1e200))
+}
+
+// TestDTWCascadeSound is the soundness property of the suffix cascade, on
+// the kernel and through both ladders. For every (query, sequence, window)
+// and cutoffs at the scan distance, one ulp to either side and drawn around
+// it: a distance at or below the cutoff survives LB_Keogh and comes back
+// from the dynamic program with the scan's bits, never +Inf — the suffix is
+// summed in another order than the program's cells, and what keeps a tie
+// alive is cascadeSlack alone; a distance above the cutoff is never
+// reported at or below it. Then the range search at ε = distance and the
+// kNN search under a bound at the distance must both return the sequence.
+// The kernel must stop exactly where its rule, worked on the reference
+// matrix, says; and the cascade has to bite for any of this to mean
+// something: that row must come before the one the row minimum alone
+// stops at.
+func TestDTWCascadeSound(t *testing.T) {
+	inf := math.Inf(1)
+	ctx := context.Background()
+	ties, rowsSaved := 0, 0
+	for _, dim := range []int{1, 3, 4} {
+		rng := rand.New(rand.NewSource(int64(2100 + dim)))
+		db := newTestDB(t, dim)
+		seqs := cascadeShapes(rng, dim)
+		if _, err := db.AddAll(seqs); err != nil {
+			t.Fatal(err)
+		}
+		var queries []*Sequence
+		for i := 0; i < len(seqs); i += 2 {
+			queries = append(queries, jitterSeq(rng, seqs[i], 0.02), &Sequence{Points: seqs[i].Points})
+		}
+		for _, window := range []int{0, 1, 16, -1, 1000} {
+			mt := MetricDTW{Window: window}
+			for qi, q := range queries {
+				sc := getScratch()
+				sc.fillQueryFlat(q)
+				ds := &sc.dtw
+				ds.resetEnv()
+				ds.buildEnvelopes(sc.qflat, q.Len(), dim, window)
+				for id, g := range db.seqs {
+					index := ds.dtwIndexLB(g)
+					if math.IsInf(index, 1) {
+						continue // the band cannot align the pair
+					}
+					dist := sc.dtwSeq(mt, sc.qflat, g, dim, inf, nil)
+					total, rowMins := dtwReference(g.Seq.Points, q.Points, window) // rows over the data
+					n, m := q.Len(), g.Seq.Len()
+					denom := float64(max(n, m))
+					for _, cutoff := range []float64{dist, math.Nextafter(dist, inf), math.Nextafter(dist, math.Inf(-1)),
+						dist * (1 + (rng.Float64()-0.5)*1e-14), dist * rng.Float64() * 2} {
+						if math.IsNaN(cutoff) {
+							continue // dist is +Inf
+						}
+						keogh := ds.lbKeogh(g, cutoff)
+						if keogh > cutoff {
+							if dist <= cutoff {
+								t.Fatalf("dim %d window %d query %d seq %d: LB_Keogh %v dismisses distance %v at cutoff %v",
+									dim, window, qi, id, keogh, dist, cutoff)
+							}
+							continue
+						}
+						// The row the kernel stops after, by its rule, with the
+						// suffix and without (0: it runs to the end).
+						stopsAfter := func(suf []float64) int {
+							for j, rowMin := range rowMins {
+								lb := rowMin
+								if suf != nil {
+									lb = (rowMin + suf[j+1]) * cascadeSlack(n, m, dim)
+								}
+								if lb > cutoff*denom && lb/denom > cutoff {
+									return j + 1
+								}
+							}
+							return 0
+						}
+						want := total / denom
+						if stopsAfter(ds.keoghSuf) != 0 {
+							want = inf
+						}
+						got := sc.dtwSeq(mt, sc.qflat, g, dim, cutoff, ds.keoghSuf)
+						switch {
+						case math.Float64bits(got) != math.Float64bits(want):
+							t.Fatalf("dim %d window %d query %d seq %d cutoff %v: kernel %v, its rule on the reference matrix %v",
+								dim, window, qi, id, cutoff, got, want)
+						case dist <= cutoff && math.Float64bits(got) != math.Float64bits(dist):
+							t.Fatalf("dim %d window %d query %d seq %d: distance %v at cutoff %v came back %v",
+								dim, window, qi, id, dist, cutoff, got)
+						case dist > cutoff && got <= cutoff:
+							t.Fatalf("dim %d window %d query %d seq %d: distance %v above cutoff %v came back %v",
+								dim, window, qi, id, dist, cutoff, got)
+						}
+						if dist <= cutoff {
+							ties++
+						} else if with, without := stopsAfter(ds.keoghSuf), stopsAfter(nil); with != 0 && without == 0 {
+							rowsSaved += m - with
+						} else if with != 0 {
+							rowsSaved += without - with
+						}
+					}
+					// Both ladders with the distance as the cutoff. The rung
+					// below LB_Keogh is not this test's: the envelope index
+					// bound carries no rounding margin, and behind a 1e16
+					// spike it computes a few ulps above the distance.
+					if index > dist {
+						continue
+					}
+					ms, _, err := db.SearchMetric(q, dist, mt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ns, err := db.SearchKNNMetricBoundedCtx(ctx, q, len(seqs), boundAt(dist), mt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inRange := slices.ContainsFunc(ms, func(m MetricMatch) bool {
+						return int(m.SeqID) == id && math.Float64bits(m.Dist) == math.Float64bits(dist)
+					})
+					inKNN := slices.ContainsFunc(ns, func(r KNNResult) bool {
+						return int(r.SeqID) == id && math.Float64bits(r.Dist) == math.Float64bits(dist)
+					})
+					if !inRange || !inKNN {
+						t.Fatalf("dim %d window %d query %d seq %d at distance %v: in the range answer at eps = distance %v, in the kNN answer under that bound %v",
+							dim, window, qi, id, dist, inRange, inKNN)
+					}
+				}
+				putScratch(sc)
+			}
+		}
+	}
+	if ties == 0 || rowsSaved <= 0 {
+		t.Fatalf("%d distances at or below their cutoff, %d rows not computed that the row minimum alone needs: one side is untested", ties, rowsSaved)
+	}
+	t.Logf("%d distances at or below their cutoff; above it the suffix stopped %d rows before the row minimum alone would", ties, rowsSaved)
 }
 
 // dtwIndexLBReference is dtwIndexLB with each partition's envelope rect
@@ -427,12 +601,22 @@ func TestKernelCountersUnchanged(t *testing.T) {
 var kernelSink float64
 
 // BenchmarkDTWFlat times the dynamic program alone — two 300-point
-// sequences of the video corpus's dimensionality under a 16-wide band, no
-// cutoff, so every cell of the band is computed — and reports ns per cell.
+// sequences of the video corpus's dimensionality under a 16-wide band, with
+// LB_Keogh's suffix sums in hand as on the indexed path but no cutoff, so
+// every cell of the band is computed — and reports ns per cell.
 func BenchmarkDTWFlat(b *testing.B) {
 	const dim, n, window = 3, 300, 16
 	rng := rand.New(rand.NewSource(1903))
-	q, s := flatten(randWalkSeq(rng, n, dim).Points), flatten(randWalkSeq(rng, n, dim).Points)
+	q := flatten(randWalkSeq(rng, n, dim).Points)
+	g, err := NewSegmented(randWalkSeq(rng, n, dim), DefaultPartitionConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ds dtwScratch
+	ds.buildEnvelopes(q, n, dim, window)
+	if lb := ds.lbKeogh(g, math.Inf(1)); !(lb > 0) {
+		b.Fatalf("LB_Keogh %v: the suffix is trivial", lb)
+	}
 	prev, cur := make([]float64, n+1), make([]float64, n+1)
 	cells := 0
 	for i := 1; i <= n; i++ {
@@ -440,7 +624,7 @@ func BenchmarkDTWFlat(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernelSink += dtwFlat(q, n, s, n, dim, window, math.Inf(1), prev, cur)
+		kernelSink += dtwFlat(q, n, g.Flat, n, dim, window, math.Inf(1), ds.keoghSuf, prev, cur)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
 }

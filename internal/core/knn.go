@@ -40,13 +40,13 @@ func (db *Database) SearchKNNCtx(ctx context.Context, q *Sequence, k int) ([]KNN
 
 // SearchKNNBounded is SearchKNN pruned by a shared live bound: the search
 // stops as soon as every lower bound left exceeds min(bound, own k-th
-// best), re-read at every step, and the bound is tightened
-// whenever this search's own k-th best improves (see KNNBound for why that
-// is safe). The result is this database's part of the answer: every stored
-// sequence among its k nearest whose distance is at most the bound's final
-// value is present with its exact distance; sequences above the bound may
-// be missing even when fewer than k are returned. A nil bound is exactly
-// SearchKNN.
+// best), re-read at every step, and the bound is offered every distance
+// the search accepts and tightened whenever its own k-th best improves (see
+// KNNBound for why that is safe). The result is this database's part of the
+// answer: every stored sequence among its k nearest whose distance is at
+// most the bound's final value is present with its exact distance;
+// sequences above the bound may be missing even when fewer than k are
+// returned. A nil bound is exactly SearchKNN.
 func (db *Database) SearchKNNBounded(q *Sequence, k int, bound *KNNBound) ([]KNNResult, error) {
 	return db.SearchKNNBoundedCtx(context.Background(), q, k, bound)
 }
@@ -66,10 +66,11 @@ func (db *Database) SearchKNNBounded(q *Sequence, k int, bound *KNNBound) ([]KNN
 // queue is nearer. If the nearest candidate's bound is not above the
 // walk's next key, nothing unseen can precede it, and it is refined by
 // bestAlign against the cutoff in force — alignment-level Dmbr bound, then
-// the early-abandoned exact sum, the two upper rungs — and the shared bound
-// tightened if the top k improved; otherwise the walk advances. The search
-// ends when the walk is exhausted or its next key exceeds the cutoff, and
-// no candidate at or below the cutoff is left.
+// the early-abandoned exact sum, the two upper rungs — and, if accepted,
+// offered to the shared bound, which is tightened if the top k improved;
+// otherwise the walk advances. The search ends when the walk is exhausted
+// or its next key exceeds the cutoff, and no candidate at or below the
+// cutoff is left.
 //
 // The answer is the exact one because of two facts only. A sequence is
 // dismissed only while a valid lower bound of its D is strictly above the
@@ -163,8 +164,7 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 			if dist > cut {
 				continue
 			}
-			out = InsertKNN(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist, Offset: off}, k)
-			worst.publish(out, k)
+			out = worst.accept(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist, Offset: off}, k)
 			continue
 		}
 		if !walking || key > cut {
@@ -293,13 +293,17 @@ func (c *knnCutoff) unbounded() bool {
 	return c.own <= c.bound.Load()
 }
 
-// publish notes an improved own k-th best after an insertion into the
-// sorted top-k and tightens the shared bound with it.
-func (c *knnCutoff) publish(out []KNNResult, k int) {
+// accept inserts r, an exact distance at or below the cutoff in force, into
+// the sorted top-k, offers it to the shared bound's pool, and, if the own
+// k-th best improved, notes that and tightens the shared bound with it.
+func (c *knnCutoff) accept(out []KNNResult, r KNNResult, k int) []KNNResult {
+	out = InsertKNN(out, r, k)
+	c.bound.Offer(r.SeqID, r.Dist)
 	if len(out) == k && out[k-1].Dist < c.own {
 		c.own = out[k-1].Dist
 		c.bound.Tighten(c.own)
 	}
+	return out
 }
 
 // InsertKNN inserts r into rs, the best at most k results so far in

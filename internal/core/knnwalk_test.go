@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,9 +15,9 @@ import (
 // scanTopK is what a kNN search under a bound must return, from the
 // exhaustive scan's distances alone: those within the bound, ordered by
 // (Dist, SeqID), the first k.
-func scanTopK(t testing.TB, db *Database, q *Sequence, k int, bound float64) []MetricMatch {
+func scanTopK(t testing.TB, db *Database, q *Sequence, m Metric, k int, bound float64) []MetricMatch {
 	t.Helper()
-	scan, err := db.SequentialSearchMetric(q, math.MaxFloat64, MetricD{})
+	scan, err := db.SequentialSearchMetric(q, math.MaxFloat64, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,28 +86,38 @@ func walkQueries(rng *rand.Rand, seqs []*Sequence, dim int) []*Sequence {
 	return qs
 }
 
-// checkWalkMatchesScan compares the indexed kNN with the scan for every k
-// and bound the issue names: k of 1, 10, every sequence and more than
-// there are; no bound, the median distance, 0.
+// checkWalkMatchesScan compares the indexed kNN with the scan under D and
+// unconstrained DTW, for every k and bound the issue names: k of 1, 10,
+// every sequence and more than there are; no bound, the median distance, 0
+// — the bound a pooling one, so that the search's offers are live.
 func checkWalkMatchesScan(t *testing.T, db *Database, qs []*Sequence, label string) {
 	t.Helper()
 	n := db.Len()
-	for qi, q := range qs {
-		all := scanTopK(t, db, q, n, math.Inf(1))
-		for _, k := range []int{1, 10, n, n + 5} {
-			for _, bound := range []float64{math.Inf(1), all[len(all)/2].Dist, 0} {
-				want := scanTopK(t, db, q, k, bound)
-				got, err := db.SearchKNNBounded(q, k, boundAt(bound))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s query %d k %d bound %g: %d results, scan %d", label, qi, k, bound, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].SeqID != want[i].SeqID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-						t.Fatalf("%s query %d k %d bound %g result %d: got {seq %d dist %v}, scan {seq %d dist %v}",
-							label, qi, k, bound, i, got[i].SeqID, got[i].Dist, want[i].SeqID, want[i].Dist)
+	for _, m := range []Metric{MetricD{}, MetricDTW{Window: -1}} {
+		for qi, q := range qs {
+			all := scanTopK(t, db, q, m, n, math.Inf(1))
+			for _, k := range []int{1, 10, n, n + 5} {
+				for _, bound := range []float64{math.Inf(1), all[len(all)/2].Dist, 0} {
+					want := slices.DeleteFunc(slices.Clone(all), func(m MetricMatch) bool { return m.Dist > bound })
+					want = want[:min(k, len(want))]
+					live := NewKNNBound(k)
+					live.Tighten(bound)
+					got, err := db.SearchKNNMetricBoundedCtx(context.Background(), q, k, live, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s %s query %d k %d bound %g: %d results, scan %d", label, m.Name(), qi, k, bound, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].SeqID != want[i].SeqID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+							t.Fatalf("%s %s query %d k %d bound %g result %d: got {seq %d dist %v}, scan {seq %d dist %v}",
+								label, m.Name(), qi, k, bound, i, got[i].SeqID, got[i].Dist, want[i].SeqID, want[i].Dist)
+						}
+					}
+					if k <= len(want) && live.Load() != want[k-1].Dist {
+						t.Fatalf("%s %s query %d k %d bound %g: the search left the bound at %v, the k-th best is %v",
+							label, m.Name(), qi, k, bound, live.Load(), want[k-1].Dist)
 					}
 				}
 			}
@@ -115,7 +126,7 @@ func checkWalkMatchesScan(t *testing.T, db *Database, qs []*Sequence, label stri
 }
 
 // TestKNNIndexWalkMatchesScan is the differential test of the index-driven
-// D-kNN: ids and distance bits equal the exhaustive scan's, sorted by
+// D-kNN and of the DTW ladder beside it: ids and distance bits equal the exhaustive scan's, sorted by
 // (Dist, SeqID) and cut at k, on a fresh database, after removals, and
 // after appends have re-partitioned stored sequences.
 func TestKNNIndexWalkMatchesScan(t *testing.T) {
@@ -177,7 +188,7 @@ func TestKNNShortSequenceStraddlesQueryMBRs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := scanTopK(t, db, q, 1, math.Inf(1)); len(got) != 1 || got[0].SeqID != want[0].SeqID || got[0].Dist != want[0].Dist {
+	if want := scanTopK(t, db, q, MetricD{}, 1, math.Inf(1)); len(got) != 1 || got[0].SeqID != want[0].SeqID || got[0].Dist != want[0].Dist {
 		t.Fatalf("nearest is %s at %v, the scan says %s at %v", got[0].Seq.Label, got[0].Dist, want[0].Seq.Label, want[0].Dist)
 	}
 }

@@ -91,13 +91,14 @@ type MetricMatch struct {
 // points and a stored sequence, with the same kernel and arithmetic order
 // on the indexed and the scan paths so their results are bit-identical.
 // A distance above cutoff may come back as +Inf instead (dtwFlat abandons
-// it). +Inf also means "no valid alignment" (window narrower than the
-// length difference) — never a match.
-func (sc *searchScratch) dtwSeq(mt MetricDTW, qflat []float64, g *Segmented, dim int, cutoff float64) float64 {
+// it); suf is lbKeogh's suffix sums for g when the caller has just bounded
+// it, nil otherwise. +Inf also means "no valid alignment" (window narrower
+// than the length difference) — never a match.
+func (sc *searchScratch) dtwSeq(mt MetricDTW, qflat []float64, g *Segmented, dim int, cutoff float64, suf []float64) float64 {
 	n := len(qflat) / dim
 	mm := len(g.Flat) / dim
-	sc.dtw.prev = ensureFloats(sc.dtw.prev, mm+1)
-	sc.dtw.cur = ensureFloats(sc.dtw.cur, mm+1)
-	total := dtwFlat(qflat, n, g.Flat, mm, dim, mt.Window, cutoff, sc.dtw.prev, sc.dtw.cur)
+	sc.dtw.prev = ensureFloats(sc.dtw.prev, n+1)
+	sc.dtw.cur = ensureFloats(sc.dtw.cur, n+1)
+	total := dtwFlat(qflat, n, g.Flat, mm, dim, mt.Window, cutoff, suf, sc.dtw.prev, sc.dtw.cur)
 	return total / float64(max(n, mm))
 }

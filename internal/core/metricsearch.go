@@ -197,7 +197,7 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 			continue
 		}
 		st.DTWEvals++
-		dist := sc.dtwSeq(mt, sc.qflat, g, d, eps)
+		dist := sc.dtwSeq(mt, sc.qflat, g, d, eps, ds.keoghSuf)
 		if dist <= eps {
 			out = append(out, MetricMatch{SeqID: id, Seq: g.Seq, Dist: dist})
 		}
@@ -236,10 +236,10 @@ func (db *Database) SearchKNNMetricCtx(ctx context.Context, q *Sequence, k int, 
 // SearchKNNMetricBoundedCtx is SearchKNNMetricCtx pruned by a shared
 // live bound, with SearchKNNBoundedCtx's contract (result, caching,
 // counts): the bound holds distances under the query's own metric, every
-// refinement re-reads it, and this search tightens it with its own k-th
-// best. Under DTW the bound's counts also receive the envelope and
-// LB_Keogh dismissals. For DTW results the Offset field is always 0 —
-// warping has no single alignment offset.
+// refinement re-reads it, and this search offers it every distance it
+// accepts and tightens it with its own k-th best. Under DTW the bound's
+// counts also receive the envelope and LB_Keogh dismissals. For DTW results
+// the Offset field is always 0 — warping has no single alignment offset.
 func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, k int, bound *KNNBound, m Metric) ([]KNNResult, error) {
 	if m == nil {
 		m = MetricD{}
@@ -314,8 +314,8 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 	refined := 0
 	var out []KNNResult
 	worst := knnCutoff{bound: bound, own: math.Inf(1)}
-	for len(sc.heap) > 0 {
-		if refined%cancelCheckEvery == 0 {
+	for step := 0; len(sc.heap) > 0; step++ {
+		if step%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
 				return nil, err
 			}
@@ -332,13 +332,12 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 			keoghPruned++
 			continue
 		}
-		dist := sc.dtwSeq(mt, sc.qflat, g, d, cut)
+		dist := sc.dtwSeq(mt, sc.qflat, g, d, cut, ds.keoghSuf)
 		refined++
 		if dist > cut {
 			continue
 		}
-		out = InsertKNN(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist}, k)
-		worst.publish(out, k)
+		out = worst.accept(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist}, k)
 	}
 	envPruned += len(sc.heap) // dismissed by the index bound at the break
 	took := time.Since(t0)
@@ -405,7 +404,7 @@ func (db *Database) SequentialSearchMetric(q *Sequence, eps float64, m Metric) (
 // disabled. A nil metric means MetricD.
 func (sc *searchScratch) scanMetric(q *Sequence, g *Segmented, m Metric) float64 {
 	if mt, ok := m.(MetricDTW); ok {
-		return sc.dtwSeq(mt, sc.qflat, g, q.Dim(), math.Inf(1))
+		return sc.dtwSeq(mt, sc.qflat, g, q.Dim(), math.Inf(1), nil)
 	}
 	_, dist := BestAlignment(q.Points, g.Seq.Points)
 	return dist

@@ -235,7 +235,7 @@ func TestMetricDTWLowerBoundsUnderestimate(t *testing.T) {
 						continue
 					}
 					lb := ds.dtwIndexLB(g)
-					exact := sc.dtwSeq(mt, sc.qflat, g, dim, math.Inf(1))
+					exact := sc.dtwSeq(mt, sc.qflat, g, dim, math.Inf(1), nil)
 					if math.IsInf(lb, 1) != math.IsInf(exact, 1) {
 						t.Fatalf("dim=%d window=%d: index bound inf=%v but exact inf=%v (lens %d vs %d)",
 							dim, window, math.IsInf(lb, 1), math.IsInf(exact, 1), q.Len(), g.Seq.Len())

@@ -107,7 +107,7 @@ func EvalMetric(qseg *Segmented, g *Segmented, m Metric, cutoff float64) float64
 	sc := getScratch()
 	defer putScratch(sc)
 	if mt, ok := m.(MetricDTW); ok {
-		return sc.dtwSeq(mt, qseg.Flat, g, qseg.Seq.Dim(), cutoff)
+		return sc.dtwSeq(mt, qseg.Flat, g, qseg.Seq.Dim(), cutoff, nil)
 	}
 	_, dist := bestAlign(&sc.align, qseg.side(), g.side(), qseg.Seq.Dim(), cutoff)
 	return dist

@@ -84,7 +84,7 @@ func (s *ShardedDB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k 
 	// seeded counts shard launches that found the bound already finite —
 	// the bound-sharing effectiveness observable at launch granularity.
 	gather := &knnGather{k: k}
-	bound := new(core.KNNBound)
+	bound := core.NewKNNBound(k)
 	var seeded, unseeded atomic.Int64
 	errs := make([]error, n)
 	sem := make(chan struct{}, scatterWorkers(n))
@@ -96,7 +96,7 @@ func (s *ShardedDB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			b := s.backend(i)
-			sb := bound
+			sb := bound.Searcher(uint32(i))
 			if pol.AllowPartial {
 				sb = bound.Local()
 			}

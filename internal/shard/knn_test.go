@@ -6,10 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -169,58 +171,162 @@ func (b searchThenFail) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.S
 // answered shards' sequences, k of them when they hold that many. The
 // failing shard holds the query's source, so its k-th best is far below
 // the survivor's and would cut the survivor short (fails with one bound
-// shared by all shards: fewer than k neighbors come back).
+// shared by all shards: fewer than k neighbors come back). The same goes
+// for what it offers: with one near-duplicate fewer it has no k-th best
+// worth publishing, but k−1 offers of its own and one from the survivor
+// would make a pool of k.
 func TestShardedKNNPartialIgnoresLostShardsBound(t *testing.T) {
 	seqs := metricCorpus(t, 40, 81)
 	const k = 5
-	for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
-		sdb := newSharded(t, clone(seqs), 2)
-		sdb.SetPolicy(Policy{AllowPartial: true})
-		// Near-duplicates of one sequence, all on the shard that will fail
-		// (placement is by label hash).
-		const lost = 0
-		src := seqs[3]
-		for i, added := 0, 0; added < k; i++ {
-			dup := src.Clone()
-			dup.Label = fmt.Sprintf("dup%d", i)
-			if ShardFor(dup.Label, 2) != lost {
-				continue
+	for _, dups := range []int{k, k - 1} {
+		for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
+			sdb := newSharded(t, clone(seqs), 2)
+			sdb.SetPolicy(Policy{AllowPartial: true})
+			// Near-duplicates of one sequence, all on the shard that will fail
+			// (placement is by label hash).
+			const lost = 0
+			src := seqs[3]
+			for i, added := 0, 0; added < dups; i++ {
+				dup := src.Clone()
+				dup.Label = fmt.Sprintf("dup%d", i)
+				if ShardFor(dup.Label, 2) != lost {
+					continue
+				}
+				added++
+				dup.Points[0][0] += 1e-4 * float64(added)
+				if _, err := sdb.Add(dup); err != nil {
+					t.Fatal(err)
+				}
 			}
-			added++
-			dup.Points[0][0] += 1e-4 * float64(added)
-			if _, err := sdb.Add(dup); err != nil {
+			q := &core.Sequence{Label: "q", Points: src.Points}
+			want, err := sdb.Shard(1).SearchKNNMetricBoundedCtx(context.Background(), q, k, nil, m)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if len(want) != k {
+				t.Fatalf("metric=%s: surviving shard alone returns %d neighbors, want %d", m.Name(), len(want), k)
+			}
+			sdb.SetShardBackend(lost, searchThenFail{sdb.Shard(lost)})
+			sdb.SetShardBackend(1, NewFaultDB(sdb.Shard(1), Fault{Delay: 20 * time.Millisecond}))
+			got, err := sdb.SearchKNNMetric(q, k, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				want[i].SeqID = sdb.globalID(1, want[i].SeqID)
+			}
+			if fmt.Sprint(knnKeys(got)) != fmt.Sprint(knnKeys(want)) {
+				t.Fatalf("metric=%s, %d near-duplicates lost: partial answer differs from the answered shard's own top %d:\n got %v\nwant %v",
+					m.Name(), dups, k, knnKeys(got), knnKeys(want))
+			}
 		}
-		q := &core.Sequence{Label: "q", Points: src.Points}
-		want, err := sdb.Shard(1).SearchKNNMetricBoundedCtx(context.Background(), q, k, nil, m)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// searchThenLose is a backend whose first kNN call does the search's whole
+// work — offering and publishing on the way — and then loses the answer:
+// it fails at once, so that a retry follows, or with stall set sits on the
+// answer until its context fires, so that a hedge overtakes it. Later
+// calls pass through.
+type searchThenLose struct {
+	Backend
+	stall bool
+	calls atomic.Int32
+}
+
+func (b *searchThenLose) lose(ctx context.Context) error {
+	if b.stall {
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
 		}
-		if len(want) != k {
-			t.Fatalf("metric=%s: surviving shard alone returns %d neighbors, want %d", m.Name(), len(want), k)
+	}
+	return errInjected
+}
+
+func (b *searchThenLose) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error) {
+	rs, err := b.Backend.SearchKNNBoundedCtx(ctx, q, k, bound)
+	if b.calls.Add(1) == 1 {
+		return nil, b.lose(ctx)
+	}
+	return rs, err
+}
+
+func (b *searchThenLose) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error) {
+	rs, err := b.Backend.SearchKNNMetricBoundedCtx(ctx, q, k, bound, m)
+	if b.calls.Add(1) == 1 {
+		return nil, b.lose(ctx)
+	}
+	return rs, err
+}
+
+// TestShardedKNNPoolCountsASequenceOnce: two attempts of one shard — a
+// failed one and its retry, a stalled one and its hedge — both refine the
+// query's nearest neighbor and both offer it. The pool must hold it once:
+// counted twice, two copies of distance 0 are the "2 best" at k = 2, the
+// bound drops to 0, and the other shard, which starts later, dismisses the
+// true second neighbor.
+func TestShardedKNNPoolCountsASequenceOnce(t *testing.T) {
+	seqs := metricCorpus(t, 40, 83)
+	src := seqs[3]
+	home := ShardFor(src.Label, 2)
+	near := src.Clone()
+	for i := 0; ; i++ {
+		if near.Label = fmt.Sprintf("near%d", i); ShardFor(near.Label, 2) != home {
+			break
 		}
-		sdb.SetShardBackend(lost, searchThenFail{sdb.Shard(lost)})
-		sdb.SetShardBackend(1, NewFaultDB(sdb.Shard(1), Fault{Delay: 20 * time.Millisecond}))
-		got, err := sdb.SearchKNNMetric(q, k, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			want[i].SeqID = sdb.globalID(1, want[i].SeqID)
-		}
-		if fmt.Sprint(knnKeys(got)) != fmt.Sprint(knnKeys(want)) {
-			t.Fatalf("metric=%s: partial answer differs from the answered shard's own top %d:\n got %v\nwant %v",
-				m.Name(), k, knnKeys(got), knnKeys(want))
+	}
+	near.Points[0][0] += 1e-4
+	all := append(clone(seqs), near)
+	single := newSingle(t, clone(all))
+	q := &core.Sequence{Label: "q", Points: src.Points}
+	for _, mode := range []struct {
+		name  string
+		pol   Policy
+		stall bool
+	}{
+		{"retry", Policy{Retries: 1}, false},
+		{"hedge", Policy{HedgeAfter: 2 * time.Millisecond}, true},
+	} {
+		for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
+			t.Run(mode.name+"/"+m.Name(), func(t *testing.T) {
+				want, err := single.SearchKNNMetric(q, 2, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want[0].Seq.Label != src.Label || want[1].Seq.Label != near.Label {
+					t.Fatalf("the two nearest are %s and %s, the test needs %s and %s",
+						want[0].Seq.Label, want[1].Seq.Label, src.Label, near.Label)
+				}
+				sdb := newSharded(t, clone(all), 2)
+				sdb.SetPolicy(mode.pol)
+				twice := &searchThenLose{Backend: sdb.Shard(home), stall: mode.stall}
+				sdb.SetShardBackend(home, twice)
+				// The other shard starts once both attempts are through, its
+				// own hedge included.
+				late := Fault{Delay: 30 * time.Millisecond}
+				sdb.SetShardBackend(1-home, NewFaultDB(sdb.Shard(1-home), late, late))
+				got, err := sdb.SearchKNNMetric(q, 2, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if twice.calls.Load() != 2 {
+					t.Fatalf("%d attempts on the shard holding the query's source, want 2", twice.calls.Load())
+				}
+				if fmt.Sprint(knnKeys(got)) != fmt.Sprint(knnKeys(want)) {
+					t.Fatalf("answer differs from the single database's:\n got %v\nwant %v", knnKeys(got), knnKeys(want))
+				}
+			})
 		}
 	}
 }
 
 // TestKNNIndexWalkMatchesScan is the scatter's side of core's differential
-// test: with every shard walking its own index against the one live bound
-// — concurrently, so run it under -race — the gathered answer equals the
-// exhaustive scan's sorted by (Dist, global id) and cut at k, ids and
-// distance bits, for k of 1, 10, every sequence and more than there are,
+// test: with every shard searching against the one live bound and offering
+// to its pool — concurrently, so run it under -race — the gathered answer
+// equals the exhaustive scan's sorted by (Dist, global id) and cut at k, ids
+// and distance bits, under D and DTW, on 1, 4 and 8 shards, for k of 1, 10,
+// every sequence and more than there are,
 // queries shorter and longer than stored sequences, and a corpus whose
 // duplicates tie across shards.
 func TestKNNIndexWalkMatchesScan(t *testing.T) {
@@ -239,33 +345,123 @@ func TestKNNIndexWalkMatchesScan(t *testing.T) {
 		{Points: append(append([]geom.Point{}, seqs[2].Points...), seqs[3].Points...)}, // longer than anything stored
 		{Points: metricCorpus(t, 1, 93)[0].Points[:1]},
 	}
-	for _, nsh := range []int{1, 4} {
+	for _, nsh := range []int{1, 4, 8} {
 		sdb := newSharded(t, clone(seqs), nsh)
 		n := sdb.Len()
-		for qi, q := range queries {
-			scan, err := sdb.SequentialSearchMetric(q, math.MaxFloat64, core.MetricD{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sort.Slice(scan, func(a, b int) bool {
-				return scan[a].Dist < scan[b].Dist || (scan[a].Dist == scan[b].Dist && scan[a].SeqID < scan[b].SeqID)
-			})
-			for _, k := range []int{1, 10, n, n + 5} {
-				got, err := sdb.SearchKNN(q, k)
+		for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
+			for qi, q := range queries {
+				scan, err := sdb.SequentialSearchMetric(q, math.MaxFloat64, m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := scan[:min(k, len(scan))]
-				if len(got) != len(want) {
-					t.Fatalf("shards=%d query %d k %d: %d neighbors, scan %d", nsh, qi, k, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].SeqID != want[i].SeqID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-						t.Fatalf("shards=%d query %d k %d neighbor %d: got {seq %d dist %v}, scan {seq %d dist %v}",
-							nsh, qi, k, i, got[i].SeqID, got[i].Dist, want[i].SeqID, want[i].Dist)
+				sort.Slice(scan, func(a, b int) bool {
+					return scan[a].Dist < scan[b].Dist || (scan[a].Dist == scan[b].Dist && scan[a].SeqID < scan[b].SeqID)
+				})
+				for _, k := range []int{1, 10, n, n + 5} {
+					got, err := sdb.SearchKNNMetric(q, k, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := scan[:min(k, len(scan))]
+					if len(got) != len(want) {
+						t.Fatalf("shards=%d metric=%s query %d k %d: %d neighbors, scan %d", nsh, m.Name(), qi, k, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].SeqID != want[i].SeqID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+							t.Fatalf("shards=%d metric=%s query %d k %d neighbor %d: got {seq %d dist %v}, scan {seq %d dist %v}",
+								nsh, m.Name(), qi, k, i, got[i].SeqID, got[i].Dist, want[i].SeqID, want[i].Dist)
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// warpedQuery is a whole stored sequence with up to 8 points dropped or
+// duplicated and every coordinate jittered — the harness's DTW query shape.
+func warpedQuery(rng *rand.Rand, src *core.Sequence) *core.Sequence {
+	pts := make([]geom.Point, 0, src.Len()+8)
+	for _, p := range src.Points {
+		pts = append(pts, p.Clone())
+	}
+	for e := rng.Intn(9); e > 0; e-- {
+		i := rng.Intn(len(pts))
+		if rng.Intn(2) == 0 && len(pts) > 2 {
+			pts = append(pts[:i], pts[i+1:]...)
+		} else {
+			pts = append(pts[:i+1], pts[i:]...)
+			pts[i+1] = pts[i].Clone()
+		}
+	}
+	for _, p := range pts {
+		for d := range p {
+			p[d] = clamp01(p[d] + rng.NormFloat64()*0.004)
+		}
+	}
+	return &core.Sequence{Label: "warped", Points: pts}
+}
+
+// TestShardedKNNWorkNearOneDatabase is the work gate of the shared top-k
+// pool: over 240 queries shaped like the harness's knn-dtw-shard4 stream
+// (Table 2 video corpus, k = 10; D on a 28–96-point window of a stored
+// sequence, DTW under a 16-wide band on a warped whole one), four shards
+// together refine not much more than one database holding the same corpus
+// does — the floor, since that database's cutoff is the global k-th best as
+// soon as k sequences are refined anywhere. On this half-size corpus, with
+// each shard's cutoff finite only once that shard alone had refined k, the
+// ratios read 1.51 (D) and 1.85–1.89 (DTW) whatever GOMAXPROCS is; pooled,
+// 1.19–1.27 and 1.36–1.40 on two or more CPUs and 1.33 and 1.55 on one,
+// where the shards run one after another and only the later ones find a pool.
+func TestShardedKNNWorkNearOneDatabase(t *testing.T) {
+	cfg := experiment.PaperVideo()
+	cfg.NumSequences = 704
+	seqs, err := experiment.GenerateData(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, sdb := newSingle(t, clone(seqs)), newSharded(t, clone(seqs), 4)
+	regOne, regFour := obs.NewRegistry(), obs.NewRegistry()
+	single.SetMetrics(regOne)
+	sdb.SetMetrics(regFour)
+	refined := func(reg *obs.Registry) uint64 { return reg.Counter("mdseq_knn_refined_total", "").Value() }
+
+	const k, queries = 10, 120
+	rng := rand.New(rand.NewSource(97))
+	for _, c := range []struct {
+		m     core.Metric
+		limit float64
+		query func() *core.Sequence
+	}{
+		{core.MetricD{}, 1.42, func() *core.Sequence {
+			src := seqs[rng.Intn(len(seqs))]
+			n := min(cfg.QueryMinLen+rng.Intn(cfg.QueryMaxLen-cfg.QueryMinLen+1), src.Len())
+			off := rng.Intn(src.Len() - n + 1)
+			return &core.Sequence{Label: "window", Points: src.Points[off : off+n]}
+		}},
+		{core.MetricDTW{Window: 16}, 1.70, func() *core.Sequence { return warpedQuery(rng, seqs[rng.Intn(len(seqs))]) }},
+	} {
+		one0, four0 := refined(regOne), refined(regFour)
+		for i := 0; i < queries; i++ {
+			q := c.query()
+			want, err := single.SearchKNNMetric(q, k, c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sdb.SearchKNNMetric(q, k, c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(knnKeys(got)) != fmt.Sprint(knnKeys(want)) {
+				t.Fatalf("metric=%s query %d: four shards answer %v, one database %v", c.m.Name(), i, knnKeys(got), knnKeys(want))
+			}
+		}
+		one, four := refined(regOne)-one0, refined(regFour)-four0
+		ratio := float64(four) / float64(one)
+		t.Logf("metric=%s: one database refined %d, four shards %d (%.2f×)", c.m.Name(), one, four, ratio)
+		if one == 0 || ratio > c.limit {
+			t.Errorf("metric=%s: four shards refined %d sequences, one database %d: %.2f× is over the gate of %.2f×",
+				c.m.Name(), four, one, ratio, c.limit)
 		}
 	}
 }

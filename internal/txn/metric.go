@@ -115,32 +115,44 @@ func mergeMetricMatches(base []core.MetricMatch, v *view, delta []core.MetricMat
 // the delta contributes exact distances via the same kernel the indexed
 // path refines with, and the merge keeps the true top k.
 //
-// The base search and the delta pass prune against the same live bound.
-// The base publishing its k'-th best is valid: at most k'−k of its
-// results are dropped below, so k live sequences sit at or under that
-// distance. Each delta sequence is scored with cutoff min(bound, current
-// k-th best of the merge) — above it the score is not exact, and such a
-// sequence cannot enter the top k — and the merge's own k-th best is
-// published as it improves.
+// The base search reads the live bound but publishes to a Local one: what
+// it refines may be a version the delta supersedes or a sequence it
+// removed, and such a distance must never count among the k that make the
+// shared bound. The merge owns the answer, so it offers every surviving
+// base result and every accepted delta sequence — live in this snapshot,
+// one id each — and publishes its own k-th best as it improves. Each delta
+// sequence is scored with cutoff min(bound, current k-th best of the
+// merge) — above it the score is not exact, and such a sequence cannot
+// enter the top k.
+//
+// k is whatever the request said. Nothing is sized by it, and k' is built
+// from the smaller of k and the live count: asking for more neighbors than
+// there are sequences returns them all, ranked.
 func (s *Snap) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error) {
 	if s.st.deltaLen() == 0 {
 		return s.db.base.SearchKNNMetricBoundedCtx(ctx, q, k, bound, m)
 	}
+	if k <= 0 {
+		return nil, nil
+	}
 	v := s.view()
-	kPrime := k + len(s.st.adds) + len(v.overlay) + len(s.st.removed)
-	base, err := s.db.base.SearchKNNMetricBoundedCtx(ctx, q, kPrime, bound, m)
+	kPrime := min(k, s.st.live) + len(s.st.adds) + len(v.overlay) + len(s.st.removed)
+	base, err := s.db.base.SearchKNNMetricBoundedCtx(ctx, q, kPrime, bound.Local(), m)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]core.KNNResult, 0, k)
-	for _, r := range base {
-		if v.dropBase(r.SeqID) {
-			continue
-		}
+	var out []core.KNNResult
+	accept := func(r core.KNNResult) {
 		out = core.InsertKNN(out, r, k)
+		bound.Offer(r.SeqID, r.Dist)
+		if len(out) == k {
+			bound.Tighten(out[k-1].Dist)
+		}
 	}
-	if len(out) == k {
-		bound.Tighten(out[k-1].Dist)
+	for _, r := range base {
+		if !v.dropBase(r.SeqID) {
+			accept(r)
+		}
 	}
 	if len(v.delta) == 0 {
 		return out, nil
@@ -169,10 +181,7 @@ func (s *Snap) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, 
 		if r.Dist > cut || math.IsInf(r.Dist, 1) {
 			continue
 		}
-		out = core.InsertKNN(out, r, k)
-		if len(out) == k {
-			bound.Tighten(out[k-1].Dist)
-		}
+		accept(r)
 	}
 	bound.AddCounts(core.KNNCounts{Candidates: len(v.delta), Refined: len(v.delta)})
 	return out, nil
