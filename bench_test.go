@@ -264,7 +264,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				if _, _, err := sdb.Search(q, 0.20); err != nil {
+				if _, _, err := sdb.SearchCtx(context.Background(), q, 0.20); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -281,7 +281,7 @@ func BenchmarkShardedKNN(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				if _, err := sdb.SearchKNN(q, 10); err != nil {
+				if _, err := sdb.SearchKNNCtx(context.Background(), q, 10); err != nil {
 					b.Fatal(err)
 				}
 			}

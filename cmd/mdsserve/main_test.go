@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -76,7 +77,7 @@ func TestOpenDurableSeedIsCheckpointed(t *testing.T) {
 					shards, i, st.Checkpoints, st.DeltaAdds, st.CheckpointLSN, st.LastLSN)
 			}
 		}
-		ms, st, err := db.Search(q, 0.05)
+		ms, st, err := db.SearchCtx(context.Background(), q, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package mdseq_test
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -49,17 +50,22 @@ func TestFacadeLifecycle(t *testing.T) {
 		t.Fatalf("knn = %+v", nn)
 	}
 
-	// Parallel search identical to serial.
+	// Search is Do, the one query entry point, under its first name; the
+	// scan through the same entry point dismisses nothing Search found.
 	serial, _, err := db.Search(q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := db.SearchParallel(q, 0.2, 4)
+	res, err := db.Do(context.Background(), mdseq.Query{Seq: q, Eps: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial) != len(par) {
-		t.Fatalf("serial %d vs parallel %d", len(serial), len(par))
+	if len(serial) != len(res.Matches) {
+		t.Fatalf("Search %d vs Do %d matches", len(serial), len(res.Matches))
+	}
+	scan, err := db.Do(context.Background(), mdseq.Query{Seq: q, Kind: mdseq.Scan, Eps: 0.2})
+	if err != nil || len(scan.Matches) == 0 || len(scan.Matches) > len(serial) {
+		t.Fatalf("scan: %d relevant of %d matches, err %v", len(scan.Matches), len(serial), err)
 	}
 
 	// Explain agrees on the match count.
@@ -154,7 +160,7 @@ func TestFacadeSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotM, _, err := sdb.Search(q, 0.15)
+	gotM, _, err := sdb.SearchCtx(context.Background(), q, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +181,11 @@ func TestFacadeSharded(t *testing.T) {
 		}
 	}
 
-	nn, err := sdb.SearchKNN(q, 3)
+	knn, err := sdb.Do(context.Background(), mdseq.Query{Seq: q, Kind: mdseq.KNN, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nn) != 3 || nn[0].Seq.Label != seqs[9].Label || nn[0].Dist != 0 {
+	if nn := knn.Matches; len(nn) != 3 || nn[0].Seq.Label != seqs[9].Label || nn[0].Dist != 0 {
 		t.Fatalf("sharded knn = %+v", nn)
 	}
 
@@ -204,7 +210,7 @@ func TestFacadeSharded(t *testing.T) {
 	if loaded.Shards() != 4 || loaded.Len() != 24 {
 		t.Fatalf("reloaded shape: %d shards, %d sequences", loaded.Shards(), loaded.Len())
 	}
-	reM, _, err := loaded.Search(q, 0.15)
+	reM, _, err := loaded.SearchCtx(context.Background(), q, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,10 +166,11 @@ func Query(args []string, stdout io.Writer) error {
 		}
 		return queryTrailer(stdout, tr, reg)
 	}
-	matches, stats, err := db.SearchCtx(ctx, q, *eps)
+	res, err := db.Do(ctx, core.Query{Seq: q, Eps: *eps})
 	if err != nil {
 		return err
 	}
+	matches, stats := res.Matches, res.Stats
 	fmt.Fprintf(stdout, "phases: partition %v (%d MBRs) | Dmbr %v (%d candidates) | Dnorm %v (%d matches)\n",
 		stats.Phase1.Round(time.Microsecond), stats.QueryMBRs,
 		stats.Phase2.Round(time.Microsecond), stats.CandidatesDmbr,
@@ -199,12 +200,12 @@ func Query(args []string, stdout io.Writer) error {
 	}
 
 	if *knn > 0 {
-		nn, err := db.SearchKNNCtx(ctx, q, *knn)
+		nn, err := db.Do(ctx, core.Query{Seq: q, Kind: core.KNN, K: *knn})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "\n%d nearest sequences by exact distance D:\n", len(nn))
-		for _, r := range nn {
+		fmt.Fprintf(stdout, "\n%d nearest sequences by exact distance D:\n", len(nn.Matches))
+		for _, r := range nn.Matches {
 			fmt.Fprintf(stdout, "  #%d %-14s D=%.4f at offset %d\n", r.SeqID, r.Seq.Label, r.Dist, r.Offset)
 		}
 	}
@@ -222,10 +223,11 @@ func Query(args []string, stdout io.Writer) error {
 
 	if *baseline {
 		t1 := time.Now()
-		exact, err := db.SequentialSearch(q, *eps)
+		scan, err := db.Do(ctx, core.Query{Seq: q, Kind: core.Scan, Eps: *eps})
 		if err != nil {
 			return err
 		}
+		exact := scan.Matches
 		scanTime := time.Since(t1)
 		fmt.Fprintf(stdout, "sequential scan: %d relevant in %v (index search took %v; %.1fx)\n",
 			len(exact), scanTime.Round(time.Microsecond), stats.Total().Round(time.Microsecond),
@@ -249,10 +251,11 @@ func Query(args []string, stdout io.Writer) error {
 // metric-scan baseline with a false-dismissal check.
 func queryMetric(ctx context.Context, stdout io.Writer, db shard.DB, q *core.Sequence,
 	eps float64, mt core.Metric, topK, knn int, baseline bool) error {
-	matches, stats, err := db.SearchMetricCtx(ctx, q, eps, mt)
+	res, err := db.Do(ctx, core.Query{Seq: q, Eps: eps, Metric: mt})
 	if err != nil {
 		return err
 	}
+	matches, stats := res.Matches, res.Stats
 	fmt.Fprintf(stdout, "metric %s: envelope %v | filter %v (%d candidates) | refine %v (env-pruned %d, LB_Keogh-pruned %d, DTW evals %d, %d matches)\n",
 		mt.Name(),
 		stats.Phase1.Round(time.Microsecond),
@@ -268,22 +271,23 @@ func queryMetric(ctx context.Context, stdout io.Writer, db shard.DB, q *core.Seq
 	}
 
 	if knn > 0 {
-		nn, err := db.SearchKNNMetricCtx(ctx, q, knn, mt)
+		nn, err := db.Do(ctx, core.Query{Seq: q, Kind: core.KNN, K: knn, Metric: mt})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "\n%d nearest sequences by exact %s distance:\n", len(nn), mt.Name())
-		for _, r := range nn {
+		fmt.Fprintf(stdout, "\n%d nearest sequences by exact %s distance:\n", len(nn.Matches), mt.Name())
+		for _, r := range nn.Matches {
 			fmt.Fprintf(stdout, "  #%d %-14s %s=%.4f\n", r.SeqID, r.Seq.Label, mt.Name(), r.Dist)
 		}
 	}
 
 	if baseline {
 		t1 := time.Now()
-		exact, err := db.SequentialSearchMetric(q, eps, mt)
+		scan, err := db.Do(ctx, core.Query{Seq: q, Kind: core.Scan, Eps: eps, Metric: mt})
 		if err != nil {
 			return err
 		}
+		exact := scan.Matches
 		scanTime := time.Since(t1)
 		fmt.Fprintf(stdout, "sequential %s scan: %d relevant in %v (index search took %v; %.1fx)\n",
 			mt.Name(), len(exact), scanTime.Round(time.Microsecond), stats.Total().Round(time.Microsecond),

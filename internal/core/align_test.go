@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,6 +16,12 @@ func boundAt(d float64) *KNNBound {
 	b := new(KNNBound)
 	b.Tighten(d)
 	return b
+}
+
+// knnBounded is a KNN query under m (nil: D) against a shared bound.
+func knnBounded(ctx context.Context, db *Database, q *Sequence, k int, bound *KNNBound, m Metric) ([]Match, error) {
+	res, err := db.Do(ctx, Query{Seq: q, Kind: KNN, K: k, Bound: bound, Metric: m})
+	return res.Matches, err
 }
 
 // alignCase is one (query, sequence, partitioning) shape of the kernel
@@ -148,7 +155,7 @@ func TestKNNTiesMatchReference(t *testing.T) {
 				for _, k := range []int{1, 2, 5, 30} {
 					for _, bound := range []float64{math.Inf(1), 0.3, 0} {
 						want := knnReference(t, db, q, k, bound)
-						got, err := db.SearchKNNBounded(q, k, boundAt(bound))
+						got, err := knnBounded(context.Background(), db, q, k, boundAt(bound), nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -335,7 +342,7 @@ func TestKNNAllocs(t *testing.T) {
 	}
 	bound := boundAt(math.Nextafter(nearest[0].Dist, 0))
 	for i := 0; i < 3; i++ {
-		rs, err := db.SearchKNNBounded(q, 5, bound)
+		rs, err := knnBounded(context.Background(), db, q, 5, bound, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +354,7 @@ func TestKNNAllocs(t *testing.T) {
 		t.Fatal("no sequence reached the kernel; the alloc gate measures nothing")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := db.SearchKNNBounded(q, 5, bound); err != nil {
+		if _, err := knnBounded(context.Background(), db, q, 5, bound, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

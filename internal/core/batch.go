@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -13,24 +12,11 @@ import (
 	"repro/internal/rtree"
 )
 
-// SearchBatch answers several range queries with one pass over the
-// database. Results and statistics for each query are identical to what
-// Search would return for it alone; the batch saves work three ways:
-// duplicate queries are computed once, cached queries (SetCache) are
-// answered without touching the index, and index probes for identical
-// query MBRs are merged across the remaining queries, so the R*-tree is
-// descended once per distinct rectangle instead of once per query. The
-// whole batch runs under a single read lock, so every answer reflects
-// the same corpus snapshot.
-func (db *Database) SearchBatch(qs []*Sequence, eps float64) ([][]Match, []SearchStats, error) {
-	return db.SearchBatchCtx(context.Background(), qs, eps)
-}
-
 // batchQuery is the per-unique-query state threaded through the batch
 // phases.
 type batchQuery struct {
 	q      *Sequence
-	ref    cacheRef
+	ref    CacheSlot
 	qseg   *Segmented
 	probes []int // per query MBR, the index of its merged phase-2 probe
 	st     SearchStats
@@ -39,58 +25,50 @@ type batchQuery struct {
 	first  int  // index in qs of the first occurrence (for error messages)
 }
 
-// SearchBatchCtx is SearchBatch honoring a context deadline or
-// cancellation with the same granularity as SearchCtx: between phases,
-// per index probe, and every cancelCheckEvery phase-3 candidates. One
-// query failing validation fails the whole batch before any work runs —
-// a batch is all-or-nothing, so callers never have to pair partial
-// outputs with their inputs.
+// SearchBatchCtx answers several of the paper's range queries with one
+// pass over the database. Results and statistics for each query are
+// identical to what Do would return for it alone, and each shares Do's
+// cache slot; the batch saves work three ways: duplicate queries are
+// computed once, cached queries (SetCache) are answered without touching
+// the index, and index probes for identical query MBRs are merged across
+// the remaining queries, so the R*-tree is descended once per distinct
+// rectangle instead of once per query. The whole batch runs under a single
+// read lock, so every answer reflects the same corpus snapshot. ctx is
+// honored with Do's granularity: between phases, per index probe, and
+// every cancelCheckEvery phase-3 candidates. One query failing Query.Check
+// fails the whole batch before any work runs — a batch is all-or-nothing,
+// so callers never have to pair partial outputs with their inputs.
 func (db *Database) SearchBatchCtx(ctx context.Context, qs []*Sequence, eps float64) ([][]Match, []SearchStats, error) {
-	if eps < 0 {
-		return nil, nil, fmt.Errorf("core: negative threshold %g", eps)
+	for i, q := range qs {
+		if err := (Query{Seq: q, Eps: eps}).Check(db.opts.Dim); err != nil {
+			return nil, nil, fmt.Errorf("core: batch query %d: %w", i, err)
+		}
 	}
 	if len(qs) == 0 {
 		return nil, nil, nil
-	}
-	for i, q := range qs {
-		if q == nil {
-			return nil, nil, fmt.Errorf("core: batch query %d is nil", i)
-		}
-		if err := q.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("core: batch query %d: %w", i, err)
-		}
-		if q.Dim() != db.opts.Dim {
-			return nil, nil, fmt.Errorf("core: batch query %d dim %d, database dim %d: %w",
-				i, q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
-		}
 	}
 
 	tr := obs.FromContext(ctx)
 	t0 := time.Now()
 
 	// Dedup by fingerprint: identical queries collapse to one slot. The
-	// fingerprint doubles as the cache key, so the write-sequence
-	// snapshot below covers exactly the queries that will be computed.
+	// fingerprint doubles as the cache key, and each slot's write-sequence
+	// snapshot is taken here, before the lock.
 	c := db.qcache.Load()
 	slot := make(map[cache.Key]int, len(qs)) // fingerprint → index into uniq
 	assign := make([]int, len(qs))           // qs index → uniq index
 	uniq := make([]*batchQuery, 0, len(qs))
 	for i, q := range qs {
-		key := queryFingerprint(fpKindRange, MetricD{}, q, eps, db.opts.Partition, 0)
+		ref := SlotFor(c, Query{Seq: q, Eps: eps}, db.opts.Partition)
+		key, ok := ref.Key()
+		if !ok {
+			key = RangeCacheKey(q, eps, db.opts.Partition)
+		}
 		j, ok := slot[key]
 		if !ok {
 			j = len(uniq)
 			slot[key] = j
-			bq := &batchQuery{q: q, first: i}
-			if c != nil {
-				bq.ref = cacheRef{
-					c:      c,
-					key:    key,
-					seq:    c.Seq(),
-					region: cache.Region{Rect: geom.BoundingRect(q.Points), Radius: eps},
-				}
-			}
-			uniq = append(uniq, bq)
+			uniq = append(uniq, &batchQuery{q: q, ref: ref, first: i})
 		}
 		assign[i] = j
 	}
@@ -98,8 +76,8 @@ func (db *Database) SearchBatchCtx(ctx context.Context, qs []*Sequence, eps floa
 	// Cache pass: answer what we can before taking the lock.
 	pending := 0
 	for _, bq := range uniq {
-		if ms, cst, ok := bq.ref.getRange(); ok {
-			bq.out, bq.st, bq.done = ms, cst, true
+		if res, ok := bq.ref.Get(); ok {
+			bq.out, bq.st, bq.done = res.Matches, res.Stats, true
 			continue
 		}
 		pending++
@@ -140,7 +118,7 @@ func (db *Database) searchBatchLocked(ctx context.Context, uniq []*batchQuery, e
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.pg == nil {
-		return errors.New("core: database closed")
+		return errClosed
 	}
 	if err := searchCanceled(ctx); err != nil {
 		return err
@@ -251,7 +229,7 @@ func (db *Database) searchBatchLocked(ctx context.Context, uniq []*batchQuery, e
 		bq.st.Phase3 = time.Since(t2)
 		bq.st.CPUTime = bq.st.Total()
 		db.met.RecordSearch(bq.st)
-		bq.ref.putRange(bq.out, bq.st)
+		bq.ref.Put(Result{Matches: bq.out, Stats: bq.st})
 		bq.done = true
 	}
 	return nil

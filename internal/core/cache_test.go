@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,8 +146,9 @@ func TestCacheInvalidatedByWrite(t *testing.T) {
 	}
 }
 
-// TestCacheSharedAcrossSearchPaths proves the serial, parallel, and batch
-// range paths share cache entries: any one of them fills, all hit.
+// TestCacheSharedAcrossSearchPaths proves a range query shares its cache
+// entry however it arrives — Do, its adapter, a batch member: any one of
+// them fills, all hit.
 func TestCacheSharedAcrossSearchPaths(t *testing.T) {
 	db, rng := cachedDB(t, 30, 203)
 	q := randWalkSeq(rng, 30, 3)
@@ -156,10 +156,10 @@ func TestCacheSharedAcrossSearchPaths(t *testing.T) {
 	if _, st, err := db.Search(q, 0.3); err != nil || st.CacheHit {
 		t.Fatalf("seed search: err=%v hit=%v", err, st.CacheHit)
 	}
-	if _, st, err := db.SearchParallel(q, 0.3, 4); err != nil || !st.CacheHit {
-		t.Fatalf("parallel after serial: err=%v hit=%v", err, st.CacheHit)
+	if res, err := db.Do(context.Background(), Query{Seq: q, Eps: 0.3}); err != nil || !res.Stats.CacheHit {
+		t.Fatalf("Do after Search: err=%v hit=%v", err, res.Stats.CacheHit)
 	}
-	outs, stats, err := db.SearchBatch([]*Sequence{q}, 0.3)
+	outs, stats, err := db.SearchBatchCtx(context.Background(), []*Sequence{q}, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestKNNCacheRuleUnderLiveBound(t *testing.T) {
 	q := randWalkSeq(rng, 30, 3)
 	const k = 5
 
-	if rs, err := db.SearchKNNBounded(q, k, boundAt(0)); err != nil || len(rs) != 0 {
+	if rs, err := knnBounded(context.Background(), db, q, k, boundAt(0), nil); err != nil || len(rs) != 0 {
 		t.Fatalf("bound 0: %d results, err %v", len(rs), err)
 	}
 	if n := db.QueryCache().Len(); n != 0 {
@@ -221,7 +221,7 @@ func TestKNNCacheRuleUnderLiveBound(t *testing.T) {
 	}
 
 	live := new(KNNBound)
-	first, err := db.SearchKNNBounded(q, k, live)
+	first, err := knnBounded(context.Background(), db, q, k, live, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestKNNCacheRuleUnderLiveBound(t *testing.T) {
 	}
 
 	tight := boundAt(0)
-	hit, err := db.SearchKNNBounded(q, k, tight)
+	hit, err := knnBounded(context.Background(), db, q, k, tight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestKNNCacheRuleUnderLiveBound(t *testing.T) {
 		stored int
 	}{{kth, 1}, {math.Nextafter(kth, 0), 0}} {
 		db.SetCache(cache.New(cache.Config{}))
-		rs, err := db.SearchKNNBounded(q, k, boundAt(c.ext))
+		rs, err := knnBounded(context.Background(), db, q, k, boundAt(c.ext), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 	qs = append(qs, qs[1], qs[3], qs[1]) // duplicates
 	const eps = 0.25
 
-	outs, stats, err := db.SearchBatch(qs, eps)
+	outs, stats, err := db.SearchBatchCtx(context.Background(), qs, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,16 +338,16 @@ func TestSearchBatchValidation(t *testing.T) {
 	populateWalks(t, db, 5, rng)
 	good := randWalkSeq(rng, 20, 3)
 
-	if _, _, err := db.SearchBatch([]*Sequence{good, nil}, 0.1); err == nil {
+	if _, _, err := db.SearchBatchCtx(context.Background(), []*Sequence{good, nil}, 0.1); err == nil {
 		t.Error("nil member accepted")
 	}
-	if _, _, err := db.SearchBatch([]*Sequence{good, seqFromCoords(1)}, 0.1); err == nil {
+	if _, _, err := db.SearchBatchCtx(context.Background(), []*Sequence{good, seqFromCoords(1)}, 0.1); err == nil {
 		t.Error("wrong-dim member accepted")
 	}
-	if _, _, err := db.SearchBatch([]*Sequence{good}, -1); err == nil {
+	if _, _, err := db.SearchBatchCtx(context.Background(), []*Sequence{good}, -1); err == nil {
 		t.Error("negative eps accepted")
 	}
-	outs, stats, err := db.SearchBatch(nil, 0.1)
+	outs, stats, err := db.SearchBatchCtx(context.Background(), nil, 0.1)
 	if err != nil || outs != nil || stats != nil {
 		t.Errorf("empty batch: %v %v %v", outs, stats, err)
 	}
@@ -361,53 +361,6 @@ func TestSearchBatchCtxCanceled(t *testing.T) {
 	if _, _, err := db.SearchBatchCtx(ctx, []*Sequence{q}, 0.2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchBatchCtx on canceled ctx: err = %v, want context.Canceled", err)
 	}
-}
-
-// TestSearchParallelCtxCanceled proves the parallel path honors context
-// cancellation and deadlines — the serial ctx variants got this in an
-// earlier change, but SearchParallel silently ignored its absence.
-func TestSearchParallelCtxCanceled(t *testing.T) {
-	db, q := ctxCorpus(t, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := db.SearchParallelCtx(ctx, q, 0.2, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchParallelCtx on canceled ctx: err = %v, want context.Canceled", err)
-	}
-	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer dcancel()
-	if _, _, err := db.SearchParallelCtx(dctx, q, 0.2, 4); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SearchParallelCtx past deadline: err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestSearchParallelCPUTime is the regression test for the accounting
-// bug where SearchParallel reported CPUTime = Total(): with per-worker
-// accumulation, a multi-worker run whose workers actually overlap must
-// report more CPU than wall clock. Timing noise can hide the overlap on
-// a loaded machine, so several trials are allowed; the bug made the
-// inequality impossible on every trial.
-func TestSearchParallelCPUTime(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs ≥2 CPUs for workers to overlap")
-	}
-	db := newTestDB(t, 3)
-	rng := rand.New(rand.NewSource(207))
-	populateWalks(t, db, 300, rng)
-	q := randWalkSeq(rng, 60, 3)
-
-	for trial := 0; trial < 5; trial++ {
-		_, st, err := db.SearchParallel(q, 0.6, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.CandidatesDmbr < 8 {
-			t.Fatalf("corpus too sparse for the test: %d candidates", st.CandidatesDmbr)
-		}
-		if st.CPUTime > st.Total() {
-			return // overlap observed: accounting is per-worker, not wall
-		}
-	}
-	t.Fatal("CPUTime never exceeded wall clock across 5 multi-worker runs; per-worker accounting lost?")
 }
 
 // TestConcurrentCacheInvalidation interleaves writers and cached readers:
@@ -464,7 +417,7 @@ func concurrentInvalidationSoak(t *testing.T, cfg cache.Config) {
 			var err error
 			if batch {
 				var outs [][]Match
-				outs, _, err = db.SearchBatch([]*Sequence{q}, 0.05)
+				outs, _, err = db.SearchBatchCtx(context.Background(), []*Sequence{q}, 0.05)
 				if err == nil {
 					ms = outs[0]
 				}

@@ -61,7 +61,7 @@ func TestSearchCtxDeadline(t *testing.T) {
 	if _, _, err := db.SearchCtx(ctx, q, 0.2); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("SearchCtx past deadline: err = %v, want context.DeadlineExceeded", err)
 	}
-	if _, err := db.SearchKNNBoundedCtx(ctx, q, 3, boundAt(1.0)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := knnBounded(ctx, db, q, 3, boundAt(1.0), nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("SearchKNNBoundedCtx past deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -139,28 +139,28 @@ func TestDTWKNNPollsContextPerStep(t *testing.T) {
 	}
 	q := &Sequence{Label: "q", Points: qpts}
 	mt := MetricDTW{Window: 4}
-	// Each of the two loops (envelope bound, refinement) polls at its steps
-	// 0, 64, 128 and 192.
+	// Do polls once before it dispatches, then each of the two loops
+	// (envelope bound, refinement) at its steps 0, 64, 128 and 192.
 	const perLoop = n/cancelCheckEvery + 1
 
 	bound := boundAt(amp / 2)
 	ctx := &pollCtx{Context: context.Background(), cancelAt: math.MaxInt}
-	got, err := db.SearchKNNMetricBoundedCtx(ctx, q, 3, bound, mt)
+	got, err := knnBounded(ctx, db, q, 3, bound, mt)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("%d neighbors, err %v: every sequence is %g away and the bound is at %g", len(got), err, amp, amp/2)
 	}
 	if c := bound.Counts(); c.KeoghPruned != n || c.Refined != 0 {
 		t.Fatalf("account %+v: the test needs all %d candidates dismissed by LB_Keogh", c, n)
 	}
-	if ctx.polls != 2*perLoop {
-		t.Fatalf("context polled %d times over %d candidates, want %d", ctx.polls, n, 2*perLoop)
+	if ctx.polls != 1+2*perLoop {
+		t.Fatalf("context polled %d times over %d candidates, want %d", ctx.polls, n, 1+2*perLoop)
 	}
 
 	// Canceled at the refine loop's second poll: noticed there, and a
 	// canceled query records nothing.
 	bound = boundAt(amp / 2)
-	ctx = &pollCtx{Context: context.Background(), cancelAt: perLoop + 2}
-	if _, err := db.SearchKNNMetricBoundedCtx(ctx, q, 3, bound, mt); !errors.Is(err, context.Canceled) {
+	ctx = &pollCtx{Context: context.Background(), cancelAt: 1 + perLoop + 2}
+	if _, err := knnBounded(ctx, db, q, 3, bound, mt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if c := bound.Counts(); c != (KNNCounts{}) {

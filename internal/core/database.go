@@ -216,7 +216,7 @@ func (db *Database) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.pg == nil {
-		return errors.New("core: database closed")
+		return errClosed
 	}
 	return db.tree.Flush()
 }
@@ -277,7 +277,7 @@ func (db *Database) AddSegmented(g *Segmented) (uint32, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.pg == nil {
-		return 0, errors.New("core: database closed")
+		return 0, errClosed
 	}
 	id, err := db.addSegmentedLocked(g)
 	if err != nil {
@@ -316,7 +316,7 @@ func (db *Database) AddTombstone() (uint32, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.pg == nil {
-		return 0, errors.New("core: database closed")
+		return 0, errClosed
 	}
 	id := uint32(len(db.seqs))
 	db.seqs = append(db.seqs, nil)
@@ -338,7 +338,7 @@ func (db *Database) Remove(id uint32) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.pg == nil {
-		return errors.New("core: database closed")
+		return errClosed
 	}
 	if int(id) >= len(db.seqs) || db.seqs[id] == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownSequence, id)
@@ -442,20 +442,31 @@ func (db *Database) PagerStats() pager.Stats { return db.pg.Stats() }
 // ResetPagerStats zeroes the index page-access counters.
 func (db *Database) ResetPagerStats() { db.pg.ResetStats() }
 
-// Match is one sequence surviving phase 3, with its approximated solution
-// interval.
+// Match is one sequence of an answer — the one hit type of every Query
+// kind; which of its fields a kind fills is stated per field. KNNResult,
+// MetricMatch and ScanResult are names for it.
 type Match struct {
-	SeqID uint32    // database id of the matching sequence
-	Seq   *Sequence // the matching sequence itself
+	SeqID uint32    // database id of the sequence
+	Seq   *Sequence // the sequence itself
+	// Dist is the exact distance to the query under the query's metric: D
+	// or normalized DTW. Zero in the paper's Range answer (nil Metric),
+	// which stops at the Dnorm bound.
+	Dist float64
 	// MinDnorm is the smallest Dnorm over all (query MBR, data MBR)
-	// pairs — a lower bound on D(Q,S), usable for ranking.
+	// pairs — a lower bound on D(Q,S), usable for ranking. Filled by the
+	// paper's Range answer only.
 	MinDnorm float64
-	// Interval approximates the solution interval: the union of the point
-	// ranges involved in every qualifying Dnorm computation.
+	// Offset is the best alignment of the shorter side inside the longer:
+	// filled by a KNN under D, zero elsewhere (warping has no one offset).
+	Offset int
+	// Interval is the solution interval: for the paper's Range answer its
+	// approximation, the union of the point ranges involved in every
+	// qualifying Dnorm computation; for a Scan under a nil Metric the exact
+	// one of Definition 6. Empty under a Metric and for a KNN.
 	Interval IntervalSet
 }
 
-// SearchStats reports what each phase of one Search did.
+// SearchStats reports what each phase of one query did.
 type SearchStats struct {
 	QueryMBRs       int // phase 1: partitions of the query
 	TotalSequences  int // database size at query time
@@ -469,13 +480,11 @@ type SearchStats struct {
 	Phase2     time.Duration // index pruning by Dmbr
 	Phase3     time.Duration // Dnorm pruning + interval assembly
 	// CPUTime is the summed duration of every phase execution behind this
-	// stats value. For a serial single-node search it equals Total(); for
-	// a parallel search it is Phase1+Phase2 plus the summed per-worker
-	// phase-3 compute (so it exceeds Total() whenever the workers
-	// actually overlapped); for a merged scatter-gather result it sums
-	// across shards while Phase1–3 keep the slowest shard's value (phases
-	// overlap in wall-clock; see shard.mergeStats). CPUTime/Total() reads
-	// as the query's effective parallelism.
+	// stats value. For a single-node range search it equals Total(), for a
+	// kNN it is the query's wall time; for a merged scatter-gather result
+	// it sums across shards while Phase1–3 keep the slowest shard's value
+	// (phases overlap in wall-clock; see shard.mergeStats). CPUTime/Total()
+	// reads as the query's effective parallelism.
 	CPUTime time.Duration
 	// CacheHit is true when this result was served from the query cache
 	// (SetCache) instead of being computed. The counters and phase
@@ -518,75 +527,6 @@ type SearchStats struct {
 // upper bound on observed wall-clock, not the cross-shard compute sum —
 // that is CPUTime.
 func (st SearchStats) Total() time.Duration { return st.Phase1 + st.Phase2 + st.Phase3 }
-
-// Search runs the paper's SIMILARITY_SEARCH algorithm: partition the query
-// (phase 1), prune with Dmbr through the R*-tree (phase 2), then prune
-// with Dnorm and assemble solution intervals (phase 3). Results are
-// ordered by ascending sequence id.
-func (db *Database) Search(q *Sequence, eps float64) ([]Match, SearchStats, error) {
-	return db.SearchCtx(context.Background(), q, eps)
-}
-
-// SearchCtx is Search honoring a context deadline or cancellation: the
-// search checks ctx between phases and periodically inside the phase 2
-// and phase 3 loops, abandoning the query with ctx's error as soon as a
-// check fires. A canceled search records nothing into the metrics
-// registry. The check granularity is a batch of candidates, so
-// cancellation latency is bounded by one batch of metric work, not by the
-// whole query.
-func (db *Database) SearchCtx(ctx context.Context, q *Sequence, eps float64) ([]Match, SearchStats, error) {
-	var st SearchStats
-	if err := q.Validate(); err != nil {
-		return nil, st, err
-	}
-	if q.Dim() != db.opts.Dim {
-		return nil, st, fmt.Errorf("core: query dim %d, database dim %d: %w",
-			q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
-	}
-	if eps < 0 {
-		return nil, st, fmt.Errorf("core: negative threshold %g", eps)
-	}
-	// Cache lookup. The write-sequence counter is snapshotted here,
-	// before the read lock: any write that lands after this point moves
-	// the counter past the snapshot, so the entry we might store below
-	// can never be served stale.
-	ref := db.rangeRef(q, eps)
-	tr := obs.FromContext(ctx)
-	if ms, cst, ok := ref.getRange(); ok {
-		if tr != nil {
-			tr.RecordSpan(obs.SpanFromContext(ctx), "cache-hit", 0, obs.Str("tier", "result"))
-		}
-		return ms, cst, nil
-	}
-
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.pg == nil {
-		return nil, st, errors.New("core: database closed")
-	}
-	if err := searchCanceled(ctx); err != nil {
-		return nil, st, err
-	}
-	st.TotalSequences = db.live
-
-	// The whole query runs out of one pooled scratch: phase 1 segments
-	// into its columnar arrays, phase 2 accumulates index hits into its
-	// ref buffer, phase 3 reuses its Dnorm arrays per candidate. On a
-	// warmed pool the only allocations left are the ones owned by the
-	// result itself (match slice, intervals) — a no-match query allocates
-	// nothing (enforced by TestHotpathAllocs).
-	sc := getScratch()
-	defer putScratch(sc)
-
-	out, err := db.rangePhases(ctx, q, eps, sc, &st, tr)
-	if err != nil {
-		return nil, st, err
-	}
-	st.CPUTime = st.Total()
-	db.met.RecordSearch(st)
-	ref.putRange(out, st)
-	return out, st, nil
-}
 
 // filterPhases runs phases 1 and 2 of SIMILARITY_SEARCH out of the given
 // scratch, accumulating into st, and returns the candidate ids ascending.
@@ -638,8 +578,8 @@ func (db *Database) filterPhases(ctx context.Context, q *Sequence, eps float64, 
 // rangePhases runs the three phases of SIMILARITY_SEARCH out of the
 // given scratch, accumulating into st. The caller holds the read lock,
 // has verified the database is open, and owns stats finalization
-// (CPUTime, metrics recording, caching). Shared by SearchCtx and the
-// MetricD refinement path of SearchMetricCtx.
+// (CPUTime, metrics recording, caching): Do, for the paper's Range answer
+// directly and under MetricD through dRange.
 func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]Match, error) {
 	ids, err := db.filterPhases(ctx, q, eps, sc, st, tr)
 	if err != nil {
@@ -711,13 +651,13 @@ func phase3One(qseg *Segmented, g *Segmented, qLen int, eps float64) (m Match, h
 // CandidatesDmbr runs only phase 1+2 and returns the candidate set — the
 // paper's ASmbr, needed to measure Figure 6/7's Dmbr-only pruning rate.
 func (db *Database) CandidatesDmbr(q *Sequence, eps float64) (map[uint32]bool, error) {
-	if err := q.Validate(); err != nil {
+	if err := (Query{Seq: q, Eps: eps}).Check(db.opts.Dim); err != nil {
 		return nil, err
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.pg == nil {
-		return nil, errors.New("core: database closed")
+		return nil, errClosed
 	}
 	qseg, err := NewSegmented(q, db.opts.Partition)
 	if err != nil {

@@ -227,7 +227,27 @@ func (ds *dtwScratch) dtwIndexLB(g *Segmented) float64 {
 		minMD = min(minMD, md)
 		weighted += md * float64(p.Count())
 	}
-	return max(minMD, weighted/float64(max(n, m)))
+	return max(minMD, weighted/float64(max(n, m))) * dtwIndexSlack(n, m, d)
+}
+
+// dtwIndexSlack is the factor dtwIndexLB shrinks max(B1, B2) by before the
+// bound meets a cutoff. In real arithmetic neither exceeds the distance (the
+// bound chain above); in float64 the distance is one recursive sum in path
+// order — each of its at most n+m additions rounds by a relative (1±u),
+// u = 2⁻⁵³, of the running total — while B2 is summed MBR by MBR, one
+// product and one addition apiece, at most 2m roundings, and each side ends
+// in a division. Per term, the computed envelope-to-MBR distance is at most
+// the computed point distance times ((1+u)/(1−u))^(d/2+1), as in alignSlack:
+// the per-axis gap is a monotone function of the per-axis difference, so
+// only the d additions, the squares and the sqrt can disagree. So
+// bound·((1−u)/(1+u))^(n+3m+d/2+3) ≤ distance, and 1 − 4u·(n+3m+d+4) is
+// below that factor with room for its own rounding and the
+// multiplication's. Without it, a term 10¹⁶ times the rest — a spike that
+// swallows the small terms of one sum and not of the other — put the bound
+// a few ulps above the distance, and a range search at ε = distance, or a
+// kNN under a bound at it, dismissed the sequence.
+func dtwIndexSlack(n, m, d int) float64 {
+	return 1 - float64(n+3*m+d+4)*0x1p-51
 }
 
 // lbKeogh is the multidimensional LB_Keogh refinement bound: the summed

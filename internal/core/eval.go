@@ -1,66 +1,6 @@
 package core
 
-import "context"
-
-// Snapshot is a read handle over the database pinned to the write epoch
-// current when it was taken. It exposes the same query surface as the
-// database; results additionally report, via Stale, whether a write
-// landed since the handle was taken. Between two fold points of the
-// transaction layer (internal/txn) the base database receives no writes
-// at all, so a Snapshot taken there is a true immutable view: repeated
-// queries through it see byte-identical state and its cached results
-// remain valid for the handle's whole lifetime. Snapshots are values —
-// cheap to take, nothing to release.
-type Snapshot struct {
-	db    *Database
-	epoch uint64
-}
-
-// Snapshot captures a read handle at the current write epoch.
-func (db *Database) Snapshot() Snapshot {
-	return Snapshot{db: db, epoch: db.epoch.Load()}
-}
-
-// Epoch returns the write epoch the handle was taken at.
-func (s Snapshot) Epoch() uint64 { return s.epoch }
-
-// Stale reports whether any write has completed since the handle was
-// taken — i.e. whether queries through it may now see different state
-// than earlier queries did.
-func (s Snapshot) Stale() bool { return s.db.epoch.Load() != s.epoch }
-
-// Search runs the three-phase range search (see Database.Search).
-func (s Snapshot) Search(q *Sequence, eps float64) ([]Match, SearchStats, error) {
-	return s.db.Search(q, eps)
-}
-
-// SearchCtx is Search honoring a context (see Database.SearchCtx).
-func (s Snapshot) SearchCtx(ctx context.Context, q *Sequence, eps float64) ([]Match, SearchStats, error) {
-	return s.db.SearchCtx(ctx, q, eps)
-}
-
-// SearchParallelCtx is the parallel range search (see
-// Database.SearchParallelCtx).
-func (s Snapshot) SearchParallelCtx(ctx context.Context, q *Sequence, eps float64, workers int) ([]Match, SearchStats, error) {
-	return s.db.SearchParallelCtx(ctx, q, eps, workers)
-}
-
-// SearchBatchCtx answers several range queries in one pass (see
-// Database.SearchBatchCtx).
-func (s Snapshot) SearchBatchCtx(ctx context.Context, qs []*Sequence, eps float64) ([][]Match, []SearchStats, error) {
-	return s.db.SearchBatchCtx(ctx, qs, eps)
-}
-
-// SearchKNNBoundedCtx is the bounded k-nearest query (see
-// Database.SearchKNNBoundedCtx).
-func (s Snapshot) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int, bound *KNNBound) ([]KNNResult, error) {
-	return s.db.SearchKNNBoundedCtx(ctx, q, k, bound)
-}
-
-// Len reports the number of live sequences (see Database.Len).
-func (s Snapshot) Len() int { return s.db.Len() }
-
-// --- index-free evaluation kernels --------------------------------------
+// Index-free evaluation kernels.
 //
 // The transaction layer answers queries as "indexed base result + linear
 // scan of the unfolded delta". The scan side needs exactly the

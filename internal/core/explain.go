@@ -35,13 +35,17 @@ type CandidateExplanation struct {
 // Explain runs the search pipeline for q at eps, evaluating the phase-2
 // and phase-3 bounds for every stored sequence (including the ones the
 // index would normally never touch), and returns the full decision record.
-// It is O(database) and meant for debugging, not serving.
+// It is O(database) and meant for debugging, not serving; it covers the
+// paper's Range answer (nil Metric) only.
 func (db *Database) Explain(q *Sequence, eps float64) (*Explanation, error) {
-	if err := q.Validate(); err != nil {
+	if err := (Query{Seq: q, Eps: eps}).Check(db.opts.Dim); err != nil {
 		return nil, err
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if db.pg == nil {
+		return nil, errClosed
+	}
 	qseg, err := NewSegmented(q, db.opts.Partition)
 	if err != nil {
 		return nil, err

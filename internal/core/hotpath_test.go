@@ -10,6 +10,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -111,7 +112,7 @@ func matchesEqual(t *testing.T, label string, got, want []Match) {
 	}
 }
 
-// TestSearchMatchesReference checks the serial, parallel, and batch range
+// TestSearchMatchesReference checks the single and the batch range
 // searches against the seed reconstruction across dimensions, thresholds,
 // and a mixed query workload — results must be byte-identical.
 func TestSearchMatchesReference(t *testing.T) {
@@ -131,19 +132,10 @@ func TestSearchMatchesReference(t *testing.T) {
 				if st.CandidatesDmbr < len(want) {
 					t.Fatalf("stats: %d candidates < %d matches", st.CandidatesDmbr, len(want))
 				}
-				pgot, pst, err := db.SearchParallel(q, eps, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				matchesEqual(t, fmt.Sprintf("dim %d eps %g query %d parallel", dim, eps, qi), pgot, want)
-				if pst.CandidatesDmbr != st.CandidatesDmbr || pst.IndexEntriesHit != st.IndexEntriesHit ||
-					pst.DnormEvals != st.DnormEvals || pst.QueryMBRs != st.QueryMBRs {
-					t.Fatalf("parallel stats diverge from serial: %+v vs %+v", pst, st)
-				}
 				batchIn = append(batchIn, q)
 				refs = append(refs, want)
 			}
-			bout, _, err := db.SearchBatch(batchIn, eps)
+			bout, _, err := db.SearchBatchCtx(context.Background(), batchIn, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +208,7 @@ func TestKNNMatchesReference(t *testing.T) {
 			for _, bound := range []float64{math.Inf(1), 0.4, 0.1} {
 				for qi, q := range qs {
 					want := knnReference(t, db, q, k, bound)
-					got, err := db.SearchKNNBounded(q, k, boundAt(bound))
+					got, err := knnBounded(context.Background(), db, q, k, boundAt(bound), nil)
 					if err != nil {
 						t.Fatal(err)
 					}

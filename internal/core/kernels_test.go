@@ -295,18 +295,18 @@ func TestDTWCascadeSound(t *testing.T) {
 							rowsSaved += without - with
 						}
 					}
-					// Both ladders with the distance as the cutoff. The rung
-					// below LB_Keogh is not this test's: the envelope index
-					// bound carries no rounding margin, and behind a 1e16
-					// spike it computes a few ulps above the distance.
+					// Both ladders with the distance as the cutoff: the rung
+					// below LB_Keogh, the envelope index bound, must let it
+					// through too (dtwIndexSlack; behind a 1e16 spike the bare
+					// bound computes a few ulps above the distance).
 					if index > dist {
-						continue
+						t.Fatalf("dim %d window %d query %d seq %d: index bound %v above the distance %v", dim, window, qi, id, index, dist)
 					}
 					ms, _, err := db.SearchMetric(q, dist, mt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ns, err := db.SearchKNNMetricBoundedCtx(ctx, q, len(seqs), boundAt(dist), mt)
+					ns, err := knnBounded(ctx, db, q, len(seqs), boundAt(dist), mt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -362,9 +362,9 @@ func dtwIndexLBReference(ds *dtwScratch, g *Segmented) float64 {
 		weighted += md * float64(p.Count())
 	}
 	if b2 := weighted / float64(max(n, m)); b2 > minMD {
-		return b2
+		minMD = b2
 	}
-	return minMD
+	return minMD * dtwIndexSlack(n, m, d)
 }
 
 // TestDTWIndexLBMatchesReference checks the strided envelope union against
@@ -563,13 +563,13 @@ func TestKernelCountersUnchanged(t *testing.T) {
 		dtwRangeC.addStats(st)
 
 		var b KNNBound
-		if _, err := db.SearchKNNBounded(q, 1+rng.Intn(8), &b); err != nil {
+		if _, err := knnBounded(context.Background(), db, q, 1+rng.Intn(8), &b, nil); err != nil {
 			t.Fatal(err)
 		}
 		knnC.addKNN(b.Counts())
 
 		var bw KNNBound
-		if _, err := db.SearchKNNMetricBoundedCtx(context.Background(), whole, 1+rng.Intn(8), &bw, dtw); err != nil {
+		if _, err := knnBounded(context.Background(), db, whole, 1+rng.Intn(8), &bw, dtw); err != nil {
 			t.Fatal(err)
 		}
 		dtwKNNC.addKNN(bw.Counts())

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"time"
 
@@ -11,50 +9,21 @@ import (
 	"repro/internal/obs"
 )
 
-// KNNResult is one ranked result of a k-nearest-sequences query.
-type KNNResult struct {
-	SeqID uint32    // database id of the neighbor
-	Seq   *Sequence // the neighbor itself
-	// Dist is the exact sequence distance D(Q,S).
-	Dist float64
-	// Offset is the best alignment of the shorter side inside the longer.
-	Offset int
-}
+// KNNResult is a Match as a KNN query ranks it: SeqID, Seq, the exact
+// distance Dist and, under D, the best alignment Offset.
+type KNNResult = Match
 
-// SearchKNN returns the k stored sequences nearest to q under the exact
-// distance D, ordered by (distance, id). It is an extension beyond the
-// paper's range queries, built from the same machinery: the index is
-// walked outward from the query's MBRs, the sequences it reaches are
-// ranked by a Dnorm lower bound (Lemma 3) and refined with the exact
-// distance only until every lower bound left exceeds the k-th best exact
-// distance — so most sequences are never bounded, let alone scanned.
-func (db *Database) SearchKNN(q *Sequence, k int) ([]KNNResult, error) {
-	return db.SearchKNNBoundedCtx(context.Background(), q, k, nil)
-}
-
-// SearchKNNCtx is SearchKNN honoring a context deadline or cancellation
-// (see SearchCtx for the check granularity and error contract).
-func (db *Database) SearchKNNCtx(ctx context.Context, q *Sequence, k int) ([]KNNResult, error) {
-	return db.SearchKNNBoundedCtx(ctx, q, k, nil)
-}
-
-// SearchKNNBounded is SearchKNN pruned by a shared live bound: the search
-// stops as soon as every lower bound left exceeds min(bound, own k-th
-// best), re-read at every step, and the bound is offered every distance
-// the search accepts and tightened whenever its own k-th best improves (see
-// KNNBound for why that is safe). The result is this database's part of the
-// answer: every stored sequence among its k nearest whose distance is at
-// most the bound's final value is present with its exact distance;
-// sequences above the bound may be missing even when fewer than k are
-// returned. A nil bound is exactly SearchKNN.
-func (db *Database) SearchKNNBounded(q *Sequence, k int, bound *KNNBound) ([]KNNResult, error) {
-	return db.SearchKNNBoundedCtx(context.Background(), q, k, bound)
-}
-
-// SearchKNNBoundedCtx is SearchKNNBounded honoring a context deadline or
-// cancellation: the loop checks ctx every cancelCheckEvery steps and
-// abandons the query with ctx's error. A canceled query records nothing —
-// neither into the metrics registry nor into the bound's counts.
+// knnD is the KNN kernel under the exact distance D, an extension beyond the
+// paper's range queries built from the same machinery: the index is walked
+// outward from the query's MBRs, the sequences it reaches are ranked by a
+// Dnorm lower bound (Lemma 3) and refined with the exact distance only until
+// every lower bound left exceeds the cutoff — the smaller of q.Bound and the
+// own k-th best, re-read at every step — so most sequences are never bounded,
+// let alone scanned. The loop checks ctx every cancelCheckEvery steps; a
+// canceled query records nothing, neither into the metrics registry nor into
+// the bound's counts. Do holds the read lock and owns sc; the second result
+// says whether the answer is the unbounded one (knnCutoff.unbounded), the
+// only kind Do may cache.
 //
 // The search is two priority queues worked in step (rung 0 of DESIGN §11's
 // ladder). One is a best-first walk of the R*-tree (rtree.Nearest) keyed by
@@ -84,49 +53,15 @@ func (db *Database) SearchKNNBounded(q *Sequence, k int, bound *KNNBound) ([]KNN
 // against a cutoff of +Inf: sequences whose Dmbr overflowed are refined,
 // and reported with the distance bestAlign gives them.
 //
-// The whole query runs out of one pooled scratch: the query segmentation
+// The whole query runs out of the one scratch: the query segmentation
 // and flat point copy, the walk's queue, the set of sequences already
 // bounded (the phase-2 hit table, one bit per sequence), the bound's Dnorm
 // arrays, the candidate heap and the alignment kernel's Dmbr table.
 // Counts keep their meaning: Candidates is every live sequence, Refined
 // the exact distances computed, and the difference was dismissed by a
 // bound — most of it now without the sequence ever being looked at.
-//
-// The result cache is consulted whatever the bound (a cached unbounded
-// answer is a valid bounded one), but an answer is stored only when it is
-// the unbounded one (knnCutoff.unbounded).
-func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int, bound *KNNBound) ([]KNNResult, error) {
-	t0 := time.Now()
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if q.Dim() != db.opts.Dim {
-		return nil, fmt.Errorf("core: query dim %d, database dim %d: %w",
-			q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	ref := db.knnRef(q, k)
-	tr := obs.FromContext(ctx)
-	if rs, ok := ref.getKNN(); ok {
-		if tr != nil {
-			tr.RecordSpan(obs.SpanFromContext(ctx), "cache-hit", 0, obs.Str("tier", "result"))
-		}
-		if len(rs) == k {
-			bound.Tighten(rs[k-1].Dist)
-		}
-		return rs, nil
-	}
-
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.pg == nil {
-		return nil, errors.New("core: database closed")
-	}
-
-	sc := getScratch()
-	defer putScratch(sc)
+func (db *Database) knnD(ctx context.Context, query Query, sc *searchScratch, st *SearchStats, tr *obs.Trace, t0 time.Time) ([]Match, bool, error) {
+	q, k, bound := query.Seq, query.K, query.Bound
 	sc.segmentQuery(q, db.opts.Partition)
 	sc.fillQueryFlat(q)
 	dim := q.Dim()
@@ -144,7 +79,7 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 	for step := 0; ; step++ {
 		if step%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		}
 		cut := worst.load()
@@ -172,7 +107,7 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 		}
 		entry, isEntry, err := sc.near.Pop()
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if !isEntry {
 			continue
@@ -194,10 +129,8 @@ func (db *Database) SearchKNNBoundedCtx(ctx context.Context, q *Sequence, k int,
 	}
 	db.met.RecordKNN(took, refined, candidates-refined)
 	bound.AddCounts(KNNCounts{Candidates: candidates, Refined: refined})
-	if worst.unbounded() {
-		ref.putKNN(out, k, took)
-	}
-	return out, nil
+	st.CPUTime = took
+	return out, worst.unbounded(), nil
 }
 
 // knnSeqBound is the sequence-level lower bound of D(a, b) that orders the

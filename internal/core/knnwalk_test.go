@@ -102,7 +102,7 @@ func checkWalkMatchesScan(t *testing.T, db *Database, qs []*Sequence, label stri
 					want = want[:min(k, len(want))]
 					live := NewKNNBound(k)
 					live.Tighten(bound)
-					got, err := db.SearchKNNMetricBoundedCtx(context.Background(), q, k, live, m)
+					got, err := knnBounded(context.Background(), db, q, k, live, m)
 					if err != nil {
 						t.Fatal(err)
 					}

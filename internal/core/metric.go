@@ -75,17 +75,12 @@ func ParseMetric(name string, window int) (Metric, error) {
 	}
 }
 
-// MetricMatch is one sequence matching a metric range search: exact
-// metric distance ≤ ε, with the exact distance reported. Unlike Match
-// (whose MinDnorm is a lower bound and whose set may include sequences
-// with exact D > ε), a metric search's result set is definitionally
-// identical to an exhaustive scan under the same metric.
-type MetricMatch struct {
-	SeqID uint32    // database id of the matching sequence
-	Seq   *Sequence // the matching sequence itself
-	// Dist is the exact metric distance (D or normalized DTW).
-	Dist float64
-}
+// MetricMatch is a Match as a Range or Scan under a Metric reports it:
+// SeqID, Seq and the exact metric distance Dist ≤ ε. Unlike the paper's
+// Range answer (whose MinDnorm is a lower bound and whose set may include
+// sequences with exact D > ε), such a result set is definitionally identical
+// to an exhaustive scan under the same metric.
+type MetricMatch = Match
 
 // dtwSeq computes the normalized DTW distance between a query's flat
 // points and a stored sequence, with the same kernel and arithmetic order

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -19,77 +17,7 @@ import (
 // the Sakoe–Chiba envelope bounds of dtwlb.go — so both are served
 // through the R*-tree with no false dismissals: the indexed result is
 // definitionally identical to an exhaustive scan under the same metric
-// (see SequentialSearchMetric and the equivalence tests).
-
-// SearchMetric returns every stored sequence whose exact metric distance
-// to q is at most eps, ordered by ascending sequence id. Under MetricD
-// the result is the Dnorm-filtered candidate set refined to exact
-// distances; under MetricDTW candidates are pruned with the envelope
-// index bound and LB_Keogh before the exact dynamic program. A nil
-// metric means MetricD.
-func (db *Database) SearchMetric(q *Sequence, eps float64, m Metric) ([]MetricMatch, SearchStats, error) {
-	return db.SearchMetricCtx(context.Background(), q, eps, m)
-}
-
-// SearchMetricCtx is SearchMetric honoring a context deadline or
-// cancellation, with SearchCtx's check granularity and error contract.
-func (db *Database) SearchMetricCtx(ctx context.Context, q *Sequence, eps float64, m Metric) ([]MetricMatch, SearchStats, error) {
-	var st SearchStats
-	if m == nil {
-		m = MetricD{}
-	}
-	if err := q.Validate(); err != nil {
-		return nil, st, err
-	}
-	if q.Dim() != db.opts.Dim {
-		return nil, st, fmt.Errorf("core: query dim %d, database dim %d: %w",
-			q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
-	}
-	if eps < 0 {
-		return nil, st, fmt.Errorf("core: negative threshold %g", eps)
-	}
-	ref := db.metricRangeRef(q, eps, m)
-	tr := obs.FromContext(ctx)
-	if ms, cst, ok := ref.getMetricRange(); ok {
-		if tr != nil {
-			tr.RecordSpan(obs.SpanFromContext(ctx), "cache-hit", 0, obs.Str("tier", "result"))
-		}
-		return ms, cst, nil
-	}
-
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.pg == nil {
-		return nil, st, errors.New("core: database closed")
-	}
-	if err := searchCanceled(ctx); err != nil {
-		return nil, st, err
-	}
-	st.TotalSequences = db.live
-
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.fillQueryFlat(q)
-
-	var out []MetricMatch
-	var err error
-	switch mt := m.(type) {
-	case MetricDTW:
-		out, err = db.dtwRange(ctx, q, eps, mt, sc, &st, tr)
-	default:
-		out, err = db.dRange(ctx, q, eps, sc, &st, tr)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	st.CPUTime = st.Total()
-	db.met.RecordSearch(st)
-	if _, ok := m.(MetricDTW); ok {
-		db.met.RecordDTW(false, st.CandidatesDmbr, st.DTWEnvPruned, st.DTWKeoghPruned, st.DTWEvals)
-	}
-	ref.putMetricRange(out, st)
-	return out, st, nil
-}
+// (Kind Scan and the equivalence tests). Do dispatches here.
 
 // dRange is the MetricD range body: the stock three phases, then each
 // Dnorm survivor refined to its exact distance D with the flat alignment
@@ -114,7 +42,7 @@ func (db *Database) dRange(ctx context.Context, q *Sequence, eps float64, sc *se
 		g := db.seqs[matches[ci].SeqID]
 		_, dist := bestAlign(&sc.align, qs, g.side(), dim, math.Inf(1))
 		if dist <= eps {
-			out = append(out, MetricMatch{SeqID: matches[ci].SeqID, Seq: g.Seq, Dist: dist})
+			out = append(out, Match{SeqID: matches[ci].SeqID, Seq: g.Seq, Dist: dist})
 		}
 	}
 	exact := time.Since(t3)
@@ -199,7 +127,7 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 		st.DTWEvals++
 		dist := sc.dtwSeq(mt, sc.qflat, g, d, eps, ds.keoghSuf)
 		if dist <= eps {
-			out = append(out, MetricMatch{SeqID: id, Seq: g.Seq, Dist: dist})
+			out = append(out, Match{SeqID: id, Seq: g.Seq, Dist: dist})
 		}
 	}
 	st.MatchesDnorm = len(out)
@@ -216,69 +144,15 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 	return out, nil
 }
 
-// SearchKNNMetric returns the k stored sequences nearest to q under the
-// metric, in nondecreasing distance order. Under MetricD this is exactly
-// SearchKNN; under MetricDTW candidates are ranked by the envelope index
-// bound and refined best-first with LB_Keogh and early-abandoning exact
-// dynamic programs, stopping when the next lower bound exceeds the k-th
-// best exact distance. Sequences the window cannot align with the query
-// are never results. A nil metric means MetricD.
-func (db *Database) SearchKNNMetric(q *Sequence, k int, m Metric) ([]KNNResult, error) {
-	return db.SearchKNNMetricBoundedCtx(context.Background(), q, k, nil, m)
-}
-
-// SearchKNNMetricCtx is SearchKNNMetric honoring a context deadline or
-// cancellation.
-func (db *Database) SearchKNNMetricCtx(ctx context.Context, q *Sequence, k int, m Metric) ([]KNNResult, error) {
-	return db.SearchKNNMetricBoundedCtx(ctx, q, k, nil, m)
-}
-
-// SearchKNNMetricBoundedCtx is SearchKNNMetricCtx pruned by a shared
-// live bound, with SearchKNNBoundedCtx's contract (result, caching,
-// counts): the bound holds distances under the query's own metric, every
-// refinement re-reads it, and this search offers it every distance it
-// accepts and tightens it with its own k-th best. Under DTW the bound's
-// counts also receive the envelope and LB_Keogh dismissals. For DTW results
-// the Offset field is always 0 — warping has no single alignment offset.
-func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, k int, bound *KNNBound, m Metric) ([]KNNResult, error) {
-	if m == nil {
-		m = MetricD{}
-	}
-	mt, ok := m.(MetricDTW)
-	if !ok {
-		return db.SearchKNNBoundedCtx(ctx, q, k, bound)
-	}
-	t0 := time.Now()
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if q.Dim() != db.opts.Dim {
-		return nil, fmt.Errorf("core: query dim %d, database dim %d: %w",
-			q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	ref := db.metricKNNRef(q, k, m)
-	tr := obs.FromContext(ctx)
-	if rs, ok := ref.getKNN(); ok {
-		if tr != nil {
-			tr.RecordSpan(obs.SpanFromContext(ctx), "cache-hit", 0, obs.Str("tier", "result"))
-		}
-		if len(rs) == k {
-			bound.Tighten(rs[k-1].Dist)
-		}
-		return rs, nil
-	}
-
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.pg == nil {
-		return nil, errors.New("core: database closed")
-	}
-
-	sc := getScratch()
-	defer putScratch(sc)
+// knnDTW is the KNN kernel under MetricDTW, with knnD's contract (result,
+// bound, counts, what may be cached): candidates are ranked by the envelope
+// index bound and refined best-first with LB_Keogh and early-abandoning
+// exact dynamic programs, stopping when the next lower bound exceeds the
+// cutoff in force; the bound's counts also receive the envelope and LB_Keogh
+// dismissals. Sequences the window cannot align with the query are never
+// results, and Offset is always 0 — warping has no single alignment offset.
+func (db *Database) knnDTW(ctx context.Context, query Query, mt MetricDTW, sc *searchScratch, st *SearchStats, tr *obs.Trace, t0 time.Time) ([]Match, bool, error) {
+	q, k, bound := query.Seq, query.K, query.Bound
 	sc.fillQueryFlat(q)
 	d := q.Dim()
 	ds := &sc.dtw
@@ -295,7 +169,7 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 		}
 		if id%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		}
 		lb := ds.dtwIndexLB(g)
@@ -317,7 +191,7 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 	for step := 0; len(sc.heap) > 0; step++ {
 		if step%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		}
 		var c knnCand
@@ -352,48 +226,55 @@ func (db *Database) SearchKNNMetricBoundedCtx(ctx context.Context, q *Sequence, 
 	db.met.RecordKNN(took, refined, candidates-refined)
 	db.met.RecordDTW(true, candidates, envPruned, keoghPruned, refined)
 	bound.AddCounts(KNNCounts{Candidates: candidates, Refined: refined, EnvPruned: envPruned, KeoghPruned: keoghPruned})
-	if worst.unbounded() {
-		ref.putKNN(out, k, took)
-	}
-	return out, nil
+	st.CPUTime = took
+	return out, worst.unbounded(), nil
 }
 
-// SequentialSearchMetric is the exhaustive baseline for metric range
-// search: every live sequence's exact metric distance, no index, no
-// lower bounds, no early abandoning (ScanMetric). The indexed result must
-// be byte-identical — the no-false-dismissal property, and the soundness
-// of every bound the indexed path prunes with, are directly testable
-// against it.
-func (db *Database) SequentialSearchMetric(q *Sequence, eps float64, m Metric) ([]MetricMatch, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+// scan is the Scan kernel, the exhaustive baseline the paper compares
+// against and every indexed answer is tested against: every live sequence's
+// exact distance from raw points — no MBRs, no index, no lower bounds, no
+// early abandoning. Under a nil Metric it is the paper's sequential scan:
+// D(Q,S) by sliding alignment, each sequence with D ≤ ε reported with its
+// exact solution interval (Definition 6). Under a Metric it is that
+// metric's ε-ball (scanMetric), which the indexed Range under the same
+// metric must equal byte for byte — the no-false-dismissal property, and
+// the soundness of every bound the indexed path prunes with, are directly
+// testable against it.
+func (db *Database) scan(query Query, sc *searchScratch) []Match {
+	q, eps := query.Seq, query.Eps
+	var out []Match
+	if query.Metric == nil {
+		for id, g := range db.seqs {
+			if g == nil {
+				continue // removed
+			}
+			s := g.Seq
+			profile := OffsetProfile(q.Points, s.Points)
+			dist := MinOfProfile(profile)
+			if dist > eps {
+				continue
+			}
+			queryLonger := len(q.Points) > len(s.Points)
+			k := len(q.Points)
+			if queryLonger {
+				k = len(s.Points)
+			}
+			si := SolutionIntervalFromProfile(profile, k, len(s.Points), queryLonger, eps)
+			out = append(out, Match{SeqID: uint32(id), Seq: s, Dist: dist, Interval: si})
+		}
+		return out
 	}
-	if q.Dim() != db.opts.Dim {
-		return nil, fmt.Errorf("core: query dim %d, database dim %d: %w",
-			q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
-	}
-	if eps < 0 {
-		return nil, fmt.Errorf("core: negative threshold %g", eps)
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.pg == nil {
-		return nil, errors.New("core: database closed")
-	}
-	sc := getScratch()
-	defer putScratch(sc)
 	sc.fillQueryFlat(q)
-	var out []MetricMatch
 	for id, g := range db.seqs {
 		if g == nil {
 			continue // removed
 		}
-		dist := sc.scanMetric(q, g, m)
+		dist := sc.scanMetric(q, g, query.Metric)
 		if dist <= eps {
-			out = append(out, MetricMatch{SeqID: uint32(id), Seq: g.Seq, Dist: dist})
+			out = append(out, Match{SeqID: uint32(id), Seq: g.Seq, Dist: dist})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // scanMetric is the exhaustive scan's distance for the query whose flat
@@ -410,7 +291,7 @@ func (sc *searchScratch) scanMetric(q *Sequence, g *Segmented, m Metric) float64
 	return dist
 }
 
-// ScanMetric is the distance SequentialSearchMetric computes, for one
+// ScanMetric is the distance a Scan under m computes, for one
 // (query, candidate) pair — for layers that scan sequences the database
 // does not hold.
 func ScanMetric(q *Sequence, g *Segmented, m Metric) float64 {

@@ -115,16 +115,6 @@ func TestPhase3HitsEquivalence(t *testing.T) {
 						t.Fatalf("%s: %d Dnorm evals, all pairs are %d", label, st.DnormEvals, full)
 					}
 					skipped = skipped || st.DnormEvals < full
-
-					pgot, pst, err := db.SearchParallelCtx(ctx, q, eps, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					matchesEqual(t, label+" parallel", pgot, wants[qi])
-					if pst.DnormEvals != st.DnormEvals || pst.CandidatesDmbr != st.CandidatesDmbr ||
-						pst.IndexEntriesHit != st.IndexEntriesHit {
-						t.Fatalf("%s: parallel stats %+v, serial %+v", label, pst, st)
-					}
 				}
 				bout, bst, err := db.SearchBatchCtx(ctx, qs, eps)
 				if err != nil {

@@ -6,15 +6,10 @@ import (
 	"repro/internal/geom"
 )
 
-// ScanResult is the exact answer for one relevant sequence under a
-// sequential scan: its true distance D(Q,S) and the exact solution
-// interval of Definition 6.
-type ScanResult struct {
-	SeqID    uint32      // database id of the relevant sequence
-	Seq      *Sequence   // the relevant sequence itself
-	Dist     float64     // exact distance D(Q,S)
-	Interval IntervalSet // exact solution interval (Definition 6)
-}
+// ScanResult is a Match as a Scan under a nil Metric reports it: SeqID,
+// Seq, the exact distance Dist = D(Q,S) and the exact solution interval of
+// Definition 6.
+type ScanResult = Match
 
 // OffsetProfile returns, for a query q (length k) against data points s
 // (length m ≥ k is not required), the mean distance of every alignment:
@@ -69,36 +64,4 @@ func MinOfProfile(profile []float64) float64 {
 		}
 	}
 	return best
-}
-
-// SequentialSearch is the exact baseline the paper compares against: it
-// scans every stored sequence, computes D(Q,S) by sliding alignment, and
-// reports each sequence with D ≤ eps together with its exact solution
-// interval. It touches raw points only — no MBRs, no index.
-func (db *Database) SequentialSearch(q *Sequence, eps float64) ([]ScanResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []ScanResult
-	for id, g := range db.seqs {
-		if g == nil {
-			continue // removed
-		}
-		s := g.Seq
-		profile := OffsetProfile(q.Points, s.Points)
-		dist := MinOfProfile(profile)
-		if dist > eps {
-			continue
-		}
-		queryLonger := len(q.Points) > len(s.Points)
-		k := len(q.Points)
-		if queryLonger {
-			k = len(s.Points)
-		}
-		si := SolutionIntervalFromProfile(profile, k, len(s.Points), queryLonger, eps)
-		out = append(out, ScanResult{SeqID: uint32(id), Seq: s, Dist: dist, Interval: si})
-	}
-	return out, nil
 }

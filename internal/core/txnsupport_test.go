@@ -244,34 +244,3 @@ func TestEvalRangeMatchesSearch(t *testing.T) {
 		}
 	}
 }
-
-// TestSnapshotHandle: the handle reports staleness exactly when a write
-// completes after it was taken.
-func TestSnapshotHandle(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	db, _ := NewDatabase(Options{Dim: 2})
-	defer db.Close()
-	if _, err := db.Add(randSeqN(rng, 2, 30)); err != nil {
-		t.Fatal(err)
-	}
-	snap := db.Snapshot()
-	if snap.Stale() {
-		t.Fatal("fresh snapshot reports stale")
-	}
-	q := randSeqN(rng, 2, 20)
-	if _, _, err := snap.Search(q, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Stale() {
-		t.Fatal("read made the snapshot stale")
-	}
-	if _, err := db.Add(randSeqN(rng, 2, 30)); err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Stale() {
-		t.Fatal("write did not mark the snapshot stale")
-	}
-	if db.Snapshot().Epoch() == snap.Epoch() {
-		t.Fatal("epoch did not advance across a write")
-	}
-}

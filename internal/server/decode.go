@@ -30,7 +30,6 @@ type field uint16
 const (
 	fPoints field = 1 << iota
 	fEps
-	fParallel
 	fMetric
 	fDTWWindow
 	fK
@@ -43,7 +42,7 @@ const (
 // The field sets of the six request bodies (SearchRequest, KNNRequest,
 // BatchSearchRequest, SequenceJSON, {sequences}, {points}).
 const (
-	searchFields   = fPoints | fEps | fParallel | fMetric | fDTWWindow // /search and /explain
+	searchFields   = fPoints | fEps | fMetric | fDTWWindow // /search and /explain
 	knnFields      = fPoints | fK | fMetric | fDTWWindow
 	batchFields    = fQueries | fEps
 	sequenceFields = fID | fLabel | fPoints // POST /sequences, and each member of sequences
@@ -57,7 +56,6 @@ var fieldNames = [...]struct {
 }{
 	{[]byte("points"), fPoints},
 	{[]byte("eps"), fEps},
-	{[]byte("parallel"), fParallel},
 	{[]byte("metric"), fMetric},
 	{[]byte("dtwWindow"), fDTWWindow},
 	{[]byte("k"), fK},
@@ -72,7 +70,6 @@ var fieldNames = [...]struct {
 type body struct {
 	Points    []geom.Point
 	Eps       float64
-	Parallel  bool
 	Metric    string
 	DTWWindow *int
 	K         int
@@ -211,8 +208,6 @@ func (d *decoder) object(dst *body, allowed field) error {
 			err = d.int(dst.DTWWindow)
 		case fID:
 			err = d.uint32(&dst.ID)
-		case fParallel:
-			err = d.bool(&dst.Parallel)
 		case fMetric:
 			err = d.string(&dst.Metric)
 		case fLabel:
@@ -304,21 +299,6 @@ func (d *decoder) string(dst *string) error {
 		return nil
 	}
 	return d.fail("a string")
-}
-
-// bool decodes true or false; null leaves dst as it was.
-func (d *decoder) bool(dst *bool) error {
-	switch d.peek() {
-	case 'n':
-		return d.lit("null")
-	case 't':
-		*dst = true
-		return d.lit("true")
-	case 'f':
-		*dst = false
-		return d.lit("false")
-	}
-	return d.fail("true or false")
 }
 
 // number consumes one number token. ok is false when the value is null

@@ -99,30 +99,6 @@ func TestFaultHTTPDeadlineMapsTo504(t *testing.T) {
 	}
 }
 
-// TestFaultHTTPParallelHonorsDeadline: the parallel search path must run
-// under the request/policy context like the serial path. Before the
-// SearchParallelCtx fix the handler passed context.Background() here, so
-// a hung shard stalled a parallel=true request forever regardless of the
-// shard timeout.
-func TestFaultHTTPParallelHonorsDeadline(t *testing.T) {
-	s, db, _, qpts := faultedShardedServer(t, 2, shard.Fault{Hang: true})
-	db.SetPolicy(shard.Policy{ShardTimeout: 50 * time.Millisecond})
-
-	done := make(chan int, 1)
-	go func() {
-		rec := doJSON(t, s, "POST", "/search", SearchRequest{Points: qpts, Eps: 0.3, Parallel: true})
-		done <- rec.Code
-	}()
-	select {
-	case code := <-done:
-		if code != http.StatusGatewayTimeout {
-			t.Fatalf("parallel search against hung shard: %d, want 504", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parallel search hung: request context not reaching the workers")
-	}
-}
-
 // TestFaultHTTPCompleteResponseNotFlagged: a fully answered sharded query
 // must not carry the partial flag but still lists every shard.
 func TestFaultHTTPCompleteResponseNotFlagged(t *testing.T) {

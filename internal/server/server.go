@@ -21,7 +21,7 @@
 //	GET    /sequences/{id}            stored sequence
 //	DELETE /sequences/{id}            remove
 //	POST   /sequences/{id}/append     {points}
-//	POST   /search                    {points, eps, parallel, metric, dtwWindow} -> matches
+//	POST   /search                    {points, eps, metric, dtwWindow} -> matches
 //	POST   /batch                     {queries:[[...],...], eps} -> per-query matches
 //	POST   /knn                       {points, k, metric, dtwWindow} -> neighbors
 //	POST   /explain                   {points, eps} -> per-sequence decisions
@@ -219,15 +219,14 @@ type SequenceJSON struct {
 
 // SearchRequest is the body of POST /search and /explain.
 type SearchRequest struct {
-	Points   [][]float64 `json:"points"`             // the query sequence's points
-	Eps      float64     `json:"eps"`                // similarity threshold ε
-	Parallel bool        `json:"parallel,omitempty"` // use the parallel range search (single-node metric "d" only)
+	Points [][]float64 `json:"points"` // the query sequence's points
+	Eps    float64     `json:"eps"`    // similarity threshold ε
 	// Metric selects the distance the result set is defined by: "" or
 	// "d" for the exact alignment distance D (the default three-phase
 	// search), "dtw" for dynamic time warping served through the
-	// envelope-pruned metric path. With "dtw" the parallel flag is
-	// ignored (a sharded deployment's scatter supplies the parallelism)
-	// and matches carry exact distances instead of solution intervals.
+	// envelope-pruned metric path, whose matches carry exact distances
+	// instead of solution intervals. /explain covers "d" only and refuses
+	// a body that names another metric.
 	Metric string `json:"metric,omitempty"`
 	// DTWWindow is the Sakoe–Chiba band half-width for metric "dtw":
 	// -1 (or omitted) means unconstrained. Ignored for metric "d".
@@ -245,29 +244,31 @@ type KNNRequest struct {
 	DTWWindow *int   `json:"dtwWindow,omitempty"` // Sakoe–Chiba half-width for "dtw"; nil/-1 = unconstrained
 }
 
-// reqMetric resolves a request's metric fields against the server
-// defaults: an omitted name falls back to WithDefaultMetric's metric, an
-// omitted (nil) window to its window (-1, unconstrained, when the option
-// was never set).
-func (s *Server) reqMetric(name string, window *int) (core.Metric, error) {
+// query maps a decoded /search or /knn body to the Query it asks for: the
+// kind is the endpoint's, and the metric the body's fields over the
+// server's defaults — an omitted name falls back to WithDefaultMetric's
+// metric, an omitted (nil) window to its window (-1, unconstrained, when
+// the option was never set). A metric other than "d" makes it that
+// metric's query; "" and "d" leave Metric nil — the paper's answer with
+// solution intervals for a range search, D for a kNN.
+func (s *Server) query(req *body, kind core.Kind) (core.Query, error) {
+	seq, err := core.NewSequence("query", req.Points)
+	if err != nil {
+		return core.Query{}, err
+	}
+	q := core.Query{Seq: seq, Kind: kind, Eps: req.Eps, K: req.K}
+	name := req.Metric
 	if name == "" {
 		name = s.defMetric
 	}
-	w := s.defWindow
-	if window != nil {
-		w = *window
+	if name != "" && name != "d" {
+		w := s.defWindow
+		if req.DTWWindow != nil {
+			w = *req.DTWWindow
+		}
+		q.Metric, err = core.ParseMetric(name, w)
 	}
-	return core.ParseMetric(name, w)
-}
-
-// metricName applies the server's default metric to a request's metric
-// field; the handlers branch to the metric path when the effective name
-// is a non-D metric.
-func (s *Server) metricName(req string) string {
-	if req == "" {
-		return s.defMetric
-	}
-	return req
+	return q, err
 }
 
 // BatchSearchRequest is the body of POST /batch: several queries sharing
@@ -541,44 +542,18 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int{"length": s.db.Segmented(id).Seq.Len()})
 }
 
-// shardSearcher is the optional surface a sharded database adds: search
-// plus per-shard statistics, under the request context. The handler uses
-// it when present so a slow query can be logged with the stats of the
-// very run that was slow, and so a partial answer can list exactly the
-// shards that produced it.
-type shardSearcher interface {
-	SearchShardsCtx(context.Context, *core.Sequence, float64) ([]core.Match, core.SearchStats, []shard.ShardStats, error)
-}
-
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req body
 	if !readRequest(w, r, searchFields, &req) {
 		return
 	}
-	q, err := core.NewSequence("query", req.Points)
+	q, err := s.query(&req, core.Range)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if n := s.metricName(req.Metric); n != "" && n != "d" {
-		s.handleSearchMetric(w, r, &req, q)
-		return
-	}
-	var matches []core.Match
-	var stats core.SearchStats
-	var perShard []shard.ShardStats
 	t0 := time.Now()
-	if req.Parallel {
-		// Through the Ctx variant: before it existed this path used a
-		// background context, so a client disconnect or request deadline
-		// never reached the parallel workers and a wedged shard could
-		// stall the handler forever.
-		matches, stats, err = s.db.SearchParallelCtx(r.Context(), q, req.Eps, 0)
-	} else if ss, ok := s.db.(shardSearcher); ok {
-		matches, stats, perShard, err = ss.SearchShardsCtx(r.Context(), q, req.Eps)
-	} else {
-		matches, stats, err = s.db.SearchCtx(r.Context(), q, req.Eps)
-	}
+	res, err := s.db.Do(r.Context(), q)
 	took := time.Since(t0)
 	if err != nil {
 		httpError(w, queryErrStatus(err), err)
@@ -589,62 +564,25 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// them through the trace in the request context); the handler adds
 	// the wide-event attributes and, past the threshold, dumps the whole
 	// run to the slow-query log.
-	tr := obs.FromContext(r.Context())
-	if tr != nil {
-		tr.SetAttrs(
-			obs.Float("eps", req.Eps),
-			obs.Int("query_points", q.Len()),
-			obs.Int("candidates", stats.CandidatesDmbr),
-			obs.Int("matches", stats.MatchesDnorm),
-			obs.Bool("cached", stats.CacheHit),
-		)
-		if stats.Partial {
-			tr.MarkPartial()
-		}
-	}
-	s.logSlowQuery(r, "search", took, q, req.Eps, 0, stats, perShard)
-
-	w.Header().Set("X-Mdseq-Cache", cacheHeader(stats.CacheHit))
-	sendAnswer(w, func(b []byte) ([]byte, error) {
-		return appendSearchResponse(b, matches, stats, perShard)
-	})
-}
-
-// handleSearchMetric serves POST /search requests that name a non-default
-// metric: the exact-metric range search, with matches carrying exact
-// distances.
-func (s *Server) handleSearchMetric(w http.ResponseWriter, r *http.Request, req *body, q *core.Sequence) {
-	m, err := s.reqMetric(req.Metric, req.DTWWindow)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	t0 := time.Now()
-	matches, stats, err := s.db.SearchMetricCtx(r.Context(), q, req.Eps, m)
-	took := time.Since(t0)
-	if err != nil {
-		httpError(w, queryErrStatus(err), err)
-		return
-	}
 	if tr := obs.FromContext(r.Context()); tr != nil {
 		tr.SetAttrs(
-			obs.Float("eps", req.Eps),
-			obs.Str("metric", m.Name()),
-			obs.Int("query_points", q.Len()),
-			obs.Int("candidates", stats.CandidatesDmbr),
-			obs.Int("matches", len(matches)),
-			obs.Bool("cached", stats.CacheHit),
+			obs.Float("eps", q.Eps),
+			obs.Int("query_points", q.Seq.Len()),
+			obs.Int("candidates", res.Stats.CandidatesDmbr),
+			obs.Int("matches", len(res.Matches)),
+			obs.Bool("cached", res.Stats.CacheHit),
 		)
-		if stats.Partial {
+		if q.Metric != nil {
+			tr.SetAttrs(obs.Str("metric", q.Metric.Name()))
+		}
+		if res.Stats.Partial {
 			tr.MarkPartial()
 		}
 	}
-	s.logSlowQuery(r, "search", took, q, req.Eps, 0, stats, nil)
+	s.logSlowQuery(r, "search", took, q, res)
 
-	w.Header().Set("X-Mdseq-Cache", cacheHeader(stats.CacheHit))
-	sendAnswer(w, func(b []byte) ([]byte, error) {
-		return appendMetricResponse(b, matches, stats)
-	})
+	w.Header().Set("X-Mdseq-Cache", cacheHeader(res.Stats.CacheHit))
+	sendAnswer(w, func(b []byte) ([]byte, error) { return appendSearchResponse(b, res, q.Metric != nil) })
 }
 
 // cacheHeader renders the X-Mdseq-Cache value for one answer.
@@ -695,7 +633,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// A slow batch is logged as one unit under its first query — the
 	// per-member stats are in the response for finer attribution.
-	s.logSlowQuery(r, "batch", took, qs[0], req.Eps, 0, stats[0], nil)
+	s.logSlowQuery(r, "batch", took, core.Query{Seq: qs[0], Eps: req.Eps}, core.Result{Stats: stats[0]})
 
 	hits := 0
 	for i := range outs {
@@ -718,7 +656,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				b = append(b, ',')
 			}
 			var err error
-			if b, err = appendSearchResponse(b, outs[i], stats[i], nil); err != nil {
+			if b, err = appendSearchResponse(b, core.Result{Matches: outs[i], Stats: stats[i]}, false); err != nil {
 				return b, err
 			}
 		}
@@ -731,16 +669,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // full SearchStats, and — on a sharded database — the complete per-shard
 // breakdown, so a stuck shard or a collapsed pruning ratio is visible
 // from the log alone.
-func (s *Server) logSlowQuery(r *http.Request, route string, took time.Duration,
-	q *core.Sequence, eps float64, k int, st core.SearchStats, perShard []shard.ShardStats) {
+func (s *Server) logSlowQuery(r *http.Request, route string, took time.Duration, q core.Query, res core.Result) {
 	if s.logger == nil || s.slowThresh <= 0 || took < s.slowThresh {
 		return
 	}
 	tr := obs.FromContext(r.Context())
+	st := res.Stats
 	attrs := []slog.Attr{
 		slog.String("route", route),
 		slog.Duration("took", took),
-		slog.Int("queryPoints", q.Len()),
+		slog.Int("queryPoints", q.Seq.Len()),
 		slog.Group("stats",
 			slog.Int("queryMBRs", st.QueryMBRs),
 			slog.Int("totalSequences", st.TotalSequences),
@@ -765,12 +703,12 @@ func (s *Server) logSlowQuery(r *http.Request, route string, took time.Duration,
 			slog.String("le", obs.LatencyBucketLabel(took)),
 		}, attrs...)
 	}
-	if route == "knn" {
-		attrs = append(attrs, slog.Int("k", k))
+	if q.Kind == core.KNN {
+		attrs = append(attrs, slog.Int("k", q.K))
 	} else {
-		attrs = append(attrs, slog.Float64("eps", eps))
+		attrs = append(attrs, slog.Float64("eps", q.Eps))
 	}
-	for _, ps := range perShard {
+	for _, ps := range res.PerShard {
 		attrs = append(attrs, slog.Group("shard."+strconv.Itoa(ps.Shard),
 			slog.Int("totalSequences", ps.Stats.TotalSequences),
 			slog.Int("candidatesDmbr", ps.Stats.CandidatesDmbr),
@@ -791,42 +729,41 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if !readRequest(w, r, knnFields, &req) {
 		return
 	}
-	q, err := core.NewSequence("query", req.Points)
+	q, err := s.query(&req, core.KNN)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	t0 := time.Now()
-	var results []core.KNNResult
-	if n := s.metricName(req.Metric); n != "" && n != "d" {
-		var m core.Metric
-		m, err = s.reqMetric(req.Metric, req.DTWWindow)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		results, err = s.db.SearchKNNMetricCtx(r.Context(), q, req.K, m)
-	} else {
-		results, err = s.db.SearchKNNCtx(r.Context(), q, req.K)
-	}
+	res, err := s.db.Do(r.Context(), q)
 	took := time.Since(t0)
 	if err != nil {
 		httpError(w, queryErrStatus(err), err)
 		return
 	}
 	if tr := obs.FromContext(r.Context()); tr != nil {
-		tr.SetAttrs(obs.Int("k", req.K), obs.Int("query_points", q.Len()))
+		tr.SetAttrs(obs.Int("k", q.K), obs.Int("query_points", q.Seq.Len()))
 	}
-	s.logSlowQuery(r, "knn", took, q, 0, req.K, core.SearchStats{}, nil)
-	sendAnswer(w, func(b []byte) ([]byte, error) { return appendNeighbors(b, results) })
+	s.logSlowQuery(r, "knn", took, q, res)
+	sendAnswer(w, func(b []byte) ([]byte, error) { return appendNeighbors(b, res.Matches) })
 }
 
+// handleExplain answers POST /explain: the decision record of the paper's
+// range search for the body's query. Explain covers that pipeline only, so
+// a body that names another metric is refused, not answered with the
+// account of a search other than the one asked about.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req body
 	if !readRequest(w, r, searchFields, &req) {
 		return
 	}
 	q, err := core.NewSequence("query", req.Points)
+	if err == nil && req.Metric != "" {
+		var m core.Metric
+		if m, err = core.ParseMetric(req.Metric, -1); err == nil && m != (core.MetricD{}) {
+			err = fmt.Errorf("explain covers metric d only, not %q", req.Metric)
+		}
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -132,28 +132,26 @@ func TestBatchSearchAndKNN(t *testing.T) {
 
 	// Search with a stored subsequence; source must match.
 	query := stored[4][10:40]
-	for _, parallel := range []bool{false, true} {
-		rec = doJSON(t, s, "POST", "/search", SearchRequest{Points: query, Eps: 0.05, Parallel: parallel})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("search: %d %s", rec.Code, rec.Body)
-		}
-		var resp SearchResponse
-		json.Unmarshal(rec.Body.Bytes(), &resp)
-		found := false
-		for _, m := range resp.Matches {
-			if m.ID == 4 {
-				found = true
-				if len(m.Intervals) == 0 {
-					t.Error("match without intervals")
-				}
+	rec = doJSON(t, s, "POST", "/search", SearchRequest{Points: query, Eps: 0.05})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("search: %d %s", rec.Code, rec.Body)
+	}
+	var resp SearchResponse
+	json.Unmarshal(rec.Body.Bytes(), &resp)
+	found := false
+	for _, m := range resp.Matches {
+		if m.ID == 4 {
+			found = true
+			if len(m.Intervals) == 0 {
+				t.Error("match without intervals")
 			}
 		}
-		if !found {
-			t.Errorf("parallel=%v: source not found in %+v", parallel, resp.Matches)
-		}
-		if resp.Stats.TotalSequences != 15 {
-			t.Errorf("stats: %+v", resp.Stats)
-		}
+	}
+	if !found {
+		t.Errorf("source not found in %+v", resp.Matches)
+	}
+	if resp.Stats.TotalSequences != 15 {
+		t.Errorf("stats: %+v", resp.Stats)
 	}
 
 	// k-NN.
@@ -243,6 +241,8 @@ func TestBadRequests(t *testing.T) {
 		{"POST", "/sequences", `{"label":"x","points":[]}`, http.StatusBadRequest},
 		{"POST", "/sequences", `{"label":"x","points":[[0.1]],"bogus":1}`, http.StatusBadRequest},
 		{"POST", "/search", `{"points":[[0.1,0.2,0.3]],"eps":-1}`, http.StatusBadRequest},
+		// "parallel" left the schema with the search it selected: an unknown key.
+		{"POST", "/search", `{"points":[[0.1,0.2,0.3]],"eps":0.1,"parallel":true}`, http.StatusBadRequest},
 		{"GET", "/sequences/notanumber", ``, http.StatusBadRequest},
 		{"POST", "/knn", `{"points":[],"k":3}`, http.StatusBadRequest},
 	}

@@ -8,7 +8,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/core"
-	"repro/internal/shard"
 )
 
 // The answer half of the wire path: /search (both metric forms), every
@@ -44,17 +43,31 @@ func putBuf(bp *[]byte) {
 	}
 }
 
-// appendSearchResponse appends the SearchResponse encoding of a D range
-// answer (minDnorm + solution intervals per match).
-func appendSearchResponse(b []byte, matches []core.Match, st core.SearchStats, perShard []shard.ShardStats) ([]byte, error) {
+// appendSearchResponse appends the SearchResponse encoding of a range
+// answer. The paper's answer carries minDnorm and the solution intervals
+// per match; an exact one — a range search under a metric — carries dist
+// (omitted at 0, as omitempty does) and neither of those, and leaves out
+// shardsAnswered, which that form of the answer never had.
+func appendSearchResponse(b []byte, res core.Result, exact bool) ([]byte, error) {
 	b = append(b, `{"matches":[`...)
-	for i := range matches {
-		m := &matches[i]
+	for i := range res.Matches {
+		m := &res.Matches[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = appendMatchHead(b, m.SeqID, m.Seq.Label)
 		var err error
+		if exact {
+			b = append(b, `0,"intervals":null`...)
+			if m.Dist != 0 {
+				b = append(b, `,"dist":`...)
+				if b, err = appendFloat(b, m.Dist); err != nil {
+					return b, err
+				}
+			}
+			b = append(b, '}')
+			continue
+		}
 		if b, err = appendFloat(b, m.MinDnorm); err != nil {
 			return b, err
 		}
@@ -76,31 +89,10 @@ func appendSearchResponse(b []byte, matches []core.Match, st core.SearchStats, p
 		}
 		b = append(b, '}')
 	}
-	return appendResponseTail(b, st, perShard), nil
-}
-
-// appendMetricResponse appends the SearchResponse encoding of an
-// exact-metric range answer: matches carry dist (omitted at 0, as
-// omitempty does) and no intervals.
-func appendMetricResponse(b []byte, matches []core.MetricMatch, st core.SearchStats) ([]byte, error) {
-	b = append(b, `{"matches":[`...)
-	for i := range matches {
-		m := &matches[i]
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendMatchHead(b, m.SeqID, m.Seq.Label)
-		b = append(b, `0,"intervals":null`...)
-		if m.Dist != 0 {
-			b = append(b, `,"dist":`...)
-			var err error
-			if b, err = appendFloat(b, m.Dist); err != nil {
-				return b, err
-			}
-		}
-		b = append(b, '}')
+	if exact {
+		res.PerShard = nil
 	}
-	return appendResponseTail(b, st, nil), nil
+	return appendResponseTail(b, res.Stats, res.PerShard), nil
 }
 
 // appendMatchHead appends a MatchJSON up to and including `"minDnorm":`.
@@ -114,7 +106,7 @@ func appendMatchHead(b []byte, id uint32, label string) []byte {
 
 // appendResponseTail closes the matches array and appends the rest of a
 // SearchResponse: the omitempty flags, shardsAnswered, and stats.
-func appendResponseTail(b []byte, st core.SearchStats, perShard []shard.ShardStats) []byte {
+func appendResponseTail(b []byte, st core.SearchStats, perShard []core.ShardStats) []byte {
 	b = append(b, ']')
 	if st.CacheHit {
 		b = append(b, `,"cached":true`...)

@@ -143,7 +143,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	for iter := 0; iter < 2000; iter++ {
 		ms, mms, ns, st, perShard := wireCase(rng)
 
-		got, err := appendSearchResponse(nil, ms, st, perShard)
+		got, err := appendSearchResponse(nil, core.Result{Matches: ms, Stats: st, PerShard: perShard}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("search answer differs\n got %s\nwant %s", got, want)
 		}
 
-		got, err = appendMetricResponse(nil, mms, st)
+		got, err = appendSearchResponse(nil, core.Result{Matches: mms, Stats: st, PerShard: perShard}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,10 +174,10 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 
 	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 		seq := &core.Sequence{Label: "x"}
-		if _, err := appendSearchResponse(nil, []core.Match{{Seq: seq, MinDnorm: f}}, core.SearchStats{}, nil); err == nil {
+		if _, err := appendSearchResponse(nil, core.Result{Matches: []core.Match{{Seq: seq, MinDnorm: f}}}, false); err == nil {
 			t.Errorf("minDnorm %v appended without error", f)
 		}
-		if _, err := appendMetricResponse(nil, []core.MetricMatch{{Seq: seq, Dist: f}}, core.SearchStats{}); err == nil {
+		if _, err := appendSearchResponse(nil, core.Result{Matches: []core.Match{{Seq: seq, Dist: f}}}, true); err == nil {
 			t.Errorf("metric dist %v appended without error", f)
 		}
 		if _, err := appendNeighbors(nil, []core.KNNResult{{Seq: seq, Dist: f}}); err == nil {
@@ -366,7 +366,7 @@ var requestShapes = []struct {
 	{"search", searchFields, func(dec *json.Decoder) (body, error) {
 		var r SearchRequest
 		err := dec.Decode(&r)
-		return body{Points: toPoints(r.Points), Eps: r.Eps, Parallel: r.Parallel, Metric: r.Metric, DTWWindow: r.DTWWindow}, err
+		return body{Points: toPoints(r.Points), Eps: r.Eps, Metric: r.Metric, DTWWindow: r.DTWWindow}, err
 	}},
 	{"knn", knnFields, func(dec *json.Decoder) (body, error) {
 		var r KNNRequest
@@ -433,7 +433,7 @@ func diffBody(at string, got, want body) string {
 	if d := diffPoints(at+"points", got.Points, want.Points); d != "" {
 		return d
 	}
-	if math.Float64bits(got.Eps) != math.Float64bits(want.Eps) || got.Parallel != want.Parallel ||
+	if math.Float64bits(got.Eps) != math.Float64bits(want.Eps) ||
 		got.Metric != want.Metric || got.K != want.K || got.ID != want.ID || got.Label != want.Label {
 		return fmt.Sprintf("%sscalars = %+v, want %+v", at, got, want)
 	}

@@ -3,191 +3,96 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/geom"
 )
 
-// SearchBatch answers several range queries with one scatter per shard
-// instead of one per (query, shard) pair. Each query's merged answer is
-// identical to what Search would return for it alone. Work is saved at
+// SearchBatchCtx answers several of the paper's range queries with one
+// scatter instead of one per query: Do's cache slot, fan-out and merge,
+// with a list of queries as each shard's unit of work. Each query's answer
+// is identical to what Do would return for it alone. Work is saved at
 // three levels: duplicate queries collapse before the fan-out, queries
-// already in the front cache never reach a shard, and each shard runs
-// its own batched search over the rest — merging index probes for
-// queries that share MBRs and consulting its local cache.
-func (s *ShardedDB) SearchBatch(qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error) {
-	return s.SearchBatchCtx(context.Background(), qs, eps)
-}
-
-// batchReply carries one shard's whole-batch answer through robustCall.
-type batchReply struct {
-	outs  [][]core.Match
-	stats []core.SearchStats
-}
-
-// SearchBatchCtx is SearchBatch under a caller context and the
-// fault-tolerance Policy in force. The per-shard calls are single units:
-// a shard's timeout, retries, and hedge cover its whole batch, and with
-// Policy.AllowPartial a failed shard drops out of every query's merge —
-// all answers in the batch then carry Partial and the same
-// ShardsAnswered. The batch is all-or-nothing on validation errors, like
-// the single-node SearchBatchCtx.
+// already in the front cache never reach a shard, and each shard answers
+// the rest in one call — consulting its local cache per query — so the
+// fan-out's goroutines, spans and policy bookkeeping are paid once.
+//
+// That call is one unit to the fault-tolerance Policy: a shard's timeout,
+// retries and hedge cover its whole list, and with Policy.AllowPartial a
+// failed shard drops out of every query's merge — all answers in the batch
+// then carry Partial and the same ShardsAnswered. A query a shard refuses
+// (core.Query.Check) fails the whole batch: it is all-or-nothing, so
+// callers never pair partial outputs with their inputs.
 func (s *ShardedDB) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
 	}
-	for i, q := range qs {
-		if q == nil {
+	// Collapse duplicates; answer what the front cache already holds. Each
+	// slot reads the cache's write-sequence counter here, before any shard
+	// is contacted.
+	type unique struct {
+		slot core.CacheSlot
+		res  core.Result
+	}
+	c := s.qcache.Load()
+	at := make(map[cache.Key]int, len(qs))
+	assign := make([]int, len(qs))
+	var uniq []*unique
+	var miss []*unique
+	var missQs []core.Query
+	for i, seq := range qs {
+		if seq == nil {
 			return nil, nil, fmt.Errorf("shard: batch query %d is nil", i)
 		}
-	}
-	n := len(s.shards)
-	c := s.qcache.Load()
-	// Snapshot the cache's write-sequence counter before any shard is
-	// contacted: an answer gathered across a concurrent write is stored
-	// under the stale snapshot and dropped by Put (see internal/cache).
-	var seq uint64
-	if c != nil {
-		seq = c.Seq()
-	}
-
-	// Collapse duplicates; answer what the front cache already holds.
-	type uq struct {
-		q    *core.Sequence
-		key  cache.Key
-		out  []core.Match
-		st   core.SearchStats
-		done bool
-	}
-	slot := make(map[cache.Key]int, len(qs))
-	assign := make([]int, len(qs))
-	var uniq []*uq
-	for i, q := range qs {
-		key := core.RangeCacheKey(q, eps, s.opts.Partition)
-		j, ok := slot[key]
+		q := core.Query{Seq: seq, Eps: eps}
+		slot := core.SlotFor(c, q, s.opts.Partition)
+		key, ok := slot.Key()
+		if !ok {
+			key = core.CacheKey(q, s.opts.Partition)
+		}
+		j, ok := at[key]
 		if !ok {
 			j = len(uniq)
-			slot[key] = j
-			uniq = append(uniq, &uq{q: q, key: key})
+			at[key] = j
+			u := &unique{slot: slot}
+			uniq = append(uniq, u)
+			if u.res, ok = slot.Get(); !ok {
+				miss = append(miss, u)
+				missQs = append(missQs, q)
+			}
 		}
 		assign[i] = j
 	}
-	var missQs []*core.Sequence
-	var miss []*uq
-	for _, u := range uniq {
-		if c != nil {
-			ref := scatterRef{c: c, key: u.key}
-			if ms, st, _, ok := ref.get(); ok {
-				u.out, u.st, u.done = ms, st, true
-				continue
-			}
-		}
-		missQs = append(missQs, u.q)
-		miss = append(miss, u)
-	}
 
 	if len(miss) > 0 {
-		pol := s.Policy()
-		met := s.metrics()
-		type result struct {
-			rep  batchReply
-			wall time.Duration
-			err  error
-		}
-		results := make([]result, n)
-		sem := make(chan struct{}, scatterWorkers(n))
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				t0 := time.Now()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				b := s.backend(i)
-				rep, err := robustCall(ctx, pol, met, func(actx context.Context) (batchReply, error) {
-					outs, stats, err := b.SearchBatchCtx(actx, missQs, eps)
-					return batchReply{outs: outs, stats: stats}, err
-				})
-				results[i] = result{rep: rep, wall: time.Since(t0), err: err}
-			}(i)
-		}
-		wg.Wait()
-
-		answered := make([]int, 0, n)
-		var firstErr error
-		for i, r := range results {
-			if r.err != nil {
-				if !pol.AllowPartial {
-					return nil, nil, fmt.Errorf("shard: shard %d: %w", i, r.err)
+		sc, err := scatter(ctx, s, s.Policy(), func(ctx context.Context, _ int, b Backend) ([]core.Result, error) {
+			out := make([]core.Result, len(missQs))
+			for j, q := range missQs {
+				var err error
+				if out[j], err = b.Do(ctx, q); err != nil {
+					return nil, fmt.Errorf("batch query %d: %w", j, err)
 				}
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard: shard %d: %w", i, r.err)
-				}
-				continue
 			}
-			answered = append(answered, i)
+			return out, nil
+		}, nil)
+		if err != nil {
+			return nil, nil, err
 		}
-		if len(answered) == 0 {
-			return nil, nil, firstErr
-		}
-
+		merged := make([]core.SearchStats, len(miss))
 		for j, u := range miss {
-			var ps []ShardStats
-			for _, i := range answered {
-				r := results[i]
-				// Copy matches by value while rewriting to global ids: the
-				// shard's slice may be shared with its local cache.
-				for _, m := range r.rep.outs[j] {
-					m.SeqID = s.globalID(i, m.SeqID)
-					u.out = append(u.out, m)
-				}
-				mergeStats(&u.st, r.rep.stats[j])
-				ps = append(ps, ShardStats{Shard: i, Stats: r.rep.stats[j]})
-			}
-			u.st.ShardsAnswered = len(answered)
-			u.st.Partial = len(answered) < n
-			// Shards serve from their caches independently, so the merged
-			// CacheHit flag would be ambiguous; a miss at the front counts
-			// as computed.
-			u.st.CacheHit = false
-			sort.Slice(u.out, func(a, b int) bool { return u.out[a].SeqID < u.out[b].SeqID })
-			if c != nil {
-				ref := scatterRef{
-					c:      c,
-					key:    u.key,
-					seq:    seq,
-					region: cache.Region{Rect: geom.BoundingRect(u.q.Points), Radius: eps},
-				}
-				ref.put(u.out, u.st, ps)
-			}
-			u.done = true
+			u.res = s.gather(missQs[j], sc.shards, func(i int) core.Result { return sc.vals[i][j] })
+			u.slot.Put(u.res)
+			merged[j] = u.res.Stats
 		}
-
-		if met != nil {
-			durs := make([]time.Duration, n)
-			for i, r := range results {
-				durs[i] = r.wall
-			}
-			merged := make([]core.SearchStats, len(miss))
-			for j, u := range miss {
-				merged[j] = u.st
-			}
-			met.recordBatchScatter(merged, durs)
-		}
+		s.metrics().recordScatter(sc.walls, merged...)
 	}
 
 	outs := make([][]core.Match, len(qs))
 	stats := make([]core.SearchStats, len(qs))
 	seen := make([]bool, len(uniq))
 	for i, j := range assign {
-		u := uniq[j]
-		outs[i] = u.out
-		stats[i] = u.st
+		outs[i] = uniq[j].res.Matches
+		stats[i] = uniq[j].res.Stats
 		if seen[j] {
 			stats[i].CacheHit = true // duplicate: served without compute
 		}

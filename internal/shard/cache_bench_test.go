@@ -207,7 +207,7 @@ func policyABWorkload(t *testing.T, sdb *ShardedDB, hot, churn []*core.Sequence,
 	ci := 0
 	for r := 0; r < rounds; r++ {
 		for _, q := range hot {
-			if _, err := sdb.SearchKNN(q, 8); err != nil {
+			if _, err := sdb.SearchKNNCtx(context.Background(), q, 8); err != nil {
 				t.Fatal(err)
 			}
 		}

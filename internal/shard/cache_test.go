@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -43,7 +42,7 @@ func TestScatterQueryMBRsMatchShards(t *testing.T) {
 	seqs := corpus(t, 32, 64, 77)
 	sdb := newSharded(t, clone(seqs), 4)
 	q := &core.Sequence{Label: "query", Points: seqs[5].Points[4:36]}
-	_, st, per, err := sdb.SearchShards(q, 0.25)
+	_, st, per, err := sdb.SearchShardsCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,31 +51,6 @@ func TestScatterQueryMBRsMatchShards(t *testing.T) {
 			t.Fatalf("shard %d QueryMBRs %d != merged %d", ps.Shard, ps.Stats.QueryMBRs, st.QueryMBRs)
 		}
 	}
-}
-
-// TestFaultParallelCtxHang proves the parallel serving path propagates
-// the caller's deadline into a wedged shard: before SearchParallelCtx
-// existed, the server's parallel route used a background context and a
-// hung shard stalled the request forever.
-func TestFaultParallelCtxHang(t *testing.T) {
-	sdb, q, fdb := faultFixture(t, 4, 1, Fault{Hang: true})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-
-	t0 := time.Now()
-	_, _, err := sdb.SearchParallelCtx(ctx, q, 0.25, 2)
-	took := time.Since(t0)
-	if err == nil {
-		t.Fatal("hung shard: want error, got success")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error = %v, want context.DeadlineExceeded", err)
-	}
-	if took > 5*time.Second {
-		t.Fatalf("SearchParallelCtx took %v despite 50ms caller deadline", took)
-	}
-	waitFor(t, 2*time.Second, func() bool { return fdb.Released() == 1 },
-		"hung call released by its canceled context")
 }
 
 // TestShardedCacheHitAndInvalidation covers the front cache end to end:
@@ -93,14 +67,14 @@ func TestShardedCacheHitAndInvalidation(t *testing.T) {
 	}
 	q := &core.Sequence{Label: "query", Points: seqs[5].Points[4:36]}
 
-	first, st1, err := sdb.Search(q, 0.25)
+	first, st1, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1.CacheHit {
 		t.Fatal("first scatter flagged as cache hit")
 	}
-	second, st2, err := sdb.Search(q, 0.25)
+	second, st2, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +104,7 @@ func TestShardedCacheHitAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	third, st3, err := sdb.Search(q, 0.25)
+	third, st3, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +130,7 @@ func TestShardedKNNCacheIsolation(t *testing.T) {
 	sdb.SetCache(cache.New(cache.Config{}))
 	q := &core.Sequence{Label: "query", Points: seqs[5].Points[4:36]}
 
-	first, err := sdb.SearchKNN(q, 5)
+	first, err := sdb.SearchKNNCtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +140,13 @@ func TestShardedKNNCacheIsolation(t *testing.T) {
 	if sdb.QueryCache().Len() == 0 {
 		t.Fatal("gathered kNN answer not cached")
 	}
-	second, err := sdb.SearchKNN(q, 5)
+	second, err := sdb.SearchKNNCtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := second[0].SeqID
 	second[0].SeqID = 0xDEAD
-	third, err := sdb.SearchKNN(q, 5)
+	third, err := sdb.SearchKNNCtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +168,7 @@ func TestShardedBatchMatchesSearch(t *testing.T) {
 	}
 	qs = append(qs, qs[1]) // duplicate
 
-	outs, stats, err := sdb.SearchBatch(qs, eps)
+	outs, stats, err := sdb.SearchBatchCtx(context.Background(), qs, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +176,7 @@ func TestShardedBatchMatchesSearch(t *testing.T) {
 		t.Fatalf("batch returned %d result sets for %d queries", len(outs), len(qs))
 	}
 	for i, q := range qs {
-		want, wst, err := sdb.Search(q, eps)
+		want, wst, err := sdb.SearchCtx(context.Background(), q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,10 +206,10 @@ func TestShardedBatchFrontCache(t *testing.T) {
 	sdb.SetCache(cache.New(cache.Config{}))
 	q := &core.Sequence{Label: "query", Points: seqs[5].Points[4:36]}
 
-	if _, st, err := sdb.Search(q, 0.25); err != nil || st.CacheHit {
+	if _, st, err := sdb.SearchCtx(context.Background(), q, 0.25); err != nil || st.CacheHit {
 		t.Fatalf("seed scatter: err=%v hit=%v", err, st.CacheHit)
 	}
-	_, stats, err := sdb.SearchBatch([]*core.Sequence{q}, 0.25)
+	_, stats, err := sdb.SearchBatchCtx(context.Background(), []*core.Sequence{q}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +218,10 @@ func TestShardedBatchFrontCache(t *testing.T) {
 	}
 
 	q2 := &core.Sequence{Label: "query2", Points: seqs[9].Points[8:40]}
-	if _, _, err := sdb.SearchBatch([]*core.Sequence{q2}, 0.25); err != nil {
+	if _, _, err := sdb.SearchBatchCtx(context.Background(), []*core.Sequence{q2}, 0.25); err != nil {
 		t.Fatal(err)
 	}
-	if _, st, err := sdb.Search(q2, 0.25); err != nil || !st.CacheHit {
+	if _, st, err := sdb.SearchCtx(context.Background(), q2, 0.25); err != nil || !st.CacheHit {
 		t.Fatalf("solo scatter after batch fill: err=%v hit=%v, want hit", err, st.CacheHit)
 	}
 }
@@ -267,7 +241,7 @@ func TestShardedBatchPartialDegradesAndIsNotCached(t *testing.T) {
 	sdb.SetPolicy(Policy{AllowPartial: true})
 	sdb.SetCache(cache.New(cache.Config{}))
 
-	outs, stats, err := sdb.SearchBatch([]*core.Sequence{q}, 0.25)
+	outs, stats, err := sdb.SearchBatchCtx(context.Background(), []*core.Sequence{q}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +254,7 @@ func TestShardedBatchPartialDegradesAndIsNotCached(t *testing.T) {
 
 	// Heal the shard; the partial answer must not be served from cache.
 	sdb.SetShardBackend(target, nil)
-	outs, stats, err = sdb.SearchBatch([]*core.Sequence{q}, 0.25)
+	outs, stats, err = sdb.SearchBatchCtx(context.Background(), []*core.Sequence{q}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,12 +307,12 @@ func TestShardedConcurrentCacheInvalidation(t *testing.T) {
 			var err error
 			if batch {
 				var outs [][]core.Match
-				outs, _, err = sdb.SearchBatch([]*core.Sequence{q}, 0.02)
+				outs, _, err = sdb.SearchBatchCtx(context.Background(), []*core.Sequence{q}, 0.02)
 				if err == nil {
 					ms = outs[0]
 				}
 			} else {
-				ms, _, err = sdb.Search(q, 0.02)
+				ms, _, err = sdb.SearchCtx(context.Background(), q, 0.02)
 			}
 			if err != nil {
 				errs <- err

@@ -39,7 +39,7 @@ func faultFixture(t *testing.T, n, target int, script ...Fault) (*ShardedDB, *co
 // exact answer a partial result excluding that shard must produce.
 func labelsOutsideShard(t *testing.T, sdb *ShardedDB, q *core.Sequence, eps float64, exclude int) []string {
 	t.Helper()
-	full, _, err := sdb.Search(q, eps)
+	full, _, err := sdb.SearchCtx(context.Background(), q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFaultHungShardRespectsShardTimeout(t *testing.T) {
 	sdb.SetPolicy(Policy{ShardTimeout: 50 * time.Millisecond})
 
 	t0 := time.Now()
-	_, _, err := sdb.Search(q, 0.25)
+	_, _, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	took := time.Since(t0)
 	if err == nil {
 		t.Fatal("hung shard: want error, got success")
@@ -189,7 +189,7 @@ func TestFaultRetryRecovers(t *testing.T) {
 	sdb.SetMetrics(reg)
 	sdb.SetPolicy(Policy{Retries: 1, Backoff: time.Millisecond})
 
-	matches, st, err := sdb.Search(q, 0.25)
+	matches, st, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatalf("search with one retry budgeted: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestFaultRetryRecovers(t *testing.T) {
 func TestFaultRetriesExhausted(t *testing.T) {
 	sdb, q, fdb := faultFixture(t, 4, 0, Fault{Err: errInjected}, Fault{Err: errInjected})
 	sdb.SetPolicy(Policy{Retries: 1, Backoff: time.Millisecond})
-	if _, _, err := sdb.Search(q, 0.25); !errors.Is(err, errInjected) {
+	if _, _, err := sdb.SearchCtx(context.Background(), q, 0.25); !errors.Is(err, errInjected) {
 		t.Fatalf("exhausted retries: err = %v, want errInjected", err)
 	}
 	if fdb.Calls() != 2 {
@@ -231,7 +231,7 @@ func TestFaultHedgeWinsAndCancelsPrimary(t *testing.T) {
 	sdb.SetPolicy(Policy{ShardTimeout: 10 * time.Second, HedgeAfter: 10 * time.Millisecond})
 
 	t0 := time.Now()
-	_, st, err := sdb.Search(q, 0.25)
+	_, st, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	took := time.Since(t0)
 	if err != nil {
 		t.Fatalf("hedged search failed: %v", err)
@@ -268,7 +268,7 @@ func TestFaultHedgeLosesCleanly(t *testing.T) {
 	sdb.SetMetrics(reg)
 	sdb.SetPolicy(Policy{ShardTimeout: 10 * time.Second, HedgeAfter: 5 * time.Millisecond})
 
-	_, st, err := sdb.Search(q, 0.25)
+	_, st, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatalf("search with losing hedge failed: %v", err)
 	}
@@ -294,7 +294,7 @@ func TestFaultKNNDeadlineAndPartial(t *testing.T) {
 	sdb.SetShardBackend(hung, fdb)
 
 	sdb.SetPolicy(Policy{ShardTimeout: 50 * time.Millisecond})
-	if _, err := sdb.SearchKNN(q, 5); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := sdb.SearchKNNCtx(context.Background(), q, 5); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("kNN with hung shard: err = %v, want context.DeadlineExceeded", err)
 	}
 
@@ -339,12 +339,12 @@ func TestFaultZeroPolicyPassThrough(t *testing.T) {
 	sdb.SetMetrics(reg)
 
 	sdb.SetShardBackend(3, nil) // pristine baseline
-	want, _, err := sdb.Search(q, 0.25)
+	want, _, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sdb.SetShardBackend(3, fdb)
-	got, st, err := sdb.Search(q, 0.25)
+	got, st, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +376,10 @@ func TestFaultAllShardsDown(t *testing.T) {
 	}
 	sdb.SetPolicy(Policy{AllowPartial: true})
 	q := &core.Sequence{Label: "query", Points: seqs[0].Points[:16]}
-	if _, _, err := sdb.Search(q, 0.25); !errors.Is(err, errInjected) {
+	if _, _, err := sdb.SearchCtx(context.Background(), q, 0.25); !errors.Is(err, errInjected) {
 		t.Fatalf("all shards down: err = %v, want errInjected", err)
 	}
-	if _, err := sdb.SearchKNN(q, 3); !errors.Is(err, errInjected) {
+	if _, err := sdb.SearchKNNCtx(context.Background(), q, 3); !errors.Is(err, errInjected) {
 		t.Fatalf("all shards down kNN: err = %v, want errInjected", err)
 	}
 }
@@ -397,7 +397,7 @@ func TestFaultPartialEqualsAnsweredShardsAcrossEps(t *testing.T) {
 		f := NewFaultDB(sdb.Shard(hung), Fault{Err: errInjected})
 		sdb.SetShardBackend(hung, f)
 		sdb.SetPolicy(Policy{AllowPartial: true})
-		got, st, err := sdb.Search(q, eps)
+		got, st, err := sdb.SearchCtx(context.Background(), q, eps)
 		if err != nil {
 			t.Fatalf("eps=%g: %v", eps, err)
 		}

@@ -10,26 +10,20 @@ import (
 )
 
 // Backend is the per-shard query surface the robust scatter calls. A
-// shard's own *core.Database satisfies it; tests and the fault-injection
-// harness substitute wrappers via SetShardBackend. Only the query path
-// goes through a Backend — writes, lookups, and shape accessors always
-// hit the shard's real database, because fault tolerance is a property of
-// the latency-sensitive serving path, not of ingestion.
+// shard's own database satisfies it; tests and the fault-injection harness
+// substitute wrappers via SetShardBackend. Only the serving path goes
+// through a Backend — writes, lookups, shape accessors and the Scan oracle
+// always hit the shard's real database, because fault tolerance is a
+// property of the latency-sensitive serving path, not of ingestion or of
+// the reference a test compares with.
 type Backend interface {
-	// SearchCtx runs the three-phase range search under ctx.
+	// Do answers one query under ctx; the scatter calls nothing else.
+	Do(ctx context.Context, q core.Query) (core.Result, error)
+	// SearchCtx and SearchMetricCtx are Do under the names bench/trace.go
+	// calls on a Backend; they go when ROADMAP item 5 re-points the harness.
 	SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error)
-	// SearchKNNBoundedCtx runs the local top-k under ctx, pruning against
-	// — and tightening — the query's shared live bound (nil: unbounded).
-	SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error)
-	// SearchBatchCtx answers several range queries in one pass under ctx,
-	// one result set and stats value per query, in input order.
-	SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error)
-	// SearchMetricCtx runs the exact-metric range search under ctx.
+	// SearchMetricCtx is Do for a range search under a metric.
 	SearchMetricCtx(ctx context.Context, q *core.Sequence, eps float64, m core.Metric) ([]core.MetricMatch, core.SearchStats, error)
-	// SearchKNNMetricBoundedCtx runs the local metric top-k under ctx;
-	// the shared bound holds exact distances under the same metric, so
-	// shard-local pruning uses the metric's own lower bounds against it.
-	SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error)
 }
 
 var _ Backend = (*core.Database)(nil)
@@ -123,48 +117,28 @@ func (f *FaultDB) apply(ctx context.Context) error {
 	return ft.Err
 }
 
-// SearchCtx applies the next scripted fault, then forwards to the wrapped
-// backend.
+// Do applies the next scripted fault, then forwards to the wrapped
+// backend. Whatever rides in one call — a batch sends a shard its queries
+// one Do each — every call consumes one fault.
+func (f *FaultDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
+	if err := f.apply(ctx); err != nil {
+		return core.Result{}, err
+	}
+	return f.inner.Do(ctx, q)
+}
+
+// SearchCtx is Do for the paper's range search (see Backend).
 func (f *FaultDB) SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error) {
-	if err := f.apply(ctx); err != nil {
-		return nil, core.SearchStats{}, err
-	}
-	return f.inner.SearchCtx(ctx, q, eps)
+	res, err := f.Do(ctx, core.Query{Seq: q, Eps: eps})
+	return res.Matches, res.Stats, err
 }
 
-// SearchKNNBoundedCtx applies the next scripted fault, then forwards to
-// the wrapped backend.
-func (f *FaultDB) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error) {
-	if err := f.apply(ctx); err != nil {
-		return nil, err
-	}
-	return f.inner.SearchKNNBoundedCtx(ctx, q, k, bound)
-}
-
-// SearchBatchCtx applies the next scripted fault, then forwards to the
-// wrapped backend. A batch consumes one fault — it models one network
-// call, however many queries ride in it.
-func (f *FaultDB) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error) {
-	if err := f.apply(ctx); err != nil {
-		return nil, nil, err
-	}
-	return f.inner.SearchBatchCtx(ctx, qs, eps)
-}
-
-// SearchMetricCtx applies the next scripted fault, then forwards to the
-// wrapped backend.
+// SearchMetricCtx is Do for a range search under m, nil meaning MetricD
+// (see Backend).
 func (f *FaultDB) SearchMetricCtx(ctx context.Context, q *core.Sequence, eps float64, m core.Metric) ([]core.MetricMatch, core.SearchStats, error) {
-	if err := f.apply(ctx); err != nil {
-		return nil, core.SearchStats{}, err
+	if m == nil {
+		m = core.MetricD{}
 	}
-	return f.inner.SearchMetricCtx(ctx, q, eps, m)
-}
-
-// SearchKNNMetricBoundedCtx applies the next scripted fault, then
-// forwards to the wrapped backend.
-func (f *FaultDB) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error) {
-	if err := f.apply(ctx); err != nil {
-		return nil, err
-	}
-	return f.inner.SearchKNNMetricBoundedCtx(ctx, q, k, bound, m)
+	res, err := f.Do(ctx, core.Query{Seq: q, Eps: eps, Metric: m})
+	return res.Matches, res.Stats, err
 }

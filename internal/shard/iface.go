@@ -31,49 +31,30 @@ type DB interface {
 	// Sequences lists every live sequence.
 	Sequences() []*core.Sequence
 
-	// Search runs the three-phase range search: sequences within eps of
-	// the query, with their solution intervals. The Ctx variants below
-	// honor a caller deadline or cancellation — the serving layer always
-	// uses them with the request context, so a dead client or an expired
-	// query budget stops the work. On a ShardedDB they additionally run
-	// under the fault-tolerance Policy (per-shard timeout, retry,
-	// hedging, partial results).
-	Search(*core.Sequence, float64) ([]core.Match, core.SearchStats, error)
-	// SearchCtx is Search bounded by the context's deadline/cancellation.
-	SearchCtx(context.Context, *core.Sequence, float64) ([]core.Match, core.SearchStats, error)
-	// SearchParallel is Search with phase 3 refined by that many workers.
-	SearchParallel(*core.Sequence, float64, int) ([]core.Match, core.SearchStats, error)
-	// SearchParallelCtx is SearchParallel bounded by the context — the
-	// serving layer's parallel path, so a dead client stops the workers.
-	SearchParallelCtx(context.Context, *core.Sequence, float64, int) ([]core.Match, core.SearchStats, error)
-	// SearchBatch answers several range queries in one pass, one result
-	// set and stats value per query, in input order.
-	SearchBatch([]*core.Sequence, float64) ([][]core.Match, []core.SearchStats, error)
-	// SearchBatchCtx is SearchBatch bounded by the context.
+	// Do answers one query — range search, kNN or the exhaustive scan,
+	// under the paper's Dnorm answer, D or DTW: the one search entry point
+	// (see core.Query). The serving layer always passes the request
+	// context, so a dead client or an expired query budget stops the work;
+	// on a ShardedDB the query additionally runs under the fault-tolerance
+	// Policy (per-shard timeout, retry, hedging, partial results).
+	Do(context.Context, core.Query) (core.Result, error)
+	// SearchBatchCtx answers several of the paper's range queries in one
+	// pass, one result set and stats value per query, in input order.
 	SearchBatchCtx(context.Context, []*core.Sequence, float64) ([][]core.Match, []core.SearchStats, error)
-	// SearchKNN returns the k sequences nearest the query by MinDnorm.
-	SearchKNN(*core.Sequence, int) ([]core.KNNResult, error)
-	// SearchKNNCtx is SearchKNN bounded by the context.
-	SearchKNNCtx(context.Context, *core.Sequence, int) ([]core.KNNResult, error)
-	// SearchMetric is the exact-metric range search: sequences whose
-	// metric distance (D, or DTW under a Sakoe–Chiba window) is within
-	// eps, served through the index with the metric's lower bounds so the
-	// result equals an exhaustive scan under the same metric.
-	SearchMetric(*core.Sequence, float64, core.Metric) ([]core.MetricMatch, core.SearchStats, error)
-	// SearchMetricCtx is SearchMetric bounded by the context.
-	SearchMetricCtx(context.Context, *core.Sequence, float64, core.Metric) ([]core.MetricMatch, core.SearchStats, error)
-	// SearchKNNMetric returns the k sequences nearest the query under the
-	// metric's exact distance.
-	SearchKNNMetric(*core.Sequence, int, core.Metric) ([]core.KNNResult, error)
-	// SearchKNNMetricCtx is SearchKNNMetric bounded by the context.
-	SearchKNNMetricCtx(context.Context, *core.Sequence, int, core.Metric) ([]core.KNNResult, error)
-	// SequentialSearchMetric is the exhaustive exact-metric baseline the
-	// indexed metric search must match byte for byte.
-	SequentialSearchMetric(*core.Sequence, float64, core.Metric) ([]core.MetricMatch, error)
-	// SequentialSearch is the exact linear-scan baseline.
-	SequentialSearch(*core.Sequence, float64) ([]core.ScanResult, error)
-	// Explain records every pruning decision a search makes.
+	// Explain records every pruning decision the paper's range search makes.
 	Explain(*core.Sequence, float64) (*core.Explanation, error)
+
+	// The four methods below are Do under the names bench/trace.go calls on
+	// a DB; they go when ROADMAP item 5 re-points the harness.
+
+	// SearchCtx is Do for the paper's range search.
+	SearchCtx(context.Context, *core.Sequence, float64) ([]core.Match, core.SearchStats, error)
+	// SearchMetricCtx is Do for a range search under a metric.
+	SearchMetricCtx(context.Context, *core.Sequence, float64, core.Metric) ([]core.MetricMatch, core.SearchStats, error)
+	// SearchKNNCtx is Do for a kNN under D.
+	SearchKNNCtx(context.Context, *core.Sequence, int) ([]core.KNNResult, error)
+	// SearchKNNMetricCtx is Do for a kNN under a metric.
+	SearchKNNMetricCtx(context.Context, *core.Sequence, int, core.Metric) ([]core.KNNResult, error)
 
 	// Len reports the number of live sequences.
 	Len() int

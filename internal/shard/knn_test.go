@@ -27,13 +27,19 @@ func knnKeys(rs []core.KNNResult) []string {
 	return out
 }
 
+// scanMetric is the exhaustive scan under m: the oracle, through Do.
+func scanMetric(db DB, q *core.Sequence, eps float64, m core.Metric) ([]core.Match, error) {
+	res, err := db.Do(context.Background(), core.Query{Seq: q, Kind: core.Scan, Eps: eps, Metric: m})
+	return res.Matches, err
+}
+
 // scanTopK is the exhaustive answer: every sequence's exact metric
 // distance from the sequential scan, sorted, cut at k. The scan reports
 // no alignment offset, so its keys are the label:distance prefix of
 // knnKeys'.
 func scanTopK(t *testing.T, db DB, q *core.Sequence, k int, m core.Metric) []string {
 	t.Helper()
-	all, err := db.SequentialSearchMetric(q, math.MaxFloat64, m)
+	all, err := scanMetric(db, q, math.MaxFloat64, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +79,7 @@ func TestShardedKNNLiveBoundEquivalence(t *testing.T) {
 		for _, m := range metrics {
 			for _, q := range queries {
 				for _, k := range []int{1, 4, 9} {
-					want, err := single.SearchKNNMetric(q, k, m)
+					want, err := single.SearchKNNMetricCtx(context.Background(), q, k, m)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -86,7 +92,7 @@ func TestShardedKNNLiveBoundEquivalence(t *testing.T) {
 						}
 						sdb.SetShardBackend(i, NewFaultDB(sdb.Shard(i), script...))
 					}
-					got, err := sdb.SearchKNNMetric(q, k, m)
+					got, err := sdb.SearchKNNMetricCtx(context.Background(), q, k, m)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -131,10 +137,11 @@ func TestKNNGatherMergeOrder(t *testing.T) {
 	}
 	want := []uint32{2, 9, 1, 3, 5}
 	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}} {
-		g := &knnGather{k: 5}
+		// One shard, so local ids are the global ones.
 		bound := new(core.KNNBound)
+		g := &knnScatter{s: &ShardedDB{shards: make([]Node, 1)}, q: core.Query{Kind: core.KNN, K: 5}, bound: bound}
 		for _, i := range order {
-			g.merge(append([]core.KNNResult(nil), lists[i]...), bound)
+			g.merge(0, core.Result{Matches: lists[i]})
 		}
 		if len(g.out) != len(want) {
 			t.Fatalf("order %v: %d results, want %d", order, len(g.out), len(want))
@@ -155,14 +162,9 @@ func TestKNNGatherMergeOrder(t *testing.T) {
 // that hits its timeout just before returning.
 type searchThenFail struct{ Backend }
 
-func (b searchThenFail) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error) {
-	b.Backend.SearchKNNBoundedCtx(ctx, q, k, bound)
-	return nil, errInjected
-}
-
-func (b searchThenFail) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error) {
-	b.Backend.SearchKNNMetricBoundedCtx(ctx, q, k, bound, m)
-	return nil, errInjected
+func (b searchThenFail) Do(ctx context.Context, q core.Query) (core.Result, error) {
+	b.Backend.Do(ctx, q)
+	return core.Result{}, errInjected
 }
 
 // TestShardedKNNPartialIgnoresLostShardsBound: with AllowPartial, a shard
@@ -199,7 +201,7 @@ func TestShardedKNNPartialIgnoresLostShardsBound(t *testing.T) {
 				}
 			}
 			q := &core.Sequence{Label: "q", Points: src.Points}
-			want, err := sdb.Shard(1).SearchKNNMetricBoundedCtx(context.Background(), q, k, nil, m)
+			want, err := sdb.Shard(1).SearchKNNMetricCtx(context.Background(), q, k, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,10 +210,17 @@ func TestShardedKNNPartialIgnoresLostShardsBound(t *testing.T) {
 			}
 			sdb.SetShardBackend(lost, searchThenFail{sdb.Shard(lost)})
 			sdb.SetShardBackend(1, NewFaultDB(sdb.Shard(1), Fault{Delay: 20 * time.Millisecond}))
-			got, err := sdb.SearchKNNMetric(q, k, m)
+			res, err := sdb.Do(context.Background(), core.Query{Seq: q, Kind: core.KNN, K: k, Metric: m})
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A degraded kNN silently misses the lost shard's neighbors; the
+			// flag is all that tells the caller.
+			if st := res.Stats; !st.Partial || st.ShardsAnswered != 1 || len(res.PerShard) != 1 || res.PerShard[0].Shard != 1 {
+				t.Fatalf("metric=%s: degraded answer says Partial=%v ShardsAnswered=%d PerShard=%v, want true, 1 and shard 1 alone",
+					m.Name(), st.Partial, st.ShardsAnswered, res.PerShard)
+			}
+			got := res.Matches
 			for i := range want {
 				want[i].SeqID = sdb.globalID(1, want[i].SeqID)
 			}
@@ -244,20 +253,12 @@ func (b *searchThenLose) lose(ctx context.Context) error {
 	return errInjected
 }
 
-func (b *searchThenLose) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error) {
-	rs, err := b.Backend.SearchKNNBoundedCtx(ctx, q, k, bound)
+func (b *searchThenLose) Do(ctx context.Context, q core.Query) (core.Result, error) {
+	res, err := b.Backend.Do(ctx, q)
 	if b.calls.Add(1) == 1 {
-		return nil, b.lose(ctx)
+		return core.Result{}, b.lose(ctx)
 	}
-	return rs, err
-}
-
-func (b *searchThenLose) SearchKNNMetricBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.KNNResult, error) {
-	rs, err := b.Backend.SearchKNNMetricBoundedCtx(ctx, q, k, bound, m)
-	if b.calls.Add(1) == 1 {
-		return nil, b.lose(ctx)
-	}
-	return rs, err
+	return res, err
 }
 
 // TestShardedKNNPoolCountsASequenceOnce: two attempts of one shard — a
@@ -290,7 +291,7 @@ func TestShardedKNNPoolCountsASequenceOnce(t *testing.T) {
 	} {
 		for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
 			t.Run(mode.name+"/"+m.Name(), func(t *testing.T) {
-				want, err := single.SearchKNNMetric(q, 2, m)
+				want, err := single.SearchKNNMetricCtx(context.Background(), q, 2, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -306,7 +307,7 @@ func TestShardedKNNPoolCountsASequenceOnce(t *testing.T) {
 				// own hedge included.
 				late := Fault{Delay: 30 * time.Millisecond}
 				sdb.SetShardBackend(1-home, NewFaultDB(sdb.Shard(1-home), late, late))
-				got, err := sdb.SearchKNNMetric(q, 2, m)
+				got, err := sdb.SearchKNNMetricCtx(context.Background(), q, 2, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -350,7 +351,7 @@ func TestKNNIndexWalkMatchesScan(t *testing.T) {
 		n := sdb.Len()
 		for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
 			for qi, q := range queries {
-				scan, err := sdb.SequentialSearchMetric(q, math.MaxFloat64, m)
+				scan, err := scanMetric(sdb, q, math.MaxFloat64, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -358,7 +359,7 @@ func TestKNNIndexWalkMatchesScan(t *testing.T) {
 					return scan[a].Dist < scan[b].Dist || (scan[a].Dist == scan[b].Dist && scan[a].SeqID < scan[b].SeqID)
 				})
 				for _, k := range []int{1, 10, n, n + 5} {
-					got, err := sdb.SearchKNNMetric(q, k, m)
+					got, err := sdb.SearchKNNMetricCtx(context.Background(), q, k, m)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -444,11 +445,11 @@ func TestShardedKNNWorkNearOneDatabase(t *testing.T) {
 		one0, four0 := refined(regOne), refined(regFour)
 		for i := 0; i < queries; i++ {
 			q := c.query()
-			want, err := single.SearchKNNMetric(q, k, c.m)
+			want, err := single.SearchKNNMetricCtx(context.Background(), q, k, c.m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sdb.SearchKNNMetric(q, k, c.m)
+			got, err := sdb.SearchKNNMetricCtx(context.Background(), q, k, c.m)
 			if err != nil {
 				t.Fatal(err)
 			}

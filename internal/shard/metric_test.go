@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -58,15 +59,15 @@ func TestShardedMetricRangeMatchesSingle(t *testing.T) {
 			mt := core.MetricDTW{Window: window}
 			q := &core.Sequence{Label: "q", Points: seqs[4].Points[:20]}
 			const eps = 0.4
-			want, _, err := single.SearchMetric(q, eps, mt)
+			want, _, err := single.SearchMetricCtx(context.Background(), q, eps, mt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := sdb.SearchMetric(q, eps, mt)
+			got, _, err := sdb.SearchMetricCtx(context.Background(), q, eps, mt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan, err := sdb.SequentialSearchMetric(q, eps, mt)
+			scan, err := scanMetric(sdb, q, eps, mt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,11 +110,11 @@ func TestShardedMetricKNNMatchesSingle(t *testing.T) {
 			mt := core.MetricDTW{Window: window}
 			q := &core.Sequence{Label: "q", Points: seqs[7].Points[:22]}
 			const k = 7
-			want, err := single.SearchKNNMetric(q, k, mt)
+			want, err := single.SearchKNNMetricCtx(context.Background(), q, k, mt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sdb.SearchKNNMetric(q, k, mt)
+			got, err := sdb.SearchKNNMetricCtx(context.Background(), q, k, mt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,14 +153,14 @@ func TestShardedMetricFrontCache(t *testing.T) {
 	q := &core.Sequence{Label: "q", Points: seqs[2].Points[:18]}
 	const eps = 0.4
 
-	first, st1, err := sdb.SearchMetric(q, eps, core.MetricDTW{Window: -1})
+	first, st1, err := sdb.SearchMetricCtx(context.Background(), q, eps, core.MetricDTW{Window: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1.CacheHit {
 		t.Fatal("first metric scatter flagged as cache hit")
 	}
-	again, st2, err := sdb.SearchMetric(q, eps, core.MetricDTW{Window: -1})
+	again, st2, err := sdb.SearchMetricCtx(context.Background(), q, eps, core.MetricDTW{Window: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +170,17 @@ func TestShardedMetricFrontCache(t *testing.T) {
 	if len(again) != len(first) {
 		t.Fatalf("cached scatter has %d matches, computed had %d", len(again), len(first))
 	}
-	if _, st3, err := sdb.SearchMetric(q, eps, core.MetricDTW{Window: 2}); err != nil {
+	if _, st3, err := sdb.SearchMetricCtx(context.Background(), q, eps, core.MetricDTW{Window: 2}); err != nil {
 		t.Fatal(err)
 	} else if st3.CacheHit {
 		t.Fatal("different window served from the other window's entry")
 	}
 
-	nn1, err := sdb.SearchKNNMetric(q, 5, core.MetricDTW{Window: -1})
+	nn1, err := sdb.SearchKNNMetricCtx(context.Background(), q, 5, core.MetricDTW{Window: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn2, err := sdb.SearchKNNMetric(q, 5, core.MetricDTW{Window: -1})
+	nn2, err := sdb.SearchKNNMetricCtx(context.Background(), q, 5, core.MetricDTW{Window: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +204,12 @@ func TestShardedMetricDTWCounters(t *testing.T) {
 	sdb.SetMetrics(reg)
 	q := &core.Sequence{Label: "q", Points: seqs[5].Points[:20]}
 
-	if _, st, err := sdb.SearchMetric(q, 0.4, core.MetricDTW{Window: -1}); err != nil {
+	if _, st, err := sdb.SearchMetricCtx(context.Background(), q, 0.4, core.MetricDTW{Window: -1}); err != nil {
 		t.Fatal(err)
 	} else if st.CandidatesDmbr == 0 {
 		t.Fatal("workload produced no candidates; the counter assertion below is vacuous")
 	}
-	if _, err := sdb.SearchKNNMetric(q, 3, core.MetricDTW{Window: -1}); err != nil {
+	if _, err := sdb.SearchKNNMetricCtx(context.Background(), q, 3, core.MetricDTW{Window: -1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -229,7 +230,7 @@ func TestShardedMetricDTWCounters(t *testing.T) {
 	}
 
 	// A D-metric query must leave the DTW families untouched.
-	if _, _, err := sdb.SearchMetric(q, 0.4, core.MetricD{}); err != nil {
+	if _, _, err := sdb.SearchMetricCtx(context.Background(), q, 0.4, core.MetricD{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("mdseq_dtw_search_total", "").Value(); got != 1 {
@@ -252,7 +253,7 @@ func TestShardedKNNCounters(t *testing.T) {
 		sdb.SetMetrics(reg)
 		value := func(name string) uint64 { return reg.Counter(name, "").Value() }
 
-		if _, err := sdb.SearchKNN(q, 3); err != nil {
+		if _, err := sdb.SearchKNNCtx(context.Background(), q, 3); err != nil {
 			t.Fatal(err)
 		}
 		refined, pruned := value("mdseq_knn_refined_total"), value("mdseq_knn_pruned_total")
@@ -267,7 +268,7 @@ func TestShardedKNNCounters(t *testing.T) {
 			t.Fatalf("shards=%d: a D kNN counted %d DTW kNN queries", nsh, got)
 		}
 
-		if _, err := sdb.SearchKNNMetric(q, 3, core.MetricDTW{Window: 10}); err != nil {
+		if _, err := sdb.SearchKNNMetricCtx(context.Background(), q, 3, core.MetricDTW{Window: 10}); err != nil {
 			t.Fatal(err)
 		}
 		if got := value("mdseq_dtw_knn_total"); got != 1 {

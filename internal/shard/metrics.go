@@ -69,21 +69,27 @@ func newShardMetrics(reg *obs.Registry, n int) *shardMetrics {
 	return m
 }
 
-// recordScatter folds one scattered range search into the registry:
-// merged stats into the shared mdseq_search_* families, each shard's
-// fan-out wall-clock into its own series, and the straggler gap. durs
-// holds one entry per shard, measured from goroutine launch to result
-// (so a shard queued behind the worker bound charges its wait here —
-// that is the latency a caller actually experiences from the scatter).
-func (m *shardMetrics) recordScatter(merged core.SearchStats, durs []time.Duration) {
+// recordScatter folds one range fan-out into the registry: one scatter
+// (a batch is one fan-out however many queries ride in it), each query's
+// merged stats into the shared mdseq_search_* families, one partial result
+// if any of them is, each shard's fan-out wall-clock into its own series,
+// and the straggler gap. durs holds one entry per shard, measured from
+// goroutine launch to result (so a shard queued behind the worker bound
+// charges its wait here — that is the latency a caller actually
+// experiences from the scatter).
+func (m *shardMetrics) recordScatter(durs []time.Duration, merged ...core.SearchStats) {
 	if m == nil {
 		return
 	}
 	m.scatters.Inc()
-	if merged.Partial {
+	anyPartial := false
+	for _, st := range merged {
+		anyPartial = anyPartial || st.Partial
+		m.core.RecordSearch(st)
+	}
+	if anyPartial {
 		m.partials.Inc()
 	}
-	m.core.RecordSearch(merged)
 	min, max := durs[0], durs[0]
 	for i, d := range durs {
 		m.perShard[i].ObserveDuration(d)
@@ -104,38 +110,6 @@ func (m *shardMetrics) recordDTW(merged core.SearchStats) {
 		return
 	}
 	m.core.RecordDTW(false, merged.CandidatesDmbr, merged.DTWEnvPruned, merged.DTWKeoghPruned, merged.DTWEvals)
-}
-
-// recordBatchScatter folds one batched fan-out into the registry: one
-// scatter (the batch is one fan-out however many queries ride in it),
-// each query's merged stats into the shared mdseq_search_* families, and
-// the per-shard wall-clocks once.
-func (m *shardMetrics) recordBatchScatter(merged []core.SearchStats, durs []time.Duration) {
-	if m == nil || len(merged) == 0 {
-		return
-	}
-	m.scatters.Inc()
-	anyPartial := false
-	for _, st := range merged {
-		if st.Partial {
-			anyPartial = true
-		}
-		m.core.RecordSearch(st)
-	}
-	if anyPartial {
-		m.partials.Inc()
-	}
-	min, max := durs[0], durs[0]
-	for i, d := range durs {
-		m.perShard[i].ObserveDuration(d)
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	m.strag.ObserveDuration(max - min)
 }
 
 // recordKNN counts one gathered kNN query, each shard launch's seeding

@@ -56,7 +56,7 @@ func TestScatterRecordsShardMetrics(t *testing.T) {
 	s, first := instrumentedSharded(t, reg, 16)
 
 	q := &core.Sequence{Label: "q", Points: first.Points[:15]}
-	_, st, err := s.Search(q, 0.25)
+	_, st, err := s.SearchCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPartialMergeEndToEndStats(t *testing.T) {
 	// survive; timings vary run to run, so only structure is compared.
 	var wantSeqs int
 	for _, i := range []int{1, 2} {
-		_, st, err := sdb.Shard(i).Search(q, 0.25)
+		_, st, err := sdb.Shard(i).SearchCtx(context.Background(), q, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestShardedKNNSeedCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, first := instrumentedSharded(t, reg, 16)
 	q := &core.Sequence{Label: "q", Points: first.Points[:15]}
-	if _, err := s.SearchKNN(q, 3); err != nil {
+	if _, err := s.SearchKNNCtx(context.Background(), q, 3); err != nil {
 		t.Fatal(err)
 	}
 	seeded := reg.Counter("mdseq_shard_knn_seeded_total", "").Value()
@@ -225,7 +225,7 @@ func TestShardedExpositionHasPerShardSeries(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, first := instrumentedSharded(t, reg, 8)
 	q := &core.Sequence{Label: "q", Points: first.Points[:15]}
-	if _, _, err := s.Search(q, 0.25); err != nil {
+	if _, _, err := s.SearchCtx(context.Background(), q, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder

@@ -8,6 +8,7 @@ package shard
 // surviving corpus.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -74,17 +75,17 @@ func hammer(t *testing.T, db DB, seed int64) {
 			for op := 0; op < opsEach; op++ {
 				switch op % 4 {
 				case 0:
-					if _, _, err := db.Search(query, 0.25); err != nil {
+					if _, _, err := db.SearchCtx(context.Background(), query, 0.25); err != nil {
 						errc <- err
 						return
 					}
 				case 1:
-					if _, _, err := db.SearchParallel(query, 0.25, 2); err != nil {
+					if _, _, err := db.SearchBatchCtx(context.Background(), []*core.Sequence{query}, 0.25); err != nil {
 						errc <- err
 						return
 					}
 				case 2:
-					if _, err := db.SearchKNN(query, 5); err != nil {
+					if _, err := db.SearchKNNCtx(context.Background(), query, 5); err != nil {
 						errc <- err
 						return
 					}
@@ -126,11 +127,11 @@ func TestConcurrentMixedWorkloadSharded(t *testing.T) {
 			// single-node database holding the identical surviving corpus.
 			single := newSingle(t, clone(sdb.Sequences()))
 			q := &core.Sequence{Label: "query", Points: corpus(t, 4, 32, 200+int64(n))[3].Points[:12]}
-			want, _, err := single.Search(q, 0.3)
+			want, _, err := single.SearchCtx(context.Background(), q, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := sdb.Search(q, 0.3)
+			got, _, err := sdb.SearchCtx(context.Background(), q, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,11 +139,11 @@ func TestConcurrentMixedWorkloadSharded(t *testing.T) {
 				t.Fatalf("post-hammer sharded search diverges:\n got %v\nwant %v",
 					matchKeys(t, got), matchKeys(t, want))
 			}
-			wantNN, err := single.SearchKNN(q, 7)
+			wantNN, err := single.SearchKNNCtx(context.Background(), q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotNN, err := sdb.SearchKNN(q, 7)
+			gotNN, err := sdb.SearchKNNCtx(context.Background(), q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}

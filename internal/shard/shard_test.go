@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -117,11 +118,11 @@ func TestShardedSearchMatchesSingleNode(t *testing.T) {
 		sdb := newSharded(t, clone(seqs), n)
 		for qi, eps := range map[int]float64{3: 0.1, 17: 0.2, 41: 0.35} {
 			q := &core.Sequence{Label: "query", Points: seqs[qi].Points[10:42]}
-			want, _, err := single.Search(q, eps)
+			want, _, err := single.SearchCtx(context.Background(), q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := sdb.Search(q, eps)
+			got, st, err := sdb.SearchCtx(context.Background(), q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,14 +139,6 @@ func TestShardedSearchMatchesSingleNode(t *testing.T) {
 					t.Fatalf("shards=%d: results not in ascending id order", n)
 				}
 			}
-			// SearchParallel must agree exactly.
-			par, _, err := sdb.SearchParallel(q, eps, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(matchKeys(t, par), matchKeys(t, got)) {
-				t.Fatalf("shards=%d: SearchParallel diverges from Search", n)
-			}
 		}
 	}
 }
@@ -154,7 +147,7 @@ func TestShardedSearchShardsStats(t *testing.T) {
 	seqs := corpus(t, 40, 64, 2)
 	sdb := newSharded(t, clone(seqs), 4)
 	q := &core.Sequence{Label: "query", Points: seqs[5].Points[:24]}
-	_, merged, per, err := sdb.SearchShards(q, 0.25)
+	_, merged, per, err := sdb.SearchShardsCtx(context.Background(), q, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +175,11 @@ func TestShardedKNNMatchesSingleNode(t *testing.T) {
 		sdb := newSharded(t, clone(seqs), n)
 		for _, k := range []int{1, 5, 12, 50, 80} {
 			q := &core.Sequence{Label: "query", Points: seqs[7].Points[5:35]}
-			want, err := single.SearchKNN(q, k)
+			want, err := single.SearchKNNCtx(context.Background(), q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sdb.SearchKNN(q, k)
+			got, err := sdb.SearchKNNCtx(context.Background(), q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +206,7 @@ func TestSearchKNNBoundedPrunes(t *testing.T) {
 	seqs := corpus(t, 30, 64, 4)
 	single := newSingle(t, clone(seqs))
 	q := &core.Sequence{Label: "query", Points: seqs[2].Points[:20]}
-	full, err := single.SearchKNN(q, 10)
+	full, err := single.SearchKNNCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +216,11 @@ func TestSearchKNNBoundedPrunes(t *testing.T) {
 	bound := full[2].Dist
 	live := new(core.KNNBound)
 	live.Tighten(bound)
-	bounded, err := single.SearchKNNBounded(q, 10, live)
+	res, err := single.Do(context.Background(), core.Query{Seq: q, Kind: core.KNN, K: 10, Bound: live})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bounded := res.Matches
 	for _, r := range bounded {
 		if r.Dist > bound {
 			t.Fatalf("bounded kNN returned dist %g > bound %g", r.Dist, bound)
@@ -301,11 +295,11 @@ func TestShardedRemoveAndAppend(t *testing.T) {
 	// built from its own surviving corpus.
 	single := newSingle(t, clone(sdb.Sequences()))
 	q := &core.Sequence{Label: "query", Points: seqs[1].Points[:16]}
-	want, _, err := single.Search(q, 0.3)
+	want, _, err := single.SearchCtx(context.Background(), q, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := sdb.Search(q, 0.3)
+	got, _, err := sdb.SearchCtx(context.Background(), q, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +325,10 @@ func TestShardedEmptyShards(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", sdb.Len())
 	}
 	q := &core.Sequence{Label: "query", Points: seqs[0].Points[:16]}
-	if _, _, err := sdb.Search(q, 0.2); err != nil {
+	if _, _, err := sdb.SearchCtx(context.Background(), q, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	nn, err := sdb.SearchKNN(q, 5)
+	nn, err := sdb.SearchKNNCtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -26,7 +27,7 @@ func shardedCorpus(t *testing.T, n int, seed int64) []*core.Sequence {
 
 func searchLabels(t *testing.T, db shard.DB, q *core.Sequence, eps float64) []string {
 	t.Helper()
-	matches, _, err := db.Search(q, eps)
+	matches, _, err := db.SearchCtx(context.Background(), q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,7 +186,7 @@ func TestMixedReadWriteSoak(t *testing.T) {
 				}
 				q := randSeq(rng, 2, 6+rng.Intn(6))
 				snap := db.Acquire()
-				ms, _, err := snap.Search(q, 2)
+				ms, _, err := searchOn(snap, q, 2)
 				if err != nil {
 					t.Errorf("Search: %v", err)
 					snap.Release()

@@ -15,7 +15,7 @@ import (
 // every live sequence by (Dist, SeqID).
 func rankedScan(t *testing.T, db *DB, q *core.Sequence, m core.Metric) []core.MetricMatch {
 	t.Helper()
-	scan, err := db.SequentialSearchMetric(q, math.MaxFloat64, m)
+	scan, err := scanMetric(db, q, math.MaxFloat64, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestKNNIndexWalkMatchesScan(t *testing.T) {
 					want = want[:min(k, len(want))]
 					live := core.NewKNNBound(k)
 					live.Tighten(bound)
-					got, err := db.SearchKNNMetricBoundedCtx(context.Background(), q, k, live, m)
+					got, err := knnBounded(context.Background(), db, q, k, live, m)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -154,7 +154,7 @@ func TestKNNSupersededBaseTwinNeverBoundsTheQuery(t *testing.T) {
 				t.Fatalf("%s: a live sequence is at distance 0; the test needs the superseded twin to be the only one", supersede)
 			}
 			live := core.NewKNNBound(1)
-			got, err := db.SearchKNNMetricBoundedCtx(context.Background(), q, 1, live, m)
+			got, err := knnBounded(context.Background(), db, q, 1, live, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestKNNHugeKReturnsEverySequence(t *testing.T) {
 		scan := rankedScan(t, db, q, m)
 		for _, k := range []int{n + 5, 1 << 40, math.MaxInt} {
 			for _, bound := range []*core.KNNBound{nil, core.NewKNNBound(k)} {
-				got, err := db.SearchKNNMetricBoundedCtx(context.Background(), q, k, bound, m)
+				got, err := knnBounded(context.Background(), db, q, k, bound, m)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -82,26 +83,26 @@ func TestTxnMetricEquivalence(t *testing.T) {
 			for mi, m := range metrics {
 				for _, eps := range []float64{1, 4} {
 					label := labelf("%s q=%d m=%d eps=%v", stage, qi, mi, eps)
-					got, _, err := db.SearchMetric(q, eps, m)
+					got, _, err := db.SearchMetricCtx(context.Background(), q, eps, m)
 					if err != nil {
 						t.Fatalf("%s: SearchMetric: %v", label, err)
 					}
-					want, _, err := ref.SearchMetric(q, eps, m)
+					want, _, err := ref.SearchMetricCtx(context.Background(), q, eps, m)
 					if err != nil {
 						t.Fatalf("%s: ref SearchMetric: %v", label, err)
 					}
 					sameMatches(label+" range", got, want)
-					scan, err := db.SequentialSearchMetric(q, eps, m)
+					scan, err := scanMetric(db, q, eps, m)
 					if err != nil {
 						t.Fatalf("%s: SequentialSearchMetric: %v", label, err)
 					}
 					sameMatches(label+" scan", scan, want)
 				}
-				nn, err := db.SearchKNNMetric(q, 5, m)
+				nn, err := db.SearchKNNMetricCtx(context.Background(), q, 5, m)
 				if err != nil {
 					t.Fatalf("%s: SearchKNNMetric: %v", stage, err)
 				}
-				rnn, err := ref.SearchKNNMetric(q, 5, m)
+				rnn, err := ref.SearchKNNMetricCtx(context.Background(), q, 5, m)
 				if err != nil {
 					t.Fatalf("%s: ref SearchKNNMetric: %v", stage, err)
 				}

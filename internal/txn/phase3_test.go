@@ -103,11 +103,7 @@ func TestPhase3HitsEquivalenceTxn(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						pgot, _, err := db.SearchParallelCtx(ctx, q, eps, 3)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for path, ms := range map[string][]core.Match{"serial": got, "parallel": pgot, "batch": bout[qi]} {
+						for path, ms := range map[string][]core.Match{"single": got, "batch": bout[qi]} {
 							label := fmt.Sprintf("dim %d maxpoints %d %s eps %g query %d %s", dim, cfg.MaxPoints, stage, eps, qi, path)
 							if len(ms) != len(want) {
 								t.Fatalf("%s: %d matches, reference %d", label, len(ms), len(want))

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,9 +137,10 @@ func (s *Snap) deltaRange(ctx context.Context, q *core.Sequence, eps float64, st
 	return out, nil
 }
 
-// mergeMatches merges two id-ascending match lists, dropping base
-// entries the view supersedes.
-func mergeMatches(base []core.Match, v *view, delta []core.Match) []core.Match {
+// mergeByID merges two id-ascending match lists — the base's answer and
+// the delta pass's — dropping base entries the view supersedes: the one
+// merge of every kind whose answer is ordered by id.
+func mergeByID(base []core.Match, v *view, delta []core.Match) []core.Match {
 	out := make([]core.Match, 0, len(base)+len(delta))
 	i, j := 0, 0
 	for i < len(base) || j < len(delta) {
@@ -163,133 +165,225 @@ func mergeMatches(base []core.Match, v *view, delta []core.Match) []core.Match {
 
 // fixupStats rewrites the base search's corpus-level counters to the
 // snapshot's view: sequence totals and match counts, with the delta
-// scan's work already accumulated by deltaRange.
+// pass's work already accumulated.
 func (s *Snap) fixupStats(st *core.SearchStats, matches int) {
 	st.TotalSequences = s.st.live
 	st.MatchesDnorm = matches
 	st.CacheHit = false
 }
 
-// SearchCtx runs the three-phase range search against the snapshot:
-// indexed base result, filtered by the delta, merged with a linear
-// delta scan using the same evaluation kernels — identical output to a
-// fully indexed database holding this snapshot's content.
-func (s *Snap) SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error) {
-	matches, stats, err := s.db.base.SearchCtx(ctx, q, eps)
-	if err != nil {
-		return nil, stats, err
-	}
+// Do answers q against the snapshot: the one query path of the transaction
+// layer. The indexed base answers first (core.Database.Do — cache, index,
+// kernels), the delta pass evaluates the same predicate over the
+// snapshot's unfolded sequences with the same evaluation kernels, and the
+// two are merged with base entries the delta supersedes or removed dropped
+// — identical output to a fully indexed database holding this snapshot's
+// content, for every kind and metric. With nothing unfolded the base's
+// answer is the snapshot's.
+func (s *Snap) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	if s.st.deltaLen() == 0 {
-		return matches, stats, nil
+		return s.db.base.Do(ctx, q)
 	}
-	delta, err := s.deltaRange(ctx, q, eps, &stats)
+	base := q
+	if q.Kind == core.KNN {
+		if q.K <= 0 {
+			return core.Result{}, nil
+		}
+		base.K, base.Bound = s.baseK(q.K), q.Bound.Local()
+	}
+	res, err := s.db.base.Do(ctx, base)
 	if err != nil {
-		return nil, stats, err
+		return core.Result{}, err
 	}
-	merged := mergeMatches(matches, s.view(), delta)
-	s.fixupStats(&stats, len(merged))
-	return merged, stats, nil
+	return s.overlay(ctx, q, res)
 }
 
-// Search is SearchCtx without a deadline.
-func (s *Snap) Search(q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error) {
-	return s.SearchCtx(context.Background(), q, eps)
+// overlay turns the base's answer to q into the snapshot's: the delta pass
+// of q's kind, the merge, the statistics rewritten to the snapshot's view.
+func (s *Snap) overlay(ctx context.Context, q core.Query, res core.Result) (core.Result, error) {
+	var err error
+	if q.Kind == core.KNN {
+		res.Matches, err = s.mergeKNN(ctx, q, res.Matches)
+	} else {
+		var delta []core.Match
+		switch {
+		case q.Kind == core.Scan:
+			delta = s.deltaScan(q)
+		case q.Metric == nil:
+			delta, err = s.deltaRange(ctx, q.Seq, q.Eps, &res.Stats)
+		default:
+			delta, err = s.deltaMetricRange(ctx, q.Seq, q.Eps, q.Metric, &res.Stats)
+		}
+		res.Matches = mergeByID(res.Matches, s.view(), delta)
+	}
+	if err != nil {
+		return core.Result{}, err
+	}
+	s.fixupStats(&res.Stats, len(res.Matches))
+	return res, nil
 }
 
-// SearchParallelCtx is SearchCtx with the base's phase 3 refined by
-// that many workers (the delta scan stays serial — it is bounded by the
-// checkpoint cadence, not the corpus).
-func (s *Snap) SearchParallelCtx(ctx context.Context, q *core.Sequence, eps float64, workers int) ([]core.Match, core.SearchStats, error) {
-	matches, stats, err := s.db.base.SearchParallelCtx(ctx, q, eps, workers)
-	if err != nil {
-		return nil, stats, err
-	}
-	if s.st.deltaLen() == 0 {
-		return matches, stats, nil
-	}
-	delta, err := s.deltaRange(ctx, q, eps, &stats)
-	if err != nil {
-		return nil, stats, err
-	}
-	merged := mergeMatches(matches, s.view(), delta)
-	s.fixupStats(&stats, len(merged))
-	return merged, stats, nil
-}
-
-// SearchBatchCtx answers several range queries in one pass over the
-// snapshot, one result set and stats value per query, in input order.
+// SearchBatchCtx answers several of the paper's range queries in one pass
+// over the snapshot, one result set and stats value per query, in input
+// order: the base's batched search, then Do's delta pass and merge per
+// query.
 func (s *Snap) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error) {
 	matches, stats, err := s.db.base.SearchBatchCtx(ctx, qs, eps)
-	if err != nil {
-		return nil, stats, err
+	if err != nil || s.st.deltaLen() == 0 {
+		return matches, stats, err
 	}
-	if s.st.deltaLen() == 0 {
-		return matches, stats, nil
-	}
-	for i := range qs {
-		delta, err := s.deltaRange(ctx, qs[i], eps, &stats[i])
+	for i, q := range qs {
+		res, err := s.overlay(ctx, core.Query{Seq: q, Eps: eps}, core.Result{Matches: matches[i], Stats: stats[i]})
 		if err != nil {
-			return nil, stats, err
+			return nil, nil, err
 		}
-		matches[i] = mergeMatches(matches[i], s.view(), delta)
-		s.fixupStats(&stats[i], len(matches[i]))
+		matches[i], stats[i] = res.Matches, res.Stats
 	}
 	return matches, stats, nil
 }
 
-// SearchKNNBoundedCtx returns the snapshot's part of a kNN answer under
-// the exact distance D and a shared live bound: the MetricD case of
-// SearchKNNMetricBoundedCtx.
-func (s *Snap) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error) {
-	return s.SearchKNNMetricBoundedCtx(ctx, q, k, bound, core.MetricD{})
-}
-
-// SequentialSearch is the exact linear-scan baseline over the
-// snapshot's corpus.
-func (s *Snap) SequentialSearch(q *core.Sequence, eps float64) ([]core.ScanResult, error) {
-	base, err := s.db.base.SequentialSearch(q, eps)
+// deltaMetricRange evaluates the exact metric distance over the
+// snapshot's delta sequences. No lower-bound pruning: the delta is
+// bounded by the checkpoint cadence, so exhaustive exact evaluation
+// keeps it trivially identical to the scan baseline.
+func (s *Snap) deltaMetricRange(ctx context.Context, q *core.Sequence, eps float64, m core.Metric, st *core.SearchStats) ([]core.MetricMatch, error) {
+	v := s.view()
+	if len(v.delta) == 0 {
+		return nil, nil
+	}
+	t0 := time.Now()
+	qseg, err := s.qseg(q)
 	if err != nil {
 		return nil, err
 	}
-	if s.st.deltaLen() == 0 {
-		return base, nil
+	_, isDTW := m.(core.MetricDTW)
+	var out []core.MetricMatch
+	for i, d := range v.delta {
+		if i&31 == 0 {
+			if err := searchCanceled(ctx); err != nil {
+				return nil, err
+			}
+		}
+		dist := core.EvalMetric(qseg, d.g, m, math.Inf(1))
+		st.CandidatesDmbr++
+		if isDTW {
+			st.DTWEvals++
+		}
+		if dist <= eps {
+			out = append(out, core.MetricMatch{SeqID: d.id, Seq: d.g.Seq, Dist: dist})
+		}
 	}
-	v := s.view()
-	var delta []core.ScanResult
-	for _, d := range v.delta {
+	dur := time.Since(t0)
+	st.Phase3 += dur
+	st.CPUTime += dur
+	if tr := obs.FromContext(ctx); tr != nil {
+		tr.RecordSpan(obs.SpanFromContext(ctx), "delta-scan", dur,
+			obs.Int64("snapshot_epoch", int64(s.st.epoch)),
+			obs.Int("delta_len", s.st.deltaLen()),
+			obs.Int("matches", len(out)))
+	}
+	return out, nil
+}
+
+// deltaScan is the exhaustive baseline over the snapshot's delta
+// sequences, exactly as core's scan kernel treats a stored one: under a nil
+// Metric the sliding-alignment D with its exact solution interval, under a
+// Metric that metric's distance (core.ScanMetric).
+func (s *Snap) deltaScan(q core.Query) []core.Match {
+	var out []core.Match
+	for _, d := range s.view().delta {
 		sq := d.g.Seq
-		profile := core.OffsetProfile(q.Points, sq.Points)
-		dist := core.MinOfProfile(profile)
-		if dist > eps {
+		if q.Metric != nil {
+			if dist := core.ScanMetric(q.Seq, d.g, q.Metric); dist <= q.Eps {
+				out = append(out, core.Match{SeqID: d.id, Seq: sq, Dist: dist})
+			}
 			continue
 		}
-		queryLonger := len(q.Points) > len(sq.Points)
-		k := len(q.Points)
+		profile := core.OffsetProfile(q.Seq.Points, sq.Points)
+		dist := core.MinOfProfile(profile)
+		if dist > q.Eps {
+			continue
+		}
+		queryLonger := len(q.Seq.Points) > len(sq.Points)
+		k := len(q.Seq.Points)
 		if queryLonger {
 			k = len(sq.Points)
 		}
-		si := core.SolutionIntervalFromProfile(profile, k, len(sq.Points), queryLonger, eps)
-		delta = append(delta, core.ScanResult{SeqID: d.id, Seq: sq, Dist: dist, Interval: si})
+		si := core.SolutionIntervalFromProfile(profile, k, len(sq.Points), queryLonger, q.Eps)
+		out = append(out, core.Match{SeqID: d.id, Seq: sq, Dist: dist, Interval: si})
 	}
-	out := make([]core.ScanResult, 0, len(base)+len(delta))
-	i, j := 0, 0
-	for i < len(base) || j < len(delta) {
-		if i < len(base) && v.dropBase(base[i].SeqID) {
-			i++
+	return out
+}
+
+// baseK is the k' the base index answers a KNN for k with: inflated to
+// cover every base result the delta might supersede or have removed. k is
+// whatever the request said; nothing is sized by it, and k' is built from
+// the smaller of k and the live count: asking for more neighbors than there
+// are sequences returns them all, ranked.
+func (s *Snap) baseK(k int) int {
+	return min(k, s.st.live) + len(s.st.adds) + len(s.view().overlay) + len(s.st.removed)
+}
+
+// mergeKNN is the delta pass and merge of a KNN — the one kNN merge every
+// metric shares: base, the base index's answer for k' = baseK, loses what
+// the view supersedes, the delta contributes exact distances via the same
+// kernel the indexed path refines with, and the merge keeps the true top k.
+//
+// The base search read the live bound but published to a Local one (Do):
+// what it refines may be a version the delta supersedes or a sequence it
+// removed, and such a distance must never count among the k that make the
+// shared bound. The merge owns the answer, so it offers every surviving
+// base result and every accepted delta sequence — live in this snapshot,
+// one id each — and publishes its own k-th best as it improves. Each delta
+// sequence is scored with cutoff min(bound, current k-th best of the
+// merge) — above it the score is not exact, and such a sequence cannot
+// enter the top k.
+func (s *Snap) mergeKNN(ctx context.Context, query core.Query, base []core.Match) ([]core.Match, error) {
+	q, k, bound, m := query.Seq, query.K, query.Bound, query.Metric
+	v := s.view()
+	var out []core.KNNResult
+	accept := func(r core.KNNResult) {
+		out = core.InsertKNN(out, r, k)
+		bound.Offer(r.SeqID, r.Dist)
+		if len(out) == k {
+			bound.Tighten(out[k-1].Dist)
+		}
+	}
+	for _, r := range base {
+		if !v.dropBase(r.SeqID) {
+			accept(r)
+		}
+	}
+	if len(v.delta) == 0 {
+		return out, nil
+	}
+	qseg, err := s.qseg(q)
+	if err != nil {
+		return nil, err
+	}
+	_, dtw := m.(core.MetricDTW)
+	for i, d := range v.delta {
+		if i&31 == 0 {
+			if err := searchCanceled(ctx); err != nil {
+				return nil, err
+			}
+		}
+		cut := bound.Load()
+		if len(out) == k {
+			cut = min(cut, out[k-1].Dist)
+		}
+		r := core.KNNResult{SeqID: d.id, Seq: d.g.Seq}
+		if dtw {
+			r.Dist = core.EvalMetric(qseg, d.g, m, cut)
+		} else {
+			r.Offset, r.Dist = core.EvalAlign(qseg, d.g, cut)
+		}
+		if r.Dist > cut || math.IsInf(r.Dist, 1) {
 			continue
 		}
-		switch {
-		case i >= len(base):
-			out = append(out, delta[j])
-			j++
-		case j >= len(delta) || base[i].SeqID < delta[j].SeqID:
-			out = append(out, base[i])
-			i++
-		default:
-			out = append(out, delta[j])
-			j++
-		}
+		accept(r)
 	}
+	bound.AddCounts(core.KNNCounts{Candidates: len(v.delta), Refined: len(v.delta)})
 	return out, nil
 }
 
@@ -341,77 +435,59 @@ func (s *Snap) Sequences() []*core.Sequence {
 // managing snapshot lifetimes. Handlers that want one consistent view
 // across several calls use Acquire/Release directly.
 
-// Search runs a range search on a fresh snapshot.
-func (db *DB) Search(q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error) {
-	return db.SearchCtx(context.Background(), q, eps)
-}
-
-// SearchCtx runs a range search on a fresh snapshot, honoring ctx.
-func (db *DB) SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error) {
+// Do answers q on a fresh snapshot (see Snap.Do).
+func (db *DB) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	s := db.Acquire()
 	defer s.Release()
-	return s.SearchCtx(ctx, q, eps)
+	return s.Do(ctx, q)
 }
 
-// SearchParallel is the parallel range search on a fresh snapshot.
-func (db *DB) SearchParallel(q *core.Sequence, eps float64, workers int) ([]core.Match, core.SearchStats, error) {
-	return db.SearchParallelCtx(context.Background(), q, eps, workers)
-}
-
-// SearchParallelCtx is the parallel range search on a fresh snapshot,
-// honoring ctx.
-func (db *DB) SearchParallelCtx(ctx context.Context, q *core.Sequence, eps float64, workers int) ([]core.Match, core.SearchStats, error) {
-	s := db.Acquire()
-	defer s.Release()
-	return s.SearchParallelCtx(ctx, q, eps, workers)
-}
-
-// SearchBatch answers several range queries against one snapshot.
-func (db *DB) SearchBatch(qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error) {
-	return db.SearchBatchCtx(context.Background(), qs, eps)
-}
-
-// SearchBatchCtx answers several range queries against one snapshot,
-// honoring ctx.
+// SearchBatchCtx answers several range queries against one fresh snapshot.
 func (db *DB) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error) {
 	s := db.Acquire()
 	defer s.Release()
 	return s.SearchBatchCtx(ctx, qs, eps)
 }
 
-// SearchKNN returns the k nearest sequences on a fresh snapshot.
-func (db *DB) SearchKNN(q *core.Sequence, k int) ([]core.KNNResult, error) {
-	return db.SearchKNNCtx(context.Background(), q, k)
+// The four methods below are Do under the names the shard.DB interface
+// keeps for bench/ — the harness is frozen until ROADMAP item 5 re-points
+// it — each a one-line adapter. New code calls Do.
+
+// SearchCtx is Do for the paper's range search.
+func (db *DB) SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error) {
+	res, err := db.Do(ctx, core.Query{Seq: q, Eps: eps})
+	return res.Matches, res.Stats, err
 }
 
-// SearchKNNCtx returns the k nearest sequences on a fresh snapshot,
-// honoring ctx.
+// SearchMetricCtx is Do for a range search under m (nil means MetricD).
+func (db *DB) SearchMetricCtx(ctx context.Context, q *core.Sequence, eps float64, m core.Metric) ([]core.MetricMatch, core.SearchStats, error) {
+	if m == nil {
+		m = core.MetricD{}
+	}
+	res, err := db.Do(ctx, core.Query{Seq: q, Eps: eps, Metric: m})
+	return res.Matches, res.Stats, err
+}
+
+// SearchKNNCtx is Do for a kNN under D.
 func (db *DB) SearchKNNCtx(ctx context.Context, q *core.Sequence, k int) ([]core.KNNResult, error) {
-	s := db.Acquire()
-	defer s.Release()
-	return s.SearchKNNBoundedCtx(ctx, q, k, nil)
+	return db.SearchKNNMetricCtx(ctx, q, k, nil)
 }
 
-// SearchKNNBoundedCtx is the k-nearest query under a shared live bound
-// on a fresh snapshot.
-func (db *DB) SearchKNNBoundedCtx(ctx context.Context, q *core.Sequence, k int, bound *core.KNNBound) ([]core.KNNResult, error) {
-	s := db.Acquire()
-	defer s.Release()
-	return s.SearchKNNBoundedCtx(ctx, q, k, bound)
+// SearchKNNMetricCtx is Do for a kNN under m (nil means MetricD).
+func (db *DB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k int, m core.Metric) ([]core.KNNResult, error) {
+	res, err := db.Do(ctx, core.Query{Seq: q, Kind: core.KNN, K: k, Metric: m})
+	return res.Matches, err
 }
 
-// SequentialSearch is the exact linear-scan baseline on a fresh
-// snapshot.
-func (db *DB) SequentialSearch(q *core.Sequence, eps float64) ([]core.ScanResult, error) {
-	s := db.Acquire()
-	defer s.Release()
-	return s.SequentialSearch(q, eps)
-}
-
-// Explain records every pruning decision a search makes. The index only
-// covers the base, so Explain first folds the delta (a checkpoint) and
-// then explains against the fully indexed corpus.
+// Explain records every pruning decision the paper's range search makes.
+// The index only covers the base, so Explain first folds the delta (a
+// checkpoint) — once the query has passed core.Query.Check, so a query
+// that will be refused costs no fold — and then explains against the fully
+// indexed corpus.
 func (db *DB) Explain(q *core.Sequence, eps float64) (*core.Explanation, error) {
+	if err := (core.Query{Seq: q, Eps: eps}).Check(db.Dim()); err != nil {
+		return nil, err
+	}
 	if db.cur.Load().deltaLen() > 0 {
 		if err := db.Checkpoint(); err != nil {
 			return nil, err

@@ -63,11 +63,34 @@ func newRef(t *testing.T, dim int) *core.Database {
 	return ref
 }
 
+// doer is the one query entry point, shared by *DB, *Snap and
+// *core.Database.
+type doer interface {
+	Do(context.Context, core.Query) (core.Result, error)
+}
+
+// searchOn is the paper's range search on d.
+func searchOn(d doer, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error) {
+	res, err := d.Do(context.Background(), core.Query{Seq: q, Eps: eps})
+	return res.Matches, res.Stats, err
+}
+
+// knnBounded is a KNN query under m (nil: D) against a shared bound.
+func knnBounded(ctx context.Context, d doer, q *core.Sequence, k int, bound *core.KNNBound, m core.Metric) ([]core.Match, error) {
+	res, err := d.Do(ctx, core.Query{Seq: q, Kind: core.KNN, K: k, Bound: bound, Metric: m})
+	return res.Matches, err
+}
+
+// scanMetric is the exhaustive scan under m: the oracle.
+func scanMetric(d doer, q *core.Sequence, eps float64, m core.Metric) ([]core.Match, error) {
+	res, err := d.Do(context.Background(), core.Query{Seq: q, Kind: core.Scan, Eps: eps, Metric: m})
+	return res.Matches, err
+}
+
 // searcher is the read surface shared by *DB, *Snap, and *core.Database,
 // letting equivalence checks fingerprint any of them the same way.
 type searcher interface {
-	Search(*core.Sequence, float64) ([]core.Match, core.SearchStats, error)
-	SequentialSearch(*core.Sequence, float64) ([]core.ScanResult, error)
+	doer
 	Sequences() []*core.Sequence
 	Len() int
 }
@@ -87,20 +110,20 @@ func fingerprint(t *testing.T, db searcher, queries []*core.Sequence, eps float6
 		fmtf("%d:%d,", s.ID, len(s.Points))
 	}
 	for qi, q := range queries {
-		ms, _, err := db.Search(q, eps)
+		res, err := db.Do(context.Background(), core.Query{Seq: q, Eps: eps})
 		if err != nil {
 			t.Fatalf("Search q%d: %v", qi, err)
 		}
 		fmtf(";q%d=", qi)
-		for _, m := range ms {
+		for _, m := range res.Matches {
 			fmtf("%d@%x|%v,", m.SeqID, math.Float64bits(m.MinDnorm), m.Interval)
 		}
-		ss, err := db.SequentialSearch(q, eps)
+		scan, err := db.Do(context.Background(), core.Query{Seq: q, Kind: core.Scan, Eps: eps})
 		if err != nil {
-			t.Fatalf("SequentialSearch q%d: %v", qi, err)
+			t.Fatalf("Scan q%d: %v", qi, err)
 		}
 		fmtf(";s%d=", qi)
-		for _, r := range ss {
+		for _, r := range scan.Matches {
 			fmtf("%d@%x|%v,", r.SeqID, math.Float64bits(r.Dist), r.Interval)
 		}
 	}
@@ -283,7 +306,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	snap := db.Acquire()
 	defer snap.Release()
 	epoch := snap.Epoch()
-	before, _, err := snap.Search(q, 4)
+	before, _, err := searchOn(snap, q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +323,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if snap.Epoch() != epoch || snap.Len() != 10 {
 		t.Fatalf("snapshot moved: epoch %d->%d len %d", epoch, snap.Epoch(), snap.Len())
 	}
-	after, _, err := snap.Search(q, 4)
+	after, _, err := searchOn(snap, q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +355,7 @@ func TestCheckpointDrainsPinnedSnapshots(t *testing.T) {
 	}
 	q := randSeq(rng, 2, 8)
 	snap := db.Acquire()
-	want, _, err := snap.Search(q, 5)
+	want, _, err := searchOn(snap, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +368,7 @@ func TestCheckpointDrainsPinnedSnapshots(t *testing.T) {
 	}
 	// The snapshot still reads, and writers still commit, while the
 	// checkpoint waits.
-	got, _, err := snap.Search(q, 5)
+	got, _, err := searchOn(snap, q, 5)
 	if err != nil || len(got) != len(want) {
 		t.Fatalf("pinned snapshot read during drain: %d matches, err %v", len(got), err)
 	}
@@ -397,11 +420,11 @@ func TestKNNWithDelta(t *testing.T) {
 	}
 	q := randSeq(rng, 2, 8)
 	for _, k := range []int{1, 5, 12} {
-		got, err := db.SearchKNN(q, k)
+		got, err := db.SearchKNNCtx(context.Background(), q, k)
 		if err != nil {
 			t.Fatalf("SearchKNN(%d): %v", k, err)
 		}
-		want, err := ref.SearchKNN(q, k)
+		want, err := ref.SearchKNNCtx(context.Background(), q, k)
 		if err != nil {
 			t.Fatalf("ref SearchKNN(%d): %v", k, err)
 		}
@@ -422,7 +445,7 @@ func TestKNNWithDelta(t *testing.T) {
 		for _, start := range []float64{math.Inf(1), want[len(want)-1].Dist} {
 			live := new(core.KNNBound)
 			live.Tighten(start)
-			bounded, err := db.SearchKNNBoundedCtx(context.Background(), q, k, live)
+			bounded, err := knnBounded(context.Background(), db, q, k, live, nil)
 			if err != nil {
 				t.Fatalf("SearchKNNBoundedCtx(%d): %v", k, err)
 			}

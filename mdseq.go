@@ -18,8 +18,8 @@
 //	db, err := mdseq.Open(mdseq.Options{Dim: 3})
 //	...
 //	id, err := db.Add(seq)                  // seq: *mdseq.Sequence
-//	matches, stats, err := db.Search(q, 0.1)
-//	for _, m := range matches {
+//	res, err := db.Do(ctx, mdseq.Query{Seq: q, Eps: 0.1})
+//	for _, m := range res.Matches {
 //	    fmt.Println(m.SeqID, m.Interval.Ranges()) // matching sub-ranges
 //	}
 //
@@ -59,14 +59,38 @@ type Segmented = core.Segmented
 // PartitionConfig tunes the paper's MCOST partitioning algorithm.
 type PartitionConfig = core.PartitionConfig
 
-// Match is one search result: a sequence within threshold plus the
-// approximated solution interval locating where it matches.
+// Query is one similarity query as a value — range search (the zero Kind),
+// kNN or the exhaustive scan, under the paper's Dnorm answer (a nil
+// Metric), D or DTW — and DB.Do (ShardedDB.Do, Store.Do) the one entry
+// point that answers it.
+type Query = core.Query
+
+// Result is the answer to a Query: the matches, the statistics of the work
+// behind them and, from a sharded database, each shard's own.
+type Result = core.Result
+
+// QueryKind selects what a Query asks for.
+type QueryKind = core.Kind
+
+// The query kinds.
+const (
+	// Range asks for every sequence within Query.Eps; the zero value.
+	Range = core.Range
+	// KNN asks for the Query.K nearest sequences.
+	KNN = core.KNN
+	// Scan asks what Range asks of the exhaustive scan, the exact baseline.
+	Scan = core.Scan
+)
+
+// Match is one sequence of an answer: a range match with its approximated
+// solution interval, a neighbor with its exact distance and offset, or a
+// scan result with its exact interval — see the field comments.
 type Match = core.Match
 
 // SearchStats describes the work each phase of a search did.
 type SearchStats = core.SearchStats
 
-// ScanResult is one exact result from the sequential-scan baseline.
+// ScanResult is a Match as the sequential-scan baseline reports it.
 type ScanResult = core.ScanResult
 
 // PointRange is a half-open range of point indices.
@@ -140,7 +164,7 @@ func BestAlignment(a, b []Point) (offset int, dist float64) {
 // similarity in [0,1].
 func DistToSimilarity(dist float64, n int) float64 { return geom.DistToSimilarity(dist, n) }
 
-// KNNResult is one ranked result of DB.SearchKNN.
+// KNNResult is a Match as a KNN query ranks it.
 type KNNResult = core.KNNResult
 
 // Explanation is the decision record produced by DB.Explain.
@@ -168,8 +192,7 @@ func RefineDTW(q *Sequence, matches []Match, window int) []Match {
 // prune for it without false dismissals. MetricD is the paper's exact
 // alignment distance D (the default everywhere a Metric is optional);
 // MetricDTW is dynamic time warping served through envelope and
-// LB_Keogh pruning. Pass a Metric to DB.SearchMetric / DB.SearchKNNMetric
-// (and their sharded counterparts via Store).
+// LB_Keogh pruning. Set it as Query.Metric.
 type Metric = core.Metric
 
 // MetricD selects the exact alignment distance D — the same result set
@@ -181,8 +204,8 @@ type MetricD = core.MetricD
 // sequence length.
 type MetricDTW = core.MetricDTW
 
-// MetricMatch is one result of a metric range search: a sequence within
-// the threshold under the chosen metric, with its exact distance.
+// MetricMatch is a Match as a range search under a Metric reports it: a
+// sequence within the threshold, with its exact distance.
 type MetricMatch = core.MetricMatch
 
 // ParseMetric resolves a metric by name ("", "d", or "dtw") and DTW
@@ -208,7 +231,7 @@ func Load(dir string, fileIndex bool) (*DB, error) { return store.Load(dir, file
 type ShardedDB = shard.ShardedDB
 
 // Store is the database surface shared by *DB and *ShardedDB: writes,
-// range search, kNN, explain, and stats. Serving layers program against
+// Do, batch search, explain, and stats. Serving layers program against
 // it so topology stays a deployment choice.
 type Store = shard.DB
 
@@ -240,7 +263,7 @@ func SaveSharded(db *ShardedDB, dir string) error { return store.SaveSharded(db,
 // QueryCache is a sharded, cost-aware cache of query results. Attach one
 // with DB.SetCache (or ShardedDB.SetCache, where the budget also covers
 // per-shard caches behind a merged-result front cache): repeated range,
-// parallel, kNN, and batch queries are then answered from memory.
+// kNN, and batch queries are then answered from memory.
 // Eviction is by GDSF priority (recomputation cost × hit frequency /
 // size, with an aging watermark) or plain LRU; writes invalidate either
 // just the entries whose recorded query region (MBR + radius) the
