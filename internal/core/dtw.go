@@ -16,8 +16,8 @@ import (
 // the Sakoe–Chiba band half-width constraining |i−j|; window < 0 means
 // unconstrained.
 //
-// DTW is served through the index by the MetricDTW search path
-// (SearchMetric, SearchKNNMetric), which pairs it with envelope lower
+// DTW is served through the index by the MetricDTW search path (a Query
+// whose Metric is MetricDTW), which pairs it with envelope lower
 // bounds so there are no false dismissals; this function is the exact
 // distance itself, also usable directly and as the RefineDTW re-rank step.
 //

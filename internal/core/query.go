@@ -135,9 +135,6 @@ var errClosed = errors.New("core: database closed")
 // after it makes the entry stored below unservable, never stale.
 func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 	t0 := time.Now()
-	if q.Kind == KNN && q.Metric == nil {
-		q.Metric = MetricD{}
-	}
 	if err := q.Check(db.opts.Dim); err != nil {
 		return Result{}, err
 	}

@@ -61,31 +61,13 @@ func appendSearchResponse(b []byte, res core.Result, exact bool) ([]byte, error)
 			b = append(b, `0,"intervals":null`...)
 			if m.Dist != 0 {
 				b = append(b, `,"dist":`...)
-				if b, err = appendFloat(b, m.Dist); err != nil {
-					return b, err
-				}
+				b, err = appendFloat(b, m.Dist)
 			}
-			b = append(b, '}')
-			continue
+		} else if b, err = appendFloat(b, m.MinDnorm); err == nil {
+			b = appendIntervals(b, m.Interval.Ranges())
 		}
-		if b, err = appendFloat(b, m.MinDnorm); err != nil {
+		if err != nil {
 			return b, err
-		}
-		b = append(b, `,"intervals":`...)
-		ranges := m.Interval.Ranges()
-		if len(ranges) == 0 {
-			b = append(b, "null"...)
-		} else {
-			sep := byte('[')
-			for _, rg := range ranges {
-				b = append(b, sep, '[')
-				sep = ','
-				b = strconv.AppendInt(b, int64(rg.Start), 10)
-				b = append(b, ',')
-				b = strconv.AppendInt(b, int64(rg.End), 10)
-				b = append(b, ']')
-			}
-			b = append(b, ']')
 		}
 		b = append(b, '}')
 	}
@@ -93,6 +75,25 @@ func appendSearchResponse(b []byte, res core.Result, exact bool) ([]byte, error)
 		res.PerShard = nil
 	}
 	return appendResponseTail(b, res.Stats, res.PerShard), nil
+}
+
+// appendIntervals appends `,"intervals":` and the [start,end) pairs, null
+// for none.
+func appendIntervals(b []byte, ranges []core.PointRange) []byte {
+	b = append(b, `,"intervals":`...)
+	if len(ranges) == 0 {
+		return append(b, "null"...)
+	}
+	sep := byte('[')
+	for _, rg := range ranges {
+		b = append(b, sep, '[')
+		sep = ','
+		b = strconv.AppendInt(b, int64(rg.Start), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(rg.End), 10)
+		b = append(b, ']')
+	}
+	return append(b, ']')
 }
 
 // appendMatchHead appends a MatchJSON up to and including `"minDnorm":`.

@@ -17,7 +17,7 @@
 // kNN gathers per-shard top-k lists and merges to the global top k; the
 // shards of one query share a live k-th-best distance as their refinement
 // bound, which only ever prunes sequences strictly above the final k-th
-// distance (see SearchKNNMetricCtx).
+// distance (see knnScatter).
 //
 // The query path is fault-tolerant under a Policy: context deadlines
 // propagate from the caller through the scatter into every per-shard
@@ -157,7 +157,7 @@ func NewWithNodes(nodes []Node) (*ShardedDB, error) {
 
 // SetShardBackend substitutes shard i's query backend (nil restores the
 // shard's own database). The substitution affects only the query path —
-// Search/SearchKNN scatters — never writes or lookups. It exists for the
+// what Do and SearchBatchCtx scatter — never writes, lookups or the Scan oracle. It exists for the
 // fault-injection harness (FaultDB) and tests; a production deployment
 // leaves the defaults in place. Safe to call while queries are in flight.
 func (s *ShardedDB) SetShardBackend(i int, b Backend) {

@@ -163,15 +163,6 @@ func mergeByID(base []core.Match, v *view, delta []core.Match) []core.Match {
 	return out
 }
 
-// fixupStats rewrites the base search's corpus-level counters to the
-// snapshot's view: sequence totals and match counts, with the delta
-// pass's work already accumulated.
-func (s *Snap) fixupStats(st *core.SearchStats, matches int) {
-	st.TotalSequences = s.st.live
-	st.MatchesDnorm = matches
-	st.CacheHit = false
-}
-
 // Do answers q against the snapshot: the one query path of the transaction
 // layer. The indexed base answers first (core.Database.Do — cache, index,
 // kernels), the delta pass evaluates the same predicate over the
@@ -189,7 +180,12 @@ func (s *Snap) Do(ctx context.Context, q core.Query) (core.Result, error) {
 		if q.K <= 0 {
 			return core.Result{}, nil
 		}
-		base.K, base.Bound = s.baseK(q.K), q.Bound.Local()
+		// The base answers an inflated k', covering every result the delta
+		// might supersede or have removed. Nothing is sized by k, and k' is
+		// built from the smaller of k and the live count: asking for more
+		// neighbors than there are sequences returns them all, ranked.
+		base.K = min(q.K, s.st.live) + len(s.st.adds) + len(s.view().overlay) + len(s.st.removed)
+		base.Bound = q.Bound.Local()
 	}
 	res, err := s.db.base.Do(ctx, base)
 	if err != nil {
@@ -219,7 +215,11 @@ func (s *Snap) overlay(ctx context.Context, q core.Query, res core.Result) (core
 	if err != nil {
 		return core.Result{}, err
 	}
-	s.fixupStats(&res.Stats, len(res.Matches))
+	// The base's corpus-level counters become the snapshot's; the delta
+	// pass has already added its work.
+	res.Stats.TotalSequences = s.st.live
+	res.Stats.MatchesDnorm = len(res.Matches)
+	res.Stats.CacheHit = false
 	return res, nil
 }
 
@@ -315,17 +315,8 @@ func (s *Snap) deltaScan(q core.Query) []core.Match {
 	return out
 }
 
-// baseK is the k' the base index answers a KNN for k with: inflated to
-// cover every base result the delta might supersede or have removed. k is
-// whatever the request said; nothing is sized by it, and k' is built from
-// the smaller of k and the live count: asking for more neighbors than there
-// are sequences returns them all, ranked.
-func (s *Snap) baseK(k int) int {
-	return min(k, s.st.live) + len(s.st.adds) + len(s.view().overlay) + len(s.st.removed)
-}
-
 // mergeKNN is the delta pass and merge of a KNN — the one kNN merge every
-// metric shares: base, the base index's answer for k' = baseK, loses what
+// metric shares: base, the base index's answer for the inflated k', loses what
 // the view supersedes, the delta contributes exact distances via the same
 // kernel the indexed path refines with, and the merge keeps the true top k.
 //

@@ -11,17 +11,38 @@
 // block; a trailing line comment on a spec or field also counts. Test
 // files are skipped. Exit status is 1 if any identifier is undocumented,
 // with one "file:line: identifier" diagnostic per gap.
+//
+// It also holds the query surface to the ceilings PR 22 brought it down to
+// (see ceilings): a method added to shard.DB, shard.Backend or
+// *core.Database beyond them fails the run, so the search-method matrix
+// that Do replaced cannot regrow unreviewed. And it prints the count each
+// ROADMAP re-anchor tracks: non-test Go lines outside bench/, under the
+// current directory.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 )
+
+// ceilings caps the methods of the types a query travels through: an
+// interface's own methods, a struct's exported ones. Lowering one after a
+// deletion is welcome; raising one is a design decision to argue in review.
+var ceilings = []struct {
+	pkg, typ string
+	max      int
+}{
+	{"shard", "DB", 25},
+	{"shard", "Backend", 3},
+	{"core", "Database", 41},
+}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -29,8 +50,9 @@ func main() {
 		os.Exit(2)
 	}
 	var gaps []string
+	methods := map[string]int{} // "pkg.Type" → methods counted toward its ceiling
 	for _, dir := range os.Args[1:] {
-		g, err := checkDir(dir)
+		g, err := checkDir(dir, methods)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "checkdoc: %s: %v\n", dir, err)
 			os.Exit(2)
@@ -44,11 +66,52 @@ func main() {
 		fmt.Fprintf(os.Stderr, "checkdoc: %d exported identifier(s) missing doc comments\n", len(gaps))
 		os.Exit(1)
 	}
+	over := false
+	for _, c := range ceilings {
+		if n, seen := methods[c.pkg+"."+c.typ]; seen && n > c.max {
+			fmt.Fprintf(os.Stderr, "checkdoc: %s.%s has %d methods, ceiling %d: answer the new need through Do, or argue the ceiling\n", c.pkg, c.typ, n, c.max)
+			over = true
+		}
+	}
+	if over {
+		os.Exit(1)
+	}
+	lines, err := nonTestLines(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "checkdoc: counting lines: %v\n", err)
+		os.Exit(2)
+	}
+	fmt.Printf("checkdoc: %d non-test Go lines outside bench/\n", lines)
+}
+
+// nonTestLines counts the lines of every non-test Go file under root,
+// bench/ and the harness's build directory left out.
+func nonTestLines(root string) (int, error) {
+	total := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "bench" && filepath.Dir(path) == root || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		total += bytes.Count(b, []byte("\n"))
+		return err
+	})
+	return total, err
 }
 
 // checkDir parses every non-test Go file in dir and returns one
-// diagnostic per undocumented exported identifier.
-func checkDir(dir string) ([]string, error) {
+// diagnostic per undocumented exported identifier. Into methods it counts,
+// per type named in ceilings, the methods that count toward the ceiling.
+func checkDir(dir string, methods map[string]int) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -70,8 +133,18 @@ func checkDir(dir string) ([]string, error) {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
 					checkFunc(d, report)
+					if d.Recv != nil && len(d.Recv.List) == 1 && d.Name.IsExported() {
+						methods[pkg.Name+"."+receiverName(d.Recv.List[0].Type)]++
+					}
 				case *ast.GenDecl:
 					checkGen(d, report)
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							if it, ok := ts.Type.(*ast.InterfaceType); ok {
+								methods[pkg.Name+"."+ts.Name.Name] += len(it.Methods.List)
+							}
+						}
+					}
 				}
 			}
 		}
