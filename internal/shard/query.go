@@ -177,7 +177,7 @@ func scatter[T any](ctx context.Context, s *ShardedDB, pol Policy,
 // part hands them out, become one Result — statistics folded by mergeStats
 // and kept per shard, Partial and ShardsAnswered stamped, and the matches
 // copied under global ids (a shard's slice may be shared with its cache) in
-// ascending id order. A KNN's matches are left to the scatter, which has
+// ascending id order — or, from a lone shard, taken as they are. A KNN's matches are left to the scatter, which has
 // ranked them as the shards came in.
 func (s *ShardedDB) gather(q core.Query, shards []int, part func(shard int) core.Result) core.Result {
 	res := core.Result{PerShard: make([]ShardStats, 0, len(shards))}
@@ -192,6 +192,13 @@ func (s *ShardedDB) gather(q core.Query, shards []int, part func(shard int) core
 	res.Stats.Partial = len(shards) < len(s.shards)
 	if q.Kind == core.KNN {
 		return res // knnScatter.merge has the neighbors
+	}
+	if len(s.shards) == 1 {
+		// A lone shard's ids are the global ones and its list is in order:
+		// it is the answer as it stands, shared with that shard's cache and
+		// read-only like every range answer.
+		res.Matches = part(0).Matches
+		return res
 	}
 	res.Matches = slices.Grow(res.Matches, total) // stays nil when nothing matched
 	for _, i := range shards {
