@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -103,6 +105,61 @@ func TestOpenDurableSeedIsCheckpointed(t *testing.T) {
 		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenDurableRefusesOtherShardCount: a durability directory records no
+// shard count, so reopening one under another count used to serve whatever
+// shard directories matched (4 → 2: half the corpus, new writes hashed mod
+// 2 onto shards filled mod 4) or an empty node beside them (4 → 1). The
+// layout on disk decides now, before any node is opened; the count it was
+// written with, and a fresh directory, open as before.
+func TestOpenDurableRefusesOtherShardCount(t *testing.T) {
+	seqs := make([]*core.Sequence, 16)
+	for i := range seqs {
+		seqs[i] = &core.Sequence{Label: fmt.Sprintf("s%02d", i), Points: []geom.Point{{0.1, 0.2, float64(i) / 16}, {0.2, 0.3, float64(i) / 16}}}
+	}
+	data := filepath.Join(t.TempDir(), "corpus.mds")
+	if err := seqio.WriteFile(data, seqs); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ wrote, reopen int }{{4, 2}, {4, 1}, {1, 4}, {4, 4}, {1, 1}} {
+		cfg := txnConfig{dir: filepath.Join(t.TempDir(), "fresh"), noFsync: true}
+		db, err := openDurable(data, 0, tc.wrote, cfg)
+		if err != nil {
+			t.Fatalf("fresh directory, %d shards: %v", tc.wrote, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadDir(cfg.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err = openDurable("", 3, tc.reopen, cfg)
+		if tc.wrote == tc.reopen {
+			if err != nil {
+				t.Fatalf("written with %d shards, reopened with %d: %v", tc.wrote, tc.reopen, err)
+			}
+			if db.Len() != len(seqs) {
+				t.Errorf("written with %d shards, reopened with %d: %d sequences, want %d", tc.wrote, tc.reopen, db.Len(), len(seqs))
+			}
+			db.Close()
+			continue
+		}
+		if err == nil {
+			n := db.Len()
+			db.Close()
+			t.Fatalf("written with %d shards, reopened with %d: opened, serving %d of %d sequences", tc.wrote, tc.reopen, n, len(seqs))
+		}
+		for _, want := range []string{fmt.Sprintf("written with %d shard(s)", tc.wrote), fmt.Sprintf("-shards is %d", tc.reopen)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not say %q", err, want)
+			}
+		}
+		if after, _ := os.ReadDir(cfg.dir); len(after) != len(before) {
+			t.Errorf("written with %d shards, refused with %d: the directory went from %d to %d entries", tc.wrote, tc.reopen, len(before), len(after))
 		}
 	}
 }

@@ -35,21 +35,16 @@ func ExampleOpen() {
 	// trail matches at [[3,6)]
 }
 
-// ExampleQueryCacheConfig selects an eviction policy and invalidation
-// scope for the query-result cache, then shows MBR-scoped invalidation
-// at work: a write far from a cached query's region keeps the hit alive,
-// a write inside it recomputes.
+// ExampleQueryCacheConfig sizes the query-result cache, then shows
+// MBR-scoped invalidation at work: a write far from a cached query's
+// region keeps the hit alive, a write inside it recomputes.
 func ExampleQueryCacheConfig() {
 	db, err := mdseq.Open(mdseq.Options{Dim: 2})
 	if err != nil {
 		panic(err)
 	}
 	defer db.Close()
-	db.SetCache(mdseq.NewQueryCache(mdseq.QueryCacheConfig{
-		MaxEntries: 1024,
-		Policy:     mdseq.CachePolicyGDSF, // cost-aware eviction (the default)
-		Scope:      mdseq.CacheScopeMBR,   // region-scoped invalidation (the default)
-	}))
+	db.SetCache(mdseq.NewQueryCache(mdseq.QueryCacheConfig{MaxEntries: 1024}))
 
 	trail, _ := mdseq.NewSequence("trail", []mdseq.Point{
 		{0.10, 0.10}, {0.12, 0.11}, {0.14, 0.13}, {0.16, 0.14},

@@ -10,37 +10,31 @@
 // kNN with poor pruning burns orders of magnitude more CPU than a tiny
 // range probe. The cache therefore tracks, per entry, both the compute
 // cost of the run that produced it (Value.Cost, the search's CPUTime) and
-// the geometric region the result depends on (Value.Region), and offers a
-// choice along both axes:
+// the geometric region the result depends on (Value.Region), and uses
+// each for one decision:
 //
-// Eviction policy (Config.Policy). PolicyLRU is classic least-recently-
-// used. PolicyGDSF (the default) is Greedy-Dual-Size-Frequency: each
-// entry carries a priority H = L + frequency × cost / size, where L is a
-// per-lock-shard aging watermark that rises to the evicted victim's H, so
-// long-idle entries age out no matter how expensive they once were, while
-// a frequently hit, expensive-to-recompute entry outranks a crowd of
-// cheap ones. Admission is by self-eviction: a new entry enters with
-// H = L + cost/size and is immediately evicted if it is itself the lowest
-// priority in a full shard, so one-off cheap results cannot displace a
-// proven expensive one.
+// Eviction is Greedy-Dual-Size-Frequency: each entry carries a priority
+// H = L + frequency × cost / size, where L is a per-lock-shard aging
+// watermark that rises to the evicted victim's H, so long-idle entries age
+// out no matter how expensive they once were, while a frequently hit,
+// expensive-to-recompute entry outranks a crowd of cheap ones. Admission
+// is by self-eviction: a new entry enters with H = L + cost/size and is
+// immediately evicted if it is itself the lowest priority in a full shard,
+// so one-off cheap results cannot displace a proven expensive one.
 //
-// Invalidation scope (Config.Scope). Writes are reported to the cache
-// through Invalidate(w), where w is the MBR of the written sequence.
-// ScopeEpoch reproduces the original whole-cache flush: Invalidate only
-// advances the cache's write-sequence counter and Get treats any entry
-// born under an older counter as stale (lazily evicting it), so the
-// writer never takes a cache lock. ScopeMBR (the default) keeps every
-// entry whose recorded region provably cannot be affected: an entry with
-// region (rect R, radius r) is killed only when MinDist(R, w) ≤ r — the
-// same conservative rectangle-distance bound (the paper's Dmbr, Lemma 1)
-// that makes the search itself admit no false dismissals. Because Dmbr
-// lower-bounds every point-pair distance, a write whose MBR is farther
-// than r from the query's MBR cannot add, remove, or alter any result
-// within radius r, so surviving hits are never stale (see DESIGN.md §14
-// for the full argument). Each lock shard keeps a coarse summary (union
-// rect + max radius) so a write sweep skips entire shards it cannot
-// intersect, keeping the write path ~O(intersecting entries) rather than
-// O(cache).
+// Invalidation is scoped by geometry. Writes are reported to the cache
+// through Invalidate(w), where w is the MBR of the written sequence, and
+// every entry whose recorded region provably cannot be affected is kept:
+// an entry with region (rect R, radius r) is killed only when
+// MinDist(R, w) ≤ r — the same conservative rectangle-distance bound (the
+// paper's Dmbr, Lemma 1) that makes the search itself admit no false
+// dismissals. Because Dmbr lower-bounds every point-pair distance, a write
+// whose MBR is farther than r from the query's MBR cannot add, remove, or
+// alter any result within radius r, so surviving hits are never stale (see
+// DESIGN.md §10 for the full argument). Each lock shard keeps a coarse
+// summary (union rect + max radius) so a write sweep skips entire shards
+// it cannot intersect, keeping the write path ~O(intersecting entries)
+// rather than O(cache).
 //
 // Writers racing queries are handled by a write-sequence protocol: a
 // reader snapshots Seq() before running its query and passes the value to
@@ -64,8 +58,6 @@
 package cache
 
 import (
-	"container/list"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -139,57 +131,7 @@ type Value struct {
 	Partial bool
 }
 
-// Policy selects the eviction policy.
-type Policy string
-
-// The supported eviction policies.
-const (
-	// PolicyLRU evicts the least-recently-used entry first.
-	PolicyLRU Policy = "lru"
-	// PolicyGDSF evicts by Greedy-Dual-Size-Frequency priority
-	// H = L + frequency × cost / size with a rising aging watermark L.
-	PolicyGDSF Policy = "gdsf"
-)
-
-// ParsePolicy converts a flag string into a Policy ("" selects the
-// default, PolicyGDSF).
-func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case "":
-		return PolicyGDSF, nil
-	case PolicyLRU, PolicyGDSF:
-		return Policy(s), nil
-	}
-	return "", fmt.Errorf("cache: unknown policy %q (want %q or %q)", s, PolicyLRU, PolicyGDSF)
-}
-
-// Scope selects how write notifications invalidate entries.
-type Scope string
-
-// The supported invalidation scopes.
-const (
-	// ScopeEpoch flushes the whole cache on every write: Invalidate only
-	// advances the write-sequence counter and entries born earlier die
-	// lazily on lookup. The writer never takes a cache lock.
-	ScopeEpoch Scope = "epoch"
-	// ScopeMBR kills only entries whose recorded region the write's MBR
-	// can reach (MinDist ≤ radius); everything else keeps serving.
-	ScopeMBR Scope = "mbr"
-)
-
-// ParseScope converts a flag string into a Scope ("" selects the
-// default, ScopeMBR).
-func ParseScope(s string) (Scope, error) {
-	switch Scope(s) {
-	case "":
-		return ScopeMBR, nil
-	case ScopeEpoch, ScopeMBR:
-		return Scope(s), nil
-	}
-	return "", fmt.Errorf("cache: unknown scope %q (want %q or %q)", s, ScopeEpoch, ScopeMBR)
-}
-
-// Config sizes a Cache and selects its policies.
+// Config sizes a Cache.
 type Config struct {
 	// MaxEntries caps the number of cached results across all lock
 	// shards (0 → DefaultMaxEntries). The cap is enforced per shard
@@ -202,10 +144,6 @@ type Config struct {
 	// a power of two). More shards means less contention under
 	// concurrent queries at a small fixed memory cost.
 	Shards int
-	// Policy is the eviction policy ("" → PolicyGDSF).
-	Policy Policy
-	// Scope is the write-invalidation scope ("" → ScopeMBR).
-	Scope Scope
 }
 
 // Defaults for the zero Config.
@@ -234,12 +172,6 @@ func (c Config) withDefaults() Config {
 		n <<= 1
 	}
 	c.Shards = n
-	if c.Policy == "" {
-		c.Policy = PolicyGDSF
-	}
-	if c.Scope == "" {
-		c.Scope = ScopeMBR
-	}
 	return c
 }
 
@@ -247,7 +179,6 @@ func (c Config) withDefaults() Config {
 // use. The zero Cache is not usable; construct with New.
 type Cache struct {
 	cfg    Config
-	gdsf   bool // cfg.Policy == PolicyGDSF, hoisted out of the hot path
 	shards []lockShard
 	mask   uint64
 
@@ -264,9 +195,6 @@ type Cache struct {
 // entry is one cached result with its replacement-policy state.
 type entry struct {
 	key Key
-	// seq is the write-sequence value the entry was stored under. Under
-	// ScopeEpoch a lookup requires it to still be current.
-	seq uint64
 	val Value
 
 	// freq and pri are the GDSF frequency count and priority H; hi is
@@ -274,17 +202,13 @@ type entry struct {
 	freq uint64
 	pri  float64
 	hi   int
-	// el is the entry's node in the LRU list (PolicyLRU only).
-	el *list.Element
 }
 
 // lockShard is one independently locked cache segment.
 type lockShard struct {
 	mu    sync.Mutex
-	gdsf  bool
 	items map[Key]*entry
-	ll    *list.List // LRU order, front = most recent (PolicyLRU)
-	heap  []*entry   // min-heap by pri (PolicyGDSF)
+	heap  []*entry // min-heap by pri
 
 	bytes      int64
 	maxEntries int
@@ -313,7 +237,6 @@ func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{
 		cfg:    cfg,
-		gdsf:   cfg.Policy == PolicyGDSF,
 		shards: make([]lockShard, cfg.Shards),
 		mask:   uint64(cfg.Shards - 1),
 	}
@@ -327,9 +250,7 @@ func New(cfg Config) *Cache {
 	}
 	for i := range c.shards {
 		c.shards[i] = lockShard{
-			gdsf:       c.gdsf,
 			items:      make(map[Key]*entry),
-			ll:         list.New(),
 			maxEntries: perEntries,
 			maxBytes:   perBytes,
 		}
@@ -351,11 +272,8 @@ func (c *Cache) Seq() uint64 { return c.seq.Load() }
 // shard maps a key to its lock shard.
 func (c *Cache) shard(k Key) *lockShard { return &c.shards[k.Hi&c.mask] }
 
-// Get returns the value cached under k. Under ScopeEpoch an entry stored
-// before the latest write notification is stale: it is evicted on the
-// spot, counted as an invalidation, and reported as a miss. Under
-// ScopeMBR every stored entry is servable — writes that could have
-// affected it already removed it eagerly.
+// Get returns the value cached under k. Every stored entry is servable:
+// writes that could have affected it already removed it eagerly.
 func (c *Cache) Get(k Key) (Value, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -365,15 +283,6 @@ func (c *Cache) Get(k Key) (Value, bool) {
 		c.met.Load().miss()
 		return Value{}, false
 	}
-	if c.cfg.Scope == ScopeEpoch && e.seq != c.seq.Load() {
-		s.removeEntry(e, c)
-		s.mu.Unlock()
-		m := c.met.Load()
-		m.invalidate(1)
-		m.miss()
-		m.shape(c)
-		return Value{}, false
-	}
 	s.touch(e)
 	v := e.val
 	s.mu.Unlock()
@@ -381,17 +290,13 @@ func (c *Cache) Get(k Key) (Value, bool) {
 	return v, true
 }
 
-// touch registers an access for the replacement policy: LRU moves the
-// entry to the front; GDSF bumps its frequency and recomputes its
-// priority against the current watermark. Caller holds s.mu.
+// touch registers an access: it bumps the entry's frequency and
+// recomputes its priority against the current watermark. Caller holds
+// s.mu.
 func (s *lockShard) touch(e *entry) {
-	if s.gdsf {
-		e.freq++
-		e.pri = s.watermark + e.score()
-		s.heapFix(e.hi)
-		return
-	}
-	s.ll.MoveToFront(e.el)
+	e.freq++
+	e.pri = s.watermark + e.score()
+	s.heapFix(e.hi)
 }
 
 // score is the GDSF frequency × cost / size term (the priority above the
@@ -414,9 +319,9 @@ func (e *entry) score() float64 {
 // arrived since the snapshot (the result may predate a write whose sweep
 // already passed), when v is flagged Partial, or when v alone exceeds a
 // whole lock shard's byte budget. An existing entry under k is replaced.
-// Entries are then evicted — by recency (PolicyLRU) or lowest GDSF
-// priority (PolicyGDSF) — until both shard caps hold; under GDSF the
-// just-stored entry may itself be the victim (admission control).
+// Entries are then evicted, lowest GDSF priority first, until both shard
+// caps hold; the just-stored entry may itself be the victim (admission
+// control).
 func (c *Cache) Put(k Key, seq uint64, v Value) {
 	if v.Partial {
 		return
@@ -434,16 +339,12 @@ func (c *Cache) Put(k Key, seq uint64, v Value) {
 		delta := int64(v.Bytes) - int64(e.val.Bytes)
 		s.bytes += delta
 		c.bytes.Add(delta)
-		e.seq, e.val = seq, v
+		e.val = v
 		s.touch(e)
 	} else {
-		e := &entry{key: k, seq: seq, val: v, freq: 1}
-		if s.gdsf {
-			e.pri = s.watermark + e.score()
-			s.heapPush(e)
-		} else {
-			e.el = s.ll.PushFront(e)
-		}
+		e := &entry{key: k, val: v, freq: 1}
+		e.pri = s.watermark + e.score()
+		s.heapPush(e)
 		s.items[k] = e
 		s.bytes += int64(v.Bytes)
 		c.bytes.Add(int64(v.Bytes))
@@ -452,10 +353,8 @@ func (c *Cache) Put(k Key, seq uint64, v Value) {
 	s.growSummary(v.Region)
 	evicted := 0
 	for (len(s.items) > s.maxEntries || s.bytes > s.maxBytes) && len(s.items) > 0 {
-		victim := s.victim()
-		if s.gdsf {
-			s.watermark = victim.pri
-		}
+		victim := s.heap[0]
+		s.watermark = victim.pri
 		s.removeEntry(victim, c)
 		evicted++
 	}
@@ -465,30 +364,16 @@ func (c *Cache) Put(k Key, seq uint64, v Value) {
 	m.shape(c)
 }
 
-// victim returns the entry the policy evicts next. Caller holds s.mu and
-// has checked the shard is non-empty.
-func (s *lockShard) victim() *entry {
-	if s.gdsf {
-		return s.heap[0]
-	}
-	return s.ll.Back().Value.(*entry)
-}
-
-// Invalidate reports a completed write covering the MBR w. It always
-// advances the write-sequence counter (failing every in-flight Put that
-// predates the write). Under ScopeEpoch that is all — entries die lazily
-// on lookup. Under ScopeMBR it sweeps the lock shards, removing exactly
-// the entries whose regions the write can reach and skipping — via the
-// per-shard summaries — shards it provably cannot touch. Pass the empty
-// Rect when the write's extent is unknown; everything is then
-// invalidated.
+// Invalidate reports a completed write covering the MBR w. It advances
+// the write-sequence counter (failing every in-flight Put that predates
+// the write), then sweeps the lock shards, removing exactly the entries
+// whose regions the write can reach and skipping — via the per-shard
+// summaries — shards it provably cannot touch. Pass the empty Rect when
+// the write's extent is unknown; everything is then invalidated.
 func (c *Cache) Invalidate(w geom.Rect) {
 	c.seq.Add(1)
 	m := c.met.Load()
 	m.write()
-	if c.cfg.Scope == ScopeEpoch {
-		return
-	}
 	removed, skipped := 0, 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -544,14 +429,10 @@ func (s *lockShard) rebuildSummary() {
 	}
 }
 
-// removeEntry unlinks e from the shard's policy structure, map, and byte
-// accounting. Caller holds s.mu.
+// removeEntry unlinks e from the shard's heap, map, and byte accounting.
+// Caller holds s.mu.
 func (s *lockShard) removeEntry(e *entry, c *Cache) {
-	if s.gdsf {
-		s.heapRemove(e.hi)
-	} else {
-		s.ll.Remove(e.el)
-	}
+	s.heapRemove(e.hi)
 	delete(s.items, e.key)
 	s.bytes -= int64(e.val.Bytes)
 	c.bytes.Add(-int64(e.val.Bytes))

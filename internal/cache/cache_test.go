@@ -61,27 +61,8 @@ func TestPutDroppedAfterWrite(t *testing.T) {
 	}
 }
 
-func TestEpochScopeLazyFlush(t *testing.T) {
-	c := New(Config{MaxEntries: 8, Shards: 1, Scope: ScopeEpoch})
-	k := key(1)
-	c.Put(k, c.Seq(), Value{Data: "a", Bytes: 4, Region: reg(0, 1, 0.5)})
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("miss before any write")
-	}
-	// Under ScopeEpoch every write flushes everything — even a write whose
-	// MBR is nowhere near the entry's region.
-	c.Invalidate(sq(100, 101))
-	if _, ok := c.Get(k); ok {
-		t.Fatal("served an entry born before the write")
-	}
-	// The stale entry must have been dropped on lookup, not just skipped.
-	if c.Len() != 0 {
-		t.Fatalf("stale entry retained: Len=%d", c.Len())
-	}
-}
-
 func TestMBRScopeKillsOnlyIntersecting(t *testing.T) {
-	c := New(Config{MaxEntries: 8, Shards: 1, Scope: ScopeMBR})
+	c := New(Config{MaxEntries: 8, Shards: 1})
 	near, far, unknown := key(1), key(2), key(3)
 	c.Put(near, c.Seq(), Value{Data: "near", Bytes: 4, Region: reg(0, 1, 0.5)})
 	c.Put(far, c.Seq(), Value{Data: "far", Bytes: 4, Region: reg(50, 51, 0.5)})
@@ -151,34 +132,18 @@ func TestPartialNeverCached(t *testing.T) {
 	}
 }
 
-func TestEntryCapEvictsLRU(t *testing.T) {
-	c := New(Config{MaxEntries: 3, MaxBytes: 1 << 20, Shards: 1, Policy: PolicyLRU})
-	for i := 0; i < 3; i++ {
-		c.Put(key(i), c.Seq(), Value{Data: i, Bytes: 1})
-	}
-	c.Get(key(0)) // refresh 0 so 1 is now the LRU
-	c.Put(key(3), c.Seq(), Value{Data: 3, Bytes: 1})
-	if c.Len() != 3 {
-		t.Fatalf("Len=%d; want 3", c.Len())
-	}
-	if _, ok := c.Get(key(1)); ok {
-		t.Fatal("LRU entry 1 survived eviction")
-	}
-	for _, i := range []int{0, 2, 3} {
-		if _, ok := c.Get(key(i)); !ok {
-			t.Fatalf("entry %d evicted out of LRU order", i)
-		}
-	}
-}
-
 // TestGDSFEvictsCheapAndAges walks a deterministic insert sequence through
-// the GDSF policy: the lowest-priority entry goes first, the watermark
-// rises to each victim's priority, and that aging lets a late cheap entry
-// outrank an idle mid-cost one inserted under a lower watermark.
+// the GDSF policy: the entry cap holds after every insert, the
+// lowest-priority entry goes first, the watermark rises to each victim's
+// priority, and that aging lets a late cheap entry outrank an idle
+// mid-cost one inserted under a lower watermark.
 func TestGDSFEvictsCheapAndAges(t *testing.T) {
-	c := New(Config{MaxEntries: 2, MaxBytes: 1 << 20, Shards: 1, Policy: PolicyGDSF})
+	c := New(Config{MaxEntries: 2, MaxBytes: 1 << 20, Shards: 1})
 	put := func(i int, cost time.Duration) {
 		c.Put(key(i), c.Seq(), Value{Data: i, Bytes: 1, Cost: cost})
+		if c.Len() > 2 {
+			t.Fatalf("Len=%d after put %d; the entry cap is 2", c.Len(), i)
+		}
 	}
 	put(0, 10)  // pri 10
 	put(1, 100) // pri 100
@@ -205,7 +170,7 @@ func TestGDSFEvictsCheapAndAges(t *testing.T) {
 // TestGDSFFrequencyProtects checks the frequency term: a repeatedly hit
 // cheap entry outranks a never-hit peer of equal cost.
 func TestGDSFFrequencyProtects(t *testing.T) {
-	c := New(Config{MaxEntries: 2, MaxBytes: 1 << 20, Shards: 1, Policy: PolicyGDSF})
+	c := New(Config{MaxEntries: 2, MaxBytes: 1 << 20, Shards: 1})
 	c.Put(key(1), c.Seq(), Value{Data: "hot", Bytes: 1, Cost: 10})
 	c.Put(key(2), c.Seq(), Value{Data: "cold", Bytes: 1, Cost: 10})
 	for i := 0; i < 5; i++ {
@@ -224,7 +189,7 @@ func TestGDSFFrequencyProtects(t *testing.T) {
 // result cannot displace proven expensive entries — it is itself the
 // lowest priority in the full shard and leaves immediately.
 func TestGDSFAdmissionSelfEvicts(t *testing.T) {
-	c := New(Config{MaxEntries: 2, MaxBytes: 1 << 20, Shards: 1, Policy: PolicyGDSF})
+	c := New(Config{MaxEntries: 2, MaxBytes: 1 << 20, Shards: 1})
 	c.Put(key(1), c.Seq(), Value{Data: 1, Bytes: 1, Cost: 1000})
 	c.Put(key(2), c.Seq(), Value{Data: 2, Bytes: 1, Cost: 1000})
 	c.Put(key(3), c.Seq(), Value{Data: 3, Bytes: 1, Cost: 1}) // pri 1: self-evicted
@@ -239,25 +204,23 @@ func TestGDSFAdmissionSelfEvicts(t *testing.T) {
 }
 
 func TestByteCapEvicts(t *testing.T) {
-	for _, pol := range []Policy{PolicyLRU, PolicyGDSF} {
-		t.Run(string(pol), func(t *testing.T) {
-			c := New(Config{MaxEntries: 100, MaxBytes: 100, Shards: 1, Policy: pol})
-			for i := 0; i < 10; i++ {
-				c.Put(key(i), c.Seq(), Value{Data: i, Bytes: 30, Cost: time.Duration(1 + i)})
-			}
-			if c.Bytes() > 100 {
-				t.Fatalf("Bytes=%d exceeds the 100-byte cap", c.Bytes())
-			}
-			if c.Len() != 3 {
-				t.Fatalf("Len=%d; want 3 (3×30 ≤ 100 < 4×30)", c.Len())
-			}
-			// An oversized value is refused outright.
-			c.Put(key(99), c.Seq(), Value{Data: "huge", Bytes: 1000})
-			if _, ok := c.Get(key(99)); ok {
-				t.Fatal("value above the byte cap was cached")
-			}
-		})
-	}
+	t.Run("gdsf", func(t *testing.T) {
+		c := New(Config{MaxEntries: 100, MaxBytes: 100, Shards: 1})
+		for i := 0; i < 10; i++ {
+			c.Put(key(i), c.Seq(), Value{Data: i, Bytes: 30, Cost: time.Duration(1 + i)})
+		}
+		if c.Bytes() > 100 {
+			t.Fatalf("Bytes=%d exceeds the 100-byte cap", c.Bytes())
+		}
+		if c.Len() != 3 {
+			t.Fatalf("Len=%d; want 3 (3×30 ≤ 100 < 4×30)", c.Len())
+		}
+		// An oversized value is refused outright.
+		c.Put(key(99), c.Seq(), Value{Data: "huge", Bytes: 1000})
+		if _, ok := c.Get(key(99)); ok {
+			t.Fatal("value above the byte cap was cached")
+		}
+	})
 }
 
 func TestUpdateExistingKeyAdjustsBytes(t *testing.T) {
@@ -275,7 +238,7 @@ func TestUpdateExistingKeyAdjustsBytes(t *testing.T) {
 
 func TestMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New(Config{MaxEntries: 2, Shards: 1, Policy: PolicyLRU, Scope: ScopeMBR})
+	c := New(Config{MaxEntries: 2, Shards: 1})
 	c.SetMetrics(NewMetrics(reg, "test"))
 	l := obs.Label{Key: "cache", Value: "test"}
 
@@ -314,43 +277,38 @@ func TestMetricsCounters(t *testing.T) {
 
 // TestConcurrentCapsHold hammers one cache from many goroutines — puts,
 // gets, and write invalidations racing — and checks (under -race) that the
-// caps hold both during and after the storm, for every policy × scope
-// combination. Caps are per lock shard, so the cross-shard total may not
-// exceed the configured maxima.
+// caps hold both during and after the storm. Caps are per lock shard, so
+// the cross-shard total may not exceed the configured maxima.
 func TestConcurrentCapsHold(t *testing.T) {
-	for _, pol := range []Policy{PolicyLRU, PolicyGDSF} {
-		for _, sc := range []Scope{ScopeEpoch, ScopeMBR} {
-			t.Run(string(pol)+"/"+string(sc), func(t *testing.T) {
-				cfg := Config{MaxEntries: 64, MaxBytes: 64 * 100, Shards: 4, Policy: pol, Scope: sc}
-				c := New(cfg)
-				c.SetMetrics(NewMetrics(obs.NewRegistry(), "race"))
-				var wg sync.WaitGroup
-				for w := 0; w < 8; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := 0; i < 300; i++ {
-							k := key(w*1000 + i)
-							g := reg(float64(i%7), float64(i%7)+1, 0.5)
-							c.Put(k, c.Seq(), Value{Data: i, Bytes: 100, Cost: time.Duration(i), Region: g})
-							c.Get(k)
-							c.Get(key(i))
-							if i%17 == 0 {
-								c.Invalidate(sq(float64(i%5), float64(i%5)+0.5))
-							}
-						}
-					}(w)
+	t.Run("gdsf/mbr", func(t *testing.T) {
+		cfg := Config{MaxEntries: 64, MaxBytes: 64 * 100, Shards: 4}
+		c := New(cfg)
+		c.SetMetrics(NewMetrics(obs.NewRegistry(), "race"))
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 300; i++ {
+					k := key(w*1000 + i)
+					g := reg(float64(i%7), float64(i%7)+1, 0.5)
+					c.Put(k, c.Seq(), Value{Data: i, Bytes: 100, Cost: time.Duration(i), Region: g})
+					c.Get(k)
+					c.Get(key(i))
+					if i%17 == 0 {
+						c.Invalidate(sq(float64(i%5), float64(i%5)+0.5))
+					}
 				}
-				wg.Wait()
-				if c.Len() > cfg.MaxEntries {
-					t.Fatalf("entry cap breached: Len=%d > %d", c.Len(), cfg.MaxEntries)
-				}
-				if c.Bytes() > cfg.MaxBytes {
-					t.Fatalf("byte cap breached: Bytes=%d > %d", c.Bytes(), cfg.MaxBytes)
-				}
-			})
+			}(w)
 		}
-	}
+		wg.Wait()
+		if c.Len() > cfg.MaxEntries {
+			t.Fatalf("entry cap breached: Len=%d > %d", c.Len(), cfg.MaxEntries)
+		}
+		if c.Bytes() > cfg.MaxBytes {
+			t.Fatalf("byte cap breached: Bytes=%d > %d", c.Bytes(), cfg.MaxBytes)
+		}
+	})
 }
 
 func TestPurge(t *testing.T) {
@@ -373,44 +331,14 @@ func TestShardCountNormalized(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := New(Config{}).Config()
-	if cfg.Policy != PolicyGDSF {
-		t.Errorf("default Policy = %q; want %q", cfg.Policy, PolicyGDSF)
-	}
-	if cfg.Scope != ScopeMBR {
-		t.Errorf("default Scope = %q; want %q", cfg.Scope, ScopeMBR)
-	}
-}
-
-func TestParsePolicyAndScope(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Policy
-	}{{"", PolicyGDSF}, {"lru", PolicyLRU}, {"gdsf", PolicyGDSF}} {
-		got, err := ParsePolicy(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParsePolicy(%q) = %q, %v; want %q, nil", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParsePolicy("arc"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
-	}
-	for _, tc := range []struct {
-		in   string
-		want Scope
-	}{{"", ScopeMBR}, {"epoch", ScopeEpoch}, {"mbr", ScopeMBR}} {
-		got, err := ParseScope(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseScope(%q) = %q, %v; want %q, nil", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseScope("table"); err == nil {
-		t.Error("ParseScope accepted an unknown scope")
+	want := Config{MaxEntries: DefaultMaxEntries, MaxBytes: DefaultMaxBytes, Shards: DefaultShards}
+	if cfg := New(Config{}).Config(); cfg != want {
+		t.Errorf("zero Config resolved to %+v; want %+v", cfg, want)
 	}
 }
 
 func ExampleCache() {
-	c := New(Config{MaxEntries: 128}) // defaults: Policy gdsf, Scope mbr
+	c := New(Config{MaxEntries: 128})
 	k := Key{Hi: 1, Lo: 2}
 	seq := c.Seq() // snapshot before computing the result
 	c.Put(k, seq, Value{

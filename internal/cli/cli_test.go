@@ -111,6 +111,35 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestQuerySaveStoreUpgradesV1 is the documented upgrade path for a store
+// written before v2: -store old -save-store new rewrites it as v2 in the
+// same layout (plain or sharded), and the new directory answers as the
+// old one did. The old directories are internal/store's v1 fixtures.
+func TestQuerySaveStoreUpgradesV1(t *testing.T) {
+	matches := regexp.MustCompile(`(?m)^ +#.*$`)
+	for _, tc := range []struct{ old, payload string }{
+		{"../store/testdata/v1store", "segments.sg2"},
+		{"../store/testdata/v1sharded", "shard001/segments.sg2"},
+	} {
+		upgraded := filepath.Join(t.TempDir(), "db")
+		var oldOut, newOut strings.Builder
+		query := []string{"-query", "4", "-from", "5", "-len", "19", "-eps", "0.3"}
+		if err := Query(append([]string{"-store", tc.old, "-save-store", upgraded}, query...), &oldOut); err != nil {
+			t.Fatalf("%s: %v", tc.old, err)
+		}
+		if _, err := os.Stat(filepath.Join(upgraded, tc.payload)); err != nil {
+			t.Fatalf("%s: upgraded store holds no v2 payload: %v", tc.old, err)
+		}
+		if err := Query(append([]string{"-store", upgraded}, query...), &newOut); err != nil {
+			t.Fatalf("%s, upgraded: %v", tc.old, err)
+		}
+		want, got := matches.FindAllString(oldOut.String(), -1), matches.FindAllString(newOut.String(), -1)
+		if len(want) == 0 || strings.Join(want, "\n") != strings.Join(got, "\n") {
+			t.Errorf("%s: upgraded store answers differently\nold:\n%s\nnew:\n%s", tc.old, oldOut.String(), newOut.String())
+		}
+	}
+}
+
 func TestQuerySharded(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "d.mds")

@@ -22,8 +22,7 @@ func Query(args []string, stdout io.Writer) error {
 	var (
 		dataPath = fs.String("data", "", "dataset file from mdsgen (.csv reads CSV); required unless -store is set")
 		storeDir = fs.String("store", "", "store directory to open instead of indexing -data (from Save/SaveSharded/Build)")
-		saveDir  = fs.String("save-store", "", "after indexing -data, persist the corpus to this store directory")
-		format   = fs.String("store-format", "", "format for -save-store: v2 (columnar segments, default) or v1 (row records)")
+		saveDir  = fs.String("save-store", "", "persist the loaded corpus to this store directory (with -store, rewrites an old-format store in the current format)")
 		quantQ   = fs.Bool("quantized-mbr", false, "accepted, no effect: range search refines only the pairs the index hit, which always pass the float32 prefilter (queued for removal)")
 		queryIdx = fs.Int("query", 0, "index of the sequence to draw the query from")
 		from     = fs.Int("from", 0, "query start offset within that sequence")
@@ -50,17 +49,6 @@ func Query(args []string, stdout io.Writer) error {
 	if *dataPath != "" && *storeDir != "" {
 		return fmt.Errorf("-data and -store are exclusive")
 	}
-	if *saveDir != "" && *dataPath == "" {
-		return fmt.Errorf("-save-store needs -data (a -store corpus is already persisted)")
-	}
-	sf := store.DefaultFormat
-	switch *format {
-	case "", "v2":
-	case "v1":
-		sf = store.FormatV1
-	default:
-		return fmt.Errorf("-store-format %q: want v1 or v2", *format)
-	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards %d: shard count must be >= 1", *shards)
 	}
@@ -73,11 +61,17 @@ func Query(args []string, stdout io.Writer) error {
 	}
 	if *storeDir != "" {
 		t0 := time.Now()
-		sdb, err := store.LoadShardedWith(*storeDir, store.LoadOptions{Quantized: *quantQ})
+		// Open with the directory's own layout, so -save-store keeps it.
+		var err error
+		lo := store.LoadOptions{Quantized: *quantQ}
+		if store.IsSharded(*storeDir) {
+			db, err = store.LoadShardedWith(*storeDir, lo)
+		} else {
+			db, err = store.LoadWith(*storeDir, lo)
+		}
 		if err != nil {
 			return err
 		}
-		db = sdb
 		if reg != nil {
 			db.SetMetrics(reg)
 		}
@@ -119,14 +113,14 @@ func Query(args []string, stdout io.Writer) error {
 		t0 := time.Now()
 		var err error
 		if sdb, ok := db.(*shard.ShardedDB); ok {
-			err = store.SaveShardedFormat(sdb, *saveDir, sf)
+			err = store.SaveSharded(sdb, *saveDir)
 		} else {
-			err = store.SaveFormat(db.(*core.Database), *saveDir, sf)
+			err = store.Save(db.(*core.Database), *saveDir)
 		}
 		if err != nil {
 			return fmt.Errorf("-save-store: %w", err)
 		}
-		fmt.Fprintf(stdout, "saved store %s (format v%d) in %v\n", *saveDir, sf, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "saved store %s in %v\n", *saveDir, time.Since(t0).Round(time.Millisecond))
 	}
 
 	if len(seqs) == 0 {

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 )
@@ -13,10 +11,9 @@ import (
 // kNN workload run through the envelope-pruned indexed search
 // (SearchKNNMetric) and through an exhaustive exact-DTW scan. It asserts
 // the two answer identically — the no-false-dismissal property under
-// timing pressure — and that the pruning ladder actually prunes. With
-// BENCH_DTW_OUT set the measurement is written as BENCH_dtw.json (CI
-// uploads it as an artifact); the range equivalence is also A/B'd and
-// its pruned fraction reported from SearchStats.
+// timing pressure — and that the pruning ladder actually prunes; the
+// range equivalence is also A/B'd and its pruned fraction reported from
+// SearchStats.
 func TestDTWSpeedup(t *testing.T) {
 	const dim, nseq, k = 4, 150, 5
 	const window = 10
@@ -129,38 +126,5 @@ func TestDTWSpeedup(t *testing.T) {
 	// a small corpus; require it to at least not lose.
 	if speedup < 1.0 {
 		t.Errorf("indexed DTW kNN slower than the exhaustive scan: %.2fx", speedup)
-	}
-
-	if out := os.Getenv("BENCH_DTW_OUT"); out != "" {
-		doc := map[string]any{
-			"name":          "dtw_knn_indexed_vs_scan_ab",
-			"dim":           dim,
-			"corpus":        nseq,
-			"queries":       len(qs),
-			"k":             k,
-			"window":        window,
-			"eps":           eps,
-			"scan_ns":       scanDur.Nanoseconds(),
-			"indexed_ns":    idxDur.Nanoseconds(),
-			"speedup":       speedup,
-			"candidates":    cand,
-			"env_pruned":    envPruned,
-			"keogh_pruned":  keoghPruned,
-			"dtw_evals":     evals,
-			"pruned_frac":   prunedFrac,
-			"rounds":        rounds,
-			"measure":       "best-of-rounds wall time for the full kNN query set; pruning counters from the eps-range workload",
-			"scan_path":     "SequentialSearchMetric (exact DTW per sequence, no bounds)",
-			"indexed_path":  "SearchKNNMetric (envelope index bound + LB_Keogh + early-abandoning DP)",
-			"results_equal": true,
-		}
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-			t.Fatalf("writing %s: %v", out, err)
-		}
-		t.Logf("wrote %s", out)
 	}
 }

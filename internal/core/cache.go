@@ -89,26 +89,19 @@ func RangeCacheKey(q *Sequence, eps float64, cfg PartitionConfig) cache.Key {
 // Do and SearchBatchCtx consult it before running a Range or KNN query and
 // fill it after with the result's compute cost (CPUTime) and geometric
 // region; every write (Add, AddAll, Remove, AppendPoints,
-// ReplaceSegmented) advances the database's epoch and notifies the cache
-// with the written sequence's MBR, so only entries the write could have
-// affected are invalidated (see internal/cache). Safe to call while
-// queries are in flight.
+// ReplaceSegmented) notifies the cache with the written sequence's MBR,
+// so only entries the write could have affected are invalidated (see
+// internal/cache). Safe to call while queries are in flight.
 func (db *Database) SetCache(c *cache.Cache) { db.qcache.Store(c) }
 
 // QueryCache returns the attached query cache, or nil.
 func (db *Database) QueryCache() *cache.Cache { return db.qcache.Load() }
 
-// Epoch returns the database's current write epoch: the number of
-// completed write operations. It is the corpus-version observable; cache
-// invalidation rides the region notifications, not this counter.
-func (db *Database) Epoch() uint64 { return db.epoch.Load() }
-
-// notifyWrite marks a completed write covering the MBR w: the epoch
-// advances and the attached cache (if any) invalidates every entry the
-// write could have affected. Pass the empty Rect when the write's extent
-// is unknown — everything is then invalidated.
+// notifyWrite marks a completed write covering the MBR w: the attached
+// cache (if any) invalidates every entry the write could have affected.
+// Pass the empty Rect when the write's extent is unknown — everything is
+// then invalidated.
 func (db *Database) notifyWrite(w geom.Rect) {
-	db.epoch.Add(1)
 	if c := db.qcache.Load(); c != nil {
 		c.Invalidate(w)
 	}

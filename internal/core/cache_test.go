@@ -67,26 +67,26 @@ func TestSearchCacheHit(t *testing.T) {
 	}
 }
 
-// TestEveryWriteAdvancesEpoch pins that each write kind — Add, AddAll
+// TestEveryWriteAdvancesCacheSeq pins that each write kind — Add, AddAll
 // (both the bulk and the sequential path), Remove, AppendPoints —
-// advances the epoch, so no cached result survives any of them.
-func TestEveryWriteAdvancesEpoch(t *testing.T) {
+// notifies the attached cache: its write-sequence counter advances, so an
+// answer computed before any of them cannot be stored after it.
+func TestEveryWriteAdvancesCacheSeq(t *testing.T) {
 	db := newTestDB(t, 3)
+	c := cache.New(cache.Config{})
+	db.SetCache(c)
 	rng := rand.New(rand.NewSource(201))
 
-	e := db.Epoch()
-	if e != 0 {
-		t.Fatalf("fresh database epoch = %d", e)
-	}
+	e := c.Seq()
 	step := func(op string, f func() error) {
 		t.Helper()
 		if err := f(); err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}
-		if got := db.Epoch(); got <= e {
-			t.Fatalf("%s left epoch at %d (was %d)", op, got, e)
+		if got := c.Seq(); got <= e {
+			t.Fatalf("%s left the cache's write sequence at %d (was %d)", op, got, e)
 		}
-		e = db.Epoch()
+		e = c.Seq()
 	}
 	step("AddAll (bulk)", func() error {
 		_, err := db.AddAll([]*Sequence{randWalkSeq(rng, 50, 3), randWalkSeq(rng, 50, 3)})
@@ -367,23 +367,16 @@ func TestSearchBatchCtxCanceled(t *testing.T) {
 // a writer keeps adding exact copies of the query while readers run
 // Search and SearchBatch. Any reader observing the completed-adds counter
 // at c must find at least c copies — a smaller result would be a stale
-// cache hit surviving a write. Runs over every eviction-policy ×
-// invalidation-scope combination; run with -race.
+// cache hit surviving a write. Run with -race.
 func TestConcurrentCacheInvalidation(t *testing.T) {
-	for _, cfg := range cacheConfigs {
-		cfg := cfg
-		t.Run(string(cfg.Policy)+"/"+string(cfg.Scope), func(t *testing.T) {
-			t.Parallel()
-			concurrentInvalidationSoak(t, cfg)
-		})
-	}
+	t.Run("gdsf/mbr", concurrentInvalidationSoak)
 }
 
-func concurrentInvalidationSoak(t *testing.T, cfg cache.Config) {
+func concurrentInvalidationSoak(t *testing.T) {
 	db := newTestDB(t, 3)
 	rng := rand.New(rand.NewSource(208))
 	populateWalks(t, db, 10, rng)
-	db.SetCache(cache.New(cache.Config{Policy: cfg.Policy, Scope: cfg.Scope}))
+	db.SetCache(cache.New(cache.Config{}))
 	q := randWalkSeq(rng, 24, 3)
 
 	var added atomic.Int64

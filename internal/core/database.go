@@ -34,14 +34,12 @@ type Options struct {
 	WAL bool
 	// MaxEntries overrides the R*-tree fanout (0 → derive from page size).
 	MaxEntries int
-	// Eviction selects the buffer-pool replacement policy.
-	Eviction pager.Eviction
 	// QuantizedMBR is accepted and has no effect on search. It used to
 	// screen each (query MBR, candidate) pair of a range search against
 	// the candidate's float32 bounds before the exact Dnorm work; phase 3
 	// now evaluates only the pairs phase 2's index probe hit, and a hit
 	// pair always passes that screen, so it is no longer consulted. The
-	// field stays until its flags are retired (ROADMAP item 3A).
+	// field stays until its flags are retired (ROADMAP item 5).
 	QuantizedMBR bool
 }
 
@@ -57,12 +55,10 @@ type Database struct {
 	live int          // number of non-nil entries in seqs
 	met  *Metrics     // nil until SetMetrics; all methods no-op on nil
 
-	// epoch counts completed writes (the corpus-version observable);
 	// qcache (nil until SetCache) holds query results tagged with their
 	// compute cost and geometric region. Every write notifies it with
 	// the written sequence's MBR so only entries the write could have
 	// affected are invalidated (see internal/cache).
-	epoch  atomic.Uint64
 	qcache atomic.Pointer[cache.Cache]
 }
 
@@ -86,7 +82,6 @@ func NewDatabase(opts Options) (*Database, error) {
 		PoolPages: opts.PoolPages,
 		Path:      opts.Path,
 		WAL:       opts.WAL,
-		Eviction:  opts.Eviction,
 	})
 	if err != nil {
 		return nil, err
@@ -192,7 +187,6 @@ func openIndexed(opts Options) (*Database, error) {
 		PoolPages: opts.PoolPages,
 		Path:      opts.Path,
 		WAL:       opts.WAL,
-		Eviction:  opts.Eviction,
 	})
 	if err != nil {
 		return nil, err

@@ -11,11 +11,9 @@ package core
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"runtime/debug"
 	"slices"
@@ -310,8 +308,7 @@ func TestHotpathAllocs(t *testing.T) {
 // TestHotpathSpeedup is the acceptance measurement for the squared-space
 // kernels: the same phase-2+3 range workload timed through the seed
 // reconstruction (visitor search, per-pair dnormCalc allocation, closure
-// sweep) and through Database.Search. With BENCH_HOTPATH_OUT set the
-// numbers are written as BENCH_hotpath.json.
+// sweep) and through Database.Search.
 func TestHotpathSpeedup(t *testing.T) {
 	const dim, nseq = 4, 150
 	db, seqs := hotDB(t, dim, nseq, 13)
@@ -353,31 +350,6 @@ func TestHotpathSpeedup(t *testing.T) {
 		dim, nseq, len(qs), eps, seedDur, flatDur, speedup)
 	if speedup < 1.5 {
 		t.Errorf("hot-path speedup %.2fx < 1.5x", speedup)
-	}
-
-	if out := os.Getenv("BENCH_HOTPATH_OUT"); out != "" {
-		doc := map[string]any{
-			"name":      "hotpath_range_search_ab",
-			"dim":       dim,
-			"corpus":    nseq,
-			"queries":   len(qs),
-			"eps":       eps,
-			"seed_ns":   seedDur.Nanoseconds(),
-			"flat_ns":   flatDur.Nanoseconds(),
-			"speedup":   speedup,
-			"rounds":    rounds,
-			"measure":   "best-of-rounds wall time for the full query set",
-			"seed_path": "WithinDist visitor + per-pair dnormCalc + closure sweep",
-			"flat_path": "Database.Search (AppendWithinDist + pooled scratch + MinDistSqBatch)",
-		}
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-			t.Fatalf("writing %s: %v", out, err)
-		}
-		t.Logf("wrote %s", out)
 	}
 }
 

@@ -15,11 +15,10 @@ import "math"
 // The kernels read the float32 arrays but do all arithmetic in float64
 // after an exact widening conversion, so there is no rounding slack to
 // account for: the result is exactly the MinDist of the widened
-// rectangles, summed from GapSq like every other Dmbr. What the narrower
-// bounds buy on the wide dimensions is that two of them fit one 8-byte
-// load and one packed conversion (minDistSqBatchQWide); with the same
+// rectangles, summed from GapSq like every other Dmbr. With the same
 // scalar gap on both sides the two conversions per axis make the sidecar
-// sweep the slower one, half the bytes notwithstanding.
+// sweep slower than the float64 one, half the bytes notwithstanding; no
+// search reads the sidecar.
 
 // QuantizeDown fills dst[i] with the largest float32 not exceeding
 // src[i] (rounding toward −∞). dst must be at least as long as src.
@@ -84,5 +83,19 @@ func MinDistSqBatchQ(qL, qH []float64, lo, hi []float32, out []float64) {
 		}
 	default:
 		minDistSqBatchQWide(qL, qH, lo, hi, out)
+	}
+}
+
+// minDistSqBatchQWide is MinDistSqBatchQ for the dimensions it does not
+// unroll: GapSq summed over the axes in index order.
+func minDistSqBatchQWide(qL, qH []float64, lo, hi []float32, out []float64) {
+	d := len(qL)
+	for t := range out {
+		o := t * d
+		var sum float64
+		for k := 0; k < d; k++ {
+			sum += GapSq(qL[k], qH[k], float64(lo[o+k]), float64(hi[o+k]))
+		}
+		out[t] = sum
 	}
 }

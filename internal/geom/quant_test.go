@@ -87,9 +87,8 @@ func TestMinDistSqBatchQIsLowerBound(t *testing.T) {
 }
 
 // TestMinDistSqBatchQMatchesReference checks every path of
-// MinDistSqBatchQ — the unrolled dimensions and the wide one, which on
-// amd64 is the packed kernel: even, odd and single-axis boxes, no box at
-// all — against the three-case reference summed over the widened bounds,
+// MinDistSqBatchQ — the unrolled dimensions and the wide one: even, odd
+// and single-axis boxes, no box at all — against the three-case reference summed over the widened bounds,
 // bit for bit, on the touching, nested, zero-width, denormal and huge
 // intervals of gapIntervals (1e200 widens to a float32 infinity, which a
 // finite query box keeps away from NaN).

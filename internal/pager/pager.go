@@ -35,13 +35,13 @@ const DefaultPageSize = 4096
 // Logical accesses (Fetches) that hit the buffer pool do not touch the
 // backing store; Reads and Writes are physical transfers.
 type Stats struct {
-	Fetches   uint64 // logical page requests
-	Hits      uint64 // requests satisfied by the buffer pool
-	Reads     uint64 // physical page reads from the backing store
-	Writes    uint64 // physical page writes to the backing store
-	Allocs    uint64 // pages allocated
-	Frees     uint64 // pages freed
-	Evictions uint64 // buffer-pool evictions
+	Fetches uint64 // logical page requests
+	Hits    uint64 // requests satisfied by the buffer pool
+	Reads   uint64 // physical page reads from the backing store
+	Writes  uint64 // physical page writes to the backing store
+	Allocs  uint64 // pages allocated
+	Frees   uint64 // pages freed
+	Evicted uint64 // frames evicted from the buffer pool
 }
 
 // HitRatio returns the fraction of fetches served from the pool.
@@ -68,8 +68,6 @@ type Options struct {
 	// atomic multi-page transactions, and Open replays any committed but
 	// unapplied transactions left by a crash. The log lives at Path+".wal".
 	WAL bool
-	// Eviction selects the buffer-pool replacement policy (default LRU).
-	Eviction Eviction
 }
 
 var (
@@ -97,8 +95,7 @@ type frame struct {
 	data  []byte
 	pins  int
 	dirty bool
-	ref   bool // clock policy reference bit
-	// Links within the eviction policy's structure (list or ring).
+	// Links within the LRU list of unpinned frames.
 	prev, next *frame
 }
 
@@ -110,7 +107,7 @@ type Pager struct {
 	pool     int
 	be       backend
 	frames   map[PageID]*frame
-	pol      policy
+	lru      lruList // unpinned frames, the eviction order
 	nPages   PageID
 	freeList []PageID
 	stats    Stats
@@ -146,14 +143,6 @@ func Open(opts Options) (*Pager, error) {
 		pageSize: ps,
 		pool:     pool,
 		frames:   make(map[PageID]*frame),
-	}
-	switch opts.Eviction {
-	case LRU:
-		p.pol = &lruPolicy{}
-	case Clock:
-		p.pol = &clockPolicy{}
-	default:
-		return nil, fmt.Errorf("pager: unknown eviction policy %d", opts.Eviction)
 	}
 	if opts.Path == "" {
 		if opts.WAL {
@@ -292,7 +281,7 @@ func (p *Pager) Rollback() error {
 			if fr.pins > 0 {
 				return fmt.Errorf("pager: rolling back pinned page %d", id)
 			}
-			p.pol.remove(fr)
+			p.lru.unlink(fr)
 			delete(p.frames, id)
 		}
 	}
@@ -394,7 +383,7 @@ func (p *Pager) Free(id PageID) error {
 		if fr.pins > 0 {
 			return fmt.Errorf("pager: freeing pinned page %d", id)
 		}
-		p.pol.remove(fr)
+		p.lru.unlink(fr)
 		delete(p.frames, id)
 	}
 	p.stats.Frees++
@@ -556,7 +545,7 @@ func (p *Pager) Close() error {
 	be := p.be
 	log := p.log
 	p.frames = nil
-	p.pol = nil
+	p.lru = lruList{}
 	p.mu.Unlock()
 	if log != nil {
 		if err := log.close(); err != nil {
@@ -581,7 +570,7 @@ func (p *Pager) frameFor(id PageID, load bool) (*frame, error) {
 	if fr, ok := p.frames[id]; ok {
 		p.stats.Hits++
 		if fr.pins == 0 {
-			p.pol.pinned(fr)
+			p.lru.unlink(fr)
 		}
 		fr.pins++
 		return fr, nil
@@ -609,7 +598,7 @@ func (p *Pager) makeRoom() error {
 	// NO-STEAL: pages dirtied by the open transaction must stay resident
 	// until Commit writes them through the log; they are skipped when
 	// choosing a victim.
-	victim := p.pol.victim(func(fr *frame) bool {
+	victim := p.lru.victim(func(fr *frame) bool {
 		return p.inTxn && p.txnPages[fr.id]
 	})
 	if victim == nil {
@@ -620,9 +609,9 @@ func (p *Pager) makeRoom() error {
 			return err
 		}
 	}
-	p.pol.remove(victim)
+	p.lru.unlink(victim)
 	delete(p.frames, victim.id)
-	p.stats.Evictions++
+	p.stats.Evicted++
 	return nil
 }
 
@@ -644,14 +633,14 @@ func (p *Pager) physWrite(fr *frame) error {
 	return nil
 }
 
-// unpin decrements the pin count and, when it reaches zero, hands the
-// frame to the eviction policy. Caller holds p.mu.
+// unpin decrements the pin count and, when it reaches zero, makes the
+// frame evictable. Caller holds p.mu.
 func (p *Pager) unpin(fr *frame) {
 	fr.pins--
 	if fr.pins > 0 {
 		return
 	}
-	p.pol.unpinned(fr)
+	p.lru.push(fr)
 }
 
 // fileBackend stores pages in an *os.File.

@@ -126,7 +126,7 @@ func TestEvictionWritesBackDirtyPages(t *testing.T) {
 			t.Errorf("page %d byte 0 = %d, want %d", id, buf[0], i+1)
 		}
 	}
-	if st := p.Stats(); st.Evictions == 0 {
+	if st := p.Stats(); st.Evicted == 0 {
 		t.Error("expected evictions with a 2-page pool")
 	}
 }

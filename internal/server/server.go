@@ -29,12 +29,10 @@
 // Points are JSON arrays of coordinate arrays: [[x1,x2,x3], ...].
 //
 // Caching: with a query-result cache attached (mdsserve -cache-entries /
-// -cache-bytes, tuned by -cache-policy and -cache-invalidate), repeated
-// /search, /batch, and /knn queries are served from a cost-aware cache.
-// Under the default MBR-scoped invalidation a write removes exactly the
-// entries whose query regions it can affect — queries over untouched
-// regions keep hitting — and under epoch scope any write flushes all
-// entries; either way clients never see pre-write results. /search and
+// -cache-bytes), repeated /search, /batch, and /knn queries are served
+// from a cost-aware cache. A write removes exactly the entries whose
+// query regions it can affect — queries over untouched regions keep
+// hitting — and clients never see pre-write results. /search and
 // /batch responses carry an X-Mdseq-Cache header (hit / miss / mixed)
 // and a per-result "cached" field.
 //

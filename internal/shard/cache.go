@@ -11,8 +11,7 @@ import (
 // breakdown — in the same core.CacheSlot a single database uses, so a
 // repeated query skips the entire fan-out, not just the per-shard work.
 // The same budget, split evenly, is also installed as per-shard caches
-// on the child databases, inheriting the front cache's eviction policy
-// and invalidation scope: a query that misses the front (say, after one
+// on the child databases: a query that misses the front (say, after one
 // shard ingested) still reuses the other shards' local results.
 //
 // Invalidation mirrors the single-node protocol: every ShardedDB write
@@ -37,8 +36,6 @@ func (s *ShardedDB) SetCache(c *cache.Cache) {
 		MaxEntries: (cfg.MaxEntries + n - 1) / n,
 		MaxBytes:   cfg.MaxBytes / int64(n),
 		Shards:     cfg.Shards,
-		Policy:     cfg.Policy,
-		Scope:      cfg.Scope,
 	}
 	for _, db := range s.shards {
 		db.SetCache(cache.New(per))
@@ -48,16 +45,11 @@ func (s *ShardedDB) SetCache(c *cache.Cache) {
 // QueryCache returns the front (merged-result) cache, or nil.
 func (s *ShardedDB) QueryCache() *cache.Cache { return s.qcache.Load() }
 
-// Epoch returns the sharded database's write epoch — the number of
-// completed writes across all shards, counted at the router.
-func (s *ShardedDB) Epoch() uint64 { return s.epoch.Load() }
-
 // notifyWrite marks a completed router write covering the MBR w: the
-// epoch advances and the front cache (if any) invalidates every gathered
-// answer the write could have affected. The per-shard caches are
-// notified by their own databases as part of the shard-local write.
+// front cache (if any) invalidates every gathered answer the write could
+// have affected. The per-shard caches are notified by their own databases
+// as part of the shard-local write.
 func (s *ShardedDB) notifyWrite(w geom.Rect) {
-	s.epoch.Add(1)
 	if c := s.qcache.Load(); c != nil {
 		c.Invalidate(w)
 	}

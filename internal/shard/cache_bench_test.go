@@ -1,37 +1,29 @@
 package shard
 
-// Cache A/B benchmarks. Three measurements share this file and the
-// BENCH_cache.json document (one top-level section each, merged so the
-// tests can run independently):
+// Cache acceptance tests. Three measurements share this file:
 //
-//   - query_cache_ab (TestCacheThroughputAB): cache off vs on — the same
-//     query workload against a sharded database with the query cache
-//     detached and then attached, measuring throughput and hit ratio.
-//     Two workloads bound the realistic range: "repeated" cycles a small
-//     set of distinct queries (the paper's motivating video/image
-//     applications re-ask hot queries heavily) and "zipf" draws from a
-//     skewed popularity distribution over a larger pool.
+//   - TestCacheThroughputAB: cache off vs on — the same query workload
+//     against a sharded database with the query cache detached and then
+//     attached, measuring throughput and hit ratio. Two workloads bound
+//     the realistic range: "repeated" cycles a small set of distinct
+//     queries (the paper's motivating video/image applications re-ask hot
+//     queries heavily) and "zipf" draws from a skewed popularity
+//     distribution over a larger pool.
 //
-//   - policy_ab (TestCachePolicyAB): LRU vs GDSF under a capacity-
-//     constrained mix of hot expensive queries and one-off cheap churn.
-//     The acceptance metric is hit-weighted CPU saved — the summed
-//     CPUTime of the runs that hits avoided redoing — which is what the
-//     GDSF cost term optimizes for.
+//   - TestCachePolicyAB: GDSF eviction under a capacity-constrained mix
+//     of hot expensive queries and one-off cheap churn, the workload on
+//     which recency-only eviction keeps nothing (EXPERIMENTS.md has the
+//     recorded LRU side).
 //
-//   - scope_ab (TestCacheScopeAB): epoch-flush vs MBR-scoped
-//     invalidation under mixed read/write traffic where the writes land
-//     far from the queried region. Epoch scope flushes on every write;
-//     MBR scope proves the writes harmless and keeps serving.
-//
-// When BENCH_CACHE_OUT is set (CI sets it to BENCH_cache.json) each test
-// writes its section into the shared JSON document.
+//   - TestCacheScopeAB: MBR-scoped invalidation under mixed read/write
+//     traffic where the writes land far from the queried region and must
+//     invalidate nothing (EXPERIMENTS.md has the recorded flush-on-write
+//     side).
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -47,36 +39,6 @@ const (
 	cacheBenchSeqLen  = 64
 	cacheBenchQueries = 400
 )
-
-// mergeBenchSection upserts one top-level section of the shared
-// BENCH_CACHE_OUT document, preserving sections other tests wrote. The
-// package's tests run sequentially, so read-modify-write is safe.
-func mergeBenchSection(t *testing.T, section string, v any) {
-	t.Helper()
-	out := os.Getenv("BENCH_CACHE_OUT")
-	if out == "" {
-		return
-	}
-	doc := map[string]json.RawMessage{}
-	if b, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(b, &doc); err != nil {
-			doc = map[string]json.RawMessage{} // stale format: start over
-		}
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc[section] = b
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(enc, '\n'), 0o644); err != nil {
-		t.Fatalf("writing %s: %v", out, err)
-	}
-	t.Logf("wrote section %q to %s", section, out)
-}
 
 // cacheBenchFixture builds the corpus and a pool of n distinct queries
 // (windows of stored sequences, so every query does real phase-3 work).
@@ -133,21 +95,13 @@ func cacheWorkloads(distinct int) map[string][]int {
 // least 2x the uncached throughput at a >= 90% hit ratio (every distinct
 // query can miss at most once — there are no writes, so nothing is
 // invalidated or evicted). Zipf, with a pool wider than the hot set,
-// must still clear >= 85% hits and beat the uncached run. With
-// BENCH_CACHE_OUT set the numbers land in the query_cache_ab section of
-// BENCH_cache.json.
+// must still clear >= 85% hits and beat the uncached run.
 func TestCacheThroughputAB(t *testing.T) {
 	const distinct = 64
 	sdb, pool := cacheBenchFixture(t, distinct)
 
 	type result struct {
-		Workload    string  `json:"workload"`
-		Queries     int     `json:"queries"`
-		Distinct    int     `json:"distinct_queries"`
-		UncachedQPS float64 `json:"uncached_qps"`
-		CachedQPS   float64 `json:"cached_qps"`
-		Speedup     float64 `json:"speedup"`
-		HitRatio    float64 `json:"hit_ratio"`
+		UncachedQPS, CachedQPS, Speedup, HitRatio float64
 	}
 	var results []result
 	for _, name := range []string{"repeated", "zipf"} {
@@ -161,9 +115,6 @@ func TestCacheThroughputAB(t *testing.T) {
 		durOn, hitsOn := runCacheWorkload(t, sdb, pool, workload)
 
 		r := result{
-			Workload:    name,
-			Queries:     len(workload),
-			Distinct:    distinct,
 			UncachedQPS: float64(len(workload)) / durOff.Seconds(),
 			CachedQPS:   float64(len(workload)) / durOn.Seconds(),
 			Speedup:     durOff.Seconds() / durOn.Seconds(),
@@ -187,13 +138,6 @@ func TestCacheThroughputAB(t *testing.T) {
 	if zipf.Speedup <= 1 {
 		t.Errorf("zipf workload speedup %.2fx: cache made the workload slower", zipf.Speedup)
 	}
-
-	mergeBenchSection(t, "query_cache_ab", map[string]any{
-		"shards":  cacheBenchShards,
-		"corpus":  cacheBenchCorpus,
-		"seq_len": cacheBenchSeqLen,
-		"results": results,
-	})
 }
 
 // policyABWorkload runs the hot+churn mix against sdb. Hot queries are
@@ -222,14 +166,12 @@ func policyABWorkload(t *testing.T, sdb *ShardedDB, hot, churn []*core.Sequence,
 
 // TestCachePolicyAB is the eviction-policy acceptance measurement: under
 // a capacity-constrained mix of hot expensive queries and a stream of
-// one-off cheap queries, GDSF must beat LRU on hit-weighted CPU saved
-// (the mdseq_cache_hit_cost_saved_ns_total counter — the compute the
-// hits avoided redoing). The workload is adversarial for recency: each
-// round's churn overflows the entry cap, so LRU evicts every hot entry
-// between re-asks, while GDSF's cost × frequency priority (and its
-// self-evicting admission of cheap newcomers) keeps the expensive
-// entries resident. With BENCH_CACHE_OUT set the numbers land in the
-// policy_ab section of BENCH_cache.json.
+// one-off cheap queries, the cache must keep serving the hot ones. The
+// workload is adversarial for recency: each round's churn overflows the
+// entry cap, so recency-only eviction drops every hot entry between
+// re-asks (0 hits of 160 when LRU was measured beside it), while GDSF's
+// cost × frequency priority (and its self-evicting admission of cheap
+// newcomers) keeps the expensive entries resident: 36 of the 160.
 func TestCachePolicyAB(t *testing.T) {
 	const (
 		hotN          = 4
@@ -251,53 +193,22 @@ func TestCachePolicyAB(t *testing.T) {
 		churn[i] = &core.Sequence{Label: "churn", Points: src.Points[off : off+8]}
 	}
 
-	type result struct {
-		Policy     string  `json:"policy"`
-		Queries    int     `json:"queries"`
-		Hits       int     `json:"hits"`
-		HitRatio   float64 `json:"hit_ratio"`
-		CPUSavedMS float64 `json:"hit_weighted_cpu_saved_ms"`
-	}
 	total := rounds * (hotN + churnPerRound)
 	l := obs.Label{Key: "cache", Value: "front"}
-	measure := func(pol cache.Policy) result {
-		reg := obs.NewRegistry()
-		front := cache.New(cache.Config{MaxEntries: capEntries, Shards: 1, Policy: pol})
-		front.SetMetrics(cache.NewMetrics(reg, "front"))
-		sdb.SetCache(front)
-		policyABWorkload(t, sdb, hot, churn, rounds, churnPerRound)
-		hits := int(reg.Counter("mdseq_cache_hits_total", "", l).Value())
-		saved := reg.Counter("mdseq_cache_hit_cost_saved_ns_total", "", l).Value()
-		return result{
-			Policy:     string(pol),
-			Queries:    total,
-			Hits:       hits,
-			HitRatio:   float64(hits) / float64(total),
-			CPUSavedMS: float64(saved) / float64(time.Millisecond),
-		}
+	reg := obs.NewRegistry()
+	front := cache.New(cache.Config{MaxEntries: capEntries, Shards: 1})
+	front.SetMetrics(cache.NewMetrics(reg, "front"))
+	sdb.SetCache(front)
+	policyABWorkload(t, sdb, hot, churn, rounds, churnPerRound)
+	hits := int(reg.Counter("mdseq_cache_hits_total", "", l).Value())
+	saved := reg.Counter("mdseq_cache_hit_cost_saved_ns_total", "", l).Value()
+	t.Logf("gdsf: %d/%d hits, %.2f ms CPU saved", hits, total, float64(saved)/float64(time.Millisecond))
+	if hits < 30 {
+		t.Errorf("%d of %d hits under the churn workload, want >= 30: the hot entries did not stay resident", hits, total)
 	}
-	lru := measure(cache.PolicyLRU)
-	gdsf := measure(cache.PolicyGDSF)
-	for _, r := range []result{lru, gdsf} {
-		t.Logf("%s: %d/%d hits (%.3f), %.2f ms CPU saved",
-			r.Policy, r.Hits, r.Queries, r.HitRatio, r.CPUSavedMS)
+	if saved == 0 {
+		t.Error("hits saved no recorded CPU")
 	}
-
-	if gdsf.CPUSavedMS <= lru.CPUSavedMS {
-		t.Errorf("GDSF saved %.2f ms <= LRU's %.2f ms; cost-aware eviction must win on hit-weighted CPU",
-			gdsf.CPUSavedMS, lru.CPUSavedMS)
-	}
-	if gdsf.Hits <= lru.Hits {
-		t.Errorf("GDSF hits %d <= LRU hits %d on the churn workload", gdsf.Hits, lru.Hits)
-	}
-
-	mergeBenchSection(t, "policy_ab", map[string]any{
-		"cache_entries":   capEntries,
-		"hot_queries":     hotN,
-		"churn_per_round": churnPerRound,
-		"rounds":          rounds,
-		"results":         []result{lru, gdsf},
-	})
 }
 
 // clusteredCorpus builds sequences confined to the cube
@@ -333,13 +244,11 @@ func clusteredCorpus(t *testing.T, n, length int, base float64, seed int64) []*c
 
 // TestCacheScopeAB is the invalidation-scope acceptance measurement:
 // under mixed read/write traffic where the queries probe one spatial
-// cluster and the writes land in another, the MBR-scoped cache must
-// sustain a hit ratio strictly above the epoch-flush baseline. The
-// epoch-scoped run flushes the whole cache on every write (a write lands
-// between every repeat of a query here, so it barely hits at all); the
-// MBR-scoped run proves each write cannot reach any cached query's
-// region and keeps serving. With BENCH_CACHE_OUT set the numbers land in
-// the scope_ab section of BENCH_cache.json.
+// cluster and the writes land in another, the cache must keep hitting. A
+// write lands between every repeat of a query here, so a cache that
+// flushed on every write barely hits at all (hit ratio 0.00 when that
+// scope was measured beside this one); MBR scoping proves each write
+// cannot reach any cached query's region and keeps serving (0.96).
 func TestCacheScopeAB(t *testing.T) {
 	const (
 		queries      = 200
@@ -357,63 +266,30 @@ func TestCacheScopeAB(t *testing.T) {
 		pool[i] = &core.Sequence{Label: "q", Points: reads[i].Points[4:20]}
 	}
 
-	type result struct {
-		Scope    string  `json:"scope"`
-		Queries  int     `json:"queries"`
-		Writes   int     `json:"writes"`
-		Hits     int     `json:"hits"`
-		HitRatio float64 `json:"hit_ratio"`
-	}
-	measure := func(scope cache.Scope) result {
-		sdb := newSharded(t, clone(reads), cacheBenchShards)
-		sdb.SetCache(cache.New(cache.Config{Scope: scope}))
-		writes := clusteredCorpus(t, queries/writeEvery+1, corpusSeqLen, 0.8, 43)
-		hits, wrote := 0, 0
-		for i := 0; i < queries; i++ {
-			_, st, err := sdb.SearchCtx(context.Background(), pool[i%poolN], eps)
-			if err != nil {
+	sdb := newSharded(t, clone(reads), cacheBenchShards)
+	sdb.SetCache(cache.New(cache.Config{}))
+	writes := clusteredCorpus(t, queries/writeEvery+1, corpusSeqLen, 0.8, 43)
+	hits, wrote := 0, 0
+	for i := 0; i < queries; i++ {
+		_, st, err := sdb.SearchCtx(context.Background(), pool[i%poolN], eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CacheHit {
+			hits++
+		}
+		if i%writeEvery == writeEvery-1 {
+			if _, err := sdb.Add(writes[wrote]); err != nil {
 				t.Fatal(err)
 			}
-			if st.CacheHit {
-				hits++
-			}
-			if i%writeEvery == writeEvery-1 {
-				if _, err := sdb.Add(writes[wrote]); err != nil {
-					t.Fatal(err)
-				}
-				wrote++
-			}
-		}
-		return result{
-			Scope:    string(scope),
-			Queries:  queries,
-			Writes:   wrote,
-			Hits:     hits,
-			HitRatio: float64(hits) / float64(queries),
+			wrote++
 		}
 	}
-	epoch := measure(cache.ScopeEpoch)
-	mbr := measure(cache.ScopeMBR)
-	for _, r := range []result{epoch, mbr} {
-		t.Logf("%s: %d/%d hits (%.3f) across %d interleaved writes",
-			r.Scope, r.Hits, r.Queries, r.HitRatio, r.Writes)
+	ratio := float64(hits) / float64(queries)
+	t.Logf("mbr: %d/%d hits (%.3f) across %d interleaved writes", hits, queries, ratio, wrote)
+	if ratio < 0.9 {
+		t.Errorf("hit ratio %.3f < 0.90: disjoint writes should invalidate nothing", ratio)
 	}
-
-	if mbr.HitRatio <= epoch.HitRatio {
-		t.Errorf("mbr hit ratio %.3f <= epoch baseline %.3f; region scoping must retain hits through disjoint writes",
-			mbr.HitRatio, epoch.HitRatio)
-	}
-	if mbr.HitRatio < 0.9 {
-		t.Errorf("mbr hit ratio %.3f < 0.90: disjoint writes should invalidate nothing", mbr.HitRatio)
-	}
-
-	mergeBenchSection(t, "scope_ab", map[string]any{
-		"shards":      cacheBenchShards,
-		"corpus":      corpusN,
-		"write_every": writeEvery,
-		"eps":         eps,
-		"results":     []result{epoch, mbr},
-	})
 }
 
 // BenchmarkCachedSearch reports the same comparison in benchmark form:

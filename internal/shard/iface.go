@@ -74,16 +74,15 @@ type DB interface {
 	// records, so a query counts once regardless of shard count.
 	SetMetrics(*obs.Registry)
 
-	// SetCache attaches an epoch-invalidated query-result cache (nil
-	// detaches). Every write invalidates all prior entries; partial
-	// results are never cached. On a ShardedDB the budget covers a
-	// merged-result cache in front of the scatter plus per-shard caches.
+	// SetCache attaches a query-result cache (nil detaches). A write
+	// invalidates the entries whose recorded region its MBR can reach and
+	// no others; partial results are never cached. On a ShardedDB the
+	// budget covers a merged-result cache in front of the scatter plus
+	// per-shard caches.
 	SetCache(*cache.Cache)
 	// QueryCache returns the attached cache (the front cache on a
 	// ShardedDB), or nil.
 	QueryCache() *cache.Cache
-	// Epoch returns the write epoch cached results are validated against.
-	Epoch() uint64
 
 	// Flush persists index pages to the backing file, if any.
 	Flush() error

@@ -83,12 +83,10 @@ type ShardedDB struct {
 	met    atomic.Pointer[shardMetrics] // nil until SetMetrics
 	pol    atomic.Pointer[Policy]       // nil until SetPolicy (zero policy)
 
-	// epoch counts completed writes at the router; qcache (nil until
-	// SetCache) is the merged-result cache in front of the scatter. Every
-	// router write notifies it with the written sequence's MBR, so only
-	// gathered answers the write could have affected are invalidated
-	// (see internal/cache).
-	epoch  atomic.Uint64
+	// qcache (nil until SetCache) is the merged-result cache in front of
+	// the scatter. Every router write notifies it with the written
+	// sequence's MBR, so only gathered answers the write could have
+	// affected are invalidated (see internal/cache).
 	qcache atomic.Pointer[cache.Cache]
 
 	bmu      sync.RWMutex

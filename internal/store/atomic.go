@@ -36,7 +36,7 @@ func writeFileSynced(path string, data []byte, perm os.FileMode) error {
 }
 
 // syncFile fsyncs an already-written file by path (for writers like
-// seqio that do not sync themselves).
+// the index pager that do not sync themselves).
 func syncFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,16 +10,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 )
 
 // TestColdStartSpeedup is the headline perf gate for the v2 segment
 // format: on a ≥100k-point corpus, opening the zero-copy columnar store
 // must be at least 10× faster than the v1 path (which re-parses every
-// record, re-runs MCOST partitioning, and re-sorts the R*-tree build),
-// and the quantized float32 MinDistSq kernel must beat the exact float64
-// one on dim ≥ 8. With BENCH_COLDSTART_OUT set it writes the measurements
-// as a JSON artifact for CI.
+// record, re-runs MCOST partitioning, and re-sorts the R*-tree build).
 func TestColdStartSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold-start corpus build is slow; skipped with -short")
@@ -46,14 +41,7 @@ func TestColdStartSpeedup(t *testing.T) {
 	if err := Build(v2dir, seqs, cfg); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Load(v2dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveFormat(ref, v1dir, FormatV1); err != nil {
-		t.Fatal(err)
-	}
-	ref.Close()
+	writeV1Dir(t, v1dir, seqs, cfg)
 
 	// Cold open to a file-indexed, queryable database. The v2 store dir
 	// carries its packed index pages from save time, so its cold open is
@@ -86,96 +74,5 @@ func TestColdStartSpeedup(t *testing.T) {
 	t.Logf("open %d seqs / %d points: v1 %v, v2 %v, speedup %.1fx", nseq, npoints, v1Open, v2Open, openSpeedup)
 	if openSpeedup < 10 {
 		t.Errorf("v2 cold open speedup %.1fx < 10x (v1 %v, v2 %v)", openSpeedup, v1Open, v2Open)
-	}
-
-	// Prefilter kernel throughput, exact float64 vs quantized float32
-	// sidecar, on the wide dimensions where memory traffic dominates.
-	type kernelRow struct {
-		Dim          int     `json:"dim"`
-		Boxes        int     `json:"boxes"`
-		ExactNs      int64   `json:"exact_ns"`
-		QuantNs      int64   `json:"quant_ns"`
-		Speedup      float64 `json:"speedup"`
-		MpairsExact  float64 `json:"mpairs_per_s_exact"`
-		MpairsQuant  float64 `json:"mpairs_per_s_quant"`
-		KernelRounds int     `json:"kernel_rounds"`
-	}
-	var kernels []kernelRow
-	for _, kd := range []int{8, 16} {
-		const n = 1 << 14
-		lo := make([]float64, n*kd)
-		hi := make([]float64, n*kd)
-		for i := range lo {
-			a, b := rng.Float64(), rng.Float64()
-			if a > b {
-				a, b = b, a
-			}
-			lo[i], hi[i] = a, b
-		}
-		qlo := make([]float32, n*kd)
-		qhi := make([]float32, n*kd)
-		geom.QuantizeDown(qlo, lo)
-		geom.QuantizeUp(qhi, hi)
-		qL := make([]float64, kd)
-		qH := make([]float64, kd)
-		for k := range qL {
-			qL[k], qH[k] = 0.45, 0.55
-		}
-		out := make([]float64, n)
-		const kernelRounds = 50
-		measure := func(fn func()) time.Duration {
-			fn() // warm
-			best := time.Duration(math.MaxInt64)
-			for i := 0; i < 5; i++ {
-				t0 := time.Now()
-				for r := 0; r < kernelRounds; r++ {
-					fn()
-				}
-				if d := time.Since(t0); d < best {
-					best = d
-				}
-			}
-			return best
-		}
-		exactD := measure(func() { geom.MinDistSqBatch(qL, qH, lo, hi, out) })
-		quantD := measure(func() { geom.MinDistSqBatchQ(qL, qH, qlo, qhi, out) })
-		sp := float64(exactD) / float64(quantD)
-		pairs := float64(n) * kernelRounds
-		kernels = append(kernels, kernelRow{
-			Dim: kd, Boxes: n,
-			ExactNs: exactD.Nanoseconds(), QuantNs: quantD.Nanoseconds(),
-			Speedup:      sp,
-			MpairsExact:  pairs / exactD.Seconds() / 1e6,
-			MpairsQuant:  pairs / quantD.Seconds() / 1e6,
-			KernelRounds: kernelRounds,
-		})
-		t.Logf("MinDistSq dim=%d over %d boxes: exact %v, quantized %v, speedup %.2fx", kd, n, exactD, quantD, sp)
-		if sp < 1.0 {
-			t.Errorf("quantized MinDistSq slower than exact at dim %d (%.2fx)", kd, sp)
-		}
-	}
-
-	if out := os.Getenv("BENCH_COLDSTART_OUT"); out != "" {
-		doc := map[string]any{
-			"name":         "coldstart_v1_vs_v2",
-			"dim":          dim,
-			"sequences":    nseq,
-			"points":       npoints,
-			"open_rounds":  rounds,
-			"v1_open_ns":   v1Open.Nanoseconds(),
-			"v2_open_ns":   v2Open.Nanoseconds(),
-			"open_speedup": openSpeedup,
-			"v1_path":      "parse records + MCOST re-partition + STR bulk load",
-			"v2_path":      "mmap segments.sg2 + alias columnar arrays + packed-leaf bulk load",
-			"kernels":      kernels,
-		}
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-			t.Fatalf("writing %s: %v", out, err)
-		}
-		t.Logf("wrote %s", out)
 	}
 }

@@ -292,9 +292,10 @@ func assertMatchesIdentical(t *testing.T, ctx string, a, b []core.Match) {
 	}
 }
 
-// TestFormatAndQuantizationEquivalence is satellite 2's core assertion:
-// across dims and formats, with and without the quantized prefilter,
-// search results are bit-identical to a freshly built database.
+// TestFormatAndQuantizationEquivalence: across dims, with and without the
+// quantized prefilter and the file index, a saved and reloaded store
+// answers bit-identically to a freshly built database. The v1 row of the
+// matrix is TestReadsV1Golden's committed fixtures.
 func TestFormatAndQuantizationEquivalence(t *testing.T) {
 	for _, dim := range []int{2, 4, 8, 16} {
 		seqs := corpusSeqs(int64(200+dim), 12, dim)
@@ -312,20 +313,17 @@ func TestFormatAndQuantizationEquivalence(t *testing.T) {
 			{Points: seqs[7].Points[10:40]},
 		}
 		type variant struct {
-			name   string
-			format Format
-			opts   LoadOptions
+			name string
+			opts LoadOptions
 		}
 		variants := []variant{
-			{"v1 exact", FormatV1, LoadOptions{}},
-			{"v1 quantized", FormatV1, LoadOptions{Quantized: true}},
-			{"v2 exact", FormatV2, LoadOptions{}},
-			{"v2 quantized", FormatV2, LoadOptions{Quantized: true}},
-			{"v2 fileindex quantized", FormatV2, LoadOptions{FileIndex: true, Quantized: true}},
+			{"v2 exact", LoadOptions{}},
+			{"v2 quantized", LoadOptions{Quantized: true}},
+			{"v2 fileindex quantized", LoadOptions{FileIndex: true, Quantized: true}},
 		}
 		for _, v := range variants {
 			dir := filepath.Join(t.TempDir(), "db")
-			if err := SaveFormat(ref, dir, v.format); err != nil {
+			if err := Save(ref, dir); err != nil {
 				t.Fatalf("dim=%d %s: save: %v", dim, v.name, err)
 			}
 			db, err := LoadWith(dir, v.opts)

@@ -13,8 +13,8 @@ import (
 )
 
 // Sharded store layout: a shard-count record plus one single-node store
-// directory per shard, each in either format (empty shards keep only
-// their meta file):
+// directory per shard, each read in either format (empty shards keep
+// only their meta file):
 //
 //	dir/
 //	  shards.bin     "MDSSHRD1" + u16 shard count
@@ -49,17 +49,9 @@ func IsSharded(dir string) bool {
 }
 
 // SaveSharded writes db's live sequences, configuration, and shard
-// topology into dir in the default format, atomically. Individual
-// shards may be empty; the database as a whole must not be.
+// topology into dir, atomically. Individual shards may be empty; the
+// database as a whole must not be.
 func SaveSharded(db *shard.ShardedDB, dir string) error {
-	return SaveShardedFormat(db, dir, DefaultFormat)
-}
-
-// SaveShardedFormat is SaveSharded with an explicit on-disk format.
-func SaveShardedFormat(db *shard.ShardedDB, dir string, f Format) error {
-	if !f.valid() {
-		return fmt.Errorf("store: unknown format %d", f)
-	}
 	if db.Len() == 0 {
 		return errors.New("store: refusing to save an empty database")
 	}
@@ -71,7 +63,7 @@ func SaveShardedFormat(db *shard.ShardedDB, dir string, f Format) error {
 			if err := os.MkdirAll(sub, 0o755); err != nil {
 				return err
 			}
-			if err := writeShardDir(sub, db.Shard(i), dim, cfg, f); err != nil {
+			if err := writeShardDir(sub, db.Shard(i), dim, cfg); err != nil {
 				return fmt.Errorf("store: saving shard %d: %w", i, err)
 			}
 		}
@@ -82,13 +74,10 @@ func SaveShardedFormat(db *shard.ShardedDB, dir string, f Format) error {
 	})
 }
 
-// writeShardDir serializes one shard node into sub. For v2 the node's
-// live segments are written directly when it exposes them; nodes that
-// do not (e.g. transactional wrappers) are re-partitioned first.
-func writeShardDir(sub string, node shard.Node, dim int, cfg core.PartitionConfig, f Format) error {
-	if f == FormatV1 {
-		return writeDirV1(sub, dim, cfg, node.Sequences())
-	}
+// writeShardDir serializes one shard node into sub. The node's live
+// segments are written directly when it exposes them; nodes that do not
+// (e.g. transactional wrappers) are re-partitioned first.
+func writeShardDir(sub string, node shard.Node, dim int, cfg core.PartitionConfig) error {
 	if ss, ok := node.(segmentSource); ok {
 		return writeDirV2(sub, dim, cfg, ss.LiveSegments())
 	}

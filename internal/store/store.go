@@ -1,12 +1,7 @@
-// Package store persists whole databases as a directory, in one of two
-// formats negotiated on load:
+// Package store persists whole databases as a directory. It writes one
+// format and reads two, negotiated on load:
 //
-// FormatV1 (the original): sequence data in seqio records plus a
-// metadata file. Load re-partitions every sequence to rebuild the index
-// — partitioning is deterministic, so the reconstructed database is
-// equivalent, but the rebuild decodes and re-segments every point.
-//
-// FormatV2 (the default): one zero-copy columnar segment file
+// v2 (the format written): one zero-copy columnar segment file
 // (segments.sg2) holding the already-partitioned corpus — flat
 // little-endian point/lo/hi arrays, the MBR directory, and the packed
 // STR leaf grouping of the R*-tree, all checksummed per section. Load
@@ -15,9 +10,15 @@
 // stored leaves: no per-sequence deserialization and no re-partitioning.
 // See segment.go for the exact layout.
 //
-// Both formats are written crash-safely: the replacement directory is
-// fully staged and fsynced beside the target, then swapped in by rename
-// (see atomic.go). Loads never read a partially written store.
+// v1 (read-only legacy): sequence data in seqio records plus a metadata
+// file, as directories written before v2 hold. Load re-partitions every
+// sequence to rebuild the index — partitioning is deterministic, so the
+// reconstructed database is equivalent, but the rebuild decodes and
+// re-segments every point. Saving a loaded v1 store rewrites it as v2.
+//
+// Stores are written crash-safely: the replacement directory is fully
+// staged and fsynced beside the target, then swapped in by rename (see
+// atomic.go). Loads never read a partially written store.
 //
 // Numeric sequence ids are not preserved across Save/Load (removed ids
 // compact away); labels are the stable identity.
@@ -47,25 +48,6 @@ const (
 
 // ErrBadStore indicates a missing or corrupt store directory.
 var ErrBadStore = errors.New("store: bad store directory")
-
-// Format selects the on-disk representation Save writes.
-type Format int
-
-const (
-	// FormatV1 stores sequences as seqio records; Load re-partitions to
-	// rebuild the index. Kept for compatibility and as the
-	// lowest-common-denominator interchange form.
-	FormatV1 Format = 1
-	// FormatV2 stores the partitioned columnar segments plus the packed
-	// R*-tree leaf grouping in segments.sg2; Load aliases the arrays with
-	// zero per-sequence deserialization.
-	FormatV2 Format = 2
-)
-
-// DefaultFormat is the format Save, SaveSharded, and Build write.
-const DefaultFormat = FormatV2
-
-func (f Format) valid() bool { return f == FormatV1 || f == FormatV2 }
 
 // LoadOptions configures Load/LoadSharded beyond the directory path.
 type LoadOptions struct {
@@ -105,23 +87,6 @@ func readMeta(dir string) (dim int, cfg core.PartitionConfig, err error) {
 		MaxPoints:   int(binary.LittleEndian.Uint64(meta[18:26])),
 	}
 	return dim, cfg, nil
-}
-
-// writeDirV1 writes one v1 database directory (meta plus seqio records)
-// into dir, which must already exist; all files are fsynced. Empty
-// sequence sets are allowed (a sharded store's shard may be empty): the
-// sequences file is omitted and loads treat its absence as empty.
-func writeDirV1(dir string, dim int, cfg core.PartitionConfig, seqs []*core.Sequence) error {
-	if len(seqs) > 0 {
-		path := filepath.Join(dir, seqFile)
-		if err := seqio.WriteFile(path, seqs); err != nil {
-			return err
-		}
-		if err := syncFile(path); err != nil {
-			return err
-		}
-	}
-	return writeMeta(dir, dim, cfg)
 }
 
 // writeDirV2 writes one v2 database directory (meta, the columnar
@@ -239,27 +204,10 @@ func loadDirCorpus(dir string) (dim int, cfg core.PartitionConfig, segs []*core.
 	return dim, cfg, segs, nil, 0, nil
 }
 
-// Save writes db's live sequences and configuration into dir in the
-// default format, atomically: the previous contents are replaced only
-// once the new store is fully on disk.
+// Save writes db's live sequences and configuration into dir,
+// atomically: the previous contents are replaced only once the new store
+// is fully on disk.
 func Save(db *core.Database, dir string) error {
-	return SaveFormat(db, dir, DefaultFormat)
-}
-
-// SaveFormat is Save with an explicit on-disk format.
-func SaveFormat(db *core.Database, dir string, f Format) error {
-	if !f.valid() {
-		return fmt.Errorf("store: unknown format %d", f)
-	}
-	if f == FormatV1 {
-		seqs := db.Sequences()
-		if len(seqs) == 0 {
-			return errors.New("store: refusing to save an empty database")
-		}
-		return saveAtomic(dir, func(tmp string) error {
-			return writeDirV1(tmp, seqs[0].Dim(), db.PartitionConfig(), seqs)
-		})
-	}
 	segs := db.LiveSegments()
 	if len(segs) == 0 {
 		return errors.New("store: refusing to save an empty database")

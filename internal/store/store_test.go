@@ -224,11 +224,9 @@ func TestSaveToUnwritableDirFails(t *testing.T) {
 }
 
 func TestLoadRejectsCorruptSequences(t *testing.T) {
-	db, _ := buildDB(t, 3)
+	db, seqs := buildDB(t, 3)
 	dir := filepath.Join(t.TempDir(), "db")
-	if err := SaveFormat(db, dir, FormatV1); err != nil {
-		t.Fatal(err)
-	}
+	writeV1Dir(t, dir, seqs, db.PartitionConfig())
 	if err := os.WriteFile(filepath.Join(dir, seqFile), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,21 @@ const (
 	walFile     = "txn.wal"
 	currentFile = "CURRENT"
 	snapPrefix  = "base-"
-	snapSeqFile = "sequences.mds"
+	snapSeqFile = "sequences.mds" // seqio payload of snapshots written before v2; read only
 	snapSegFile = "segments.sg2"
 	snapMeta    = "meta.bin"
 )
+
+// Exists reports whether dir holds a node's durability files (a WAL or a
+// promoted snapshot) at its top level.
+func Exists(dir string) bool {
+	for _, name := range []string{walFile, currentFile} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return true
+		}
+	}
+	return false
+}
 
 // ErrBadDir indicates a durability directory with a corrupt CURRENT
 // marker or snapshot metadata.
@@ -219,11 +230,11 @@ func detach(g *core.Segmented) *core.Segmented {
 // promotes it via the CURRENT marker. Every file and both directory
 // entries are fsynced before promotion; a crash at any point leaves
 // either the old CURRENT (snapshot ignored, WAL replays) or the new one
-// (complete by construction). The sequence payload is written in
-// Options.SnapshotFormat: v2 serializes the base's already-partitioned
-// columnar segments (with the packed R*-tree leaf grouping), so the
-// next open aliases them back with no re-partitioning; v1 writes seqio
-// records. loadBase reads either.
+// (complete by construction). The sequence payload is the base's
+// already-partitioned columnar segments with the packed R*-tree leaf
+// grouping (the store's v2 segment file), so the next open aliases them
+// back with no re-partitioning. loadBase also reads the seqio payload of
+// snapshots written before v2.
 func (db *DB) persistSnapshot(lsn uint64) error {
 	name := snapName(lsn)
 	dir := filepath.Join(db.opts.Dir, name)
@@ -233,35 +244,15 @@ func (db *DB) persistSnapshot(lsn uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	format := db.opts.SnapshotFormat
-	if format == 0 {
-		format = store.DefaultFormat
+	segs := db.base.LiveSegments()
+	ids := make([]uint32, len(segs))
+	for i, g := range segs {
+		ids[i] = g.Seq.ID
 	}
-	var ids []uint32
-	if format == store.FormatV2 {
-		segs := db.base.LiveSegments()
-		ids = make([]uint32, len(segs))
-		for i, g := range segs {
-			ids[i] = g.Seq.ID
-		}
-		if len(segs) > 0 {
-			if err := store.WriteSegments(filepath.Join(dir, snapSegFile),
-				db.base.Dim(), db.base.PartitionConfig(), segs); err != nil {
-				return err
-			}
-		}
-	} else {
-		seqs := db.base.Sequences()
-		ids = make([]uint32, len(seqs))
-		for i, s := range seqs {
-			ids[i] = s.ID
-		}
-		if len(seqs) > 0 {
-			if err := writeFileSynced(filepath.Join(dir, snapSeqFile), func(f *os.File) error {
-				return seqio.Write(f, seqs)
-			}); err != nil {
-				return err
-			}
+	if len(segs) > 0 {
+		if err := store.WriteSegments(filepath.Join(dir, snapSegFile),
+			db.base.Dim(), db.base.PartitionConfig(), segs); err != nil {
+			return err
 		}
 	}
 	meta := encodeSnapMeta(db.base.Dim(), db.base.PartitionConfig(), uint32(db.base.DirLen()), ids)

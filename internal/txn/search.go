@@ -594,8 +594,8 @@ func (db *DB) Epoch() uint64 { return db.cur.Load().epoch }
 // point of this layering: base entries stay valid, and keep being
 // served, while commits accumulate. A fold replays the delta through the
 // base's ordinary write operations, so the cache hears about each folded
-// sequence's MBR and (under the default MBR scope) invalidates only the
-// entries those regions can affect.
+// sequence's MBR and invalidates only the entries those regions can
+// affect.
 func (db *DB) SetCache(c *cache.Cache) { db.base.SetCache(c) }
 
 // QueryCache returns the attached cache, or nil.

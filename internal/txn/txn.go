@@ -4,7 +4,7 @@
 // The design splits the corpus in two. The base is a core.Database —
 // R*-tree indexed, query-cached — that is frozen between checkpoints:
 // commits never touch it, so readers scan it with an uncontended RLock
-// and its epoch-keyed query cache stays warm under sustained ingest. The
+// and its query cache stays warm under sustained ingest. The
 // delta is an immutable chain of states, each a copy-on-write extension
 // of the previous (appended sequences, replaced versions, removals). A
 // reader pins one state and serves every query from base + delta filters
@@ -35,7 +35,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/pager"
-	"repro/internal/store"
 )
 
 // Options configures a transactional database.
@@ -65,11 +64,6 @@ type Options struct {
 	// that many committed WAL records (0 = checkpoint only on demand).
 	// It bounds both recovery replay time and the per-query delta scan.
 	CheckpointEvery int
-	// SnapshotFormat selects the base-snapshot representation checkpoints
-	// write (store.FormatV1 or store.FormatV2; 0 = store.DefaultFormat).
-	// Either format is always readable on open regardless of this
-	// setting, so it can be changed between restarts.
-	SnapshotFormat store.Format
 	// QuantizedMBR is passed to the base database as
 	// core.Options.QuantizedMBR, where it is accepted and has no effect.
 	QuantizedMBR bool

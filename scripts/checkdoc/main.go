@@ -15,9 +15,9 @@
 // It also holds the query surface to the ceilings PR 22 brought it down to
 // (see ceilings): a method added to shard.DB, shard.Backend or
 // *core.Database beyond them fails the run, so the search-method matrix
-// that Do replaced cannot regrow unreviewed. And it prints the count each
-// ROADMAP re-anchor tracks: non-test Go lines outside bench/, under the
-// current directory.
+// that Do replaced cannot regrow unreviewed; the flags cmd/mdsserve defines
+// are capped the same way. And it prints the count each ROADMAP re-anchor
+// tracks: non-test Go lines outside bench/, under the current directory.
 package main
 
 import (
@@ -32,16 +32,19 @@ import (
 	"strings"
 )
 
-// ceilings caps the methods of the types a query travels through: an
-// interface's own methods, a struct's exported ones. Lowering one after a
-// deletion is welcome; raising one is a design decision to argue in review.
+// ceilings caps the methods of the types a query travels through — an
+// interface's own methods, a struct's exported ones — and, as
+// "mdsserve.flags", the command-line flags the server defines. Lowering
+// one after a deletion is welcome; raising one is a design decision to
+// argue in review.
 var ceilings = []struct {
 	pkg, typ string
 	max      int
 }{
-	{"shard", "DB", 25},
+	{"shard", "DB", 24},
 	{"shard", "Backend", 3},
-	{"core", "Database", 41},
+	{"core", "Database", 40},
+	{"mdsserve", "flags", 23},
 }
 
 func main() {
@@ -50,9 +53,9 @@ func main() {
 		os.Exit(2)
 	}
 	var gaps []string
-	methods := map[string]int{} // "pkg.Type" → methods counted toward its ceiling
+	counts := map[string]int{} // "pkg.Type" or "dir.flags" → what counts toward its ceiling
 	for _, dir := range os.Args[1:] {
-		g, err := checkDir(dir, methods)
+		g, err := checkDir(dir, counts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "checkdoc: %s: %v\n", dir, err)
 			os.Exit(2)
@@ -68,8 +71,8 @@ func main() {
 	}
 	over := false
 	for _, c := range ceilings {
-		if n, seen := methods[c.pkg+"."+c.typ]; seen && n > c.max {
-			fmt.Fprintf(os.Stderr, "checkdoc: %s.%s has %d methods, ceiling %d: answer the new need through Do, or argue the ceiling\n", c.pkg, c.typ, n, c.max)
+		if n, seen := counts[c.pkg+"."+c.typ]; seen && n > c.max {
+			fmt.Fprintf(os.Stderr, "checkdoc: %s.%s counts %d, ceiling %d: answer the new need through Do (a method) or without a knob (a flag), or argue the ceiling\n", c.pkg, c.typ, n, c.max)
 			over = true
 		}
 	}
@@ -109,9 +112,10 @@ func nonTestLines(root string) (int, error) {
 }
 
 // checkDir parses every non-test Go file in dir and returns one
-// diagnostic per undocumented exported identifier. Into methods it counts,
-// per type named in ceilings, the methods that count toward the ceiling.
-func checkDir(dir string, methods map[string]int) ([]string, error) {
+// diagnostic per undocumented exported identifier. Into counts it adds,
+// per type named in ceilings, the methods that count toward the ceiling,
+// and under "<dir>.flags" the flags a command in dir defines.
+func checkDir(dir string, counts map[string]int) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -129,19 +133,25 @@ func checkDir(dir string, methods map[string]int) ([]string, error) {
 			continue
 		}
 		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if isFlagDef(n) {
+					counts[filepath.Base(dir)+".flags"]++
+				}
+				return true
+			})
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
 					checkFunc(d, report)
 					if d.Recv != nil && len(d.Recv.List) == 1 && d.Name.IsExported() {
-						methods[pkg.Name+"."+receiverName(d.Recv.List[0].Type)]++
+						counts[pkg.Name+"."+receiverName(d.Recv.List[0].Type)]++
 					}
 				case *ast.GenDecl:
 					checkGen(d, report)
 					for _, spec := range d.Specs {
 						if ts, ok := spec.(*ast.TypeSpec); ok {
 							if it, ok := ts.Type.(*ast.InterfaceType); ok {
-								methods[pkg.Name+"."+ts.Name.Name] += len(it.Methods.List)
+								counts[pkg.Name+"."+ts.Name.Name] += len(it.Methods.List)
 							}
 						}
 					}
@@ -150,6 +160,22 @@ func checkDir(dir string, methods map[string]int) ([]string, error) {
 		}
 	}
 	return gaps, nil
+}
+
+// isFlagDef reports whether n defines a command-line flag: a call
+// flag.<Type>("name", …) into the standard flag package's default set.
+func isFlagDef(n ast.Node) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	name, isLit := call.Args[0].(*ast.BasicLit)
+	return ok && pkg.Name == "flag" && isLit && name.Kind == token.STRING
 }
 
 // checkFunc flags exported functions and exported methods on exported
