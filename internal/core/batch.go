@@ -195,7 +195,6 @@ func (db *Database) searchBatchLocked(ctx context.Context, uniq []*batchQuery, e
 	// records — then refine. Refinement depends on the query's own
 	// segmentation, so there is nothing to share beyond the corpus pages
 	// already warmed by neighbors in the batch.
-	checked := 0
 	for _, bq := range uniq {
 		if bq.done {
 			continue
@@ -207,25 +206,15 @@ func (db *Database) searchBatchLocked(ctx context.Context, uniq []*batchQuery, e
 			bq.st.Phase2 += probes[j].d
 			sc.markHits(probes[j].refs, qi)
 		}
-		slices.Sort(sc.ids)
+		sc.sortIDs()
 		bq.st.CandidatesDmbr = len(sc.ids)
 		t2 := time.Now()
 		bq.st.Phase2 += t2.Sub(t1)
-		for _, id := range sc.ids {
-			if checked%cancelCheckEvery == 0 {
-				if err := searchCanceled(ctx); err != nil {
-					return err
-				}
-			}
-			checked++
-			m, hit, evals := phase3Hits(bq.qseg.MBRs, sc.hitRow(id), &sc.p3, db.seqs[id], bq.q.Len(), eps)
-			m.SeqID = id
-			bq.st.DnormEvals += evals
-			if hit {
-				bq.out = append(bq.out, m)
-			}
+		var err error
+		bq.out, err = db.refine(ctx, bq.qseg.MBRs, sc.ids, bq.q.Len(), eps, sc, &bq.st)
+		if err != nil {
+			return err
 		}
-		bq.st.MatchesDnorm = len(bq.out)
 		bq.st.Phase3 = time.Since(t2)
 		bq.st.CPUTime = bq.st.Total()
 		db.met.RecordSearch(bq.st)

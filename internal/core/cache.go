@@ -177,9 +177,12 @@ func (r CacheSlot) Get() (Result, bool) {
 
 // Put stores a completed answer under the pre-query write-sequence
 // snapshot, charging its CPUTime as the entry's cost and, for the byte
-// cap, slice headers and fixed fields plus the interval ranges and
-// per-shard statistics — sequences are owned by the database and shared,
-// not retained by the cache. Partial answers are refused by the cache
+// cap, what the entry keeps reachable: fixed fields, per-shard statistics,
+// the match list's whole capacity (a list with spare room retains it) and
+// the capacity of every match's ranges — with a range answer's cap == len
+// slab sub-slices that is the slab, bar the last chunk's unused tail, which
+// slabRanges keeps under one candidate count. Sequences are owned by the
+// database and shared, not retained by the cache. Partial answers are refused by the cache
 // itself. A KNN's region radius is the k-th neighbor's distance when the
 // answer is full — a write farther than that from the query cannot
 // displace any neighbor — and +Inf (invalidate on every write) while the
@@ -197,9 +200,9 @@ func (r CacheSlot) Put(res Result) {
 			reg.Radius = res.Matches[r.k-1].Dist
 		}
 	}
-	n := 160 + 48*len(res.PerShard) // entry, stats, slice headers
+	n := 160 + 48*len(res.PerShard) + 64*cap(res.Matches) // entry, stats, slice headers; the list
 	for i := range res.Matches {
-		n += 64 + 16*len(res.Matches[i].Interval.Ranges())
+		n += 16 * cap(res.Matches[i].Interval.ranges)
 	}
 	stored := res // the copy the cache keeps; made here so a Put without a cache allocates nothing
 	r.c.Put(r.key, r.seq, cache.Value{

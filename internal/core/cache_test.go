@@ -451,3 +451,37 @@ func (e errStale) Error() string {
 	return fmt.Sprintf("stale cache hit: %d copies found, %d adds completed before the search",
 		e.found, e.floor)
 }
+
+// TestCachePutChargesRetainedCapacity: the byte cap counts what an entry
+// keeps alive. An answer whose list has spare capacity is charged for the
+// whole array, and after a run of searches the cache's byte count covers
+// every list and every range array reachable from its entries.
+func TestCachePutChargesRetainedCapacity(t *testing.T) {
+	db, rng := cachedDB(t, 200, 210)
+	c := db.QueryCache()
+	q := randWalkSeq(rng, 30, 3)
+	roomy := make([]Match, 10, 100)
+	SlotFor(c, Query{Seq: q, Eps: 0.5}, db.PartitionConfig()).Put(Result{Matches: roomy})
+	if got, floor := c.Bytes(), int64(64*cap(roomy)); got < floor {
+		t.Fatalf("a 10-match answer in a 100-match array is charged %d bytes, retains >= %d", got, floor)
+	}
+	c.Purge()
+
+	var reachable int64
+	for i := 0; i < 20; i++ {
+		res, err := db.Do(context.Background(), Query{Seq: randWalkSeq(rng, 20+rng.Intn(30), 3), Eps: 0.2 + 0.02*float64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reachable += int64(64 * cap(res.Matches))
+		for _, m := range res.Matches {
+			reachable += int64(16 * cap(m.Interval.Ranges()))
+		}
+	}
+	if c.Len() != 20 || reachable < 20*64*100 {
+		t.Fatalf("%d entries reaching %d bytes; the test needs 20 answers of >= 100 matches", c.Len(), reachable)
+	}
+	if got := c.Bytes(); got < reachable {
+		t.Fatalf("20 cached answers are charged %d bytes and retain %d", got, reachable)
+	}
+}

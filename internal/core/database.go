@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -456,7 +455,10 @@ type Match struct {
 	// Interval is the solution interval: for the paper's Range answer its
 	// approximation, the union of the point ranges involved in every
 	// qualifying Dnorm computation; for a Scan under a nil Metric the exact
-	// one of Definition 6. Empty under a Metric and for a KNN.
+	// one of Definition 6. Empty under a Metric and for a KNN. The intervals
+	// of one Range answer are sub-slices of a backing array the answer's
+	// matches share (retaining one match retains it), each with cap == len:
+	// an Add that grows one reallocates and never touches a neighbour.
 	Interval IntervalSet
 }
 
@@ -540,8 +542,8 @@ func (db *Database) filterPhases(ctx context.Context, q *Sequence, eps float64, 
 
 	// Phase 2: first pruning. Any sequence owning an MBR within Dmbr ≤ ε
 	// of any query MBR becomes a candidate. The flat kernel compares in
-	// squared space; each probe's hits go straight into the hit table, so
-	// only the distinct candidate ids are sorted.
+	// squared space; each probe's hits go straight into the hit table, and
+	// the distinct candidate ids are put in order by one bitmap pass.
 	t1 := time.Now()
 	sc.beginHits(len(db.seqs), len(sc.qmbrs))
 	for i := range sc.qmbrs {
@@ -556,7 +558,7 @@ func (db *Database) filterPhases(ctx context.Context, q *Sequence, eps float64, 
 		st.IndexEntriesHit += len(sc.refs)
 		sc.markHits(sc.refs, i)
 	}
-	slices.Sort(sc.ids)
+	sc.sortIDs()
 	st.CandidatesDmbr = len(sc.ids)
 	st.Phase2 = time.Since(t1)
 	if tr != nil {
@@ -580,25 +582,11 @@ func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, s
 		return nil, err
 	}
 
-	// Phase 3: second pruning with Dnorm over the (query MBR, candidate)
-	// pairs phase 2 hit; qualifying windows accumulate into the solution
-	// interval.
 	t2 := time.Now()
-	var out []Match
-	for ci, id := range ids {
-		if ci%cancelCheckEvery == 0 {
-			if err := searchCanceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		m, hit, evals := phase3Hits(sc.qmbrs, sc.hitRow(id), &sc.p3, db.seqs[id], q.Len(), eps)
-		m.SeqID = id
-		st.DnormEvals += evals
-		if hit {
-			out = append(out, m)
-		}
+	out, err := db.refine(ctx, sc.qmbrs, ids, q.Len(), eps, sc, st)
+	if err != nil {
+		return nil, err
 	}
-	st.MatchesDnorm = len(out)
 	st.Phase3 = time.Since(t2)
 	if tr != nil {
 		tr.RecordSpan(obs.SpanFromContext(ctx), "refine", st.Phase3,
@@ -607,6 +595,39 @@ func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, s
 			obs.Int("matches", st.MatchesDnorm),
 			obs.Float("pruned_frac", prunedFrac(st.CandidatesDmbr, st.MatchesDnorm)))
 	}
+	return out, nil
+}
+
+// refine is phase 3 of SIMILARITY_SEARCH — second pruning with Dnorm over
+// the (query MBR, candidate) pairs phase 2 hit, qualifying windows
+// accumulating into the solution interval — over the ascending candidates
+// ids, whose hit rows sc holds. The answer costs a constant number of
+// allocations however many match: the list is made on the first hit with
+// room for every candidate still to come (most match), and each hit's ranges
+// go into one slab the matches share (slabRanges). No match allocates nothing.
+func (db *Database) refine(ctx context.Context, qmbrs []MBRInfo, ids []uint32, qLen int, eps float64, sc *searchScratch, st *SearchStats) ([]Match, error) {
+	var out []Match
+	var slab []PointRange
+	for ci, id := range ids {
+		if ci%cancelCheckEvery == 0 {
+			if err := searchCanceled(ctx); err != nil {
+				return nil, err
+			}
+		}
+		g := db.seqs[id]
+		minDnorm, hit, evals := phase3Hits(qmbrs, sc.hitRow(id), &sc.p3, g, qLen, eps)
+		st.DnormEvals += evals
+		if !hit {
+			continue
+		}
+		if out == nil {
+			out = make([]Match, 0, len(ids)-ci)
+		}
+		m := Match{SeqID: id, Seq: g.Seq, MinDnorm: minDnorm}
+		m.Interval, slab = slabRanges(slab, sc.p3.iv.ranges, len(ids)-ci)
+		out = append(out, m)
+	}
+	st.MatchesDnorm = len(out)
 	return out, nil
 }
 

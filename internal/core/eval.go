@@ -10,6 +10,8 @@ package core
 // indexed database holding the same content. These wrappers export that
 // per-candidate work.
 
+import "slices"
+
 // EvalRange runs the phase-3 Dnorm pruning and solution-interval assembly
 // for one candidate sequence against a partitioned query, exactly as the
 // indexed search would after phase 2 — same kernel (phase3Hits, every query
@@ -17,12 +19,19 @@ package core
 // cannot change the outcome: Dmbr lower-bounds Dnorm (Lemma 2), so a
 // candidate or pair the index would have pruned yields no window here. The query partitioning must
 // come from NewSegmented with the database's PartitionConfig; the
-// returned Match has SeqID unset (the caller owns id assignment). evals
-// reports the Dnorm table rows computed, for SearchStats accounting.
+// returned Match has SeqID unset (the caller owns id assignment) and, on a
+// hit, its own copy of the interval — one allocation, nothing shared with
+// another match. evals reports the Dnorm table rows computed, for
+// SearchStats accounting.
 func EvalRange(qseg *Segmented, g *Segmented, eps float64) (m Match, hit bool, evals int) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return phase3Hits(qseg.MBRs, nil, &sc.p3, g, qseg.Seq.Len(), eps)
+	m = Match{Seq: g.Seq}
+	m.MinDnorm, hit, evals = phase3Hits(qseg.MBRs, nil, &sc.p3, g, qseg.Seq.Len(), eps)
+	if hit {
+		m.Interval.ranges = slices.Clone(sc.p3.iv.ranges)
+	}
+	return m, hit, evals
 }
 
 // EvalAlign computes the exact sequence distance D(Q,S) and the best

@@ -11,6 +11,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -398,6 +399,284 @@ func BenchmarkKNN(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// allocCorpus is the corpus the answer-size tests share: 400 walks, and one
+// query with the two thresholds at which few (~30) and most (>= 300) of
+// them match.
+func allocCorpus(t testing.TB) (db *Database, q *Sequence, few, most float64) {
+	t.Helper()
+	db, seqs := hotDB(t, 3, 400, 31)
+	q = &Sequence{Points: seqs[5].Points[10:42]}
+	count := func(eps float64) int {
+		ms, _, err := db.Search(q, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ms)
+	}
+	few, most = 0.3, 0.3
+	for count(few) > 40 {
+		few *= 0.9
+	}
+	for count(most) < 300 {
+		most *= 1.1
+	}
+	if n := count(few); n < 10 {
+		t.Fatalf("eps %g matches %d sequences; the corpus needs a threshold matching 10..40", few, n)
+	}
+	return db, q, few, most
+}
+
+// TestRangeAnswerAllocs is the allocation gate for a matching search: a
+// warmed Do(Range) allocates the answer's list and its interval slab — a
+// constant, not one per match — whether some 30 or over 300 sequences
+// match, and a warmed batch pays that constant per query.
+func TestRangeAnswerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool deliberately drops Puts under -race; alloc gate needs a non-race build")
+	}
+	db, q, few, most := allocCorpus(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	const perAnswer = 6
+	batch := make([]*Sequence, 8)
+	for i := range batch {
+		batch[i] = &Sequence{Points: q.Points[i : i+24]}
+	}
+	var batchAllocs [2]float64
+	for ei, eps := range []float64{few, most} {
+		var matched int
+		run := func() {
+			res, err := db.Do(ctx, Query{Seq: q, Eps: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			matched = len(res.Matches)
+		}
+		run()
+		allocs := testing.AllocsPerRun(50, run)
+		t.Logf("eps %.3f: %d matches, %.0f allocs per Do", eps, matched, allocs)
+		if allocs > perAnswer {
+			t.Errorf("eps %.3f: warmed Do with %d matches allocates %.0f times, want <= %d", eps, matched, allocs, perAnswer)
+		}
+
+		runBatch := func() {
+			outs, _, err := db.SearchBatchCtx(ctx, batch, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matched = 0
+			for _, ms := range outs {
+				matched += len(ms)
+			}
+		}
+		runBatch()
+		batchAllocs[ei] = testing.AllocsPerRun(20, runBatch)
+		t.Logf("eps %.3f: batch of %d, %d matches, %.0f allocs", eps, len(batch), matched, batchAllocs[ei])
+	}
+	// What a batch allocates besides its answers — the queries'
+	// segmentations, the probe table, the per-query bookkeeping — does not
+	// depend on how much matches, so the two thresholds may differ by the
+	// answers' constant only.
+	if extra := batchAllocs[1] - batchAllocs[0]; extra > float64(perAnswer*len(batch)) {
+		t.Errorf("batch allocates %.0f times at the wide threshold and %.0f at the narrow one; the difference must stay <= %d per query",
+			batchAllocs[1], batchAllocs[0], perAnswer)
+	}
+}
+
+// TestSortedIDsMatchesSort holds the bitmap ordering pass to slices.Sort
+// over duplicate-free id sets of every shape, on one scratch reused across
+// id spaces of different sizes, and checks the pool invariant after each:
+// the bitmap is all-zero, also after a search abandoned halfway.
+func TestSortedIDsMatchesSort(t *testing.T) {
+	sc := new(searchScratch)
+	allZero := func(label string) {
+		t.Helper()
+		for _, words := range [][]uint64{sc.idBits[:cap(sc.idBits)], sc.hits[:cap(sc.hits)]} {
+			for w, x := range words {
+				if x != 0 {
+					t.Fatalf("%s: word %d of a pooled table is %#x, want 0", label, w, x)
+				}
+			}
+		}
+	}
+	check := func(label string, nseq int, ids []uint32) {
+		t.Helper()
+		sc.beginHits(nseq, 1)
+		for _, id := range ids {
+			if !sc.firstHit(id) {
+				t.Fatalf("%s: id %d generated twice", label, id)
+			}
+		}
+		sc.sortIDs()
+		want := slices.Clone(ids)
+		slices.Sort(want)
+		if !slices.Equal(sc.ids, want) {
+			t.Fatalf("%s: sortIDs left %v, slices.Sort %v", label, sc.ids, want)
+		}
+		sc.clearHits()
+		allZero(label)
+	}
+	all := func(n int) []uint32 {
+		ids := make([]uint32, n)
+		for i := range ids {
+			ids[i] = uint32(n - 1 - i)
+		}
+		return ids
+	}
+	check("empty", 100, nil)
+	check("one", 100, []uint32{37})
+	check("two descending", 100, []uint32{99, 0})
+	check("two in one word", 100, []uint32{70, 65})
+	check("dense", 1000, all(1000))
+	check("dense, nseq not a multiple of 64", 130, all(130))
+	check("last id", 130, []uint32{129, 3, 64, 63, 128})
+	check("one sequence", 1, []uint32{0})
+	check("sparse", 1<<20, []uint32{1<<20 - 1, 0, 1 << 19, 77, 1 << 10})
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		nseq := 1 + rng.Intn(3000)
+		ids := make([]uint32, 0, nseq)
+		for _, id := range rng.Perm(nseq)[:rng.Intn(nseq+1)] {
+			ids = append(ids, uint32(id))
+		}
+		check(fmt.Sprintf("trial %d (nseq %d, %d ids)", trial, nseq, len(ids)), nseq, ids)
+	}
+
+	// A search abandoned inside phase 2 or phase 3 leaves ids and hit rows
+	// behind for clearHits (putScratch) to take back, and no bit in the
+	// bitmap.
+	db, q, _, most := allocCorpus(t)
+	search := func(cancelAt int) (polls int, err error) {
+		ctx := &pollCtx{Context: context.Background(), cancelAt: cancelAt}
+		_, err = db.rangePhases(ctx, q, most, sc, new(SearchStats), nil)
+		sc.clearHits()
+		allZero(fmt.Sprintf("after a search cancelled at poll %d", cancelAt))
+		return ctx.polls, err
+	}
+	total, err := search(1 << 30)
+	if err != nil || total < 4 {
+		t.Fatalf("uncancelled search: %d polls, err = %v; want several polls in each phase", total, err)
+	}
+	for cancelAt := 1; cancelAt <= total; cancelAt++ {
+		if _, err := search(cancelAt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("search cancelled at poll %d of %d: err = %v", cancelAt, total, err)
+		}
+	}
+}
+
+// answerCopy is a deep copy of a range answer's values: everything of a
+// Match that lives in memory the answer owns.
+type answerCopy struct {
+	id       uint32
+	minDnorm uint64
+	ranges   []PointRange
+}
+
+func copyAnswer(ms []Match) []answerCopy {
+	out := make([]answerCopy, len(ms))
+	for i, m := range ms {
+		out[i] = answerCopy{m.SeqID, math.Float64bits(m.MinDnorm), slices.Clone(m.Interval.Ranges())}
+	}
+	return out
+}
+
+// sameAnswer asserts ms still holds the values of its copy, bit for bit.
+func sameAnswer(t *testing.T, label string, ms []Match, want []answerCopy) {
+	t.Helper()
+	for i, m := range ms {
+		w := want[i]
+		if m.SeqID != w.id || math.Float64bits(m.MinDnorm) != w.minDnorm || !slices.Equal(m.Interval.Ranges(), w.ranges) {
+			t.Fatalf("%s: match %d is {%d %v %v}, was {%d %v %v}", label, i,
+				m.SeqID, m.MinDnorm, m.Interval.Ranges(), w.id, math.Float64frombits(w.minDnorm), w.ranges)
+		}
+	}
+}
+
+// answerOwnsItsMemory is the aliasing property of a range answer: it is
+// untouched by later searches recycling the scratch it was computed in
+// (churn runs them, on this goroutine), and growing one match's interval
+// past its end — in the middle of the answer's shared slab, and at its very
+// end — changes no other match.
+func answerOwnsItsMemory(t *testing.T, label string, ms []Match, churn func()) {
+	t.Helper()
+	if len(ms) < 300 {
+		t.Fatalf("%s: %d matches, the property needs >= 300", label, len(ms))
+	}
+	want := copyAnswer(ms)
+	churn()
+	sameAnswer(t, label+" after 50 searches", ms, want)
+	for _, i := range []int{len(ms) / 2, len(ms) - 1} {
+		rs := ms[i].Interval.Ranges()
+		end := rs[len(rs)-1].End
+		ms[i].Interval.Add(PointRange{Start: end + 5, End: end + 9})
+		want[i].ranges = append(want[i].ranges, PointRange{Start: end + 5, End: end + 9})
+		sameAnswer(t, fmt.Sprintf("%s after growing match %d", label, i), ms, want)
+	}
+}
+
+// TestAnswerOwnsItsMemory runs the property on a Do answer and on a batch
+// answer; internal/txn runs it on an answer merged with a delta.
+func TestAnswerOwnsItsMemory(t *testing.T) {
+	db, q, few, most := allocCorpus(t)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(8))
+	churn := func() {
+		for i := 0; i < 50; i++ {
+			if _, _, err := db.Search(randWalkSeq(rng, 20+rng.Intn(40), 3), []float64{few, most}[i%2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res, err := db.Do(ctx, Query{Seq: q, Eps: most})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answerOwnsItsMemory(t, "Do", res.Matches, churn)
+
+	outs, _, err := db.SearchBatchCtx(ctx, []*Sequence{{Points: q.Points[:24]}, q, {Points: q.Points[4:]}}, most)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answerOwnsItsMemory(t, "batch", outs[1], churn)
+}
+
+// BenchmarkRangeAnswer is a matching range search on the Table 2 synthetic
+// corpus at quarter scale (400 walks, lengths 56 to 512), at a threshold
+// where a few sequences match and one where most do: allocs/op and B/op are
+// the cost of the answer.
+func BenchmarkRangeAnswer(b *testing.B) {
+	db, err := NewDatabase(Options{Dim: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(2))
+	var qs []*Sequence
+	for i := 0; i < 400; i++ {
+		s := randWalkSeq(rng, 56+rng.Intn(457), 3)
+		if _, err := db.Add(s); err != nil {
+			b.Fatal(err)
+		}
+		if i%50 == 0 {
+			qs = append(qs, &Sequence{Points: s.Points[8:40]})
+		}
+	}
+	for _, eps := range []float64{0.05, 0.20} {
+		b.Run(fmt.Sprintf("eps=%.2f", eps), func(b *testing.B) {
+			b.ReportAllocs()
+			matches := 0
+			for i := 0; i < b.N; i++ {
+				ms, _, err := db.Search(qs[i%len(qs)], eps)
+				if err != nil {
+					b.Fatal(err)
+				}
+				matches += len(ms)
+			}
+			b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
 		})
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -32,7 +31,10 @@ func (db *Database) dRange(ctx context.Context, q *Sequence, eps float64, sc *se
 	t3 := time.Now()
 	dim := q.Dim()
 	qs := sc.querySide(dim)
-	var out []MetricMatch
+	// The survivors are filtered in place: the kept prefix of the list
+	// rangePhases made is the answer, and the cleared tail lets go of the
+	// Dnorm answer's interval slab, which a metric answer does not carry.
+	out := matches[:0]
 	for ci := range matches {
 		if ci%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
@@ -45,6 +47,7 @@ func (db *Database) dRange(ctx context.Context, q *Sequence, eps float64, sc *se
 			out = append(out, Match{SeqID: matches[ci].SeqID, Seq: g.Seq, Dist: dist})
 		}
 	}
+	clear(matches[len(out):])
 	exact := time.Since(t3)
 	st.Phase3 += exact
 	if tr != nil {
@@ -94,7 +97,7 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 	st.IndexEntriesHit = len(sc.refs)
 	sc.beginHits(len(db.seqs), 1)
 	sc.markHits(sc.refs, 0)
-	slices.Sort(sc.ids)
+	sc.sortIDs()
 	ids := sc.ids
 	st.CandidatesDmbr = len(ids)
 	st.Phase2 = time.Since(t1)

@@ -63,7 +63,10 @@ type Query struct {
 type Result struct {
 	// Matches are the sequences of the answer: ascending SeqID for Range and
 	// Scan, ascending (Dist, SeqID) for KNN. The slice may be shared with a
-	// query cache and must not be written to.
+	// query cache and must not be written to. The matches of one answer share
+	// backing arrays — this list and, under a Range answer's intervals, one
+	// slab (see Match.Interval) — so they are retained together; none of it
+	// aliases memory a later search reuses.
 	Matches []Match
 	// Stats describes the work behind the answer. A KNN fills only
 	// TotalSequences, CPUTime, CacheHit and, from a scatter, Partial and
@@ -126,7 +129,8 @@ var errClosed = errors.New("core: database closed")
 // (errors.Is(err, context.DeadlineExceeded) holds), and an abandoned query
 // records nothing. The whole query runs out of one pooled scratch, so on a
 // warmed pool the only allocations are the ones the answer itself owns —
-// a no-match query allocates nothing (TestHotpathAllocs).
+// a no-match query allocates nothing (TestHotpathAllocs), a Range answer a
+// constant number however many sequences match (TestRangeAnswerAllocs).
 //
 // The cache is probed whatever q.Bound says (a cached unbounded answer is
 // a valid bounded one, and tightens the bound), but a KNN answer is stored

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/geom"
@@ -14,7 +15,9 @@ import (
 // steady stream of queries runs without allocating — every buffer is
 // grown to the high-water mark once and then reused. Nothing in a search
 // result may alias scratch memory (results hold their own allocations),
-// which is what makes returning the scratch to the pool safe.
+// which is what makes returning the scratch to the pool safe. The pool
+// invariant: hits and idBits are all-zero and ids is empty whenever the
+// scratch is not inside a search.
 type searchScratch struct {
 	// Query segmentation, columnar: query MBR j's bounds occupy
 	// qlo[j*d:(j+1)*d] / qhi[j*d:(j+1)*d], and qmbrs[j].Rect aliases those
@@ -30,12 +33,16 @@ type searchScratch struct {
 	// what phase 2 learned, kept for phase 3: one row of hitWords words per
 	// sequence id, bit i set when query MBR i has an index entry of that
 	// sequence within Dmbr ≤ ε. ids lists the sequences with a non-zero
-	// row, each once. Every row is zero while the scratch sits in the pool
+	// row, each once, in first-touch order until sortIDs leaves them
+	// ascending. Every row is zero while the scratch sits in the pool
 	// (clearHits), so a search only ever touches its candidates' rows.
+	// idBits is sortIDs' bitmap, one bit per sequence id; it is non-zero
+	// only inside that call.
 	refs     []rtree.Ref
 	hits     []uint64
 	hitWords int
 	ids      []uint32
+	idBits   []uint64
 
 	// near is the kNN search's best-first index walk; heap holds the
 	// candidates it has reached, ordered by lower bound.
@@ -52,14 +59,16 @@ type searchScratch struct {
 	dtw dtwScratch
 }
 
-// phase3Scratch holds the per-candidate Dnorm arrays. It is separate from
-// searchScratch so the parallel path can hand each worker its own copy
-// while they share one read-only query segmentation.
+// phase3Scratch holds the per-candidate Dnorm arrays and the candidate's
+// solution interval as phase3Hits leaves it: iv is reset by every call and
+// its ranges are scratch memory, so a caller keeping a hit copies them out
+// (slabRanges, EvalRange).
 type phase3Scratch struct {
 	sq    []float64    // squared Dmbr per target MBR (MinDistSqBatch output)
 	dists []float64    // sqrt(sq): the Dmbr values the window sweep consumes
 	wpre  []float64    // weighted-distance prefix sums (len r+1)
 	wins  []PointRange // point ranges of the qualifying windows of one pair
+	iv    IntervalSet  // solution interval of the last candidate evaluated
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -157,17 +166,23 @@ func (sc *searchScratch) querySide(d int) alignSide {
 	return alignSide{flat: sc.qflat, lo: sc.qlo[:r*d], hi: sc.qhi[:r*d], starts: sc.qstarts}
 }
 
-// beginHits sizes the hit table for nseq sequence ids and nq query MBRs
-// and empties the candidate list. Growing reallocates (zeroed); reslicing
-// exposes rows the pool invariant already keeps zero.
+// beginHits sizes the hit table and the id bitmap for nseq sequence ids
+// and nq query MBRs and empties the candidate list. Growing reallocates
+// (zeroed); reslicing exposes words the pool invariant already keeps zero.
 func (sc *searchScratch) beginHits(nseq, nq int) {
 	sc.clearHits()
 	sc.hitWords = (nq + 63) / 64
-	if n := nseq * sc.hitWords; cap(sc.hits) < n {
-		sc.hits = make([]uint64, n)
-	} else {
-		sc.hits = sc.hits[:n]
+	sc.hits = ensureZeroWords(sc.hits, nseq*sc.hitWords)
+	sc.idBits = ensureZeroWords(sc.idBits, (nseq+63)/64)
+}
+
+// ensureZeroWords returns s resized to length n, for a slice whose whole
+// capacity is kept zero between uses.
+func ensureZeroWords(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
 	}
+	return s[:n]
 }
 
 // hitRow returns the query-MBR bitset of sequence id.
@@ -207,6 +222,32 @@ func (sc *searchScratch) firstHit(id uint32) bool {
 	return true
 }
 
+// sortIDs leaves the collected candidate ids ascending without comparing
+// them: one bit per id (ids are distinct and below beginHits' nseq), then a
+// walk over the touched words of the bitmap that reads the ids back in
+// order and zeroes each word as it goes. Linear in the candidates plus one
+// word per 64 ids of the span they cover.
+func (sc *searchScratch) sortIDs() {
+	ids := sc.ids
+	if len(ids) < 2 {
+		return
+	}
+	lo, hi := ids[0]>>6, ids[0]>>6
+	for _, id := range ids {
+		w := id >> 6
+		sc.idBits[w] |= 1 << (id & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	n := 0
+	for w := lo; w <= hi; w++ {
+		for x := sc.idBits[w]; x != 0; x &= x - 1 {
+			ids[n] = w<<6 | uint32(bits.TrailingZeros64(x))
+			n++
+		}
+		sc.idBits[w] = 0
+	}
+}
+
 // clearHits zeroes the rows of the collected candidates and empties the
 // list, restoring the all-zero table the next search starts from.
 func (sc *searchScratch) clearHits() {
@@ -237,9 +278,12 @@ func (sc *searchScratch) clearHits() {
 // the Definition 6 windows containing it are len(Q) long, so the match
 // region extends left by the query prefix before this MBR and right by
 // the suffix after it. Results are bit-identical to phase3One over the
-// same candidates; evals counts the Dmbr values computed.
-func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented, qLen int, eps float64) (m Match, hit bool, evals int) {
-	m = Match{Seq: g.Seq, MinDnorm: math.Inf(1)}
+// same candidates; evals counts the Dmbr values computed. The interval is
+// left in p3.iv (see phase3Scratch) and hit reports whether it is non-empty;
+// minDnorm is the pair minimum either way.
+func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented, qLen int, eps float64) (minDnorm float64, hit bool, evals int) {
+	minDnorm = math.Inf(1)
+	p3.iv.ranges = p3.iv.ranges[:0]
 	starts := g.Starts
 	r := len(starts) - 1
 	n := int(starts[r])
@@ -262,7 +306,6 @@ func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented,
 		var minDist float64
 		minDist, p3.wins = sweepWindows(starts, dists, wpre, qm.Count(), eps, p3.wins[:0])
 		for _, w := range p3.wins {
-			hit = true
 			w.Start -= qm.Start
 			w.End += qLen - qm.End
 			if w.Start < 0 {
@@ -271,13 +314,29 @@ func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented,
 			if w.End > n {
 				w.End = n
 			}
-			m.Interval.Add(w)
+			p3.iv.Add(w)
 		}
-		if minDist < m.MinDnorm {
-			m.MinDnorm = minDist
+		if minDist < minDnorm {
+			minDnorm = minDist
 		}
 	}
-	return m, hit, evals
+	return minDnorm, len(p3.iv.ranges) > 0, evals
+}
+
+// slabRanges copies rs — a hit's ranges, still in phase3Scratch — to the
+// end of slab, the one []PointRange the matches of an answer share, and
+// returns them as an interval with cap == len: a caller's Add that has to
+// grow it reallocates and can never write into the next match's ranges.
+// A full slab is succeeded by a fresh chunk of one range per remaining
+// candidate (its unused tail stays under one candidate count); matches
+// already handed out keep the old chunk.
+func slabRanges(slab, rs []PointRange, remaining int) (IntervalSet, []PointRange) {
+	if cap(slab)-len(slab) < len(rs) {
+		slab = make([]PointRange, 0, max(len(rs), remaining))
+	}
+	n := len(slab)
+	slab = append(slab, rs...)
+	return IntervalSet{ranges: slab[n:len(slab):len(slab)]}, slab
 }
 
 // keepWindow folds one Dnorm window into the running minimum — kept as a

@@ -290,11 +290,12 @@ func (w *discardWriter) Write(b []byte) (int, error) {
 }
 
 // TestSearchWireAllocs: a warmed /search returning at least 300 matches
-// through ServeHTTP stays under a fixed allocation count. What remains is
-// the search's own result (one interval set per match) and the request's
-// two point allocations; the encoding/json wire path spent about three
-// more per match on MatchJSON, its intervals and reflection, plus one per
-// query point.
+// through ServeHTTP stays under an allocation count that does not depend on
+// the answer. What remains is the search's own result (one list, one
+// interval slab), the request's two point allocations and net/http's
+// per-request state; the encoding/json wire path spent about three per match
+// on MatchJSON, its intervals and reflection, plus one per query point, and
+// the search one more per match on its interval.
 func TestSearchWireAllocs(t *testing.T) {
 	s, _ := newShardedTestServer(t, 1)
 	rng := rand.New(rand.NewSource(17))
@@ -333,7 +334,7 @@ func TestSearchWireAllocs(t *testing.T) {
 		t.Fatalf("measured runs answered %d with %d bytes, warm-up %d bytes", w.status, w.n, rec.Body.Len())
 	}
 	t.Logf("%d matches, %d-byte answer: %.0f allocs per request", len(resp.Matches), w.n, allocs)
-	const ceiling = nseq + 120
+	const ceiling = 60
 	if allocs > ceiling {
 		t.Errorf("%.0f allocs per request, want <= %d", allocs, ceiling)
 	}

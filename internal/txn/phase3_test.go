@@ -160,3 +160,71 @@ func TestPhase3HitsEquivalenceTxn(t *testing.T) {
 		}
 	}
 }
+
+// TestAnswerOwnsItsMemory is the transaction-layer leg of core's test of
+// that name: an answer merged from the folded base (matches sharing the
+// base answer's interval slab) and a non-empty delta (each match its own
+// interval) survives later searches untouched, and growing one match's
+// interval past its end — a base match's, then a delta match's — changes no
+// other match.
+func TestAnswerOwnsItsMemory(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(41))
+	db := newMem(t, 3)
+	var q *core.Sequence
+	for i := 0; i < 400; i++ {
+		if i == 250 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := walkSeq(rng, 3, 40+rng.Intn(100))
+		if _, err := db.Add(s); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			q = &core.Sequence{Points: s.Points[4:36]}
+		}
+	}
+	if s := db.Stats(); s.DeltaAdds != 150 {
+		t.Fatalf("delta holds %d adds, want 150", s.DeltaAdds)
+	}
+	const eps = 0.7
+	ms, _, err := db.SearchCtx(ctx, q, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) < 300 || ms[len(ms)-1].SeqID < 250 || ms[0].SeqID >= 250 {
+		t.Fatalf("%d matches over ids %d..%d; want >= 300 on both sides of id 250", len(ms), ms[0].SeqID, ms[len(ms)-1].SeqID)
+	}
+	copyOf := func() [][]core.PointRange {
+		out := make([][]core.PointRange, len(ms))
+		for i, m := range ms {
+			out[i] = append([]core.PointRange(nil), m.Interval.Ranges()...)
+		}
+		return out
+	}
+	same := func(stage string, want [][]core.PointRange) {
+		t.Helper()
+		for i, m := range ms {
+			if !reflect.DeepEqual(m.Interval.Ranges(), want[i]) {
+				t.Fatalf("%s: match %d (id %d) is %v, was %v", stage, i, m.SeqID, m.Interval.Ranges(), want[i])
+			}
+		}
+	}
+	want := copyOf()
+	for i := 0; i < 50; i++ {
+		if _, _, err := db.SearchCtx(ctx, walkSeq(rng, 3, 20+rng.Intn(40)), eps*float64(1+i%2)/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("after 50 searches", want)
+	for _, i := range []int{len(ms) / 4, len(ms) - 1} {
+		rs := ms[i].Interval.Ranges()
+		end := rs[len(rs)-1].End
+		grown := core.PointRange{Start: end + 5, End: end + 9}
+		ms[i].Interval.Add(grown)
+		want[i] = append(want[i], grown)
+		same(fmt.Sprintf("after growing match %d (id %d)", i, ms[i].SeqID), want)
+	}
+}
