@@ -106,6 +106,9 @@ func TestNonFiniteRejectedEverywhere(t *testing.T) {
 	if _, err := mdseq.Partition(bad, mdseq.DefaultPartitionConfig()); !errors.Is(err, mdseq.ErrNonFinite) {
 		t.Errorf("Partition: error %v, want ErrNonFinite", err)
 	}
+	if _, err := mdseq.DTW(walk(rng, 40).Points, bad.Points, -1); !errors.Is(err, mdseq.ErrNonFinite) {
+		t.Errorf("DTW: error %v, want ErrNonFinite", err)
+	}
 
 	// The file readers: Write refuses such a sequence, so a dataset is
 	// written clean and one coordinate overwritten in place (magic 8, dim

@@ -20,10 +20,12 @@ func (g *Segmented) side() alignSide {
 	return alignSide{flat: g.Flat, lo: g.Lo, hi: g.Hi, starts: g.Starts}
 }
 
-// alignScratch holds the alignment kernel's per-candidate arrays.
+// alignScratch holds the alignment kernel's per-candidate arrays, each as
+// long as the longer side.
 type alignScratch struct {
-	tab []float64 // Dmbr of every (short MBR, long MBR) pair, row per short MBR
-	lb  []float64 // per-offset lower bound of the alignment's mean distance
+	dmbr []float64 // Dmbr of one short-side MBR against every long-side MBR
+	run  []float64 // running sum of those over the long side's points, len +1
+	lb   []float64 // per-offset lower bound of the alignment's mean distance
 }
 
 // alignSlack is the factor a per-offset Dmbr bound sum is shrunk by before
@@ -50,14 +52,23 @@ func alignSlack(k, d int) float64 {
 // one is BestAlignment's Dmean bit for bit (same term order, one
 // division). The running test is sum > cutoff·k, which needs no division;
 // because that product is rounded, the division confirms before anything
-// is abandoned.
+// is abandoned. The distance is written out for three dimensions in
+// geom.DistSqFlat's expression shape, the same bits without a call.
 func alignMean(short, long []float64, k, d int, cutoff float64) (mean float64, ok bool) {
 	fk := float64(k)
 	lim := cutoff * fk
 	var sum float64
 	for i := 0; i < k; i++ {
 		o := i * d
-		sum += math.Sqrt(geom.DistSqFlat(short[o:o+d], long[o:o+d]))
+		var sq float64
+		if d == 3 {
+			sp, lp := short[o:o+3:o+3], long[o:o+3:o+3]
+			d0, d1, d2 := sp[0]-lp[0], sp[1]-lp[1], sp[2]-lp[2]
+			sq = d0*d0 + d1*d1 + d2*d2
+		} else {
+			sq = geom.DistSqFlat(short[o:o+d], long[o:o+d])
+		}
+		sum += math.Sqrt(sq)
 		if sum > lim && sum/fk > cutoff {
 			return 0, false
 		}
@@ -70,15 +81,30 @@ func alignMean(short, long []float64, k, d int, cutoff float64) (mean float64, o
 // longer one — BestAlignment over columnar storage, with a ladder of two
 // bounds in front of the point distances.
 //
-// First the Dmbr of every (short MBR, long MBR) pair goes into a table.
-// Lemma 1 says Dmbr lower-bounds the distance of every point pair drawn
-// from the two MBRs, so for offset j the mean of Dmbr(mbr(short_i),
-// mbr(long_{j+i})) lower-bounds that alignment's mean distance; it is one
-// term per run of points over which both MBRs stay the same (a two-pointer
-// walk over the two starts columns), not one sqrt per point. Offsets whose
-// bound, shrunk by alignSlack, exceeds the cutoff are never summed; a walk
-// stops as soon as its partial sum says so (a partial sum is a lower bound
-// too, just a weaker one).
+// First, a bound per offset. Lemma 1 says Dmbr lower-bounds the distance of
+// every point pair drawn from the two MBRs, so for offset j the mean of
+// Dmbr(mbr(short_i), mbr(long_{j+i})) lower-bounds that alignment's mean
+// distance. Grouped by short-side MBR a, holding points [s_a, e_a), the sum
+// is Σ_a P_a[j+e_a] − P_a[j+s_a], where P_a is the running sum over the long
+// side's points of Dmbr(a, MBR holding the point): one pass over the long
+// side per short MBR, then one subtraction per offset, with no branch on
+// where runs end. Offsets whose bound exceeds the cutoff are never summed.
+//
+// In float64 two things stand between that bound and the exact sum. One is
+// rounding per operation, alignSlack's argument: per term the computed
+// Dmbr is at most ((1+u)/(1−u))^(d/2+1) times the computed point distance,
+// a difference adds one rounding and the sum over short MBRs at most k, the
+// margin below one more — all inside the 4u·(k+d+4) alignSlack takes off.
+// The other is cancellation, as with knnSeqBound's wpre: P_a[y] − P_a[x] is
+// exactly the c_a = e_a − s_a additions between its ends, each off by up to
+// u·P_a[m] whatever the difference's own size — every Dmbr is nonnegative,
+// so no running sum exceeds the last. The computed sum can so exceed the
+// real one by u·Σ_a c_a·P_a[m]; 2u = 2⁻⁵² times that is subtracted, the
+// factor two covering the roundings of that term itself. For data of one
+// scale this is some 10⁻¹³ of the bound. Where it is not — a spike 10¹⁶
+// times the rest swallows the small terms of P — the bound falls below zero
+// and prunes nothing, and an overflowed Dmbr (Inf − Inf) leaves every bound
+// at zero; neither ever puts a bound above the exact mean.
 //
 // Second, the offset with the smallest bound is summed first and the
 // cutoff drops to the sequence's own running best from then on, so early
@@ -99,55 +125,45 @@ func bestAlign(as *alignScratch, a, b alignSide, d int, cutoff float64) (offset 
 	if len(short.flat) > len(long.flat) {
 		short, long = long, short
 	}
-	k := len(short.flat) / d
-	noff := len(long.flat)/d - k + 1
+	k, m := len(short.flat)/d, len(long.flat)/d
+	noff := m - k + 1
 	rs, rl := len(short.starts)-1, len(long.starts)-1
 
-	as.tab = ensureFloats(as.tab, rs*rl)
-	tab := as.tab
+	as.dmbr = ensureFloats(as.dmbr, rl)
+	as.run = ensureFloats(as.run, m+1)
+	as.lb = ensureFloats(as.lb, noff)
+	dmbr, run, lb := as.dmbr, as.run, as.lb
+	clear(lb)
+	run[0] = 0
+	var total float64 // Σ_a c_a·P_a[m], the cancellation margin's scale
 	for i := 0; i < rs; i++ {
-		row := tab[i*rl : (i+1)*rl]
-		geom.MinDistSqBatch(short.lo[i*d:(i+1)*d], short.hi[i*d:(i+1)*d], long.lo, long.hi, row)
-		for t := range row {
-			row[t] = math.Sqrt(row[t])
+		geom.MinDistSqBatch(short.lo[i*d:(i+1)*d], short.hi[i*d:(i+1)*d], long.lo, long.hi, dmbr)
+		var sum float64
+		for t, sq := range dmbr {
+			v := math.Sqrt(sq)
+			for p := long.starts[t]; p < long.starts[t+1]; p++ {
+				sum += v
+				run[p+1] = sum
+			}
 		}
+		s, e := int(short.starts[i]), int(short.starts[i+1])
+		from, to := run[s:s+len(lb)], run[e:e+len(lb)]
+		for j := range lb {
+			lb[j] += to[j] - from[j]
+		}
+		total += float64(e-s) * sum
 	}
 
-	as.lb = ensureFloats(as.lb, noff)
-	lb := as.lb
-	fk, k32 := float64(k), int32(k)
+	fk := float64(k)
 	slack := alignSlack(k, d)
-	// A partial bound sum past stop is already above cutoff.
-	stop := cutoff * fk / slack
+	margin := total * 0x1p-52
+	if !(total <= math.MaxFloat64) {
+		clear(lb)
+		margin = 0
+	}
 	first := 0 // offset with the smallest bound
-	lt0 := 0   // long MBR holding point j
-	for j := 0; j < noff; j++ {
-		j32 := int32(j)
-		for long.starts[lt0+1] <= j32 {
-			lt0++
-		}
-		// Walk the runs: pos is the short-side point reached, se/le the
-		// short-side index where the current short/long MBR ends.
-		si, lt, pos := 0, lt0, int32(0)
-		se, le := short.starts[1], long.starts[lt0+1]-j32
-		var sum float64
-		for {
-			e := min(se, le)
-			sum += tab[si*rl+lt] * float64(e-pos)
-			if e == k32 || sum > stop {
-				break
-			}
-			pos = e
-			if e == se {
-				si++
-				se = short.starts[si+1]
-			}
-			if e == le {
-				lt++
-				le = long.starts[lt+1] - j32
-			}
-		}
-		lb[j] = sum * slack / fk
+	for j := range lb {
+		lb[j] = (lb[j] - margin) * slack / fk
 		if lb[j] < lb[first] {
 			first = j
 		}

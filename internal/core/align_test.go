@@ -55,6 +55,14 @@ func alignCases(rng *rand.Rand, dim int) []alignCase {
 			randWalkSeq(rng, 1+rng.Intn(40), dim), randWalkSeq(rng, 1+rng.Intn(120), dim), def})
 	}
 	long := randWalkSeq(rng, 90, dim)
+	run := randWalkSeq(rng, 90, dim)
+	for i := 30; i < 40; i++ {
+		run.Points[i][0] = -1e16
+	}
+	flatQ, flatS := randWalkSeq(rng, 25, dim), randWalkSeq(rng, 80, dim)
+	for _, p := range append(append([]geom.Point{}, flatQ.Points...), flatS.Points...) {
+		p[0] = 0.25 // the first dimension constant on both sides
+	}
 	cs = append(cs,
 		alignCase{"query-longer", randWalkSeq(rng, 70, dim), randWalkSeq(rng, 20, dim), def},
 		alignCase{"equal-length", randWalkSeq(rng, 33, dim), randWalkSeq(rng, 33, dim), def},
@@ -69,6 +77,15 @@ func alignCases(rng *rand.Rand, dim int) []alignCase {
 		alignCase{"repeated", &Sequence{Points: long.Points[10:30]},
 			&Sequence{Points: append(append([]geom.Point{}, long.Points...), long.Points...)}, def},
 		alignCase{"self", &Sequence{Points: long.Points[40:60]}, long, def},
+		// Shapes that break prefix sums: a spike 10¹⁶ times the rest near
+		// either end of the long side swallows the small Dmbr terms of every
+		// running sum past it, as does a run thrown the other way; at 10²⁰⁰ a
+		// Dmbr overflows.
+		alignCase{"spike-1e16-start", randWalkSeq(rng, 20, dim), spikeSeq(rng, 90, dim, 3, 1e16), def},
+		alignCase{"spike-1e16-end", randWalkSeq(rng, 20, dim), spikeSeq(rng, 90, dim, 86, 1e16), def},
+		alignCase{"run-minus-1e16", randWalkSeq(rng, 20, dim), run, def},
+		alignCase{"spike-1e200", randWalkSeq(rng, 20, dim), spikeSeq(rng, 90, dim, 45, 1e200), def},
+		alignCase{"constant-dimension", flatQ, flatS, def},
 	)
 	return cs
 }
@@ -77,8 +94,9 @@ func alignCases(rng *rand.Rand, dim int) []alignCase {
 // and adversarial shapes and the cutoffs that sit on every edge, the
 // kernel's (offset, dist) equals BestAlignment's bit for bit whenever the
 // true D is within the cutoff, never claims a distance within the cutoff
-// otherwise, and every per-offset Dmbr bound — after the slack — is at
-// most that offset's exact mean.
+// otherwise, and every per-offset Dmbr bound — after the margin and the
+// slack — is a number and at most that offset's exact mean, behind spikes
+// and overflows too.
 func TestBestAlignMatchesReference(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4, 8} {
 		rng := rand.New(rand.NewSource(int64(1300 + dim)))
@@ -119,8 +137,8 @@ func TestBestAlignMatchesReference(t *testing.T) {
 				t.Fatalf("dim %d %s: %d offset bounds for %d offsets", dim, c.name, len(lb), len(long)-k+1)
 			}
 			for j, b := range lb {
-				if exact := Dmean(short, long[j:j+k]); b > exact {
-					t.Fatalf("dim %d %s offset %d: bound %v above exact mean %v", dim, c.name, j, b, exact)
+				if exact := Dmean(short, long[j:j+k]); b > exact || math.IsNaN(b) {
+					t.Fatalf("dim %d %s offset %d: bound %v, exact mean %v", dim, c.name, j, b, exact)
 				}
 			}
 		}
@@ -326,9 +344,10 @@ func TestKNNBoundPool(t *testing.T) {
 // TestKNNAllocs is the D-kNN allocation gate. The shared bound sits one
 // ulp under the nearest neighbor's distance, so nothing can be returned,
 // yet the walk runs out to that distance and every sequence it bounds at or
-// below it goes through the kernel — table, offset bounds, abandoned sums.
-// All of it — the walk's queue, the seen-set, the candidate heap, the Dnorm
-// arrays, the Dmbr table — must come out of the warmed pooled scratch.
+// below it goes through the kernel — running sums, offset bounds, abandoned
+// sums. All of it — the walk's queue, the seen-set, the candidate heap, the
+// Dnorm arrays, the kernel's arrays — must come out of the warmed pooled
+// scratch.
 func TestKNNAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops Puts under -race; alloc gate needs a non-race build")

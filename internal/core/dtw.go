@@ -21,19 +21,30 @@ import (
 // bounds so there are no false dismissals; this function is the exact
 // distance itself, also usable directly and as the RefineDTW re-rank step.
 //
-// The dynamic program runs out of the pooled search scratch — the two DP
-// rows and the flat point copies are reused across calls, so a warmed
+// Both sides are validated as a Sequence is — one dimensionality across
+// both, finite coordinates — and refused with geom.ErrDimensionMismatch or
+// ErrNonFinite; the kernel reads the dimension from one point and assumes
+// finite input. The dynamic program runs out of the pooled search scratch —
+// the DP row and the flat point copies are reused across calls, so a warmed
 // steady state computes DTW with zero allocations (see TestDTWAllocs).
 func DTW(a, b []geom.Point, window int) (float64, error) {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return 0, fmt.Errorf("core: DTW of empty sequence (%d, %d points)", n, m)
 	}
+	for _, side := range [2][]geom.Point{a, b} {
+		if err := (&Sequence{Points: side}).Validate(); err != nil {
+			return 0, fmt.Errorf("core: DTW: %w", err)
+		}
+	}
+	d := len(a[0])
+	if len(b[0]) != d {
+		return 0, fmt.Errorf("core: DTW of %d- and %d-dimensional sequences: %w", d, len(b[0]), geom.ErrDimensionMismatch)
+	}
 	if window >= 0 && window < abs(n-m) {
 		// A band narrower than the length difference admits no path.
 		return 0, fmt.Errorf("core: DTW window %d narrower than length difference %d", window, abs(n-m))
 	}
-	d := len(a[0])
 	sc := getScratch()
 	defer putScratch(sc)
 	ds := &sc.dtw
@@ -45,9 +56,8 @@ func DTW(a, b []geom.Point, window int) (float64, error) {
 	for j, p := range b {
 		copy(ds.sbuf[j*d:(j+1)*d], p)
 	}
-	ds.prev = ensureFloats(ds.prev, n+1)
-	ds.cur = ensureFloats(ds.cur, n+1)
-	total := dtwFlat(ds.qbuf, n, ds.sbuf, m, d, window, math.Inf(1), nil, ds.prev, ds.cur)
+	ds.row = ensureFloats(ds.row, n+1)
+	total := dtwFlat(ds.qbuf, n, ds.sbuf, m, d, window, math.Inf(1), nil, ds.row)
 	if math.IsInf(total, 1) {
 		return 0, fmt.Errorf("core: DTW window %d admits no alignment for lengths %d, %d", window, n, m)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"testing"
@@ -99,6 +101,36 @@ func TestDTWWindowConstraint(t *testing.T) {
 func TestDTWEmpty(t *testing.T) {
 	if _, err := DTW(nil, pts1d(1), -1); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+// TestDTWRejectsMismatchedAndNonFinite holds DTW to the checks every other
+// entry point makes. It read the dimension from a's first point only, so a
+// pair of 2- and 3-dimensional sequences was 0 one way round and 5 the
+// other, a ragged side was 0 and a NaN coordinate NaN — each with a nil
+// error.
+func TestDTWRejectsMismatchedAndNonFinite(t *testing.T) {
+	flat := []geom.Point{{0, 0}, {1, 1}}
+	for _, c := range []struct {
+		name string
+		a, b []geom.Point
+		want error
+	}{
+		{"2 against 3 dimensions", flat, []geom.Point{{0, 0, 5}, {1, 1, 5}}, geom.ErrDimensionMismatch},
+		{"3 against 2 dimensions", []geom.Point{{0, 0, 5}, {1, 1, 5}}, flat, geom.ErrDimensionMismatch},
+		{"ragged first", []geom.Point{{0, 0}, {1}}, flat, geom.ErrDimensionMismatch},
+		{"ragged second", flat, []geom.Point{{0, 0}, {1}}, geom.ErrDimensionMismatch},
+		{"NaN first", []geom.Point{{0, 0}, {math.NaN(), 1}}, flat, ErrNonFinite},
+		{"NaN second", flat, []geom.Point{{0, 0}, {1, math.NaN()}}, ErrNonFinite},
+		{"+Inf", flat, []geom.Point{{math.Inf(1), 0}, {1, 1}}, ErrNonFinite},
+		{"-Inf", []geom.Point{{0, math.Inf(-1)}, {1, 1}}, flat, ErrNonFinite},
+	} {
+		if d, err := DTW(c.a, c.b, -1); !errors.Is(err, c.want) {
+			t.Errorf("%s: DTW = %v, error %v; want %v", c.name, d, err, c.want)
+		}
+	}
+	if d, err := DTW(flat, []geom.Point{{0, 0}, {1, 1}, {1, 1}}, -1); err != nil || d != 0 {
+		t.Errorf("a clean pair: DTW = %v, error %v; want 0", d, err)
 	}
 }
 

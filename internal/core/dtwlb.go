@@ -34,14 +34,14 @@ import (
 // orders and early-abandons with LB_Keogh, and only survivors pay for
 // the exact dynamic program.
 
-// dtwScratch is the pooled workspace of DTW evaluation: the two dynamic
-// programming rows, flat copies for the point-slice entry point, the
-// per-position query envelope arrays, the deque used to build them, and the
-// LB_Keogh suffix sums handed from the bound to the dynamic program.
-// It lives inside searchScratch so the whole DTW query path shares the
-// search pool's zero-allocation discipline.
+// dtwScratch is the pooled workspace of DTW evaluation: the dynamic
+// programming row, flat copies for the point-slice entry point, the
+// per-position query envelope arrays and the block extrema they are built
+// from, and the LB_Keogh suffix sums handed from the bound to the dynamic
+// program. It lives inside searchScratch so the whole DTW query path shares
+// the search pool's zero-allocation discipline.
 type dtwScratch struct {
-	prev, cur []float64 // DP rows, len n+1
+	row []float64 // the DP row array, len n+1
 
 	qbuf, sbuf []float64 // flat copies for the []geom.Point entry point
 
@@ -58,7 +58,10 @@ type dtwScratch struct {
 	envW         int
 	envBuilt     bool
 
-	deq []int // monotone-deque index buffer for the sliding min/max
+	// blk holds one dimension's block-wise extrema while the envelopes are
+	// built: minima and maxima from each position to its block's start,
+	// then to its block's end (len 4n).
+	blk []float64
 
 	// rectLo/rectHi accumulate one partition's envelope-rect union.
 	rectLo, rectHi []float64
@@ -75,10 +78,23 @@ type dtwScratch struct {
 func (ds *dtwScratch) resetEnv() { ds.envBuilt = false }
 
 // buildEnvelopes fills the per-position envelope arrays for the query in
-// qflat (n points of dimension d) under window w, using one monotone
-// deque pass per dimension per bound — O(n·d) total, independent of w.
-// For w < 0 every envelope is the full query bounding rect; the arrays
-// are still filled so consumers need no special case.
+// qflat (n points of dimension d) under window w — O(n·d) total,
+// independent of w, with no data-dependent branch. For w < 0 every
+// envelope is the full query bounding rect; the arrays are still filled so
+// consumers need no special case.
+//
+// A window [i−w, i+w] is 2w+1 positions long, so cut into blocks of 2w+1 it
+// meets at most two, and its extremum is that of its part in the one it
+// starts in — the block-wise extremum from i−w to that block's end — and of
+// its part in the next — from the next block's start to i+w (van Herk and
+// Gil–Werman). A window clamped on the left is a prefix, inside the first
+// block; one clamped on the right is the suffix envelope from max(0, i−w).
+// Every value is one of the window's coordinates, so the envelopes are the
+// sliding extrema exactly, up to which of −0 and +0 a window holding both
+// reports. No distance can see that sign: every consumer squares a gap
+// (geom.GapSq, under MinDistPointSqFlat and MinDistSqLH), and a bound of −0
+// instead of +0 changes a difference only where it is zero, into the other
+// zero, which the gap's max with 0 and its square both drop.
 func (ds *dtwScratch) buildEnvelopes(qflat []float64, n, d, w int) {
 	if ds.envBuilt && ds.envN == n && ds.envD == d && ds.envW == w {
 		return
@@ -89,75 +105,55 @@ func (ds *dtwScratch) buildEnvelopes(qflat []float64, n, d, w int) {
 	ds.sufHi = ensureFloats(ds.sufHi, n*d)
 	ds.rectLo = ensureFloats(ds.rectLo, d)
 	ds.rectHi = ensureFloats(ds.rectHi, d)
-	ds.deq = ensureInts(ds.deq, n)
+	ds.blk = ensureFloats(ds.blk, 4*n)
+	envLo, envHi, sufLo, sufHi := ds.envLo, ds.envHi, ds.sufLo, ds.sufHi
+	preLo, preHi, postLo, postHi := ds.blk[:n], ds.blk[n:2*n], ds.blk[2*n:3*n], ds.blk[3*n:]
+	inf := math.Inf(1)
 
 	// Suffix envelopes: one backward scan per dimension.
 	for k := 0; k < d; k++ {
-		lo := qflat[(n-1)*d+k]
-		hi := lo
-		ds.sufLo[(n-1)*d+k] = lo
-		ds.sufHi[(n-1)*d+k] = hi
-		for i := n - 2; i >= 0; i-- {
+		lo, hi := inf, -inf
+		for i := n - 1; i >= 0; i-- {
 			v := qflat[i*d+k]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-			ds.sufLo[i*d+k] = lo
-			ds.sufHi[i*d+k] = hi
+			lo, hi = min(lo, v), max(hi, v)
+			sufLo[i*d+k], sufHi[i*d+k] = lo, hi
 		}
 	}
 
-	if w < 0 {
-		// Unconstrained: every envelope is the full query rect (the
-		// suffix envelope at 0).
-		for i := 0; i < n; i++ {
-			copy(ds.envLo[i*d:(i+1)*d], ds.sufLo[:d])
-			copy(ds.envHi[i*d:(i+1)*d], ds.sufHi[:d])
-		}
-	} else {
-		for k := 0; k < d; k++ {
-			ds.slideExtremum(qflat, n, d, k, w, ds.envLo, true)
-			ds.slideExtremum(qflat, n, d, k, w, ds.envHi, false)
-		}
-	}
 	ds.envN, ds.envD, ds.envW = n, d, w
 	ds.envBuilt = true
-}
-
-// slideExtremum writes the windowed min (wantMin) or max of dimension k
-// into out: out[i*d+k] = extremum of qflat[·*d+k] over [i−w, i+w]
-// clamped to [0, n−1]. Both window edges are nondecreasing in i, so a
-// single monotone deque gives the classic amortized O(n) scan.
-func (ds *dtwScratch) slideExtremum(qflat []float64, n, d, k, w int, out []float64, wantMin bool) {
-	deq := ds.deq[:0]
-	next := 0 // first index not yet offered to the deque
-	for i := 0; i < n; i++ {
-		left, right := i-w, i+w
-		if left < 0 {
-			left = 0
-		}
-		if right > n-1 {
-			right = n - 1
-		}
-		for ; next <= right; next++ {
-			v := qflat[next*d+k]
-			for len(deq) > 0 {
-				back := qflat[deq[len(deq)-1]*d+k]
-				if (wantMin && back >= v) || (!wantMin && back <= v) {
-					deq = deq[:len(deq)-1]
-					continue
-				}
-				break
+	if w < 0 || w > n {
+		// Every window reaches past both ends (and 2w+1 cannot overflow).
+		w = n
+	}
+	for k := 0; k < d && w < n; k++ {
+		for bs := 0; bs < n; bs += 2*w + 1 {
+			be := min(bs+2*w+1, n)
+			lo, hi := inf, -inf
+			for t := bs; t < be; t++ {
+				v := qflat[t*d+k]
+				lo, hi = min(lo, v), max(hi, v)
+				preLo[t], preHi[t] = lo, hi
 			}
-			deq = append(deq, next)
+			lo, hi = inf, -inf
+			for t := be - 1; t >= bs; t-- {
+				v := qflat[t*d+k]
+				lo, hi = min(lo, v), max(hi, v)
+				postLo[t], postHi[t] = lo, hi
+			}
 		}
-		for len(deq) > 0 && deq[0] < left {
-			deq = deq[1:]
+		for i := 0; i < min(w, n-w); i++ {
+			envLo[i*d+k], envHi[i*d+k] = preLo[i+w], preHi[i+w]
 		}
-		out[i*d+k] = qflat[deq[0]*d+k]
+		for i := w; i < n-w; i++ {
+			envLo[i*d+k] = min(postLo[i-w], preLo[i+w])
+			envHi[i*d+k] = max(postHi[i-w], preHi[i+w])
+		}
+	}
+	for i := max(0, n-w); i < n; i++ {
+		o := max(0, i-w) * d
+		copy(envLo[i*d:(i+1)*d], sufLo[o:o+d])
+		copy(envHi[i*d:(i+1)*d], sufHi[o:o+d])
 	}
 }
 
@@ -312,9 +308,9 @@ func cascadeSlack(n, m, d int) float64 {
 }
 
 // dtwFlat is the dynamic time warping core over columnar point storage:
-// the two-row dynamic program over the Sakoe–Chiba band, returning the
-// unnormalized total path cost. cutoff is a normalized distance (the total
-// over max(n, m)); +Inf disables it.
+// the dynamic program over the Sakoe–Chiba band in one row array, two data
+// rows per pass, returning the unnormalized total path cost. cutoff is a
+// normalized distance (the total over max(n, m)); +Inf disables it.
 //
 // Rows run over the data side s, cells over the query q — the transpose of
 // the textbook matrix, holding the same bits: a cell is its point distance
@@ -335,30 +331,48 @@ func cascadeSlack(n, m, d int) float64 {
 // which needs no division; because that product is rounded (a total one ulp
 // above it can still divide back to exactly cutoff), the division confirms
 // before anything is abandoned. +Inf also means the band admitted no
-// alignment. prev and cur must have length ≥ n+1; their contents on entry do
-// not matter.
+// alignment. row must have length ≥ n+1; its contents on entry do not
+// matter.
 //
-// The inner loop carries no data-dependent branch: the three-way minimum
-// and the row minimum are min instructions, the cells to the left and
-// upper left travel in registers, and the point distance is written out
-// for the three dimensions of the paper's video features (the test is on
-// d, which a call never changes) in geom.DistSqFlat's own expression
-// shape, so each cell holds the bits the textbook matrix does
-// (dtwReference in the tests). Written out, not factored: a helper with
-// the DistSqFlat fallback is over the inlining budget, and a call in this
-// loop spills those registers — 9 ns a cell against 4. The minimum takes
-// left last: left is the cell just computed, and min(min(up, diag), left)
-// keeps one min on that loop-carried chain where min(min(left, diag), up)
-// puts two.
+// Two rows per pass. A cell waits on the one to its left, so a row is one
+// serial chain of min and add; a pass runs rows j and j+1 side by side,
+// cell i of both in one step, so two chains interleave and each query
+// point is loaded once for both. Row j's cells never leave registers: row
+// j+1 reads one as its up and, a step later, as its diag. Only row j+1 is
+// stored, in place in the one row array — its cell i over row j−1's, after
+// row j has read that as its up (row j's diag is the same cell one step
+// earlier, carried in a register). Row j+1's band starts and ends at most
+// one cell right of row j's: a prologue computes row j's first cell alone,
+// an epilogue row j+1's last, whose up, past row j's band, is +Inf. Both
+// rows keep their own minimum and are checked in row order, so a program
+// abandoned after row j still is, at most one row later. An odd m starts
+// with a lone first row: its row above is +Inf but for the corner 0, so it
+// is a running sum of its distances, smallest at its first cell.
 //
-// Band invariant. Both rows are set to +Inf once; after that a row only
-// resets the one cell left of its band. That is enough because a band only
-// moves right: row j reads the row above at [lo_j−1, hi_j], and
-// lo_{j−1} ≤ lo_j, hi_j ≤ hi_{j−1}+1. The cell at lo_j−1 is therefore
-// either inside the band above or the one that row reset, and the cell at
-// hi_{j−1}+1, if read, has been written by no earlier row — every band
-// before it ended further left still — so it holds the initial +Inf.
-func dtwFlat(q []float64, n int, s []float64, m, d, window int, cutoff float64, suf, prev, cur []float64) float64 {
+// The inner loop carries no data-dependent branch. Its minima run on the
+// cells' bit patterns — a cell is a sum of square roots, +0 or above, never
+// −0 or NaN with finite coordinates, and such floats order like their bits
+// (as in sweepWindows) — so a minimum is a compare and a conditional move,
+// not a float min's two MINSDs and a POR. The point distances are written
+// out for the three dimensions of the paper's video features (the test is
+// on d, which a call never changes) in geom.DistSqFlat's own expression
+// shape, so each cell holds the bits the textbook matrix does (dtwReference
+// in the tests); other dimensions and the cells outside the loop call
+// DistSqFlat itself. The minimum takes left last: left is the cell just
+// computed, and min(min(up, diag), left) keeps one min on that loop-carried
+// chain where min(min(left, diag), up) puts two.
+//
+// Band invariant. The array is set to +Inf once, but for the corner of row
+// 0 when a pass reads that row, and column 0 is set back to +Inf once read.
+// Nothing else is reset, because a band only moves right: row j reads the
+// row above at [lo_j−1, hi_j], where lo_j = max(1, j−w), so lo_j−1 is column
+// 0 or, once the band has left it, lo_{j−1}, the first cell of the band
+// above; and hi_j ≤ hi_{j−1}+1, where the cell at hi_{j−1}+1, if read, has
+// been written by no earlier row — every band before it ended further left
+// still — and holds the initial +Inf. Within a pass the same holds in
+// registers: row j+1's first cell takes as its diag the prologue's cell or,
+// in column 0, +Inf.
+func dtwFlat(q []float64, n int, s []float64, m, d, window int, cutoff float64, suf, row []float64) float64 {
 	inf := math.Inf(1)
 	if window >= 0 && abs(n-m) > window {
 		return inf
@@ -368,48 +382,87 @@ func dtwFlat(q []float64, n int, s []float64, m, d, window int, cutoff float64, 
 		// j+window below cannot overflow whatever a request asked for.
 		window = max(n, m)
 	}
-	prev = prev[:n+1]
-	cur = cur[:n+1]
-	for i := range prev {
-		prev[i], cur[i] = inf, inf
+	row = row[:n+1]
+	for i := range row {
+		row[i] = inf
 	}
-	prev[0] = 0
 	denom := float64(max(n, m))
 	limit := cutoff * denom
 	slack := cascadeSlack(n, m, d)
-	for j := 1; j <= m; j++ {
-		lo, hi := max(1, j-window), min(n, j+window)
-		sp := s[(j-1)*d : j*d]
-		qp := q[(lo-1)*d : hi*d]
-		cur[lo-1] = inf
-		diag, left := prev[lo-1], inf
-		rowMin := inf
-		for i := lo; i <= hi; i++ {
-			var sq float64
+	// over reports whether row j, of smallest cell rowMin, abandons.
+	over := func(j int, rowMin uint64) bool {
+		lb := math.Float64frombits(rowMin)
+		if suf != nil {
+			lb = (lb + suf[j]) * slack
+		}
+		return lb > limit && lb/denom > cutoff
+	}
+	j := 0 // rows done
+	if m%2 == 1 {
+		var cell float64
+		for i := 1; i <= min(n, 1+window); i++ {
+			cell += math.Sqrt(geom.DistSqFlat(q[(i-1)*d:i*d], s[:d]))
+			row[i] = cell
+		}
+		if over(1, math.Float64bits(row[1])) {
+			return inf
+		}
+		j = 1
+	} else {
+		row[0] = 0
+	}
+	var a0, a1, a2, b0, b1, b2 float64 // rows A and B's data points when d == 3
+	for ; j < m; j += 2 {
+		// Rows A = j+1 and B = j+2, 1-based.
+		loA, hiA := max(1, j+1-window), min(n, j+1+window)
+		loB, hiB := max(1, j+2-window), min(n, j+2+window)
+		sa, sb := s[j*d:(j+1)*d], s[(j+1)*d:(j+2)*d]
+		if d == 3 {
+			a0, a1, a2 = sa[0], sa[1], sa[2]
+			b0, b1, b2 = sb[0], sb[1], sb[2]
+		}
+		// diag of row B is row A's cell to the left, leftA, throughout.
+		diagA, leftA, minA := math.Float64bits(row[loA-1]), infBits, infBits
+		leftB, minB := infBits, infBits
+		row[0] = inf // column 0 below row 0
+		if loB > loA {
+			up := math.Float64bits(row[loA])
+			a := math.Float64bits(math.Sqrt(geom.DistSqFlat(q[(loA-1)*d:loA*d], sa)) + math.Float64frombits(min(up, diagA)))
+			minA, diagA, leftA = a, up, a
+		}
+		o := (loB - 1) * d
+		for i := loB; i <= hiA; i++ {
+			var sqA, sqB float64
 			if d == 3 {
-				d0, d1, d2 := qp[0]-sp[0], qp[1]-sp[1], qp[2]-sp[2]
-				sq = d0*d0 + d1*d1 + d2*d2
+				qp := q[o : o+3 : o+3]
+				q0, q1, q2 := qp[0], qp[1], qp[2]
+				x0, x1, x2 := q0-a0, q1-a1, q2-a2
+				y0, y1, y2 := q0-b0, q1-b1, q2-b2
+				sqA = x0*x0 + x1*x1 + x2*x2
+				sqB = y0*y0 + y1*y1 + y2*y2
 			} else {
-				sq = geom.DistSqFlat(qp[:d], sp)
+				sqA, sqB = geom.DistSqFlat(q[o:o+d], sa), geom.DistSqFlat(q[o:o+d], sb)
 			}
-			qp = qp[d:]
+			o += d
 			// Cheapest predecessor: deletion (up, advance the data only),
 			// match (diag, advance both), insertion (left, advance the
 			// query only).
-			up := prev[i]
-			cell := math.Sqrt(sq) + min(min(up, diag), left)
-			cur[i] = cell
-			rowMin = min(rowMin, cell)
-			diag, left = up, cell
+			up := math.Float64bits(row[i])
+			a := math.Float64bits(math.Sqrt(sqA) + math.Float64frombits(min(min(up, diagA), leftA)))
+			bv := math.Sqrt(sqB) + math.Float64frombits(min(min(a, leftA), leftB))
+			row[i] = bv
+			b := math.Float64bits(bv)
+			minA, minB = min(minA, a), min(minB, b)
+			diagA, leftA, leftB = up, a, b
 		}
-		lb := rowMin
-		if suf != nil {
-			lb = (rowMin + suf[j]) * slack
+		if hiB > hiA {
+			b := math.Float64bits(math.Sqrt(geom.DistSqFlat(q[(hiB-1)*d:hiB*d], sb)) + math.Float64frombits(min(leftA, leftB)))
+			row[hiB] = math.Float64frombits(b)
+			minB = min(minB, b)
 		}
-		if lb > limit && lb/denom > cutoff {
+		if over(j+1, minA) || over(j+2, minB) {
 			return inf
 		}
-		prev, cur = cur, prev
 	}
-	return prev[n]
+	return row[n]
 }

@@ -69,19 +69,21 @@ func flatten(pts []geom.Point) []float64 {
 	return out
 }
 
-// TestDTWFlatMatchesReference compares the banded two-row kernel with the
-// textbook matrix, bit for bit — and the textbook matrix with its own
+// TestDTWFlatMatchesReference compares the banded pair-of-rows kernel with
+// the textbook matrix, bit for bit — and the textbook matrix with its own
 // transpose, since the kernel runs its rows over the data side where the
-// reference runs them over the query: every window shape (none, 0, 1, 16, wider
-// than the sequences, the largest int, too narrow to align), unequal
-// lengths, length 1, duplicated sequences, dimensions on both sides of the
-// inlined distance, coordinates at 1e200 scale (the squared distance
-// overflows) and among the denormals — always into scratch rows pre-filled
-// with garbage, which is what the band invariant has to survive. Under a
-// cutoff and no suffix the kernel must abandon exactly when the minimum of a
-// row of the transposed matrix is above it by both tests (rounded product,
-// then the division), and otherwise return the same total: cutoffs are the distance itself, its two neighbours, 0, and
-// values drawn around it.
+// reference runs them over the query: every window shape (none, 0, 1, 2, 3,
+// 16, exactly the length difference, wider than the sequences, the largest
+// int, too narrow to align), unequal lengths, an odd and an even number of
+// data rows, lengths 1 and 2 on either side, duplicated sequences,
+// dimensions on both sides of the inlined distance, coordinates at 1e200
+// scale (the squared distance overflows) and among the denormals — always
+// into a scratch row pre-filled with garbage, which is what the band
+// invariant has to survive. Under a cutoff and no suffix the kernel must
+// abandon exactly when the minimum of a row of the transposed matrix is
+// above it by both tests (rounded product, then the division), and
+// otherwise return the same total: cutoffs are the distance itself, its two
+// neighbours, 0, and values drawn around it.
 func TestDTWFlatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1901))
 	inf := math.Inf(1)
@@ -96,23 +98,36 @@ func TestDTWFlatMatchesReference(t *testing.T) {
 		}
 		return out
 	}
+	// Query and data lengths after the random trials: the band's prologue
+	// and epilogue, a lone first row or none, and a band exactly as wide as
+	// the length difference.
+	pairs := [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {1, 3}, {3, 1}, {2, 3}, {3, 2}, {2, 5}, {5, 2},
+		{4, 4}, {7, 7}, {5, 8}, {8, 5}, {6, 9}, {9, 6}, {10, 13}, {13, 10}, {17, 16}, {16, 17}}
 	abandoned, completed := 0, 0
 	var shorter, equal, longer int // query against data
+	var oddRows, evenRows int
 	for dim := 1; dim <= 5; dim++ {
-		for trial := 0; trial < 60; trial++ {
+		for trial := 0; trial < 60+len(pairs); trial++ {
 			n, m := 1+rng.Intn(40), 1+rng.Intn(40)
-			switch trial % 6 {
-			case 0:
+			switch {
+			case trial >= 60:
+				n, m = pairs[trial-60][0], pairs[trial-60][1]
+			case trial%6 == 0:
 				m = n
-			case 1:
+			case trial%6 == 1:
 				n = 1
-			case 2:
+			case trial%6 == 2:
 				m = 1
 			}
 			scale := []float64{1, 1, 1, 1e200, 1e-310}[trial%5]
 			a, b := scaled(randWalkSeq(rng, n, dim), scale), scaled(randWalkSeq(rng, m, dim), scale)
-			if trial%6 == 3 {
+			if trial < 60 && trial%6 == 3 {
 				b, m = a, n // a duplicate: distance exactly 0
+			}
+			if m%2 == 1 {
+				oddRows++
+			} else {
+				evenRows++
 			}
 			qf, sf := flatten(a), flatten(b)
 			denom := float64(max(n, m))
@@ -124,7 +139,7 @@ func TestDTWFlatMatchesReference(t *testing.T) {
 			default:
 				longer++
 			}
-			for _, window := range []int{-1, 0, 1, 16, n + m, math.MaxInt} {
+			for _, window := range []int{-1, 0, 1, 2, 3, 16, abs(n - m), n + m, math.MaxInt} {
 				total, _ := dtwReference(a, b, window)
 				transposed, rowMins := dtwReference(b, a, window)
 				if math.Float64bits(total) != math.Float64bits(transposed) {
@@ -145,11 +160,11 @@ func TestDTWFlatMatchesReference(t *testing.T) {
 							break
 						}
 					}
-					prev, cur := make([]float64, n+3), make([]float64, n+3)
-					for j := range prev {
-						prev[j], cur[j] = garbage[rng.Intn(len(garbage))], garbage[rng.Intn(len(garbage))]
+					row := make([]float64, n+3)
+					for j := range row {
+						row[j] = garbage[rng.Intn(len(garbage))]
 					}
-					got := dtwFlat(qf, n, sf, m, dim, window, cutoff, nil, prev, cur)
+					got := dtwFlat(qf, n, sf, m, dim, window, cutoff, nil, row)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("dim %d n %d m %d scale %g window %d cutoff %v: dtwFlat = %v, reference %v (distance %v)",
 							dim, n, m, scale, window, cutoff, got, want, dist)
@@ -171,8 +186,9 @@ func TestDTWFlatMatchesReference(t *testing.T) {
 	if abandoned == 0 || completed == 0 {
 		t.Fatalf("%d abandoned, %d completed: the cutoffs exercise one side only", abandoned, completed)
 	}
-	if shorter == 0 || equal == 0 || longer == 0 {
-		t.Fatalf("query shorter than / as long as / longer than the data in %d / %d / %d pairs: one shape is missing", shorter, equal, longer)
+	if shorter == 0 || equal == 0 || longer == 0 || oddRows == 0 || evenRows == 0 {
+		t.Fatalf("query shorter than / as long as / longer than the data in %d / %d / %d pairs, %d odd and %d even data lengths: one shape is missing",
+			shorter, equal, longer, oddRows, evenRows)
 	}
 }
 
@@ -406,6 +422,115 @@ func TestDTWIndexLBMatchesReference(t *testing.T) {
 	}
 }
 
+// envelopeReference is the monotone-deque sliding extremum buildEnvelopes
+// used to run: out[i*d+k] is the minimum (wantMin) or maximum of dimension k
+// over [i−w, i+w] clamped to [0, n−1], a negative w meaning the whole query.
+// Both window edges are nondecreasing in i, so one deque gives the classic
+// amortized O(n) scan.
+func envelopeReference(qflat []float64, n, d, k, w int, out []float64, wantMin bool) {
+	if w < 0 || w > n {
+		w = n
+	}
+	var deq []int
+	next := 0 // first index not yet offered to the deque
+	for i := 0; i < n; i++ {
+		left, right := max(i-w, 0), min(i+w, n-1)
+		for ; next <= right; next++ {
+			v := qflat[next*d+k]
+			for len(deq) > 0 {
+				back := qflat[deq[len(deq)-1]*d+k]
+				if (wantMin && back >= v) || (!wantMin && back <= v) {
+					deq = deq[:len(deq)-1]
+					continue
+				}
+				break
+			}
+			deq = append(deq, next)
+		}
+		for len(deq) > 0 && deq[0] < left {
+			deq = deq[1:]
+		}
+		out[i*d+k] = qflat[deq[0]*d+k]
+	}
+}
+
+// TestBuildEnvelopesMatchesReference compares the block-wise envelopes with
+// the deque's, and the suffix envelopes with a plain scan: n 1–80, d 1–5,
+// windows 0, 1, 2, n−2, n−1, n, n+3, the largest int and unconstrained,
+// coordinates drawn from a few values so that plateaus and ties are
+// everywhere, −0 and +0 among them, and one scratch reused across every
+// shape. Values must be equal, with one exception: a window holding both
+// −0 and +0 may report either (the deque keeps the later of two ties, min
+// and max the negative and the positive zero). The suffixes are min and max
+// on both sides, so there is no exception there.
+func TestBuildEnvelopesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2501))
+	negZero := math.Copysign(0, -1)
+	values := []float64{-1, negZero, 0, 0.5, 1, 2}
+	var ds dtwScratch
+	zeroTies := 0
+	for n := 1; n <= 80; n++ {
+		for d := 1; d <= 5; d++ {
+			q := make([]float64, n*d)
+			for i := range q {
+				if i >= d && rng.Intn(3) == 0 {
+					q[i] = q[i-d] // a plateau
+				} else {
+					q[i] = values[rng.Intn(len(values))]
+				}
+			}
+			for _, w := range []int{0, 1, 2, n - 2, n - 1, n, n + 3, math.MaxInt, -1} {
+				ds.resetEnv()
+				ds.buildEnvelopes(q, n, d, w)
+				wantLo, wantHi := make([]float64, n*d), make([]float64, n*d)
+				for k := 0; k < d; k++ {
+					envelopeReference(q, n, d, k, w, wantLo, true)
+					envelopeReference(q, n, d, k, w, wantHi, false)
+				}
+				for i := 0; i < n; i++ {
+					for k := 0; k < d; k++ {
+						win := []float64{}
+						lo, hi := 0, n-1
+						if w >= 0 && w < n {
+							lo, hi = max(i-w, 0), min(i+w, n-1)
+						}
+						for t := lo; t <= hi; t++ {
+							win = append(win, q[t*d+k])
+						}
+						sufLo, sufHi := q[i*d+k], q[i*d+k]
+						for t := i + 1; t < n; t++ {
+							sufLo, sufHi = min(sufLo, q[t*d+k]), max(sufHi, q[t*d+k])
+						}
+						bothZeros := slices.ContainsFunc(win, func(v float64) bool { return v == 0 && math.Signbit(v) }) &&
+							slices.ContainsFunc(win, func(v float64) bool { return v == 0 && !math.Signbit(v) })
+						for _, c := range []struct {
+							name      string
+							got, want float64
+							zeros     bool
+						}{
+							{"lower envelope", ds.envLo[i*d+k], wantLo[i*d+k], bothZeros},
+							{"upper envelope", ds.envHi[i*d+k], wantHi[i*d+k], bothZeros},
+							{"lower suffix", ds.sufLo[i*d+k], sufLo, false},
+							{"upper suffix", ds.sufHi[i*d+k], sufHi, false},
+						} {
+							if math.Float64bits(c.got) == math.Float64bits(c.want) {
+								continue
+							}
+							if c.zeros && c.got == 0 && c.want == 0 {
+								zeroTies++
+								continue
+							}
+							t.Fatalf("n %d d %d w %d position %d dimension %d: %s %v, reference %v (window %v)",
+								n, d, w, i, k, c.name, c.got, c.want, win)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d bounds differ from the reference in the sign of a zero only", zeroTies)
+}
+
 // windowKey orders Dnorm windows for comparison as multisets.
 func windowKey(a, b PointRange) int {
 	if a.Start != b.Start {
@@ -603,7 +728,8 @@ var kernelSink float64
 // BenchmarkDTWFlat times the dynamic program alone — two 300-point
 // sequences of the video corpus's dimensionality under a 16-wide band, with
 // LB_Keogh's suffix sums in hand as on the indexed path but no cutoff, so
-// every cell of the band is computed — and reports ns per cell.
+// every cell of the band is computed, two data rows per pass — and reports
+// ns per cell.
 func BenchmarkDTWFlat(b *testing.B) {
 	const dim, n, window = 3, 300, 16
 	rng := rand.New(rand.NewSource(1903))
@@ -617,16 +743,85 @@ func BenchmarkDTWFlat(b *testing.B) {
 	if lb := ds.lbKeogh(g, math.Inf(1)); !(lb > 0) {
 		b.Fatalf("LB_Keogh %v: the suffix is trivial", lb)
 	}
-	prev, cur := make([]float64, n+1), make([]float64, n+1)
+	row := make([]float64, n+1)
 	cells := 0
 	for i := 1; i <= n; i++ {
 		cells += min(n, i+window) - max(1, i-window) + 1
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernelSink += dtwFlat(q, n, g.Flat, n, dim, window, math.Inf(1), ds.keoghSuf, prev, cur)
+		kernelSink += dtwFlat(q, n, g.Flat, n, dim, window, math.Inf(1), ds.keoghSuf, row)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+}
+
+// videoPairs draws a pool of (query, stored sequence) pairs shaped like the
+// harness's video workload: three dimensions, queries of 28–96 points,
+// stored sequences of 56–512, both partitioned as a database would.
+func videoPairs(b *testing.B, pool int) (qs, gs []*Segmented) {
+	rng := rand.New(rand.NewSource(2503))
+	for i := 0; i < pool; i++ {
+		q, err := NewSegmented(randWalkSeq(rng, 28+rng.Intn(69), 3), DefaultPartitionConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := NewSegmented(randWalkSeq(rng, 56+rng.Intn(457), 3), DefaultPartitionConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs, gs = append(qs, q), append(gs, g)
+	}
+	return qs, gs
+}
+
+// BenchmarkBestAlign times the alignment kernel over a pool of 1024 video
+// shaped pairs, cycled so that which offset bounds lowest and where the
+// sums abandon do not repeat from call to call: unbounded, as a range
+// refine calls it, and under a cutoff just below the pair's distance, as a
+// kNN refines a sequence that does not make the top k — every offset bound,
+// every sum abandoned. It reports ns per offset.
+func BenchmarkBestAlign(b *testing.B) {
+	const pool = 1024
+	qs, gs := videoPairs(b, pool)
+	var as alignScratch
+	dists := make([]float64, pool)
+	for c := range dists {
+		_, dists[c] = bestAlign(&as, qs[c].side(), gs[c].side(), 3, math.Inf(1))
+	}
+	for _, mode := range []struct {
+		name  string
+		scale float64
+	}{{"unbounded", math.Inf(1)}, {"bound", 0.9}} {
+		b.Run(mode.name, func(b *testing.B) {
+			offsets := 0
+			for i := 0; i < b.N; i++ {
+				c := i % pool
+				_, dist := bestAlign(&as, qs[c].side(), gs[c].side(), 3, dists[c]*mode.scale)
+				kernelSink += dist
+				offsets += abs(qs[c].Seq.Len()-gs[c].Seq.Len()) + 1
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(offsets), "ns/offset")
+		})
+	}
+}
+
+// BenchmarkBuildEnvelopes times the per-position query envelopes of a
+// 16-wide band over a pool of 1024 video-shaped queries and reports ns per
+// query position.
+func BenchmarkBuildEnvelopes(b *testing.B) {
+	const pool = 1024
+	qs, _ := videoPairs(b, pool)
+	var ds dtwScratch
+	positions := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%pool]
+		ds.resetEnv()
+		ds.buildEnvelopes(q.Flat, q.Seq.Len(), 3, 16)
+		kernelSink += ds.envLo[0]
+		positions += q.Seq.Len()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(positions), "ns/position")
 }
 
 // BenchmarkSweepWindows times the Dnorm window sweep over a pool of 4096

@@ -56,7 +56,7 @@ type KNNResult = Match
 // The whole query runs out of the one scratch: the query segmentation
 // and flat point copy, the walk's queue, the set of sequences already
 // bounded (the phase-2 hit table, one bit per sequence), the bound's Dnorm
-// arrays, the candidate heap and the alignment kernel's Dmbr table.
+// arrays, the candidate heap and the alignment kernel's running sums.
 // Counts keep their meaning: Candidates is every live sequence, Refined
 // the exact distances computed, and the difference was dismissed by a
 // bound — most of it now without the sequence ever being looked at.

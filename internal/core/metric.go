@@ -92,8 +92,7 @@ type MetricMatch = Match
 func (sc *searchScratch) dtwSeq(mt MetricDTW, qflat []float64, g *Segmented, dim int, cutoff float64, suf []float64) float64 {
 	n := len(qflat) / dim
 	mm := len(g.Flat) / dim
-	sc.dtw.prev = ensureFloats(sc.dtw.prev, n+1)
-	sc.dtw.cur = ensureFloats(sc.dtw.cur, n+1)
-	total := dtwFlat(qflat, n, g.Flat, mm, dim, mt.Window, cutoff, suf, sc.dtw.prev, sc.dtw.cur)
+	sc.dtw.row = ensureFloats(sc.dtw.row, n+1)
+	total := dtwFlat(qflat, n, g.Flat, mm, dim, mt.Window, cutoff, suf, sc.dtw.row)
 	return total / float64(max(n, mm))
 }

@@ -51,10 +51,10 @@ type searchScratch struct {
 
 	p3 phase3Scratch
 
-	// align holds the alignment kernel's Dmbr table and offset bounds.
+	// align holds the alignment kernel's running sums and offset bounds.
 	align alignScratch
 
-	// dtw holds the DTW workspace: DP rows, flat copies, and the
+	// dtw holds the DTW workspace: the DP row, flat copies, and the
 	// Sakoe–Chiba envelope arrays of the metric search path.
 	dtw dtwScratch
 }
@@ -84,14 +84,6 @@ func putScratch(sc *searchScratch) {
 func ensureFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// ensureInts is ensureFloats for int slices.
-func ensureInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
 	}
 	return s[:n]
 }
