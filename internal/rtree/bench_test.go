@@ -22,16 +22,64 @@ func benchTree(b *testing.B, maxEntries int) *Tree {
 	return tr
 }
 
+// BenchmarkInsert times one Insert into a packed 12 000-entry d = 3 tree
+// (full leaf-parent nodes, as a checkpoint fold meets them), cycling a
+// pool of 1024 boxes; the untimed Delete after each insert keeps the size,
+// so ns/op does not depend on b.N.
 func BenchmarkInsert(b *testing.B) {
-	tr := benchTree(b, 0)
 	rng := rand.New(rand.NewSource(1))
+	tr := benchTree(b, 0)
+	if err := tr.BulkLoad(bulkItemsBench(rng, 12000)); err != nil {
+		b.Fatal(err)
+	}
+	pool := bulkItemsBench(rng, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(randRect(rng, 3, 0.02), Ref(i)); err != nil {
+		it := pool[i%len(pool)]
+		if err := tr.Insert(it.Rect, it.Ref+1<<32); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		if err := tr.Delete(it.Rect, it.Ref+1<<32); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
+
+// BenchmarkChooseSubtree times the leaf-parent (overlap) choice on a full
+// leaf-parent node — M leaf MBRs of a packed 12 000-entry d = 3 tree, in
+// the tree's order — cycling 1024 query boxes.
+func BenchmarkChooseSubtree(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	tr := benchTree(b, 0)
+	if err := tr.BulkLoad(bulkItemsBench(rng, 12000)); err != nil {
+		b.Fatal(err)
+	}
+	root, err := tr.readNode(tr.root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := &node{}
+	for _, e := range root.entries {
+		parent, err := tr.readNode(e.child)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n.entries = append(n.entries, parent.entries...)
+	}
+	if len(n.entries) < tr.maxEntries {
+		b.Fatalf("%d leaf MBRs, want at least %d", len(n.entries), tr.maxEntries)
+	}
+	n.entries = n.entries[:tr.maxEntries]
+	pool := bulkItemsBench(rng, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chooseSink += tr.chooseSubtree(n, pool[i%len(pool)].Rect, true)
+	}
+}
+
+var chooseSink int
 
 func BenchmarkBulkLoad(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))

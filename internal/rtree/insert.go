@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -163,41 +164,124 @@ func (t *Tree) insertRec(page pager.PageID, level, targetLevel uint32, e entry,
 }
 
 // chooseSubtree implements the R*-tree CS2 step: when the children are
-// leaves, pick the entry needing least overlap enlargement (ties: least
-// area enlargement, then least area); otherwise least area enlargement.
+// leaves, pick the entry needing least overlap enlargement
+// Σ_j≠i IV(i ∪ r, j) − IV(i, j) (ties: least area enlargement, then least
+// area); otherwise least area enlargement (ties: least area).
+//
+// It picks exactly the child of the textbook quadratic form
+// (chooseSubtreeReference in insert_test.go) in far fewer operations.
+// i ∪ r lives in a stack buffer, and overlapVolume computes what
+// Rect.IntersectionVolume does. Every overlap term is ≥ 0: each axis
+// factor of (i ∪ r) ∩ j is at least that of i ∩ j, and rounded
+// differences and products are monotone. Hence:
+//   - a sibling with IV(i ∪ r, j) = 0 has IV(i, j) = 0 and adds exactly
+//     +0, so it is skipped;
+//   - a running sum only grows, so a child whose partial sum is strictly
+//     above the best so far, or above the full sum of any one child, ends
+//     above the minimum the quadratic form settles on and is abandoned.
+//     The child of least area enlargement is summed first to seed that
+//     bound; it is usually the overlap minimum too. Ties run to the end
+//     and are decided in index order.
+//
+// A sum that turns NaN (Inf − Inf from overflowed volumes) is never
+// chosen, by either form; a +Inf partial exceeds the 1e308 start and is
+// abandoned where it would have lost. Coordinates are finite
+// (core.Sequence.Validate), which overlapVolume relies on as geom.GapSq
+// does.
 func (t *Tree) chooseSubtree(n *node, r geom.Rect, childrenAreLeaves bool) int {
-	best := 0
-	if childrenAreLeaves {
-		bestOverlap, bestEnlarge, bestArea := +1e308, +1e308, +1e308
-		for i := range n.entries {
-			enlarged := n.entries[i].rect.Union(r)
-			var overlapDelta float64
-			for j := range n.entries {
-				if j == i {
-					continue
-				}
-				overlapDelta += enlarged.IntersectionVolume(n.entries[j].rect) -
-					n.entries[i].rect.IntersectionVolume(n.entries[j].rect)
-			}
-			enlarge := enlarged.Volume() - n.entries[i].rect.Volume()
-			area := n.entries[i].rect.Volume()
-			if overlapDelta < bestOverlap ||
-				(overlapDelta == bestOverlap && enlarge < bestEnlarge) ||
-				(overlapDelta == bestOverlap && enlarge == bestEnlarge && area < bestArea) {
-				best, bestOverlap, bestEnlarge, bestArea = i, overlapDelta, enlarge, area
-			}
-		}
-		return best
+	d := len(r.L)
+	var buf [16]float64
+	ub := buf[:]
+	if 2*d > len(buf) {
+		ub = make([]float64, 2*d)
 	}
-	bestEnlarge, bestArea := +1e308, +1e308
+	u := geom.Rect{L: ub[:d:d], H: ub[d : 2*d : 2*d]} // i ∪ r
+	union := func(i int) geom.Rect {
+		copy(u.L, n.entries[i].rect.L)
+		copy(u.H, n.entries[i].rect.H)
+		u.ExtendRect(r)
+		return n.entries[i].rect
+	}
+	least, bestEnlarge, bestArea := 0, +1e308, +1e308
 	for i := range n.entries {
-		enlarge := n.entries[i].rect.Enlargement(r)
-		area := n.entries[i].rect.Volume()
-		if enlarge < bestEnlarge || (enlarge == bestEnlarge && area < bestArea) {
-			best, bestEnlarge, bestArea = i, enlarge, area
+		area := union(i).Volume()
+		if enlarge := u.Volume() - area; enlarge < bestEnlarge || (enlarge == bestEnlarge && area < bestArea) {
+			least, bestEnlarge, bestArea = i, enlarge, area
+		}
+	}
+	if !childrenAreLeaves {
+		return least
+	}
+	union(least)
+	seed := overlapGrowth(n, least, u, math.Inf(1))
+	best := 0
+	bestOverlap := +1e308
+	bestEnlarge, bestArea = +1e308, +1e308
+	for i := range n.entries {
+		ri := union(i)
+		limit := bestOverlap
+		if seed < limit { // false for a NaN seed
+			limit = seed
+		}
+		overlapDelta := overlapGrowth(n, i, u, limit)
+		if overlapDelta > limit {
+			continue
+		}
+		area := ri.Volume()
+		enlarge := u.Volume() - area
+		if overlapDelta < bestOverlap ||
+			(overlapDelta == bestOverlap && enlarge < bestEnlarge) ||
+			(overlapDelta == bestOverlap && enlarge == bestEnlarge && area < bestArea) {
+			best, bestOverlap, bestEnlarge, bestArea = i, overlapDelta, enlarge, area
 		}
 	}
 	return best
+}
+
+// overlapGrowth sums IV(u, j) − IV(i, j) over the siblings j ≠ i of entry
+// i in index order, where u ⊇ entry i, skipping the exact +0 terms and
+// returning the partial sum as soon as it exceeds limit.
+func overlapGrowth(n *node, i int, u geom.Rect, limit float64) float64 {
+	ri := n.entries[i].rect
+	var sum float64
+	for j := range n.entries {
+		if j == i {
+			continue
+		}
+		rj := n.entries[j].rect
+		grown := overlapVolume(u.L, u.H, rj.L, rj.H)
+		if grown == 0 {
+			continue
+		}
+		if sum += grown - overlapVolume(ri.L, ri.H, rj.L, rj.H); sum > limit {
+			break
+		}
+	}
+	return sum
+}
+
+// overlapVolume is Rect.IntersectionVolume over bound slices of one
+// dimensionality, without its early exit: every axis's overlap
+// s = min(hi) − max(lo) is taken, and the product is returned unless some
+// s ≤ 0. For finite bounds s > 0 exactly when hi > lo (a rounded
+// difference of finite floats is 0 only for equal operands and keeps the
+// exact difference's sign), so the result is IntersectionVolume's: 0 where
+// it returns 0, else the same product in the same axis order. The builtin
+// min and max treat ±0 as math.Min and math.Max do, and compile without a
+// branch — an unpredictable exit axis per pair cost more than the axes it
+// skipped.
+func overlapVolume(aL, aH, bL, bH []float64) float64 {
+	aH, bL, bH = aH[:len(aL)], bL[:len(aL)], bH[:len(aL)]
+	v, w := 1.0, math.Inf(1)
+	for k := range aL {
+		s := min(aH[k], bH[k]) - max(aL[k], bL[k])
+		v *= s
+		w = min(w, s)
+	}
+	if w <= 0 {
+		return 0
+	}
+	return v
 }
 
 // pickReinsertVictims removes the reinsertFraction of entries whose centers

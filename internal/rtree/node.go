@@ -128,6 +128,12 @@ func (t *Tree) writeNode(n *node) error {
 	})
 }
 
+// readNode decodes page id into its mutable in-memory form. The bounds of
+// all entries are decoded into one slab, each entry's L and H a capped
+// view of it: 2 allocations per node instead of 2·count + 1. That is
+// sound only while no code writes an entry's rect in place — node.mbr and
+// boundOf clone on their first ExtendRect, and splits, reinserts and
+// parent updates copy or replace whole entries — so keep it that way.
 func (t *Tree) readNode(id pager.PageID) (*node, error) {
 	n := &node{page: id}
 	err := t.pg.View(id, func(b []byte) error {
@@ -137,21 +143,18 @@ func (t *Tree) readNode(id pager.PageID) (*node, error) {
 			return fmt.Errorf("rtree: node %d count %d exceeds max %d (corrupt page?)", id, count, t.maxEntries)
 		}
 		n.entries = make([]entry, count)
+		d := t.dim
+		slab := make([]float64, count*2*d)
 		off := nodeHeaderSize
 		for i := 0; i < count; i++ {
-			lo := make(geom.Point, t.dim)
-			hi := make(geom.Point, t.dim)
-			for k := 0; k < t.dim; k++ {
-				lo[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-				off += 8
-			}
-			for k := 0; k < t.dim; k++ {
-				hi[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+			lh := slab[i*2*d : (i+1)*2*d : (i+1)*2*d]
+			for k := range lh {
+				lh[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 				off += 8
 			}
 			payload := binary.LittleEndian.Uint64(b[off:])
 			off += 8
-			n.entries[i] = entry{rect: geom.Rect{L: lo, H: hi}}
+			n.entries[i] = entry{rect: geom.Rect{L: lh[:d:d], H: lh[d:]}}
 			if n.leaf {
 				n.entries[i].ref = Ref(payload)
 			} else {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/seqio"
@@ -191,14 +192,15 @@ func (db *DB) fold(cut *state) error {
 			return fmt.Errorf("txn: fold assigned id %d, want %d", gid, id)
 		}
 	}
-	for id, g := range v.overlay {
-		if id >= cut.baseNext {
-			continue // folded with its add above
+	// Overlaid base sequences, in ascending id order: the view's delta
+	// lists them first and has already dropped removed ones (removal
+	// wins), and adds follow them (folded above). A fixed order makes the
+	// folded R*-tree a function of the delta alone.
+	for _, ds := range v.delta {
+		if ds.id >= cut.baseNext {
+			break
 		}
-		if _, dead := v.removed[id]; dead {
-			continue // removal wins
-		}
-		if err := db.base.ReplaceSegmented(id, detach(g)); err != nil {
+		if err := db.base.ReplaceSegmented(ds.id, detach(ds.g)); err != nil {
 			return err
 		}
 	}
@@ -217,11 +219,19 @@ func (db *DB) fold(cut *state) error {
 // detach returns a shallow copy of g with its own Sequence header. The
 // base stamps Seq.ID on whatever it is handed; folding must not let that
 // write land in an object that live snapshots and the committer are
-// concurrently reading. All slice data (points, MBRs, columnar arrays)
-// is immutable after construction and stays shared.
+// concurrently reading. The copy's points are views of g.Flat — point i
+// is Flat[i*d : (i+1)*d], capped — so a folded sequence holds its
+// coordinates once: the decoded points the delta still references die
+// with it. All slice data (MBRs, columnar arrays) is immutable after
+// construction and stays shared.
 func detach(g *core.Segmented) *core.Segmented {
 	gc := *g
 	sc := *g.Seq
+	d := sc.Dim()
+	sc.Points = make([]geom.Point, len(g.Seq.Points))
+	for i := range sc.Points {
+		sc.Points[i] = g.Flat[i*d : (i+1)*d : (i+1)*d]
+	}
 	gc.Seq = &sc
 	return &gc
 }

@@ -3,6 +3,7 @@ package txn
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,8 +140,14 @@ func (s *Snap) deltaRange(ctx context.Context, q *core.Sequence, eps float64, st
 
 // mergeByID merges two id-ascending match lists — the base's answer and
 // the delta pass's — dropping base entries the view supersedes: the one
-// merge of every kind whose answer is ordered by id.
+// merge of every kind whose answer is ordered by id. When the delta adds
+// nothing and drops nothing, a non-empty answer is base itself, which may
+// be the base cache's list: like every range answer it is read-only
+// downstream. An empty answer stays a non-nil list.
 func mergeByID(base []core.Match, v *view, delta []core.Match) []core.Match {
+	if len(delta) == 0 && len(base) > 0 && !slices.ContainsFunc(base, func(m core.Match) bool { return v.dropBase(m.SeqID) }) {
+		return base
+	}
 	out := make([]core.Match, 0, len(base)+len(delta))
 	i, j := 0, 0
 	for i < len(base) || j < len(delta) {
