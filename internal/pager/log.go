@@ -30,6 +30,14 @@ import (
 // so concurrent appenders interleave whole records, never bytes.
 const logMagic = "MDSLOG01"
 
+// LogHeaderSize and LogFrameSize place a record in the file: the first
+// record starts LogHeaderSize bytes in, and each record occupies
+// LogFrameSize bytes (length prefix and crc) beyond its payload.
+const (
+	LogHeaderSize = int64(len(logMagic))
+	LogFrameSize  = 8
+)
+
 // MaxLogRecord bounds a single record's payload (64 MiB) — an
 // implausibility guard that turns a corrupt length field into a clean
 // torn-tail stop instead of a giant allocation. Exported so callers can
@@ -65,7 +73,7 @@ func OpenLog(path string, replay func(payload []byte) error) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	if fi.Size() < int64(len(logMagic)) {
+	if fi.Size() < LogHeaderSize {
 		// New file, or a header that never finished writing: nothing was
 		// ever durable, start clean.
 		if err := f.Truncate(0); err != nil {
@@ -80,7 +88,7 @@ func OpenLog(path string, replay func(payload []byte) error) (*Log, error) {
 			f.Close()
 			return nil, err
 		}
-		l.size = int64(len(logMagic))
+		l.size = LogHeaderSize
 		return l, nil
 	}
 	head := make([]byte, len(logMagic))
@@ -116,8 +124,8 @@ func OpenLog(path string, replay func(payload []byte) error) (*Log, error) {
 // scanLog walks records from the header to the first torn or corrupt one
 // and returns the offset of the end of the last valid record.
 func scanLog(f *os.File, size int64, replay func([]byte) error) (int64, error) {
-	r := io.NewSectionReader(f, int64(len(logMagic)), size-int64(len(logMagic)))
-	off := int64(len(logMagic))
+	r := io.NewSectionReader(f, LogHeaderSize, size-LogHeaderSize)
+	off := LogHeaderSize
 	var hdr [4]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -141,7 +149,7 @@ func scanLog(f *os.File, size int64, replay func([]byte) error) (int64, error) {
 				return off, err
 			}
 		}
-		off += int64(4 + n + 4)
+		off += LogFrameSize + int64(n)
 	}
 }
 
@@ -170,7 +178,7 @@ func (l *Log) Append(payload []byte) error {
 }
 
 // Sync fsyncs the log: every record appended before the call is durable
-// once Sync returns. The mutex is held across the fsync — Rewrite closes
+// once Sync returns. The mutex is held across the fsync — RewriteFrom closes
 // the old handle after renaming, so releasing it early could sync a
 // closed file. Appends stall for the fsync's duration, which group
 // commit absorbs by batching.
@@ -181,7 +189,7 @@ func (l *Log) Sync() error {
 }
 
 // Size returns the log file size in bytes (header included) — the
-// operator-visible "how much unfolded WAL is there" number.
+// operator-visible "how much WAL does a restart read" number.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -197,7 +205,7 @@ func (l *Log) Size() int64 {
 func (l *Log) Truncate(size int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if size < int64(len(logMagic)) || size > l.size {
+	if size < LogHeaderSize || size > l.size {
 		return fmt.Errorf("pager: log truncate to %d out of range", size)
 	}
 	if err := l.f.Truncate(size); err != nil {
@@ -210,54 +218,57 @@ func (l *Log) Truncate(size int64) error {
 	return nil
 }
 
-// Rewrite atomically replaces the log's contents with the given records:
-// they are written to a sibling temp file, fsynced, and renamed over the
-// old log. Checkpoints use it to drop records already folded into the
-// base snapshot while keeping the suffix that is not. On return the Log
-// continues appending after the last rewritten record.
-func (l *Log) Rewrite(records [][]byte) error {
+// RewriteFrom atomically drops every record before offset off: the
+// records in [off, Size()) are copied file to file after a fresh header
+// into a sibling temp file, which is fsynced and renamed over the log,
+// and the directory is fsynced. Checkpoints use it to drop the records a
+// promoted snapshot holds; no payload passes through the caller. off
+// must be a record boundary — LogHeaderSize, or a Size taken after an
+// Append (the caller's contract, as for Truncate). On return the copied
+// records start at LogHeaderSize and appends follow them. An error before
+// the rename leaves the log unchanged; a failed directory fsync is
+// reported after the swap.
+func (l *Log) RewriteFrom(off int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if off < LogHeaderSize || off > l.size {
+		return fmt.Errorf("pager: log rewrite from %d out of range", off)
+	}
 	tmp := l.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	nl := &Log{f: f, path: tmp, size: 0}
-	if _, err := f.WriteAt([]byte(logMagic), 0); err != nil {
+	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
 		return err
 	}
-	nl.size = int64(len(logMagic))
-	for _, rec := range records {
-		if err := nl.Append(rec); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
+	if _, err := f.Write([]byte(logMagic)); err != nil {
+		return fail(err)
+	}
+	n, err := io.Copy(f, io.NewSectionReader(l.f, off, l.size-off))
+	if err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return fail(err)
 	}
 	if err := os.Rename(tmp, l.path); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return fail(err)
 	}
 	// Swap the live handle to the renamed file.
 	old := l.f
 	l.f = f
-	l.size = nl.size
+	l.size = LogHeaderSize + n
 	old.Close()
 	// Make the rename itself durable (directory entry).
-	if dir, err := os.Open(dirOf(l.path)); err == nil {
-		dir.Sync()
-		dir.Close()
+	dir, err := os.Open(dirOf(l.path))
+	if err != nil {
+		return err
 	}
-	return nil
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // Close releases the log file handle without syncing (callers sync as

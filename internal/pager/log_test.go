@@ -196,39 +196,95 @@ func TestLogCrashTortureCorrupt(t *testing.T) {
 	}
 }
 
-// TestLogRewrite checks checkpoint compaction: Rewrite keeps exactly the
-// given suffix records, the replaced file replays them, and appends after
-// a rewrite land after the suffix.
-func TestLogRewrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "txn.wal")
-	l, err := OpenLog(path, nil)
+// TestRewriteFrom checks checkpoint compaction: from every record
+// boundary of a log whose file ends in a torn record, RewriteFrom keeps
+// exactly the records from that boundary on, the replaced file replays
+// them, appends after the rewrite land after them, and an offset outside
+// the log is refused with the log unchanged.
+func TestRewriteFrom(t *testing.T) {
+	dir := t.TempDir()
+	master := filepath.Join(dir, "master.wal")
+	l, err := OpenLog(master, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("old-%d", i))); err != nil {
+	var want [][]byte
+	offsets := []int64{l.Size()} // offsets[i] = boundary before record i
+	for i := 0; i < 9; i++ {
+		rec := []byte(fmt.Sprintf("rec-%d-%s", i, bytes.Repeat([]byte{'x'}, i*5)))
+		want = append(want, rec)
+		if err := l.Append(rec); err != nil {
 			t.Fatal(err)
 		}
+		offsets = append(offsets, l.Size())
 	}
-	l.Sync()
-	keep := [][]byte{[]byte("keep-1"), []byte("keep-2")}
-	if err := l.Rewrite(keep); err != nil {
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("new-after-rewrite")); err != nil {
-		t.Fatal(err)
-	}
-	l.Sync()
 	l.Close()
-	got := logRecords(t, path)
-	wantRecs := []string{"keep-1", "keep-2", "new-after-rewrite"}
-	if len(got) != len(wantRecs) {
-		t.Fatalf("after rewrite: %d records, want %d", len(got), len(wantRecs))
+	full, err := os.ReadFile(master)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, w := range wantRecs {
-		if string(got[i]) != w {
-			t.Fatalf("record %d = %q, want %q", i, got[i], w)
+	// A torn tail: the length and half the payload of a record the crash
+	// cut short.
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], 40)
+	torn := append(append(append([]byte(nil), full...), hdr[:]...), "half a rec"...)
+
+	for k, off := range offsets {
+		path := filepath.Join(dir, fmt.Sprintf("from-%d.wal", k))
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		l, err := OpenLog(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.RewriteFrom(off); err != nil {
+			t.Fatalf("boundary %d: RewriteFrom(%d): %v", k, off, err)
+		}
+		if got, want := l.Size(), LogHeaderSize+offsets[len(offsets)-1]-off; got != want {
+			t.Fatalf("boundary %d: size after rewrite %d, want %d", k, got, want)
+		}
+		if err := l.Append([]byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		got := logRecords(t, path)
+		wantRecs := append(append([][]byte(nil), want[k:]...), []byte("after"))
+		if len(got) != len(wantRecs) {
+			t.Fatalf("boundary %d: replayed %d records, want %d", k, len(got), len(wantRecs))
+		}
+		for i := range wantRecs {
+			if !bytes.Equal(got[i], wantRecs[i]) {
+				t.Fatalf("boundary %d: record %d = %q, want %q", k, i, got[i], wantRecs[i])
+			}
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("boundary %d: temp file left behind (%v)", k, err)
+		}
+	}
+
+	path := filepath.Join(dir, "range.wal")
+	if err := os.WriteFile(path, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err = OpenLog(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{0, LogHeaderSize - 1, l.Size() + 1} {
+		if err := l.RewriteFrom(off); err == nil {
+			t.Fatalf("RewriteFrom(%d) outside [%d, %d] accepted", off, LogHeaderSize, l.Size())
+		}
+	}
+	l.Close()
+	if got := logRecords(t, path); len(got) != len(want) {
+		t.Fatalf("refused rewrites changed the log: %d records, want %d", len(got), len(want))
 	}
 }
 

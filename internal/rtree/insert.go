@@ -240,7 +240,11 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect, childrenAreLeaves bool) int {
 
 // overlapGrowth sums IV(u, j) − IV(i, j) over the siblings j ≠ i of entry
 // i in index order, where u ⊇ entry i, skipping the exact +0 terms and
-// returning the partial sum as soon as it exceeds limit.
+// returning the partial sum as soon as it exceeds limit. Every term is
+// ≥ 0 — each axis factor of u ∩ j dominates that of i ∩ j, and rounding
+// is monotone — so a sibling with IV(u, j) = 0 adds an exact +0 and a
+// sum past limit only grows; with finite bounds (Sequence.Validate) ±0
+// never reaches a volume.
 func overlapGrowth(n *node, i int, u geom.Rect, limit float64) float64 {
 	ri := n.entries[i].rect
 	var sum float64

@@ -11,6 +11,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -88,6 +89,23 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	}
 }
 
+// waitGoroutines waits up to 2 s for the goroutine count to fall back to
+// base, taken once the fixture is built. A losing hedged attempt, and a
+// hung call its canceled context releases, outlive the query that started
+// them; this is the check that they end.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running 2 s after the query, %d before it:\n%s",
+				n, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestFaultHungShardRespectsShardTimeout: a wedged shard cannot stall the
 // query — the per-attempt deadline fires, the error surfaces as
 // context.DeadlineExceeded, and the hung call is reclaimed through its
@@ -95,6 +113,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 func TestFaultHungShardRespectsShardTimeout(t *testing.T) {
 	sdb, q, fdb := faultFixture(t, 4, 1, Fault{Hang: true})
 	sdb.SetPolicy(Policy{ShardTimeout: 50 * time.Millisecond})
+	base := runtime.NumGoroutine()
 
 	t0 := time.Now()
 	_, _, err := sdb.SearchCtx(context.Background(), q, 0.25)
@@ -110,6 +129,7 @@ func TestFaultHungShardRespectsShardTimeout(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { return fdb.Released() == 1 },
 		"hung call released by its canceled context")
+	waitGoroutines(t, base)
 }
 
 // TestFaultHungShardRespectsCallerDeadline: with no per-shard timeout at
@@ -117,6 +137,7 @@ func TestFaultHungShardRespectsShardTimeout(t *testing.T) {
 // call and unhangs it — deadline propagation end to end.
 func TestFaultHungShardRespectsCallerDeadline(t *testing.T) {
 	sdb, q, fdb := faultFixture(t, 4, 2, Fault{Hang: true})
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 
@@ -133,6 +154,7 @@ func TestFaultHungShardRespectsCallerDeadline(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { return fdb.Released() == 1 },
 		"hung call released by the caller's deadline")
+	waitGoroutines(t, base)
 }
 
 // TestFaultPartialResultFlagged: with AllowPartial, a timed-out shard is
@@ -150,6 +172,7 @@ func TestFaultPartialResultFlagged(t *testing.T) {
 	sdb.SetShardBackend(hung, fdb)
 	sdb.SetMetrics(reg)
 	sdb.SetPolicy(Policy{ShardTimeout: 50 * time.Millisecond, AllowPartial: true})
+	base := runtime.NumGoroutine()
 
 	matches, st, per, err := sdb.SearchShardsCtx(context.Background(), q, 0.25)
 	if err != nil {
@@ -178,6 +201,7 @@ func TestFaultPartialResultFlagged(t *testing.T) {
 	if got := reg.Counter("mdseq_shard_deadline_hits_total", "").Value(); got == 0 {
 		t.Fatal("deadline_hits_total = 0, want >= 1")
 	}
+	waitGoroutines(t, base)
 }
 
 // TestFaultRetryRecovers: a shard that fails once and then heals is
@@ -229,6 +253,7 @@ func TestFaultHedgeWinsAndCancelsPrimary(t *testing.T) {
 	sdb, q, fdb := faultFixture(t, 4, 2, Fault{Hang: true})
 	sdb.SetMetrics(reg)
 	sdb.SetPolicy(Policy{ShardTimeout: 10 * time.Second, HedgeAfter: 10 * time.Millisecond})
+	base := runtime.NumGoroutine()
 
 	t0 := time.Now()
 	_, st, err := sdb.SearchCtx(context.Background(), q, 0.25)
@@ -256,6 +281,7 @@ func TestFaultHedgeWinsAndCancelsPrimary(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { return fdb.Released() == 1 },
 		"wedged primary canceled after the hedge won")
+	waitGoroutines(t, base)
 }
 
 // TestFaultHedgeLosesCleanly: a hedge that fires but is beaten by its
@@ -267,6 +293,7 @@ func TestFaultHedgeLosesCleanly(t *testing.T) {
 	sdb, q, _ := faultFixture(t, 4, 1, Fault{Delay: 30 * time.Millisecond}, Fault{Hang: true})
 	sdb.SetMetrics(reg)
 	sdb.SetPolicy(Policy{ShardTimeout: 10 * time.Second, HedgeAfter: 5 * time.Millisecond})
+	base := runtime.NumGoroutine()
 
 	_, st, err := sdb.SearchCtx(context.Background(), q, 0.25)
 	if err != nil {
@@ -281,6 +308,9 @@ func TestFaultHedgeLosesCleanly(t *testing.T) {
 	if got := reg.Counter("mdseq_shard_hedges_lost_total", "").Value(); got != 1 {
 		t.Fatalf("hedges_lost_total = %d, want 1", got)
 	}
+	// The hanging hedge outlives the answer until the winner's return
+	// cancels it.
+	waitGoroutines(t, base)
 }
 
 // TestFaultKNNDeadlineAndPartial: the kNN scatter honors the same policy
@@ -292,6 +322,7 @@ func TestFaultKNNDeadlineAndPartial(t *testing.T) {
 	fdb := NewFaultDB(sdb.Shard(hung), Fault{Hang: true})
 	fdb.Cycle = true
 	sdb.SetShardBackend(hung, fdb)
+	base := runtime.NumGoroutine()
 
 	sdb.SetPolicy(Policy{ShardTimeout: 50 * time.Millisecond})
 	if _, err := sdb.SearchKNNCtx(context.Background(), q, 5); !errors.Is(err, context.DeadlineExceeded) {
@@ -311,6 +342,7 @@ func TestFaultKNNDeadlineAndPartial(t *testing.T) {
 			t.Fatalf("partial kNN returned a neighbor from the hung shard %d", hung)
 		}
 	}
+	waitGoroutines(t, base)
 }
 
 // TestFaultBackoffHonorsCallerDeadline: a retry loop with a long backoff
@@ -376,6 +408,8 @@ func TestFaultAllShardsDown(t *testing.T) {
 	}
 	sdb.SetPolicy(Policy{AllowPartial: true})
 	q := &core.Sequence{Label: "query", Points: seqs[0].Points[:16]}
+	base := runtime.NumGoroutine()
+	defer waitGoroutines(t, base)
 	if _, _, err := sdb.SearchCtx(context.Background(), q, 0.25); !errors.Is(err, errInjected) {
 		t.Fatalf("all shards down: err = %v, want errInjected", err)
 	}
@@ -392,6 +426,8 @@ func TestFaultPartialEqualsAnsweredShardsAcrossEps(t *testing.T) {
 	seqs := corpus(t, 36, 64, 11)
 	sdb := newSharded(t, clone(seqs), n)
 	q := &core.Sequence{Label: "query", Points: seqs[5].Points[4:36]}
+	base := runtime.NumGoroutine()
+	defer waitGoroutines(t, base)
 	for _, eps := range []float64{0.1, 0.2, 0.35} {
 		want := labelsOutsideShard(t, sdb, q, eps, hung)
 		f := NewFaultDB(sdb.Shard(hung), Fault{Err: errInjected})

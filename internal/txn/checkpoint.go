@@ -58,11 +58,13 @@ const drainInterval = 200 * time.Microsecond
 
 // Checkpoint folds the current delta into the base database, persists
 // an id-preserving base snapshot (durable mode), compacts the WAL to
-// the unfolded tail, and publishes a rebased (empty-delta) state.
+// the records after it, and publishes a rebased (empty-delta) state.
 // Readers are never blocked: they keep querying throughout — the only
 // wait is the checkpoint's own drain of snapshots taken before the fold
 // point, which must be released before the base may change under them.
 // Concurrent commits keep flowing; they land in the post-fold delta.
+// The automatic checkpoints of Options.CheckpointEvery fold the same
+// way but persist only when the WAL has outgrown the last snapshot.
 func (db *DB) Checkpoint() error {
 	return db.CheckpointCtx(context.Background())
 }
@@ -76,19 +78,25 @@ func (db *DB) CheckpointCtx(ctx context.Context) error {
 	if tr != nil {
 		t0 := time.Now()
 		cut := db.cur.Load()
-		err := db.checkpointLocked()
+		err := db.checkpoint(true)
 		tr.RecordSpan(obs.SpanFromContext(ctx), "checkpoint", time.Since(t0),
 			obs.Int64("snapshot_epoch", int64(cut.epoch)),
 			obs.Int("delta_len", cut.deltaLen()),
 			obs.Bool("ok", err == nil))
 		return err
 	}
-	return db.checkpointLocked()
+	return db.checkpoint(true)
 }
 
-// checkpointLocked is the checkpoint body (see Checkpoint for the
-// contract).
-func (db *DB) checkpointLocked() error {
+// checkpoint is the checkpoint body (see Checkpoint for the contract).
+// It always folds; it persists when force is set or the WAL holds at
+// least as many bytes as the promoted snapshot. That rule bounds the
+// snapshot bytes written by the WAL bytes written plus one snapshot, and
+// recovery's replay by about one snapshot's worth of WAL. A fold-only
+// checkpoint leaves CURRENT, the WAL and ckptLSN alone: recovery loads
+// the old snapshot and replays the folded records into the same ids, as
+// it replays any tail.
+func (db *DB) checkpoint(force bool) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
@@ -123,7 +131,10 @@ func (db *DB) checkpointLocked() error {
 		db.stats.ckptErrs.Add(1)
 		return fmt.Errorf("txn: checkpoint fold id drift: base next id %d, want %d", got, wantNext)
 	}
-	if db.log != nil {
+	// Without a log there is nothing to write: every fold is the recovery
+	// point.
+	persist := db.log == nil || force || db.log.Size() >= db.snapBytes
+	if persist && db.log != nil {
 		if err := db.persistSnapshot(cut.lastLSN); err != nil {
 			db.stats.ckptErrs.Add(1)
 			return fmt.Errorf("txn: checkpoint persist: %w", err)
@@ -136,6 +147,7 @@ func (db *DB) checkpointLocked() error {
 		cutRemoved:  len(cut.removed),
 		cutLSN:      cut.lastLSN,
 		newBaseNext: wantNext,
+		persisted:   persist,
 	}}
 	if err := db.submit(req); err != nil {
 		return err
@@ -147,7 +159,7 @@ func (db *DB) checkpointLocked() error {
 		m.checkpoints.Inc()
 		m.ckptSeconds.Observe(time.Since(t0).Seconds())
 	}
-	if db.log != nil {
+	if persist && db.log != nil {
 		db.pruneSnapshots(cut.lastLSN)
 	}
 	// A failed WAL compaction (res.err) is reported but not fatal: the
@@ -286,7 +298,24 @@ func (db *DB) persistSnapshot(lsn uint64) error {
 	if err := os.Rename(tmp, filepath.Join(db.opts.Dir, currentFile)); err != nil {
 		return err
 	}
+	db.snapBytes = snapshotBytes(dir)
 	return syncDir(db.opts.Dir)
+}
+
+// snapshotBytes sums the sizes of the files in a snapshot directory (0
+// when it does not exist).
+func snapshotBytes(dir string) int64 {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0
+	}
+	var n int64
+	for _, e := range entries {
+		if fi, err := e.Info(); err == nil && fi.Mode().IsRegular() {
+			n += fi.Size()
+		}
+	}
+	return n
 }
 
 // pruneSnapshots deletes snapshot directories other than the live one.
@@ -468,16 +497,18 @@ func loadBaseV2(path string, dim int, cfg core.PartitionConfig, quant bool, next
 	return base, lsn, nil
 }
 
-// openLog opens the WAL and replays the unfolded tail into the delta
-// state, restoring every acknowledged commit the snapshot predates.
-// Runs before the committer starts, so it may mutate the initial state
-// in place.
+// openLog opens the WAL and replays the records after the snapshot into
+// the delta state, restoring every acknowledged commit the snapshot
+// predates, and places each in the log for compaction. Runs before the
+// committer starts, so it may mutate the initial state in place.
 func (db *DB) openLog() error {
 	st := db.cur.Load()
 	ckptLSN := db.ckptLSN.Load()
 	maxLSN := ckptLSN
 	replayed := 0
+	end := pager.LogHeaderSize
 	log, err := pager.OpenLog(filepath.Join(db.opts.Dir, walFile), func(payload []byte) error {
+		end += pager.LogFrameSize + int64(len(payload))
 		lsn, ops, err := decodeRecord(payload, db.base.Dim())
 		if err != nil {
 			return err
@@ -494,7 +525,7 @@ func (db *DB) openLog() error {
 		st.epoch++
 		st.lastLSN = lsn
 		maxLSN = lsn
-		db.tailRecs = append(db.tailRecs, tailRec{lsn: lsn, payload: payload})
+		db.tailRecs = append(db.tailRecs, tailRec{lsn: lsn, end: end})
 		replayed++
 		return nil
 	})

@@ -82,7 +82,7 @@ func (db *DB) collectBatch(first *commitReq) []*commitReq {
 func (db *DB) processBatch(reqs []*commitReq) {
 	pend := db.beginPending()
 	var group []*commitReq
-	var recs []tailRec
+	var recs []logRec
 	for _, req := range reqs {
 		if req.rebase != nil {
 			pend = db.flushGroup(pend, group, recs)
@@ -129,7 +129,7 @@ func (db *DB) beginPending() *state {
 // state; and the group's LSNs were never published, so they are returned
 // to keep the LSN sequence gap-free (handleRebase sizes the tail by LSN
 // arithmetic).
-func (db *DB) discardPending(recs []tailRec) *state {
+func (db *DB) discardPending(recs []logRec) *state {
 	db.nextLSN -= uint64(len(recs))
 	pend := db.beginPending()
 	db.work.reset(pend)
@@ -140,7 +140,7 @@ func (db *DB) discardPending(recs []tailRec) *state {
 // state, and acknowledges the requests — in that order, so an
 // acknowledged commit is always on disk (unless NoFsync) and always
 // readable by its own writer. Returns the state to keep building on.
-func (db *DB) flushGroup(pend *state, group []*commitReq, recs []tailRec) *state {
+func (db *DB) flushGroup(pend *state, group []*commitReq, recs []logRec) *state {
 	if len(group) == 0 {
 		return pend
 	}
@@ -152,11 +152,13 @@ func (db *DB) flushGroup(pend *state, group []*commitReq, recs []tailRec) *state
 	}
 	if db.log != nil {
 		preSize := db.log.Size()
+		preTail := len(db.tailRecs)
 		err := func() error {
 			for _, r := range recs {
 				if err := db.log.Append(r.payload); err != nil {
 					return err
 				}
+				db.tailRecs = append(db.tailRecs, tailRec{lsn: r.lsn, end: db.log.Size()})
 			}
 			if !db.opts.NoFsync {
 				if err := db.log.Sync(); err != nil {
@@ -178,6 +180,7 @@ func (db *DB) flushGroup(pend *state, group []*commitReq, recs []tailRec) *state
 			if terr := db.log.Truncate(preSize); terr != nil {
 				db.wedged.Store(true)
 			}
+			db.tailRecs = db.tailRecs[:preTail]
 			for _, req := range group {
 				req.resp <- commitRes{err: fmt.Errorf("txn: commit not durable: %w", err)}
 			}
@@ -195,9 +198,6 @@ func (db *DB) flushGroup(pend *state, group []*commitReq, recs []tailRec) *state
 		db.stats.tailSince.Store(time.Now().UnixNano())
 	}
 	db.tailLen += len(recs)
-	if db.log != nil {
-		db.tailRecs = append(db.tailRecs, recs...)
-	}
 	db.stats.commits.Add(uint64(len(group)))
 	db.stats.records.Add(uint64(len(recs)))
 	db.stats.groups.Add(1)
@@ -221,37 +221,40 @@ func (db *DB) flushGroup(pend *state, group []*commitReq, recs []tailRec) *state
 		req.res.group = len(group)
 		req.resp <- req.res
 	}
-	if db.opts.CheckpointEvery > 0 && db.tailLen >= db.opts.CheckpointEvery {
-		select {
-		case db.ckptKick <- struct{}{}:
-		default:
-		}
-	}
+	db.paceFold()
 	return db.beginPending()
+}
+
+// logRec is one commit record on its way to the log: its LSN and, in
+// durable mode, its encoded payload, which lives only until the group's
+// append.
+type logRec struct {
+	lsn     uint64
+	payload []byte
 }
 
 // applyReq validates and applies one request's ops onto pend and encodes
 // its WAL record. On error pend (and the mirror maps) are left exactly
 // as before the call and no LSN is consumed.
-func (db *DB) applyReq(pend *state, req *commitReq) (firstID uint32, rec tailRec, err error) {
+func (db *DB) applyReq(pend *state, req *commitReq) (firstID uint32, rec logRec, err error) {
 	// Reject a commit the record format (or the log) cannot carry before
 	// applying anything, so one oversized request fails alone instead of
 	// failing its whole group at append time.
 	if len(req.ops) > maxRecOps {
-		return 0, tailRec{}, fmt.Errorf("txn: commit of %d ops exceeds the %d-op record limit; split the batch", len(req.ops), maxRecOps)
+		return 0, logRec{}, fmt.Errorf("txn: commit of %d ops exceeds the %d-op record limit; split the batch", len(req.ops), maxRecOps)
 	}
 	if db.log != nil {
 		if n := recordSize(req.ops, db.base.Dim()); n > pager.MaxLogRecord {
-			return 0, tailRec{}, fmt.Errorf("txn: commit encodes to %d bytes, exceeding the %d-byte WAL record limit; split the batch", n, pager.MaxLogRecord)
+			return 0, logRec{}, fmt.Errorf("txn: commit encodes to %d bytes, exceeding the %d-byte WAL record limit; split the batch", n, pager.MaxLogRecord)
 		}
 	}
 	firstID, err = db.applyOps(pend, req.ops)
 	if err != nil {
-		return 0, tailRec{}, err
+		return 0, logRec{}, err
 	}
 	lsn := db.nextLSN
 	db.nextLSN++
-	rec = tailRec{lsn: lsn}
+	rec = logRec{lsn: lsn}
 	if db.log != nil {
 		rec.payload = encodeRecord(lsn, req.ops, db.base.Dim())
 	}
@@ -368,8 +371,9 @@ func (u *reqUndo) apply(pend *state, w *workState) {
 
 // handleRebase atomically switches the published state to post-fold
 // coordinates: the folded delta prefix is dropped (the base now serves
-// it), the WAL tail is compacted, and the checkpoint LSN advances. Runs
-// in the committer so no commit interleaves with the switch.
+// it). After a persist the checkpoint LSN also advances and the WAL is
+// compacted. Runs in the committer so no commit interleaves with the
+// switch.
 func (db *DB) handleRebase(req *commitReq) {
 	rb := req.rebase
 	cur := db.cur.Load()
@@ -384,15 +388,6 @@ func (db *DB) handleRebase(req *commitReq) {
 	}
 	db.cur.Store(ns)
 	db.work.reset(ns)
-
-	keep := db.tailRecs[:0:0]
-	for _, r := range db.tailRecs {
-		if r.lsn > rb.cutLSN {
-			keep = append(keep, r)
-		}
-	}
-	db.tailRecs = keep
-	db.ckptLSN.Store(rb.cutLSN)
 	db.tailLen = int(db.nextLSN - 1 - rb.cutLSN)
 	if db.tailLen == 0 {
 		db.stats.tailSince.Store(0)
@@ -401,17 +396,36 @@ func (db *DB) handleRebase(req *commitReq) {
 	// carries over.)
 
 	var err error
-	if db.log != nil {
-		payloads := make([][]byte, len(keep))
-		for i, r := range keep {
-			payloads[i] = r.payload
-		}
-		// A failed rewrite is not fatal: the snapshot is already
-		// promoted, so recovery skips the folded records by LSN; the log
-		// just stays fat until the next checkpoint compacts it.
-		err = db.log.Rewrite(payloads)
+	if rb.persisted {
+		db.ckptLSN.Store(rb.cutLSN)
+		err = db.compactLog(rb.cutLSN)
 	}
-	req.resp <- commitRes{err: err, tail: keep}
+	req.resp <- commitRes{err: err}
+}
+
+// compactLog drops the records up to cutLSN, which the promoted snapshot
+// holds, from the tail and cuts them off the front of the WAL. A failed
+// rewrite is not fatal: recovery skips those records by LSN, the log
+// just stays fat until the next persist cuts further, and the kept
+// offsets still place the records in the uncut file.
+func (db *DB) compactLog(cutLSN uint64) error {
+	n := 0
+	for n < len(db.tailRecs) && db.tailRecs[n].lsn <= cutLSN {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	off := db.tailRecs[n-1].end
+	db.tailRecs = append(db.tailRecs[:0], db.tailRecs[n:]...)
+	before := db.log.Size()
+	err := db.log.RewriteFrom(off)
+	if shift := before - db.log.Size(); shift != 0 {
+		for i := range db.tailRecs {
+			db.tailRecs[i].end -= shift
+		}
+	}
+	return err
 }
 
 // rebaseReq tells the committer where a completed fold cut the delta.
@@ -421,4 +435,7 @@ type rebaseReq struct {
 	cutRemoved  int
 	cutLSN      uint64
 	newBaseNext uint32
+	// persisted reports that the snapshot at cutLSN was promoted (always
+	// so without a log, where every fold is the recovery point).
+	persisted bool
 }

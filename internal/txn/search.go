@@ -478,16 +478,16 @@ func (db *DB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k int, m
 }
 
 // Explain records every pruning decision the paper's range search makes.
-// The index only covers the base, so Explain first folds the delta (a
-// checkpoint) — once the query has passed core.Query.Check, so a query
-// that will be refused costs no fold — and then explains against the fully
-// indexed corpus.
+// The index only covers the base, so Explain first folds the delta (an
+// automatic checkpoint: it persists only by the WAL-size rule) — once the
+// query has passed core.Query.Check, so a query that will be refused
+// costs no fold — and then explains against the fully indexed corpus.
 func (db *DB) Explain(q *core.Sequence, eps float64) (*core.Explanation, error) {
 	if err := (core.Query{Seq: q, Eps: eps}).Check(db.Dim()); err != nil {
 		return nil, err
 	}
 	if db.cur.Load().deltaLen() > 0 {
-		if err := db.Checkpoint(); err != nil {
+		if err := db.checkpoint(false); err != nil {
 			return nil, err
 		}
 	}

@@ -42,7 +42,6 @@ type commitReq struct {
 type commitRes struct {
 	err     error
 	firstID uint32 // id of the request's first opAdd (adds get consecutive ids)
-	tail    []tailRec
 	// group is how many requests shared this request's fsync — the WAL
 	// group-commit batch size, surfaced as a span attribute so a slow
 	// write can be attributed to (or exonerated from) group formation.

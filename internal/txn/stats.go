@@ -22,8 +22,7 @@ type statsCounters struct {
 	snapshots   atomic.Int64
 	drainNanos  atomic.Int64
 	// tailSince is the unix-nano arrival time of the oldest commit not
-	// yet folded into the base (0 = delta empty): the age of the work a
-	// crash would replay and the staleness of the on-disk base snapshot.
+	// yet folded into the base (0 = delta empty).
 	tailSince     atomic.Int64
 	lastCkptNanos atomic.Int64
 }
@@ -35,7 +34,9 @@ type Stats struct {
 	Epoch uint64 `json:"epoch"`
 	// LastLSN is the WAL position of the newest committed record.
 	LastLSN uint64 `json:"last_lsn"`
-	// CheckpointLSN is the WAL position folded into the base snapshot.
+	// CheckpointLSN is the WAL position the promoted base snapshot holds,
+	// where recovery starts replaying. Folds that persist nothing leave
+	// it behind LastLSN.
 	CheckpointLSN uint64 `json:"checkpoint_lsn"`
 	// Live is the number of visible sequences.
 	Live int `json:"live"`
@@ -59,8 +60,8 @@ type Stats struct {
 	MeanGroupSize float64 `json:"mean_group_size"`
 	// WALBytes counts payload bytes appended over the database's life.
 	WALBytes uint64 `json:"wal_bytes"`
-	// WALSizeBytes is the current log file size (drops at each
-	// checkpoint compaction).
+	// WALSizeBytes is the current log file size (drops when a checkpoint
+	// persists a snapshot and compacts the log).
 	WALSizeBytes int64 `json:"wal_size_bytes"`
 	// Checkpoints counts completed delta folds.
 	Checkpoints uint64 `json:"checkpoints"`
@@ -76,8 +77,8 @@ type Stats struct {
 	RecoveredRecords uint64 `json:"recovered_records"`
 	// SnapshotsPinned is the number of currently held read snapshots.
 	SnapshotsPinned int64 `json:"snapshots_pinned"`
-	// TailAge is the age of the oldest unfolded commit (0 = none): the
-	// base snapshot's staleness and the bound on recovery replay work.
+	// TailAge is the age of the oldest unfolded commit (0 = none): how
+	// long the delta the queries scan has been growing.
 	TailAge time.Duration `json:"tail_age_ns"`
 }
 

@@ -17,9 +17,10 @@
 // applied to a pending state, encoded into one WAL record each, made
 // durable with a single fsync, and only then published and acknowledged
 // — an acknowledged commit is on disk. Checkpoints fold the delta into
-// the base, persist an id-preserving base snapshot, and compact the WAL
-// to the unfolded tail; crash recovery loads the snapshot and replays
-// the tail, restoring exactly the acknowledged commits with the same
+// the base; once the WAL has outgrown the last snapshot, a checkpoint
+// also persists an id-preserving base snapshot and compacts the WAL to
+// the records after it. Crash recovery loads the snapshot and replays
+// the WAL, restoring exactly the acknowledged commits with the same
 // sequence ids.
 package txn
 
@@ -27,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,8 +63,10 @@ type Options struct {
 	// Zero batches only what is already queued (no added latency).
 	GroupWindow time.Duration
 	// CheckpointEvery folds the delta into the base automatically after
-	// that many committed WAL records (0 = checkpoint only on demand).
-	// It bounds both recovery replay time and the per-query delta scan.
+	// that many committed WAL records (0 = checkpoint only on demand),
+	// bounding the per-query delta scan. An automatic fold also persists
+	// a snapshot only when the WAL has grown to the last snapshot's size,
+	// so recovery replays at most about one snapshot's worth of WAL.
 	CheckpointEvery int
 	// QuantizedMBR is passed to the base database as
 	// core.Options.QuantizedMBR, where it is accepted and has no effect.
@@ -99,17 +103,22 @@ type DB struct {
 	acceptMu sync.RWMutex
 
 	ckptMu sync.Mutex // serializes Checkpoint; held across fold+persist
+	// snapBytes is the size of the promoted snapshot's files (0 without
+	// one): the WAL size at which an automatic checkpoint persists.
+	// Guarded by ckptMu.
+	snapBytes int64
 
 	// Committer-owned (only the committer goroutine touches these after
 	// Open/Wrap returns): working maps mirroring cur for O(1) effective
-	// lookups during validation, the WAL tail retained for compaction,
-	// and LSN bookkeeping.
+	// lookups during validation, the log offsets of the records after the
+	// promoted snapshot, and LSN bookkeeping.
 	work     workState
-	tailRecs []tailRec // durable mode: unfolded records, for WAL compaction
+	tailRecs []tailRec // durable mode: records after ckptLSN, for WAL compaction
 	tailLen  int       // unfolded record count (both modes), for fold pacing
 	nextLSN  uint64
-	// ckptLSN is the WAL position folded into the current base snapshot;
-	// atomic because Stats reads it outside the committer.
+	// ckptLSN is the WAL position the promoted base snapshot holds, where
+	// recovery starts; atomic because Stats reads it outside the
+	// committer.
 	ckptLSN atomic.Uint64
 
 	// wedged is set when the log reaches an unknowable on-disk state (an
@@ -121,12 +130,12 @@ type DB struct {
 	met   atomic.Pointer[metrics] // nil until SetMetrics
 }
 
-// tailRec is one WAL record not yet folded into a base snapshot, kept in
-// memory so checkpoint compaction can rewrite the log without
-// re-encoding. Bounded by the checkpoint cadence.
+// tailRec places one WAL record after the promoted snapshot: end is the
+// log offset just past it, so compaction can cut the log there without
+// holding any payload.
 type tailRec struct {
-	lsn     uint64
-	payload []byte
+	lsn uint64
+	end int64
 }
 
 // ErrClosed is returned by operations on a closed database.
@@ -156,7 +165,8 @@ func Wrap(base *core.Database, opts Options) (*DB, error) {
 // Open opens (or creates) a durable transactional database in
 // opts.Dir: the latest base snapshot is loaded, the WAL tail is
 // replayed, and every previously acknowledged commit is visible again
-// under its original sequence id.
+// under its original sequence id. A replayed tail of CheckpointEvery
+// records or more is folded at once, not left to the next write.
 func Open(opts Options) (*DB, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("txn: Open requires Dir (use Wrap for a non-durable layer)")
@@ -167,11 +177,13 @@ func Open(opts Options) (*DB, error) {
 	}
 	db := newDB(base, opts)
 	db.ckptLSN.Store(ckptLSN)
+	db.snapBytes = snapshotBytes(filepath.Join(opts.Dir, snapName(ckptLSN)))
 	db.nextLSN = ckptLSN + 1
 	if err := db.openLog(); err != nil {
 		base.Close()
 		return nil, err
 	}
+	db.paceFold()
 	db.start()
 	return db, nil
 }
@@ -211,12 +223,23 @@ func (db *DB) start() {
 			case <-db.stopCh:
 				return
 			case <-db.ckptKick:
-				if err := db.Checkpoint(); err != nil {
+				if err := db.checkpoint(false); err != nil {
 					db.stats.ckptErrs.Add(1)
 				}
 			}
 		}
 	}()
+}
+
+// paceFold kicks the checkpoint pacer once CheckpointEvery records are
+// unfolded. Called by the committer, and by Open before it starts.
+func (db *DB) paceFold() {
+	if db.opts.CheckpointEvery > 0 && db.tailLen >= db.opts.CheckpointEvery {
+		select {
+		case db.ckptKick <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Close stops the committer (letting queued commits finish), syncs the

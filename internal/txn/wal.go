@@ -99,7 +99,9 @@ func decodeRecord(payload []byte, dim int) (lsn uint64, ops []op, err error) {
 	r := recReader{buf: payload}
 	lsn = r.u64()
 	nops := int(r.u32())
-	if r.err != nil || nops > maxRecOps {
+	// The smallest op ('R') is 5 bytes, so a count the payload cannot hold
+	// is refused before it sizes an allocation.
+	if r.err != nil || nops > maxRecOps || nops*5 > len(payload)-r.off {
 		return 0, nil, ErrBadRecord
 	}
 	ops = make([]op, 0, nops)
