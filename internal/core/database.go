@@ -22,15 +22,11 @@ type Options struct {
 	Dim int
 	// Partition tunes the MCOST segmentation (zero value → paper defaults).
 	Partition PartitionConfig
-	// PageSize and PoolPages configure the index's page store
-	// (0 → pager defaults).
-	PageSize, PoolPages int
+	// PoolPages is the index page store's buffer-pool capacity in pages
+	// (0 → the pager's default). Pages are pager.DefaultPageSize bytes.
+	PoolPages int
 	// Path backs the index with a file; empty runs in memory.
 	Path string
-	// WAL enables write-ahead logging on the index file (requires Path):
-	// every Add/Remove becomes crash-atomic and reopening after a crash
-	// replays any committed-but-unapplied index updates.
-	WAL bool
 	// MaxEntries overrides the R*-tree fanout (0 → derive from page size).
 	MaxEntries int
 	// QuantizedMBR is accepted and has no effect on search. It used to
@@ -38,7 +34,8 @@ type Options struct {
 	// the candidate's float32 bounds before the exact Dnorm work; phase 3
 	// now evaluates only the pairs phase 2's index probe hit, and a hit
 	// pair always passes that screen, so it is no longer consulted. The
-	// field stays until its flags are retired (ROADMAP item 5).
+	// field stays until a benchmark-only PR re-points `bench/`, which
+	// still passes it.
 	QuantizedMBR bool
 }
 
@@ -76,12 +73,7 @@ func NewDatabase(opts Options) (*Database, error) {
 	if err := opts.Partition.validate(); err != nil {
 		return nil, err
 	}
-	pg, err := pager.Open(pager.Options{
-		PageSize:  opts.PageSize,
-		PoolPages: opts.PoolPages,
-		Path:      opts.Path,
-		WAL:       opts.WAL,
-	})
+	pg, err := pager.Open(pager.Options{PoolPages: opts.PoolPages, Path: opts.Path})
 	if err != nil {
 		return nil, err
 	}
@@ -181,12 +173,7 @@ func openIndexed(opts Options) (*Database, error) {
 	if err := opts.Partition.validate(); err != nil {
 		return nil, err
 	}
-	pg, err := pager.Open(pager.Options{
-		PageSize:  opts.PageSize,
-		PoolPages: opts.PoolPages,
-		Path:      opts.Path,
-		WAL:       opts.WAL,
-	})
+	pg, err := pager.Open(pager.Options{PoolPages: opts.PoolPages, Path: opts.Path})
 	if err != nil {
 		return nil, err
 	}

@@ -270,7 +270,7 @@ func TestFileBackedDatabase(t *testing.T) {
 	}
 	defer db.Close()
 	rng := rand.New(rand.NewSource(47))
-	populateWalks(t, db, 20, rng)
+	seqs := populateWalks(t, db, 20, rng)
 	q := randWalkSeq(rng, 25, 3)
 	matches, _, err := db.Search(q, 0.3)
 	if err != nil {
@@ -285,6 +285,25 @@ func TestFileBackedDatabase(t *testing.T) {
 		if !inGot[r.SeqID] {
 			t.Errorf("file-backed search dismissed %d", r.SeqID)
 		}
+	}
+
+	// A Remove leaves every other sequence findable.
+	if err := db.Remove(4); err != nil {
+		t.Fatal(err)
+	}
+	matches, _, err = db.Search(&Sequence{Points: seqs[9].Points[5:30]}, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, m := range matches {
+		found = found || m.SeqID == 9
+		if m.SeqID == 4 {
+			t.Error("removed sequence 4 still answers")
+		}
+	}
+	if !found {
+		t.Error("file-backed database lost sequence 9 after a Remove")
 	}
 }
 
@@ -362,36 +381,5 @@ func TestPartitionConfigAccessor(t *testing.T) {
 	db := newTestDB(t, 3)
 	if got := db.PartitionConfig(); got != DefaultPartitionConfig() {
 		t.Errorf("PartitionConfig = %+v", got)
-	}
-}
-
-func TestWALBackedDatabase(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "walidx.db")
-	db, err := NewDatabase(Options{Dim: 3, Path: path, WAL: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	rng := rand.New(rand.NewSource(90))
-	seqs := populateWalks(t, db, 15, rng)
-	if err := db.Remove(4); err != nil {
-		t.Fatal(err)
-	}
-	q := &Sequence{Points: seqs[9].Points[5:30]}
-	matches, _, err := db.Search(q, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range matches {
-		if m.SeqID == 9 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("WAL-backed database lost a sequence")
-	}
-	if _, err := NewDatabase(Options{Dim: 3, WAL: true}); err == nil {
-		t.Error("WAL without Path accepted")
 	}
 }

@@ -208,9 +208,9 @@ func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 }
 
 // The methods below are Do under the names bench/ compiles against — the
-// harness is frozen until ROADMAP item 5 re-points it — each a one-line
-// adapter; DESIGN's "Query path" section lists, per name, the bench/ line
-// that pins it. New code calls Do.
+// harness is frozen until a benchmark-only PR re-points `bench/` — each a
+// one-line adapter; DESIGN's "Query path" section lists, per name, the
+// bench/ line that pins it. New code calls Do.
 
 // Search is Do for the paper's range search, without a context.
 func (db *Database) Search(q *Sequence, eps float64) ([]Match, SearchStats, error) {

@@ -35,14 +35,3 @@ func (l *lruList) unlink(fr *frame) {
 	}
 	fr.prev, fr.next = nil, nil
 }
-
-// victim returns the least recently unpinned frame for which skip is
-// false, or nil.
-func (l *lruList) victim(skip func(*frame) bool) *frame {
-	for fr := l.tail; fr != nil; fr = fr.prev {
-		if !skip(fr) {
-			return fr
-		}
-	}
-	return nil
-}

@@ -7,9 +7,10 @@
 // A Pager can be backed by a file on disk or run fully in memory (for tests
 // and benchmarks that should not touch the filesystem). Pages are addressed
 // by a dense PageID starting at 0; page 0 is conventionally the caller's
-// metadata page. Freed pages are recycled through an in-memory free list
-// that the caller is expected to persist in its metadata if it needs frees
-// to survive reopen (the R*-tree does).
+// metadata page. The pager only grows: a caller that recycles pages keeps
+// its own free list (the R*-tree chains freed pages through its meta page).
+// Pages make no crash promise: durability is the record log (Log) that
+// internal/txn appends to, plus txn's atomic checkpoints.
 package pager
 
 import (
@@ -40,7 +41,6 @@ type Stats struct {
 	Reads   uint64 // physical page reads from the backing store
 	Writes  uint64 // physical page writes to the backing store
 	Allocs  uint64 // pages allocated
-	Frees   uint64 // pages freed
 	Evicted uint64 // frames evicted from the buffer pool
 }
 
@@ -64,10 +64,6 @@ type Options struct {
 	PoolPages int
 	// Path is the backing file. Empty means an in-memory store.
 	Path string
-	// WAL enables write-ahead logging (requires Path): Begin/Commit bound
-	// atomic multi-page transactions, and Open replays any committed but
-	// unapplied transactions left by a crash. The log lives at Path+".wal".
-	WAL bool
 }
 
 var (
@@ -109,17 +105,8 @@ type Pager struct {
 	frames   map[PageID]*frame
 	lru      lruList // unpinned frames, the eviction order
 	nPages   PageID
-	freeList []PageID
 	stats    Stats
 	closed   bool
-
-	// Write-ahead logging state (nil log when WAL is disabled).
-	log      *wal
-	inTxn    bool
-	txnPages map[PageID]bool // pages dirtied by the open transaction
-	// crashAfterWALSync makes Commit stop right after the log fsync —
-	// fault injection for recovery tests.
-	crashAfterWALSync bool
 }
 
 // Open creates or opens a pager. If opts.Path exists, its page count is
@@ -145,9 +132,6 @@ func Open(opts Options) (*Pager, error) {
 		frames:   make(map[PageID]*frame),
 	}
 	if opts.Path == "" {
-		if opts.WAL {
-			return nil, errors.New("pager: WAL requires a backing file path")
-		}
 		p.be = &memBackend{pageSize: ps}
 		return p, nil
 	}
@@ -166,154 +150,13 @@ func Open(opts Options) (*Pager, error) {
 	}
 	p.be = &fileBackend{f: f, pageSize: ps}
 	p.nPages = PageID(fi.Size() / int64(ps))
-	if opts.WAL {
-		// Redo any committed-but-unapplied transactions, then start with
-		// an empty log.
-		walPath := opts.Path + ".wal"
-		if _, err := recoverWAL(walPath, ps, p.be, &p.nPages); err != nil {
-			f.Close()
-			return nil, err
-		}
-		// Replay may have grown the file.
-		if fi2, err := f.Stat(); err == nil {
-			p.nPages = PageID(fi2.Size() / int64(ps))
-		}
-		log, err := openWAL(walPath, ps)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := log.reset(); err != nil {
-			log.close()
-			f.Close()
-			return nil, err
-		}
-		p.log = log
-	}
 	return p, nil
 }
-
-// Begin starts a transaction: subsequent writes are applied atomically by
-// Commit. Without WAL it is a no-op. Transactions do not nest.
-func (p *Pager) Begin() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if p.log == nil {
-		return nil
-	}
-	if p.inTxn {
-		return ErrTxnActive
-	}
-	p.inTxn = true
-	p.txnPages = make(map[PageID]bool)
-	return nil
-}
-
-// Commit makes the open transaction durable: its pages are appended to
-// the log, fsynced, applied to the main file, fsynced, and the log is
-// truncated. Without WAL it is a no-op.
-func (p *Pager) Commit() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if p.log == nil {
-		return nil
-	}
-	if !p.inTxn {
-		return ErrNoTxn
-	}
-	images := make(map[PageID][]byte, len(p.txnPages))
-	for id := range p.txnPages {
-		fr, ok := p.frames[id]
-		if !ok {
-			return fmt.Errorf("pager: txn page %d evicted (no-steal violated)", id)
-		}
-		images[id] = fr.data
-	}
-	if len(images) > 0 {
-		if err := p.log.append(images); err != nil {
-			return err
-		}
-		if p.crashAfterWALSync {
-			return errSimulatedCrash
-		}
-		for id := range images {
-			if err := p.physWrite(p.frames[id]); err != nil {
-				return err
-			}
-		}
-		if err := p.be.sync(); err != nil {
-			return err
-		}
-		if err := p.log.reset(); err != nil {
-			return err
-		}
-	}
-	p.inTxn = false
-	p.txnPages = nil
-	return nil
-}
-
-// Rollback abandons the open transaction: its dirty pages are dropped
-// from the pool (the main file still holds the pre-transaction images, by
-// the no-steal rule). Pages allocated inside the transaction become
-// unreferenced slack in the file; callers' metadata rolls back with the
-// transaction, so nothing dangles. Without WAL it is a no-op.
-func (p *Pager) Rollback() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if p.log == nil {
-		return nil
-	}
-	if !p.inTxn {
-		return ErrNoTxn
-	}
-	for id := range p.txnPages {
-		if fr, ok := p.frames[id]; ok {
-			if fr.pins > 0 {
-				return fmt.Errorf("pager: rolling back pinned page %d", id)
-			}
-			p.lru.unlink(fr)
-			delete(p.frames, id)
-		}
-	}
-	p.inTxn = false
-	p.txnPages = nil
-	return nil
-}
-
-// InTxn reports whether a transaction is open.
-func (p *Pager) InTxn() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inTxn
-}
-
-// FailCommitAfterWALSync arms (or disarms) fault injection: the next
-// Commit will stop right after the log reaches durability, simulating a
-// crash before the main file is updated. For recovery tests only.
-func (p *Pager) FailCommitAfterWALSync(v bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.crashAfterWALSync = v
-}
-
-// IsSimulatedCrash reports whether err came from fault injection.
-func IsSimulatedCrash(err error) bool { return errors.Is(err, errSimulatedCrash) }
 
 // PageSize returns the configured page size in bytes.
 func (p *Pager) PageSize() int { return p.pageSize }
 
-// NumPages returns the number of allocated pages (including freed ones
-// still occupying slots in the backing store).
+// NumPages returns the number of allocated pages.
 func (p *Pager) NumPages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -334,79 +177,28 @@ func (p *Pager) ResetStats() {
 	p.stats = Stats{}
 }
 
-// Alloc allocates a new page (recycling a freed one if available) and
-// returns its id. The page contents are zeroed.
+// Alloc appends a new zeroed page and returns its id.
 func (p *Pager) Alloc() (PageID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return InvalidPage, ErrClosed
 	}
-	p.stats.Allocs++
-	var id PageID
-	if n := len(p.freeList); n > 0 {
-		id = p.freeList[n-1]
-		p.freeList = p.freeList[:n-1]
-	} else {
-		id = p.nPages
-		p.nPages++
-		if err := p.be.grow(int(p.nPages)); err != nil {
-			p.nPages--
-			return InvalidPage, err
-		}
+	if err := p.be.grow(int(p.nPages) + 1); err != nil {
+		return InvalidPage, err
 	}
-	// Materialize a zeroed frame so the caller can write immediately.
+	id := p.nPages
+	p.nPages++
+	p.stats.Allocs++
+	// A grown page is never resident: frameFor makes it a fresh zeroed
+	// frame, dirty so it reaches the backing store.
 	fr, err := p.frameFor(id, false)
 	if err != nil {
 		return InvalidPage, err
 	}
-	for i := range fr.data {
-		fr.data[i] = 0
-	}
-	p.markDirty(fr)
+	fr.dirty = true
 	p.unpin(fr)
 	return id, nil
-}
-
-// Free returns a page to the free list. The caller must not use the id
-// again until it is re-allocated.
-func (p *Pager) Free(id PageID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if id >= p.nPages {
-		return fmt.Errorf("%w: %d (have %d)", ErrPageOutOfRange, id, p.nPages)
-	}
-	if fr, ok := p.frames[id]; ok {
-		if fr.pins > 0 {
-			return fmt.Errorf("pager: freeing pinned page %d", id)
-		}
-		p.lru.unlink(fr)
-		delete(p.frames, id)
-	}
-	p.stats.Frees++
-	p.freeList = append(p.freeList, id)
-	return nil
-}
-
-// FreePageIDs returns a copy of the current free list (for callers that
-// persist it in their metadata page).
-func (p *Pager) FreePageIDs() []PageID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]PageID, len(p.freeList))
-	copy(out, p.freeList)
-	return out
-}
-
-// SetFreePageIDs replaces the free list, e.g. after reopening a file whose
-// metadata recorded it.
-func (p *Pager) SetFreePageIDs(ids []PageID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.freeList = append(p.freeList[:0], ids...)
 }
 
 // Read copies the contents of page id into buf (which must be exactly one
@@ -445,7 +237,7 @@ func (p *Pager) Write(id PageID, buf []byte) error {
 		return err
 	}
 	copy(fr.data, buf)
-	p.markDirty(fr)
+	fr.dirty = true
 	p.unpin(fr)
 	return nil
 }
@@ -490,7 +282,7 @@ func (p *Pager) Update(id PageID, fn func(data []byte) error) error {
 	err = fn(fr.data)
 	p.mu.Lock()
 	if err == nil {
-		p.markDirty(fr)
+		fr.dirty = true
 	}
 	p.unpin(fr)
 	p.mu.Unlock()
@@ -503,9 +295,6 @@ func (p *Pager) Flush() error {
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrClosed
-	}
-	if p.inTxn {
-		return ErrTxnActive
 	}
 	for _, fr := range p.frames {
 		if fr.dirty {
@@ -525,10 +314,6 @@ func (p *Pager) Close() error {
 		p.mu.Unlock()
 		return nil
 	}
-	if p.inTxn {
-		p.mu.Unlock()
-		return ErrTxnActive
-	}
 	for _, fr := range p.frames {
 		if fr.pins > 0 {
 			p.mu.Unlock()
@@ -543,16 +328,9 @@ func (p *Pager) Close() error {
 	}
 	p.closed = true
 	be := p.be
-	log := p.log
 	p.frames = nil
 	p.lru = lruList{}
 	p.mu.Unlock()
-	if log != nil {
-		if err := log.close(); err != nil {
-			be.close()
-			return err
-		}
-	}
 	if err := be.sync(); err != nil {
 		be.close()
 		return err
@@ -595,12 +373,7 @@ func (p *Pager) makeRoom() error {
 	if len(p.frames) < p.pool {
 		return nil
 	}
-	// NO-STEAL: pages dirtied by the open transaction must stay resident
-	// until Commit writes them through the log; they are skipped when
-	// choosing a victim.
-	victim := p.lru.victim(func(fr *frame) bool {
-		return p.inTxn && p.txnPages[fr.id]
-	})
+	victim := p.lru.tail
 	if victim == nil {
 		return ErrPoolFull
 	}
@@ -613,15 +386,6 @@ func (p *Pager) makeRoom() error {
 	delete(p.frames, victim.id)
 	p.stats.Evicted++
 	return nil
-}
-
-// markDirty flags a frame dirty and records it in the open transaction's
-// write set. Caller holds p.mu.
-func (p *Pager) markDirty(fr *frame) {
-	fr.dirty = true
-	if p.inTxn {
-		p.txnPages[fr.id] = true
-	}
 }
 
 func (p *Pager) physWrite(fr *frame) error {

@@ -56,13 +56,13 @@ func BenchmarkChooseSubtree(b *testing.B) {
 	if err := tr.BulkLoad(bulkItemsBench(rng, 12000)); err != nil {
 		b.Fatal(err)
 	}
-	root, err := tr.readNode(tr.root)
+	root, err := tr.readNode(tr.root, tr.height)
 	if err != nil {
 		b.Fatal(err)
 	}
 	n := &node{}
 	for _, e := range root.entries {
-		parent, err := tr.readNode(e.child)
+		parent, err := tr.readNode(e.child, tr.height-1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func (t *Tree) BulkLoad(items []Item) error {
 	if len(items) == 0 {
 		return nil
 	}
-	return t.inTxn(func() error { return t.bulkLoadLocked(items) })
+	return t.mutate(func() error { return t.bulkLoadLocked(items) })
 }
 
 func (t *Tree) bulkLoadLocked(items []Item) error {
@@ -58,7 +58,7 @@ func (t *Tree) BulkLoadLeaves(leaves [][]Item) error {
 	if total == 0 {
 		return nil
 	}
-	return t.inTxn(func() error {
+	return t.mutate(func() error {
 		groups := make([][]entry, len(leaves))
 		for li, leaf := range leaves {
 			if len(leaf) == 0 || len(leaf) > t.maxEntries {

@@ -27,12 +27,9 @@ func (t *Tree) CheckInvariants() error {
 }
 
 func (t *Tree) checkRec(page pager.PageID, level uint32, root pager.PageID) (uint64, error) {
-	n, err := t.readNode(page)
+	n, err := t.readNode(page, level)
 	if err != nil {
 		return 0, err
-	}
-	if n.leaf != (level == 1) {
-		return 0, fmt.Errorf("rtree: node %d leaf=%v at level %d (height %d)", page, n.leaf, level, t.height)
 	}
 	if page == root {
 		if t.size > 0 && len(n.entries) == 0 {
@@ -47,7 +44,7 @@ func (t *Tree) checkRec(page pager.PageID, level uint32, root pager.PageID) (uin
 	}
 	var total uint64
 	for i := range n.entries {
-		child, err := t.readNode(n.entries[i].child)
+		child, err := t.readNode(n.entries[i].child, level-1)
 		if err != nil {
 			return 0, err
 		}
@@ -84,9 +81,9 @@ type TreeStats struct {
 func (t *Tree) Stats() (TreeStats, error) {
 	st := TreeStats{Height: int(t.height), Entries: int(t.size)}
 	var leafEntries, internalEntries int
-	var walk func(page pager.PageID) error
-	walk = func(page pager.PageID) error {
-		n, err := t.readNode(page)
+	var walk func(page pager.PageID, level uint32) error
+	walk = func(page pager.PageID, level uint32) error {
+		n, err := t.readNode(page, level)
 		if err != nil {
 			return err
 		}
@@ -98,13 +95,13 @@ func (t *Tree) Stats() (TreeStats, error) {
 		st.InternalNodes++
 		internalEntries += len(n.entries)
 		for i := range n.entries {
-			if err := walk(n.entries[i].child); err != nil {
+			if err := walk(n.entries[i].child, level-1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(t.root); err != nil {
+	if err := walk(t.root, t.height); err != nil {
 		return TreeStats{}, err
 	}
 	if st.LeafNodes > 0 {
@@ -118,7 +115,7 @@ func (t *Tree) Stats() (TreeStats, error) {
 
 // Bounds returns the MBR of the entire index (empty when the tree is empty).
 func (t *Tree) Bounds() (geom.Rect, error) {
-	n, err := t.readNode(t.root)
+	n, err := t.readNode(t.root, t.height)
 	if err != nil {
 		return geom.Rect{}, err
 	}

@@ -6,10 +6,9 @@ import (
 )
 
 // Delete removes the entry with exactly this rectangle and reference.
-// It returns ErrNotFound when no such entry exists. On a WAL-enabled
-// pager the condensation and reinsertions are one atomic transaction.
+// It returns ErrNotFound when no such entry exists.
 func (t *Tree) Delete(r geom.Rect, ref Ref) error {
-	return t.inTxn(func() error { return t.deleteLocked(r, ref) })
+	return t.mutate(func() error { return t.deleteLocked(r, ref) })
 }
 
 func (t *Tree) deleteLocked(r geom.Rect, ref Ref) error {
@@ -26,7 +25,7 @@ func (t *Tree) deleteLocked(r geom.Rect, ref Ref) error {
 	// Shrink the tree: while the root is internal with a single child,
 	// promote the child.
 	for t.height > 1 {
-		root, err := t.readNode(t.root)
+		root, err := t.readNode(t.root, t.height)
 		if err != nil {
 			return err
 		}
@@ -68,7 +67,7 @@ func (t *Tree) deleteLocked(r geom.Rect, ref Ref) error {
 // underflows (so the parent should dissolve it).
 func (t *Tree) deleteRec(page pager.PageID, level uint32, r geom.Rect, ref Ref,
 	orphans *[]pendingReinsert) (found bool, newMBR geom.Rect, underflow bool, err error) {
-	n, err := t.readNode(page)
+	n, err := t.readNode(page, level)
 	if err != nil {
 		return false, geom.Rect{}, false, err
 	}
@@ -97,7 +96,7 @@ func (t *Tree) deleteRec(page pager.PageID, level uint32, r geom.Rect, ref Ref,
 		}
 		if childUnderflow {
 			// Dissolve the child: orphan its remaining entries and drop it.
-			child, err := t.readNode(n.entries[i].child)
+			child, err := t.readNode(n.entries[i].child, level-1)
 			if err != nil {
 				return false, geom.Rect{}, false, err
 			}

@@ -158,7 +158,7 @@ func TestAppendWithinDistMatchesGapReference(t *testing.T) {
 			}
 			eps2 := eps * eps
 			var want []Ref
-			_, err := tr.searchRec(tr.root,
+			_, err := tr.searchRec(tr.root, tr.height,
 				func(r geom.Rect) bool { return minDistSqReference(r, q) <= eps2 },
 				func(it Item) bool { want = append(want, it.Ref); return true })
 			if err != nil {

@@ -16,14 +16,12 @@ type pendingReinsert struct {
 	level uint32 // 1 = leaf level
 }
 
-// Insert adds a rectangle with its reference to the index. On a
-// WAL-enabled pager the whole structural update (splits, reinserts, meta)
-// is one atomic transaction.
+// Insert adds a rectangle with its reference to the index.
 func (t *Tree) Insert(r geom.Rect, ref Ref) error {
 	if r.IsEmpty() || r.Dim() != t.dim {
 		return fmt.Errorf("rtree: insert rect dim %d, want %d", r.Dim(), t.dim)
 	}
-	return t.inTxn(func() error {
+	return t.mutate(func() error {
 		reinsertDone := make(map[uint32]bool)
 		if err := t.insertEntry(entry{rect: r.Clone(), ref: ref}, 1, reinsertDone); err != nil {
 			return err
@@ -34,23 +32,20 @@ func (t *Tree) Insert(r geom.Rect, ref Ref) error {
 	})
 }
 
-// inTxn runs a structural mutation inside a pager transaction, rolling
-// back pages AND the in-memory tree header on failure so the tree stays
-// consistent with disk.
-func (t *Tree) inTxn(fn func() error) error {
-	if err := t.pg.Begin(); err != nil {
-		return err
-	}
+// mutate runs a structural mutation and, if it fails, restores the tree
+// header (root, height, size, free-list head) it started from. Pages the
+// failed mutation wrote stay written; what the header no longer reaches is
+// unreferenced. core's compensating deletes — undoing a partly indexed
+// sequence — run against that restored header, and a missing entry
+// (ErrNotFound) leaves the tree exactly as it was.
+func (t *Tree) mutate(fn func() error) error {
 	savedRoot, savedHeight, savedSize, savedFree := t.root, t.height, t.size, t.freeHead
-	if err := fn(); err != nil {
+	err := fn()
+	if err != nil {
 		t.root, t.height, t.size, t.freeHead = savedRoot, savedHeight, savedSize, savedFree
 		t.dirtyMeta = true
-		if rbErr := t.pg.Rollback(); rbErr != nil {
-			return fmt.Errorf("%w (rollback also failed: %v)", err, rbErr)
-		}
-		return err
 	}
-	return t.pg.Commit()
+	return err
 }
 
 // insertEntry inserts e at targetLevel, draining any reinsertions that the
@@ -82,7 +77,6 @@ func (t *Tree) insertAt(page pager.PageID, level, targetLevel uint32, e entry,
 	if err != nil {
 		return err
 	}
-	_ = newMBR
 	if split != nil {
 		// Root split: grow the tree by one level.
 		oldRoot := t.root
@@ -90,15 +84,11 @@ func (t *Tree) insertAt(page pager.PageID, level, targetLevel uint32, e entry,
 		if err != nil {
 			return err
 		}
-		oldRootNode, err := t.readNode(oldRoot)
-		if err != nil {
-			return err
-		}
 		root := &node{
 			page: newRootPage,
 			leaf: false,
 			entries: []entry{
-				{rect: oldRootNode.mbr(), child: oldRoot},
+				{rect: newMBR, child: oldRoot},
 				*split,
 			},
 		}
@@ -114,13 +104,16 @@ func (t *Tree) insertAt(page pager.PageID, level, targetLevel uint32, e entry,
 
 func (t *Tree) insertRec(page pager.PageID, level, targetLevel uint32, e entry,
 	reinsertDone map[uint32]bool, pending *[]pendingReinsert) (geom.Rect, *entry, error) {
-	n, err := t.readNode(page)
+	n, err := t.readNode(page, level)
 	if err != nil {
 		return geom.Rect{}, nil, err
 	}
 	if level == targetLevel {
 		n.entries = append(n.entries, e)
 	} else {
+		if len(n.entries) == 0 {
+			return geom.Rect{}, nil, fmt.Errorf("rtree: internal node %d is empty (corrupt page?)", page)
+		}
 		i := t.chooseSubtree(n, e.rect, level-1 == 1)
 		childMBR, childSplit, err := t.insertRec(n.entries[i].child, level-1, targetLevel, e, reinsertDone, pending)
 		if err != nil {

@@ -29,12 +29,13 @@ type Nearest struct {
 	heap     []nearItem
 }
 
-// nearItem is one queue element: a leaf entry (pay is its Ref) or a node
-// (pay is its PageID).
+// nearItem is one queue element: a leaf entry (level 0, pay is its Ref)
+// or a node at level ≥ 1 (pay is its PageID), the level it must be found
+// at (see checkLevel).
 type nearItem struct {
 	key   float64
 	pay   uint64
-	entry bool
+	level uint32
 }
 
 // Reset starts a walk of t from the query boxes held columnar in qlo/qhi
@@ -42,7 +43,7 @@ type nearItem struct {
 // The slices are read during the walk and must not change under it.
 func (it *Nearest) Reset(t *Tree, qlo, qhi []float64) {
 	it.t, it.qlo, it.qhi = t, qlo, qhi
-	it.heap = append(it.heap[:0], nearItem{pay: uint64(t.root)})
+	it.heap = append(it.heap[:0], nearItem{pay: uint64(t.root), level: t.height})
 }
 
 // Head returns the key at the front of the queue — a node's or an
@@ -62,10 +63,10 @@ func (it *Nearest) Head() (keySq float64, ok bool) {
 func (it *Nearest) Pop() (ref Ref, entry bool, err error) {
 	top := it.heap[0]
 	it.popFront()
-	if top.entry {
+	if top.level == 0 {
 		return Ref(top.pay), true, nil
 	}
-	fn, err := it.t.readFlat(pager.PageID(top.pay))
+	fn, err := it.t.readFlat(pager.PageID(top.pay), top.level)
 	if err != nil {
 		return 0, false, err
 	}
@@ -77,7 +78,7 @@ func (it *Nearest) Pop() (ref Ref, entry bool, err error) {
 		for q := d; q < len(it.qlo); q += d {
 			key = min(key, geom.MinDistSqLH(it.qlo[q:q+d], it.qhi[q:q+d], lo, hi))
 		}
-		it.push(nearItem{key: key, pay: fn.pay[e], entry: fn.leaf})
+		it.push(nearItem{key: key, pay: fn.pay[e], level: top.level - 1})
 	}
 	return 0, false, nil
 }

@@ -48,14 +48,15 @@ type flatNode struct {
 	pay    []uint64
 }
 
-// readFlat returns the cached flat decoding of page id, decoding and
-// caching it on first use. Cached nodes are invalidated by writeNode and
-// freeNodePage, so a flatNode can never go stale; concurrent searches may
-// race to decode the same page, in which case both decodings are valid
-// and the last Store wins.
-func (t *Tree) readFlat(id pager.PageID) (*flatNode, error) {
+// readFlat returns the cached flat decoding of page id, the node a descent
+// expects at level (1 = leaf), decoding and caching it on first use.
+// Cached nodes are invalidated by writeNode and freeNodePage, so a flatNode
+// can never go stale; concurrent searches may race to decode the same
+// page, in which case both decodings are valid and the last Store wins.
+func (t *Tree) readFlat(id pager.PageID, level uint32) (*flatNode, error) {
 	if v, ok := t.flat.Load(id); ok {
-		return v.(*flatNode), nil
+		fn := v.(*flatNode)
+		return fn, checkLevel(id, fn.leaf, level)
 	}
 	fn := &flatNode{}
 	err := t.pg.View(id, func(b []byte) error {
@@ -83,7 +84,19 @@ func (t *Tree) readFlat(id pager.PageID) (*flatNode, error) {
 		return nil, err
 	}
 	t.flat.Store(id, fn)
-	return fn, nil
+	return fn, checkLevel(id, fn.leaf, level)
+}
+
+// checkLevel refuses a node whose leaf flag disagrees with the level a
+// descent reached it at. Every walk carries its level down from the meta
+// page's height, which readMeta bounds by the page count, so a corrupt
+// child pointer — one that points back up the tree, say — ends the walk
+// with an error within height steps instead of recursing without end.
+func checkLevel(id pager.PageID, leaf bool, level uint32) error {
+	if leaf != (level == 1) {
+		return fmt.Errorf("rtree: node %d leaf=%v at level %d (corrupt page?)", id, leaf, level)
+	}
+	return nil
 }
 
 // Node page layout:
@@ -134,7 +147,8 @@ func (t *Tree) writeNode(n *node) error {
 // sound only while no code writes an entry's rect in place — node.mbr and
 // boundOf clone on their first ExtendRect, and splits, reinserts and
 // parent updates copy or replace whole entries — so keep it that way.
-func (t *Tree) readNode(id pager.PageID) (*node, error) {
+// level is the one the caller expects the node at, as for readFlat.
+func (t *Tree) readNode(id pager.PageID, level uint32) (*node, error) {
 	n := &node{page: id}
 	err := t.pg.View(id, func(b []byte) error {
 		n.leaf = b[0]&1 != 0
@@ -166,5 +180,5 @@ func (t *Tree) readNode(id pager.PageID) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n, nil
+	return n, checkLevel(id, n.leaf, level)
 }

@@ -10,6 +10,14 @@
 // intersection search, minimum-distance range search (everything whose MBR
 // lies within Dmbr ≤ ε of a query rectangle — the paper's phase-2 pruning
 // predicate), and incremental nearest-neighbor traversal.
+//
+// Node pages a deletion or a bulk load frees are chained through their
+// first bytes from a head kept in the meta page, and reused before the
+// pager grows. Mutations go through the pager's buffer pool with no crash
+// protection of their own: internal/txn keeps its trees in memory and
+// rebuilds them from its checkpoint and log. Every walk carries its level
+// down from the meta page's height, so a corrupt page ends it with an
+// error, not a crash.
 package rtree
 
 import (
@@ -250,6 +258,7 @@ func (t *Tree) flushMeta() error {
 }
 
 func (t *Tree) readMeta() error {
+	pages := t.pg.NumPages()
 	return t.pg.View(metaPage, func(b []byte) error {
 		if string(b[0:8]) != magic {
 			return fmt.Errorf("%w: magic %q", ErrBadMeta, b[0:8])
@@ -259,8 +268,10 @@ func (t *Tree) readMeta() error {
 		t.height = binary.LittleEndian.Uint32(b[14:18])
 		t.size = binary.LittleEndian.Uint64(b[18:26])
 		t.freeHead = pager.PageID(binary.LittleEndian.Uint32(b[26:30]))
-		if t.dim < 1 || t.height < 1 {
-			return fmt.Errorf("%w: dim %d height %d", ErrBadMeta, t.dim, t.height)
+		// A tree of height h occupies the meta page and at least h node
+		// pages, which bounds the depth of every walk (see checkLevel).
+		if t.dim < 1 || t.height < 1 || int64(t.height) >= int64(pages) {
+			return fmt.Errorf("%w: dim %d height %d in %d pages", ErrBadMeta, t.dim, t.height, pages)
 		}
 		return nil
 	})

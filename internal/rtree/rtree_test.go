@@ -345,6 +345,41 @@ func TestDeleteNotFound(t *testing.T) {
 	}
 }
 
+// TestTreeRollbackOnNotFoundDelete verifies that a failed mutation on a
+// file-backed tree leaves no trace: the header is restored and the tree
+// stays usable.
+func TestTreeRollbackOnNotFoundDelete(t *testing.T) {
+	pg, err := pager.Open(pager.Options{PageSize: 4096, Path: filepath.Join(t.TempDir(), "t.db")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+	tr, err := New(Options{Dim: 2, Pager: pg, MaxEntries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(201))
+	for i := 0; i < 50; i++ {
+		if err := tr.Insert(randRect(rng, 2, 0.05), Ref(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missing := randRect(rng, 2, 0.05)
+	if err := tr.Delete(missing, 12345); err != ErrNotFound {
+		t.Fatalf("Delete missing = %v", err)
+	}
+	if tr.Len() != 50 {
+		t.Errorf("Len = %d after failed delete", tr.Len())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The tree remains fully usable.
+	if err := tr.Insert(randRect(rng, 2, 0.05), 50); err != nil {
+		t.Fatalf("insert after rollback: %v", err)
+	}
+}
+
 func TestInsertDeleteInterleaved(t *testing.T) {
 	tr := newMemTree(t, 3, 8)
 	rng := rand.New(rand.NewSource(11))

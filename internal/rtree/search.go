@@ -14,7 +14,7 @@ func (t *Tree) Intersect(q geom.Rect, visit Visitor) error {
 	if q.IsEmpty() {
 		return nil
 	}
-	_, err := t.searchRec(t.root, func(r geom.Rect) bool { return r.Intersects(q) }, visit)
+	_, err := t.searchRec(t.root, t.height, func(r geom.Rect) bool { return r.Intersects(q) }, visit)
 	return err
 }
 
@@ -32,7 +32,7 @@ func (t *Tree) WithinDist(q geom.Rect, eps float64, visit Visitor) error {
 	if q.IsEmpty() {
 		return nil
 	}
-	_, err := t.searchRec(t.root, func(r geom.Rect) bool { return r.MinDist(q) <= eps }, visit)
+	_, err := t.searchRec(t.root, t.height, func(r geom.Rect) bool { return r.MinDist(q) <= eps }, visit)
 	return err
 }
 
@@ -50,15 +50,15 @@ func (t *Tree) AppendWithinDist(q geom.Rect, eps float64, out []Ref) ([]Ref, err
 	if q.IsEmpty() {
 		return out, nil
 	}
-	return t.appendWithin(t.root, q.L, q.H, eps*eps, out)
+	return t.appendWithin(t.root, t.height, q.L, q.H, eps*eps, out)
 }
 
-// appendWithin scans one cached flat node, descending into children whose
-// bounds pass the squared-distance predicate. The dimension switch is
-// hoisted per node so the common low-dimensional scans run as unrolled
-// strided loops over the bound array.
-func (t *Tree) appendWithin(page pager.PageID, qL, qH []float64, eps2 float64, out []Ref) ([]Ref, error) {
-	fn, err := t.readFlat(page)
+// appendWithin scans one cached flat node at the given level, descending
+// into children whose bounds pass the squared-distance predicate. The
+// dimension switch is hoisted per node so the common low-dimensional scans
+// run as unrolled strided loops over the bound array.
+func (t *Tree) appendWithin(page pager.PageID, level uint32, qL, qH []float64, eps2 float64, out []Ref) ([]Ref, error) {
+	fn, err := t.readFlat(page, level)
 	if err != nil {
 		return out, err
 	}
@@ -70,7 +70,7 @@ func (t *Tree) appendWithin(page pager.PageID, qL, qH []float64, eps2 float64, o
 			out = append(out, Ref(fn.pay[e]))
 			return true
 		}
-		out, derr = t.appendWithin(pager.PageID(fn.pay[e]), qL, qH, eps2, out)
+		out, derr = t.appendWithin(pager.PageID(fn.pay[e]), level-1, qL, qH, eps2, out)
 		return derr == nil
 	}
 	switch d {
@@ -120,10 +120,11 @@ func (t *Tree) appendWithin(page pager.PageID, qL, qH []float64, eps2 float64, o
 	return out, nil
 }
 
-// searchRec walks the subtree, descending into rectangles accepted by
-// accept, and reports whether traversal should continue.
-func (t *Tree) searchRec(page pager.PageID, accept func(geom.Rect) bool, visit Visitor) (bool, error) {
-	n, err := t.readNode(page)
+// searchRec walks the subtree rooted at page, a node at the given level,
+// descending into rectangles accepted by accept, and reports whether
+// traversal should continue.
+func (t *Tree) searchRec(page pager.PageID, level uint32, accept func(geom.Rect) bool, visit Visitor) (bool, error) {
+	n, err := t.readNode(page, level)
 	if err != nil {
 		return false, err
 	}
@@ -138,7 +139,7 @@ func (t *Tree) searchRec(page pager.PageID, accept func(geom.Rect) bool, visit V
 			}
 			continue
 		}
-		cont, err := t.searchRec(e.child, accept, visit)
+		cont, err := t.searchRec(e.child, level-1, accept, visit)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -148,6 +149,6 @@ func (t *Tree) searchRec(page pager.PageID, accept func(geom.Rect) bool, visit V
 
 // Scan visits every indexed entry in storage order.
 func (t *Tree) Scan(visit Visitor) error {
-	_, err := t.searchRec(t.root, func(geom.Rect) bool { return true }, visit)
+	_, err := t.searchRec(t.root, t.height, func(geom.Rect) bool { return true }, visit)
 	return err
 }

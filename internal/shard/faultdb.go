@@ -20,7 +20,7 @@ type Backend interface {
 	// Do answers one query under ctx; the scatter calls nothing else.
 	Do(ctx context.Context, q core.Query) (core.Result, error)
 	// SearchCtx and SearchMetricCtx are Do under the names bench/trace.go
-	// calls on a Backend; they go when ROADMAP item 5 re-points the harness.
+	// calls on a Backend; they go when a benchmark-only PR re-points `bench/`.
 	SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error)
 	// SearchMetricCtx is Do for a range search under a metric.
 	SearchMetricCtx(ctx context.Context, q *core.Sequence, eps float64, m core.Metric) ([]core.MetricMatch, core.SearchStats, error)

@@ -45,7 +45,7 @@ type DB interface {
 	Explain(*core.Sequence, float64) (*core.Explanation, error)
 
 	// The four methods below are Do under the names bench/trace.go calls on
-	// a DB; they go when ROADMAP item 5 re-points the harness.
+	// a DB; they go when a benchmark-only PR re-points `bench/`.
 
 	// SearchCtx is Do for the paper's range search.
 	SearchCtx(context.Context, *core.Sequence, float64) ([]core.Match, core.SearchStats, error)

@@ -296,9 +296,9 @@ func mergeStats(dst *core.SearchStats, st core.SearchStats) {
 }
 
 // The methods below are Do under the names bench/ compiles against — the
-// harness is frozen until ROADMAP item 5 re-points it — each a one-line
-// adapter; DESIGN's "Query path" section lists, per name, the bench/ line
-// that pins it. New code calls Do.
+// harness is frozen until a benchmark-only PR re-points `bench/` — each a
+// one-line adapter; DESIGN's "Query path" section lists, per name, the
+// bench/ line that pins it. New code calls Do.
 
 // SearchCtx is Do for the paper's range search.
 func (s *ShardedDB) SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error) {

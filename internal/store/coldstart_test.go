@@ -54,7 +54,6 @@ func TestColdStartSpeedup(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			if dir == v1dir {
 				os.Remove(filepath.Join(dir, "index.db"))
-				os.Remove(filepath.Join(dir, "index.db.wal"))
 			}
 			t0 := time.Now()
 			db, err := Load(dir, true)

@@ -172,7 +172,6 @@ func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 				path = fmt.Sprintf("%s.shard%d", opts.Path, i)
 			}
 			os.RemoveAll(path)
-			os.Remove(path + ".wal")
 		}
 	}
 	sdb, err := shard.New(opts, n)

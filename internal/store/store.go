@@ -263,7 +263,6 @@ func loadV2(dir string, o LoadOptions) (*core.Database, error) {
 			if err := os.RemoveAll(path); err != nil {
 				return nil, err
 			}
-			os.Remove(path + ".wal")
 		}
 		opts.Path = path
 	}
@@ -309,7 +308,6 @@ func loadV1(dir string, o LoadOptions) (*core.Database, error) {
 			if err := os.RemoveAll(path); err != nil {
 				return nil, err
 			}
-			os.Remove(path + ".wal")
 		}
 		opts.Path = path
 	}

@@ -448,8 +448,8 @@ func (db *DB) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float
 }
 
 // The four methods below are Do under the names the shard.DB interface
-// keeps for bench/ — the harness is frozen until ROADMAP item 5 re-points
-// it — each a one-line adapter. New code calls Do.
+// keeps for bench/ — the harness is frozen until a benchmark-only PR
+// re-points `bench/` — each a one-line adapter. New code calls Do.
 
 // SearchCtx is Do for the paper's range search.
 func (db *DB) SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error) {

@@ -44,6 +44,7 @@ var ceilings = []struct {
 	{"shard", "DB", 24},
 	{"shard", "Backend", 3},
 	{"core", "Database", 40},
+	{"pager", "Pager", 11},
 	{"mdsserve", "flags", 23},
 }
 
