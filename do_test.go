@@ -28,7 +28,8 @@ import (
 // database's. The corpus is the one core's index-walk test uses — lengths
 // from 1 point to 200 on both sides of the query's, twins, a plateau, a far
 // spike — so queries are shorter than, as long as and longer than what is
-// stored.
+// stored, and every range is asked again at ε = the scan's distance to the
+// query's nearest sequence: a tie, which a range search must not dismiss.
 func TestDoMatchesScanEverywhere(t *testing.T) {
 	ctx := context.Background()
 	type topology struct {
@@ -79,12 +80,12 @@ func TestDoMatchesScanEverywhere(t *testing.T) {
 		}
 		return out
 	}
-	metrics := []core.Metric{nil, core.MetricD{}, core.MetricDTW{Window: -1}}
+	metrics := []core.Metric{nil, core.MetricD{}, core.MetricDTW{Window: -1}, core.MetricDTW{Window: 2}}
 	name := func(m core.Metric) string {
 		if m == nil {
 			return "paper"
 		}
-		return m.Name()
+		return fmt.Sprintf("%s%v", m.Name(), m)
 	}
 
 	var queries []*mdseq.Sequence
@@ -136,7 +137,17 @@ func TestDoMatchesScanEverywhere(t *testing.T) {
 				for _, m := range metrics {
 					all := do(mdseq.Query{Seq: q, Kind: mdseq.Scan, Eps: math.MaxFloat64, Metric: m})
 					same(fmt.Sprintf("query %d scan %s", qi, name(m)), byLabel(all))
-					for _, eps := range []float64{0, 0.1, 0.3} {
+					// ε at the scan's own distance to the nearest sequence not
+					// at 0 puts a sequence exactly on the threshold: the D of a
+					// mean can round below its every term, so below the Dmbr
+					// phase 2 compares (the tie pair of doCorpus/doQueries).
+					own := math.Inf(1)
+					for _, r := range all {
+						if r.Dist > 0 && r.Dist < own {
+							own = r.Dist
+						}
+					}
+					for _, eps := range []float64{0, 0.1, 0.3, own} {
 						what := fmt.Sprintf("query %d %s eps %g", qi, name(m), eps)
 						scan := do(mdseq.Query{Seq: q, Kind: mdseq.Scan, Eps: eps, Metric: m})
 						got := do(mdseq.Query{Seq: q, Eps: eps, Metric: m})
@@ -206,12 +217,29 @@ func doCorpus(rng *rand.Rand, n int) []*mdseq.Sequence {
 	spike := walk(rng, 50)
 	spike.Points[7] = mdseq.Point{40, 40, 40}
 	add(spike)
+	// The tie's stored side trades places with the first walk, so that a
+	// transactional database holds it in its indexed base.
+	add(constant(2, 20))
+	last := len(seqs) - 1
+	seqs[0], seqs[last] = seqs[last], seqs[0]
 	return seqs
 }
 
+// constant is n points at (v, v, v). Twenty at 2 and twenty at 2.1 are
+// doCorpus's and doQueries' tie pair: every point distance, and so every
+// Dmbr, is 0.1732050807568879, while their mean, D, rounds to
+// 0.1732050807568878.
+func constant(v float64, n int) *mdseq.Sequence {
+	pts := make([]mdseq.Point, n)
+	for i := range pts {
+		pts[i] = mdseq.Point{v, v, v}
+	}
+	return &mdseq.Sequence{Points: pts}
+}
+
 // doQueries is core's walkQueries: one point, fresh walks longer and shorter
-// than most of what is stored, and windows of stored sequences (distance 0
-// to their source and its twin).
+// than most of what is stored, windows of stored sequences (distance 0 to
+// their source and its twin), and the tie pair's query, far from the walks.
 func doQueries(rng *rand.Rand, seqs []*mdseq.Sequence) []*mdseq.Sequence {
 	qs := []*mdseq.Sequence{walk(rng, 1), walk(rng, 150), walk(rng, 35)}
 	for len(qs) < 9 {
@@ -220,13 +248,14 @@ func doQueries(rng *rand.Rand, seqs []*mdseq.Sequence) []*mdseq.Sequence {
 		off := rng.Intn(src.Len() - n + 1)
 		qs = append(qs, &mdseq.Sequence{Points: src.Points[off : off+n]})
 	}
-	return qs
+	return append(qs, constant(2.1, 20))
 }
 
 // fillAcrossFold stores seqs so that a transactional database is left with
 // every kind of unfolded write: two thirds are loaded and folded, four of
 // them short of their last five points; then come the rest, the four tails,
-// and four removals on both sides of the fold. It returns the live count.
+// and four removals on both sides of the fold (none of the plateau, the spike
+// and the tie). It returns the live count.
 func fillAcrossFold(t *testing.T, db shard.DB, fold func() error, seqs []*mdseq.Sequence) int {
 	t.Helper()
 	cut := 2 * len(seqs) / 3
@@ -256,7 +285,7 @@ func fillAcrossFold(t *testing.T, db shard.DB, fold func() error, seqs []*mdseq.
 			t.Fatal(err)
 		}
 	}
-	for _, at := range []int{3, 22, cut + 1, len(seqs) - 3} {
+	for _, at := range []int{3, 22, cut + 1, len(seqs) - 4} {
 		if err := db.Remove(ids[at]); err != nil {
 			t.Fatal(err)
 		}

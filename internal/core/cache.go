@@ -86,9 +86,9 @@ func RangeCacheKey(q *Sequence, eps float64, cfg PartitionConfig) cache.Key {
 }
 
 // SetCache attaches a query-result cache to the database (nil detaches).
-// Do and SearchBatchCtx consult it before running a Range or KNN query and
-// fill it after with the result's compute cost (CPUTime) and geometric
-// region; every write (Add, AddAll, Remove, AppendPoints,
+// Do — and so SearchBatchCtx — consults it before running a Range or KNN
+// query and fills it after with the result's compute cost (CPUTime) and
+// geometric region; every write (Add, AddAll, Remove, AppendPoints,
 // ReplaceSegmented) notifies the cache with the written sequence's MBR,
 // so only entries the write could have affected are invalidated (see
 // internal/cache). Safe to call while queries are in flight.
@@ -127,12 +127,13 @@ type CacheSlot struct {
 // cfg. With c nil, or q a Scan, the slot is detached: every Get a miss,
 // every Put dropped, no key computed. Identical queries share a slot
 // however they arrive (Do, a batch member). The region is the query's
-// bounding rectangle with, for a range, radius ε: a write farther than ε
-// from that rectangle has MinDist > ε to every query point, and Dnorm
-// (Lemma 1), D and windowed DTW are all lower-bounded by that MinDist (each
-// averages per-point Euclidean terms, every one at least the rect gap), so
-// it cannot enter or leave the answer. A KNN's radius is not known until
-// the answer is; Put fills it in.
+// bounding rectangle with, for a range, the radius its index probe reaches
+// (dReach, dtwReach: ε widened by the rounding a computed distance may sit
+// below a computed Dmbr, under DTW for a sequence of as many points as an
+// int32 point index allows). A write farther than that from the rectangle
+// has every Dmbr to the query's MBRs beyond it, by the same squared-space
+// arithmetic, so no probe reaches it and it cannot enter or leave the
+// answer. A KNN's radius is not known until the answer is; Put fills it in.
 func SlotFor(c *cache.Cache, q Query, cfg PartitionConfig) CacheSlot {
 	if c == nil || q.Kind == Scan {
 		return CacheSlot{}
@@ -141,10 +142,14 @@ func SlotFor(c *cache.Cache, q Query, cfg PartitionConfig) CacheSlot {
 		c:      c,
 		key:    CacheKey(q, cfg),
 		seq:    c.Seq(),
-		region: cache.Region{Rect: geom.BoundingRect(q.Seq.Points), Radius: q.Eps},
+		region: cache.Region{Rect: geom.BoundingRect(q.Seq.Points)},
 	}
 	if q.Kind == KNN {
 		slot.k = q.K
+	} else if mt, ok := q.Metric.(MetricDTW); ok {
+		slot.region.Radius = dtwReach(q.Eps, q.Seq.Len(), math.MaxInt32, mt.Window, q.Seq.Dim())
+	} else {
+		slot.region.Radius = dReach(q.Eps, q.Seq.Len(), q.Seq.Dim())
 	}
 	return slot
 }

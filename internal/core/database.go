@@ -50,6 +50,9 @@ type Database struct {
 	seqs []*Segmented // seqs[id] — ids are dense, assigned by Add; nil = removed
 	live int          // number of non-nil entries in seqs
 	met  *Metrics     // nil until SetMetrics; all methods no-op on nil
+	// longest is the most points a stored sequence has held — never
+	// lowered — the length a DTW range probe widens its radius for.
+	longest int
 
 	// qcache (nil until SetCache) holds query results tagged with their
 	// compute cost and geometric region. Every write notifies it with
@@ -115,6 +118,7 @@ func OpenDatabase(opts Options, seqs []*Sequence) (*Database, error) {
 		s.ID = uint32(i)
 		db.seqs = append(db.seqs, g)
 		db.live++
+		db.longest = max(db.longest, s.Len())
 		total += len(g.MBRs)
 	}
 	if total != db.tree.Len() {
@@ -148,6 +152,7 @@ func OpenDatabaseSegmented(opts Options, segs []*Segmented) (*Database, error) {
 		g.Seq.ID = uint32(i)
 		db.seqs = append(db.seqs, g)
 		db.live++
+		db.longest = max(db.longest, g.Seq.Len())
 		total += len(g.MBRs)
 	}
 	if total != db.tree.Len() {
@@ -283,6 +288,7 @@ func (db *Database) addSegmentedLocked(g *Segmented) (uint32, error) {
 	g.Seq.ID = id
 	db.seqs = append(db.seqs, g)
 	db.live++
+	db.longest = max(db.longest, g.Seq.Len())
 	return id, nil
 }
 
@@ -513,10 +519,11 @@ func (st SearchStats) Total() time.Duration { return st.Phase1 + st.Phase2 + st.
 
 // filterPhases runs phases 1 and 2 of SIMILARITY_SEARCH out of the given
 // scratch, accumulating into st, and returns the candidate ids ascending.
-// What phase 2 learned stays in the scratch for phase 3: sc.hitRow(id) is
-// the set of query MBRs with an index entry of sequence id within ε. The
-// caller holds the read lock and has verified the database is open.
-func (db *Database) filterPhases(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]uint32, error) {
+// Phase 2 probes at reach, the range's widened radius (dReach). What it
+// learned stays in the scratch for phase 3: sc.hitRow(id) is the set of query
+// MBRs with an index entry of sequence id within reach. The caller holds the
+// read lock and has verified the database is open.
+func (db *Database) filterPhases(ctx context.Context, q *Sequence, reach float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]uint32, error) {
 	// Phase 1: partition the query sequence.
 	t0 := time.Now()
 	sc.segmentQuery(q, db.opts.Partition)
@@ -527,7 +534,7 @@ func (db *Database) filterPhases(ctx context.Context, q *Sequence, eps float64, 
 			obs.Int("query_mbrs", st.QueryMBRs))
 	}
 
-	// Phase 2: first pruning. Any sequence owning an MBR within Dmbr ≤ ε
+	// Phase 2: first pruning. Any sequence owning an MBR within Dmbr ≤ reach
 	// of any query MBR becomes a candidate. The flat kernel compares in
 	// squared space; each probe's hits go straight into the hit table, and
 	// the distinct candidate ids are put in order by one bitmap pass.
@@ -538,7 +545,7 @@ func (db *Database) filterPhases(ctx context.Context, q *Sequence, eps float64, 
 			return nil, err
 		}
 		var err error
-		sc.refs, err = db.tree.AppendWithinDist(sc.qmbrs[i].Rect, eps, sc.refs[:0])
+		sc.refs, err = db.tree.AppendWithinDist(sc.qmbrs[i].Rect, reach, sc.refs[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -564,16 +571,18 @@ func (db *Database) filterPhases(ctx context.Context, q *Sequence, eps float64, 
 // (CPUTime, metrics recording, caching): Do, for the paper's Range answer
 // directly and under MetricD through dRange.
 func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]Match, error) {
-	ids, err := db.filterPhases(ctx, q, eps, sc, st, tr)
+	reach := dReach(eps, q.Len(), q.Dim())
+	ids, err := db.filterPhases(ctx, q, reach, sc, st, tr)
 	if err != nil {
 		return nil, err
 	}
 
 	t2 := time.Now()
-	out, err := db.refine(ctx, sc.qmbrs, ids, q.Len(), eps, sc, st)
+	out, err := refine(ctx, sc.qmbrs, ids, db.seqs, nil, q.Len(), reach, sc, st)
 	if err != nil {
 		return nil, err
 	}
+	st.MatchesDnorm = len(out)
 	st.Phase3 = time.Since(t2)
 	if tr != nil {
 		tr.RecordSpan(obs.SpanFromContext(ctx), "refine", st.Phase3,
@@ -585,36 +594,54 @@ func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, s
 	return out, nil
 }
 
+// dReach is the radius a range search at eps, for a query of n points, probes
+// and sweeps with under D and the paper's answer: eps over alignSlack(n, d).
+// In real arithmetic nothing beyond eps is needed (Lemmas 1–3). In float64 the
+// scan's D is a mean that can round below every one of its terms — ten equal
+// point distances average to one ulp less — while a Dmbr is one square root,
+// so a sequence at D = eps could lie a few ulps outside a probe at eps.
+// alignSlack bounds how far a computed Dmbr or Dnorm window of an alignment's
+// points can exceed the computed D of that alignment (the argument that
+// shrinks knnD's walk key), and the room it leaves covers this division and
+// the probe's squaring. The factor only shrinks as the summed count grows, so
+// the query's length serves every sequence at least as long.
+func dReach(eps float64, n, d int) float64 { return eps / alignSlack(n, d) }
+
 // refine is phase 3 of SIMILARITY_SEARCH — second pruning with Dnorm over
 // the (query MBR, candidate) pairs phase 2 hit, qualifying windows
 // accumulating into the solution interval — over the ascending candidates
-// ids, whose hit rows sc holds. The answer costs a constant number of
-// allocations however many match: the list is made on the first hit with
-// room for every candidate still to come (most match), and each hit's ranges
-// go into one slab the matches share (slabRanges). No match allocates nothing.
-func (db *Database) refine(ctx context.Context, qmbrs []MBRInfo, ids []uint32, qLen int, eps float64, sc *searchScratch, st *SearchStats) ([]Match, error) {
+// cands: positions in seqs whose hit rows sc holds. A match's SeqID is
+// ids[c], or the position c itself when ids is nil (a Database's directory).
+// reach is phase 2's radius (dReach), which phase3Hits widens per pair. The
+// answer costs a constant number of allocations however many match: the list
+// is made on the first hit with room for every candidate still to come (most
+// match), and each hit's ranges go into one slab the matches share
+// (slabRanges). No match allocates nothing.
+func refine(ctx context.Context, qmbrs []MBRInfo, cands []uint32, seqs []*Segmented, ids []uint32, qLen int, reach float64, sc *searchScratch, st *SearchStats) ([]Match, error) {
 	var out []Match
 	var slab []PointRange
-	for ci, id := range ids {
+	for ci, c := range cands {
 		if ci%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
 				return nil, err
 			}
 		}
-		g := db.seqs[id]
-		minDnorm, hit, evals := phase3Hits(qmbrs, sc.hitRow(id), &sc.p3, g, qLen, eps)
+		g := seqs[c]
+		minDnorm, hit, evals := phase3Hits(qmbrs, sc.hitRow(c), &sc.p3, g, qLen, reach)
 		st.DnormEvals += evals
 		if !hit {
 			continue
 		}
 		if out == nil {
-			out = make([]Match, 0, len(ids)-ci)
+			out = make([]Match, 0, len(cands)-ci)
 		}
-		m := Match{SeqID: id, Seq: g.Seq, MinDnorm: minDnorm}
-		m.Interval, slab = slabRanges(slab, sc.p3.iv.ranges, len(ids)-ci)
+		m := Match{SeqID: c, Seq: g.Seq, MinDnorm: minDnorm}
+		if ids != nil {
+			m.SeqID = ids[c]
+		}
+		m.Interval, slab = slabRanges(slab, sc.p3.iv.ranges, len(cands)-ci)
 		out = append(out, m)
 	}
-	st.MatchesDnorm = len(out)
 	return out, nil
 }
 

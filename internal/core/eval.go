@@ -1,63 +1,136 @@
 package core
 
-// Index-free evaluation kernels.
+import (
+	"context"
+	"math"
+	"slices"
+	"time"
+
+	"repro/internal/geom"
+)
+
+// Unindexed answers q over sequences no index holds — segs[i] under id
+// ids[i], ids ascending, partitioned under cfg — the way Do answers it over a
+// Database holding them, with Do's own kernels: an answer merged from an
+// indexed database's and Unindexed's is the one a database indexing all of
+// them gives, bit for bit. It is the transaction layer's delta pass. q must
+// have passed Query.Check. The work is added to st, counted per kind as
+// below — the candidates a transaction layer's answer has always reported
+// for its delta. Per kind:
 //
-// The transaction layer answers queries as "indexed base result + linear
-// scan of the unfolded delta". The scan side needs exactly the
-// per-candidate work of phase 3 (and, for kNN, the exact-distance
-// refinement) without an R*-tree, evaluated with the same kernels the
-// indexed path uses so merged results are bit-identical to a fully
-// indexed database holding the same content. These wrappers export that
-// per-candidate work.
-
-import "slices"
-
-// EvalRange runs the phase-3 Dnorm pruning and solution-interval assembly
-// for one candidate sequence against a partitioned query, exactly as the
-// indexed search would after phase 2 — same kernel (phase3Hits, every query
-// MBR evaluated), same arithmetic, same Match content. Skipping phase 2
-// cannot change the outcome: Dmbr lower-bounds Dnorm (Lemma 2), so a
-// candidate or pair the index would have pruned yields no window here. The query partitioning must
-// come from NewSegmented with the database's PartitionConfig; the
-// returned Match has SeqID unset (the caller owns id assignment) and, on a
-// hit, its own copy of the interval — one allocation, nothing shared with
-// another match. evals reports the Dnorm table rows computed, for
-// SearchStats accounting.
-func EvalRange(qseg *Segmented, g *Segmented, eps float64) (m Match, hit bool, evals int) {
+//   - Range, nil Metric: phase 2's linear form — every (query MBR, MBR) pair
+//     at the probe's radius, dReach, in the squared-space arithmetic of the
+//     index probe — fills the hit rows markHits would, and refine runs
+//     phase 3 over them. CandidatesDmbr counts the candidates.
+//   - Range under a Metric: every sequence's exact distance, each one counted
+//     in CandidatesDmbr (and DTWEvals under DTW).
+//   - Scan: the scan kernel over segs.
+//   - KNN: every sequence refined against min(q.Bound, own k-th best) and
+//     the best q.K returned in (Dist, SeqID) order, accepted distances
+//     offered to q.Bound; under DTW a sequence the window cannot align is
+//     never a result. Every sequence counts as a candidate and as refined.
+//
+// A Range adds its time to Phase3 and CPUTime.
+func Unindexed(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, segs []*Segmented, st *SearchStats) ([]Match, error) {
+	if q.Kind == KNN && q.K <= 0 {
+		return nil, nil
+	}
 	sc := getScratch()
 	defer putScratch(sc)
-	m = Match{Seq: g.Seq}
-	m.MinDnorm, hit, evals = phase3Hits(qseg.MBRs, nil, &sc.p3, g, qseg.Seq.Len(), eps)
-	if hit {
-		m.Interval.ranges = slices.Clone(sc.p3.iv.ranges)
+	if q.Kind == Scan {
+		return sc.scan(q, segs, ids), nil
 	}
-	return m, hit, evals
+	t0 := time.Now()
+	var out []Match
+	var err error
+	if q.Metric == nil && q.Kind == Range {
+		out, err = sc.linearRange(ctx, q, cfg, ids, segs, st)
+	} else {
+		out, err = sc.exactEach(ctx, q, cfg, ids, segs, st)
+	}
+	if err != nil || q.Kind == KNN {
+		return out, err
+	}
+	took := time.Since(t0)
+	st.Phase3 += took
+	st.CPUTime += took
+	return out, nil
 }
 
-// EvalAlign computes the exact sequence distance D(Q,S) and the best
-// alignment offset for one candidate — the kNN refinement step — with
-// the same alignment kernel the indexed kNN path uses. The result is
-// exact whenever D ≤ cutoff; above it, dist is only known to exceed
-// cutoff (see bestAlign). cutoff = +Inf is always exact.
-func EvalAlign(qseg *Segmented, g *Segmented, cutoff float64) (offset int, dist float64) {
-	sc := getScratch()
-	defer putScratch(sc)
-	return bestAlign(&sc.align, qseg.side(), g.side(), qseg.Seq.Dim(), cutoff)
+// linearRange is Unindexed's paper's-answer Range: phase 2 as a pass over
+// every (query MBR, MBR) pair, then refine.
+func (sc *searchScratch) linearRange(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, segs []*Segmented, st *SearchStats) ([]Match, error) {
+	sc.segmentQuery(q.Seq, cfg)
+	reach := dReach(q.Eps, q.Seq.Len(), q.Seq.Dim())
+	r2 := reach * reach
+	below := func(sq float64) bool { return sq <= r2 }
+	sc.beginHits(len(segs), len(sc.qmbrs))
+	for p, g := range segs {
+		if p%cancelCheckEvery == 0 {
+			if err := searchCanceled(ctx); err != nil {
+				return nil, err
+			}
+		}
+		sc.p3.sq = ensureFloats(sc.p3.sq, len(g.MBRs))
+		for i := range sc.qmbrs {
+			geom.MinDistSqBatch(sc.qmbrs[i].Rect.L, sc.qmbrs[i].Rect.H, g.Lo, g.Hi, sc.p3.sq)
+			if slices.ContainsFunc(sc.p3.sq, below) {
+				sc.mark(uint32(p), i)
+			}
+		}
+	}
+	st.CandidatesDmbr += len(sc.ids)
+	return refine(ctx, sc.qmbrs, sc.ids, segs, ids, q.Seq.Len(), reach, sc, st)
 }
 
-// EvalMetric computes the exact metric distance between a partitioned
-// query and one candidate — the metric-search analogue of EvalAlign,
-// using the same kernels as the indexed metric path, so the value is
-// bit-identical to it whenever it is ≤ cutoff (above, it is only known to
-// exceed cutoff; +Inf is always exact). +Inf means the metric admits no
-// alignment (DTW window narrower than the length difference) — never a
-// match. A nil metric means MetricD.
-func EvalMetric(qseg *Segmented, g *Segmented, m Metric, cutoff float64) float64 {
-	sc := getScratch()
-	defer putScratch(sc)
-	if mt, ok := m.(MetricDTW); ok {
-		return sc.dtwSeq(mt, qseg.Flat, g, qseg.Seq.Dim(), cutoff, nil)
+// exactEach is Unindexed's Range under a Metric and its KNN: each sequence's
+// exact distance — the alignment kernel under D, the dynamic program under
+// DTW — at no cutoff for a Range, against the cutoff in force for a KNN.
+func (sc *searchScratch) exactEach(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, segs []*Segmented, st *SearchStats) ([]Match, error) {
+	d := q.Seq.Dim()
+	sc.fillQueryFlat(q.Seq)
+	mt, dtw := q.Metric.(MetricDTW)
+	var qs alignSide
+	if !dtw {
+		sc.segmentQuery(q.Seq, cfg)
+		qs = sc.querySide(d)
 	}
-	_, dist := bestAlign(&sc.align, qseg.side(), g.side(), qseg.Seq.Dim(), cutoff)
-	return dist
+	var out []Match
+	worst := knnCutoff{bound: q.Bound, own: math.Inf(1)}
+	for i, g := range segs {
+		if i%cancelCheckEvery == 0 {
+			if err := searchCanceled(ctx); err != nil {
+				return nil, err
+			}
+		}
+		cut := math.Inf(1)
+		if q.Kind == KNN {
+			cut = worst.load()
+		}
+		var off int
+		var dist float64
+		if dtw {
+			dist = sc.dtwSeq(mt, sc.qflat, g, d, cut, nil)
+		} else {
+			off, dist = bestAlign(&sc.align, qs, g.side(), d, cut)
+		}
+		m := Match{SeqID: ids[i], Seq: g.Seq, Dist: dist}
+		switch {
+		case q.Kind == Range:
+			st.CandidatesDmbr++
+			if dtw {
+				st.DTWEvals++
+			}
+			if dist <= q.Eps {
+				out = append(out, m)
+			}
+		case dist <= cut && !(dtw && math.IsInf(dist, 1)):
+			m.Offset = off
+			out = worst.accept(out, m, q.K)
+		}
+	}
+	if q.Kind == KNN {
+		q.Bound.AddCounts(KNNCounts{Candidates: len(segs), Refined: len(segs)})
+	}
+	return out, nil
 }

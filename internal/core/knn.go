@@ -160,13 +160,13 @@ func (db *Database) knnD(ctx context.Context, query Query, sc *searchScratch, st
 // of the running sums wpre, and each of the at most r additions between its
 // ends is off by up to u·wpre[r] whatever the window's own size. A computed
 // window can so exceed the real one by r·u·wpre[r]/c_i, and Σ c_i·m_i by
-// r·u·Σ_i wpre_i[r]; 2u = 2⁻⁵² times r·Σ wpre is subtracted, the factor two
-// covering the roundings of that term itself. For data of one scale this
-// is some 10⁻¹³ of the bound. Where it is not — a spike 10¹⁶ times the rest
-// swallows the small terms of wpre — the weighted mean gives way to the
-// floor under it: the smallest Dmbr of any MBR pair, which by Lemma 1 and
-// alignSlack's argument is below every point distance, hence below D. An
-// overflowed sum (Inf − Inf) ends there too.
+// r·u·Σ_i wpre_i[r]; cancelMargin(r, Σ wpre), 2u times that, is
+// subtracted, the factor two covering the roundings of that term itself.
+// For data of one scale this is some 10⁻¹³ of the bound. Where it is not —
+// a spike 10¹⁶ times the rest swallows the small terms of wpre — the
+// weighted mean gives way to the floor under it: the smallest Dmbr of any
+// MBR pair, which by Lemma 1 and alignSlack's argument is below every point
+// distance, hence below D. An overflowed sum (Inf − Inf) ends there too.
 func knnSeqBound(p3 *phase3Scratch, a, b alignSide, d int) float64 {
 	short, long := a, b
 	if len(short.flat) > len(long.flat) {
@@ -195,7 +195,7 @@ func knnSeqBound(p3 *phase3Scratch, a, b alignSide, d int) float64 {
 	k := len(short.flat) / d
 	slack := alignSlack(k, d)
 	floor := math.Sqrt(math.Float64frombits(nearest)) * slack
-	if w := (sum - float64(rl)*0x1p-52*total) / float64(k) * slack; w > floor {
+	if w := (sum - cancelMargin(rl, total)) / float64(k) * slack; w > floor {
 		return w
 	}
 	return floor

@@ -61,8 +61,8 @@ func (db *Database) dRange(ctx context.Context, q *Sequence, eps float64, sc *se
 
 // dtwRange is the MetricDTW range body. Phase 1 builds the query's
 // Sakoe–Chiba envelopes; phase 2 probes the R*-tree with the full query
-// bounding rect at ε — valid because every envelope rect is contained in
-// the query rect, so MinDist(qRect, MBR) ≤ B1 ≤ DTW and no sequence
+// bounding rect at dtwReach — valid because every envelope rect is contained
+// in the query rect, so MinDist(qRect, MBR) ≤ B1 ≤ DTW and no sequence
 // within ε can be missed; phase 3 runs the pruning ladder per candidate:
 // the envelope-vs-MBR index bound, then LB_Keogh over raw points, then
 // the early-abandoning exact dynamic program. Every bound underestimates
@@ -90,7 +90,7 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 	t1 := time.Now()
 	qrect := geom.Rect{L: ds.sufLo[:d], H: ds.sufHi[:d]}
 	var err error
-	sc.refs, err = db.tree.AppendWithinDist(qrect, eps, sc.refs[:0])
+	sc.refs, err = db.tree.AppendWithinDist(qrect, dtwReach(eps, n, db.longest, mt.Window, d), sc.refs[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -145,6 +145,23 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 			obs.Float("pruned_frac", prunedFrac(st.CandidatesDmbr, st.DTWEvals)))
 	}
 	return out, nil
+}
+
+// dtwReach is dtwRange's probe radius: eps over dtwIndexSlack(n, m, d) at m,
+// the longest sequence the query can align with — n+w under a window w, the
+// database's longest otherwise. The MinDist from the query's bounding rect to
+// an MBR of S is B1 with the whole query as every envelope, so dtwIndexSlack's
+// argument bounds it against the computed distance as it does B1; without the
+// factor a distance that rounds below its every step (a constant path's mean)
+// sits just inside ε while the probe misses S. The factor only shrinks as m
+// grows, so the longest alignable m serves every S, and the room it leaves
+// covers this division and the probe's squaring.
+func dtwReach(eps float64, n, longest, w, d int) float64 {
+	m := longest
+	if w >= 0 && w < m-n {
+		m = n + w
+	}
+	return eps / dtwIndexSlack(n, m, d)
 }
 
 // knnDTW is the KNN kernel under MetricDTW, with knnD's contract (result,
@@ -234,72 +251,50 @@ func (db *Database) knnDTW(ctx context.Context, query Query, mt MetricDTW, sc *s
 }
 
 // scan is the Scan kernel, the exhaustive baseline the paper compares
-// against and every indexed answer is tested against: every live sequence's
-// exact distance from raw points — no MBRs, no index, no lower bounds, no
-// early abandoning. Under a nil Metric it is the paper's sequential scan:
-// D(Q,S) by sliding alignment, each sequence with D ≤ ε reported with its
-// exact solution interval (Definition 6). Under a Metric it is that
-// metric's ε-ball (scanMetric), which the indexed Range under the same
-// metric must equal byte for byte — the no-false-dismissal property, and
-// the soundness of every bound the indexed path prunes with, are directly
-// testable against it.
-func (db *Database) scan(query Query, sc *searchScratch) []Match {
+// against and every indexed answer is tested against: every sequence of seqs
+// (nil slots skipped, SeqIDs as in refine) at its exact distance from raw
+// points — no MBRs, no index, no lower bounds, no early abandoning. Under a
+// nil Metric it is the paper's sequential scan: D(Q,S) by sliding alignment,
+// each sequence with D ≤ ε reported with its exact solution interval
+// (Definition 6). Under a Metric it is that metric's ε-ball, which the indexed
+// Range under the same metric must equal byte for byte — the
+// no-false-dismissal property, and the soundness of every bound the indexed
+// path prunes with, are directly testable against it. D goes through
+// BestAlignment, the seed reference: every alignment summed in full, none of
+// the alignment kernel's bounds or cutoffs, so a scan-versus-index comparison
+// tests that kernel instead of sharing it; DTW through the dynamic program
+// with the cutoff disabled.
+func (sc *searchScratch) scan(query Query, seqs []*Segmented, ids []uint32) []Match {
 	q, eps := query.Seq, query.Eps
-	var out []Match
-	if query.Metric == nil {
-		for id, g := range db.seqs {
-			if g == nil {
-				continue // removed
-			}
-			s := g.Seq
-			profile := OffsetProfile(q.Points, s.Points)
-			dist := MinOfProfile(profile)
-			if dist > eps {
-				continue
-			}
-			queryLonger := len(q.Points) > len(s.Points)
-			k := len(q.Points)
-			if queryLonger {
-				k = len(s.Points)
-			}
-			si := SolutionIntervalFromProfile(profile, k, len(s.Points), queryLonger, eps)
-			out = append(out, Match{SeqID: uint32(id), Seq: s, Dist: dist, Interval: si})
-		}
-		return out
+	mt, dtw := query.Metric.(MetricDTW)
+	if dtw {
+		sc.fillQueryFlat(q)
 	}
-	sc.fillQueryFlat(q)
-	for id, g := range db.seqs {
+	var out []Match
+	for i, g := range seqs {
 		if g == nil {
 			continue // removed
 		}
-		dist := sc.scanMetric(q, g, query.Metric)
-		if dist <= eps {
-			out = append(out, Match{SeqID: uint32(id), Seq: g.Seq, Dist: dist})
+		m := Match{SeqID: uint32(i), Seq: g.Seq}
+		if ids != nil {
+			m.SeqID = ids[i]
+		}
+		switch {
+		case dtw:
+			m.Dist = sc.dtwSeq(mt, sc.qflat, g, q.Dim(), math.Inf(1), nil)
+		case query.Metric != nil:
+			_, m.Dist = BestAlignment(q.Points, g.Seq.Points)
+		default:
+			s := g.Seq
+			profile := OffsetProfile(q.Points, s.Points)
+			if m.Dist = MinOfProfile(profile); m.Dist <= eps {
+				queryLonger := len(q.Points) > len(s.Points)
+				m.Interval = SolutionIntervalFromProfile(profile, min(len(q.Points), len(s.Points)), len(s.Points), queryLonger, eps)
+			}
+		}
+		if m.Dist <= eps {
+			out = append(out, m)
 		}
 	}
 	return out
-}
-
-// scanMetric is the exhaustive scan's distance for the query whose flat
-// points sc holds. D goes through BestAlignment, the seed reference: every
-// alignment summed in full, none of the alignment kernel's bounds or
-// cutoffs, so a scan-versus-index comparison tests that kernel instead of
-// sharing it. DTW goes through the dynamic program with the cutoff
-// disabled. A nil metric means MetricD.
-func (sc *searchScratch) scanMetric(q *Sequence, g *Segmented, m Metric) float64 {
-	if mt, ok := m.(MetricDTW); ok {
-		return sc.dtwSeq(mt, sc.qflat, g, q.Dim(), math.Inf(1), nil)
-	}
-	_, dist := BestAlignment(q.Points, g.Seq.Points)
-	return dist
-}
-
-// ScanMetric is the distance a Scan under m computes, for one
-// (query, candidate) pair — for layers that scan sequences the database
-// does not hold.
-func ScanMetric(q *Sequence, g *Segmented, m Metric) float64 {
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.fillQueryFlat(q)
-	return sc.scanMetric(q, g, m)
 }

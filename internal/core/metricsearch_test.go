@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/geom"
 )
 
 func labelf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
@@ -506,6 +508,39 @@ func TestDTWRangeKeepsTieAtEps(t *testing.T) {
 		}
 		if dropped > 0 {
 			t.Errorf("window %d: %d of %d sequences dismissed at eps == their own scan distance", window, dropped, ties)
+		}
+	}
+}
+
+// TestDTWRangeKeepsLongTie: a DTW distance is a path sum over max(n, m)
+// steps, so a long stored sequence's mean can round further below its every
+// step than the query's length alone allows for. Twenty query points at
+// (2.45, 2.45, 2.45) against 2200 stored at (2, 2, 2) put D some 4e-14 below
+// the Dmbr, and the range search at ε = D must still probe far enough to
+// find it — under the open window the radius takes the database's longest
+// stored sequence, under a window w the longest alignable, n + w.
+func TestDTWRangeKeepsLongTie(t *testing.T) {
+	db := newTestDB(t, 3)
+	constant := func(v float64, n int) *Sequence {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{v, v, v}
+		}
+		return &Sequence{Points: pts}
+	}
+	if _, err := db.Add(constant(2, 2200)); err != nil {
+		t.Fatal(err)
+	}
+	q := constant(2.45, 20)
+	for _, mt := range []MetricDTW{{Window: -1}, {Window: 2180}, {Window: 1 << 40}} {
+		scan, err := db.Do(context.Background(), Query{Seq: q, Kind: Scan, Eps: math.MaxFloat64, Metric: mt})
+		if err != nil || len(scan.Matches) != 1 {
+			t.Fatalf("window %d: scan %v, %v", mt.Window, scan.Matches, err)
+		}
+		eps := scan.Matches[0].Dist
+		got, err := db.Do(context.Background(), Query{Seq: q, Eps: eps, Metric: mt})
+		if err != nil || len(got.Matches) != 1 {
+			t.Fatalf("window %d: range at eps = D = %v found %d, err %v", mt.Window, eps, len(got.Matches), err)
 		}
 	}
 }

@@ -132,14 +132,6 @@ type Segmented struct {
 	// in the Dnorm inner loop.
 	Lo, Hi []float64
 
-	// QLo and QHi are the quantized sidecar of Lo/Hi: float32 copies with
-	// lows rounded toward −∞ and highs toward +∞, so every quantized MBR
-	// encloses its exact original and distances computed from them are
-	// conservative lower bounds (see geom.QuantizeDown/QuantizeUp). The
-	// v2 store persists and reloads them; search no longer reads them
-	// (see Options.QuantizedMBR).
-	QLo, QHi []float32
-
 	// Starts is the point-range column of the partitioning: MBR j covers
 	// points [Starts[j], Starts[j+1]), so len(Starts) = len(MBRs)+1,
 	// Starts[0] = 0 and the last entry is the sequence length. It is the
@@ -184,7 +176,6 @@ func (g *Segmented) syncSoA() {
 		}
 	}
 	g.Flat, g.Lo, g.Hi, g.Starts = flat, lo, hi, startsOf(g.MBRs)
-	g.syncQuant()
 }
 
 // startsOf builds the Starts column of a partitioning that tiles its
@@ -197,61 +188,16 @@ func startsOf(mbrs []MBRInfo) []int32 {
 	return starts
 }
 
-// syncQuant (re)builds the quantized float32 sidecar from Lo/Hi with
-// outward rounding. Called by syncSoA and by the zero-copy store loader,
-// which aliases Lo/Hi into a mapped file and derives the sidecar rather
-// than storing it.
-func (g *Segmented) syncQuant() {
-	n := len(g.Lo)
-	if cap(g.QLo) < n {
-		g.QLo = make([]float32, n)
-		g.QHi = make([]float32, n)
-	}
-	g.QLo, g.QHi = g.QLo[:n], g.QHi[:n]
-	geom.QuantizeDown(g.QLo, g.Lo)
-	geom.QuantizeUp(g.QHi, g.Hi)
-}
-
 // NewSegmentedColumnar assembles a Segmented directly from its columnar
 // parts — the zero-copy constructor the v2 store loader uses. flat holds
 // the points (point i at flat[i*d:(i+1)*d]), lo/hi the MBR bounds (MBR j
 // at [j*d:(j+1)*d]), and ranges the half-open point ranges of the MBRs,
 // which must tile [0, len(s.Points)) contiguously. The slices are aliased,
-// not copied (s.Points should itself alias flat), each MBRInfo.Rect is
-// re-aliased into lo/hi, and the quantized sidecar is derived. No
-// partitioning runs: the caller asserts ranges came from Partition under
-// the database's config (the store format records and checksums them).
+// not copied (s.Points should itself alias flat), and each MBRInfo.Rect is
+// re-aliased into lo/hi. No partitioning runs: the caller asserts ranges
+// came from Partition under the database's config (the store format
+// records and checksums them).
 func NewSegmentedColumnar(s *Sequence, ranges []MBRInfo, flat, lo, hi []float64) (*Segmented, error) {
-	g, err := newColumnar(s, ranges, flat, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	g.syncQuant()
-	return g, nil
-}
-
-// NewSegmentedColumnarQ is NewSegmentedColumnar with a prebuilt
-// quantized sidecar: qlo/qhi are aliased instead of being re-derived
-// from lo/hi. The caller asserts they were produced by
-// geom.QuantizeDown/QuantizeUp on exactly these bounds — the v2 store
-// persists and checksums the sidecar next to the bounds themselves, so
-// reloading trusts it on the same footing as lo/hi.
-func NewSegmentedColumnarQ(s *Sequence, ranges []MBRInfo, flat, lo, hi []float64, qlo, qhi []float32) (*Segmented, error) {
-	if len(qlo) != len(lo) || len(qhi) != len(hi) {
-		return nil, fmt.Errorf("core: quantized sidecar sizes qlo=%d qhi=%d, want %d", len(qlo), len(qhi), len(lo))
-	}
-	g, err := newColumnar(s, ranges, flat, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	g.QLo, g.QHi = qlo, qhi
-	return g, nil
-}
-
-// newColumnar validates and assembles the shared columnar parts; the
-// exported constructors differ only in where the quantized sidecar
-// comes from.
-func newColumnar(s *Sequence, ranges []MBRInfo, flat, lo, hi []float64) (*Segmented, error) {
 	d := s.Dim()
 	n := s.Len()
 	r := len(ranges)

@@ -11,8 +11,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // phase3Corpus builds a database under cfg with the shapes the kernel has
@@ -136,32 +139,99 @@ func TestPhase3HitsEquivalence(t *testing.T) {
 	}
 }
 
-// TestPhase3AllPairsMatchesReference pins the index-free entry point (nil
-// hit row: the delta scan's EvalRange) to the seed form over every
-// sequence, candidate or not.
+// TestPhase3AllPairsMatchesReference pins the index-free entry point —
+// Unindexed, whose linear phase 2 fills the hit rows itself — to the seed
+// form over every sequence, candidate or not.
 func TestPhase3AllPairsMatchesReference(t *testing.T) {
+	ctx := context.Background()
 	for _, dim := range []int{2, 3, 4, 8} {
 		cfg := DefaultPartitionConfig()
 		db, seqs := phase3Corpus(t, dim, cfg, int64(700+dim))
+		var ids []uint32
+		var segs []*Segmented
+		for id, g := range db.seqs {
+			if g != nil {
+				ids, segs = append(ids, uint32(id)), append(segs, g)
+			}
+		}
 		for qi, q := range phase3Queries(seqs, dim, int64(90+dim)) {
 			qseg, err := NewSegmented(q, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, g := range db.seqs {
-				if g == nil {
-					continue
-				}
-				label := fmt.Sprintf("dim %d query %d seq %d", dim, qi, id)
-				for _, eps := range []float64{0.05, 0.3} {
-					want, whit, wevals := phase3One(qseg, g, q.Len(), eps)
-					got, hit, evals := EvalRange(qseg, g, eps)
-					if hit != whit || evals != wevals {
-						t.Fatalf("%s eps %g: hit %v evals %d, reference %v %d", label, eps, hit, evals, whit, wevals)
+			for _, eps := range []float64{0.05, 0.3} {
+				label := fmt.Sprintf("dim %d query %d eps %g", dim, qi, eps)
+				var want []Match
+				for i, g := range segs {
+					if m, hit, _ := phase3One(qseg, g, q.Len(), eps); hit {
+						m.SeqID = ids[i]
+						want = append(want, m)
 					}
-					matchesEqual(t, label, []Match{got}, []Match{want})
 				}
+				got, err := Unindexed(ctx, Query{Seq: q, Eps: eps}, cfg, ids, segs, new(SearchStats))
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchesEqual(t, label, got, want)
 			}
 		}
+	}
+}
+
+// TestRangeKeepsTieBehindFarPrefix: a phase-3 window is a difference of the
+// running sums wpre, and behind an MBR thousands of units away those sums are
+// large enough that the difference's rounding — an ulp of the far prefix —
+// can put the window of the best alignment above the computed D. A range
+// search at ε = D (the scan's own distance) must find the sequence anyway,
+// through the index and through Unindexed, under the paper's answer and
+// under MetricD: phase 3 widens each pair's threshold by that cancellation
+// margin. Without it about two in five of these shapes were dismissed.
+func TestRangeKeepsTieBehindFarPrefix(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		db, err := NewDatabase(Options{Dim: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		far := 10 + rng.Float64()*1e4
+		var pts []geom.Point
+		for i := 5 + rng.Intn(10); i > 0; i-- {
+			pts = append(pts, geom.Point{far, far, far})
+		}
+		for seg := 0; seg < 4; seg++ {
+			v := geom.Point{2 + rng.Float64()*0.8, 2 + rng.Float64()*0.8, 2}
+			for i := 3 + rng.Intn(6); i > 0; i-- {
+				pts = append(pts, v)
+			}
+		}
+		if _, err := db.Add(&Sequence{Points: pts}); err != nil {
+			t.Fatal(err)
+		}
+		qv := 2 + rng.Float64()*0.5
+		qp := make([]geom.Point, 12+rng.Intn(8))
+		for i := range qp {
+			qp[i] = geom.Point{qv, qv, 2}
+		}
+		q := &Sequence{Points: qp}
+		for _, m := range []Metric{nil, MetricD{}} {
+			scan, err := db.Do(ctx, Query{Seq: q, Kind: Scan, Eps: math.MaxFloat64, Metric: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := Query{Seq: q, Eps: scan.Matches[0].Dist, Metric: m}
+			got, err := db.Do(ctx, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			un, err := Unindexed(ctx, at, db.PartitionConfig(), []uint32{0}, db.seqs, new(SearchStats))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Matches) != 1 || len(un) != 1 {
+				t.Fatalf("trial %d metric %v: at eps = D = %v, Do found %d and Unindexed %d", trial, m, at.Eps, len(got.Matches), len(un))
+			}
+		}
+		db.Close()
 	}
 }

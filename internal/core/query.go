@@ -176,7 +176,7 @@ func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 	var err error
 	switch {
 	case q.Kind == Scan:
-		res.Matches = db.scan(q, sc)
+		res.Matches = sc.scan(q, db.seqs, nil)
 		return res, nil
 	case q.Kind == KNN && dtw:
 		res.Matches, cacheable, err = db.knnDTW(ctx, q, mt, sc, st, tr, t0)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 
 	"repro/internal/geom"
@@ -62,7 +63,7 @@ type searchScratch struct {
 // phase3Scratch holds the per-candidate Dnorm arrays and the candidate's
 // solution interval as phase3Hits leaves it: iv is reset by every call and
 // its ranges are scratch memory, so a caller keeping a hit copies them out
-// (slabRanges, EvalRange).
+// (slabRanges).
 type phase3Scratch struct {
 	sq    []float64    // squared Dmbr per target MBR (MinDistSqBatch output)
 	dists []float64    // sqrt(sq): the Dmbr values the window sweep consumes
@@ -184,22 +185,26 @@ func (sc *searchScratch) hitRow(id uint32) []uint64 {
 }
 
 // markHits records that query MBR qi hit every sequence owning one of
-// refs, collecting each sequence id the first time any bit of its row is
-// set.
+// refs (mark).
 func (sc *searchScratch) markHits(refs []rtree.Ref, qi int) {
-	w, bit := qi>>6, uint64(1)<<(qi&63)
 	for _, ref := range refs {
 		id, _ := ref.Unpack()
-		row := sc.hitRow(id)
-		var seen uint64
-		for _, x := range row {
-			seen |= x
-		}
-		if seen == 0 {
-			sc.ids = append(sc.ids, id)
-		}
-		row[w] |= bit
+		sc.mark(id, qi)
 	}
+}
+
+// mark records that query MBR qi hit sequence id, collecting the id the
+// first time any bit of its row is set.
+func (sc *searchScratch) mark(id uint32, qi int) {
+	row := sc.hitRow(id)
+	var seen uint64
+	for _, x := range row {
+		seen |= x
+	}
+	if seen == 0 {
+		sc.ids = append(sc.ids, id)
+	}
+	row[qi>>6] |= 1 << (qi & 63)
 }
 
 // firstHit marks sequence id in a one-word-per-row table (the kNN walk's
@@ -252,28 +257,35 @@ func (sc *searchScratch) clearHits() {
 // phase3Hits is the phase-3 kernel: Dnorm pruning and solution-interval
 // assembly for one candidate sequence, over columnar data only. hits is
 // the candidate's row of the phase-2 hit table; query MBRs whose bit is
-// clear are skipped, nil means evaluate every query MBR (the index-free
-// caller: the transaction layer's delta scan).
+// clear are skipped.
 //
-// Skipping is exact. Every Dnorm window distance is a convex combination
-// of the pair's Dmbr values (Definition 5, Lemmas 2–3), so a pair without
-// an index hit — every Dmbr above ε, by the same squared-space arithmetic
-// MinDistSqBatch uses — has no window within ε: it adds nothing to the
-// solution interval, and its window minimum exceeds ε while an emitted
-// match's MinDnorm is at most ε, so it cannot be the minimum either.
+// Skipping loses nothing. Every Dnorm window distance is a convex
+// combination of the pair's Dmbr values (Definition 5, Lemmas 2–3), so a
+// pair without an index hit — every Dmbr above phase 2's radius, by the same
+// squared-space arithmetic MinDistSqBatch uses — has no window within it in
+// real arithmetic: it adds nothing to the solution interval and cannot be
+// the minimum of a match, and the pair that carries a sequence within ε is
+// always hit (dReach). Only a window within rounding of the threshold could
+// tell the two apart, and the indexed and index-free paths mark the same
+// pairs (Unindexed), so they agree on it too.
 //
 // For each evaluated pair the Dmbr row is computed over the candidate's
 // Lo/Hi in squared space with one sqrt per target, then sweepWindows
-// visits every window once. Each qualifying window contributes its points
-// to the solution interval (Example 3), widened to full-query extent: the
-// window covers the data matching query offsets [qm.Start, qm.End), and
+// visits every window once. A window qualifies at reach, phase 2's radius
+// (dReach), plus the pair's cancellation margin over its c points:
+// cancelMargin(r, wpre[r])/c, the most a window taken as a difference of the
+// running sums wpre can lie above the real one (knnSeqBound's argument) — so
+// the window of the best alignment, at most D in real arithmetic, qualifies
+// whenever the computed D is within ε. Each qualifying window contributes its
+// points to the solution interval (Example 3), widened to full-query extent:
+// the window covers the data matching query offsets [qm.Start, qm.End), and
 // the Definition 6 windows containing it are len(Q) long, so the match
 // region extends left by the query prefix before this MBR and right by
 // the suffix after it. Results are bit-identical to phase3One over the
-// same candidates; evals counts the Dmbr values computed. The interval is
-// left in p3.iv (see phase3Scratch) and hit reports whether it is non-empty;
-// minDnorm is the pair minimum either way.
-func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented, qLen int, eps float64) (minDnorm float64, hit bool, evals int) {
+// same candidates at each pair's threshold; evals counts the Dmbr values
+// computed. The interval is left in p3.iv (see phase3Scratch) and hit reports
+// whether it is non-empty; minDnorm is the pair minimum either way.
+func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented, qLen int, reach float64) (minDnorm float64, hit bool, evals int) {
 	minDnorm = math.Inf(1)
 	p3.iv.ranges = p3.iv.ranges[:0]
 	starts := g.Starts
@@ -285,7 +297,7 @@ func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented,
 	sq, dists, wpre := p3.sq, p3.dists, p3.wpre
 	wpre[0] = 0
 	for qi := range qmbrs {
-		if hits != nil && hits[qi>>6]&(1<<(qi&63)) == 0 {
+		if hits[qi>>6]&(1<<(qi&63)) == 0 {
 			continue
 		}
 		qm := &qmbrs[qi]
@@ -295,8 +307,16 @@ func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented,
 			wpre[t+1] = wpre[t] + dists[t]*float64(starts[t+1]-starts[t])
 		}
 		evals += r
+		top := wpre[r]
+		if top > math.MaxFloat64 {
+			// An overflowed Dmbr: the windows over it are +Inf or NaN, which
+			// no threshold admits, and the ones before it are differences of
+			// the finite sums below it.
+			top = wpre[sort.SearchFloat64s(wpre, top)-1]
+		}
 		var minDist float64
-		minDist, p3.wins = sweepWindows(starts, dists, wpre, qm.Count(), eps, p3.wins[:0])
+		thr := reach + cancelMargin(r, top)/float64(qm.Count())
+		minDist, p3.wins = sweepWindows(starts, dists, wpre, qm.Count(), thr, p3.wins[:0])
 		for _, w := range p3.wins {
 			w.Start -= qm.Start
 			w.End += qLen - qm.End
@@ -314,6 +334,13 @@ func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented,
 	}
 	return minDnorm, len(p3.iv.ranges) > 0, evals
 }
+
+// cancelMargin is how far a Dnorm window computed as a difference of running
+// sums over r MBRs, the largest of them total, can lie above the real window
+// times its point count: each of the at most r additions between the
+// difference's ends is off by up to u·total whatever the window's own size,
+// and 2u = 2⁻⁵² covers the roundings of the margin itself.
+func cancelMargin(r int, total float64) float64 { return float64(r) * 0x1p-52 * total }
 
 // slabRanges copies rs — a hit's ranges, still in phase3Scratch — to the
 // end of slab, the one []PointRange the matches of an answer share, and

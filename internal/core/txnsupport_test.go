@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -192,53 +196,90 @@ func TestReplaceSegmented(t *testing.T) {
 	}
 }
 
-// TestEvalRangeMatchesSearch: for every stored sequence, EvalRange's
-// verdict and Match content must agree with what the indexed search
-// reports — including sequences the index would prune (hit=false).
-func TestEvalRangeMatchesSearch(t *testing.T) {
+// TestUnindexedMatchesDo: Unindexed over every live sequence of a
+// database, under their own ids, answers every kind under every metric with
+// Do's answer, bit for bit — range matches with their bounds and intervals,
+// the phase-2 candidates and the Dnorm values computed (the linear phase 2
+// marks exactly the pairs the index probe hits), exact distances, and kNN
+// neighbors with their offsets. Each range is asked again at ε = the
+// query's distance to its nearest other sequence, a tie: twenty points at
+// (2, 2, 2) and a query of twenty at (2.1, 2.1, 2.1) are one, whose D
+// rounds below its every point distance.
+func TestUnindexedMatchesDo(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
-	cfg := DefaultPartitionConfig()
 	db, _ := NewDatabase(Options{Dim: 3})
 	defer db.Close()
-	n := 40
-	for i := 0; i < n; i++ {
+	for i := 0; i < 40; i++ {
 		if _, err := db.Add(randSeqN(rng, 3, 40+rng.Intn(80))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	q := randSeqN(rng, 3, 50)
-	qseg, err := NewSegmented(q, cfg)
-	if err != nil {
+	tie := func(v float64) *Sequence {
+		pts := make([]geom.Point, 20)
+		for i := range pts {
+			pts[i] = geom.Point{v, v, v}
+		}
+		return &Sequence{Points: pts}
+	}
+	if _, err := db.Add(tie(2)); err != nil {
 		t.Fatal(err)
 	}
-	for _, eps := range []float64{0.3, 0.8} {
-		matches, _, err := db.Search(q, eps)
-		if err != nil {
-			t.Fatal(err)
+	if err := db.Remove(17); err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint32
+	var segs []*Segmented
+	for id, g := range db.seqs {
+		if g != nil {
+			ids, segs = append(ids, uint32(id)), append(segs, g)
 		}
-		byID := map[uint32]Match{}
-		for _, m := range matches {
-			byID[m.SeqID] = m
+	}
+	queries := []*Sequence{randSeqN(rng, 3, 50), {Points: db.seqs[3].Seq.Points[5:45]}, randSeqN(rng, 3, 200), tie(2.1)}
+	render := func(ms []Match) string {
+		var b strings.Builder
+		for _, m := range ms {
+			fmt.Fprintf(&b, "%d:%x:%x:%d:%v ", m.SeqID, math.Float64bits(m.Dist), math.Float64bits(m.MinDnorm), m.Offset, m.Interval.Ranges())
 		}
-		for id := 0; id < n; id++ {
-			g := db.Segmented(uint32(id))
-			m, hit, _ := EvalRange(qseg, g, eps)
-			want, inSearch := byID[uint32(id)]
-			if hit != inSearch {
-				t.Fatalf("eps %g seq %d: EvalRange hit=%v, indexed search found=%v", eps, id, hit, inSearch)
+		return b.String()
+	}
+	for qi, seq := range queries {
+		for _, m := range []Metric{nil, MetricD{}, MetricDTW{Window: 8}, MetricDTW{Window: -1}} {
+			all, err := db.Do(ctx, Query{Seq: seq, Kind: Scan, Eps: math.MaxFloat64, Metric: m})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if hit {
-				if m.MinDnorm != want.MinDnorm {
-					t.Fatalf("eps %g seq %d: MinDnorm %g, want %g", eps, id, m.MinDnorm, want.MinDnorm)
+			own := math.Inf(1)
+			for _, r := range all.Matches {
+				if r.Dist > 0 && r.Dist < own {
+					own = r.Dist
 				}
-				gr, wr := m.Interval.Ranges(), want.Interval.Ranges()
-				if len(gr) != len(wr) {
-					t.Fatalf("eps %g seq %d: %d interval ranges, want %d", eps, id, len(gr), len(wr))
+			}
+			var qs []Query
+			for _, eps := range []float64{0, 0.3, 0.8, own} {
+				qs = append(qs, Query{Seq: seq, Eps: eps, Metric: m}, Query{Seq: seq, Kind: Scan, Eps: eps, Metric: m})
+			}
+			if m != nil {
+				for _, k := range []int{1, 7, 50} {
+					qs = append(qs, Query{Seq: seq, Kind: KNN, K: k, Metric: m})
 				}
-				for k := range gr {
-					if gr[k] != wr[k] {
-						t.Fatalf("eps %g seq %d: interval range %d differs", eps, id, k)
-					}
+			}
+			for _, q := range qs {
+				want, err := db.Do(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var st SearchStats
+				got, err := Unindexed(ctx, q, db.PartitionConfig(), ids, segs, &st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("query %d %+v", qi, q)
+				if render(got) != render(want.Matches) {
+					t.Fatalf("%s:\n got %s\nwant %s", label, render(got), render(want.Matches))
+				}
+				if q.Kind == Range && m == nil && (st.CandidatesDmbr != want.Stats.CandidatesDmbr || st.DnormEvals != want.Stats.DnormEvals) {
+					t.Fatalf("%s: candidates %d, Dnorm values %d; Do %d, %d", label, st.CandidatesDmbr, st.DnormEvals, want.Stats.CandidatesDmbr, want.Stats.DnormEvals)
 				}
 			}
 		}

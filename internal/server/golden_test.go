@@ -36,6 +36,12 @@ import (
 // without saying which bytes and why. The set deliberately holds no query
 // of the wrong dimension, no /explain that names a metric and no 10¹⁶
 // spike: those are the inputs whose answers PR 22's bugfixes change.
+//
+// Two digests were re-recorded since: "txn/batch" and "txn+cache/batch",
+// once a transactional batch became Do per distinct query (core.DoBatch).
+// The batch's two repeated members carry "cached":true, as they already did
+// on every other topology, and its X-Mdseq-Cache reads "mixed" instead of
+// "miss"; no other byte moved.
 func TestWireGolden(t *testing.T) {
 	want := map[string]uint64{
 		"core+cache/batch":            0x1f387ace76aee91c,
@@ -74,13 +80,13 @@ func TestWireGolden(t *testing.T) {
 		"shard4/knn-dtw":              0x6e52be515411c6f0,
 		"shard4/search-d":             0xec248fff4817e45f,
 		"shard4/search-dtw":           0xb5c4f537d873f425,
-		"txn+cache/batch":             0xde70ac3b8baeb1ab,
+		"txn+cache/batch":             0x321cc85e31e473bb,
 		"txn+cache/explain":           0x5cd1dacda541913a,
 		"txn+cache/knn-d":             0xc248b4b0b25ead26,
 		"txn+cache/knn-dtw":           0xafc3653bc7c7bf1f,
 		"txn+cache/search-d":          0x8f358a7a535f0e99,
 		"txn+cache/search-dtw":        0x4de07dacb8445a57,
-		"txn/batch":                   0xf974d469a1985e24,
+		"txn/batch":                   0x8b7b7ff944eb3bf8,
 		"txn/explain":                 0x5cd1dacda541913a,
 		"txn/knn-d":                   0x76e5806701a269f4,
 		"txn/knn-dtw":                 0xb05ff8246788c3c6,

@@ -38,8 +38,9 @@ type DB interface {
 	// on a ShardedDB the query additionally runs under the fault-tolerance
 	// Policy (per-shard timeout, retry, hedging, partial results).
 	Do(context.Context, core.Query) (core.Result, error)
-	// SearchBatchCtx answers several of the paper's range queries in one
-	// pass, one result set and stats value per query, in input order.
+	// SearchBatchCtx answers several of the paper's range queries, one
+	// result set and stats value per query, in input order: each what Do
+	// returns for it, a repeat answered once and flagged CacheHit.
 	SearchBatchCtx(context.Context, []*core.Sequence, float64) ([][]core.Match, []core.SearchStats, error)
 	// Explain records every pruning decision the paper's range search makes.
 	Explain(*core.Sequence, float64) (*core.Explanation, error)

@@ -52,24 +52,6 @@ func float64View(b []byte) []float64 {
 	return out
 }
 
-// float32View is float64View for the quantized sidecar sections: b is
-// reinterpreted as little-endian float32s, aliased in place on a
-// little-endian host with 4-byte alignment, decoded otherwise.
-func float32View(b []byte) []float32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
 // float32Bytes is float64Bytes for the quantized sidecar sections.
 func float32Bytes(fs []float32) []byte {
 	if len(fs) == 0 {

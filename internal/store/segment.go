@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -47,20 +48,23 @@ import (
 //	5 lo       nmbrs × dim f64 — MBR lower bounds, concatenated
 //	6 hi       nmbrs × dim f64 — MBR upper bounds, concatenated
 //	7 qlo      nmbrs × dim f32 — quantized lower bounds (lo rounded
-//	           toward −∞; see geom.QuantizeDown)
+//	           toward −∞; see geom.QuantizeDown), derived from section 5
+//	           when written and checksummed but not read back
 //	8 qhi      nmbrs × dim f32 — quantized upper bounds (hi rounded
-//	           toward +∞)
+//	           toward +∞), derived from section 6 likewise
 //	9 leafdir  nleaves × u32 — entries per packed R*-tree leaf (iff treeM > 0)
 //	10 leafrefs nmbrs × u64 — rtree refs in STR leaf order; the id half of
 //	           each ref is the sequence's *position* (0-based, dense), not
 //	           a persisted database id (iff treeM > 0)
 //
-// Sections 3, 5-8 are exactly the in-memory representation of the
-// Segmented columnar arrays (Flat/Lo/Hi/QLo/QHi) on a little-endian
-// host, and every section payload starts 8-byte aligned (80-byte header,
-// 16-byte section headers, 8-padded payloads), so the loader aliases
-// them in place — no per-sequence deserialization and no re-running of
-// the outward float32 rounding. Sections 9/10 carry the STR leaf
+// Sections 3, 5 and 6 are exactly the in-memory representation of the
+// Segmented columnar arrays (Flat/Lo/Hi) on a little-endian host, and
+// every section payload starts 8-byte aligned (80-byte header, 16-byte
+// section headers, 8-padded payloads), so the loader aliases them in
+// place — no per-sequence deserialization. No search reads a quantized
+// bound any more; sections 7 and 8 stay in the layout so files keep their
+// bytes, and the reader size- and CRC-checks them like every other
+// section. Sections 9/10 carry the STR leaf
 // grouping of the R*-tree so reloading packs the tree bottom-up without
 // re-sorting (rtree.BulkLoadLeaves).
 const (
@@ -76,8 +80,8 @@ const (
 	secMBRDir   = 4
 	secLo       = 5
 	secHi       = 6
-	secQLo      = 7
-	secQHi      = 8
+	secQuantLo  = 7
+	secQuantHi  = 8
 	secLeafDir  = 9
 	secLeafRefs = 10
 
@@ -170,9 +174,6 @@ func writeSegmentsFile(path string, dim int, cfg core.PartitionConfig, segs []*c
 		if uint64(len(g.Seq.Label)) > math.MaxUint32 {
 			return fmt.Errorf("store: segment %d label too long", i)
 		}
-		if len(g.QLo) != r*dim || len(g.QHi) != r*dim {
-			return fmt.Errorf("store: segment %d quantized sidecar %d/%d, want %d", i, len(g.QLo), len(g.QHi), r*dim)
-		}
 		npoints += uint64(n)
 		nmbrs += uint64(r)
 		labelBytes += uint64(len(g.Seq.Label))
@@ -183,6 +184,19 @@ func writeSegmentsFile(path string, dim int, cfg core.PartitionConfig, segs []*c
 
 	d := uint64(dim)
 	var scratch [16]byte
+	// quantized emits one bound column rounded outward to float32 (sections
+	// 7 and 8), derived per sequence into one reused buffer.
+	var qbuf []float32
+	quantized := func(round func([]float32, []float64), col func(*core.Segmented) []float64) func(func([]byte)) {
+		return func(emit func([]byte)) {
+			for _, g := range segs {
+				src := col(g)
+				qbuf = slices.Grow(qbuf[:0], len(src))[:len(src)]
+				round(qbuf, src)
+				emit(float32Bytes(qbuf))
+			}
+		}
+	}
 	sections := []secSpec{
 		{secSeqDir, uint64(len(segs)) * 16, func(emit func([]byte)) {
 			for _, g := range segs {
@@ -224,16 +238,8 @@ func writeSegmentsFile(path string, dim int, cfg core.PartitionConfig, segs []*c
 				emit(float64Bytes(g.Hi))
 			}
 		}},
-		{secQLo, nmbrs * d * 4, func(emit func([]byte)) {
-			for _, g := range segs {
-				emit(float32Bytes(g.QLo))
-			}
-		}},
-		{secQHi, nmbrs * d * 4, func(emit func([]byte)) {
-			for _, g := range segs {
-				emit(float32Bytes(g.QHi))
-			}
-		}},
+		{secQuantLo, nmbrs * d * 4, quantized(geom.QuantizeDown, func(g *core.Segmented) []float64 { return g.Lo })},
+		{secQuantHi, nmbrs * d * 4, quantized(geom.QuantizeUp, func(g *core.Segmented) []float64 { return g.Hi })},
 	}
 	if treeM > 0 {
 		sections = append(sections,
@@ -448,8 +454,8 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 		{secMBRDir, nmbrs * 8},
 		{secLo, nmbrs * d * 8},
 		{secHi, nmbrs * d * 8},
-		{secQLo, nmbrs * d * 4},
-		{secQHi, nmbrs * d * 4},
+		{secQuantLo, nmbrs * d * 4},
+		{secQuantHi, nmbrs * d * 4},
 	}
 	if treeM > 0 {
 		wants = append(wants, want{secLeafDir, nleaves * 4}, want{secLeafRefs, nmbrs * 8})
@@ -490,7 +496,6 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 	pointsAll := float64View(payload[2])
 	mbrdir := payload[3]
 	loAll, hiAll := float64View(payload[4]), float64View(payload[5])
-	qloAll, qhiAll := float32View(payload[6]), float32View(payload[7])
 
 	segs := make([]*core.Segmented, nseqs)
 	var pOff, mOff, lOff uint64
@@ -516,9 +521,7 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 		}
 		lo := loAll[mOff*d : (mOff+r)*d : (mOff+r)*d]
 		hi := hiAll[mOff*d : (mOff+r)*d : (mOff+r)*d]
-		qlo := qloAll[mOff*d : (mOff+r)*d : (mOff+r)*d]
-		qhi := qhiAll[mOff*d : (mOff+r)*d : (mOff+r)*d]
-		g, err := core.NewSegmentedColumnarQ(seq, ranges, flat, lo, hi, qlo, qhi)
+		g, err := core.NewSegmentedColumnar(seq, ranges, flat, lo, hi)
 		if err != nil {
 			return nil, fmt.Errorf("%w: sequence %d: %v", ErrBadStore, i, err)
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/pager"
+	"repro/internal/rtree"
 	"repro/internal/seqio"
 	"repro/internal/store"
 )
@@ -208,11 +209,11 @@ func (db *DB) fold(cut *state) error {
 	// lists them first and has already dropped removed ones (removal
 	// wins), and adds follow them (folded above). A fixed order makes the
 	// folded R*-tree a function of the delta alone.
-	for _, ds := range v.delta {
-		if ds.id >= cut.baseNext {
+	for i, id := range v.ids {
+		if id >= cut.baseNext {
 			break
 		}
-		if err := db.base.ReplaceSegmented(ds.id, detach(ds.g)); err != nil {
+		if err := db.base.ReplaceSegmented(id, detach(v.segs[i])); err != nil {
 			return err
 		}
 	}
@@ -378,123 +379,84 @@ func loadBase(opts *Options) (*core.Database, uint64, error) {
 	opts.Dim = dim
 	opts.Partition = cfg
 
+	bopts := core.Options{Dim: dim, Partition: cfg, QuantizedMBR: opts.QuantizedMBR}
 	if segPath := filepath.Join(dir, snapSegFile); len(ids) > 0 {
 		if _, statErr := os.Stat(segPath); statErr == nil {
-			return loadBaseV2(segPath, dim, cfg, opts.QuantizedMBR, nextID, ids, lsn)
+			// A v2 snapshot: the file's already-partitioned segments are
+			// aliased straight into the database, with its packed leaves.
+			c, err := store.ReadSegments(segPath)
+			if err != nil {
+				return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
+			}
+			if c.Dim != dim || c.Config != cfg || len(c.Segs) != len(ids) {
+				return nil, 0, fmt.Errorf("%w: snapshot segments disagree with meta", ErrBadDir)
+			}
+			db, err := newBase(bopts, c.Segs, c.Leaves, c.TreeM, nextID, ids)
+			return db, lsn, err
 		}
 	}
 
-	var seqs []*core.Sequence
+	// A v1 snapshot: sequences, partitioned here.
+	var segs []*core.Segmented
 	if len(ids) > 0 {
-		seqs, err = seqio.ReadFile(filepath.Join(dir, snapSeqFile))
+		seqs, err := seqio.ReadFile(filepath.Join(dir, snapSeqFile))
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
 		}
 		if len(seqs) != len(ids) {
 			return nil, 0, fmt.Errorf("%w: %d sequences for %d ids", ErrBadDir, len(seqs), len(ids))
 		}
-	}
-	base, err := core.NewDatabase(core.Options{Dim: dim, Partition: cfg, QuantizedMBR: opts.QuantizedMBR})
-	if err != nil {
-		return nil, 0, err
-	}
-	if uint32(len(ids)) == nextID {
-		// No holes: ids are 0..n-1 in order, the bulk path applies.
-		if len(seqs) > 0 {
-			if _, err := base.AddAll(seqs); err != nil {
-				base.Close()
-				return nil, 0, err
-			}
-		}
-		return base, lsn, nil
-	}
-	k := 0
-	for id := uint32(0); id < nextID; id++ {
-		if k < len(ids) && ids[k] == id {
-			g, err := core.NewSegmented(seqs[k], cfg)
+		for _, sq := range seqs {
+			g, err := core.NewSegmented(sq, cfg)
 			if err != nil {
-				base.Close()
-				return nil, 0, err
-			}
-			got, err := base.AddSegmented(g)
-			if err != nil {
-				base.Close()
-				return nil, 0, err
-			}
-			if got != id {
-				base.Close()
-				return nil, 0, fmt.Errorf("%w: snapshot ids not ascending", ErrBadDir)
-			}
-			k++
-			continue
-		}
-		if _, err := base.AddTombstone(); err != nil {
-			base.Close()
-			return nil, 0, err
-		}
-	}
-	if k != len(ids) {
-		base.Close()
-		return nil, 0, fmt.Errorf("%w: snapshot ids exceed next id", ErrBadDir)
-	}
-	return base, lsn, nil
-}
-
-// loadBaseV2 rebuilds the base from a v2 (columnar segment) snapshot:
-// the file's already-partitioned segments are aliased straight into the
-// database — no re-partitioning — and, when the id layout has no holes,
-// the R*-tree is packed bottom-up from the stored leaf grouping. With
-// holes (removed ids), segments and tombstones are interleaved per slot
-// to reproduce the exact directory layout; the packed leaves are keyed
-// by dense position, so they do not apply there.
-func loadBaseV2(path string, dim int, cfg core.PartitionConfig, quant bool, nextID uint32, ids []uint32, lsn uint64) (*core.Database, uint64, error) {
-	c, err := store.ReadSegments(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
-	}
-	if c.Dim != dim || c.Config != cfg || len(c.Segs) != len(ids) {
-		return nil, 0, fmt.Errorf("%w: snapshot segments disagree with meta", ErrBadDir)
-	}
-	base, err := core.NewDatabase(core.Options{Dim: dim, Partition: cfg, QuantizedMBR: quant})
-	if err != nil {
-		return nil, 0, err
-	}
-	if uint32(len(ids)) == nextID {
-		leaves := c.Leaves
-		if c.TreeM != base.IndexFanout() {
-			leaves = nil
-		}
-		if _, err := base.AddAllSegmented(c.Segs, leaves); err != nil {
-			base.Close()
-			return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
-		}
-		return base, lsn, nil
-	}
-	k := 0
-	for id := uint32(0); id < nextID; id++ {
-		if k < len(ids) && ids[k] == id {
-			got, err := base.AddSegmented(c.Segs[k])
-			if err != nil {
-				base.Close()
 				return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
 			}
-			if got != id {
-				base.Close()
-				return nil, 0, fmt.Errorf("%w: snapshot ids not ascending", ErrBadDir)
+			segs = append(segs, g)
+		}
+	}
+	db, err := newBase(bopts, segs, nil, 0, nextID, ids)
+	return db, lsn, err
+}
+
+// newBase builds a snapshot's base database under opts, reproducing its id
+// layout: segs[k] is sequence ids[k] (ascending, below nextID), and every
+// other id below nextID is a hole, a tombstone. With no holes the corpus is
+// bulk-loaded, along leaves — the snapshot's packed R*-tree leaf grouping,
+// keyed by dense position — when they were packed for this fanout (treeM);
+// with holes, segments and tombstones are interleaved per slot.
+func newBase(opts core.Options, segs []*core.Segmented, leaves [][]rtree.Ref, treeM int, nextID uint32, ids []uint32) (*core.Database, error) {
+	base, err := core.NewDatabase(opts)
+	if err != nil {
+		return nil, err
+	}
+	if treeM != base.IndexFanout() {
+		leaves = nil
+	}
+	if uint32(len(ids)) == nextID {
+		_, err = base.AddAllSegmented(segs, leaves)
+	} else {
+		k := 0
+		for id := uint32(0); id < nextID && err == nil; id++ {
+			got := id
+			if k < len(ids) && ids[k] == id {
+				got, err = base.AddSegmented(segs[k])
+				k++
+			} else {
+				_, err = base.AddTombstone()
 			}
-			k++
-			continue
+			if err == nil && got != id {
+				err = errors.New("snapshot ids not ascending")
+			}
 		}
-		if _, err := base.AddTombstone(); err != nil {
-			base.Close()
-			return nil, 0, err
+		if err == nil && k != len(ids) {
+			err = errors.New("snapshot ids exceed next id")
 		}
 	}
-	if k != len(ids) {
+	if err != nil {
 		base.Close()
-		return nil, 0, fmt.Errorf("%w: snapshot ids exceed next id", ErrBadDir)
+		return nil, fmt.Errorf("%w: %v", ErrBadDir, err)
 	}
-	return base, lsn, nil
+	return base, nil
 }
 
 // openLog opens the WAL and replays the records after the snapshot into

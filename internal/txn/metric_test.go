@@ -13,7 +13,7 @@ import (
 // TestTxnMetricEquivalence drives a randomized op stream into the txn
 // layer and a plain core.Database and requires the metric query surface
 // — DTW range, DTW kNN, and the exhaustive metric scan — to answer
-// byte-identically: with the delta unfolded (indexed base + EvalMetric
+// byte-identically: with the delta unfolded (indexed base + core.Unindexed
 // delta scan), after a checkpoint fold, and after a second op wave.
 func TestTxnMetricEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))

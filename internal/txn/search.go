@@ -2,7 +2,6 @@ package txn
 
 import (
 	"context"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -69,75 +68,6 @@ func (s *Snap) view() *view {
 	return s.v
 }
 
-// qseg partitions the query with the database's configuration — the
-// same partitioning the indexed search computes, so delta-side kernels
-// see identical query MBRs.
-func (s *Snap) qseg(q *core.Sequence) (*core.Segmented, error) {
-	return core.NewSegmented(q, s.db.base.PartitionConfig())
-}
-
-// dmbrQualifies is the linear-scan form of phase 2: a delta sequence
-// stays a candidate only if some (query MBR, data MBR) pair is within
-// eps. Dmbr lower-bounds Dnorm (Lemma 2), so skipping a non-qualifying
-// sequence cannot change results — phase 3 would have reported
-// hit=false for it — and the squared-space comparison matches the
-// indexed path's kernel (MinDistSq vs eps²) bit for bit.
-func dmbrQualifies(qseg *core.Segmented, g *core.Segmented, epsSq float64) bool {
-	for _, qm := range qseg.MBRs {
-		for _, gm := range g.MBRs {
-			if qm.Rect.MinDistSq(gm.Rect) <= epsSq {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// deltaRange evaluates the range predicate over the snapshot's delta
-// sequences: the phase-2 Dmbr prune over each sequence's MBRs, then the
-// indexed path's phase-3 kernel for the survivors. Results come back
-// in ascending id order.
-func (s *Snap) deltaRange(ctx context.Context, q *core.Sequence, eps float64, st *core.SearchStats) ([]core.Match, error) {
-	v := s.view()
-	if len(v.delta) == 0 {
-		return nil, nil
-	}
-	t0 := time.Now()
-	qseg, err := s.qseg(q)
-	if err != nil {
-		return nil, err
-	}
-	epsSq := eps * eps
-	var out []core.Match
-	for i, d := range v.delta {
-		if i&31 == 0 {
-			if err := searchCanceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if !dmbrQualifies(qseg, d.g, epsSq) {
-			continue
-		}
-		m, hit, evals := core.EvalRange(qseg, d.g, eps)
-		st.DnormEvals += evals
-		st.CandidatesDmbr++
-		if hit {
-			m.SeqID = d.id
-			out = append(out, m)
-		}
-	}
-	d := time.Since(t0)
-	st.Phase3 += d
-	st.CPUTime += d
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.RecordSpan(obs.SpanFromContext(ctx), "delta-scan", d,
-			obs.Int64("snapshot_epoch", int64(s.st.epoch)),
-			obs.Int("delta_len", s.st.deltaLen()),
-			obs.Int("matches", len(out)))
-	}
-	return out, nil
-}
-
 // mergeByID merges two id-ascending match lists — the base's answer and
 // the delta pass's — dropping base entries the view supersedes: the one
 // merge of every kind whose answer is ordered by id. When the delta adds
@@ -172,12 +102,11 @@ func mergeByID(base []core.Match, v *view, delta []core.Match) []core.Match {
 
 // Do answers q against the snapshot: the one query path of the transaction
 // layer. The indexed base answers first (core.Database.Do — cache, index,
-// kernels), the delta pass evaluates the same predicate over the
-// snapshot's unfolded sequences with the same evaluation kernels, and the
-// two are merged with base entries the delta supersedes or removed dropped
-// — identical output to a fully indexed database holding this snapshot's
-// content, for every kind and metric. With nothing unfolded the base's
-// answer is the snapshot's.
+// kernels), the delta pass answers q over the snapshot's unfolded sequences
+// with the same kernels (core.Unindexed), and the two are merged with base
+// entries the delta supersedes or removed dropped — identical output to a
+// fully indexed database holding this snapshot's content, for every kind and
+// metric. With nothing unfolded the base's answer is the snapshot's.
 func (s *Snap) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	if s.st.deltaLen() == 0 {
 		return s.db.base.Do(ctx, q)
@@ -201,23 +130,26 @@ func (s *Snap) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	return s.overlay(ctx, q, res)
 }
 
-// overlay turns the base's answer to q into the snapshot's: the delta pass
-// of q's kind, the merge, the statistics rewritten to the snapshot's view.
+// overlay turns the base's answer to q into the snapshot's: the delta pass,
+// the merge, the statistics rewritten to the snapshot's view.
 func (s *Snap) overlay(ctx context.Context, q core.Query, res core.Result) (core.Result, error) {
+	v := s.view()
 	var err error
 	if q.Kind == core.KNN {
-		res.Matches, err = s.mergeKNN(ctx, q, res.Matches)
+		res.Matches, err = s.mergeKNN(ctx, q, res.Matches, &res.Stats)
 	} else {
 		var delta []core.Match
-		switch {
-		case q.Kind == core.Scan:
-			delta = s.deltaScan(q)
-		case q.Metric == nil:
-			delta, err = s.deltaRange(ctx, q.Seq, q.Eps, &res.Stats)
-		default:
-			delta, err = s.deltaMetricRange(ctx, q.Seq, q.Eps, q.Metric, &res.Stats)
+		if len(v.segs) > 0 {
+			t0 := time.Now()
+			delta, err = core.Unindexed(ctx, q, s.db.base.PartitionConfig(), v.ids, v.segs, &res.Stats)
+			if tr := obs.FromContext(ctx); tr != nil && q.Kind == core.Range {
+				tr.RecordSpan(obs.SpanFromContext(ctx), "delta-scan", time.Since(t0),
+					obs.Int64("snapshot_epoch", int64(s.st.epoch)),
+					obs.Int("delta_len", s.st.deltaLen()),
+					obs.Int("matches", len(delta)))
+			}
 		}
-		res.Matches = mergeByID(res.Matches, s.view(), delta)
+		res.Matches = mergeByID(res.Matches, v, delta)
 	}
 	if err != nil {
 		return core.Result{}, err
@@ -230,121 +162,37 @@ func (s *Snap) overlay(ctx context.Context, q core.Query, res core.Result) (core
 	return res, nil
 }
 
-// SearchBatchCtx answers several of the paper's range queries in one pass
-// over the snapshot, one result set and stats value per query, in input
-// order: the base's batched search, then Do's delta pass and merge per
-// query.
+// SearchBatchCtx answers several of the paper's range queries against the
+// snapshot: core.DoBatch with the snapshot's Do, so every answer comes from
+// this one pinned version.
 func (s *Snap) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error) {
-	matches, stats, err := s.db.base.SearchBatchCtx(ctx, qs, eps)
-	if err != nil || s.st.deltaLen() == 0 {
-		return matches, stats, err
-	}
-	for i, q := range qs {
-		res, err := s.overlay(ctx, core.Query{Seq: q, Eps: eps}, core.Result{Matches: matches[i], Stats: stats[i]})
-		if err != nil {
-			return nil, nil, err
-		}
-		matches[i], stats[i] = res.Matches, res.Stats
-	}
-	return matches, stats, nil
-}
-
-// deltaMetricRange evaluates the exact metric distance over the
-// snapshot's delta sequences. No lower-bound pruning: the delta is
-// bounded by the checkpoint cadence, so exhaustive exact evaluation
-// keeps it trivially identical to the scan baseline.
-func (s *Snap) deltaMetricRange(ctx context.Context, q *core.Sequence, eps float64, m core.Metric, st *core.SearchStats) ([]core.MetricMatch, error) {
-	v := s.view()
-	if len(v.delta) == 0 {
-		return nil, nil
-	}
-	t0 := time.Now()
-	qseg, err := s.qseg(q)
-	if err != nil {
-		return nil, err
-	}
-	_, isDTW := m.(core.MetricDTW)
-	var out []core.MetricMatch
-	for i, d := range v.delta {
-		if i&31 == 0 {
-			if err := searchCanceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		dist := core.EvalMetric(qseg, d.g, m, math.Inf(1))
-		st.CandidatesDmbr++
-		if isDTW {
-			st.DTWEvals++
-		}
-		if dist <= eps {
-			out = append(out, core.MetricMatch{SeqID: d.id, Seq: d.g.Seq, Dist: dist})
-		}
-	}
-	dur := time.Since(t0)
-	st.Phase3 += dur
-	st.CPUTime += dur
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.RecordSpan(obs.SpanFromContext(ctx), "delta-scan", dur,
-			obs.Int64("snapshot_epoch", int64(s.st.epoch)),
-			obs.Int("delta_len", s.st.deltaLen()),
-			obs.Int("matches", len(out)))
-	}
-	return out, nil
-}
-
-// deltaScan is the exhaustive baseline over the snapshot's delta
-// sequences, exactly as core's scan kernel treats a stored one: under a nil
-// Metric the sliding-alignment D with its exact solution interval, under a
-// Metric that metric's distance (core.ScanMetric).
-func (s *Snap) deltaScan(q core.Query) []core.Match {
-	var out []core.Match
-	for _, d := range s.view().delta {
-		sq := d.g.Seq
-		if q.Metric != nil {
-			if dist := core.ScanMetric(q.Seq, d.g, q.Metric); dist <= q.Eps {
-				out = append(out, core.Match{SeqID: d.id, Seq: sq, Dist: dist})
-			}
-			continue
-		}
-		profile := core.OffsetProfile(q.Seq.Points, sq.Points)
-		dist := core.MinOfProfile(profile)
-		if dist > q.Eps {
-			continue
-		}
-		queryLonger := len(q.Seq.Points) > len(sq.Points)
-		k := len(q.Seq.Points)
-		if queryLonger {
-			k = len(sq.Points)
-		}
-		si := core.SolutionIntervalFromProfile(profile, k, len(sq.Points), queryLonger, q.Eps)
-		out = append(out, core.Match{SeqID: d.id, Seq: sq, Dist: dist, Interval: si})
-	}
-	return out
+	return core.DoBatch(ctx, s.Do, s.db.Dim(), s.db.PartitionConfig(), qs, eps)
 }
 
 // mergeKNN is the delta pass and merge of a KNN — the one kNN merge every
-// metric shares: base, the base index's answer for the inflated k', loses what
-// the view supersedes, the delta contributes exact distances via the same
-// kernel the indexed path refines with, and the merge keeps the true top k.
+// metric shares: base, the base index's answer for the inflated k', loses
+// what the view supersedes, the delta pass (core.Unindexed) contributes its
+// own top k, and the merge keeps the true top k.
 //
 // The base search read the live bound but published to a Local one (Do):
 // what it refines may be a version the delta supersedes or a sequence it
 // removed, and such a distance must never count among the k that make the
 // shared bound. The merge owns the answer, so it offers every surviving
-// base result and every accepted delta sequence — live in this snapshot,
-// one id each — and publishes its own k-th best as it improves. Each delta
-// sequence is scored with cutoff min(bound, current k-th best of the
-// merge) — above it the score is not exact, and such a sequence cannot
-// enter the top k.
-func (s *Snap) mergeKNN(ctx context.Context, query core.Query, base []core.Match) ([]core.Match, error) {
-	q, k, bound, m := query.Seq, query.K, query.Bound, query.Metric
+// base result and every delta result — live in this snapshot, one id each —
+// and publishes its own k-th best as it improves. The delta pass refines
+// against a Local bound that holds the surviving base results' k-th best
+// besides reading the shared one: a delta sequence above it cannot enter the
+// top k.
+func (s *Snap) mergeKNN(ctx context.Context, q core.Query, base []core.Match, st *core.SearchStats) ([]core.Match, error) {
 	v := s.view()
-	var out []core.KNNResult
-	accept := func(r core.KNNResult) {
-		out = core.InsertKNN(out, r, k)
-		bound.Offer(r.SeqID, r.Dist)
-		if len(out) == k {
-			bound.Tighten(out[k-1].Dist)
+	own := q.Bound.Local()
+	var out []core.Match
+	accept := func(r core.Match) {
+		out = core.InsertKNN(out, r, q.K)
+		q.Bound.Offer(r.SeqID, r.Dist)
+		if len(out) == q.K {
+			q.Bound.Tighten(out[q.K-1].Dist)
+			own.Tighten(out[q.K-1].Dist)
 		}
 	}
 	for _, r := range base {
@@ -352,36 +200,18 @@ func (s *Snap) mergeKNN(ctx context.Context, query core.Query, base []core.Match
 			accept(r)
 		}
 	}
-	if len(v.delta) == 0 {
+	if len(v.segs) == 0 {
 		return out, nil
 	}
-	qseg, err := s.qseg(q)
+	dq := q
+	dq.Bound = own
+	delta, err := core.Unindexed(ctx, dq, s.db.base.PartitionConfig(), v.ids, v.segs, st)
 	if err != nil {
 		return nil, err
 	}
-	_, dtw := m.(core.MetricDTW)
-	for i, d := range v.delta {
-		if i&31 == 0 {
-			if err := searchCanceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		cut := bound.Load()
-		if len(out) == k {
-			cut = min(cut, out[k-1].Dist)
-		}
-		r := core.KNNResult{SeqID: d.id, Seq: d.g.Seq}
-		if dtw {
-			r.Dist = core.EvalMetric(qseg, d.g, m, cut)
-		} else {
-			r.Offset, r.Dist = core.EvalAlign(qseg, d.g, cut)
-		}
-		if r.Dist > cut || math.IsInf(r.Dist, 1) {
-			continue
-		}
+	for _, r := range delta {
 		accept(r)
 	}
-	bound.AddCounts(core.KNNCounts{Candidates: len(v.delta), Refined: len(v.delta)})
 	return out, nil
 }
 
@@ -414,14 +244,14 @@ func (s *Snap) Sequences() []*core.Sequence {
 		if v.dropBase(sq.ID) {
 			continue
 		}
-		for j < len(v.delta) && v.delta[j].id < sq.ID {
-			out = append(out, v.delta[j].g.Seq)
+		for j < len(v.ids) && v.ids[j] < sq.ID {
+			out = append(out, v.segs[j].Seq)
 			j++
 		}
 		out = append(out, sq)
 	}
-	for ; j < len(v.delta); j++ {
-		out = append(out, v.delta[j].g.Seq)
+	for ; j < len(v.segs); j++ {
+		out = append(out, v.segs[j].Seq)
 	}
 	return out
 }
@@ -478,20 +308,36 @@ func (db *DB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k int, m
 }
 
 // Explain records every pruning decision the paper's range search makes.
-// The index only covers the base, so Explain first folds the delta (an
-// automatic checkpoint: it persists only by the WAL-size rule) — once the
-// query has passed core.Query.Check, so a query that will be refused
-// costs no fold — and then explains against the fully indexed corpus.
+// The index only covers the base, so Explain first folds the delta
+// (foldForIndex) and then explains against the fully indexed corpus.
 func (db *DB) Explain(q *core.Sequence, eps float64) (*core.Explanation, error) {
-	if err := (core.Query{Seq: q, Eps: eps}).Check(db.Dim()); err != nil {
+	if err := db.foldForIndex(q, eps); err != nil {
 		return nil, err
 	}
-	if db.cur.Load().deltaLen() > 0 {
-		if err := db.checkpoint(false); err != nil {
-			return nil, err
-		}
-	}
 	return db.base.Explain(q, eps)
+}
+
+// CandidatesDmbr runs only phases 1+2 — the paper's ASmbr — against the
+// fully indexed corpus, folding the delta first as Explain does.
+func (db *DB) CandidatesDmbr(q *core.Sequence, eps float64) (map[uint32]bool, error) {
+	if err := db.foldForIndex(q, eps); err != nil {
+		return nil, err
+	}
+	return db.base.CandidatesDmbr(q, eps)
+}
+
+// foldForIndex readies the base to answer a question only the index can:
+// once q has passed core.Query.Check — so a query that will be refused costs
+// no fold — the delta is folded (an automatic checkpoint: it persists only by
+// the WAL-size rule).
+func (db *DB) foldForIndex(q *core.Sequence, eps float64) error {
+	if err := (core.Query{Seq: q, Eps: eps}).Check(db.Dim()); err != nil {
+		return err
+	}
+	if db.cur.Load().deltaLen() > 0 {
+		return db.checkpoint(false)
+	}
+	return nil
 }
 
 // Segmented returns the currently visible version of a sequence, or
@@ -523,10 +369,10 @@ func (db *DB) NumMBRs() int {
 		return n
 	}
 	v := s.view()
-	for _, d := range v.delta {
-		n += len(d.g.MBRs)
-		if d.id < s.st.baseNext {
-			if bg := db.base.Segmented(d.id); bg != nil {
+	for i, g := range v.segs {
+		n += len(g.MBRs)
+		if id := v.ids[i]; id < s.st.baseNext {
+			if bg := db.base.Segmented(id); bg != nil {
 				n -= len(bg.MBRs)
 			}
 		}
@@ -556,39 +402,6 @@ func (db *DB) Dim() int { return db.base.Dim() }
 
 // PartitionConfig reports the MCOST segmentation settings in force.
 func (db *DB) PartitionConfig() core.PartitionConfig { return db.base.PartitionConfig() }
-
-// CandidatesDmbr runs only phases 1+2 against the current snapshot. The
-// delta is not indexed, so its phase 2 is the linear Dmbr prune the
-// query path applies (dmbrQualifies) — the returned set is exactly the
-// paper's ASmbr over the snapshot's content.
-func (db *DB) CandidatesDmbr(q *core.Sequence, eps float64) (map[uint32]bool, error) {
-	s := db.Acquire()
-	defer s.Release()
-	cand, err := db.base.CandidatesDmbr(q, eps)
-	if err != nil {
-		return nil, err
-	}
-	if s.st.deltaLen() == 0 {
-		return cand, nil
-	}
-	v := s.view()
-	for id := range cand {
-		if v.dropBase(id) {
-			delete(cand, id)
-		}
-	}
-	qseg, err := s.qseg(q)
-	if err != nil {
-		return nil, err
-	}
-	epsSq := eps * eps
-	for _, d := range v.delta {
-		if dmbrQualifies(qseg, d.g, epsSq) {
-			cand[d.id] = true
-		}
-	}
-	return cand, nil
-}
 
 // Epoch returns the commit version of the latest published state; it
 // changes on every commit, so corpus-version observers above this layer

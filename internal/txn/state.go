@@ -95,18 +95,13 @@ func (st *state) deltaLen() int {
 // built once per pinned snapshot (O(delta) — bounded by the checkpoint
 // cadence), then shared by every query through that snapshot.
 type view struct {
-	st        *state
-	removed   map[uint32]struct{}
-	overlay   map[uint32]*core.Segmented // latest version per overlaid id
-	delta     []deltaSeq                 // visible delta sequences, ascending id
-	deadBase  int                        // base ids in removed (capacity hint for kNN inflation)
-	liveBases int
-}
-
-// deltaSeq is one sequence a delta scan must evaluate.
-type deltaSeq struct {
-	id uint32
-	g  *core.Segmented
+	st      *state
+	removed map[uint32]struct{}
+	overlay map[uint32]*core.Segmented // latest version per overlaid id
+	// ids and segs are the visible delta sequences, ascending id: segs[i]
+	// is sequence ids[i] — what the delta pass (core.Unindexed) reads.
+	ids  []uint32
+	segs []*core.Segmented
 }
 
 // buildView resolves st into lookup form.
@@ -118,9 +113,6 @@ func buildView(st *state) *view {
 	v.removed = make(map[uint32]struct{}, len(st.removed))
 	for _, id := range st.removed {
 		v.removed[id] = struct{}{}
-		if id < st.baseNext {
-			v.deadBase++
-		}
 	}
 	v.overlay = make(map[uint32]*core.Segmented, len(st.overlays))
 	overlayBase := make([]uint32, 0, len(st.overlays))
@@ -137,7 +129,7 @@ func buildView(st *state) *view {
 		if _, dead := v.removed[id]; dead {
 			continue
 		}
-		v.delta = append(v.delta, deltaSeq{id: id, g: v.overlay[id]})
+		v.ids, v.segs = append(v.ids, id), append(v.segs, v.overlay[id])
 	}
 	for i, g := range st.adds {
 		id := st.baseNext + uint32(i)
@@ -147,7 +139,7 @@ func buildView(st *state) *view {
 		if ng, ok := v.overlay[id]; ok {
 			g = ng
 		}
-		v.delta = append(v.delta, deltaSeq{id: id, g: g})
+		v.ids, v.segs = append(v.ids, id), append(v.segs, g)
 	}
 	return v
 }

@@ -7,10 +7,11 @@
 // and its query cache stays warm under sustained ingest. The
 // delta is an immutable chain of states, each a copy-on-write extension
 // of the previous (appended sequences, replaced versions, removals). A
-// reader pins one state and serves every query from base + delta filters
-// + a linear delta scan, using the same evaluation kernels as the
-// indexed path, so results are identical to a fully indexed database
-// holding the same content (phase 2 is pure pruning: Dmbr ≤ Dnorm ≤ D).
+// reader pins one state and answers every query as the base's Do merged
+// with a delta pass, core.Unindexed: Do's own kernels over the unfolded
+// sequences, with phase 2 a linear pass instead of an index probe, so
+// results are identical to a fully indexed database holding the same
+// content.
 //
 // A single committer goroutine serializes writes: concurrent commit
 // requests are batched within a group-commit window, validated and
@@ -496,14 +497,4 @@ func (t *Txn) Commit() ([]uint32, error) {
 		}
 	}
 	return ids, nil
-}
-
-// searchCanceled mirrors core's context check for the delta scan loops.
-func searchCanceled(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-		return nil
-	}
 }
