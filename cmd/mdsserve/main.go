@@ -32,8 +32,11 @@
 // refused under another. See OPERATIONS.md for the recovery runbook.
 //
 // A store directory carries its own shard count; -shards applies when
-// starting empty or from -data. On SIGINT/SIGTERM the server drains
-// in-flight requests and closes the database (pager/WAL) cleanly.
+// starting empty or from -data. A store is served read-only: its trees
+// are packed in memory from the leaf grouping the segment file stores,
+// and nothing under the directory is written. On SIGINT/SIGTERM the
+// server drains in-flight requests and closes the database (pager/WAL)
+// cleanly.
 //
 // Storage format: store directories and durable checkpoints are written
 // in the v2 columnar segment format (zero-copy mmap open). Directories
@@ -269,8 +272,10 @@ type txnConfig struct {
 // openDB builds the serving database from the configured source. A
 // durability directory wins: it opens (or creates) WAL-backed
 // transactional nodes, replaying any commits a previous process
-// acknowledged before dying. Otherwise store directories load as before,
-// and an optional dataset is bulk-loaded into a fresh database with the
+// acknowledged before dying. Otherwise a store directory is loaded with
+// its indexes in memory — packed from the stored leaves, so the start
+// costs the segment files' read and checksum and writes nothing — and an
+// optional dataset is bulk-loaded into a fresh database with the
 // requested shard count.
 func openDB(storeDir, dataPath string, dim, shards int, tc txnConfig) (shard.DB, error) {
 	if tc.dir != "" {
@@ -280,7 +285,7 @@ func openDB(storeDir, dataPath string, dim, shards int, tc txnConfig) (shard.DB,
 		return openDurable(dataPath, dim, shards, tc)
 	}
 	if storeDir != "" {
-		return store.LoadShardedWith(storeDir, store.LoadOptions{FileIndex: true, Quantized: tc.quantized})
+		return store.LoadShardedWith(storeDir, store.LoadOptions{Quantized: tc.quantized})
 	}
 	if dataPath != "" {
 		seqs, err := readData(dataPath)

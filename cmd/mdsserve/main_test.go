@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/seqio"
 	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/txn"
 )
 
@@ -160,6 +162,111 @@ func TestOpenDurableRefusesOtherShardCount(t *testing.T) {
 		}
 		if after, _ := os.ReadDir(cfg.dir); len(after) != len(before) {
 			t.Errorf("written with %d shards, refused with %d: the directory went from %d to %d entries", tc.wrote, tc.reopen, len(before), len(after))
+		}
+	}
+}
+
+// dirState records every entry under dir: name, size, modification time
+// and, for a file, its bytes.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	state := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		entry := fmt.Sprintf("%v size %d mtime %v", info.Mode(), info.Size(), info.ModTime().UnixNano())
+		if !d.IsDir() {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			entry += fmt.Sprintf(" bytes %x", sha256.Sum256(data))
+		}
+		state[rel] = entry
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
+// TestStoreServingLeavesDirectoryUntouched: -store serves its indexes from
+// memory, packed from the leaves the segment files store, so opening a
+// store, answering from it and closing it must not delete, write or add a
+// file under its directory. The server used to delete, rebuild and flush
+// index.db (a single-node store) or add index.db.shard<i> (a sharded one)
+// on every start.
+func TestStoreServingLeavesDirectoryUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	seqs := make([]*core.Sequence, 30)
+	for i := range seqs {
+		pts := make([]geom.Point, 30+rng.Intn(40))
+		p := geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
+		for j := range pts {
+			for k := range p {
+				p[k] += (rng.Float64() - 0.5) * 0.05
+			}
+			pts[j] = p.Clone()
+		}
+		seqs[i] = &core.Sequence{Label: fmt.Sprintf("s%02d", i), Points: pts}
+	}
+	single := filepath.Join(t.TempDir(), "single")
+	if err := store.Build(single, seqs, core.DefaultPartitionConfig()); err != nil {
+		t.Fatal(err)
+	}
+	sharded := filepath.Join(t.TempDir(), "sharded")
+	sdb, err := shard.New(core.Options{Dim: 3}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sdb.AddAll(seqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveSharded(sdb, sharded); err != nil {
+		t.Fatal(err)
+	}
+	sdb.Close()
+
+	q := &core.Sequence{Points: seqs[7].Points[3:25]}
+	for _, dir := range []string{single, sharded} {
+		before := dirState(t, dir)
+		db, err := openDB(dir, "", 0, 1, txnConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		res, err := db.Do(context.Background(), core.Query{Seq: q, Eps: 0.05})
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, m := range res.Matches {
+			found = found || m.Seq.Label == seqs[7].Label
+		}
+		if !found {
+			t.Errorf("%s: the query's source sequence is not among %d matches", dir, len(res.Matches))
+		}
+		after := dirState(t, dir)
+		for name, was := range before {
+			if now, ok := after[name]; !ok {
+				t.Errorf("%s: %s was removed", dir, name)
+			} else if now != was {
+				t.Errorf("%s: %s changed: %s -> %s", dir, name, was, now)
+			}
+		}
+		for name := range after {
+			if _, ok := before[name]; !ok {
+				t.Errorf("%s: %s was created", dir, name)
+			}
 		}
 	}
 }

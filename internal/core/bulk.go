@@ -61,6 +61,7 @@ func (db *Database) AddAll(seqs []*Sequence) ([]uint32, error) {
 		id := uint32(i)
 		seqs[i].ID = id
 		ids[i] = id
+		db.longest = max(db.longest, seqs[i].Len())
 		for j, m := range g.MBRs {
 			items = append(items, rtree.Item{Rect: m.Rect, Ref: rtree.PackRef(id, uint32(j))})
 		}
@@ -92,7 +93,7 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]
 	if len(segs) == 0 {
 		return nil, nil
 	}
-	total := 0
+	total, longest := 0, 0
 	for i, g := range segs {
 		if g == nil || g.Seq == nil {
 			return nil, fmt.Errorf("core: nil segment %d", i)
@@ -102,11 +103,7 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]
 				i, g.Seq.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 		}
 		total += len(g.MBRs)
-	}
-
-	var wrote geom.Rect
-	for _, g := range segs {
-		wrote.ExtendRect(g.Bounds())
+		longest = max(longest, g.Seq.Len())
 	}
 
 	db.mu.Lock()
@@ -144,47 +141,85 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]
 	}
 	db.seqs = segs
 	db.live = len(segs)
-	db.notifyWrite(wrote)
+	db.longest = max(db.longest, longest)
+	// The database was empty, so no cached answer covered a stored
+	// sequence: the empty rect, which invalidates everything, is exact
+	// and spares a union over every MBR of the corpus.
+	db.notifyWrite(geom.Rect{})
 	db.met.RecordBulkAdd(len(segs))
 	db.met.SetShape(db.live, db.tree.Len())
 	return ids, nil
 }
 
 // leavesToItems resolves a packed leaf grouping of refs against the
-// segments, verifying that every ref names a live (sequence, MBR) pair
-// and that the grouping covers every MBR exactly once — a corrupt or
-// foreign tree section must fail the load, never produce a tree that
-// silently misses entries.
+// segments, verifying with a refCover that the grouping names every
+// (sequence, MBR) pair exactly once — a corrupt or foreign tree section
+// must fail the load, never produce a tree that silently misses entries.
+// The items are cut from one slab, and their rects alias the segments'
+// bounds (rtree.BulkLoadLeaves only reads them).
 func leavesToItems(segs []*Segmented, leaves [][]rtree.Ref, total int) ([][]rtree.Item, error) {
-	seen := make([]bool, total)
-	// base[i] = number of MBRs before sequence i, for the coverage bitmap.
+	cover := newRefCover(segs)
+	out := make([][]rtree.Item, len(leaves))
+	slab := make([]rtree.Item, 0, total)
+	for li, leaf := range leaves {
+		at := len(slab)
+		for _, ref := range leaf {
+			if err := cover.add(ref); err != nil {
+				return nil, fmt.Errorf("core: packed leaf %d: %w", li, err)
+			}
+			id, j := ref.Unpack()
+			slab = append(slab, rtree.Item{Rect: segs[id].MBRs[j].Rect, Ref: ref})
+		}
+		out[li] = slab[at:len(slab):len(slab)]
+	}
+	if err := cover.complete(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// refCover checks a set of index refs against a corpus: every ref must
+// name a sequence of segs (by position) and an MBR ordinal that sequence
+// has, and every (sequence, MBR) pair must appear exactly once. It checks
+// the packed leaves of a bulk load and the leaf entries of an index file
+// a reattach adopts: a ref past the directory would otherwise surface as
+// an out-of-range slice on the first search that reaches it.
+type refCover struct {
+	segs    []*Segmented
+	base    []int // base[i] = MBRs stored before sequence i
+	seen    []bool
+	covered int
+}
+
+func newRefCover(segs []*Segmented) *refCover {
 	base := make([]int, len(segs)+1)
 	for i, g := range segs {
 		base[i+1] = base[i] + len(g.MBRs)
 	}
-	out := make([][]rtree.Item, len(leaves))
-	covered := 0
-	for li, leaf := range leaves {
-		items := make([]rtree.Item, len(leaf))
-		for k, ref := range leaf {
-			id, j := ref.Unpack()
-			if int(id) >= len(segs) || int(j) >= len(segs[id].MBRs) {
-				return nil, fmt.Errorf("core: packed leaf %d ref (%d,%d) out of range", li, id, j)
-			}
-			ord := base[id] + int(j)
-			if seen[ord] {
-				return nil, fmt.Errorf("core: packed leaf %d ref (%d,%d) duplicated", li, id, j)
-			}
-			seen[ord] = true
-			covered++
-			items[k] = rtree.Item{Rect: segs[id].MBRs[j].Rect, Ref: ref}
-		}
-		out[li] = items
+	return &refCover{segs: segs, base: base, seen: make([]bool, base[len(segs)])}
+}
+
+// add records one ref, refusing one out of range or seen before.
+func (c *refCover) add(ref rtree.Ref) error {
+	id, j := ref.Unpack()
+	if int(id) >= len(c.segs) || int(j) >= len(c.segs[id].MBRs) {
+		return fmt.Errorf("core: index ref (%d,%d) out of range", id, j)
 	}
-	if covered != total {
-		return nil, fmt.Errorf("core: packed leaves cover %d of %d MBRs", covered, total)
+	ord := c.base[id] + int(j)
+	if c.seen[ord] {
+		return fmt.Errorf("core: index ref (%d,%d) duplicated", id, j)
 	}
-	return out, nil
+	c.seen[ord] = true
+	c.covered++
+	return nil
+}
+
+// complete refuses a set of refs that missed an MBR.
+func (c *refCover) complete() error {
+	if c.covered != len(c.seen) {
+		return fmt.Errorf("core: index refs cover %d of %d MBRs", c.covered, len(c.seen))
+	}
+	return nil
 }
 
 // partitionAll validates every sequence and partitions them in parallel

@@ -92,7 +92,8 @@ func NewDatabase(opts Options) (*Database, error) {
 // with the same options, restoring the given sequences (in their original
 // Add order). Partitioning is deterministic, so each sequence's MBRs are
 // recomputed rather than stored; the index is validated against them
-// (total entry count must match) instead of being rebuilt. Options.Path is
+// (the entry count must match, and the leaf refs must name every MBR
+// exactly once) instead of being rebuilt. Options.Path is
 // required and must point at the previously flushed index.
 func OpenDatabase(opts Options, seqs []*Sequence) (*Database, error) {
 	db, err := openIndexed(opts)
@@ -126,14 +127,19 @@ func OpenDatabase(opts Options, seqs []*Sequence) (*Database, error) {
 		return nil, fmt.Errorf("core: index holds %d entries but sequences partition into %d (stale index or different partition config?)",
 			db.tree.Len(), total)
 	}
+	if err := db.checkIndexRefs(); err != nil {
+		db.pg.Close()
+		return nil, err
+	}
 	return db, nil
 }
 
 // OpenDatabaseSegmented is OpenDatabase for an already-partitioned
 // corpus — the v2 store's restart path, where the segment file supplies
 // Segmenteds by aliasing and the index pages already exist on disk, so
-// neither partitioning nor index rebuild runs. The same staleness check
-// applies: the index must hold exactly the corpus's MBR count.
+// neither partitioning nor index rebuild runs. The same staleness checks
+// apply: the index must hold exactly the corpus's MBR count, and its leaf
+// refs must name every MBR of the corpus exactly once.
 func OpenDatabaseSegmented(opts Options, segs []*Segmented) (*Database, error) {
 	db, err := openIndexed(opts)
 	if err != nil {
@@ -160,7 +166,28 @@ func OpenDatabaseSegmented(opts Options, segs []*Segmented) (*Database, error) {
 		return nil, fmt.Errorf("core: index holds %d entries but corpus has %d MBRs (stale index?)",
 			db.tree.Len(), total)
 	}
+	if err := db.checkIndexRefs(); err != nil {
+		db.pg.Close()
+		return nil, err
+	}
 	return db, nil
+}
+
+// checkIndexRefs walks the leaf entries of an index a reattach adopted and
+// refuses it unless they name every stored (sequence, MBR) pair exactly
+// once — the check a packed-leaf bulk load makes, here against pages
+// another process wrote. An entry count that matches says nothing about
+// the refs, and one naming a sequence past the directory would otherwise
+// panic the first search that reaches it.
+func (db *Database) checkIndexRefs() error {
+	cover := newRefCover(db.seqs)
+	if err := db.tree.WalkRefs(cover.add); err != nil {
+		return fmt.Errorf("core: index file refused: %w", err)
+	}
+	if err := cover.complete(); err != nil {
+		return fmt.Errorf("core: index file refused: %w", err)
+	}
+	return nil
 }
 
 // openIndexed opens the pager and existing R*-tree for a reattach,

@@ -518,9 +518,11 @@ func TestDTWRangeKeepsTieAtEps(t *testing.T) {
 // (2.45, 2.45, 2.45) against 2200 stored at (2, 2, 2) put D some 4e-14 below
 // the Dmbr, and the range search at ε = D must still probe far enough to
 // find it — under the open window the radius takes the database's longest
-// stored sequence, under a window w the longest alignable, n + w.
+// stored sequence, under a window w the longest alignable, n + w. The
+// database must know its longest however the sequence arrived: the bulk
+// loads (AddAll into an empty database, AddAllSegmented — a store's open)
+// left it at zero, and the probe fell short.
 func TestDTWRangeKeepsLongTie(t *testing.T) {
-	db := newTestDB(t, 3)
 	constant := func(v float64, n int) *Sequence {
 		pts := make([]geom.Point, n)
 		for i := range pts {
@@ -528,19 +530,36 @@ func TestDTWRangeKeepsLongTie(t *testing.T) {
 		}
 		return &Sequence{Points: pts}
 	}
-	if _, err := db.Add(constant(2, 2200)); err != nil {
-		t.Fatal(err)
+	loads := map[string]func(*Database, *Sequence) error{
+		"Add": func(db *Database, s *Sequence) error { _, err := db.Add(s); return err },
+		"AddAll": func(db *Database, s *Sequence) error {
+			_, err := db.AddAll([]*Sequence{s})
+			return err
+		},
+		"AddAllSegmented": func(db *Database, s *Sequence) error {
+			g, err := NewSegmented(s, db.PartitionConfig())
+			if err == nil {
+				_, err = db.AddAllSegmented([]*Segmented{g}, nil)
+			}
+			return err
+		},
 	}
-	q := constant(2.45, 20)
-	for _, mt := range []MetricDTW{{Window: -1}, {Window: 2180}, {Window: 1 << 40}} {
-		scan, err := db.Do(context.Background(), Query{Seq: q, Kind: Scan, Eps: math.MaxFloat64, Metric: mt})
-		if err != nil || len(scan.Matches) != 1 {
-			t.Fatalf("window %d: scan %v, %v", mt.Window, scan.Matches, err)
+	for name, load := range loads {
+		db := newTestDB(t, 3)
+		if err := load(db, constant(2, 2200)); err != nil {
+			t.Fatal(err)
 		}
-		eps := scan.Matches[0].Dist
-		got, err := db.Do(context.Background(), Query{Seq: q, Eps: eps, Metric: mt})
-		if err != nil || len(got.Matches) != 1 {
-			t.Fatalf("window %d: range at eps = D = %v found %d, err %v", mt.Window, eps, len(got.Matches), err)
+		q := constant(2.45, 20)
+		for _, mt := range []MetricDTW{{Window: -1}, {Window: 2180}, {Window: 1 << 40}} {
+			scan, err := db.Do(context.Background(), Query{Seq: q, Kind: Scan, Eps: math.MaxFloat64, Metric: mt})
+			if err != nil || len(scan.Matches) != 1 {
+				t.Fatalf("%s, window %d: scan %v, %v", name, mt.Window, scan.Matches, err)
+			}
+			eps := scan.Matches[0].Dist
+			got, err := db.Do(context.Background(), Query{Seq: q, Eps: eps, Metric: mt})
+			if err != nil || len(got.Matches) != 1 {
+				t.Fatalf("%s, window %d: range at eps = D = %v found %d, err %v", name, mt.Window, eps, len(got.Matches), err)
+			}
 		}
 	}
 }

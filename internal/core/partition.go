@@ -188,39 +188,47 @@ func startsOf(mbrs []MBRInfo) []int32 {
 	return starts
 }
 
-// NewSegmentedColumnar assembles a Segmented directly from its columnar
-// parts — the zero-copy constructor the v2 store loader uses. flat holds
-// the points (point i at flat[i*d:(i+1)*d]), lo/hi the MBR bounds (MBR j
-// at [j*d:(j+1)*d]), and ranges the half-open point ranges of the MBRs,
-// which must tile [0, len(s.Points)) contiguously. The slices are aliased,
-// not copied (s.Points should itself alias flat), and each MBRInfo.Rect is
-// re-aliased into lo/hi. No partitioning runs: the caller asserts ranges
-// came from Partition under the database's config (the store format
-// records and checksums them).
-func NewSegmentedColumnar(s *Sequence, ranges []MBRInfo, flat, lo, hi []float64) (*Segmented, error) {
+// InitColumnar makes g the Segmented of s over its columnar parts — the
+// zero-copy constructor the v2 store loader uses, which decodes a whole
+// file's headers into slabs and hands each sequence its element and
+// sub-slices to fill. flat holds the points (point i at
+// flat[i*d:(i+1)*d]), lo/hi the MBR bounds (MBR j at [j*d:(j+1)*d]), and
+// ranges the half-open point ranges of the MBRs, which must tile
+// [0, len(s.Points)) contiguously; starts, of len(ranges)+1 entries,
+// receives the Starts column. The slices are aliased, not copied
+// (s.Points should itself alias flat), and each MBRInfo.Rect is
+// re-aliased into lo/hi; slices cut from a shared slab should have
+// cap == len, so that an append reallocates instead of writing into the
+// neighbour. No partitioning runs: the caller asserts ranges came from
+// Partition under the database's config (the store format records and
+// checksums them).
+func (g *Segmented) InitColumnar(s *Sequence, ranges []MBRInfo, starts []int32, flat, lo, hi []float64) error {
 	d := s.Dim()
 	n := s.Len()
 	r := len(ranges)
-	if len(flat) != n*d || len(lo) != r*d || len(hi) != r*d {
-		return nil, fmt.Errorf("core: columnar sizes flat=%d lo=%d hi=%d for n=%d r=%d d=%d",
-			len(flat), len(lo), len(hi), n, r, d)
+	if len(flat) != n*d || len(lo) != r*d || len(hi) != r*d || len(starts) != r+1 {
+		return fmt.Errorf("core: columnar sizes flat=%d lo=%d hi=%d starts=%d for n=%d r=%d d=%d",
+			len(flat), len(lo), len(hi), len(starts), n, r, d)
 	}
 	want := 0
+	starts[0] = 0
 	for j := range ranges {
 		if ranges[j].Start != want || ranges[j].End <= ranges[j].Start || ranges[j].End > n {
-			return nil, fmt.Errorf("core: MBR %d range [%d,%d) does not tile %d points",
+			return fmt.Errorf("core: MBR %d range [%d,%d) does not tile %d points",
 				j, ranges[j].Start, ranges[j].End, n)
 		}
 		want = ranges[j].End
+		starts[j+1] = int32(want)
 		ranges[j].Rect = geom.Rect{
 			L: lo[j*d : (j+1)*d : (j+1)*d],
 			H: hi[j*d : (j+1)*d : (j+1)*d],
 		}
 	}
 	if want != n {
-		return nil, fmt.Errorf("core: MBR ranges cover %d of %d points", want, n)
+		return fmt.Errorf("core: MBR ranges cover %d of %d points", want, n)
 	}
-	return &Segmented{Seq: s, MBRs: ranges, Flat: flat, Lo: lo, Hi: hi, Starts: startsOf(ranges)}, nil
+	*g = Segmented{Seq: s, MBRs: ranges, Flat: flat, Lo: lo, Hi: hi, Starts: starts}
+	return nil
 }
 
 // Bounds returns the union of the partition MBRs — the sequence's

@@ -78,7 +78,7 @@ var (
 
 // backend abstracts the physical store (file or memory).
 type backend interface {
-	readPage(id PageID, buf []byte) error
+	readPage(id PageID, buf []byte) error // fills buf from page id on
 	writePage(id PageID, buf []byte) error
 	grow(n int) error // ensure capacity for n pages
 	sync() error
@@ -201,23 +201,53 @@ func (p *Pager) Alloc() (PageID, error) {
 	return id, nil
 }
 
-// Read copies the contents of page id into buf (which must be exactly one
-// page long) through the buffer pool.
+// Read copies the contents of page id into buf through the buffer pool.
+// A buf of several pages reads pages id, id+1, … in one call instead: a
+// resident page is copied from its frame, so a write not yet flushed is
+// seen, and every run of other pages is read from the backing store at
+// once, bypassing the pool — a bulk read neither evicts nor pins. The
+// length of buf must be a positive multiple of the page size.
 func (p *Pager) Read(id PageID, buf []byte) error {
-	if len(buf) != p.pageSize {
-		return fmt.Errorf("pager: Read buffer is %d bytes, want %d", len(buf), p.pageSize)
+	if len(buf) == 0 || len(buf)%p.pageSize != 0 {
+		return fmt.Errorf("pager: Read buffer is %d bytes, want a multiple of %d", len(buf), p.pageSize)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrClosed
 	}
-	fr, err := p.frameFor(id, true)
-	if err != nil {
-		return err
+	n := PageID(len(buf) / p.pageSize)
+	if n == 1 {
+		fr, err := p.frameFor(id, true)
+		if err != nil {
+			return err
+		}
+		copy(buf, fr.data)
+		p.unpin(fr)
+		return nil
 	}
-	copy(buf, fr.data)
-	p.unpin(fr)
+	if id >= p.nPages || n > p.nPages-id {
+		return fmt.Errorf("%w: %d pages from %d (have %d)", ErrPageOutOfRange, n, id, p.nPages)
+	}
+	p.stats.Fetches += uint64(n)
+	ps := p.pageSize
+	for k := PageID(0); k < n; {
+		if fr, ok := p.frames[id+k]; ok {
+			copy(buf[int(k)*ps:], fr.data)
+			p.stats.Hits++
+			k++
+			continue
+		}
+		run := k + 1
+		for run < n && p.frames[id+run] == nil {
+			run++
+		}
+		if err := p.be.readPage(id+k, buf[int(k)*ps:int(run)*ps]); err != nil {
+			return err
+		}
+		p.stats.Reads += uint64(run - k)
+		k = run
+	}
 	return nil
 }
 
@@ -414,9 +444,10 @@ type fileBackend struct {
 }
 
 func (b *fileBackend) readPage(id PageID, buf []byte) error {
-	_, err := b.f.ReadAt(buf, int64(id)*int64(b.pageSize))
+	n, err := b.f.ReadAt(buf, int64(id)*int64(b.pageSize))
 	if err == io.EOF {
-		err = nil // page allocated but never written: zeros
+		clear(buf[n:]) // page allocated but never written: zeros
+		err = nil
 	}
 	if err != nil {
 		return fmt.Errorf("pager: read page %d: %w", id, err)
@@ -447,16 +478,16 @@ type memBackend struct {
 }
 
 func (b *memBackend) readPage(id PageID, buf []byte) error {
-	if int(id) >= len(b.pages) {
-		return fmt.Errorf("%w: %d", ErrPageOutOfRange, id)
-	}
-	if b.pages[id] == nil {
-		for i := range buf {
-			buf[i] = 0
+	for ; len(buf) > 0; id, buf = id+1, buf[b.pageSize:] {
+		if int(id) >= len(b.pages) {
+			return fmt.Errorf("%w: %d", ErrPageOutOfRange, id)
 		}
-		return nil
+		if b.pages[id] == nil {
+			clear(buf[:b.pageSize])
+		} else {
+			copy(buf, b.pages[id])
+		}
 	}
-	copy(buf, b.pages[id])
 	return nil
 }
 

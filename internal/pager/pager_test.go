@@ -80,6 +80,58 @@ func TestAllocZeroesRecycledPages(t *testing.T) {
 	}
 }
 
+// TestReadManyPages: a Read of several pages returns each page's latest
+// bytes — a resident page's unflushed write included — from memory and
+// from a file, leaves the pool as it was, and refuses a run past the last
+// page.
+func TestReadManyPages(t *testing.T) {
+	const ps, n = 128, 10
+	file, err := Open(Options{PageSize: ps, PoolPages: 3, Path: filepath.Join(t.TempDir(), "pages.db")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for name, p := range map[string]*Pager{"memory": newMemPager(t, ps, 3), "file": file} {
+		for i := 0; i < n; i++ {
+			id, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fill(p, id, byte(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// Pages 8 and 9 are resident; rewrite 9 without flushing it.
+		if err := fill(p, 9, 0xEE); err != nil {
+			t.Fatal(err)
+		}
+		before := p.Stats()
+		buf := make([]byte, 7*ps)
+		if err := p.Read(3, buf); err != nil {
+			t.Fatalf("%s: Read: %v", name, err)
+		}
+		for k := 0; k < 7; k++ {
+			want := byte(3 + k + 1)
+			if k == 6 {
+				want = 0xEE
+			}
+			if got := buf[k*ps : (k+1)*ps]; !bytes.Equal(got, bytes.Repeat([]byte{want}, ps)) {
+				t.Errorf("%s: page %d reads %#x…, want %#x", name, 3+k, got[0], want)
+			}
+		}
+		after := p.Stats()
+		if after.Fetches-before.Fetches != 7 || after.Evicted != before.Evicted {
+			t.Errorf("%s: a 7-page Read fetched %d and evicted %d", name, after.Fetches-before.Fetches, after.Evicted-before.Evicted)
+		}
+		if err := p.Read(8, make([]byte, 3*ps)); !errors.Is(err, ErrPageOutOfRange) {
+			t.Errorf("%s: Read past the last page = %v, want ErrPageOutOfRange", name, err)
+		}
+	}
+}
+
 func TestReadWriteBufferSizeChecked(t *testing.T) {
 	p := newMemPager(t, 128, 8)
 	id, _ := p.Alloc()

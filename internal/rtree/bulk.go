@@ -47,6 +47,11 @@ func (t *Tree) bulkLoadLocked(items []Item) error {
 // coverage/uniqueness validation of the refs. A grouping produced by
 // STRLeaves with this tree's fanout yields exactly the tree BulkLoad
 // would build.
+//
+// The items' rects are not copied: the leaf entries alias them until
+// writeNode has serialized each leaf, and node.mbr clones on its first
+// extend, so no entry is kept past the call and the caller's rects are
+// only read.
 func (t *Tree) BulkLoadLeaves(leaves [][]Item) error {
 	if t.size != 0 {
 		return errors.New("rtree: BulkLoadLeaves requires an empty tree")
@@ -60,16 +65,18 @@ func (t *Tree) BulkLoadLeaves(leaves [][]Item) error {
 	}
 	return t.mutate(func() error {
 		groups := make([][]entry, len(leaves))
+		slab := make([]entry, total)
 		for li, leaf := range leaves {
 			if len(leaf) == 0 || len(leaf) > t.maxEntries {
 				return fmt.Errorf("rtree: packed leaf %d holds %d entries, want 1..%d", li, len(leaf), t.maxEntries)
 			}
-			g := make([]entry, len(leaf))
+			g := slab[:len(leaf):len(leaf)]
+			slab = slab[len(leaf):]
 			for i, it := range leaf {
 				if it.Rect.IsEmpty() || it.Rect.Dim() != t.dim {
 					return fmt.Errorf("rtree: packed leaf %d item %d rect dim %d, want %d", li, i, it.Rect.Dim(), t.dim)
 				}
-				g[i] = entry{rect: it.Rect.Clone(), ref: it.Ref}
+				g[i] = entry{rect: it.Rect, ref: it.Ref}
 			}
 			groups[li] = g
 		}

@@ -208,9 +208,25 @@ func TestBulkLoadLeavesMatchesBulkLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		grouped := STRLeaves(items, 3, 8, 8/2)
+		var was []geom.Rect
+		for _, leaf := range grouped {
+			for _, it := range leaf {
+				was = append(was, it.Rect.Clone())
+			}
+		}
 		tr := newMemTree(t, 3, 8)
 		if err := tr.BulkLoadLeaves(grouped); err != nil {
 			t.Fatalf("n=%d: BulkLoadLeaves: %v", n, err)
+		}
+		// The leaf entries alias the items' rects; packing only reads them.
+		k := 0
+		for _, leaf := range grouped {
+			for _, it := range leaf {
+				if !it.Rect.Equal(was[k]) {
+					t.Fatalf("n=%d: BulkLoadLeaves changed item rect %d: %v, was %v", n, k, it.Rect, was[k])
+				}
+				k++
+			}
 		}
 		if tr.Len() != ref.Len() || tr.Height() != ref.Height() {
 			t.Fatalf("n=%d: shape %d/%d, want %d/%d", n, tr.Len(), tr.Height(), ref.Len(), ref.Height())

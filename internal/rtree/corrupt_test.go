@@ -3,6 +3,7 @@ package rtree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -119,11 +120,82 @@ func TestCyclicChildRefused(t *testing.T) {
 	if err := tr.CheckInvariants(); err == nil {
 		t.Error("CheckInvariants passed a cyclic tree")
 	}
+	if err := tr.WalkRefs(func(Ref) error { return nil }); err == nil {
+		t.Error("WalkRefs over a cyclic tree returned no error")
+	}
+}
+
+// TestWalkRefs: WalkRefs visits every entry's ref exactly once on a sound
+// tree, memory- or file-backed, stops at its visitor's first error, and
+// refuses a tree whose root names one child twice — converging child
+// pointers that would otherwise hand the caller each of that subtree's
+// refs twice.
+func TestWalkRefs(t *testing.T) {
+	const pageSize, dim = 4096, 3
+	path := treeFile(t, pageSize, dim, 400, 33)
+	pg, err := pager.Open(pager.Options{PageSize: pageSize, Path: path, PoolPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+	file, err := Open(Options{Pager: pg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := newMemTree(t, dim, 8)
+	for i := 0; i < 300; i++ {
+		if err := mem.Insert(randRect(rand.New(rand.NewSource(int64(i))), dim, 0.1), Ref(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, tr := range map[string]*Tree{"file": file, "memory": mem} {
+		seen := map[Ref]int{}
+		if err := tr.WalkRefs(func(r Ref) error { seen[r]++; return nil }); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(seen) != tr.Len() {
+			t.Errorf("%s: %d distinct refs, want %d", name, len(seen), tr.Len())
+		}
+		for r, n := range seen {
+			if n != 1 || int(r) >= tr.Len() {
+				t.Errorf("%s: ref %d visited %d times", name, r, n)
+			}
+		}
+		stop := errors.New("stop")
+		visits := 0
+		if err := tr.WalkRefs(func(Ref) error { visits++; return stop }); err != stop || visits != 1 {
+			t.Errorf("%s: a failing visitor ran %d times and the walk returned %v", name, visits, err)
+		}
+	}
+
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := binary.LittleEndian.Uint32(b[10:14])
+	first := int(root)*pageSize + nodeHeaderSize + 2*dim*8
+	second := first + 2*dim*8 + 8
+	copy(b[second:second+8], b[first:first+8])
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pg2, err := pager.Open(pager.Options{PageSize: pageSize, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg2.Close()
+	conv, err := Open(Options{Pager: pg2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conv.WalkRefs(func(Ref) error { return nil }); err == nil {
+		t.Error("WalkRefs over a root that names one child twice returned no error")
+	}
 }
 
 // FuzzTreePages opens arbitrary bytes as a tree file and runs every walk
 // over them: Open, the range probe, a best-first walk to exhaustion, Scan,
-// CheckInvariants, then an Insert and a Delete. Each may fail; none may
+// WalkRefs, CheckInvariants, then an Insert and a Delete. Each may fail; none may
 // panic or run without end. The seeds are a sound tree file of height >= 2
 // on 256-byte pages, its cyclic-root twin, and one whose internal root is
 // empty (Insert's subtree choice indexed its first entry).
@@ -172,6 +244,7 @@ func FuzzTreePages(f *testing.F) {
 			}
 		}
 		tr.Scan(func(Item) bool { return true })
+		tr.WalkRefs(func(Ref) error { return nil })
 		tr.CheckInvariants()
 		tr.Insert(q, 1<<40)
 		tr.Delete(q, 1<<40)

@@ -1,6 +1,10 @@
 package rtree
 
 import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+
 	"repro/internal/geom"
 	"repro/internal/pager"
 )
@@ -151,4 +155,95 @@ func (t *Tree) searchRec(page pager.PageID, level uint32, accept func(geom.Rect)
 func (t *Tree) Scan(visit Visitor) error {
 	_, err := t.searchRec(t.root, t.height, func(geom.Rect) bool { return true }, visit)
 	return err
+}
+
+// WalkRefs calls visit with the Ref of every indexed entry, leaf by leaf
+// in page order, and stops at the first error visit returns. The internal
+// levels are walked through the pool to find the leaf pages; the leaves,
+// nearly all of the index, are then read in runs of consecutive pages,
+// many per pager call, and only their payload words are decoded. A node
+// reached twice — child pointers that converge — is a corrupt index and
+// fails the walk, as does a walk longer than the index has pages.
+func (t *Tree) WalkRefs(visit func(Ref) error) error {
+	leaves := []pager.PageID{t.root}
+	if t.height > 1 {
+		leaves = leaves[:0]
+		budget := t.pg.NumPages()
+		if err := t.leafPages(t.root, t.height, &budget, &leaves); err != nil {
+			return err
+		}
+	}
+	slices.Sort(leaves)
+	const runPages = 64
+	ps := t.pg.PageSize()
+	buf := make([]byte, min(len(leaves), runPages)*ps)
+	for i := 0; i < len(leaves); {
+		if i > 0 && leaves[i] == leaves[i-1] {
+			return fmt.Errorf("rtree: leaf %d reached twice (corrupt index?)", leaves[i])
+		}
+		j := i + 1
+		for j < len(leaves) && j-i < runPages && leaves[j] == leaves[j-1]+1 {
+			j++
+		}
+		run := buf[:(j-i)*ps]
+		if err := t.pg.Read(leaves[i], run); err != nil {
+			return err
+		}
+		for k := i; k < j; k++ {
+			if err := t.leafRefs(leaves[k], run[(k-i)*ps:(k-i+1)*ps], visit); err != nil {
+				return err
+			}
+		}
+		i = j
+	}
+	return nil
+}
+
+// leafPages appends to out the leaf pages below the internal node page,
+// which a descent expects at level, spending one unit of budget per
+// internal node read.
+func (t *Tree) leafPages(page pager.PageID, level uint32, budget *int, out *[]pager.PageID) error {
+	if *budget--; *budget < 0 {
+		return fmt.Errorf("rtree: walk reaches node %d more often than the index has pages (corrupt index?)", page)
+	}
+	return t.pg.View(page, func(b []byte) error {
+		count, err := t.nodeHeader(page, b, level)
+		if err != nil {
+			return err
+		}
+		for i, off := 0, nodeHeaderSize+t.entrySize-8; i < count; i, off = i+1, off+t.entrySize {
+			child := pager.PageID(binary.LittleEndian.Uint64(b[off:]))
+			if level == 2 {
+				*out = append(*out, child)
+			} else if err := t.leafPages(child, level-1, budget, out); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// leafRefs visits the refs of the leaf whose page bytes are b.
+func (t *Tree) leafRefs(page pager.PageID, b []byte, visit func(Ref) error) error {
+	count, err := t.nodeHeader(page, b, 1)
+	if err != nil {
+		return err
+	}
+	for i, off := 0, nodeHeaderSize+t.entrySize-8; i < count; i, off = i+1, off+t.entrySize {
+		if err := visit(Ref(binary.LittleEndian.Uint64(b[off:]))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nodeHeader returns the entry count of the node page whose bytes are b,
+// refusing one that holds more than a node can or whose leaf flag
+// disagrees with level.
+func (t *Tree) nodeHeader(page pager.PageID, b []byte, level uint32) (int, error) {
+	count := int(binary.LittleEndian.Uint16(b[1:3]))
+	if count > t.maxEntries {
+		return 0, fmt.Errorf("rtree: node %d count %d exceeds max %d (corrupt page?)", page, count, t.maxEntries)
+	}
+	return count, checkLevel(page, b[0]&1 != 0, level)
 }

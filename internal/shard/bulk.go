@@ -88,13 +88,10 @@ func (s *ShardedDB) AddAllSegmented(groups [][]*core.Segmented, leaves [][][]rtr
 			return fmt.Errorf("shard: shard %d: %w", sh, err)
 		}
 	}
-	var wrote geom.Rect
-	for _, group := range groups {
-		for _, g := range group {
-			wrote.ExtendRect(g.Bounds())
-		}
-	}
-	s.notifyWrite(wrote)
+	// The shards were empty, so no cached answer covered a stored
+	// sequence: the empty rect, which invalidates everything, is exact
+	// and spares a union over every MBR of the corpus.
+	s.notifyWrite(geom.Rect{})
 	if m := s.metrics(); m != nil {
 		m.core.RecordBulkAdd(total)
 		m.core.SetShape(s.Len(), s.NumMBRs())

@@ -360,11 +360,8 @@ func sectionChecksum(p []byte, floats bool) (crc uint32, finite bool) {
 }
 
 // readSegmentsFile maps (or reads, on platforms without mmap) path and
-// decodes it into a Corpus, aliasing the float sections in place on
-// little-endian hosts. Every departure from the format — bad magic or
-// version, checksum mismatch, section size/order drift, ranges that do
-// not tile, counts that do not add up — returns ErrBadStore; no input
-// may panic.
+// decodes it with decodeSegments, releasing the mapping when the decode
+// refuses the file.
 func readSegmentsFile(path string) (c *Corpus, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -398,7 +395,34 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
 		}
 	}
+	c, err = decodeSegments(buf)
+	if err != nil {
+		return nil, err
+	}
+	c.Mapped = mapped
+	return c, nil
+}
 
+// decodeSegments decodes a whole segment file held in buf, which must be
+// 8-byte aligned, into a Corpus, aliasing the float sections in place on
+// little-endian hosts. Every departure from the format — bad magic or
+// version, checksum mismatch, section size/order drift, ranges that do
+// not tile, counts that do not add up — returns ErrBadStore; no input
+// may panic.
+//
+// The per-sequence headers are cut from slabs, one allocation per column
+// for the whole file: the Segmented and Sequence structs, the point
+// headers, the MBRInfos, the Starts column, the labels (one string) and
+// the packed-leaf refs. Each slab is sized from a header count the layout
+// check has already tied to its section's byte length, so a corrupt
+// header cannot make the decode allocate more than the file implies, and
+// every per-sequence sub-slice has cap == len, so an append to one
+// reallocates instead of writing into its neighbour.
+func decodeSegments(buf []byte) (*Corpus, error) {
+	if len(buf) < segHeaderLen {
+		return nil, fmt.Errorf("%w: segment file truncated (%d bytes)", ErrBadStore, len(buf))
+	}
+	size := len(buf)
 	hdr := buf[:segHeaderLen]
 	if string(hdr[0:8]) != segMagic {
 		return nil, fmt.Errorf("%w: bad segment magic %q", ErrBadStore, hdr[0:8])
@@ -409,56 +433,58 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 	if got, want := binary.LittleEndian.Uint32(hdr[76:80]), crc32.Checksum(hdr[:76], castagnoli); got != want {
 		return nil, fmt.Errorf("%w: segment header checksum %08x, want %08x", ErrBadStore, got, want)
 	}
-	dim := int(binary.LittleEndian.Uint32(hdr[12:16]))
-	nseqs := binary.LittleEndian.Uint64(hdr[16:24])
-	npoints := binary.LittleEndian.Uint64(hdr[24:32])
-	nmbrs := binary.LittleEndian.Uint64(hdr[32:40])
-	cfg := core.PartitionConfig{
-		QueryExtent: math.Float64frombits(binary.LittleEndian.Uint64(hdr[40:48])),
-		MaxPoints:   int(binary.LittleEndian.Uint64(hdr[48:56])),
+	h := segHeader{
+		dim:     int(binary.LittleEndian.Uint32(hdr[12:16])),
+		nseqs:   binary.LittleEndian.Uint64(hdr[16:24]),
+		npoints: binary.LittleEndian.Uint64(hdr[24:32]),
+		nmbrs:   binary.LittleEndian.Uint64(hdr[32:40]),
+		cfg: core.PartitionConfig{
+			QueryExtent: math.Float64frombits(binary.LittleEndian.Uint64(hdr[40:48])),
+			MaxPoints:   int(binary.LittleEndian.Uint64(hdr[48:56])),
+		},
+		treeM:      int(binary.LittleEndian.Uint32(hdr[56:60])),
+		nleaves:    uint64(binary.LittleEndian.Uint32(hdr[60:64])),
+		labelBytes: binary.LittleEndian.Uint64(hdr[64:72]),
 	}
-	treeM := int(binary.LittleEndian.Uint32(hdr[56:60]))
-	nleaves := uint64(binary.LittleEndian.Uint32(hdr[60:64]))
-	labelBytes := binary.LittleEndian.Uint64(hdr[64:72])
 
 	switch {
-	case dim < 1 || dim > maxMetaDims:
-		return nil, fmt.Errorf("%w: segment dim %d", ErrBadStore, dim)
-	case nseqs < 1 || nseqs > maxSegSeqs:
-		return nil, fmt.Errorf("%w: segment sequence count %d", ErrBadStore, nseqs)
-	case npoints < nseqs || npoints > maxSegPoints:
-		return nil, fmt.Errorf("%w: segment point count %d for %d sequences", ErrBadStore, npoints, nseqs)
-	case nmbrs < nseqs || nmbrs > npoints:
-		return nil, fmt.Errorf("%w: segment MBR count %d", ErrBadStore, nmbrs)
-	case labelBytes > maxSegLabels:
-		return nil, fmt.Errorf("%w: segment label bytes %d", ErrBadStore, labelBytes)
-	case cfg.MaxPoints < 1 || uint64(cfg.MaxPoints) > math.MaxUint32:
-		return nil, fmt.Errorf("%w: segment MaxPoints %d", ErrBadStore, cfg.MaxPoints)
-	case math.IsNaN(cfg.QueryExtent) || cfg.QueryExtent < 0:
-		return nil, fmt.Errorf("%w: segment QueryExtent %v", ErrBadStore, cfg.QueryExtent)
-	case treeM == 0 && nleaves != 0:
-		return nil, fmt.Errorf("%w: %d leaves with no tree fanout", ErrBadStore, nleaves)
-	case treeM > 0 && (nleaves < 1 || nleaves > nmbrs):
-		return nil, fmt.Errorf("%w: %d leaves for %d MBRs", ErrBadStore, nleaves, nmbrs)
+	case h.dim < 1 || h.dim > maxMetaDims:
+		return nil, fmt.Errorf("%w: segment dim %d", ErrBadStore, h.dim)
+	case h.nseqs < 1 || h.nseqs > maxSegSeqs:
+		return nil, fmt.Errorf("%w: segment sequence count %d", ErrBadStore, h.nseqs)
+	case h.npoints < h.nseqs || h.npoints > maxSegPoints:
+		return nil, fmt.Errorf("%w: segment point count %d for %d sequences", ErrBadStore, h.npoints, h.nseqs)
+	case h.nmbrs < h.nseqs || h.nmbrs > h.npoints:
+		return nil, fmt.Errorf("%w: segment MBR count %d", ErrBadStore, h.nmbrs)
+	case h.labelBytes > maxSegLabels:
+		return nil, fmt.Errorf("%w: segment label bytes %d", ErrBadStore, h.labelBytes)
+	case h.cfg.MaxPoints < 1 || uint64(h.cfg.MaxPoints) > math.MaxUint32:
+		return nil, fmt.Errorf("%w: segment MaxPoints %d", ErrBadStore, h.cfg.MaxPoints)
+	case math.IsNaN(h.cfg.QueryExtent) || h.cfg.QueryExtent < 0:
+		return nil, fmt.Errorf("%w: segment QueryExtent %v", ErrBadStore, h.cfg.QueryExtent)
+	case h.treeM == 0 && h.nleaves != 0:
+		return nil, fmt.Errorf("%w: %d leaves with no tree fanout", ErrBadStore, h.nleaves)
+	case h.treeM > 0 && (h.nleaves < 1 || h.nleaves > h.nmbrs):
+		return nil, fmt.Errorf("%w: %d leaves for %d MBRs", ErrBadStore, h.nleaves, h.nmbrs)
 	}
 
-	d := uint64(dim)
+	d := uint64(h.dim)
 	type want struct {
 		id   uint32
 		size uint64
 	}
 	wants := []want{
-		{secSeqDir, nseqs * 16},
-		{secLabels, labelBytes},
-		{secPoints, npoints * d * 8},
-		{secMBRDir, nmbrs * 8},
-		{secLo, nmbrs * d * 8},
-		{secHi, nmbrs * d * 8},
-		{secQuantLo, nmbrs * d * 4},
-		{secQuantHi, nmbrs * d * 4},
+		{secSeqDir, h.nseqs * 16},
+		{secLabels, h.labelBytes},
+		{secPoints, h.npoints * d * 8},
+		{secMBRDir, h.nmbrs * 8},
+		{secLo, h.nmbrs * d * 8},
+		{secHi, h.nmbrs * d * 8},
+		{secQuantLo, h.nmbrs * d * 4},
+		{secQuantHi, h.nmbrs * d * 4},
 	}
-	if treeM > 0 {
-		wants = append(wants, want{secLeafDir, nleaves * 4}, want{secLeafRefs, nmbrs * 8})
+	if h.treeM > 0 {
+		wants = append(wants, want{secLeafDir, h.nleaves * 4}, want{secLeafRefs, h.nmbrs * 8})
 	}
 	expected := uint64(segHeaderLen)
 	for _, w := range wants {
@@ -468,7 +494,9 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 		return nil, fmt.Errorf("%w: segment file is %d bytes, layout needs %d", ErrBadStore, size, expected)
 	}
 
+	// Section headers first: their ids and lengths bound every payload.
 	payload := make([][]byte, len(wants))
+	crcs := make([]uint32, len(wants))
 	off := uint64(segHeaderLen)
 	for i, w := range wants {
 		sh := buf[off : off+secHeaderLen]
@@ -478,89 +506,146 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 		if l := binary.LittleEndian.Uint64(sh[8:16]); l != w.size {
 			return nil, fmt.Errorf("%w: section %d length %d, want %d", ErrBadStore, w.id, l, w.size)
 		}
-		p := buf[off+secHeaderLen : off+secHeaderLen+w.size]
-		wantCRC, finite := sectionChecksum(p, w.id == secPoints || w.id == secLo || w.id == secHi)
-		if got := binary.LittleEndian.Uint32(sh[4:8]); got != wantCRC {
-			return nil, fmt.Errorf("%w: section %d checksum %08x, want %08x", ErrBadStore, w.id, got, wantCRC)
-		}
-		if !finite {
-			return nil, fmt.Errorf("%w: section %d holds a NaN or ±Inf: %w", ErrBadStore, w.id, core.ErrNonFinite)
-		}
-		payload[i] = p
+		crcs[i] = binary.LittleEndian.Uint32(sh[4:8])
+		payload[i] = buf[off+secHeaderLen : off+secHeaderLen+w.size]
 		off += secHeaderLen + pad8(w.size)
 	}
 
-	// Directory decode + per-sequence assembly. The float sections are
-	// aliased once here; everything per-sequence below is slice headers.
+	// Then the payloads, in file order. The points section, most of the
+	// file, is verified on a second goroutine while this one verifies the
+	// sections after it and decodes the directory, which reads no
+	// coordinate; nothing returns before both are done, and the points'
+	// verdict comes first, as its place in the file says.
+	for i := 0; i < 2; i++ {
+		if err := checkPayload(wants[i].id, payload[i], crcs[i]); err != nil {
+			return nil, err
+		}
+	}
+	pointsErr := make(chan error, 1)
+	go func() { pointsErr <- checkPayload(secPoints, payload[2], crcs[2]) }()
+	c, err := func() (*Corpus, error) {
+		for i := 3; i < len(wants); i++ {
+			if err := checkPayload(wants[i].id, payload[i], crcs[i]); err != nil {
+				return nil, err
+			}
+		}
+		return decodeDirectory(payload, h)
+	}()
+	if perr := <-pointsErr; perr != nil {
+		return nil, perr
+	}
+	return c, err
+}
+
+// checkPayload verifies one section's payload against the checksum its
+// header records and, for a float section, that every value is finite.
+func checkPayload(id uint32, p []byte, crc uint32) error {
+	want, finite := sectionChecksum(p, id == secPoints || id == secLo || id == secHi)
+	if crc != want {
+		return fmt.Errorf("%w: section %d checksum %08x, want %08x", ErrBadStore, id, crc, want)
+	}
+	if !finite {
+		return fmt.Errorf("%w: section %d holds a NaN or ±Inf: %w", ErrBadStore, id, core.ErrNonFinite)
+	}
+	return nil
+}
+
+// segHeader is a segment file's header, as decodeSegments reads it.
+type segHeader struct {
+	dim                                        int
+	nseqs, npoints, nmbrs, labelBytes, nleaves uint64
+	cfg                                        core.PartitionConfig
+	treeM                                      int
+}
+
+// decodeDirectory assembles the corpus from the section payloads (in
+// file order) and the header's counts, which the layout check has tied to
+// the payloads' lengths, so every slab below is bounded by the file. The
+// float sections are aliased once; everything per sequence is cut from
+// the slabs.
+func decodeDirectory(payload [][]byte, h segHeader) (*Corpus, error) {
+	d := uint64(h.dim)
 	seqdir, labels := payload[0], payload[1]
 	pointsAll := float64View(payload[2])
 	mbrdir := payload[3]
 	loAll, hiAll := float64View(payload[4]), float64View(payload[5])
 
-	segs := make([]*core.Segmented, nseqs)
+	segs := make([]*core.Segmented, h.nseqs)
+	segSlab := make([]core.Segmented, h.nseqs)
+	seqSlab := make([]core.Sequence, h.nseqs)
+	ptSlab := make([]geom.Point, h.npoints)
+	mbrSlab := make([]core.MBRInfo, h.nmbrs)
+	startSlab := make([]int32, h.nmbrs+h.nseqs)
+	labelStr := string(labels)
 	var pOff, mOff, lOff uint64
-	for i := uint64(0); i < nseqs; i++ {
+	for i := uint64(0); i < h.nseqs; i++ {
 		n := uint64(binary.LittleEndian.Uint32(seqdir[i*16:]))
 		r := uint64(binary.LittleEndian.Uint32(seqdir[i*16+4:]))
 		ll := uint64(binary.LittleEndian.Uint32(seqdir[i*16+8:]))
-		if n < 1 || r < 1 || r > n || pOff+n > npoints || mOff+r > nmbrs || lOff+ll > labelBytes {
+		if n < 1 || r < 1 || r > n || pOff+n > h.npoints || mOff+r > h.nmbrs || lOff+ll > h.labelBytes {
 			return nil, fmt.Errorf("%w: sequence %d directory entry (%d pts, %d MBRs, %d label) overruns", ErrBadStore, i, n, r, ll)
 		}
 		flat := pointsAll[pOff*d : (pOff+n)*d : (pOff+n)*d]
-		pts := make([]geom.Point, n)
+		pts := ptSlab[pOff : pOff+n : pOff+n]
 		for k := range pts {
 			pts[k] = geom.Point(flat[uint64(k)*d : (uint64(k)+1)*d : (uint64(k)+1)*d])
 		}
-		seq := &core.Sequence{Label: string(labels[lOff : lOff+ll]), Points: pts}
-		ranges := make([]core.MBRInfo, r)
-		for j := uint64(0); j < r; j++ {
+		seq := &seqSlab[i]
+		*seq = core.Sequence{Label: labelStr[lOff : lOff+ll], Points: pts}
+		ranges := mbrSlab[mOff : mOff+r : mOff+r]
+		for j := range ranges {
+			e := mbrdir[(mOff+uint64(j))*8:]
 			ranges[j] = core.MBRInfo{
-				Start: int(binary.LittleEndian.Uint32(mbrdir[(mOff+j)*8:])),
-				End:   int(binary.LittleEndian.Uint32(mbrdir[(mOff+j)*8+4:])),
+				Start: int(binary.LittleEndian.Uint32(e)),
+				End:   int(binary.LittleEndian.Uint32(e[4:])),
 			}
 		}
+		// Sequence i's Starts column follows the i earlier ones, each one
+		// entry longer than its MBR count.
+		starts := startSlab[mOff+i : mOff+i+r+1 : mOff+i+r+1]
 		lo := loAll[mOff*d : (mOff+r)*d : (mOff+r)*d]
 		hi := hiAll[mOff*d : (mOff+r)*d : (mOff+r)*d]
-		g, err := core.NewSegmentedColumnar(seq, ranges, flat, lo, hi)
-		if err != nil {
+		if err := segSlab[i].InitColumnar(seq, ranges, starts, flat, lo, hi); err != nil {
 			return nil, fmt.Errorf("%w: sequence %d: %v", ErrBadStore, i, err)
 		}
 		// No seq.Validate: the directory decode above cut n ≥ 1 points of
-		// exactly dim coordinates, and sectionChecksum found them finite.
-		segs[i] = g
+		// exactly dim coordinates, and no corpus is returned unless the
+		// points section's check finds them finite.
+		segs[i] = &segSlab[i]
 		pOff += n
 		mOff += r
 		lOff += ll
 	}
-	if pOff != npoints || mOff != nmbrs || lOff != labelBytes {
+	if pOff != h.npoints || mOff != h.nmbrs || lOff != h.labelBytes {
 		return nil, fmt.Errorf("%w: directory covers %d/%d points, %d/%d MBRs, %d/%d label bytes",
-			ErrBadStore, pOff, npoints, mOff, nmbrs, lOff, labelBytes)
+			ErrBadStore, pOff, h.npoints, mOff, h.nmbrs, lOff, h.labelBytes)
 	}
 
 	var leaves [][]rtree.Ref
-	if treeM > 0 {
+	if h.treeM > 0 {
 		leafdir, leafrefs := payload[8], payload[9]
-		leaves = make([][]rtree.Ref, nleaves)
+		leaves = make([][]rtree.Ref, h.nleaves)
+		refSlab := make([]rtree.Ref, h.nmbrs)
 		var rOff uint64
-		for li := uint64(0); li < nleaves; li++ {
+		for li := uint64(0); li < h.nleaves; li++ {
 			cnt := uint64(binary.LittleEndian.Uint32(leafdir[li*4:]))
-			if cnt < 1 || cnt > uint64(treeM) || rOff+cnt > nmbrs {
+			if cnt < 1 || cnt > uint64(h.treeM) || rOff+cnt > h.nmbrs {
 				return nil, fmt.Errorf("%w: packed leaf %d holds %d entries", ErrBadStore, li, cnt)
 			}
-			leaf := make([]rtree.Ref, cnt)
+			leaf := refSlab[rOff : rOff+cnt : rOff+cnt]
 			for k := range leaf {
 				leaf[k] = rtree.Ref(binary.LittleEndian.Uint64(leafrefs[(rOff+uint64(k))*8:]))
 			}
 			leaves[li] = leaf
 			rOff += cnt
 		}
-		if rOff != nmbrs {
+		if rOff != h.nmbrs {
 			// Ref validity and exactly-once coverage are enforced by the
 			// bulk loader (core.AddAllSegmented); the count is checked here
 			// so a file without that second stage still fails closed.
-			return nil, fmt.Errorf("%w: packed leaves cover %d of %d MBRs", ErrBadStore, rOff, nmbrs)
+			return nil, fmt.Errorf("%w: packed leaves cover %d of %d MBRs", ErrBadStore, rOff, h.nmbrs)
 		}
 	}
 
-	return &Corpus{Dim: dim, Config: cfg, Segs: segs, Leaves: leaves, TreeM: treeM, Mapped: mapped}, nil
+	return &Corpus{Dim: h.dim, Config: h.cfg, Segs: segs, Leaves: leaves, TreeM: h.treeM}, nil
 }

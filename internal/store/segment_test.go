@@ -85,6 +85,18 @@ func TestSegmentsRoundTrip(t *testing.T) {
 					}
 				}
 			}
+			// Every per-sequence view of the shared slabs and sections is
+			// cut cap == len, so an append reallocates instead of writing
+			// into the next sequence.
+			if cap(g.Seq.Points) != len(g.Seq.Points) || cap(g.MBRs) != len(g.MBRs) || cap(g.Starts) != len(g.Starts) ||
+				cap(g.Flat) != len(g.Flat) || cap(g.Lo) != len(g.Lo) || cap(g.Hi) != len(g.Hi) {
+				t.Fatalf("dim=%d seq %d: a slab view has room past its end", dim, i)
+			}
+		}
+		for li, leaf := range c.Leaves {
+			if cap(leaf) != len(leaf) {
+				t.Fatalf("dim=%d: packed leaf %d has room past its end", dim, li)
+			}
 		}
 	}
 }
@@ -105,7 +117,7 @@ func flipByte(t *testing.T, path string, off int64) {
 	}
 }
 
-func writeGoodSegments(t *testing.T, dir string) (string, []byte) {
+func writeGoodSegments(t testing.TB, dir string) (string, []byte) {
 	t.Helper()
 	seqs := corpusSeqs(7, 6, 3)
 	cfg := core.DefaultPartitionConfig()
@@ -135,40 +147,10 @@ func TestReadSegmentsRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cases := []struct {
-		name    string
-		corrupt func()
-	}{
-		{"empty file", func() { os.WriteFile(path, nil, 0o644) }},
-		{"truncated header", func() { os.WriteFile(path, good[:segHeaderLen/2], 0o644) }},
-		{"header only", func() { os.WriteFile(path, good[:segHeaderLen], 0o644) }},
-		{"bad magic", func() { flipByte(t, path, 0) }},
-		{"bad version", func() { flipByte(t, path, 8) }},
-		{"zero dim", func() {
-			b := append([]byte(nil), good...)
-			binary.LittleEndian.PutUint32(b[12:16], 0)
-			os.WriteFile(path, b, 0o644)
-		}},
-		{"huge dim", func() {
-			b := append([]byte(nil), good...)
-			binary.LittleEndian.PutUint32(b[12:16], 1<<30)
-			os.WriteFile(path, b, 0o644)
-		}},
-		{"header CRC flipped", func() { flipByte(t, path, 76) }},
-		{"nseqs inflated", func() {
-			b := append([]byte(nil), good...)
-			binary.LittleEndian.PutUint64(b[16:24], 1<<40)
-			os.WriteFile(path, b, 0o644)
-		}},
-		{"truncated tail", func() { os.WriteFile(path, good[:len(good)-8], 0o644) }},
-		{"trailing garbage", func() { os.WriteFile(path, append(append([]byte(nil), good...), 0, 0, 0, 0, 0, 0, 0, 0), 0o644) }},
-		{"seqdir payload flipped", func() { flipByte(t, path, int64(segHeaderLen+secHeaderLen)) }},
-		{"points payload flipped (mid-file)", func() { flipByte(t, path, int64(len(good)/2)) }},
-		{"last payload byte flipped", func() { flipByte(t, path, -1) }},
-	}
-	for _, tc := range cases {
-		restore()
-		tc.corrupt()
+	for _, tc := range corruptions(good) {
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		c, err := ReadSegments(path)
 		if !errors.Is(err, ErrBadStore) {
 			t.Errorf("%s: err = %v (corpus %v), want ErrBadStore", tc.name, err, c != nil)
