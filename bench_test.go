@@ -359,27 +359,6 @@ func BenchmarkDmbr(b *testing.B) {
 	}
 }
 
-func BenchmarkDnormSweep(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	s, err := fractal.Generate(rng, 512, fractal.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := core.NewSegmented(s, core.DefaultPartitionConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := fractal.Generate(rng, 64, fractal.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	qr := geom.BoundingRect(q.Points)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.MinDnorm(qr, q.Len(), g)
-	}
-}
-
 func BenchmarkPartition(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	s, err := fractal.Generate(rng, 512, fractal.DefaultConfig())

@@ -30,6 +30,10 @@ import (
 // spike — so queries are shorter than, as long as and longer than what is
 // stored, and every range is asked again at ε = the scan's distance to the
 // query's nearest sequence: a tie, which a range search must not dismiss.
+// edgeCorpus adds the shapes a range search once dismissed: a short stored
+// sequence lying across two query MBRs, a clip library (short clips cut from
+// shot-structured sequences, queried with long windows of those), and a
+// sequence whose Dmbr overflows ahead of a match.
 func TestDoMatchesScanEverywhere(t *testing.T) {
 	ctx := context.Background()
 	type topology struct {
@@ -101,12 +105,15 @@ func TestDoMatchesScanEverywhere(t *testing.T) {
 			db, fold := tp.open()
 			defer db.Close()
 			seqs := doCorpus(rng, 60)
+			base := len(seqs)
+			extra, extraQueries := edgeCorpus()
+			seqs = append(seqs, extra...)
 			n := fillAcrossFold(t, db, fold, seqs)
 			if cached {
 				db.SetCache(mdseq.NewQueryCache(mdseq.QueryCacheConfig{}))
 			}
 			if queries == nil {
-				queries = doQueries(rng, seqs)
+				queries = append(doQueries(rng, seqs[:base]), extraQueries...)
 			}
 			do := func(q mdseq.Query) []mdseq.Match {
 				t.Helper()
@@ -249,6 +256,89 @@ func doQueries(rng *rand.Rand, seqs []*mdseq.Sequence) []*mdseq.Sequence {
 		qs = append(qs, &mdseq.Sequence{Points: src.Points[off : off+n]})
 	}
 	return append(qs, constant(2.1, 20))
+}
+
+// edgeCorpus is the stored sequences and the queries of the shapes the
+// paper's range search once dismissed, each found by the scan at D ≈ 0:
+//
+//   - the straddler: 10 points, half on each of two 10-point runs of a
+//     20-point query, so each half lies whole in a query MBR and the
+//     sequence as a whole is far from both (core's
+//     TestKNNShortSequenceStraddlesQueryMBRs). One window of all of it
+//     against a query MBR bounded nothing, and it was found only at
+//     ε ≥ 0.71;
+//   - a clip library: shot-structured sequences — runs of a still frame with
+//     a little jitter, the way video features hold between cuts — with
+//     clips of 8–32 points cut from them, queried with 60–119-point windows
+//     of the same sequences, so clips lie inside a query across its MBRs;
+//   - a 200-point walk with points 5–14 near 1e200, queried with a copy of
+//     its points 187–197: the squared Dmbr of the far MBRs overflows, and the
+//     running sums of every window after them were Inf − Inf. (The walk's
+//     MBRs there are shorter than the query's one, so only windows across
+//     MBRs can find it.)
+func edgeCorpus() (seqs, queries []*mdseq.Sequence) {
+	add := func(s *mdseq.Sequence) {
+		s.Label = fmt.Sprintf("e%03d", len(seqs))
+		seqs = append(seqs, s)
+	}
+	run := func(n int, v float64) []mdseq.Point {
+		pts := make([]mdseq.Point, n)
+		for i := range pts {
+			pts[i] = mdseq.Point{v + float64(i)*1e-6, v, v}
+		}
+		return pts
+	}
+	add(&mdseq.Sequence{Points: append(run(5, 0), run(5, 1)...)})
+	queries = append(queries, &mdseq.Sequence{Points: append(run(10, 0), run(10, 1)...)})
+
+	far := walk(rand.New(rand.NewSource(170)), 200)
+	for i := 5; i < 15; i++ {
+		far.Points[i] = mdseq.Point{1e200 * (1 + float64(i)*1e-3), 1e200, 1e200}
+	}
+	add(far)
+	queries = append(queries, &mdseq.Sequence{Points: clonePoints(far.Points[187:198])})
+
+	rng := rand.New(rand.NewSource(7))
+	var films []*mdseq.Sequence
+	for f := 0; f < 4; f++ {
+		film := shots(rng, 120+rng.Intn(80))
+		films = append(films, film)
+		add(film)
+		for c := 0; c < 3; c++ {
+			n := 8 + rng.Intn(25)
+			off := rng.Intn(film.Len() - n + 1)
+			add(&mdseq.Sequence{Points: clonePoints(film.Points[off : off+n])})
+		}
+	}
+	for q := 0; q < 3; q++ {
+		src := films[rng.Intn(len(films))]
+		n := 60 + rng.Intn(60)
+		off := rng.Intn(src.Len() - n + 1)
+		queries = append(queries, &mdseq.Sequence{Points: src.Points[off : off+n]})
+	}
+	return seqs, queries
+}
+
+// shots is a shot-structured sequence of n points: runs of 6–30 points, each
+// a random still frame with coordinates jittered by up to 0.01.
+func shots(rng *rand.Rand, n int) *mdseq.Sequence {
+	pts := make([]mdseq.Point, 0, n)
+	for len(pts) < n {
+		c := mdseq.Point{rng.Float64(), rng.Float64(), rng.Float64()}
+		for k := 6 + rng.Intn(25); k > 0 && len(pts) < n; k-- {
+			pts = append(pts, mdseq.Point{c[0] + rng.Float64()*0.01, c[1] + rng.Float64()*0.01, c[2] + rng.Float64()*0.01})
+		}
+	}
+	return &mdseq.Sequence{Points: pts}
+}
+
+// clonePoints copies pts, points included.
+func clonePoints(pts []mdseq.Point) []mdseq.Point {
+	out := make([]mdseq.Point, len(pts))
+	for i, p := range pts {
+		out[i] = append(mdseq.Point(nil), p...)
+	}
+	return out
 }
 
 // fillAcrossFold stores seqs so that a transactional database is left with

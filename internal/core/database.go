@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -465,9 +464,11 @@ type Match struct {
 	// or normalized DTW. Zero in the paper's Range answer (nil Metric),
 	// which stops at the Dnorm bound.
 	Dist float64
-	// MinDnorm is the smallest Dnorm over all (query MBR, data MBR)
-	// pairs — a lower bound on D(Q,S), usable for ranking. Filled by the
-	// paper's Range answer only.
+	// MinDnorm is the phase-3 bound the sequence was kept by (refineOne):
+	// the smallest Dnorm window over the (query MBR, data MBR) pairs phase 2
+	// hit, or, for a sequence shorter than the query, the weighted bound of
+	// its own MBRs — a lower bound on D(Q,S), usable for ranking. Filled by
+	// the paper's Range answer only.
 	MinDnorm float64
 	// Offset is the best alignment of the shorter side inside the longer:
 	// filled by a KNN under D, zero elsewhere (warping has no one offset).
@@ -598,14 +599,13 @@ func (db *Database) filterPhases(ctx context.Context, q *Sequence, reach float64
 // (CPUTime, metrics recording, caching): Do, for the paper's Range answer
 // directly and under MetricD through dRange.
 func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]Match, error) {
-	reach := dReach(eps, q.Len(), q.Dim())
-	ids, err := db.filterPhases(ctx, q, reach, sc, st, tr)
+	ids, err := db.filterPhases(ctx, q, dReach(eps, q.Len(), q.Dim()), sc, st, tr)
 	if err != nil {
 		return nil, err
 	}
 
 	t2 := time.Now()
-	out, err := refine(ctx, sc.qmbrs, ids, db.seqs, nil, q.Len(), reach, sc, st)
+	out, err := refine(ctx, q, eps, ids, db.seqs, nil, sc, st)
 	if err != nil {
 		return nil, err
 	}
@@ -630,21 +630,24 @@ func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, s
 // alignSlack bounds how far a computed Dmbr or Dnorm window of an alignment's
 // points can exceed the computed D of that alignment (the argument that
 // shrinks knnD's walk key), and the room it leaves covers this division and
-// the probe's squaring. The factor only shrinks as the summed count grows, so
-// the query's length serves every sequence at least as long.
+// the probe's squaring. The factor only shrinks as the summed count grows, and
+// an alignment sums at most the query's n points, so n serves every sequence.
 func dReach(eps float64, n, d int) float64 { return eps / alignSlack(n, d) }
 
-// refine is phase 3 of SIMILARITY_SEARCH — second pruning with Dnorm over
-// the (query MBR, candidate) pairs phase 2 hit, qualifying windows
-// accumulating into the solution interval — over the ascending candidates
-// cands: positions in seqs whose hit rows sc holds. A match's SeqID is
-// ids[c], or the position c itself when ids is nil (a Database's directory).
-// reach is phase 2's radius (dReach), which phase3Hits widens per pair. The
+// refine is phase 3 of SIMILARITY_SEARCH — second pruning over the
+// (query MBR, candidate) pairs phase 2 hit, qualifying windows accumulating
+// into the solution interval — over the ascending candidates cands: positions
+// in seqs whose hit rows sc holds, for the query q that sc.qmbrs partitions,
+// at eps. A match's SeqID is ids[c], or the position c itself when ids is nil
+// (a Database's directory). Each candidate is decided by refineOne. The
 // answer costs a constant number of allocations however many match: the list
 // is made on the first hit with room for every candidate still to come (most
 // match), and each hit's ranges go into one slab the matches share
 // (slabRanges). No match allocates nothing.
-func refine(ctx context.Context, qmbrs []MBRInfo, cands []uint32, seqs []*Segmented, ids []uint32, qLen int, reach float64, sc *searchScratch, st *SearchStats) ([]Match, error) {
+func refine(ctx context.Context, q *Sequence, eps float64, cands []uint32, seqs []*Segmented, ids []uint32, sc *searchScratch, st *SearchStats) ([]Match, error) {
+	sc.fillQueryFlat(q)
+	qs := sc.querySide(q.Dim())
+	reach := dReach(eps, q.Len(), q.Dim())
 	var out []Match
 	var slab []PointRange
 	for ci, c := range cands {
@@ -654,7 +657,7 @@ func refine(ctx context.Context, qmbrs []MBRInfo, cands []uint32, seqs []*Segmen
 			}
 		}
 		g := seqs[c]
-		minDnorm, hit, evals := phase3Hits(qmbrs, sc.hitRow(c), &sc.p3, g, qLen, reach)
+		minDnorm, hit, evals := sc.refineOne(q, qs, sc.hitRow(c), g, eps, reach)
 		st.DnormEvals += evals
 		if !hit {
 			continue
@@ -672,36 +675,38 @@ func refine(ctx context.Context, qmbrs []MBRInfo, cands []uint32, seqs []*Segmen
 	return out, nil
 }
 
-// phase3One runs the Dnorm pruning and solution-interval assembly for one
-// candidate sequence, every query MBR evaluated. The production search
-// paths use phase3Hits — the allocation-free columnar kernel with identical
-// results; this closure-based original is kept as the reference
-// implementation the equivalence tests compare against (and as the
-// readable statement of the algorithm). Without the widening to
-// full-query extent (see phase3Hits), interval recall loses the fringes of
-// every match.
-func phase3One(qseg *Segmented, g *Segmented, qLen int, eps float64) (m Match, hit bool, evals int) {
-	m = Match{Seq: g.Seq, MinDnorm: math.Inf(1)}
-	for _, qm := range qseg.MBRs {
-		calc := newDnormCalc(qm.Rect, qm.Count(), g)
-		evals += len(g.MBRs)
-		minDist := calc.sweep(eps, func(dist float64, pstart, pend int) {
-			hit = true
-			start := pstart - qm.Start
-			end := pend + (qLen - qm.End)
-			if start < 0 {
-				start = 0
-			}
-			if end > g.Seq.Len() {
-				end = g.Seq.Len()
-			}
-			m.Interval.Add(PointRange{Start: start, End: end})
-		})
-		if minDist < m.MinDnorm {
-			m.MinDnorm = minDist
-		}
+// refineOne is the phase-3 rule, the one Search, the transaction delta pass
+// (Unindexed) and Explain decide a candidate by: whether g, whose phase-2 hit
+// row is hits, survives at eps, the bound it was decided by, and the Dmbr
+// values computed. A survivor's solution interval is left in sc.p3.iv. qs is
+// q as querySide gives it and reach phase 2's radius (dReach).
+//
+// Lemma 3 — the smallest Dnorm window is at most D — holds only when the
+// windowed side is at least as long as the query: then the best alignment
+// lays query MBR i's c_i points on one contiguous run of c_i points of S, and
+// a window of c_i points over S bounds them. So the roles follow the lengths,
+// as in knnSeqBound (Zhu, Kollios & Athitsos' consistency property: a match
+// contains a whole indexed window):
+//
+//   - |S| ≥ |Q|: the paper's rule, phase3Hits — a query MBR's windows over
+//     S at reach, the hit pairs only, the minimum window as the bound.
+//   - |S| < |Q|: S slides inside Q and meets only parts of the query MBRs, so
+//     no window over S bounds D. The weighted bound of the shorter side,
+//     knnSeqBound — S's MBRs swept over the query, already shrunk by
+//     alignSlack and cancelMargin so that it is at most the computed D — is
+//     compared with eps itself. The solution interval is Definition 6 with
+//     the roles exchanged: every alignment lays all of S inside Q, so a
+//     match's interval is all of S.
+func (sc *searchScratch) refineOne(q *Sequence, qs alignSide, hits []uint64, g *Segmented, eps, reach float64) (bound float64, hit bool, evals int) {
+	if g.Seq.Len() >= q.Len() {
+		return phase3Hits(sc.qmbrs, hits, &sc.p3, g, q.Len(), reach)
 	}
-	return m, hit, evals
+	bound = knnSeqBound(&sc.p3, qs, g.side(), q.Dim())
+	sc.p3.iv.ranges = sc.p3.iv.ranges[:0]
+	if bound <= eps {
+		sc.p3.iv.Add(PointRange{Start: 0, End: g.Seq.Len()})
+	}
+	return bound, bound <= eps, len(g.MBRs) * (len(qs.starts) - 1)
 }
 
 // CandidatesDmbr runs only phase 1+2 and returns the candidate set — the

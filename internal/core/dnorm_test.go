@@ -92,6 +92,10 @@ func TestDnormTargetBigEnoughIsPlainDmbr(t *testing.T) {
 	}
 }
 
+// TestDnormSequenceShorterThanQueryMBR: a sequence with fewer points than
+// the query MBR holds no window of the query MBR's size, so its Dnorm is
+// +Inf and the sweep emits nothing — Lemma 3 says nothing of such a pair,
+// and phase 3 decides it by the role rule instead (refineOne).
 func TestDnormSequenceShorterThanQueryMBR(t *testing.T) {
 	q := rect1d(0.5, 0.6)
 	g := buildSegmented([]struct {
@@ -101,13 +105,14 @@ func TestDnormSequenceShorterThanQueryMBR(t *testing.T) {
 		{rect1d(0.30, 0.35), 3}, // D = 0.15
 		{rect1d(0.45, 0.48), 3}, // D = 0.02
 	})
-	res := Dnorm(q, 100, g, 0)
-	want := (3*0.15 + 3*0.02) / 6 // weighted mean over actual points
-	if !almostEqual(res.Dist, want) {
-		t.Errorf("Dist = %g, want %g", res.Dist, want)
+	for j := range g.MBRs {
+		if res := Dnorm(q, 100, g, j); !math.IsInf(res.Dist, 1) {
+			t.Errorf("Dnorm(%d) = %g over %d points, want +Inf: no 100-point window", j, res.Dist, g.Seq.Len())
+		}
 	}
-	if res.PStart != 0 || res.PEnd != 6 {
-		t.Errorf("points = [%d,%d), want whole sequence", res.PStart, res.PEnd)
+	emitted := 0
+	if min := newDnormCalc(q, 100, g).sweep(math.Inf(1), func(float64, int, int) { emitted++ }); !math.IsInf(min, 1) || emitted != 0 {
+		t.Errorf("sweep: minimum %g and %d windows, want +Inf and none", min, emitted)
 	}
 }
 
@@ -168,8 +173,10 @@ func TestDnormIsConvexCombinationOfDmbrs(t *testing.T) {
 }
 
 // TestLemma3Sandwich verifies the paper's core correctness result on random
-// data: min Dmbr ≤ min Dnorm ≤ D(Q,S) for every query/data pair, which is
-// exactly what makes the two-phase pruning free of false dismissals.
+// data: min Dmbr ≤ min Dnorm ≤ D(Q,S) for every query/data pair with the
+// data sequence at least as long as the query — Lemma 3's precondition, see
+// refineOne — which is exactly what makes the two-phase pruning free of
+// false dismissals.
 func TestLemma3Sandwich(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	cfg := DefaultPartitionConfig()
@@ -179,6 +186,9 @@ func TestLemma3Sandwich(t *testing.T) {
 			s, q = randSeq(rng, 10+rng.Intn(150), 3), randSeq(rng, 5+rng.Intn(80), 3)
 		} else {
 			s, q = randWalkSeq(rng, 10+rng.Intn(150), 3), randWalkSeq(rng, 5+rng.Intn(80), 3)
+		}
+		if s.Len() < q.Len() {
+			s, q = q, s
 		}
 		gs, err := NewSegmented(s, cfg)
 		if err != nil {

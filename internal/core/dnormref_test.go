@@ -1,5 +1,12 @@
 package core
 
+// The seed forms of Definition 5 and of phase 3: dnormCalc, which evaluates
+// Dnorm per target (dnorm) and sweeps every window (sweep) with closures and
+// Rect.MinDist, and phase3One, the phase-3 rule over one candidate with every
+// query MBR evaluated. They are the readable statement of the algorithm and
+// the references the kernels — sweepWindows, phase3Hits, knnSeqBound,
+// refineOne — are held to, bit for bit.
+
 import (
 	"math"
 
@@ -64,10 +71,9 @@ func (c *dnormCalc) weightedIn(a, b int) float64 { return c.wpre[b+1] - c.wpre[a
 // [k..l] with k ≤ j < l count MBRs k..l-1 fully and take only the first
 // (qCount − Σ m) points of the marginal right MBR l; RD windows mirror
 // with the marginal on the left. Dnorm is the minimum over all such
-// windows. If the sequence holds fewer points than the query MBR, the
-// whole sequence participates and the weighted mean over its actual count
-// is used — still a convex combination of Dmbr values, so the
-// no-false-dismissal lower bound of Lemmas 2–3 is preserved.
+// windows; a sequence with fewer points than the query MBR has none, and
+// its Dnorm is +Inf — no window of the query MBR's size lies inside it, so
+// Lemma 3 says nothing of it (refineOne's role rule decides it instead).
 func (c *dnormCalc) dnorm(j int) DnormResult {
 	r := len(c.mbrs)
 	mj := c.mbrs[j].Count()
@@ -78,17 +84,6 @@ func (c *dnormCalc) dnorm(j int) DnormResult {
 			PStart: c.mbrs[j].Start, PEnd: c.mbrs[j].End,
 		}
 	}
-	if c.countIn(0, r-1) <= c.qCount {
-		// Entire sequence shorter than (or equal to) the query MBR: use all
-		// of it, weighted by actual counts.
-		total := c.countIn(0, r-1)
-		return DnormResult{
-			Dist: c.weightedIn(0, r-1) / float64(total),
-			K:    0, L: r - 1,
-			PStart: c.mbrs[0].Start, PEnd: c.mbrs[r-1].End,
-		}
-	}
-
 	best := DnormResult{Dist: math.Inf(1)}
 
 	// LD windows: marginal MBR on the right. For each left edge k ≤ j,
@@ -149,8 +144,7 @@ func (c *dnormCalc) dnorm(j int) DnormResult {
 
 // sweep enumerates every Dnorm window of the sequence exactly once — all
 // LD windows (one per left edge with enough points to its right), all RD
-// windows, every degenerate single-MBR case, and the short-sequence
-// clamp — and calls emit (when non-nil) for each window whose weighted
+// windows and every degenerate single-MBR case — and calls emit (when non-nil) for each window whose weighted
 // distance is at most eps, returning the global minimum distance across
 // all windows (which equals min_j Dnorm(j) — each per-target Dnorm is the
 // minimum over the windows containing that target, so the two minima
@@ -159,8 +153,7 @@ func (c *dnormCalc) dnorm(j int) DnormResult {
 // needs for the solution interval, and the sweep computes it in O(r)
 // where evaluating Dnorm(j) for every j costs O(r²).
 //
-// This is the seed reference form; the production kernel is sweepWindows
-// (scratch.go), which enumerates identical windows in identical order
+// The production kernel is sweepWindows, which enumerates the same windows
 // with identical arithmetic over the columnar Starts/dists/wpre arrays.
 func (c *dnormCalc) sweep(eps float64, emit func(dist float64, pstart, pend int)) float64 {
 	r := len(c.mbrs)
@@ -172,12 +165,6 @@ func (c *dnormCalc) sweep(eps float64, emit func(dist float64, pstart, pend int)
 		if emit != nil && dist <= eps {
 			emit(dist, pstart, pend)
 		}
-	}
-
-	if c.countIn(0, r-1) <= c.qCount {
-		total := c.countIn(0, r-1)
-		consider(c.weightedIn(0, r-1)/float64(total), c.mbrs[0].Start, c.mbrs[r-1].End)
-		return best
 	}
 
 	// Degenerate targets: big enough on their own.
@@ -231,8 +218,7 @@ func (c *dnormCalc) sweep(eps float64, emit func(dist float64, pstart, pend int)
 
 // Dnorm computes the normalized distance between a query MBR (its
 // rectangle and point count) and the j-th MBR of a segmented data
-// sequence. This is the one-shot form; Database.Search batches the
-// computation across all j via dnormCalc.
+// sequence.
 func Dnorm(qRect geom.Rect, qCount int, g *Segmented, j int) DnormResult {
 	return newDnormCalc(qRect, qCount, g).dnorm(j)
 }
@@ -242,4 +228,40 @@ func Dnorm(qRect geom.Rect, qCount int, g *Segmented, j int) DnormResult {
 // whose minimum provably equals the minimum over per-target Dnorm values.
 func MinDnorm(qRect geom.Rect, qCount int, g *Segmented) float64 {
 	return newDnormCalc(qRect, qCount, g).sweep(math.Inf(-1), nil)
+}
+
+// phase3One is refineOne in the seed forms, every query MBR evaluated: for a
+// candidate at least as long as the query, each query MBR's windows over it
+// at eps, qualifying windows widened to full-query extent (see phase3Hits)
+// into the solution interval; for a shorter one, the weighted bound of its
+// own MBRs swept over the query (knnSeqBoundRef) at eps, the interval all of
+// it.
+func phase3One(qseg *Segmented, g *Segmented, qLen int, eps float64) (m Match, hit bool) {
+	m = Match{Seq: g.Seq, MinDnorm: math.Inf(1)}
+	if g.Seq.Len() < qLen {
+		m.MinDnorm, _ = knnSeqBoundRef(qseg, g)
+		if hit = m.MinDnorm <= eps; hit {
+			m.Interval.Add(PointRange{Start: 0, End: g.Seq.Len()})
+		}
+		return m, hit
+	}
+	for _, qm := range qseg.MBRs {
+		calc := newDnormCalc(qm.Rect, qm.Count(), g)
+		minDist := calc.sweep(eps, func(dist float64, pstart, pend int) {
+			hit = true
+			start := pstart - qm.Start
+			end := pend + (qLen - qm.End)
+			if start < 0 {
+				start = 0
+			}
+			if end > g.Seq.Len() {
+				end = g.Seq.Len()
+			}
+			m.Interval.Add(PointRange{Start: start, End: end})
+		})
+		if minDist < m.MinDnorm {
+			m.MinDnorm = minDist
+		}
+	}
+	return m, hit
 }

@@ -58,12 +58,10 @@ func Unindexed(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, 
 }
 
 // linearRange is Unindexed's paper's-answer Range: phase 2 as a pass over
-// every (query MBR, MBR) pair, then refine.
+// every (query MBR, MBR) pair (markLinear), then refine.
 func (sc *searchScratch) linearRange(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, segs []*Segmented, st *SearchStats) ([]Match, error) {
 	sc.segmentQuery(q.Seq, cfg)
 	reach := dReach(q.Eps, q.Seq.Len(), q.Seq.Dim())
-	r2 := reach * reach
-	below := func(sq float64) bool { return sq <= r2 }
 	sc.beginHits(len(segs), len(sc.qmbrs))
 	for p, g := range segs {
 		if p%cancelCheckEvery == 0 {
@@ -71,16 +69,28 @@ func (sc *searchScratch) linearRange(ctx context.Context, q Query, cfg Partition
 				return nil, err
 			}
 		}
-		sc.p3.sq = ensureFloats(sc.p3.sq, len(g.MBRs))
-		for i := range sc.qmbrs {
-			geom.MinDistSqBatch(sc.qmbrs[i].Rect.L, sc.qmbrs[i].Rect.H, g.Lo, g.Hi, sc.p3.sq)
-			if slices.ContainsFunc(sc.p3.sq, below) {
-				sc.mark(uint32(p), i)
-			}
-		}
+		sc.markLinear(uint32(p), g, reach)
 	}
 	st.CandidatesDmbr += len(sc.ids)
-	return refine(ctx, sc.qmbrs, sc.ids, segs, ids, q.Seq.Len(), reach, sc, st)
+	return refine(ctx, q.Seq, q.Eps, sc.ids, segs, ids, sc, st)
+}
+
+// markLinear is phase 2's linear form for the sequence g at position p: it
+// marks every query MBR with an MBR of g within reach, in the squared-space
+// arithmetic of the index probe, so the row is the one markHits fills from
+// the index — and returns the smallest squared Dmbr of any pair.
+func (sc *searchScratch) markLinear(p uint32, g *Segmented, reach float64) float64 {
+	sc.p3.sq = ensureFloats(sc.p3.sq, len(g.MBRs))
+	nearest := math.Inf(1)
+	for i := range sc.qmbrs {
+		geom.MinDistSqBatch(sc.qmbrs[i].Rect.L, sc.qmbrs[i].Rect.H, g.Lo, g.Hi, sc.p3.sq)
+		m := slices.Min(sc.p3.sq)
+		if m <= reach*reach {
+			sc.mark(p, i)
+		}
+		nearest = min(nearest, m)
+	}
+	return nearest
 }
 
 // exactEach is Unindexed's Range under a Metric and its KNN: each sequence's

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"text/tabwriter"
 )
@@ -16,27 +17,38 @@ import (
 type Explanation struct {
 	Eps       float64   // the threshold the decisions were made against
 	QueryMBRs []MBRInfo // the query's MCOST partitioning
-	// Candidates covers every stored sequence, sorted by id.
+	// Candidates covers every live sequence, in ascending id order.
 	Candidates []CandidateExplanation
 }
 
-// CandidateExplanation is one sequence's fate in the pipeline.
+// CandidateExplanation is one sequence's fate in the pipeline, told by the
+// numbers Search decides by.
 type CandidateExplanation struct {
-	SeqID    uint32  // database id of the candidate
-	Label    string  // its label, for human-readable reports
-	MinDmbr  float64 // min over (query MBR, data MBR) pairs
-	MinDnorm float64 // min over query MBRs of the window-sweep minimum
+	SeqID uint32 // database id of the candidate
+	Label string // its label, for human-readable reports
+	// MinDmbr is the smallest Dmbr of any (query MBR, data MBR) pair, from
+	// the squared-space distance phase 2 compares with the square of its
+	// radius (dReach).
+	MinDmbr float64
+	// MinDnorm is the phase-3 bound (refineOne): for a sequence at least as
+	// long as the query, the smallest Dnorm window over the pairs phase 2
+	// hit — over every pair when it hit none; for a shorter one, the
+	// weighted bound of its own MBRs swept over the query.
+	MinDnorm float64
 	// Phase is the furthest stage reached: "pruned-dmbr" (never became a
-	// candidate), "pruned-dnorm" (candidate, no qualifying window), or
+	// candidate), "pruned-dnorm" (candidate, dismissed by phase 3), or
 	// "matched".
 	Phase string
 }
 
-// Explain runs the search pipeline for q at eps, evaluating the phase-2
-// and phase-3 bounds for every stored sequence (including the ones the
-// index would normally never touch), and returns the full decision record.
-// It is O(database) and meant for debugging, not serving; it covers the
-// paper's Range answer (nil Metric) only.
+// Explain runs the search pipeline for q at eps over every stored sequence
+// (including the ones the index would normally never touch) with Search's
+// own kernels, and returns the full decision record. Phase 2 is the linear
+// form the transaction delta pass uses (markLinear), which marks the pairs
+// the index probe returns, and phase 3 the same rule (refineOne), so the
+// record says what Search decided: a sequence is "matched" exactly when
+// Search returns it. It is O(database) and meant for debugging, not
+// serving; it covers the paper's Range answer (nil Metric) only.
 func (db *Database) Explain(q *Sequence, eps float64) (*Explanation, error) {
 	if err := (Query{Seq: q, Eps: eps}).Check(db.opts.Dim); err != nil {
 		return nil, err
@@ -50,41 +62,40 @@ func (db *Database) Explain(q *Sequence, eps float64) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.segmentQuery(q, db.opts.Partition)
+	sc.fillQueryFlat(q)
+	qs := sc.querySide(q.Dim())
+	reach := dReach(eps, q.Len(), q.Dim())
+	sc.beginHits(len(db.seqs), len(sc.qmbrs))
+	every := make([]uint64, sc.hitWords) // the row of a sequence phase 2 dismissed
+	for i := range every {
+		every[i] = ^uint64(0)
+	}
 	ex := &Explanation{Eps: eps, QueryMBRs: qseg.MBRs}
 	for id, g := range db.seqs {
 		if g == nil {
 			continue
 		}
-		ce := CandidateExplanation{
-			SeqID:    uint32(id),
-			Label:    g.Seq.Label,
-			MinDmbr:  math.Inf(1),
-			MinDnorm: math.Inf(1),
+		ce := CandidateExplanation{SeqID: uint32(id), Label: g.Seq.Label, Phase: "pruned-dmbr"}
+		ce.MinDmbr = math.Sqrt(sc.markLinear(uint32(id), g, reach))
+		row := sc.hitRow(uint32(id))
+		candidate := slices.ContainsFunc(row, func(w uint64) bool { return w != 0 })
+		if !candidate {
+			row = every
 		}
-		for _, qm := range qseg.MBRs {
-			calc := newDnormCalc(qm.Rect, qm.Count(), g)
-			for _, sm := range g.MBRs {
-				if d := qm.Rect.MinDist(sm.Rect); d < ce.MinDmbr {
-					ce.MinDmbr = d
-				}
-			}
-			if d := calc.sweep(math.Inf(-1), nil); d < ce.MinDnorm {
-				ce.MinDnorm = d
-			}
-		}
+		var hit bool
+		ce.MinDnorm, hit, _ = sc.refineOne(q, qs, row, g, eps, reach)
 		switch {
-		case ce.MinDmbr > eps:
-			ce.Phase = "pruned-dmbr"
-		case ce.MinDnorm > eps:
-			ce.Phase = "pruned-dnorm"
-		default:
+		case !candidate:
+		case hit:
 			ce.Phase = "matched"
+		default:
+			ce.Phase = "pruned-dnorm"
 		}
 		ex.Candidates = append(ex.Candidates, ce)
 	}
-	sort.Slice(ex.Candidates, func(i, j int) bool {
-		return ex.Candidates[i].SeqID < ex.Candidates[j].SeqID
-	})
 	return ex, nil
 }
 

@@ -4,9 +4,8 @@ package core
 // search paths (phase3Hits, segmentQuery, AppendWithinDist-backed phase 2,
 // the index-driven kNN, bestAlign) must return byte-identical results to
 // the seed implementations they replaced, and a warmed serial range
-// search must not allocate. The seed forms — WithinDist, phase3One,
-// newDnormCalc, BestAlignment — are retained in-tree and reconstructed
-// here as the reference.
+// search must not allocate. The seed forms — WithinDist, BestAlignment,
+// and phase3One over dnormCalc (dnormref_test.go) — are the reference.
 
 import (
 	"cmp"
@@ -80,7 +79,7 @@ func searchReference(t testing.TB, db *Database, q *Sequence, eps float64) []Mat
 	slices.Sort(ids)
 	var out []Match
 	for _, id := range ids {
-		m, hit, _ := phase3One(qseg, db.seqs[id], q.Len(), eps)
+		m, hit := phase3One(qseg, db.seqs[id], q.Len(), eps)
 		m.SeqID = id
 		if hit {
 			out = append(out, m)

@@ -545,8 +545,12 @@ func windowKey(a, b PointRange) int {
 // kernel emits degenerate targets in left-edge order, the reference ahead
 // of the rest), with ε off (−Inf, the kNN bound pass), random, and +Inf.
 // MBR sizes are drawn around the query MBR's so that degenerate targets,
-// LD/RD windows and the short-sequence clamp all occur, with runs of equal
-// and zero Dmbr and, now and then, an overflowed one.
+// LD/RD windows and sequences too short for any window all occur, with runs
+// of equal and zero Dmbr and, now and then, an overflowed one. A tiling of
+// fewer points than the query MBR holds no window: minimum +Inf, nothing
+// emitted. Each case is swept again from a random MBR on, the way
+// phase3Hits sweeps a run behind a restart: starts that do not begin at 0,
+// running sums restarted at 0.
 func TestSweepWindowsMatchesSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(1902))
 	windows := 0
@@ -583,21 +587,43 @@ func TestSweepWindowsMatchesSweep(t *testing.T) {
 			c.wpre[j+1] = c.wpre[j] + c.dists[j]*float64(count)
 			starts[j+1] = int32(c.prefix[j+1])
 		}
+		// The run from MBR a on, its running sums restarted at 0.
+		a := rng.Intn(r)
+		run := &dnormCalc{
+			mbrs:   c.mbrs[a:],
+			dists:  c.dists[a:],
+			prefix: make([]int, r-a+1),
+			wpre:   make([]float64, r-a+1),
+			qCount: qCount,
+		}
+		for j := range run.mbrs {
+			run.prefix[j+1] = run.prefix[j] + run.mbrs[j].Count()
+			run.wpre[j+1] = run.wpre[j] + run.dists[j]*float64(run.mbrs[j].Count())
+		}
 		for _, eps := range []float64{math.Inf(-1), rng.Float64(), math.Inf(1)} {
-			var want []PointRange
-			wantMin := c.sweep(eps, func(_ float64, pstart, pend int) {
-				want = append(want, PointRange{Start: pstart, End: pend})
-			})
-			gotMin, got := sweepWindows(starts, c.dists, c.wpre, qCount, eps, nil)
-			if math.Float64bits(gotMin) != math.Float64bits(wantMin) {
-				t.Fatalf("trial %d eps %v: minimum %v, reference %v", trial, eps, gotMin, wantMin)
+			for _, tc := range []struct {
+				ref    *dnormCalc
+				starts []int32
+			}{{c, starts}, {run, starts[a:]}} {
+				var want []PointRange
+				wantMin := tc.ref.sweep(eps, func(_ float64, pstart, pend int) {
+					want = append(want, PointRange{Start: pstart, End: pend})
+				})
+				gotMin, got := sweepWindows(tc.starts, tc.ref.dists, tc.ref.wpre, qCount, eps, nil)
+				if math.Float64bits(gotMin) != math.Float64bits(wantMin) {
+					t.Fatalf("trial %d eps %v from MBR %d: minimum %v, reference %v", trial, eps, len(c.mbrs)-len(tc.ref.mbrs), gotMin, wantMin)
+				}
+				slices.SortFunc(got, windowKey)
+				slices.SortFunc(want, windowKey)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d eps %v from MBR %d: windows %v, reference %v", trial, eps, len(c.mbrs)-len(tc.ref.mbrs), got, want)
+				}
+				if short := tc.ref.countIn(0, len(tc.ref.mbrs)-1) < qCount; short && (!math.IsInf(gotMin, 1) || len(got) > 0) {
+					t.Fatalf("trial %d: %d points, query MBR %d: minimum %v and %d windows, want +Inf and none",
+						trial, tc.ref.countIn(0, len(tc.ref.mbrs)-1), qCount, gotMin, len(got))
+				}
+				windows += len(want)
 			}
-			slices.SortFunc(got, windowKey)
-			slices.SortFunc(want, windowKey)
-			if !slices.Equal(got, want) {
-				t.Fatalf("trial %d eps %v: windows %v, reference %v", trial, eps, got, want)
-			}
-			windows += len(want)
 		}
 	}
 	if windows == 0 {
@@ -650,12 +676,17 @@ func jitterSeq(rng *rand.Rand, s *Sequence, amp float64) *Sequence {
 // abandoned DP — would refine a different set, or the same set in another
 // order against another running k-th best, and move a sum.
 //
-// The knn row alone was re-recorded since, when D-kNN became index-driven:
-// the loop that bounded every sequence by its smallest Dnorm window refined
-// 8115, the index walk with the count-weighted bound refines 5719 — a
-// change of algorithm, checked against the scan by
-// TestKNNIndexWalkMatchesScan, where the other three rows still say that
-// no kernel moved a bit.
+// Two rows were re-recorded since, each for a change of algorithm. The knn
+// row when D-kNN became index-driven: the loop that bounded every sequence
+// by its smallest Dnorm window refined 8115, the index walk with the
+// count-weighted bound refines 5719 (checked against the scan by
+// TestKNNIndexWalkMatchesScan). The range row when phase 3 began deciding a
+// sequence shorter than the query by the weighted bound of its own MBRs
+// (refineOne) instead of one window over all of it: MatchesDnorm 3540 →
+// 3510 and DnormEvals 83340 → 84088 — the 30 dropped matches are all false
+// alarms (scan D above ε), no scan match is lost, and only candidates
+// shorter than the query changed (TestDoMatchesScanEverywhere holds the
+// answers to the scan). The dtw rows still say that no kernel moved a bit.
 func TestKernelCountersUnchanged(t *testing.T) {
 	db, seqs := hotDB(t, 3, 150, 1907)
 	rng := rand.New(rand.NewSource(1908))
@@ -704,7 +735,7 @@ func TestKernelCountersUnchanged(t *testing.T) {
 		name      string
 		got, want kernelCounters
 	}{
-		{"range", rangeC, kernelCounters{CandidatesDmbr: 3798, IndexEntriesHit: 19482, DnormEvals: 83340, MatchesDnorm: 3540}},
+		{"range", rangeC, kernelCounters{CandidatesDmbr: 3798, IndexEntriesHit: 19482, DnormEvals: 84088, MatchesDnorm: 3510}},
 		{"dtw-range", dtwRangeC, kernelCounters{CandidatesDmbr: 11062, IndexEntriesHit: 58230, MatchesDnorm: 207,
 			DTWEnvPruned: 10172, DTWKeoghPruned: 444, DTWEvals: 446}},
 		{"knn", knnC, kernelCounters{KNNRefined: 5719}},

@@ -21,8 +21,9 @@ import (
 // dRange is the MetricD range body: the stock three phases, then each
 // Dnorm survivor refined to its exact distance D with the flat alignment
 // kernel (cutoff +Inf so every distance is exact, bit-identical to the
-// scan path). Dnorm ≤ D (Lemma 3) guarantees no sequence with D ≤ ε is
-// missing from the phase-3 survivors.
+// scan path). The phase-3 bound is at most D (Lemma 3, or the role rule for
+// a sequence shorter than the query: refineOne), so no sequence with D ≤ ε
+// is missing from the phase-3 survivors.
 func (db *Database) dRange(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]MetricMatch, error) {
 	matches, err := db.rangePhases(ctx, q, eps, sc, st, tr)
 	if err != nil {

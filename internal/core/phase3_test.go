@@ -1,10 +1,11 @@
 package core
 
 // Equivalence suite for the hit-driven refine: phase 2 records which
-// query MBRs hit which sequence, phase 3 (phase3Hits) evaluates only those
-// pairs. Every production range path must return what the seed reference
-// returns — phase3One, every pair evaluated, over the same candidates —
-// bit for bit. internal/txn's TestPhase3HitsEquivalenceTxn ties the
+// query MBRs hit which sequence, phase 3 (refineOne) evaluates only those
+// pairs, or a sequence shorter than the query by the role rule. Every
+// production range path must return what the seed reference returns —
+// phase3One, every pair evaluated, the role rule in knnSeqBoundRef's seed
+// form, over the same candidates — bit for bit. internal/txn's TestPhase3HitsEquivalenceTxn ties the
 // transaction layer (delta scan and folded base) to the same answers
 // through a plain Database.
 
@@ -19,9 +20,10 @@ import (
 )
 
 // phase3Corpus builds a database under cfg with the shapes the kernel has
-// branches for: random walks, a 3-point sequence (shorter than a query
-// MBR, the short-sequence clamp), and a removed id in the middle of the
-// directory (a nil slot the hit table still has a row for).
+// branches for: random walks, some shorter than the 70-point query, a
+// 3-point sequence (shorter than every query: the role rule), and a removed
+// id in the middle of the directory (a nil slot the hit table still has a
+// row for).
 func phase3Corpus(t *testing.T, dim int, cfg PartitionConfig, seed int64) (*Database, []*Sequence) {
 	t.Helper()
 	db, err := NewDatabase(Options{Dim: dim, Partition: cfg})
@@ -163,7 +165,7 @@ func TestPhase3AllPairsMatchesReference(t *testing.T) {
 				label := fmt.Sprintf("dim %d query %d eps %g", dim, qi, eps)
 				var want []Match
 				for i, g := range segs {
-					if m, hit, _ := phase3One(qseg, g, q.Len(), eps); hit {
+					if m, hit := phase3One(qseg, g, q.Len(), eps); hit {
 						m.SeqID = ids[i]
 						want = append(want, m)
 					}
@@ -233,5 +235,47 @@ func TestRangeKeepsTieBehindFarPrefix(t *testing.T) {
 			}
 		}
 		db.Close()
+	}
+}
+
+// TestRangeFindsMatchBehindOverflowedDmbr: points 5–14 of a walk near 1e200
+// make the squared Dmbr of the far MBRs overflow to +Inf, and one running
+// sum over the whole sequence made every window after them Inf − Inf: a copy
+// of points 187–197, at D = 0 in the scan, was dismissed at every ε. Phase 3
+// restarts the sums behind such an MBR (phase3Hits), through the index and
+// through Unindexed, under the paper's answer and under MetricD.
+func TestRangeFindsMatchBehindOverflowedDmbr(t *testing.T) {
+	ctx := context.Background()
+	s := randWalkSeq(rand.New(rand.NewSource(179)), 200, 3)
+	for i := 5; i < 15; i++ {
+		s.Points[i] = geom.Point{1e200 * (1 + float64(i)*1e-3), 1e200, 1e200}
+	}
+	db := newTestDB(t, 3)
+	if _, err := db.Add(s); err != nil {
+		t.Fatal(err)
+	}
+	q := &Sequence{Points: append([]geom.Point(nil), s.Points[187:198]...)}
+	for _, m := range []Metric{nil, MetricD{}} {
+		for _, eps := range []float64{0, 0.01, 1} {
+			at := Query{Seq: q, Eps: eps, Metric: m}
+			scan, err := db.Do(ctx, Query{Seq: q, Kind: Scan, Eps: eps, Metric: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := db.Do(ctx, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			un, err := Unindexed(ctx, at, db.PartitionConfig(), []uint32{0}, db.seqs, new(SearchStats))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(scan.Matches) != 1 || len(got.Matches) != 1 || len(un) != 1 {
+				t.Fatalf("metric %v eps %g: the scan found %d, Do %d and Unindexed %d", m, eps, len(scan.Matches), len(got.Matches), len(un))
+			}
+			if m == nil && !got.Matches[0].Interval.Contains(187) {
+				t.Fatalf("eps %g: interval %v misses the match at 187", eps, got.Matches[0].Interval.String())
+			}
+		}
 	}
 }

@@ -186,7 +186,6 @@ func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 		sc.fillQueryFlat(q.Seq)
 		res.Matches, err = db.dtwRange(ctx, q.Seq, q.Eps, mt, sc, st, tr)
 	case q.Metric != nil:
-		sc.fillQueryFlat(q.Seq)
 		res.Matches, err = db.dRange(ctx, q.Seq, q.Eps, sc, st, tr)
 	default:
 		res.Matches, err = db.rangePhases(ctx, q.Seq, q.Eps, sc, st, tr)

@@ -75,8 +75,11 @@ func TestQuickDNonNegativeAndBounded(t *testing.T) {
 }
 
 // TestQuickLemma3 re-states the central pruning-correctness property as a
-// quick.Check: min Dmbr <= min Dnorm <= D for arbitrary unit-cube
-// sequences under the default partitioning.
+// quick.Check: min Dmbr <= the phase-3 bound <= D for arbitrary unit-cube
+// sequences under the default partitioning. The bound is Lemma 3's min
+// Dnorm when the windowed sequence is at least as long as the query — the
+// lemma's precondition — and the role rule's weighted bound of the shorter
+// sequence's MBRs otherwise (phase3One, the seed form of refineOne).
 func TestQuickLemma3(t *testing.T) {
 	cfg := DefaultPartitionConfig()
 	f := func(a, b cubeSeq) bool {
@@ -88,16 +91,15 @@ func TestQuickLemma3(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		minDmbr, minDnorm := math.Inf(1), math.Inf(1)
+		minDmbr := math.Inf(1)
 		for _, qm := range gq.MBRs {
-			calc := newDnormCalc(qm.Rect, qm.Count(), gs)
 			for _, sm := range gs.MBRs {
 				minDmbr = math.Min(minDmbr, qm.Rect.MinDist(sm.Rect))
 			}
-			minDnorm = math.Min(minDnorm, calc.sweep(math.Inf(-1), nil))
 		}
+		m, _ := phase3One(gq, gs, len(b.Pts), math.Inf(-1))
 		d := DPoints(b.Pts, a.Pts)
-		return minDmbr <= minDnorm+1e-9 && minDnorm <= d+1e-9
+		return minDmbr <= m.MinDnorm+1e-9 && m.MinDnorm <= d+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"repro/internal/geom"
@@ -254,10 +253,10 @@ func (sc *searchScratch) clearHits() {
 	sc.ids = sc.ids[:0]
 }
 
-// phase3Hits is the phase-3 kernel: Dnorm pruning and solution-interval
-// assembly for one candidate sequence, over columnar data only. hits is
-// the candidate's row of the phase-2 hit table; query MBRs whose bit is
-// clear are skipped.
+// phase3Hits is the phase-3 kernel for a candidate at least as long as the
+// query: Dnorm pruning and solution-interval assembly over columnar data
+// only. hits is the candidate's row of the phase-2 hit table; query MBRs
+// whose bit is clear are skipped.
 //
 // Skipping loses nothing. Every Dnorm window distance is a convex
 // combination of the pair's Dmbr values (Definition 5, Lemmas 2–3), so a
@@ -281,10 +280,19 @@ func (sc *searchScratch) clearHits() {
 // the window covers the data matching query offsets [qm.Start, qm.End), and
 // the Definition 6 windows containing it are len(Q) long, so the match
 // region extends left by the query prefix before this MBR and right by
-// the suffix after it. Results are bit-identical to phase3One over the
-// same candidates at each pair's threshold; evals counts the Dmbr values
-// computed. The interval is left in p3.iv (see phase3Scratch) and hit reports
-// whether it is non-empty; minDnorm is the pair minimum either way.
+// the suffix after it.
+//
+// The running sums restart behind any MBR whose weighted Dmbr would take them
+// past the largest float64 — a Dmbr whose square overflowed is +Inf — and the
+// MBRs between two restarts are swept as a run of their own (sweepRun): one
+// prefix across such an MBR would make every window right of it Inf − Inf.
+// A window across a restart is +Inf in the scan's arithmetic as well (its sum
+// of point distances overflows too), so the runs lose no window that could
+// qualify.
+//
+// evals counts the Dmbr values computed. The interval is left in p3.iv (see
+// phase3Scratch) and hit reports whether it is non-empty; minDnorm is the
+// pair minimum either way.
 func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented, qLen int, reach float64) (minDnorm float64, hit bool, evals int) {
 	minDnorm = math.Inf(1)
 	p3.iv.ranges = p3.iv.ranges[:0]
@@ -295,28 +303,31 @@ func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented,
 	p3.dists = ensureFloats(p3.dists, r)
 	p3.wpre = ensureFloats(p3.wpre, r+1)
 	sq, dists, wpre := p3.sq, p3.dists, p3.wpre
-	wpre[0] = 0
 	for qi := range qmbrs {
 		if hits[qi>>6]&(1<<(qi&63)) == 0 {
 			continue
 		}
 		qm := &qmbrs[qi]
 		geom.MinDistSqBatch(qm.Rect.L, qm.Rect.H, g.Lo, g.Hi, sq)
+		evals += r
+		p3.wins = p3.wins[:0]
+		a := 0 // first MBR of the current run
+		wpre[0] = 0
 		for t := range dists {
 			dists[t] = math.Sqrt(sq[t])
-			wpre[t+1] = wpre[t] + dists[t]*float64(starts[t+1]-starts[t])
+			w := dists[t] * float64(starts[t+1]-starts[t])
+			if s := wpre[t] + w; s <= math.MaxFloat64 {
+				wpre[t+1] = s
+				continue
+			}
+			minDnorm = p3.sweepRun(starts, a, t, qm.Count(), reach, minDnorm)
+			if w <= math.MaxFloat64 {
+				a, wpre[t], wpre[t+1] = t, 0, w
+			} else {
+				a, wpre[t+1] = t+1, 0
+			}
 		}
-		evals += r
-		top := wpre[r]
-		if top > math.MaxFloat64 {
-			// An overflowed Dmbr: the windows over it are +Inf or NaN, which
-			// no threshold admits, and the ones before it are differences of
-			// the finite sums below it.
-			top = wpre[sort.SearchFloat64s(wpre, top)-1]
-		}
-		var minDist float64
-		thr := reach + cancelMargin(r, top)/float64(qm.Count())
-		minDist, p3.wins = sweepWindows(starts, dists, wpre, qm.Count(), thr, p3.wins[:0])
+		minDnorm = p3.sweepRun(starts, a, r, qm.Count(), reach, minDnorm)
 		for _, w := range p3.wins {
 			w.Start -= qm.Start
 			w.End += qLen - qm.End
@@ -328,11 +339,25 @@ func phase3Hits(qmbrs []MBRInfo, hits []uint64, p3 *phase3Scratch, g *Segmented,
 			}
 			p3.iv.Add(w)
 		}
-		if minDist < minDnorm {
-			minDnorm = minDist
-		}
 	}
 	return minDnorm, len(p3.iv.ranges) > 0, evals
+}
+
+// sweepRun sweeps the windows of qc points inside MBRs [a, b) of the pair in
+// p3 — a run whose running sums p3.wpre start from 0 at a — at reach plus the
+// run's cancellation margin, appends the qualifying ones to p3.wins and
+// returns the smaller of best and the run's minimum window.
+func (p3 *phase3Scratch) sweepRun(starts []int32, a, b, qc int, reach, best float64) float64 {
+	if a == b {
+		return best
+	}
+	var m float64
+	thr := reach + cancelMargin(b-a, p3.wpre[b])/float64(qc)
+	m, p3.wins = sweepWindows(starts[a:b+1], p3.dists[a:b], p3.wpre[a:b+1], qc, thr, p3.wins)
+	if m < best {
+		return m
+	}
+	return best
 }
 
 // cancelMargin is how far a Dnorm window computed as a difference of running
@@ -368,36 +393,35 @@ func keepWindow(best uint64, wins []PointRange, dist, eps float64, pstart, pend 
 	return min(best, math.Float64bits(dist)), wins
 }
 
-// sweepWindows is dnormCalc.sweep over the columnar arrays: the same
-// multiset of windows with the same floating-point operations per window,
-// the point counts read as differences of starts and no closure. It
-// returns the minimum window distance and wins grown by the qualifying
-// windows' point ranges; with a pre-grown wins it does not allocate.
+// sweepWindows is Definition 5's window sweep over columnar arrays: MBR t
+// covers points [starts[t], starts[t+1]) at Dmbr dists[t], and wpre holds the
+// running sums of dists weighted by point count, from any base. It visits
+// every window of qCount consecutive points once — each target big enough
+// to be a window on its own, then the LD and RD windows, whose marginal MBR
+// contributes only part of its points — and returns the minimum window
+// distance and wins grown by the qualifying windows' point ranges; with a
+// pre-grown wins it does not allocate. Fewer than qCount points hold no
+// window, and the minimum is then +Inf: a sequence shorter than the query
+// MBR is not bounded by a window over it (Lemma 3 needs the query MBR whole
+// inside the sequence), which is why refineOne never sweeps one (knnSeqBound's
+// role rule takes it).
 //
-// Two things differ from the reference's shape, neither visibly. First,
-// the running minimum: which window is the smallest so far is a coin toss
-// no predictor wins, so instead of a compare-and-branch the minimum is an
-// integer min over bit patterns. A window distance is a nonnegative
-// float64, and those order like their patterns (KNNBound relies on the
-// same fact). The one other thing a window can be is NaN — Inf − Inf,
-// right of a Dmbr whose square overflowed — and a NaN's pattern is above
-// +Inf's, so it never becomes the minimum, just as it fails the
-// reference's dist < best. Second, the degenerate targets — big enough to
-// be a window on their own, at their own Dmbr — are not a pass of their
-// own but the l == k case of the LD pass: a target holds qCount points
-// exactly when the left-edge walk stops on it, and the walk's break leaves
-// none behind (from there on even the rest of the sequence is short of
-// qCount). That emits the windows in another order, which neither a
-// minimum nor a normalised IntervalSet can see.
+// The running minimum is an integer min over bit patterns, not a
+// compare-and-branch: which window is the smallest so far is a coin toss no
+// predictor wins. A window distance is a nonnegative float64, and those
+// order like their patterns (KNNBound relies on the same fact). The one
+// other thing a window can be is NaN — Inf − Inf, right of a Dmbr whose
+// square overflowed, where a caller did not restart the sums (phase3Hits
+// does) — and a NaN's pattern is above +Inf's, so it never becomes the
+// minimum and never qualifies. The degenerate targets are not a pass of
+// their own but the l == k case of the LD pass: a target holds qCount
+// points exactly when the left-edge walk stops on it, and the walk's break
+// leaves none behind (from there on even the rest of the sequence is short
+// of qCount).
 func sweepWindows(starts []int32, dists, wpre []float64, qCount int, eps float64, wins []PointRange) (float64, []PointRange) {
 	r := len(dists)
 	best := infBits
 	qc, fq := int32(qCount), float64(qCount)
-	if total := starts[r]; total <= qc {
-		// Sequence no longer than the query MBR: one window, all of it.
-		best, wins = keepWindow(best, wins, wpre[r]/float64(total), eps, 0, total)
-		return math.Float64frombits(best), wins
-	}
 	// Degenerate targets and LD windows: two-pointer over left edges; l(k)
 	// is non-decreasing.
 	l := 0
@@ -423,7 +447,7 @@ func sweepWindows(starts []int32, dists, wpre []float64, qCount int, eps float64
 	p := 0
 	for e := 0; e < r; e++ {
 		se := starts[e+1]
-		if se < qc {
+		if se-starts[0] < qc {
 			continue
 		}
 		for p+1 <= e && se-starts[p+1] >= qc {

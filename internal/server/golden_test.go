@@ -37,60 +37,68 @@ import (
 // of the wrong dimension, no /explain that names a metric and no 10¹⁶
 // spike: those are the inputs whose answers PR 22's bugfixes change.
 //
-// Two digests were re-recorded since: "txn/batch" and "txn+cache/batch",
-// once a transactional batch became Do per distinct query (core.DoBatch).
-// The batch's two repeated members carry "cached":true, as they already did
+// Digests were re-recorded twice since. "txn/batch" and "txn+cache/batch",
+// once a transactional batch became Do per distinct query (core.DoBatch):
+// the batch's two repeated members carry "cached":true, as they already did
 // on every other topology, and its X-Mdseq-Cache reads "mixed" instead of
-// "miss"; no other byte moved.
+// "miss"; no other byte moved. Then every "search-d" and "batch" digest,
+// once phase 3 began deciding a sequence shorter than the query by the
+// weighted bound of its own MBRs (core's refineOne): of the paper's-answer
+// replies, 156 of 1 140 answers moved — 276 matches dropped, every one a
+// sequence shorter than the query at a scan distance above ε (the nearest
+// at 1.5 ε), none added; 72 kept matches of such sequences report the new
+// bound as minDnorm, with the same intervals; the 12 tie requests that read
+// a moved minDnorm ask at another ε. Every scan match within ε is still in
+// every answer. No byte of a sequence at least as long as the query moved.
 func TestWireGolden(t *testing.T) {
 	want := map[string]uint64{
-		"core+cache/batch":            0x1f387ace76aee91c,
+		"core+cache/batch":            0xb48583029eec1717,
 		"core+cache/explain":          0x5cd1dacda541913a,
 		"core+cache/knn-d":            0xc248b4b0b25ead26,
 		"core+cache/knn-dtw":          0xafc3653bc7c7bf1f,
-		"core+cache/search-d":         0xddc50458193e19bf,
+		"core+cache/search-d":         0x3fd4b471cd86a9b,
 		"core+cache/search-dtw":       0xa373b5ee18fa5fd4,
-		"core/batch":                  0xd116f79f8f7a1d16,
+		"core/batch":                  0xf7b598a799c7fe2a,
 		"core/explain":                0x5cd1dacda541913a,
 		"core/knn-d":                  0x76e5806701a269f4,
 		"core/knn-dtw":                0xb05ff8246788c3c6,
-		"core/search-d":               0x65cde0c63755056b,
+		"core/search-d":               0x114abaee5d52c9ab,
 		"core/search-dtw":             0xf5a8a95f7756e954,
-		"shard4+cache/batch":          0xb8d689181da31da0,
+		"shard4+cache/batch":          0x17fa5188595387bd,
 		"shard4+cache/explain":        0xab6e0ce1d7df0efb,
 		"shard4+cache/knn-d":          0xcbf223796b1855f0,
 		"shard4+cache/knn-dtw":        0xa47d5509b9febbd2,
-		"shard4+cache/search-d":       0xe109aded194852d8,
+		"shard4+cache/search-d":       0xf9723e2a321e7ae9,
 		"shard4+cache/search-dtw":     0x7866b14f2defc98,
-		"shard4-txn+cache/batch":      0x71b4e899637634d0,
+		"shard4-txn+cache/batch":      0x63f017c7c3bc2cda,
 		"shard4-txn+cache/explain":    0xab6e0ce1d7df0efb,
 		"shard4-txn+cache/knn-d":      0xcbf223796b1855f0,
 		"shard4-txn+cache/knn-dtw":    0xa47d5509b9febbd2,
-		"shard4-txn+cache/search-d":   0x5b2fb9191d7890e1,
+		"shard4-txn+cache/search-d":   0x48ed20fc6111903c,
 		"shard4-txn+cache/search-dtw": 0x25e96a326a03b0de,
-		"shard4-txn/batch":            0x9d8f324b5f4e75ff,
+		"shard4-txn/batch":            0x6e5909901ad3af59,
 		"shard4-txn/explain":          0xab6e0ce1d7df0efb,
 		"shard4-txn/knn-d":            0xcad8c621ec03ec41,
 		"shard4-txn/knn-dtw":          0x6e52be515411c6f0,
-		"shard4-txn/search-d":         0x5c00563ca985c26,
+		"shard4-txn/search-d":         0xc3425b89f3df236b,
 		"shard4-txn/search-dtw":       0x7dc423293ca53853,
-		"shard4/batch":                0x2963714a68762859,
+		"shard4/batch":                0xbf19464229edaa2f,
 		"shard4/explain":              0xab6e0ce1d7df0efb,
 		"shard4/knn-d":                0xcad8c621ec03ec41,
 		"shard4/knn-dtw":              0x6e52be515411c6f0,
-		"shard4/search-d":             0xec248fff4817e45f,
+		"shard4/search-d":             0x9b75a13a881d8eb2,
 		"shard4/search-dtw":           0xb5c4f537d873f425,
-		"txn+cache/batch":             0x321cc85e31e473bb,
+		"txn+cache/batch":             0x707395ee509ae8d1,
 		"txn+cache/explain":           0x5cd1dacda541913a,
 		"txn+cache/knn-d":             0xc248b4b0b25ead26,
 		"txn+cache/knn-dtw":           0xafc3653bc7c7bf1f,
-		"txn+cache/search-d":          0x8f358a7a535f0e99,
+		"txn+cache/search-d":          0xc61e586cbb43321e,
 		"txn+cache/search-dtw":        0x4de07dacb8445a57,
-		"txn/batch":                   0x8b7b7ff944eb3bf8,
+		"txn/batch":                   0xcc0f08fe74dafaff,
 		"txn/explain":                 0x5cd1dacda541913a,
 		"txn/knn-d":                   0x76e5806701a269f4,
 		"txn/knn-dtw":                 0xb05ff8246788c3c6,
-		"txn/search-d":                0xbb38ab32b441d275,
+		"txn/search-d":                0x7bcf1da31f3846c,
 		"txn/search-dtw":              0x982efc2c837d061b,
 	}
 	type corpus struct {

@@ -99,10 +99,6 @@ type PointRange = core.PointRange
 // IntervalSet is a normalized union of point ranges — a solution interval.
 type IntervalSet = core.IntervalSet
 
-// DnormResult carries a normalized distance and the MBR window realizing
-// it.
-type DnormResult = core.DnormResult
-
 // Options configures a database.
 type Options = core.Options
 
@@ -142,17 +138,6 @@ func Dmean(a, b []Point) float64 { return core.Dmean(a, b) }
 
 // Dmbr is the minimum Euclidean distance between two MBRs (Definition 4).
 func Dmbr(a, b Rect) float64 { return a.MinDist(b) }
-
-// Dnorm is the normalized MBR distance (Definition 5) between a query MBR
-// (rectangle plus point count) and the j-th MBR of a segmented sequence.
-func Dnorm(qRect Rect, qCount int, g *Segmented, j int) DnormResult {
-	return core.Dnorm(qRect, qCount, g, j)
-}
-
-// MinDnorm is min over targets of Dnorm — the pruning bound of Lemma 3.
-func MinDnorm(qRect Rect, qCount int, g *Segmented) float64 {
-	return core.MinDnorm(qRect, qCount, g)
-}
 
 // BestAlignment returns the offset of the best alignment of the shorter
 // point slice inside the longer, with its mean distance.

@@ -119,25 +119,3 @@ func TestPublicMetricHelpers(t *testing.T) {
 		t.Error("Dmbr of separated MBRs should be positive")
 	}
 }
-
-func TestPublicDnorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := walk(rng, 150)
-	g, err := mdseq.Partition(s, mdseq.DefaultPartitionConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := &mdseq.Segmented{Seq: s, MBRs: g}
-	q := walk(rng, 30)
-	var qr mdseq.Rect
-	for _, p := range q.Points {
-		qr.ExtendPoint(p)
-	}
-	res := mdseq.Dnorm(qr, q.Len(), seg, 0)
-	if res.Dist < 0 {
-		t.Errorf("Dnorm = %g", res.Dist)
-	}
-	if mn := mdseq.MinDnorm(qr, q.Len(), seg); mn > res.Dist {
-		t.Errorf("MinDnorm %g > Dnorm(0) %g", mn, res.Dist)
-	}
-}
