@@ -16,8 +16,7 @@
 // columnar segments), and -store opens such a directory directly — a
 // zero-copy mmap — instead of re-indexing -data. A v1 (row-record)
 // directory written by an older build still opens, by re-partitioning;
-// -store with -save-store rewrites it as v2. -quantized-mbr is accepted
-// and does nothing.
+// -store with -save-store rewrites it as v2.
 //
 // -metric selects the ranking distance ("d", the paper's exact-alignment
 // distance, or "dtw" for warping-tolerant search with an optional

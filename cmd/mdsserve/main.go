@@ -260,7 +260,7 @@ func main() {
 }
 
 // txnConfig carries the -durable flag family into openDB, plus
-// -quantized-mbr, which applies to every opening path.
+// -quantized-mbr, which the store and dataset paths pass on.
 type txnConfig struct {
 	dir             string
 	noFsync         bool
@@ -338,7 +338,6 @@ func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, erro
 			NoFsync:         tc.noFsync,
 			GroupWindow:     tc.groupWindow,
 			CheckpointEvery: tc.checkpointEvery,
-			QuantizedMBR:    tc.quantized,
 		})
 	}
 	if shards == 1 {

@@ -33,7 +33,9 @@ import (
 // edgeCorpus adds the shapes a range search once dismissed: a short stored
 // sequence lying across two query MBRs, a clip library (short clips cut from
 // shot-structured sequences, queried with long windows of those), and a
-// sequence whose Dmbr overflows ahead of a match.
+// sequence whose Dmbr overflows ahead of a match — and hostile coordinates:
+// −0 and 5e-324, in a 1-point stored sequence asked for by a 1-point query.
+// Every kNN is asked again at k = n + 5, past the live count.
 func TestDoMatchesScanEverywhere(t *testing.T) {
 	ctx := context.Background()
 	type topology struct {
@@ -276,6 +278,14 @@ func doQueries(rng *rand.Rand, seqs []*mdseq.Sequence) []*mdseq.Sequence {
 //     running sums of every window after them were Inf − Inf. (The walk's
 //     MBRs there are shorter than the query's one, so only windows across
 //     MBRs can find it.)
+//
+// and the hostile coordinates: a 1-point stored sequence at the origin
+// written with −0 and the smallest subnormal, 5e-324, asked for by a
+// 1-point query that spells the origin the other way round, and a walk of
+// −0, 0, ±5e-324 coordinates with a window of itself as the query. Every
+// squared difference underflows, so the scan finds the 1-point pair at
+// distance 0 although no coordinate of theirs shares its bits — what ε = 0
+// must return.
 func edgeCorpus() (seqs, queries []*mdseq.Sequence) {
 	add := func(s *mdseq.Sequence) {
 		s.Label = fmt.Sprintf("e%03d", len(seqs))
@@ -316,6 +326,17 @@ func edgeCorpus() (seqs, queries []*mdseq.Sequence) {
 		off := rng.Intn(src.Len() - n + 1)
 		queries = append(queries, &mdseq.Sequence{Points: src.Points[off : off+n]})
 	}
+
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	add(&mdseq.Sequence{Points: []mdseq.Point{{negZero, tiny, 0}}})
+	queries = append(queries, &mdseq.Sequence{Points: []mdseq.Point{{tiny, 0, negZero}}})
+	signed := make([]mdseq.Point, 24)
+	for i := range signed {
+		v := []float64{negZero, 0, tiny, -tiny}
+		signed[i] = mdseq.Point{v[i%4], v[(i/4)%4], v[(i/2)%4]}
+	}
+	add(&mdseq.Sequence{Points: signed})
+	queries = append(queries, &mdseq.Sequence{Points: clonePoints(signed[5:17])})
 	return seqs, queries
 }
 

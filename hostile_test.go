@@ -164,7 +164,7 @@ func TestNonFiniteRejectedEverywhere(t *testing.T) {
 
 // queryEntries is every way a query reaches a database: each Do kind under
 // each metric, and every surviving method — the names shard.DB keeps for
-// bench/, CandidatesDmbr, Explain, the batch, and on a plain database the
+// bench/, Explain, the batch, and on a plain database CandidatesDmbr, the
 // context-free adapters and the scans (plain: those exist on *mdseq.DB
 // only). call returns the number of results; eps says whether the entry
 // point takes a threshold, knn whether it takes a k.
@@ -214,8 +214,8 @@ var queryEntries = func() []queryEntry {
 			}
 			return len(ex.Candidates), nil
 		}},
-		{"CandidatesDmbr", true, false, false, func(db shard.DB, q *mdseq.Sequence, eps float64, _ int) (int, error) {
-			c, err := db.(shard.Node).CandidatesDmbr(q, eps)
+		{"CandidatesDmbr", true, false, true, func(sdb shard.DB, q *mdseq.Sequence, eps float64, _ int) (int, error) {
+			c, err := sdb.(*mdseq.DB).CandidatesDmbr(q, eps)
 			return len(c), err
 		}},
 		{"Search", true, false, true, func(sdb shard.DB, q *mdseq.Sequence, eps float64, _ int) (int, error) {

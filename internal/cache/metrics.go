@@ -7,11 +7,10 @@ import (
 )
 
 // Metrics is the pre-resolved instrument set a Cache records into. One
-// Metrics may be shared by several caches (e.g. every per-shard cache of
-// a sharded database): the counters then aggregate across them and the
-// gauges reflect the last cache that moved, which is the intended
-// fleet-level view. All methods are nil-safe so an unwired cache pays a
-// pointer test per operation.
+// Metrics may be shared by several caches: the counters then aggregate
+// across them and the gauges reflect the last cache that moved. All
+// methods are nil-safe so an unwired cache pays a pointer test per
+// operation.
 type Metrics struct {
 	hits          *obs.Counter
 	misses        *obs.Counter
@@ -27,8 +26,8 @@ type Metrics struct {
 
 // NewMetrics resolves the mdseq_cache_* instruments in reg under a
 // {cache="name"} label — "front" for a sharded database's merged-result
-// cache, "shard" for the per-shard caches, "core" for a single node. A
-// nil registry yields nil, which SetMetrics accepts as "unwired".
+// cache, "core" for a single node's. A nil registry yields nil, which
+// SetMetrics accepts as "unwired".
 func NewMetrics(reg *obs.Registry, name string) *Metrics {
 	if reg == nil {
 		return nil

@@ -23,7 +23,6 @@ func Query(args []string, stdout io.Writer) error {
 		dataPath = fs.String("data", "", "dataset file from mdsgen (.csv reads CSV); required unless -store is set")
 		storeDir = fs.String("store", "", "store directory to open instead of indexing -data (from Save/SaveSharded/Build)")
 		saveDir  = fs.String("save-store", "", "persist the loaded corpus to this store directory (with -store, rewrites an old-format store in the current format)")
-		quantQ   = fs.Bool("quantized-mbr", false, "accepted, no effect: range search refines only the pairs the index hit, which always pass the float32 prefilter (queued for removal)")
 		queryIdx = fs.Int("query", 0, "index of the sequence to draw the query from")
 		from     = fs.Int("from", 0, "query start offset within that sequence")
 		qlen     = fs.Int("len", 0, "query length (0 = to the end)")
@@ -63,7 +62,7 @@ func Query(args []string, stdout io.Writer) error {
 		t0 := time.Now()
 		// Open with the directory's own layout, so -save-store keeps it.
 		var err error
-		lo := store.LoadOptions{Quantized: *quantQ}
+		var lo store.LoadOptions
 		if store.IsSharded(*storeDir) {
 			db, err = store.LoadShardedWith(*storeDir, lo)
 		} else {
@@ -89,9 +88,9 @@ func Query(args []string, stdout io.Writer) error {
 			return err
 		}
 		if *shards > 1 {
-			db, err = shard.New(core.Options{Dim: seqs[0].Dim(), QuantizedMBR: *quantQ}, *shards)
+			db, err = shard.New(core.Options{Dim: seqs[0].Dim()}, *shards)
 		} else {
-			db, err = core.NewDatabase(core.Options{Dim: seqs[0].Dim(), QuantizedMBR: *quantQ})
+			db, err = core.NewDatabase(core.Options{Dim: seqs[0].Dim()})
 		}
 		if err != nil {
 			return err

@@ -42,13 +42,10 @@ type CandidateExplanation struct {
 }
 
 // Explain runs the search pipeline for q at eps over every stored sequence
-// (including the ones the index would normally never touch) with Search's
-// own kernels, and returns the full decision record. Phase 2 is the linear
-// form the transaction delta pass uses (markLinear), which marks the pairs
-// the index probe returns, and phase 3 the same rule (refineOne), so the
-// record says what Search decided: a sequence is "matched" exactly when
-// Search returns it. It is O(database) and meant for debugging, not
-// serving; it covers the paper's Range answer (nil Metric) only.
+// (including the ones the index would normally never touch) and returns the
+// full decision record (ExplainUnindexed over the live corpus). It is
+// O(database) and meant for debugging, not serving; it covers the paper's
+// Range answer (nil Metric) only.
 func (db *Database) Explain(q *Sequence, eps float64) (*Explanation, error) {
 	if err := (Query{Seq: q, Eps: eps}).Check(db.opts.Dim); err != nil {
 		return nil, err
@@ -58,29 +55,44 @@ func (db *Database) Explain(q *Sequence, eps float64) (*Explanation, error) {
 	if db.pg == nil {
 		return nil, errClosed
 	}
-	qseg, err := NewSegmented(q, db.opts.Partition)
-	if err != nil {
-		return nil, err
+	ids := make([]uint32, 0, db.live)
+	segs := make([]*Segmented, 0, db.live)
+	for id, g := range db.seqs {
+		if g != nil {
+			ids, segs = append(ids, uint32(id)), append(segs, g)
+		}
 	}
+	return ExplainUnindexed(q, eps, db.opts.Partition, ids, segs), nil
+}
+
+// ExplainUnindexed is Explain's body over segs[i] under id ids[i], ids
+// ascending, partitioned under cfg — Explain's Unindexed, and so the
+// transaction layer's delta pass of an explanation. It decides with
+// Search's own kernels: phase 2 is the linear form the delta pass uses
+// (markLinear), which marks the pairs the index probe returns, and phase 3
+// the same rule (refineOne), so the record says what Search decided: a
+// sequence is "matched" exactly when Search returns it. q must have passed
+// Query.Check.
+func ExplainUnindexed(q *Sequence, eps float64, cfg PartitionConfig, ids []uint32, segs []*Segmented) *Explanation {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.segmentQuery(q, db.opts.Partition)
+	sc.segmentQuery(q, cfg)
 	sc.fillQueryFlat(q)
 	qs := sc.querySide(q.Dim())
 	reach := dReach(eps, q.Len(), q.Dim())
-	sc.beginHits(len(db.seqs), len(sc.qmbrs))
+	sc.beginHits(len(segs), len(sc.qmbrs))
 	every := make([]uint64, sc.hitWords) // the row of a sequence phase 2 dismissed
 	for i := range every {
 		every[i] = ^uint64(0)
 	}
-	ex := &Explanation{Eps: eps, QueryMBRs: qseg.MBRs}
-	for id, g := range db.seqs {
-		if g == nil {
-			continue
-		}
-		ce := CandidateExplanation{SeqID: uint32(id), Label: g.Seq.Label, Phase: "pruned-dmbr"}
-		ce.MinDmbr = math.Sqrt(sc.markLinear(uint32(id), g, reach))
-		row := sc.hitRow(uint32(id))
+	ex := &Explanation{Eps: eps, QueryMBRs: slices.Clone(sc.qmbrs)}
+	for i := range ex.QueryMBRs { // detach the rects from the scratch
+		ex.QueryMBRs[i].Rect = ex.QueryMBRs[i].Rect.Clone()
+	}
+	for p, g := range segs {
+		ce := CandidateExplanation{SeqID: ids[p], Label: g.Seq.Label, Phase: "pruned-dmbr"}
+		ce.MinDmbr = math.Sqrt(sc.markLinear(uint32(p), g, reach))
+		row := sc.hitRow(uint32(p))
 		candidate := slices.ContainsFunc(row, func(w uint64) bool { return w != 0 })
 		if !candidate {
 			row = every
@@ -96,7 +108,7 @@ func (db *Database) Explain(q *Sequence, eps float64) (*Explanation, error) {
 		}
 		ex.Candidates = append(ex.Candidates, ce)
 	}
-	return ex, nil
+	return ex
 }
 
 // Counts returns how many sequences each stage eliminated or kept.

@@ -24,9 +24,6 @@ type Point []float64
 // geometric objects of different dimensionality.
 var ErrDimensionMismatch = errors.New("geom: dimension mismatch")
 
-// NewPoint returns a zero point of dimension n.
-func NewPoint(n int) Point { return make(Point, n) }
-
 // Dim returns the dimensionality of p.
 func (p Point) Dim() int { return len(p) }
 

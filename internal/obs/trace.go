@@ -245,12 +245,6 @@ func (t *Trace) StartSpan(name string) func() {
 	}
 }
 
-// AddSpan records an already-measured root span (e.g. a phase duration
-// lifted from core.SearchStats) ending now.
-func (t *Trace) AddSpan(name string, d time.Duration) {
-	t.RecordSpan(0, name, d)
-}
-
 // RecordSpan records an already-measured span of duration d ending now,
 // as a child of parent (0 = root), with optional attributes. It is the
 // post-hoc form instrumented code uses when the duration was measured
@@ -333,19 +327,6 @@ func (t *Trace) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Span(nil), t.spans...)
-}
-
-// SlogAttrs renders the trace for structured logging: the request ID plus
-// one duration attribute per span (span durations in milliseconds).
-func (t *Trace) SlogAttrs() []slog.Attr {
-	if t == nil {
-		return nil
-	}
-	attrs := []slog.Attr{slog.String("requestID", t.ID)}
-	for _, s := range t.Spans() {
-		attrs = append(attrs, slog.Float64("span."+s.Name+".ms", float64(s.Dur)/float64(time.Millisecond)))
-	}
-	return attrs
 }
 
 // WideAttrs renders the canonical wide-event payload for the per-request

@@ -39,7 +39,7 @@ func TestTraceSpans(t *testing.T) {
 	done := tr.StartSpan("work")
 	time.Sleep(time.Millisecond)
 	done()
-	tr.AddSpan("lifted", 5*time.Millisecond)
+	tr.RecordSpan(0, "lifted", 5*time.Millisecond)
 	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
@@ -55,8 +55,8 @@ func TestTraceSpans(t *testing.T) {
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.StartSpan("x")()
-	tr.AddSpan("y", time.Second)
-	if tr.Spans() != nil || tr.Age() != 0 || tr.SlogAttrs() != nil {
+	tr.RecordSpan(0, "y", time.Second)
+	if tr.Spans() != nil || tr.Age() != 0 || tr.WideAttrs() != nil {
 		t.Fatal("nil trace leaked state")
 	}
 	if FromContext(context.Background()) != nil {

@@ -223,9 +223,6 @@ func (t *Tree) Height() int { return int(t.height) }
 // MaxEntries returns the node capacity (fanout).
 func (t *Tree) MaxEntries() int { return t.maxEntries }
 
-// MinEntries returns the node minimum-fill in force (the R*-tree m).
-func (t *Tree) MinEntries() int { return t.minEntries }
-
 // Flush persists metadata and all dirty pages.
 func (t *Tree) Flush() error {
 	if err := t.flushMeta(); err != nil {

@@ -594,8 +594,8 @@ func cacheHeader(hit bool) string {
 // handleBatch answers POST /batch: several range queries in one request,
 // evaluated by the database's SearchBatchCtx — each distinct query answered
 // as POST /search would answer it, a repeat served from the first and
-// flagged cached, and on a sharded deployment one scatter for the whole
-// batch. Results come back in input order, each with the same shape as a
+// flagged cached, and on a sharded deployment one scatter per distinct
+// query. Results come back in input order, each with the same shape as a
 // POST /search response. The X-Mdseq-Cache header summarizes the batch:
 // "hit" (all cached), "miss" (none), or "mixed".
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

@@ -54,15 +54,15 @@ func TestScatterQueryMBRsMatchShards(t *testing.T) {
 }
 
 // TestShardedCacheHitAndInvalidation covers the front cache end to end:
-// fill, hit, write-invalidate, refill — plus the per-shard caches the
-// same SetCache call installs.
+// fill, hit, write-invalidate, refill — and the shards holding no cache of
+// their own.
 func TestShardedCacheHitAndInvalidation(t *testing.T) {
 	seqs := corpus(t, 32, 64, 78)
 	sdb := newSharded(t, clone(seqs), 4)
 	sdb.SetCache(cache.New(cache.Config{}))
 	for i := 0; i < sdb.Shards(); i++ {
-		if sdb.Shard(i).QueryCache() == nil {
-			t.Fatalf("shard %d got no per-shard cache", i)
+		if sdb.Shard(i).QueryCache() != nil {
+			t.Fatalf("shard %d holds a cache under the front cache", i)
 		}
 	}
 	q := &core.Sequence{Label: "query", Points: seqs[5].Points[4:36]}

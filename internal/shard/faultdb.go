@@ -118,8 +118,7 @@ func (f *FaultDB) apply(ctx context.Context) error {
 }
 
 // Do applies the next scripted fault, then forwards to the wrapped
-// backend. Whatever rides in one call — a batch sends a shard its queries
-// one Do each — every call consumes one fault.
+// backend. Every call consumes one fault.
 func (f *FaultDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	if err := f.apply(ctx); err != nil {
 		return core.Result{}, err

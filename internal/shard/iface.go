@@ -77,12 +77,10 @@ type DB interface {
 
 	// SetCache attaches a query-result cache (nil detaches). A write
 	// invalidates the entries whose recorded region its MBR can reach and
-	// no others; partial results are never cached. On a ShardedDB the
-	// budget covers a merged-result cache in front of the scatter plus
-	// per-shard caches.
+	// no others; partial results are never cached. On a ShardedDB it is
+	// the one cache, in front of the scatter; the shards hold none.
 	SetCache(*cache.Cache)
-	// QueryCache returns the attached cache (the front cache on a
-	// ShardedDB), or nil.
+	// QueryCache returns the attached cache, or nil.
 	QueryCache() *cache.Cache
 
 	// Flush persists index pages to the backing file, if any.

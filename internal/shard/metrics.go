@@ -69,25 +69,20 @@ func newShardMetrics(reg *obs.Registry, n int) *shardMetrics {
 	return m
 }
 
-// recordScatter folds one range fan-out into the registry: one scatter
-// (a batch is one fan-out however many queries ride in it), each query's
-// merged stats into the shared mdseq_search_* families, one partial result
-// if any of them is, each shard's fan-out wall-clock into its own series,
-// and the straggler gap. durs holds one entry per shard, measured from
+// recordScatter folds one range fan-out into the registry: one scatter,
+// the query's merged stats into the shared mdseq_search_* families, one
+// partial result if it is one, each shard's fan-out wall-clock into its
+// own series, and the straggler gap. durs holds one entry per shard, measured from
 // goroutine launch to result (so a shard queued behind the worker bound
 // charges its wait here — that is the latency a caller actually
 // experiences from the scatter).
-func (m *shardMetrics) recordScatter(durs []time.Duration, merged ...core.SearchStats) {
+func (m *shardMetrics) recordScatter(durs []time.Duration, merged core.SearchStats) {
 	if m == nil {
 		return
 	}
 	m.scatters.Inc()
-	anyPartial := false
-	for _, st := range merged {
-		anyPartial = anyPartial || st.Partial
-		m.core.RecordSearch(st)
-	}
-	if anyPartial {
+	m.core.RecordSearch(merged)
+	if merged.Partial {
 		m.partials.Inc()
 	}
 	min, max := durs[0], durs[0]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -73,8 +74,7 @@ func (s *ShardedDB) Policy() Policy {
 // is the caller's context (query deadline / client disconnect); it parents
 // every attempt and aborts the retry loop as soon as it fires, so a dead
 // client or an expired query deadline never waits out a backoff sleep.
-func robustCall[T any](ctx context.Context, p Policy, m *shardMetrics, call func(context.Context) (T, error)) (T, error) {
-	var zero T
+func robustCall(ctx context.Context, p Policy, m *shardMetrics, call func(context.Context) (core.Result, error)) (core.Result, error) {
 	for attempt := 0; ; attempt++ {
 		v, err := hedgedAttempt(ctx, p, m, attempt, call)
 		if err == nil {
@@ -83,7 +83,7 @@ func robustCall[T any](ctx context.Context, p Policy, m *shardMetrics, call func
 		// The caller's own context firing is terminal: retrying cannot
 		// beat a deadline that has already passed.
 		if ctx.Err() != nil || attempt >= p.Retries {
-			return zero, err
+			return core.Result{}, err
 		}
 		m.incRetry()
 		if p.Backoff > 0 {
@@ -92,7 +92,7 @@ func robustCall[T any](ctx context.Context, p Policy, m *shardMetrics, call func
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return zero, searchAborted(ctx.Err())
+				return core.Result{}, searchAborted(ctx.Err())
 			}
 		}
 	}
@@ -105,8 +105,7 @@ func robustCall[T any](ctx context.Context, p Policy, m *shardMetrics, call func
 // call fails, the first error is returned. The results channel is
 // buffered for every possible sender, so a losing call's goroutine never
 // leaks even though nobody waits for it.
-func hedgedAttempt[T any](ctx context.Context, p Policy, m *shardMetrics, attempt int, call func(context.Context) (T, error)) (T, error) {
-	var zero T
+func hedgedAttempt(ctx context.Context, p Policy, m *shardMetrics, attempt int, call func(context.Context) (core.Result, error)) (core.Result, error) {
 	tr := obs.FromContext(ctx)
 	actx := ctx
 	cancel := context.CancelFunc(func() {})
@@ -120,7 +119,7 @@ func hedgedAttempt[T any](ctx context.Context, p Policy, m *shardMetrics, attemp
 	defer cancel()
 
 	type outcome struct {
-		v     T
+		v     core.Result
 		err   error
 		hedge bool
 	}
@@ -181,7 +180,7 @@ func hedgedAttempt[T any](ctx context.Context, p Policy, m *shardMetrics, attemp
 			m.incHedge()
 		}
 	}
-	return zero, firstErr
+	return core.Result{}, firstErr
 }
 
 // attemptOutcome labels one launched call's result for its span.

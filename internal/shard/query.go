@@ -74,7 +74,7 @@ func (s *ShardedDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	res := s.gather(q, sc.shards, func(i int) core.Result { return sc.vals[i] })
+	res := s.gather(q, sc.shards, sc.vals)
 	_, dtw := q.Metric.(core.MetricDTW)
 	met := s.metrics()
 	if kn != nil {
@@ -94,18 +94,17 @@ func (s *ShardedDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
 }
 
 // scattered is what one fan-out brought back.
-type scattered[T any] struct {
-	vals   []T             // per shard; the zero value where the shard failed
+type scattered struct {
+	vals   []core.Result   // per shard; the zero value where the shard failed
 	walls  []time.Duration // per shard, launch to result: queueing and retries included
 	shards []int           // the shards that answered, ascending
 }
 
 // scatter is the one fan-out: call runs against every shard's Backend
-// concurrently (at most scatterWorkers at a time), each under robustCall —
-// so whatever call does for one shard, one query or a batch of them, is one
-// unit to the policy's timeout, retries and hedge — and done, when not nil,
-// runs once per shard that answered, on that shard's goroutine, with what
-// the winning attempt returned. The failures are then judged by the policy
+// concurrently (at most scatterWorkers at a time), each under robustCall's
+// timeout, retries and hedge, and done, when not nil, runs once per shard
+// that answered, on that shard's goroutine, with what the winning attempt
+// returned. The failures are then judged by the policy
 // (see Do): an error, or the list of shards that answered.
 //
 // With a trace in ctx the whole fan-out is one "scatter" span, each shard a
@@ -113,13 +112,13 @@ type scattered[T any] struct {
 // so a retained trace of a sharded query renders as a tree: which shard
 // straggled, whether a hedge won, where each phase spent its time. A
 // degraded answer marks the trace partial.
-func scatter[T any](ctx context.Context, s *ShardedDB, pol Policy,
-	call func(ctx context.Context, shard int, b Backend) (T, error), done func(shard int, v T)) (scattered[T], error) {
+func scatter(ctx context.Context, s *ShardedDB, pol Policy,
+	call func(ctx context.Context, shard int, b Backend) (core.Result, error), done func(shard int, r core.Result)) (scattered, error) {
 	n := len(s.shards)
 	met := s.metrics()
 	tr := obs.FromContext(ctx)
 	scatterCtx, endScatter := obs.StartSpan(ctx, "scatter")
-	sc := scattered[T]{vals: make([]T, n), walls: make([]time.Duration, n), shards: make([]int, 0, n)}
+	sc := scattered{vals: make([]core.Result, n), walls: make([]time.Duration, n), shards: make([]int, 0, n)}
 	errs := make([]error, n)
 	sem := make(chan struct{}, scatterWorkers(n))
 	var wg sync.WaitGroup
@@ -136,7 +135,7 @@ func scatter[T any](ctx context.Context, s *ShardedDB, pol Policy,
 			if tr != nil {
 				shardCtx, endShard = obs.StartSpan(scatterCtx, "shard")
 			}
-			v, err := robustCall(shardCtx, pol, met, func(actx context.Context) (T, error) { return call(actx, i, b) })
+			v, err := robustCall(shardCtx, pol, met, func(actx context.Context) (core.Result, error) { return call(actx, i, b) })
 			if endShard != nil {
 				endShard(obs.Int("shard", i), obs.Bool("ok", err == nil))
 			}
@@ -173,17 +172,17 @@ func scatter[T any](ctx context.Context, s *ShardedDB, pol Policy,
 	return sc, nil
 }
 
-// gather is the one merge: the answers of the shards that answered, as
-// part hands them out, become one Result — statistics folded by mergeStats
-// and kept per shard, Partial and ShardsAnswered stamped, and the matches
-// copied under global ids (a shard's slice may be shared with its cache) in
-// ascending id order — or, from a lone shard, taken as they are. A KNN's matches are left to the scatter, which has
-// ranked them as the shards came in.
-func (s *ShardedDB) gather(q core.Query, shards []int, part func(shard int) core.Result) core.Result {
+// gather is the one merge: the answers of the shards that answered —
+// vals[i] for each i in shards — become one Result: statistics folded by
+// mergeStats and kept per shard, Partial and ShardsAnswered stamped, and
+// the matches copied under global ids in ascending id order — or, from a
+// lone shard, taken as they are. A KNN's matches are left to the scatter,
+// which has ranked them as the shards came in.
+func (s *ShardedDB) gather(q core.Query, shards []int, vals []core.Result) core.Result {
 	res := core.Result{PerShard: make([]ShardStats, 0, len(shards))}
 	total := 0
 	for _, i := range shards {
-		r := part(i)
+		r := vals[i]
 		total += len(r.Matches)
 		res.PerShard = append(res.PerShard, ShardStats{Shard: i, Stats: r.Stats})
 		mergeStats(&res.Stats, r.Stats)
@@ -195,14 +194,13 @@ func (s *ShardedDB) gather(q core.Query, shards []int, part func(shard int) core
 	}
 	if len(s.shards) == 1 {
 		// A lone shard's ids are the global ones and its list is in order:
-		// it is the answer as it stands, shared with that shard's cache and
-		// read-only like every range answer.
-		res.Matches = part(0).Matches
+		// it is the answer as it stands, read-only like every range answer.
+		res.Matches = vals[0].Matches
 		return res
 	}
 	res.Matches = slices.Grow(res.Matches, total) // stays nil when nothing matched
 	for _, i := range shards {
-		for _, m := range part(i).Matches {
+		for _, m := range vals[i].Matches {
 			m.SeqID = s.globalID(i, m.SeqID)
 			res.Matches = append(res.Matches, m)
 		}
@@ -242,7 +240,7 @@ func (s *ShardedDB) scan(ctx context.Context, q core.Query) (core.Result, error)
 			return core.Result{}, fmt.Errorf("shard: shard %d: %w", i, err)
 		}
 	}
-	return s.gather(q, all, func(i int) core.Result { return results[i] }), nil
+	return s.gather(q, all, results), nil
 }
 
 // mergeStats folds one shard's stats into the merged view. On a partial
@@ -267,9 +265,8 @@ func (s *ShardedDB) scan(ctx context.Context, q core.Query) (core.Result, error)
 //     rest are ignored. Taking it once (instead of overwriting on every
 //     fold) keeps the merged value correct even if a later shard's stats
 //     are zero-valued or the fold order changes.
-//   - CacheHit is not folded: shards serve from their caches
-//     independently, so a merged flag would be ambiguous; an answer that
-//     missed the front cache counts as computed.
+//   - CacheHit is not folded: an answer that missed the front cache
+//     counts as computed.
 func mergeStats(dst *core.SearchStats, st core.SearchStats) {
 	if dst.QueryMBRs == 0 {
 		dst.QueryMBRs = st.QueryMBRs
@@ -332,20 +329,12 @@ func (s *ShardedDB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k 
 	return res.Matches, err
 }
 
-// CandidatesDmbr returns the union of the per-shard phase-2 candidate
-// sets, keyed by global id.
-func (s *ShardedDB) CandidatesDmbr(q *core.Sequence, eps float64) (map[uint32]bool, error) {
-	out := make(map[uint32]bool)
-	for i, db := range s.shards {
-		c, err := db.CandidatesDmbr(q, eps)
-		if err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
-		}
-		for local := range c {
-			out[s.globalID(i, local)] = true
-		}
-	}
-	return out, nil
+// SearchBatchCtx answers several of the paper's range queries: core.DoBatch
+// with the router's Do, so each member is its own scatter — under its own
+// Policy timeout and AllowPartial degradation — and its own front-cache
+// probe, and a repeat is answered once and flagged CacheHit.
+func (s *ShardedDB) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error) {
+	return core.DoBatch(ctx, s.Do, s.Dim(), s.opts.Partition, qs, eps)
 }
 
 // Explain runs the per-sequence decision record on every shard and merges

@@ -50,13 +50,11 @@ import (
 // shard.
 var ErrNoShards = errors.New("shard: shard count must be >= 1")
 
-// ShardedDB presents N independent single-node databases as one. All
-// methods are safe for concurrent use; writes to different shards never
-// contend on a lock.
 // Node is one shard's full database: the serving surface (DB), the
-// query-path Backend, and the shard-internal hooks the router needs.
-// *core.Database satisfies it, and so does a transactional wrapper
-// (internal/txn) — NewWithNodes assembles a ShardedDB from either, so a
+// query-path Backend, and the partitioning the router's cache keys and
+// batch follow. The router attaches no cache to a node: its one cache
+// sits in front of the scatter. *core.Database satisfies it, and so does
+// a transactional wrapper (internal/txn) — NewWithNodes assembles a ShardedDB from either, so a
 // durable deployment swaps in WAL-backed per-shard nodes without the
 // router changing. Per-shard writes then commit on independent
 // committers: a write to one shard never blocks reads — or writes — on
@@ -66,8 +64,6 @@ type Node interface {
 	Backend
 	// PartitionConfig reports the MCOST segmentation settings in force.
 	PartitionConfig() core.PartitionConfig
-	// CandidatesDmbr runs only phases 1+2 and returns the candidate set.
-	CandidatesDmbr(q *core.Sequence, eps float64) (map[uint32]bool, error)
 }
 
 var _ Node = (*core.Database)(nil)
@@ -76,7 +72,8 @@ var _ Node = (*core.Database)(nil)
 // queries across all of them, merging per-shard results into the same
 // answers a single database holding every sequence would return. It
 // satisfies the same DB surface as *core.Database, so the serving layer
-// is topology-blind.
+// is topology-blind. All methods are safe for concurrent use; writes to
+// different shards never contend on a lock.
 type ShardedDB struct {
 	shards []Node
 	opts   core.Options
@@ -155,9 +152,9 @@ func NewWithNodes(nodes []Node) (*ShardedDB, error) {
 
 // SetShardBackend substitutes shard i's query backend (nil restores the
 // shard's own database). The substitution affects only the query path —
-// what Do and SearchBatchCtx scatter — never writes, lookups or the Scan oracle. It exists for the
-// fault-injection harness (FaultDB) and tests; a production deployment
-// leaves the defaults in place. Safe to call while queries are in flight.
+// what Do scatters — never writes, lookups or the Scan oracle. It exists
+// for the fault-injection harness (FaultDB) and tests; a production
+// deployment leaves the defaults in place. Safe to call while queries are in flight.
 func (s *ShardedDB) SetShardBackend(i int, b Backend) {
 	s.bmu.Lock()
 	defer s.bmu.Unlock()

@@ -1,7 +1,7 @@
-// Package transform provides the dimensionality-reduction and embedding
-// tools the paper's pre-processing step names (Section 3.4.1: "various
-// dimension reduction techniques such as DFT or Wavelets can be applied"),
-// plus the sliding-window embedding that turns 1-D time series into
+// Package transform provides the DFT dimensionality reduction the paper's
+// pre-processing step names (Section 3.4.1: "various dimension reduction
+// techniques such as DFT or Wavelets can be applied"), plus the
+// sliding-window embedding that turns 1-D time series into
 // w-dimensional sequences (Section 1 / Faloutsos et al.).
 package transform
 
@@ -61,63 +61,6 @@ func DFTFeatures(signal []float64, m int) (geom.Point, error) {
 	return out, nil
 }
 
-// HaarWavelet computes the full Haar wavelet decomposition of a
-// power-of-two-length signal: output[0] is the overall average scaled by
-// √n, followed by detail coefficients coarse to fine (orthonormal
-// convention: distances are preserved).
-func HaarWavelet(signal []float64) ([]float64, error) {
-	n := len(signal)
-	if !isPow2(n) {
-		return nil, fmt.Errorf("transform: haar needs power-of-two length, got %d", n)
-	}
-	cur := append([]float64(nil), signal...)
-	out := make([]float64, n)
-	for length := n; length > 1; length /= 2 {
-		half := length / 2
-		next := make([]float64, half)
-		for i := 0; i < half; i++ {
-			next[i] = (cur[2*i] + cur[2*i+1]) / math.Sqrt2
-			out[half+i] = (cur[2*i] - cur[2*i+1]) / math.Sqrt2
-		}
-		copy(cur, next)
-	}
-	out[0] = cur[0]
-	return out, nil
-}
-
-// InverseHaar reconstructs a signal from its Haar decomposition.
-func InverseHaar(coeffs []float64) ([]float64, error) {
-	n := len(coeffs)
-	if !isPow2(n) {
-		return nil, fmt.Errorf("transform: haar needs power-of-two length, got %d", n)
-	}
-	cur := make([]float64, n)
-	cur[0] = coeffs[0]
-	for half := 1; half < n; half *= 2 {
-		next := make([]float64, 2*half)
-		for i := 0; i < half; i++ {
-			a, d := cur[i], coeffs[half+i]
-			next[2*i] = (a + d) / math.Sqrt2
-			next[2*i+1] = (a - d) / math.Sqrt2
-		}
-		copy(cur, next)
-	}
-	return cur, nil
-}
-
-// HaarFeatures keeps the first m Haar coefficients of the signal as a
-// feature vector.
-func HaarFeatures(signal []float64, m int) (geom.Point, error) {
-	coeffs, err := HaarWavelet(signal)
-	if err != nil {
-		return nil, err
-	}
-	if m < 1 || m > len(coeffs) {
-		return nil, fmt.Errorf("transform: m=%d outside [1,%d]", m, len(coeffs))
-	}
-	return geom.Point(coeffs[:m:m]), nil
-}
-
 // SlidingWindow embeds a 1-D series into w-dimensional space: point i is
 // (series[i], …, series[i+w-1]) — the classic subsequence-matching
 // embedding the paper generalizes away from.
@@ -150,31 +93,6 @@ func SlidingWindowDFT(series []float64, w, m int) (*core.Sequence, error) {
 	return &core.Sequence{Points: pts}, nil
 }
 
-// MovingAverage smooths a series with a centered window of the given odd
-// width (one of the paper's referenced "safe transformations").
-func MovingAverage(series []float64, width int) ([]float64, error) {
-	if width < 1 || width%2 == 0 {
-		return nil, fmt.Errorf("transform: width %d must be odd and positive", width)
-	}
-	half := width / 2
-	out := make([]float64, len(series))
-	for i := range series {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(series)-1 {
-			hi = len(series) - 1
-		}
-		var sum float64
-		for j := lo; j <= hi; j++ {
-			sum += series[j]
-		}
-		out[i] = sum / float64(hi-lo+1)
-	}
-	return out, nil
-}
-
 // Normalize affinely rescales a series into [0,1] (constant series map to
 // all-0.5), matching the paper's normalized data space.
 func Normalize(series []float64) []float64 {
@@ -198,5 +116,3 @@ func Normalize(series []float64) []float64 {
 	}
 	return out
 }
-
-func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

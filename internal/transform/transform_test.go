@@ -83,70 +83,6 @@ func TestDFTFeatures(t *testing.T) {
 	}
 }
 
-func TestHaarRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 4, 8, 64, 128} {
-		sig := make([]float64, n)
-		for i := range sig {
-			sig[i] = rng.Float64()
-		}
-		coeffs, err := HaarWavelet(sig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := InverseHaar(coeffs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range sig {
-			if math.Abs(back[i]-sig[i]) > 1e-9 {
-				t.Fatalf("n=%d: inverse[%d] = %g, want %g", n, i, back[i], sig[i])
-			}
-		}
-	}
-	if _, err := HaarWavelet(make([]float64, 6)); err == nil {
-		t.Error("non-power-of-two length accepted")
-	}
-}
-
-func TestHaarOrthonormalEnergy(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	sig := make([]float64, 64)
-	for i := range sig {
-		sig[i] = rng.Float64()*2 - 1
-	}
-	coeffs, err := HaarWavelet(sig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var es, ec float64
-	for i := range sig {
-		es += sig[i] * sig[i]
-		ec += coeffs[i] * coeffs[i]
-	}
-	if !almostEqual(es, ec) {
-		t.Errorf("energy not preserved: %g vs %g", es, ec)
-	}
-}
-
-func TestHaarFeatures(t *testing.T) {
-	sig := []float64{1, 1, 1, 1}
-	p, err := HaarFeatures(sig, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Orthonormal average of constant 1s over 4 samples: 1·√4 = 2.
-	if !almostEqual(p[0], 2) {
-		t.Errorf("haar[0] = %g, want 2", p[0])
-	}
-	if _, err := HaarFeatures(sig, 9); err == nil {
-		t.Error("m>n accepted")
-	}
-	if _, err := HaarFeatures(make([]float64, 3), 1); err == nil {
-		t.Error("bad length accepted")
-	}
-}
-
 func TestSlidingWindow(t *testing.T) {
 	s, err := SlidingWindow([]float64{1, 2, 3, 4, 5}, 3)
 	if err != nil {
@@ -188,25 +124,6 @@ func TestSlidingWindowDFT(t *testing.T) {
 	}
 	if _, err := SlidingWindowDFT(series, 8, 9); err == nil {
 		t.Error("m>w accepted")
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	got, err := MovingAverage([]float64{0, 3, 6}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1.5, 3, 4.5} // edges use truncated windows
-	for i := range want {
-		if !almostEqual(got[i], want[i]) {
-			t.Errorf("ma[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if _, err := MovingAverage([]float64{1}, 2); err == nil {
-		t.Error("even width accepted")
-	}
-	if _, err := MovingAverage([]float64{1}, -1); err == nil {
-		t.Error("negative width accepted")
 	}
 }
 

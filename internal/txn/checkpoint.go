@@ -353,7 +353,7 @@ func loadBase(opts *Options) (*core.Database, uint64, error) {
 		if opts.Dim < 1 {
 			return nil, 0, errors.New("txn: Dim required to create a new database")
 		}
-		base, err := core.NewDatabase(core.Options{Dim: opts.Dim, Partition: opts.Partition, QuantizedMBR: opts.QuantizedMBR})
+		base, err := core.NewDatabase(core.Options{Dim: opts.Dim, Partition: opts.Partition})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -379,7 +379,7 @@ func loadBase(opts *Options) (*core.Database, uint64, error) {
 	opts.Dim = dim
 	opts.Partition = cfg
 
-	bopts := core.Options{Dim: dim, Partition: cfg, QuantizedMBR: opts.QuantizedMBR}
+	bopts := core.Options{Dim: dim, Partition: cfg}
 	if segPath := filepath.Join(dir, snapSegFile); len(ids) > 0 {
 		if _, statErr := os.Stat(segPath); statErr == nil {
 			// A v2 snapshot: the file's already-partitioned segments are

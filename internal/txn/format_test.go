@@ -14,10 +14,10 @@ import (
 	"repro/internal/geom"
 )
 
-// openFmt opens a durable DB with the given quantized-prefilter setting.
-func openFmt(t *testing.T, dir string, quant bool) *DB {
+// openFmt opens a durable DB in dir.
+func openFmt(t *testing.T, dir string) *DB {
 	t.Helper()
-	db, err := Open(Options{Dir: dir, Dim: 3, NoFsync: true, QuantizedMBR: quant})
+	db, err := Open(Options{Dir: dir, Dim: 3, NoFsync: true})
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
@@ -43,8 +43,7 @@ func snapshotPayload(t *testing.T, dir string) string {
 }
 
 // TestSnapshotFormatsRoundTrip checkpoints a corpus with holes (removed
-// ids) and verifies a reopen — with and without the quantized prefilter —
-// restores a byte-identical database. Checkpoints write v2 only; the v1
+// ids) and verifies a reopen restores a byte-identical database. Checkpoints write v2 only; the v1
 // row of this matrix is TestReadsV1Golden's committed directory.
 func TestSnapshotFormatsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -58,7 +57,7 @@ func TestSnapshotFormatsRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	db := openFmt(t, dir, false)
+	db := openFmt(t, dir)
 	ids, err := db.AddAll(seqs)
 	if err != nil {
 		t.Fatal(err)
@@ -80,14 +79,12 @@ func TestSnapshotFormatsRoundTrip(t *testing.T) {
 	if got := snapshotPayload(t, dir); got != snapSegFile {
 		t.Fatalf("checkpoint wrote %s, want %s", got, snapSegFile)
 	}
-	for _, quant := range []bool{false, true} {
-		db2 := openFmt(t, dir, quant)
-		if got := fingerprint(t, db2, queries, 0.9); got != want {
-			t.Fatalf("reopened (quant=%v): fingerprint drifted\nwant %s\ngot  %s", quant, want, got)
-		}
-		if err := db2.Close(); err != nil {
-			t.Fatal(err)
-		}
+	db2 := openFmt(t, dir)
+	if got := fingerprint(t, db2, queries, 0.9); got != want {
+		t.Fatalf("reopened: fingerprint drifted\nwant %s\ngot  %s", want, got)
+	}
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -154,20 +151,18 @@ func TestReadsV1Golden(t *testing.T) {
 	if got := snapshotPayload(t, dir); got != snapSeqFile {
 		t.Fatalf("fixture base holds %s, want the v1 payload %s", got, snapSeqFile)
 	}
-	for _, quant := range []bool{false, true} {
-		db := openFmt(t, dir, quant)
-		if st := db.Stats(); st.RecoveredRecords != 2 {
-			t.Errorf("replayed %d WAL records, want the fixture's 2", st.RecoveredRecords)
-		}
-		if got := answers(db); got != want {
-			t.Fatalf("v1 directory (quant=%v) answers differ\nwant %s\ngot  %s", quant, want, got)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
+	db := openFmt(t, dir)
+	if st := db.Stats(); st.RecoveredRecords != 2 {
+		t.Errorf("replayed %d WAL records, want the fixture's 2", st.RecoveredRecords)
+	}
+	if got := answers(db); got != want {
+		t.Fatalf("v1 directory answers differ\nwant %s\ngot  %s", want, got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	db := openFmt(t, dir, false)
+	db = openFmt(t, dir)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +172,7 @@ func TestReadsV1Golden(t *testing.T) {
 	if got := snapshotPayload(t, dir); got != snapSegFile {
 		t.Fatalf("checkpoint over a v1 base wrote %s, want %s", got, snapSegFile)
 	}
-	db = openFmt(t, dir, false)
+	db = openFmt(t, dir)
 	defer db.Close()
 	if st := db.Stats(); st.RecoveredRecords != 0 {
 		t.Errorf("replayed %d WAL records after the checkpoint, want 0", st.RecoveredRecords)
@@ -193,7 +188,7 @@ func TestReadsV1Golden(t *testing.T) {
 func TestSnapshotFormatV2NoHolesUsesPackedLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	dir := t.TempDir()
-	db := openFmt(t, dir, false)
+	db := openFmt(t, dir)
 	var seqs []*core.Sequence
 	for i := 0; i < 9; i++ {
 		seqs = append(seqs, randSeq(rng, 3, 40))
@@ -209,7 +204,7 @@ func TestSnapshotFormatV2NoHolesUsesPackedLeaves(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2 := openFmt(t, dir, false)
+	db2 := openFmt(t, dir)
 	defer db2.Close()
 	if got := fingerprint(t, db2, queries, 0.9); got != want {
 		t.Fatalf("fingerprint drifted\nwant %s\ngot  %s", want, got)

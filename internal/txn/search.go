@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sync"
@@ -169,6 +170,24 @@ func (s *Snap) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps floa
 	return core.DoBatch(ctx, s.Do, s.db.Dim(), s.db.PartitionConfig(), qs, eps)
 }
 
+// Explain records every pruning decision the paper's range search makes
+// against the snapshot, the way Do answers: the base's record, minus the
+// sequences the snapshot supersedes or removed, merged by id with the same
+// record over the snapshot's unfolded sequences (core.ExplainUnindexed). A
+// sequence is "matched" exactly when Do returns it.
+func (s *Snap) Explain(q *core.Sequence, eps float64) (*core.Explanation, error) {
+	ex, err := s.db.base.Explain(q, eps)
+	if err != nil || s.st.deltaLen() == 0 {
+		return ex, err
+	}
+	v := s.view()
+	delta := core.ExplainUnindexed(q, eps, s.db.PartitionConfig(), v.ids, v.segs)
+	ex.Candidates = append(slices.DeleteFunc(ex.Candidates, func(c core.CandidateExplanation) bool { return v.dropBase(c.SeqID) }),
+		delta.Candidates...)
+	slices.SortFunc(ex.Candidates, func(a, b core.CandidateExplanation) int { return cmp.Compare(a.SeqID, b.SeqID) })
+	return ex, nil
+}
+
 // mergeKNN is the delta pass and merge of a KNN — the one kNN merge every
 // metric shares: base, the base index's answer for the inflated k', loses
 // what the view supersedes, the delta pass (core.Unindexed) contributes its
@@ -307,37 +326,12 @@ func (db *DB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k int, m
 	return res.Matches, err
 }
 
-// Explain records every pruning decision the paper's range search makes.
-// The index only covers the base, so Explain first folds the delta
-// (foldForIndex) and then explains against the fully indexed corpus.
+// Explain records every pruning decision the paper's range search makes,
+// on a fresh snapshot (see Snap.Explain).
 func (db *DB) Explain(q *core.Sequence, eps float64) (*core.Explanation, error) {
-	if err := db.foldForIndex(q, eps); err != nil {
-		return nil, err
-	}
-	return db.base.Explain(q, eps)
-}
-
-// CandidatesDmbr runs only phases 1+2 — the paper's ASmbr — against the
-// fully indexed corpus, folding the delta first as Explain does.
-func (db *DB) CandidatesDmbr(q *core.Sequence, eps float64) (map[uint32]bool, error) {
-	if err := db.foldForIndex(q, eps); err != nil {
-		return nil, err
-	}
-	return db.base.CandidatesDmbr(q, eps)
-}
-
-// foldForIndex readies the base to answer a question only the index can:
-// once q has passed core.Query.Check — so a query that will be refused costs
-// no fold — the delta is folded (an automatic checkpoint: it persists only by
-// the WAL-size rule).
-func (db *DB) foldForIndex(q *core.Sequence, eps float64) error {
-	if err := (core.Query{Seq: q, Eps: eps}).Check(db.Dim()); err != nil {
-		return err
-	}
-	if db.cur.Load().deltaLen() > 0 {
-		return db.checkpoint(false)
-	}
-	return nil
+	s := db.Acquire()
+	defer s.Release()
+	return s.Explain(q, eps)
 }
 
 // Segmented returns the currently visible version of a sequence, or

@@ -69,9 +69,6 @@ type Options struct {
 	// a snapshot only when the WAL has grown to the last snapshot's size,
 	// so recovery replays at most about one snapshot's worth of WAL.
 	CheckpointEvery int
-	// QuantizedMBR is passed to the base database as
-	// core.Options.QuantizedMBR, where it is accepted and has no effect.
-	QuantizedMBR bool
 }
 
 // DB is a transactional database. It satisfies the same serving surface

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -469,23 +470,79 @@ func TestKNNWithDelta(t *testing.T) {
 	}
 }
 
-func TestExplainFoldsDelta(t *testing.T) {
+// TestExplainDoesNotFold explains on a snapshot whose delta holds a
+// superseded base twin, a removed id and an add: every query's "matched"
+// set is Do's answer, the record covers each live id once, and the delta
+// is left as it was — no checkpoint runs.
+func TestExplainDoesNotFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := newMem(t, 2)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 8; i++ {
 		if _, err := db.Add(randSeq(rng, 2, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ex, err := db.Explain(randSeq(rng, 2, 8), 3)
-	if err != nil {
-		t.Fatalf("Explain: %v", err)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if ex == nil {
-		t.Fatal("Explain returned nil")
+	tail := randSeq(rng, 2, 6)
+	if err := db.AppendPoints(2, tail.Points); err != nil { // base 2's twin
+		t.Fatal(err)
 	}
-	if s := db.Stats(); s.DeltaAdds != 0 {
-		t.Fatalf("Explain left delta unfolded: %+v", s)
+	gone := db.Segmented(5).Seq
+	if err := db.Remove(5); err != nil {
+		t.Fatal(err)
+	}
+	add := randSeq(rng, 2, 10)
+	if _, err := db.Add(add); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats()
+	if before.DeltaAdds != 1 || before.DeltaOverlays != 1 || before.DeltaRemoved != 1 {
+		t.Fatalf("delta = %+v, want one add, one overlay, one removal", before)
+	}
+	queries := []*core.Sequence{
+		{Points: tail.Points},                    // only the twin holds it
+		{Points: gone.Points[2:8]},               // only the removed sequence held it
+		{Points: add.Points[1:9]},                // the add
+		{Points: db.Segmented(0).Seq.Points[:5]}, // a base sequence
+	}
+	for qi, q := range queries {
+		for _, eps := range []float64{0.01, 0.5, 3} {
+			ex, err := db.Explain(q, eps)
+			if err != nil {
+				t.Fatalf("query %d eps %g: Explain: %v", qi, eps, err)
+			}
+			res, err := db.Do(context.Background(), core.Query{Seq: q, Eps: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids, matched, want []uint32
+			for _, c := range ex.Candidates {
+				ids = append(ids, c.SeqID)
+				if c.Phase == "matched" {
+					matched = append(matched, c.SeqID)
+				}
+			}
+			for _, m := range res.Matches {
+				want = append(want, m.SeqID)
+			}
+			if !slices.Equal(matched, want) {
+				t.Fatalf("query %d eps %g: Explain matched %v, Do answered %v", qi, eps, matched, want)
+			}
+			var live []uint32
+			for _, sq := range db.Sequences() {
+				live = append(live, sq.ID)
+			}
+			if !slices.Equal(ids, live) {
+				t.Fatalf("query %d eps %g: Explain covers %v, live ids are %v", qi, eps, ids, live)
+			}
+		}
+	}
+	after := db.Stats()
+	if after.Checkpoints != before.Checkpoints || after.DeltaAdds != before.DeltaAdds ||
+		after.DeltaOverlays != before.DeltaOverlays || after.DeltaRemoved != before.DeltaRemoved {
+		t.Fatalf("Explain changed the delta or folded it: before %+v, after %+v", before, after)
 	}
 }
 

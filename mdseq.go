@@ -246,9 +246,10 @@ func SaveSharded(db *ShardedDB, dir string) error { return store.SaveSharded(db,
 // --- caching -------------------------------------------------------------
 
 // QueryCache is a sharded, cost-aware cache of query results. Attach one
-// with DB.SetCache (or ShardedDB.SetCache, where the budget also covers
-// per-shard caches behind a merged-result front cache): repeated range,
-// kNN, and batch queries are then answered from memory.
+// with DB.SetCache, or ShardedDB.SetCache, where it holds merged answers
+// in front of the scatter and its budget is the whole cache — the shards
+// hold none: repeated range, kNN, and batch queries are then answered
+// from memory.
 // Entries are evicted by GDSF priority (recomputation cost × hit
 // frequency / size, with an aging watermark); a write invalidates just
 // the entries whose recorded query region (MBR + radius) the written
@@ -272,7 +273,8 @@ type QueryCacheMetrics = cache.Metrics
 
 // NewQueryCacheMetrics resolves the mdseq_cache_* instruments in reg
 // under a {cache="name"} label — use distinct names when several caches
-// share a registry (e.g. "front" and "shard" on a sharded deployment).
+// share a registry (mdsserve names a sharded database's cache "front"
+// and a single node's "core").
 func NewQueryCacheMetrics(reg *MetricsRegistry, name string) *QueryCacheMetrics {
 	return cache.NewMetrics(reg, name)
 }
