@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"repro/internal/seqio"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/txn"
 )
 
@@ -577,6 +579,149 @@ func TestHugeKReturnsEverySequence(t *testing.T) {
 						metric, k, i, answer.Neighbors[i].Dist, answer.Neighbors[i-1].Dist)
 				}
 			}
+		}
+	}
+}
+
+// TestLongLabelsRoundTripOrRefused is the hostile-input row for labels at
+// and past the 16-bit length the WAL stores: a 65 535-byte label comes
+// back byte-exact from Segmented, Sequences and a range answer on a plain,
+// a 4-shard and a durable transactional database, from Save/LoadWith and
+// SaveSharded/LoadShardedWith, and from a txn reopen that replays the WAL
+// and one that loads a checkpointed snapshot. A 65 536-byte label either
+// round-trips the same way or is refused before it is acknowledged; no
+// layer truncates it.
+func TestLongLabelsRoundTripOrRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	ctx := context.Background()
+	for _, size := range []int{1<<16 - 1, 1 << 16} {
+		raw := make([]byte, size)
+		rng.Read(raw)
+		label := string(raw)
+		long := walk(rng, 40)
+		long.Label = label
+		points := long.Points
+
+		// holds checks that db stores the sequence byte-exact, once, under
+		// every read.
+		holds := func(where string, db shard.DB) {
+			t.Helper()
+			found := 0
+			for _, s := range db.Sequences() {
+				if s.Label == label {
+					found++
+					if g := db.Segmented(s.ID); g == nil || g.Seq.Label != label {
+						t.Errorf("%d-byte label, %s: Segmented(%d) does not carry it", size, where, s.ID)
+					}
+				} else if len(s.Label) >= 1<<15 {
+					t.Errorf("%d-byte label, %s: stored as %d bytes", size, where, len(s.Label))
+				}
+			}
+			if found != 1 {
+				t.Errorf("%d-byte label, %s: Sequences holds it %d times, want 1", size, where, found)
+			}
+			res, err := db.Do(ctx, mdseq.Query{Seq: &mdseq.Sequence{Points: points}, Kind: mdseq.Range, Eps: 0.01})
+			if err != nil {
+				t.Fatalf("%d-byte label, %s: %v", size, where, err)
+			}
+			found = 0
+			for _, m := range res.Matches {
+				if m.Seq.Label == label {
+					found++
+				}
+			}
+			if found != 1 {
+				t.Errorf("%d-byte label, %s: the range answer holds it %d times, want 1", size, where, found)
+			}
+		}
+		fill := func(db shard.DB) {
+			t.Helper()
+			for i := 0; i < 5; i++ {
+				if _, err := db.Add(walk(rng, 30)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		seq := func() *mdseq.Sequence { return &mdseq.Sequence{Label: label, Points: points} }
+
+		plain, err := mdseq.Open(mdseq.Options{Dim: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plain.Close()
+		fill(plain)
+		if _, err := plain.Add(seq()); err != nil {
+			t.Fatalf("%d-byte label: core Add: %v", size, err)
+		}
+		holds("core", plain)
+		dir := filepath.Join(t.TempDir(), "db")
+		if err := mdseq.Save(plain, dir); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := store.LoadWith(dir, store.LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds("Save/LoadWith", loaded)
+		loaded.Close()
+
+		sharded, err := mdseq.OpenSharded(mdseq.Options{Dim: 3}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sharded.Close()
+		fill(sharded)
+		if _, err := sharded.Add(seq()); err != nil {
+			t.Fatalf("%d-byte label: 4-shard Add: %v", size, err)
+		}
+		holds("4 shards", sharded)
+		sdir := filepath.Join(t.TempDir(), "sharded")
+		if err := mdseq.SaveSharded(sharded, sdir); err != nil {
+			t.Fatal(err)
+		}
+		sloaded, err := store.LoadShardedWith(sdir, store.LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds("SaveSharded/LoadShardedWith", sloaded)
+		sloaded.Close()
+
+		tdir := t.TempDir()
+		tdb, err := txn.Open(txn.Options{Dim: 3, Dir: tdir, NoFsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(tdb)
+		_, addErr := tdb.Add(seq())
+		if addErr != nil {
+			// Refused: nothing of it may have been acknowledged or logged.
+			if tdb.Len() != 5 {
+				t.Errorf("%d-byte label: txn refused the add (%v) but holds %d sequences", size, addErr, tdb.Len())
+			}
+		} else {
+			holds("txn", tdb)
+		}
+		for _, step := range []string{"WAL replay", "snapshot load"} {
+			if step == "snapshot load" {
+				if err := tdb.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tdb.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tdb, err = txn.Open(txn.Options{Dim: 3, Dir: tdir, NoFsync: true}); err != nil {
+				t.Fatalf("%d-byte label: txn reopen (%s): %v", size, step, err)
+			}
+			if addErr == nil {
+				holds("txn reopen, "+step, tdb)
+			} else if tdb.Len() != 5 {
+				t.Errorf("%d-byte label: txn reopen (%s) holds %d sequences, want the 5 acknowledged", size, step, tdb.Len())
+			}
+		}
+		tdb.Close()
+		if size == 1<<16-1 && addErr != nil {
+			t.Errorf("65 535-byte label refused by txn: %v", addErr)
 		}
 	}
 }

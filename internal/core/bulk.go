@@ -11,68 +11,45 @@ import (
 )
 
 // AddAll stores a whole corpus at once. Sequences are validated and
-// partitioned in parallel before any lock is taken; on an empty database
-// the R*-tree is then bulk-loaded with STR packing — much faster and more
-// compact than repeated Add — while on a non-empty database the
-// pre-partitioned sequences are inserted under one lock hold. Either way
-// the batch is all-or-nothing: a failure mid-insert rolls back every
-// entry of the batch, so a partial bulk is never visible to readers or to
-// a later crash recovery. Returned ids are dense and in input order. As
-// with Add, the database keeps references to the sequences.
+// partitioned in parallel (PartitionAll) before any lock is taken; on an
+// empty database the batch is then AddAllSegmented's STR bulk load — much
+// faster and more compact than repeated Add — while on a non-empty
+// database the pre-partitioned sequences are inserted under one lock hold.
+// Either way the batch is all-or-nothing: a failure mid-insert rolls back
+// every entry of the batch, so a partial bulk is never visible to readers
+// or to a later crash recovery. Returned ids are dense and in input order.
+// As with Add, the database keeps references to the sequences.
 func (db *Database) AddAll(seqs []*Sequence) ([]uint32, error) {
-	segs, err := db.partitionAll(seqs)
+	segs, err := PartitionAll(seqs, db.opts.Dim, db.opts.Partition)
 	if err != nil || len(segs) == 0 {
 		return nil, err
-	}
-	// One region notification covers the whole batch: the union of every
-	// added sequence's bounds.
-	var wrote geom.Rect
-	for _, g := range segs {
-		wrote.ExtendRect(g.Bounds())
 	}
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.pg == nil {
-		return nil, errors.New("core: database closed")
+		return nil, errClosed
 	}
-
-	if len(db.seqs) > 0 {
-		// Bulk path needs an empty tree; insert the pre-partitioned batch
-		// sequentially, undoing the whole batch on any failure.
-		ids := make([]uint32, len(seqs))
-		for i, g := range segs {
-			id, err := db.addSegmentedLocked(g)
-			if err != nil {
-				db.unwindLocked(ids[:i])
-				return nil, fmt.Errorf("core: bulk insert of sequence %d: %w", i, err)
-			}
-			ids[i] = id
-		}
-		db.notifyWrite(wrote)
-		db.met.RecordBulkAdd(len(seqs))
-		db.met.SetShape(db.live, db.tree.Len())
-		return ids, nil
+	if len(db.seqs) == 0 {
+		return db.bulkLoadLocked(segs, nil, 0)
 	}
-
-	var items []rtree.Item
-	ids := make([]uint32, len(seqs))
+	// Bulk path needs an empty tree; insert the pre-partitioned batch
+	// sequentially, undoing the whole batch on any failure. One region
+	// notification covers the whole batch: the union of every added
+	// sequence's bounds.
+	var wrote geom.Rect
+	ids := make([]uint32, len(segs))
 	for i, g := range segs {
-		id := uint32(i)
-		seqs[i].ID = id
-		ids[i] = id
-		db.longest = max(db.longest, seqs[i].Len())
-		for j, m := range g.MBRs {
-			items = append(items, rtree.Item{Rect: m.Rect, Ref: rtree.PackRef(id, uint32(j))})
+		id, err := db.addSegmentedLocked(g)
+		if err != nil {
+			db.unwindLocked(ids[:i])
+			return nil, fmt.Errorf("core: bulk insert of sequence %d: %w", i, err)
 		}
+		ids[i] = id
+		wrote.ExtendRect(g.Bounds())
 	}
-	if err := db.tree.BulkLoad(items); err != nil {
-		return nil, err
-	}
-	db.seqs = segs
-	db.live = len(segs)
 	db.notifyWrite(wrote)
-	db.met.RecordBulkAdd(len(seqs))
+	db.met.RecordBulkAdd(len(segs))
 	db.met.SetShape(db.live, db.tree.Len())
 	return ids, nil
 }
@@ -80,20 +57,21 @@ func (db *Database) AddAll(seqs []*Sequence) ([]uint32, error) {
 // AddAllSegmented bulk-loads a corpus that is already partitioned — the
 // zero-deserialization path of the v2 segment store, whose files carry
 // the Segmented columnar form directly. The database must be empty; ids
-// are assigned densely in input order, exactly as AddAll would. With
-// leaves nil the R*-tree is STR bulk-loaded from the sequences' MBRs;
-// with leaves set (each inner slice one packed leaf page of refs, as
-// recorded by the store's packed-tree section) the leaf grouping is
-// reused verbatim and only the upper levels are tiled, skipping the
-// leaf-level sorts. Every ref must name a valid (sequence, MBR) pair and
-// the refs must cover every MBR exactly once; violations reject the
-// whole load. The database keeps references to the segments; callers
-// must not mutate them afterwards.
-func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]uint32, error) {
+// are assigned densely in input order, exactly as AddAll would. leaves,
+// when set, is a packed leaf grouping (each inner slice one leaf page of
+// refs, as recorded by the store's packed-tree section) computed for an
+// R*-tree of fanout leafFanout: when that is this database's fanout the
+// grouping is reused verbatim and only the upper levels are tiled,
+// skipping the leaf-level sorts; otherwise (or with leaves nil) the tree
+// is STR bulk-loaded from the sequences' MBRs. Every ref of a reused
+// grouping must name a valid (sequence, MBR) pair and the refs must cover
+// every MBR exactly once; violations reject the whole load. The database
+// keeps references to the segments; callers must not mutate them
+// afterwards.
+func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref, leafFanout int) ([]uint32, error) {
 	if len(segs) == 0 {
 		return nil, nil
 	}
-	total, longest := 0, 0
 	for i, g := range segs {
 		if g == nil || g.Seq == nil {
 			return nil, fmt.Errorf("core: nil segment %d", i)
@@ -102,23 +80,30 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]
 			return nil, fmt.Errorf("core: sequence %d dim %d, database dim %d: %w",
 				i, g.Seq.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 		}
-		total += len(g.MBRs)
-		longest = max(longest, g.Seq.Len())
 	}
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.pg == nil {
-		return nil, errors.New("core: database closed")
+		return nil, errClosed
 	}
 	if len(db.seqs) > 0 {
 		return nil, errors.New("core: AddAllSegmented requires an empty database")
 	}
+	return db.bulkLoadLocked(segs, leaves, leafFanout)
+}
 
-	ids := make([]uint32, len(segs))
-	for i, g := range segs {
-		g.Seq.ID = uint32(i)
-		ids[i] = uint32(i)
+// bulkLoadLocked is the bulk load of an empty database, AddAll's and
+// AddAllSegmented's: it builds the R*-tree over every MBR of segs in one
+// pass and installs segs as the directory. Caller holds db.mu.
+func (db *Database) bulkLoadLocked(segs []*Segmented, leaves [][]rtree.Ref, leafFanout int) ([]uint32, error) {
+	total, longest := 0, 0
+	for _, g := range segs {
+		total += len(g.MBRs)
+		longest = max(longest, g.Seq.Len())
+	}
+	if leafFanout != db.tree.MaxEntries() {
+		leaves = nil // grouping computed for a different page layout
 	}
 	if leaves != nil {
 		leafItems, err := leavesToItems(segs, leaves, total)
@@ -138,6 +123,11 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]
 		if err := db.tree.BulkLoad(items); err != nil {
 			return nil, err
 		}
+	}
+	ids := make([]uint32, len(segs))
+	for i, g := range segs {
+		g.Seq.ID = uint32(i)
+		ids[i] = uint32(i)
 	}
 	db.seqs = segs
 	db.live = len(segs)
@@ -222,10 +212,14 @@ func (c *refCover) complete() error {
 	return nil
 }
 
-// partitionAll validates every sequence and partitions them in parallel
-// (partitioning is CPU-bound and independent), without touching any
-// database state that needs the lock.
-func (db *Database) partitionAll(seqs []*Sequence) ([]*Segmented, error) {
+// PartitionAll validates seqs, each of which must have dim dimensions, and
+// partitions them under cfg in parallel across GOMAXPROCS workers
+// (partitioning is CPU-bound and independent). It is the one bulk
+// partitioner: AddAll, the store's Build and v1 reads, and the
+// transaction layer's snapshot reload all call it. Errors name the
+// sequence and wrap geom.ErrDimensionMismatch or ErrNonFinite where those
+// apply.
+func PartitionAll(seqs []*Sequence, dim int, cfg PartitionConfig) ([]*Segmented, error) {
 	if len(seqs) == 0 {
 		return nil, nil
 	}
@@ -233,9 +227,9 @@ func (db *Database) partitionAll(seqs []*Sequence) ([]*Segmented, error) {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("core: sequence %d: %w", i, err)
 		}
-		if s.Dim() != db.opts.Dim {
-			return nil, fmt.Errorf("core: sequence %d dim %d, database dim %d: %w",
-				i, s.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
+		if s.Dim() != dim {
+			return nil, fmt.Errorf("core: sequence %d dim %d, want %d: %w",
+				i, s.Dim(), dim, geom.ErrDimensionMismatch)
 		}
 	}
 	segs := make([]*Segmented, len(seqs))
@@ -247,7 +241,7 @@ func (db *Database) partitionAll(seqs []*Sequence) ([]*Segmented, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				segs[i], errs[i] = NewSegmented(seqs[i], db.opts.Partition)
+				segs[i], errs[i] = NewSegmented(seqs[i], cfg)
 			}
 		}()
 	}

@@ -87,58 +87,16 @@ func NewDatabase(opts Options) (*Database, error) {
 	return &Database{opts: opts, pg: pg, tree: tree}, nil
 }
 
-// OpenDatabase reattaches to an existing index file created by a database
-// with the same options, restoring the given sequences (in their original
-// Add order). Partitioning is deterministic, so each sequence's MBRs are
-// recomputed rather than stored; the index is validated against them
-// (the entry count must match, and the leaf refs must name every MBR
-// exactly once) instead of being rebuilt. Options.Path is
-// required and must point at the previously flushed index.
-func OpenDatabase(opts Options, seqs []*Sequence) (*Database, error) {
-	db, err := openIndexed(opts)
-	if err != nil {
-		return nil, err
-	}
-	opts = db.opts // defaults applied
-	total := 0
-	for i, s := range seqs {
-		if err := s.Validate(); err != nil {
-			db.pg.Close()
-			return nil, fmt.Errorf("core: sequence %d: %w", i, err)
-		}
-		if s.Dim() != opts.Dim {
-			db.pg.Close()
-			return nil, fmt.Errorf("core: sequence %d dim %d, want %d", i, s.Dim(), opts.Dim)
-		}
-		g, err := NewSegmented(s, opts.Partition)
-		if err != nil {
-			db.pg.Close()
-			return nil, err
-		}
-		s.ID = uint32(i)
-		db.seqs = append(db.seqs, g)
-		db.live++
-		db.longest = max(db.longest, s.Len())
-		total += len(g.MBRs)
-	}
-	if total != db.tree.Len() {
-		db.pg.Close()
-		return nil, fmt.Errorf("core: index holds %d entries but sequences partition into %d (stale index or different partition config?)",
-			db.tree.Len(), total)
-	}
-	if err := db.checkIndexRefs(); err != nil {
-		db.pg.Close()
-		return nil, err
-	}
-	return db, nil
-}
-
-// OpenDatabaseSegmented is OpenDatabase for an already-partitioned
-// corpus — the v2 store's restart path, where the segment file supplies
-// Segmenteds by aliasing and the index pages already exist on disk, so
-// neither partitioning nor index rebuild runs. The same staleness checks
-// apply: the index must hold exactly the corpus's MBR count, and its leaf
-// refs must name every MBR of the corpus exactly once.
+// OpenDatabaseSegmented reattaches to an existing index file created by a
+// database with the same options, restoring the given partitioned corpus
+// (in its original Add order) without rebuilding the index — the one
+// reattach: the store's restart path, where the segment file supplies
+// Segmenteds by aliasing, and mdseq.OpenExisting, which partitions its
+// sequences first (partitioning is deterministic). The index is validated
+// against the corpus instead: it must hold exactly the corpus's MBR count,
+// and its leaf refs must name every MBR of the corpus exactly once.
+// Options.Path is required and must point at the previously flushed
+// index.
 func OpenDatabaseSegmented(opts Options, segs []*Segmented) (*Database, error) {
 	db, err := openIndexed(opts)
 	if err != nil {
@@ -196,7 +154,7 @@ func openIndexed(opts Options) (*Database, error) {
 		return nil, fmt.Errorf("core: invalid dimension %d", opts.Dim)
 	}
 	if opts.Path == "" {
-		return nil, errors.New("core: OpenDatabase requires Options.Path")
+		return nil, errors.New("core: OpenDatabaseSegmented requires Options.Path")
 	}
 	if opts.Partition == (PartitionConfig{}) {
 		opts.Partition = DefaultPartitionConfig()
@@ -221,8 +179,8 @@ func openIndexed(opts Options) (*Database, error) {
 }
 
 // Flush persists all dirty index pages and metadata to the backing file
-// (a no-op for in-memory databases). After a Flush, OpenDatabase can
-// reattach to the file.
+// (a no-op for in-memory databases). After a Flush, OpenDatabaseSegmented
+// can reattach to the file.
 func (db *Database) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -66,13 +66,6 @@ func (s *IntervalSet) Add(r PointRange) {
 	s.ranges = slices.Replace(s.ranges, i, j, r)
 }
 
-// AddSet merges every range of t into s.
-func (s *IntervalSet) AddSet(t *IntervalSet) {
-	for _, r := range t.ranges {
-		s.Add(r)
-	}
-}
-
 // Ranges returns the normalized ranges (read-only view).
 func (s *IntervalSet) Ranges() []PointRange { return s.ranges }
 

@@ -100,17 +100,6 @@ func TestIntervalIntersectCount(t *testing.T) {
 	}
 }
 
-func TestIntervalAddSet(t *testing.T) {
-	var a, b IntervalSet
-	a.Add(PointRange{0, 5})
-	b.Add(PointRange{3, 8})
-	b.Add(PointRange{20, 22})
-	a.AddSet(&b)
-	if a.NumPoints() != 10 {
-		t.Errorf("AddSet NumPoints = %d, want 10", a.NumPoints())
-	}
-}
-
 func TestIntervalString(t *testing.T) {
 	var s IntervalSet
 	if s.String() != "{}" {

@@ -539,7 +539,7 @@ func TestDTWRangeKeepsLongTie(t *testing.T) {
 		"AddAllSegmented": func(db *Database, s *Sequence) error {
 			g, err := NewSegmented(s, db.PartitionConfig())
 			if err == nil {
-				_, err = db.AddAllSegmented([]*Segmented{g}, nil)
+				_, err = db.AddAllSegmented([]*Segmented{g}, nil, 0)
 			}
 			return err
 		},

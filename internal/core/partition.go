@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -77,10 +78,10 @@ func (c PartitionConfig) mcostGrown(r geom.Rect, p geom.Point, count int) float6
 }
 
 // Partition segments a sequence into MBRs with the paper's greedy
-// marginal-cost rule: a point joins the current MBR unless doing so would
-// increase the per-point cost or overflow the cap, in which case it starts
-// a new MBR. Consecutive MBRs cover contiguous, non-overlapping index
-// ranges whose union is the whole sequence.
+// marginal-cost rule. The loop is the query segmentation's
+// (searchScratch.segmentQuery), run in a pooled scratch; the result is
+// copied out at its exact size, and the returned rects alias two bound
+// arrays the whole partitioning shares.
 func Partition(s *Sequence, cfg PartitionConfig) ([]MBRInfo, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -88,28 +89,22 @@ func Partition(s *Sequence, cfg PartitionConfig) ([]MBRInfo, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	var out []MBRInfo
-	// The candidate cost is evaluated with mcostGrown instead of cloning
-	// and extending a trial rectangle (two allocations per point in the
-	// original); the rectangle is grown in place only once the point is
-	// accepted. RectFromPoint clones, so the growth never aliases s.Points.
-	cur := MBRInfo{Rect: geom.RectFromPoint(s.Points[0]), Start: 0, End: 1}
-	curCost := cfg.mcost(cur.Rect, 1)
-	for i := 1; i < len(s.Points); i++ {
-		p := s.Points[i]
-		grownCost := cfg.mcostGrown(cur.Rect, p, cur.Count()+1)
-		if grownCost > curCost || cur.Count() >= cfg.MaxPoints {
-			out = append(out, cur)
-			cur = MBRInfo{Rect: geom.RectFromPoint(p), Start: i, End: i + 1}
-			curCost = cfg.mcost(cur.Rect, 1)
-			continue
-		}
-		cur.Rect.ExtendPoint(p)
-		cur.End = i + 1
-		curCost = grownCost
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.segmentQuery(s, cfg)
+	d := s.Dim()
+	mbrs := slices.Clone(sc.qmbrs)
+	aliasBounds(mbrs, slices.Clone(sc.qlo[:len(mbrs)*d]), slices.Clone(sc.qhi[:len(mbrs)*d]), d)
+	return mbrs, nil
+}
+
+// aliasBounds points each MBR's rect at its bounds in the columnar arrays:
+// MBR j's at lo/hi[j*d:(j+1)*d], capped so that an append to one rect's
+// side reallocates instead of writing into the next MBR's.
+func aliasBounds(mbrs []MBRInfo, lo, hi []float64, d int) {
+	for j := range mbrs {
+		mbrs[j].Rect = geom.Rect{L: lo[j*d : (j+1)*d : (j+1)*d], H: hi[j*d : (j+1)*d : (j+1)*d]}
 	}
-	out = append(out, cur)
-	return out, nil
 }
 
 // Segmented couples a sequence with its partitioning; it is the stored
@@ -170,11 +165,8 @@ func (g *Segmented) syncSoA() {
 	for j := range g.MBRs {
 		copy(lo[j*d:(j+1)*d], g.MBRs[j].Rect.L)
 		copy(hi[j*d:(j+1)*d], g.MBRs[j].Rect.H)
-		g.MBRs[j].Rect = geom.Rect{
-			L: lo[j*d : (j+1)*d : (j+1)*d],
-			H: hi[j*d : (j+1)*d : (j+1)*d],
-		}
 	}
+	aliasBounds(g.MBRs, lo, hi, d)
 	g.Flat, g.Lo, g.Hi, g.Starts = flat, lo, hi, startsOf(g.MBRs)
 }
 
@@ -243,12 +235,6 @@ func (g *Segmented) Bounds() geom.Rect {
 		r.ExtendRect(g.MBRs[j].Rect)
 	}
 	return r
-}
-
-// PointsIn returns the points covered by MBR j.
-func (g *Segmented) PointsIn(j int) []geom.Point {
-	m := g.MBRs[j]
-	return g.Seq.Points[m.Start:m.End]
 }
 
 // CheckPartition verifies partition invariants (for tests and debugging):

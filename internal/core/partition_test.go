@@ -140,21 +140,6 @@ func TestMCOST(t *testing.T) {
 	}
 }
 
-func TestPointsIn(t *testing.T) {
-	s := seqFromCoords(0.1, 0.11, 0.12, 0.9, 0.91)
-	g, err := NewSegmented(s, DefaultPartitionConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for j := range g.MBRs {
-		total += len(g.PointsIn(j))
-	}
-	if total != s.Len() {
-		t.Errorf("PointsIn covers %d points, want %d", total, s.Len())
-	}
-}
-
 func TestPartitionDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s := randWalkSeq(rng, 200, 3)

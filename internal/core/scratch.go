@@ -88,12 +88,17 @@ func ensureFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// segmentQuery partitions q into the scratch's columnar arrays — the same
-// greedy MCOST rule as Partition, with identical floating-point operation
-// order, so it produces exactly the MBRs NewSegmented would. It writes
-// bounds into qlo/qhi (pre-sized to the worst case of one MBR per point,
-// so the aliased qmbrs rects never dangle) and rebuilds qmbrs. The query
-// must already be validated.
+// segmentQuery is PARTITIONING_SEQUENCE (Section 3.4.3), the one
+// implementation of the greedy MCOST rule: Partition runs it too, in a
+// pooled scratch, so a query and a stored sequence are cut by the same
+// loop. A point joins the current MBR unless doing so would increase the
+// per-point cost or overflow the cap, in which case it starts a new MBR;
+// consecutive MBRs cover contiguous, non-overlapping index ranges whose
+// union is the whole sequence. The candidate cost is evaluated with
+// mcostGrown, and the current MBR grows in place only once a point is
+// accepted. Bounds are written into qlo/qhi, pre-sized to the worst case
+// of one MBR per point so the aliased qmbrs rects never dangle, and qmbrs
+// is rebuilt. q must already be validated.
 func (sc *searchScratch) segmentQuery(q *Sequence, cfg PartitionConfig) {
 	d := q.Dim()
 	n := q.Len()

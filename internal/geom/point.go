@@ -111,15 +111,6 @@ func (p Point) DistSq(q Point) float64 {
 // Dist2 is a compatibility alias for DistSq, kept for existing callers.
 func (p Point) Dist2(q Point) float64 { return p.DistSq(q) }
 
-// Norm returns the Euclidean norm of p.
-func (p Point) Norm() float64 {
-	var s float64
-	for _, v := range p {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Clamp returns a copy of p with every coordinate clamped to [lo, hi].
 func (p Point) Clamp(lo, hi float64) Point {
 	r := make(Point, len(p))

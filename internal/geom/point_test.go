@@ -185,15 +185,6 @@ func TestDistToSimilarityMonotone(t *testing.T) {
 	}
 }
 
-func TestPointNorm(t *testing.T) {
-	if got := (Point{3, 4}).Norm(); !almostEqual(got, 5) {
-		t.Errorf("Norm = %g, want 5", got)
-	}
-	if got := (Point{}).Norm(); got != 0 {
-		t.Errorf("empty Norm = %g, want 0", got)
-	}
-}
-
 func TestPointString(t *testing.T) {
 	got := Point{0.5, 0.25}.String()
 	want := "(0.5000, 0.2500)"

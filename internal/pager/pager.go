@@ -52,9 +52,6 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Fetches)
 }
 
-// DiskAccesses returns physical reads + writes — the paper's "DA".
-func (s Stats) DiskAccesses() uint64 { return s.Reads + s.Writes }
-
 // Options configures a Pager.
 type Options struct {
 	// PageSize is the size of every page in bytes. 0 means DefaultPageSize.

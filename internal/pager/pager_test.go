@@ -209,9 +209,6 @@ func TestHitRatioAndDiskAccesses(t *testing.T) {
 	if s.HitRatio() != 0.5 {
 		t.Errorf("HitRatio = %g", s.HitRatio())
 	}
-	if s.DiskAccesses() != 5 {
-		t.Errorf("DiskAccesses = %d", s.DiskAccesses())
-	}
 }
 
 func TestViewAndUpdate(t *testing.T) {

@@ -71,7 +71,7 @@ func everywhere(dim int) geom.Rect {
 
 // TestCyclicChildRefused opens a tree file whose root's first child pointer
 // names the root itself, as a corrupt index.db reattached by
-// core.OpenDatabase would be. Every walk must end with an error. The
+// core.OpenDatabaseSegmented would be. Every walk must end with an error. The
 // range probe used to recurse until the stack overflowed — a fatal error
 // no caller recovers from — and the best-first walk never ended.
 func TestCyclicChildRefused(t *testing.T) {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -12,7 +11,7 @@ import (
 // segmentedBulkLoader is satisfied by nodes that can ingest an
 // already-partitioned corpus without re-partitioning (*core.Database).
 type segmentedBulkLoader interface {
-	AddAllSegmented(segs []*core.Segmented, leaves [][]rtree.Ref) ([]uint32, error)
+	AddAllSegmented(segs []*core.Segmented, leaves [][]rtree.Ref, leafFanout int) ([]uint32, error)
 }
 
 // AddAllSegmented bulk-loads a pre-partitioned, pre-placed corpus:
@@ -22,18 +21,21 @@ type segmentedBulkLoader interface {
 // against the label-hash rule (ShardFor), so a group file copied across
 // topologies fails closed instead of landing on the wrong shard. leaves,
 // when non-nil, carries per-shard packed R*-tree leaf groupings (refs by
-// position within the shard's group, exactly what core.AddAllSegmented
-// validates); pass nil to let each shard tile its own leaves. All
-// shards must be empty. Global ids are assigned exactly as AddAll would
-// have: dense local ids interleaved by the shard-count stride.
-func (s *ShardedDB) AddAllSegmented(groups [][]*core.Segmented, leaves [][][]rtree.Ref) error {
+// position within the shard's group) and leafFanouts the fanout each was
+// packed for, both passed on to core.AddAllSegmented, which decides
+// whether a grouping fits; pass nil to let each shard tile its own
+// leaves. All shards must be empty. Global ids are assigned exactly as
+// AddAll would have: dense local ids interleaved by the shard-count
+// stride.
+func (s *ShardedDB) AddAllSegmented(groups [][]*core.Segmented, leaves [][][]rtree.Ref, leafFanouts []int) error {
 	n := len(s.shards)
 	if len(groups) != n {
 		return fmt.Errorf("shard: %d segment groups for %d shards", len(groups), n)
 	}
-	if leaves != nil && len(leaves) != n {
-		return fmt.Errorf("shard: %d leaf groups for %d shards", len(leaves), n)
+	if leaves != nil && (len(leaves) != n || len(leafFanouts) != n) {
+		return fmt.Errorf("shard: %d leaf groups and %d fanouts for %d shards", len(leaves), len(leafFanouts), n)
 	}
+	seqs := make([][]*core.Sequence, n)
 	total := 0
 	for sh, group := range groups {
 		for k, g := range group {
@@ -44,57 +46,26 @@ func (s *ShardedDB) AddAllSegmented(groups [][]*core.Segmented, leaves [][][]rtr
 				return fmt.Errorf("shard: sequence %q placed on shard %d, label hashes to %d",
 					g.Seq.Label, sh, ShardFor(g.Seq.Label, n))
 			}
+			seqs[sh] = append(seqs[sh], g.Seq)
 		}
 		total += len(group)
 	}
 	if total == 0 {
 		return nil
 	}
-
-	errs := make([]error, n)
-	sem := make(chan struct{}, scatterWorkers(n))
-	var wg sync.WaitGroup
-	for sh := 0; sh < n; sh++ {
-		if len(groups[sh]) == 0 {
-			continue
+	return s.bulkLoad(seqs, func(sh int) ([]uint32, error) {
+		bl, ok := s.shards[sh].(segmentedBulkLoader)
+		if !ok {
+			return nil, fmt.Errorf("shard: node %d cannot bulk-load segments", sh)
 		}
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			bl, ok := s.shards[sh].(segmentedBulkLoader)
-			if !ok {
-				errs[sh] = fmt.Errorf("shard: node %d cannot bulk-load segments", sh)
-				return
-			}
-			var lv [][]rtree.Ref
-			if leaves != nil {
-				lv = leaves[sh]
-			}
-			locals, err := bl.AddAllSegmented(groups[sh], lv)
-			if err != nil {
-				errs[sh] = err
-				return
-			}
-			for j, local := range locals {
-				groups[sh][j].Seq.ID = s.globalID(sh, local)
-			}
-		}(sh)
-	}
-	wg.Wait()
-	for sh, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard: shard %d: %w", sh, err)
+		if leaves == nil {
+			return bl.AddAllSegmented(groups[sh], nil, 0)
 		}
-	}
-	// The shards were empty, so no cached answer covered a stored
-	// sequence: the empty rect, which invalidates everything, is exact
-	// and spares a union over every MBR of the corpus.
-	s.notifyWrite(geom.Rect{})
-	if m := s.metrics(); m != nil {
-		m.core.RecordBulkAdd(total)
-		m.core.SetShape(s.Len(), s.NumMBRs())
-	}
-	return nil
+		return bl.AddAllSegmented(groups[sh], leaves[sh], leafFanouts[sh])
+	}, func() geom.Rect {
+		// The shards were empty, so no cached answer covered a stored
+		// sequence: the empty rect, which invalidates everything, is exact
+		// and spares a union over every MBR of the corpus.
+		return geom.Rect{}
+	})
 }

@@ -230,64 +230,83 @@ func (s *ShardedDB) Add(seq *core.Sequence) (uint32, error) {
 }
 
 // AddAll bulk-loads a corpus: sequences are grouped by placement and each
-// shard ingests its group concurrently (bounded by GOMAXPROCS), hitting
-// the per-shard STR bulk-load path when the shard is empty. Returned
-// global ids are in input order.
+// shard ingests its group concurrently (bulkLoad), hitting the per-shard
+// STR bulk-load path when the shard is empty. Returned global ids are in
+// input order.
 func (s *ShardedDB) AddAll(seqs []*core.Sequence) ([]uint32, error) {
 	if len(seqs) == 0 {
 		return nil, nil
 	}
 	n := len(s.shards)
 	groups := make([][]*core.Sequence, n)
-	positions := make([][]int, n) // positions[sh][j] = input index of groups[sh][j]
-	for i, seq := range seqs {
+	for _, seq := range seqs {
 		sh := ShardFor(seq.Label, n)
 		groups[sh] = append(groups[sh], seq)
-		positions[sh] = append(positions[sh], i)
 	}
-
+	err := s.bulkLoad(groups, func(sh int) ([]uint32, error) {
+		return s.shards[sh].AddAll(groups[sh])
+	}, func() geom.Rect {
+		// One region notification covers the whole batch.
+		var wrote geom.Rect
+		for _, seq := range seqs {
+			wrote.ExtendRect(geom.BoundingRect(seq.Points))
+		}
+		return wrote
+	})
+	if err != nil {
+		return nil, err
+	}
 	ids := make([]uint32, len(seqs))
+	for i, seq := range seqs {
+		ids[i] = seq.ID
+	}
+	return ids, nil
+}
+
+// bulkLoad is the fan-out of both bulk loads, AddAll and
+// AddAllSegmented: load(sh) ingests groups[sh] on shard sh for every
+// non-empty group, at most scatterWorkers shards at once, and the local
+// ids it returns, in group order, are stamped into the group's sequences
+// as global ids. Once every shard has succeeded the cache is told the
+// region wrote returns and the batch is recorded.
+func (s *ShardedDB) bulkLoad(groups [][]*core.Sequence, load func(sh int) ([]uint32, error), wrote func() geom.Rect) error {
+	n := len(s.shards)
+	total := 0
 	errs := make([]error, n)
 	sem := make(chan struct{}, scatterWorkers(n))
 	var wg sync.WaitGroup
-	for sh := 0; sh < n; sh++ {
-		if len(groups[sh]) == 0 {
+	for sh, group := range groups {
+		if len(group) == 0 {
 			continue
 		}
+		total += len(group)
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			locals, err := s.shards[sh].AddAll(groups[sh])
+			locals, err := load(sh)
 			if err != nil {
 				errs[sh] = err
 				return
 			}
 			for j, local := range locals {
-				g := s.globalID(sh, local)
-				groups[sh][j].ID = g
-				ids[positions[sh][j]] = g
+				groups[sh][j].ID = s.globalID(sh, local)
 			}
 		}(sh)
 	}
 	wg.Wait()
 	for sh, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", sh, err)
+			return fmt.Errorf("shard: shard %d: %w", sh, err)
 		}
 	}
-	// One region notification covers the whole batch.
-	var wrote geom.Rect
-	for _, seq := range seqs {
-		wrote.ExtendRect(geom.BoundingRect(seq.Points))
-	}
-	s.notifyWrite(wrote)
+	s.notifyWrite(wrote())
 	if m := s.metrics(); m != nil {
-		m.core.RecordBulkAdd(len(seqs))
+		m.core.RecordBulkAdd(total)
 		m.core.SetShape(s.Len(), s.NumMBRs())
 	}
-	return ids, nil
+	return nil
 }
 
 // Remove deletes the sequence with the given global id.

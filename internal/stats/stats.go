@@ -22,20 +22,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation (0 for fewer than two
-// samples).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs with linear
 // interpolation between order statistics (type-7, the common default).
 // It errors on an empty slice or out-of-range q.
@@ -69,17 +55,4 @@ func Median(xs []float64) float64 {
 		return 0
 	}
 	return m
-}
-
-// MinMax returns the extremes (0, 0 for an empty slice).
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	return lo, hi
 }

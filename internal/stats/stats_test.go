@@ -20,19 +20,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{5}); got != 0 {
-		t.Errorf("single-sample StdDev = %g", got)
-	}
-	// Population stddev of {2,4,4,4,5,5,7,9} is 2.
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEqual(got, 2) {
-		t.Errorf("StdDev = %g, want 2", got)
-	}
-	if got := StdDev([]float64{3, 3, 3}); got != 0 {
-		t.Errorf("constant StdDev = %g", got)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	cases := []struct {
@@ -115,16 +102,5 @@ func TestMedianMatchesSort(t *testing.T) {
 	}
 	if Median(nil) != 0 {
 		t.Error("Median(nil) should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = (%g, %g)", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Errorf("empty MinMax = (%g, %g)", lo, hi)
 	}
 }

@@ -2,69 +2,30 @@ package store
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/rtree"
 )
 
 // Build is the parallel bulk-build pipeline: the corpus is validated and
-// MCOST-partitioned into columnar segment form across GOMAXPROCS
-// workers, a single merge pass computes the packed R*-tree leaf grouping
-// (STR, bottom-up) over every partition MBR, and the result is committed
-// crash-safely to dir as a v2 store. The written store opens with
-// zero-copy Load — no re-partitioning, no one-at-a-time tree inserts.
+// MCOST-partitioned into columnar segment form across GOMAXPROCS workers
+// (core.PartitionAll), a single merge pass computes the packed R*-tree
+// leaf grouping (STR, bottom-up) over every partition MBR, and the result
+// is committed crash-safely to dir as a v2 store, index pages included.
+// The written store opens with zero-copy Load — no re-partitioning, no
+// one-at-a-time tree inserts.
 func Build(dir string, seqs []*core.Sequence, cfg core.PartitionConfig) error {
 	if len(seqs) == 0 {
 		return errors.New("store: refusing to build an empty store")
 	}
 	dim := seqs[0].Dim()
-	segs, err := buildSegments(seqs, dim, cfg)
+	segs, err := core.PartitionAll(seqs, dim, cfg)
 	if err != nil {
 		return err
 	}
 	return saveAtomic(dir, func(tmp string) error {
-		return writeDirV2(tmp, dim, cfg, segs)
+		return writeDirV2(tmp, dim, cfg, segs, true)
 	})
-}
-
-// buildSegments validates and partitions seqs in parallel — the fan-out
-// stage of Build, also used to upgrade v1 shard directories on load.
-func buildSegments(seqs []*core.Sequence, dim int, cfg core.PartitionConfig) ([]*core.Segmented, error) {
-	for i, s := range seqs {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("store: sequence %d: %w", i, err)
-		}
-		if s.Dim() != dim {
-			return nil, fmt.Errorf("store: sequence %d dim %d, want %d", i, s.Dim(), dim)
-		}
-	}
-	segs := make([]*core.Segmented, len(seqs))
-	errs := make([]error, len(seqs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				segs[i], errs[i] = core.NewSegmented(seqs[i], cfg)
-			}
-		}()
-	}
-	for i := range seqs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("store: partitioning sequence %d: %w", i, err)
-		}
-	}
-	return segs, nil
 }
 
 // packLeaves computes the STR leaf grouping of an R*-tree over every

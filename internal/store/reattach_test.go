@@ -57,7 +57,7 @@ func writeIndexWithRefs(t *testing.T, path string, segs []*core.Segmented, ref f
 func TestReattachRefusesForeignRefs(t *testing.T) {
 	seqs := corpusSeqs(11, 20, 3)
 	cfg := core.DefaultPartitionConfig()
-	segs, err := buildSegments(seqs, 3, cfg)
+	segs, err := core.PartitionAll(seqs, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestReattachRefusesForeignRefs(t *testing.T) {
 func TestReadSegmentsAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
 		seqs := corpusSeqs(int64(n), n, 3)
-		segs, err := buildSegments(seqs, 3, core.DefaultPartitionConfig())
+		segs, err := core.PartitionAll(seqs, 3, core.DefaultPartitionConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

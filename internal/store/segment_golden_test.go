@@ -36,7 +36,7 @@ func TestWriteSegmentsGolden(t *testing.T) {
 		}
 		seqs = append(seqs, &core.Sequence{Label: "odd", Points: odd})
 		cfg := core.DefaultPartitionConfig()
-		segs, err := buildSegments(seqs, dim, cfg)
+		segs, err := core.PartitionAll(seqs, dim, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

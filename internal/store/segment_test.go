@@ -45,7 +45,7 @@ func TestSegmentsRoundTrip(t *testing.T) {
 	for _, dim := range []int{2, 3, 8} {
 		seqs := corpusSeqs(int64(dim), 9, dim)
 		cfg := core.DefaultPartitionConfig()
-		segs, err := buildSegments(seqs, dim, cfg)
+		segs, err := core.PartitionAll(seqs, dim, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func writeGoodSegments(t testing.TB, dir string) (string, []byte) {
 	t.Helper()
 	seqs := corpusSeqs(7, 6, 3)
 	cfg := core.DefaultPartitionConfig()
-	segs, err := buildSegments(seqs, 3, cfg)
+	segs, err := core.PartitionAll(seqs, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +276,10 @@ func assertMatchesIdentical(t *testing.T, ctx string, a, b []core.Match) {
 
 // TestFormatAndQuantizationEquivalence: across dims, with and without the
 // quantized prefilter and the file index, a saved and reloaded store
-// answers bit-identically to a freshly built database. The v1 row of the
-// matrix is TestReadsV1Golden's committed fixtures.
+// answers bit-identically to a freshly built database. v1 directories
+// (laid out as the deleted v1 writer did) take the same open path: in
+// memory, a first FileIndex open that builds index.db, and a second that
+// reattaches to it. TestReadsV1Golden holds committed v1 fixtures.
 func TestFormatAndQuantizationEquivalence(t *testing.T) {
 	for _, dim := range []int{2, 4, 8, 16} {
 		seqs := corpusSeqs(int64(200+dim), 12, dim)
@@ -295,22 +297,44 @@ func TestFormatAndQuantizationEquivalence(t *testing.T) {
 			{Points: seqs[7].Points[10:40]},
 		}
 		type variant struct {
-			name string
-			opts LoadOptions
+			name     string
+			v1       bool
+			reattach bool // the v1 directory's index.db exists and must be kept
+			opts     LoadOptions
 		}
 		variants := []variant{
-			{"v2 exact", LoadOptions{}},
-			{"v2 quantized", LoadOptions{Quantized: true}},
-			{"v2 fileindex quantized", LoadOptions{FileIndex: true, Quantized: true}},
+			{"v2 exact", false, false, LoadOptions{}},
+			{"v2 quantized", false, false, LoadOptions{Quantized: true}},
+			{"v2 fileindex quantized", false, false, LoadOptions{FileIndex: true, Quantized: true}},
+			{"v1 exact", true, false, LoadOptions{}},
+			{"v1 fileindex build", true, false, LoadOptions{FileIndex: true}},
+			{"v1 fileindex reattach", true, true, LoadOptions{FileIndex: true}},
 		}
+		v1dir := filepath.Join(t.TempDir(), "v1")
+		writeV1Dir(t, v1dir, corpusSeqs(int64(200+dim), 12, dim), core.DefaultPartitionConfig())
 		for _, v := range variants {
-			dir := filepath.Join(t.TempDir(), "db")
-			if err := Save(ref, dir); err != nil {
-				t.Fatalf("dim=%d %s: save: %v", dim, v.name, err)
+			dir := v1dir
+			if !v.v1 {
+				dir = filepath.Join(t.TempDir(), "db")
+				if err := Save(ref, dir); err != nil {
+					t.Fatalf("dim=%d %s: save: %v", dim, v.name, err)
+				}
+			}
+			var before os.FileInfo
+			if v.reattach {
+				if before, err = os.Stat(filepath.Join(dir, indexFile)); err != nil {
+					t.Fatalf("dim=%d %s: no index to reattach: %v", dim, v.name, err)
+				}
 			}
 			db, err := LoadWith(dir, v.opts)
 			if err != nil {
 				t.Fatalf("dim=%d %s: load: %v", dim, v.name, err)
+			}
+			if v.reattach {
+				after, err := os.Stat(filepath.Join(dir, indexFile))
+				if err != nil || !os.SameFile(before, after) {
+					t.Fatalf("dim=%d %s: index.db was replaced, not reattached (%v)", dim, v.name, err)
+				}
 			}
 			for qi, q := range queries {
 				for _, eps := range []float64{0.05, 0.2} {
@@ -390,40 +414,4 @@ func TestSaveIsAtomicAgainstTornWrites(t *testing.T) {
 		t.Errorf("Len = %d after re-save", loaded.Len())
 	}
 	loaded.Close()
-}
-
-func TestV2LoadSurvivesFanoutChange(t *testing.T) {
-	// A v2 file whose packed leaves were built under a different fanout
-	// must still load (plain bulk load path) with identical results.
-	db, seqs := buildDB(t, 10)
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := Save(db, dir); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the stored treeM so it mismatches, fixing the header CRC.
-	segPath := filepath.Join(dir, segFile)
-	raw, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(raw[56:60], 7777)
-	binary.LittleEndian.PutUint32(raw[76:80], crc32.Checksum(raw[:76], castagnoli))
-	if err := os.WriteFile(segPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(dir, false)
-	if err != nil {
-		t.Fatalf("load with foreign fanout: %v", err)
-	}
-	defer loaded.Close()
-	q := &core.Sequence{Points: seqs[4].Points[5:30]}
-	a, _, err := db.Search(q, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := loaded.Search(q, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesIdentical(t, "fanout change", a, b)
 }

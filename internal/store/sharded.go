@@ -12,16 +12,16 @@ import (
 	"repro/internal/shard"
 )
 
-// Sharded store layout: a shard-count record plus one single-node store
-// directory per shard, each read in either format (empty shards keep
-// only their meta file):
+// Sharded store layout: a shard-count record plus one store directory per
+// shard, each read in either format and holding no index pages (empty
+// shards keep only their meta file):
 //
 //	dir/
 //	  shards.bin     "MDSSHRD1" + u16 shard count
 //	  shard000/      meta.bin [+ sequences.mds | segments.sg2]
 //	  shard001/
 //	  ...
-//	  index.db.shard<i>   per-shard index pages (fileIndex loads only)
+//	  index.db.shard<i>   per-shard index pages, rebuilt by every FileIndex load
 //
 // Placement is not serialized: it is recomputed on load from the stable
 // label-hash rule, which reproduces the saved placement exactly for the
@@ -74,18 +74,19 @@ func SaveSharded(db *shard.ShardedDB, dir string) error {
 	})
 }
 
-// writeShardDir serializes one shard node into sub. The node's live
-// segments are written directly when it exposes them; nodes that do not
-// (e.g. transactional wrappers) are re-partitioned first.
+// writeShardDir serializes one shard node into sub, without index pages.
+// The node's live segments are written directly when it exposes them;
+// nodes that do not (e.g. transactional wrappers) are re-partitioned
+// first.
 func writeShardDir(sub string, node shard.Node, dim int, cfg core.PartitionConfig) error {
 	if ss, ok := node.(segmentSource); ok {
-		return writeDirV2(sub, dim, cfg, ss.LiveSegments())
+		return writeDirV2(sub, dim, cfg, ss.LiveSegments(), false)
 	}
-	segs, err := buildSegments(node.Sequences(), dim, cfg)
+	segs, err := core.PartitionAll(node.Sequences(), dim, cfg)
 	if err != nil {
 		return err
 	}
-	return writeDirV2(sub, dim, cfg, segs)
+	return writeDirV2(sub, dim, cfg, segs, false)
 }
 
 // readShardCount parses dir's shard-count record.
@@ -107,8 +108,8 @@ func readShardCount(dir string) (int, error) {
 // LoadSharded reads a store directory and rebuilds a sharded database.
 // A plain single-node store (written by Save) loads as one shard, so
 // old directories keep working. With fileIndex set, each shard's index
-// pages live in a file under its shard directory; otherwise indexes are
-// in memory.
+// pages are rebuilt into index.db.shard<i> under dir (index.db for one
+// shard); otherwise indexes are in memory.
 func LoadSharded(dir string, fileIndex bool) (*shard.ShardedDB, error) {
 	return LoadShardedWith(dir, LoadOptions{FileIndex: fileIndex})
 }
@@ -133,6 +134,7 @@ func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 
 	groups := make([][]*core.Segmented, n)
 	leaves := make([][][]rtree.Ref, n)
+	fanouts := make([]int, n)
 	dim, cfg := 0, core.PartitionConfig{}
 	total := 0
 	for i := 0; i < n; i++ {
@@ -152,10 +154,7 @@ func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 		} else if d != dim || c != cfg {
 			return nil, fmt.Errorf("%w: shard %d config differs from shard 0", ErrBadStore, i)
 		}
-		if fanout, _, ferr := rtree.CapacityFor(0, d, 0); ferr != nil || fanout != treeM {
-			lv = nil // stored grouping targets a different fanout
-		}
-		groups[i], leaves[i] = segs, lv
+		groups[i], leaves[i], fanouts[i] = segs, lv, treeM
 		total += len(segs)
 	}
 	if total == 0 {
@@ -178,7 +177,7 @@ func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sdb.AddAllSegmented(groups, leaves); err != nil {
+	if err := sdb.AddAllSegmented(groups, leaves, fanouts); err != nil {
 		sdb.Close()
 		return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
 	}

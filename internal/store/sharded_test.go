@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -81,6 +82,44 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("search after reload: %v, want %v", got, wantLabels)
 			}
 		})
+	}
+}
+
+// TestShardedSaveWritesNoIndexPages: SaveSharded leaves no index.db in any
+// shard directory, since no sharded load reads one, and the saved store
+// answers bit-equal to the saved database loaded in memory and with
+// FileIndex (which builds its own index files).
+func TestShardedSaveWritesNoIndexPages(t *testing.T) {
+	seqs := shardedCorpus(t, 30, 23)
+	sdb, err := shard.New(core.Options{Dim: 3}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdb.Close()
+	if _, err := sdb.AddAll(seqs); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := SaveSharded(sdb, dir); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		path := filepath.Join(dir, fmt.Sprintf(shardDirFormat, i), indexFile)
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("shard %d: %s exists (stat: %v)", i, indexFile, err)
+		}
+	}
+	queries := []*core.Sequence{
+		{Points: seqs[2].Points[:20]},
+		{Points: seqs[11].Points[5:40]},
+	}
+	for _, o := range []LoadOptions{{}, {FileIndex: true}} {
+		loaded, err := LoadShardedWith(dir, o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		assertAnswersIdentical(t, fmt.Sprintf("%+v", o), sdb, loaded, queries)
+		loaded.Close()
 	}
 }
 

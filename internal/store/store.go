@@ -8,13 +8,16 @@
 // maps (or one-shot reads) the file and aliases the Segmented
 // Flat/Lo/Hi arrays in place, then packs the tree bottom-up from the
 // stored leaves: no per-sequence deserialization and no re-partitioning.
-// See segment.go for the exact layout.
+// See segment.go for the exact layout. A single-node store (Save, Build)
+// also carries the packed tree's pages as index.db, which a FileIndex
+// load reattaches; the shard directories of a sharded store carry none.
 //
 // v1 (read-only legacy): sequence data in seqio records plus a metadata
 // file, as directories written before v2 hold. Load re-partitions every
-// sequence to rebuild the index — partitioning is deterministic, so the
-// reconstructed database is equivalent, but the rebuild decodes and
-// re-segments every point. Saving a loaded v1 store rewrites it as v2.
+// sequence (core.PartitionAll) and from there opens as v2 does —
+// partitioning is deterministic, so the reconstructed database is
+// equivalent, but the rebuild decodes and re-segments every point. Saving
+// a loaded v1 store rewrites it as v2.
 //
 // Stores are written crash-safely: the replacement directory is fully
 // staged and fsynced beside the target, then swapped in by rename (see
@@ -89,13 +92,14 @@ func readMeta(dir string) (dim int, cfg core.PartitionConfig, err error) {
 	return dim, cfg, nil
 }
 
-// writeDirV2 writes one v2 database directory (meta, the columnar
-// segment file, and the packed R*-tree pages as index.db) into dir,
-// which must already exist; all files are fsynced. Empty segment sets
-// write only the meta file. Baking the index pages in at save time is
-// what makes the v2 cold open a pure reattach: Load maps the segments
-// and opens the prebuilt pages with no partitioning and no tree build.
-func writeDirV2(dir string, dim int, cfg core.PartitionConfig, segs []*core.Segmented) error {
+// writeDirV2 writes one v2 database directory (meta and the columnar
+// segment file) into dir, which must already exist; all files are
+// fsynced. Empty segment sets write only the meta file. With bake set it
+// also writes the packed R*-tree pages as index.db: that makes a
+// single-node FileIndex open a pure reattach, with no partitioning and no
+// tree build. Sharded stores do not bake, since no sharded load reads
+// them (LoadShardedWith builds its index files afresh).
+func writeDirV2(dir string, dim int, cfg core.PartitionConfig, segs []*core.Segmented, bake bool) error {
 	if len(segs) > 0 {
 		leaves, treeM, err := packLeaves(segs, dim)
 		if err != nil {
@@ -104,8 +108,10 @@ func writeDirV2(dir string, dim int, cfg core.PartitionConfig, segs []*core.Segm
 		if err := writeSegmentsFile(filepath.Join(dir, segFile), dim, cfg, segs, leaves, treeM); err != nil {
 			return err
 		}
-		if err := writeIndexV2(dir, dim, cfg, segs, leaves, treeM); err != nil {
-			return err
+		if bake {
+			if err := writeIndexV2(dir, dim, cfg, segs, leaves, treeM); err != nil {
+				return err
+			}
 		}
 	}
 	return writeMeta(dir, dim, cfg)
@@ -128,10 +134,7 @@ func writeIndexV2(dir string, dim int, cfg core.PartitionConfig, segs []*core.Se
 	if err != nil {
 		return err
 	}
-	if db.IndexFanout() != treeM {
-		leaves = nil
-	}
-	if _, err := db.AddAllSegmented(detached, leaves); err != nil {
+	if _, err := db.AddAllSegmented(detached, leaves, treeM); err != nil {
 		db.Close()
 		return err
 	}
@@ -145,45 +148,19 @@ func writeIndexV2(dir string, dim int, cfg core.PartitionConfig, segs []*core.Se
 	return syncFile(path)
 }
 
-// hasSegments reports whether dir carries a v2 segment file — the
-// format sniff loads negotiate on (v2 wins when present).
-func hasSegments(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, segFile))
-	return err == nil
-}
-
-// loadDir reads the sequences of one v1 database directory.
-func loadDir(dir string) (dim int, cfg core.PartitionConfig, seqs []*core.Sequence, err error) {
+// loadDirCorpus reads one database directory in either format and
+// returns its contents in segment form. The format is sniffed from the
+// directory (a segment file wins): v2 directories alias their segment
+// file; v1 directories are re-partitioned in parallel
+// (core.PartitionAll). Empty directories return nil segments.
+func loadDirCorpus(dir string) (dim int, cfg core.PartitionConfig, segs []*core.Segmented, leaves [][]rtree.Ref, treeM int, err error) {
 	dim, cfg, err = readMeta(dir)
 	if err != nil {
-		return 0, cfg, nil, err
+		return 0, cfg, nil, nil, 0, err
 	}
-	path := filepath.Join(dir, seqFile)
-	if _, statErr := os.Stat(path); statErr != nil {
-		if os.IsNotExist(statErr) {
-			return dim, cfg, nil, nil // empty shard
-		}
-		return 0, cfg, nil, fmt.Errorf("%w: %v", ErrBadStore, statErr)
-	}
-	seqs, err = seqio.ReadFile(path)
-	if err != nil {
-		return 0, cfg, nil, fmt.Errorf("%w: %v", ErrBadStore, err)
-	}
-	return dim, cfg, seqs, nil
-}
-
-// loadDirCorpus reads one database directory in either format and
-// returns its contents in segment form: v2 directories alias their
-// segment file; v1 directories are re-partitioned in parallel (the bulk
-// path — never one-at-a-time inserts). Empty directories return nil
-// segments.
-func loadDirCorpus(dir string) (dim int, cfg core.PartitionConfig, segs []*core.Segmented, leaves [][]rtree.Ref, treeM int, err error) {
-	if hasSegments(dir) {
-		dim, cfg, err = readMeta(dir)
-		if err != nil {
-			return 0, cfg, nil, nil, 0, err
-		}
-		c, err := readSegmentsFile(filepath.Join(dir, segFile))
+	segPath := filepath.Join(dir, segFile)
+	if _, statErr := os.Stat(segPath); statErr == nil {
+		c, err := readSegmentsFile(segPath)
 		if err != nil {
 			return 0, cfg, nil, nil, 0, err
 		}
@@ -192,12 +169,17 @@ func loadDirCorpus(dir string) (dim int, cfg core.PartitionConfig, segs []*core.
 		}
 		return dim, cfg, c.Segs, c.Leaves, c.TreeM, nil
 	}
-	var seqs []*core.Sequence
-	dim, cfg, seqs, err = loadDir(dir)
-	if err != nil || len(seqs) == 0 {
-		return dim, cfg, nil, nil, 0, err
+	path := filepath.Join(dir, seqFile)
+	if _, statErr := os.Stat(path); statErr != nil {
+		if os.IsNotExist(statErr) {
+			return dim, cfg, nil, nil, 0, nil // empty shard
+		}
+		return 0, cfg, nil, nil, 0, fmt.Errorf("%w: %v", ErrBadStore, statErr)
 	}
-	segs, err = buildSegments(seqs, dim, cfg)
+	seqs, err := seqio.ReadFile(path)
+	if err == nil {
+		segs, err = core.PartitionAll(seqs, dim, cfg)
+	}
 	if err != nil {
 		return 0, cfg, nil, nil, 0, fmt.Errorf("%w: %v", ErrBadStore, err)
 	}
@@ -213,7 +195,7 @@ func Save(db *core.Database, dir string) error {
 		return errors.New("store: refusing to save an empty database")
 	}
 	return saveAtomic(dir, func(tmp string) error {
-		return writeDirV2(tmp, db.Dim(), db.PartitionConfig(), segs)
+		return writeDirV2(tmp, db.Dim(), db.PartitionConfig(), segs, true)
 	})
 }
 
@@ -225,22 +207,16 @@ func Load(dir string, fileIndex bool) (*core.Database, error) {
 	return LoadWith(dir, LoadOptions{FileIndex: fileIndex})
 }
 
-// LoadWith is Load with full options. The format is sniffed from the
-// directory contents: a segments.sg2 file selects the zero-copy v2
-// path, otherwise the v1 re-partitioning path runs.
+// LoadWith is Load with full options. Either format opens through
+// loadDirCorpus: a v2 directory aliases its segment file and packs the
+// tree from the stored leaves, a v1 directory is re-partitioned in
+// parallel and STR bulk-loaded. With FileIndex an index.db a previous
+// load or Save left beside the data is reattached when it matches the
+// corpus, and rebuilt otherwise.
 func LoadWith(dir string, o LoadOptions) (*core.Database, error) {
 	if IsSharded(dir) {
 		return nil, fmt.Errorf("%w: %s is a sharded store; use LoadSharded", ErrBadStore, dir)
 	}
-	if hasSegments(dir) {
-		return loadV2(dir, o)
-	}
-	return loadV1(dir, o)
-}
-
-// loadV2 opens a v2 store: alias the segment file, bulk-load the tree
-// from the packed leaves (or plain STR when the fanout changed), done.
-func loadV2(dir string, o LoadOptions) (*core.Database, error) {
 	dim, cfg, segs, leaves, treeM, err := loadDirCorpus(dir)
 	if err != nil {
 		return nil, err
@@ -250,74 +226,27 @@ func loadV2(dir string, o LoadOptions) (*core.Database, error) {
 	}
 	opts := core.Options{Dim: dim, Partition: cfg, QuantizedMBR: o.Quantized}
 	if o.FileIndex {
-		path := filepath.Join(dir, indexFile)
+		opts.Path = filepath.Join(dir, indexFile)
 		// Fast path: reattach to an index a previous Load already built —
-		// with the segments aliased from the file this makes a warm
+		// with v2 segments aliased from the file this makes a warm
 		// restart free of both partitioning and tree packing.
-		if _, statErr := os.Stat(path); statErr == nil {
-			if db, err := core.OpenDatabaseSegmented(
-				core.Options{Dim: dim, Partition: cfg, Path: path, QuantizedMBR: o.Quantized}, segs); err == nil {
+		if _, statErr := os.Stat(opts.Path); statErr == nil {
+			if db, err := core.OpenDatabaseSegmented(opts, segs); err == nil {
 				return db, nil
 			}
 			// Stale or mismatched: rebuild below.
-			if err := os.RemoveAll(path); err != nil {
+			if err := os.RemoveAll(opts.Path); err != nil {
 				return nil, err
 			}
 		}
-		opts.Path = path
 	}
 	db, err := core.NewDatabase(opts)
 	if err != nil {
 		return nil, err
 	}
-	if db.IndexFanout() != treeM {
-		leaves = nil // grouping computed for a different page layout
-	}
-	if _, err := db.AddAllSegmented(segs, leaves); err != nil {
+	if _, err := db.AddAllSegmented(segs, leaves, treeM); err != nil {
 		db.Close()
 		return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
-	}
-	if o.FileIndex {
-		if err := db.Flush(); err != nil {
-			db.Close()
-			return nil, err
-		}
-	}
-	return db, nil
-}
-
-// loadV1 opens a v1 store, re-partitioning through the bulk path.
-func loadV1(dir string, o LoadOptions) (*core.Database, error) {
-	dim, cfg, seqs, err := loadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(seqs) == 0 {
-		return nil, fmt.Errorf("%w: no sequences", ErrBadStore)
-	}
-
-	opts := core.Options{Dim: dim, Partition: cfg, QuantizedMBR: o.Quantized}
-	if o.FileIndex {
-		path := filepath.Join(dir, indexFile)
-		// Fast path: reattach to an index a previous Load already built.
-		if _, statErr := os.Stat(path); statErr == nil {
-			if db, err := core.OpenDatabase(core.Options{Dim: dim, Partition: cfg, Path: path, QuantizedMBR: o.Quantized}, seqs); err == nil {
-				return db, nil
-			}
-			// Stale or mismatched: rebuild below.
-			if err := os.RemoveAll(path); err != nil {
-				return nil, err
-			}
-		}
-		opts.Path = path
-	}
-	db, err := core.NewDatabase(opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := db.AddAll(seqs); err != nil {
-		db.Close()
-		return nil, err
 	}
 	if o.FileIndex {
 		if err := db.Flush(); err != nil {

@@ -61,20 +61,6 @@ func DFTFeatures(signal []float64, m int) (geom.Point, error) {
 	return out, nil
 }
 
-// SlidingWindow embeds a 1-D series into w-dimensional space: point i is
-// (series[i], …, series[i+w-1]) — the classic subsequence-matching
-// embedding the paper generalizes away from.
-func SlidingWindow(series []float64, w int) (*core.Sequence, error) {
-	if w < 1 || w > len(series) {
-		return nil, fmt.Errorf("transform: window %d outside [1,%d]", w, len(series))
-	}
-	pts := make([]geom.Point, len(series)-w+1)
-	for i := range pts {
-		pts[i] = geom.Point(append([]float64(nil), series[i:i+w]...))
-	}
-	return &core.Sequence{Points: pts}, nil
-}
-
 // SlidingWindowDFT embeds a 1-D series by taking each length-w window's
 // first m DFT magnitudes — sliding window plus dimensionality reduction in
 // one pass, the full Faloutsos-style pre-processing pipeline.

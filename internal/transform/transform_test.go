@@ -83,30 +83,6 @@ func TestDFTFeatures(t *testing.T) {
 	}
 }
 
-func TestSlidingWindow(t *testing.T) {
-	s, err := SlidingWindow([]float64{1, 2, 3, 4, 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 || s.Dim() != 3 {
-		t.Fatalf("shape = (%d,%d)", s.Len(), s.Dim())
-	}
-	if s.Points[0][0] != 1 || s.Points[2][2] != 5 {
-		t.Errorf("window contents wrong: %v", s.Points)
-	}
-	// Windows must not alias the input or each other.
-	s.Points[0][0] = 99
-	if s.Points[1][0] == 99 {
-		t.Error("windows share backing storage")
-	}
-	if _, err := SlidingWindow([]float64{1, 2}, 3); err == nil {
-		t.Error("w > len accepted")
-	}
-	if _, err := SlidingWindow([]float64{1, 2}, 0); err == nil {
-		t.Error("w = 0 accepted")
-	}
-}
-
 func TestSlidingWindowDFT(t *testing.T) {
 	series := make([]float64, 40)
 	for i := range series {

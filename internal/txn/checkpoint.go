@@ -406,12 +406,8 @@ func loadBase(opts *Options) (*core.Database, uint64, error) {
 		if len(seqs) != len(ids) {
 			return nil, 0, fmt.Errorf("%w: %d sequences for %d ids", ErrBadDir, len(seqs), len(ids))
 		}
-		for _, sq := range seqs {
-			g, err := core.NewSegmented(sq, cfg)
-			if err != nil {
-				return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
-			}
-			segs = append(segs, g)
+		if segs, err = core.PartitionAll(seqs, dim, cfg); err != nil {
+			return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
 		}
 	}
 	db, err := newBase(bopts, segs, nil, 0, nextID, ids)
@@ -421,19 +417,17 @@ func loadBase(opts *Options) (*core.Database, uint64, error) {
 // newBase builds a snapshot's base database under opts, reproducing its id
 // layout: segs[k] is sequence ids[k] (ascending, below nextID), and every
 // other id below nextID is a hole, a tombstone. With no holes the corpus is
-// bulk-loaded, along leaves — the snapshot's packed R*-tree leaf grouping,
-// keyed by dense position — when they were packed for this fanout (treeM);
-// with holes, segments and tombstones are interleaved per slot.
+// bulk-loaded with leaves — the snapshot's packed R*-tree leaf grouping,
+// keyed by dense position and packed for fanout treeM — which
+// core.AddAllSegmented reuses when that fanout is the base's; with holes,
+// segments and tombstones are interleaved per slot.
 func newBase(opts core.Options, segs []*core.Segmented, leaves [][]rtree.Ref, treeM int, nextID uint32, ids []uint32) (*core.Database, error) {
 	base, err := core.NewDatabase(opts)
 	if err != nil {
 		return nil, err
 	}
-	if treeM != base.IndexFanout() {
-		leaves = nil
-	}
 	if uint32(len(ids)) == nextID {
-		_, err = base.AddAllSegmented(segs, leaves)
+		_, err = base.AddAllSegmented(segs, leaves, treeM)
 	} else {
 		k := 0
 		for id := uint32(0); id < nextID && err == nil; id++ {

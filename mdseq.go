@@ -156,9 +156,18 @@ type KNNResult = core.KNNResult
 type Explanation = core.Explanation
 
 // OpenExisting reattaches to a previously flushed index file, restoring
-// the given sequences in their original order (see core.OpenDatabase).
+// the given sequences in their original order: they are partitioned
+// (deterministically, so into the MBRs the index holds) and handed to
+// core.OpenDatabaseSegmented, which validates the index against them.
 func OpenExisting(opts Options, seqs []*Sequence) (*DB, error) {
-	return core.OpenDatabase(opts, seqs)
+	if opts.Partition == (PartitionConfig{}) {
+		opts.Partition = core.DefaultPartitionConfig()
+	}
+	segs, err := core.PartitionAll(seqs, opts.Dim, opts.Partition)
+	if err != nil {
+		return nil, err
+	}
+	return core.OpenDatabaseSegmented(opts, segs)
 }
 
 // DTW is the dynamic time warping distance with a Sakoe–Chiba band of the
