@@ -37,9 +37,11 @@ type KNNResult = Match
 // bestAlign against the cutoff in force — alignment-level Dmbr bound, then
 // the early-abandoned exact sum, the two upper rungs — and, if accepted,
 // offered to the shared bound, which is tightened if the top k improved;
-// otherwise the walk advances. The search ends when the walk is exhausted
-// or its next key exceeds the cutoff, and no candidate at or below the
-// cutoff is left.
+// otherwise the walk advances. In a scatter whose bound has a rendezvous
+// (KNNBound.Meet) the search arrives there after its m-th refinement and
+// waits for its siblings' first ones. The search ends when the walk is
+// exhausted or its next key exceeds the cutoff, and no candidate at or
+// below the cutoff is left.
 //
 // The answer is the exact one because of two facts only. A sequence is
 // dismissed only while a valid lower bound of its D is strictly above the
@@ -74,6 +76,7 @@ func (db *Database) knnD(ctx context.Context, query Query, sc *searchScratch, st
 	// only shrinks as that count grows: one factor serves every sequence.
 	keySlack := alignSlack(q.Len(), dim)
 	bounded, refined := 0, 0
+	meet := bound.meetAfter()
 	var out []KNNResult
 	worst := knnCutoff{bound: bound, own: math.Inf(1)}
 	for step := 0; ; step++ {
@@ -95,11 +98,12 @@ func (db *Database) knnD(ctx context.Context, query Query, sc *searchScratch, st
 			}
 			g := db.seqs[c.id]
 			off, dist := bestAlign(&sc.align, qs, g.side(), dim, cut)
-			refined++
-			if dist > cut {
-				continue
+			if dist <= cut {
+				out = worst.accept(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist, Offset: off}, k)
 			}
-			out = worst.accept(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist, Offset: off}, k)
+			if refined++; refined == meet {
+				bound.arrive(ctx)
+			}
 			continue
 		}
 		if !walking || key > cut {

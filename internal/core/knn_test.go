@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 func TestSearchKNNMatchesExhaustive(t *testing.T) {
@@ -246,5 +248,64 @@ func TestKNNBoundIsLowerBound(t *testing.T) {
 		if exact := D(q, s); bound > exact+1e-9 {
 			t.Fatalf("sequence %d: bound %g > exact %g", i, bound, exact)
 		}
+	}
+}
+
+// TestKNNBoundRendezvous checks Meet's bookkeeping: m is ⌈k/n⌉+1; an
+// arrival waits until every searcher has arrived or left, through a Local
+// bound made from a view as well as the view itself; a second arrival or
+// Leave under one tag counts once; a done context ends a wait; and an
+// unarmed bound, a lone searcher, a bound without a pool, a Local bound of
+// the root and nil never wait.
+func TestKNNBoundRendezvous(t *testing.T) {
+	ctx := context.Background()
+	root := NewKNNBound(10)
+	root.Meet(3)
+	a, b, c := root.Searcher(0), root.Searcher(1), root.Searcher(2)
+	if got := a.Local().meetAfter(); got != 5 {
+		t.Fatalf("k = 10 over 3 searchers: a search arrives after %d refinements, want ⌈10/3⌉+1 = 5", got)
+	}
+	arrived := make(chan int, 3)
+	go func() { a.Local().arrive(ctx); arrived <- 0 }()
+	go func() { b.arrive(ctx); arrived <- 1 }()
+	b.Leave() // b's arrival and its leave are one mark, in either order
+	select {
+	case i := <-arrived:
+		t.Fatalf("searcher %d stopped waiting while searcher 2 had neither arrived nor left", i)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.Leave()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(10 * time.Second):
+			t.Fatal("an arrival still waits after every searcher arrived or left")
+		}
+	}
+	a.arrive(ctx) // met: returns at once
+
+	lone := NewKNNBound(10)
+	lone.Meet(1)
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	waiting := NewKNNBound(10)
+	waiting.Meet(2)
+	waiting.Searcher(0).arrive(canceled) // ends on the done context
+	noPool := new(KNNBound)
+	noPool.Meet(2)
+	var nilBound *KNNBound
+	nilBound.Leave()
+	for name, bound := range map[string]*KNNBound{
+		"unarmed":      NewKNNBound(10).Searcher(0),
+		"lone":         lone.Searcher(0),
+		"no pool":      noPool.Searcher(0),
+		"root's Local": waiting.Local(),
+		"nil":          nilBound,
+	} {
+		if got := bound.meetAfter(); got != 0 {
+			t.Errorf("%s: a search arrives after %d refinements, want never", name, got)
+		}
+		bound.arrive(ctx)
+		bound.Leave()
 	}
 }

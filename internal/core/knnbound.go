@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -36,7 +37,9 @@ import (
 // bound itself.
 //
 // The bound also carries the pruning account of the searches that shared
-// it, so the layer that owns the query records it once (KNNCounts).
+// it, so the layer that owns the query records it once (KNNCounts), and,
+// once Meet arms it, the rendezvous that makes the searches of a scatter
+// wait for one another after their first few refinements.
 type KNNBound struct {
 	// parent, when set, is read through by Load and receives the counts.
 	// Tighten and Offer reach it from a Searcher view, under the view's
@@ -57,6 +60,35 @@ type KNNBound struct {
 	k    int
 	mu   sync.Mutex
 	pool []knnOffer
+
+	// meet, set by Meet before any search starts, is the searchers'
+	// rendezvous; nil when none is armed.
+	meet *rendezvous
+}
+
+// rendezvous is where the searchers of one query meet once: each search
+// arrives after its after-th refinement and waits until every searcher has
+// arrived or left.
+type rendezvous struct {
+	after   int
+	mu      sync.Mutex
+	in      []bool        // per searcher tag: arrived or left
+	pending int           // searchers neither arrived nor left
+	met     chan struct{} // closed when pending reaches 0
+}
+
+// mark records that searcher tag has arrived or left; only its first mark
+// counts.
+func (r *rendezvous) mark(tag uint32) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.in[tag] {
+		return
+	}
+	r.in[tag] = true
+	if r.pending--; r.pending == 0 {
+		close(r.met)
+	}
 }
 
 // knnOffer is one pooled exact distance. A sequence is the searcher that
@@ -159,6 +191,79 @@ func (b *KNNBound) Offer(id uint32, d float64) {
 	b.pool[pos] = knnOffer{dist: d, tag: tag, id: id}
 	if len(b.pool) == b.k {
 		b.Tighten(b.pool[b.k-1].dist)
+	}
+}
+
+// Meet arms b's rendezvous for the n searchers tagged 0 … n−1 (Searcher):
+// a search working on one of their views — directly or through a Local
+// bound made from it — arrives once it has refined m = ⌈k/n⌉+1 sequences,
+// and waits there until every searcher has arrived or left (Leave), or its
+// context is done. What the arrivals accepted was offered to the pool
+// before they arrived, so when the wait ends the pool holds the best
+// distances of every searcher's first refinements, and no search refines
+// deep into its own candidates before its siblings' best have tightened
+// the bound it prunes with. The wait changes what is refined, never the
+// answer: refinement order does not decide membership (see knnD).
+//
+// A searcher that waits holds whatever its search holds, so the owner of
+// the query must have every searcher launched, none of them waiting on
+// another query's progress, and must Leave for a searcher whose call ends
+// without arriving. Meet is called before any search starts; n < 2 or a
+// bound made without a pool arms nothing.
+func (b *KNNBound) Meet(n int) {
+	if n < 2 || b.k == 0 {
+		return
+	}
+	b.meet = &rendezvous{after: (b.k+n-1)/n + 1, in: make([]bool, n), pending: n, met: make(chan struct{})}
+}
+
+// meeting returns the rendezvous a search on b takes part in and the tag
+// it takes part under: the innermost Searcher view's on the way up to the
+// bound that was armed. It is nil for an unarmed bound and for a Local
+// bound not made from a view.
+func (b *KNNBound) meeting() (*rendezvous, uint32) {
+	var tag uint32
+	tagged := false
+	for ; b != nil; b = b.parent {
+		if b.view && !tagged {
+			tag, tagged = b.tag, true
+		}
+		if b.parent == nil && tagged && b.meet != nil {
+			return b.meet, tag
+		}
+	}
+	return nil, 0
+}
+
+// meetAfter is how many refinements a search on b does before it arrives;
+// 0 — never — when there is no rendezvous.
+func (b *KNNBound) meetAfter() int {
+	if r, _ := b.meeting(); r != nil {
+		return r.after
+	}
+	return 0
+}
+
+// arrive marks b's searcher arrived and waits until every searcher has
+// arrived or left, or ctx is done.
+func (b *KNNBound) arrive(ctx context.Context) {
+	r, tag := b.meeting()
+	if r == nil {
+		return
+	}
+	r.mark(tag)
+	select {
+	case <-r.met:
+	case <-ctx.Done():
+	}
+}
+
+// Leave marks b's searcher as one no sibling waits for: its call has
+// ended, or it is about to block where a sibling's wait could hold it up.
+// Without a rendezvous, and on a nil receiver, it does nothing.
+func (b *KNNBound) Leave() {
+	if r, tag := b.meeting(); r != nil {
+		r.mark(tag)
 	}
 }
 

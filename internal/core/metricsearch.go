@@ -169,7 +169,8 @@ func dtwReach(eps float64, n, longest, w, d int) float64 {
 // bound, counts, what may be cached): candidates are ranked by the envelope
 // index bound and refined best-first with LB_Keogh and early-abandoning
 // exact dynamic programs, stopping when the next lower bound exceeds the
-// cutoff in force; the bound's counts also receive the envelope and LB_Keogh
+// cutoff in force, and arriving at the bound's rendezvous after the m-th
+// dynamic program; the bound's counts also receive the envelope and LB_Keogh
 // dismissals. Sequences the window cannot align with the query are never
 // results, and Offset is always 0 — warping has no single alignment offset.
 func (db *Database) knnDTW(ctx context.Context, query Query, mt MetricDTW, sc *searchScratch, st *SearchStats, tr *obs.Trace, t0 time.Time) ([]Match, bool, error) {
@@ -207,6 +208,7 @@ func (db *Database) knnDTW(ctx context.Context, query Query, mt MetricDTW, sc *s
 	candidates := len(sc.heap) + envPruned
 	keoghPruned := 0
 	refined := 0
+	meet := bound.meetAfter()
 	var out []KNNResult
 	worst := knnCutoff{bound: bound, own: math.Inf(1)}
 	for step := 0; len(sc.heap) > 0; step++ {
@@ -228,11 +230,12 @@ func (db *Database) knnDTW(ctx context.Context, query Query, mt MetricDTW, sc *s
 			continue
 		}
 		dist := sc.dtwSeq(mt, sc.qflat, g, d, cut, ds.keoghSuf)
-		refined++
-		if dist > cut {
-			continue
+		if dist <= cut {
+			out = worst.accept(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist}, k)
 		}
-		out = worst.accept(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist}, k)
+		if refined++; refined == meet {
+			bound.arrive(ctx)
+		}
 	}
 	envPruned += len(sc.heap) // dismissed by the index bound at the break
 	took := time.Since(t0)

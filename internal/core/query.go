@@ -157,7 +157,14 @@ func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 		return res, nil
 	}
 
-	db.mu.RLock()
+	// A kNN search may wait at its bound's rendezvous holding this lock, and
+	// a reader blocked behind a pending writer must not be waited for: the
+	// writer waits for that search, which would wait for the reader. So the
+	// query leaves the rendezvous before it blocks.
+	if !db.mu.TryRLock() {
+		q.Bound.Leave()
+		db.mu.RLock()
+	}
 	defer db.mu.RUnlock()
 	if db.pg == nil {
 		return Result{}, errClosed

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -446,5 +447,82 @@ func TestFaultPartialEqualsAnsweredShardsAcrossEps(t *testing.T) {
 		}
 		sdb.SetShardBackend(hung, nil)
 		sdb.SetPolicy(Policy{})
+	}
+}
+
+// TestFaultKNNRendezvous: under the default Policy the shards of a kNN
+// scatter meet after their first refinements (knnScatter), and a faulted
+// shard must not strand its siblings there. A shard that fails before it
+// refines anything leaves, so the query fails with its error at once, not
+// when the context fires; retried, the shard's second attempt takes part
+// under the same tag and the answer is the scan's; a slow shard is waited
+// for, and the answer is again the scan's. A policy under which a wait
+// could pass for a fault — a per-attempt deadline, a hedge — or a partial
+// scatter arms no rendezvous, and neither does a lone shard.
+func TestFaultKNNRendezvous(t *testing.T) {
+	const n, target, k = 4, 2, 5
+	for _, c := range []struct {
+		name    string
+		pol     Policy
+		script  []Fault
+		calls   int
+		wantErr bool
+	}{
+		{"error", Policy{}, []Fault{{Err: errInjected}}, 1, true},
+		{"error retried", Policy{Retries: 1}, []Fault{{Err: errInjected}}, 2, false},
+		{"delay", Policy{}, []Fault{{Delay: 20 * time.Millisecond}}, 1, false},
+	} {
+		for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
+			sdb, q, fdb := faultFixture(t, n, target, c.script...)
+			sdb.SetPolicy(c.pol)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			t0 := time.Now()
+			got, err := sdb.SearchKNNMetricCtx(ctx, q, k, m)
+			took := time.Since(t0)
+			cancel()
+			if took > 10*time.Second {
+				t.Fatalf("%s metric=%s: the scatter took %v: its shards waited for one that had left", c.name, m.Name(), took)
+			}
+			if fdb.Calls() != c.calls {
+				t.Fatalf("%s metric=%s: faulted shard saw %d calls, want %d", c.name, m.Name(), fdb.Calls(), c.calls)
+			}
+			if c.wantErr {
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("%s metric=%s: err = %v, want the injected error", c.name, m.Name(), err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s metric=%s: %v", c.name, m.Name(), err)
+			}
+			gk, scan := knnKeys(got), scanTopK(t, sdb, q, k, m)
+			if len(gk) != len(scan) {
+				t.Fatalf("%s metric=%s: %d neighbors, exhaustive scan has %d", c.name, m.Name(), len(gk), len(scan))
+			}
+			for i, key := range scan {
+				if !strings.HasPrefix(gk[i], key+":") {
+					t.Fatalf("%s metric=%s: neighbor %d is %s, exhaustive scan says %s", c.name, m.Name(), i, gk[i], key)
+				}
+			}
+		}
+	}
+
+	sdb, q, _ := faultFixture(t, n, target)
+	for _, c := range []struct {
+		pol  Policy
+		want bool
+	}{
+		{Policy{}, true},
+		{Policy{Retries: 2, Backoff: time.Millisecond}, true},
+		{Policy{ShardTimeout: time.Second}, false},
+		{Policy{HedgeAfter: time.Millisecond}, false},
+		{Policy{AllowPartial: true}, false},
+	} {
+		if got := sdb.newKNNScatter(core.Query{Seq: q, Kind: core.KNN, K: k}, c.pol).met; got != c.want {
+			t.Errorf("policy %+v: rendezvous armed = %v, want %v", c.pol, got, c.want)
+		}
+	}
+	if newSharded(t, corpus(t, 8, 32, 5), 1).newKNNScatter(core.Query{Seq: q, Kind: core.KNN, K: k}, Policy{}).met {
+		t.Error("a lone shard armed a rendezvous")
 	}
 }

@@ -24,6 +24,16 @@ import (
 // MetricDTW the shard-local pruning it drives uses DTW's envelope bounds,
 // never D's Dnorm bound.
 //
+// The bound arrives late unless the shards meet: a shard that refines
+// deep into its own candidates before its siblings' best reach the bound
+// does work one database would have pruned. So the scatter arms the
+// bound's rendezvous (core.KNNBound.Meet): each shard's search, after its
+// first ⌈k/n⌉+1 refinements, waits until every sibling has done the same or
+// left, and a shard leaves when its call returns, whatever it returned.
+// Waiting needs every sibling launched, so an armed scatter launches all n
+// at once. It is armed only when no wait can be mistaken for a fault — no
+// per-attempt deadline, no hedge — and the shards pool into one bound.
+//
 // Retried and hedged attempts of one shard share that shard's view of the
 // bound. With Policy.AllowPartial a shard that exhausts its attempts is
 // skipped, and because a skipped shard's k sequences never reach the
@@ -35,6 +45,7 @@ type knnScatter struct {
 	q     core.Query
 	bound *core.KNNBound   // the query's
 	views []*core.KNNBound // per shard: what its attempts search against
+	met   bool             // the bound's rendezvous is armed
 
 	// seeded counts shard launches that found the bound already finite —
 	// the bound-sharing effectiveness observable at launch granularity.
@@ -53,6 +64,10 @@ func (s *ShardedDB) newKNNScatter(q core.Query, pol Policy) *knnScatter {
 			kn.views[i] = kn.bound.Searcher(uint32(i))
 		}
 	}
+	if len(kn.views) > 1 && !pol.AllowPartial && pol.ShardTimeout == 0 && !pol.hedged() {
+		kn.bound.Meet(len(kn.views))
+		kn.met = true
+	}
 	return kn
 }
 
@@ -67,6 +82,15 @@ func (kn *knnScatter) call(ctx context.Context, i int, b Backend) (core.Result, 
 		kn.seeded.Add(1)
 	}
 	return b.Do(ctx, q)
+}
+
+// done ends shard i's part: an answer is merged, and the shard leaves the
+// rendezvous whether it answered or not.
+func (kn *knnScatter) done(i int, r core.Result, err error) {
+	if err == nil {
+		kn.merge(i, r)
+	}
+	kn.views[i].Leave()
 }
 
 // merge folds shard i's answer into the merged list under global ids and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -413,7 +414,9 @@ func warpedQuery(rng *rand.Rand, src *core.Sequence) *core.Sequence {
 // each shard's cutoff finite only once that shard alone had refined k, the
 // ratios read 1.51 (D) and 1.85–1.89 (DTW) whatever GOMAXPROCS is; pooled,
 // 1.19–1.27 and 1.36–1.40 on two or more CPUs and 1.33 and 1.55 on one,
-// where the shards run one after another and only the later ones find a pool.
+// where the shards run one after another and only the later ones find a pool;
+// with the shards meeting after their first refinements, 1.04 and 1.08
+// (TestShardedKNNRefinesLikeOneDatabase is that change's gate).
 func TestShardedKNNWorkNearOneDatabase(t *testing.T) {
 	cfg := experiment.PaperVideo()
 	cfg.NumSequences = 704
@@ -464,5 +467,72 @@ func TestShardedKNNWorkNearOneDatabase(t *testing.T) {
 			t.Errorf("metric=%s: four shards refined %d sequences, one database %d: %.2f× is over the gate of %.2f×",
 				c.m.Name(), four, one, ratio, c.limit)
 		}
+	}
+}
+
+// TestShardedKNNRefinesLikeOneDatabase is the gate of the scatter's
+// rendezvous (knnScatter): four shards that meet after their first
+// ⌈k/n⌉+1 refinements refine, together, within refineGate of what one
+// database holding the same corpus refines for the same queries — exact
+// alignments under D, dynamic programs under DTW — at GOMAXPROCS 1, 2 and 8.
+// Without the rendezvous each shard refines deep into its own candidates
+// before its siblings' best reach the pooled bound; on this corpus that
+// read 1.16–1.32× (D) and 1.37–1.59× (DTW), and with it 1.04–1.07× and
+// 1.085–1.09×.
+func TestShardedKNNRefinesLikeOneDatabase(t *testing.T) {
+	const refineGate = 1.12
+	cfg := experiment.PaperVideo()
+	cfg.NumSequences = 704
+	cfg.Seed = 11
+	seqs, err := experiment.GenerateData(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, sdb := newSingle(t, clone(seqs)), newSharded(t, clone(seqs), 4)
+	regOne, regFour := obs.NewRegistry(), obs.NewRegistry()
+	single.SetMetrics(regOne)
+	sdb.SetMetrics(regFour)
+	refined := func(reg *obs.Registry) uint64 { return reg.Counter("mdseq_knn_refined_total", "").Value() }
+
+	const k, queries = 10, 64
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(131))
+		for _, c := range []struct {
+			m     core.Metric
+			query func() *core.Sequence
+		}{
+			{core.MetricD{}, func() *core.Sequence {
+				src := seqs[rng.Intn(len(seqs))]
+				n := min(cfg.QueryMinLen+rng.Intn(cfg.QueryMaxLen-cfg.QueryMinLen+1), src.Len())
+				off := rng.Intn(src.Len() - n + 1)
+				return &core.Sequence{Label: "window", Points: src.Points[off : off+n]}
+			}},
+			{core.MetricDTW{Window: 16}, func() *core.Sequence { return warpedQuery(rng, seqs[rng.Intn(len(seqs))]) }},
+		} {
+			one0, four0 := refined(regOne), refined(regFour)
+			for i := 0; i < queries; i++ {
+				q := c.query()
+				want, err := single.SearchKNNMetricCtx(context.Background(), q, k, c.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sdb.SearchKNNMetricCtx(context.Background(), q, k, c.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(knnKeys(got)) != fmt.Sprint(knnKeys(want)) {
+					t.Fatalf("GOMAXPROCS=%d metric=%s query %d: four shards answer %v, one database %v", procs, c.m.Name(), i, knnKeys(got), knnKeys(want))
+				}
+			}
+			one, four := refined(regOne)-one0, refined(regFour)-four0
+			ratio := float64(four) / float64(one)
+			t.Logf("GOMAXPROCS=%d metric=%s: one database refined %d, four shards %d (%.3f×)", procs, c.m.Name(), one, four, ratio)
+			if one == 0 || ratio > refineGate {
+				t.Errorf("GOMAXPROCS=%d metric=%s: four shards refined %d, one database %d: %.3f× is over the gate of %.2f×",
+					procs, c.m.Name(), four, one, ratio, refineGate)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }

@@ -19,7 +19,8 @@ type ShardStats = core.ShardStats
 
 // Do answers q by scatter-gather: the one query path of a ShardedDB. Every
 // shard answers q itself — core.Database.Do, or a transaction snapshot's —
-// concurrently on a bounded worker pool, and the gather merges: ids
+// concurrently, at most scatterWorkers at a time but all at once for a kNN
+// whose shards meet (see knnScatter), and the gather merges: ids
 // rewritten to global ones, statistics folded by mergeStats, the per-shard
 // statistics kept in Result.PerShard, and the matches put in the answer's
 // order — ascending global id for a range, whose answer is the union of
@@ -64,13 +65,17 @@ func (s *ShardedDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	t0 := time.Now()
 	pol := s.Policy()
 	call := func(ctx context.Context, _ int, b Backend) (core.Result, error) { return b.Do(ctx, q) }
-	var done func(int, core.Result)
+	var done func(int, core.Result, error)
+	workers := scatterWorkers(len(s.shards))
 	var kn *knnScatter
 	if q.Kind == core.KNN {
 		kn = s.newKNNScatter(q, pol)
-		call, done = kn.call, kn.merge
+		call, done = kn.call, kn.done
+		if kn.met {
+			workers = len(s.shards)
+		}
 	}
-	sc, err := scatter(ctx, s, pol, call, done)
+	sc, err := scatter(ctx, s, pol, workers, call, done)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -101,26 +106,26 @@ type scattered struct {
 }
 
 // scatter is the one fan-out: call runs against every shard's Backend
-// concurrently (at most scatterWorkers at a time), each under robustCall's
+// concurrently (at most workers at a time), each under robustCall's
 // timeout, retries and hedge, and done, when not nil, runs once per shard
-// that answered, on that shard's goroutine, with what the winning attempt
-// returned. The failures are then judged by the policy
-// (see Do): an error, or the list of shards that answered.
+// when robustCall returns, on that shard's goroutine, with what the winning
+// attempt returned or the error. The failures are then judged by the
+// policy (see Do): an error, or the list of shards that answered.
 //
 // With a trace in ctx the whole fan-out is one "scatter" span, each shard a
 // "shard" child and each launched call an "attempt" grandchild (robustCall),
 // so a retained trace of a sharded query renders as a tree: which shard
 // straggled, whether a hedge won, where each phase spent its time. A
 // degraded answer marks the trace partial.
-func scatter(ctx context.Context, s *ShardedDB, pol Policy,
-	call func(ctx context.Context, shard int, b Backend) (core.Result, error), done func(shard int, r core.Result)) (scattered, error) {
+func scatter(ctx context.Context, s *ShardedDB, pol Policy, workers int,
+	call func(ctx context.Context, shard int, b Backend) (core.Result, error), done func(shard int, r core.Result, err error)) (scattered, error) {
 	n := len(s.shards)
 	met := s.metrics()
 	tr := obs.FromContext(ctx)
 	scatterCtx, endScatter := obs.StartSpan(ctx, "scatter")
 	sc := scattered{vals: make([]core.Result, n), walls: make([]time.Duration, n), shards: make([]int, 0, n)}
 	errs := make([]error, n)
-	sem := make(chan struct{}, scatterWorkers(n))
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -139,8 +144,8 @@ func scatter(ctx context.Context, s *ShardedDB, pol Policy,
 			if endShard != nil {
 				endShard(obs.Int("shard", i), obs.Bool("ok", err == nil))
 			}
-			if err == nil && done != nil {
-				done(i, v)
+			if done != nil {
+				done(i, v, err)
 			}
 			sc.vals[i], sc.walls[i], errs[i] = v, time.Since(t0), err
 		}(i)

@@ -218,3 +218,109 @@ func TestClamp01(t *testing.T) {
 		t.Error("clamp01 broken")
 	}
 }
+
+// TestHighDimVideoPipeline indexes 6-dimensional video features end to
+// end — each frame's mean color in RGB and in YCbCr — and searches them
+// with the same machinery as the paper's 3-dimensional ones.
+func TestHighDimVideoPipeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	ext := func(f *Frame) geom.Point { return append(MeanColorRGB(f), MeanColorYCbCr(f)...) }
+	db, err := core.NewDatabase(core.Options{Dim: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var seqs []*core.Sequence
+	for i := 0; i < 12; i++ {
+		st, err := GenerateStream(rng, 80+rng.Intn(60), StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ExtractSequence(st, ext)
+		if _, err := db.Add(s); err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, s)
+	}
+	q := &core.Sequence{Points: seqs[4].Points[10:40]}
+	matches, _, err := db.Search(q, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, m := range matches {
+		if m.SeqID == 4 {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("6-dim pipeline missed the source sequence")
+	}
+	// No false dismissal against the exact scan.
+	exact, err := db.SequentialSearch(q, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[uint32]bool)
+	for _, m := range matches {
+		got[m.SeqID] = true
+	}
+	for _, r := range exact {
+		if !got[r.SeqID] {
+			t.Errorf("dismissed %d", r.SeqID)
+		}
+	}
+}
+
+// TestKeyFrameSearchMissesWhatMBRSearchFinds demonstrates the paper's
+// motivating claim (Section 1): "the search by a key frame does not
+// guarantee the correctness since it cannot always summarize all the
+// frames of a shot." We build a shot whose frames drift across the feature
+// space; a query matching the shot's tail is far from the key (middle)
+// frame but still within threshold of the actual frames — key-frame search
+// dismisses it, MBR search does not.
+func TestKeyFrameSearchMissesWhatMBRSearchFinds(t *testing.T) {
+	// One long "shot": features drifting linearly from 0.2 to 0.8.
+	n := 60
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		v := 0.2 + 0.6*float64(i)/float64(n-1)
+		pts[i] = geom.Point{v, v, v}
+	}
+	seq := &core.Sequence{Points: pts}
+
+	db, err := core.NewDatabase(core.Options{Dim: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Add(seq); err != nil {
+		t.Fatal(err)
+	}
+
+	// Query: the tail of the drift.
+	q := &core.Sequence{Points: pts[50:]}
+	const eps = 0.05
+
+	// Key-frame search: compare the query's mean point against the shot's
+	// key frame, its middle one, only.
+	key := pts[n/2]
+	qMean := make(geom.Point, 3)
+	for _, p := range q.Points {
+		for k := range qMean {
+			qMean[k] += p[k] / float64(len(q.Points))
+		}
+	}
+	if key.Dist(qMean) <= eps {
+		t.Fatalf("example construction broken: key frame distance %g <= eps", key.Dist(qMean))
+	}
+
+	// MBR search finds the real match.
+	matches, _, err := db.Search(q, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != 1 {
+		t.Fatalf("MBR search found %d matches, want 1", len(matches))
+	}
+}
