@@ -10,8 +10,6 @@
 //	mdsserve -addr :8080 -shards 4 -data video.mds
 //	mdsserve -addr :8080 -store ./dbdir        # store dir from mdseq.Save/SaveSharded
 //	mdsserve -addr :8080 -slowms 100 -pprof    # observability knobs
-//	mdsserve -addr :8080 -shards 8 \
-//	  -shard-timeout 2s -retries 1 -hedge-after 50ms -allow-partial
 //	mdsserve -addr :8080 -metric dtw -dtw-window 16   # default to DTW search
 //	mdsserve -addr :8080 -cache-entries 4096 -cache-bytes 67108864
 //	mdsserve -addr :8080 -durable ./txndir    # WAL-backed commits + crash recovery
@@ -46,24 +44,14 @@
 // always pass the float32 screen the flag used to enable (see DESIGN.md
 // §16).
 //
-// Fault tolerance (scatter-gather only; see OPERATIONS.md for tuning):
-// -shard-timeout bounds each per-shard search attempt, -retries re-runs
-// a failed attempt with exponential backoff, -hedge-after races a second
-// identical request against a straggling shard, and -allow-partial
-// serves explicitly-flagged partial results ("partial": true plus the
-// answered-shard list in the response) instead of failing the query when
-// a shard stays down. All four default to off, which reproduces
-// fail-fast behavior exactly.
-//
 // Caching: -cache-entries and/or -cache-bytes attach a cost-aware
 // query-result cache. Repeated range, kNN, and batch queries are answered
 // from memory. Entries are kept by recomputation cost × hit frequency /
 // size with an aging watermark (GDSF). A write removes only the entries
 // whose recorded query region (MBR + radius) the written sequence's MBR
 // can reach — queries over untouched regions keep hitting through
-// unrelated writes. No stale answer is ever served, and partial scatter
-// results are never cached (see DESIGN.md §10 for the safety
-// argument). Hits are visible per response in the X-Mdseq-Cache
+// unrelated writes. No stale answer is ever served (see DESIGN.md §10
+// for the safety argument). Hits are visible per response in the X-Mdseq-Cache
 // header and "cached" field, and in aggregate via the mdseq_cache_*
 // metric families (see OPERATIONS.md for the tuning runbook). Default
 // is off.
@@ -75,8 +63,8 @@
 // JSON line per request to stderr carrying the request ID (echoed in
 // X-Request-ID; a valid client-supplied X-Request-ID is honored), status,
 // per-span timings, and pruning attributes. A flight recorder retains the
-// -trace-retain slowest traces per latency bucket plus recent errored and
-// partial requests, served at GET /debug/tracez (?format=text for span
+// -trace-retain slowest traces per latency bucket plus recent errored
+// requests, served at GET /debug/tracez (?format=text for span
 // trees) with the active-request table at GET /debug/requestz. Any query
 // slower than -slowms milliseconds dumps its full per-phase and per-shard
 // statistics to the log, annotated with the request ID and its latency
@@ -131,12 +119,6 @@ func main() {
 		traceRetain = flag.Int("trace-retain", 4, "slowest traces retained per latency bucket for /debug/tracez (0 disables the flight recorder)")
 		runtimeMS   = flag.Int("runtime-metrics", 10000, "runtime/metrics polling interval in milliseconds for go_* gauges (0 disables)")
 
-		shardTimeout = flag.Duration("shard-timeout", 0, "per-shard search attempt timeout (0 disables)")
-		retries      = flag.Int("retries", 0, "extra attempts for a failed per-shard search")
-		backoff      = flag.Duration("backoff", 25*time.Millisecond, "base backoff between per-shard retries (doubles per attempt)")
-		hedgeAfter   = flag.Duration("hedge-after", 0, "hedge a per-shard search not answered within this duration (0 disables)")
-		allowPartial = flag.Bool("allow-partial", false, "serve flagged partial results when a shard exhausts its attempts")
-
 		cacheEntries = flag.Int("cache-entries", 0, "query-result cache entry cap; the cache is on when this or -cache-bytes is > 0 (0 with -cache-bytes set uses the 4096-entry default)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "query-result cache byte cap; the cache is on when this or -cache-entries is > 0 (0 with -cache-entries set uses the 64 MiB default)")
 
@@ -154,9 +136,6 @@ func main() {
 	if *shards < 1 {
 		log.Fatalf("-shards %d: shard count must be >= 1", *shards)
 	}
-	if *retries < 0 {
-		log.Fatalf("-retries %d: must be >= 0", *retries)
-	}
 	// Validate the default metric at startup so a typo fails here rather
 	// than on every request.
 	if _, err := core.ParseMetric(*metricName, *dtwWindow); err != nil {
@@ -172,21 +151,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	// Backoff alone is inert (it only paces retries), so the policy is
-	// "in use" only when a mechanism that changes behavior is on.
-	if *shardTimeout > 0 || *retries > 0 || *hedgeAfter > 0 || *allowPartial {
-		sdb, ok := db.(*shard.ShardedDB)
-		if !ok {
-			log.Fatal("fault-tolerance flags need a sharded database")
-		}
-		sdb.SetPolicy(shard.Policy{
-			ShardTimeout: *shardTimeout,
-			Retries:      *retries,
-			Backoff:      *backoff,
-			HedgeAfter:   *hedgeAfter,
-			AllowPartial: *allowPartial,
-		})
 	}
 	if *cacheEntries > 0 || *cacheBytes > 0 {
 		db.SetCache(cache.New(cache.Config{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes}))

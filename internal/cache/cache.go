@@ -50,11 +50,6 @@
 // 2^128 key space, accidental collisions are beyond reach of any
 // realistic workload, so the cache never stores the raw query for
 // verification.
-//
-// Partial results (a sharded scatter that degraded to a subset of
-// shards) are never cached: a partial answer reflects one scatter's
-// failures, not a property of the key, and serving it later could mask a
-// now-healthy shard. Put refuses values flagged Partial.
 package cache
 
 import (
@@ -126,9 +121,6 @@ type Value struct {
 	// invalidation. The zero Region means "unknown": correct, but every
 	// write then invalidates the entry.
 	Region Region
-	// Partial marks a degraded scatter-gather result. Put refuses
-	// partial values — see the package comment.
-	Partial bool
 }
 
 // Config sizes a Cache.
@@ -317,15 +309,12 @@ func (e *entry) score() float64 {
 // Put stores v under k, where seq is the Seq() snapshot taken before the
 // result was computed. The store is dropped when any write notification
 // arrived since the snapshot (the result may predate a write whose sweep
-// already passed), when v is flagged Partial, or when v alone exceeds a
-// whole lock shard's byte budget. An existing entry under k is replaced.
+// already passed) or when v alone exceeds a whole lock shard's byte
+// budget. An existing entry under k is replaced.
 // Entries are then evicted, lowest GDSF priority first, until both shard
 // caps hold; the just-stored entry may itself be the victim (admission
 // control).
 func (c *Cache) Put(k Key, seq uint64, v Value) {
-	if v.Partial {
-		return
-	}
 	s := c.shard(k)
 	if int64(v.Bytes) > s.maxBytes {
 		return

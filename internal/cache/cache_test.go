@@ -120,18 +120,6 @@ func TestRegionStale(t *testing.T) {
 	}
 }
 
-func TestPartialNeverCached(t *testing.T) {
-	c := New(Config{Shards: 1})
-	k := key(1)
-	c.Put(k, c.Seq(), Value{Data: "partial", Bytes: 4, Partial: true})
-	if _, ok := c.Get(k); ok {
-		t.Fatal("partial value was cached")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len=%d after refused Put; want 0", c.Len())
-	}
-}
-
 // TestGDSFEvictsCheapAndAges walks a deterministic insert sequence through
 // the GDSF policy: the entry cap holds after every insert, the
 // lowest-priority entry goes first, the watermark rises to each victim's

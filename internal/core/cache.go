@@ -187,8 +187,7 @@ func (r CacheSlot) Get() (Result, bool) {
 // the capacity of every match's ranges — with a range answer's cap == len
 // slab sub-slices that is the slab, bar the last chunk's unused tail, which
 // slabRanges keeps under one candidate count. Sequences are owned by the
-// database and shared, not retained by the cache. Partial answers are refused by the cache
-// itself. A KNN's region radius is the k-th neighbor's distance when the
+// database and shared, not retained by the cache. A KNN's region radius is the k-th neighbor's distance when the
 // answer is full — a write farther than that from the query cannot
 // displace any neighbor — and +Inf (invalidate on every write) while the
 // corpus holds fewer than k sequences, since any addition could then enter
@@ -211,10 +210,9 @@ func (r CacheSlot) Put(res Result) {
 	}
 	stored := res // the copy the cache keeps; made here so a Put without a cache allocates nothing
 	r.c.Put(r.key, r.seq, cache.Value{
-		Data:    &stored,
-		Bytes:   n,
-		Cost:    res.Stats.CPUTime,
-		Region:  reg,
-		Partial: res.Stats.Partial,
+		Data:   &stored,
+		Bytes:  n,
+		Cost:   res.Stats.CPUTime,
+		Region: reg,
 	})
 }

@@ -467,19 +467,6 @@ type SearchStats struct {
 	// entry — "the cost this answer represents", not the cost of this
 	// call.
 	CacheHit bool
-	// Partial is true when this result was assembled from fewer shards
-	// than exist — some shard missed its deadline or failed and the
-	// scatter was configured to degrade instead of erroring. A partial
-	// answer set is a subset of the complete one (the answered shards'
-	// results are exact), so the paper's no-false-dismissal guarantee
-	// holds only for the corpus slice the answered shards own. Always
-	// false for a single-node search.
-	Partial bool
-	// ShardsAnswered is the number of shards whose results this stats
-	// value merges. It equals the deployment's shard count when the
-	// answer is complete, and it is 0 when the stats did not pass
-	// through a scatter merge (plain single-node search).
-	ShardsAnswered int
 	// DTWEnvPruned counts candidates the envelope-vs-MBR lower bound
 	// dismissed during a MetricDTW search, before any point data was
 	// read. Zero for non-DTW searches.

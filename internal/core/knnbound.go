@@ -8,8 +8,8 @@ import (
 )
 
 // KNNBound is the live k-th-best distance of one kNN query, shared by
-// every search that works on it — the shards of a scatter, their retried
-// and hedged attempts, a transaction layer's base and delta passes. Each
+// every search that works on it — the shards of a scatter, a transaction
+// layer's base and delta passes. Each
 // search re-reads it before every refinement and skips whatever its lower
 // bounds place strictly above it, and tightens it whenever its own k-th
 // best improves, so all of them prune like one database. A nil *KNNBound
@@ -29,12 +29,11 @@ import (
 //
 // Both need those k sequences to be in the set the final answer is chosen
 // from; whatever a search publishes or offers must be certain to be. A
-// searcher whose answer may yet be discarded — a shard a partial scatter is
-// allowed to skip, a transaction layer's base pass whose results its delta
-// may supersede — therefore works on a Local bound: it still reads every
-// value the shared bound holds, but what it publishes and offers stays with
-// it until the owner of the query has its answer and tightens the shared
-// bound itself.
+// searcher whose answer may yet be discarded — a transaction layer's base
+// pass, whose results its delta may supersede — therefore works on a Local
+// bound: it still reads every value the shared bound holds, but what it
+// publishes and offers stays with it until the owner of the query has its
+// answer and tightens the shared bound itself.
 //
 // The bound also carries the pruning account of the searches that shared
 // it, so the layer that owns the query records it once (KNNCounts), and,
@@ -92,9 +91,9 @@ func (r *rendezvous) mark(tag uint32) {
 }
 
 // knnOffer is one pooled exact distance. A sequence is the searcher that
-// holds it (the view's tag) and its id there: two attempts of one searcher
-// offering the same sequence must count once, or two copies of the nearest
-// neighbor would make the "2nd best" and dismiss the true one.
+// holds it (the view's tag) and its id there: a sequence offered twice must
+// count once, or two copies of the nearest neighbor would make the "2nd
+// best" and dismiss the true one.
 type knnOffer struct {
 	dist    float64
 	tag, id uint32
@@ -110,8 +109,8 @@ func NewKNNBound(k int) *KNNBound {
 }
 
 // Searcher returns searcher tag's view of b: it reads, tightens, offers and
-// counts straight through to b, its offers carrying the tag. Every attempt
-// of one searcher — one set of sequence ids — works on the same tag.
+// counts straight through to b, its offers carrying the tag. One tag names
+// one set of sequence ids.
 func (b *KNNBound) Searcher(tag uint32) *KNNBound {
 	return &KNNBound{parent: b, view: true, tag: tag}
 }
@@ -278,8 +277,7 @@ type KNNCounts struct {
 }
 
 // AddCounts adds one completed search's account; a nil receiver ignores
-// the call. An attempt that loses a hedged race but still finishes adds
-// its work too — it was done.
+// the call.
 func (b *KNNBound) AddCounts(c KNNCounts) {
 	if b == nil {
 		return

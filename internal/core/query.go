@@ -69,12 +69,10 @@ type Result struct {
 	// aliases memory a later search reuses.
 	Matches []Match
 	// Stats describes the work behind the answer. A KNN fills only
-	// TotalSequences, CPUTime, CacheHit and, from a scatter, Partial and
-	// ShardsAnswered.
+	// TotalSequences, CPUTime and CacheHit.
 	Stats SearchStats
-	// PerShard holds, for an answer gathered from shards, each answering
-	// shard's own statistics in shard order — on a partial answer the
-	// authoritative list of shards it covers. nil from a single database.
+	// PerShard holds, for an answer gathered from shards, each shard's own
+	// statistics in shard order. nil from a single database.
 	PerShard []ShardStats
 }
 

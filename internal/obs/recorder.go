@@ -11,7 +11,7 @@ type RecorderConfig struct {
 	// PerBucket is how many of the slowest traces to keep per latency
 	// bucket (LatencyBuckets boundaries). 0 means the default (4).
 	PerBucket int
-	// Errors is the capacity of the errored/partial ring. 0 means the
+	// Errors is the capacity of the errored ring. 0 means the
 	// default (64).
 	Errors int
 	// Recent is the capacity of the most-recently-completed ring. 0 means
@@ -29,7 +29,7 @@ const (
 // Recorder is the flight recorder: it tracks in-flight traces and retains
 // a bounded sample of completed ones — the N slowest per latency bucket
 // (so slow outliers survive even under high throughput of fast requests,
-// OpenCensus-/tracez/-style), every errored or partial trace up to a ring
+// OpenCensus-/tracez/-style), every errored trace up to a ring
 // limit, and a short ring of the most recent completions for "what just
 // happened" debugging. All methods are safe for concurrent use and no-op
 // on a nil receiver, so call sites need no wiring checks.
@@ -197,7 +197,7 @@ type RecorderDump struct {
 	// Slowest holds the per-latency-bucket slowest survivors, slowest
 	// first.
 	Slowest []*TraceSnapshot `json:"slowest"`
-	// Errored holds retained errored/partial traces, newest first.
+	// Errored holds retained errored traces, newest first.
 	Errored []*TraceSnapshot `json:"errored"`
 }
 

@@ -86,22 +86,21 @@ func TestRecorderErroredRing(t *testing.T) {
 		rec.End(tr)
 		ids = append(ids, tr.ID)
 	}
-	part := NewTrace()
-	part.MarkPartial()
-	rec.Start(part)
-	rec.End(part)
+	ok := NewTrace()
+	rec.Start(ok)
+	rec.End(ok)
 
 	dump := rec.Dump()
 	if len(dump.Errored) != 2 {
 		t.Fatalf("errored ring holds %d, want capacity 2", len(dump.Errored))
 	}
-	// Newest first: the partial trace, then the last error; older errors
-	// were overwritten.
-	if dump.Errored[0].ID != part.ID || dump.Errored[0].Status != "partial" {
-		t.Fatalf("Errored[0] = %s/%s, want the partial trace %s", dump.Errored[0].ID, dump.Errored[0].Status, part.ID)
+	// Newest first: the last two errors; the oldest was overwritten, and
+	// the ok trace is not retained here.
+	if dump.Errored[0].ID != ids[2] || dump.Errored[0].Err != "boom 2" {
+		t.Fatalf("Errored[0] = %s err=%q, want %s / boom 2", dump.Errored[0].ID, dump.Errored[0].Err, ids[2])
 	}
-	if dump.Errored[1].ID != ids[2] || dump.Errored[1].Err != "boom 2" {
-		t.Fatalf("Errored[1] = %s err=%q, want %s / boom 2", dump.Errored[1].ID, dump.Errored[1].Err, ids[2])
+	if dump.Errored[1].ID != ids[1] || dump.Errored[1].Err != "boom 1" {
+		t.Fatalf("Errored[1] = %s err=%q, want %s / boom 1", dump.Errored[1].ID, dump.Errored[1].Err, ids[1])
 	}
 }
 
@@ -202,8 +201,6 @@ func TestRecorderConcurrentSoak(t *testing.T) {
 				end(Int("shards", writers))
 				if i%3 == 0 {
 					tr.MarkError("injected")
-				} else if i%3 == 1 {
-					tr.MarkPartial()
 				}
 				rec.End(tr)
 			}
@@ -243,7 +240,7 @@ func TestRecorderConcurrentSoak(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	// Final state: errored/partial traces retained, every retained status
+	// Final state: errored traces retained, every retained status
 	// consistent, and the JSON endpoint still round-trips.
 	dump := rec.Dump()
 	if len(dump.Errored) == 0 {

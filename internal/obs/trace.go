@@ -27,12 +27,11 @@ type Trace struct {
 	ID    string // request ID, echoed to clients in X-Request-ID
 	start time.Time
 
-	mu      sync.Mutex
-	spans   []Span
-	attrs   []Attr // trace-level attributes (the wide-event payload)
-	nextID  int    // last span ID handed out
-	errMsg  string // non-empty marks the trace errored
-	partial bool   // a degraded (partial) answer was served
+	mu     sync.Mutex
+	spans  []Span
+	attrs  []Attr // trace-level attributes (the wide-event payload)
+	nextID int    // last span ID handed out
+	errMsg string // non-empty marks the trace errored
 }
 
 // Span is one named timed section of a request.
@@ -49,7 +48,7 @@ type Span struct {
 	// Dur is the elapsed time inside the span.
 	Dur time.Duration
 	// Attrs are the span's typed annotations (candidate counts, pruning
-	// ratios, shard ids, retry outcomes, ...).
+	// ratios, shard ids, ...).
 	Attrs []Attr
 }
 
@@ -298,17 +297,6 @@ func (t *Trace) MarkError(msg string) {
 	t.mu.Unlock()
 }
 
-// MarkPartial marks the trace as having served a degraded (partial)
-// answer. The recorder retains partial traces like errors.
-func (t *Trace) MarkPartial() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.partial = true
-	t.mu.Unlock()
-}
-
 // Err returns the error message set by MarkError, or "".
 func (t *Trace) Err() string {
 	if t == nil {
@@ -330,7 +318,7 @@ func (t *Trace) Spans() []Span {
 }
 
 // WideAttrs renders the canonical wide-event payload for the per-request
-// log line: every trace-level attribute, the partial/error markers, and
+// log line: every trace-level attribute, the error marker, and
 // one duration attribute per span. The request ID is omitted — the
 // middleware logs it alongside.
 func (t *Trace) WideAttrs() []slog.Attr {
@@ -340,14 +328,11 @@ func (t *Trace) WideAttrs() []slog.Attr {
 	t.mu.Lock()
 	attrs := append([]Attr(nil), t.attrs...)
 	spans := append([]Span(nil), t.spans...)
-	errMsg, partial := t.errMsg, t.partial
+	errMsg := t.errMsg
 	t.mu.Unlock()
 	out := make([]slog.Attr, 0, len(attrs)+len(spans)+2)
 	for _, a := range attrs {
 		out = append(out, a.slogAttr())
-	}
-	if partial {
-		out = append(out, slog.Bool("partial", true))
 	}
 	if errMsg != "" {
 		out = append(out, slog.String("error", errMsg))
@@ -385,7 +370,7 @@ type TraceSnapshot struct {
 	Start time.Time `json:"start"`
 	// DurNS is the trace's end-to-end duration in nanoseconds.
 	DurNS int64 `json:"durNs"`
-	// Status is "ok", "partial", or "error".
+	// Status is "ok" or "error".
 	Status string `json:"status"`
 	// Err is the MarkError message for errored traces.
 	Err string `json:"error,omitempty"`
@@ -399,8 +384,7 @@ type TraceSnapshot struct {
 func (s *TraceSnapshot) Dur() time.Duration { return time.Duration(s.DurNS) }
 
 // Snapshot freezes the trace's current state, ending now. Status is
-// derived from the trace's markers: "error" when MarkError was called,
-// else "partial" when MarkPartial was, else "ok".
+// "error" when MarkError was called, else "ok".
 func (t *Trace) Snapshot() *TraceSnapshot {
 	if t == nil {
 		return nil
@@ -415,9 +399,6 @@ func (t *Trace) Snapshot() *TraceSnapshot {
 		Status: "ok",
 		Err:    t.errMsg,
 		Attrs:  attrMap(t.attrs),
-	}
-	if t.partial {
-		snap.Status = "partial"
 	}
 	if t.errMsg != "" {
 		snap.Status = "error"

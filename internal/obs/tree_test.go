@@ -70,16 +70,10 @@ func TestSnapshotStatusDerivation(t *testing.T) {
 	if s := ok.Snapshot(); s.Status != "ok" {
 		t.Fatalf("fresh trace status %q, want ok", s.Status)
 	}
-	part := NewTrace()
-	part.MarkPartial()
-	if s := part.Snapshot(); s.Status != "partial" {
-		t.Fatalf("partial trace status %q, want partial", s.Status)
-	}
-	both := NewTrace()
-	both.MarkPartial()
-	both.MarkError("first")
-	both.MarkError("second") // first MarkError wins
-	s := both.Snapshot()
+	failed := NewTrace()
+	failed.MarkError("first")
+	failed.MarkError("second") // first MarkError wins
+	s := failed.Snapshot()
 	if s.Status != "error" || s.Err != "first" {
 		t.Fatalf("status %q err %q, want error/first", s.Status, s.Err)
 	}
@@ -93,7 +87,7 @@ func TestWriteTreeRendersNestedSpans(t *testing.T) {
 	endShard(Int("shard", 3))
 	endScatter(Int("shards", 4))
 	tr.SetAttrs(Str("path", "/search"))
-	tr.MarkPartial()
+	tr.MarkError("boom")
 
 	var b strings.Builder
 	tr.Snapshot().WriteTree(&b)
@@ -102,7 +96,7 @@ func TestWriteTreeRendersNestedSpans(t *testing.T) {
 	if !strings.Contains(out, "trace req-tree-1") {
 		t.Fatalf("header missing trace ID:\n%s", out)
 	}
-	if !strings.Contains(out, "status=partial") {
+	if !strings.Contains(out, "status=error") {
 		t.Fatalf("header missing status:\n%s", out)
 	}
 	if !strings.Contains(out, "path=/search") {

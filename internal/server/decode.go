@@ -20,9 +20,8 @@ import (
 // top-level value are ignored). FuzzDecodeRequest compares the two on
 // every input. The one deliberate difference is where the numbers land:
 // a points array becomes one flat []float64 plus one []geom.Point header
-// slice, both freshly allocated: an ingested sequence keeps its points, and
-// a losing hedged shard attempt may still read a query's after the handler
-// has returned, so points never share the pooled body buffer's lifetime.
+// slice, both freshly allocated, because an ingested sequence keeps its
+// points: they must not share the pooled body buffer's lifetime.
 
 // field is one key of the request schema; an endpoint allows a subset.
 type field uint16

@@ -60,12 +60,9 @@
 //
 // Robustness: /search and /knn run under the request context, so a
 // client disconnect or a request deadline cancels the query all the way
-// down into the per-shard searches. On a sharded database configured
-// with a fault-tolerance policy (mdsserve -shard-timeout / -hedge-after
-// / -retries / -allow-partial), a degraded answer is flagged in the
-// response ("partial": true plus the list of shards that answered), and
-// a query that cannot be served within its deadline returns 504 instead
-// of hanging.
+// down into the per-shard searches. A query that cannot be served
+// within its deadline returns 504 instead of hanging, and a shard error
+// fails the query: an answer is every shard's or none.
 package server
 
 import (
@@ -148,7 +145,7 @@ func WithDefaultMetric(name string, window int) Option {
 
 // WithRecorder wires a flight recorder: every request is tracked
 // in-flight and retained per the recorder's sampling (slowest per latency
-// bucket plus all errors/partials), served at GET /debug/tracez
+// bucket plus all errors), served at GET /debug/tracez
 // (?format=text for span trees) and GET /debug/requestz (in-flight
 // table). nil disables.
 func WithRecorder(rec *obs.Recorder) Option { return func(s *Server) { s.rec = rec } }
@@ -299,14 +296,6 @@ type MatchJSON struct {
 // SearchResponse is the body returned by POST /search. The phase
 // durations are microseconds; for a sharded database they are the slowest
 // shard's (phases overlap in wall-clock) and cpuUs sums across shards.
-//
-// Partial answers: when the database is sharded and its fault-tolerance
-// policy allows degradation, a query whose shard(s) failed or timed out
-// still succeeds with Partial set and ShardsAnswered listing the shard
-// indexes that contributed — the matches are then exact for those
-// shards' corpus slice only (see the shard package for what this does to
-// the paper's no-false-dismissal guarantee). Both fields are omitted on
-// complete answers from single-node deployments.
 type SearchResponse struct {
 	Matches []MatchJSON `json:"matches"` // sequences within ε, ascending id
 	// Cached is true when the answer was served from the query-result
@@ -314,11 +303,9 @@ type SearchResponse struct {
 	// stats then describe the run that originally produced it. Also
 	// surfaced as the X-Mdseq-Cache response header (hit/miss).
 	Cached bool `json:"cached,omitempty"`
-	// Partial is true when some shards did not contribute to Matches.
-	Partial bool `json:"partial,omitempty"`
 	// ShardsAnswered lists the shard indexes whose results Matches
-	// covers, in ascending order. Present whenever the per-shard search
-	// path ran (sharded database), complete or not.
+	// covers — every shard, in ascending order. Present whenever the
+	// per-shard search path ran (sharded database).
 	ShardsAnswered []int `json:"shardsAnswered,omitempty"`
 	// Stats carries the search's per-phase work counters and timings.
 	Stats struct {
@@ -572,9 +559,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		)
 		if q.Metric != nil {
 			tr.SetAttrs(obs.Str("metric", q.Metric.Name()))
-		}
-		if res.Stats.Partial {
-			tr.MarkPartial()
 		}
 	}
 	s.logSlowQuery(r, "search", took, q, res)

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -548,5 +550,85 @@ func TestTxnzReportsStats(t *testing.T) {
 	}
 	if st.Commits == 0 {
 		t.Errorf("Commits = 0, want >0 after an ingest")
+	}
+}
+
+// hungNode is a shard that never answers: Do, the one method a scatter
+// calls, blocks until the call's context is done.
+type hungNode struct{ *core.Database }
+
+func (hungNode) Do(ctx context.Context, _ core.Query) (core.Result, error) {
+	<-ctx.Done()
+	return core.Result{}, ctx.Err()
+}
+
+// seedWalks stores 24 random walks through s and returns a 20-point query
+// cut from the first.
+func seedWalks(t *testing.T, s *Server) [][]float64 {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	var qpts [][]float64
+	for i := 0; i < 24; i++ {
+		pts := walkPoints(rng, 40)
+		if rec := doJSON(t, s, "POST", "/sequences", SequenceJSON{Label: fmt.Sprint("s", i), Points: pts}); rec.Code != http.StatusCreated {
+			t.Fatalf("seed %d: %d %s", i, rec.Code, rec.Body)
+		}
+		if qpts == nil {
+			qpts = pts[:20]
+		}
+	}
+	return qpts
+}
+
+// TestFaultHTTPDeadlineMapsTo504: a shard that never answers holds the
+// query until the request context's deadline fires, and the handler maps
+// context.DeadlineExceeded to 504 Gateway Timeout.
+func TestFaultHTTPDeadlineMapsTo504(t *testing.T) {
+	const hung = 2
+	seeder, loaded := newShardedTestServer(t, 4)
+	qpts := seedWalks(t, seeder)
+	nodes := make([]shard.Node, loaded.Shards())
+	for i := range nodes {
+		nodes[i] = loaded.Shard(i)
+	}
+	nodes[hung] = hungNode{loaded.Shard(hung).(*core.Database)}
+	db, err := shard.NewWithNodes(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db)
+
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(SearchRequest{Points: qpts, Eps: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/search", &body).WithContext(ctx))
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("search past its deadline: %d %s, want 504", rec.Code, rec.Body)
+	}
+}
+
+// TestFaultHTTPCompleteResponseNotFlagged: a sharded answer is every
+// shard's, so its body lists every shard in shardsAnswered and carries no
+// "partial" key.
+func TestFaultHTTPCompleteResponseNotFlagged(t *testing.T) {
+	s, _ := newShardedTestServer(t, 4)
+	qpts := seedWalks(t, s)
+	rec := doJSON(t, s, "POST", "/search", SearchRequest{Points: qpts, Eps: 0.3})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("search: %d %s", rec.Code, rec.Body)
+	}
+	if bytes.Contains(rec.Body.Bytes(), []byte(`"partial"`)) {
+		t.Fatalf("answer carries a partial key: %s", rec.Body)
+	}
+	var resp SearchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(resp.ShardsAnswered) != "[0 1 2 3]" {
+		t.Fatalf("shardsAnswered = %v, want every shard", resp.ShardsAnswered)
 	}
 }

@@ -106,14 +106,11 @@ func appendMatchHead(b []byte, id uint32, label string) []byte {
 }
 
 // appendResponseTail closes the matches array and appends the rest of a
-// SearchResponse: the omitempty flags, shardsAnswered, and stats.
+// SearchResponse: the cached flag, shardsAnswered, and stats.
 func appendResponseTail(b []byte, st core.SearchStats, perShard []core.ShardStats) []byte {
 	b = append(b, ']')
 	if st.CacheHit {
 		b = append(b, `,"cached":true`...)
-	}
-	if st.Partial {
-		b = append(b, `,"partial":true`...)
 	}
 	for i, ps := range perShard {
 		if i == 0 {

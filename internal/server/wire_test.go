@@ -67,7 +67,6 @@ func metricResponse(matches []core.MetricMatch, stats core.SearchStats) SearchRe
 
 func fillResponse(resp *SearchResponse, stats core.SearchStats) {
 	resp.Cached = stats.CacheHit
-	resp.Partial = stats.Partial
 	resp.Stats.QueryMBRs = stats.QueryMBRs
 	resp.Stats.Candidates = stats.CandidatesDmbr
 	resp.Stats.TotalSequences = stats.TotalSequences
@@ -125,7 +124,7 @@ func wireCase(rng *rand.Rand) ([]core.Match, []core.MetricMatch, []core.KNNResul
 		QueryMBRs: rng.Intn(9), CandidatesDmbr: rng.Intn(2000), TotalSequences: rng.Intn(20000),
 		Phase1: time.Duration(rng.Int63n(1e7)), Phase2: time.Duration(rng.Int63n(1e9)),
 		Phase3: time.Duration(rng.Int63n(1e10)), CPUTime: time.Duration(rng.Int63n(1e11)),
-		CacheHit: rng.Intn(2) == 0, Partial: rng.Intn(2) == 0,
+		CacheHit: rng.Intn(2) == 0,
 	}
 	var perShard []shard.ShardStats
 	for i := rng.Intn(5); i > 0; i-- {

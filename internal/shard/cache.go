@@ -17,8 +17,7 @@ import (
 // region their answer depends on, and a write racing a scatter can only
 // waste an entry, never serve a stale one — the cache's write-sequence
 // counter, snapshotted before the fan-out, makes Put drop any answer a
-// concurrent write may have outdated (see internal/cache). Partial
-// answers are never cached.
+// concurrent write may have outdated (see internal/cache).
 func (s *ShardedDB) SetCache(c *cache.Cache) { s.qcache.Store(c) }
 
 // QueryCache returns the merged-result cache, or nil.

@@ -34,9 +34,9 @@ type DB interface {
 	// Do answers one query — range search, kNN or the exhaustive scan,
 	// under the paper's Dnorm answer, D or DTW: the one search entry point
 	// (see core.Query). The serving layer always passes the request
-	// context, so a dead client or an expired query budget stops the work;
-	// on a ShardedDB the query additionally runs under the fault-tolerance
-	// Policy (per-shard timeout, retry, hedging, partial results).
+	// context, so a dead client or an expired query budget stops the work.
+	// On a ShardedDB the answer is every shard's, or the first failing
+	// shard's error.
 	Do(context.Context, core.Query) (core.Result, error)
 	// SearchBatchCtx answers several of the paper's range queries, one
 	// result set and stats value per query, in input order: each what Do
@@ -77,7 +77,7 @@ type DB interface {
 
 	// SetCache attaches a query-result cache (nil detaches). A write
 	// invalidates the entries whose recorded region its MBR can reach and
-	// no others; partial results are never cached. On a ShardedDB it is
+	// no others. On a ShardedDB it is
 	// the one cache, in front of the scatter; the shards hold none.
 	SetCache(*cache.Cache)
 	// QueryCache returns the attached cache, or nil.
@@ -93,3 +93,16 @@ var (
 	_ DB = (*core.Database)(nil)
 	_ DB = (*ShardedDB)(nil)
 )
+
+// Backend is the per-shard query surface a Node serves the scatter with.
+type Backend interface {
+	// Do answers one query under ctx; the scatter calls nothing else.
+	Do(ctx context.Context, q core.Query) (core.Result, error)
+	// SearchCtx and SearchMetricCtx are Do under the names bench/trace.go
+	// calls on a Backend; they go when a benchmark-only PR re-points `bench/`.
+	SearchCtx(ctx context.Context, q *core.Sequence, eps float64) ([]core.Match, core.SearchStats, error)
+	// SearchMetricCtx is Do for a range search under a metric.
+	SearchMetricCtx(ctx context.Context, q *core.Sequence, eps float64, m core.Metric) ([]core.MetricMatch, core.SearchStats, error)
+}
+
+var _ Backend = (*core.Database)(nil)

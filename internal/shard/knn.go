@@ -26,26 +26,17 @@ import (
 //
 // The bound arrives late unless the shards meet: a shard that refines
 // deep into its own candidates before its siblings' best reach the bound
-// does work one database would have pruned. So the scatter arms the
-// bound's rendezvous (core.KNNBound.Meet): each shard's search, after its
-// first ⌈k/n⌉+1 refinements, waits until every sibling has done the same or
-// left, and a shard leaves when its call returns, whatever it returned.
-// Waiting needs every sibling launched, so an armed scatter launches all n
-// at once. It is armed only when no wait can be mistaken for a fault — no
-// per-attempt deadline, no hedge — and the shards pool into one bound.
-//
-// Retried and hedged attempts of one shard share that shard's view of the
-// bound. With Policy.AllowPartial a shard that exhausts its attempts is
-// skipped, and because a skipped shard's k sequences never reach the
-// answer, its k-th best must not prune the others: each shard then
-// publishes to a bound of its own and reads the shared one, which only the
-// merge tightens, with answers it has merged.
+// does work one database would have pruned. So with more than one shard
+// the scatter arms the bound's rendezvous (core.KNNBound.Meet): each
+// shard's search, after its first ⌈k/n⌉+1 refinements, waits until every
+// sibling has done the same or left, and a shard leaves when its call
+// returns, whatever it returned. Waiting needs every sibling launched, so
+// a kNN scatter launches all n at once.
 type knnScatter struct {
 	s     *ShardedDB
 	q     core.Query
 	bound *core.KNNBound   // the query's
-	views []*core.KNNBound // per shard: what its attempts search against
-	met   bool             // the bound's rendezvous is armed
+	views []*core.KNNBound // per shard: what its search runs against
 
 	// seeded counts shard launches that found the bound already finite —
 	// the bound-sharing effectiveness observable at launch granularity.
@@ -55,25 +46,20 @@ type knnScatter struct {
 	out []core.Match // the merged top k so far, by (Dist, global id)
 }
 
-func (s *ShardedDB) newKNNScatter(q core.Query, pol Policy) *knnScatter {
+func (s *ShardedDB) newKNNScatter(q core.Query) *knnScatter {
 	kn := &knnScatter{s: s, q: q, bound: core.NewKNNBound(q.K), views: make([]*core.KNNBound, len(s.shards))}
 	for i := range kn.views {
-		if pol.AllowPartial {
-			kn.views[i] = kn.bound.Local()
-		} else {
-			kn.views[i] = kn.bound.Searcher(uint32(i))
-		}
+		kn.views[i] = kn.bound.Searcher(uint32(i))
 	}
-	if len(kn.views) > 1 && !pol.AllowPartial && pol.ShardTimeout == 0 && !pol.hedged() {
+	if len(kn.views) > 1 {
 		kn.bound.Meet(len(kn.views))
-		kn.met = true
 	}
 	return kn
 }
 
-// call is one attempt at shard i: the query under that shard's view of the
+// call is shard i's search: the query under that shard's view of the
 // bound.
-func (kn *knnScatter) call(ctx context.Context, i int, b Backend) (core.Result, error) {
+func (kn *knnScatter) call(ctx context.Context, i int) (core.Result, error) {
 	q := kn.q
 	q.Bound = kn.views[i]
 	if math.IsInf(q.Bound.Load(), 1) {
@@ -81,7 +67,7 @@ func (kn *knnScatter) call(ctx context.Context, i int, b Backend) (core.Result, 
 	} else {
 		kn.seeded.Add(1)
 	}
-	return b.Do(ctx, q)
+	return kn.s.shards[i].Do(ctx, q)
 }
 
 // done ends shard i's part: an answer is merged, and the shard leaves the

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,8 +56,7 @@ func scanTopK(t *testing.T, db DB, q *core.Sequence, k int, m core.Metric) []str
 
 // TestShardedKNNLiveBoundEquivalence: with every shard pruning against
 // one live bound — under injected delays that shuffle which shard
-// publishes first, failed first attempts that are retried and slow ones
-// that are hedged, all attempts sharing the bound — the gathered answer
+// publishes first — the gathered answer
 // equals the single database's (labels, distance bits, offsets, order) and
 // the exhaustive scan's, for D and DTW, across shard counts.
 func TestShardedKNNLiveBoundEquivalence(t *testing.T) {
@@ -73,10 +71,7 @@ func TestShardedKNNLiveBoundEquivalence(t *testing.T) {
 	}
 	metrics := []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}, core.MetricDTW{Window: 8}}
 	for _, nsh := range []int{1, 2, 4, 7} {
-		sdb := newSharded(t, clone(seqs), nsh)
-		reg := obs.NewRegistry()
-		sdb.SetMetrics(reg)
-		sdb.SetPolicy(Policy{Retries: 2, HedgeAfter: 300 * time.Microsecond})
+		sdb, nodes := faultDB(t, clone(seqs), nsh)
 		for _, m := range metrics {
 			for _, q := range queries {
 				for _, k := range []int{1, 4, 9} {
@@ -84,14 +79,9 @@ func TestShardedKNNLiveBoundEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Fresh scripts per query: a first attempt that fails on
-					// some shards, delays on both sides of the hedge trigger.
-					for i := 0; i < nsh; i++ {
-						script := []Fault{{Delay: time.Duration(rng.Intn(900)) * time.Microsecond}}
-						if rng.Intn(3) == 0 {
-							script = append([]Fault{{Err: errInjected}}, script...)
-						}
-						sdb.SetShardBackend(i, NewFaultDB(sdb.Shard(i), script...))
+					// Fresh delays per query.
+					for _, nd := range nodes {
+						nd.sleep = time.Duration(rng.Intn(900)) * time.Microsecond
 					}
 					got, err := sdb.SearchKNNMetricCtx(context.Background(), q, k, m)
 					if err != nil {
@@ -115,12 +105,6 @@ func TestShardedKNNLiveBoundEquivalence(t *testing.T) {
 					}
 				}
 			}
-		}
-		if reg.Counter("mdseq_shard_retries_total", "").Value() == 0 {
-			t.Fatalf("shards=%d: no attempt was retried; the scripts no longer exercise the retry path", nsh)
-		}
-		if reg.Counter("mdseq_shard_hedges_total", "").Value() == 0 {
-			t.Fatalf("shards=%d: no attempt was hedged; the scripts no longer exercise the hedge path", nsh)
 		}
 	}
 }
@@ -154,171 +138,6 @@ func TestKNNGatherMergeOrder(t *testing.T) {
 		}
 		if bound.Load() != 0.5 {
 			t.Fatalf("order %v: published bound %v, want the merged k-th best 0.5", order, bound.Load())
-		}
-	}
-}
-
-// searchThenFail is a backend that does a kNN search's whole work —
-// publishing its k-th best on the way — and then loses the answer: a shard
-// that hits its timeout just before returning.
-type searchThenFail struct{ Backend }
-
-func (b searchThenFail) Do(ctx context.Context, q core.Query) (core.Result, error) {
-	b.Backend.Do(ctx, q)
-	return core.Result{}, errInjected
-}
-
-// TestShardedKNNPartialIgnoresLostShardsBound: with AllowPartial, a shard
-// that published its k-th best and then failed must not have pruned the
-// shards that answer — the degraded answer is the exact top k of the
-// answered shards' sequences, k of them when they hold that many. The
-// failing shard holds the query's source, so its k-th best is far below
-// the survivor's and would cut the survivor short (fails with one bound
-// shared by all shards: fewer than k neighbors come back). The same goes
-// for what it offers: with one near-duplicate fewer it has no k-th best
-// worth publishing, but k−1 offers of its own and one from the survivor
-// would make a pool of k.
-func TestShardedKNNPartialIgnoresLostShardsBound(t *testing.T) {
-	seqs := metricCorpus(t, 40, 81)
-	const k = 5
-	for _, dups := range []int{k, k - 1} {
-		for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
-			sdb := newSharded(t, clone(seqs), 2)
-			sdb.SetPolicy(Policy{AllowPartial: true})
-			// Near-duplicates of one sequence, all on the shard that will fail
-			// (placement is by label hash).
-			const lost = 0
-			src := seqs[3]
-			for i, added := 0, 0; added < dups; i++ {
-				dup := src.Clone()
-				dup.Label = fmt.Sprintf("dup%d", i)
-				if ShardFor(dup.Label, 2) != lost {
-					continue
-				}
-				added++
-				dup.Points[0][0] += 1e-4 * float64(added)
-				if _, err := sdb.Add(dup); err != nil {
-					t.Fatal(err)
-				}
-			}
-			q := &core.Sequence{Label: "q", Points: src.Points}
-			want, err := sdb.Shard(1).SearchKNNMetricCtx(context.Background(), q, k, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) != k {
-				t.Fatalf("metric=%s: surviving shard alone returns %d neighbors, want %d", m.Name(), len(want), k)
-			}
-			sdb.SetShardBackend(lost, searchThenFail{sdb.Shard(lost)})
-			sdb.SetShardBackend(1, NewFaultDB(sdb.Shard(1), Fault{Delay: 20 * time.Millisecond}))
-			res, err := sdb.Do(context.Background(), core.Query{Seq: q, Kind: core.KNN, K: k, Metric: m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A degraded kNN silently misses the lost shard's neighbors; the
-			// flag is all that tells the caller.
-			if st := res.Stats; !st.Partial || st.ShardsAnswered != 1 || len(res.PerShard) != 1 || res.PerShard[0].Shard != 1 {
-				t.Fatalf("metric=%s: degraded answer says Partial=%v ShardsAnswered=%d PerShard=%v, want true, 1 and shard 1 alone",
-					m.Name(), st.Partial, st.ShardsAnswered, res.PerShard)
-			}
-			got := res.Matches
-			for i := range want {
-				want[i].SeqID = sdb.globalID(1, want[i].SeqID)
-			}
-			if fmt.Sprint(knnKeys(got)) != fmt.Sprint(knnKeys(want)) {
-				t.Fatalf("metric=%s, %d near-duplicates lost: partial answer differs from the answered shard's own top %d:\n got %v\nwant %v",
-					m.Name(), dups, k, knnKeys(got), knnKeys(want))
-			}
-		}
-	}
-}
-
-// searchThenLose is a backend whose first kNN call does the search's whole
-// work — offering and publishing on the way — and then loses the answer:
-// it fails at once, so that a retry follows, or with stall set sits on the
-// answer until its context fires, so that a hedge overtakes it. Later
-// calls pass through.
-type searchThenLose struct {
-	Backend
-	stall bool
-	calls atomic.Int32
-}
-
-func (b *searchThenLose) lose(ctx context.Context) error {
-	if b.stall {
-		select {
-		case <-ctx.Done():
-		case <-time.After(5 * time.Second):
-		}
-	}
-	return errInjected
-}
-
-func (b *searchThenLose) Do(ctx context.Context, q core.Query) (core.Result, error) {
-	res, err := b.Backend.Do(ctx, q)
-	if b.calls.Add(1) == 1 {
-		return core.Result{}, b.lose(ctx)
-	}
-	return res, err
-}
-
-// TestShardedKNNPoolCountsASequenceOnce: two attempts of one shard — a
-// failed one and its retry, a stalled one and its hedge — both refine the
-// query's nearest neighbor and both offer it. The pool must hold it once:
-// counted twice, two copies of distance 0 are the "2 best" at k = 2, the
-// bound drops to 0, and the other shard, which starts later, dismisses the
-// true second neighbor.
-func TestShardedKNNPoolCountsASequenceOnce(t *testing.T) {
-	seqs := metricCorpus(t, 40, 83)
-	src := seqs[3]
-	home := ShardFor(src.Label, 2)
-	near := src.Clone()
-	for i := 0; ; i++ {
-		if near.Label = fmt.Sprintf("near%d", i); ShardFor(near.Label, 2) != home {
-			break
-		}
-	}
-	near.Points[0][0] += 1e-4
-	all := append(clone(seqs), near)
-	single := newSingle(t, clone(all))
-	q := &core.Sequence{Label: "q", Points: src.Points}
-	for _, mode := range []struct {
-		name  string
-		pol   Policy
-		stall bool
-	}{
-		{"retry", Policy{Retries: 1}, false},
-		{"hedge", Policy{HedgeAfter: 2 * time.Millisecond}, true},
-	} {
-		for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
-			t.Run(mode.name+"/"+m.Name(), func(t *testing.T) {
-				want, err := single.SearchKNNMetricCtx(context.Background(), q, 2, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want[0].Seq.Label != src.Label || want[1].Seq.Label != near.Label {
-					t.Fatalf("the two nearest are %s and %s, the test needs %s and %s",
-						want[0].Seq.Label, want[1].Seq.Label, src.Label, near.Label)
-				}
-				sdb := newSharded(t, clone(all), 2)
-				sdb.SetPolicy(mode.pol)
-				twice := &searchThenLose{Backend: sdb.Shard(home), stall: mode.stall}
-				sdb.SetShardBackend(home, twice)
-				// The other shard starts once both attempts are through, its
-				// own hedge included.
-				late := Fault{Delay: 30 * time.Millisecond}
-				sdb.SetShardBackend(1-home, NewFaultDB(sdb.Shard(1-home), late, late))
-				got, err := sdb.SearchKNNMetricCtx(context.Background(), q, 2, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if twice.calls.Load() != 2 {
-					t.Fatalf("%d attempts on the shard holding the query's source, want 2", twice.calls.Load())
-				}
-				if fmt.Sprint(knnKeys(got)) != fmt.Sprint(knnKeys(want)) {
-					t.Fatalf("answer differs from the single database's:\n got %v\nwant %v", knnKeys(got), knnKeys(want))
-				}
-			})
 		}
 	}
 }

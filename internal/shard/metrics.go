@@ -22,15 +22,6 @@ type shardMetrics struct {
 
 	knnSeeded   *obs.Counter
 	knnUnseeded *obs.Counter
-
-	// Fault-tolerance observables (see Policy): how often the robustness
-	// machinery fired and how the races came out.
-	retries      *obs.Counter
-	hedges       *obs.Counter
-	hedgesWon    *obs.Counter
-	hedgesLost   *obs.Counter
-	deadlineHits *obs.Counter
-	partials     *obs.Counter
 }
 
 func newShardMetrics(reg *obs.Registry, n int) *shardMetrics {
@@ -47,18 +38,6 @@ func newShardMetrics(reg *obs.Registry, n int) *shardMetrics {
 			"Per-shard kNN launches that started with a finite k-th-distance seed bound from earlier shards."),
 		knnUnseeded: reg.Counter("mdseq_shard_knn_unseeded_total",
 			"Per-shard kNN launches that started unseeded (bound +Inf)."),
-		retries: reg.Counter("mdseq_shard_retries_total",
-			"Per-shard query attempts re-run after a failure (Policy.Retries)."),
-		hedges: reg.Counter("mdseq_shard_hedges_total",
-			"Hedged requests launched because a shard was silent past Policy.HedgeAfter."),
-		hedgesWon: reg.Counter("mdseq_shard_hedges_won_total",
-			"Hedged requests that answered before the primary they raced."),
-		hedgesLost: reg.Counter("mdseq_shard_hedges_lost_total",
-			"Hedged requests beaten by their primary (wasted duplicate work)."),
-		deadlineHits: reg.Counter("mdseq_shard_deadline_hits_total",
-			"Per-shard attempts that blew the Policy.ShardTimeout budget."),
-		partials: reg.Counter("mdseq_shard_partial_results_total",
-			"Queries answered from fewer shards than exist (Policy.AllowPartial degradations)."),
 	}
 	m.perShard = make([]*obs.Histogram, n)
 	for i := range m.perShard {
@@ -70,21 +49,17 @@ func newShardMetrics(reg *obs.Registry, n int) *shardMetrics {
 }
 
 // recordScatter folds one range fan-out into the registry: one scatter,
-// the query's merged stats into the shared mdseq_search_* families, one
-// partial result if it is one, each shard's fan-out wall-clock into its
-// own series, and the straggler gap. durs holds one entry per shard, measured from
-// goroutine launch to result (so a shard queued behind the worker bound
-// charges its wait here — that is the latency a caller actually
-// experiences from the scatter).
+// the query's merged stats into the shared mdseq_search_* families, each
+// shard's fan-out wall-clock into its own series, and the straggler gap.
+// durs holds one entry per shard, measured from goroutine launch to result
+// (so a shard queued behind the worker bound charges its wait here — that
+// is the latency a caller actually experiences from the scatter).
 func (m *shardMetrics) recordScatter(durs []time.Duration, merged core.SearchStats) {
 	if m == nil {
 		return
 	}
 	m.scatters.Inc()
 	m.core.RecordSearch(merged)
-	if merged.Partial {
-		m.partials.Inc()
-	}
 	min, max := durs[0], durs[0]
 	for i, d := range durs {
 		m.perShard[i].ObserveDuration(d)
@@ -121,50 +96,6 @@ func (m *shardMetrics) recordKNN(d time.Duration, seeded, unseeded int, c core.K
 	}
 	m.knnSeeded.Add(uint64(seeded))
 	m.knnUnseeded.Add(uint64(unseeded))
-}
-
-// The fault-tolerance increments below are nil-safe so the robustness
-// machinery (robustCall, hedgedAttempt) records unconditionally and an
-// unwired database stays a pointer test per event.
-
-// incRetry counts one re-run attempt.
-func (m *shardMetrics) incRetry() {
-	if m != nil {
-		m.retries.Inc()
-	}
-}
-
-// incHedge counts one hedged request launched.
-func (m *shardMetrics) incHedge() {
-	if m != nil {
-		m.hedges.Inc()
-	}
-}
-
-// hedgeOutcome records which side won a hedged race.
-func (m *shardMetrics) hedgeOutcome(hedgeWon bool) {
-	if m == nil {
-		return
-	}
-	if hedgeWon {
-		m.hedgesWon.Inc()
-	} else {
-		m.hedgesLost.Inc()
-	}
-}
-
-// incDeadlineHit counts one per-shard attempt that exceeded ShardTimeout.
-func (m *shardMetrics) incDeadlineHit() {
-	if m != nil {
-		m.deadlineHits.Inc()
-	}
-}
-
-// incPartial counts one query served from fewer shards than exist.
-func (m *shardMetrics) incPartial() {
-	if m != nil {
-		m.partials.Inc()
-	}
 }
 
 // SetMetrics wires the sharded database to record into reg (nil

@@ -31,26 +31,23 @@ type ShardStats = core.ShardStats
 // The front cache (SetCache) is probed first, in the same slot a single
 // database uses; its write-sequence counter is read before any shard is
 // contacted, so a write landing mid-scatter makes the entry stored
-// afterwards unservable, never stale. Partial answers are not stored.
+// afterwards unservable, never stale.
 //
-// The per-shard calls go through each shard's Backend under the
-// fault-tolerance Policy in force: ctx's deadline (or a client disconnect)
-// propagates into every per-shard search, each call gets the policy's
-// timeout, retries and hedge, and with Policy.AllowPartial a shard that
-// exhausts its attempts is dropped from the merge and the answer flagged
-// Stats.Partial — ShardsAnswered and PerShard say which shards it covers. A
-// partial range answer is a correct subset (the answered shards' results
-// are exact); a partial kNN is the exact top k of the answered shards'
-// slice of the corpus only, true neighbors stored on the skipped shard
-// silently missing, which is why callers must read the flag. Without
-// AllowPartial the first failing shard's error fails the query, and no
-// shard answering is an error under either setting: an empty partial would
-// be indistinguishable from a genuinely empty corpus.
+// ctx's deadline (or a client disconnect) propagates into every per-shard
+// search. The answer is every shard's or none: the first failing shard's
+// error fails the query.
 //
-// A Scan is the oracle, and runs outside all of that: see scan.
+// A Scan is the oracle: the same fan-out and gather, without the cache and
+// without metrics.
 func (s *ShardedDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
+	call := func(ctx context.Context, i int) (core.Result, error) { return s.shards[i].Do(ctx, q) }
+	workers := scatterWorkers(len(s.shards))
 	if q.Kind == core.Scan {
-		return s.scan(ctx, q)
+		sc, err := scatter(ctx, s, workers, call, nil)
+		if err != nil {
+			return core.Result{}, err
+		}
+		return s.gather(q, sc.vals), nil
 	}
 	if q.Kind == core.KNN && q.K <= 0 {
 		return core.Result{}, nil
@@ -63,30 +60,22 @@ func (s *ShardedDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
 		return res, nil
 	}
 	t0 := time.Now()
-	pol := s.Policy()
-	call := func(ctx context.Context, _ int, b Backend) (core.Result, error) { return b.Do(ctx, q) }
 	var done func(int, core.Result, error)
-	workers := scatterWorkers(len(s.shards))
 	var kn *knnScatter
 	if q.Kind == core.KNN {
-		kn = s.newKNNScatter(q, pol)
+		kn = s.newKNNScatter(q)
 		call, done = kn.call, kn.done
-		if kn.met {
-			workers = len(s.shards)
-		}
+		workers = len(s.shards) // the shards meet: every one must be running
 	}
-	sc, err := scatter(ctx, s, pol, workers, call, done)
+	sc, err := scatter(ctx, s, workers, call, done)
 	if err != nil {
 		return core.Result{}, err
 	}
-	res := s.gather(q, sc.shards, sc.vals)
+	res := s.gather(q, sc.vals)
 	_, dtw := q.Metric.(core.MetricDTW)
 	met := s.metrics()
 	if kn != nil {
 		res.Matches = kn.out
-		if res.Stats.Partial {
-			met.incPartial()
-		}
 		met.recordKNN(time.Since(t0), int(kn.seeded.Load()), int(kn.unseeded.Load()), kn.bound.Counts(), dtw)
 	} else {
 		met.recordScatter(sc.walls, res.Stats)
@@ -100,30 +89,25 @@ func (s *ShardedDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
 
 // scattered is what one fan-out brought back.
 type scattered struct {
-	vals   []core.Result   // per shard; the zero value where the shard failed
-	walls  []time.Duration // per shard, launch to result: queueing and retries included
-	shards []int           // the shards that answered, ascending
+	vals  []core.Result   // per shard
+	walls []time.Duration // per shard, launch to result: queueing included
 }
 
-// scatter is the one fan-out: call runs against every shard's Backend
-// concurrently (at most workers at a time), each under robustCall's
-// timeout, retries and hedge, and done, when not nil, runs once per shard
-// when robustCall returns, on that shard's goroutine, with what the winning
-// attempt returned or the error. The failures are then judged by the
-// policy (see Do): an error, or the list of shards that answered.
+// scatter is the one fan-out: call runs for every shard concurrently (at
+// most workers at a time), and done, when not nil, runs once per shard
+// when call returns, on that shard's goroutine, with what it returned.
+// Once every shard has returned, the lowest-numbered failing shard's error
+// fails the fan-out.
 //
-// With a trace in ctx the whole fan-out is one "scatter" span, each shard a
-// "shard" child and each launched call an "attempt" grandchild (robustCall),
-// so a retained trace of a sharded query renders as a tree: which shard
-// straggled, whether a hedge won, where each phase spent its time. A
-// degraded answer marks the trace partial.
-func scatter(ctx context.Context, s *ShardedDB, pol Policy, workers int,
-	call func(ctx context.Context, shard int, b Backend) (core.Result, error), done func(shard int, r core.Result, err error)) (scattered, error) {
+// With a trace in ctx the whole fan-out is one "scatter" span and each
+// shard a "shard" child, so a retained trace of a sharded query renders as
+// a tree: which shard straggled, where each phase spent its time.
+func scatter(ctx context.Context, s *ShardedDB, workers int,
+	call func(ctx context.Context, shard int) (core.Result, error), done func(shard int, r core.Result, err error)) (scattered, error) {
 	n := len(s.shards)
-	met := s.metrics()
 	tr := obs.FromContext(ctx)
 	scatterCtx, endScatter := obs.StartSpan(ctx, "scatter")
-	sc := scattered{vals: make([]core.Result, n), walls: make([]time.Duration, n), shards: make([]int, 0, n)}
+	sc := scattered{vals: make([]core.Result, n), walls: make([]time.Duration, n)}
 	errs := make([]error, n)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
@@ -134,13 +118,12 @@ func scatter(ctx context.Context, s *ShardedDB, pol Policy, workers int,
 			t0 := time.Now()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			b := s.backend(i)
 			shardCtx := scatterCtx
 			var endShard func(...obs.Attr)
 			if tr != nil {
 				shardCtx, endShard = obs.StartSpan(scatterCtx, "shard")
 			}
-			v, err := robustCall(shardCtx, pol, met, func(actx context.Context) (core.Result, error) { return call(actx, i, b) })
+			v, err := call(shardCtx, i)
 			if endShard != nil {
 				endShard(obs.Int("shard", i), obs.Bool("ok", err == nil))
 			}
@@ -151,109 +134,51 @@ func scatter(ctx context.Context, s *ShardedDB, pol Policy, workers int,
 		}(i)
 	}
 	wg.Wait()
-
-	var firstErr error
 	for i, err := range errs {
-		if err == nil {
-			sc.shards = append(sc.shards, i)
-			continue
-		}
-		if !pol.AllowPartial {
+		if err != nil {
 			endScatter(obs.Int("shards", n), obs.Int("failed_shard", i))
 			return sc, fmt.Errorf("shard: shard %d: %w", i, err)
 		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("shard: shard %d: %w", i, err)
-		}
 	}
-	partial := len(sc.shards) < n
-	endScatter(obs.Int("shards", n), obs.Int("shards_answered", len(sc.shards)), obs.Bool("partial", partial))
-	if partial {
-		tr.MarkPartial()
-	}
-	if len(sc.shards) == 0 {
-		return sc, firstErr
-	}
+	endScatter(obs.Int("shards", n))
 	return sc, nil
 }
 
-// gather is the one merge: the answers of the shards that answered —
-// vals[i] for each i in shards — become one Result: statistics folded by
-// mergeStats and kept per shard, Partial and ShardsAnswered stamped, and
-// the matches copied under global ids in ascending id order — or, from a
-// lone shard, taken as they are. A KNN's matches are left to the scatter,
-// which has ranked them as the shards came in.
-func (s *ShardedDB) gather(q core.Query, shards []int, vals []core.Result) core.Result {
-	res := core.Result{PerShard: make([]ShardStats, 0, len(shards))}
+// gather is the one merge: every shard's answer — vals[i] from shard i —
+// becomes one Result: statistics folded by mergeStats and kept per shard,
+// and the matches copied under global ids in ascending id order — or, from
+// a lone shard, taken as they are. A KNN's matches are left to the
+// scatter, which has ranked them as the shards came in.
+func (s *ShardedDB) gather(q core.Query, vals []core.Result) core.Result {
+	res := core.Result{PerShard: make([]ShardStats, len(vals))}
 	total := 0
-	for _, i := range shards {
-		r := vals[i]
+	for i, r := range vals {
 		total += len(r.Matches)
-		res.PerShard = append(res.PerShard, ShardStats{Shard: i, Stats: r.Stats})
+		res.PerShard[i] = ShardStats{Shard: i, Stats: r.Stats}
 		mergeStats(&res.Stats, r.Stats)
 	}
-	res.Stats.ShardsAnswered = len(shards)
-	res.Stats.Partial = len(shards) < len(s.shards)
 	if q.Kind == core.KNN {
 		return res // knnScatter.merge has the neighbors
 	}
-	if len(s.shards) == 1 {
+	if len(vals) == 1 {
 		// A lone shard's ids are the global ones and its list is in order:
 		// it is the answer as it stands, read-only like every range answer.
 		res.Matches = vals[0].Matches
 		return res
 	}
 	res.Matches = slices.Grow(res.Matches, total) // stays nil when nothing matched
-	for _, i := range shards {
-		for _, m := range vals[i].Matches {
+	for i, r := range vals {
+		for _, m := range r.Matches {
 			m.SeqID = s.globalID(i, m.SeqID)
 			res.Matches = append(res.Matches, m)
 		}
 	}
-	if len(shards) > 1 { // one shard's list is already ascending
-		slices.SortFunc(res.Matches, func(a, b core.Match) int { return cmp.Compare(a.SeqID, b.SeqID) })
-	}
+	slices.SortFunc(res.Matches, func(a, b core.Match) int { return cmp.Compare(a.SeqID, b.SeqID) })
 	return res
 }
 
-// scan is Do for a Scan, the exhaustive baseline every indexed answer is
-// tested against: each shard's own database scans its slice, concurrently,
-// and the answers are gathered like any other. It asks the shards
-// themselves, not their Backends, and runs under no Policy and no cache, so
-// the reference side of a comparison can neither consume a FaultDB script
-// nor be degraded by the faults the other side is being tested under.
-func (s *ShardedDB) scan(ctx context.Context, q core.Query) (core.Result, error) {
-	n := len(s.shards)
-	results := make([]core.Result, n)
-	errs := make([]error, n)
-	all := make([]int, n)
-	sem := make(chan struct{}, scatterWorkers(n))
-	var wg sync.WaitGroup
-	for i := range all {
-		all[i] = i
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = s.shards[i].Do(ctx, q)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return core.Result{}, fmt.Errorf("shard: shard %d: %w", i, err)
-		}
-	}
-	return s.gather(q, all, results), nil
-}
-
-// mergeStats folds one shard's stats into the merged view. On a partial
-// gather only the answered shards are folded, so every rule below reads
-// "over the answered shards": the pruning ratios stay exact for the
-// corpus slice the answer actually covers, and Total()/CPUTime describe
-// only work that contributed to the result. The gather — not mergeStats —
-// stamps Partial and ShardsAnswered afterwards. The semantics, explicitly:
+// mergeStats folds one shard's stats into the merged view. The semantics,
+// explicitly:
 //
 //   - Counters (TotalSequences, CandidatesDmbr, MatchesDnorm,
 //     IndexEntriesHit, DnormEvals) sum — they are disjoint per-shard work,
@@ -266,8 +191,8 @@ func (s *ShardedDB) scan(ctx context.Context, q core.Query) (core.Result, error)
 //   - CPUTime sums — it is the aggregate compute the scatter consumed
 //     across all shards; CPUTime/Total() reads as effective parallelism.
 //   - QueryMBRs is the same on every shard (same query, same
-//     partitioning), so the first answered shard's value is taken and the
-//     rest are ignored. Taking it once (instead of overwriting on every
+//     partitioning), so the first shard's value is taken and the rest are
+//     ignored. Taking it once (instead of overwriting on every
 //     fold) keeps the merged value correct even if a later shard's stats
 //     are zero-valued or the fold order changes.
 //   - CacheHit is not folded: an answer that missed the front cache
@@ -335,9 +260,8 @@ func (s *ShardedDB) SearchKNNMetricCtx(ctx context.Context, q *core.Sequence, k 
 }
 
 // SearchBatchCtx answers several of the paper's range queries: core.DoBatch
-// with the router's Do, so each member is its own scatter — under its own
-// Policy timeout and AllowPartial degradation — and its own front-cache
-// probe, and a repeat is answered once and flagged CacheHit.
+// with the router's Do, so each member is its own scatter and its own
+// front-cache probe, and a repeat is answered once and flagged CacheHit.
 func (s *ShardedDB) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps float64) ([][]core.Match, []core.SearchStats, error) {
 	return core.DoBatch(ctx, s.Do, s.Dim(), s.opts.Partition, qs, eps)
 }

@@ -19,17 +19,12 @@
 // bound, which only ever prunes sequences strictly above the final k-th
 // distance (see knnScatter).
 //
-// The query path is fault-tolerant under a Policy: context deadlines
-// propagate from the caller through the scatter into every per-shard
-// search, each shard call gets a per-attempt timeout with bounded
-// retry-and-backoff and an optional hedged second request for
-// stragglers, and — with Policy.AllowPartial — a shard that exhausts its
-// attempts is skipped and the merged answer is flagged partial
-// (SearchStats.Partial, SearchStats.ShardsAnswered) instead of failing
-// the whole query. Per-shard calls go through the Backend interface so
-// the FaultDB harness can inject latency, errors, and hangs
-// deterministically in tests. The zero Policy reproduces the original
-// fail-fast scatter exactly.
+// A query has one failure rule: it returns every shard's answer or fails
+// with the first failing shard's error. Every shard is an in-memory index
+// in the same process and a search does no I/O, so a shard error can only
+// be a bug or the caller's own context firing; the caller's context (a
+// request deadline, a client disconnect) propagates into every per-shard
+// search and bounds the whole scatter.
 package shard
 
 import (
@@ -78,16 +73,12 @@ type ShardedDB struct {
 	shards []Node
 	opts   core.Options
 	met    atomic.Pointer[shardMetrics] // nil until SetMetrics
-	pol    atomic.Pointer[Policy]       // nil until SetPolicy (zero policy)
 
 	// qcache (nil until SetCache) is the merged-result cache in front of
 	// the scatter. Every router write notifies it with the written
 	// sequence's MBR, so only gathered answers the write could have
 	// affected are invalidated (see internal/cache).
 	qcache atomic.Pointer[cache.Cache]
-
-	bmu      sync.RWMutex
-	backends []Backend // per-shard query targets; default the shards themselves
 }
 
 // New creates a ShardedDB of n empty shards, each configured with opts.
@@ -113,18 +104,13 @@ func New(opts core.Options, n int) (*ShardedDB, error) {
 		}
 		s.shards[i] = db
 	}
-	s.backends = make([]Backend, n)
-	for i, db := range s.shards {
-		s.backends[i] = db
-	}
 	return s, nil
 }
 
 // NewWithNodes assembles a ShardedDB over caller-built per-shard nodes —
 // the durability hook: hand it N transactional (internal/txn) databases
-// and the scatter-gather, placement, caching, and fault-tolerance
-// machinery runs unchanged on top of MVCC snapshot reads and WAL-backed
-// commits. All nodes must agree on dimensionality. The ShardedDB takes
+// and the scatter-gather, placement and caching run unchanged on top of
+// MVCC snapshot reads and WAL-backed commits. All nodes must agree on dimensionality. The ShardedDB takes
 // ownership: Close closes every node.
 func NewWithNodes(nodes []Node) (*ShardedDB, error) {
 	if len(nodes) < 1 {
@@ -139,36 +125,10 @@ func NewWithNodes(nodes []Node) (*ShardedDB, error) {
 			return nil, fmt.Errorf("shard: node %d has dim %d, node 0 has %d", i, n.Dim(), dim)
 		}
 	}
-	s := &ShardedDB{
+	return &ShardedDB{
 		shards: append([]Node(nil), nodes...),
 		opts:   core.Options{Dim: dim, Partition: nodes[0].PartitionConfig()},
-	}
-	s.backends = make([]Backend, len(nodes))
-	for i, n := range s.shards {
-		s.backends[i] = n
-	}
-	return s, nil
-}
-
-// SetShardBackend substitutes shard i's query backend (nil restores the
-// shard's own database). The substitution affects only the query path —
-// what Do scatters — never writes, lookups or the Scan oracle. It exists
-// for the fault-injection harness (FaultDB) and tests; a production
-// deployment leaves the defaults in place. Safe to call while queries are in flight.
-func (s *ShardedDB) SetShardBackend(i int, b Backend) {
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	if b == nil {
-		b = s.shards[i]
-	}
-	s.backends[i] = b
-}
-
-// backend returns shard i's current query target.
-func (s *ShardedDB) backend(i int) Backend {
-	s.bmu.RLock()
-	defer s.bmu.RUnlock()
-	return s.backends[i]
+	}, nil
 }
 
 // ShardFor returns the shard index the placement rule assigns to label.

@@ -232,14 +232,6 @@ type Store = shard.DB
 // ShardStats pairs a shard index with its local search statistics.
 type ShardStats = shard.ShardStats
 
-// ShardPolicy configures the fault tolerance of the sharded query path:
-// per-shard timeouts, bounded retry with backoff, hedged requests for
-// stragglers, and graceful degradation to results flagged partial
-// (SearchStats.Partial / SearchStats.ShardsAnswered). Install it with
-// ShardedDB.SetPolicy; the zero value keeps the original fail-fast
-// scatter.
-type ShardPolicy = shard.Policy
-
 // OpenSharded creates a database of n hash shards, each configured with
 // opts (with Options.Path set, shard i uses "<path>.shard<i>").
 func OpenSharded(opts Options, n int) (*ShardedDB, error) { return shard.New(opts, n) }
@@ -262,9 +254,8 @@ func SaveSharded(db *ShardedDB, dir string) error { return store.SaveSharded(db,
 // Entries are evicted by GDSF priority (recomputation cost × hit
 // frequency / size, with an aging watermark); a write invalidates just
 // the entries whose recorded query region (MBR + radius) the written
-// sequence's MBR can reach. Cached answers are never stale, and partial
-// scatter-gather results are never cached. See QueryCacheConfig for the
-// knobs.
+// sequence's MBR can reach. Cached answers are never stale. See
+// QueryCacheConfig for the knobs.
 type QueryCache = cache.Cache
 
 // QueryCacheConfig sizes a QueryCache: entry cap, approximate byte cap,

@@ -45,7 +45,7 @@ var ceilings = []struct {
 	{"shard", "Backend", 3},
 	{"core", "Database", 40},
 	{"pager", "Pager", 11},
-	{"mdsserve", "flags", 23},
+	{"mdsserve", "flags", 18},
 }
 
 func main() {
