@@ -45,8 +45,8 @@ func main() {
 	var qpts []geom.Point
 	appendNoisy := func(src *mdseq.Sequence) (start, end int) {
 		start = len(qpts)
-		for _, p := range src.Points {
-			q := p.Clone()
+		for i := range src.Len() {
+			q := src.At(i).Clone()
 			for k := range q {
 				q[k] += (rng.Float64() - 0.5) * 0.02
 			}
@@ -59,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		qpts = append(qpts, filler.Points...)
+		qpts = append(qpts, filler.Slice(0, filler.Len())...)
 	}
 	pad(120)
 	a0, a1 := appendNoisy(clips[5])
@@ -88,7 +88,7 @@ func main() {
 	}
 	fmt.Printf("\nsequential scan agrees on %d relevant clips:\n", len(exact))
 	for _, r := range exact {
-		off, _ := mdseq.BestAlignment(r.Seq.Points, query.Points)
+		off, _ := mdseq.BestAlignment(r.Seq.Slice(0, r.Seq.Len()), qpts)
 		fmt.Printf("  %s matches the query around offset %d (embedded at %d / %d)\n",
 			r.Seq.Label, off, a0, b0)
 	}

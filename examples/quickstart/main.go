@@ -37,7 +37,7 @@ func main() {
 	src := sequences[20]
 	qpts := make([]mdseq.Point, 40)
 	for i := range qpts {
-		p := src.Points[30+i].Clone()
+		p := src.At(30 + i).Clone()
 		for k := range p {
 			p[k] += (rng.Float64() - 0.5) * 0.01
 		}

@@ -42,13 +42,13 @@ func main() {
 	if shotIdx+1 < len(broadcast.ShotStarts) {
 		sEnd = broadcast.ShotStarts[shotIdx+1]
 	}
-	watch := &mdseq.Sequence{Label: "watched-scene", Points: features.Points[sStart:sEnd]}
+	watch := &mdseq.Sequence{Label: "watched-scene", Points: features.Slice(sStart, sEnd)}
 	fmt.Printf("standing query: %d-frame scene that will air at frames [%d,%d)\n\n",
 		watch.Len(), sStart, sEnd)
 
 	// Ingest in 50-frame batches, querying after each.
 	const batch = 50
-	first := &mdseq.Sequence{Label: "live-feed", Points: features.Points[:batch]}
+	first := &mdseq.Sequence{Label: "live-feed", Points: features.Slice(0, batch)}
 	id, err := db.Add(first)
 	if err != nil {
 		log.Fatal(err)
@@ -59,7 +59,7 @@ func main() {
 		if end > totalFrames {
 			end = totalFrames
 		}
-		if err := db.AppendPoints(id, features.Points[off:end]); err != nil {
+		if err := db.AppendPoints(id, features.Slice(off, end)); err != nil {
 			log.Fatal(err)
 		}
 		matches, _, err := db.Search(watch, 0.04)

@@ -54,7 +54,7 @@ func main() {
 	if shot+1 < len(target.stream.ShotStarts) {
 		end = target.stream.ShotStarts[shot+1]
 	}
-	scene := &mdseq.Sequence{Label: "scene", Points: target.seq.Points[start:end]}
+	scene := &mdseq.Sequence{Label: "scene", Points: target.seq.Slice(start, end)}
 	fmt.Printf("\nquery scene: %s frames [%d,%d) — %d frames\n",
 		target.seq.Label, start, end, scene.Len())
 

@@ -50,9 +50,9 @@ func Gen(args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "# %s sample sequence, %d points, dim %d\n", *kind, s.Len(), s.Dim())
-		for i, p := range s.Points {
+		for i := range s.Len() {
 			fmt.Fprintf(stdout, "%d", i)
-			for _, v := range p {
+			for _, v := range s.At(i) {
 				fmt.Fprintf(stdout, "\t%.6f", v)
 			}
 			fmt.Fprintln(stdout)

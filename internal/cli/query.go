@@ -136,7 +136,7 @@ func Query(args []string, stdout io.Writer) error {
 	if *qlen > 0 && *from+*qlen < end {
 		end = *from + *qlen
 	}
-	q := &core.Sequence{Label: "query", Points: src.Points[*from:end]}
+	q := &core.Sequence{Label: "query", Points: src.Slice(*from, end)}
 	fmt.Fprintf(stdout, "query: %d points from %s[%d:%d], eps=%.3f\n", q.Len(), src.Label, *from, end, *eps)
 
 	mt, err := core.ParseMetric(*metric, *dtwWin)

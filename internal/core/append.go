@@ -16,8 +16,8 @@ import (
 // every MBR boundary, so re-running it from the start of g's last MBR
 // yields exactly the segmentation a from-scratch partition of the whole
 // extended sequence would produce (property verified by
-// TestAppendEquivalence). The returned Segmented keeps g's ID and Label;
-// as with Add, the caller must not mutate pts afterwards.
+// TestAppendEquivalence). The returned Segmented is stored, with g's ID
+// and Label, and holds its own copy of every coordinate.
 func AppendToSegmented(g *Segmented, pts []geom.Point, cfg PartitionConfig) (*Segmented, error) {
 	dim := g.Seq.Dim()
 	for i, p := range pts {
@@ -29,27 +29,27 @@ func AppendToSegmented(g *Segmented, pts []geom.Point, cfg PartitionConfig) (*Se
 			return nil, fmt.Errorf("core: appended point %d coordinate %d is %v: %w", i, k, p[k], ErrNonFinite)
 		}
 	}
-	npts := make([]geom.Point, 0, len(g.Seq.Points)+len(pts))
-	npts = append(append(npts, g.Seq.Points...), pts...)
+	flat := make([]float64, 0, len(g.Flat)+len(pts)*dim)
+	flat = append(flat, g.Flat...)
+	for _, p := range pts {
+		flat = append(flat, p...)
+	}
 	lastIdx := len(g.MBRs) - 1
 	last := g.MBRs[lastIdx]
-	tail := &Sequence{Points: npts[last.Start:]}
+	tail := &Sequence{flat: flat[last.Start*dim:], dim: dim}
 	tailMBRs, err := Partition(tail, cfg)
 	if err != nil {
 		return nil, err
 	}
-	ng := &Segmented{
-		Seq:  &Sequence{ID: g.Seq.ID, Label: g.Seq.Label, Points: npts},
-		MBRs: make([]MBRInfo, 0, lastIdx+len(tailMBRs)),
-	}
-	ng.MBRs = append(ng.MBRs, g.MBRs[:lastIdx]...)
+	mbrs := make([]MBRInfo, 0, lastIdx+len(tailMBRs))
+	mbrs = append(mbrs, g.MBRs[:lastIdx]...)
 	for _, m := range tailMBRs {
-		ng.MBRs = append(ng.MBRs, MBRInfo{Rect: m.Rect, Start: m.Start + last.Start, End: m.End + last.Start})
+		mbrs = append(mbrs, MBRInfo{Rect: m.Rect, Start: m.Start + last.Start, End: m.End + last.Start})
 	}
-	// syncSoA builds fresh Flat/Lo/Hi arrays and re-aliases the copied
-	// MBRInfo rects into them, so nothing in ng aliases g's storage.
-	ng.syncSoA()
-	return ng, nil
+	// newColumnar copies every bound into fresh Lo/Hi arrays and re-aliases
+	// the copied MBRInfo rects into them, so nothing in the result aliases
+	// g's storage.
+	return newColumnar(storedOver(g.Seq, dim, flat), mbrs, flat), nil
 }
 
 // AppendPoints extends a stored sequence with new points — streaming
@@ -135,7 +135,8 @@ func (db *Database) swapSegmentedLocked(id uint32, old, ng *Segmented) error {
 // primitive the transaction layer uses to apply an ingest overlay (a
 // sequence extended by appends since the last checkpoint) to the base
 // database in one step. The replacement must have the same
-// dimensionality; its Seq.ID is set to id.
+// dimensionality; the database holds it stored (Segment), its Seq.ID set
+// to id.
 func (db *Database) ReplaceSegmented(id uint32, ng *Segmented) error {
 	if err := ng.Seq.Validate(); err != nil {
 		return err
@@ -152,6 +153,7 @@ func (db *Database) ReplaceSegmented(id uint32, ng *Segmented) error {
 	if int(id) >= len(db.seqs) || db.seqs[id] == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownSequence, id)
 	}
+	ng = ng.stored()
 	ng.Seq.ID = id
 	old := db.seqs[id]
 	if err := db.swapSegmentedLocked(id, old, ng); err != nil {

@@ -18,8 +18,17 @@ import (
 // Either way the batch is all-or-nothing: a failure mid-insert rolls back
 // every entry of the batch, so a partial bulk is never visible to readers
 // or to a later crash recovery. Returned ids are dense and in input order.
-// As with Add, the database keeps references to the sequences.
+// As with Add, the database stores flat copies, keeps no reference to the
+// sequences and sets each one's ID.
 func (db *Database) AddAll(seqs []*Sequence) ([]uint32, error) {
+	ids, err := db.addAll(seqs)
+	for i, id := range ids {
+		seqs[i].ID = id
+	}
+	return ids, err
+}
+
+func (db *Database) addAll(seqs []*Sequence) ([]uint32, error) {
 	segs, err := PartitionAll(seqs, db.opts.Dim, db.opts.Partition)
 	if err != nil || len(segs) == 0 {
 		return nil, err
@@ -66,8 +75,9 @@ func (db *Database) AddAll(seqs []*Sequence) ([]uint32, error) {
 // is STR bulk-loaded from the sequences' MBRs. Every ref of a reused
 // grouping must name a valid (sequence, MBR) pair and the refs must cover
 // every MBR exactly once; violations reject the whole load. The database
-// keeps references to the segments; callers must not mutate them
-// afterwards.
+// keeps references to the segments, and to segs as its directory; callers
+// must not mutate them afterwards. An input-form segment is held stored,
+// as AddSegmented holds it.
 func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref, leafFanout int) ([]uint32, error) {
 	if len(segs) == 0 {
 		return nil, nil
@@ -80,6 +90,7 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref, lea
 			return nil, fmt.Errorf("core: sequence %d dim %d, database dim %d: %w",
 				i, g.Seq.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 		}
+		segs[i] = g.stored()
 	}
 
 	db.mu.Lock()
@@ -100,7 +111,7 @@ func (db *Database) bulkLoadLocked(segs []*Segmented, leaves [][]rtree.Ref, leaf
 	total, longest := 0, 0
 	for _, g := range segs {
 		total += len(g.MBRs)
-		longest = max(longest, g.Seq.Len())
+		longest = max(longest, g.Len())
 	}
 	if leafFanout != db.tree.MaxEntries() {
 		leaves = nil // grouping computed for a different page layout
@@ -214,7 +225,8 @@ func (c *refCover) complete() error {
 
 // PartitionAll validates seqs, each of which must have dim dimensions, and
 // partitions them under cfg in parallel across GOMAXPROCS workers
-// (partitioning is CPU-bound and independent). It is the one bulk
+// (partitioning is CPU-bound and independent) into the form a database
+// holds (Segment): nothing of seqs is retained. It is the one bulk
 // partitioner: AddAll, the store's Build and v1 reads, and the
 // transaction layer's snapshot reload all call it. Errors name the
 // sequence and wrap geom.ErrDimensionMismatch or ErrNonFinite where those
@@ -241,7 +253,7 @@ func PartitionAll(seqs []*Sequence, dim int, cfg PartitionConfig) ([]*Segmented,
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				segs[i], errs[i] = NewSegmented(seqs[i], cfg)
+				segs[i], errs[i] = Segment(seqs[i], cfg)
 			}
 		}()
 	}

@@ -71,8 +71,8 @@ func CacheKey(q Query, cfg PartitionConfig) cache.Key {
 	f.word(uint64(cfg.MaxPoints))
 	f.word(uint64(q.Seq.Len()))
 	f.word(uint64(q.Seq.Dim()))
-	for _, p := range q.Seq.Points {
-		for _, v := range p {
+	for i := range q.Seq.Len() {
+		for _, v := range q.Seq.At(i) {
 			f.float(v)
 		}
 	}
@@ -142,7 +142,7 @@ func SlotFor(c *cache.Cache, q Query, cfg PartitionConfig) CacheSlot {
 		c:      c,
 		key:    CacheKey(q, cfg),
 		seq:    c.Seq(),
-		region: cache.Region{Rect: geom.BoundingRect(q.Seq.Points)},
+		region: cache.Region{Rect: q.Seq.Bounds()},
 	}
 	if q.Kind == KNN {
 		slot.k = q.K

@@ -112,10 +112,11 @@ func OpenDatabaseSegmented(opts Options, segs []*Segmented) (*Database, error) {
 			db.pg.Close()
 			return nil, fmt.Errorf("core: sequence %d dim %d, want %d", i, g.Seq.Dim(), db.opts.Dim)
 		}
+		g = g.stored()
 		g.Seq.ID = uint32(i)
 		db.seqs = append(db.seqs, g)
 		db.live++
-		db.longest = max(db.longest, g.Seq.Len())
+		db.longest = max(db.longest, g.Len())
 		total += len(g.MBRs)
 	}
 	if total != db.tree.Len() {
@@ -208,8 +209,8 @@ func (db *Database) Close() error {
 // Add partitions the sequence, indexes its MBRs, and returns the assigned
 // sequence id. Partitioning runs before the write lock is taken, so
 // concurrent readers are only excluded for the index insertions
-// themselves. The database keeps a reference to s; callers must not
-// mutate it afterwards.
+// themselves. The database stores its own flat copy of s (Segment) and
+// keeps no reference to it; s.ID is set to the id.
 func (db *Database) Add(s *Sequence) (uint32, error) {
 	t0 := time.Now()
 	if err := s.Validate(); err != nil {
@@ -219,7 +220,7 @@ func (db *Database) Add(s *Sequence) (uint32, error) {
 		return 0, fmt.Errorf("core: sequence dim %d, database dim %d: %w",
 			s.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 	}
-	g, err := NewSegmented(s, db.opts.Partition)
+	g, err := Segment(s, db.opts.Partition)
 	if err != nil {
 		return 0, err
 	}
@@ -227,6 +228,7 @@ func (db *Database) Add(s *Sequence) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
+	s.ID = id
 	db.met.RecordAdd(time.Since(t0))
 	return id, nil
 }
@@ -236,9 +238,12 @@ func (db *Database) Add(s *Sequence) (uint32, error) {
 // already hold a Segmented — the transaction layer folding its delta, or
 // AddAll partitioning a batch outside the lock — pay only for the index
 // insertions under the write lock. The partitioning must have been
-// produced with the database's PartitionConfig. On an index failure the
-// already-inserted entries are rolled back and the database is unchanged.
+// produced with the database's PartitionConfig. The database holds g
+// stored: g itself when g.Seq is, else a copy over g.Flat. On an index
+// failure the already-inserted entries are rolled back and the database
+// is unchanged.
 func (db *Database) AddSegmented(g *Segmented) (uint32, error) {
+	g = g.stored()
 	if g.Seq.Dim() != db.opts.Dim {
 		return 0, fmt.Errorf("core: sequence dim %d, database dim %d: %w",
 			g.Seq.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
@@ -272,7 +277,7 @@ func (db *Database) addSegmentedLocked(g *Segmented) (uint32, error) {
 	g.Seq.ID = id
 	db.seqs = append(db.seqs, g)
 	db.live++
-	db.longest = max(db.longest, g.Seq.Len())
+	db.longest = max(db.longest, g.Len())
 	return id, nil
 }
 
@@ -643,13 +648,14 @@ func refine(ctx context.Context, q *Sequence, eps float64, cands []uint32, seqs 
 //     the roles exchanged: every alignment lays all of S inside Q, so a
 //     match's interval is all of S.
 func (sc *searchScratch) refineOne(q *Sequence, qs alignSide, hits []uint64, g *Segmented, eps, reach float64) (bound float64, hit bool, evals int) {
-	if g.Seq.Len() >= q.Len() {
-		return phase3Hits(sc.qmbrs, hits, &sc.p3, g, q.Len(), reach)
+	n, m := int(qs.starts[len(qs.starts)-1]), g.Len()
+	if m >= n {
+		return phase3Hits(sc.qmbrs, hits, &sc.p3, g, n, reach)
 	}
 	bound = knnSeqBound(&sc.p3, qs, g.side(), q.Dim())
 	sc.p3.iv.ranges = sc.p3.iv.ranges[:0]
 	if bound <= eps {
-		sc.p3.iv.Add(PointRange{Start: 0, End: g.Seq.Len()})
+		sc.p3.iv.Add(PointRange{Start: 0, End: m})
 	}
 	return bound, bound <= eps, len(g.MBRs) * (len(qs.starts) - 1)
 }
@@ -665,12 +671,12 @@ func (db *Database) CandidatesDmbr(q *Sequence, eps float64) (map[uint32]bool, e
 	if db.pg == nil {
 		return nil, errClosed
 	}
-	qseg, err := NewSegmented(q, db.opts.Partition)
+	qmbrs, err := Partition(q, db.opts.Partition)
 	if err != nil {
 		return nil, err
 	}
 	candidates := make(map[uint32]bool)
-	for _, qm := range qseg.MBRs {
+	for _, qm := range qmbrs {
 		err := db.tree.WithinDist(qm.Rect, eps, func(it rtree.Item) bool {
 			seqID, _ := it.Ref.Unpack()
 			candidates[seqID] = true

@@ -64,7 +64,7 @@ func TestAddAssignsIDsAndIndexes(t *testing.T) {
 		t.Error("no MBRs indexed")
 	}
 	g := db.Segmented(id1)
-	if g == nil || g.Seq != s1 {
+	if g == nil || g.Seq.Label != s1.Label || !sameCoords(g.Seq, s1) {
 		t.Error("Segmented(id1) wrong")
 	}
 	if db.Segmented(99) != nil {

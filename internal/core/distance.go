@@ -36,7 +36,7 @@ func Dmean(a, b []geom.Point) float64 {
 //
 // The metric is symmetric in which argument is shorter.
 func D(s1, s2 *Sequence) float64 {
-	return DPoints(s1.Points, s2.Points)
+	return DPoints(s1.Slice(0, s1.Len()), s2.Slice(0, s2.Len()))
 }
 
 // DPoints is D on raw point slices.

@@ -106,7 +106,7 @@ func RefineDTWChecked(q *Sequence, matches []Match, window int) ([]Match, int) {
 			unaligned++
 			continue
 		}
-		d, err := DTW(q.Points, m.Seq.Points[best.Start:best.End], window)
+		d, err := DTW(q.Slice(0, q.Len()), m.Seq.Slice(best.Start, best.End), window)
 		if err != nil {
 			unaligned++
 			continue

@@ -187,7 +187,7 @@ func intervalPoints(m Match) []geom.Point {
 			best = r
 		}
 	}
-	return m.Seq.Points[best.Start:best.End]
+	return m.Seq.Slice(best.Start, best.End)
 }
 
 func mustDTW(t *testing.T, a, b []geom.Point) float64 {

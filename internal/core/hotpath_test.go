@@ -185,7 +185,7 @@ func knnReference(t testing.TB, db *Database, q *Sequence, k int, bound float64)
 		if g == nil {
 			continue
 		}
-		if off, dist := BestAlignment(q.Points, g.Seq.Points); dist <= bound {
+		if off, dist := BestAlignment(q.Slice(0, q.Len()), g.Seq.Slice(0, g.Seq.Len())); dist <= bound {
 			out = append(out, KNNResult{SeqID: uint32(id), Seq: g.Seq, Dist: dist, Offset: off})
 		}
 	}

@@ -274,6 +274,10 @@ func (sc *searchScratch) scan(query Query, seqs []*Segmented, ids []uint32) []Ma
 	if dtw {
 		sc.fillQueryFlat(q)
 	}
+	// The reference kernels take points: views of both sides, in buffers
+	// reused across sequences and cleared after, so that the pooled
+	// scratch keeps no stored coordinates alive.
+	sc.qpts = q.appendPoints(sc.qpts[:0], 0, q.Len())
 	var out []Match
 	for i, g := range seqs {
 		if g == nil {
@@ -283,22 +287,26 @@ func (sc *searchScratch) scan(query Query, seqs []*Segmented, ids []uint32) []Ma
 		if ids != nil {
 			m.SeqID = ids[i]
 		}
+		if !dtw {
+			sc.spts = g.Seq.appendPoints(sc.spts[:0], 0, g.Len())
+		}
 		switch {
 		case dtw:
 			m.Dist = sc.dtwSeq(mt, sc.qflat, g, q.Dim(), math.Inf(1), nil)
 		case query.Metric != nil:
-			_, m.Dist = BestAlignment(q.Points, g.Seq.Points)
+			_, m.Dist = BestAlignment(sc.qpts, sc.spts)
 		default:
-			s := g.Seq
-			profile := OffsetProfile(q.Points, s.Points)
+			qn, sn := len(sc.qpts), len(sc.spts)
+			profile := OffsetProfile(sc.qpts, sc.spts)
 			if m.Dist = MinOfProfile(profile); m.Dist <= eps {
-				queryLonger := len(q.Points) > len(s.Points)
-				m.Interval = SolutionIntervalFromProfile(profile, min(len(q.Points), len(s.Points)), len(s.Points), queryLonger, eps)
+				m.Interval = SolutionIntervalFromProfile(profile, min(qn, sn), sn, qn > sn, eps)
 			}
 		}
 		if m.Dist <= eps {
 			out = append(out, m)
 		}
 	}
+	clear(sc.qpts[:cap(sc.qpts)])
+	clear(sc.spts[:cap(sc.spts)])
 	return out
 }

@@ -83,19 +83,28 @@ func (c PartitionConfig) mcostGrown(r geom.Rect, p geom.Point, count int) float6
 // copied out at its exact size, and the returned rects alias two bound
 // arrays the whole partitioning shares.
 func Partition(s *Sequence, cfg PartitionConfig) ([]MBRInfo, error) {
+	mbrs, _, _, err := partition(s, cfg)
+	return mbrs, err
+}
+
+// partition is Partition, also returning the two bound arrays the rects
+// alias, MBR j's at lo/hi[j*d:(j+1)*d]: the Lo and Hi columns of a
+// Segmented.
+func partition(s *Sequence, cfg PartitionConfig) (mbrs []MBRInfo, lo, hi []float64, err error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.segmentQuery(s, cfg)
 	d := s.Dim()
-	mbrs := slices.Clone(sc.qmbrs)
-	aliasBounds(mbrs, slices.Clone(sc.qlo[:len(mbrs)*d]), slices.Clone(sc.qhi[:len(mbrs)*d]), d)
-	return mbrs, nil
+	mbrs = slices.Clone(sc.qmbrs)
+	lo, hi = slices.Clone(sc.qlo[:len(mbrs)*d]), slices.Clone(sc.qhi[:len(mbrs)*d])
+	aliasBounds(mbrs, lo, hi, d)
+	return mbrs, lo, hi, nil
 }
 
 // aliasBounds points each MBR's rect at its bounds in the columnar arrays:
@@ -108,23 +117,22 @@ func aliasBounds(mbrs []MBRInfo, lo, hi []float64, d int) {
 }
 
 // Segmented couples a sequence with its partitioning; it is the stored
-// form inside a Database and the unit Dnorm operates on. Alongside the
-// slice-of-slices view it carries a columnar (structure-of-arrays) copy of
-// the same data — Flat/Lo/Hi — which the search kernels scan as one
-// contiguous float64 run instead of chasing a pointer per point or MBR.
+// form inside a Database and the unit Dnorm operates on. Its data is
+// columnar (structure-of-arrays) — Flat/Lo/Hi — which the search kernels
+// scan as one contiguous float64 run instead of chasing a pointer per
+// point or MBR.
 type Segmented struct {
 	Seq  *Sequence // the partitioned sequence
 	MBRs []MBRInfo // its MCOST partitioning, in point order
 
-	// Flat is the columnar copy of Seq.Points: point i occupies
-	// Flat[i*d : (i+1)*d]. It backs the flat alignment kernel used by kNN
-	// refinement.
+	// Flat holds the coordinates: point i occupies Flat[i*d : (i+1)*d].
+	// A stored Seq (Segment) is a view of this same array.
 	Flat []float64
 	// Lo and Hi hold every MBR's bounds contiguously: MBR j occupies
-	// Lo[j*d:(j+1)*d] and Hi[j*d:(j+1)*d]. After syncSoA the MBRInfo.Rect
-	// slices alias directly into these arrays, so the two views are one
-	// storage and cannot diverge. MinDistSqBatch scans them sequentially
-	// in the Dnorm inner loop.
+	// Lo[j*d:(j+1)*d] and Hi[j*d:(j+1)*d]. The MBRInfo.Rect slices alias
+	// directly into these arrays, so the two views are one storage and
+	// cannot diverge. MinDistSqBatch scans them sequentially in the Dnorm
+	// inner loop.
 	Lo, Hi []float64
 
 	// Starts is the point-range column of the partitioning: MBR j covers
@@ -135,39 +143,63 @@ type Segmented struct {
 	Starts []int32
 }
 
-// NewSegmented partitions s under cfg and builds the columnar view.
-func NewSegmented(s *Sequence, cfg PartitionConfig) (*Segmented, error) {
-	mbrs, err := Partition(s, cfg)
+// Segment partitions s under cfg into the form a database holds: its own
+// flat copy of s's coordinates, with Seq a stored sequence over that copy
+// carrying s's ID and Label. Nothing of s is retained and s is not
+// modified, so an input-form corpus can be dropped once it is segmented.
+func Segment(s *Sequence, cfg PartitionConfig) (*Segmented, error) {
+	mbrs, lo, hi, err := partition(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	g := &Segmented{Seq: s, MBRs: mbrs}
-	g.syncSoA()
+	d := s.Dim()
+	flat := s.appendFlat(make([]float64, 0, s.Len()*d))
+	return &Segmented{Seq: storedOver(s, d, flat), MBRs: mbrs, Flat: flat, Lo: lo, Hi: hi, Starts: startsOf(mbrs)}, nil
+}
+
+// NewSegmented is Segment with Seq the sequence given rather than a stored
+// copy: the form for a caller that keeps reading s through the result.
+// A database never holds it; Add and AddSegmented store their own.
+func NewSegmented(s *Sequence, cfg PartitionConfig) (*Segmented, error) {
+	g, err := Segment(s, cfg)
+	if err != nil {
+		return nil, err
+	}
+	g.Seq = s
 	return g, nil
 }
 
-// syncSoA (re)builds the columnar arrays from Seq.Points and MBRs and
-// re-aliases each MBRInfo.Rect into Lo/Hi. Call after any mutation of the
-// points or the partitioning (NewSegmented, AppendPoints). Rects handed
-// out before the call keep the previous backing arrays, which stay valid
-// and immutable — a rebuild replaces the arrays rather than scribbling
-// over them.
-func (g *Segmented) syncSoA() {
-	d := g.Seq.Dim()
-	n := g.Seq.Len()
-	r := len(g.MBRs)
-	flat := make([]float64, n*d)
-	for i, p := range g.Seq.Points {
-		copy(flat[i*d:(i+1)*d], p)
+// stored returns g as a database holds it: g itself when its sequence is
+// already stored, else a shallow copy whose Seq is a stored sequence over
+// g.Flat, so the caller's sequence is neither kept nor stamped with an id.
+func (g *Segmented) stored() *Segmented {
+	if g.Seq.dim > 0 {
+		return g
 	}
+	gc := *g
+	gc.Seq = storedOver(g.Seq, g.Seq.Dim(), g.Flat)
+	return &gc
+}
+
+// Len returns the number of points, the last entry of Starts: the read a
+// kernel that already has Starts in hand makes instead of loading Seq.
+func (g *Segmented) Len() int { return int(g.Starts[len(g.Starts)-1]) }
+
+// newColumnar builds the Segmented of seq over flat and the partitioning
+// mbrs: the MBR bounds are copied into fresh Lo/Hi arrays and each
+// MBRInfo.Rect re-aliased into them. Rects handed out before the call keep
+// their previous backing arrays, which stay valid and immutable.
+func newColumnar(seq *Sequence, mbrs []MBRInfo, flat []float64) *Segmented {
+	d := seq.Dim()
+	r := len(mbrs)
 	lo := make([]float64, r*d)
 	hi := make([]float64, r*d)
-	for j := range g.MBRs {
-		copy(lo[j*d:(j+1)*d], g.MBRs[j].Rect.L)
-		copy(hi[j*d:(j+1)*d], g.MBRs[j].Rect.H)
+	for j := range mbrs {
+		copy(lo[j*d:(j+1)*d], mbrs[j].Rect.L)
+		copy(hi[j*d:(j+1)*d], mbrs[j].Rect.H)
 	}
-	aliasBounds(g.MBRs, lo, hi, d)
-	g.Flat, g.Lo, g.Hi, g.Starts = flat, lo, hi, startsOf(g.MBRs)
+	aliasBounds(mbrs, lo, hi, d)
+	return &Segmented{Seq: seq, MBRs: mbrs, Flat: flat, Lo: lo, Hi: hi, Starts: startsOf(mbrs)}
 }
 
 // startsOf builds the Starts column of a partitioning that tiles its
@@ -180,28 +212,27 @@ func startsOf(mbrs []MBRInfo) []int32 {
 	return starts
 }
 
-// InitColumnar makes g the Segmented of s over its columnar parts — the
-// zero-copy constructor the v2 store loader uses, which decodes a whole
-// file's headers into slabs and hands each sequence its element and
-// sub-slices to fill. flat holds the points (point i at
-// flat[i*d:(i+1)*d]), lo/hi the MBR bounds (MBR j at [j*d:(j+1)*d]), and
-// ranges the half-open point ranges of the MBRs, which must tile
-// [0, len(s.Points)) contiguously; starts, of len(ranges)+1 entries,
-// receives the Starts column. The slices are aliased, not copied
-// (s.Points should itself alias flat), and each MBRInfo.Rect is
-// re-aliased into lo/hi; slices cut from a shared slab should have
-// cap == len, so that an append reallocates instead of writing into the
-// neighbour. No partitioning runs: the caller asserts ranges came from
-// Partition under the database's config (the store format records and
-// checksums them).
-func (g *Segmented) InitColumnar(s *Sequence, ranges []MBRInfo, starts []int32, flat, lo, hi []float64) error {
-	d := s.Dim()
-	n := s.Len()
+// InitColumnar makes g the Segmented of s over its columnar parts, and s
+// the stored sequence over flat, dim coordinates a point — the zero-copy
+// constructor the v2 store loader uses, which decodes a whole file's
+// headers into slabs and hands each sequence its element and sub-slices
+// to fill. flat holds the points (point i at flat[i*dim:(i+1)*dim]), lo/hi
+// the MBR bounds (MBR j at [j*dim:(j+1)*dim]), and ranges the half-open
+// point ranges of the MBRs, which must tile the sequence contiguously;
+// starts, of len(ranges)+1 entries, receives the Starts column. The slices
+// are aliased, not copied, and each MBRInfo.Rect is re-aliased into lo/hi;
+// slices cut from a shared slab should have cap == len, so that an append
+// reallocates instead of writing into the neighbour. No partitioning runs:
+// the caller asserts ranges came from Partition under the database's
+// config (the store format records and checksums them).
+func (g *Segmented) InitColumnar(s *Sequence, dim int, ranges []MBRInfo, starts []int32, flat, lo, hi []float64) error {
+	d := dim
 	r := len(ranges)
-	if len(flat) != n*d || len(lo) != r*d || len(hi) != r*d || len(starts) != r+1 {
-		return fmt.Errorf("core: columnar sizes flat=%d lo=%d hi=%d starts=%d for n=%d r=%d d=%d",
-			len(flat), len(lo), len(hi), len(starts), n, r, d)
+	if d < 1 || len(flat)%d != 0 || len(lo) != r*d || len(hi) != r*d || len(starts) != r+1 {
+		return fmt.Errorf("core: columnar sizes flat=%d lo=%d hi=%d starts=%d for r=%d d=%d",
+			len(flat), len(lo), len(hi), len(starts), r, d)
 	}
+	n := len(flat) / d
 	want := 0
 	starts[0] = 0
 	for j := range ranges {
@@ -219,6 +250,7 @@ func (g *Segmented) InitColumnar(s *Sequence, ranges []MBRInfo, starts []int32, 
 	if want != n {
 		return fmt.Errorf("core: MBR ranges cover %d of %d points", want, n)
 	}
+	s.Points, s.flat, s.dim = nil, flat, d
 	*g = Segmented{Seq: s, MBRs: ranges, Flat: flat, Lo: lo, Hi: hi, Starts: starts}
 	return nil
 }
@@ -252,7 +284,7 @@ func (g *Segmented) CheckPartition(cfg PartitionConfig) error {
 		if m.Count() > cfg.MaxPoints {
 			return fmt.Errorf("core: MBR %d holds %d points, cap %d", j, m.Count(), cfg.MaxPoints)
 		}
-		exact := geom.BoundingRect(g.Seq.Points[m.Start:m.End])
+		exact := geom.BoundingRect(g.Seq.Slice(m.Start, m.End))
 		if !m.Rect.Equal(exact) {
 			return fmt.Errorf("core: MBR %d rect %v != bound %v", j, m.Rect, exact)
 		}

@@ -57,6 +57,10 @@ type searchScratch struct {
 	// dtw holds the DTW workspace: the DP row, flat copies, and the
 	// Sakoe–Chiba envelope arrays of the metric search path.
 	dtw dtwScratch
+
+	// qpts and spts are the scan's point views of the query and of one
+	// sequence, for the reference kernels that take points.
+	qpts, spts []geom.Point
 }
 
 // phase3Scratch holds the per-candidate Dnorm arrays and the candidate's
@@ -117,11 +121,11 @@ func (sc *searchScratch) segmentQuery(q *Sequence, cfg PartitionConfig) {
 		}
 	}
 	cur.Rect = slot(0)
-	copy(cur.Rect.L, q.Points[0])
-	copy(cur.Rect.H, q.Points[0])
+	copy(cur.Rect.L, q.At(0))
+	copy(cur.Rect.H, q.At(0))
 	curCost := cfg.mcost(cur.Rect, 1)
 	for i := 1; i < n; i++ {
-		p := q.Points[i]
+		p := q.At(i)
 		grownCost := cfg.mcostGrown(cur.Rect, p, cur.Count()+1)
 		if grownCost > curCost || cur.Count() >= cfg.MaxPoints {
 			sc.qmbrs = append(sc.qmbrs, cur)
@@ -141,11 +145,7 @@ func (sc *searchScratch) segmentQuery(q *Sequence, cfg PartitionConfig) {
 // fillQueryFlat copies the query points into the scratch's columnar array
 // (kNN refinement input).
 func (sc *searchScratch) fillQueryFlat(q *Sequence) {
-	d := q.Dim()
-	sc.qflat = ensureFloats(sc.qflat, q.Len()*d)
-	for i, p := range q.Points {
-		copy(sc.qflat[i*d:(i+1)*d], p)
-	}
+	sc.qflat = q.appendFlat(sc.qflat[:0])
 }
 
 // querySide returns the query as the alignment kernel reads it, after

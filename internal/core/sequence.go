@@ -9,21 +9,34 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 )
 
 // Sequence is a multidimensional data sequence (Definition 1): a series of
 // n-dimensional vectors, e.g. one color-feature point per video frame.
+//
+// A sequence comes in two forms, read the same way through Len, Dim, At and
+// Flat. The input form is Points, how a caller builds a sequence to add or
+// to query with. The stored form is one flat run of coordinates: every
+// sequence a database, a store, a transaction node or a shard holds is
+// stored, with Points nil and its coordinates the Segmented's Flat, so a
+// stored point costs its coordinates and no slice header.
 type Sequence struct {
 	// ID identifies the sequence within a Database. Databases assign it on
 	// Add; standalone sequences may leave it zero.
 	ID uint32
 	// Label is an optional human-readable name (file name, ticker, …).
 	Label string
-	// Points holds the ordered component vectors. All must share one
-	// dimensionality.
+	// Points is the input form: the ordered component vectors, all of one
+	// dimensionality. Nil in a stored sequence; read through At.
 	Points []geom.Point
+
+	// flat and dim are the stored form: point i is flat[i*dim:(i+1)*dim].
+	// dim is 0 in the input form.
+	flat []float64
+	dim  int
 }
 
 // ErrEmptySequence is returned when an operation needs at least one point.
@@ -44,6 +57,12 @@ func NewSequence(label string, points []geom.Point) (*Sequence, error) {
 	return s, nil
 }
 
+// storedOver returns the stored sequence with s's ID and Label over flat,
+// dim coordinates a point.
+func storedOver(s *Sequence, dim int, flat []float64) *Sequence {
+	return &Sequence{ID: s.ID, Label: s.Label, flat: flat, dim: dim}
+}
+
 // nonFinite returns the index of p's first NaN or ±Inf coordinate, or -1
 // when every coordinate is finite: only for those three is v − v not 0.
 func nonFinite(p geom.Point) int {
@@ -58,14 +77,19 @@ func nonFinite(p geom.Point) int {
 // Validate checks that the sequence is non-empty, dimensionally consistent
 // and finite in every coordinate (ErrNonFinite otherwise).
 func (s *Sequence) Validate() error {
-	if len(s.Points) == 0 {
+	n, dim := s.Len(), s.Dim()
+	if n == 0 {
 		return ErrEmptySequence
 	}
-	dim := len(s.Points[0])
 	if dim == 0 {
 		return errors.New("core: zero-dimensional point")
 	}
-	for i, p := range s.Points {
+	if s.dim > 0 && len(s.flat)%dim != 0 {
+		return fmt.Errorf("core: %d coordinates are not whole %d-dimensional points: %w",
+			len(s.flat), dim, geom.ErrDimensionMismatch)
+	}
+	for i := 0; i < n; i++ {
+		p := s.At(i)
 		if len(p) != dim {
 			return fmt.Errorf("core: point %d has dim %d, want %d: %w", i, len(p), dim, geom.ErrDimensionMismatch)
 		}
@@ -77,23 +101,78 @@ func (s *Sequence) Validate() error {
 }
 
 // Len returns the number of points.
-func (s *Sequence) Len() int { return len(s.Points) }
+func (s *Sequence) Len() int {
+	if s.dim > 0 {
+		return len(s.flat) / s.dim
+	}
+	return len(s.Points)
+}
 
 // Dim returns the dimensionality (0 for an empty sequence).
 func (s *Sequence) Dim() int {
-	if len(s.Points) == 0 {
-		return 0
+	if s.dim > 0 || len(s.Points) == 0 {
+		return s.dim
 	}
 	return len(s.Points[0])
 }
 
-// Slice returns the subsequence S[i:j] (half-open, 0-based) sharing the
-// backing array, mirroring the paper's S[i:j] notation (which is 1-based
-// and inclusive; callers of the public API use Go conventions).
-func (s *Sequence) Slice(i, j int) []geom.Point { return s.Points[i:j] }
+// At returns point i. It does not allocate: the point is a view of the
+// sequence's coordinates, capped so that an append to it reallocates, and
+// callers must not write through it.
+func (s *Sequence) At(i int) geom.Point {
+	if d := s.dim; d > 0 {
+		return s.flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	p := s.Points[i]
+	return p[:len(p):len(p)]
+}
 
-// Clone deep-copies the sequence.
+// Flat returns the coordinates as one run, point i at
+// [i*Dim(), (i+1)*Dim()). A stored sequence returns its own array, which
+// callers must not modify; an input-form one a fresh copy.
+func (s *Sequence) Flat() []float64 {
+	if s.dim > 0 {
+		return s.flat
+	}
+	return s.appendFlat(nil)
+}
+
+// appendFlat appends the coordinates to dst, point after point.
+func (s *Sequence) appendFlat(dst []float64) []float64 {
+	if s.dim > 0 {
+		return append(dst, s.flat...)
+	}
+	for _, p := range s.Points {
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
+// Slice returns the subsequence S[i:j] (half-open, 0-based) as points
+// sharing the sequence's coordinates, mirroring the paper's S[i:j]
+// notation (which is 1-based and inclusive; callers of the public API use
+// Go conventions). For a stored sequence it allocates the j−i point
+// headers; a kernel reads Flat instead.
+func (s *Sequence) Slice(i, j int) []geom.Point {
+	if s.dim == 0 {
+		return s.Points[i:j]
+	}
+	return s.appendPoints(make([]geom.Point, 0, j-i), i, j)
+}
+
+// appendPoints appends points i to j−1 to dst as views (At).
+func (s *Sequence) appendPoints(dst []geom.Point, i, j int) []geom.Point {
+	for ; i < j; i++ {
+		dst = append(dst, s.At(i))
+	}
+	return dst
+}
+
+// Clone deep-copies the sequence, keeping its form.
 func (s *Sequence) Clone() *Sequence {
+	if s.dim > 0 {
+		return storedOver(s, s.dim, slices.Clone(s.flat))
+	}
 	pts := make([]geom.Point, len(s.Points))
 	for i, p := range s.Points {
 		pts[i] = p.Clone()
@@ -103,14 +182,22 @@ func (s *Sequence) Clone() *Sequence {
 
 // Bounds returns the MBR of the whole sequence.
 func (s *Sequence) Bounds() geom.Rect {
-	return geom.BoundingRect(s.Points)
+	n := s.Len()
+	if n == 0 {
+		return geom.Rect{}
+	}
+	r := geom.RectFromPoint(s.At(0))
+	for i := 1; i < n; i++ {
+		r.ExtendPoint(s.At(i))
+	}
+	return r
 }
 
 // InUnitCube reports whether every point lies in [0,1]^n, the normalized
 // space the paper's similarity mapping assumes.
 func (s *Sequence) InUnitCube() bool {
-	for _, p := range s.Points {
-		if !p.InUnitCube() {
+	for i := range s.Len() {
+		if !s.At(i).InUnitCube() {
 			return false
 		}
 	}

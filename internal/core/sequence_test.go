@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -69,21 +70,50 @@ func TestSequenceInUnitCube(t *testing.T) {
 }
 
 func TestSegmentedRoundTripThroughDatabase(t *testing.T) {
-	// The Segmented a Database stores must reference the exact sequence
-	// object added (no copying) so labels and IDs stay authoritative.
+	// The Segmented a Database stores holds its own stored copy of the
+	// sequence added: the same id, label and coordinates, read through the
+	// accessors, with no input-form points, over the Segmented's Flat. The
+	// caller's sequence is left as it was, but for its ID.
 	db := newTestDB(t, 3)
 	rng := rand.New(rand.NewSource(140))
 	s := randWalkSeq(rng, 60, 3)
 	s.Label = "the-one"
+	orig := s.Clone()
 	id, err := db.Add(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := db.Segmented(id)
-	if g.Seq != s {
-		t.Error("database copied the sequence")
+	if g.Seq == s || g.Seq.Points != nil {
+		t.Error("database holds the caller's sequence, not a stored copy")
+	}
+	if g.Seq.ID != id || g.Seq.Label != s.Label || !sameCoords(g.Seq, s) {
+		t.Errorf("stored sequence %d %q differs from the one added", g.Seq.ID, g.Seq.Label)
+	}
+	if f := g.Seq.Flat(); len(f) == 0 || &f[0] != &g.Flat[0] || len(f) != len(g.Flat) {
+		t.Error("stored sequence is not a view of the Segmented's Flat")
 	}
 	if s.ID != id {
 		t.Errorf("Add did not stamp ID: %d vs %d", s.ID, id)
 	}
+	if s.Points == nil || !sameCoords(orig, s) {
+		t.Error("Add modified the caller's points")
+	}
+}
+
+// sameCoords reports whether a and b hold the same points, bit for bit,
+// whatever their forms.
+func sameCoords(a, b *Sequence) bool {
+	if a.Len() != b.Len() || a.Dim() != b.Dim() {
+		return false
+	}
+	for i := range a.Len() {
+		p, q := a.At(i), b.At(i)
+		for k := range p {
+			if math.Float64bits(p[k]) != math.Float64bits(q[k]) {
+				return false
+			}
+		}
+	}
+	return true
 }

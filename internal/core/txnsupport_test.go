@@ -235,7 +235,7 @@ func TestUnindexedMatchesDo(t *testing.T) {
 			ids, segs = append(ids, uint32(id)), append(segs, g)
 		}
 	}
-	queries := []*Sequence{randSeqN(rng, 3, 50), {Points: db.seqs[3].Seq.Points[5:45]}, randSeqN(rng, 3, 200), tie(2.1)}
+	queries := []*Sequence{randSeqN(rng, 3, 50), {Points: db.seqs[3].Seq.Slice(5, 45)}, randSeqN(rng, 3, 200), tie(2.1)}
 	render := func(ms []Match) string {
 		var b strings.Builder
 		for _, m := range ms {

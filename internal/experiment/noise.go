@@ -103,7 +103,8 @@ func RunNoiseSweep(cfg Config, levels []float64, probeEps float64) ([]NoiseRow, 
 // clamped to the unit cube.
 func perturb(rng *rand.Rand, q *core.Sequence, level float64) *core.Sequence {
 	pts := make([]geom.Point, q.Len())
-	for i, p := range q.Points {
+	for i := range pts {
+		p := q.At(i)
 		np := make(geom.Point, len(p))
 		for k, v := range p {
 			np[k] = clamp01(v + level*(rng.Float64()*2-1))

@@ -59,7 +59,7 @@ func MakeQueries(cfg Config, data []*core.Sequence) []*core.Sequence {
 		start := rng.Intn(src.Len() - qlen + 1)
 		pts := make([]geom.Point, qlen)
 		for j := range pts {
-			pts[j] = src.Points[start+j].Clone()
+			pts[j] = src.At(start + j).Clone()
 		}
 		out[i] = &core.Sequence{Label: fmt.Sprintf("query-%02d(src=%s@%d)", i, src.Label, start), Points: pts}
 	}
@@ -107,7 +107,7 @@ func ComputeTruth(queries, data []*core.Sequence) [][][]float64 {
 			go func() {
 				defer wg.Done()
 				for si := range jobs {
-					profiles[si] = core.OffsetProfile(q.Points, data[si].Points)
+					profiles[si] = core.OffsetProfile(q.Slice(0, q.Len()), data[si].Slice(0, data[si].Len()))
 				}
 			}()
 		}

@@ -47,7 +47,8 @@ func WriteCSV(w io.Writer, seqs []*core.Sequence) error {
 		if label == "" {
 			label = fmt.Sprintf("seq-%04d", i)
 		}
-		for j, p := range s.Points {
+		for j := range s.Len() {
+			p := s.At(j)
 			row[0] = label
 			row[1] = strconv.Itoa(j)
 			for k, v := range p {

@@ -72,8 +72,8 @@ func Write(w io.Writer, seqs []*core.Sequence) error {
 		if err := binary.Write(bw, binary.LittleEndian, uint32(s.Len())); err != nil {
 			return err
 		}
-		for _, p := range s.Points {
-			for _, v := range p {
+		for i := range s.Len() {
+			for _, v := range s.At(i) {
 				if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
 					return err
 				}

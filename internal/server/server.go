@@ -473,8 +473,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := SequenceJSON{ID: id, Label: g.Seq.Label, Points: make([][]float64, g.Seq.Len())}
-	for i, p := range g.Seq.Points {
-		out.Points[i] = append([]float64(nil), p...)
+	for i := range out.Points {
+		out.Points[i] = g.Seq.At(i)
 	}
 	writeJSON(w, http.StatusOK, out)
 }

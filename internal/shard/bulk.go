@@ -35,7 +35,7 @@ func (s *ShardedDB) AddAllSegmented(groups [][]*core.Segmented, leaves [][][]rtr
 	if leaves != nil && (len(leaves) != n || len(leafFanouts) != n) {
 		return fmt.Errorf("shard: %d leaf groups and %d fanouts for %d shards", len(leaves), len(leafFanouts), n)
 	}
-	seqs := make([][]*core.Sequence, n)
+	sizes := make([]int, n)
 	total := 0
 	for sh, group := range groups {
 		for k, g := range group {
@@ -46,14 +46,14 @@ func (s *ShardedDB) AddAllSegmented(groups [][]*core.Segmented, leaves [][][]rtr
 				return fmt.Errorf("shard: sequence %q placed on shard %d, label hashes to %d",
 					g.Seq.Label, sh, ShardFor(g.Seq.Label, n))
 			}
-			seqs[sh] = append(seqs[sh], g.Seq)
 		}
+		sizes[sh] = len(group)
 		total += len(group)
 	}
 	if total == 0 {
 		return nil
 	}
-	return s.bulkLoad(seqs, func(sh int) ([]uint32, error) {
+	_, err := s.bulkLoad(sizes, func(sh int) ([]uint32, error) {
 		bl, ok := s.shards[sh].(segmentedBulkLoader)
 		if !ok {
 			return nil, fmt.Errorf("shard: node %d cannot bulk-load segments", sh)
@@ -68,4 +68,5 @@ func (s *ShardedDB) AddAllSegmented(groups [][]*core.Segmented, leaves [][][]rtr
 		// and spares a union over every MBR of the corpus.
 		return geom.Rect{}
 	})
+	return err
 }

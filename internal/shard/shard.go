@@ -172,7 +172,8 @@ func (s *ShardedDB) SplitID(global uint32) (shard int, local uint32) {
 // --- writes -------------------------------------------------------------
 
 // Add routes the sequence to its label's shard and returns the global id.
-// As with core.Database.Add, the database keeps a reference to seq.
+// As with core.Database.Add, the shard stores its own flat copy of seq and
+// sets seq.ID, to the global id.
 func (s *ShardedDB) Add(seq *core.Sequence) (uint32, error) {
 	t0 := time.Now()
 	sh := ShardFor(seq.Label, len(s.shards))
@@ -181,7 +182,7 @@ func (s *ShardedDB) Add(seq *core.Sequence) (uint32, error) {
 		return 0, err
 	}
 	seq.ID = s.globalID(sh, local)
-	s.notifyWrite(geom.BoundingRect(seq.Points))
+	s.notifyWrite(seq.Bounds())
 	if m := s.metrics(); m != nil {
 		m.core.RecordAdd(time.Since(t0))
 		m.core.SetShape(s.Len(), s.NumMBRs())
@@ -192,24 +193,30 @@ func (s *ShardedDB) Add(seq *core.Sequence) (uint32, error) {
 // AddAll bulk-loads a corpus: sequences are grouped by placement and each
 // shard ingests its group concurrently (bulkLoad), hitting the per-shard
 // STR bulk-load path when the shard is empty. Returned global ids are in
-// input order.
+// input order, and each sequence's ID is set to its own.
 func (s *ShardedDB) AddAll(seqs []*core.Sequence) ([]uint32, error) {
 	if len(seqs) == 0 {
 		return nil, nil
 	}
 	n := len(s.shards)
 	groups := make([][]*core.Sequence, n)
-	for _, seq := range seqs {
+	at := make([][]int, n) // at[sh][j] is the input position of groups[sh][j]
+	for i, seq := range seqs {
 		sh := ShardFor(seq.Label, n)
 		groups[sh] = append(groups[sh], seq)
+		at[sh] = append(at[sh], i)
 	}
-	err := s.bulkLoad(groups, func(sh int) ([]uint32, error) {
+	sizes := make([]int, n)
+	for sh := range groups {
+		sizes[sh] = len(groups[sh])
+	}
+	globals, err := s.bulkLoad(sizes, func(sh int) ([]uint32, error) {
 		return s.shards[sh].AddAll(groups[sh])
 	}, func() geom.Rect {
 		// One region notification covers the whole batch.
 		var wrote geom.Rect
 		for _, seq := range seqs {
-			wrote.ExtendRect(geom.BoundingRect(seq.Points))
+			wrote.ExtendRect(seq.Bounds())
 		}
 		return wrote
 	})
@@ -217,48 +224,48 @@ func (s *ShardedDB) AddAll(seqs []*core.Sequence) ([]uint32, error) {
 		return nil, err
 	}
 	ids := make([]uint32, len(seqs))
-	for i, seq := range seqs {
-		ids[i] = seq.ID
+	for sh := range globals {
+		for j, id := range globals[sh] {
+			ids[at[sh][j]] = id
+			seqs[at[sh][j]].ID = id
+		}
 	}
 	return ids, nil
 }
 
 // bulkLoad is the fan-out of both bulk loads, AddAll and
-// AddAllSegmented: load(sh) ingests groups[sh] on shard sh for every
-// non-empty group, at most scatterWorkers shards at once, and the local
-// ids it returns, in group order, are stamped into the group's sequences
-// as global ids. Once every shard has succeeded the cache is told the
-// region wrote returns and the batch is recorded.
-func (s *ShardedDB) bulkLoad(groups [][]*core.Sequence, load func(sh int) ([]uint32, error), wrote func() geom.Rect) error {
+// AddAllSegmented: load(sh) ingests shard sh's group, of sizes[sh]
+// sequences, for every non-empty group, at most scatterWorkers shards at
+// once, and returns the local ids it assigned, in group order; bulkLoad
+// returns them per shard as global ids. Once every shard has succeeded
+// the cache is told the region wrote returns and the batch is recorded.
+func (s *ShardedDB) bulkLoad(sizes []int, load func(sh int) ([]uint32, error), wrote func() geom.Rect) ([][]uint32, error) {
 	n := len(s.shards)
 	total := 0
+	ids := make([][]uint32, n)
 	errs := make([]error, n)
 	sem := make(chan struct{}, scatterWorkers(n))
 	var wg sync.WaitGroup
-	for sh, group := range groups {
-		if len(group) == 0 {
+	for sh, size := range sizes {
+		if size == 0 {
 			continue
 		}
-		total += len(group)
+		total += size
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			locals, err := load(sh)
-			if err != nil {
-				errs[sh] = err
-				return
-			}
-			for j, local := range locals {
-				groups[sh][j].ID = s.globalID(sh, local)
+			ids[sh], errs[sh] = load(sh)
+			for j, local := range ids[sh] {
+				ids[sh][j] = s.globalID(sh, local)
 			}
 		}(sh)
 	}
 	wg.Wait()
 	for sh, err := range errs {
 		if err != nil {
-			return fmt.Errorf("shard: shard %d: %w", sh, err)
+			return nil, fmt.Errorf("shard: shard %d: %w", sh, err)
 		}
 	}
 	s.notifyWrite(wrote())
@@ -266,7 +273,7 @@ func (s *ShardedDB) bulkLoad(groups [][]*core.Sequence, load func(sh int) ([]uin
 		m.core.RecordBulkAdd(total)
 		m.core.SetShape(s.Len(), s.NumMBRs())
 	}
-	return nil
+	return ids, nil
 }
 
 // Remove deletes the sequence with the given global id.
@@ -323,12 +330,19 @@ func (s *ShardedDB) Segmented(global uint32) *core.Segmented {
 	return s.shards[sh].Segmented(local)
 }
 
-// Sequences returns the live sequences, ordered by shard then local id.
-// Their ID fields hold global ids.
+// Sequences returns the live sequences, ordered by shard then local id:
+// copies of the stored headers, sharing their coordinates, whose ID
+// fields hold global ids.
 func (s *ShardedDB) Sequences() []*core.Sequence {
 	var out []*core.Sequence
-	for _, db := range s.shards {
-		out = append(out, db.Sequences()...)
+	for sh, db := range s.shards {
+		seqs := db.Sequences()
+		slab := make([]core.Sequence, len(seqs))
+		for i, seq := range seqs {
+			slab[i] = *seq
+			slab[i].ID = s.globalID(sh, seq.ID)
+			out = append(out, &slab[i])
+		}
 	}
 	return out
 }

@@ -107,8 +107,10 @@ func TestReattachRefusesForeignRefs(t *testing.T) {
 // TestReadSegmentsAllocs gates the slab decode: ReadSegments makes the
 // same number of allocations for a 100-sequence file as for a
 // 1 000-sequence one, because every per-sequence header is cut from one
-// slab per column. The per-sequence decode made 621 and 6 111.
+// slab per column. The per-sequence decode made 621 and 6 111. On a host
+// that maps the file the count is exactly readSegmentsAllocs.
 func TestReadSegmentsAllocs(t *testing.T) {
+	mapped := true
 	allocs := func(n int) float64 {
 		seqs := corpusSeqs(int64(n), n, 3)
 		segs, err := core.PartitionAll(seqs, 3, core.DefaultPartitionConfig())
@@ -123,9 +125,11 @@ func TestReadSegmentsAllocs(t *testing.T) {
 		// cycle allocates too, and a larger file brings more cycles.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(5, func() {
-			if _, err := ReadSegments(path); err != nil {
+			c, err := ReadSegments(path)
+			if err != nil {
 				t.Fatal(err)
 			}
+			mapped = mapped && c.Mapped
 		})
 	}
 	small, large := allocs(100), allocs(1000)
@@ -133,7 +137,17 @@ func TestReadSegmentsAllocs(t *testing.T) {
 	if small != large {
 		t.Errorf("ReadSegments makes %v allocations for 100 sequences and %v for 1000; want the same", small, large)
 	}
+	if mapped && small != readSegmentsAllocs {
+		t.Errorf("ReadSegments makes %v allocations; want %d", small, readSegmentsAllocs)
+	}
 }
+
+// readSegmentsAllocs is what ReadSegments allocates for a mapped file: 20
+// while the decode cut a point header per point from a slab, one fewer
+// since a sequence is its coordinates. (The section table now carries the
+// payloads, one allocation where two parallel slices were, and pays for
+// the read buffer the points check takes instead of the mapping.)
+const readSegmentsAllocs = 19
 
 // FuzzReadSegments feeds the segment decoder arbitrary files: every input
 // either decodes or fails with ErrBadStore, none panics, and none makes
@@ -152,7 +166,7 @@ func FuzzReadSegments(f *testing.F) {
 		copy(buf, data)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		c, err := decodeSegments(buf)
+		c, err := decodeSegments(buf, nil)
 		runtime.ReadMemStats(&after)
 		if err != nil && !errors.Is(err, ErrBadStore) {
 			t.Fatalf("err = %v, want ErrBadStore", err)

@@ -342,22 +342,37 @@ func writeSegmentsFile(path string, dim int, cfg core.PartitionConfig, segs []*c
 // trip through memory by way of a slice header per point, added an eighth
 // to the open of a 4 M-point store.
 func sectionChecksum(p []byte, floats bool) (crc uint32, finite bool) {
+	var s sectionSum
+	s.add(p, floats)
+	return s.crc, s.finite()
+}
+
+// sectionSum accumulates sectionChecksum over a section taken in pieces.
+type sectionSum struct {
+	crc   uint32
+	carry uint64 // sign bit set once a NaN or ±Inf has been folded in
+}
+
+// add folds the next piece of the section into the sums; a piece of a
+// float section holds whole float64s.
+func (s *sectionSum) add(p []byte, floats bool) {
 	if !floats {
-		return crc32.Checksum(p, castagnoli), true
+		s.crc = crc32.Update(s.crc, castagnoli, p)
+		return
 	}
-	var carry uint64
 	for len(p) > 0 {
 		c := p[:min(32<<10, len(p))]
 		p = p[len(c):]
-		crc = crc32.Update(crc, castagnoli, c)
+		s.crc = crc32.Update(s.crc, castagnoli, c)
 		for _, x := range float64View(c) {
 			// |x| plus one exponent step carries into the sign bit exactly
 			// when the exponent is all ones, as in NaN and ±Inf alone.
-			carry |= math.Float64bits(x)&^(1<<63) + 1<<52
+			s.carry |= math.Float64bits(x)&^(1<<63) + 1<<52
 		}
 	}
-	return crc, carry>>63 == 0
 }
+
+func (s *sectionSum) finite() bool { return s.carry>>63 == 0 }
 
 // readSegmentsFile maps (or reads, on platforms without mmap) path and
 // decodes it with decodeSegments, releasing the mapping when the decode
@@ -395,7 +410,11 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
 		}
 	}
-	c, err = decodeSegments(buf)
+	var pointsAt io.ReaderAt
+	if mapped {
+		pointsAt = f
+	}
+	c, err = decodeSegments(buf, pointsAt)
 	if err != nil {
 		return nil, err
 	}
@@ -410,15 +429,22 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 // not tile, counts that do not add up — returns ErrBadStore; no input
 // may panic.
 //
+// When pointsAt is set, buf is a mapping of the file pointsAt reads, and
+// the points section — most of the file, and read by no range search — is
+// verified from pointsAt (checkPayloadAt) instead of through buf, so that
+// opening a store maps in none of its point pages: a query faults in the
+// pages it reads. Every other section is verified in buf.
+//
 // The per-sequence headers are cut from slabs, one allocation per column
-// for the whole file: the Segmented and Sequence structs, the point
-// headers, the MBRInfos, the Starts column, the labels (one string) and
-// the packed-leaf refs. Each slab is sized from a header count the layout
+// for the whole file: the Segmented and Sequence structs, the MBRInfos,
+// the Starts column, the labels (one string) and the packed-leaf refs. A
+// sequence's points are a view of the points section, with no header per
+// point. Each slab is sized from a header count the layout
 // check has already tied to its section's byte length, so a corrupt
 // header cannot make the decode allocate more than the file implies, and
 // every per-sequence sub-slice has cap == len, so an append to one
 // reallocates instead of writing into its neighbour.
-func decodeSegments(buf []byte) (*Corpus, error) {
+func decodeSegments(buf []byte, pointsAt io.ReaderAt) (*Corpus, error) {
 	if len(buf) < segHeaderLen {
 		return nil, fmt.Errorf("%w: segment file truncated (%d bytes)", ErrBadStore, len(buf))
 	}
@@ -495,8 +521,7 @@ func decodeSegments(buf []byte) (*Corpus, error) {
 	}
 
 	// Section headers first: their ids and lengths bound every payload.
-	payload := make([][]byte, len(wants))
-	crcs := make([]uint32, len(wants))
+	secs := make([]section, len(wants))
 	off := uint64(segHeaderLen)
 	for i, w := range wants {
 		sh := buf[off : off+secHeaderLen]
@@ -506,8 +531,12 @@ func decodeSegments(buf []byte) (*Corpus, error) {
 		if l := binary.LittleEndian.Uint64(sh[8:16]); l != w.size {
 			return nil, fmt.Errorf("%w: section %d length %d, want %d", ErrBadStore, w.id, l, w.size)
 		}
-		crcs[i] = binary.LittleEndian.Uint32(sh[4:8])
-		payload[i] = buf[off+secHeaderLen : off+secHeaderLen+w.size]
+		secs[i] = section{
+			id:      w.id,
+			crc:     binary.LittleEndian.Uint32(sh[4:8]),
+			off:     int64(off + secHeaderLen),
+			payload: buf[off+secHeaderLen : off+secHeaderLen+w.size],
+		}
 		off += secHeaderLen + pad8(w.size)
 	}
 
@@ -517,19 +546,25 @@ func decodeSegments(buf []byte) (*Corpus, error) {
 	// coordinate; nothing returns before both are done, and the points'
 	// verdict comes first, as its place in the file says.
 	for i := 0; i < 2; i++ {
-		if err := checkPayload(wants[i].id, payload[i], crcs[i]); err != nil {
+		if err := secs[i].check(); err != nil {
 			return nil, err
 		}
 	}
 	pointsErr := make(chan error, 1)
-	go func() { pointsErr <- checkPayload(secPoints, payload[2], crcs[2]) }()
+	go func() {
+		if pointsAt != nil {
+			pointsErr <- secs[2].checkAt(pointsAt)
+		} else {
+			pointsErr <- secs[2].check()
+		}
+	}()
 	c, err := func() (*Corpus, error) {
 		for i := 3; i < len(wants); i++ {
-			if err := checkPayload(wants[i].id, payload[i], crcs[i]); err != nil {
+			if err := secs[i].check(); err != nil {
 				return nil, err
 			}
 		}
-		return decodeDirectory(payload, h)
+		return decodeDirectory(secs, h)
 	}()
 	if perr := <-pointsErr; perr != nil {
 		return nil, perr
@@ -537,15 +572,53 @@ func decodeSegments(buf []byte) (*Corpus, error) {
 	return c, err
 }
 
-// checkPayload verifies one section's payload against the checksum its
-// header records and, for a float section, that every value is finite.
-func checkPayload(id uint32, p []byte, crc uint32) error {
-	want, finite := sectionChecksum(p, id == secPoints || id == secLo || id == secHi)
-	if crc != want {
-		return fmt.Errorf("%w: section %d checksum %08x, want %08x", ErrBadStore, id, crc, want)
+// section is one section of a segment file: the id and the payload's
+// checksum its header records, and the payload, at offset off in the file.
+type section struct {
+	id      uint32
+	crc     uint32
+	off     int64
+	payload []byte
+}
+
+// check verifies the section's payload against the checksum its header
+// records and, for a float section, that every value is finite.
+func (s section) check() error {
+	var sum sectionSum
+	sum.add(s.payload, s.floats())
+	return s.verdict(sum)
+}
+
+// checkAtChunk bounds the buffer checkAt reads through.
+const checkAtChunk = 256 << 10
+
+// checkAt is check with the payload read from r, the file, a chunk at a
+// time through one reused buffer rather than through the mapping the
+// payload is a view of, so that the check maps no page of it into the
+// process.
+func (s section) checkAt(r io.ReaderAt) error {
+	size := int64(len(s.payload))
+	buf := alignedBytes(int(min(size, checkAtChunk)))
+	var sum sectionSum
+	for done := int64(0); done < size; {
+		c := buf[:min(size-done, int64(len(buf)))]
+		if _, err := r.ReadAt(c, s.off+done); err != nil {
+			return fmt.Errorf("%w: section %d: %v", ErrBadStore, s.id, err)
+		}
+		sum.add(c, s.floats())
+		done += int64(len(c))
 	}
-	if !finite {
-		return fmt.Errorf("%w: section %d holds a NaN or ±Inf: %w", ErrBadStore, id, core.ErrNonFinite)
+	return s.verdict(sum)
+}
+
+func (s section) floats() bool { return s.id == secPoints || s.id == secLo || s.id == secHi }
+
+func (s section) verdict(sum sectionSum) error {
+	if sum.crc != s.crc {
+		return fmt.Errorf("%w: section %d checksum %08x, want %08x", ErrBadStore, s.id, s.crc, sum.crc)
+	}
+	if !sum.finite() {
+		return fmt.Errorf("%w: section %d holds a NaN or ±Inf: %w", ErrBadStore, s.id, core.ErrNonFinite)
 	}
 	return nil
 }
@@ -558,22 +631,21 @@ type segHeader struct {
 	treeM                                      int
 }
 
-// decodeDirectory assembles the corpus from the section payloads (in
-// file order) and the header's counts, which the layout check has tied to
-// the payloads' lengths, so every slab below is bounded by the file. The
+// decodeDirectory assembles the corpus from the sections (in file order)
+// and the header's counts, which the layout check has tied to the
+// payloads' lengths, so every slab below is bounded by the file. The
 // float sections are aliased once; everything per sequence is cut from
 // the slabs.
-func decodeDirectory(payload [][]byte, h segHeader) (*Corpus, error) {
+func decodeDirectory(secs []section, h segHeader) (*Corpus, error) {
 	d := uint64(h.dim)
-	seqdir, labels := payload[0], payload[1]
-	pointsAll := float64View(payload[2])
-	mbrdir := payload[3]
-	loAll, hiAll := float64View(payload[4]), float64View(payload[5])
+	seqdir, labels := secs[0].payload, secs[1].payload
+	pointsAll := float64View(secs[2].payload)
+	mbrdir := secs[3].payload
+	loAll, hiAll := float64View(secs[4].payload), float64View(secs[5].payload)
 
 	segs := make([]*core.Segmented, h.nseqs)
 	segSlab := make([]core.Segmented, h.nseqs)
 	seqSlab := make([]core.Sequence, h.nseqs)
-	ptSlab := make([]geom.Point, h.npoints)
 	mbrSlab := make([]core.MBRInfo, h.nmbrs)
 	startSlab := make([]int32, h.nmbrs+h.nseqs)
 	labelStr := string(labels)
@@ -586,12 +658,8 @@ func decodeDirectory(payload [][]byte, h segHeader) (*Corpus, error) {
 			return nil, fmt.Errorf("%w: sequence %d directory entry (%d pts, %d MBRs, %d label) overruns", ErrBadStore, i, n, r, ll)
 		}
 		flat := pointsAll[pOff*d : (pOff+n)*d : (pOff+n)*d]
-		pts := ptSlab[pOff : pOff+n : pOff+n]
-		for k := range pts {
-			pts[k] = geom.Point(flat[uint64(k)*d : (uint64(k)+1)*d : (uint64(k)+1)*d])
-		}
 		seq := &seqSlab[i]
-		*seq = core.Sequence{Label: labelStr[lOff : lOff+ll], Points: pts}
+		seq.Label = labelStr[lOff : lOff+ll]
 		ranges := mbrSlab[mOff : mOff+r : mOff+r]
 		for j := range ranges {
 			e := mbrdir[(mOff+uint64(j))*8:]
@@ -605,7 +673,7 @@ func decodeDirectory(payload [][]byte, h segHeader) (*Corpus, error) {
 		starts := startSlab[mOff+i : mOff+i+r+1 : mOff+i+r+1]
 		lo := loAll[mOff*d : (mOff+r)*d : (mOff+r)*d]
 		hi := hiAll[mOff*d : (mOff+r)*d : (mOff+r)*d]
-		if err := segSlab[i].InitColumnar(seq, ranges, starts, flat, lo, hi); err != nil {
+		if err := segSlab[i].InitColumnar(seq, h.dim, ranges, starts, flat, lo, hi); err != nil {
 			return nil, fmt.Errorf("%w: sequence %d: %v", ErrBadStore, i, err)
 		}
 		// No seq.Validate: the directory decode above cut n ≥ 1 points of
@@ -623,7 +691,7 @@ func decodeDirectory(payload [][]byte, h segHeader) (*Corpus, error) {
 
 	var leaves [][]rtree.Ref
 	if h.treeM > 0 {
-		leafdir, leafrefs := payload[8], payload[9]
+		leafdir, leafrefs := secs[8].payload, secs[9].payload
 		leaves = make([][]rtree.Ref, h.nleaves)
 		refSlab := make([]rtree.Ref, h.nmbrs)
 		var rOff uint64

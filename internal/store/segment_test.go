@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -78,9 +79,10 @@ func TestSegmentsRoundTrip(t *testing.T) {
 					t.Fatalf("dim=%d seq %d: bound %d differs", dim, i, j)
 				}
 			}
-			for j, p := range g.Seq.Points {
+			for j := range g.Seq.Len() {
+				p := g.Seq.At(j)
 				for k := range p {
-					if p[k] != w.Seq.Points[j][k] {
+					if p[k] != w.Seq.At(j)[k] {
 						t.Fatalf("dim=%d seq %d: point %d differs", dim, i, j)
 					}
 				}
@@ -88,7 +90,7 @@ func TestSegmentsRoundTrip(t *testing.T) {
 			// Every per-sequence view of the shared slabs and sections is
 			// cut cap == len, so an append reallocates instead of writing
 			// into the next sequence.
-			if cap(g.Seq.Points) != len(g.Seq.Points) || cap(g.MBRs) != len(g.MBRs) || cap(g.Starts) != len(g.Starts) ||
+			if g.Seq.Points != nil || cap(g.MBRs) != len(g.MBRs) || cap(g.Starts) != len(g.Starts) ||
 				cap(g.Flat) != len(g.Flat) || cap(g.Lo) != len(g.Lo) || cap(g.Hi) != len(g.Hi) {
 				t.Fatalf("dim=%d seq %d: a slab view has room past its end", dim, i)
 			}
@@ -207,6 +209,77 @@ func TestReadSegmentsRejectsNonFinite(t *testing.T) {
 					}
 				} else if !errors.Is(err, ErrBadStore) || !errors.Is(err, core.ErrNonFinite) {
 					t.Errorf("section %d with %v (last=%v): err = %v, want ErrBadStore wrapping ErrNonFinite", id, v, last, err)
+				}
+			}
+		}
+	}
+}
+
+// TestPointsCheckOnBothPaths checks the points section on both of the
+// paths that verify it: read from the file through a bounded buffer when
+// ReadSegments maps the file, which so maps in no point page, and in
+// memory on the read fallback (decodeSegments without a reader). A
+// flipped bit and a NaN under a correct checksum, in the first read chunk
+// and in the last of a section several chunks long, are refused with
+// ErrBadStore on each path, the NaN as core.ErrNonFinite; the pristine
+// file decodes on each.
+func TestPointsCheckOnBothPaths(t *testing.T) {
+	seqs := corpusSeqs(13, 400, 3)
+	cfg := core.DefaultPartitionConfig()
+	segs, err := core.PartitionAll(seqs, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), segFile)
+	if err := WriteSegments(path, 3, cfg, segs); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := segHeaderLen
+	for binary.LittleEndian.Uint32(good[off:]) != secPoints {
+		off += secHeaderLen + int(pad8(binary.LittleEndian.Uint64(good[off+8:])))
+	}
+	n := int(binary.LittleEndian.Uint64(good[off+8:]))
+	if n <= 2*checkAtChunk {
+		t.Fatalf("points section of %d bytes spans fewer than three read chunks", n)
+	}
+	start := off + secHeaderLen
+	// read decodes file both ways: ReadSegments (mapped on this host, or
+	// the fallback where mmap is unavailable) and decodeSegments in memory.
+	read := func(file []byte) (fromFile, inMemory error) {
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, fromFile := ReadSegments(path)
+		if fromFile == nil && !c.Mapped {
+			t.Log("segment files are not mapped here: both reads take the fallback")
+		}
+		buf := alignedBytes(len(file))
+		copy(buf, file)
+		_, inMemory = decodeSegments(buf, nil)
+		return fromFile, inMemory
+	}
+	if f, m := read(good); f != nil || m != nil {
+		t.Fatalf("pristine file refused: %v / %v", f, m)
+	}
+	for _, at := range []int{8, n - 16} {
+		flipped := slices.Clone(good)
+		flipped[start+at] ^= 0x10
+		nan := slices.Clone(good)
+		binary.LittleEndian.PutUint64(nan[start+at:], math.Float64bits(math.NaN()))
+		binary.LittleEndian.PutUint32(nan[off+4:], crc32.Checksum(nan[start:start+n], castagnoli))
+		for _, tc := range []struct {
+			name      string
+			file      []byte
+			nonFinite bool
+		}{{"bit flip", flipped, false}, {"NaN", nan, true}} {
+			f, m := read(tc.file)
+			for path, err := range map[string]error{"file": f, "memory": m} {
+				if !errors.Is(err, ErrBadStore) || tc.nonFinite != errors.Is(err, core.ErrNonFinite) {
+					t.Errorf("%s at byte %d of the points, read from %s: err = %v", tc.name, at, path, err)
 				}
 			}
 		}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/rtree"
@@ -232,19 +231,13 @@ func (db *DB) fold(cut *state) error {
 // detach returns a shallow copy of g with its own Sequence header. The
 // base stamps Seq.ID on whatever it is handed; folding must not let that
 // write land in an object that live snapshots and the committer are
-// concurrently reading. The copy's points are views of g.Flat — point i
-// is Flat[i*d : (i+1)*d], capped — so a folded sequence holds its
-// coordinates once: the decoded points the delta still references die
-// with it. All slice data (MBRs, columnar arrays) is immutable after
-// construction and stays shared.
+// concurrently reading. The delta's sequences are stored (core.Segment),
+// their coordinates g.Flat, so the copy holds them once and builds no
+// header per point. All slice data (MBRs, columnar arrays) is immutable
+// after construction and stays shared.
 func detach(g *core.Segmented) *core.Segmented {
 	gc := *g
 	sc := *g.Seq
-	d := sc.Dim()
-	sc.Points = make([]geom.Point, len(g.Seq.Points))
-	for i := range sc.Points {
-		sc.Points[i] = g.Flat[i*d : (i+1)*d : (i+1)*d]
-	}
 	gc.Seq = &sc
 	return &gc
 }

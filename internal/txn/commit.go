@@ -281,7 +281,7 @@ func (db *DB) applyOps(pend *state, ops []op) (firstID uint32, err error) {
 			g := o.g
 			if g == nil {
 				// WAL replay: partition the decoded sequence now.
-				g, err = core.NewSegmented(o.seqFromLog, db.base.PartitionConfig())
+				g, err = core.Segment(o.seqFromLog, db.base.PartitionConfig())
 				if err != nil {
 					break
 				}

@@ -109,7 +109,11 @@ func TestFoldedPointsAliasFlat(t *testing.T) {
 		if len(g.Flat) != g.Seq.Len()*d {
 			t.Fatalf("id %d: %d flat values for %d points of dim %d", id, len(g.Flat), g.Seq.Len(), d)
 		}
-		for i, p := range g.Seq.Points {
+		if g.Seq.Points != nil {
+			t.Fatalf("id %d: the folded sequence keeps input-form points", id)
+		}
+		for i := range g.Seq.Len() {
+			p := g.Seq.At(i)
 			want := g.Flat[i*d : (i+1)*d]
 			if len(p) != d || cap(p) != d || &p[0] != &want[0] || !slices.Equal(p, want) {
 				t.Fatalf("id %d point %d = %v (len %d, cap %d) is not the capped view of Flat %v at offset %d",

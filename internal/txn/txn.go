@@ -299,6 +299,7 @@ func (db *DB) AddCtx(ctx context.Context, s *core.Sequence) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
+	s.ID = res.firstID
 	return res.firstID, nil
 }
 
@@ -330,6 +331,7 @@ func (db *DB) AddAllCtx(ctx context.Context, seqs []*core.Sequence) ([]uint32, e
 	ids := make([]uint32, len(seqs))
 	for i := range ids {
 		ids[i] = res.firstID + uint32(i)
+		seqs[i].ID = ids[i]
 	}
 	return ids, nil
 }
@@ -372,7 +374,8 @@ func (db *DB) RemoveCtx(ctx context.Context, id uint32) error {
 }
 
 // partitionFor validates and partitions a sequence for an add, outside
-// the committer so the CPU work parallelizes across writers.
+// the committer so the CPU work parallelizes across writers, into the
+// stored form the delta holds: nothing of s is retained.
 func (db *DB) partitionFor(s *core.Sequence) (*core.Segmented, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -384,7 +387,7 @@ func (db *DB) partitionFor(s *core.Sequence) (*core.Segmented, error) {
 		return nil, fmt.Errorf("txn: sequence dim %d, database dim %d: %w",
 			s.Dim(), db.base.Dim(), geom.ErrDimensionMismatch)
 	}
-	return core.NewSegmented(s, db.base.PartitionConfig())
+	return core.Segment(s, db.base.PartitionConfig())
 }
 
 // commit submits one atomic batch of ops and waits for the committer's

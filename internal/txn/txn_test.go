@@ -502,10 +502,10 @@ func TestExplainDoesNotFold(t *testing.T) {
 		t.Fatalf("delta = %+v, want one add, one overlay, one removal", before)
 	}
 	queries := []*core.Sequence{
-		{Points: tail.Points},                    // only the twin holds it
-		{Points: gone.Points[2:8]},               // only the removed sequence held it
-		{Points: add.Points[1:9]},                // the add
-		{Points: db.Segmented(0).Seq.Points[:5]}, // a base sequence
+		{Points: tail.Points},                     // only the twin holds it
+		{Points: gone.Slice(2, 8)},                // only the removed sequence held it
+		{Points: add.Points[1:9]},                 // the add
+		{Points: db.Segmented(0).Seq.Slice(0, 5)}, // a base sequence
 	}
 	for qi, q := range queries {
 		for _, eps := range []float64{0.01, 0.5, 3} {

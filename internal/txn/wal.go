@@ -70,7 +70,7 @@ func encodeRecord(lsn uint64, ops []op, dim int) []byte {
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(o.g.Seq.Label)))
 			buf = append(buf, o.g.Seq.Label...)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(o.g.Seq.Len()))
-			buf = appendPoints(buf, o.g.Seq.Points)
+			buf = appendFloats(buf, o.g.Seq.Flat())
 		case opAppend:
 			buf = binary.LittleEndian.AppendUint32(buf, o.id)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(o.pts)))
@@ -85,9 +85,15 @@ func encodeRecord(lsn uint64, ops []op, dim int) []byte {
 // appendPoints serializes points as packed little-endian float64s.
 func appendPoints(buf []byte, pts []geom.Point) []byte {
 	for _, p := range pts {
-		for _, v := range p {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+		buf = appendFloats(buf, p)
+	}
+	return buf
+}
+
+// appendFloats serializes coordinates as packed little-endian float64s.
+func appendFloats(buf []byte, vs []float64) []byte {
+	for _, v := range vs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
 }
