@@ -46,10 +46,17 @@ func AppendToSegmented(g *Segmented, pts []geom.Point, cfg PartitionConfig) (*Se
 	for _, m := range tailMBRs {
 		mbrs = append(mbrs, MBRInfo{Rect: m.Rect, Start: m.Start + last.Start, End: m.End + last.Start})
 	}
-	// newColumnar copies every bound into fresh Lo/Hi arrays and re-aliases
-	// the copied MBRInfo rects into them, so nothing in the result aliases
-	// g's storage.
-	return newColumnar(storedOver(g.Seq, dim, flat), mbrs, flat), nil
+	// Every bound is copied into fresh Lo/Hi arrays and the copied MBRInfo
+	// rects re-aliased into them, so nothing in the result aliases g's
+	// storage.
+	lo := make([]float64, len(mbrs)*dim)
+	hi := make([]float64, len(mbrs)*dim)
+	for j := range mbrs {
+		copy(lo[j*dim:(j+1)*dim], mbrs[j].Rect.L)
+		copy(hi[j*dim:(j+1)*dim], mbrs[j].Rect.H)
+	}
+	aliasBounds(mbrs, lo, hi, dim)
+	return &Segmented{Seq: storedOver(g.Seq, dim, flat), MBRs: mbrs, Flat: flat, Lo: lo, Hi: hi, Starts: startsOf(mbrs)}, nil
 }
 
 // AppendPoints extends a stored sequence with new points — streaming

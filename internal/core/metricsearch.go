@@ -277,7 +277,7 @@ func (sc *searchScratch) scan(query Query, seqs []*Segmented, ids []uint32) []Ma
 	// The reference kernels take points: views of both sides, in buffers
 	// reused across sequences and cleared after, so that the pooled
 	// scratch keeps no stored coordinates alive.
-	sc.qpts = q.appendPoints(sc.qpts[:0], 0, q.Len())
+	sc.qpts = q.appendViews(sc.qpts[:0], 0, q.Len())
 	var out []Match
 	for i, g := range seqs {
 		if g == nil {
@@ -288,7 +288,7 @@ func (sc *searchScratch) scan(query Query, seqs []*Segmented, ids []uint32) []Ma
 			m.SeqID = ids[i]
 		}
 		if !dtw {
-			sc.spts = g.Seq.appendPoints(sc.spts[:0], 0, g.Len())
+			sc.spts = g.Seq.appendViews(sc.spts[:0], 0, g.Len())
 		}
 		switch {
 		case dtw:

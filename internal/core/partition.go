@@ -170,10 +170,10 @@ func NewSegmented(s *Sequence, cfg PartitionConfig) (*Segmented, error) {
 }
 
 // stored returns g as a database holds it: g itself when its sequence is
-// already stored, else a shallow copy whose Seq is a stored sequence over
-// g.Flat, so the caller's sequence is neither kept nor stamped with an id.
+// already stored over g.Flat, else a shallow copy whose Seq is, so the
+// caller's sequence is neither kept nor stamped with an id.
 func (g *Segmented) stored() *Segmented {
-	if g.Seq.dim > 0 {
+	if s := g.Seq; s.dim > 0 && len(g.Flat) > 0 && len(s.flat) == len(g.Flat) && &s.flat[0] == &g.Flat[0] {
 		return g
 	}
 	gc := *g
@@ -184,23 +184,6 @@ func (g *Segmented) stored() *Segmented {
 // Len returns the number of points, the last entry of Starts: the read a
 // kernel that already has Starts in hand makes instead of loading Seq.
 func (g *Segmented) Len() int { return int(g.Starts[len(g.Starts)-1]) }
-
-// newColumnar builds the Segmented of seq over flat and the partitioning
-// mbrs: the MBR bounds are copied into fresh Lo/Hi arrays and each
-// MBRInfo.Rect re-aliased into them. Rects handed out before the call keep
-// their previous backing arrays, which stay valid and immutable.
-func newColumnar(seq *Sequence, mbrs []MBRInfo, flat []float64) *Segmented {
-	d := seq.Dim()
-	r := len(mbrs)
-	lo := make([]float64, r*d)
-	hi := make([]float64, r*d)
-	for j := range mbrs {
-		copy(lo[j*d:(j+1)*d], mbrs[j].Rect.L)
-		copy(hi[j*d:(j+1)*d], mbrs[j].Rect.H)
-	}
-	aliasBounds(mbrs, lo, hi, d)
-	return &Segmented{Seq: seq, MBRs: mbrs, Flat: flat, Lo: lo, Hi: hi, Starts: startsOf(mbrs)}
-}
 
 // startsOf builds the Starts column of a partitioning that tiles its
 // sequence contiguously from point 0.

@@ -84,10 +84,6 @@ func (s *Sequence) Validate() error {
 	if dim == 0 {
 		return errors.New("core: zero-dimensional point")
 	}
-	if s.dim > 0 && len(s.flat)%dim != 0 {
-		return fmt.Errorf("core: %d coordinates are not whole %d-dimensional points: %w",
-			len(s.flat), dim, geom.ErrDimensionMismatch)
-	}
 	for i := 0; i < n; i++ {
 		p := s.At(i)
 		if len(p) != dim {
@@ -157,11 +153,11 @@ func (s *Sequence) Slice(i, j int) []geom.Point {
 	if s.dim == 0 {
 		return s.Points[i:j]
 	}
-	return s.appendPoints(make([]geom.Point, 0, j-i), i, j)
+	return s.appendViews(make([]geom.Point, 0, j-i), i, j)
 }
 
-// appendPoints appends points i to j−1 to dst as views (At).
-func (s *Sequence) appendPoints(dst []geom.Point, i, j int) []geom.Point {
+// appendViews appends points i to j−1 to dst as views (At).
+func (s *Sequence) appendViews(dst []geom.Point, i, j int) []geom.Point {
 	for ; i < j; i++ {
 		dst = append(dst, s.At(i))
 	}

@@ -200,11 +200,9 @@ func (s *ShardedDB) AddAll(seqs []*core.Sequence) ([]uint32, error) {
 	}
 	n := len(s.shards)
 	groups := make([][]*core.Sequence, n)
-	at := make([][]int, n) // at[sh][j] is the input position of groups[sh][j]
-	for i, seq := range seqs {
+	for _, seq := range seqs {
 		sh := ShardFor(seq.Label, n)
 		groups[sh] = append(groups[sh], seq)
-		at[sh] = append(at[sh], i)
 	}
 	sizes := make([]int, n)
 	for sh := range groups {
@@ -223,12 +221,14 @@ func (s *ShardedDB) AddAll(seqs []*core.Sequence) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]uint32, len(seqs))
-	for sh := range globals {
-		for j, id := range globals[sh] {
-			ids[at[sh][j]] = id
-			seqs[at[sh][j]].ID = id
+	for sh, group := range groups {
+		for j, seq := range group {
+			seq.ID = globals[sh][j]
 		}
+	}
+	ids := make([]uint32, len(seqs))
+	for i, seq := range seqs {
+		ids[i] = seq.ID
 	}
 	return ids, nil
 }

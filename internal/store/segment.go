@@ -332,22 +332,15 @@ func writeSegmentsFile(path string, dim int, cfg core.PartitionConfig, segs []*c
 	return werr
 }
 
-// sectionChecksum returns crc32.Checksum(p, castagnoli) and, for a section
-// of little-endian float64s, whether every one of them is finite. A
-// checksum says the bytes are the writer's, not that they are numbers, and
-// the distance kernels assume finite coordinates and bounds (geom.GapSq);
-// core.Sequence.Validate refuses the others on every other way in. The
-// section is taken a chunk at a time so that the scan reads what the
-// checksum has just pulled into cache: Validate per sequence, a second
-// trip through memory by way of a slice header per point, added an eighth
-// to the open of a 4 M-point store.
-func sectionChecksum(p []byte, floats bool) (crc uint32, finite bool) {
-	var s sectionSum
-	s.add(p, floats)
-	return s.crc, s.finite()
-}
-
-// sectionSum accumulates sectionChecksum over a section taken in pieces.
+// sectionSum accumulates a section's CRC-32C and, for a section of
+// little-endian float64s, whether every one of them is finite, over the
+// section taken in pieces. A checksum says the bytes are the writer's, not
+// that they are numbers, and the distance kernels assume finite
+// coordinates and bounds (geom.GapSq); core.Sequence.Validate refuses the
+// others on every other way in. A piece is taken a chunk at a time so that
+// the scan reads what the checksum has just pulled into cache: Validate
+// per sequence, a second trip through memory by way of a slice header per
+// point, added an eighth to the open of a 4 M-point store.
 type sectionSum struct {
 	crc   uint32
 	carry uint64 // sign bit set once a NaN or ±Inf has been folded in
@@ -431,7 +424,7 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 //
 // When pointsAt is set, buf is a mapping of the file pointsAt reads, and
 // the points section — most of the file, and read by no range search — is
-// verified from pointsAt (checkPayloadAt) instead of through buf, so that
+// verified from pointsAt (section.checkAt) instead of through buf, so that
 // opening a store maps in none of its point pages: a query faults in the
 // pages it reads. Every other section is verified in buf.
 //
@@ -602,7 +595,8 @@ func (s section) checkAt(r io.ReaderAt) error {
 	var sum sectionSum
 	for done := int64(0); done < size; {
 		c := buf[:min(size-done, int64(len(buf)))]
-		if _, err := r.ReadAt(c, s.off+done); err != nil {
+		// A read that fills c is whole, even if it reports io.EOF.
+		if n, err := r.ReadAt(c, s.off+done); n < len(c) {
 			return fmt.Errorf("%w: section %d: %v", ErrBadStore, s.id, err)
 		}
 		sum.add(c, s.floats())
