@@ -111,7 +111,7 @@ func (db *Database) bulkLoadLocked(segs []*Segmented, leaves [][]rtree.Ref, leaf
 	total, longest := 0, 0
 	for _, g := range segs {
 		total += len(g.MBRs)
-		longest = max(longest, g.Len())
+		longest = max(longest, g.numPoints())
 	}
 	if leafFanout != db.tree.MaxEntries() {
 		leaves = nil // grouping computed for a different page layout

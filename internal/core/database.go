@@ -116,7 +116,7 @@ func OpenDatabaseSegmented(opts Options, segs []*Segmented) (*Database, error) {
 		g.Seq.ID = uint32(i)
 		db.seqs = append(db.seqs, g)
 		db.live++
-		db.longest = max(db.longest, g.Len())
+		db.longest = max(db.longest, g.numPoints())
 		total += len(g.MBRs)
 	}
 	if total != db.tree.Len() {
@@ -277,7 +277,7 @@ func (db *Database) addSegmentedLocked(g *Segmented) (uint32, error) {
 	g.Seq.ID = id
 	db.seqs = append(db.seqs, g)
 	db.live++
-	db.longest = max(db.longest, g.Len())
+	db.longest = max(db.longest, g.numPoints())
 	return id, nil
 }
 
@@ -648,7 +648,7 @@ func refine(ctx context.Context, q *Sequence, eps float64, cands []uint32, seqs 
 //     the roles exchanged: every alignment lays all of S inside Q, so a
 //     match's interval is all of S.
 func (sc *searchScratch) refineOne(q *Sequence, qs alignSide, hits []uint64, g *Segmented, eps, reach float64) (bound float64, hit bool, evals int) {
-	n, m := int(qs.starts[len(qs.starts)-1]), g.Len()
+	n, m := int(qs.starts[len(qs.starts)-1]), g.numPoints()
 	if m >= n {
 		return phase3Hits(sc.qmbrs, hits, &sc.p3, g, n, reach)
 	}

@@ -194,7 +194,7 @@ func (ds *dtwScratch) envRow(j int) (lo, hi []float64) {
 // An unconstrained window has one envelope, the whole query's.
 func (ds *dtwScratch) dtwIndexLB(g *Segmented) float64 {
 	n, d, w := ds.envN, ds.envD, ds.envW
-	m := g.Len()
+	m := g.numPoints()
 	if w >= 0 && abs(n-m) > w {
 		return math.Inf(1)
 	}
@@ -262,7 +262,7 @@ func dtwIndexSlack(n, m, d int) float64 {
 // computed must.
 func (ds *dtwScratch) lbKeogh(g *Segmented, cutoff float64) float64 {
 	n, d := ds.envN, ds.envD
-	m := g.Len()
+	m := g.numPoints()
 	denom := float64(max(n, m))
 	limit := cutoff * denom
 	ds.keoghSuf = ensureFloats(ds.keoghSuf, m+1)

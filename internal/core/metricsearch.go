@@ -288,7 +288,7 @@ func (sc *searchScratch) scan(query Query, seqs []*Segmented, ids []uint32) []Ma
 			m.SeqID = ids[i]
 		}
 		if !dtw {
-			sc.spts = g.Seq.appendViews(sc.spts[:0], 0, g.Len())
+			sc.spts = g.Seq.appendViews(sc.spts[:0], 0, g.numPoints())
 		}
 		switch {
 		case dtw:

@@ -148,25 +148,24 @@ type Segmented struct {
 // carrying s's ID and Label. Nothing of s is retained and s is not
 // modified, so an input-form corpus can be dropped once it is segmented.
 func Segment(s *Sequence, cfg PartitionConfig) (*Segmented, error) {
-	mbrs, lo, hi, err := partition(s, cfg)
+	g, err := NewSegmented(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	d := s.Dim()
-	flat := s.appendFlat(make([]float64, 0, s.Len()*d))
-	return &Segmented{Seq: storedOver(s, d, flat), MBRs: mbrs, Flat: flat, Lo: lo, Hi: hi, Starts: startsOf(mbrs)}, nil
+	g.Seq = storedOver(s, s.Dim(), g.Flat)
+	return g, nil
 }
 
 // NewSegmented is Segment with Seq the sequence given rather than a stored
 // copy: the form for a caller that keeps reading s through the result.
 // A database never holds it; Add and AddSegmented store their own.
 func NewSegmented(s *Sequence, cfg PartitionConfig) (*Segmented, error) {
-	g, err := Segment(s, cfg)
+	mbrs, lo, hi, err := partition(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	g.Seq = s
-	return g, nil
+	flat := s.appendFlat(make([]float64, 0, s.Len()*s.Dim()))
+	return &Segmented{Seq: s, MBRs: mbrs, Flat: flat, Lo: lo, Hi: hi, Starts: startsOf(mbrs)}, nil
 }
 
 // stored returns g as a database holds it: g itself when its sequence is
@@ -181,9 +180,10 @@ func (g *Segmented) stored() *Segmented {
 	return &gc
 }
 
-// Len returns the number of points, the last entry of Starts: the read a
-// kernel that already has Starts in hand makes instead of loading Seq.
-func (g *Segmented) Len() int { return int(g.Starts[len(g.Starts)-1]) }
+// numPoints returns the sequence's length, the last entry of Starts: the
+// read a kernel that already has Starts in hand makes instead of loading
+// Seq.
+func (g *Segmented) numPoints() int { return int(g.Starts[len(g.Starts)-1]) }
 
 // startsOf builds the Starts column of a partitioning that tiles its
 // sequence contiguously from point 0.
