@@ -27,7 +27,9 @@
 // commit, WAL, checkpoint, and snapshot statistics. With -shards N each
 // shard gets its own log and committer
 // under <dir>/shard<i>; a directory written under one shard count is
-// refused under another. See OPERATIONS.md for the recovery runbook.
+// refused under another. -data seeds only an empty directory: a restart
+// onto one that holds data reads just the file's header, for its
+// dimension. See OPERATIONS.md for the recovery runbook.
 //
 // A store directory carries its own shard count; -shards applies when
 // starting empty or from -data. A store is served read-only: its trees
@@ -274,27 +276,67 @@ func openDB(storeDir, dataPath string, dim, shards int, tc txnConfig) (shard.DB,
 // shard<i> subdirectories otherwise) and, for a sharded deployment,
 // assembles the scatter-gather router over them. A -data corpus is
 // loaded only into a store that is still empty, so restarting with the
-// same command line does not re-ingest. The load commits as one WAL
-// record, which no -checkpoint-every threshold would notice, so each node
-// is checkpointed right after it: the corpus is served from the indexed
-// base from the first query on, not scanned from the delta.
+// same command line does not re-ingest: a store that holds data takes the
+// dimension from the file's header and parses none of its body (a body
+// corrupt past a valid header fails only a start that would load it). A
+// fresh directory parses the whole file before any node is created, so a
+// bad file leaves nothing behind. The load commits as one WAL record,
+// which no -checkpoint-every threshold would notice, so each node is
+// checkpointed right after it: the corpus is served from the indexed base
+// from the first query on, not scanned from the delta.
 //
 // Unlike a store, a durability directory records no shard count, and one
 // written under another count would open without complaint — serving the
 // shards that happen to exist, or an empty node beside them — so the
 // layout on disk is checked against shards before any node is opened.
 func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, error) {
-	if err := checkDurableLayout(tc.dir, shards); err != nil {
+	onDisk, err := checkDurableLayout(tc.dir, shards)
+	if err != nil {
 		return nil, err
 	}
 	var seqs []*core.Sequence
 	if dataPath != "" {
-		var err error
-		if seqs, err = readData(dataPath); err != nil {
+		if onDisk == 0 {
+			seqs, err = readData(dataPath)
+			if err == nil {
+				dim = seqs[0].Dim()
+			}
+		} else {
+			dim, err = readDataDim(dataPath)
+		}
+		if err != nil {
 			return nil, err
 		}
-		dim = seqs[0].Dim()
 	}
+	db, nodes, err := openNodes(dim, shards, tc)
+	if err != nil {
+		return nil, err
+	}
+	if dataPath == "" || db.Len() > 0 {
+		return db, nil
+	}
+	if seqs == nil {
+		if seqs, err = readData(dataPath); err != nil {
+			db.Close()
+			return nil, err
+		}
+	}
+	if _, err := db.AddAll(seqs); err != nil {
+		db.Close()
+		return nil, err
+	}
+	for i, n := range nodes {
+		if err := n.Checkpoint(); err != nil {
+			db.Close()
+			return nil, fmt.Errorf("checkpointing durable shard %d: %w", i, err)
+		}
+	}
+	return db, nil
+}
+
+// openNodes opens the transactional node of each shard: for one shard the
+// node itself is the database, for more the router over them.
+func openNodes(dim, shards int, tc txnConfig) (shard.DB, []*txn.DB, error) {
 	open := func(sub string) (*txn.DB, error) {
 		return txn.Open(txn.Options{
 			Dir:             sub,
@@ -307,19 +349,9 @@ func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, erro
 	if shards == 1 {
 		db, err := open(tc.dir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if len(seqs) > 0 && db.Len() == 0 {
-			if _, err := db.AddAll(seqs); err != nil {
-				db.Close()
-				return nil, err
-			}
-			if err := db.Checkpoint(); err != nil {
-				db.Close()
-				return nil, err
-			}
-		}
-		return db, nil
+		return db, []*txn.DB{db}, nil
 	}
 	nodes := make([]shard.Node, shards)
 	tdbs := make([]*txn.DB, shards)
@@ -329,42 +361,29 @@ func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, erro
 			for _, n := range nodes[:i] {
 				n.Close()
 			}
-			return nil, fmt.Errorf("opening durable shard %d: %w", i, err)
+			return nil, nil, fmt.Errorf("opening durable shard %d: %w", i, err)
 		}
 		nodes[i], tdbs[i] = db, db
 	}
 	sdb, err := shard.NewWithNodes(nodes)
 	if err != nil {
 		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
+			n.Close()
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	if len(seqs) > 0 && sdb.Len() == 0 {
-		if _, err := sdb.AddAll(seqs); err != nil {
-			sdb.Close()
-			return nil, err
-		}
-		for i, db := range tdbs {
-			if err := db.Checkpoint(); err != nil {
-				sdb.Close()
-				return nil, fmt.Errorf("checkpointing durable shard %d: %w", i, err)
-			}
-		}
-	}
-	return sdb, nil
+	return sdb, tdbs, nil
 }
 
 // checkDurableLayout refuses a durability directory written under a shard
 // count other than shards: one shard keeps its node's files at the top
 // level, N keep them under shard0 … shard<N-1>. A directory that is
-// absent, or holds neither, is new and fits any count.
-func checkDurableLayout(dir string, shards int) error {
+// absent, or holds neither, is new and fits any count. It returns the
+// count on disk, 0 for a new directory.
+func checkDurableLayout(dir string, shards int) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil && !os.IsNotExist(err) {
-		return err
+		return 0, err
 	}
 	onDisk := 0
 	for _, e := range entries {
@@ -376,14 +395,14 @@ func checkDurableLayout(dir string, shards int) error {
 	}
 	if txn.Exists(dir) {
 		if onDisk > 0 {
-			return fmt.Errorf("-durable %s holds a single node's files beside %d shard directories (it has been opened under both counts); move aside whichever is not the corpus", dir, onDisk)
+			return 0, fmt.Errorf("-durable %s holds a single node's files beside %d shard directories (it has been opened under both counts); move aside whichever is not the corpus", dir, onDisk)
 		}
 		onDisk = 1
 	}
 	if onDisk != 0 && onDisk != shards {
-		return fmt.Errorf("-durable %s was written with %d shard(s) and -shards is %d: restart with -shards %d (a durability directory cannot be re-sharded in place)", dir, onDisk, shards, onDisk)
+		return 0, fmt.Errorf("-durable %s was written with %d shard(s) and -shards is %d: restart with -shards %d (a durability directory cannot be re-sharded in place)", dir, onDisk, shards, onDisk)
 	}
-	return nil
+	return onDisk, nil
 }
 
 // readData loads an mdsgen dataset (binary or CSV).
@@ -393,4 +412,19 @@ func readData(dataPath string) ([]*core.Sequence, error) {
 		read = seqio.ReadCSVFile
 	}
 	return read(dataPath)
+}
+
+// readDataDim reads the dimension of an mdsgen dataset from its header
+// alone: the binary format's first 14 bytes, or a CSV file's rows up to
+// its first data row.
+func readDataDim(dataPath string) (int, error) {
+	f, err := os.Open(dataPath)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(dataPath, ".csv") {
+		return seqio.ReadCSVDim(f)
+	}
+	return seqio.ReadDim(f)
 }

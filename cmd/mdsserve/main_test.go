@@ -111,6 +111,122 @@ func TestOpenDurableSeedIsCheckpointed(t *testing.T) {
 	}
 }
 
+// TestOpenDurableRestartReadsOnlyTheHeader: a restart on a durability
+// directory that holds data takes the dimension from the -data file's
+// header and parses none of its body. A file whose header is valid but
+// whose body is cut short (binary) or garbled (CSV) opens and serves the
+// stored corpus — the parent parsed the whole file on every start and
+// refused it. A missing file, a foreign one and one of another dimension
+// still fail; on a fresh directory the cut file fails before anything is
+// created.
+func TestOpenDurableRestartReadsOnlyTheHeader(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	seqs := make([]*core.Sequence, 18)
+	for i := range seqs {
+		pts := make([]geom.Point, 20+rng.Intn(30))
+		for j := range pts {
+			pts[j] = geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
+		}
+		seqs[i] = &core.Sequence{Label: fmt.Sprintf("s%02d", i), Points: pts}
+	}
+	tmp := t.TempDir()
+	data, dataCSV := filepath.Join(tmp, "corpus.mds"), filepath.Join(tmp, "corpus.csv")
+	if err := seqio.WriteFile(data, seqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := seqio.WriteCSVFile(dataCSV, seqs); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(tmp, "cut.mds")
+	if err := os.WriteFile(cut, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rawCSV, err := os.ReadFile(dataCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbledCSV := filepath.Join(tmp, "garbled.csv")
+	if err := os.WriteFile(garbledCSV, append(rawCSV, "s00,zero,x,y,z\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	foreign := filepath.Join(tmp, "foreign.mds")
+	if err := os.WriteFile(foreign, []byte("not a dataset at all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	flat := filepath.Join(tmp, "dim2.mds")
+	if err := seqio.WriteFile(flat, []*core.Sequence{{Label: "p", Points: []geom.Point{{0.1, 0.2}, {0.3, 0.4}}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cut, garbledCSV} {
+		if _, err := readData(path); err == nil {
+			t.Fatalf("%s parses; the test needs a body that does not", path)
+		}
+	}
+	q := &core.Sequence{Points: seqs[4].Points[2:18]}
+
+	for _, shards := range []int{1, 3} {
+		tc := txnConfig{dir: filepath.Join(t.TempDir(), "dur"), noFsync: true}
+		if db, err := openDurable(cut, 0, shards, tc); err == nil {
+			db.Close()
+			t.Fatalf("shards=%d: a fresh directory opened from a cut file", shards)
+		}
+		if _, err := os.Stat(tc.dir); !os.IsNotExist(err) {
+			t.Fatalf("shards=%d: a fresh start from a cut file left %s behind (%v)", shards, tc.dir, err)
+		}
+		db, err := openDurable(data, 0, shards, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.Do(context.Background(), core.Query{Seq: q, Eps: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{cut, garbledCSV} {
+			db, err := openDurable(path, 0, shards, tc)
+			if err != nil {
+				t.Fatalf("shards=%d: restart with %s: %v", shards, filepath.Base(path), err)
+			}
+			got, err := db.Do(context.Background(), core.Query{Seq: q, Eps: 0.05})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.Len() != len(seqs) || len(got.Matches) != len(want.Matches) || len(got.Matches) == 0 {
+				t.Errorf("shards=%d: restart with %s serves %d sequences and %d matches, want %d and %d",
+					shards, filepath.Base(path), db.Len(), len(got.Matches), len(seqs), len(want.Matches))
+			}
+			for i, n := range txnNodes(t, db) {
+				if st := n.Stats(); st.Commits != 0 || st.DeltaAdds != 0 {
+					t.Errorf("shards=%d node %d: restart with %s committed %d, delta %d", shards, i, filepath.Base(path), st.Commits, st.DeltaAdds)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tt := range []struct{ path, want string }{
+			{filepath.Join(tmp, "typo.mds"), "no such file"},
+			{foreign, "bad format"},
+			{flat, "store has dim 3, options say 2"},
+		} {
+			db, err := openDurable(tt.path, 0, shards, tc)
+			if err == nil {
+				db.Close()
+				t.Fatalf("shards=%d: restart with %s opened", shards, filepath.Base(tt.path))
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("shards=%d: restart with %s: error %q does not say %q", shards, filepath.Base(tt.path), err, tt.want)
+			}
+		}
+	}
+}
+
 // TestOpenDurableRefusesOtherShardCount: a durability directory records no
 // shard count, so reopening one under another count used to serve whatever
 // shard directories matched (4 → 2: half the corpus, new writes hashed mod

@@ -57,6 +57,24 @@ func NewSequence(label string, points []geom.Point) (*Sequence, error) {
 	return s, nil
 }
 
+// NewFlat validates flat as points of dim coordinates each (point i at
+// flat[i*dim:(i+1)*dim]) and returns the stored sequence over it: flat is
+// kept, not copied, and the caller must not modify it afterwards. It is
+// the constructor for a loader that decodes coordinates into one run.
+func NewFlat(label string, dim int, flat []float64) (*Sequence, error) {
+	if dim < 1 {
+		return nil, errors.New("core: zero-dimensional point")
+	}
+	if len(flat)%dim != 0 {
+		return nil, fmt.Errorf("core: %d coordinates are not whole points of dim %d: %w", len(flat), dim, geom.ErrDimensionMismatch)
+	}
+	s := &Sequence{Label: label, flat: flat, dim: dim}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // storedOver returns the stored sequence with s's ID and Label over flat,
 // dim coordinates a point.
 func storedOver(s *Sequence, dim int, flat []float64) *Sequence {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,6 +21,39 @@ func TestNewSequenceValidates(t *testing.T) {
 	}
 	if _, err := NewSequence("ragged", []geom.Point{{0.1}, {0.1, 0.2}}); err == nil {
 		t.Error("ragged sequence accepted")
+	}
+}
+
+// TestNewFlatValidatesAndKeepsFlat: NewFlat refuses what NewSequence
+// refuses, and what it accepts is stored over the caller's array.
+func TestNewFlatValidatesAndKeepsFlat(t *testing.T) {
+	flat := []float64{0.1, 0.9, 0.2, 0.8, 0.3, 0.7}
+	s, err := NewFlat("abc", 2, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Points != nil || s.Len() != 3 || s.Dim() != 2 || s.Label != "abc" {
+		t.Fatalf("NewFlat: Points %v, Len %d, Dim %d, Label %q", s.Points, s.Len(), s.Dim(), s.Label)
+	}
+	if !s.At(2).Equal(geom.Point{0.3, 0.7}) || &s.Flat()[0] != &flat[0] {
+		t.Errorf("NewFlat: At(2) = %v, or Flat is a copy", s.At(2))
+	}
+	for _, tc := range []struct {
+		name string
+		dim  int
+		flat []float64
+		want error
+	}{
+		{"empty", 2, nil, ErrEmptySequence},
+		{"zero-dim", 0, []float64{0.1}, nil},
+		{"ragged", 2, []float64{0.1, 0.2, 0.3}, geom.ErrDimensionMismatch},
+		{"NaN", 2, []float64{0.1, math.NaN()}, ErrNonFinite},
+		{"Inf", 1, []float64{math.Inf(-1)}, ErrNonFinite},
+	} {
+		_, err := NewFlat(tc.name, tc.dim, tc.flat)
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 )
 
 // CSV interchange format, one point per row:
@@ -63,82 +63,132 @@ func WriteCSV(w io.Writer, seqs []*core.Sequence) error {
 	return cw.Error()
 }
 
-// ReadCSV imports a dataset from CSV. Consecutive rows with the same label
-// form one sequence; dimensionality is derived from the first data row and
-// enforced on the rest.
-func ReadCSV(r io.Reader) ([]*core.Sequence, error) {
+var errNoRows = errors.New("seqio: csv contains no data rows")
+
+// csvRows reads a CSV dataset's data rows, skipping a header row.
+type csvRows struct {
+	cr   *csv.Reader
+	line int
+	dim  int // from the first data row; -1 before it
+}
+
+func newCSVRows(r io.Reader) *csvRows {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // validated manually for a better message
-	var seqs []*core.Sequence
-	var cur *core.Sequence
-	dim := -1
-	line := 0
+	cr.ReuseRecord = true
+	return &csvRows{cr: cr, dim: -1}
+}
+
+// next reads the next data row, appends its coordinates to dst and returns
+// its label and index; io.EOF after the last row.
+func (c *csvRows) next(dst []float64) (label string, idx int, out []float64, err error) {
 	for {
-		rec, err := cr.Read()
+		rec, err := c.cr.Read()
 		if err == io.EOF {
-			break
+			return "", 0, dst, err
 		}
 		if err != nil {
-			return nil, fmt.Errorf("seqio: csv line %d: %w", line+1, err)
+			return "", 0, dst, fmt.Errorf("seqio: csv line %d: %w", c.line+1, err)
 		}
-		line++
+		c.line++
 		if len(rec) < 3 {
-			return nil, fmt.Errorf("seqio: csv line %d: %d fields, need >= 3", line, len(rec))
+			return "", 0, dst, fmt.Errorf("seqio: csv line %d: %d fields, need >= 3", c.line, len(rec))
 		}
 		// Skip a header row.
-		if line == 1 {
+		if c.line == 1 {
 			if _, err := strconv.ParseFloat(rec[2], 64); err != nil {
 				continue
 			}
 		}
-		if dim == -1 {
-			dim = len(rec) - 2
+		if c.dim == -1 {
+			c.dim = len(rec) - 2
 		}
-		if len(rec)-2 != dim {
-			return nil, fmt.Errorf("seqio: csv line %d: %d coordinates, want %d", line, len(rec)-2, dim)
+		if len(rec)-2 != c.dim {
+			return "", 0, dst, fmt.Errorf("seqio: csv line %d: %d coordinates, want %d", c.line, len(rec)-2, c.dim)
 		}
-		label := rec[0]
 		idx, err := strconv.Atoi(rec[1])
 		if err != nil {
-			return nil, fmt.Errorf("seqio: csv line %d: bad index %q", line, rec[1])
+			return "", 0, dst, fmt.Errorf("seqio: csv line %d: bad index %q", c.line, rec[1])
 		}
-		p := make(geom.Point, dim)
-		for k := 0; k < dim; k++ {
-			v, err := strconv.ParseFloat(rec[2+k], 64)
+		for _, f := range rec[2:] {
+			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
-				return nil, fmt.Errorf("seqio: csv line %d: bad coordinate %q", line, rec[2+k])
+				return "", 0, dst, fmt.Errorf("seqio: csv line %d: bad coordinate %q", c.line, f)
 			}
-			p[k] = v
+			dst = append(dst, v)
 		}
+		return rec[0], idx, dst, nil
+	}
+}
+
+// ReadCSV imports a dataset from CSV into stored sequences. Consecutive
+// rows with the same label form one sequence; dimensionality is derived
+// from the first data row and enforced on the rest. A sequence's rows are
+// decoded into one reused buffer and copied out once, at its end.
+func ReadCSV(r io.Reader) ([]*core.Sequence, error) {
+	rows := newCSVRows(r)
+	var seqs []*core.Sequence
+	var label string
+	var buf []float64
+	// flush stores the sequence buffered so far.
+	flush := func() error {
+		s, err := core.NewFlat(label, rows.dim, slices.Clone(buf))
+		if err != nil {
+			// ParseFloat reads "NaN" and "Inf"; no database takes them.
+			return fmt.Errorf("seqio: csv sequence %q: %w", label, err)
+		}
+		s.ID = uint32(len(seqs))
+		seqs = append(seqs, s)
+		buf = buf[:0]
+		return nil
+	}
+	var row []float64
+	for {
+		l, idx, next, err := rows.next(row[:0])
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		row = next
 		// A new sequence begins on a label change or an index reset (the
 		// latter covers datasets whose sequences share a label).
-		if cur == nil || cur.Label != label || idx == 0 {
-			if cur != nil {
-				seqs = append(seqs, cur)
+		if n := len(buf) / rows.dim; n == 0 || l != label || idx == 0 {
+			if n > 0 {
+				if err := flush(); err != nil {
+					return nil, err
+				}
 			}
 			if idx != 0 {
-				return nil, fmt.Errorf("seqio: csv line %d: sequence %q starts at index %d, want 0", line, label, idx)
+				return nil, fmt.Errorf("seqio: csv line %d: sequence %q starts at index %d, want 0", rows.line, l, idx)
 			}
-			cur = &core.Sequence{Label: label}
-		} else if idx != cur.Len() {
-			return nil, fmt.Errorf("seqio: csv line %d: sequence %q index %d, want %d", line, label, idx, cur.Len())
+			label = l
+		} else if idx != n {
+			return nil, fmt.Errorf("seqio: csv line %d: sequence %q index %d, want %d", rows.line, l, idx, n)
 		}
-		cur.Points = append(cur.Points, p)
+		buf = append(buf, row...)
 	}
-	if cur != nil {
-		seqs = append(seqs, cur)
+	if len(buf) == 0 {
+		return nil, errNoRows
 	}
-	if len(seqs) == 0 {
-		return nil, errors.New("seqio: csv contains no data rows")
-	}
-	for i := range seqs {
-		seqs[i].ID = uint32(i)
-		// ParseFloat reads "NaN" and "Inf"; no database takes them.
-		if err := seqs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("seqio: csv sequence %q: %w", seqs[i].Label, err)
-		}
+	if err := flush(); err != nil {
+		return nil, err
 	}
 	return seqs, nil
+}
+
+// ReadCSVDim reads a CSV dataset up to its first data row and returns the
+// dimension ReadCSV would derive from it.
+func ReadCSVDim(r io.Reader) (int, error) {
+	rows := newCSVRows(r)
+	if _, _, _, err := rows.next(nil); err != nil {
+		if err == io.EOF {
+			err = errNoRows
+		}
+		return 0, err
+	}
+	return rows.dim, nil
 }
 
 // WriteCSVFile exports to a file.

@@ -25,19 +25,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("count = %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].Label != in[i].Label || out[i].Len() != in[i].Len() {
-			t.Fatalf("sequence %d shape mismatch", i)
-		}
-		for j := range in[i].Points {
-			if !out[i].Points[j].Equal(in[i].Points[j]) {
-				t.Fatalf("sequence %d point %d differs", i, j)
-			}
-		}
-	}
+	sameStored(t, out, in)
 }
 
 func TestCSVFileRoundTrip(t *testing.T) {
@@ -145,5 +133,25 @@ func TestCSVInteropWithBinary(t *testing.T) {
 	}
 	if db1.NumMBRs() != db2.NumMBRs() {
 		t.Errorf("MBR counts differ: %d vs %d", db1.NumMBRs(), db2.NumMBRs())
+	}
+}
+
+// TestReadCSVDim: the dimension comes from the first data row, past a
+// header row, whatever follows it; a file with no data row has none.
+func TestReadCSVDim(t *testing.T) {
+	for _, tc := range []struct {
+		csv  string
+		want int
+	}{
+		{"label,index,x1,x2\na,0,0.1,0.2\na,x,garbage\n", 2},
+		{"a,0,0.1,0.2,0.3\n", 3},
+		{"label,index,x1\n", 0},
+		{"", 0},
+		{"a,0\n", 0},
+	} {
+		dim, err := ReadCSVDim(strings.NewReader(tc.csv))
+		if dim != tc.want || (err == nil) != (tc.want > 0) {
+			t.Errorf("ReadCSVDim(%q) = %d, %v; want %d", tc.csv, dim, err, tc.want)
+		}
 	}
 }

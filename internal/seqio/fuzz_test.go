@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzRead asserts the binary reader never panics and never accepts input
-// that fails to round-trip: whatever it parses must re-serialize.
+// that fails to round-trip: whatever it parses must re-serialize to the
+// bytes it was read from.
 func FuzzRead(f *testing.F) {
 	// Seed with a valid dataset, its truncations, and junk.
 	rng := rand.New(rand.NewSource(1))
@@ -33,11 +34,14 @@ func FuzzRead(f *testing.F) {
 		if err := Write(&out, seqs); err != nil {
 			t.Fatalf("parsed dataset fails to serialize: %v", err)
 		}
+		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatalf("parsed dataset re-serializes to other bytes")
+		}
 	})
 }
 
 // FuzzReadCSV asserts the CSV reader never panics and its accepted output
-// always validates.
+// is always stored and valid.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("label,index,x1\na,0,0.5\na,1,0.6\n")
 	f.Add("a,0,0.1,0.2\nb,0,0.3,0.4\n")
@@ -51,8 +55,8 @@ func FuzzReadCSV(f *testing.F) {
 			return
 		}
 		for i, s := range seqs {
-			if err := s.Validate(); err != nil {
-				t.Fatalf("accepted invalid sequence %d: %v", i, err)
+			if err := s.Validate(); err != nil || s.Points != nil {
+				t.Fatalf("accepted sequence %d: input form %v, invalid: %v", i, s.Points != nil, err)
 			}
 		}
 	})

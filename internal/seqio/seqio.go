@@ -10,6 +10,12 @@
 //	    pointCount u32,
 //	    pointCount × dim × f64
 //	}
+//
+// The readers (Read, ReadCSV) return stored sequences: each one's
+// coordinates decoded straight into one []float64 (core.NewFlat), with no
+// header per point, which is the form a database keeps. ReadDim and
+// ReadCSVDim read only as far as the dimension, for a caller that loads
+// the body only if it needs it.
 package seqio
 
 import (
@@ -22,7 +28,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 )
 
 const magic = "MDSSEQS1"
@@ -37,22 +42,30 @@ const (
 	maxLabel     = 1 << 16
 )
 
+// chunk is the size of the buffers the binary codec moves bytes through:
+// Write encodes into one such buffer and Read decodes out of its reader's,
+// so neither stages a coordinate or a sequence in memory of its own.
+const chunk = 1 << 16
+
 // Write serializes the dataset to w. All sequences must share dim.
 func Write(w io.Writer, seqs []*core.Sequence) error {
 	if len(seqs) == 0 {
 		return errors.New("seqio: empty dataset")
 	}
 	dim := seqs[0].Dim()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	buf := make([]byte, 0, chunk)
+	// room writes buf out unless n more bytes fit in it.
+	room := func(n int) error {
+		if len(buf)+n <= cap(buf) {
+			return nil
+		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(dim)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(seqs))); err != nil {
-		return err
-	}
+	buf = append(buf, magic...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(dim))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seqs)))
 	for i, s := range seqs {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("seqio: sequence %d: %w", i, err)
@@ -63,86 +76,108 @@ func Write(w io.Writer, seqs []*core.Sequence) error {
 		if len(s.Label) > maxLabel-1 {
 			return fmt.Errorf("seqio: sequence %d label too long (%d bytes)", i, len(s.Label))
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(s.Label))); err != nil {
+		if err := room(2 + len(s.Label) + 4); err != nil {
 			return err
 		}
-		if _, err := bw.WriteString(s.Label); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(s.Len())); err != nil {
-			return err
-		}
-		for i := range s.Len() {
-			for _, v := range s.At(i) {
-				if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-					return err
-				}
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Label)))
+		buf = append(buf, s.Label...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.Len()))
+		for j := range s.Len() {
+			if err := room(8 * dim); err != nil {
+				return err
+			}
+			for _, v := range s.At(j) {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 			}
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// Read deserializes a dataset from r.
-func Read(r io.Reader) ([]*core.Sequence, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+// headerLen is the size of the header: magic, dim u16, count u32.
+const headerLen = len(magic) + 2 + 4
+
+// parseHeader checks a header and returns its dimension and count.
+func parseHeader(b []byte) (dim, count int, err error) {
+	if string(b[:len(magic)]) != magic {
+		return 0, 0, fmt.Errorf("%w: magic %q", ErrBadFormat, b[:len(magic)])
 	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, head)
-	}
-	var dim uint16
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
-		return nil, fmt.Errorf("%w: dim: %v", ErrBadFormat, err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("%w: count: %v", ErrBadFormat, err)
-	}
+	dim = int(binary.LittleEndian.Uint16(b[len(magic):]))
+	count = int(binary.LittleEndian.Uint32(b[len(magic)+2:]))
 	if dim == 0 || count == 0 || count > maxSequences {
-		return nil, fmt.Errorf("%w: dim=%d count=%d", ErrBadFormat, dim, count)
+		return 0, 0, fmt.Errorf("%w: dim=%d count=%d", ErrBadFormat, dim, count)
+	}
+	return dim, count, nil
+}
+
+// Read deserializes a dataset from r into stored sequences. Every field
+// is decoded in place from the buffered reader's own buffer.
+func Read(r io.Reader) ([]*core.Sequence, error) {
+	br := bufio.NewReaderSize(r, chunk)
+	// next returns the next n ≤ chunk bytes, valid until the next call.
+	next := func(n int) ([]byte, error) {
+		b, err := br.Peek(n)
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		br.Discard(len(b))
+		return b, err
+	}
+	b, err := next(headerLen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
+	}
+	dim, count, err := parseHeader(b)
+	if err != nil {
+		return nil, err
 	}
 	seqs := make([]*core.Sequence, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var labelLen uint16
-		if err := binary.Read(br, binary.LittleEndian, &labelLen); err != nil {
+	for i := range count {
+		if b, err = next(2); err != nil {
 			return nil, fmt.Errorf("%w: sequence %d label length: %v", ErrBadFormat, i, err)
 		}
-		label := make([]byte, labelLen)
-		if _, err := io.ReadFull(br, label); err != nil {
+		if b, err = next(int(binary.LittleEndian.Uint16(b))); err != nil {
 			return nil, fmt.Errorf("%w: sequence %d label: %v", ErrBadFormat, i, err)
 		}
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+		label := string(b)
+		if b, err = next(4); err != nil {
 			return nil, fmt.Errorf("%w: sequence %d point count: %v", ErrBadFormat, i, err)
 		}
+		n := binary.LittleEndian.Uint32(b)
 		if n == 0 || n > maxPoints {
 			return nil, fmt.Errorf("%w: sequence %d has %d points", ErrBadFormat, i, n)
 		}
-		// One flat allocation per sequence, re-sliced per point.
-		flat := make([]float64, int(n)*int(dim))
-		raw := make([]byte, 8*len(flat))
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return nil, fmt.Errorf("%w: sequence %d points: %v", ErrBadFormat, i, err)
+		flat := make([]float64, int(n)*dim)
+		for rest := flat; len(rest) > 0; rest = rest[len(b)/8:] {
+			if b, err = next(8 * min(len(rest), chunk/8)); err != nil {
+				return nil, fmt.Errorf("%w: sequence %d points: %v", ErrBadFormat, i, err)
+			}
+			for j := range len(b) / 8 {
+				rest[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+			}
 		}
-		for j := range flat {
-			flat[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
-		}
-		pts := make([]geom.Point, n)
-		for j := range pts {
-			pts[j] = geom.Point(flat[j*int(dim) : (j+1)*int(dim) : (j+1)*int(dim)])
-		}
-		s := &core.Sequence{ID: i, Label: string(label), Points: pts}
 		// What Write refuses to write, Read refuses to return: a NaN or
 		// ±Inf coordinate must not reach a database through -data.
-		if err := s.Validate(); err != nil {
+		s, err := core.NewFlat(label, dim, flat)
+		if err != nil {
 			return nil, fmt.Errorf("%w: sequence %d: %w", ErrBadFormat, i, err)
 		}
+		s.ID = uint32(i)
 		seqs = append(seqs, s)
 	}
 	return seqs, nil
+}
+
+// ReadDim reads only a dataset's header, the first 14 bytes, and returns
+// its dimension: the header Read would accept, with no sequence decoded.
+func ReadDim(r io.Reader) (int, error) {
+	var b [headerLen]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return 0, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
+	}
+	dim, _, err := parseHeader(b[:])
+	return dim, err
 }
 
 // WriteFile serializes the dataset to path.

@@ -3,8 +3,12 @@ package seqio
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -40,19 +44,33 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameStored(t, out, in)
+}
+
+// sameStored fails unless out is in read back as stored sequences: no
+// input-form points, and the labels, lengths and coordinates, bit for
+// bit, of what was written.
+func sameStored(t *testing.T, out, in []*core.Sequence) {
+	t.Helper()
 	if len(out) != len(in) {
 		t.Fatalf("count = %d, want %d", len(out), len(in))
 	}
 	for i := range in {
+		if out[i].Points != nil {
+			t.Fatalf("sequence %d read back with input-form points", i)
+		}
 		if out[i].Label != in[i].Label {
 			t.Errorf("sequence %d label %q, want %q", i, out[i].Label, in[i].Label)
 		}
-		if out[i].Len() != in[i].Len() {
-			t.Fatalf("sequence %d length %d, want %d", i, out[i].Len(), in[i].Len())
+		if out[i].Len() != in[i].Len() || out[i].Dim() != in[i].Dim() {
+			t.Fatalf("sequence %d is %d×%d, want %d×%d", i, out[i].Len(), out[i].Dim(), in[i].Len(), in[i].Dim())
 		}
-		for j := range in[i].Points {
-			if !out[i].Points[j].Equal(in[i].Points[j]) {
-				t.Fatalf("sequence %d point %d differs", i, j)
+		for j := range in[i].Len() {
+			p, q := out[i].At(j), in[i].At(j)
+			for k := range q {
+				if math.Float64bits(p[k]) != math.Float64bits(q[k]) {
+					t.Fatalf("sequence %d point %d is %v, want %v", i, j, p, q)
+				}
 			}
 		}
 	}
@@ -130,6 +148,116 @@ func TestReadAssignsSequentialIDs(t *testing.T) {
 	for i, s := range out {
 		if s.ID != uint32(i) {
 			t.Errorf("sequence %d has ID %d", i, s.ID)
+		}
+	}
+}
+
+// TestRoundTripAcrossChunks: sequences, labels and single points larger
+// than the codec's buffer are written and read back bit for bit.
+func TestRoundTripAcrossChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct{ count, dim int }{{4, 5}, {2, 9000}} {
+		in := randomDataset(rng, tc.count, tc.dim)
+		in[0].Label = strings.Repeat("λ", (maxLabel-1)/2) // 65 534 bytes
+		long := make([]geom.Point, 3000)
+		for j := range long {
+			long[j] = in[1].At(j % in[1].Len()).Clone()
+		}
+		in[1] = &core.Sequence{Label: "long", Points: long}
+		var buf bytes.Buffer
+		if err := Write(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		out, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameStored(t, out, in)
+	}
+}
+
+// TestReadAllocs pins what Read allocates: a fixed few for the reader and
+// the result list, then per sequence its label, its coordinates and its
+// header, whatever its length — no header per point and no staging buffer
+// per sequence.
+func TestReadAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		var buf bytes.Buffer
+		if err := Write(&buf, randomDataset(rand.New(rand.NewSource(int64(n))), n, 3)); err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(buf.Bytes())
+		// With the collector off: the work the runtime runs after each
+		// cycle allocates too, and a larger input brings more cycles.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(5, func() {
+			r.Reset(buf.Bytes())
+			if _, err := Read(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	t.Logf("Read allocations: %v for 100 sequences, %v for 1000", small, large)
+	if perSeq := (large - small) / 900; perSeq != readAllocsPerSeq || small != readAllocsFixed+100*readAllocsPerSeq {
+		t.Errorf("Read makes %v allocations for 100 sequences and %v for 1000; want %d + %d per sequence", small, large, readAllocsFixed, readAllocsPerSeq)
+	}
+}
+
+// What Read allocates: the buffered reader's buffer and the result list,
+// then per sequence the label, the coordinates and the Sequence. Decoding
+// through binary.Read into []geom.Point made 8 per sequence: a byte buffer
+// for each fixed field and for the label, a staging buffer for the
+// coordinates and the header slab besides.
+const (
+	readAllocsFixed  = 2
+	readAllocsPerSeq = 3
+)
+
+// TestWriteAllocs: Write encodes through one buffer, so what it allocates
+// does not grow with the dataset. It used to allocate once per coordinate.
+func TestWriteAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		in := randomDataset(rand.New(rand.NewSource(int64(n))), n, 3)
+		return testing.AllocsPerRun(5, func() {
+			if err := Write(io.Discard, in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	t.Logf("Write allocations: %v for 100 sequences, %v for 1000", small, large)
+	if small != large || small != writeAllocs {
+		t.Errorf("Write makes %v allocations for 100 sequences and %v for 1000; want %d for both", small, large, writeAllocs)
+	}
+}
+
+// writeAllocs is Write's one encode buffer.
+const writeAllocs = 1
+
+// TestReadDim: ReadDim reads the header alone — a body cut right after it
+// still gives the dimension — and refuses what Read refuses in a header.
+func TestReadDim(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, randomDataset(rand.New(rand.NewSource(6)), 3, 7)); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	if dim, err := ReadDim(bytes.NewReader(full[:headerLen])); err != nil || dim != 7 {
+		t.Errorf("ReadDim of a bare header = %d, %v; want 7", dim, err)
+	}
+	if _, err := Read(bytes.NewReader(full[:headerLen+5])); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("Read of a cut body = %v, want ErrBadFormat", err)
+	}
+	zeroCount := append([]byte(nil), full[:headerLen]...)
+	clear(zeroCount[headerLen-4:])
+	for name, b := range map[string][]byte{
+		"short":      full[:headerLen-1],
+		"foreign":    []byte("MDSSEQS2\x07\x00\x03\x00\x00\x00"),
+		"zero count": zeroCount,
+	} {
+		if _, err := ReadDim(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("ReadDim of a %s header = %v, want ErrBadFormat", name, err)
 		}
 	}
 }

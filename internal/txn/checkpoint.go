@@ -175,7 +175,7 @@ func (db *DB) checkpoint(force bool) error {
 // position. The fold is idempotent: a retry after a mid-fold error
 // skips the already-applied prefix.
 func (db *DB) fold(cut *state) error {
-	v := buildView(cut)
+	v := cut.view()
 	already := db.base.DirLen() - int(cut.baseNext)
 	if already < 0 {
 		return fmt.Errorf("txn: base shrank below fold point (%d < %d)", db.base.DirLen(), cut.baseNext)
@@ -449,7 +449,8 @@ func newBase(opts core.Options, segs []*core.Segmented, leaves [][]rtree.Ref, tr
 // openLog opens the WAL and replays the records after the snapshot into
 // the delta state, restoring every acknowledged commit the snapshot
 // predates, and places each in the log for compaction. Runs before the
-// committer starts, so it may mutate the initial state in place.
+// committer starts, so it may mutate the initial state in place: nothing
+// has viewed that state yet.
 func (db *DB) openLog() error {
 	st := db.cur.Load()
 	ckptLSN := db.ckptLSN.Load()

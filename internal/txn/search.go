@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,8 +24,6 @@ type Snap struct {
 	st       *state
 	slot     uint32
 	released atomic.Bool
-	once     sync.Once
-	v        *view
 }
 
 // Acquire pins a read snapshot at the current commit. The pin is a pair
@@ -62,12 +59,9 @@ func (s *Snap) Release() {
 // Epoch returns the commit version the snapshot is pinned to.
 func (s *Snap) Epoch() uint64 { return s.st.epoch }
 
-// view lazily resolves the pinned state's delta into lookup form, once
-// per snapshot.
-func (s *Snap) view() *view {
-	s.once.Do(func() { s.v = buildView(s.st) })
-	return s.v
-}
+// view returns the pinned state's delta in lookup form, shared with every
+// other snapshot of that state.
+func (s *Snap) view() *view { return s.st.view() }
 
 // mergeByID merges two id-ascending match lists — the base's answer and
 // the delta pass's — dropping base entries the view supersedes: the one

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -77,6 +78,10 @@ type state struct {
 	overlays []overlayEntry
 	// removed lists removed ids (base or add), in commit order.
 	removed []uint32
+
+	// v is the state's resolved lookup form, built on first use (view).
+	viewOnce sync.Once
+	v        *view
 }
 
 // overlayEntry is one committed replacement version.
@@ -91,9 +96,11 @@ func (st *state) deltaLen() int {
 	return len(st.adds) + len(st.overlays) + len(st.removed)
 }
 
-// view is the per-snapshot resolved form of a state: set and map lookups
-// built once per pinned snapshot (O(delta) — bounded by the checkpoint
-// cadence), then shared by every query through that snapshot.
+// view is the resolved form of a state: set and map lookups built once
+// per published state (O(delta) — bounded by the checkpoint cadence), on
+// first use, then shared by every snapshot pinned to that state and by the
+// fold that cuts at it. A published state never changes, so neither does
+// its view.
 type view struct {
 	st      *state
 	removed map[uint32]struct{}
@@ -102,6 +109,13 @@ type view struct {
 	// is sequence ids[i] — what the delta pass (core.Unindexed) reads.
 	ids  []uint32
 	segs []*core.Segmented
+}
+
+// view returns st's lookup form, building it on the first call. Only a
+// published state may be viewed: the committer's pending one still grows.
+func (st *state) view() *view {
+	st.viewOnce.Do(func() { st.v = buildView(st) })
+	return st.v
 }
 
 // buildView resolves st into lookup form.

@@ -342,6 +342,38 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestSnapshotsOfOneStateShareItsView: the delta's lookup form is built
+// once per published state, not once per request: two snapshots of one
+// state read the same *view, and a snapshot of the next state its own,
+// which sees the new commit.
+func TestSnapshotsOfOneStateShareItsView(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	db := newMem(t, 2)
+	for i := 0; i < 4; i++ {
+		if _, err := db.Add(randSeq(rng, 2, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := db.Acquire(), db.Acquire()
+	defer a.Release()
+	defer b.Release()
+	if a.st != b.st || a.view() != b.view() {
+		t.Fatal("two snapshots of one state built two views")
+	}
+	if len(a.view().ids) != 4 {
+		t.Fatalf("the view holds %d delta sequences, want 4", len(a.view().ids))
+	}
+	if _, err := db.Add(randSeq(rng, 2, 10)); err != nil {
+		t.Fatal(err)
+	}
+	c := db.Acquire()
+	defer c.Release()
+	if c.view() == a.view() || len(c.view().ids) != 5 || len(a.view().ids) != 4 {
+		t.Fatalf("after a commit: new view shared %v, %d and %d delta sequences, want 5 and 4",
+			c.view() == a.view(), len(c.view().ids), len(a.view().ids))
+	}
+}
+
 // TestCheckpointDrainsPinnedSnapshots: a snapshot pinned before the fold
 // cut could see base mutations (its delta filters don't cover commits it
 // predates), so the checkpoint must wait for it — without ever blocking

@@ -99,8 +99,9 @@ func appendFloats(buf []byte, vs []float64) []byte {
 }
 
 // decodeRecord parses a record payload back into its LSN and ops. Adds
-// come back unpartitioned (g == nil, seq set in pts/label form via a
-// rebuilt core.Sequence); the caller partitions them.
+// come back unpartitioned (g == nil, seqFromLog a stored sequence over
+// one decoded []float64); the caller partitions them. Appends keep their
+// points in input form, which AppendToSegmented takes.
 func decodeRecord(payload []byte, dim int) (lsn uint64, ops []op, err error) {
 	r := recReader{buf: payload}
 	lsn = r.u64()
@@ -117,11 +118,11 @@ func decodeRecord(payload []byte, dim int) (lsn uint64, ops []op, err error) {
 		case opAdd:
 			label := string(r.bytes(int(r.u16())))
 			npts := int(r.u32())
-			pts := r.points(npts, dim)
+			flat := r.floats(npts, dim)
 			if r.err != nil {
 				return 0, nil, r.err
 			}
-			s, serr := core.NewSequence(label, pts)
+			s, serr := core.NewFlat(label, dim, flat)
 			if serr != nil {
 				return 0, nil, fmt.Errorf("%w: %v", ErrBadRecord, serr)
 			}
@@ -197,7 +198,8 @@ func (r *recReader) u64() uint64 {
 
 func (r *recReader) bytes(n int) []byte { return r.take(n) }
 
-func (r *recReader) points(n, dim int) []geom.Point {
+// floats decodes n points of dim coordinates into one run.
+func (r *recReader) floats(n, dim int) []float64 {
 	if n > maxRecPoints || n*dim > maxRecPoints {
 		r.err = ErrBadRecord
 		return nil
@@ -209,6 +211,15 @@ func (r *recReader) points(n, dim int) []geom.Point {
 	flat := make([]float64, n*dim)
 	for i := range flat {
 		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+	}
+	return flat
+}
+
+// points decodes n points of dim coordinates as views of one run.
+func (r *recReader) points(n, dim int) []geom.Point {
+	flat := r.floats(n, dim)
+	if flat == nil {
+		return nil
 	}
 	pts := make([]geom.Point, n)
 	for i := range pts {

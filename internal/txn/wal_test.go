@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -71,3 +72,41 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeAddIsStored: a WAL add decodes into a stored sequence — one
+// run of coordinates, no header per point — equal to what was committed,
+// in allocations that do not grow with its point count.
+func TestDecodeAddIsStored(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	allocs := func(n int) float64 {
+		s := randSeq(rng, 3, n)
+		s.Label = "clip"
+		g, err := core.NewSegmented(s, core.DefaultPartitionConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := encodeRecord(5, []op{{kind: opAdd, g: g}}, 3)
+		_, ops, err := decodeRecord(payload, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ops[0].seqFromLog
+		if got.Points != nil || got.Label != s.Label || got.Len() != n || !slices.Equal(got.Flat(), g.Flat) {
+			t.Fatalf("%d points: decoded add is not the stored sequence committed (input form %v)", n, got.Points != nil)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := decodeRecord(payload, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(1000)
+	t.Logf("decoding one add: %v allocations at 10 points, %v at 1000", small, large)
+	if small != large || small != decodeAddAllocs {
+		t.Errorf("decoding one add makes %v allocations at 10 points and %v at 1000; want %d for both", small, large, decodeAddAllocs)
+	}
+}
+
+// decodeAddAllocs is what one add record decodes in: the op list, the
+// label, the coordinates and the Sequence (5 with a []geom.Point slab).
+const decodeAddAllocs = 4
