@@ -228,21 +228,14 @@ func (c *refCover) complete() error {
 // (partitioning is CPU-bound and independent) into the form a database
 // holds (Segment): nothing of seqs is retained. It is the one bulk
 // partitioner: AddAll, the store's Build and v1 reads, and the
-// transaction layer's snapshot reload all call it. Errors name the
+// transaction layer's snapshot reload all call it. Each sequence is
+// validated once, by the worker that partitions it (partition), with no
+// serial pass ahead of the workers. Errors name the lowest failing
 // sequence and wrap geom.ErrDimensionMismatch or ErrNonFinite where those
 // apply.
 func PartitionAll(seqs []*Sequence, dim int, cfg PartitionConfig) ([]*Segmented, error) {
 	if len(seqs) == 0 {
 		return nil, nil
-	}
-	for i, s := range seqs {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("core: sequence %d: %w", i, err)
-		}
-		if s.Dim() != dim {
-			return nil, fmt.Errorf("core: sequence %d dim %d, want %d: %w",
-				i, s.Dim(), dim, geom.ErrDimensionMismatch)
-		}
 	}
 	segs := make([]*Segmented, len(seqs))
 	errs := make([]error, len(seqs))
@@ -253,7 +246,11 @@ func PartitionAll(seqs []*Sequence, dim int, cfg PartitionConfig) ([]*Segmented,
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				segs[i], errs[i] = Segment(seqs[i], cfg)
+				s := seqs[i]
+				segs[i], errs[i] = Segment(s, cfg)
+				if errs[i] == nil && s.Dim() != dim {
+					segs[i], errs[i] = nil, fmt.Errorf("dim %d, want %d: %w", s.Dim(), dim, geom.ErrDimensionMismatch)
+				}
 			}
 		}()
 	}
@@ -264,7 +261,7 @@ func PartitionAll(seqs []*Sequence, dim int, cfg PartitionConfig) ([]*Segmented,
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: partitioning sequence %d: %w", i, err)
+			return nil, fmt.Errorf("core: sequence %d: %w", i, err)
 		}
 	}
 	return segs, nil

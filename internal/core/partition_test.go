@@ -1,7 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -165,5 +169,56 @@ func TestLargerQueryExtentMergesMore(t *testing.T) {
 	large, _ := Partition(s, PartitionConfig{QueryExtent: 0.9, MaxPoints: 1 << 30})
 	if len(large) > len(small) {
 		t.Errorf("QueryExtent 0.9 gave %d MBRs, 0.05 gave %d; want monotone", len(large), len(small))
+	}
+}
+
+// TestPartitionAllNamesLowestFailure: PartitionAll validates each sequence
+// once, in the worker that partitions it, and still reports the lowest
+// failing sequence by index, wrapping ErrNonFinite for a NaN or ±Inf,
+// geom.ErrDimensionMismatch for a sequence of another dimensionality and
+// ErrEmptySequence for one with no points, whichever worker meets its
+// failure first.
+func TestPartitionAllNamesLowestFailure(t *testing.T) {
+	walk := func(n, dim int) *Sequence {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = make(geom.Point, dim)
+			for k := range pts[i] {
+				pts[i][k] = float64(i*dim+k) / float64(n*dim)
+			}
+		}
+		return &Sequence{Points: pts}
+	}
+	nonFinite := walk(30, 3)
+	nonFinite.Points[17][2] = math.Inf(-1)
+	for _, tc := range []struct {
+		name string
+		bad  map[int]*Sequence
+		at   int
+		want error
+	}{
+		{"non-finite", map[int]*Sequence{40: nonFinite}, 40, ErrNonFinite},
+		{"other dim", map[int]*Sequence{9: walk(30, 2)}, 9, geom.ErrDimensionMismatch},
+		{"empty", map[int]*Sequence{0: {}}, 0, ErrEmptySequence},
+		{"non-finite below other dim", map[int]*Sequence{3: nonFinite, 50: walk(12, 4)}, 3, ErrNonFinite},
+		{"other dim below non-finite", map[int]*Sequence{2: walk(12, 4), 63: nonFinite}, 2, geom.ErrDimensionMismatch},
+	} {
+		for range 5 {
+			seqs := make([]*Sequence, 64)
+			for i := range seqs {
+				if s, ok := tc.bad[i]; ok {
+					seqs[i] = s
+				} else {
+					seqs[i] = walk(20+i, 3)
+				}
+			}
+			segs, err := PartitionAll(seqs, 3, DefaultPartitionConfig())
+			if segs != nil || !errors.Is(err, tc.want) || !strings.Contains(err.Error(), fmt.Sprintf("sequence %d:", tc.at)) {
+				t.Fatalf("%s: PartitionAll error %v, want sequence %d and %v", tc.name, err, tc.at, tc.want)
+			}
+		}
+	}
+	if _, err := PartitionAll([]*Sequence{walk(5, 3)}, 3, DefaultPartitionConfig()); err != nil {
+		t.Fatalf("a valid corpus: %v", err)
 	}
 }

@@ -102,6 +102,14 @@ func (s *Sequence) Validate() error {
 	if dim == 0 {
 		return errors.New("core: zero-dimensional point")
 	}
+	if s.dim > 0 {
+		// The stored form holds whole points by construction: one scan of
+		// its run of coordinates, with no slice cut per point.
+		if k := nonFinite(s.flat); k >= 0 {
+			return fmt.Errorf("core: point %d coordinate %d is %v: %w", k/dim, k%dim, s.flat[k], ErrNonFinite)
+		}
+		return nil
+	}
 	for i := 0; i < n; i++ {
 		p := s.At(i)
 		if len(p) != dim {

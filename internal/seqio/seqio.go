@@ -113,7 +113,15 @@ func parseHeader(b []byte) (dim, count int, err error) {
 
 // Read deserializes a dataset from r into stored sequences. Every field
 // is decoded in place from the buffered reader's own buffer.
+//
+// What Read allocates is bounded by what the input has proved it holds,
+// not by the counts its header claims: each list is sized for what the
+// bytes left in r can hold when r can tell (inputSize), which for an
+// honest input is exactly the claim, and otherwise grows, at most
+// doubling, as the data arrives. A short file claiming 10 M points fails
+// with ErrBadFormat having asked for no more than a chunk.
 func Read(r io.Reader) ([]*core.Sequence, error) {
+	left := inputSize(r)
 	br := bufio.NewReaderSize(r, chunk)
 	// next returns the next n ≤ chunk bytes, valid until the next call.
 	next := func(n int) ([]byte, error) {
@@ -122,7 +130,16 @@ func Read(r io.Reader) ([]*core.Sequence, error) {
 			err = io.ErrUnexpectedEOF
 		}
 		br.Discard(len(b))
+		left -= int64(len(b))
 		return b, err
+	}
+	// room is how many items of per bytes each to make room for at once,
+	// of the want claimed.
+	room := func(want, per int) int {
+		if left < 0 {
+			return min(want, chunk/8)
+		}
+		return int(min(int64(want), left/int64(per)))
 	}
 	b, err := next(headerLen)
 	if err != nil {
@@ -132,7 +149,9 @@ func Read(r io.Reader) ([]*core.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	seqs := make([]*core.Sequence, 0, count)
+	// A sequence takes at least its label length, its point count and one
+	// point.
+	seqs := make([]*core.Sequence, 0, room(count, 2+4+8*dim))
 	for i := range count {
 		if b, err = next(2); err != nil {
 			return nil, fmt.Errorf("%w: sequence %d label length: %v", ErrBadFormat, i, err)
@@ -148,11 +167,16 @@ func Read(r io.Reader) ([]*core.Sequence, error) {
 		if n == 0 || n > maxPoints {
 			return nil, fmt.Errorf("%w: sequence %d has %d points", ErrBadFormat, i, n)
 		}
-		flat := make([]float64, int(n)*dim)
-		for rest := flat; len(rest) > 0; rest = rest[len(b)/8:] {
-			if b, err = next(8 * min(len(rest), chunk/8)); err != nil {
+		want := int(n) * dim
+		flat := make([]float64, room(want, 8))
+		for got := 0; got < want; got += len(b) / 8 {
+			if got == len(flat) {
+				flat = append(flat, make([]float64, min(want, max(2*got, chunk/8))-got)...)
+			}
+			if b, err = next(8 * min(len(flat)-got, chunk/8)); err != nil {
 				return nil, fmt.Errorf("%w: sequence %d points: %v", ErrBadFormat, i, err)
 			}
+			rest := flat[got:]
 			for j := range len(b) / 8 {
 				rest[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
 			}
@@ -167,6 +191,25 @@ func Read(r io.Reader) ([]*core.Sequence, error) {
 		seqs = append(seqs, s)
 	}
 	return seqs, nil
+}
+
+// inputSize returns how many bytes r has left to read, or -1 when r cannot
+// tell: readers over memory report their unread length, and a regular
+// file its size past the current offset.
+func inputSize(r io.Reader) int64 {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return int64(v.Len())
+	case *os.File:
+		st, err := v.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			return -1
+		}
+		if off, err := v.Seek(0, io.SeekCurrent); err == nil && off <= st.Size() {
+			return st.Size() - off
+		}
+	}
+	return -1
 }
 
 // ReadDim reads only a dataset's header, the first 14 bytes, and returns

@@ -2,12 +2,16 @@ package seqio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -258,6 +262,86 @@ func TestReadDim(t *testing.T) {
 	} {
 		if _, err := ReadDim(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("ReadDim of a %s header = %v, want ErrBadFormat", name, err)
+		}
+	}
+}
+
+// TestReadAllocatesWhatTheInputHolds: a header's counts do not size
+// Read's allocations. A 14-byte header claiming 10 M sequences, and a
+// 20-byte file claiming one sequence of 10 M points (or of 100 M points of
+// 65 535 coordinates), fail with ErrBadFormat while the heap grows by less
+// than 1 MB, whether Read can tell the input's size (a bytes.Reader, a
+// file through ReadFile) or not. Sized from the header, the first two
+// asked for 80 MB and 76 MiB before failing, and the third ran the process
+// out of memory.
+func TestReadAllocatesWhatTheInputHolds(t *testing.T) {
+	header := func(dim uint16, count uint32) []byte {
+		b := []byte(magic)
+		b = binary.LittleEndian.AppendUint16(b, dim)
+		return binary.LittleEndian.AppendUint32(b, count)
+	}
+	manySeqs := header(1, maxSequences)
+	manyPoints := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint16(header(1, 1), 0), 10_000_000)
+	wide := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint16(header(65535, 1), 0), maxPoints)
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"10 M sequences": manySeqs, "10 M points": manyPoints, "100 M wide points": wide} {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_"))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for how, read := range map[string]func() error{
+			"sized":    func() error { _, err := Read(bytes.NewReader(data)); return err },
+			"unsized":  func() error { _, err := Read(struct{ io.Reader }{bytes.NewReader(data)}); return err },
+			"ReadFile": func() error { _, err := ReadFile(path); return err },
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadFormat) {
+				t.Errorf("%s, %s: error %v, want ErrBadFormat", name, how, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("%s, %s: Read allocated %d bytes of a %d-byte input", name, how, grew, len(data))
+			}
+		}
+	}
+}
+
+// TestReadUnsizedGrowsToTheSameDataset: through a reader that cannot tell
+// its size, Read grows each list as the data arrives, across several
+// doublings for a sequence of 27 000 coordinates, and returns what a sized
+// read returns, each coordinate list exactly as long as its sequence.
+func TestReadUnsizedGrowsToTheSameDataset(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	in := randomDataset(rng, 5, 9)
+	long := make([]geom.Point, 3000)
+	for j := range long {
+		long[j] = make(geom.Point, 9)
+		for k := range long[j] {
+			long[j][k] = rng.Float64()
+		}
+	}
+	in = append(in, &core.Sequence{Label: "long", Points: long})
+	var buf bytes.Buffer
+	if err := Write(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	sized, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsized, err := Read(struct{ io.Reader }{bytes.NewReader(buf.Bytes())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unsized) != len(in) || len(sized) != len(in) {
+		t.Fatalf("read %d and %d sequences, want %d", len(sized), len(unsized), len(in))
+	}
+	for i := range in {
+		a, b := sized[i].Flat(), unsized[i].Flat()
+		if !slices.Equal(a, b) || len(b) != in[i].Len()*9 || unsized[i].Label != in[i].Label {
+			t.Errorf("sequence %d: unsized read differs: %d coordinates, want %d", i, len(b), in[i].Len()*9)
 		}
 	}
 }

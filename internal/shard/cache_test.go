@@ -301,3 +301,69 @@ func (e errStaleScatter) Error() string {
 	return fmt.Sprintf("stale scatter cache hit: found %d copies, %d adds completed before the search",
 		e.found, e.floor)
 }
+
+// TestAddAllRegionOnlyForACache: AddAll computes the region it wrote only
+// for a cache to invalidate by. With a cache attached to a loaded
+// database, a batch far from a cached answer leaves that answer cached (a
+// near one drops it); into empty shards the batch invalidates everything,
+// the empty answer cached before it included; with no cache attached it
+// computes nothing, which this test sees only as a load that still serves
+// the batch.
+func TestAddAllRegionOnlyForACache(t *testing.T) {
+	seqs := corpus(t, 32, 64, 79)
+	q := &core.Sequence{Label: "query", Points: seqs[5].Points[4:36]}
+	far := seqs[9].Clone()
+	far.Label = "far"
+	for _, p := range far.Points {
+		for k := range p {
+			p[k] += 100
+		}
+	}
+	near := seqs[5].Clone()
+	near.Label = "near"
+
+	sdb := newSharded(t, clone(seqs), 4)
+	sdb.SetCache(cache.New(cache.Config{}))
+	cached := func() bool {
+		t.Helper()
+		_, st, err := sdb.SearchCtx(context.Background(), q, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.CacheHit
+	}
+	cached()
+	if _, err := sdb.AddAll([]*core.Sequence{far}); err != nil {
+		t.Fatal(err)
+	}
+	if !cached() {
+		t.Error("a batch far from the cached answer invalidated it")
+	}
+	if _, err := sdb.AddAll([]*core.Sequence{near}); err != nil {
+		t.Fatal(err)
+	}
+	if cached() {
+		t.Error("a batch within the cached answer's reach left it cached")
+	}
+
+	empty, err := New(core.Options{Dim: 3}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	empty.SetCache(cache.New(cache.Config{}))
+	if m, _, err := empty.SearchCtx(context.Background(), q, 0.25); err != nil || len(m) != 0 {
+		t.Fatalf("empty shards: %d matches, %v", len(m), err)
+	}
+	if _, err := empty.AddAll(clone(seqs)); err != nil {
+		t.Fatal(err)
+	}
+	if m, st, err := empty.SearchCtx(context.Background(), q, 0.25); err != nil || len(m) == 0 || st.CacheHit {
+		t.Fatalf("after AddAll into empty shards: %d matches, cache hit %v, %v", len(m), st.CacheHit, err)
+	}
+
+	bare := newSharded(t, clone(seqs), 4)
+	if m, _, err := bare.SearchCtx(context.Background(), q, 0.25); err != nil || len(m) == 0 {
+		t.Fatalf("AddAll with no cache attached: %d matches, %v", len(m), err)
+	}
+}

@@ -208,11 +208,19 @@ func (s *ShardedDB) AddAll(seqs []*core.Sequence) ([]uint32, error) {
 	for sh := range groups {
 		sizes[sh] = len(groups[sh])
 	}
+	wasEmpty := s.Len() == 0
 	globals, err := s.bulkLoad(sizes, func(sh int) ([]uint32, error) {
 		return s.shards[sh].AddAll(groups[sh])
 	}, func() geom.Rect {
-		// One region notification covers the whole batch.
+		// One region notification covers the whole batch. The region is
+		// for a cache alone, so with none attached no point is read for
+		// it; into empty shards the empty rect, which invalidates
+		// everything, is exact, as in AddAllSegmented. A cache attached
+		// after the check is told the empty rect, which is never wrong.
 		var wrote geom.Rect
+		if wasEmpty || s.qcache.Load() == nil {
+			return wrote
+		}
 		for _, seq := range seqs {
 			wrote.ExtendRect(seq.Bounds())
 		}

@@ -52,6 +52,16 @@ func float64View(b []byte) []float64 {
 	return out
 }
 
+// float64Bits views xs as the words math.Float64bits would return for
+// them, on any host: a float64 and its bits share one representation in
+// memory.
+func float64Bits(xs []float64) []uint64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&xs[0])), len(xs))
+}
+
 // float32Bytes is float64Bytes for the quantized sidecar sections.
 func float32Bytes(fs []float32) []byte {
 	if len(fs) == 0 {

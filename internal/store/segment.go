@@ -8,7 +8,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -147,7 +149,39 @@ func WriteSegments(path string, dim int, cfg core.PartitionConfig, segs []*core.
 // ReadSegments reads and validates a v2 segment file. All sections are
 // checksummed; any structural violation fails with ErrBadStore.
 func ReadSegments(path string) (*Corpus, error) {
-	return readSegmentsFile(path)
+	c, pc, err := openSegmentsFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pc.finish(nil, nil); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// LoadSegments reads the v2 segment file at path as ReadSegments does and
+// calls build with its corpus while the points section, most of the file,
+// is still being checked on another goroutine: build must not read a
+// coordinate (a bulk load from the stored leaves reads none). It returns
+// what build made only once the check has passed. When the check fails it
+// closes what build made, then releases the file's mapping and the file,
+// and returns the check's error ahead of any error of build's. A build
+// that fails closes what it made itself.
+func LoadSegments[T io.Closer](path string, build func(*Corpus) (T, error)) (T, error) {
+	var none T
+	c, pc, err := openSegmentsFile(path)
+	if err != nil {
+		return none, err
+	}
+	built, berr := build(c)
+	if err := pc.finish(berr, func() {
+		if berr == nil {
+			built.Close()
+		}
+	}); err != nil {
+		return none, err
+	}
+	return built, nil
 }
 
 // writeSegmentsFile serializes segs (with a precomputed leaf grouping)
@@ -357,76 +391,112 @@ func (s *sectionSum) add(p []byte, floats bool) {
 		c := p[:min(32<<10, len(p))]
 		p = p[len(c):]
 		s.crc = crc32.Update(s.crc, castagnoli, c)
-		for _, x := range float64View(c) {
-			// |x| plus one exponent step carries into the sign bit exactly
-			// when the exponent is all ones, as in NaN and ±Inf alone.
-			s.carry |= math.Float64bits(x)&^(1<<63) + 1<<52
-		}
+		s.carry |= nonFiniteCarry(float64View(c))
 	}
+}
+
+// nonFiniteCarry returns a word whose sign bit is set iff xs holds a NaN
+// or ±Inf: |x| plus one exponent step carries into the sign bit exactly
+// when the exponent is all ones, as in those three alone. Four independent
+// accumulators let four of the adds and ORs run at once, where one chain
+// made every OR wait for the one before, and the values are read as the
+// words they are, with no trip through a float register.
+func nonFiniteCarry(xs []float64) uint64 {
+	const mag, step = 1<<63 - 1, 1 << 52
+	ws := float64Bits(xs)
+	var c0, c1, c2, c3 uint64
+	i := 0
+	for ; i+4 <= len(ws); i += 4 {
+		w := ws[i : i+4 : i+4]
+		c0 |= w[0]&mag + step
+		c1 |= w[1]&mag + step
+		c2 |= w[2]&mag + step
+		c3 |= w[3]&mag + step
+	}
+	for ; i < len(ws); i++ {
+		c0 |= ws[i]&mag + step
+	}
+	return c0 | c1 | c2 | c3
 }
 
 func (s *sectionSum) finite() bool { return s.carry>>63 == 0 }
 
-// readSegmentsFile maps (or reads, on platforms without mmap) path and
-// decodes it with decodeSegments, releasing the mapping when the decode
-// refuses the file.
-func readSegmentsFile(path string) (c *Corpus, err error) {
+// openSegmentsFile maps (or reads, on platforms without mmap) path and
+// decodes it with startDecode. It returns the corpus while the points
+// section's check is still running; the check holds the file and the
+// mapping until its release. When the decode refuses the file, the
+// mapping and the file are released before it returns.
+func openSegmentsFile(path string) (*Corpus, *pointsCheck, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadStore, err)
 	}
-	defer f.Close()
+	buf, pointsAt, err := mapOrRead(f)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	c, pc, err := startDecode(buf, pointsAt)
+	if err != nil {
+		if pointsAt != nil {
+			unmapFile(buf)
+		}
+		f.Close()
+		return nil, nil, err
+	}
+	pc.file = f
+	if pointsAt != nil {
+		pc.mapping = buf
+	}
+	c.Mapped = pointsAt != nil
+	return c, pc, nil
+}
+
+// mapOrRead returns the whole of f in an 8-byte-aligned buffer: a mapping,
+// with f as the reader the points check goes through, or, where f cannot
+// be mapped, a private read and no reader.
+func mapOrRead(f *os.File) (buf []byte, pointsAt io.ReaderAt, err error) {
 	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadStore, err)
 	}
 	size := st.Size()
 	if size < segHeaderLen {
-		return nil, fmt.Errorf("%w: segment file truncated (%d bytes)", ErrBadStore, size)
+		return nil, nil, fmt.Errorf("%w: segment file truncated (%d bytes)", ErrBadStore, size)
 	}
-
-	buf, mapped := mapFile(f, size)
-	if mapped {
-		defer func() {
-			// The mapping must outlive the Corpus on success; release it
-			// only when validation rejects the file.
-			if err != nil {
-				unmapFile(buf)
-			}
-		}()
-	} else {
-		if size > maxSegPoints*16 || int64(int(size)) != size {
-			return nil, fmt.Errorf("%w: segment file implausibly large (%d bytes)", ErrBadStore, size)
-		}
-		buf = alignedBytes(int(size))
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
-		}
+	if buf, mapped := mapFile(f, size); mapped {
+		return buf, f, nil
 	}
-	var pointsAt io.ReaderAt
-	if mapped {
-		pointsAt = f
+	if size > maxSegPoints*16 || int64(int(size)) != size {
+		return nil, nil, fmt.Errorf("%w: segment file implausibly large (%d bytes)", ErrBadStore, size)
 	}
-	c, err = decodeSegments(buf, pointsAt)
-	if err != nil {
-		return nil, err
+	buf = alignedBytes(int(size))
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadStore, err)
 	}
-	c.Mapped = mapped
-	return c, nil
+	return buf, nil, nil
 }
 
-// decodeSegments decodes a whole segment file held in buf, which must be
+// startDecode decodes a whole segment file held in buf, which must be
 // 8-byte aligned, into a Corpus, aliasing the float sections in place on
 // little-endian hosts. Every departure from the format — bad magic or
 // version, checksum mismatch, section size/order drift, ranges that do
 // not tile, counts that do not add up — returns ErrBadStore; no input
 // may panic.
 //
+// The points section, most of the file and read by no step of an open, is
+// checked on a goroutine of its own, which startDecode leaves running: it
+// returns the corpus with the pointsCheck whose wait gives the verdict, so
+// that the caller can build its index beside the check. The caller must
+// not hand the corpus on before wait returns nil. When a later section or
+// the directory is refused, startDecode waits for the check itself and
+// returns the points' verdict first, as its place in the file says.
+//
 // When pointsAt is set, buf is a mapping of the file pointsAt reads, and
-// the points section — most of the file, and read by no range search — is
-// verified from pointsAt (section.checkAt) instead of through buf, so that
-// opening a store maps in none of its point pages: a query faults in the
-// pages it reads. Every other section is verified in buf.
+// the points section is verified from pointsAt (section.checkAt) instead
+// of through buf, so that opening a store maps in none of its point
+// pages: a query faults in the pages it reads. Every other section is
+// verified in buf.
 //
 // The per-sequence headers are cut from slabs, one allocation per column
 // for the whole file: the Segmented and Sequence structs, the MBRInfos,
@@ -437,20 +507,20 @@ func readSegmentsFile(path string) (c *Corpus, err error) {
 // header cannot make the decode allocate more than the file implies, and
 // every per-sequence sub-slice has cap == len, so an append to one
 // reallocates instead of writing into its neighbour.
-func decodeSegments(buf []byte, pointsAt io.ReaderAt) (*Corpus, error) {
+func startDecode(buf []byte, pointsAt io.ReaderAt) (*Corpus, *pointsCheck, error) {
 	if len(buf) < segHeaderLen {
-		return nil, fmt.Errorf("%w: segment file truncated (%d bytes)", ErrBadStore, len(buf))
+		return nil, nil, fmt.Errorf("%w: segment file truncated (%d bytes)", ErrBadStore, len(buf))
 	}
 	size := len(buf)
 	hdr := buf[:segHeaderLen]
 	if string(hdr[0:8]) != segMagic {
-		return nil, fmt.Errorf("%w: bad segment magic %q", ErrBadStore, hdr[0:8])
+		return nil, nil, fmt.Errorf("%w: bad segment magic %q", ErrBadStore, hdr[0:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != segVersion {
-		return nil, fmt.Errorf("%w: segment version %d, want %d", ErrBadStore, v, segVersion)
+		return nil, nil, fmt.Errorf("%w: segment version %d, want %d", ErrBadStore, v, segVersion)
 	}
 	if got, want := binary.LittleEndian.Uint32(hdr[76:80]), crc32.Checksum(hdr[:76], castagnoli); got != want {
-		return nil, fmt.Errorf("%w: segment header checksum %08x, want %08x", ErrBadStore, got, want)
+		return nil, nil, fmt.Errorf("%w: segment header checksum %08x, want %08x", ErrBadStore, got, want)
 	}
 	h := segHeader{
 		dim:     int(binary.LittleEndian.Uint32(hdr[12:16])),
@@ -468,23 +538,23 @@ func decodeSegments(buf []byte, pointsAt io.ReaderAt) (*Corpus, error) {
 
 	switch {
 	case h.dim < 1 || h.dim > maxMetaDims:
-		return nil, fmt.Errorf("%w: segment dim %d", ErrBadStore, h.dim)
+		return nil, nil, fmt.Errorf("%w: segment dim %d", ErrBadStore, h.dim)
 	case h.nseqs < 1 || h.nseqs > maxSegSeqs:
-		return nil, fmt.Errorf("%w: segment sequence count %d", ErrBadStore, h.nseqs)
+		return nil, nil, fmt.Errorf("%w: segment sequence count %d", ErrBadStore, h.nseqs)
 	case h.npoints < h.nseqs || h.npoints > maxSegPoints:
-		return nil, fmt.Errorf("%w: segment point count %d for %d sequences", ErrBadStore, h.npoints, h.nseqs)
+		return nil, nil, fmt.Errorf("%w: segment point count %d for %d sequences", ErrBadStore, h.npoints, h.nseqs)
 	case h.nmbrs < h.nseqs || h.nmbrs > h.npoints:
-		return nil, fmt.Errorf("%w: segment MBR count %d", ErrBadStore, h.nmbrs)
+		return nil, nil, fmt.Errorf("%w: segment MBR count %d", ErrBadStore, h.nmbrs)
 	case h.labelBytes > maxSegLabels:
-		return nil, fmt.Errorf("%w: segment label bytes %d", ErrBadStore, h.labelBytes)
+		return nil, nil, fmt.Errorf("%w: segment label bytes %d", ErrBadStore, h.labelBytes)
 	case h.cfg.MaxPoints < 1 || uint64(h.cfg.MaxPoints) > math.MaxUint32:
-		return nil, fmt.Errorf("%w: segment MaxPoints %d", ErrBadStore, h.cfg.MaxPoints)
+		return nil, nil, fmt.Errorf("%w: segment MaxPoints %d", ErrBadStore, h.cfg.MaxPoints)
 	case math.IsNaN(h.cfg.QueryExtent) || h.cfg.QueryExtent < 0:
-		return nil, fmt.Errorf("%w: segment QueryExtent %v", ErrBadStore, h.cfg.QueryExtent)
+		return nil, nil, fmt.Errorf("%w: segment QueryExtent %v", ErrBadStore, h.cfg.QueryExtent)
 	case h.treeM == 0 && h.nleaves != 0:
-		return nil, fmt.Errorf("%w: %d leaves with no tree fanout", ErrBadStore, h.nleaves)
+		return nil, nil, fmt.Errorf("%w: %d leaves with no tree fanout", ErrBadStore, h.nleaves)
 	case h.treeM > 0 && (h.nleaves < 1 || h.nleaves > h.nmbrs):
-		return nil, fmt.Errorf("%w: %d leaves for %d MBRs", ErrBadStore, h.nleaves, h.nmbrs)
+		return nil, nil, fmt.Errorf("%w: %d leaves for %d MBRs", ErrBadStore, h.nleaves, h.nmbrs)
 	}
 
 	d := uint64(h.dim)
@@ -510,7 +580,7 @@ func decodeSegments(buf []byte, pointsAt io.ReaderAt) (*Corpus, error) {
 		expected += secHeaderLen + pad8(w.size)
 	}
 	if expected != uint64(size) {
-		return nil, fmt.Errorf("%w: segment file is %d bytes, layout needs %d", ErrBadStore, size, expected)
+		return nil, nil, fmt.Errorf("%w: segment file is %d bytes, layout needs %d", ErrBadStore, size, expected)
 	}
 
 	// Section headers first: their ids and lengths bound every payload.
@@ -519,10 +589,10 @@ func decodeSegments(buf []byte, pointsAt io.ReaderAt) (*Corpus, error) {
 	for i, w := range wants {
 		sh := buf[off : off+secHeaderLen]
 		if id := binary.LittleEndian.Uint32(sh[0:4]); id != w.id {
-			return nil, fmt.Errorf("%w: section %d has id %d, want %d", ErrBadStore, i, id, w.id)
+			return nil, nil, fmt.Errorf("%w: section %d has id %d, want %d", ErrBadStore, i, id, w.id)
 		}
 		if l := binary.LittleEndian.Uint64(sh[8:16]); l != w.size {
-			return nil, fmt.Errorf("%w: section %d length %d, want %d", ErrBadStore, w.id, l, w.size)
+			return nil, nil, fmt.Errorf("%w: section %d length %d, want %d", ErrBadStore, w.id, l, w.size)
 		}
 		secs[i] = section{
 			id:      w.id,
@@ -533,24 +603,13 @@ func decodeSegments(buf []byte, pointsAt io.ReaderAt) (*Corpus, error) {
 		off += secHeaderLen + pad8(w.size)
 	}
 
-	// Then the payloads, in file order. The points section, most of the
-	// file, is verified on a second goroutine while this one verifies the
-	// sections after it and decodes the directory, which reads no
-	// coordinate; nothing returns before both are done, and the points'
-	// verdict comes first, as its place in the file says.
+	// Then the payloads, in file order, the points on their own goroutine.
 	for i := 0; i < 2; i++ {
 		if err := secs[i].check(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	pointsErr := make(chan error, 1)
-	go func() {
-		if pointsAt != nil {
-			pointsErr <- secs[2].checkAt(pointsAt)
-		} else {
-			pointsErr <- secs[2].check()
-		}
-	}()
+	pc := startPointsCheck(secs[2], pointsAt)
 	c, err := func() (*Corpus, error) {
 		for i := 3; i < len(wants); i++ {
 			if err := secs[i].check(); err != nil {
@@ -559,10 +618,89 @@ func decodeSegments(buf []byte, pointsAt io.ReaderAt) (*Corpus, error) {
 		}
 		return decodeDirectory(secs, h)
 	}()
-	if perr := <-pointsErr; perr != nil {
-		return nil, perr
+	if err != nil {
+		if perr := pc.wait(); perr != nil {
+			return nil, nil, perr
+		}
+		return nil, nil, err
 	}
-	return c, err
+	return c, pc, nil
+}
+
+// pointsCheck is the check of a segment file's points section, running on
+// a goroutine of its own beside the rest of an open, together with what
+// the open holds until the verdict is in: the file the check reads and the
+// mapping the decoded corpus aliases. Its methods accept a nil check (a
+// directory with no segment file), which passes and holds nothing.
+type pointsCheck struct {
+	done    sync.WaitGroup
+	err     error
+	file    *os.File
+	mapping []byte
+}
+
+// checkSlots bounds the points checks reading at once, so that opening a
+// store of many shards does not put a thread in a read per shard.
+var checkSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// startPointsCheck starts checking the points section s: from r when it is
+// set, else in memory.
+func startPointsCheck(s section, r io.ReaderAt) *pointsCheck {
+	pc := &pointsCheck{}
+	pc.done.Add(1)
+	go func() {
+		defer pc.done.Done()
+		checkSlots <- struct{}{}
+		defer func() { <-checkSlots }()
+		if r != nil {
+			pc.err = s.checkAt(r)
+		} else {
+			pc.err = s.check()
+		}
+	}()
+	return pc
+}
+
+// wait returns the check's verdict once it is in.
+func (pc *pointsCheck) wait() error {
+	if pc == nil {
+		return nil
+	}
+	pc.done.Wait()
+	return pc.err
+}
+
+// finish ends the open the check belongs to, once the opener has built
+// what it will over the corpus, err being the build's error: it returns
+// the check's error ahead of err and, when there is one, calls discard
+// (if set) to close what was built before it unmaps the file, which that
+// aliases. It closes the file either way; on success the mapping stays,
+// for as long as the database holding the corpus lives.
+func (pc *pointsCheck) finish(err error, discard func()) error {
+	if perr := pc.wait(); perr != nil {
+		err = perr
+	}
+	if err != nil && discard != nil {
+		discard()
+	}
+	pc.release(err == nil)
+	return err
+}
+
+// release unmaps the file unless keep is set, and closes it; the mapping
+// outlives the file.
+func (pc *pointsCheck) release(keep bool) {
+	if pc == nil {
+		return
+	}
+	if !keep && pc.mapping != nil {
+		unmapFile(pc.mapping)
+	}
+	pc.mapping = nil
+	if pc.file != nil {
+		pc.file.Close()
+		pc.file = nil
+	}
 }
 
 // section is one section of a segment file: the id and the payload's

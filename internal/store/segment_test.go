@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -117,6 +118,20 @@ func flipByte(t *testing.T, path string, off int64) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// decodeSegments decodes a whole segment file held in buf, which must be
+// 8-byte aligned, into a Corpus, and returns it once every section,
+// points included, has passed its check: startDecode for a file in memory.
+func decodeSegments(buf []byte, pointsAt io.ReaderAt) (*Corpus, error) {
+	c, pc, err := startDecode(buf, pointsAt)
+	if err != nil {
+		return nil, err
+	}
+	if err := pc.wait(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 func writeGoodSegments(t testing.TB, dir string) (string, []byte) {

@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/rtree"
@@ -122,6 +126,13 @@ func LoadSharded(dir string, fileIndex bool) (*shard.ShardedDB, error) {
 // against the label-hash rule rather than recomputed sequence by
 // sequence, and reproduces the saved layout for an unchanged shard
 // count.
+//
+// The shard directories are decoded concurrently, and every v2 shard's
+// points check is under way before any shard builds; the trees are built
+// while the checks run, and the database is returned only once every
+// check has passed. Errors are reported as an open reading the shards one
+// after another would meet them: by shard, and within a shard its points
+// error first.
 func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 	n := 1
 	sharded := IsSharded(dir)
@@ -132,35 +143,89 @@ func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 		}
 	}
 
-	groups := make([][]*core.Segmented, n)
-	leaves := make([][][]rtree.Ref, n)
-	fanouts := make([]int, n)
-	dim, cfg := 0, core.PartitionConfig{}
-	total := 0
-	for i := 0; i < n; i++ {
+	ds := make([]dirCorpus, n)
+	errs := make([]error, n)
+	forEachShard(n, func(i int) {
 		sub := dir
 		if sharded {
 			sub = filepath.Join(dir, fmt.Sprintf(shardDirFormat, i))
 		}
-		d, c, segs, lv, treeM, err := loadDirCorpus(sub)
-		if err != nil {
-			if sharded {
-				return nil, fmt.Errorf("store: loading shard %d: %w", i, err)
-			}
-			return nil, err
+		ds[i], errs[i] = loadDirCorpus(sub)
+	})
+	groups := make([][]*core.Segmented, n)
+	leaves := make([][][]rtree.Ref, n)
+	fanouts := make([]int, n)
+	total := 0
+	for i, d := range ds {
+		if errs[i] == nil && errs[0] == nil && (d.dim != ds[0].dim || d.cfg != ds[0].cfg) {
+			errs[i] = fmt.Errorf("%w: config differs from shard 0", ErrBadStore)
 		}
-		if i == 0 {
-			dim, cfg = d, c
-		} else if d != dim || c != cfg {
-			return nil, fmt.Errorf("%w: shard %d config differs from shard 0", ErrBadStore, i)
-		}
-		groups[i], leaves[i], fanouts[i] = segs, lv, treeM
-		total += len(segs)
+		groups[i], leaves[i], fanouts[i] = d.segs, d.leaves, d.treeM
+		total += len(d.segs)
 	}
-	if total == 0 {
-		return nil, fmt.Errorf("%w: no sequences", ErrBadStore)
+	var sdb *shard.ShardedDB
+	err := errors.Join(errs...)
+	switch {
+	case err != nil:
+	case total == 0:
+		err = fmt.Errorf("%w: no sequences", ErrBadStore)
+	default:
+		sdb, err = buildSharded(dir, o, ds[0].dim, ds[0].cfg, groups, leaves, fanouts)
 	}
 
+	// The verdicts, as an open reading the shards one after another would
+	// meet them: the first shard with an error, and there the points ahead
+	// of what was found later in its files; the build's error, found after
+	// every file was read, only when no shard has one.
+	for i := range ds {
+		if perr := ds[i].points.wait(); perr != nil {
+			errs[i] = perr
+		}
+	}
+	if i := slices.IndexFunc(errs, func(e error) bool { return e != nil }); i >= 0 {
+		err = errs[i]
+		if sharded {
+			err = fmt.Errorf("store: loading shard %d: %w", i, err)
+		}
+	}
+	if err != nil && sdb != nil {
+		sdb.Close()
+	}
+	for i := range ds {
+		ds[i].points.release(err == nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sdb, nil
+}
+
+// forEachShard runs fn(i) for every i below n, on at most GOMAXPROCS
+// goroutines at once, and returns when every call has.
+func forEachShard(n int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// buildSharded builds the sharded database over the shards' corpora, as
+// LoadShardedWith describes; on an error it returns nil, having closed
+// what it made.
+func buildSharded(dir string, o LoadOptions, dim int, cfg core.PartitionConfig, groups [][]*core.Segmented, leaves [][][]rtree.Ref, fanouts []int) (*shard.ShardedDB, error) {
+	n := len(groups)
 	opts := core.Options{Dim: dim, Partition: cfg, QuantizedMBR: o.Quantized}
 	if o.FileIndex {
 		// shard.New derives "<path>.shard<i>" per shard.

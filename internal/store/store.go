@@ -7,7 +7,9 @@
 // STR leaf grouping of the R*-tree, all checksummed per section. Load
 // maps (or one-shot reads) the file and aliases the Segmented
 // Flat/Lo/Hi arrays in place, then packs the tree bottom-up from the
-// stored leaves: no per-sequence deserialization and no re-partitioning.
+// stored leaves while the points section is checked on another goroutine:
+// no per-sequence deserialization and no re-partitioning, and no database
+// is returned before the check passes.
 // See segment.go for the exact layout. A single-node store (Save, Build)
 // also carries the packed tree's pages as index.db, which a FileIndex
 // load reattaches; the shard directories of a sharded store carry none.
@@ -148,42 +150,57 @@ func writeIndexV2(dir string, dim int, cfg core.PartitionConfig, segs []*core.Se
 	return syncFile(path)
 }
 
+// dirCorpus is one database directory's contents in segment form.
+type dirCorpus struct {
+	dim    int
+	cfg    core.PartitionConfig
+	segs   []*core.Segmented
+	leaves [][]rtree.Ref
+	treeM  int
+	// points is the check of a v2 segment file's points section, still
+	// running when loadDirCorpus returns: segs may be built over but not
+	// handed on before points.wait passes. Nil for a v1 or empty directory.
+	points *pointsCheck
+}
+
 // loadDirCorpus reads one database directory in either format and
 // returns its contents in segment form. The format is sniffed from the
 // directory (a segment file wins): v2 directories alias their segment
-// file; v1 directories are re-partitioned in parallel
-// (core.PartitionAll). Empty directories return nil segments.
-func loadDirCorpus(dir string) (dim int, cfg core.PartitionConfig, segs []*core.Segmented, leaves [][]rtree.Ref, treeM int, err error) {
-	dim, cfg, err = readMeta(dir)
+// file, whose points check is left running (openSegmentsFile); v1
+// directories are re-partitioned in parallel (core.PartitionAll). Empty
+// directories return nil segments.
+func loadDirCorpus(dir string) (dirCorpus, error) {
+	dim, cfg, err := readMeta(dir)
 	if err != nil {
-		return 0, cfg, nil, nil, 0, err
+		return dirCorpus{}, err
 	}
 	segPath := filepath.Join(dir, segFile)
 	if _, statErr := os.Stat(segPath); statErr == nil {
-		c, err := readSegmentsFile(segPath)
+		c, pc, err := openSegmentsFile(segPath)
 		if err != nil {
-			return 0, cfg, nil, nil, 0, err
+			return dirCorpus{}, err
 		}
 		if c.Dim != dim || c.Config != cfg {
-			return 0, cfg, nil, nil, 0, fmt.Errorf("%w: meta and segment file disagree", ErrBadStore)
+			return dirCorpus{}, pc.finish(fmt.Errorf("%w: meta and segment file disagree", ErrBadStore), nil)
 		}
-		return dim, cfg, c.Segs, c.Leaves, c.TreeM, nil
+		return dirCorpus{dim: dim, cfg: cfg, segs: c.Segs, leaves: c.Leaves, treeM: c.TreeM, points: pc}, nil
 	}
 	path := filepath.Join(dir, seqFile)
 	if _, statErr := os.Stat(path); statErr != nil {
 		if os.IsNotExist(statErr) {
-			return dim, cfg, nil, nil, 0, nil // empty shard
+			return dirCorpus{dim: dim, cfg: cfg}, nil // empty shard
 		}
-		return 0, cfg, nil, nil, 0, fmt.Errorf("%w: %v", ErrBadStore, statErr)
+		return dirCorpus{}, fmt.Errorf("%w: %v", ErrBadStore, statErr)
 	}
 	seqs, err := seqio.ReadFile(path)
+	var segs []*core.Segmented
 	if err == nil {
 		segs, err = core.PartitionAll(seqs, dim, cfg)
 	}
 	if err != nil {
-		return 0, cfg, nil, nil, 0, fmt.Errorf("%w: %v", ErrBadStore, err)
+		return dirCorpus{}, fmt.Errorf("%w: %v", ErrBadStore, err)
 	}
-	return dim, cfg, segs, nil, 0, nil
+	return dirCorpus{dim: dim, cfg: cfg, segs: segs}, nil
 }
 
 // Save writes db's live sequences and configuration into dir,
@@ -209,29 +226,44 @@ func Load(dir string, fileIndex bool) (*core.Database, error) {
 
 // LoadWith is Load with full options. Either format opens through
 // loadDirCorpus: a v2 directory aliases its segment file and packs the
-// tree from the stored leaves, a v1 directory is re-partitioned in
-// parallel and STR bulk-loaded. With FileIndex an index.db a previous
-// load or Save left beside the data is reattached when it matches the
-// corpus, and rebuilt otherwise.
+// tree from the stored leaves while its points section is checked, a v1
+// directory is re-partitioned in parallel and STR bulk-loaded. With
+// FileIndex an index.db a previous load or Save left beside the data is
+// reattached when it matches the corpus, and rebuilt otherwise. The
+// database is returned only once the points check has passed.
 func LoadWith(dir string, o LoadOptions) (*core.Database, error) {
 	if IsSharded(dir) {
 		return nil, fmt.Errorf("%w: %s is a sharded store; use LoadSharded", ErrBadStore, dir)
 	}
-	dim, cfg, segs, leaves, treeM, err := loadDirCorpus(dir)
+	d, err := loadDirCorpus(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) == 0 {
+	db, err := buildDir(d, dir, o)
+	if err := d.points.finish(err, func() {
+		if db != nil {
+			db.Close()
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// buildDir builds the database of one directory's corpus, as LoadWith
+// describes; on an error it returns nil, having closed what it made.
+func buildDir(d dirCorpus, dir string, o LoadOptions) (*core.Database, error) {
+	if len(d.segs) == 0 {
 		return nil, fmt.Errorf("%w: no sequences", ErrBadStore)
 	}
-	opts := core.Options{Dim: dim, Partition: cfg, QuantizedMBR: o.Quantized}
+	opts := core.Options{Dim: d.dim, Partition: d.cfg, QuantizedMBR: o.Quantized}
 	if o.FileIndex {
 		opts.Path = filepath.Join(dir, indexFile)
 		// Fast path: reattach to an index a previous Load already built —
 		// with v2 segments aliased from the file this makes a warm
 		// restart free of both partitioning and tree packing.
 		if _, statErr := os.Stat(opts.Path); statErr == nil {
-			if db, err := core.OpenDatabaseSegmented(opts, segs); err == nil {
+			if db, err := core.OpenDatabaseSegmented(opts, d.segs); err == nil {
 				return db, nil
 			}
 			// Stale or mismatched: rebuild below.
@@ -244,7 +276,7 @@ func LoadWith(dir string, o LoadOptions) (*core.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := db.AddAllSegmented(segs, leaves, treeM); err != nil {
+	if _, err := db.AddAllSegmented(d.segs, d.leaves, d.treeM); err != nil {
 		db.Close()
 		return nil, fmt.Errorf("%w: %v", ErrBadStore, err)
 	}

@@ -376,16 +376,21 @@ func loadBase(opts *Options) (*core.Database, uint64, error) {
 	if segPath := filepath.Join(dir, snapSegFile); len(ids) > 0 {
 		if _, statErr := os.Stat(segPath); statErr == nil {
 			// A v2 snapshot: the file's already-partitioned segments are
-			// aliased straight into the database, with its packed leaves.
-			c, err := store.ReadSegments(segPath)
+			// aliased straight into the database, with its packed leaves,
+			// while the file's points section is checked beside the build.
+			db, err := store.LoadSegments(segPath, func(c *store.Corpus) (*core.Database, error) {
+				if c.Dim != dim || c.Config != cfg || len(c.Segs) != len(ids) {
+					return nil, fmt.Errorf("%w: snapshot segments disagree with meta", ErrBadDir)
+				}
+				return newBase(bopts, c.Segs, c.Leaves, c.TreeM, nextID, ids)
+			})
+			if errors.Is(err, store.ErrBadStore) {
+				err = fmt.Errorf("%w: %v", ErrBadDir, err)
+			}
 			if err != nil {
-				return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
+				return nil, 0, err
 			}
-			if c.Dim != dim || c.Config != cfg || len(c.Segs) != len(ids) {
-				return nil, 0, fmt.Errorf("%w: snapshot segments disagree with meta", ErrBadDir)
-			}
-			db, err := newBase(bopts, c.Segs, c.Leaves, c.TreeM, nextID, ids)
-			return db, lsn, err
+			return db, lsn, nil
 		}
 	}
 
