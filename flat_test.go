@@ -51,6 +51,12 @@ func liveHeap() int64 {
 // geom.Point header is 24 bytes.
 const maxBytesPerPoint = 8
 
+// mappedFlag reports whether a segment file opened mapped; Close is a
+// no-op, for store.LoadSegments.
+type mappedFlag bool
+
+func (mappedFlag) Close() error { return nil }
+
 // TestStoredPointCostsItsCoordinates holds a database's live heap to its
 // coordinates plus less than maxBytesPerPoint a point: after an AddAll
 // whose input sequences are then dropped — the database keeps its own
@@ -91,9 +97,11 @@ func TestStoredPointCostsItsCoordinates(t *testing.T) {
 		t.Fatal(err)
 	}
 	onHeap := int64(0)
-	if c, err := store.ReadSegments(filepath.Join(dir, "segments.sg2")); err != nil {
+	if mapped, err := store.LoadSegments(filepath.Join(dir, "segments.sg2"), func(c *store.Corpus) (mappedFlag, error) {
+		return mappedFlag(c.Mapped), nil
+	}); err != nil {
 		t.Fatal(err)
-	} else if !c.Mapped {
+	} else if !mapped {
 		onHeap = coords // the read fallback holds the file on the heap
 	}
 	loadedPP := perPoint(liveHeap()-before, onHeap)

@@ -26,6 +26,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -115,13 +116,11 @@ func parseHeader(b []byte) (dim, count int, err error) {
 // is decoded in place from the buffered reader's own buffer.
 //
 // What Read allocates is bounded by what the input has proved it holds,
-// not by the counts its header claims: each list is sized for what the
-// bytes left in r can hold when r can tell (inputSize), which for an
-// honest input is exactly the claim, and otherwise grows, at most
-// doubling, as the data arrives. A short file claiming 10 M points fails
-// with ErrBadFormat having asked for no more than a chunk.
+// not by the counts its header claims: each list starts at no more than a
+// chunk's worth of items and grows, at most doubling, as the data
+// arrives. A short file claiming 10 M points fails with ErrBadFormat
+// having asked for no more than a chunk.
 func Read(r io.Reader) ([]*core.Sequence, error) {
-	left := inputSize(r)
 	br := bufio.NewReaderSize(r, chunk)
 	// next returns the next n ≤ chunk bytes, valid until the next call.
 	next := func(n int) ([]byte, error) {
@@ -130,16 +129,7 @@ func Read(r io.Reader) ([]*core.Sequence, error) {
 			err = io.ErrUnexpectedEOF
 		}
 		br.Discard(len(b))
-		left -= int64(len(b))
 		return b, err
-	}
-	// room is how many items of per bytes each to make room for at once,
-	// of the want claimed.
-	room := func(want, per int) int {
-		if left < 0 {
-			return min(want, chunk/8)
-		}
-		return int(min(int64(want), left/int64(per)))
 	}
 	b, err := next(headerLen)
 	if err != nil {
@@ -149,9 +139,7 @@ func Read(r io.Reader) ([]*core.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A sequence takes at least its label length, its point count and one
-	// point.
-	seqs := make([]*core.Sequence, 0, room(count, 2+4+8*dim))
+	seqs := make([]*core.Sequence, 0, min(count, chunk/8))
 	for i := range count {
 		if b, err = next(2); err != nil {
 			return nil, fmt.Errorf("%w: sequence %d label length: %v", ErrBadFormat, i, err)
@@ -168,10 +156,11 @@ func Read(r io.Reader) ([]*core.Sequence, error) {
 			return nil, fmt.Errorf("%w: sequence %d has %d points", ErrBadFormat, i, n)
 		}
 		want := int(n) * dim
-		flat := make([]float64, room(want, 8))
+		flat := make([]float64, min(want, chunk/8))
 		for got := 0; got < want; got += len(b) / 8 {
 			if got == len(flat) {
-				flat = append(flat, make([]float64, min(want, max(2*got, chunk/8))-got)...)
+				k := min(want, 2*got) - got
+				flat = slices.Grow(flat, k)[:got+k]
 			}
 			if b, err = next(8 * min(len(flat)-got, chunk/8)); err != nil {
 				return nil, fmt.Errorf("%w: sequence %d points: %v", ErrBadFormat, i, err)
@@ -191,25 +180,6 @@ func Read(r io.Reader) ([]*core.Sequence, error) {
 		seqs = append(seqs, s)
 	}
 	return seqs, nil
-}
-
-// inputSize returns how many bytes r has left to read, or -1 when r cannot
-// tell: readers over memory report their unread length, and a regular
-// file its size past the current offset.
-func inputSize(r io.Reader) int64 {
-	switch v := r.(type) {
-	case interface{ Len() int }:
-		return int64(v.Len())
-	case *os.File:
-		st, err := v.Stat()
-		if err != nil || !st.Mode().IsRegular() {
-			return -1
-		}
-		if off, err := v.Seek(0, io.SeekCurrent); err == nil && off <= st.Size() {
-			return st.Size() - off
-		}
-	}
-	return -1
 }
 
 // ReadDim reads only a dataset's header, the first 14 bytes, and returns

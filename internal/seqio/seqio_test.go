@@ -270,10 +270,9 @@ func TestReadDim(t *testing.T) {
 // Read's allocations. A 14-byte header claiming 10 M sequences, and a
 // 20-byte file claiming one sequence of 10 M points (or of 100 M points of
 // 65 535 coordinates), fail with ErrBadFormat while the heap grows by less
-// than 1 MB, whether Read can tell the input's size (a bytes.Reader, a
-// file through ReadFile) or not. Sized from the header, the first two
-// asked for 80 MB and 76 MiB before failing, and the third ran the process
-// out of memory.
+// than 1 MB, read from memory or from a file through ReadFile. Sized from
+// the header, the first two asked for 80 MB and 76 MiB before failing, and
+// the third ran the process out of memory.
 func TestReadAllocatesWhatTheInputHolds(t *testing.T) {
 	header := func(dim uint16, count uint32) []byte {
 		b := []byte(magic)
@@ -290,8 +289,7 @@ func TestReadAllocatesWhatTheInputHolds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for how, read := range map[string]func() error{
-			"sized":    func() error { _, err := Read(bytes.NewReader(data)); return err },
-			"unsized":  func() error { _, err := Read(struct{ io.Reader }{bytes.NewReader(data)}); return err },
+			"Read":     func() error { _, err := Read(bytes.NewReader(data)); return err },
 			"ReadFile": func() error { _, err := ReadFile(path); return err },
 		} {
 			var before, after runtime.MemStats
@@ -308,11 +306,11 @@ func TestReadAllocatesWhatTheInputHolds(t *testing.T) {
 	}
 }
 
-// TestReadUnsizedGrowsToTheSameDataset: through a reader that cannot tell
-// its size, Read grows each list as the data arrives, across several
-// doublings for a sequence of 27 000 coordinates, and returns what a sized
-// read returns, each coordinate list exactly as long as its sequence.
-func TestReadUnsizedGrowsToTheSameDataset(t *testing.T) {
+// TestReadGrowsLongSequences: Read grows a coordinate list as the data
+// arrives, across several doublings for a sequence of 27 000 coordinates,
+// and returns what was written, each coordinate list exactly as long as
+// its sequence.
+func TestReadGrowsLongSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	in := randomDataset(rng, 5, 9)
 	long := make([]geom.Point, 3000)
@@ -327,21 +325,17 @@ func TestReadUnsizedGrowsToTheSameDataset(t *testing.T) {
 	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	sized, err := Read(bytes.NewReader(buf.Bytes()))
+	out, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsized, err := Read(struct{ io.Reader }{bytes.NewReader(buf.Bytes())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(unsized) != len(in) || len(sized) != len(in) {
-		t.Fatalf("read %d and %d sequences, want %d", len(sized), len(unsized), len(in))
+	if len(out) != len(in) {
+		t.Fatalf("read %d sequences, want %d", len(out), len(in))
 	}
 	for i := range in {
-		a, b := sized[i].Flat(), unsized[i].Flat()
-		if !slices.Equal(a, b) || len(b) != in[i].Len()*9 || unsized[i].Label != in[i].Label {
-			t.Errorf("sequence %d: unsized read differs: %d coordinates, want %d", i, len(b), in[i].Len()*9)
+		got, want := out[i].Flat(), slices.Concat(in[i].Points...)
+		if !slices.Equal(got, want) || out[i].Label != in[i].Label {
+			t.Errorf("sequence %d: read %d coordinates, want %d as written", i, len(got), len(want))
 		}
 	}
 }

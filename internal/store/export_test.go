@@ -13,6 +13,19 @@ var (
 	CorpusSeqs             = corpusSeqs
 )
 
+// ReadSegments reads and validates a v2 segment file, as LoadSegments
+// does, and returns its corpus.
+func ReadSegments(path string) (*Corpus, error) {
+	c, pc, err := openSegmentsFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pc.finish(nil, nil); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // Section ids of the v2 segment file, for tests that damage one.
 const (
 	SecPoints   = secPoints

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -97,15 +98,35 @@ func gained(t *testing.T, dir string, before map[string]bool) []string {
 }
 
 // snapshot is what a failed open must come back to: the goroutines and
-// the holds of dir's files before it. (A database that opened keeps its
-// mapping until the process exits, closed or not.)
+// the holds of dir's files before it, and the index files a FileIndex open
+// writes in dir, by name. (A database that opened keeps its mapping until
+// the process exits, closed or not.)
 type snapshot struct {
 	goroutines int
 	holds      map[string]bool
+	index      map[string]string
 }
 
 func take(t *testing.T, dir string) snapshot {
-	return snapshot{runtime.NumGoroutine(), held(t, dir)}
+	return snapshot{runtime.NumGoroutine(), held(t, dir), indexFiles(t, dir)}
+}
+
+// indexFiles returns the contents of dir's index files, by name.
+func indexFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "index.db*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(name)] = string(b)
+	}
+	return out
 }
 
 // settled waits for the goroutine count to come back to at most before, as
@@ -121,10 +142,23 @@ func settled(before int) bool {
 	return false
 }
 
+// staleIndex overwrites every index file in dir, so that an open that
+// rebuilds or rewrites one shows: the rebuild of an unchanged corpus
+// writes the same bytes again.
+func staleIndex(t *testing.T, dir string) {
+	t.Helper()
+	for name := range indexFiles(t, dir) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("stale index"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // assertFailedClean checks an open that had to fail: an error wrapping want
 // (and core.ErrNonFinite iff nonFinite), no database, and nothing left
 // behind that was not there before the open: no goroutine, and no
-// descriptor or mapping of dir's files.
+// descriptor or mapping of dir's files. The refused store's index files
+// are as they were.
 func assertFailedClean(t *testing.T, what string, got any, err, want error, nonFinite bool, before snapshot, dir string) {
 	t.Helper()
 	if err == nil || !errors.Is(err, want) || nonFinite != errors.Is(err, core.ErrNonFinite) {
@@ -138,6 +172,9 @@ func assertFailedClean(t *testing.T, what string, got any, err, want error, nonF
 	}
 	if left := gained(t, dir, before.holds); len(left) > 0 {
 		t.Errorf("%s: left the store held: %v", what, left)
+	}
+	if after := indexFiles(t, dir); !maps.Equal(after, before.index) {
+		t.Errorf("%s: rewrote the refused store's index files: %d before, %d after", what, len(before.index), len(after))
 	}
 }
 
@@ -173,8 +210,9 @@ func segPath(dir string, n, i int) string {
 // and a txn snapshot reopen — and a bit flip or a NaN in a points section
 // still fails the open. The failed open returns no database and leaves no
 // goroutine, no descriptor and no mapping of the store behind: what was
-// built is closed, then the mapping and the file are released. The
-// pristine stores open, and a database that opened keeps its mapping.
+// built is closed, then the mapping and the file are released. A FileIndex
+// open leaves the store's index files as they were.
+// The pristine stores open, and a database that opened keeps its mapping.
 func TestOverlappedOpenFailsClosed(t *testing.T) {
 	seqs := store.CorpusSeqs(21, 240, 3)
 	for _, n := range []int{1, 3} {
@@ -197,6 +235,7 @@ func TestOverlappedOpenFailsClosed(t *testing.T) {
 		for _, d := range pointsDamage {
 			for _, o := range []store.LoadOptions{{}, {FileIndex: true}} {
 				spoilFile(t, spoiled, d.spoil)
+				staleIndex(t, dir)
 				before := take(t, dir)
 				sdb, err := store.LoadShardedWith(dir, o)
 				var got any
@@ -226,6 +265,7 @@ func TestOverlappedOpenFailsClosed(t *testing.T) {
 	}
 	for _, d := range pointsDamage {
 		spoilFile(t, filepath.Join(single, "segments.sg2"), d.spoil)
+		staleIndex(t, single)
 		for _, fileIndex := range []bool{false, true} {
 			before := take(t, single)
 			ldb, err := store.Load(single, fileIndex)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -146,22 +145,11 @@ func WriteSegments(path string, dim int, cfg core.PartitionConfig, segs []*core.
 	return writeSegmentsFile(path, dim, cfg, segs, leaves, treeM)
 }
 
-// ReadSegments reads and validates a v2 segment file. All sections are
-// checksummed; any structural violation fails with ErrBadStore.
-func ReadSegments(path string) (*Corpus, error) {
-	c, pc, err := openSegmentsFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pc.finish(nil, nil); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// LoadSegments reads the v2 segment file at path as ReadSegments does and
-// calls build with its corpus while the points section, most of the file,
-// is still being checked on another goroutine: build must not read a
+// LoadSegments reads and validates the v2 segment file at path, every
+// section checksummed and any structural violation failing with
+// ErrBadStore, and calls build with its corpus while the points section,
+// most of the file, is still being checked on another goroutine: build
+// must not read a
 // coordinate (a bulk load from the stored leaves reads none). It returns
 // what build made only once the check has passed. When the check fails it
 // closes what build made, then releases the file's mapping and the file,
@@ -639,10 +627,6 @@ type pointsCheck struct {
 	mapping []byte
 }
 
-// checkSlots bounds the points checks reading at once, so that opening a
-// store of many shards does not put a thread in a read per shard.
-var checkSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
-
 // startPointsCheck starts checking the points section s: from r when it is
 // set, else in memory.
 func startPointsCheck(s section, r io.ReaderAt) *pointsCheck {
@@ -650,8 +634,6 @@ func startPointsCheck(s section, r io.ReaderAt) *pointsCheck {
 	pc.done.Add(1)
 	go func() {
 		defer pc.done.Done()
-		checkSlots <- struct{}{}
-		defer func() { <-checkSlots }()
 		if r != nil {
 			pc.err = s.checkAt(r)
 		} else {

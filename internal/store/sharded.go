@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/rtree"
@@ -127,12 +124,14 @@ func LoadSharded(dir string, fileIndex bool) (*shard.ShardedDB, error) {
 // sequence, and reproduces the saved layout for an unchanged shard
 // count.
 //
-// The shard directories are decoded concurrently, and every v2 shard's
-// points check is under way before any shard builds; the trees are built
-// while the checks run, and the database is returned only once every
-// check has passed. Errors are reported as an open reading the shards one
-// after another would meet them: by shard, and within a shard its points
-// error first.
+// The shard directories are decoded one after another, each leaving its
+// v2 points check running, so every check is under way before any shard
+// builds; the trees are built while the checks run, and the database is
+// returned only once every check has passed. With FileIndex the build,
+// which rewrites the index files in dir, waits for the checks first, so a
+// store the open refuses is left as it was. Errors are reported as an
+// open reading the shards one after another would meet them: by shard,
+// and within a shard its points error first.
 func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 	n := 1
 	sharded := IsSharded(dir)
@@ -145,13 +144,13 @@ func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 
 	ds := make([]dirCorpus, n)
 	errs := make([]error, n)
-	forEachShard(n, func(i int) {
+	for i := range n {
 		sub := dir
 		if sharded {
 			sub = filepath.Join(dir, fmt.Sprintf(shardDirFormat, i))
 		}
 		ds[i], errs[i] = loadDirCorpus(sub)
-	})
+	}
 	groups := make([][]*core.Segmented, n)
 	leaves := make([][][]rtree.Ref, n)
 	fanouts := make([]int, n)
@@ -162,6 +161,18 @@ func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 		}
 		groups[i], leaves[i], fanouts[i] = d.segs, d.leaves, d.treeM
 		total += len(d.segs)
+	}
+	// pointsErrs puts each shard's points error in place of what was found
+	// later in its files.
+	pointsErrs := func() {
+		for i := range ds {
+			if perr := ds[i].points.wait(); perr != nil {
+				errs[i] = perr
+			}
+		}
+	}
+	if o.FileIndex {
+		pointsErrs()
 	}
 	var sdb *shard.ShardedDB
 	err := errors.Join(errs...)
@@ -177,11 +188,7 @@ func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 	// meet them: the first shard with an error, and there the points ahead
 	// of what was found later in its files; the build's error, found after
 	// every file was read, only when no shard has one.
-	for i := range ds {
-		if perr := ds[i].points.wait(); perr != nil {
-			errs[i] = perr
-		}
-	}
+	pointsErrs()
 	if i := slices.IndexFunc(errs, func(e error) bool { return e != nil }); i >= 0 {
 		err = errs[i]
 		if sharded {
@@ -198,27 +205,6 @@ func LoadShardedWith(dir string, o LoadOptions) (*shard.ShardedDB, error) {
 		return nil, err
 	}
 	return sdb, nil
-}
-
-// forEachShard runs fn(i) for every i below n, on at most GOMAXPROCS
-// goroutines at once, and returns when every call has.
-func forEachShard(n int, fn func(i int)) {
-	if n == 1 {
-		fn(0)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(n, runtime.GOMAXPROCS(0)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // buildSharded builds the sharded database over the shards' corpora, as

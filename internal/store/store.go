@@ -229,8 +229,10 @@ func Load(dir string, fileIndex bool) (*core.Database, error) {
 // tree from the stored leaves while its points section is checked, a v1
 // directory is re-partitioned in parallel and STR bulk-loaded. With
 // FileIndex an index.db a previous load or Save left beside the data is
-// reattached when it matches the corpus, and rebuilt otherwise. The
-// database is returned only once the points check has passed.
+// reattached when it matches the corpus, and rebuilt otherwise; that
+// build waits for the points check first, so a store the open refuses
+// keeps its index.db. The database is returned only once the points check
+// has passed.
 func LoadWith(dir string, o LoadOptions) (*core.Database, error) {
 	if IsSharded(dir) {
 		return nil, fmt.Errorf("%w: %s is a sharded store; use LoadSharded", ErrBadStore, dir)
@@ -239,7 +241,10 @@ func LoadWith(dir string, o LoadOptions) (*core.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := buildDir(d, dir, o)
+	var db *core.Database
+	if !o.FileIndex || d.points.wait() == nil {
+		db, err = buildDir(d, dir, o)
+	}
 	if err := d.points.finish(err, func() {
 		if db != nil {
 			db.Close()
