@@ -42,9 +42,8 @@
 // in the v2 columnar segment format (zero-copy mmap open). Directories
 // in the older v1 row-record format still open; a durable node rewrites
 // its base as v2 at its next checkpoint. -quantized-mbr is accepted and
-// does nothing: range search refines only the pairs the index hit, which
-// always pass the float32 screen the flag used to enable (see DESIGN.md
-// §16).
+// has no effect; it is kept while the benchmark harness in bench/ passes
+// it (see DESIGN §13).
 //
 // Caching: -cache-entries and/or -cache-bytes attach a cost-aware
 // query-result cache. Repeated range, kNN, and batch queries are answered
@@ -52,8 +51,8 @@
 // size with an aging watermark (GDSF). A write removes only the entries
 // whose recorded query region (MBR + radius) the written sequence's MBR
 // can reach — queries over untouched regions keep hitting through
-// unrelated writes. No stale answer is ever served (see DESIGN.md §10
-// for the safety argument). Hits are visible per response in the X-Mdseq-Cache
+// unrelated writes. No stale answer is ever served (see DESIGN §5 for
+// the safety argument). Hits are visible per response in the X-Mdseq-Cache
 // header and "cached" field, and in aggregate via the mdseq_cache_*
 // metric families (see OPERATIONS.md for the tuning runbook). Default
 // is off.

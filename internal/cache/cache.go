@@ -31,7 +31,7 @@
 // dismissals. Because Dmbr lower-bounds every point-pair distance, a write
 // whose MBR is farther than r from the query's MBR cannot add, remove, or
 // alter any result within radius r, so surviving hits are never stale (see
-// DESIGN.md §10 for the full argument). Each lock shard keeps a coarse
+// DESIGN §5 for the full argument). Each lock shard keeps a coarse
 // summary (union rect + max radius) so a write sweep skips entire shards
 // it cannot intersect, keeping the write path ~O(intersecting entries)
 // rather than O(cache).

@@ -28,19 +28,13 @@ type alignScratch struct {
 	lb   []float64 // per-offset lower bound of the alignment's mean distance
 }
 
-// alignSlack is the factor a per-offset Dmbr bound sum is shrunk by before
-// it is compared with anything derived from the exact sum. In real
-// arithmetic the bound sum never exceeds the exact sum (Lemma 1, term by
-// term); in float64 the two are accumulated in different orders — runs of
-// Dmbr·length against one sqrt per point — and each can be off by a
-// relative (1±u) per operation, u = 2⁻⁵³. Per term, the computed Dmbr is at
-// most the computed point distance times ((1+u)/(1−u))^(d/2+1): the per-axis
-// gap is a monotone function of the per-axis difference, so only the d
-// additions, the squares' roundings and the sqrt can disagree. The sums add
-// at most k roundings on each side. So bound·((1−u)/(1+u))^(k+d/2+2) ≤
-// exact, and 1 − 4u·(k+d+4) is below that factor with room to spare for its
-// own rounding and the multiplication's. A skipped alignment is therefore
-// provably above the cutoff, not merely probably.
+// alignSlack is the factor a per-offset Dmbr bound sum of k terms at
+// dimension d is shrunk by before it is compared with anything derived from
+// the exact sum. In real arithmetic the bound sum never exceeds the exact
+// sum (Lemma 1, term by term); in float64 the two are summed in different
+// orders, and bound·((1−u)/(1+u))^(k+d/2+2) ≤ exact, u = 2⁻⁵³, of which
+// 1 − 4u·(k+d+4) is below. So a skipped alignment is provably above the
+// cutoff. The proof is in DESIGN "Rounding".
 func alignSlack(k, d int) float64 {
 	return 1 - float64(k+d+4)*0x1p-51
 }

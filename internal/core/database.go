@@ -28,13 +28,10 @@ type Options struct {
 	Path string
 	// MaxEntries overrides the R*-tree fanout (0 → derive from page size).
 	MaxEntries int
-	// QuantizedMBR is accepted and has no effect on search. It used to
-	// screen each (query MBR, candidate) pair of a range search against
-	// the candidate's float32 bounds before the exact Dnorm work; phase 3
-	// now evaluates only the pairs phase 2's index probe hit, and a hit
-	// pair always passes that screen, so it is no longer consulted. The
-	// field stays until a benchmark-only PR re-points `bench/`, which
-	// still passes it.
+	// QuantizedMBR is accepted and has no effect on search: phase 3
+	// evaluates only the (query MBR, candidate) pairs the index probe hit,
+	// and a hit pair always passes a float32 screen. It is kept while
+	// `bench/` passes it.
 	QuantizedMBR bool
 }
 
@@ -573,15 +570,10 @@ func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, s
 
 // dReach is the radius a range search at eps, for a query of n points, probes
 // and sweeps with under D and the paper's answer: eps over alignSlack(n, d).
-// In real arithmetic nothing beyond eps is needed (Lemmas 1–3). In float64 the
-// scan's D is a mean that can round below every one of its terms — ten equal
-// point distances average to one ulp less — while a Dmbr is one square root,
-// so a sequence at D = eps could lie a few ulps outside a probe at eps.
-// alignSlack bounds how far a computed Dmbr or Dnorm window of an alignment's
-// points can exceed the computed D of that alignment (the argument that
-// shrinks knnD's walk key), and the room it leaves covers this division and
-// the probe's squaring. The factor only shrinks as the summed count grows, and
-// an alignment sums at most the query's n points, so n serves every sequence.
+// In float64 the scan's D is a mean that can round below every one of its
+// terms while a Dmbr is one square root, so a sequence at D = eps could lie
+// a few ulps outside a probe at eps; alignSlack bounds that gap for any
+// alignment of at most n points. The proof is in DESIGN "Rounding".
 func dReach(eps float64, n, d int) float64 { return eps / alignSlack(n, d) }
 
 // refine is phase 3 of SIMILARITY_SEARCH — second pruning over the

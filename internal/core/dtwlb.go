@@ -229,19 +229,9 @@ func (ds *dtwScratch) dtwIndexLB(g *Segmented) float64 {
 // dtwIndexSlack is the factor dtwIndexLB shrinks max(B1, B2) by before the
 // bound meets a cutoff. In real arithmetic neither exceeds the distance (the
 // bound chain above); in float64 the distance is one recursive sum in path
-// order — each of its at most n+m additions rounds by a relative (1±u),
-// u = 2⁻⁵³, of the running total — while B2 is summed MBR by MBR, one
-// product and one addition apiece, at most 2m roundings, and each side ends
-// in a division. Per term, the computed envelope-to-MBR distance is at most
-// the computed point distance times ((1+u)/(1−u))^(d/2+1), as in alignSlack:
-// the per-axis gap is a monotone function of the per-axis difference, so
-// only the d additions, the squares and the sqrt can disagree. So
-// bound·((1−u)/(1+u))^(n+3m+d/2+3) ≤ distance, and 1 − 4u·(n+3m+d+4) is
-// below that factor with room for its own rounding and the
-// multiplication's. Without it, a term 10¹⁶ times the rest — a spike that
-// swallows the small terms of one sum and not of the other — put the bound
-// a few ulps above the distance, and a range search at ε = distance, or a
-// kNN under a bound at it, dismissed the sequence.
+// order and B2 a sum MBR by MBR, and bound·((1−u)/(1+u))^(n+3m+d/2+3) ≤
+// distance, u = 2⁻⁵³, of which 1 − 4u·(n+3m+d+4) is below. The proof is in
+// DESIGN "Rounding".
 func dtwIndexSlack(n, m, d int) float64 {
 	return 1 - float64(n+3*m+d+4)*0x1p-51
 }
@@ -286,23 +276,13 @@ func (ds *dtwScratch) lbKeogh(g *Segmented, cutoff float64) float64 {
 }
 
 // cascadeSlack is the factor dtwFlat shrinks rowMin + suffix by before the
-// sum meets a cutoff. In real arithmetic the sum never exceeds the total:
-// a warping path leaves row j through a cell worth at least rowMin and then
-// takes at least one step in each later row, a step in row t matching data
-// point t with a query point inside Env_t, at a cost no smaller than that
-// row's LB_Keogh term. In float64 the total is one recursive sum in path
-// order — each of its at most n+m additions rounds by a relative (1±u),
-// u = 2⁻⁵³, of the running total, the cost so far included, which is why the
-// whole sum is shrunk and not the suffix alone: steps that a huge cost so far
-// absorbs add nothing to the total, and their suffix must not either. The
-// suffix is summed back to front, at most m roundings, and added to rowMin
-// with one more. Per term, the computed point-to-envelope distance is at
-// most the computed point distance times ((1+u)/(1−u))^(d/2+1), as in
-// alignSlack: the per-axis gap is a monotone function of the per-axis
-// difference, so only the d additions, the squares and the sqrt can
-// disagree. So (rowMin + suffix)·((1−u)/(1+u))^(n+2m+d/2+2) ≤ total, and
-// 1 − 4u·(n+2m+d+4) is below that factor with room for its own rounding and
-// the multiplication's.
+// sum meets a cutoff. In real arithmetic the sum never exceeds the total (a
+// path leaves row j through a cell worth at least rowMin and then pays at
+// least each later row's LB_Keogh term); in float64 every addition of the
+// total rounds relative to the running total, the cost so far included, so
+// the whole sum is shrunk and not the suffix alone:
+// (rowMin + suffix)·((1−u)/(1+u))^(n+2m+d/2+2) ≤ total, u = 2⁻⁵³, of which
+// 1 − 4u·(n+2m+d+4) is below. The proof is in DESIGN "Rounding".
 func cascadeSlack(n, m, d int) float64 {
 	return 1 - float64(n+2*m+d+4)*0x1p-51
 }

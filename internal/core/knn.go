@@ -25,7 +25,7 @@ type KNNResult = Match
 // says whether the answer is the unbounded one (knnCutoff.unbounded), the
 // only kind Do may cache.
 //
-// The search is two priority queues worked in step (rung 0 of DESIGN §11's
+// The search is two priority queues worked in step (rung 0 of DESIGN §8's
 // ladder). One is a best-first walk of the R*-tree (rtree.Nearest) keyed by
 // the smallest Dmbr from a node or entry box to any query MBR; every
 // sequence the walk has not reached yet has all its Dmbr, hence its D

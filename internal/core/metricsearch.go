@@ -156,7 +156,7 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 // factor a distance that rounds below its every step (a constant path's mean)
 // sits just inside ε while the probe misses S. The factor only shrinks as m
 // grows, so the longest alignable m serves every S, and the room it leaves
-// covers this division and the probe's squaring.
+// covers this division and the probe's squaring (DESIGN "Rounding").
 func dtwReach(eps float64, n, longest, w, d int) float64 {
 	m := longest
 	if w >= 0 && w < m-n {

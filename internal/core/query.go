@@ -23,7 +23,7 @@ const (
 	// stored sequence's exact distance, no index, no lower bound, no early
 	// abandoning. It is the oracle the indexed answers are held to, and on
 	// every layer it runs outside that layer's serving machinery (cache,
-	// fault-tolerance policy).
+	// metrics).
 	Scan
 )
 

@@ -369,7 +369,8 @@ func (p3 *phase3Scratch) sweepRun(starts []int32, a, b, qc int, reach, best floa
 // sums over r MBRs, the largest of them total, can lie above the real window
 // times its point count: each of the at most r additions between the
 // difference's ends is off by up to u·total whatever the window's own size,
-// and 2u = 2⁻⁵² covers the roundings of the margin itself.
+// and 2u = 2⁻⁵² covers the roundings of the margin itself. The proof, and
+// its precondition that no term is negative, are in DESIGN "Rounding".
 func cancelMargin(r int, total float64) float64 { return float64(r) * 0x1p-52 * total }
 
 // slabRanges copies rs — a hit's ranges, still in phase3Scratch — to the

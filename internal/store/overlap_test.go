@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -461,4 +462,83 @@ func (c *closeRecorder) Close() error {
 		*c.order = append(*c.order, "closed")
 	}
 	return nil
+}
+
+// TestMatchOutlivesClose: a v2 open's mapping lives until the process
+// exits, not until its database closes, because a Match.Seq handed out
+// before Close is a view of the mapped points section. Every sequence of
+// a kNN answer reads the same coordinates through At and Flat after Close
+// as before it, from a store opened on 1 shard, on 3 shards and as a txn
+// snapshot reopen.
+func TestMatchOutlivesClose(t *testing.T) {
+	seqs := store.CorpusSeqs(23, 60, 3)
+	q := core.Query{Seq: seqs[5], Kind: core.KNN, K: len(seqs)}
+	answer := func(t *testing.T, where string, db shard.DB) ([]core.Match, map[uint32][]float64) {
+		t.Helper()
+		res, err := db.Do(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if len(res.Matches) != len(seqs) {
+			t.Fatalf("%s: kNN returned %d of %d", where, len(res.Matches), len(seqs))
+		}
+		want := map[uint32][]float64{}
+		for _, m := range res.Matches {
+			want[m.SeqID] = slices.Clone(m.Seq.Flat())
+		}
+		return res.Matches, want
+	}
+	readable := func(t *testing.T, where string, ms []core.Match, want map[uint32][]float64) {
+		t.Helper()
+		runtime.GC()
+		for _, m := range ms {
+			w, s := want[m.SeqID], m.Seq
+			if !slices.Equal(s.Flat(), w) {
+				t.Fatalf("%s: sequence %d reads other coordinates through Flat after Close", where, m.SeqID)
+			}
+			for i := range s.Len() {
+				if !slices.Equal(s.At(i), w[i*3:i*3+3]) {
+					t.Fatalf("%s: sequence %d point %d reads %v after Close, want %v", where, m.SeqID, i, s.At(i), w[i*3:i*3+3])
+				}
+			}
+		}
+	}
+	for _, n := range []int{1, 3} {
+		where := fmt.Sprintf("%d shard(s)", n)
+		sdb, err := store.LoadShardedWith(savedSharded(t, n, seqs), store.LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, want := answer(t, where, sdb)
+		if err := sdb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		readable(t, where, ms, want)
+	}
+
+	tdir := t.TempDir()
+	tdb, err := txn.Open(txn.Options{Dir: tdir, Dim: 3, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tdb.AddAll(seqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := tdb.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tdb, err = txn.Open(txn.Options{Dir: tdir, NoFsync: true}); err != nil {
+		t.Fatal(err)
+	}
+	if st := tdb.Stats(); st.DeltaAdds != 0 {
+		t.Fatalf("txn reopen serves %d sequences from its delta, want all from the snapshot", st.DeltaAdds)
+	}
+	ms, want := answer(t, "txn reopen", tdb)
+	if err := tdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	readable(t, "txn reopen", ms, want)
 }

@@ -62,10 +62,9 @@ import (
 // Segmented columnar arrays (Flat/Lo/Hi) on a little-endian host, and
 // every section payload starts 8-byte aligned (80-byte header, 16-byte
 // section headers, 8-padded payloads), so the loader aliases them in
-// place — no per-sequence deserialization. No search reads a quantized
-// bound any more; sections 7 and 8 stay in the layout so files keep their
-// bytes, and the reader size- and CRC-checks them like every other
-// section. Sections 9/10 carry the STR leaf
+// place — no per-sequence deserialization. No search reads the quantized
+// bounds of sections 7 and 8; they are in the layout, and the reader size-
+// and CRC-checks them like every other section. Sections 9/10 carry the STR leaf
 // grouping of the R*-tree so reloading packs the tree bottom-up without
 // re-sorting (rtree.BulkLoadLeaves).
 const (
@@ -656,8 +655,9 @@ func (pc *pointsCheck) wait() error {
 // what it will over the corpus, err being the build's error: it returns
 // the check's error ahead of err and, when there is one, calls discard
 // (if set) to close what was built before it unmaps the file, which that
-// aliases. It closes the file either way; on success the mapping stays,
-// for as long as the database holding the corpus lives.
+// aliases. It closes the file either way; on success the mapping stays
+// until the process exits: a Match.Seq handed out before the database
+// closes is a view of it, so nothing unmaps it (DESIGN "Memory model").
 func (pc *pointsCheck) finish(err error, discard func()) error {
 	if perr := pc.wait(); perr != nil {
 		err = perr

@@ -59,8 +59,8 @@ type LoadOptions struct {
 	// FileIndex places index pages in files under the store directory
 	// instead of memory.
 	FileIndex bool
-	// Quantized is passed to the loaded database as
-	// core.Options.QuantizedMBR, where it is accepted and has no effect.
+	// Quantized is accepted and has no effect, as
+	// core.Options.QuantizedMBR; it is kept while `bench/` passes it.
 	Quantized bool
 }
 

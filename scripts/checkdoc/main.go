@@ -16,8 +16,11 @@
 // (see ceilings): a method added to shard.DB, shard.Backend or
 // *core.Database beyond them fails the run, so the search-method matrix
 // that Do replaced cannot regrow unreviewed; the flags cmd/mdsserve defines
-// are capped the same way. And it prints the count each ROADMAP re-anchor
-// tracks: non-test Go lines outside bench/, under the current directory.
+// are capped the same way. It holds the documents under the current
+// directory to their budget (checkRefs): DESIGN.md within designBudget
+// lines, and every DESIGN section and ROADMAP item a .go or .md file cites
+// present. And it prints the count each ROADMAP re-anchor tracks: non-test
+// Go lines outside bench/, under the current directory.
 package main
 
 import (
@@ -78,6 +81,18 @@ func main() {
 		}
 	}
 	if over {
+		os.Exit(1)
+	}
+	bad, err := checkRefs(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "checkdoc: checking document references: %v\n", err)
+		os.Exit(2)
+	}
+	for _, b := range bad {
+		fmt.Println(b)
+	}
+	if len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "checkdoc: %d document budget or reference failure(s)\n", len(bad))
 		os.Exit(1)
 	}
 	lines, err := nonTestLines(".")
