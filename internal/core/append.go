@@ -100,7 +100,7 @@ func (db *Database) AppendPoints(id uint32, pts []geom.Point) error {
 func (db *Database) swapSegmentedLocked(id uint32, old, ng *Segmented) error {
 	// Shared prefix: append-style updates keep every MBR before the old
 	// last one bit-identical, so only the divergent suffix touches the
-	// tree. A full replace (ReplaceSegmented) diverges at 0.
+	// tree.
 	shared := 0
 	max := len(old.MBRs)
 	if len(ng.MBRs) < max {
@@ -133,42 +133,5 @@ func (db *Database) swapSegmentedLocked(id uint32, old, ng *Segmented) error {
 		}
 	}
 	db.seqs[id] = ng
-	return nil
-}
-
-// ReplaceSegmented swaps in a replacement version of sequence id: the old
-// version's index entries are removed, the new version's inserted, and
-// the directory slot updated, all under one lock hold. It is the fold
-// primitive the transaction layer uses to apply an ingest overlay (a
-// sequence extended by appends since the last checkpoint) to the base
-// database in one step. The replacement must have the same
-// dimensionality; the database holds it stored (Segment), its Seq.ID set
-// to id.
-func (db *Database) ReplaceSegmented(id uint32, ng *Segmented) error {
-	if err := ng.Seq.Validate(); err != nil {
-		return err
-	}
-	if ng.Seq.Dim() != db.opts.Dim {
-		return fmt.Errorf("core: replacement dim %d, database dim %d: %w",
-			ng.Seq.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.pg == nil {
-		return errors.New("core: database closed")
-	}
-	if int(id) >= len(db.seqs) || db.seqs[id] == nil {
-		return fmt.Errorf("%w: %d", ErrUnknownSequence, id)
-	}
-	ng = ng.stored()
-	ng.Seq.ID = id
-	old := db.seqs[id]
-	if err := db.swapSegmentedLocked(id, old, ng); err != nil {
-		return fmt.Errorf("core: replacing sequence %d: %w", id, err)
-	}
-	// Both versions matter: removing the old one can erase results near
-	// its bounds, the new one can create results near its own.
-	db.notifyWrite(old.Bounds().Union(ng.Bounds()))
-	db.met.SetShape(db.live, db.tree.Len())
 	return nil
 }

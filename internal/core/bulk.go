@@ -65,14 +65,18 @@ func (db *Database) addAll(seqs []*Sequence) ([]uint32, error) {
 
 // AddAllSegmented bulk-loads a corpus that is already partitioned — the
 // zero-deserialization path of the v2 segment store, whose files carry
-// the Segmented columnar form directly. The database must be empty; ids
-// are assigned densely in input order, exactly as AddAll would. leaves,
-// when set, is a packed leaf grouping (each inner slice one leaf page of
-// refs, as recorded by the store's packed-tree section) computed for an
-// R*-tree of fanout leafFanout: when that is this database's fanout the
-// grouping is reused verbatim and only the upper levels are tiled,
-// skipping the leaf-level sorts; otherwise (or with leaves nil) the tree
-// is STR bulk-loaded from the sequences' MBRs. Every ref of a reused
+// the Segmented columnar form directly, and the transaction layer's fold
+// and snapshot reload. The database must be empty; segs is its directory:
+// segs[i] gets id i, and a nil entry is a hole, an id held by no sequence,
+// as Remove leaves one, so a corpus with removed ids keeps their numbers.
+// A segment that already carries its id is not written to, so segments a
+// reader of another database holds may be handed over. leaves, when set,
+// is a packed leaf grouping (each inner slice one leaf page of refs, as
+// recorded by the store's packed-tree section) computed for an R*-tree of
+// fanout leafFanout: when that is this database's fanout the grouping is
+// reused verbatim and only the upper levels are tiled, skipping the
+// leaf-level sorts; otherwise (or with leaves nil) the tree is STR
+// bulk-loaded from the sequences' MBRs. Every ref of a reused
 // grouping must name a valid (sequence, MBR) pair and the refs must cover
 // every MBR exactly once; violations reject the whole load. The database
 // keeps references to the segments, and to segs as its directory; callers
@@ -83,8 +87,11 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref, lea
 		return nil, nil
 	}
 	for i, g := range segs {
-		if g == nil || g.Seq == nil {
-			return nil, fmt.Errorf("core: nil segment %d", i)
+		if g == nil {
+			continue
+		}
+		if g.Seq == nil {
+			return nil, fmt.Errorf("core: nil sequence in segment %d", i)
 		}
 		if g.Seq.Dim() != db.opts.Dim {
 			return nil, fmt.Errorf("core: sequence %d dim %d, database dim %d: %w",
@@ -106,12 +113,16 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref, lea
 
 // bulkLoadLocked is the bulk load of an empty database, AddAll's and
 // AddAllSegmented's: it builds the R*-tree over every MBR of segs in one
-// pass and installs segs as the directory. Caller holds db.mu.
+// pass and installs segs, holes included, as the directory. Caller holds
+// db.mu.
 func (db *Database) bulkLoadLocked(segs []*Segmented, leaves [][]rtree.Ref, leafFanout int) ([]uint32, error) {
-	total, longest := 0, 0
+	total, longest, live := 0, 0, 0
 	for _, g := range segs {
-		total += len(g.MBRs)
-		longest = max(longest, g.numPoints())
+		if g != nil {
+			total += len(g.MBRs)
+			longest = max(longest, g.numPoints())
+			live++
+		}
 	}
 	if leafFanout != db.tree.MaxEntries() {
 		leaves = nil // grouping computed for a different page layout
@@ -127,6 +138,9 @@ func (db *Database) bulkLoadLocked(segs []*Segmented, leaves [][]rtree.Ref, leaf
 	} else {
 		items := make([]rtree.Item, 0, total)
 		for i, g := range segs {
+			if g == nil {
+				continue
+			}
 			for j, m := range g.MBRs {
 				items = append(items, rtree.Item{Rect: m.Rect, Ref: rtree.PackRef(uint32(i), uint32(j))})
 			}
@@ -137,17 +151,19 @@ func (db *Database) bulkLoadLocked(segs []*Segmented, leaves [][]rtree.Ref, leaf
 	}
 	ids := make([]uint32, len(segs))
 	for i, g := range segs {
-		g.Seq.ID = uint32(i)
+		if g != nil && g.Seq.ID != uint32(i) {
+			g.Seq.ID = uint32(i)
+		}
 		ids[i] = uint32(i)
 	}
 	db.seqs = segs
-	db.live = len(segs)
+	db.live = live
 	db.longest = max(db.longest, longest)
 	// The database was empty, so no cached answer covered a stored
 	// sequence: the empty rect, which invalidates everything, is exact
 	// and spares a union over every MBR of the corpus.
 	db.notifyWrite(geom.Rect{})
-	db.met.RecordBulkAdd(len(segs))
+	db.met.RecordBulkAdd(live)
 	db.met.SetShape(db.live, db.tree.Len())
 	return ids, nil
 }
@@ -180,8 +196,9 @@ func leavesToItems(segs []*Segmented, leaves [][]rtree.Ref, total int) ([][]rtre
 }
 
 // refCover checks a set of index refs against a corpus: every ref must
-// name a sequence of segs (by position) and an MBR ordinal that sequence
-// has, and every (sequence, MBR) pair must appear exactly once. It checks
+// name a sequence of segs (by position; a nil entry, a hole, has no MBRs)
+// and an MBR ordinal that sequence has, and every (sequence, MBR) pair
+// must appear exactly once. It checks
 // the packed leaves of a bulk load and the leaf entries of an index file
 // a reattach adopts: a ref past the directory would otherwise surface as
 // an out-of-range slice on the first search that reaches it.
@@ -195,7 +212,10 @@ type refCover struct {
 func newRefCover(segs []*Segmented) *refCover {
 	base := make([]int, len(segs)+1)
 	for i, g := range segs {
-		base[i+1] = base[i] + len(g.MBRs)
+		base[i+1] = base[i]
+		if g != nil {
+			base[i+1] += len(g.MBRs)
+		}
 	}
 	return &refCover{segs: segs, base: base, seen: make([]bool, base[len(segs)])}
 }
@@ -203,7 +223,7 @@ func newRefCover(segs []*Segmented) *refCover {
 // add records one ref, refusing one out of range or seen before.
 func (c *refCover) add(ref rtree.Ref) error {
 	id, j := ref.Unpack()
-	if int(id) >= len(c.segs) || int(j) >= len(c.segs[id].MBRs) {
+	if int(id) >= len(c.segs) || int(j) >= c.base[id+1]-c.base[id] {
 		return fmt.Errorf("core: index ref (%d,%d) out of range", id, j)
 	}
 	ord := c.base[id] + int(j)

@@ -88,10 +88,10 @@ func RangeCacheKey(q *Sequence, eps float64, cfg PartitionConfig) cache.Key {
 // SetCache attaches a query-result cache to the database (nil detaches).
 // Do — and so SearchBatchCtx — consults it before running a Range or KNN
 // query and fills it after with the result's compute cost (CPUTime) and
-// geometric region; every write (Add, AddAll, Remove, AppendPoints,
-// ReplaceSegmented) notifies the cache with the written sequence's MBR,
-// so only entries the write could have affected are invalidated (see
-// internal/cache). Safe to call while queries are in flight.
+// geometric region; every write (Add, AddAll, Remove, AppendPoints)
+// notifies the cache with the written sequence's MBR, so only entries the
+// write could have affected are invalidated (see internal/cache). Safe to
+// call while queries are in flight.
 func (db *Database) SetCache(c *cache.Cache) { db.qcache.Store(c) }
 
 // QueryCache returns the attached query cache, or nil.

@@ -231,10 +231,9 @@ func (db *Database) Add(s *Sequence) (uint32, error) {
 }
 
 // AddSegmented indexes a pre-partitioned sequence and returns its
-// assigned id. It is the mutation half of Add, split out so callers that
-// already hold a Segmented — the transaction layer folding its delta, or
-// AddAll partitioning a batch outside the lock — pay only for the index
-// insertions under the write lock. The partitioning must have been
+// assigned id. It is the mutation half of Add, split out so a caller that
+// already holds a Segmented pays only for the index insertions under the
+// write lock. The partitioning must have been
 // produced with the database's PartitionConfig. The database holds g
 // stored: g itself when g.Seq is, else a copy over g.Flat. On an index
 // failure the already-inserted entries are rolled back and the database
@@ -275,23 +274,6 @@ func (db *Database) addSegmentedLocked(g *Segmented) (uint32, error) {
 	db.seqs = append(db.seqs, g)
 	db.live++
 	db.longest = max(db.longest, g.numPoints())
-	return id, nil
-}
-
-// AddTombstone reserves and returns the next sequence id as a dead slot:
-// no sequence, no index entries, lookups yield nil — exactly the state
-// Remove leaves behind. The transaction layer (internal/txn) uses it when
-// rebuilding a database from a checkpoint to reproduce the id layout of
-// sequences that were added and later removed, so ids stay stable across
-// restarts.
-func (db *Database) AddTombstone() (uint32, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.pg == nil {
-		return 0, errClosed
-	}
-	id := uint32(len(db.seqs))
-	db.seqs = append(db.seqs, nil)
 	return id, nil
 }
 
@@ -388,6 +370,19 @@ func (db *Database) IndexHeight() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.tree.Height()
+}
+
+// ScanIndex visits every entry of db's R*-tree in the tree's own walk
+// order, rectangles and refs as the pages hold them: the layout two
+// builds of one corpus can be compared by (a transaction fold's tree and
+// the one a reload of its snapshot packs), not a query path.
+func ScanIndex(db *Database, visit rtree.Visitor) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.pg == nil {
+		return errClosed
+	}
+	return db.tree.Scan(visit)
 }
 
 // IndexFanout returns the R*-tree node capacity in force.

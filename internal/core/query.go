@@ -134,7 +134,12 @@ var errClosed = errors.New("core: database closed")
 // a valid bounded one, and tightens the bound), but a KNN answer is stored
 // only when it is the unbounded one (knnCutoff.unbounded). The slot's
 // write-sequence snapshot is taken before the read lock: a write landing
-// after it makes the entry stored below unservable, never stale.
+// after it makes the entry stored below unservable, never stale. A hit is
+// served, and an answer stored, only while the database still holds the
+// slot's cache: the transaction layer's fold moves a cache from the base
+// it replaces to the new one (detach, invalidate the folded regions,
+// attach), and a query on the old base that straddles the move must
+// neither serve an entry of the new base nor leave one behind for it.
 func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 	t0 := time.Now()
 	if err := q.Check(db.opts.Dim); err != nil {
@@ -145,7 +150,7 @@ func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 	}
 	slot := SlotFor(db.qcache.Load(), q, db.opts.Partition)
 	tr := obs.FromContext(ctx)
-	if res, ok := slot.Get(); ok {
+	if res, ok := slot.Get(); ok && db.holds(slot) {
 		if tr != nil {
 			tr.RecordSpan(obs.SpanFromContext(ctx), "cache-hit", 0, obs.Str("tier", "result"))
 		}
@@ -205,11 +210,19 @@ func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 			db.met.RecordDTW(false, st.CandidatesDmbr, st.DTWEnvPruned, st.DTWKeoghPruned, st.DTWEvals)
 		}
 	}
-	if cacheable {
+	if cacheable && db.holds(slot) {
 		slot.Put(res)
 	}
 	return res, nil
 }
+
+// holds reports whether the database still holds slot's cache. Checked
+// after a Get, it proves the entry was stored while the cache served this
+// database alone: a cache detached from a base is never attached to it
+// again. Checked before a Put, a move that starts after the check
+// invalidates every region the fold changed after the slot's
+// write-sequence snapshot, so Put drops any entry the fold outdated.
+func (db *Database) holds(slot CacheSlot) bool { return db.qcache.Load() == slot.c }
 
 // The methods below are Do under the names bench/ compiles against — the
 // harness is frozen until a benchmark-only PR re-points `bench/` — each a

@@ -140,62 +140,6 @@ func TestAppendToSegmentedEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplaceSegmented: replacing a sequence re-indexes it — searches see
-// the new content, and results equal a fresh database with the same
-// final corpus.
-func TestReplaceSegmented(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	cfg := DefaultPartitionConfig()
-	db, _ := NewDatabase(Options{Dim: 3})
-	defer db.Close()
-	var finals []*Sequence
-	for i := 0; i < 10; i++ {
-		s := randSeqN(rng, 3, 50)
-		if _, err := db.Add(s); err != nil {
-			t.Fatal(err)
-		}
-		finals = append(finals, s)
-	}
-	// Replace half the sequences with fresh content.
-	for i := 0; i < 10; i += 2 {
-		ns := randSeqN(rng, 3, 70)
-		g, err := NewSegmented(ns, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.ReplaceSegmented(uint32(i), g); err != nil {
-			t.Fatal(err)
-		}
-		finals[i] = ns
-	}
-	ref, _ := NewDatabase(Options{Dim: 3})
-	defer ref.Close()
-	for _, s := range finals {
-		if _, err := ref.Add(s.Clone()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := randSeqN(rng, 3, 40)
-	for _, eps := range []float64{0.2, 0.6, 1.5} {
-		got, _, err := db.Search(q, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := ref.Search(q, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("eps %g: %d matches after replace, want %d", eps, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].SeqID != want[i].SeqID || got[i].MinDnorm != want[i].MinDnorm {
-				t.Fatalf("eps %g: match %d differs", eps, i)
-			}
-		}
-	}
-}
-
 // TestUnindexedMatchesDo: Unindexed over every live sequence of a
 // database, under their own ids, answers every kind under every metric with
 // Do's answer, bit for bit — range matches with their bounds and intervals,

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // BulkLoad replaces an empty tree's contents with the given items using
@@ -26,15 +26,17 @@ func (t *Tree) BulkLoad(items []Item) error {
 	return t.mutate(func() error { return t.bulkLoadLocked(items) })
 }
 
+// bulkLoadLocked is BulkLoad's body. As in BulkLoadLeaves, the leaf
+// entries alias the items' rects, which are only read.
 func (t *Tree) bulkLoadLocked(items []Item) error {
 	entries := make([]entry, len(items))
 	for i, it := range items {
 		if it.Rect.IsEmpty() || it.Rect.Dim() != t.dim {
 			return fmt.Errorf("rtree: bulk item %d rect dim %d, want %d", i, it.Rect.Dim(), t.dim)
 		}
-		entries[i] = entry{rect: it.Rect.Clone(), ref: it.Ref}
+		entries[i] = entry{rect: it.Rect, ref: it.Ref}
 	}
-	return t.packLocked(strTile(entries, 0, t.dim, t.maxEntries, t.minEntries), len(items))
+	return t.packLocked(strTile(entries, make([]centerKey, len(entries)), 0, t.dim, t.maxEntries, t.minEntries), len(items))
 }
 
 // BulkLoadLeaves replaces an empty tree's contents with pre-grouped leaf
@@ -115,7 +117,7 @@ func (t *Tree) packLocked(groups [][]entry, total int) error {
 			rootPage = parents[0].child
 			break
 		}
-		groups = strTile(parents, 0, t.dim, t.maxEntries, t.minEntries)
+		groups = strTile(parents, make([]centerKey, len(parents)), 0, t.dim, t.maxEntries, t.minEntries)
 		leaf = false
 	}
 
@@ -138,7 +140,7 @@ func STRLeaves(items []Item, dim, maxEntries, minEntries int) [][]Item {
 	for i, it := range items {
 		entries[i] = entry{rect: it.Rect, ref: it.Ref}
 	}
-	groups := strTile(entries, 0, dim, maxEntries, minEntries)
+	groups := strTile(entries, make([]centerKey, len(entries)), 0, dim, maxEntries, minEntries)
 	out := make([][]Item, len(groups))
 	for gi, g := range groups {
 		leaf := make([]Item, len(g))
@@ -152,12 +154,13 @@ func STRLeaves(items []Item, dim, maxEntries, minEntries int) [][]Item {
 
 // strTile recursively tiles entries into groups of at most M (and, except
 // possibly in degenerate cases, at least m) by sorting on successive
-// center coordinates.
-func strTile(es []entry, d, dim, M, m int) [][]entry {
+// center coordinates. keys is sortByCenter's scratch, at least len(es)
+// long.
+func strTile(es []entry, keys []centerKey, d, dim, M, m int) [][]entry {
 	if len(es) <= M {
 		return [][]entry{es}
 	}
-	sortByCenter(es, d)
+	sortByCenter(es, keys[:len(es)], d)
 	if d == dim-1 {
 		return chunkBalanced(es, M, m)
 	}
@@ -173,7 +176,7 @@ func strTile(es []entry, d, dim, M, m int) [][]entry {
 		if end > len(es) {
 			end = len(es)
 		}
-		out = append(out, strTile(es[off:end], d+1, dim, M, m)...)
+		out = append(out, strTile(es[off:end], keys, d+1, dim, M, m)...)
 	}
 	return out
 }
@@ -201,10 +204,44 @@ func chunkBalanced(es []entry, M, m int) [][]entry {
 	return out
 }
 
-func sortByCenter(es []entry, d int) {
-	sort.Slice(es, func(i, j int) bool {
-		ci := es[i].rect.L[d] + es[i].rect.H[d]
-		cj := es[j].rect.L[d] + es[j].rect.H[d]
-		return ci < cj
+// sortByCenter orders es by the center of their rectangles on axis d,
+// with keys (as long as es) as scratch. The centers are sorted as compact
+// (center, position) keys, which keeps the comparisons in cache, and es is
+// then permuted in place, cycle by cycle. The order is the one sorting es
+// itself with sort.Slice gives, ties included: the sort makes the same
+// comparisons (TestSortByCenterOrdersAsSortSlice).
+func sortByCenter(es []entry, keys []centerKey, d int) {
+	for i := range es {
+		keys[i] = centerKey{c: es[i].rect.L[d] + es[i].rect.H[d], i: int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b centerKey) int {
+		if a.c < b.c {
+			return -1
+		}
+		return 0
 	})
+	// Position k takes the entry at keys[k].i; a placed key is marked -1.
+	for k := range keys {
+		if keys[k].i < 0 {
+			continue
+		}
+		first, j := es[k], k
+		for {
+			src := int(keys[j].i)
+			keys[j].i = -1
+			if src == k {
+				es[j] = first
+				break
+			}
+			es[j] = es[src]
+			j = src
+		}
+	}
+}
+
+// centerKey is one entry's sort key for sortByCenter: its center and its
+// position in the run being sorted.
+type centerKey struct {
+	c float64
+	i int32
 }

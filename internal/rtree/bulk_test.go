@@ -273,3 +273,30 @@ func TestBulkLoadLeavesRejectsBadPages(t *testing.T) {
 		t.Error("bulk leaf load into a non-empty tree accepted")
 	}
 }
+
+// TestSortByCenterOrdersAsSortSlice holds sortByCenter's key sort to the
+// order sorting the entries themselves with sort.Slice gives — ties
+// included, on runs with many equal centers — so a tree packed today
+// groups its leaves exactly as one packed before the key sort did.
+func TestSortByCenterOrdersAsSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(3000)
+		want := make([]entry, n)
+		for i := range want {
+			lo := float64(rng.Intn(40))
+			want[i] = entry{rect: geom.Rect{L: geom.Point{lo, lo}, H: geom.Point{lo + float64(rng.Intn(3)), lo}}, ref: Ref(i)}
+		}
+		got := append([]entry(nil), want...)
+		d := trial % 2
+		sort.Slice(want, func(i, j int) bool {
+			return want[i].rect.L[d]+want[i].rect.H[d] < want[j].rect.L[d]+want[j].rect.H[d]
+		})
+		sortByCenter(got, make([]centerKey, n), d)
+		for i := range want {
+			if got[i].ref != want[i].ref {
+				t.Fatalf("trial %d (%d entries, axis %d): position %d holds ref %d, sort.Slice puts %d there", trial, n, d, i, got[i].ref, want[i].ref)
+			}
+		}
+	}
+}

@@ -52,27 +52,24 @@ func Exists(dir string) bool {
 // marker or snapshot metadata.
 var ErrBadDir = errors.New("txn: bad durability directory")
 
-// drainInterval is how often a draining checkpoint re-polls the old
-// generation's pin count.
-const drainInterval = 200 * time.Microsecond
-
-// Checkpoint folds the current delta into the base database, persists
-// an id-preserving base snapshot (durable mode), compacts the WAL to
-// the records after it, and publishes a rebased (empty-delta) state.
-// Readers are never blocked: they keep querying throughout — the only
-// wait is the checkpoint's own drain of snapshots taken before the fold
-// point, which must be released before the base may change under them.
-// Concurrent commits keep flowing; they land in the post-fold delta.
-// The automatic checkpoints of Options.CheckpointEvery fold the same
+// Checkpoint folds the current delta into the base, persists an
+// id-preserving base snapshot (durable mode), compacts the WAL to the
+// records after it, and publishes a rebased (empty-delta) state. The fold
+// rebuilds the base beside the old one (rebuild) and swaps it in with one
+// publish, so it waits for no reader and readers wait for nothing:
+// snapshots pinned before the swap keep the old base, later ones read the
+// new. Concurrent commits keep flowing; they land in the delta after the
+// cut. The automatic checkpoints of Options.CheckpointEvery fold the same
 // way but persist only when the WAL has outgrown the last snapshot.
 func (db *DB) Checkpoint() error {
 	return db.CheckpointCtx(context.Background())
 }
 
 // CheckpointCtx is Checkpoint recording an observability span when ctx
-// carries an obs.Trace: duration, the delta size folded, and the epoch
-// the fold cut at. The context does not cancel the checkpoint — a fold
-// in progress always runs to completion or failure.
+// carries an obs.Trace: duration, the delta size folded, the size of the
+// base it was folded into (a fold costs in proportion to it), and the
+// epoch the fold cut at. The context does not cancel the checkpoint — a
+// fold in progress always runs to completion or failure.
 func (db *DB) CheckpointCtx(ctx context.Context) error {
 	tr := obs.FromContext(ctx)
 	if tr != nil {
@@ -82,6 +79,7 @@ func (db *DB) CheckpointCtx(ctx context.Context) error {
 		tr.RecordSpan(obs.SpanFromContext(ctx), "checkpoint", time.Since(t0),
 			obs.Int64("snapshot_epoch", int64(cut.epoch)),
 			obs.Int("delta_len", cut.deltaLen()),
+			obs.Int("base_len", cut.base.Len()),
 			obs.Bool("ok", err == nil))
 		return err
 	}
@@ -95,7 +93,8 @@ func (db *DB) CheckpointCtx(ctx context.Context) error {
 // recovery's replay by about one snapshot's worth of WAL. A fold-only
 // checkpoint leaves CURRENT, the WAL and ckptLSN alone: recovery loads
 // the old snapshot and replays the folded records into the same ids, as
-// it replays any tail.
+// it replays any tail. A failed fold or persist publishes nothing: the
+// delta stays unfolded for the next trigger.
 func (db *DB) checkpoint(force bool) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -107,48 +106,25 @@ func (db *DB) checkpoint(force bool) error {
 		return nil
 	}
 	t0 := time.Now()
-
-	// Retire every snapshot older than the cut. Snapshots taken from
-	// here on observe states ≥ cut, whose overlay/removed sets cover
-	// everything this fold changes in the base — their read filters keep
-	// them consistent mid-fold (see view.dropBase). Snapshots from
-	// before might lack an overlay the fold is about to apply, so they
-	// must finish first.
-	drainStart := time.Now()
-	gen := db.pinGen.Load()
-	db.pinGen.Store(gen + 1)
-	for db.pins[gen&1].Load() > 0 {
-		time.Sleep(drainInterval)
+	if db.afterCut != nil {
+		db.afterCut()
 	}
-	db.stats.drainNanos.Add(time.Since(drainStart).Nanoseconds())
-
-	if err := db.fold(cut); err != nil {
+	nb, err := db.rebuild(cut)
+	if err != nil {
 		db.stats.ckptErrs.Add(1)
 		return fmt.Errorf("txn: checkpoint fold: %w", err)
-	}
-	wantNext := cut.baseNext + uint32(len(cut.adds))
-	if got := uint32(db.base.DirLen()); got != wantNext {
-		db.stats.ckptErrs.Add(1)
-		return fmt.Errorf("txn: checkpoint fold id drift: base next id %d, want %d", got, wantNext)
 	}
 	// Without a log there is nothing to write: every fold is the recovery
 	// point.
 	persist := db.log == nil || force || db.log.Size() >= db.snapBytes
 	if persist && db.log != nil {
-		if err := db.persistSnapshot(cut.lastLSN); err != nil {
+		if err := db.persistSnapshot(nb, cut.lastLSN); err != nil {
 			db.stats.ckptErrs.Add(1)
 			return fmt.Errorf("txn: checkpoint persist: %w", err)
 		}
 	}
 
-	req := &commitReq{resp: make(chan commitRes, 1), rebase: &rebaseReq{
-		cutAdds:     len(cut.adds),
-		cutOverlays: len(cut.overlays),
-		cutRemoved:  len(cut.removed),
-		cutLSN:      cut.lastLSN,
-		newBaseNext: wantNext,
-		persisted:   persist,
-	}}
+	req := &commitReq{resp: make(chan commitRes, 1), rebase: &rebaseReq{cut: cut, base: nb, persisted: persist}}
 	if err := db.submit(req); err != nil {
 		return err
 	}
@@ -167,82 +143,40 @@ func (db *DB) checkpoint(force bool) error {
 	return res.err
 }
 
-// fold applies the cut state's delta to the base database, op by op
-// (each op takes the base write lock briefly, interleaving with
-// readers). Adds are applied in commit order so the base assigns
-// exactly the ids the transaction layer already promised; an add that
-// was later removed folds as a tombstone so ids after it keep their
-// position. The fold is idempotent: a retry after a mid-fold error
-// skips the already-applied prefix.
-func (db *DB) fold(cut *state) error {
-	v := cut.view()
-	already := db.base.DirLen() - int(cut.baseNext)
-	if already < 0 {
-		return fmt.Errorf("txn: base shrank below fold point (%d < %d)", db.base.DirLen(), cut.baseNext)
-	}
-	for i := already; i < len(cut.adds); i++ {
-		id := cut.baseNext + uint32(i)
-		if _, dead := v.removed[id]; dead {
-			tid, err := db.base.AddTombstone()
-			if err != nil {
-				return err
-			}
-			if tid != id {
-				return fmt.Errorf("txn: fold assigned id %d, want %d", tid, id)
-			}
-			continue
-		}
-		g := cut.adds[i]
-		if ng, ok := v.overlay[id]; ok {
-			g = ng
-		}
-		gid, err := db.base.AddSegmented(detach(g))
-		if err != nil {
-			return err
-		}
-		if gid != id {
-			return fmt.Errorf("txn: fold assigned id %d, want %d", gid, id)
-		}
-	}
-	// Overlaid base sequences, in ascending id order: the view's delta
-	// lists them first and has already dropped removed ones (removal
-	// wins), and adds follow them (folded above). A fixed order makes the
-	// folded R*-tree a function of the delta alone.
-	for i, id := range v.ids {
-		if id >= cut.baseNext {
-			break
-		}
-		if err := db.base.ReplaceSegmented(id, detach(v.segs[i])); err != nil {
-			return err
-		}
+// rebuild builds the base that folds cut's delta into cut's base: a fresh
+// in-memory database of the same dimension, partitioning and fanout, filled
+// by one STR bulk load over the cut's directory — the old base's live
+// segments, aliased; the delta's adds and overlays at their latest
+// versions; removed ids as empty slots, so every id keeps its number. The
+// tree is a function of the cut alone (TestFoldIsDeterministic). It reads
+// the old base, which nothing writes, beside its readers, and writes
+// nothing they can see: every segment it hands over already carries its
+// id, so the bulk load stamps none.
+func (db *DB) rebuild(cut *state) (*core.Database, error) {
+	old, v := cut.base, cut.view()
+	dir := make([]*core.Segmented, int(cut.baseNext)+len(cut.adds))
+	for _, g := range old.LiveSegments() {
+		dir[g.Seq.ID] = g
 	}
 	for _, id := range cut.removed {
-		if id >= cut.baseNext {
-			continue // tombstoned above
-		}
-		if err := db.base.Remove(id); err != nil && !errors.Is(err, core.ErrUnknownSequence) {
-			// Unknown id here means a retried fold already removed it.
-			return err
-		}
+		dir[id] = nil
 	}
-	return nil
+	for i, id := range v.ids {
+		dir[id] = v.segs[i]
+	}
+	nb, err := core.NewDatabase(core.Options{Dim: db.opts.Dim, Partition: db.opts.Partition, MaxEntries: old.IndexFanout()})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := nb.AddAllSegmented(dir, nil, 0); err != nil {
+		nb.Close()
+		return nil, err
+	}
+	nb.SetMetrics(db.reg)
+	return nb, nil
 }
 
-// detach returns a shallow copy of g with its own Sequence header. The
-// base stamps Seq.ID on whatever it is handed; folding must not let that
-// write land in an object that live snapshots and the committer are
-// concurrently reading. The delta's sequences are stored (core.Segment),
-// their coordinates g.Flat, so the copy holds them once and builds no
-// header per point. All slice data (MBRs, columnar arrays) is immutable
-// after construction and stays shared.
-func detach(g *core.Segmented) *core.Segmented {
-	gc := *g
-	sc := *g.Seq
-	gc.Seq = &sc
-	return &gc
-}
-
-// persistSnapshot writes the post-fold base as snapshot base-<lsn> and
+// persistSnapshot writes the folded base as snapshot base-<lsn> and
 // promotes it via the CURRENT marker. Every file and both directory
 // entries are fsynced before promotion; a crash at any point leaves
 // either the old CURRENT (snapshot ignored, WAL replays) or the new one
@@ -251,7 +185,7 @@ func detach(g *core.Segmented) *core.Segmented {
 // grouping (the store's v2 segment file), so the next open aliases them
 // back with no re-partitioning. loadBase also reads the seqio payload of
 // snapshots written before v2.
-func (db *DB) persistSnapshot(lsn uint64) error {
+func (db *DB) persistSnapshot(base *core.Database, lsn uint64) error {
 	name := snapName(lsn)
 	dir := filepath.Join(db.opts.Dir, name)
 	if err := os.RemoveAll(dir); err != nil {
@@ -260,18 +194,18 @@ func (db *DB) persistSnapshot(lsn uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	segs := db.base.LiveSegments()
+	segs := base.LiveSegments()
 	ids := make([]uint32, len(segs))
 	for i, g := range segs {
 		ids[i] = g.Seq.ID
 	}
 	if len(segs) > 0 {
 		if err := store.WriteSegments(filepath.Join(dir, snapSegFile),
-			db.base.Dim(), db.base.PartitionConfig(), segs); err != nil {
+			base.Dim(), base.PartitionConfig(), segs); err != nil {
 			return err
 		}
 	}
-	meta := encodeSnapMeta(db.base.Dim(), db.base.PartitionConfig(), uint32(db.base.DirLen()), ids)
+	meta := encodeSnapMeta(base.Dim(), base.PartitionConfig(), uint32(base.DirLen()), ids)
 	if err := writeFileSynced(filepath.Join(dir, snapMeta), func(f *os.File) error {
 		_, err := f.Write(meta)
 		return err
@@ -413,42 +347,49 @@ func loadBase(opts *Options) (*core.Database, uint64, error) {
 }
 
 // newBase builds a snapshot's base database under opts, reproducing its id
-// layout: segs[k] is sequence ids[k] (ascending, below nextID), and every
-// other id below nextID is a hole, a tombstone. With no holes the corpus is
-// bulk-loaded with leaves — the snapshot's packed R*-tree leaf grouping,
-// keyed by dense position and packed for fanout treeM — which
-// core.AddAllSegmented reuses when that fanout is the base's; with holes,
-// segments and tombstones are interleaved per slot.
+// layout: segs[k] is sequence ids[k] (ascending, below nextID, as
+// decodeSnapMeta checks), and every other id below nextID is a hole. The
+// corpus is bulk-loaded, holes included, with leaves — the snapshot's
+// packed R*-tree leaf grouping, keyed by dense position and packed for
+// fanout treeM, rekeyed here by id — which core.AddAllSegmented reuses
+// when that fanout is the base's.
 func newBase(opts core.Options, segs []*core.Segmented, leaves [][]rtree.Ref, treeM int, nextID uint32, ids []uint32) (*core.Database, error) {
 	base, err := core.NewDatabase(opts)
 	if err != nil {
 		return nil, err
 	}
-	if uint32(len(ids)) == nextID {
-		_, err = base.AddAllSegmented(segs, leaves, treeM)
-	} else {
-		k := 0
-		for id := uint32(0); id < nextID && err == nil; id++ {
-			got := id
-			if k < len(ids) && ids[k] == id {
-				got, err = base.AddSegmented(segs[k])
-				k++
-			} else {
-				_, err = base.AddTombstone()
-			}
-			if err == nil && got != id {
-				err = errors.New("snapshot ids not ascending")
-			}
+	dir := segs
+	if uint32(len(ids)) != nextID {
+		dir = make([]*core.Segmented, nextID)
+		for k, id := range ids {
+			dir[id] = segs[k]
 		}
-		if err == nil && k != len(ids) {
-			err = errors.New("snapshot ids exceed next id")
-		}
+		err = rekeyLeaves(leaves, ids)
+	}
+	if err == nil {
+		_, err = base.AddAllSegmented(dir, leaves, treeM)
 	}
 	if err != nil {
 		base.Close()
 		return nil, fmt.Errorf("%w: %v", ErrBadDir, err)
 	}
 	return base, nil
+}
+
+// rekeyLeaves rewrites, in place, each ref of a packed leaf grouping from
+// the dense position k of a snapshot's segment to its id, ids[k]. A
+// position past ids fails the load.
+func rekeyLeaves(leaves [][]rtree.Ref, ids []uint32) error {
+	for _, leaf := range leaves {
+		for i, ref := range leaf {
+			k, j := ref.Unpack()
+			if int(k) >= len(ids) {
+				return fmt.Errorf("packed leaf ref (%d,%d) past the snapshot's %d sequences", k, j, len(ids))
+			}
+			leaf[i] = rtree.PackRef(ids[k], j)
+		}
+	}
+	return nil
 }
 
 // openLog opens the WAL and replays the records after the snapshot into
@@ -464,7 +405,7 @@ func (db *DB) openLog() error {
 	end := pager.LogHeaderSize
 	log, err := pager.OpenLog(filepath.Join(db.opts.Dir, walFile), func(payload []byte) error {
 		end += pager.LogFrameSize + int64(len(payload))
-		lsn, ops, err := decodeRecord(payload, db.base.Dim())
+		lsn, ops, err := decodeRecord(payload, db.opts.Dim)
 		if err != nil {
 			return err
 		}

@@ -77,8 +77,7 @@ func (db *DB) collectBatch(first *commitReq) []*commitReq {
 
 // processBatch validates, applies, logs, fsyncs, publishes, and acks one
 // batch. A rebase request inside the batch acts as a barrier: the group
-// before it is flushed, then the state is rebased onto the new fold
-// point.
+// before it is flushed, then the folded base is swapped in.
 func (db *DB) processBatch(reqs []*commitReq) {
 	pend := db.beginPending()
 	var group []*commitReq
@@ -111,6 +110,7 @@ func (db *DB) beginPending() *state {
 	pend := &state{
 		epoch:    cur.epoch,
 		lastLSN:  cur.lastLSN,
+		base:     cur.base,
 		baseNext: cur.baseNext,
 		live:     cur.live,
 		adds:     cur.adds,
@@ -244,7 +244,7 @@ func (db *DB) applyReq(pend *state, req *commitReq) (firstID uint32, rec logRec,
 		return 0, logRec{}, fmt.Errorf("txn: commit of %d ops exceeds the %d-op record limit; split the batch", len(req.ops), maxRecOps)
 	}
 	if db.log != nil {
-		if n := recordSize(req.ops, db.base.Dim()); n > pager.MaxLogRecord {
+		if n := recordSize(req.ops, db.opts.Dim); n > pager.MaxLogRecord {
 			return 0, logRec{}, fmt.Errorf("txn: commit encodes to %d bytes, exceeding the %d-byte WAL record limit; split the batch", n, pager.MaxLogRecord)
 		}
 	}
@@ -256,7 +256,7 @@ func (db *DB) applyReq(pend *state, req *commitReq) (firstID uint32, rec logRec,
 	db.nextLSN++
 	rec = logRec{lsn: lsn}
 	if db.log != nil {
-		rec.payload = encodeRecord(lsn, req.ops, db.base.Dim())
+		rec.payload = encodeRecord(lsn, req.ops, db.opts.Dim)
 	}
 	return firstID, rec, nil
 }
@@ -281,7 +281,7 @@ func (db *DB) applyOps(pend *state, ops []op) (firstID uint32, err error) {
 			g := o.g
 			if g == nil {
 				// WAL replay: partition the decoded sequence now.
-				g, err = core.Segment(o.seqFromLog, db.base.PartitionConfig())
+				g, err = core.Segment(o.seqFromLog, db.opts.Partition)
 				if err != nil {
 					break
 				}
@@ -296,13 +296,13 @@ func (db *DB) applyOps(pend *state, ops []op) (firstID uint32, err error) {
 				firstAdd = false
 			}
 		case opAppend:
-			eff := w.effective(o.id, db.base)
+			eff := w.effective(o.id)
 			if eff == nil {
 				err = fmt.Errorf("%w: %d", core.ErrUnknownSequence, o.id)
 				break
 			}
 			var ng *core.Segmented
-			ng, err = core.AppendToSegmented(eff, o.pts, db.base.PartitionConfig())
+			ng, err = core.AppendToSegmented(eff, o.pts, db.opts.Partition)
 			if err != nil {
 				break
 			}
@@ -315,7 +315,7 @@ func (db *DB) applyOps(pend *state, ops []op) (firstID uint32, err error) {
 			pend.overlays = append(pend.overlays, overlayEntry{id: o.id, g: ng})
 			w.overlayIdx[o.id] = len(pend.overlays) - 1
 		case opRemove:
-			if w.effective(o.id, db.base) == nil {
+			if w.effective(o.id) == nil {
 				err = fmt.Errorf("%w: %d", core.ErrUnknownSequence, o.id)
 				break
 			}
@@ -369,26 +369,28 @@ func (u *reqUndo) apply(pend *state, w *workState) {
 	}
 }
 
-// handleRebase atomically switches the published state to post-fold
-// coordinates: the folded delta prefix is dropped (the base now serves
-// it). After a persist the checkpoint LSN also advances and the WAL is
-// compacted. Runs in the committer so no commit interleaves with the
-// switch.
+// handleRebase swaps the folded base in: it moves the query cache to the
+// new base, then publishes the new base with the delta after the cut as
+// one state — the folded prefix is dropped, the base now serves it. After
+// a persist the checkpoint LSN also advances and the WAL is compacted.
+// Runs in the committer so no commit interleaves with the swap.
 func (db *DB) handleRebase(req *commitReq) {
 	rb := req.rebase
-	cur := db.cur.Load()
+	cut, cur := rb.cut, db.cur.Load()
 	ns := &state{
 		epoch:    cur.epoch + 1,
 		lastLSN:  cur.lastLSN,
-		baseNext: rb.newBaseNext,
+		base:     rb.base,
+		baseNext: cut.baseNext + uint32(len(cut.adds)),
 		live:     cur.live,
-		adds:     append([]*core.Segmented(nil), cur.adds[rb.cutAdds:]...),
-		overlays: append([]overlayEntry(nil), cur.overlays[rb.cutOverlays:]...),
-		removed:  append([]uint32(nil), cur.removed[rb.cutRemoved:]...),
+		adds:     append([]*core.Segmented(nil), cur.adds[len(cut.adds):]...),
+		overlays: append([]overlayEntry(nil), cur.overlays[len(cut.overlays):]...),
+		removed:  append([]uint32(nil), cur.removed[len(cut.removed):]...),
 	}
+	moveCache(cut, rb.base)
 	db.cur.Store(ns)
 	db.work.reset(ns)
-	db.tailLen = int(db.nextLSN - 1 - rb.cutLSN)
+	db.tailLen = int(db.nextLSN - 1 - cut.lastLSN)
 	if db.tailLen == 0 {
 		db.stats.tailSince.Store(0)
 	}
@@ -397,8 +399,8 @@ func (db *DB) handleRebase(req *commitReq) {
 
 	var err error
 	if rb.persisted {
-		db.ckptLSN.Store(rb.cutLSN)
-		err = db.compactLog(rb.cutLSN)
+		db.ckptLSN.Store(cut.lastLSN)
+		err = db.compactLog(cut.lastLSN)
 	}
 	req.resp <- commitRes{err: err}
 }
@@ -428,14 +430,50 @@ func (db *DB) compactLog(cutLSN uint64) error {
 	return err
 }
 
-// rebaseReq tells the committer where a completed fold cut the delta.
+// moveCache hands cut's base's query cache, if any, to nb, the base that
+// folds cut's delta into it, in the order that keeps every answer the
+// cache serves current:
+//
+//  1. Detach it from the old base. From here on no old-base query stores
+//     an answer, nor serves an entry stored after this point
+//     (core.Database.Do acts only while its database holds the slot's
+//     cache).
+//  2. Invalidate each folded op's region, as the op-by-op writes of a
+//     fold into the live base did: an add's bounds (its latest version),
+//     an overlay's old ∪ new, a removal's bounds. An add removed before
+//     the fold was never in a base and invalidates nothing. One union of
+//     the whole delta would cover most of the space and empty the cache.
+//  3. Attach it to nb, which no query reaches before the publish that
+//     follows.
+func moveCache(cut *state, nb *core.Database) {
+	old := cut.base
+	c := old.QueryCache()
+	if c == nil {
+		return
+	}
+	old.SetCache(nil)
+	v := cut.view()
+	for i, id := range v.ids {
+		g := v.segs[i]
+		if id < cut.baseNext {
+			c.Invalidate(old.Segmented(id).Bounds().Union(g.Bounds()))
+		} else {
+			c.Invalidate(g.Bounds())
+		}
+	}
+	for _, id := range cut.removed {
+		if id < cut.baseNext {
+			c.Invalidate(old.Segmented(id).Bounds())
+		}
+	}
+	nb.SetCache(c)
+}
+
+// rebaseReq hands the committer a checkpoint's folded base.
 type rebaseReq struct {
-	cutAdds     int
-	cutOverlays int
-	cutRemoved  int
-	cutLSN      uint64
-	newBaseNext uint32
-	// persisted reports that the snapshot at cutLSN was promoted (always
-	// so without a log, where every fold is the recovery point).
+	cut  *state         // the state the fold cut at
+	base *core.Database // cut's base with cut's delta folded in
+	// persisted reports that the snapshot at cut.lastLSN was promoted
+	// (always so without a log, where every fold is the recovery point).
 	persisted bool
 }

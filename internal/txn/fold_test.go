@@ -2,29 +2,52 @@ package txn
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rtree"
 )
 
-// foldDigest replays one seeded commit stream — 60 sequences folded into
-// the base, then appends to 24 of them in shuffled order, 3 adds and a
-// removal, folded again — through a transactional layer whose base keeps
-// its R*-tree in a file under dir, and hashes that file: the index layout
-// the two folds built, page for page.
-func foldDigest(t *testing.T, dir string) string {
+// treeDigest hashes base's R*-tree as its walk visits it: every entry's
+// ref and rectangle, in walk order. The walk must visit every MBR.
+func treeDigest(t *testing.T, base *core.Database) string {
 	t.Helper()
-	path := filepath.Join(dir, "index.db")
-	base, err := core.NewDatabase(core.Options{Dim: 3, Path: path})
+	h := sha256.New()
+	var buf []byte
+	n := 0
+	err := core.ScanIndex(base, func(it rtree.Item) bool {
+		n++
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(it.Ref))
+		for k := range it.Rect.L {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.Rect.L[k]))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.Rect.H[k]))
+		}
+		h.Write(buf)
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Wrap(base, Options{})
+	if n == 0 || n != base.NumMBRs() {
+		t.Fatalf("the index walk visited %d entries of %d", n, base.NumMBRs())
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// foldDigests replays one seeded commit stream — 60 sequences folded into
+// the base, then appends to 24 of them in shuffled order, 3 adds and a
+// removal, folded again — through a durable store in dir, and digests the
+// tree the second fold built (folded) and the tree a reopen of the
+// snapshot it persisted packs (reopened): a snapshot with a hole, so the
+// reopen bulk-loads the snapshot's stored leaves by id.
+func foldDigests(t *testing.T, dir string) (folded, reopened string) {
+	t.Helper()
+	db, err := Open(Options{Dir: dir, Dim: 3, NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,26 +79,36 @@ func foldDigest(t *testing.T, dir string) string {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	folded = treeDigest(t, db.cur.Load().base)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(path)
+	db, err = Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
+	defer db.Close()
+	if s := db.Stats(); s.RecoveredRecords != 0 {
+		t.Fatalf("reopen replayed %d records; the snapshot should hold them all", s.RecoveredRecords)
+	}
+	return folded, treeDigest(t, db.cur.Load().base)
 }
 
-// TestFoldIsDeterministic folds the same commit stream into two fresh
-// directories, eight times, and requires identical index files: the fold
-// replaces overlaid base sequences in id order, so the R*-tree a
-// checkpoint builds depends on the delta alone, not on map iteration.
+// TestFoldIsDeterministic folds the same commit stream into fresh
+// directories, four times, and requires one tree: a fold's bulk load is a
+// function of the snapshot it cuts at alone, not of map iteration, and
+// the snapshot persisted and reopened packs that same tree.
 func TestFoldIsDeterministic(t *testing.T) {
-	for round := 0; round < 8; round++ {
-		a, b := foldDigest(t, t.TempDir()), foldDigest(t, t.TempDir())
-		if a != b {
-			t.Fatalf("round %d: the same delta folded into two index layouts (%s, %s)", round, a, b)
+	var want string
+	for round := 0; round < 4; round++ {
+		folded, reopened := foldDigests(t, t.TempDir())
+		if folded != reopened {
+			t.Fatalf("round %d: the folded tree %s and its reopened snapshot's %s differ", round, folded, reopened)
+		}
+		if round == 0 {
+			want = folded
+		} else if folded != want {
+			t.Fatalf("round %d: the same delta folded into two trees (%s, %s)", round, want, folded)
 		}
 	}
 }

@@ -210,3 +210,103 @@ func TestSnapshotFormatV2NoHolesUsesPackedLeaves(t *testing.T) {
 		t.Fatalf("fingerprint drifted\nwant %s\ngot  %s", want, got)
 	}
 }
+
+// TestSnapshotWithHolesReopensByBulkLoad: a snapshot whose store removed
+// sequences — the first id, the last of the first load, a run of
+// neighbours, and an add removed before any fold held it — reopens
+// through the bulk load with every id where it was, and each of its
+// answers is the scan's: the exact range under D at three thresholds and
+// the kNN at k = 1, 5 and past the live count.
+func TestSnapshotWithHolesReopensByBulkLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	dir := t.TempDir()
+	db := openFmt(t, dir)
+	seqs := make([]*core.Sequence, 40)
+	for i := range seqs {
+		seqs[i] = walkSeq(rng, 3, 10+rng.Intn(60))
+	}
+	ids, err := db.AddAll(seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	added, err := db.Add(walkSeq(rng, 3, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint32{ids[0], ids[7], ids[8], ids[9], ids[39], added} {
+		if err := db.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Add(walkSeq(rng, 3, 25)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	idsOf := func(db *DB) string {
+		var b strings.Builder
+		for _, s := range db.Sequences() {
+			fmt.Fprintf(&b, "%d:%d,", s.ID, s.Len())
+		}
+		return b.String()
+	}
+	want := idsOf(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db = openFmt(t, dir)
+	defer db.Close()
+	if s := db.Stats(); s.RecoveredRecords != 0 || s.DeltaAdds != 0 {
+		t.Fatalf("reopen replayed %d records (delta %d adds); the snapshot should hold them all", s.RecoveredRecords, s.DeltaAdds)
+	}
+	if got := idsOf(db); got != want {
+		t.Fatalf("reopened ids\n got %s\nwant %s", got, want)
+	}
+	byID := func(ms []core.Match) string {
+		var b strings.Builder
+		for _, m := range ms {
+			fmt.Fprintf(&b, "%d:%x,", m.SeqID, math.Float64bits(m.Dist))
+		}
+		return b.String()
+	}
+	queries := []*core.Sequence{walkSeq(rng, 3, 20), walkSeq(rng, 3, 5)}
+	for _, i := range []int{3, 12, 38} {
+		queries = append(queries, &core.Sequence{Points: seqs[i].Points[2:9]})
+	}
+	held := 0
+	for qi, q := range queries {
+		for _, eps := range []float64{0.05, 0.2, 0.6} {
+			res, err := db.Do(context.Background(), core.Query{Seq: q, Eps: eps, Metric: core.MetricD{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := scanMetric(db, q, eps, core.MetricD{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if byID(res.Matches) != byID(scan) {
+				t.Fatalf("query %d eps %g: range answer is not the scan's:\n got %s\nscan %s", qi, eps, byID(res.Matches), byID(scan))
+			}
+			held += len(scan)
+		}
+		ranked := rankedScan(t, db, q, core.MetricD{})
+		for _, k := range []int{1, 5, db.Len() + 5} {
+			res, err := db.Do(context.Background(), core.Query{Seq: q, Kind: core.KNN, K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ranked[:min(k, len(ranked))]; byID(res.Matches) != byID(want) {
+				t.Fatalf("query %d k %d: neighbors are not the scan's nearest:\n got %s\nscan %s", qi, k, byID(res.Matches), byID(want))
+			}
+			held += len(res.Matches)
+		}
+	}
+	if held < 100 {
+		t.Fatalf("only %d matches and neighbors held to the scan", held)
+	}
+}

@@ -398,10 +398,10 @@ func TestCompactionFailureKeepsLog(t *testing.T) {
 }
 
 // TestCompactionKeepsCommitsAfterTheCut lands commits between a
-// checkpoint's cut and its compaction (the checkpoint is draining a
-// pinned snapshot meanwhile), so the compacted WAL begins with records
-// the snapshot does not hold and whose offsets moved. A second persist
-// with nothing newer must then cut exactly those records away.
+// checkpoint's cut and its compaction (the checkpoint is held open after
+// its cut meanwhile), so the compacted WAL begins with records the
+// snapshot does not hold and whose offsets moved. A second persist with
+// nothing newer must then cut exactly those records away.
 func TestCompactionKeepsCommitsAfterTheCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	dir := t.TempDir()
@@ -416,20 +416,19 @@ func TestCompactionKeepsCommitsAfterTheCut(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		driveOps(t, rng, db, ref, &live, 2)
 	}
-	snap := db.Acquire()
-	gen := db.pinGen.Load()
+	cutTaken, resume := make(chan struct{}), make(chan struct{})
+	db.afterCut = func() { close(cutTaken); <-resume }
 	done := make(chan error, 1)
 	go func() { done <- db.Checkpoint() }()
-	for db.pinGen.Load() == gen { // cut taken, draining
-		time.Sleep(time.Millisecond)
-	}
+	<-cutTaken
 	for i := 0; i < 5; i++ {
 		driveOps(t, rng, db, ref, &live, 2)
 	}
-	snap.Release()
+	close(resume)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	db.afterCut = nil
 	s := db.Stats()
 	if lsns := walLSNs(t, dir); len(lsns) != 5 || lsns[0] != s.CheckpointLSN+1 || lsns[4] != s.LastLSN {
 		t.Fatalf("compacted WAL holds LSNs %v, want the 5 after the cut %d", lsns, s.CheckpointLSN)
@@ -446,9 +445,9 @@ func TestCompactionKeepsCommitsAfterTheCut(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutines closes a database with a fold in flight
-// (stalled draining a pinned snapshot) and, in the second case, another
-// fold kicked behind it that has not started: once the snapshot is
-// released Close returns and every goroutine the database started ends.
+// (held open after its cut) and, in the second case, another fold kicked
+// behind it that has not started: once the fold is let go Close returns
+// and every goroutine the database started ends.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	for _, queued := range []bool{false, true} {
 		const every = 2
@@ -458,8 +457,14 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		snap := db.Acquire()
-		gen := db.pinGen.Load()
+		cutTaken, resume := make(chan struct{}, 1), make(chan struct{})
+		db.afterCut = func() {
+			select {
+			case cutTaken <- struct{}{}:
+			default:
+			}
+			<-resume
+		}
 		add := func() {
 			for i := 0; i < every; i++ {
 				if _, err := db.Add(randSeq(rng, 2, 8)); err != nil {
@@ -468,12 +473,10 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 			}
 		}
 		add()
-		deadline := time.Now().Add(5 * time.Second)
-		for db.pinGen.Load() == gen { // the fold has cut and is draining
-			if time.Now().After(deadline) {
-				t.Fatal("the kicked fold never started")
-			}
-			time.Sleep(time.Millisecond)
+		select {
+		case <-cutTaken:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the kicked fold never started")
 		}
 		if queued {
 			add()
@@ -486,14 +489,14 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		for !db.closed.Load() {
 			time.Sleep(time.Millisecond)
 		}
-		snap.Release()
+		close(resume)
 		select {
 		case err := <-closed:
 			if err != nil {
 				t.Fatalf("queued=%v: Close: %v", queued, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("queued=%v: Close did not return after the snapshot was released", queued)
+			t.Fatalf("queued=%v: Close did not return after the fold was let go", queued)
 		}
 		waitGoroutines(t, base)
 	}

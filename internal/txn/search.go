@@ -13,43 +13,32 @@ import (
 )
 
 // Snap is a pinned MVCC read snapshot: an immutable view of the corpus
-// as of one commit. All its query methods answer from exactly that
-// version no matter how many commits land meanwhile, and none of them
-// takes a lock a writer ever holds — readers never block on writers.
-// Release it when done: a pinned snapshot delays the next checkpoint's
-// fold (commits themselves are never delayed). A Snap is safe for
-// concurrent use.
+// as of one commit, base included. All its query methods answer from
+// exactly that version no matter how many commits and folds land
+// meanwhile, and none of them takes a lock a writer ever holds — readers
+// never block on writers, and a fold never waits for readers: a snapshot
+// keeps the base it pinned alive. Release it when done. A Snap is safe
+// for concurrent use.
 type Snap struct {
 	db       *DB
 	st       *state
-	slot     uint32
 	released atomic.Bool
 }
 
-// Acquire pins a read snapshot at the current commit. The pin is a pair
-// of atomic ops — no lock is shared with the commit path.
+// Acquire pins a read snapshot at the current commit: one atomic load,
+// no lock shared with the commit path.
 func (db *DB) Acquire() *Snap {
-	for {
-		gen := db.pinGen.Load()
-		db.pins[gen&1].Add(1)
-		if db.pinGen.Load() == gen {
-			n := db.stats.snapshots.Add(1)
-			if m := db.met.Load(); m != nil {
-				m.pinned.Set(float64(n))
-			}
-			return &Snap{db: db, st: db.cur.Load(), slot: uint32(gen & 1)}
-		}
-		// A checkpoint moved generations between our load and pin;
-		// back out and pin the new generation.
-		db.pins[gen&1].Add(-1)
+	n := db.stats.snapshots.Add(1)
+	if m := db.met.Load(); m != nil {
+		m.pinned.Set(float64(n))
 	}
+	return &Snap{db: db, st: db.cur.Load()}
 }
 
 // Release unpins the snapshot. Idempotent.
 func (s *Snap) Release() {
 	if s.released.CompareAndSwap(false, true) {
 		n := s.db.stats.snapshots.Add(-1)
-		s.db.pins[s.slot].Add(-1)
 		if m := s.db.met.Load(); m != nil {
 			m.pinned.Set(float64(n))
 		}
@@ -104,7 +93,7 @@ func mergeByID(base []core.Match, v *view, delta []core.Match) []core.Match {
 // metric. With nothing unfolded the base's answer is the snapshot's.
 func (s *Snap) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	if s.st.deltaLen() == 0 {
-		return s.db.base.Do(ctx, q)
+		return s.st.base.Do(ctx, q)
 	}
 	base := q
 	if q.Kind == core.KNN {
@@ -118,7 +107,7 @@ func (s *Snap) Do(ctx context.Context, q core.Query) (core.Result, error) {
 		base.K = min(q.K, s.st.live) + len(s.st.adds) + len(s.view().overlay) + len(s.st.removed)
 		base.Bound = q.Bound.Local()
 	}
-	res, err := s.db.base.Do(ctx, base)
+	res, err := s.st.base.Do(ctx, base)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -136,7 +125,7 @@ func (s *Snap) overlay(ctx context.Context, q core.Query, res core.Result) (core
 		var delta []core.Match
 		if len(v.segs) > 0 {
 			t0 := time.Now()
-			delta, err = core.Unindexed(ctx, q, s.db.base.PartitionConfig(), v.ids, v.segs, &res.Stats)
+			delta, err = core.Unindexed(ctx, q, s.db.opts.Partition, v.ids, v.segs, &res.Stats)
 			if tr := obs.FromContext(ctx); tr != nil && q.Kind == core.Range {
 				tr.RecordSpan(obs.SpanFromContext(ctx), "delta-scan", time.Since(t0),
 					obs.Int64("snapshot_epoch", int64(s.st.epoch)),
@@ -170,7 +159,7 @@ func (s *Snap) SearchBatchCtx(ctx context.Context, qs []*core.Sequence, eps floa
 // record over the snapshot's unfolded sequences (core.ExplainUnindexed). A
 // sequence is "matched" exactly when Do returns it.
 func (s *Snap) Explain(q *core.Sequence, eps float64) (*core.Explanation, error) {
-	ex, err := s.db.base.Explain(q, eps)
+	ex, err := s.st.base.Explain(q, eps)
 	if err != nil || s.st.deltaLen() == 0 {
 		return ex, err
 	}
@@ -218,7 +207,7 @@ func (s *Snap) mergeKNN(ctx context.Context, q core.Query, base []core.Match, st
 	}
 	dq := q
 	dq.Bound = own
-	delta, err := core.Unindexed(ctx, dq, s.db.base.PartitionConfig(), v.ids, v.segs, st)
+	delta, err := core.Unindexed(ctx, dq, s.db.opts.Partition, v.ids, v.segs, st)
 	if err != nil {
 		return nil, err
 	}
@@ -231,14 +220,7 @@ func (s *Snap) mergeKNN(ctx context.Context, q core.Query, base []core.Match, st
 // Segmented returns the snapshot's visible version of a sequence, or
 // nil.
 func (s *Snap) Segmented(id uint32) *core.Segmented {
-	v := s.view()
-	if s.st.deltaLen() == 0 {
-		if id >= s.st.baseNext {
-			return nil
-		}
-		return s.db.base.Segmented(id)
-	}
-	return v.effective(id, s.db.base)
+	return s.view().effective(id)
 }
 
 // Len reports the number of sequences visible in the snapshot.
@@ -246,7 +228,7 @@ func (s *Snap) Len() int { return s.st.live }
 
 // Sequences lists the snapshot's visible sequences in id order.
 func (s *Snap) Sequences() []*core.Sequence {
-	base := s.db.base.Sequences()
+	base := s.st.base.Sequences()
 	if s.st.deltaLen() == 0 {
 		return base
 	}
@@ -352,7 +334,8 @@ func (db *DB) Len() int { return db.cur.Load().live }
 func (db *DB) NumMBRs() int {
 	s := db.Acquire()
 	defer s.Release()
-	n := db.base.NumMBRs()
+	base := s.st.base
+	n := base.NumMBRs()
 	if s.st.deltaLen() == 0 {
 		return n
 	}
@@ -360,14 +343,14 @@ func (db *DB) NumMBRs() int {
 	for i, g := range v.segs {
 		n += len(g.MBRs)
 		if id := v.ids[i]; id < s.st.baseNext {
-			if bg := db.base.Segmented(id); bg != nil {
+			if bg := base.Segmented(id); bg != nil {
 				n -= len(bg.MBRs)
 			}
 		}
 	}
 	for id := range v.removed {
 		if id < s.st.baseNext {
-			if bg := db.base.Segmented(id); bg != nil {
+			if bg := base.Segmented(id); bg != nil {
 				n -= len(bg.MBRs)
 			}
 		}
@@ -376,20 +359,20 @@ func (db *DB) NumMBRs() int {
 }
 
 // IndexHeight reports the base R*-tree height.
-func (db *DB) IndexHeight() int { return db.base.IndexHeight() }
+func (db *DB) IndexHeight() int { return db.cur.Load().base.IndexHeight() }
 
 // IndexFanout reports the base R*-tree node capacity.
-func (db *DB) IndexFanout() int { return db.base.IndexFanout() }
+func (db *DB) IndexFanout() int { return db.cur.Load().base.IndexFanout() }
 
 // Shards reports 1: the transaction layer wraps a single database (a
 // sharded deployment wraps one DB per shard).
 func (db *DB) Shards() int { return 1 }
 
 // Dim reports the point dimensionality.
-func (db *DB) Dim() int { return db.base.Dim() }
+func (db *DB) Dim() int { return db.opts.Dim }
 
 // PartitionConfig reports the MCOST segmentation settings in force.
-func (db *DB) PartitionConfig() core.PartitionConfig { return db.base.PartitionConfig() }
+func (db *DB) PartitionConfig() core.PartitionConfig { return db.opts.Partition }
 
 // Epoch returns the commit version of the latest published state; it
 // changes on every commit, so corpus-version observers above this layer
@@ -400,11 +383,15 @@ func (db *DB) Epoch() uint64 { return db.cur.Load().epoch }
 // The base only changes at checkpoint folds — commits stream into the
 // delta, whose matches are computed fresh on every search — which is the
 // point of this layering: base entries stay valid, and keep being
-// served, while commits accumulate. A fold replays the delta through the
-// base's ordinary write operations, so the cache hears about each folded
-// sequence's MBR and invalidates only the entries those regions can
-// affect.
-func (db *DB) SetCache(c *cache.Cache) { db.base.SetCache(c) }
+// served, while commits accumulate. A fold moves the cache to the base it
+// built (moveCache), invalidating only the entries the folded sequences'
+// regions can affect.
+func (db *DB) SetCache(c *cache.Cache) {
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
+	db.qc.Store(c)
+	db.cur.Load().base.SetCache(c)
+}
 
 // QueryCache returns the attached cache, or nil.
-func (db *DB) QueryCache() *cache.Cache { return db.base.QueryCache() }
+func (db *DB) QueryCache() *cache.Cache { return db.qc.Load() }

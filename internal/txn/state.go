@@ -34,8 +34,8 @@ type commitReq struct {
 	// res is staged by the committer while the request waits for its
 	// group's fsync; sent on resp at acknowledgment time.
 	res commitRes
-	// rebase, when non-nil, makes this a checkpoint's fold-completion
-	// request instead of a commit (see Checkpoint); ops is then empty.
+	// rebase, when non-nil, makes this a checkpoint's swap request
+	// instead of a commit (see Checkpoint); ops is then empty.
 	rebase *rebaseReq
 }
 
@@ -49,11 +49,12 @@ type commitRes struct {
 	group int
 }
 
-// state is one immutable version of the delta. States form a chain:
-// each commit publishes a new state whose slices extend the previous
-// state's (append-only structural sharing — safe because only the
-// committer appends, and a published state's slice headers freeze the
-// visible prefix). Readers pin a state and never see it change.
+// state is one immutable version of the corpus: a base and the delta over
+// it. States form a chain: each commit publishes a new state whose slices
+// extend the previous state's (append-only structural sharing — safe
+// because only the committer appends, and a published state's slice
+// headers freeze the visible prefix), and a fold publishes one over the
+// base it rebuilt. Readers pin a state and never see it change.
 type state struct {
 	// epoch increments on every publish; it is the value Epoch()
 	// reports, so attached query caches invalidate on every commit.
@@ -61,9 +62,11 @@ type state struct {
 	// lastLSN is the WAL position this state corresponds to: the LSN of
 	// the last record applied into it.
 	lastLSN uint64
-	// baseNext is the id the base would assign next — the boundary
-	// between base ids (< baseNext) and delta add ids. Constant between
-	// checkpoint folds.
+	// base is the indexed database the delta is over. Nothing writes it
+	// once a state holds it; a fold builds the next one beside it.
+	base *core.Database
+	// baseNext is the base's directory length — the boundary between
+	// base ids (< baseNext) and delta add ids.
 	baseNext uint32
 	// live is the number of visible sequences (base + adds − removed).
 	live int
@@ -159,13 +162,8 @@ func buildView(st *state) *view {
 }
 
 // dropBase reports whether a base search result for id must be filtered
-// out: the snapshot supersedes it (overlay), deleted it (removed), or
-// never contained it (id ≥ baseNext — possible mid-fold, when the base
-// already holds adds this snapshot serves from its own delta).
+// out: the snapshot supersedes it (overlay) or deleted it (removed).
 func (v *view) dropBase(id uint32) bool {
-	if id >= v.st.baseNext {
-		return true
-	}
 	if _, dead := v.removed[id]; dead {
 		return true
 	}
@@ -174,7 +172,7 @@ func (v *view) dropBase(id uint32) bool {
 }
 
 // effective returns the sequence version visible for id, or nil.
-func (v *view) effective(id uint32, base *core.Database) *core.Segmented {
+func (v *view) effective(id uint32) *core.Segmented {
 	if _, dead := v.removed[id]; dead {
 		return nil
 	}
@@ -182,7 +180,7 @@ func (v *view) effective(id uint32, base *core.Database) *core.Segmented {
 		return g
 	}
 	if id < v.st.baseNext {
-		return base.Segmented(id)
+		return v.st.base.Segmented(id)
 	}
 	i := int(id - v.st.baseNext)
 	if i < len(v.st.adds) {
@@ -216,7 +214,7 @@ func (w *workState) reset(st *state) {
 
 // effective returns the visible version of id in the working state, or
 // nil (removed or never existed).
-func (w *workState) effective(id uint32, base *core.Database) *core.Segmented {
+func (w *workState) effective(id uint32) *core.Segmented {
 	if _, dead := w.removedSet[id]; dead {
 		return nil
 	}
@@ -224,7 +222,7 @@ func (w *workState) effective(id uint32, base *core.Database) *core.Segmented {
 		return w.st.overlays[i].g
 	}
 	if id < w.st.baseNext {
-		return base.Segmented(id)
+		return w.st.base.Segmented(id)
 	}
 	i := int(id - w.st.baseNext)
 	if i < len(w.st.adds) {

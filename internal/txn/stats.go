@@ -20,7 +20,6 @@ type statsCounters struct {
 	ckptErrs    atomic.Uint64
 	recovered   atomic.Uint64
 	snapshots   atomic.Int64
-	drainNanos  atomic.Int64
 	// tailSince is the unix-nano arrival time of the oldest commit not
 	// yet folded into the base (0 = delta empty).
 	tailSince     atomic.Int64
@@ -70,9 +69,6 @@ type Stats struct {
 	CheckpointErrors uint64 `json:"checkpoint_errors"`
 	// LastCheckpoint is the most recent fold's duration.
 	LastCheckpoint time.Duration `json:"last_checkpoint_ns"`
-	// DrainWait is the total time checkpoints spent waiting for
-	// pre-fold snapshots to release.
-	DrainWait time.Duration `json:"drain_wait_ns"`
 	// RecoveredRecords is how many WAL records Open replayed.
 	RecoveredRecords uint64 `json:"recovered_records"`
 	// SnapshotsPinned is the number of currently held read snapshots.
@@ -101,7 +97,6 @@ func (db *DB) Stats() Stats {
 		Checkpoints:      db.stats.checkpoints.Load(),
 		CheckpointErrors: db.stats.ckptErrs.Load(),
 		LastCheckpoint:   time.Duration(db.stats.lastCkptNanos.Load()),
-		DrainWait:        time.Duration(db.stats.drainNanos.Load()),
 		RecoveredRecords: db.stats.recovered.Load(),
 		SnapshotsPinned:  db.stats.snapshots.Load(),
 	}
@@ -145,11 +140,14 @@ var commitBuckets = []float64{
 var groupBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // SetMetrics registers the transaction layer's instruments in reg (nil
-// detaches) and forwards reg to the base database, so one registry
-// carries both the mdseq_wal_*/mdseq_snapshot_* families and the core
-// query metrics.
+// detaches) and forwards reg to the base database, and to every base a
+// fold builds after it, so one registry carries both the
+// mdseq_wal_*/mdseq_snapshot_* families and the core query metrics.
 func (db *DB) SetMetrics(reg *obs.Registry) {
-	db.base.SetMetrics(reg)
+	db.ckptMu.Lock()
+	db.reg = reg
+	db.cur.Load().base.SetMetrics(reg)
+	db.ckptMu.Unlock()
 	db.register(reg)
 }
 
@@ -174,7 +172,7 @@ func (db *DB) register(reg *obs.Registry, labels ...obs.Label) {
 		groupSize: reg.Histogram("mdseq_wal_group_size",
 			"Commits acknowledged per fsync batch.", groupBuckets, labels...),
 		ckptSeconds: reg.Histogram("mdseq_wal_checkpoint_seconds",
-			"Checkpoint duration: drain, fold, persist, compact.", nil, labels...),
+			"Checkpoint duration: rebuild, persist, swap, compact.", nil, labels...),
 		records: reg.Counter("mdseq_wal_records_total",
 			"WAL records appended.", labels...),
 		fsyncs: reg.Counter("mdseq_wal_fsyncs_total",

@@ -2,11 +2,11 @@
 // reads, WAL-backed group commit, and online ingest.
 //
 // The design splits the corpus in two. The base is a core.Database —
-// R*-tree indexed, query-cached — that is frozen between checkpoints:
-// commits never touch it, so readers scan it with an uncontended RLock
-// and its query cache stays warm under sustained ingest. The
-// delta is an immutable chain of states, each a copy-on-write extension
-// of the previous (appended sequences, replaced versions, removals). A
+// R*-tree indexed, query-cached — that nothing ever writes: commits never
+// touch it, so readers scan it with an uncontended RLock and its query
+// cache stays warm under sustained ingest. The delta is an immutable
+// chain of states, each a copy-on-write extension of the previous
+// (appended sequences, replaced versions, removals) over one base. A
 // reader pins one state and answers every query as the base's Do merged
 // with a delta pass, core.Unindexed: Do's own kernels over the unfolded
 // sequences, with phase 2 a linear pass instead of an index probe, so
@@ -17,12 +17,13 @@
 // requests are batched within a group-commit window, validated and
 // applied to a pending state, encoded into one WAL record each, made
 // durable with a single fsync, and only then published and acknowledged
-// — an acknowledged commit is on disk. Checkpoints fold the delta into
-// the base; once the WAL has outgrown the last snapshot, a checkpoint
-// also persists an id-preserving base snapshot and compacts the WAL to
-// the records after it. Crash recovery loads the snapshot and replays
-// the WAL, restoring exactly the acknowledged commits with the same
-// sequence ids.
+// — an acknowledged commit is on disk. A checkpoint folds the delta by
+// rebuilding the base beside the old one in one bulk load and publishing
+// the new base with the delta after the cut as one state; once the WAL
+// has outgrown the last snapshot, it also persists an id-preserving base
+// snapshot and compacts the WAL to the records after it. Crash recovery
+// loads the snapshot and replays the WAL, restoring exactly the
+// acknowledged commits with the same sequence ids.
 package txn
 
 import (
@@ -34,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -75,18 +77,13 @@ type Options struct {
 // as *core.Database and *shard.ShardedDB (shard.DB), so the layers above
 // switch it on with a flag. All methods are safe for concurrent use.
 type DB struct {
-	base *core.Database
-	opts Options
+	opts Options    // Dim and Partition are the base's
 	log  *pager.Log // nil when Dir is empty
 
 	cur atomic.Pointer[state] // latest published state
-
-	// Snapshot pinning: pinGen names the current generation; a snapshot
-	// increments pins[pinGen&1]. A checkpoint bumps pinGen and waits for
-	// the old generation's pins to drain before mutating the base (see
-	// Checkpoint for why draining makes the fold safe).
-	pinGen atomic.Uint64
-	pins   [2]atomic.Int64
+	// wrapped is the base Wrap was given, closed by Close even after a
+	// fold has replaced it (it may be file-backed); nil after Open.
+	wrapped *core.Database
 
 	commitCh chan *commitReq
 	ckptKick chan struct{}
@@ -100,11 +97,20 @@ type DB struct {
 	// commit is never silently dropped at shutdown.
 	acceptMu sync.RWMutex
 
-	ckptMu sync.Mutex // serializes Checkpoint; held across fold+persist
+	ckptMu sync.Mutex // serializes Checkpoint, SetCache and SetMetrics; held across the fold
 	// snapBytes is the size of the promoted snapshot's files (0 without
 	// one): the WAL size at which an automatic checkpoint persists.
 	// Guarded by ckptMu.
 	snapBytes int64
+	// reg is the registry SetMetrics forwarded to the base, handed to
+	// each base a fold builds. Guarded by ckptMu.
+	reg *obs.Registry
+	// qc is the cache SetCache attached, which a fold moves from base to
+	// base (QueryCache reads it here, never mid-move from a base).
+	qc atomic.Pointer[cache.Cache]
+	// afterCut, when set (by tests), runs as a checkpoint has taken its
+	// cut, before the rebuild: a hook to hold a fold open.
+	afterCut func()
 
 	// Committer-owned (only the committer goroutine touches these after
 	// Open/Wrap returns): working maps mirroring cur for O(1) effective
@@ -145,7 +151,10 @@ var errWedged = errors.New("txn: write-ahead log in unknown state; commits disab
 // Wrap builds a non-durable transactional layer over an existing base
 // database: MVCC snapshots and group commit without a WAL. The caller
 // must stop using base directly — all reads and writes go through the
-// returned DB.
+// returned DB. A fold's base is in memory, whatever base was: the first
+// checkpoint replaces a file-backed base with an in-memory rebuild, and
+// the index file keeps the corpus as base held it (Close still closes
+// base).
 func Wrap(base *core.Database, opts Options) (*DB, error) {
 	if base == nil {
 		return nil, errors.New("txn: nil base database")
@@ -153,9 +162,8 @@ func Wrap(base *core.Database, opts Options) (*DB, error) {
 	if opts.Dir != "" {
 		return nil, errors.New("txn: Wrap is non-durable; use Open for a Dir-backed store")
 	}
-	opts.Dim = base.Dim()
-	opts.Partition = base.PartitionConfig()
 	db := newDB(base, opts)
+	db.wrapped = base
 	db.start()
 	return db, nil
 }
@@ -188,8 +196,8 @@ func Open(opts Options) (*DB, error) {
 
 // newDB assembles a DB around base with its initial (empty-delta) state.
 func newDB(base *core.Database, opts Options) *DB {
+	opts.Dim, opts.Partition = base.Dim(), base.PartitionConfig()
 	db := &DB{
-		base:     base,
 		opts:     opts,
 		commitCh: make(chan *commitReq, 64),
 		ckptKick: make(chan struct{}, 1),
@@ -198,10 +206,12 @@ func newDB(base *core.Database, opts Options) *DB {
 	}
 	st := &state{
 		epoch:    1,
+		base:     base,
 		baseNext: uint32(base.DirLen()),
 		live:     base.Len(),
 	}
 	db.cur.Store(st)
+	db.qc.Store(base.QueryCache())
 	db.work.reset(st)
 	return db
 }
@@ -241,8 +251,9 @@ func (db *DB) paceFold() {
 }
 
 // Close stops the committer (letting queued commits finish), syncs the
-// log, and closes the base. Acknowledged commits need no checkpoint to
-// survive: reopening replays them from the WAL.
+// log, and closes the base (and a wrapped one a fold replaced).
+// Acknowledged commits need no checkpoint to survive: reopening replays
+// them from the WAL.
 func (db *DB) Close() error {
 	db.acceptMu.Lock()
 	if !db.closed.CompareAndSwap(false, true) {
@@ -261,8 +272,13 @@ func (db *DB) Close() error {
 			err = e
 		}
 	}
-	if e := db.base.Close(); e != nil && err == nil {
-		err = e
+	for _, b := range []*core.Database{db.cur.Load().base, db.wrapped} {
+		if b == nil {
+			continue
+		}
+		if e := b.Close(); e != nil && err == nil {
+			err = e
+		}
 	}
 	return err
 }
@@ -274,7 +290,7 @@ func (db *DB) Flush() error {
 			return err
 		}
 	}
-	return db.base.Flush()
+	return db.cur.Load().base.Flush()
 }
 
 // --- write API ----------------------------------------------------------
@@ -349,7 +365,7 @@ func (db *DB) AppendPointsCtx(ctx context.Context, id uint32, pts []geom.Point) 
 	if len(pts) == 0 {
 		return nil
 	}
-	dim := db.base.Dim()
+	dim := db.opts.Dim
 	for i, p := range pts {
 		if len(p) != dim {
 			return fmt.Errorf("txn: appended point %d has dim %d, want %d: %w",
@@ -383,11 +399,11 @@ func (db *DB) partitionFor(s *core.Sequence) (*core.Segmented, error) {
 	if len(s.Label) > maxLabelLen {
 		return nil, fmt.Errorf("txn: label of %d bytes exceeds the %d-byte limit", len(s.Label), maxLabelLen)
 	}
-	if s.Dim() != db.base.Dim() {
+	if s.Dim() != db.opts.Dim {
 		return nil, fmt.Errorf("txn: sequence dim %d, database dim %d: %w",
-			s.Dim(), db.base.Dim(), geom.ErrDimensionMismatch)
+			s.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 	}
-	return core.Segment(s, db.base.PartitionConfig())
+	return core.Segment(s, db.opts.Partition)
 }
 
 // commit submits one atomic batch of ops and waits for the committer's

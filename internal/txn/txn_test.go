@@ -374,48 +374,63 @@ func TestSnapshotsOfOneStateShareItsView(t *testing.T) {
 	}
 }
 
-// TestCheckpointDrainsPinnedSnapshots: a snapshot pinned before the fold
-// cut could see base mutations (its delta filters don't cover commits it
-// predates), so the checkpoint must wait for it — without ever blocking
-// the snapshot's reads or new commits.
-func TestCheckpointDrainsPinnedSnapshots(t *testing.T) {
+// TestCheckpointKeepsPinnedSnapshots: a fold waits for no snapshot. One
+// pinned before the cut keeps reading the base and delta it pinned — the
+// fold built its successor beside them — and commits land meanwhile; a
+// snapshot taken after the fold reads the folded base with no delta.
+func TestCheckpointKeepsPinnedSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	db := newMem(t, 2)
+	var ids []uint32
 	for i := 0; i < 8; i++ {
-		if _, err := db.Add(randSeq(rng, 2, 10)); err != nil {
+		id, err := db.Add(randSeq(rng, 2, 10))
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
-	q := randSeq(rng, 2, 8)
-	snap := db.Acquire()
-	want, _, err := searchOn(snap, q, 5)
-	if err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- db.Checkpoint() }()
-	select {
-	case err := <-done:
-		t.Fatalf("Checkpoint finished with a pre-cut snapshot pinned: %v", err)
-	case <-time.After(30 * time.Millisecond):
+	if err := db.AppendPoints(ids[2], randSeq(rng, 2, 4).Points); err != nil {
+		t.Fatal(err)
 	}
-	// The snapshot still reads, and writers still commit, while the
-	// checkpoint waits.
-	got, _, err := searchOn(snap, q, 5)
-	if err != nil || len(got) != len(want) {
-		t.Fatalf("pinned snapshot read during drain: %d matches, err %v", len(got), err)
+	if err := db.Remove(ids[5]); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := db.Add(randSeq(rng, 2, 10)); err != nil {
-		t.Fatalf("commit during drain: %v", err)
+		t.Fatal(err)
 	}
-	snap.Release()
+	queries := []*core.Sequence{randSeq(rng, 2, 8), randSeq(rng, 2, 6)}
+	snap := db.Acquire()
+	defer snap.Release()
+	want := fingerprint(t, snap, queries, 5)
+	done := make(chan error, 1)
+	go func() { done <- db.Checkpoint() }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("Checkpoint: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Checkpoint did not finish after snapshot release")
+		t.Fatal("Checkpoint waited for a snapshot pinned before its cut")
+	}
+	if got := fingerprint(t, snap, queries, 5); got != want {
+		t.Fatalf("a snapshot pinned before the fold changed across it:\n got %s\nwant %s", got, want)
+	}
+	after := db.Acquire()
+	defer after.Release()
+	if after.st.deltaLen() != 0 || after.st.base == snap.st.base {
+		t.Fatalf("after the fold: delta %d, base replaced %v", after.st.deltaLen(), after.st.base != snap.st.base)
+	}
+	if got := fingerprint(t, after, queries, 5); got != want {
+		t.Fatalf("the folded base answers differently from the snapshot it folded:\n got %s\nwant %s", got, want)
+	}
+	if _, err := db.Add(randSeq(rng, 2, 10)); err != nil {
+		t.Fatalf("commit after the fold: %v", err)
+	}
+	if got := fingerprint(t, snap, queries, 5); got != want {
+		t.Fatal("a commit after the fold changed a snapshot pinned before it")
 	}
 }
 

@@ -46,7 +46,7 @@ var ceilings = []struct {
 }{
 	{"shard", "DB", 24},
 	{"shard", "Backend", 3},
-	{"core", "Database", 40},
+	{"core", "Database", 38},
 	{"pager", "Pager", 11},
 	{"mdsserve", "flags", 18},
 }
