@@ -15,25 +15,30 @@
 //	mdsserve -addr :8080 -durable ./txndir    # WAL-backed commits + crash recovery
 //	mdsserve -addr :8080 -durable ./txndir -group-commit-window 2ms -checkpoint-every 10000
 //
-// Durability (-durable): every write is committed through a write-ahead
-// log and acknowledged only after fsync (disable with -fsync=false);
-// concurrent writers share fsyncs within -group-commit-window; reads run
-// on MVCC snapshots that never block on writers; a crash or restart
-// replays the log, restoring exactly the acknowledged commits under
-// their original ids. -checkpoint-every bounds the per-query delta scan
-// by folding committed writes into the indexed base; a fold also writes
-// a base snapshot once the log has outgrown the last one, so a restart
-// replays at most about a snapshot's worth of log. GET /txnz reports
-// commit, WAL, checkpoint, and snapshot statistics. With -shards N each
-// shard gets its own log and committer
-// under <dir>/shard<i>; a directory written under one shard count is
-// refused under another. -data seeds only an empty directory: a restart
-// onto one that holds data reads just the file's header, for its
-// dimension. See OPERATIONS.md for the recovery runbook.
+// Writes: every shard is a transactional node (internal/txn). Reads run
+// on MVCC snapshots that never block on writers; a commit lands in an
+// in-memory delta that queries scan beside the indexed base, and
+// -checkpoint-every bounds that scan by folding the delta into a base
+// rebuilt beside the old one. GET /txnz reports commit, checkpoint, and
+// snapshot statistics. Without -durable no write survives a restart.
+//
+// Durability (-durable): every write is also committed through a
+// write-ahead log and acknowledged only after fsync (disable with
+// -fsync=false); concurrent writers share fsyncs within
+// -group-commit-window; a crash or restart replays the log, restoring
+// exactly the acknowledged commits under their original ids. A fold also
+// writes a base snapshot once the log has outgrown the last one, so a
+// restart replays at most about a snapshot's worth of log. With -shards N
+// each shard gets its own log and committer under <dir>/shard<i>; a
+// directory written under one shard count is refused under another. -data
+// seeds only an empty directory: a restart onto one that holds data reads
+// just the file's header, for its dimension. See OPERATIONS.md for the
+// recovery runbook.
 //
 // A store directory carries its own shard count; -shards applies when
 // starting empty or from -data. A store is served read-only: its trees
 // are packed in memory from the leaf grouping the segment file stores,
+// writes land in the in-memory delta and in the bases its folds build,
 // and nothing under the directory is written. On SIGINT/SIGTERM the
 // server drains in-flight requests and closes the database (pager/WAL)
 // cleanly.
@@ -90,8 +95,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -129,9 +136,9 @@ func main() {
 		durableDir  = flag.String("durable", "", "durability directory: WAL-backed commits, MVCC snapshot reads, crash recovery (per-shard subdirectories when sharded)")
 		fsync       = flag.Bool("fsync", true, "with -durable, fsync the WAL before acknowledging a commit (false risks the last group-commit window on a crash)")
 		groupWindow = flag.Duration("group-commit-window", 0, "with -durable, how long a commit waits for others to share its fsync (0 batches only what is already queued)")
-		ckptEvery   = flag.Int("checkpoint-every", 4096, "with -durable, fold the delta into the base index every N committed records (0 = never automatically)")
+		ckptEvery   = flag.Int("checkpoint-every", 4096, "fold each node's delta of committed writes into its base index every N commits (0 = never automatically)")
 
-		quantized = flag.Bool("quantized-mbr", false, "accepted, no effect: range search refines only the pairs the index hit, which always pass the float32 prefilter (queued for removal)")
+		_ = flag.Bool("quantized-mbr", false, "accepted, no effect: range search refines only the pairs the index hit, which always pass the float32 prefilter (queued for removal)")
 	)
 	flag.Parse()
 	if *shards < 1 {
@@ -143,12 +150,11 @@ func main() {
 		log.Fatalf("-metric: %v", err)
 	}
 
-	db, err := openDB(*storeDir, *dataPath, *dim, *shards, txnConfig{
+	db, nodes, err := openDB(*storeDir, *dataPath, *dim, *shards, txnConfig{
 		dir:             *durableDir,
 		noFsync:         !*fsync,
 		groupWindow:     *groupWindow,
 		checkpointEvery: *ckptEvery,
-		quantized:       *quantized,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -162,13 +168,11 @@ func main() {
 
 	reg := obs.NewRegistry()
 	// ShardedDB.SetMetrics (via server.WithMetrics) records scatter-level
-	// metrics only; durable per-shard committers register their WAL and
-	// snapshot instruments here, one labeled series per shard.
-	if sdb, ok := db.(*shard.ShardedDB); ok {
-		for i := 0; i < sdb.Shards(); i++ {
-			if tdb, ok := sdb.Shard(i).(*txn.DB); ok {
-				tdb.SetMetricsShard(reg, i)
-			}
+	// metrics only; each shard's committer registers its WAL and snapshot
+	// instruments here, one labeled series per shard.
+	if len(nodes) > 1 {
+		for i, n := range nodes {
+			n.SetMetricsShard(reg, i)
 		}
 	}
 	if qc := db.QueryCache(); qc != nil {
@@ -224,74 +228,83 @@ func main() {
 	}
 }
 
-// txnConfig carries the -durable flag family into openDB, plus
-// -quantized-mbr, which the store and dataset paths pass on.
+// txnConfig carries the -durable flag family and -checkpoint-every into
+// openDB.
 type txnConfig struct {
 	dir             string
 	noFsync         bool
 	groupWindow     time.Duration
 	checkpointEvery int
-	quantized       bool
 }
 
-// openDB builds the serving database from the configured source. A
-// durability directory wins: it opens (or creates) WAL-backed
-// transactional nodes, replaying any commits a previous process
-// acknowledged before dying. Otherwise a store directory is loaded with
-// its indexes in memory — packed from the stored leaves, so the start
-// costs the segment files' read and checksum and writes nothing — and an
-// optional dataset is bulk-loaded into a fresh database with the
-// requested shard count.
-func openDB(storeDir, dataPath string, dim, shards int, tc txnConfig) (shard.DB, error) {
+// openDB builds the serving database from the configured source, one
+// transactional node per shard, and returns it with its nodes. A
+// durability directory opens WAL-backed nodes (openDurable). Otherwise
+// each node is a log-less txn.Wrap over its shard's base: a store
+// directory's, its index packed in memory from the stored leaves (nothing
+// under the directory is written), or an empty database, which a -data
+// corpus is then ingested into.
+func openDB(storeDir, dataPath string, dim, shards int, tc txnConfig) (shard.DB, []*txn.DB, error) {
 	if tc.dir != "" {
 		if storeDir != "" {
-			return nil, errors.New("-durable and -store are exclusive: a durability directory is the store")
+			return nil, nil, errors.New("-durable and -store are exclusive: a durability directory is the store")
 		}
 		return openDurable(dataPath, dim, shards, tc)
 	}
+	var bases []*core.Database
+	var seqs []*core.Sequence
 	if storeDir != "" {
-		return store.LoadShardedWith(storeDir, store.LoadOptions{Quantized: tc.quantized})
-	}
-	if dataPath != "" {
-		seqs, err := readData(dataPath)
+		sdb, err := store.LoadShardedWith(storeDir, store.LoadOptions{})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		db, err := shard.New(core.Options{Dim: seqs[0].Dim(), QuantizedMBR: tc.quantized}, shards)
-		if err != nil {
-			return nil, err
+		for i := range sdb.Shards() {
+			bases = append(bases, sdb.Shard(i).(*core.Database))
 		}
-		if _, err := db.AddAll(seqs); err != nil {
-			db.Close()
-			return nil, err
+	} else {
+		if dataPath != "" {
+			var err error
+			if seqs, err = readData(dataPath); err != nil {
+				return nil, nil, err
+			}
+			dim = seqs[0].Dim()
 		}
-		return db, nil
+		for range shards {
+			// An in-memory database fails only on its dimension, so at
+			// the first shard, with nothing to close.
+			base, err := core.NewDatabase(core.Options{Dim: dim})
+			if err != nil {
+				return nil, nil, err
+			}
+			bases = append(bases, base)
+		}
 	}
-	return shard.New(core.Options{Dim: dim, QuantizedMBR: tc.quantized}, shards)
+	nodes := make([]*txn.DB, len(bases))
+	for i, base := range bases {
+		// Wrap refuses only a nil base or a Dir.
+		nodes[i], _ = txn.Wrap(base, txn.Options{CheckpointEvery: tc.checkpointEvery})
+	}
+	return serve(nodes, seqs)
 }
 
 // openDurable opens one transactional node per shard under the
 // durability directory (the directory itself for a single shard,
-// shard<i> subdirectories otherwise) and, for a sharded deployment,
-// assembles the scatter-gather router over them. A -data corpus is
-// loaded only into a store that is still empty, so restarting with the
-// same command line does not re-ingest: a store that holds data takes the
-// dimension from the file's header and parses none of its body (a body
-// corrupt past a valid header fails only a start that would load it). A
-// fresh directory parses the whole file before any node is created, so a
-// bad file leaves nothing behind. The load commits as one WAL record,
-// which no -checkpoint-every threshold would notice, so each node is
-// checkpointed right after it: the corpus is served from the indexed base
-// from the first query on, not scanned from the delta.
+// shard<i> subdirectories otherwise). A -data corpus is loaded only into
+// a store that is still empty, so restarting with the same command line
+// does not re-ingest: a store that holds data takes the dimension from
+// the file's header and parses none of its body (a body corrupt past a
+// valid header fails only a start that would load it). A fresh directory
+// parses the whole file before any node is created, so a bad file leaves
+// nothing behind.
 //
 // Unlike a store, a durability directory records no shard count, and one
 // written under another count would open without complaint — serving the
 // shards that happen to exist, or an empty node beside them — so the
 // layout on disk is checked against shards before any node is opened.
-func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, error) {
+func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, []*txn.DB, error) {
 	onDisk, err := checkDurableLayout(tc.dir, shards)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var seqs []*core.Sequence
 	if dataPath != "" {
@@ -304,74 +317,98 @@ func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, erro
 			dim, err = readDataDim(dataPath)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	db, nodes, err := openNodes(dim, shards, tc)
-	if err != nil {
-		return nil, err
-	}
-	if dataPath == "" || db.Len() > 0 {
-		return db, nil
-	}
-	if seqs == nil {
-		if seqs, err = readData(dataPath); err != nil {
-			db.Close()
-			return nil, err
+	nodes := make([]*txn.DB, shards)
+	live := 0
+	for i := range nodes {
+		dir := tc.dir
+		if shards > 1 {
+			dir = filepath.Join(tc.dir, fmt.Sprintf("shard%d", i))
 		}
-	}
-	if _, err := db.AddAll(seqs); err != nil {
-		db.Close()
-		return nil, err
-	}
-	for i, n := range nodes {
-		if err := n.Checkpoint(); err != nil {
-			db.Close()
-			return nil, fmt.Errorf("checkpointing durable shard %d: %w", i, err)
-		}
-	}
-	return db, nil
-}
-
-// openNodes opens the transactional node of each shard: for one shard the
-// node itself is the database, for more the router over them.
-func openNodes(dim, shards int, tc txnConfig) (shard.DB, []*txn.DB, error) {
-	open := func(sub string) (*txn.DB, error) {
-		return txn.Open(txn.Options{
-			Dir:             sub,
+		nodes[i], err = txn.Open(txn.Options{
+			Dir:             dir,
 			Dim:             dim,
 			NoFsync:         tc.noFsync,
 			GroupWindow:     tc.groupWindow,
 			CheckpointEvery: tc.checkpointEvery,
 		})
-	}
-	if shards == 1 {
-		db, err := open(tc.dir)
 		if err != nil {
+			closeNodes(nodes[:i])
+			if shards > 1 {
+				err = fmt.Errorf("opening durable shard %d: %w", i, err)
+			}
 			return nil, nil, err
 		}
-		return db, []*txn.DB{db}, nil
+		live += nodes[i].Len()
 	}
-	nodes := make([]shard.Node, shards)
-	tdbs := make([]*txn.DB, shards)
-	for i := range nodes {
-		db, err := open(filepath.Join(tc.dir, fmt.Sprintf("shard%d", i)))
+	if live > 0 {
+		seqs = nil
+	} else if dataPath != "" && seqs == nil {
+		if seqs, err = readData(dataPath); err != nil {
+			closeNodes(nodes)
+			return nil, nil, err
+		}
+	}
+	return serve(nodes, seqs)
+}
+
+// serve assembles the database over the nodes — the node itself for one
+// shard, the scatter-gather router over them for more — and ingests seqs
+// into it. The ingest commits as one record per node, which no
+// -checkpoint-every threshold notices, so every node folds right after
+// it, the nodes side by side: the corpus is served from the indexed base
+// from the first query on, not scanned from the delta. On an error every
+// node is closed.
+func serve(nodes []*txn.DB, seqs []*core.Sequence) (shard.DB, []*txn.DB, error) {
+	var db shard.DB = nodes[0]
+	if len(nodes) > 1 {
+		sns := make([]shard.Node, len(nodes))
+		for i, n := range nodes {
+			sns[i] = n
+		}
+		sdb, err := shard.NewWithNodes(sns)
 		if err != nil {
-			for _, n := range nodes[:i] {
-				n.Close()
-			}
-			return nil, nil, fmt.Errorf("opening durable shard %d: %w", i, err)
+			closeNodes(nodes)
+			return nil, nil, err
 		}
-		nodes[i], tdbs[i] = db, db
+		db = sdb
 	}
-	sdb, err := shard.NewWithNodes(nodes)
-	if err != nil {
-		for _, n := range nodes {
-			n.Close()
+	if len(seqs) == 0 {
+		return db, nodes, nil
+	}
+	_, err := db.AddAll(seqs)
+	if err == nil {
+		// A fold is CPU-bound: more at once than there are cores would
+		// only hold more rebuilds in memory together.
+		errs := make([]error, len(nodes))
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		var wg sync.WaitGroup
+		for i, n := range nodes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				errs[i] = n.Checkpoint()
+			}()
 		}
+		wg.Wait()
+		err = errors.Join(errs...)
+	}
+	if err != nil {
+		db.Close()
 		return nil, nil, err
 	}
-	return sdb, tdbs, nil
+	return db, nodes, nil
+}
+
+// closeNodes closes the nodes of an open that failed part way.
+func closeNodes(nodes []*txn.DB) {
+	for _, n := range nodes {
+		n.Close()
+	}
 }
 
 // checkDurableLayout refuses a durability directory written under a shard

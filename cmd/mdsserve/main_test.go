@@ -18,8 +18,9 @@ import (
 	"repro/internal/txn"
 )
 
-// txnNodes returns the transactional nodes behind a database openDurable
+// txnNodes returns the transactional nodes behind a database openDB
 // built: the database itself for one shard, the router's shards otherwise.
+// It fails the test on any other node type.
 func txnNodes(t *testing.T, db shard.DB) []*txn.DB {
 	t.Helper()
 	if tdb, ok := db.(*txn.DB); ok {
@@ -27,11 +28,15 @@ func txnNodes(t *testing.T, db shard.DB) []*txn.DB {
 	}
 	sdb, ok := db.(*shard.ShardedDB)
 	if !ok {
-		t.Fatalf("openDurable returned %T", db)
+		t.Fatalf("openDB returned %T", db)
 	}
 	var out []*txn.DB
 	for i := 0; i < sdb.Shards(); i++ {
-		out = append(out, sdb.Shard(i).(*txn.DB))
+		tdb, ok := sdb.Shard(i).(*txn.DB)
+		if !ok {
+			t.Fatalf("shard %d is a %T", i, sdb.Shard(i))
+		}
+		out = append(out, tdb)
 	}
 	return out
 }
@@ -64,7 +69,7 @@ func TestOpenDurableSeedIsCheckpointed(t *testing.T) {
 
 	for _, shards := range []int{1, 3} {
 		tc := txnConfig{dir: t.TempDir(), noFsync: true, checkpointEvery: 256}
-		db, err := openDurable(data, 0, shards, tc)
+		db, _, err := openDurable(data, 0, shards, tc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +97,7 @@ func TestOpenDurableSeedIsCheckpointed(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		db, err = openDurable(data, 0, shards, tc)
+		db, _, err = openDurable(data, 0, shards, tc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,14 +175,14 @@ func TestOpenDurableRestartReadsOnlyTheHeader(t *testing.T) {
 
 	for _, shards := range []int{1, 3} {
 		tc := txnConfig{dir: filepath.Join(t.TempDir(), "dur"), noFsync: true}
-		if db, err := openDurable(cut, 0, shards, tc); err == nil {
+		if db, _, err := openDurable(cut, 0, shards, tc); err == nil {
 			db.Close()
 			t.Fatalf("shards=%d: a fresh directory opened from a cut file", shards)
 		}
 		if _, err := os.Stat(tc.dir); !os.IsNotExist(err) {
 			t.Fatalf("shards=%d: a fresh start from a cut file left %s behind (%v)", shards, tc.dir, err)
 		}
-		db, err := openDurable(data, 0, shards, tc)
+		db, _, err := openDurable(data, 0, shards, tc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +194,7 @@ func TestOpenDurableRestartReadsOnlyTheHeader(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, path := range []string{cut, garbledCSV} {
-			db, err := openDurable(path, 0, shards, tc)
+			db, _, err := openDurable(path, 0, shards, tc)
 			if err != nil {
 				t.Fatalf("shards=%d: restart with %s: %v", shards, filepath.Base(path), err)
 			}
@@ -215,7 +220,7 @@ func TestOpenDurableRestartReadsOnlyTheHeader(t *testing.T) {
 			{foreign, "bad format"},
 			{flat, "store has dim 3, options say 2"},
 		} {
-			db, err := openDurable(tt.path, 0, shards, tc)
+			db, _, err := openDurable(tt.path, 0, shards, tc)
 			if err == nil {
 				db.Close()
 				t.Fatalf("shards=%d: restart with %s opened", shards, filepath.Base(tt.path))
@@ -244,7 +249,7 @@ func TestOpenDurableRefusesOtherShardCount(t *testing.T) {
 	}
 	for _, tc := range []struct{ wrote, reopen int }{{4, 2}, {4, 1}, {1, 4}, {4, 4}, {1, 1}} {
 		cfg := txnConfig{dir: filepath.Join(t.TempDir(), "fresh"), noFsync: true}
-		db, err := openDurable(data, 0, tc.wrote, cfg)
+		db, _, err := openDurable(data, 0, tc.wrote, cfg)
 		if err != nil {
 			t.Fatalf("fresh directory, %d shards: %v", tc.wrote, err)
 		}
@@ -255,7 +260,7 @@ func TestOpenDurableRefusesOtherShardCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err = openDurable("", 3, tc.reopen, cfg)
+		db, _, err = openDurable("", 3, tc.reopen, cfg)
 		if tc.wrote == tc.reopen {
 			if err != nil {
 				t.Fatalf("written with %d shards, reopened with %d: %v", tc.wrote, tc.reopen, err)
@@ -353,7 +358,7 @@ func TestStoreServingLeavesDirectoryUntouched(t *testing.T) {
 	q := &core.Sequence{Points: seqs[7].Points[3:25]}
 	for _, dir := range []string{single, sharded} {
 		before := dirState(t, dir)
-		db, err := openDB(dir, "", 0, 1, txnConfig{})
+		db, _, err := openDB(dir, "", 0, 1, txnConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}

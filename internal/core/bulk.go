@@ -248,7 +248,7 @@ func (c *refCover) complete() error {
 // (partitioning is CPU-bound and independent) into the form a database
 // holds (Segment): nothing of seqs is retained. It is the one bulk
 // partitioner: AddAll, the store's Build and v1 reads, and the
-// transaction layer's snapshot reload all call it. Each sequence is
+// transaction layer's AddAll and snapshot reload all call it. Each sequence is
 // validated once, by the worker that partitions it (partition), with no
 // serial pass ahead of the workers. Errors name the lowest failing
 // sequence and wrap geom.ErrDimensionMismatch or ErrNonFinite where those

@@ -10,7 +10,7 @@
 //	GET    /healthz                   liveness + shard/sequence counts
 //	GET    /stats                     database shape
 //	GET    /metrics                   Prometheus text exposition (with WithMetrics)
-//	GET    /txnz                      WAL/snapshot stats (with mdsserve -durable)
+//	GET    /txnz                      commit/snapshot stats (transactional databases: every mdsserve)
 //	GET    /debug/pprof/...           runtime profiles (with WithPprof)
 //	GET    /debug/tracez              retained traces: recent + slowest per latency
 //	                                  bucket + errored (with WithRecorder; ?format=text
@@ -366,15 +366,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // txnStatser is the transaction layer's stats surface (*txn.DB). The
-// server detects it dynamically so deployments without durability pay
-// nothing — /txnz then reports 404.
+// server detects it dynamically, so a database without that layer (a
+// bare *core.Database) answers /txnz with 404.
 type txnStatser interface {
 	Stats() txn.Stats
 }
 
 // handleTxnz serves the transaction layer's commit/WAL/snapshot counters:
-// one Stats object on a single durable node, one per shard on a sharded
-// deployment built over transactional nodes (shard.NewWithNodes).
+// one Stats object on a single transactional node, one per shard on a
+// sharded deployment built over transactional nodes (shard.NewWithNodes).
 func (s *Server) handleTxnz(w http.ResponseWriter, r *http.Request) {
 	if ts, ok := s.db.(txnStatser); ok {
 		writeJSON(w, http.StatusOK, ts.Stats())
@@ -396,7 +396,7 @@ func (s *Server) handleTxnz(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	httpError(w, http.StatusNotFound, errors.New("transaction layer not enabled (see mdsserve -durable)"))
+	httpError(w, http.StatusNotFound, errors.New("transaction layer not enabled: the database is not a txn.DB"))
 }
 
 // ctxWriter is the optional context-carrying write surface (*txn.DB):
@@ -524,7 +524,13 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"length": s.db.Segmented(id).Seq.Len()})
+	// A DELETE may commit between the append and this read.
+	g := s.db.Segmented(id)
+	if g == nil {
+		httpError(w, http.StatusNotFound, fmt.Errorf("sequence %d not found", id))
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]int{"length": g.Seq.Len()})
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {

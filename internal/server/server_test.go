@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/shard"
 	"repro/internal/txn"
 )
@@ -194,6 +195,50 @@ func TestAppendEndpoint(t *testing.T) {
 	rec = doJSON(t, s, "POST", "/sequences/99/append", map[string]interface{}{"points": walkPoints(rng, 5)})
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("append to unknown: %d", rec.Code)
+	}
+}
+
+// goneAfterAppend is a database on which every sequence vanishes once it
+// has been appended to: a DELETE committed between the append and the
+// handler's read of the new length.
+type goneAfterAppend struct {
+	shard.DB
+	appended bool
+}
+
+func (g *goneAfterAppend) AppendPoints(id uint32, pts []geom.Point) error {
+	if err := g.DB.AppendPoints(id, pts); err != nil {
+		return err
+	}
+	g.appended = true
+	return nil
+}
+
+func (g *goneAfterAppend) Segmented(id uint32) *core.Segmented {
+	if g.appended {
+		return nil
+	}
+	return g.DB.Segmented(id)
+}
+
+// TestAppendToSequenceRemovedMeanwhile: the append handler read the new
+// length through Segmented after the write and dereferenced nil when the
+// sequence had been removed in between, dropping the connection. It
+// answers 404, as GET does for a missing id.
+func TestAppendToSequenceRemovedMeanwhile(t *testing.T) {
+	db, err := core.NewDatabase(core.Options{Dim: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	rng := rand.New(rand.NewSource(3))
+	if _, err := db.Add(&core.Sequence{Label: "grow", Points: toPoints(walkPoints(rng, 30))}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(&goneAfterAppend{DB: db})
+	rec := doJSON(t, s, "POST", "/sequences/0/append", map[string]interface{}{"points": walkPoints(rng, 5)})
+	if rec.Code != http.StatusNotFound || !bytes.Contains(rec.Body.Bytes(), []byte("sequence 0 not found")) {
+		t.Fatalf("append to a sequence removed meanwhile: %d %s, want 404", rec.Code, rec.Body)
 	}
 }
 

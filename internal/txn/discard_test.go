@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -154,11 +155,11 @@ func TestRecordRoundTripManyOps(t *testing.T) {
 
 func TestOversizedCommitRejected(t *testing.T) {
 	db := newMem(t, 2)
-	tx := db.Begin()
-	for i := 0; i <= maxRecOps; i++ {
-		tx.Remove(uint32(i))
+	ops := make([]op, maxRecOps+1)
+	for i := range ops {
+		ops[i] = op{kind: opRemove, id: uint32(i)}
 	}
-	if _, err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "record limit") {
+	if _, err := db.commitCtx(context.Background(), ops); err == nil || !strings.Contains(err.Error(), "record limit") {
 		t.Fatalf("oversized commit: %v, want op-count rejection", err)
 	}
 	// The rejection happened before anything was applied: the database

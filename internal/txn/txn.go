@@ -321,7 +321,8 @@ func (db *DB) AddCtx(ctx context.Context, s *core.Sequence) (uint32, error) {
 
 // AddAll stores a whole batch as one atomic commit: either every
 // sequence becomes visible and durable together, or none does. Returned
-// ids are dense and in input order.
+// ids are dense and in input order. The batch is partitioned in parallel
+// (core.PartitionAll) before it is submitted.
 func (db *DB) AddAll(seqs []*core.Sequence) ([]uint32, error) {
 	return db.AddAllCtx(context.Background(), seqs)
 }
@@ -332,12 +333,17 @@ func (db *DB) AddAllCtx(ctx context.Context, seqs []*core.Sequence) ([]uint32, e
 	if len(seqs) == 0 {
 		return nil, nil
 	}
-	ops := make([]op, len(seqs))
 	for i, s := range seqs {
-		g, err := db.partitionFor(s)
-		if err != nil {
-			return nil, fmt.Errorf("txn: sequence %d: %w", i, err)
+		if len(s.Label) > maxLabelLen {
+			return nil, fmt.Errorf("txn: sequence %d: label of %d bytes exceeds the %d-byte limit", i, len(s.Label), maxLabelLen)
 		}
+	}
+	segs, err := core.PartitionAll(seqs, db.opts.Dim, db.opts.Partition)
+	if err != nil {
+		return nil, err
+	}
+	ops := make([]op, len(segs))
+	for i, g := range segs {
 		ops[i] = op{kind: opAdd, g: g}
 	}
 	res, err := db.commitCtx(ctx, ops)
@@ -406,16 +412,11 @@ func (db *DB) partitionFor(s *core.Sequence) (*core.Segmented, error) {
 	return core.Segment(s, db.opts.Partition)
 }
 
-// commit submits one atomic batch of ops and waits for the committer's
-// acknowledgment (post-fsync when durable).
-func (db *DB) commit(ops []op) (commitRes, error) {
-	return db.commitCtx(context.Background(), ops)
-}
-
-// commitCtx is commit recording an observability span when ctx carries a
-// trace: duration enqueue-to-ack, op count, the WAL group size the
-// commit was fsynced with, and the outcome. ctx never cancels the
-// commit itself.
+// commitCtx submits one atomic batch of ops and waits for the
+// committer's acknowledgment (post-fsync when durable). When ctx carries a
+// trace it records a span: duration enqueue-to-ack, op count, the WAL
+// group size the commit was fsynced with, and the outcome. ctx never
+// cancels the commit itself.
 func (db *DB) commitCtx(ctx context.Context, ops []op) (commitRes, error) {
 	tr := obs.FromContext(ctx)
 	t0 := time.Now()
@@ -452,65 +453,4 @@ func (db *DB) submit(req *commitReq) error {
 	}
 	db.commitCh <- req
 	return nil
-}
-
-// --- transactions -------------------------------------------------------
-
-// Txn stages a multi-operation transaction. Operations are buffered
-// locally — nothing is visible or durable until Commit, which applies
-// them as one atomic, single-fsync commit. A Txn is not safe for
-// concurrent use; discard it after Commit.
-type Txn struct {
-	db   *DB
-	ops  []op
-	errs []error
-}
-
-// Begin starts an empty transaction.
-func (db *DB) Begin() *Txn { return &Txn{db: db} }
-
-// Add stages a sequence insertion. The id it will receive is assigned at
-// Commit (ids depend on commit order across writers).
-func (t *Txn) Add(s *core.Sequence) {
-	g, err := t.db.partitionFor(s)
-	if err != nil {
-		t.errs = append(t.errs, err)
-		return
-	}
-	t.ops = append(t.ops, op{kind: opAdd, g: g})
-}
-
-// AppendPoints stages an extension of an existing sequence.
-func (t *Txn) AppendPoints(id uint32, pts []geom.Point) {
-	t.ops = append(t.ops, op{kind: opAppend, id: id, pts: pts})
-}
-
-// Remove stages a deletion.
-func (t *Txn) Remove(id uint32) {
-	t.ops = append(t.ops, op{kind: opRemove, id: id})
-}
-
-// Commit applies the staged operations atomically and returns the ids
-// assigned to staged Adds, in staging order. If any staged operation is
-// invalid the whole transaction is rejected and nothing changes.
-func (t *Txn) Commit() ([]uint32, error) {
-	if len(t.errs) > 0 {
-		return nil, t.errs[0]
-	}
-	if len(t.ops) == 0 {
-		return nil, nil
-	}
-	res, err := t.db.commit(t.ops)
-	if err != nil {
-		return nil, err
-	}
-	var ids []uint32
-	next := res.firstID
-	for _, o := range t.ops {
-		if o.kind == opAdd {
-			ids = append(ids, next)
-			next++
-		}
-	}
-	return ids, nil
 }

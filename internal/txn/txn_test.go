@@ -236,17 +236,24 @@ func TestTxnBatchAtomic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := newMem(t, 2)
 	a, _ := db.Add(randSeq(rng, 2, 10))
-
-	tx := db.Begin()
-	tx.Add(randSeq(rng, 2, 12))
-	tx.Add(randSeq(rng, 2, 9))
-	tx.AppendPoints(a, randSeq(rng, 2, 3).Points)
-	ids, err := tx.Commit()
-	if err != nil {
-		t.Fatalf("Commit: %v", err)
+	add := func(s *core.Sequence) op {
+		g, err := db.partitionFor(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op{kind: opAdd, g: g}
 	}
-	if len(ids) != 2 || ids[0] != a+1 || ids[1] != a+2 {
-		t.Fatalf("batch add ids = %v, want [%d %d]", ids, a+1, a+2)
+
+	res, err := db.commitCtx(context.Background(), []op{
+		add(randSeq(rng, 2, 12)),
+		add(randSeq(rng, 2, 9)),
+		{kind: opAppend, id: a, pts: randSeq(rng, 2, 3).Points},
+	})
+	if err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if res.firstID != a+1 {
+		t.Fatalf("batch's first add id = %d, want %d", res.firstID, a+1)
 	}
 	if db.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", db.Len())
@@ -254,11 +261,11 @@ func TestTxnBatchAtomic(t *testing.T) {
 
 	// A batch containing one invalid op must leave no trace of the rest.
 	before := db.Stats()
-	bad := db.Begin()
-	bad.Add(randSeq(rng, 2, 7))
-	bad.Remove(9999)
-	if _, err := bad.Commit(); err == nil {
-		t.Fatal("Commit of batch with unknown-id remove succeeded")
+	if _, err := db.commitCtx(context.Background(), []op{
+		add(randSeq(rng, 2, 7)),
+		{kind: opRemove, id: 9999},
+	}); err == nil {
+		t.Fatal("commit of batch with unknown-id remove succeeded")
 	}
 	if db.Len() != 3 {
 		t.Fatalf("failed batch leaked state: Len = %d, want 3", db.Len())
