@@ -166,22 +166,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "mdsserve: %d sequences (%d MBRs) over %d shard(s) on %s\n",
 		db.Len(), db.NumMBRs(), db.Shards(), *addr)
 
-	reg := obs.NewRegistry()
-	// ShardedDB.SetMetrics (via server.WithMetrics) records scatter-level
-	// metrics only; each shard's committer registers its WAL and snapshot
-	// instruments here, one labeled series per shard.
-	if len(nodes) > 1 {
-		for i, n := range nodes {
-			n.SetMetricsShard(reg, i)
-		}
-	}
-	if qc := db.QueryCache(); qc != nil {
-		name := "core"
-		if db.Shards() > 1 {
-			name = "front"
-		}
-		qc.SetMetrics(cache.NewMetrics(reg, name))
-	}
+	reg := newRegistry(db, nodes)
 	var collector *obs.RuntimeCollector
 	if *runtimeMS > 0 {
 		collector = obs.NewRuntimeCollector(reg)
@@ -226,6 +211,28 @@ func main() {
 			log.Fatalf("closing database: %v", err)
 		}
 	}
+}
+
+// newRegistry makes the server's metrics registry and wires into it what
+// server.WithMetrics does not: ShardedDB.SetMetrics (through that option)
+// records scatter-level metrics only, so each shard's committer registers
+// its WAL and snapshot instruments here, one labeled series per shard, and
+// the query cache its own. A single node is wired whole by the option.
+func newRegistry(db shard.DB, nodes []*txn.DB) *obs.Registry {
+	reg := obs.NewRegistry()
+	if len(nodes) > 1 {
+		for i, n := range nodes {
+			n.SetMetricsShard(reg, i)
+		}
+	}
+	if qc := db.QueryCache(); qc != nil {
+		name := "core"
+		if db.Shards() > 1 {
+			name = "front"
+		}
+		qc.SetMetrics(cache.NewMetrics(reg, name))
+	}
+	return reg
 }
 
 // txnConfig carries the -durable flag family and -checkpoint-every into

@@ -50,32 +50,80 @@ func putBuf(bp *[]byte) {
 // shardsAnswered, which that form of the answer never had.
 func appendSearchResponse(b []byte, res core.Result, exact bool) ([]byte, error) {
 	b = append(b, `{"matches":[`...)
-	for i := range res.Matches {
-		m := &res.Matches[i]
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendMatchHead(b, m.SeqID, m.Seq.Label)
-		var err error
-		if exact {
-			b = append(b, `0,"intervals":null`...)
-			if m.Dist != 0 {
-				b = append(b, `,"dist":`...)
-				b, err = appendFloat(b, m.Dist)
+	ms := res.Matches
+	for lo := 0; lo < len(ms); lo += labelBlock {
+		blk := ms[lo:min(lo+labelBlock, len(ms))]
+		plain := plainLabels(blk)
+		for i := range blk {
+			m := &blk[i]
+			if lo+i > 0 {
+				b = append(b, ',')
 			}
-		} else if b, err = appendFloat(b, m.MinDnorm); err == nil {
-			b = appendIntervals(b, m.Interval.Ranges())
+			b = appendMatchHead(b, m.SeqID, m.Seq.Label, plain>>i&1 != 0)
+			var err error
+			if exact {
+				b = append(b, `,"minDnorm":0,"intervals":null`...)
+				if m.Dist != 0 {
+					b = append(b, `,"dist":`...)
+					b, err = appendFloat(b, m.Dist)
+				}
+			} else {
+				b = append(b, `,"minDnorm":`...)
+				if b, err = appendFloat(b, m.MinDnorm); err == nil {
+					b = appendIntervals(b, m.Interval.Ranges())
+				}
+			}
+			if err != nil {
+				return b, err
+			}
+			b = append(b, '}')
 		}
-		if err != nil {
-			return b, err
-		}
-		b = append(b, '}')
 	}
 	if exact {
 		res.PerShard = nil
 	}
 	return appendResponseTail(b, res.Stats, res.PerShard), nil
 }
+
+// labelBlock is how many matches one label pass covers: the width of its
+// bit mask.
+const labelBlock = 64
+
+// plainLabels is the label pass the appenders run ahead of formatting a
+// block of matches: bit i is set when ms[i]'s label needs no escaping and
+// can be copied as it is. Reading every label's header and bytes in one
+// tight loop lets their cache misses overlap, where the formatting loop
+// would stall on each in turn; the formatting loop then finds them cached.
+func plainLabels(ms []core.Match) uint64 {
+	var plain uint64
+	for i := range ms {
+		if isPlain(ms[i].Seq.Label) {
+			plain |= 1 << i
+		}
+	}
+	return plain
+}
+
+// isPlain reports whether s is its own JSON string body: printable ASCII
+// other than the bytes appendString escapes.
+func isPlain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainByte[s[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// plainByte marks the bytes appendString copies unchanged without looking
+// further: printable ASCII except `"`, `\`, and the HTML-escaped < > &.
+// Every other byte is escaped or, from 0x80 up, starts a UTF-8 check.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
 
 // appendIntervals appends `,"intervals":` and the [start,end) pairs, null
 // for none.
@@ -88,21 +136,26 @@ func appendIntervals(b []byte, ranges []core.PointRange) []byte {
 	for _, rg := range ranges {
 		b = append(b, sep, '[')
 		sep = ','
-		b = strconv.AppendInt(b, int64(rg.Start), 10)
+		b = appendInt(b, int64(rg.Start))
 		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(rg.End), 10)
+		b = appendInt(b, int64(rg.End))
 		b = append(b, ']')
 	}
 	return append(b, ']')
 }
 
-// appendMatchHead appends a MatchJSON up to and including `"minDnorm":`.
-func appendMatchHead(b []byte, id uint32, label string) []byte {
+// appendMatchHead appends a MatchJSON or a NeighborJSON up to its label,
+// which it copies as it is when plain says it needs no escaping.
+func appendMatchHead(b []byte, id uint32, label string, plain bool) []byte {
 	b = append(b, `{"id":`...)
-	b = strconv.AppendUint(b, uint64(id), 10)
+	b = appendInt(b, int64(id))
+	if plain {
+		b = append(b, `,"label":"`...)
+		b = append(b, label...)
+		return append(b, '"')
+	}
 	b = append(b, `,"label":`...)
-	b = appendString(b, label)
-	return append(b, `,"minDnorm":`...)
+	return appendString(b, label)
 }
 
 // appendResponseTail closes the matches array and appends the rest of a
@@ -143,36 +196,43 @@ func appendResponseTail(b []byte, st core.SearchStats, perShard []core.ShardStat
 // appendNeighbors appends the /knn answer, {"neighbors":[NeighborJSON...]}.
 func appendNeighbors(b []byte, results []core.KNNResult) ([]byte, error) {
 	b = append(b, `{"neighbors":[`...)
-	for i := range results {
-		n := &results[i]
-		if i > 0 {
-			b = append(b, ',')
+	for lo := 0; lo < len(results); lo += labelBlock {
+		blk := results[lo:min(lo+labelBlock, len(results))]
+		plain := plainLabels(blk)
+		for i := range blk {
+			n := &blk[i]
+			if lo+i > 0 {
+				b = append(b, ',')
+			}
+			b = appendMatchHead(b, n.SeqID, n.Seq.Label, plain>>i&1 != 0)
+			b = append(b, `,"dist":`...)
+			var err error
+			if b, err = appendFloat(b, n.Dist); err != nil {
+				return b, err
+			}
+			b = append(b, `,"offset":`...)
+			b = appendInt(b, int64(n.Offset))
+			b = append(b, '}')
 		}
-		b = append(b, `{"id":`...)
-		b = strconv.AppendUint(b, uint64(n.SeqID), 10)
-		b = append(b, `,"label":`...)
-		b = appendString(b, n.Seq.Label)
-		b = append(b, `,"dist":`...)
-		var err error
-		if b, err = appendFloat(b, n.Dist); err != nil {
-			return b, err
-		}
-		b = append(b, `,"offset":`...)
-		b = strconv.AppendInt(b, int64(n.Offset), 10)
-		b = append(b, '}')
 	}
 	return append(b, "]}"...), nil
 }
 
 // appendFloat appends f the way encoding/json does: the shortest decimal
 // that round-trips, in exponent form below 1e-6 and from 1e21 up, with a
-// two-digit negative exponent's leading zero dropped (1e-07 → 1e-7).
+// two-digit negative exponent's leading zero dropped (1e-07 → 1e-7). The
+// fixed-point range, where an answer's distances fall, goes through
+// appendShortest; zero, the exponent form and the non-finite values keep
+// strconv.
 func appendFloat(b []byte, f float64) ([]byte, error) {
+	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < 1e21 {
+		return appendShortest(b, f), nil
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, errNonFinite
 	}
-	abs := math.Abs(f)
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 {
 		b = strconv.AppendFloat(b, f, 'e', -1, 64)
 		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 			b[n-2] = b[n-1]
@@ -194,11 +254,11 @@ func appendString(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
+		if plainByte[c] {
+			i++
+			continue
+		}
 		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
 			b = append(b, s[start:i]...)
 			switch c {
 			case '\\', '"':

@@ -85,9 +85,23 @@ func encodeJSON(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-var wireLabels = []string{
+var wireLabels = append([]string{
 	"", "plain", `quote"back\slash`, "ctl\x00\x01\b\f\n\r\t\x1f\x7f", "<script>&amp;</script>",
 	"sep\u2028\u2029end", "bad\xff\xfeutf8\xc3", "\xe2\x80", "héllo wörld ✓ 𝄞", "\ufffd",
+	// Plain labels, copied as they are by the label pass.
+	"s0", "query-07(src=walk@12)", " !#$%'()*+,-./09:;=?@AZ[]^_`az{|}~", "x",
+	// Invalid UTF-8: a lone continuation byte, a truncated and an overlong
+	// sequence, a surrogate, a byte past U+10FFFF.
+	"\x80", "ab\xc3", "\xc0\xaf", "\xed\xa0\x80", "\xf4\x90\x80\x80",
+}, everyByte(), everyByte()[0x20:0x80], everyByte()[0x80:])
+
+// everyByte is one label holding every byte 0x00 through 0xFF once.
+func everyByte() string {
+	b := make([]byte, 256)
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return string(b)
 }
 
 var wireFloats = []float64{
@@ -104,21 +118,27 @@ func wireCase(rng *rand.Rand) ([]core.Match, []core.MetricMatch, []core.KNNResul
 		return wireFloats[rng.Intn(len(wireFloats))]
 	}
 	n := rng.Intn(6)
+	if rng.Intn(20) == 0 {
+		n = 60 + rng.Intn(140) // past one label pass's block
+	}
 	ms := make([]core.Match, n)
 	mms := make([]core.MetricMatch, n)
 	ns := make([]core.KNNResult, n)
 	for i := 0; i < n; i++ {
 		seq := &core.Sequence{Label: wireLabels[rng.Intn(len(wireLabels))]}
 		id := rng.Uint32() >> uint(rng.Intn(32))
+		if rng.Intn(4) == 0 {
+			id = 1e8 - 2 + rng.Uint32()%4 // both sides of the integer table's limit
+		}
 		ms[i] = core.Match{SeqID: id, Seq: seq, MinDnorm: pick()}
 		for j, at := rng.Intn(4), 0; j > 0; j-- {
-			at += 1 + rng.Intn(50)
+			at += 1 + rng.Intn(50)<<uint(rng.Intn(24))
 			end := at + 1 + rng.Intn(50)
 			ms[i].Interval.Add(core.PointRange{Start: at, End: end})
 			at = end
 		}
 		mms[i] = core.MetricMatch{SeqID: id, Seq: seq, Dist: pick()}
-		ns[i] = core.KNNResult{SeqID: id, Seq: seq, Dist: pick(), Offset: rng.Intn(1000)}
+		ns[i] = core.KNNResult{SeqID: id, Seq: seq, Dist: pick(), Offset: rng.Intn(1000) << uint(rng.Intn(20))}
 	}
 	st := core.SearchStats{
 		QueryMBRs: rng.Intn(9), CandidatesDmbr: rng.Intn(2000), TotalSequences: rng.Intn(20000),
@@ -577,4 +597,41 @@ func TestDecodeRequestRandomBodies(t *testing.T) {
 		sb.WriteByte('}')
 		checkDecodeAgainstEncodingJSON(t, []byte(sb.String()))
 	}
+}
+
+// BenchmarkAppendSearchResponse encodes a Table 2-sized range answer: 300
+// matches whose sequences lie scattered over a heap larger than the
+// caches, as a long-running server's do, each with one or two intervals
+// and a distance of full precision.
+func BenchmarkAppendSearchResponse(b *testing.B) {
+	rng := rand.New(rand.NewSource(19))
+	const answers = 64
+	pool := make([]*core.Sequence, 1<<16)
+	for i := range pool {
+		pool[i] = &core.Sequence{Label: fmt.Sprintf("walk-%05d", i), Points: make([]geom.Point, 4)}
+	}
+	res := make([]core.Result, answers)
+	for a := range res {
+		ms := make([]core.Match, 300)
+		for i := range ms {
+			seq := pool[rng.Intn(len(pool))]
+			ms[i] = core.Match{SeqID: uint32(rng.Intn(16000)), Seq: seq, MinDnorm: rng.Float64() * 0.3}
+			at := rng.Intn(400)
+			for j := 1 + rng.Intn(2); j > 0; j-- {
+				end := at + 1 + rng.Intn(100)
+				ms[i].Interval.Add(core.PointRange{Start: at, End: end})
+				at = end + 1 + rng.Intn(50)
+			}
+		}
+		res[a] = core.Result{Matches: ms}
+	}
+	var buf []byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = appendSearchResponse(buf[:0], res[i%answers], false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(buf)))
 }

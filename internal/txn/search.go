@@ -54,20 +54,28 @@ func (s *Snap) view() *view { return s.st.view() }
 
 // mergeByID merges two id-ascending match lists — the base's answer and
 // the delta pass's — dropping base entries the view supersedes: the one
-// merge of every kind whose answer is ordered by id. When the delta adds
-// nothing and drops nothing, a non-empty answer is base itself, which may
-// be the base cache's list: like every range answer it is read-only
-// downstream. An empty answer stays a non-nil list.
+// merge of every kind whose answer is ordered by id. The base answer is
+// walked beside the view's ascending drop list, so a base entry costs a
+// comparison, not a map probe. When the delta adds nothing and drops
+// nothing, a non-empty answer is base itself, which may be the base cache's
+// list: like every range answer it is read-only downstream. An empty answer
+// stays a non-nil list.
 func mergeByID(base []core.Match, v *view, delta []core.Match) []core.Match {
-	if len(delta) == 0 && len(base) > 0 && !slices.ContainsFunc(base, func(m core.Match) bool { return v.dropBase(m.SeqID) }) {
+	if len(delta) == 0 && len(base) > 0 && !dropsAny(base, v.drop) {
 		return base
 	}
 	out := make([]core.Match, 0, len(base)+len(delta))
-	i, j := 0, 0
+	i, j, d := 0, 0, 0
 	for i < len(base) || j < len(delta) {
-		if i < len(base) && v.dropBase(base[i].SeqID) {
-			i++
-			continue
+		if i < len(base) {
+			id := base[i].SeqID
+			for d < len(v.drop) && v.drop[d] < id {
+				d++
+			}
+			if d < len(v.drop) && v.drop[d] == id {
+				i++
+				continue
+			}
 		}
 		switch {
 		case i >= len(base):
@@ -82,6 +90,25 @@ func mergeByID(base []core.Match, v *view, delta []core.Match) []core.Match {
 		}
 	}
 	return out
+}
+
+// dropsAny reports whether the id-ascending answer holds an id of the
+// ascending drop list.
+func dropsAny(ms []core.Match, drop []uint32) bool {
+	d := 0
+	for i := range ms {
+		id := ms[i].SeqID
+		for d < len(drop) && drop[d] < id {
+			d++
+		}
+		if d == len(drop) {
+			return false
+		}
+		if drop[d] == id {
+			return true
+		}
+	}
+	return false
 }
 
 // Do answers q against the snapshot: the one query path of the transaction

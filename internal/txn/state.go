@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -112,6 +113,9 @@ type view struct {
 	// is sequence ids[i] — what the delta pass (core.Unindexed) reads.
 	ids  []uint32
 	segs []*core.Segmented
+	// drop lists the base ids the state supersedes or removed, ascending
+	// and without repeats: what mergeByID walks beside a base answer.
+	drop []uint32
 }
 
 // view returns st's lookup form, building it on the first call. Only a
@@ -141,7 +145,15 @@ func buildView(st *state) *view {
 	}
 	// Visible delta, ascending id: overlaid base sequences first (base
 	// ids < any add id), then adds — skipping removed ids either way.
-	sortUint32s(overlayBase)
+	slices.Sort(overlayBase)
+	v.drop = slices.Clone(overlayBase)
+	for _, id := range st.removed {
+		if id < st.baseNext {
+			v.drop = append(v.drop, id)
+		}
+	}
+	slices.Sort(v.drop)
+	v.drop = slices.Compact(v.drop)
 	for _, id := range overlayBase {
 		if _, dead := v.removed[id]; dead {
 			continue
@@ -162,13 +174,11 @@ func buildView(st *state) *view {
 }
 
 // dropBase reports whether a base search result for id must be filtered
-// out: the snapshot supersedes it (overlay) or deleted it (removed).
+// out: the snapshot supersedes it (overlay) or deleted it (removed). For
+// answers in another order than id's; mergeByID walks the list instead.
 func (v *view) dropBase(id uint32) bool {
-	if _, dead := v.removed[id]; dead {
-		return true
-	}
-	_, overlaid := v.overlay[id]
-	return overlaid
+	_, found := slices.BinarySearch(v.drop, id)
+	return found
 }
 
 // effective returns the sequence version visible for id, or nil.
@@ -229,13 +239,4 @@ func (w *workState) effective(id uint32) *core.Segmented {
 		return w.st.adds[i]
 	}
 	return nil
-}
-
-// sortUint32s sorts ids ascending (insertion sort; delta-sized inputs).
-func sortUint32s(xs []uint32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

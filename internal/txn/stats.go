@@ -188,6 +188,19 @@ func (db *DB) register(reg *obs.Registry, labels ...obs.Label) {
 		tailAge: reg.Gauge("mdseq_snapshot_age_seconds",
 			"Age of the oldest commit not yet folded into the base.", labels...),
 	}
-	m.replayed.Add(db.stats.recovered.Load())
+	// The counters start from what the database has already done — a
+	// replay, or the ingest fold of a server that wires its registry after
+	// opening — so they read what Stats reports. Raised to that, not added
+	// to: registering twice into one registry counts nothing twice.
+	seed := func(c *obs.Counter, v uint64) {
+		if have := c.Value(); v > have {
+			c.Add(v - have)
+		}
+	}
+	seed(m.replayed, db.stats.recovered.Load())
+	seed(m.records, db.stats.records.Load())
+	seed(m.fsyncs, db.stats.fsyncs.Load())
+	seed(m.walBytes, db.stats.walBytes.Load())
+	seed(m.checkpoints, db.stats.checkpoints.Load())
 	db.met.Store(m)
 }
