@@ -82,9 +82,9 @@ func Middleware(reg *Registry, logger *slog.Logger, rec *Recorder, next http.Han
 		dur := tr.Age()
 		rec.End(tr)
 		if reg != nil {
-			labels := []Label{
-				{Key: "method", Value: r.Method},
+			labels := []Label{ // in key order, which renderLabels need not sort
 				{Key: "code", Value: strconv.Itoa(sw.status)},
+				{Key: "method", Value: r.Method},
 			}
 			reg.Counter("mdseq_http_requests_total",
 				"HTTP requests served, by method and status code.", labels...).Inc()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,7 +49,7 @@ func NewRegistry() *Registry {
 // (for histograms) different bucket bounds is a programming error and
 // panics, as is a metric name outside the Prometheus charset; help text
 // from the first registration wins.
-func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []Label, make func() metric) metric {
+func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []Label) metric {
 	ls := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -57,7 +58,7 @@ func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []La
 		if !validMetricName(name) {
 			panic(fmt.Sprintf("obs: invalid metric name %q (want [a-zA-Z_:][a-zA-Z0-9_:]*)", name))
 		}
-		f = &family{name: name, help: help, typ: typ, buckets: buckets, series: map[string]metric{}}
+		f = &family{name: name, help: help, typ: typ, buckets: slices.Clone(buckets), series: map[string]metric{}}
 		r.families[name] = f
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.typ, typ))
@@ -66,7 +67,14 @@ func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []La
 	}
 	m, ok := f.series[ls]
 	if !ok {
-		m = make()
+		switch typ {
+		case "counter":
+			m = &Counter{}
+		case "gauge":
+			m = &Gauge{}
+		default:
+			m = newHistogram(f.buckets)
+		}
 		f.series[ls] = m
 	}
 	return m
@@ -154,13 +162,13 @@ func (r *Registry) Families() []FamilyInfo {
 // labels), registering it on first use. By convention name should end in
 // "_total".
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.lookup(name, help, "counter", nil, labels, func() metric { return &Counter{} }).(*Counter)
+	return r.lookup(name, help, "counter", nil, labels).(*Counter)
 }
 
 // Gauge returns the settable gauge for (name, labels), registering it on
 // first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(name, help, "gauge", nil, labels, func() metric { return &Gauge{} }).(*Gauge)
+	return r.lookup(name, help, "gauge", nil, labels).(*Gauge)
 }
 
 // Histogram returns the fixed-bucket histogram for (name, labels),
@@ -173,11 +181,11 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	if buckets == nil {
 		buckets = LatencyBuckets
 	}
-	bounds := append([]float64(nil), buckets...)
-	sort.Float64s(bounds)
-	return r.lookup(name, help, "histogram", bounds, labels, func() metric {
-		return newHistogram(bounds)
-	}).(*Histogram)
+	if !sort.Float64sAreSorted(buckets) {
+		buckets = append([]float64(nil), buckets...)
+		sort.Float64s(buckets)
+	}
+	return r.lookup(name, help, "histogram", buckets, labels).(*Histogram)
 }
 
 // --- counter ------------------------------------------------------------
@@ -365,16 +373,25 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // "" for no labels. Label keys are validated against the Prometheus label
 // charset (panic on violation) — a key is emitted unquoted, so unlike a
 // value it cannot be escaped into validity and a bad one would corrupt
-// every line of the family's exposition.
+// every line of the family's exposition. Labels passed in key order, with
+// values that need no escaping, cost the one allocation of the key.
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	byKey := func(a, b Label) int { return strings.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(labels, byKey) {
+		labels = slices.Clone(labels)
+		slices.SortFunc(labels, byKey)
+	}
+	n := 1
+	for _, l := range labels {
+		n += len(l.Key) + len(l.Value) + 4
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteByte('{')
-	for i, l := range ls {
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}

@@ -74,6 +74,34 @@ func TestRenderLabelsAllocs(t *testing.T) {
 	}
 }
 
+// TestLookupExistingSeriesAllocs: what Middleware does per request —
+// looking up a registered counter and LatencyBuckets histogram by labels
+// in key order — allocates the rendered key and nothing else: no sorted
+// copy of the labels, no copy of the bounds, no constructor closure. The
+// same labels out of order render the same key and stay as passed.
+func TestLookupExistingSeriesAllocs(t *testing.T) {
+	r := NewRegistry()
+	labels := []Label{{Key: "code", Value: "200"}, {Key: "method", Value: "POST"}}
+	r.Counter("req_total", "help", labels...)
+	r.Histogram("req_seconds", "help", nil, labels...)
+	for what, lookup := range map[string]func(){
+		"Counter":                   func() { r.Counter("req_total", "help", labels...).Inc() },
+		"Histogram(nil)":            func() { r.Histogram("req_seconds", "help", nil, labels...).Observe(1) },
+		"Histogram(LatencyBuckets)": func() { r.Histogram("req_seconds", "help", LatencyBuckets, labels...).Observe(1) },
+	} {
+		if n := testing.AllocsPerRun(100, lookup); n > 1 {
+			t.Errorf("%s lookup of an existing series allocates %v times, want at most 1", what, n)
+		}
+	}
+	swapped := []Label{labels[1], labels[0]}
+	if got, want := renderLabels(swapped), renderLabels(labels); got != want || swapped[0] != labels[1] {
+		t.Errorf("renderLabels(%v) = %q, want %q with its input left as passed", swapped, got, want)
+	}
+	if r.Histogram("req_seconds", "help", nil, swapped...) != r.Histogram("req_seconds", "help", nil, labels...) {
+		t.Error("the same labels out of order name another series")
+	}
+}
+
 func TestHistogramBucketMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("lat_seconds", "help", []float64{0.1, 1})

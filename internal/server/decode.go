@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/geom"
@@ -95,8 +96,9 @@ func decodeRequest(b []byte, allowed field, dst *body) error {
 
 // decoder is a cursor over one request body.
 type decoder struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	sized int // end of the last region size() counted
 }
 
 // peek returns the byte at the cursor, 0 at the end of the input (0 is
@@ -178,14 +180,13 @@ func (d *decoder) object(dst *body, allowed field) error {
 		switch f {
 		case fPoints:
 			var ar arenas
-			if dst.Points == nil && d.peek() == '[' {
-				nums, arrays := d.size()
-				ar = newArenas(nums, arrays-1)
+			if dst.Points == nil && d.peek() == '[' && d.i >= d.sized {
+				ar = newArenas(d.size())
 			}
 			err = d.points(&dst.Points, &ar)
 		case fQueries:
 			var ar arenas // shared by the queries; the few-element outer slice grows by append
-			if dst.Queries == nil && d.peek() == '[' {
+			if dst.Queries == nil && d.peek() == '[' && d.i >= d.sized {
 				ar = newArenas(d.size())
 			}
 			err = decodeArray(d, &dst.Queries, &arena[[]geom.Point]{}, func(q *[]geom.Point) error { return d.points(q, &ar) })
@@ -300,66 +301,38 @@ func (d *decoder) string(dst *string) error {
 	return d.fail("a string")
 }
 
-// number consumes one number token. ok is false when the value is null
-// (consumed too), which leaves a numeric field as it was.
+// float decodes one number into *dst through parseNumber; null (consumed)
+// leaves *dst as it was.
+func (d *decoder) float(dst *float64) error {
+	if d.peek() == 'n' {
+		return d.lit("null")
+	}
+	f, n, want := parseNumber(d.b[d.i:])
+	if n == 0 {
+		return d.fail(want)
+	}
+	if math.IsInf(f, 0) {
+		return fmt.Errorf("number %s does not fit a float64", d.b[d.i:d.i+n])
+	}
+	d.i += n
+	*dst = f
+	return nil
+}
+
+// number consumes one number token for the integer fields, which
+// strconv parses. ok is false when the value is null (consumed too), which
+// leaves the field as it was.
 func (d *decoder) number() (tok []byte, ok bool, err error) {
-	b, i := d.b, d.i
 	if d.peek() == 'n' {
 		return nil, false, d.lit("null")
 	}
-	if i < len(b) && b[i] == '-' {
-		i++
+	_, n, want, _ := scanNumber(d.b[d.i:])
+	if n == 0 {
+		return nil, false, d.fail(want)
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
-	default:
-		return nil, false, d.fail("a number")
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			return nil, false, d.fail("a number with digits after '.'")
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digits(b, i)
-		if j == i {
-			return nil, false, d.fail("a number with digits in its exponent")
-		}
-		i = j
-	}
-	tok = b[d.i:i]
-	d.i = i
+	tok = d.b[d.i : d.i+n]
+	d.i += n
 	return tok, true, nil
-}
-
-// digits returns the index after the run of digits starting at i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-func (d *decoder) float(dst *float64) error {
-	tok, ok, err := d.number()
-	if !ok {
-		return err
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return fmt.Errorf("number %s does not fit a float64", tok)
-	}
-	*dst = f
-	return nil
 }
 
 func (d *decoder) int(dst *int) error {
@@ -429,18 +402,29 @@ func (a *arena[T]) close(s []T, fresh bool) []T {
 	return s
 }
 
-// size bounds what the array value at the cursor holds, for sizing its
-// arenas: the numbers (a JSON value has at most one more leaf than it has
-// commas) and the arrays, the outer one included. It counts up to the next
-// '}' — no array of numbers contains one, and it ends the object the value
-// is a member of — so the bounds are exact for a well-formed points value
-// that is its object's last member, and over by what follows it otherwise.
-func (d *decoder) size() (nums, arrays int) {
+// size bounds, for sizing its arenas, what the array value at the cursor
+// holds if it is a well-formed points value (or a queries value, a list of
+// them). It counts up to the next '}' — no such value contains one, and it
+// ends the object the value is a member of — so a bound covers what follows
+// the value in its object too, and never falls below what the value holds.
+// A point is an array with its own '[' inside the outer one and its own
+// ']', and all but the last are followed by a comma; a number is a leaf,
+// at most one more than the commas, and takes at least one byte that is
+// neither a comma nor a bracket. So a body cannot buy more arena than a
+// well-formed body of its size would use, whatever it repeats. Each region
+// is counted once: a value that starts inside the last one counted (the
+// same key again, after a null) gets no arena and appends, so the regions
+// sized in one body are disjoint, and each byte is counted once.
+func (d *decoder) size() (nums, points int) {
 	region := d.b[d.i:]
 	if end := bytes.IndexByte(region, '}'); end >= 0 {
 		region = region[:end]
 	}
-	return bytes.Count(region, []byte{','}) + 1, bytes.Count(region, []byte{'['})
+	d.sized = d.i + len(region)
+	commas := bytes.Count(region, []byte{','})
+	opens := bytes.Count(region, []byte{'['})
+	closes := bytes.Count(region, []byte{']'})
+	return min(commas+1, len(region)-commas-opens-closes), min(opens-1, closes, commas+1)
 }
 
 // decodeArray decodes an array value into *dst the way encoding/json

@@ -9,11 +9,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/geom"
 	"repro/internal/shard"
 )
@@ -598,6 +600,117 @@ func TestDecodeRequestRandomBodies(t *testing.T) {
 		checkDecodeAgainstEncodingJSON(t, []byte(sb.String()))
 	}
 }
+
+// TestDecodeArenaBoundedByBody: a body cannot make the decoder allocate
+// more than a well-formed body of its size uses. The first four 4 MiB
+// floods are refused after a few bytes, yet the arenas are sized before
+// the points are read; counting raw commas and brackets, a bracket flood
+// cost 96 MiB and a comma flood 32 MiB. The last two repeat one key, a
+// null between its values, so that every value would be sized against the
+// rest of the body (terabytes in all); they are refused only at the end.
+// Now none costs more than the densest accepted body of that size, 1-d
+// points of one digit, whose two arenas still take the only 2 allocations.
+func TestDecodeArenaBoundedByBody(t *testing.T) {
+	const size = 4 << 20
+	flood := func(prefix, unit string) []byte {
+		b := []byte(prefix)
+		for len(b)+len(unit) <= size {
+			b = append(b, unit...)
+		}
+		return b
+	}
+	allocated := func(b []byte, allowed field) (uint64, float64, error) {
+		var err error
+		var req body
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(1, func() {
+			req = body{}
+			err = decodeRequest(b, allowed, &req)
+		})
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 2, allocs, err // AllocsPerRun runs it twice
+	}
+
+	accepted := append(flood(`{"points":[`, "[1],")[:size-len("[1]]}")], "[1]]}"...)
+	limit, allocs, err := allocated(accepted, appendFields)
+	if err != nil || allocs > 2 {
+		t.Fatalf("accepted body: %v, %.0f allocations, want nil and 2", err, allocs)
+	}
+	for _, fc := range []struct {
+		allowed      field
+		prefix, unit string
+	}{
+		{appendFields, `{"points":`, "["},
+		{appendFields, `{"points":`, ","},
+		{appendFields, `{"points":`, "[1,"},
+		{appendFields, `{"points":`, "[,"},
+		{appendFields, `{`, `"points":[],"points":null,`},
+		{batchFields, `{`, `"queries":[],"queries":null,`},
+	} {
+		got, _, err := allocated(flood(fc.prefix, fc.unit), fc.allowed)
+		if err == nil {
+			t.Fatalf("%q flood accepted", fc.unit)
+		}
+		t.Logf("%q flood: %d bytes allocated (an accepted body of its size: %d)", fc.unit, got, limit)
+		if got > limit {
+			t.Errorf("%q flood of %d bytes allocated %d bytes before it was refused, an accepted body of that size %d", fc.unit, size, got, limit)
+		}
+	}
+}
+
+// BenchmarkDecodeRequest decodes the two request bodies that carry the
+// benchmark workloads' coordinates: a 62-point /search query and a
+// 40-sequence /sequences/batch write, Table 2 synthetic points as
+// encoding/json writes them.
+func BenchmarkDecodeRequest(b *testing.B) {
+	cfg := experiment.PaperSynthetic()
+	cfg.NumSequences = 40
+	data, err := experiment.GenerateData(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire := func(pts []geom.Point) [][]float64 {
+		out := make([][]float64, len(pts))
+		for i, p := range pts {
+			out[i] = p
+		}
+		return out
+	}
+	var query [][]float64
+	batch := addBatchRequest{}
+	for i, seq := range data {
+		if query == nil && seq.Len() >= 62 {
+			query = wire(seq.Points[:62])
+		}
+		batch.Sequences = append(batch.Sequences, SequenceJSON{Label: fmt.Sprint("s", i), Points: wire(seq.Points)})
+	}
+	for _, bc := range []struct {
+		name    string
+		allowed field
+		req     any
+	}{
+		{"search62", searchFields, SearchRequest{Points: query, Eps: 0.1}},
+		{"batch40", addBatchFields, batch},
+	} {
+		raw, err := json.Marshal(bc.req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				decodeSink = body{}
+				if err := decodeRequest(raw, bc.allowed, &decodeSink); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var decodeSink body
 
 // BenchmarkAppendSearchResponse encodes a Table 2-sized range answer: 300
 // matches whose sequences lie scattered over a heap larger than the
