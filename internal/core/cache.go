@@ -134,15 +134,18 @@ type CacheSlot struct {
 // has every Dmbr to the query's MBRs beyond it, by the same squared-space
 // arithmetic, so no probe reaches it and it cannot enter or leave the
 // answer. A KNN's radius is not known until the answer is; Put fills it in.
+// A prepared query's key and rectangle are computed once, by the first
+// cache that asks.
 func SlotFor(c *cache.Cache, q Query, cfg PartitionConfig) CacheSlot {
 	if c == nil || q.Kind == Scan {
 		return CacheSlot{}
 	}
+	key, bounds := q.cacheKey(cfg)
 	slot := CacheSlot{
 		c:      c,
-		key:    CacheKey(q, cfg),
+		key:    key,
 		seq:    c.Seq(),
-		region: cache.Region{Rect: q.Seq.Bounds()},
+		region: cache.Region{Rect: bounds},
 	}
 	if q.Kind == KNN {
 		slot.k = q.K

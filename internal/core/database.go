@@ -487,18 +487,18 @@ type SearchStats struct {
 // that is CPUTime.
 func (st SearchStats) Total() time.Duration { return st.Phase1 + st.Phase2 + st.Phase3 }
 
-// filterPhases runs phases 1 and 2 of SIMILARITY_SEARCH out of the given
-// scratch, accumulating into st, and returns the candidate ids ascending.
-// Phase 2 probes at reach, the range's widened radius (dReach). What it
-// learned stays in the scratch for phase 3: sc.hitRow(id) is the set of query
-// MBRs with an index entry of sequence id within reach. The caller holds the
-// read lock and has verified the database is open.
-func (db *Database) filterPhases(ctx context.Context, q *Sequence, reach float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]uint32, error) {
+// filterPhases runs phases 1 and 2 of SIMILARITY_SEARCH for the prepared
+// query p out of the given scratch, accumulating into st, and returns the
+// candidate ids ascending. Phase 1, the query's partitioning, is p's, built
+// once per query; its time is reported as this search's. Phase 2 probes at
+// reach, the range's widened radius (dReach). What it learned stays in the
+// scratch for phase 3: sc.hitRow(id) is the set of query MBRs with an index
+// entry of sequence id within reach. The caller holds the read lock and has
+// verified the database is open.
+func (db *Database) filterPhases(ctx context.Context, p *Prepared, reach float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]uint32, error) {
 	// Phase 1: partition the query sequence.
-	t0 := time.Now()
-	sc.segmentQuery(q, db.opts.Partition)
-	st.QueryMBRs = len(sc.qmbrs)
-	st.Phase1 = time.Since(t0)
+	st.QueryMBRs = len(p.qmbrs)
+	st.Phase1 = p.phase1
 	if tr != nil {
 		tr.RecordSpan(obs.SpanFromContext(ctx), "partition", st.Phase1,
 			obs.Int("query_mbrs", st.QueryMBRs))
@@ -509,13 +509,13 @@ func (db *Database) filterPhases(ctx context.Context, q *Sequence, reach float64
 	// squared space; each probe's hits go straight into the hit table, and
 	// the distinct candidate ids are put in order by one bitmap pass.
 	t1 := time.Now()
-	sc.beginHits(len(db.seqs), len(sc.qmbrs))
-	for i := range sc.qmbrs {
+	sc.beginHits(len(db.seqs), len(p.qmbrs))
+	for i := range p.qmbrs {
 		if err := searchCanceled(ctx); err != nil {
 			return nil, err
 		}
 		var err error
-		sc.refs, err = db.tree.AppendWithinDist(sc.qmbrs[i].Rect, reach, sc.refs[:0])
+		sc.refs, err = db.tree.AppendWithinDist(p.qmbrs[i].Rect, reach, sc.refs[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -540,14 +540,15 @@ func (db *Database) filterPhases(ctx context.Context, q *Sequence, reach float64
 // has verified the database is open, and owns stats finalization
 // (CPUTime, metrics recording, caching): Do, for the paper's Range answer
 // directly and under MetricD through dRange.
-func (db *Database) rangePhases(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]Match, error) {
-	ids, err := db.filterPhases(ctx, q, dReach(eps, q.Len(), q.Dim()), sc, st, tr)
+func (db *Database) rangePhases(ctx context.Context, q Query, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]Match, error) {
+	p := q.prepared()
+	ids, err := db.filterPhases(ctx, p, dReach(q.Eps, p.seq.Len(), p.dim), sc, st, tr)
 	if err != nil {
 		return nil, err
 	}
 
 	t2 := time.Now()
-	out, err := refine(ctx, q, eps, ids, db.seqs, nil, sc, st)
+	out, err := refine(ctx, p, q.Eps, ids, db.seqs, nil, sc, st)
 	if err != nil {
 		return nil, err
 	}
@@ -574,17 +575,15 @@ func dReach(eps float64, n, d int) float64 { return eps / alignSlack(n, d) }
 // refine is phase 3 of SIMILARITY_SEARCH — second pruning over the
 // (query MBR, candidate) pairs phase 2 hit, qualifying windows accumulating
 // into the solution interval — over the ascending candidates cands: positions
-// in seqs whose hit rows sc holds, for the query q that sc.qmbrs partitions,
-// at eps. A match's SeqID is ids[c], or the position c itself when ids is nil
-// (a Database's directory). Each candidate is decided by refineOne. The
+// in seqs whose hit rows sc holds, for the prepared query p, at eps. A match's
+// SeqID is ids[c], or the position c itself when ids is nil (a Database's
+// directory). Each candidate is decided by refineOne. The
 // answer costs a constant number of allocations however many match: the list
 // is made on the first hit with room for every candidate still to come (most
 // match), and each hit's ranges go into one slab the matches share
 // (slabRanges). No match allocates nothing.
-func refine(ctx context.Context, q *Sequence, eps float64, cands []uint32, seqs []*Segmented, ids []uint32, sc *searchScratch, st *SearchStats) ([]Match, error) {
-	sc.fillQueryFlat(q)
-	qs := sc.querySide(q.Dim())
-	reach := dReach(eps, q.Len(), q.Dim())
+func refine(ctx context.Context, p *Prepared, eps float64, cands []uint32, seqs []*Segmented, ids []uint32, sc *searchScratch, st *SearchStats) ([]Match, error) {
+	reach := dReach(eps, p.seq.Len(), p.dim)
 	var out []Match
 	var slab []PointRange
 	for ci, c := range cands {
@@ -594,7 +593,7 @@ func refine(ctx context.Context, q *Sequence, eps float64, cands []uint32, seqs 
 			}
 		}
 		g := seqs[c]
-		minDnorm, hit, evals := sc.refineOne(q, qs, sc.hitRow(c), g, eps, reach)
+		minDnorm, hit, evals := sc.refineOne(p, sc.hitRow(c), g, eps, reach)
 		st.DnormEvals += evals
 		if !hit {
 			continue
@@ -614,9 +613,9 @@ func refine(ctx context.Context, q *Sequence, eps float64, cands []uint32, seqs 
 
 // refineOne is the phase-3 rule, the one Search, the transaction delta pass
 // (Unindexed) and Explain decide a candidate by: whether g, whose phase-2 hit
-// row is hits, survives at eps, the bound it was decided by, and the Dmbr
-// values computed. A survivor's solution interval is left in sc.p3.iv. qs is
-// q as querySide gives it and reach phase 2's radius (dReach).
+// row is hits, survives at eps against the prepared query p, the bound it
+// was decided by, and the Dmbr values computed. A survivor's solution
+// interval is left in sc.p3.iv. reach is phase 2's radius (dReach).
 //
 // Lemma 3 — the smallest Dnorm window is at most D — holds only when the
 // windowed side is at least as long as the query: then the best alignment
@@ -634,12 +633,13 @@ func refine(ctx context.Context, q *Sequence, eps float64, cands []uint32, seqs 
 //     compared with eps itself. The solution interval is Definition 6 with
 //     the roles exchanged: every alignment lays all of S inside Q, so a
 //     match's interval is all of S.
-func (sc *searchScratch) refineOne(q *Sequence, qs alignSide, hits []uint64, g *Segmented, eps, reach float64) (bound float64, hit bool, evals int) {
+func (sc *searchScratch) refineOne(p *Prepared, hits []uint64, g *Segmented, eps, reach float64) (bound float64, hit bool, evals int) {
+	qs := p.side
 	n, m := int(qs.starts[len(qs.starts)-1]), g.numPoints()
 	if m >= n {
-		return phase3Hits(sc.qmbrs, hits, &sc.p3, g, n, reach)
+		return phase3Hits(p.qmbrs, hits, &sc.p3, g, n, reach)
 	}
-	bound = knnSeqBound(&sc.p3, qs, g.side(), q.Dim())
+	bound = knnSeqBound(&sc.p3, qs, g.side(), p.dim)
 	sc.p3.iv.ranges = sc.p3.iv.ranges[:0]
 	if bound <= eps {
 		sc.p3.iv.Add(PointRange{Start: 0, End: m})

@@ -34,34 +34,16 @@ import (
 // orders and early-abandons with LB_Keogh, and only survivors pay for
 // the exact dynamic program.
 
-// dtwScratch is the pooled workspace of DTW evaluation: the dynamic
-// programming row, flat copies for the point-slice entry point, the
-// per-position query envelope arrays and the block extrema they are built
-// from, and the LB_Keogh suffix sums handed from the bound to the dynamic
-// program. It lives inside searchScratch so the whole DTW query path shares
-// the search pool's zero-allocation discipline.
+// dtwScratch is the pooled workspace of DTW evaluation against one query:
+// the dynamic programming row, flat copies for the point-slice entry point,
+// one partition's envelope-rect union, and the LB_Keogh suffix sums handed
+// from the bound to the dynamic program. It lives inside searchScratch so
+// the whole DTW query path shares the search pool's zero-allocation
+// discipline; the query's envelopes, which it only reads, are a dtwEnv.
 type dtwScratch struct {
 	row []float64 // the DP row array, len n+1
 
 	qbuf, sbuf []float64 // flat copies for the []geom.Point entry point
-
-	// Per-position envelopes of the query under the window in force:
-	// position i's bounds occupy envLo/envHi[i*d:(i+1)*d] (bounding rect
-	// of the query over [i−w, i+w] clamped); sufLo/sufHi[i*d:(i+1)*d]
-	// holds the suffix envelope over [i, n−1], consulted for data
-	// positions at or past the query's end. envN/envD/envW remember the
-	// query shape the arrays were built for, so one build serves every
-	// candidate of a query.
-	envLo, envHi []float64
-	sufLo, sufHi []float64
-	envN, envD   int
-	envW         int
-	envBuilt     bool
-
-	// blk holds one dimension's block-wise extrema while the envelopes are
-	// built: minima and maxima from each position to its block's start,
-	// then to its block's end (len 4n).
-	blk []float64
 
 	// rectLo/rectHi accumulate one partition's envelope-rect union.
 	rectLo, rectHi []float64
@@ -72,10 +54,24 @@ type dtwScratch struct {
 	keoghSuf []float64
 }
 
-// resetEnv invalidates the envelope arrays; each metric query calls it
-// once so stale envelopes from a previous query (different points,
-// window, or dimensionality) can never be consulted.
-func (ds *dtwScratch) resetEnv() { ds.envBuilt = false }
+// dtwEnv is a query's Sakoe–Chiba envelopes under the window in force,
+// built once per query (Prepared) and read by every bound of every shard.
+// Position i's bounds occupy envLo/envHi[i*d:(i+1)*d] (bounding rect of
+// the query over [i−w, i+w] clamped); sufLo/sufHi[i*d:(i+1)*d] holds the
+// suffix envelope over [i, n−1], consulted for data positions at or past
+// the query's end. envN/envD/envW are the query shape the arrays were
+// built for.
+type dtwEnv struct {
+	envLo, envHi []float64
+	sufLo, sufHi []float64
+	envN, envD   int
+	envW         int
+
+	// blk holds one dimension's block-wise extrema while the envelopes are
+	// built: minima and maxima from each position to its block's start,
+	// then to its block's end (len 4n).
+	blk []float64
+}
 
 // buildEnvelopes fills the per-position envelope arrays for the query in
 // qflat (n points of dimension d) under window w — O(n·d) total,
@@ -95,19 +91,14 @@ func (ds *dtwScratch) resetEnv() { ds.envBuilt = false }
 // (geom.GapSq, under MinDistPointSqFlat and MinDistSqLH), and a bound of −0
 // instead of +0 changes a difference only where it is zero, into the other
 // zero, which the gap's max with 0 and its square both drop.
-func (ds *dtwScratch) buildEnvelopes(qflat []float64, n, d, w int) {
-	if ds.envBuilt && ds.envN == n && ds.envD == d && ds.envW == w {
-		return
-	}
-	ds.envLo = ensureFloats(ds.envLo, n*d)
-	ds.envHi = ensureFloats(ds.envHi, n*d)
-	ds.sufLo = ensureFloats(ds.sufLo, n*d)
-	ds.sufHi = ensureFloats(ds.sufHi, n*d)
-	ds.rectLo = ensureFloats(ds.rectLo, d)
-	ds.rectHi = ensureFloats(ds.rectHi, d)
-	ds.blk = ensureFloats(ds.blk, 4*n)
-	envLo, envHi, sufLo, sufHi := ds.envLo, ds.envHi, ds.sufLo, ds.sufHi
-	preLo, preHi, postLo, postHi := ds.blk[:n], ds.blk[n:2*n], ds.blk[2*n:3*n], ds.blk[3*n:]
+func (e *dtwEnv) buildEnvelopes(qflat []float64, n, d, w int) {
+	e.envLo = ensureFloats(e.envLo, n*d)
+	e.envHi = ensureFloats(e.envHi, n*d)
+	e.sufLo = ensureFloats(e.sufLo, n*d)
+	e.sufHi = ensureFloats(e.sufHi, n*d)
+	e.blk = ensureFloats(e.blk, 4*n)
+	envLo, envHi, sufLo, sufHi := e.envLo, e.envHi, e.sufLo, e.sufHi
+	preLo, preHi, postLo, postHi := e.blk[:n], e.blk[n:2*n], e.blk[2*n:3*n], e.blk[3*n:]
 	inf := math.Inf(1)
 
 	// Suffix envelopes: one backward scan per dimension.
@@ -120,8 +111,7 @@ func (ds *dtwScratch) buildEnvelopes(qflat []float64, n, d, w int) {
 		}
 	}
 
-	ds.envN, ds.envD, ds.envW = n, d, w
-	ds.envBuilt = true
+	e.envN, e.envD, e.envW = n, d, w
 	if w < 0 || w > n {
 		// Every window reaches past both ends (and 2w+1 cannot overflow).
 		w = n
@@ -161,10 +151,10 @@ func (ds *dtwScratch) buildEnvelopes(qflat []float64, n, d, w int) {
 // per-position envelope for j inside the query's length, the suffix
 // envelope from max(0, j−w) for positions past it (the allowed query
 // range there is [j−w, n−1]). buildEnvelopes must have run.
-func (ds *dtwScratch) envRow(j int) (lo, hi []float64) {
-	n, d, w := ds.envN, ds.envD, ds.envW
+func (e *dtwEnv) envRow(j int) (lo, hi []float64) {
+	n, d, w := e.envN, e.envD, e.envW
 	if j < n {
-		return ds.envLo[j*d : (j+1)*d], ds.envHi[j*d : (j+1)*d]
+		return e.envLo[j*d : (j+1)*d], e.envHi[j*d : (j+1)*d]
 	}
 	i := 0
 	if w >= 0 {
@@ -175,12 +165,12 @@ func (ds *dtwScratch) envRow(j int) (lo, hi []float64) {
 			i = n - 1
 		}
 	}
-	return ds.sufLo[i*d : (i+1)*d], ds.sufHi[i*d : (i+1)*d]
+	return e.sufLo[i*d : (i+1)*d], e.sufHi[i*d : (i+1)*d]
 }
 
 // dtwIndexLB is the envelope-vs-MBR kernel: a lower bound on the
-// normalized DTW distance between the query (whose envelopes are built
-// in ds) and the stored sequence g, computed from g's partition MBRs
+// normalized DTW distance between the query, whose envelopes are e, and
+// the stored sequence g, computed from g's partition MBRs
 // only — no point data is touched. It returns max(B1, B2) (see the
 // package comment above), or +Inf when the window admits no alignment.
 //
@@ -192,8 +182,8 @@ func (ds *dtwScratch) envRow(j int) (lo, hi []float64) {
 // covers the same query positions as visiting all of them — the same
 // minima and maxima — with a few rows per MBR instead of one per point.
 // An unconstrained window has one envelope, the whole query's.
-func (ds *dtwScratch) dtwIndexLB(g *Segmented) float64 {
-	n, d, w := ds.envN, ds.envD, ds.envW
+func (ds *dtwScratch) dtwIndexLB(e *dtwEnv, g *Segmented) float64 {
+	n, d, w := e.envN, e.envD, e.envW
 	m := g.numPoints()
 	if w >= 0 && abs(n-m) > w {
 		return math.Inf(1)
@@ -202,17 +192,19 @@ func (ds *dtwScratch) dtwIndexLB(g *Segmented) float64 {
 	if w >= 0 && w < m {
 		step = 2*w + 1
 	}
+	ds.rectLo = ensureFloats(ds.rectLo, d)
+	ds.rectHi = ensureFloats(ds.rectHi, d)
 	minMD := math.Inf(1)
 	var weighted float64
 	for t := range g.MBRs {
 		p := &g.MBRs[t]
 		// EnvRect_p: union of the envelopes of p's data positions.
-		lo, hi := ds.envRow(p.Start)
+		lo, hi := e.envRow(p.Start)
 		copy(ds.rectLo[:d], lo)
 		copy(ds.rectHi[:d], hi)
 		for j := p.Start; j < p.End-1; {
 			j = min(j+step, p.End-1)
-			lo, hi := ds.envRow(j)
+			lo, hi := e.envRow(j)
 			for k := 0; k < d; k++ {
 				ds.rectLo[k] = min(ds.rectLo[k], lo[k])
 				ds.rectHi[k] = max(ds.rectHi[k], hi[k])
@@ -237,7 +229,7 @@ func dtwIndexSlack(n, m, d int) float64 {
 }
 
 // lbKeogh is the multidimensional LB_Keogh refinement bound: the summed
-// point-to-envelope distance over the stored sequence's raw points,
+// distance from the stored sequence's raw points to the query's envelopes e,
 // normalized by the longer length. It early-abandons against cutoff — once
 // the partial sum alone puts the bound above cutoff the full sum does too
 // (every term is nonnegative) and +Inf is returned. As in dtwFlat the
@@ -250,8 +242,8 @@ func dtwIndexSlack(n, m, d int) float64 {
 // (keoghSuf), for the dynamic program that follows to abandon on: the sum
 // says what the whole sequence must cost, a suffix what the rows not yet
 // computed must.
-func (ds *dtwScratch) lbKeogh(g *Segmented, cutoff float64) float64 {
-	n, d := ds.envN, ds.envD
+func (ds *dtwScratch) lbKeogh(e *dtwEnv, g *Segmented, cutoff float64) float64 {
+	n, d := e.envN, e.envD
 	m := g.numPoints()
 	denom := float64(max(n, m))
 	limit := cutoff * denom
@@ -259,7 +251,7 @@ func (ds *dtwScratch) lbKeogh(g *Segmented, cutoff float64) float64 {
 	suf := ds.keoghSuf
 	var sum float64
 	for j := 0; j < m; j++ {
-		lo, hi := ds.envRow(j)
+		lo, hi := e.envRow(j)
 		o := j * d
 		term := math.Sqrt(geom.MinDistPointSqFlat(g.Flat[o:o+d], lo, hi))
 		suf[j] = term

@@ -30,11 +30,18 @@ import (
 //     offered to q.Bound; under DTW a sequence the window cannot align is
 //     never a result. Every sequence counts as a candidate and as refined.
 //
-// A Range adds its time to Phase3 and CPUTime.
+// A Range adds its time to Phase3 and CPUTime. The query side is q's
+// prepared form — the one the indexed pass beside it read — or, for a q no
+// layer prepared, one Unindexed prepares itself.
 func Unindexed(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, segs []*Segmented, st *SearchStats) ([]Match, error) {
 	if q.Kind == KNN && q.K <= 0 {
 		return nil, nil
 	}
+	q, own, err := Prepare(q, q.Seq.Dim(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer own.Release()
 	sc := getScratch()
 	defer putScratch(sc)
 	if q.Kind == Scan {
@@ -42,11 +49,10 @@ func Unindexed(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, 
 	}
 	t0 := time.Now()
 	var out []Match
-	var err error
 	if q.Metric == nil && q.Kind == Range {
-		out, err = sc.linearRange(ctx, q, cfg, ids, segs, st)
+		out, err = sc.linearRange(ctx, q, ids, segs, st)
 	} else {
-		out, err = sc.exactEach(ctx, q, cfg, ids, segs, st)
+		out, err = sc.exactEach(ctx, q, ids, segs, st)
 	}
 	if err != nil || q.Kind == KNN {
 		return out, err
@@ -59,31 +65,32 @@ func Unindexed(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, 
 
 // linearRange is Unindexed's paper's-answer Range: phase 2 as a pass over
 // every (query MBR, MBR) pair (markLinear), then refine.
-func (sc *searchScratch) linearRange(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, segs []*Segmented, st *SearchStats) ([]Match, error) {
-	sc.segmentQuery(q.Seq, cfg)
-	reach := dReach(q.Eps, q.Seq.Len(), q.Seq.Dim())
-	sc.beginHits(len(segs), len(sc.qmbrs))
-	for p, g := range segs {
-		if p%cancelCheckEvery == 0 {
+func (sc *searchScratch) linearRange(ctx context.Context, q Query, ids []uint32, segs []*Segmented, st *SearchStats) ([]Match, error) {
+	p := q.prepared()
+	reach := dReach(q.Eps, p.seq.Len(), p.dim)
+	sc.beginHits(len(segs), len(p.qmbrs))
+	for i, g := range segs {
+		if i%cancelCheckEvery == 0 {
 			if err := searchCanceled(ctx); err != nil {
 				return nil, err
 			}
 		}
-		sc.markLinear(uint32(p), g, reach)
+		sc.markLinear(p.qmbrs, uint32(i), g, reach)
 	}
 	st.CandidatesDmbr += len(sc.ids)
-	return refine(ctx, q.Seq, q.Eps, sc.ids, segs, ids, sc, st)
+	return refine(ctx, p, q.Eps, sc.ids, segs, ids, sc, st)
 }
 
-// markLinear is phase 2's linear form for the sequence g at position p: it
-// marks every query MBR with an MBR of g within reach, in the squared-space
-// arithmetic of the index probe, so the row is the one markHits fills from
-// the index — and returns the smallest squared Dmbr of any pair.
-func (sc *searchScratch) markLinear(p uint32, g *Segmented, reach float64) float64 {
+// markLinear is phase 2's linear form for the sequence g at position p and
+// the query MBRs qmbrs: it marks every query MBR with an MBR of g within
+// reach, in the squared-space arithmetic of the index probe, so the row is
+// the one markHits fills from the index — and returns the smallest squared
+// Dmbr of any pair.
+func (sc *searchScratch) markLinear(qmbrs []MBRInfo, p uint32, g *Segmented, reach float64) float64 {
 	sc.p3.sq = ensureFloats(sc.p3.sq, len(g.MBRs))
 	nearest := math.Inf(1)
-	for i := range sc.qmbrs {
-		geom.MinDistSqBatch(sc.qmbrs[i].Rect.L, sc.qmbrs[i].Rect.H, g.Lo, g.Hi, sc.p3.sq)
+	for i := range qmbrs {
+		geom.MinDistSqBatch(qmbrs[i].Rect.L, qmbrs[i].Rect.H, g.Lo, g.Hi, sc.p3.sq)
 		m := slices.Min(sc.p3.sq)
 		if m <= reach*reach {
 			sc.mark(p, i)
@@ -96,15 +103,10 @@ func (sc *searchScratch) markLinear(p uint32, g *Segmented, reach float64) float
 // exactEach is Unindexed's Range under a Metric and its KNN: each sequence's
 // exact distance — the alignment kernel under D, the dynamic program under
 // DTW — at no cutoff for a Range, against the cutoff in force for a KNN.
-func (sc *searchScratch) exactEach(ctx context.Context, q Query, cfg PartitionConfig, ids []uint32, segs []*Segmented, st *SearchStats) ([]Match, error) {
-	d := q.Seq.Dim()
-	sc.fillQueryFlat(q.Seq)
+func (sc *searchScratch) exactEach(ctx context.Context, q Query, ids []uint32, segs []*Segmented, st *SearchStats) ([]Match, error) {
+	p := q.prepared()
+	d, qs := p.dim, p.side
 	mt, dtw := q.Metric.(MetricDTW)
-	var qs alignSide
-	if !dtw {
-		sc.segmentQuery(q.Seq, cfg)
-		qs = sc.querySide(d)
-	}
 	var out []Match
 	worst := knnCutoff{bound: q.Bound, own: math.Inf(1)}
 	for i, g := range segs {
@@ -120,7 +122,7 @@ func (sc *searchScratch) exactEach(ctx context.Context, q Query, cfg PartitionCo
 		var off int
 		var dist float64
 		if dtw {
-			dist = sc.dtwSeq(mt, sc.qflat, g, d, cut, nil)
+			dist = sc.dtwSeq(mt, p.qflat, g, d, cut, nil)
 		} else {
 			off, dist = bestAlign(&sc.align, qs, g.side(), d, cut)
 		}

@@ -76,29 +76,28 @@ func (db *Database) Explain(q *Sequence, eps float64) (*Explanation, error) {
 func ExplainUnindexed(q *Sequence, eps float64, cfg PartitionConfig, ids []uint32, segs []*Segmented) *Explanation {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.segmentQuery(q, cfg)
-	sc.fillQueryFlat(q)
-	qs := sc.querySide(q.Dim())
+	p := newPrepared(Query{Seq: q, Eps: eps}, q.Dim(), cfg).built()
+	defer p.Release()
 	reach := dReach(eps, q.Len(), q.Dim())
-	sc.beginHits(len(segs), len(sc.qmbrs))
+	sc.beginHits(len(segs), len(p.qmbrs))
 	every := make([]uint64, sc.hitWords) // the row of a sequence phase 2 dismissed
 	for i := range every {
 		every[i] = ^uint64(0)
 	}
-	ex := &Explanation{Eps: eps, QueryMBRs: slices.Clone(sc.qmbrs)}
+	ex := &Explanation{Eps: eps, QueryMBRs: slices.Clone(p.qmbrs)}
 	for i := range ex.QueryMBRs { // detach the rects from the scratch
 		ex.QueryMBRs[i].Rect = ex.QueryMBRs[i].Rect.Clone()
 	}
-	for p, g := range segs {
-		ce := CandidateExplanation{SeqID: ids[p], Label: g.Seq.Label, Phase: "pruned-dmbr"}
-		ce.MinDmbr = math.Sqrt(sc.markLinear(uint32(p), g, reach))
-		row := sc.hitRow(uint32(p))
+	for i, g := range segs {
+		ce := CandidateExplanation{SeqID: ids[i], Label: g.Seq.Label, Phase: "pruned-dmbr"}
+		ce.MinDmbr = math.Sqrt(sc.markLinear(p.qmbrs, uint32(i), g, reach))
+		row := sc.hitRow(uint32(i))
 		candidate := slices.ContainsFunc(row, func(w uint64) bool { return w != 0 })
 		if !candidate {
 			row = every
 		}
 		var hit bool
-		ce.MinDnorm, hit, _ = sc.refineOne(q, qs, row, g, eps, reach)
+		ce.MinDnorm, hit, _ = sc.refineOne(p, row, g, eps, reach)
 		switch {
 		case !candidate:
 		case hit:

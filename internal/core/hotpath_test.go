@@ -144,13 +144,12 @@ func TestSearchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSegmentQueryMatchesPartition checks that the pooled columnar query
+// TestSegmentQueryMatchesPartition checks that the prepared query's columnar
 // segmentation reproduces Partition exactly: same ranges, same bounds.
 func TestSegmentQueryMatchesPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	cfg := DefaultPartitionConfig()
-	sc := getScratch()
-	defer putScratch(sc)
+	var p Prepared
 	for trial := 0; trial < 50; trial++ {
 		dim := 1 + rng.Intn(8)
 		s := randWalkSeq(rng, 1+rng.Intn(200), dim)
@@ -158,12 +157,12 @@ func TestSegmentQueryMatchesPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc.segmentQuery(s, cfg)
-		if len(sc.qmbrs) != len(want) {
-			t.Fatalf("trial %d: %d MBRs, Partition %d", trial, len(sc.qmbrs), len(want))
+		p.segmentQuery(s, cfg)
+		if len(p.qmbrs) != len(want) {
+			t.Fatalf("trial %d: %d MBRs, Partition %d", trial, len(p.qmbrs), len(want))
 		}
 		for j := range want {
-			g, w := sc.qmbrs[j], want[j]
+			g, w := p.qmbrs[j], want[j]
 			if g.Start != w.Start || g.End != w.End {
 				t.Fatalf("trial %d MBR %d: range [%d,%d), Partition [%d,%d)",
 					trial, j, g.Start, g.End, w.Start, w.End)
@@ -551,7 +550,12 @@ func TestSortedIDsMatchesSort(t *testing.T) {
 	db, q, _, most := allocCorpus(t)
 	search := func(cancelAt int) (polls int, err error) {
 		ctx := &pollCtx{Context: context.Background(), cancelAt: cancelAt}
-		_, err = db.rangePhases(ctx, q, most, sc, new(SearchStats), nil)
+		pq, own, err := Prepare(Query{Seq: q, Eps: most}, db.Dim(), db.PartitionConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer own.Release()
+		_, err = db.rangePhases(ctx, pq, sc, new(SearchStats), nil)
 		sc.clearHits()
 		allZero(fmt.Sprintf("after a search cancelled at poll %d", cancelAt))
 		return ctx.polls, err

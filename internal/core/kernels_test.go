@@ -247,16 +247,16 @@ func TestDTWCascadeSound(t *testing.T) {
 			mt := MetricDTW{Window: window}
 			for qi, q := range queries {
 				sc := getScratch()
-				sc.fillQueryFlat(q)
+				qflat := flatten(q.Points)
 				ds := &sc.dtw
-				ds.resetEnv()
-				ds.buildEnvelopes(sc.qflat, q.Len(), dim, window)
+				var env dtwEnv
+				env.buildEnvelopes(qflat, q.Len(), dim, window)
 				for id, g := range db.seqs {
-					index := ds.dtwIndexLB(g)
+					index := ds.dtwIndexLB(&env, g)
 					if math.IsInf(index, 1) {
 						continue // the band cannot align the pair
 					}
-					dist := sc.dtwSeq(mt, sc.qflat, g, dim, inf, nil)
+					dist := sc.dtwSeq(mt, qflat, g, dim, inf, nil)
 					total, rowMins := dtwReference(g.Seq.Slice(0, g.Seq.Len()), q.Points, window) // rows over the data
 					n, m := q.Len(), g.Seq.Len()
 					denom := float64(max(n, m))
@@ -265,7 +265,7 @@ func TestDTWCascadeSound(t *testing.T) {
 						if math.IsNaN(cutoff) {
 							continue // dist is +Inf
 						}
-						keogh := ds.lbKeogh(g, cutoff)
+						keogh := ds.lbKeogh(&env, g, cutoff)
 						if keogh > cutoff {
 							if dist <= cutoff {
 								t.Fatalf("dim %d window %d query %d seq %d: LB_Keogh %v dismisses distance %v at cutoff %v",
@@ -291,7 +291,7 @@ func TestDTWCascadeSound(t *testing.T) {
 						if stopsAfter(ds.keoghSuf) != 0 {
 							want = inf
 						}
-						got := sc.dtwSeq(mt, sc.qflat, g, dim, cutoff, ds.keoghSuf)
+						got := sc.dtwSeq(mt, qflat, g, dim, cutoff, ds.keoghSuf)
 						switch {
 						case math.Float64bits(got) != math.Float64bits(want):
 							t.Fatalf("dim %d window %d query %d seq %d cutoff %v: kernel %v, its rule on the reference matrix %v",
@@ -350,8 +350,8 @@ func TestDTWCascadeSound(t *testing.T) {
 // dtwIndexLBReference is dtwIndexLB with each partition's envelope rect
 // assembled the plain way: the union of the envelope of every one of its
 // data positions.
-func dtwIndexLBReference(ds *dtwScratch, g *Segmented) float64 {
-	n, d, w := ds.envN, ds.envD, ds.envW
+func dtwIndexLBReference(e *dtwEnv, g *Segmented) float64 {
+	n, d, w := e.envN, e.envD, e.envW
 	m := g.Seq.Len()
 	if w >= 0 && abs(n-m) > w {
 		return math.Inf(1)
@@ -361,7 +361,7 @@ func dtwIndexLBReference(ds *dtwScratch, g *Segmented) float64 {
 	rectLo, rectHi := make([]float64, d), make([]float64, d)
 	for t, p := range g.MBRs {
 		for j := p.Start; j < p.End; j++ {
-			lo, hi := ds.envRow(j)
+			lo, hi := e.envRow(j)
 			for k := 0; k < d; k++ {
 				if j == p.Start || lo[k] < rectLo[k] {
 					rectLo[k] = lo[k]
@@ -403,8 +403,9 @@ func TestDTWIndexLBMatchesReference(t *testing.T) {
 					q := flatten(randWalkSeq(rng, n, dim).Points)
 					for _, w := range []int{-1, 0, 1, 2, 16, 40, n + m, math.MaxInt / 2} {
 						var ds dtwScratch
-						ds.buildEnvelopes(q, n, dim, w)
-						got, want := ds.dtwIndexLB(g), dtwIndexLBReference(&ds, g)
+						var env dtwEnv
+						env.buildEnvelopes(q, n, dim, w)
+						got, want := ds.dtwIndexLB(&env, g), dtwIndexLBReference(&env, g)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("dim %d MaxPoints %d n %d m %d window %d: index bound %v, reference %v",
 								dim, cfg.MaxPoints, n, m, w, got, want)
@@ -467,7 +468,7 @@ func TestBuildEnvelopesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2501))
 	negZero := math.Copysign(0, -1)
 	values := []float64{-1, negZero, 0, 0.5, 1, 2}
-	var ds dtwScratch
+	var ds dtwEnv
 	zeroTies := 0
 	for n := 1; n <= 80; n++ {
 		for d := 1; d <= 5; d++ {
@@ -480,7 +481,6 @@ func TestBuildEnvelopesMatchesReference(t *testing.T) {
 				}
 			}
 			for _, w := range []int{0, 1, 2, n - 2, n - 1, n, n + 3, math.MaxInt, -1} {
-				ds.resetEnv()
 				ds.buildEnvelopes(q, n, d, w)
 				wantLo, wantHi := make([]float64, n*d), make([]float64, n*d)
 				for k := 0; k < d; k++ {
@@ -770,8 +770,9 @@ func BenchmarkDTWFlat(b *testing.B) {
 		b.Fatal(err)
 	}
 	var ds dtwScratch
-	ds.buildEnvelopes(q, n, dim, window)
-	if lb := ds.lbKeogh(g, math.Inf(1)); !(lb > 0) {
+	var env dtwEnv
+	env.buildEnvelopes(q, n, dim, window)
+	if lb := ds.lbKeogh(&env, g, math.Inf(1)); !(lb > 0) {
 		b.Fatalf("LB_Keogh %v: the suffix is trivial", lb)
 	}
 	row := make([]float64, n+1)
@@ -842,12 +843,11 @@ func BenchmarkBestAlign(b *testing.B) {
 func BenchmarkBuildEnvelopes(b *testing.B) {
 	const pool = 1024
 	qs, _ := videoPairs(b, pool)
-	var ds dtwScratch
+	var ds dtwEnv
 	positions := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%pool]
-		ds.resetEnv()
 		ds.buildEnvelopes(q.Flat, q.Seq.Len(), 3, 16)
 		kernelSink += ds.envLo[0]
 		positions += q.Seq.Len()

@@ -55,26 +55,25 @@ type KNNResult = Match
 // against a cutoff of +Inf: sequences whose Dmbr overflowed are refined,
 // and reported with the distance bestAlign gives them.
 //
-// The whole query runs out of the one scratch: the query segmentation
-// and flat point copy, the walk's queue, the set of sequences already
+// The query side — its segmentation and flat point copy — is the
+// prepared query's, shared with the query's other shards; the rest runs out
+// of the one scratch: the walk's queue, the set of sequences already
 // bounded (the phase-2 hit table, one bit per sequence), the bound's Dnorm
 // arrays, the candidate heap and the alignment kernel's running sums.
 // Counts keep their meaning: Candidates is every live sequence, Refined
 // the exact distances computed, and the difference was dismissed by a
 // bound — most of it now without the sequence ever being looked at.
 func (db *Database) knnD(ctx context.Context, query Query, sc *searchScratch, st *SearchStats, tr *obs.Trace, t0 time.Time) ([]Match, bool, error) {
-	q, k, bound := query.Seq, query.K, query.Bound
-	sc.segmentQuery(q, db.opts.Partition)
-	sc.fillQueryFlat(q)
-	dim := q.Dim()
-	qs := sc.querySide(dim)
+	k, bound := query.K, query.Bound
+	p := query.prepared()
+	dim, qs := p.dim, p.side
 
 	sc.beginHits(len(db.seqs), 1)
 	sc.heap = sc.heap[:0]
 	sc.near.Reset(db.tree, qs.lo, qs.hi)
 	// An alignment sums min(|Q|, |S|) ≤ |Q| point distances, and alignSlack
 	// only shrinks as that count grows: one factor serves every sequence.
-	keySlack := alignSlack(q.Len(), dim)
+	keySlack := alignSlack(p.seq.Len(), dim)
 	bounded, refined := 0, 0
 	meet := bound.meetAfter()
 	var out []KNNResult

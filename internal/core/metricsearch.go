@@ -24,14 +24,14 @@ import (
 // scan path). The phase-3 bound is at most D (Lemma 3, or the role rule for
 // a sequence shorter than the query: refineOne), so no sequence with D ≤ ε
 // is missing from the phase-3 survivors.
-func (db *Database) dRange(ctx context.Context, q *Sequence, eps float64, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]MetricMatch, error) {
-	matches, err := db.rangePhases(ctx, q, eps, sc, st, tr)
+func (db *Database) dRange(ctx context.Context, q Query, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]MetricMatch, error) {
+	matches, err := db.rangePhases(ctx, q, sc, st, tr)
 	if err != nil {
 		return nil, err
 	}
 	t3 := time.Now()
-	dim := q.Dim()
-	qs := sc.querySide(dim)
+	p := q.prep
+	dim, qs, eps := p.dim, p.side, q.Eps
 	// The survivors are filtered in place: the kept prefix of the list
 	// rangePhases made is the answer, and the cleared tail lets go of the
 	// Dnorm answer's interval slab, which a metric answer does not carry.
@@ -69,18 +69,15 @@ func (db *Database) dRange(ctx context.Context, q *Sequence, eps float64, sc *se
 // the early-abandoning exact dynamic program. Every bound underestimates
 // the normalized DTW distance (see dtwlb.go), so each dismissal is
 // provably correct and the survivors are exactly the ε-ball.
-func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt MetricDTW, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]MetricMatch, error) {
-	d := q.Dim()
-	n := q.Len()
-	ds := &sc.dtw
-
+func (db *Database) dtwRange(ctx context.Context, q Query, mt MetricDTW, sc *searchScratch, st *SearchStats, tr *obs.Trace) ([]MetricMatch, error) {
 	// Phase 1: envelope construction (the DTW analogue of partitioning —
-	// the query-side structure all pruning reads).
-	t0 := time.Now()
-	ds.resetEnv()
-	ds.buildEnvelopes(sc.qflat, n, d, mt.Window)
+	// the query-side structure all pruning reads), done once per query by
+	// its prepared form and reported by every shard that reads it.
+	p := q.prepared()
+	d, n, eps := p.dim, p.seq.Len(), q.Eps
+	env, ds := &p.env, &sc.dtw
 	st.QueryMBRs = 1
-	st.Phase1 = time.Since(t0)
+	st.Phase1 = p.phase1
 	if tr != nil {
 		tr.RecordSpan(obs.SpanFromContext(ctx), "envelope", st.Phase1,
 			obs.Int("positions", n), obs.Int("window", mt.Window))
@@ -89,7 +86,7 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 	// Phase 2: coarse index filter with the full query bounding rect (the
 	// suffix envelope at position 0).
 	t1 := time.Now()
-	qrect := geom.Rect{L: ds.sufLo[:d], H: ds.sufHi[:d]}
+	qrect := geom.Rect{L: env.sufLo[:d], H: env.sufHi[:d]}
 	var err error
 	sc.refs, err = db.tree.AppendWithinDist(qrect, dtwReach(eps, n, db.longest, mt.Window, d), sc.refs[:0])
 	if err != nil {
@@ -120,16 +117,16 @@ func (db *Database) dtwRange(ctx context.Context, q *Sequence, eps float64, mt M
 			}
 		}
 		g := db.seqs[id]
-		if ds.dtwIndexLB(g) > eps {
+		if ds.dtwIndexLB(env, g) > eps {
 			st.DTWEnvPruned++
 			continue
 		}
-		if ds.lbKeogh(g, eps) > eps {
+		if ds.lbKeogh(env, g, eps) > eps {
 			st.DTWKeoghPruned++
 			continue
 		}
 		st.DTWEvals++
-		dist := sc.dtwSeq(mt, sc.qflat, g, d, eps, ds.keoghSuf)
+		dist := sc.dtwSeq(mt, p.qflat, g, d, eps, ds.keoghSuf)
 		if dist <= eps {
 			out = append(out, Match{SeqID: id, Seq: g.Seq, Dist: dist})
 		}
@@ -174,12 +171,10 @@ func dtwReach(eps float64, n, longest, w, d int) float64 {
 // dismissals. Sequences the window cannot align with the query are never
 // results, and Offset is always 0 — warping has no single alignment offset.
 func (db *Database) knnDTW(ctx context.Context, query Query, mt MetricDTW, sc *searchScratch, st *SearchStats, tr *obs.Trace, t0 time.Time) ([]Match, bool, error) {
-	q, k, bound := query.Seq, query.K, query.Bound
-	sc.fillQueryFlat(q)
-	d := q.Dim()
-	ds := &sc.dtw
-	ds.resetEnv()
-	ds.buildEnvelopes(sc.qflat, q.Len(), d, mt.Window)
+	k, bound := query.K, query.Bound
+	p := query.prepared()
+	d := p.dim
+	env, ds := &p.env, &sc.dtw
 
 	// Envelope index bound for every live sequence; sequences the window
 	// cannot align (length difference beyond it) are dismissed here.
@@ -194,7 +189,7 @@ func (db *Database) knnDTW(ctx context.Context, query Query, mt MetricDTW, sc *s
 				return nil, false, err
 			}
 		}
-		lb := ds.dtwIndexLB(g)
+		lb := ds.dtwIndexLB(env, g)
 		if math.IsInf(lb, 1) {
 			envPruned++
 			continue
@@ -225,11 +220,11 @@ func (db *Database) knnDTW(ctx context.Context, query Query, mt MetricDTW, sc *s
 			break
 		}
 		g := db.seqs[c.id]
-		if ds.lbKeogh(g, cut) > cut {
+		if ds.lbKeogh(env, g, cut) > cut {
 			keoghPruned++
 			continue
 		}
-		dist := sc.dtwSeq(mt, sc.qflat, g, d, cut, ds.keoghSuf)
+		dist := sc.dtwSeq(mt, p.qflat, g, d, cut, ds.keoghSuf)
 		if dist <= cut {
 			out = worst.accept(out, KNNResult{SeqID: c.id, Seq: g.Seq, Dist: dist}, k)
 		}
@@ -271,8 +266,9 @@ func (db *Database) knnDTW(ctx context.Context, query Query, mt MetricDTW, sc *s
 func (sc *searchScratch) scan(query Query, seqs []*Segmented, ids []uint32) []Match {
 	q, eps := query.Seq, query.Eps
 	mt, dtw := query.Metric.(MetricDTW)
+	var qflat []float64
 	if dtw {
-		sc.fillQueryFlat(q)
+		qflat = query.prepared().qflat
 	}
 	// The reference kernels take points: views of both sides, in buffers
 	// reused across sequences and cleared after, so that the pooled
@@ -292,7 +288,7 @@ func (sc *searchScratch) scan(query Query, seqs []*Segmented, ids []uint32) []Ma
 		}
 		switch {
 		case dtw:
-			m.Dist = sc.dtwSeq(mt, sc.qflat, g, q.Dim(), math.Inf(1), nil)
+			m.Dist = sc.dtwSeq(mt, qflat, g, q.Dim(), math.Inf(1), nil)
 		case query.Metric != nil:
 			_, m.Dist = BestAlignment(sc.qpts, sc.spts)
 		default:

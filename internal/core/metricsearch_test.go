@@ -228,16 +228,16 @@ func TestMetricDTWLowerBoundsUnderestimate(t *testing.T) {
 				qlen := 10 + rng.Intn(src.Len()-10)
 				q := &Sequence{Label: "q", Points: src.Points[:qlen]}
 				sc := getScratch()
-				sc.fillQueryFlat(q)
+				qflat := flatten(q.Points)
 				ds := &sc.dtw
-				ds.resetEnv()
-				ds.buildEnvelopes(sc.qflat, q.Len(), dim, window)
+				var env dtwEnv
+				env.buildEnvelopes(qflat, q.Len(), dim, window)
 				for _, g := range db.seqs {
 					if g == nil {
 						continue
 					}
-					lb := ds.dtwIndexLB(g)
-					exact := sc.dtwSeq(mt, sc.qflat, g, dim, math.Inf(1), nil)
+					lb := ds.dtwIndexLB(&env, g)
+					exact := sc.dtwSeq(mt, qflat, g, dim, math.Inf(1), nil)
 					if math.IsInf(lb, 1) != math.IsInf(exact, 1) {
 						t.Fatalf("dim=%d window=%d: index bound inf=%v but exact inf=%v (lens %d vs %d)",
 							dim, window, math.IsInf(lb, 1), math.IsInf(exact, 1), q.Len(), g.Seq.Len())
@@ -248,7 +248,7 @@ func TestMetricDTWLowerBoundsUnderestimate(t *testing.T) {
 					if lb > exact+tol {
 						t.Fatalf("dim=%d window=%d: index bound %v exceeds exact DTW %v", dim, window, lb, exact)
 					}
-					if keogh := ds.lbKeogh(g, math.Inf(1)); keogh > exact+tol {
+					if keogh := ds.lbKeogh(&env, g, math.Inf(1)); keogh > exact+tol {
 						t.Fatalf("dim=%d window=%d: LB_Keogh %v exceeds exact DTW %v", dim, window, keogh, exact)
 					}
 				}

@@ -79,7 +79,7 @@ func (c PartitionConfig) mcostGrown(r geom.Rect, p geom.Point, count int) float6
 
 // Partition segments a sequence into MBRs with the paper's greedy
 // marginal-cost rule. The loop is the query segmentation's
-// (searchScratch.segmentQuery), run in a pooled scratch; the result is
+// (Prepared.segmentQuery), run in a pooled Prepared; the result is
 // copied out at its exact size, and the returned rects alias two bound
 // arrays the whole partitioning shares.
 func Partition(s *Sequence, cfg PartitionConfig) ([]MBRInfo, error) {
@@ -97,12 +97,12 @@ func partition(s *Sequence, cfg PartitionConfig) (mbrs []MBRInfo, lo, hi []float
 	if err := cfg.validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.segmentQuery(s, cfg)
+	p := preparedPool.Get().(*Prepared)
+	defer preparedPool.Put(p)
+	p.segmentQuery(s, cfg)
 	d := s.Dim()
-	mbrs = slices.Clone(sc.qmbrs)
-	lo, hi = slices.Clone(sc.qlo[:len(mbrs)*d]), slices.Clone(sc.qhi[:len(mbrs)*d])
+	mbrs = slices.Clone(p.qmbrs)
+	lo, hi = slices.Clone(p.qlo[:len(mbrs)*d]), slices.Clone(p.qhi[:len(mbrs)*d])
 	aliasBounds(mbrs, lo, hi, d)
 	return mbrs, lo, hi, nil
 }

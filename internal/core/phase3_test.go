@@ -75,10 +75,9 @@ func TestPhase3HitsEquivalence(t *testing.T) {
 			db, seqs := phase3Corpus(t, dim, cfg, int64(500+10*dim+ci))
 			qs := phase3Queries(seqs, dim, int64(dim))
 			if ci == 1 {
-				sc := getScratch()
-				sc.segmentQuery(qs[len(qs)-1], cfg)
-				n := len(sc.qmbrs)
-				putScratch(sc)
+				var p Prepared
+				p.segmentQuery(qs[len(qs)-1], cfg)
+				n := len(p.qmbrs)
 				if n <= 64 {
 					t.Fatalf("long query has %d MBRs; the suite needs more than 64", n)
 				}

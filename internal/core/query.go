@@ -57,6 +57,10 @@ type Query struct {
 	// bound may be missing even when fewer than K come back. nil is
 	// unbounded.
 	Bound *KNNBound
+
+	// prep is the query's prepared form (Prepare), nil until the first
+	// layer whose Do sees the query prepares it.
+	prep *Prepared
 }
 
 // Result is the answer to a Query.
@@ -99,19 +103,17 @@ func (q Query) Check(dim int) error {
 	if q.Seq.Dim() != dim {
 		return fmt.Errorf("core: query dim %d, database dim %d: %w", q.Seq.Dim(), dim, geom.ErrDimensionMismatch)
 	}
-	if q.Kind != KNN && q.Eps < 0 {
-		return fmt.Errorf("core: negative threshold %g", q.Eps)
-	}
-	return nil
+	return q.checkEps()
 }
 
 // errClosed is what a query on a closed database returns.
 var errClosed = errors.New("core: database closed")
 
-// Do answers q: the one search entry point of a Database, and the only
-// place a query is validated, looked up in the result cache, given the read
-// lock and a pooled scratch, recorded into the metrics registry and stored
-// in the cache. Between those it runs the kernel q selects:
+// Do answers q: the one search entry point of a Database, where a query is
+// prepared (Prepare: checked, unless a layer above prepared it), looked up in
+// the result cache, given the read lock and a pooled scratch, recorded into
+// the metrics registry and stored in the cache. Between those it runs the
+// kernel q selects:
 //
 //   - Range, nil Metric: the paper's SIMILARITY_SEARCH (rangePhases) —
 //     partition the query, prune with Dmbr through the R*-tree, prune with
@@ -142,9 +144,11 @@ var errClosed = errors.New("core: database closed")
 // neither serve an entry of the new base nor leave one behind for it.
 func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 	t0 := time.Now()
-	if err := q.Check(db.opts.Dim); err != nil {
+	q, own, err := Prepare(q, db.opts.Dim, db.opts.Partition)
+	if err != nil {
 		return Result{}, err
 	}
+	defer own.Release()
 	if q.Kind == KNN && q.K <= 0 {
 		return Result{}, nil
 	}
@@ -183,7 +187,6 @@ func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 
 	mt, dtw := q.Metric.(MetricDTW)
 	cacheable := true
-	var err error
 	switch {
 	case q.Kind == Scan:
 		res.Matches = sc.scan(q, db.seqs, nil)
@@ -193,12 +196,11 @@ func (db *Database) Do(ctx context.Context, q Query) (Result, error) {
 	case q.Kind == KNN:
 		res.Matches, cacheable, err = db.knnD(ctx, q, sc, st, tr, t0)
 	case dtw:
-		sc.fillQueryFlat(q.Seq)
-		res.Matches, err = db.dtwRange(ctx, q.Seq, q.Eps, mt, sc, st, tr)
+		res.Matches, err = db.dtwRange(ctx, q, mt, sc, st, tr)
 	case q.Metric != nil:
-		res.Matches, err = db.dRange(ctx, q.Seq, q.Eps, sc, st, tr)
+		res.Matches, err = db.dRange(ctx, q, sc, st, tr)
 	default:
-		res.Matches, err = db.rangePhases(ctx, q.Seq, q.Eps, sc, st, tr)
+		res.Matches, err = db.rangePhases(ctx, q, sc, st, tr)
 	}
 	if err != nil {
 		return Result{}, err

@@ -9,26 +9,18 @@ import (
 	"repro/internal/rtree"
 )
 
-// searchScratch is the reusable workspace of one query execution: the
-// columnar segmentation of the query, the phase-2 candidate buffers, and
-// the phase-3 Dnorm arrays. Instances cycle through scratchPool, so a
-// steady stream of queries runs without allocating — every buffer is
-// grown to the high-water mark once and then reused. Nothing in a search
-// result may alias scratch memory (results hold their own allocations),
-// which is what makes returning the scratch to the pool safe. The pool
-// invariant: hits and idBits are all-zero and ids is empty whenever the
-// scratch is not inside a search.
+// searchScratch is the reusable workspace of one query execution on one
+// database: the phase-2 candidate buffers, the kNN walk, and the phase-3
+// Dnorm, alignment and DTW arrays. The query side — its segmentation, flat
+// points and envelopes — is not here but in the query's Prepared, which
+// every shard of a scatter reads and none writes. Instances cycle through
+// scratchPool, so a steady stream of queries runs without allocating —
+// every buffer is grown to the high-water mark once and then reused.
+// Nothing in a search result may alias scratch memory (results hold their
+// own allocations), which is what makes returning the scratch to the pool
+// safe. The pool invariant: hits and idBits are all-zero and ids is empty
+// whenever the scratch is not inside a search.
 type searchScratch struct {
-	// Query segmentation, columnar: query MBR j's bounds occupy
-	// qlo[j*d:(j+1)*d] / qhi[j*d:(j+1)*d], and qmbrs[j].Rect aliases those
-	// ranges — the same dual view Segmented keeps for stored sequences.
-	qlo, qhi []float64
-	qmbrs    []MBRInfo
-	// qflat is the columnar copy of the query points (kNN refinement);
-	// qstarts is the query's MBR point-range column (see querySide).
-	qflat   []float64
-	qstarts []int32
-
 	// Phase-2 buffers. refs holds the raw index hits of one probe. hits is
 	// what phase 2 learned, kept for phase 3: one row of hitWords words per
 	// sequence id, bit i set when query MBR i has an index entry of that
@@ -90,77 +82,6 @@ func ensureFloats(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
-}
-
-// segmentQuery is PARTITIONING_SEQUENCE (Section 3.4.3), the one
-// implementation of the greedy MCOST rule: Partition runs it too, in a
-// pooled scratch, so a query and a stored sequence are cut by the same
-// loop. A point joins the current MBR unless doing so would increase the
-// per-point cost or overflow the cap, in which case it starts a new MBR;
-// consecutive MBRs cover contiguous, non-overlapping index ranges whose
-// union is the whole sequence. The candidate cost is evaluated with
-// mcostGrown, and the current MBR grows in place only once a point is
-// accepted. Bounds are written into qlo/qhi, pre-sized to the worst case
-// of one MBR per point so the aliased qmbrs rects never dangle, and qmbrs
-// is rebuilt. q must already be validated.
-func (sc *searchScratch) segmentQuery(q *Sequence, cfg PartitionConfig) {
-	d := q.Dim()
-	n := q.Len()
-	sc.qlo = ensureFloats(sc.qlo, n*d)
-	sc.qhi = ensureFloats(sc.qhi, n*d)
-	if cap(sc.qmbrs) < n {
-		sc.qmbrs = make([]MBRInfo, 0, n)
-	}
-	sc.qmbrs = sc.qmbrs[:0]
-
-	cur := MBRInfo{Start: 0, End: 1}
-	slot := func(j int) geom.Rect {
-		return geom.Rect{
-			L: sc.qlo[j*d : (j+1)*d : (j+1)*d],
-			H: sc.qhi[j*d : (j+1)*d : (j+1)*d],
-		}
-	}
-	cur.Rect = slot(0)
-	copy(cur.Rect.L, q.At(0))
-	copy(cur.Rect.H, q.At(0))
-	curCost := cfg.mcost(cur.Rect, 1)
-	for i := 1; i < n; i++ {
-		p := q.At(i)
-		grownCost := cfg.mcostGrown(cur.Rect, p, cur.Count()+1)
-		if grownCost > curCost || cur.Count() >= cfg.MaxPoints {
-			sc.qmbrs = append(sc.qmbrs, cur)
-			cur = MBRInfo{Rect: slot(len(sc.qmbrs)), Start: i, End: i + 1}
-			copy(cur.Rect.L, p)
-			copy(cur.Rect.H, p)
-			curCost = cfg.mcost(cur.Rect, 1)
-			continue
-		}
-		cur.Rect.ExtendPoint(p)
-		cur.End = i + 1
-		curCost = grownCost
-	}
-	sc.qmbrs = append(sc.qmbrs, cur)
-}
-
-// fillQueryFlat copies the query points into the scratch's columnar array
-// (kNN refinement input).
-func (sc *searchScratch) fillQueryFlat(q *Sequence) {
-	sc.qflat = q.appendFlat(sc.qflat[:0])
-}
-
-// querySide returns the query as the alignment kernel reads it, after
-// segmentQuery and fillQueryFlat: the flat points, the columnar MBR bounds
-// and the starts column, rebuilt here from qmbrs.
-func (sc *searchScratch) querySide(d int) alignSide {
-	r := len(sc.qmbrs)
-	if cap(sc.qstarts) < r+1 {
-		sc.qstarts = make([]int32, r+1)
-	}
-	sc.qstarts = sc.qstarts[:r+1]
-	for j := range sc.qmbrs {
-		sc.qstarts[j+1] = int32(sc.qmbrs[j].End)
-	}
-	return alignSide{flat: sc.qflat, lo: sc.qlo[:r*d], hi: sc.qhi[:r*d], starts: sc.qstarts}
 }
 
 // beginHits sizes the hit table and the id bitmap for nseq sequence ids

@@ -3,8 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"log/slog"
+	"maps"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -51,11 +54,20 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // non-nil, receives every request into the flight recorder (in-flight
 // table + retained completions). logger may be nil to disable logging;
 // reg may be nil to disable metrics; rec may be nil to disable recording.
+//
+// A request is accounted for once: the recorder keeps the ended trace
+// itself, the two instruments of a (method, code) are resolved through the
+// registry on its first request only (httpInstruments), and the wide
+// event is one record built in one pass over the trace and handed to the
+// logger's handler directly, without the caller lookup a logging call
+// makes for a source position the JSON line does not print.
 func Middleware(reg *Registry, logger *slog.Logger, rec *Recorder, next http.Handler) http.Handler {
 	var inflight *Gauge
+	var inst *httpInstruments
 	if reg != nil {
 		inflight = reg.Gauge("mdseq_http_inflight_requests",
 			"HTTP requests currently being served.")
+		inst = &httpInstruments{reg: reg}
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var tr *Trace
@@ -81,31 +93,84 @@ func Middleware(reg *Registry, logger *slog.Logger, rec *Recorder, next http.Han
 		}
 		dur := tr.Age()
 		rec.End(tr)
-		if reg != nil {
-			labels := []Label{ // in key order, which renderLabels need not sort
-				{Key: "code", Value: strconv.Itoa(sw.status)},
-				{Key: "method", Value: r.Method},
-			}
-			reg.Counter("mdseq_http_requests_total",
-				"HTTP requests served, by method and status code.", labels...).Inc()
-			reg.Histogram("mdseq_http_request_seconds",
-				"HTTP request latency in seconds, by method and status code.", nil, labels...).
-				ObserveDuration(dur)
+		if inst != nil {
+			c, h := inst.get(r.Method, sw.status)
+			c.Inc()
+			h.ObserveDuration(dur)
 		}
-		if logger != nil {
+		if logger != nil && logger.Enabled(r.Context(), slog.LevelInfo) {
 			// One canonical wide-event line per request: identity and
 			// HTTP outcome up front, then every trace attribute and span
 			// timing the handlers recorded.
-			attrs := []slog.Attr{
+			line := slog.NewRecord(time.Now(), slog.LevelInfo, "request", 0)
+			line.AddAttrs(
 				slog.String("requestID", tr.ID),
 				slog.Int("status", sw.status),
 				slog.Int("bytes", sw.bytes),
 				slog.Duration("duration", dur),
-			}
-			attrs = append(attrs, tr.WideAttrs()...)
-			logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
+			)
+			tr.eachWide(func(a slog.Attr) { line.AddAttrs(a) })
+			logger.Handler().Handle(r.Context(), line)
 		}
 	})
+}
+
+// httpInstruments caches the middleware's two instruments per (method,
+// status code): the registry resolves a pair once — rendering its labels,
+// two map lookups under the registry's lock — and every later request of
+// the pair reads it from an immutable map, replaced whole when a pair is
+// added. At most maxHTTPInstruments pairs are cached; a request past them
+// resolves through the registry as before.
+type httpInstruments struct {
+	reg   *Registry
+	mu    sync.Mutex // serializes additions
+	pairs atomic.Pointer[map[httpPair]httpPairInstruments]
+}
+
+type httpPair struct {
+	method string
+	code   int
+}
+
+type httpPairInstruments struct {
+	requests *Counter
+	latency  *Histogram
+}
+
+// maxHTTPInstruments bounds the cache: methods are client-chosen strings.
+const maxHTTPInstruments = 64
+
+// get returns the request counter and latency histogram of (method, code).
+func (in *httpInstruments) get(method string, code int) (*Counter, *Histogram) {
+	key := httpPair{method, code}
+	if m := in.pairs.Load(); m != nil {
+		if p, ok := (*m)[key]; ok {
+			return p.requests, p.latency
+		}
+	}
+	labels := []Label{ // in key order, which renderLabels need not sort
+		{Key: "code", Value: strconv.Itoa(code)},
+		{Key: "method", Value: method},
+	}
+	p := httpPairInstruments{
+		requests: in.reg.Counter("mdseq_http_requests_total",
+			"HTTP requests served, by method and status code.", labels...),
+		latency: in.reg.Histogram("mdseq_http_request_seconds",
+			"HTTP request latency in seconds, by method and status code.", nil, labels...),
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	old := in.pairs.Load()
+	if old != nil && len(*old) >= maxHTTPInstruments {
+		return p.requests, p.latency
+	}
+	next := map[httpPair]httpPairInstruments{}
+	if old != nil {
+		next = maps.Clone(*old)
+	}
+	next[key] = p
+	in.pairs.Store(&next)
+	return p.requests, p.latency
 }
 
 // TracezHandler serves the recorder's retained traces — mount it at

@@ -31,26 +31,29 @@ const (
 // (so slow outliers survive even under high throughput of fast requests,
 // OpenCensus-/tracez/-style), every errored trace up to a ring
 // limit, and a short ring of the most recent completions for "what just
-// happened" debugging. All methods are safe for concurrent use and no-op
-// on a nil receiver, so call sites need no wiring checks.
+// happened" debugging. It retains the ended traces themselves, frozen by
+// End, and snapshots them only when Dump is asked: a request pays for its
+// trace once, not for a copy nobody may read. All methods are safe for
+// concurrent use and no-op on a nil receiver, so call sites need no wiring
+// checks.
 type Recorder struct {
 	perBucket int
 
 	mu      sync.Mutex
 	active  map[*Trace]struct{}
-	buckets [][]*TraceSnapshot // len(LatencyBuckets)+1; each sorted slowest-first
+	buckets [][]*Trace // len(LatencyBuckets)+1; each sorted slowest-first
 	errored ring
 	recent  ring
 }
 
-// ring is a fixed-capacity overwrite-oldest buffer of trace snapshots.
+// ring is a fixed-capacity overwrite-oldest buffer of ended traces.
 type ring struct {
-	buf  []*TraceSnapshot
+	buf  []*Trace
 	next int
 	full bool
 }
 
-func (r *ring) push(s *TraceSnapshot) {
+func (r *ring) push(s *Trace) {
 	if len(r.buf) == 0 {
 		return
 	}
@@ -61,13 +64,13 @@ func (r *ring) push(s *TraceSnapshot) {
 	}
 }
 
-// snapshot returns the ring newest-first.
-func (r *ring) snapshot() []*TraceSnapshot {
+// newestFirst returns the ring's traces newest-first.
+func (r *ring) newestFirst() []*Trace {
 	n := r.next
 	if r.full {
 		n = len(r.buf)
 	}
-	out := make([]*TraceSnapshot, 0, n)
+	out := make([]*Trace, 0, n)
 	for i := 0; i < n; i++ {
 		idx := r.next - 1 - i
 		if idx < 0 {
@@ -93,9 +96,9 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	return &Recorder{
 		perBucket: cfg.PerBucket,
 		active:    make(map[*Trace]struct{}),
-		buckets:   make([][]*TraceSnapshot, len(LatencyBuckets)+1),
-		errored:   ring{buf: make([]*TraceSnapshot, cfg.Errors)},
-		recent:    ring{buf: make([]*TraceSnapshot, cfg.Recent)},
+		buckets:   make([][]*Trace, len(LatencyBuckets)+1),
+		errored:   ring{buf: make([]*Trace, cfg.Errors)},
+		recent:    ring{buf: make([]*Trace, cfg.Recent)},
 	}
 }
 
@@ -109,38 +112,41 @@ func (r *Recorder) Start(t *Trace) {
 	r.mu.Unlock()
 }
 
-// End removes a trace from the in-flight table, snapshots it, and feeds
-// the snapshot into retention. It returns the snapshot so the middleware
-// can reuse it for the wide-event log line.
-func (r *Recorder) End(t *Trace) *TraceSnapshot {
-	if r == nil || t == nil {
-		return t.Snapshot()
+// End ends a trace — it freezes it (Trace.end): its duration and status
+// are fixed, and whatever is recorded after is dropped — removes it from
+// the in-flight table and feeds it into retention. On a nil recorder it
+// still freezes the trace.
+func (r *Recorder) End(t *Trace) {
+	if t == nil {
+		return
 	}
-	snap := t.Snapshot()
+	dur, errored := t.end()
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	delete(r.active, t)
-	r.recent.push(snap)
-	if snap.Status != "ok" {
-		r.errored.push(snap)
+	r.recent.push(t)
+	if errored {
+		r.errored.push(t)
 	}
-	b := latencyBucketIndex(snap.Dur())
+	b := latencyBucketIndex(dur)
 	bucket := r.buckets[b]
 	switch {
 	case len(bucket) < r.perBucket:
-		bucket = append(bucket, snap)
+		bucket = append(bucket, t)
 		sortBucket(bucket)
 		r.buckets[b] = bucket
-	case snap.DurNS > bucket[len(bucket)-1].DurNS:
-		bucket[len(bucket)-1] = snap
+	case dur > bucket[len(bucket)-1].dur:
+		bucket[len(bucket)-1] = t
 		sortBucket(bucket)
 	}
-	r.mu.Unlock()
-	return snap
 }
 
-// sortBucket keeps a retention bucket ordered slowest-first.
-func sortBucket(b []*TraceSnapshot) {
-	sort.Slice(b, func(i, j int) bool { return b[i].DurNS > b[j].DurNS })
+// sortBucket keeps ended traces ordered slowest-first.
+func sortBucket(b []*Trace) {
+	sort.Slice(b, func(i, j int) bool { return b[i].dur > b[j].dur })
 }
 
 // latencyBucketIndex maps a duration onto LatencyBuckets: the index of
@@ -201,21 +207,37 @@ type RecorderDump struct {
 	Errored []*TraceSnapshot `json:"errored"`
 }
 
-// Dump snapshots the recorder's retained traces.
+// Dump snapshots the recorder's retained traces. A trace retained in
+// several lists is snapshotted once and shared.
 func (r *Recorder) Dump() RecorderDump {
 	if r == nil {
 		return RecorderDump{}
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	var slow []*TraceSnapshot
+	var slow []*Trace
 	for _, b := range r.buckets {
 		slow = append(slow, b...)
 	}
+	recent, errored := r.recent.newestFirst(), r.errored.newestFirst()
+	r.mu.Unlock()
 	sortBucket(slow)
+	snaps := make(map[*Trace]*TraceSnapshot)
+	snapshot := func(ts []*Trace) []*TraceSnapshot {
+		if ts == nil {
+			return nil
+		}
+		out := make([]*TraceSnapshot, len(ts))
+		for i, t := range ts {
+			if out[i] = snaps[t]; out[i] == nil {
+				out[i] = t.Snapshot()
+				snaps[t] = out[i]
+			}
+		}
+		return out
+	}
 	return RecorderDump{
-		Recent:  r.recent.snapshot(),
-		Slowest: slow,
-		Errored: r.errored.snapshot(),
+		Recent:  snapshot(recent),
+		Slowest: snapshot(slow),
+		Errored: snapshot(errored),
 	}
 }

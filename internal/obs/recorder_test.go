@@ -151,8 +151,11 @@ func TestRecorderActiveTable(t *testing.T) {
 func TestRecorderNilSafe(t *testing.T) {
 	var rec *Recorder
 	rec.Start(NewTrace())
-	if snap := rec.End(NewTrace()); snap == nil {
-		t.Fatal("nil recorder End must still snapshot the trace for the log line")
+	tr := NewTrace()
+	rec.End(tr)
+	tr.RecordSpan(0, "late", time.Millisecond)
+	if snap := tr.Snapshot(); len(snap.Spans) != 0 {
+		t.Fatal("nil recorder End must still end the trace: a span recorded after it was kept")
 	}
 	if got := rec.Active(); got != nil {
 		t.Fatalf("nil recorder Active() = %v, want nil", got)

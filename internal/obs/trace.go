@@ -32,6 +32,11 @@ type Trace struct {
 	attrs  []Attr // trace-level attributes (the wide-event payload)
 	nextID int    // last span ID handed out
 	errMsg string // non-empty marks the trace errored
+	// ended marks a trace End froze: its duration is dur from then on, and
+	// what is recorded after is dropped, so a retained trace reads the same
+	// whenever it is snapshotted.
+	ended bool
+	dur   time.Duration
 }
 
 // Span is one named timed section of a request.
@@ -239,7 +244,9 @@ func (t *Trace) StartSpan(name string) func() {
 	return func() {
 		d := time.Since(t.start) - s0
 		t.mu.Lock()
-		t.spans = append(t.spans, Span{ID: t.newSpanIDLocked(), Name: name, Start: s0, Dur: d})
+		if !t.ended {
+			t.spans = append(t.spans, Span{ID: t.newSpanIDLocked(), Name: name, Start: s0, Dur: d})
+		}
 		t.mu.Unlock()
 	}
 }
@@ -259,7 +266,9 @@ func (t *Trace) RecordSpan(parent int, name string, d time.Duration, attrs ...At
 		start = 0
 	}
 	t.mu.Lock()
-	t.spans = append(t.spans, Span{ID: t.newSpanIDLocked(), Parent: parent, Name: name, Start: start, Dur: d, Attrs: attrs})
+	if !t.ended {
+		t.spans = append(t.spans, Span{ID: t.newSpanIDLocked(), Parent: parent, Name: name, Start: start, Dur: d, Attrs: attrs})
+	}
 	t.mu.Unlock()
 }
 
@@ -270,7 +279,9 @@ func (t *Trace) SetAttrs(attrs ...Attr) {
 		return
 	}
 	t.mu.Lock()
-	t.attrs = append(t.attrs, attrs...)
+	if !t.ended {
+		t.attrs = append(t.attrs, attrs...)
+	}
 	t.mu.Unlock()
 }
 
@@ -291,10 +302,22 @@ func (t *Trace) MarkError(msg string) {
 		return
 	}
 	t.mu.Lock()
-	if t.errMsg == "" {
+	if t.errMsg == "" && !t.ended {
 		t.errMsg = msg
 	}
 	t.mu.Unlock()
+}
+
+// end freezes the trace, once: its duration stops at now, and spans,
+// attributes and errors recorded after are dropped. It reports the frozen
+// duration and whether the trace errored.
+func (t *Trace) end() (time.Duration, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.ended {
+		t.ended, t.dur = true, time.Since(t.start)
+	}
+	return t.dur, t.errMsg != ""
 }
 
 // Err returns the error message set by MarkError, or "".
@@ -318,29 +341,47 @@ func (t *Trace) Spans() []Span {
 }
 
 // WideAttrs renders the canonical wide-event payload for the per-request
-// log line: every trace-level attribute, the error marker, and
-// one duration attribute per span. The request ID is omitted — the
+// log line: every trace-level attribute, the error marker, and one
+// duration attribute per span name — the longest span of that name, so a
+// sharded request's "shard" key is its straggler, which bounds the
+// scatter, and every key is written once. The request ID is omitted — the
 // middleware logs it alongside.
 func (t *Trace) WideAttrs() []slog.Attr {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	attrs := append([]Attr(nil), t.attrs...)
-	spans := append([]Span(nil), t.spans...)
-	errMsg := t.errMsg
-	t.mu.Unlock()
-	out := make([]slog.Attr, 0, len(attrs)+len(spans)+2)
-	for _, a := range attrs {
-		out = append(out, a.slogAttr())
-	}
-	if errMsg != "" {
-		out = append(out, slog.String("error", errMsg))
-	}
-	for _, s := range spans {
-		out = append(out, slog.Float64("span."+s.Name+".ms", float64(s.Dur)/float64(time.Millisecond)))
-	}
+	var out []slog.Attr
+	t.eachWide(func(a slog.Attr) { out = append(out, a) })
 	return out
+}
+
+// eachWide hands emit WideAttrs' attributes in order, in one pass under the
+// trace's lock.
+func (t *Trace) eachWide(emit func(slog.Attr)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, a := range t.attrs {
+		emit(a.slogAttr())
+	}
+	if t.errMsg != "" {
+		emit(slog.String("error", t.errMsg))
+	}
+	for i, s := range t.spans {
+		d, first := s.Dur, true
+		for j, o := range t.spans {
+			if o.Name != s.Name {
+				continue
+			}
+			if j < i {
+				first = false
+				break
+			}
+			d = max(d, o.Dur)
+		}
+		if first {
+			emit(slog.Float64("span."+s.Name+".ms", float64(d)/float64(time.Millisecond)))
+		}
+	}
 }
 
 // --- snapshots ----------------------------------------------------------
@@ -383,8 +424,8 @@ type TraceSnapshot struct {
 // Dur returns the snapshot's duration.
 func (s *TraceSnapshot) Dur() time.Duration { return time.Duration(s.DurNS) }
 
-// Snapshot freezes the trace's current state, ending now. Status is
-// "error" when MarkError was called, else "ok".
+// Snapshot copies the trace's state out, ending now — or when End froze
+// it. Status is "error" when MarkError was called, else "ok".
 func (t *Trace) Snapshot() *TraceSnapshot {
 	if t == nil {
 		return nil
@@ -392,6 +433,9 @@ func (t *Trace) Snapshot() *TraceSnapshot {
 	dur := time.Since(t.start)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.ended {
+		dur = t.dur
+	}
 	snap := &TraceSnapshot{
 		ID:     t.ID,
 		Start:  t.start,
@@ -532,7 +576,9 @@ func StartSpan(ctx context.Context, name string) (context.Context, func(attrs ..
 	return context.WithValue(ctx, spanKey{}, id), func(attrs ...Attr) {
 		d := time.Since(t.start) - s0
 		t.mu.Lock()
-		t.spans = append(t.spans, Span{ID: id, Parent: parent, Name: name, Start: s0, Dur: d, Attrs: attrs})
+		if !t.ended {
+			t.spans = append(t.spans, Span{ID: id, Parent: parent, Name: name, Start: s0, Dur: d, Attrs: attrs})
+		}
 		t.mu.Unlock()
 	}
 }

@@ -39,7 +39,20 @@ type ShardStats = core.ShardStats
 //
 // A Scan is the oracle: the same fan-out and gather, without the cache and
 // without metrics.
+//
+// The query is prepared here (core.Prepare), unless a layer above did: it is
+// checked once, and the shards read one segmentation or one set of
+// envelopes, built by the first of them to need it. The prepared form is
+// released when Do returns, after every shard has.
 func (s *ShardedDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
+	if q.Kind == core.KNN && q.K <= 0 {
+		return core.Result{}, nil
+	}
+	q, own, err := core.Prepare(q, s.opts.Dim, s.opts.Partition)
+	if err != nil {
+		return core.Result{}, err
+	}
+	defer own.Release()
 	call := func(ctx context.Context, i int) (core.Result, error) { return s.shards[i].Do(ctx, q) }
 	workers := scatterWorkers(len(s.shards))
 	if q.Kind == core.Scan {
@@ -48,9 +61,6 @@ func (s *ShardedDB) Do(ctx context.Context, q core.Query) (core.Result, error) {
 			return core.Result{}, err
 		}
 		return s.gather(q, sc.vals), nil
-	}
-	if q.Kind == core.KNN && q.K <= 0 {
-		return core.Result{}, nil
 	}
 	slot := core.SlotFor(s.qcache.Load(), q, s.opts.Partition)
 	if res, ok := slot.Get(); ok {
@@ -97,7 +107,10 @@ type scattered struct {
 // most workers at a time), and done, when not nil, runs once per shard
 // when call returns, on that shard's goroutine, with what it returned.
 // Once every shard has returned, the lowest-numbered failing shard's error
-// fails the fan-out.
+// fails the fan-out. The last shard runs on the calling goroutine, which
+// would otherwise only wait: n−1 goroutines are started, not n, and the
+// caller takes a worker slot like any of them. All n are still running at
+// once when workers allows it, which a kNN's rendezvous needs.
 //
 // With a trace in ctx the whole fan-out is one "scatter" span and each
 // shard a "shard" child, so a retained trace of a sharded query renders as
@@ -110,29 +123,33 @@ func scatter(ctx context.Context, s *ShardedDB, workers int,
 	sc := scattered{vals: make([]core.Result, n), walls: make([]time.Duration, n)}
 	errs := make([]error, n)
 	sem := make(chan struct{}, workers)
+	run := func(i int) {
+		t0 := time.Now()
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		shardCtx := scatterCtx
+		var endShard func(...obs.Attr)
+		if tr != nil {
+			shardCtx, endShard = obs.StartSpan(scatterCtx, "shard")
+		}
+		v, err := call(shardCtx, i)
+		if endShard != nil {
+			endShard(obs.Int("shard", i), obs.Bool("ok", err == nil))
+		}
+		if done != nil {
+			done(i, v, err)
+		}
+		sc.vals[i], sc.walls[i], errs[i] = v, time.Since(t0), err
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
+	wg.Add(n - 1)
+	for i := 0; i < n-1; i++ {
 		go func(i int) {
 			defer wg.Done()
-			t0 := time.Now()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			shardCtx := scatterCtx
-			var endShard func(...obs.Attr)
-			if tr != nil {
-				shardCtx, endShard = obs.StartSpan(scatterCtx, "shard")
-			}
-			v, err := call(shardCtx, i)
-			if endShard != nil {
-				endShard(obs.Int("shard", i), obs.Bool("ok", err == nil))
-			}
-			if done != nil {
-				done(i, v, err)
-			}
-			sc.vals[i], sc.walls[i], errs[i] = v, time.Since(t0), err
+			run(i)
 		}(i)
 	}
+	run(n - 1)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {

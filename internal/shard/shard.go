@@ -104,19 +104,26 @@ func New(opts core.Options, n int) (*ShardedDB, error) {
 		}
 		s.shards[i] = db
 	}
+	s.opts.Partition = s.shards[0].PartitionConfig() // the default, when opts left it zero
 	return s, nil
 }
 
 // NewWithNodes assembles a ShardedDB over caller-built per-shard nodes —
 // the durability hook: hand it N transactional (internal/txn) databases
 // and the scatter-gather, placement and caching run unchanged on top of
-// MVCC snapshot reads and WAL-backed commits. All nodes must agree on dimensionality. The ShardedDB takes
-// ownership: Close closes every node.
+// MVCC snapshot reads and WAL-backed commits. All nodes must agree on
+// dimensionality and partitioning: the router prepares a query once for all
+// of them (core.Prepare), and a node cutting queries by another rule would
+// be probed with query MBRs it does not cut. The ShardedDB takes ownership:
+// Close closes every node.
 func NewWithNodes(nodes []Node) (*ShardedDB, error) {
 	if len(nodes) < 1 {
 		return nil, ErrNoShards
 	}
-	dim := nodes[0].Dim()
+	if nodes[0] == nil {
+		return nil, errors.New("shard: node 0 is nil")
+	}
+	dim, cfg := nodes[0].Dim(), nodes[0].PartitionConfig()
 	for i, n := range nodes {
 		if n == nil {
 			return nil, fmt.Errorf("shard: node %d is nil", i)
@@ -124,10 +131,13 @@ func NewWithNodes(nodes []Node) (*ShardedDB, error) {
 		if n.Dim() != dim {
 			return nil, fmt.Errorf("shard: node %d has dim %d, node 0 has %d", i, n.Dim(), dim)
 		}
+		if c := n.PartitionConfig(); c != cfg {
+			return nil, fmt.Errorf("shard: node %d partitions with %+v, node 0 with %+v", i, c, cfg)
+		}
 	}
 	return &ShardedDB{
 		shards: append([]Node(nil), nodes...),
-		opts:   core.Options{Dim: dim, Partition: nodes[0].PartitionConfig()},
+		opts:   core.Options{Dim: dim, Partition: cfg},
 	}, nil
 }
 

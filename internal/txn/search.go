@@ -118,15 +118,25 @@ func dropsAny(ms []core.Match, drop []uint32) bool {
 // entries the delta supersedes or removed dropped — identical output to a
 // fully indexed database holding this snapshot's content, for every kind and
 // metric. With nothing unfolded the base's answer is the snapshot's.
+//
+// The query is prepared once (core.Prepare), here unless a layer above did
+// it: the base and the delta pass read the same segmentation or envelopes,
+// and the prepared form is released when Do returns. With nothing unfolded
+// the base prepares it.
 func (s *Snap) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	if s.st.deltaLen() == 0 {
 		return s.st.base.Do(ctx, q)
 	}
+	if q.Kind == core.KNN && q.K <= 0 {
+		return core.Result{}, nil
+	}
+	q, own, err := core.Prepare(q, s.db.opts.Dim, s.db.opts.Partition)
+	if err != nil {
+		return core.Result{}, err
+	}
+	defer own.Release()
 	base := q
 	if q.Kind == core.KNN {
-		if q.K <= 0 {
-			return core.Result{}, nil
-		}
 		// The base answers an inflated k', covering every result the delta
 		// might supersede or have removed. Nothing is sized by k, and k' is
 		// built from the smaller of k and the live count: asking for more
