@@ -35,7 +35,8 @@ import (
 // shot-structured sequences, queried with long windows of those), and a
 // sequence whose Dmbr overflows ahead of a match — and hostile coordinates:
 // −0 and 5e-324, in a 1-point stored sequence asked for by a 1-point query.
-// Every kNN is asked again at k = n + 5, past the live count.
+// Every kNN is asked again at k = n + 5, past the live count, and once more
+// at every k up to 22 after removals and appends hit the top of a ranking.
 func TestDoMatchesScanEverywhere(t *testing.T) {
 	ctx := context.Background()
 	type topology struct {
@@ -185,6 +186,56 @@ func TestDoMatchesScanEverywhere(t *testing.T) {
 						if want := ranked[:min(k, len(ranked))]; fmt.Sprint(byID(got)) != fmt.Sprint(byID(want)) {
 							t.Fatalf("%s query %d %s k %d: neighbors are not the scan's nearest:\n got %v\nscan %v", label, qi, name(m), k, byID(got), byID(want))
 						}
+					}
+				}
+			}
+
+			// A delta aimed at the top of one query's ranking: of the six
+			// nearest sequences stored before the fold (the first two thirds,
+			// fillAcrossFold), three are removed and three have points
+			// appended, so a transactional base ranks superseded and removed
+			// versions among its nearest — eleven dropped base ids with
+			// fillAcrossFold's five. Every kNN up to twice that k is held to
+			// the scan: a base asked for too few neighbors comes up short.
+			q := queries[3]
+			folded := map[string]bool{}
+			for _, s := range seqs[:2*len(seqs)/3] {
+				folded[s.Label] = true
+			}
+			rankedBy := func(m core.Metric) []mdseq.Match {
+				all := do(mdseq.Query{Seq: q, Kind: mdseq.Scan, Eps: math.MaxFloat64, Metric: m})
+				ranked := slices.DeleteFunc(all, func(r mdseq.Match) bool { return math.IsInf(r.Dist, 1) })
+				slices.SortFunc(ranked, func(a, b mdseq.Match) int {
+					return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.SeqID, b.SeqID))
+				})
+				return ranked
+			}
+			var targets []uint32
+			for _, r := range rankedBy(core.MetricD{}) {
+				if folded[r.Seq.Label] && len(targets) < 6 {
+					targets = append(targets, r.SeqID)
+				}
+			}
+			if len(targets) < 6 {
+				t.Fatalf("%s: only %d sequences stored before the fold rank near query 3", label, len(targets))
+			}
+			for i, id := range targets {
+				var err error
+				if i%2 == 0 {
+					err = db.Remove(id)
+				} else {
+					err = db.AppendPoints(id, []mdseq.Point{{0.5, 0.5, 0.5}, {0.6, 0.5, 0.4}})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, m := range []core.Metric{core.MetricD{}, core.MetricDTW{Window: -1}} {
+				ranked := rankedBy(m)
+				for k := 1; k <= 22; k++ {
+					got := do(mdseq.Query{Seq: q, Kind: mdseq.KNN, K: k, Metric: m})
+					if want := ranked[:min(k, len(ranked))]; fmt.Sprint(byID(got)) != fmt.Sprint(byID(want)) {
+						t.Fatalf("%s top of query 3's ranking rewritten, %s k %d: neighbors are not the scan's nearest:\n got %v\nscan %v", label, name(m), k, byID(got), byID(want))
 					}
 				}
 			}

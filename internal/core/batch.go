@@ -19,16 +19,25 @@ func (db *Database) SearchBatchCtx(ctx context.Context, qs []*Sequence, eps floa
 // DoBatch answers the paper's range query at eps for every sequence of qs
 // through do — a layer's Do, for a database of dimension dim partitioning
 // queries with cfg — and returns the answers and statistics in input order.
-// Every query is checked (Query.Check) before any runs, so a batch is
-// all-or-nothing and callers never pair partial outputs with their inputs;
-// the error names the query's index. Queries that share a CacheKey are one
-// query: do runs once per distinct query, in input order, and each repeat
-// gets the first one's answer with its stats flagged CacheHit — served
-// without compute, as from a cache. ctx is Do's: a fired context fails the
-// batch. The batch records one "batch" span.
+// Every query is prepared (Prepare, which checks it) before any runs, so a
+// batch is all-or-nothing and callers never pair partial outputs with their
+// inputs; the error names the query's index. do is handed the prepared
+// queries and checks none of them again. Queries that share a CacheKey are
+// one query: do runs once per distinct query, in input order, and each
+// repeat gets the first one's answer with its stats flagged CacheHit —
+// served without compute, as from a cache. ctx is Do's: a fired context
+// fails the batch. The batch records one "batch" span.
 func DoBatch(ctx context.Context, do func(context.Context, Query) (Result, error), dim int, cfg PartitionConfig, qs []*Sequence, eps float64) ([][]Match, []SearchStats, error) {
-	for i, q := range qs {
-		if err := (Query{Seq: q, Eps: eps}).Check(dim); err != nil {
+	prepared := make([]Query, len(qs))
+	owns := make([]*Prepared, len(qs))
+	defer func() {
+		for _, p := range owns {
+			p.Release()
+		}
+	}()
+	for i, seq := range qs {
+		var err error
+		if prepared[i], owns[i], err = Prepare(Query{Seq: seq, Eps: eps}, dim, cfg); err != nil {
 			return nil, nil, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
 	}
@@ -40,9 +49,8 @@ func DoBatch(ctx context.Context, do func(context.Context, Query) (Result, error
 	stats := make([]SearchStats, len(qs))
 	first := make(map[cache.Key]int, len(qs))
 	hits := 0
-	for i, seq := range qs {
-		q := Query{Seq: seq, Eps: eps}
-		key := CacheKey(q, cfg)
+	for i, q := range prepared {
+		key, _ := q.cacheKey(cfg)
 		if j, ok := first[key]; ok {
 			outs[i], stats[i] = outs[j], stats[j]
 			stats[i].CacheHit = true

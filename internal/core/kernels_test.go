@@ -539,11 +539,64 @@ func windowKey(a, b PointRange) int {
 	return a.End - b.End
 }
 
+// sweepWindowsBranch is sweepWindows with a branch per window: each window
+// appended when it qualifies, the RD pass skipping right edges with too few
+// points to their left. It is the reference for the order of the kept
+// windows.
+func sweepWindowsBranch(starts []int32, dists, wpre []float64, qCount int, eps float64, wins []PointRange) (float64, []PointRange) {
+	r := len(dists)
+	best := infBits
+	qc, fq := int32(qCount), float64(qCount)
+	keep := func(dist float64, pstart, pend int32) {
+		if dist <= eps {
+			wins = append(wins, PointRange{Start: int(pstart), End: int(pend)})
+		}
+		best = min(best, math.Float64bits(dist))
+	}
+	l := 0
+	for k := 0; k < r; k++ {
+		sk := starts[k]
+		l = max(l, k)
+		for l < r && starts[l+1]-sk < qc {
+			l++
+		}
+		if l >= r {
+			break
+		}
+		dist, pend := dists[k], starts[k+1]
+		if l != k {
+			partial := qc - (starts[l] - sk)
+			dist = (wpre[l] - wpre[k] + dists[l]*float64(partial)) / fq
+			pend = starts[l] + partial
+		}
+		keep(dist, sk, pend)
+	}
+	p := 0
+	for e := 0; e < r; e++ {
+		se := starts[e+1]
+		if se-starts[0] < qc {
+			continue
+		}
+		for p+1 <= e && se-starts[p+1] >= qc {
+			p++
+		}
+		if p == e {
+			continue
+		}
+		partial := qc - (se - starts[p+1])
+		keep((wpre[e+1]-wpre[p+1]+dists[p]*float64(partial))/fq, starts[p+1]-partial, se)
+	}
+	return math.Float64frombits(best), wins
+}
+
 // TestSweepWindowsMatchesSweep compares the columnar sweep with the
 // closure-form reference dnormCalc.sweep on random partitionings: the
 // minimum bit-equal and the qualifying windows equal as multisets (the
 // kernel emits degenerate targets in left-edge order, the reference ahead
 // of the rest), with ε off (−Inf, the kNN bound pass), random, and +Inf.
+// Against the keep-by-branch form (sweepWindowsBranch) it is held to the
+// same minimum bits and the same kept windows in the same order, appended
+// after a range already in the buffer; with ε off it grows nothing.
 // MBR sizes are drawn around the query MBR's so that degenerate targets,
 // LD/RD windows and sequences too short for any window all occur, with runs
 // of equal and zero Dmbr and, now and then, an overflowed one. A tiling of
@@ -553,7 +606,7 @@ func windowKey(a, b PointRange) int {
 // running sums restarted at 0.
 func TestSweepWindowsMatchesSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(1902))
-	windows := 0
+	windows, overflowed := 0, 0
 	for trial := 0; trial < 20000; trial++ {
 		r := 1 + rng.Intn(12)
 		qCount := 1 + rng.Intn(30)
@@ -581,6 +634,7 @@ func TestSweepWindowsMatchesSweep(t *testing.T) {
 				// A Dmbr whose square overflowed: windows right of it
 				// subtract Inf from Inf, and no form may count the NaN.
 				c.dists[j] = math.Inf(1)
+				overflowed++
 			}
 			c.mbrs[j] = MBRInfo{Start: c.prefix[j], End: c.prefix[j] + count}
 			c.prefix[j+1] = c.prefix[j] + count
@@ -609,10 +663,22 @@ func TestSweepWindowsMatchesSweep(t *testing.T) {
 				wantMin := tc.ref.sweep(eps, func(_ float64, pstart, pend int) {
 					want = append(want, PointRange{Start: pstart, End: pend})
 				})
-				gotMin, got := sweepWindows(tc.starts, tc.ref.dists, tc.ref.wpre, qCount, eps, nil)
+				// Into a buffer holding one range already, as phase3Hits's
+				// second run of a pair finds it.
+				prior := []PointRange{{Start: -1, End: -2}}
+				gotMin, got := sweepWindows(tc.starts, tc.ref.dists, tc.ref.wpre, qCount, eps, slices.Clip(prior))
 				if math.Float64bits(gotMin) != math.Float64bits(wantMin) {
 					t.Fatalf("trial %d eps %v from MBR %d: minimum %v, reference %v", trial, eps, len(c.mbrs)-len(tc.ref.mbrs), gotMin, wantMin)
 				}
+				branchMin, branch := sweepWindowsBranch(tc.starts, tc.ref.dists, tc.ref.wpre, qCount, eps, slices.Clip(prior))
+				if math.Float64bits(gotMin) != math.Float64bits(branchMin) || !slices.Equal(got, branch) {
+					t.Fatalf("trial %d eps %v from MBR %d: minimum %v and windows %v, keep-by-branch %v and %v",
+						trial, eps, len(c.mbrs)-len(tc.ref.mbrs), gotMin, got, branchMin, branch)
+				}
+				if eps < 0 && cap(got) != 1 {
+					t.Fatalf("trial %d: eps %v grew the buffer to %d ranges", trial, eps, cap(got))
+				}
+				got = got[1:]
 				slices.SortFunc(got, windowKey)
 				slices.SortFunc(want, windowKey)
 				if !slices.Equal(got, want) {
@@ -626,8 +692,8 @@ func TestSweepWindowsMatchesSweep(t *testing.T) {
 			}
 		}
 	}
-	if windows == 0 {
-		t.Fatal("no window qualified in any trial")
+	if windows == 0 || overflowed == 0 {
+		t.Fatalf("%d windows qualified and %d Dmbr overflowed over all trials: the draw no longer reaches both", windows, overflowed)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -310,48 +311,50 @@ func slabRanges(slab, rs []PointRange, remaining int) (IntervalSet, []PointRange
 	return IntervalSet{ranges: slab[n:len(slab):len(slab)]}, slab
 }
 
-// keepWindow folds one Dnorm window into the running minimum — kept as a
-// bit pattern, see sweepWindows — and, when the window is within eps,
-// appends its half-open point range to wins.
-func keepWindow(best uint64, wins []PointRange, dist, eps float64, pstart, pend int32) (uint64, []PointRange) {
-	if dist <= eps {
-		wins = append(wins, PointRange{Start: int(pstart), End: int(pend)})
-	}
-	return min(best, math.Float64bits(dist)), wins
-}
-
 // sweepWindows is Definition 5's window sweep over columnar arrays: MBR t
 // covers points [starts[t], starts[t+1]) at Dmbr dists[t], and wpre holds the
 // running sums of dists weighted by point count, from any base. It visits
 // every window of qCount consecutive points once — each target big enough
 // to be a window on its own, then the LD and RD windows, whose marginal MBR
 // contributes only part of its points — and returns the minimum window
-// distance and wins grown by the qualifying windows' point ranges; with a
-// pre-grown wins it does not allocate. Fewer than qCount points hold no
-// window, and the minimum is then +Inf: a sequence shorter than the query
-// MBR is not bounded by a window over it (Lemma 3 needs the query MBR whole
-// inside the sequence), which is why refineOne never sweeps one (knnSeqBound's
-// role rule takes it).
+// distance and wins grown by the qualifying windows' point ranges, LD
+// windows by left edge, then RD windows by right edge. Fewer than qCount
+// points hold no window, and the minimum is then +Inf: a sequence shorter
+// than the query MBR is not bounded by a window over it (Lemma 3 needs the
+// query MBR whole inside the sequence), which is why refineOne never sweeps
+// one (knnSeqBound's role rule takes it).
 //
-// The running minimum is an integer min over bit patterns, not a
-// compare-and-branch: which window is the smallest so far is a coin toss no
-// predictor wins. A window distance is a nonnegative float64, and those
-// order like their patterns (KNNBound relies on the same fact). The one
-// other thing a window can be is NaN — Inf − Inf, right of a Dmbr whose
-// square overflowed, where a caller did not restart the sums (phase3Hits
-// does) — and a NaN's pattern is above +Inf's, so it never becomes the
-// minimum and never qualifies. The degenerate targets are not a pass of
-// their own but the l == k case of the LD pass: a target holds qCount
-// points exactly when the left-edge walk stops on it, and the walk's break
-// leaves none behind (from there on even the rest of the sequence is short
-// of qCount).
+// Neither the minimum nor the keeping is a compare-and-branch: which window
+// is the smallest so far, and whether one qualifies (about 40 % do in a
+// range search), are coin tosses no predictor wins. The running minimum is
+// an integer min over bit patterns. A window distance is a nonnegative
+// float64, and those order like their patterns (KNNBound relies on the same
+// fact). The one other thing a window can be is NaN — Inf − Inf, right of a
+// Dmbr whose square overflowed, where a caller did not restart the sums
+// (phase3Hits does) — and a NaN's pattern is above +Inf's, so it never
+// becomes the minimum. Every window's range is written past the kept ones,
+// into wins grown once to the pair's at most 2r windows, and the kept count
+// advances by dist <= eps — a conditional move, false for NaN. A negative
+// eps keeps nothing, and then nothing is written and nothing grown: the kNN
+// bound pass (eps −Inf, nil wins) allocates nothing. The degenerate targets
+// are not a pass of their own but the l == k case of the LD pass: a target
+// holds qCount points exactly when the left-edge walk stops on it, and the
+// walk's break leaves none behind (from there on even the rest of the
+// sequence is short of qCount). The RD pass starts at the first window's
+// right edge, l(0): no right edge before it has qCount points to its left.
 func sweepWindows(starts []int32, dists, wpre []float64, qCount int, eps float64, wins []PointRange) (float64, []PointRange) {
 	r := len(dists)
 	best := infBits
 	qc, fq := int32(qCount), float64(qCount)
+	var sink [1]PointRange // the write target when nothing is kept
+	buf, n := sink[:], 0
+	if eps >= 0 {
+		wins = slices.Grow(wins, 2*r)
+		buf, n = wins[:cap(wins)], len(wins)
+	}
 	// Degenerate targets and LD windows: two-pointer over left edges; l(k)
 	// is non-decreasing.
-	l := 0
+	l, l0 := 0, r
 	for k := 0; k < r; k++ {
 		sk := starts[k]
 		l = max(l, k)
@@ -361,22 +364,26 @@ func sweepWindows(starts []int32, dists, wpre []float64, qCount int, eps float64
 		if l >= r {
 			break
 		}
+		if k == 0 {
+			l0 = l
+		}
 		dist, pend := dists[k], starts[k+1]
 		if l != k {
 			partial := qc - (starts[l] - sk)
 			dist = (wpre[l] - wpre[k] + dists[l]*float64(partial)) / fq
 			pend = starts[l] + partial
 		}
-		best, wins = keepWindow(best, wins, dist, eps, sk, pend)
+		best = min(best, math.Float64bits(dist))
+		buf[n] = PointRange{Start: int(sk), End: int(pend)}
+		if dist <= eps {
+			n++
+		}
 	}
 	// RD windows: two-pointer over right edges e; the marginal left index
 	// p(e) is non-decreasing.
 	p := 0
-	for e := 0; e < r; e++ {
+	for e := l0; e < r; e++ {
 		se := starts[e+1]
-		if se-starts[0] < qc {
-			continue
-		}
 		for p+1 <= e && se-starts[p+1] >= qc {
 			p++
 		}
@@ -385,7 +392,14 @@ func sweepWindows(starts []int32, dists, wpre []float64, qCount int, eps float64
 		}
 		partial := qc - (se - starts[p+1])
 		dist := (wpre[e+1] - wpre[p+1] + dists[p]*float64(partial)) / fq
-		best, wins = keepWindow(best, wins, dist, eps, starts[p+1]-partial, se)
+		best = min(best, math.Float64bits(dist))
+		buf[n] = PointRange{Start: int(se - qc), End: int(se)}
+		if dist <= eps {
+			n++
+		}
+	}
+	if eps >= 0 {
+		wins = wins[:n]
 	}
 	return math.Float64frombits(best), wins
 }

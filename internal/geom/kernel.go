@@ -1,5 +1,7 @@
 package geom
 
+import "math"
+
 // Hot-path kernels: squared-distance and flat (structure-of-arrays)
 // variants of the package's distance functions.
 //
@@ -22,13 +24,24 @@ package geom
 // they overlap or touch. It is the one definition every Dmbr in the system
 // is summed from — the batch kernels below, the R*-tree's node scan, the
 // DTW envelope bounds — and it carries no branch: for intervals with
-// lo ≤ hi at most one of the two differences is positive, so the largest
-// of them and 0 is the gap. The bounds must be finite (Inf − Inf is NaN
-// where there is no gap); core.Sequence.Validate enforces that for every
-// coordinate that reaches a kernel.
+// lo ≤ hi at most one of the two differences is positive, so the gap is
+// the sum of their positive parts (pos), which is max(bl−ah, al−bh, 0)
+// bit for bit — an exact sum with a +0 term, and +0 where both are ≤ 0 —
+// without the NaN- and ±0-aware compare chain max compiles to. The bounds
+// must be finite (Inf − Inf is NaN where there is no gap);
+// core.Sequence.Validate enforces that for every coordinate that reaches a
+// kernel. A difference that overflows is ±Inf, and its positive part
+// squares to +Inf, as max's does.
 func GapSq(al, ah, bl, bh float64) float64 {
-	x := max(bl-ah, al-bh, 0)
+	x := pos(bl-ah) + pos(al-bh)
 	return x * x
+}
+
+// pos returns x, or +0 when x's sign bit is set: the positive part of a
+// non-NaN x, taken by masking its bits with their own sign.
+func pos(x float64) float64 {
+	b := math.Float64bits(x)
+	return math.Float64frombits(b &^ uint64(int64(b)>>63))
 }
 
 // MinDistSqLH returns the squared minimum Euclidean distance between the

@@ -145,21 +145,60 @@ func gapIntervals(rng *rand.Rand, n int) (lo, hi []float64) {
 	return lo, hi
 }
 
+// gapSqMax is GapSq written with max, which compiles to a NaN- and
+// ±0-aware compare chain: the sign mask must give its bits wherever GapSq's
+// precondition holds.
+func gapSqMax(al, ah, bl, bh float64) float64 {
+	x := max(bl-ah, al-bh, 0)
+	return x * x
+}
+
 // TestGapSqMatchesReference checks the branch-free gap and every kernel
 // summed from it — MinDistSqLH, MinDistSqBatch, MinDistPointSqFlat, for
 // each unrolled dimension and the generic loop — against the three-case
-// reference, bit for bit, on touching, nested, zero-width, huge and
-// denormal boxes.
+// reference and the max form, bit for bit, on touching, nested,
+// zero-width, huge and denormal boxes. GapSq's precondition holds
+// throughout: every bound is finite and every interval has lo ≤ hi. An
+// exhaustive pass over intervals cut from edge values reaches the cases a
+// random draw rarely does: both differences ±0 (intervals of +0 and −0),
+// both differences overflowing together to +Inf and −Inf (±MaxFloat64),
+// gaps just past MaxFloat64/2 whose squares overflow, and the subnormal and
+// smallest normal gaps whose squares underflow.
 func TestGapSqMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
+
+	edges := []float64{-math.MaxFloat64, -math.MaxFloat64 / 2, -1, -math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64, 0x1p-1022, 1, math.MaxFloat64 / 2,
+		math.Nextafter(math.MaxFloat64/2, math.Inf(1)), math.MaxFloat64}
+	var elo, ehi []float64
+	for i, a := range edges {
+		for _, b := range edges[i:] {
+			elo, ehi = append(elo, a), append(ehi, b)
+		}
+	}
+	for i := range elo {
+		for k := range elo {
+			got := GapSq(elo[i], ehi[i], elo[k], ehi[k])
+			if want := gapSqReference(elo[i], ehi[i], elo[k], ehi[k]); !same(got, want) {
+				t.Fatalf("GapSq([%g,%g], [%g,%g]) = %v, reference %v", elo[i], ehi[i], elo[k], ehi[k], got, want)
+			}
+			if want := gapSqMax(elo[i], ehi[i], elo[k], ehi[k]); !same(got, want) {
+				t.Fatalf("GapSq([%g,%g], [%g,%g]) = %v, max form %v", elo[i], ehi[i], elo[k], ehi[k], got, want)
+			}
+		}
+	}
 
 	lo, hi := gapIntervals(rng, 4096)
 	for i := range lo {
 		for j := 0; j < 64; j++ {
 			k := rng.Intn(len(lo))
-			if got, want := GapSq(lo[i], hi[i], lo[k], hi[k]), gapSqReference(lo[i], hi[i], lo[k], hi[k]); !same(got, want) {
+			got := GapSq(lo[i], hi[i], lo[k], hi[k])
+			if want := gapSqReference(lo[i], hi[i], lo[k], hi[k]); !same(got, want) {
 				t.Fatalf("GapSq([%g,%g], [%g,%g]) = %v, reference %v", lo[i], hi[i], lo[k], hi[k], got, want)
+			}
+			if want := gapSqMax(lo[i], hi[i], lo[k], hi[k]); !same(got, want) {
+				t.Fatalf("GapSq([%g,%g], [%g,%g]) = %v, max form %v", lo[i], hi[i], lo[k], hi[k], got, want)
 			}
 		}
 	}

@@ -128,12 +128,14 @@ func gridRect(rng *rand.Rand, dim int, scale float64) geom.Rect {
 }
 
 // TestAppendWithinDistMatchesGapReference checks the node scan — each
-// unrolled dimension and the generic loop — against a walk of the same
-// tree with the three-case squared predicate: the same refs in the same
-// order, on boxes that touch, nest, have zero width, tie with ε exactly,
-// and sit at 1e200 scale where the squared gap overflows.
+// unrolled dimension and the generic loop, leaves appending and internal
+// nodes recursing — against a visitor walk of the same tree with the
+// three-case squared predicate: the same refs in the same (depth-first,
+// entry) order, appended after the refs already in the buffer, on boxes
+// that touch, nest, have zero width, tie with ε exactly, and sit at 1e200
+// scale where the squared gap overflows.
 func TestAppendWithinDistMatchesGapReference(t *testing.T) {
-	for _, dim := range []int{2, 3, 4, 5} {
+	for _, dim := range []int{1, 2, 3, 4, 5, 8} {
 		rng := rand.New(rand.NewSource(int64(300 + dim)))
 		items := make([]Item, 2000)
 		for i := range items {
@@ -164,11 +166,14 @@ func TestAppendWithinDistMatchesGapReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tr.AppendWithinDist(q, eps, nil)
+			got, err := tr.AppendWithinDist(q, eps, []Ref{7})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got, want) {
+			if got[0] != 7 {
+				t.Fatalf("dim %d: the ref already in the buffer became %d", dim, got[0])
+			}
+			if got = got[1:]; !slices.Equal(got, want) {
 				t.Fatalf("dim %d query %v eps %g: node scan found %d refs, three-case reference %d (or another order)",
 					dim, q, eps, len(got), len(want))
 			}

@@ -57,71 +57,90 @@ func (t *Tree) AppendWithinDist(q geom.Rect, eps float64, out []Ref) ([]Ref, err
 	return t.appendWithin(t.root, t.height, q.L, q.H, eps*eps, out)
 }
 
-// appendWithin scans one cached flat node at the given level, descending
-// into children whose bounds pass the squared-distance predicate. The
-// dimension switch is hoisted per node so the common low-dimensional scans
-// run as unrolled strided loops over the bound array.
+// appendWithin scans one cached flat node at the given level: a leaf
+// appends the refs of its entries within the squared radius straight to
+// out (appendLeafWithin), an internal node recurses into each such child
+// in entry order — the DFS order WithinDist visits — with no closure
+// between the scan and the hit to turn every hit into stores through a
+// pointer.
 func (t *Tree) appendWithin(page pager.PageID, level uint32, qL, qH []float64, eps2 float64, out []Ref) ([]Ref, error) {
 	fn, err := t.readFlat(page, level)
 	if err != nil {
 		return out, err
 	}
-	d := t.dim
-	bounds := fn.bounds
-	var derr error
-	descend := func(e int) bool {
-		if fn.leaf {
-			out = append(out, Ref(fn.pay[e]))
-			return true
-		}
-		out, derr = t.appendWithin(pager.PageID(fn.pay[e]), level-1, qL, qH, eps2, out)
-		return derr == nil
+	if fn.leaf {
+		return fn.appendLeafWithin(t.dim, qL, qH, eps2, out), nil
 	}
+	d := t.dim
+	for e := 0; e < fn.count; e++ {
+		o := e * 2 * d
+		if geom.MinDistSqLH(qL, qH, fn.bounds[o:o+d], fn.bounds[o+d:o+2*d]) <= eps2 {
+			if out, err = t.appendWithin(pager.PageID(fn.pay[e]), level-1, qL, qH, eps2, out); err != nil {
+				return out, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// appendLeafWithin appends to out the ref of every entry of the leaf fn,
+// of dimension d, within squared distance eps2 of (qL, qH), in entry order.
+// The dimension switch is hoisted out of the scan so the common
+// low-dimensional ones run as unrolled strided loops over the bound array.
+// Whether an entry is within reach is a coin toss to a branch predictor,
+// so no branch decides it: out is grown once to hold the whole leaf, every
+// ref is written past the kept ones, and the kept count advances by the
+// comparison — a conditional move.
+func (fn *flatNode) appendLeafWithin(d int, qL, qH []float64, eps2 float64, out []Ref) []Ref {
+	bounds, pay := fn.bounds, fn.pay[:fn.count]
+	out = slices.Grow(out, len(pay))
+	n, buf := len(out), out[:cap(out)]
 	switch d {
 	case 2:
 		q0l, q1l, q0h, q1h := qL[0], qL[1], qH[0], qH[1]
-		for e := 0; e < fn.count; e++ {
+		for e, ref := range pay {
 			o := e * 4
-			d2 := geom.GapSq(bounds[o], bounds[o+2], q0l, q0h) +
-				geom.GapSq(bounds[o+1], bounds[o+3], q1l, q1h)
-			if d2 <= eps2 && !descend(e) {
-				return out, derr
+			buf[n] = Ref(ref)
+			if geom.GapSq(bounds[o], bounds[o+2], q0l, q0h)+
+				geom.GapSq(bounds[o+1], bounds[o+3], q1l, q1h) <= eps2 {
+				n++
 			}
 		}
 	case 3:
 		q0l, q1l, q2l := qL[0], qL[1], qL[2]
 		q0h, q1h, q2h := qH[0], qH[1], qH[2]
-		for e := 0; e < fn.count; e++ {
+		for e, ref := range pay {
 			o := e * 6
-			d2 := geom.GapSq(bounds[o], bounds[o+3], q0l, q0h) +
-				geom.GapSq(bounds[o+1], bounds[o+4], q1l, q1h) +
-				geom.GapSq(bounds[o+2], bounds[o+5], q2l, q2h)
-			if d2 <= eps2 && !descend(e) {
-				return out, derr
+			buf[n] = Ref(ref)
+			if geom.GapSq(bounds[o], bounds[o+3], q0l, q0h)+
+				geom.GapSq(bounds[o+1], bounds[o+4], q1l, q1h)+
+				geom.GapSq(bounds[o+2], bounds[o+5], q2l, q2h) <= eps2 {
+				n++
 			}
 		}
 	case 4:
 		q0l, q1l, q2l, q3l := qL[0], qL[1], qL[2], qL[3]
 		q0h, q1h, q2h, q3h := qH[0], qH[1], qH[2], qH[3]
-		for e := 0; e < fn.count; e++ {
+		for e, ref := range pay {
 			o := e * 8
-			d2 := geom.GapSq(bounds[o], bounds[o+4], q0l, q0h) +
-				geom.GapSq(bounds[o+1], bounds[o+5], q1l, q1h) +
-				geom.GapSq(bounds[o+2], bounds[o+6], q2l, q2h) +
-				geom.GapSq(bounds[o+3], bounds[o+7], q3l, q3h)
-			if d2 <= eps2 && !descend(e) {
-				return out, derr
+			buf[n] = Ref(ref)
+			if geom.GapSq(bounds[o], bounds[o+4], q0l, q0h)+
+				geom.GapSq(bounds[o+1], bounds[o+5], q1l, q1h)+
+				geom.GapSq(bounds[o+2], bounds[o+6], q2l, q2h)+
+				geom.GapSq(bounds[o+3], bounds[o+7], q3l, q3h) <= eps2 {
+				n++
 			}
 		}
 	default:
-		for e := 0; e < fn.count; e++ {
+		for e, ref := range pay {
 			o := e * 2 * d
-			if geom.MinDistSqLH(qL, qH, bounds[o:o+d], bounds[o+d:o+2*d]) <= eps2 && !descend(e) {
-				return out, derr
+			buf[n] = Ref(ref)
+			if geom.MinDistSqLH(qL, qH, bounds[o:o+d], bounds[o+d:o+2*d]) <= eps2 {
+				n++
 			}
 		}
 	}
-	return out, nil
+	return out[:n]
 }
 
 // searchRec walks the subtree rooted at page, a node at the given level,

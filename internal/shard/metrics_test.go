@@ -96,14 +96,43 @@ func TestMergeStatsWallVsCPU(t *testing.T) {
 	if merged.Phase1 != 2*time.Millisecond || merged.Phase2 != 4*time.Millisecond || merged.Phase3 != 5*time.Millisecond {
 		t.Fatalf("phases must take per-phase max, got %v/%v/%v", merged.Phase1, merged.Phase2, merged.Phase3)
 	}
-	if want := a.CPUTime + b.CPUTime; merged.CPUTime != want {
-		t.Fatalf("CPUTime must sum: got %v, want %v", merged.CPUTime, want)
+	if want := a.Phase2 + a.Phase3 + b.Phase2 + b.Phase3 + merged.Phase1; merged.CPUTime != want {
+		t.Fatalf("CPUTime must sum Phase2+Phase3 and count the shared Phase1 once: got %v, want %v", merged.CPUTime, want)
 	}
 	if merged.Total() != 11*time.Millisecond {
 		t.Fatalf("merged Total = %v, want 11ms (sum of per-phase maxima)", merged.Total())
 	}
 	if merged.CandidatesDmbr != 7 || merged.TotalSequences != 22 {
 		t.Fatalf("counters must sum: %+v", merged)
+	}
+}
+
+// TestShardedCPUTimeCountsPhase1Once holds a 4-shard range's merged CPUTime
+// — the wire's cpuUs and the front cache's eviction cost — to the shards'
+// Phase2+Phase3 summed plus one Phase1: the shards share one prepared query,
+// whose segmentation every one of them reports as its Phase1.
+func TestShardedCPUTimeCountsPhase1Once(t *testing.T) {
+	s, first := instrumentedSharded(t, obs.NewRegistry(), 16)
+	q := &core.Sequence{Label: "q", Points: first.Points[:15]}
+	res, err := s.Do(context.Background(), core.Query{Seq: q, Eps: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerShard) != 4 {
+		t.Fatalf("%d shards answered, want 4", len(res.PerShard))
+	}
+	want := res.Stats.Phase1
+	for _, ps := range res.PerShard {
+		if ps.Stats.Phase1 != res.Stats.Phase1 {
+			t.Fatalf("shard %d reports Phase1 %v, the merged one is %v: the shards did not share one segmentation", ps.Shard, ps.Stats.Phase1, res.Stats.Phase1)
+		}
+		want += ps.Stats.Phase2 + ps.Stats.Phase3
+	}
+	if res.Stats.Phase1 <= 0 {
+		t.Fatalf("Phase1 = %v, want the segmentation's time", res.Stats.Phase1)
+	}
+	if res.Stats.CPUTime != want {
+		t.Fatalf("merged CPUTime %v, want Σ shard (Phase2+Phase3) + one Phase1 = %v", res.Stats.CPUTime, want)
 	}
 }
 
@@ -135,8 +164,8 @@ func TestMergeStatsPartialMerge(t *testing.T) {
 		t.Fatalf("partial merge phases = %v/%v/%v, want maxima over answered shards only",
 			merged.Phase1, merged.Phase2, merged.Phase3)
 	}
-	// CPUTime: sum over the folded shards only.
-	if want := answered[0].CPUTime + answered[1].CPUTime; merged.CPUTime != want {
+	// CPUTime: sum over the folded shards only, the shared Phase1 once.
+	if want := answered[0].CPUTime + answered[1].CPUTime - answered[0].Phase1; merged.CPUTime != want {
 		t.Fatalf("partial merge CPUTime = %v, want %v (answered shards only)", merged.CPUTime, want)
 	}
 	if merged.TotalSequences != 21 || merged.CandidatesDmbr != 8 || merged.MatchesDnorm != 3 {

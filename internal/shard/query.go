@@ -206,7 +206,12 @@ func (s *ShardedDB) gather(q core.Query, vals []core.Result) core.Result {
 //     wall-clock (each phase's max may come from a different shard), never
 //     the cross-shard compute sum.
 //   - CPUTime sums — it is the aggregate compute the scatter consumed
-//     across all shards; CPUTime/Total() reads as effective parallelism.
+//     across all shards; CPUTime/Total() reads as effective parallelism —
+//     except Phase1: the shards read one prepared query (core.Prepare),
+//     whose segmentation or envelopes were built once and which every shard
+//     reports as its Phase1, so the merged CPUTime counts Phase1 once, as
+//     the per-phase max: each fold adds a shard's CPUTime less its Phase1,
+//     plus what its Phase1 raises the max by.
 //   - QueryMBRs is the same on every shard (same query, same
 //     partitioning), so the first shard's value is taken and the rest are
 //     ignored. Taking it once (instead of overwriting on every
@@ -227,8 +232,9 @@ func mergeStats(dst *core.SearchStats, st core.SearchStats) {
 	dst.DTWKeoghPruned += st.DTWKeoghPruned
 	dst.DTWEvals += st.DTWEvals
 	dst.QuantPruned += st.QuantPruned
-	dst.CPUTime += st.CPUTime
+	dst.CPUTime += st.CPUTime - st.Phase1
 	if st.Phase1 > dst.Phase1 {
+		dst.CPUTime += st.Phase1 - dst.Phase1
 		dst.Phase1 = st.Phase1
 	}
 	if st.Phase2 > dst.Phase2 {

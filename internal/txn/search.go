@@ -138,10 +138,13 @@ func (s *Snap) Do(ctx context.Context, q core.Query) (core.Result, error) {
 	base := q
 	if q.Kind == core.KNN {
 		// The base answers an inflated k', covering every result the delta
-		// might supersede or have removed. Nothing is sized by k, and k' is
-		// built from the smaller of k and the live count: asking for more
-		// neighbors than there are sequences returns them all, ranked.
-		base.K = min(q.K, s.st.live) + len(s.st.adds) + len(s.view().overlay) + len(s.st.removed)
+		// might supersede or have removed. An add takes a fresh id the base
+		// never holds, so it drops nothing from the base's answer and is not
+		// counted: the merge ranks it against the base's survivors. Nothing
+		// is sized by k, and k' is built from the smaller of k and the live
+		// count: asking for more neighbors than there are sequences returns
+		// them all, ranked.
+		base.K = min(q.K, s.st.live) + len(s.view().overlay) + len(s.st.removed)
 		base.Bound = q.Bound.Local()
 	}
 	res, err := s.st.base.Do(ctx, base)

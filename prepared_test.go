@@ -68,7 +68,9 @@ func txnNodes(t *testing.T, n int, cfg core.PartitionConfig) []*txn.DB {
 // (under DTW) are built once per query, whatever answers it — four
 // in-memory shards, four transactional shards with unfolded writes, one
 // transactional node whose base and delta pass both read the query — and
-// the answers are the one database's.
+// the answers are the one database's; and a batch of range queries on each
+// of them is prepared once per member, up front, and built once per
+// distinct query.
 func TestPreparedOncePerQuery(t *testing.T) {
 	seqs, q := preparedCorpus(t, 64)
 	one, err := core.NewDatabase(core.Options{Dim: 3})
@@ -147,6 +149,36 @@ func TestPreparedOncePerQuery(t *testing.T) {
 			}
 			if g, w := answerKeys(got), answerKeys(want); len(w) == 0 || !slices.Equal(g, w) {
 				t.Fatalf("%s, %s: answer %v, one database's %v", layer.name, c.name, g, w)
+			}
+		}
+
+		// A batch prepares its members up front and hands Do the prepared
+		// queries: Do checks none of them again, and a query asked twice is
+		// built once.
+		q2 := &core.Sequence{Label: "q2", Points: seqs[9].Points[:min(40, seqs[9].Len())]}
+		batch := []*core.Sequence{q, q2, q}
+		handed := func(ctx context.Context, bq core.Query) (core.Result, error) {
+			if _, own, err := core.Prepare(bq, 3, core.DefaultPartitionConfig()); err != nil || own != nil {
+				own.Release()
+				t.Errorf("%s, batch: Do was handed a query not prepared for it (err %v)", layer.name, err)
+			}
+			return layer.do(ctx, bq)
+		}
+		before := core.PreparedBuilds()
+		got, _, err := core.DoBatch(ctx, handed, 3, core.DefaultPartitionConfig(), batch, 0.2)
+		if err != nil {
+			t.Fatalf("%s, batch: %v", layer.name, err)
+		}
+		if n := core.PreparedBuilds() - before; n != 2 {
+			t.Errorf("%s, batch: %d query sides built for two distinct queries, want 2", layer.name, n)
+		}
+		for i, bq := range batch {
+			want, err := one.Do(ctx, core.Query{Seq: bq, Eps: 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := answerKeys(core.Result{Matches: got[i]}), answerKeys(want); len(w) == 0 || !slices.Equal(g, w) {
+				t.Fatalf("%s, batch member %d: answer %v, one database's %v", layer.name, i, g, w)
 			}
 		}
 	}
